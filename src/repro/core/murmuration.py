@@ -6,14 +6,15 @@ cache, model reconfiguration, and the distributed executor.  One
 :class:`Murmuration` instance is "the local device's runtime"; remote
 devices are simulated through the cluster model.
 
-Two operating modes:
+One request path (observe, decide or hit the strategy cache,
+reconfigure, execute) serves every caller: :meth:`Murmuration.infer` is
+:meth:`Murmuration.infer_batch` at ``n = 1``.  Two operating modes:
 
-* **plan-only** (no executable supernet): :meth:`infer` prices the
-  chosen strategy with the latency simulator — this is the mode the
-  paper-scale benchmarks use;
+* **plan-only** (no executable supernet): each item is priced with the
+  latency simulator — this is the mode the paper-scale benchmarks use;
 * **executable** (a :class:`~repro.nas.supernet.Supernet` attached):
-  :meth:`infer` really runs the partitioned submodel on the input batch
-  through the distributed executor.
+  each item really runs the partitioned submodel on its input through
+  the distributed executor.
 
 Fault handling (opt-in via ``faults=``): the injector perturbs the true
 world each request; the *data plane* discovers crashed peers through
@@ -30,7 +31,7 @@ every latency bit-identical to a fault-free build.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,7 +51,7 @@ from ..netsim.topology import Cluster, NetworkCondition
 from ..partition.plan import single_device_plan
 from ..partition.simulate import simulate_latency
 from ..runtime.clock import SimulatedClock
-from ..runtime.executor import DistributedExecutor, ExecutionResult
+from ..runtime.executor import DistributedExecutor
 from ..runtime.predictor import MonitoringPredictor
 from ..runtime.reconfig import ModelReconfig
 from ..telemetry import Telemetry
@@ -278,6 +279,10 @@ class Murmuration:
         return estimate
 
     # -- decision helpers --------------------------------------------------
+    def _accuracy(self, arch, plan) -> float:
+        """Modelled accuracy of running ``arch`` under ``plan``."""
+        return arch_accuracy(arch, self.space) - plan_accuracy_penalty(plan)
+
     def _blocked_devices(self, plan) -> List[int]:
         """Plan devices the circuit breakers currently reject.
 
@@ -309,9 +314,8 @@ class Murmuration:
         plan = single_device_plan(graph, device=target)
         expected = simulate_latency(
             graph, plan, Cluster(list(self.cluster.devices), condition))
-        accuracy = (arch_accuracy(strategy.arch, self.space)
-                    - plan_accuracy_penalty(plan))
-        return Strategy(strategy.arch, plan, expected.total_s, accuracy)
+        return Strategy(strategy.arch, plan, expected.total_s,
+                        self._accuracy(strategy.arch, plan))
 
     def decide(self, condition: Optional[NetworkCondition] = None,
                ) -> DecisionRecord:
@@ -347,6 +351,10 @@ class Murmuration:
                 record.decision_time_s, "reroute")
             if self.telemetry is not None:
                 self._m_reroutes.inc()
+        return self._note_decision(record)
+
+    def _note_decision(self, record: DecisionRecord) -> DecisionRecord:
+        """Count, time and record one decision, whatever produced it."""
         if self.telemetry is not None:
             counter = self._m_decisions.get(record.engine)
             if counter is None:
@@ -381,30 +389,9 @@ class Murmuration:
                 total = simulate_latency(graph, plan, self.cluster).total_s
                 if best_s is None or total < best_s:
                     best_plan, best_s = plan, total
-            accuracy = (arch_accuracy(arch, self.space)
-                        - plan_accuracy_penalty(best_plan))
-            self._min_strategy = Strategy(arch, best_plan, best_s, accuracy)
+            self._min_strategy = Strategy(arch, best_plan, best_s,
+                                          self._accuracy(arch, best_plan))
         return self._min_strategy
-
-    def _admission_decision(self) -> DecisionRecord:
-        """Degraded admission: min submodel, no engine run, zero cost.
-
-        Mirrors :meth:`decide`'s telemetry/recorder bookkeeping so a
-        controlled run's decision accounting stays complete.
-        """
-        record = DecisionRecord(self.min_strategy(), 0.0, "admission")
-        if self.telemetry is not None:
-            counter = self._m_decisions.get("admission")
-            if counter is None:
-                counter = self._reg.counter("decisions_total",
-                                            help="decisions by engine",
-                                            engine="admission")
-                self._m_decisions["admission"] = counter
-            counter.inc()
-            self._m_decision_s.observe(0.0)
-        if self.recorder is not None:
-            self.recorder.on_decision(self._now, "admission", 0.0, False)
-        return record
 
     def _sync_cache_metrics(self) -> None:
         cache = self.cache
@@ -440,6 +427,10 @@ class Murmuration:
               tenant: Optional[str] = None) -> InferenceRecord:
         """Serve one inference request under the current SLO.
 
+        A batch of one: everything from the decision to the clock
+        advance is :meth:`infer_batch`'s path, so the record and the
+        clock are bit-identical to ``infer_batch(batch_size=1)``.
+
         ``degraded=True`` (set by the admission controller) skips the
         decision engine and serves the memoized min-submodel strategy at
         zero decision cost; the record's outcome becomes ``"degraded"``.
@@ -449,18 +440,17 @@ class Murmuration:
         contention attribution work end to end.  None changes nothing.
 
         ``now`` must be monotone (a small float-noise tolerance aside):
-        a value that would rewind the shared clock raises ValueError,
-        where older releases silently accepted any assignment.  A
-        caller that genuinely needs non-monotone serving time — e.g.
+        a value that would rewind the shared clock raises ValueError.
+        A caller that genuinely needs non-monotone serving time — e.g.
         replaying a shuffled trace — should call
         ``self.clock.reset(t)`` before each request to opt out of the
         guard explicitly.
         """
         if now is not None:
-            # Servers compute finish = ((start + d) + s) + l while the
-            # clock accumulates start + (d + s + l); the next start can
-            # land a few ulps below the clock.  Tolerate float noise,
-            # reject genuine rewinds.
+            # A caller that accumulates service segments in another
+            # association order than ((start + d) + s) + l can land a
+            # few ulps below the clock.  Tolerate float noise, reject
+            # genuine rewinds.
             tol = 1e-9 * max(1.0, self.clock.now)
             if now < self.clock.now - tol:
                 raise ValueError(
@@ -468,143 +458,30 @@ class Murmuration:
                     f"from {self.clock.now}; serving time is monotone "
                     f"(the batched overlap path is the one legitimate "
                     f"rewind and goes through infer_batch)")
-            # reset, not advance_to: byte-identical to the historical
-            # `self._now = now` assignment within the tolerance window
-            self.clock.reset(now)
-        if self.executor is not None:
-            self.executor.transport.tenant = tenant
-        if self.control is not None and self.control.server is None:
-            # Facade-only deployment: the facade drives the cadence.  A
-            # server-attached loop ticks at the server instead, where
-            # queue depth and request windows are known.
-            self.control.maybe_tick(self._now)
-        if self.faults is not None:
-            self.faults.advance(self._now)
-            self.faults.apply_to(self.cluster, self._base_condition)
-        tracer = Telemetry.tracer_of(self.telemetry)
-        with tracer.span("decision", sim_time=self._now) as sp:
-            decision = (self._admission_decision() if degraded
-                        else self.decide())
-            sp.add_sim(decision.decision_time_s)
-            sp.annotate(engine=decision.engine)
-            if request_id is not None:
-                sp.annotate(request=request_id)
-        if decision.strategy is None:
-            raise RuntimeError(
-                "no strategy satisfies the SLO under current conditions")
-        strategy = decision.strategy
-        switch_time = 0.0
-        switched = False
-        logits = None
-        outcome = "ok"
-        retries = 0
-        failovers = 0
-        sim_t = self._now + decision.decision_time_s
-        if self.reconfig is not None and (
-                self.reconfig.active_arch is None
-                or self.reconfig.active_arch != strategy.arch):
-            with tracer.span("switch", sim_time=sim_t) as sp:
-                switch_time = self.reconfig.switch(
-                    strategy.arch).modeled_time_s
-                switched = True
-                sp.add_sim(switch_time)
-        sim_t += switch_time
-
-        with tracer.span("execute", sim_time=sim_t) as sp:
-            if request_id is not None:
-                sp.annotate(request=request_id)
-            if tenant is not None:
-                sp.annotate(tenant=tenant)
-            if self.faults is None:
-                if self.executor is not None and x is not None:
-                    result: ExecutionResult = self.executor.execute(
-                        x, strategy.arch, strategy.plan, sim_time=sim_t,
-                        request_id=request_id)
-                    latency = result.report.total_s
-                    logits = result.logits
-                else:
-                    graph = build_graph(strategy.arch, self.space)
-                    latency = simulate_latency(graph, strategy.plan,
-                                               self.cluster).total_s
-                accuracy = strategy.expected_accuracy
-            elif self.executor is not None and x is not None:
-                (latency, accuracy, outcome, retries, failovers,
-                 logits, _) = self._execute_faulty(x, strategy, sim_t,
-                                                   request_id)
-            else:
-                (latency, accuracy, outcome, retries,
-                 failovers, _) = self._plan_only_faulty(strategy)
-            sp.add_sim(latency)
-            if degraded and outcome == "ok":
-                outcome = "degraded"
-            if outcome != "ok":
-                sp.annotate(outcome=outcome)
-        satisfied = (outcome != "failed"
-                     and (self.slo.satisfied_by(latency, accuracy)
-                          if self.slo else True))
-        record = InferenceRecord(
-            latency_s=latency, accuracy=accuracy, satisfied=satisfied,
-            strategy=strategy, cache_hit=(decision.engine == "cache"),
-            decision_time_s=decision.decision_time_s,
-            switch_time_s=switch_time, logits=logits,
-            outcome=outcome, retries=retries, failovers=failovers)
-        self.records.append(record)
-        # The request occupied the runtime for its *full* service time;
-        # advancing by execution latency alone would drift the fault
-        # schedule and health cooldowns behind simulated time for every
-        # caller that does not pass ``now=`` explicitly.
-        self.clock.advance(decision.decision_time_s + switch_time + latency)
-        if self.telemetry is not None:
-            self._m_inference_s.observe(latency)
-            if switched:
-                self._m_switch_s.observe(switch_time)
-            if retries:
-                self._m_retries.inc(retries)
-            if failovers:
-                self._m_failovers.inc(failovers)
-            if outcome == "degraded":
-                self._m_degraded.inc()
-            elif outcome == "failed":
-                self._m_failed.inc()
-        self._drain_health()
-        return record
-
-    def _drain_health(self) -> None:
-        """Invalidate cached strategies behind newly opened circuits.
-
-        Device circuits condemn every plan using the device; link
-        circuits (mesh) condemn plans using either non-gateway endpoint
-        of the pair — the placement may be fine once the path recovers,
-        so the strategy is merely dropped from the cache, not banned.
-        """
-        if self.health is None:
-            return
-        for dev in self.health.drain_opened():
-            n = self.cache.invalidate(
-                lambda s, d=dev: d in s.plan.devices_used())
-            if self.telemetry is not None and n:
-                self._m_cache_invalidated.inc(n)
-        for a, b in self.health.drain_opened_links():
-            ends = frozenset(d for d in (a, b) if d != 0)
-            if not ends:
-                continue
-            n = self.cache.invalidate(
-                lambda s, e=ends: bool(e.intersection(
-                    s.plan.devices_used())))
-            if self.telemetry is not None and n:
-                self._m_cache_invalidated.inc(n)
+        return self._serve(
+            xs=None if x is None else [x], n=1, now=now,
+            request_ids=None if request_id is None else [request_id],
+            tenants=None if tenant is None else [tenant],
+            exec_not_before=None, degraded=degraded,
+            note={} if request_id is None else {"request": request_id},
+        ).items[0]
 
     def infer_batch(self, xs: Optional[Sequence[Optional[np.ndarray]]] = None,
                     batch_size: Optional[int] = None,
                     now: Optional[float] = None,
                     request_ids: Optional[Sequence[int]] = None,
                     exec_not_before: Optional[float] = None,
-                    degraded: bool = False) -> BatchInferenceResult:
+                    degraded: bool = False,
+                    tenants: Optional[Sequence[Optional[str]]] = None,
+                    ) -> BatchInferenceResult:
         """Serve a batch of requests with one amortized decision.
 
         ``degraded=True`` (set by the admission controller) serves the
         whole batch on the memoized min-submodel strategy at zero
         decision cost; every item's outcome becomes ``"degraded"``.
+
+        ``tenants`` tags item ``i`` with ``tenants[i]`` exactly as
+        :meth:`infer`'s ``tenant`` does; a batch may mix tenants.
 
         All items share a single decision (one probe round, one cache
         lookup or engine run) and a single model switch — sound because
@@ -619,8 +496,11 @@ class Murmuration:
         *and* the executor is free (``exec_not_before``, which lets a
         pipelined server overlap this batch's decision with the previous
         batch's execution); ``_now`` ends at the last item's completion.
-        With ``batch_size=1`` and ``exec_not_before=None`` the clock and
-        accounting reduce exactly to :meth:`infer`.
+        ``now`` may rewind the clock here: batch k+1's decision starts
+        while batch k still executes — pipeline time, not a causality
+        violation, because decision starts are monotone across batches.
+        :meth:`infer` is this method at ``batch_size=1`` (plus a rewind
+        guard on ``now``), by construction.
         """
         if xs is not None:
             n = len(xs)
@@ -633,15 +513,29 @@ class Murmuration:
             raise ValueError(f"batch size must be positive, got {n}")
         if request_ids is not None and len(request_ids) != n:
             raise ValueError("request_ids must match the batch size")
+        if tenants is not None and len(tenants) != n:
+            raise ValueError("tenants must match the batch size")
+        return self._serve(xs=xs, n=n, now=now, request_ids=request_ids,
+                           tenants=tenants, exec_not_before=exec_not_before,
+                           degraded=degraded, note={"batch": n})
+
+    def _serve(self, xs, n: int, now: Optional[float], request_ids, tenants,
+               exec_not_before: Optional[float], degraded: bool,
+               note: dict) -> BatchInferenceResult:
+        """The one request path: decide, switch, execute ``n`` items.
+
+        ``note`` is the caller's annotation for the decision span
+        (``request=i`` from :meth:`infer`, ``batch=n`` from
+        :meth:`infer_batch`).
+        """
         if now is not None:
-            # The overlap path legitimately rewinds: batch k+1's
-            # decision starts while batch k still executes, so ``now``
-            # (the decision instant) precedes the clock (batch k's
-            # finish).  Decision starts are monotone across batches, so
-            # this is pipeline time, not a causality violation — hence
-            # the explicit reset instead of advance_to's guard.
+            # reset, not advance_to: the overlap path rewinds, and
+            # infer's tolerance window admits a few-ulp rewind
             self.clock.reset(now)
         if self.control is not None and self.control.server is None:
+            # Facade-only deployment: the facade drives the cadence.  A
+            # server-attached loop ticks at the server instead, where
+            # queue depth and request windows are known.
             self.control.maybe_tick(self._now)
         start = self._now
         if self.faults is not None:
@@ -649,10 +543,11 @@ class Murmuration:
             self.faults.apply_to(self.cluster, self._base_condition)
         tracer = Telemetry.tracer_of(self.telemetry)
         with tracer.span("decision", sim_time=start) as sp:
-            decision = (self._admission_decision() if degraded
-                        else self.decide())
+            decision = (self._note_decision(DecisionRecord(
+                self.min_strategy(), 0.0, "admission")) if degraded
+                else self.decide())
             sp.add_sim(decision.decision_time_s)
-            sp.annotate(engine=decision.engine, batch=n)
+            sp.annotate(engine=decision.engine, **note)
         if decision.strategy is None:
             raise RuntimeError(
                 "no strategy satisfies the SLO under current conditions")
@@ -661,15 +556,15 @@ class Murmuration:
         model_free = (decision_end if exec_not_before is None
                       else max(decision_end, exec_not_before))
         switch_time = 0.0
-        switched = False
         if self.reconfig is not None and (
                 self.reconfig.active_arch is None
                 or self.reconfig.active_arch != strategy.arch):
             with tracer.span("switch", sim_time=model_free) as sp:
                 switch_time = self.reconfig.switch(
                     strategy.arch).modeled_time_s
-                switched = True
                 sp.add_sim(switch_time)
+            if self.telemetry is not None:
+                self._m_switch_s.observe(switch_time)
         exec_start = model_free + switch_time
         cache_hit = decision.engine == "cache"
         amortized_decision = decision.decision_time_s / n
@@ -679,36 +574,25 @@ class Murmuration:
         finishes: List[float] = []
         sim_t = exec_start
         plan_state: Optional[_PlanState] = None
-        exec_strategy = strategy   # executable fault mode: carried plan
+        exec_strategy = strategy   # executable mode: carried failover plan
         carried_degraded = False
         base_latency: Optional[float] = None
         for idx in range(n):
             x = xs[idx] if xs is not None else None
             rid = request_ids[idx] if request_ids is not None else None
-            logits = None
-            outcome = "ok"
-            retries = 0
-            failovers = 0
+            tenant = tenants[idx] if tenants is not None else None
+            executable = self.executor is not None and x is not None
+            if self.executor is not None:
+                self.executor.transport.tenant = tenant
+            logits, outcome, retries, failovers = None, "ok", 0, 0
             with tracer.span("execute", sim_time=sim_t) as sp:
                 if rid is not None:
                     sp.annotate(request=rid)
-                if self.faults is None:
-                    if self.executor is not None and x is not None:
-                        result: ExecutionResult = self.executor.execute(
-                            x, strategy.arch, strategy.plan, sim_time=sim_t,
-                            request_id=rid)
-                        latency = result.report.total_s
-                        logits = result.logits
-                    else:
-                        if base_latency is None:
-                            graph = build_graph(strategy.arch, self.space)
-                            base_latency = simulate_latency(
-                                graph, strategy.plan, self.cluster).total_s
-                        latency = base_latency
-                    accuracy = strategy.expected_accuracy
-                elif self.executor is not None and x is not None:
+                if tenant is not None:
+                    sp.annotate(tenant=tenant)
+                if executable:
                     (latency, accuracy, outcome, retries, failovers,
-                     logits, executed) = self._execute_faulty(
+                     logits, executed) = self._execute(
                         x, exec_strategy, sim_t, rid)
                     if carried_degraded and outcome == "ok":
                         outcome = "degraded"
@@ -717,14 +601,18 @@ class Murmuration:
                             or executed[1] != exec_strategy.plan):
                         # Batch fails over as a unit: later items keep
                         # the replanned (arch, plan).
-                        new_arch, new_plan = executed
                         exec_strategy = Strategy(
-                            new_arch, new_plan,
-                            exec_strategy.expected_latency_s,
-                            arch_accuracy(new_arch, self.space)
-                            - plan_accuracy_penalty(new_plan))
+                            *executed, exec_strategy.expected_latency_s,
+                            self._accuracy(*executed))
                         if outcome == "degraded":
                             carried_degraded = True
+                elif self.faults is None:
+                    if base_latency is None:
+                        graph = build_graph(strategy.arch, self.space)
+                        base_latency = simulate_latency(
+                            graph, strategy.plan, self.cluster).total_s
+                    latency = base_latency
+                    accuracy = strategy.expected_accuracy
                 else:
                     (latency, accuracy, outcome, retries, failovers,
                      plan_state) = self._plan_only_faulty(
@@ -757,9 +645,11 @@ class Murmuration:
                     self._m_degraded.inc()
                 elif outcome == "failed":
                     self._m_failed.inc()
+        # Full service time, not execution alone: the clock lands on the
+        # last finish — ((start + d) + s) + l at n = 1, a serving loop's
+        # ``finish`` — so callers that never pass ``now=`` stay in step
+        # with fault schedules and health cooldowns.
         self.clock.advance_to(sim_t)
-        if self.telemetry is not None and switched:
-            self._m_switch_s.observe(switch_time)
         self._drain_health()
         return BatchInferenceResult(
             items=items, decision_time_s=decision.decision_time_s,
@@ -767,10 +657,36 @@ class Murmuration:
             exec_start_s=exec_start, item_finish_s=finishes,
             finish_s=sim_t, cache_hit=cache_hit)
 
+    def _drain_health(self) -> None:
+        """Invalidate cached strategies behind newly opened circuits.
+
+        Device circuits condemn every plan using the device; link
+        circuits (mesh) condemn plans using either non-gateway endpoint
+        of the pair — the placement may be fine once the path recovers,
+        so the strategy is merely dropped from the cache, not banned.
+        """
+        if self.health is None:
+            return
+        for dev in self.health.drain_opened():
+            n = self.cache.invalidate(
+                lambda s, d=dev: d in s.plan.devices_used())
+            if self.telemetry is not None and n:
+                self._m_cache_invalidated.inc(n)
+        for a, b in self.health.drain_opened_links():
+            ends = frozenset(d for d in (a, b) if d != 0)
+            if not ends:
+                continue
+            n = self.cache.invalidate(
+                lambda s, e=ends: bool(e.intersection(
+                    s.plan.devices_used())))
+            if self.telemetry is not None and n:
+                self._m_cache_invalidated.inc(n)
+
     # -- fault-aware execution paths ---------------------------------------
-    def _execute_faulty(self, x: np.ndarray, strategy: Strategy,
-                        sim_t: float, request_id: Optional[int]) -> Tuple:
-        """Executable mode: the executor owns retry/failover/degradation.
+    def _execute(self, x: np.ndarray, strategy: Strategy,
+                 sim_t: float, request_id: Optional[int]) -> Tuple:
+        """Executable mode: the executor owns retry/failover/degradation
+        (none of which can happen without a fault injector).
 
         The last tuple element is the ``(arch, plan)`` actually executed
         (None on failure) so batched callers can carry a failover
@@ -783,9 +699,9 @@ class Murmuration:
         except ExecutionFailedError as e:
             return e.wasted_s, 0.0, "failed", e.retries, 0, None, None
         if result.outcome == "degraded":
-            accuracy = (arch_accuracy(result.executed_arch, self.space)
-                        - plan_accuracy_penalty(single_device_plan(
-                            build_graph(result.executed_arch, self.space))))
+            accuracy = self._accuracy(
+                result.executed_arch, single_device_plan(
+                    build_graph(result.executed_arch, self.space)))
         else:
             accuracy = strategy.expected_accuracy
         return (result.report.total_s, accuracy, result.outcome,
@@ -833,11 +749,8 @@ class Murmuration:
                         health.record_success(d, now)
                         health.record_link_success(0, d, now)
                     self._note_plan_reroutes(remotes)
-                    if replanned:
-                        accuracy = (arch_accuracy(arch, self.space)
-                                    - plan_accuracy_penalty(plan))
-                    else:
-                        accuracy = strategy.expected_accuracy
+                    accuracy = (self._accuracy(arch, plan) if replanned
+                                else strategy.expected_accuracy)
                     outcome = ("degraded" if degraded
                                else "retried" if (retries or failovers)
                                else "ok")

@@ -38,7 +38,7 @@ import numpy as np
 
 from ..netsim.topology import NetworkCondition
 from ..telemetry import Telemetry
-from .server import InferenceServer, RequestRecord, ServingStats
+from .server import InferenceServer, ServingStats
 
 __all__ = ["BatchPolicy", "BatchRecord", "BatchedServingStats",
            "BatchingInferenceServer"]
@@ -207,13 +207,7 @@ class BatchingInferenceServer(InferenceServer):
         :meth:`InferenceServer.run`; a batch may mix tenants (they share
         the SLO and the condition cell, which is all batching needs).
         """
-        if num_requests <= 0:
-            raise ValueError(
-                f"num_requests must be positive, got {num_requests}")
-        if tenants is not None and len(tenants) != num_requests:
-            raise ValueError(
-                f"tenants covers {len(tenants)} requests but "
-                f"num_requests is {num_requests}")
+        self._check_run_args(num_requests, tenants)
         if self.ingress is not None:
             raise ValueError(
                 "the batched pipeline does not model a shared ingress; "
@@ -277,7 +271,8 @@ class BatchingInferenceServer(InferenceServer):
                     batch_size=size, now=d_start,
                     request_ids=list(range(i, j)),
                     exec_not_before=(exec_free if overlap else None),
-                    degraded=degraded)
+                    degraded=degraded,
+                    tenants=None if tenants is None else tenants[i:j])
                 bs.set_sim_end(res.finish_s)
                 bs.annotate(cache_hit=res.cache_hit)
             # What a serial pipeline would have charged: decision at
@@ -309,17 +304,8 @@ class BatchingInferenceServer(InferenceServer):
                         root.annotate(tenant=tenant)
                     if record.outcome != "ok":
                         root.annotate(outcome=record.outcome)
-                self._observe_request(stats, RequestRecord(
-                    arrival=arrival, start=d_start,
-                    finish=res.item_finish_s[m],
-                    inference_s=record.latency_s,
-                    decision_s=record.decision_time_s,
-                    switch_s=record.switch_time_s,
-                    satisfied=record.satisfied,
-                    outcome=record.outcome,
-                    retries=record.retries,
-                    failovers=record.failovers,
-                    tenant=tenant), batch=k)
+                self._emit_served(stats, record, arrival, d_start,
+                                  res.item_finish_s[m], tenant, batch=k)
             if self.telemetry is not None:
                 self._m_batch_size.observe(float(size))
                 if size > 1:

@@ -37,13 +37,16 @@ class SimulatedClock:
         """Explicitly move the clock to ``t`` — the *only* entry point
         that may rewind.
 
-        One caller is legitimate: the batched facade's overlap path
-        (:meth:`Murmuration.infer_batch`) starts batch ``k+1``'s
-        decision while batch ``k`` still executes, so its clock restarts
-        at the decision instant, before the previous batch's finish —
-        pipeline time, not a causality violation (decision starts are
-        monotone across batches).  Everything else must go through
-        :meth:`advance` / :meth:`advance_to`, which guard monotonicity.
+        The facade's serving path (``Murmuration._serve``) is the one
+        caller, on behalf of two fronts.  ``infer_batch(now=)`` rewinds
+        for real: the overlap path starts batch ``k+1``'s decision
+        while batch ``k`` still executes, so its clock restarts at the
+        decision instant, before the previous batch's finish — pipeline
+        time, not a causality violation (decision starts are monotone
+        across batches).  ``infer(now=)`` guards monotonicity itself and
+        lets through only a float-noise rewind.  Everything else must go
+        through :meth:`advance` / :meth:`advance_to`, which guard
+        monotonicity.
         """
         self._now = float(t)
         return self._now

@@ -355,6 +355,29 @@ class InferenceServer:
             inference_s=0.0, decision_s=0.0, switch_s=0.0,
             satisfied=False, outcome="shed", tenant=tenant), batch=batch)
 
+    def _emit_served(self, stats: ServingStats, record: "InferenceRecord",
+                     arrival: float, start: float, finish: float,
+                     tenant: Optional[str],
+                     batch: Optional[int] = None) -> None:
+        """Account one request the facade served."""
+        self._observe_request(stats, RequestRecord(
+            arrival=arrival, start=start, finish=finish,
+            inference_s=record.latency_s,
+            decision_s=record.decision_time_s,
+            switch_s=record.switch_time_s, satisfied=record.satisfied,
+            outcome=record.outcome, retries=record.retries,
+            failovers=record.failovers, tenant=tenant), batch=batch)
+
+    @staticmethod
+    def _check_run_args(num_requests: int, tenants) -> None:
+        if num_requests <= 0:
+            raise ValueError(
+                f"num_requests must be positive, got {num_requests}")
+        if tenants is not None and len(tenants) != num_requests:
+            raise ValueError(
+                f"tenants covers {len(tenants)} requests but "
+                f"num_requests is {num_requests}")
+
     @staticmethod
     def _tenant_of(tenants, i: int) -> Optional[str]:
         return tenants[i] if tenants is not None else None
@@ -380,13 +403,7 @@ class InferenceServer:
         the tag rides through admission, the facade, records, and
         telemetry.  None keeps single-tenant serving byte-identical.
         """
-        if num_requests <= 0:
-            raise ValueError(
-                f"num_requests must be positive, got {num_requests}")
-        if tenants is not None and len(tenants) != num_requests:
-            raise ValueError(
-                f"tenants covers {len(tenants)} requests but "
-                f"num_requests is {num_requests}")
+        self._check_run_args(num_requests, tenants)
         stats = ServingStats()
         self._last_trace_idx = None
         arrivals = self._arrivals(num_requests)
@@ -446,14 +463,5 @@ class InferenceServer:
                 if record.outcome != "ok":
                     root.annotate(outcome=record.outcome)
             server_free = finish
-            self._observe_request(stats, RequestRecord(
-                arrival=arrival, start=start, finish=finish,
-                inference_s=record.latency_s,
-                decision_s=record.decision_time_s,
-                switch_s=record.switch_time_s,
-                satisfied=record.satisfied,
-                outcome=record.outcome,
-                retries=record.retries,
-                failovers=record.failovers,
-                tenant=tenant))
+            self._emit_served(stats, record, arrival, start, finish, tenant)
         return stats

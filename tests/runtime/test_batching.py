@@ -1,21 +1,26 @@
 """Batched serving: formation, amortization, overlap, and FIFO parity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core import SLO, Murmuration, SearchDecisionEngine
 from repro.devices import desktop_gtx1080, jetson_class, rpi4
 from repro.eval.serving_load import _PinnedTimeEngine
-from repro.faults import DeviceCrash, FaultInjector, FaultSchedule
+from repro.faults import (DeviceCrash, FaultInjector, FaultSchedule,
+                          crash_and_recover_schedule)
 from repro.nas import MBV3_SPACE
 from repro.netsim import NetworkCondition, TraceConfig, step_trace
+from repro.telemetry import Telemetry
 from repro.runtime import (BatchedServingStats, BatchingInferenceServer,
                            BatchPolicy, InferenceServer)
 
 _DT = 0.02  # pinned per-miss decision cost: deterministic clocks
 
 
-def _system(slo_ms=200.0, seed=0, faults=None, decision_s=_DT):
+def _system(slo_ms=200.0, seed=0, faults=None, decision_s=_DT,
+            telemetry=None):
     devices = [rpi4(), desktop_gtx1080(), jetson_class()]
     engine = SearchDecisionEngine(MBV3_SPACE, devices, n_random_archs=4,
                                   seed=seed)
@@ -24,7 +29,7 @@ def _system(slo_ms=200.0, seed=0, faults=None, decision_s=_DT):
     return Murmuration(
         MBV3_SPACE, devices, NetworkCondition((300.0, 150.0), (10.0, 20.0)),
         engine, slo=SLO.latency_ms(slo_ms), use_predictor=False,
-        monitor_noise=0.0, seed=seed, faults=faults)
+        monitor_noise=0.0, seed=seed, faults=faults, telemetry=telemetry)
 
 
 class TestBatchPolicy:
@@ -237,6 +242,31 @@ class TestFifoParity:
                         trace_period_s=0.5)
         assert a.records == b.records
 
+    def test_batch_size_one_parity_under_crash_and_recover(self):
+        """Plan-only chaos: retries, failover and recovery come out the
+        same from both loops, server-side and facade-side."""
+        def faults():
+            return FaultInjector(crash_and_recover_schedule(
+                device=1, crash_at=0.3, recover_at=1.2), seed=15)
+
+        fifo_system = _system(seed=15, faults=faults())
+        batched_system = _system(seed=15, faults=faults())
+        a = InferenceServer(fifo_system, arrival_rate_hz=20.0,
+                            seed=16).run(num_requests=40)
+        b = BatchingInferenceServer(
+            batched_system, arrival_rate_hz=20.0,
+            policy=BatchPolicy(max_batch=1), seed=16).run(num_requests=40)
+        assert a.records == b.records
+        # ExecutionPlan compares by identity: unpack the strategy
+        def facade_view(system):
+            return [(replace(r, strategy=None), r.strategy.arch,
+                     tuple(r.strategy.plan), r.strategy.expected_latency_s)
+                    for r in system.records]
+        assert facade_view(fifo_system) == facade_view(batched_system)
+        assert a.outcome_counts()["retried"] > 0
+        assert any(r.failovers for r in a.records)
+        assert a.records[-1].outcome == "ok"  # device 1 came back
+
     def test_summary_mentions_batches(self):
         server = BatchingInferenceServer(
             _system(seed=14), arrival_rate_hz=60.0,
@@ -244,6 +274,26 @@ class TestFifoParity:
         stats = server.run(num_requests=16)
         assert "batches" in stats.summary()
         assert "amortized" in stats.summary()
+
+
+class TestBatchedTenants:
+    def test_server_forwards_tenants_to_the_facade(self):
+        """Regression: the batched loop never passed ``tenants`` on, so
+        batched ``execute`` spans carried no tenant."""
+        tel = Telemetry()
+        server = BatchingInferenceServer(
+            _system(telemetry=tel), arrival_rate_hz=60.0,
+            policy=BatchPolicy(max_batch=4), seed=1, telemetry=tel)
+        tenants = [("a", "b", None)[i % 3] for i in range(18)]
+        server.run(num_requests=18, tenants=tenants)
+        executes = [sp for root in tel.tracer.finished
+                    if root.name == "batch"
+                    for sp in root.children if sp.name == "execute"]
+        assert len(executes) == 18
+        assert any(root.attrs.get("size", 0) > 1
+                   for root in tel.tracer.finished)  # real batches formed
+        for sp in executes:
+            assert sp.attrs.get("tenant") == tenants[sp.attrs["request"]]
 
 
 class TestBatchedEvents:
