@@ -33,7 +33,7 @@ import sys
 
 import pytest
 
-from repro.eval import AdaptiveConfig, format_adaptive, run_adaptive
+from repro.eval import AdaptiveConfig, format_reports, run_scenario
 
 _CFG = AdaptiveConfig()
 _SMOKE_CFG = AdaptiveConfig(num_requests=80, trace_steps=60,
@@ -42,7 +42,7 @@ _SMOKE_CFG = AdaptiveConfig(num_requests=80, trace_steps=60,
 
 @pytest.fixture(scope="module")
 def reports():
-    return run_adaptive(_CFG)
+    return run_scenario("adaptive", _CFG)
 
 
 @pytest.mark.benchmark(group="control")
@@ -89,8 +89,8 @@ def test_adaptive_is_reproducible():
     Decision cost is pinned and the control loop runs on the simulated
     clock, so even the controlled variant is a pure function of seeds.
     """
-    a = run_adaptive(_SMOKE_CFG)
-    b = run_adaptive(_SMOKE_CFG)
+    a = run_scenario("adaptive", _SMOKE_CFG)
+    b = run_scenario("adaptive", _SMOKE_CFG)
     for name in a:
         ra, rb = a[name].stats.records, b[name].stats.records
         assert len(ra) == len(rb)
@@ -114,8 +114,8 @@ def main(argv=None) -> int:
     if args.requests is not None:
         from dataclasses import replace
         cfg = replace(cfg, num_requests=args.requests)
-    reports = run_adaptive(cfg)
-    print(format_adaptive(reports))
+    reports = run_scenario("adaptive", cfg)
+    print(format_reports(reports))
     static, controlled = reports["static"], reports["controlled"]
     ok = controlled.e2e_compliance > static.e2e_compliance
     print(f"\ne2e compliance: static {static.e2e_compliance:.0%} -> "

@@ -32,7 +32,7 @@ import sys
 
 import pytest
 
-from repro.eval import ServingLoadConfig, format_serving_load, run_serving_load
+from repro.eval import ServingLoadConfig, format_reports, run_scenario
 
 _CFG = ServingLoadConfig()
 _SMOKE_CFG = ServingLoadConfig(num_requests=48, trace_steps=40)
@@ -40,7 +40,7 @@ _SMOKE_CFG = ServingLoadConfig(num_requests=48, trace_steps=40)
 
 @pytest.fixture(scope="module")
 def reports():
-    return run_serving_load(_CFG)
+    return run_scenario("serving_load", _CFG)
 
 
 @pytest.mark.benchmark(group="serving")
@@ -78,8 +78,8 @@ def test_serving_load_is_reproducible():
     Decision cost is pinned in the scenario config, so unlike the chaos
     benchmark even the absolute timestamps must agree.
     """
-    a = run_serving_load(_SMOKE_CFG)
-    b = run_serving_load(_SMOKE_CFG)
+    a = run_scenario("serving_load", _SMOKE_CFG)
+    b = run_scenario("serving_load", _SMOKE_CFG)
     for name in a:
         ra, rb = a[name].stats.records, b[name].stats.records
         assert len(ra) == len(rb)
@@ -98,8 +98,8 @@ def main(argv=None) -> int:
     if args.requests is not None:
         from dataclasses import replace
         cfg = replace(cfg, num_requests=args.requests)
-    reports = run_serving_load(cfg)
-    print(format_serving_load(reports))
+    reports = run_scenario("serving_load", cfg)
+    print(format_reports(reports))
     fifo, batched = reports["fifo"], reports["batched"]
     speedup = batched.throughput_rps / fifo.throughput_rps
     ok = (batched.throughput_rps > fifo.throughput_rps

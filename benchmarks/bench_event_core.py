@@ -37,8 +37,7 @@ import sys
 
 import pytest
 
-from repro.eval.event_core import (EventCoreConfig, format_event_core,
-                                   run_event_core)
+from repro.eval import EventCoreConfig, format_reports, run_scenario
 from repro.eval.replay import rerecord
 from repro.netsim.fluid import FluidTracker
 from repro.telemetry.recorder import read_recordings, write_recordings
@@ -56,7 +55,7 @@ _EDGE = (-1, 0)
 
 @pytest.fixture(scope="module")
 def reports():
-    return run_event_core(_CFG)
+    return run_scenario("event_core", _CFG)
 
 
 @pytest.mark.benchmark(group="event_core")
@@ -113,8 +112,8 @@ def test_flow_reconverges_at_the_step_instant():
 @pytest.mark.benchmark(group="event_core")
 def test_event_core_is_reproducible():
     """Same config, same records — bit for bit, both variants."""
-    a = run_event_core(_SMOKE_CFG)
-    b = run_event_core(_SMOKE_CFG)
+    a = run_scenario("event_core", _SMOKE_CFG)
+    b = run_scenario("event_core", _SMOKE_CFG)
     for name in a:
         assert a[name].stats.records == b[name].stats.records
 
@@ -122,7 +121,7 @@ def test_event_core_is_reproducible():
 @pytest.mark.benchmark(group="event_core")
 def test_recording_rerecords_byte_identically():
     """record -> rerecord round trip is byte-stable per variant."""
-    recorded = run_event_core(_SMOKE_CFG, record=True)
+    recorded = run_scenario("event_core", _SMOKE_CFG, record=True)
     first = io.StringIO()
     write_recordings(first, [rep.recorder for rep in recorded.values()])
     second = io.StringIO()
@@ -146,8 +145,8 @@ def main(argv=None) -> int:
     if args.requests is not None:
         from dataclasses import replace
         cfg = replace(cfg, num_requests=args.requests)
-    reports = run_event_core(cfg)
-    print(format_event_core(reports))
+    reports = run_scenario("event_core", cfg)
+    print(format_reports(reports))
     boundary = reports["boundary"].e2e_compliance
     event = reports["event"].e2e_compliance
     ok = event >= boundary + _COMPLIANCE_MARGIN

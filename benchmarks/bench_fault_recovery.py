@@ -31,7 +31,7 @@ import sys
 
 import pytest
 
-from repro.eval import ChaosConfig, format_chaos, run_chaos
+from repro.eval import ChaosConfig, format_reports, run_scenario
 
 _CFG = ChaosConfig()
 _QUICK_CFG = ChaosConfig(num_requests=24, gpu_crash=(1.0, 3.0),
@@ -41,7 +41,7 @@ _QUICK_CFG = ChaosConfig(num_requests=24, gpu_crash=(1.0, 3.0),
 
 @pytest.fixture(scope="module")
 def reports():
-    return run_chaos(_CFG)
+    return run_scenario("chaos", _CFG)
 
 
 @pytest.mark.benchmark(group="faults")
@@ -85,8 +85,8 @@ def test_chaos_trace_is_reproducible():
     so like the serving-load benchmark the comparison is exact down to
     absolute timestamps, not just the simulated fields.
     """
-    a = run_chaos(_QUICK_CFG)["murmuration"]
-    b = run_chaos(_QUICK_CFG)["murmuration"]
+    a = run_scenario("chaos", _QUICK_CFG)["murmuration"]
+    b = run_scenario("chaos", _QUICK_CFG)["murmuration"]
     assert len(a.stats.records) == len(b.stats.records)
     assert a.stats.records == b.stats.records
 
@@ -103,8 +103,8 @@ def main(argv=None) -> int:
     if args.requests is not None:
         from dataclasses import replace
         cfg = replace(cfg, num_requests=args.requests)
-    reports = run_chaos(cfg)
-    print(format_chaos(reports))
+    reports = run_scenario("chaos", cfg)
+    print(format_reports(reports))
     rep = reports["murmuration"]
     ok = rep.completion == 1.0
     print(f"\nresilient completion: {rep.completion:.0%} "

@@ -37,7 +37,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.eval import MultiTenantConfig, run_multi_tenant
+from repro.eval import MultiTenantConfig, run_scenario
 from repro.netsim import FluidTracker, Link, SharedIngress, solve_fluid
 from repro.netsim.contention import ContentionTracker
 from repro.netsim.fluid import FlowSpec
@@ -54,10 +54,10 @@ _VARIANT = "fair"
 
 
 def _run_pair(cfg):
-    snap = run_multi_tenant(replace(cfg, fluid=False),
-                            variants=(_VARIANT,))[_VARIANT]
-    fluid = run_multi_tenant(replace(cfg, fluid=True),
-                             variants=(_VARIANT,))[_VARIANT]
+    snap = run_scenario("multi_tenant", replace(cfg, fluid=False),
+                        variants=(_VARIANT,))[_VARIANT]
+    fluid = run_scenario("multi_tenant", replace(cfg, fluid=True),
+                         variants=(_VARIANT,))[_VARIANT]
     return snap, fluid
 
 
@@ -112,8 +112,8 @@ def test_overlap_contract_snapshot_asymmetric_fluid_simultaneous():
 def test_fluid_run_is_reproducible():
     """Same config, same records — bit for bit, either pricing model."""
     cfg = replace(_SMOKE_CFG, fluid=True)
-    a = run_multi_tenant(cfg, variants=(_VARIANT,))[_VARIANT]
-    b = run_multi_tenant(cfg, variants=(_VARIANT,))[_VARIANT]
+    a = run_scenario("multi_tenant", cfg, variants=(_VARIANT,))[_VARIANT]
+    b = run_scenario("multi_tenant", cfg, variants=(_VARIANT,))[_VARIANT]
     assert a.stats.records == b.stats.records
 
 

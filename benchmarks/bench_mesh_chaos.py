@@ -29,7 +29,7 @@ import sys
 
 import pytest
 
-from repro.eval import MeshChaosConfig, format_mesh_chaos, run_mesh_chaos
+from repro.eval import MeshChaosConfig, format_reports, run_scenario
 from repro.eval.replay import rerecord
 from repro.telemetry.recorder import read_recordings, write_recordings
 
@@ -41,7 +41,7 @@ _LINE_CFG = MeshChaosConfig(topology="line")
 
 @pytest.fixture(scope="module")
 def reports():
-    return run_mesh_chaos(_CFG)
+    return run_scenario("mesh_chaos", _CFG)
 
 
 @pytest.mark.benchmark(group="faults")
@@ -72,7 +72,7 @@ def test_pure_routing_carries_the_ring(reports):
 def test_line_topology_survives_via_degradation():
     """No alternative path on a line: the same outage must be absorbed
     by the failover/degradation ladder instead of the routing layer."""
-    reports = run_mesh_chaos(_LINE_CFG)
+    reports = run_scenario("mesh_chaos", _LINE_CFG)
     rep = reports["murmuration"]
     assert rep.completion >= 0.95
     assert rep.outcomes["degraded"] > 0
@@ -82,8 +82,8 @@ def test_line_topology_survives_via_degradation():
 @pytest.mark.benchmark(group="faults")
 def test_mesh_chaos_trace_is_reproducible():
     """Same config, same records — bit for bit (pinned decision cost)."""
-    a = run_mesh_chaos(_QUICK_CFG)["murmuration"]
-    b = run_mesh_chaos(_QUICK_CFG)["murmuration"]
+    a = run_scenario("mesh_chaos", _QUICK_CFG)["murmuration"]
+    b = run_scenario("mesh_chaos", _QUICK_CFG)["murmuration"]
     assert len(a.stats.records) == len(b.stats.records)
     assert a.stats.records == b.stats.records
 
@@ -91,7 +91,7 @@ def test_mesh_chaos_trace_is_reproducible():
 @pytest.mark.benchmark(group="faults")
 def test_mesh_chaos_records_byte_stably():
     """record -> rerecord round-trips to the identical byte stream."""
-    rep = run_mesh_chaos(_QUICK_CFG, record=True)["murmuration"]
+    rep = run_scenario("mesh_chaos", _QUICK_CFG, record=True)["murmuration"]
     buf1 = io.StringIO()
     write_recordings(buf1, [rep.recorder.recording()])
     rec = read_recordings(io.StringIO(buf1.getvalue()))[0]
@@ -118,8 +118,8 @@ def main(argv=None) -> int:
             cfg = replace(cfg, topology=args.topology)
         if args.requests is not None:
             cfg = replace(cfg, num_requests=args.requests)
-    reports = run_mesh_chaos(cfg)
-    print(format_mesh_chaos(reports))
+    reports = run_scenario("mesh_chaos", cfg)
+    print(format_reports(reports))
     rep = reports["murmuration"]
     abl = reports["no-reroute"]
     ok = rep.completion >= 0.95 and abl.completion < 0.70

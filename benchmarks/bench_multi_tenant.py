@@ -33,8 +33,7 @@ import sys
 
 import pytest
 
-from repro.eval import (MultiTenantConfig, format_multi_tenant,
-                        run_multi_tenant)
+from repro.eval import MultiTenantConfig, format_reports, run_scenario
 from repro.eval.replay import rerecord
 from repro.telemetry.recorder import read_recordings, write_recordings
 
@@ -48,7 +47,7 @@ _SMOKE_CFG = MultiTenantConfig(num_requests=80, trace_steps=60)
 
 @pytest.fixture(scope="module")
 def reports():
-    return run_multi_tenant(_CFG)
+    return run_scenario("multi_tenant", _CFG)
 
 
 @pytest.mark.benchmark(group="multi_tenant")
@@ -109,8 +108,8 @@ def test_every_record_is_tenant_tagged(reports):
 @pytest.mark.benchmark(group="multi_tenant")
 def test_multi_tenant_is_reproducible():
     """Same config, same records — bit for bit, controllers included."""
-    a = run_multi_tenant(_SMOKE_CFG)
-    b = run_multi_tenant(_SMOKE_CFG)
+    a = run_scenario("multi_tenant", _SMOKE_CFG)
+    b = run_scenario("multi_tenant", _SMOKE_CFG)
     for name in a:
         assert a[name].stats.records == b[name].stats.records
 
@@ -118,8 +117,8 @@ def test_multi_tenant_is_reproducible():
 @pytest.mark.benchmark(group="multi_tenant")
 def test_recording_rerecords_byte_identically():
     """record -> rerecord round trip is byte-stable per variant."""
-    recorded = run_multi_tenant(_SMOKE_CFG, record=True,
-                                variants=("fifo", "fair"))
+    recorded = run_scenario("multi_tenant", _SMOKE_CFG, record=True,
+                            variants=("fifo", "fair"))
     first = io.StringIO()
     write_recordings(first, [rep.recorder for rep in recorded.values()])
     second = io.StringIO()
@@ -143,8 +142,8 @@ def main(argv=None) -> int:
     if args.requests is not None:
         from dataclasses import replace
         cfg = replace(cfg, num_requests=args.requests)
-    reports = run_multi_tenant(cfg)
-    print(format_multi_tenant(reports))
+    reports = run_scenario("multi_tenant", cfg)
+    print(format_reports(reports))
     fifo = reports["fifo"].worst_tenant_compliance
     fair = reports["fair"].worst_tenant_compliance
     ok = fair >= fifo + _MARGIN

@@ -10,8 +10,8 @@ over :mod:`repro.eval` (the pytest benchmarks add assertions on top).
     python -m repro.cli vit
     python -m repro.cli telemetry --requests 60 --out telemetry.jsonl
     python -m repro.cli links
-    python -m repro.cli control --requests 120
-    python -m repro.cli record --requests 40 --out run.jsonl
+    python -m repro.cli run adaptive --set num_requests=120
+    python -m repro.cli run serving_load --record run.jsonl
     python -m repro.cli replay run.jsonl --verify
 """
 
@@ -21,7 +21,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .eval import (fig13_augmented_accuracy, fig14_swarm_accuracy,
+from .eval import (SCENARIOS, fig13_augmented_accuracy, fig14_swarm_accuracy,
                    fig15_accuracy_slo_latency, fig16a_compliance_augmented,
                    fig16b_compliance_swarm, fig17_scalability,
                    fig18_search_time, fig19_switch_time,
@@ -30,6 +30,10 @@ from .eval import (fig13_augmented_accuracy, fig14_swarm_accuracy,
                    format_search_time, format_switch_time)
 
 __all__ = ["main"]
+
+
+class _UsageError(Exception):
+    """Bad command-line input found after parsing; exits with code 2."""
 
 
 def _fig13(args) -> str:
@@ -84,128 +88,6 @@ def _vit(args) -> str:
     return "\n".join(lines)
 
 
-def _chaos(args) -> str:
-    """Chaos run: star crash-and-recover, or link-level mesh (--mesh)."""
-    from dataclasses import replace
-
-    if args.mesh:
-        from .eval.mesh_chaos import (MeshChaosConfig, format_mesh_chaos,
-                                      run_mesh_chaos)
-
-        mcfg = MeshChaosConfig(seed=args.seed, slo_ms=args.slo_ms,
-                               topology=args.topology)
-        if args.requests is not None:
-            mcfg = replace(mcfg, num_requests=args.requests)
-        mreports = run_mesh_chaos(mcfg)
-        mrep = mreports["murmuration"]
-        return (format_mesh_chaos(mreports)
-                + f"\n\nresilient completion: {mrep.completion:.0%}, "
-                f"reroutes={mrep.reroutes}, failovers={mrep.failovers}")
-
-    from .eval.chaos import ChaosConfig, format_chaos, run_chaos
-
-    cfg = ChaosConfig(seed=args.seed, slo_ms=args.slo_ms)
-    if args.requests is not None:
-        cfg = replace(cfg, num_requests=args.requests)
-    reports = run_chaos(cfg)
-    rep = reports["murmuration"]
-    return (format_chaos(reports)
-            + f"\n\nresilient completion: {rep.completion:.0%}, "
-            f"retries={rep.retries}, failovers={rep.failovers}")
-
-
-def _serve(args) -> str:
-    """Serve a Poisson stream; ``--batch N`` enables the batched pipeline."""
-    from dataclasses import replace
-
-    from .eval.serving_load import (ServingLoadConfig, _make_system,
-                                    _trace, format_serving_load,
-                                    run_serving_load)
-    from .runtime import BatchingInferenceServer, BatchPolicy, InferenceServer
-
-    if getattr(args, "tenants", None):
-        from .eval.multi_tenant import (MultiTenantConfig, default_tenants,
-                                        format_multi_tenant,
-                                        run_multi_tenant)
-
-        tcfg = MultiTenantConfig(tenants=default_tenants(args.tenants),
-                                 seed=args.seed, slo_ms=args.slo_ms,
-                                 fluid=bool(getattr(args, "fluid", False)))
-        if args.requests is not None:
-            tcfg = replace(tcfg, num_requests=args.requests)
-        steps = getattr(args, "mid_flight", None)
-        reports = run_multi_tenant(
-            tcfg, ingress_step_mbps=steps,
-            ingress_step_period_s=getattr(args, "step_period", 1.0))
-        if getattr(args, "json", False):
-            # canonical key order + repr floats: two identical seeded
-            # runs must print byte-identical JSON (CI determinism check)
-            import json
-
-            payload = {
-                "config": {"tenants": args.tenants, "seed": tcfg.seed,
-                           "requests": tcfg.num_requests,
-                           "slo_ms": tcfg.slo_ms, "fluid": tcfg.fluid},
-                # key present only when stepping: the default payload
-                # stays byte-identical to pre-event-core builds
-                **({"mid_flight": {"mbps": list(steps),
-                                   "period_s": args.step_period}}
-                   if steps else {}),
-                "variants": {
-                    name: {
-                        "e2e_compliance": rep.e2e_compliance,
-                        "worst_tenant_compliance":
-                            rep.worst_tenant_compliance,
-                        "tenants": rep.tenant_compliance(),
-                        "shed": rep.shed,
-                        "contended": (rep.tracker.contended_total
-                                      if rep.tracker is not None else None),
-                    } for name, rep in reports.items()},
-            }
-            return json.dumps(payload, sort_keys=True)
-        fifo, fair = reports["fifo"], reports["fair"]
-        sharing = "fluid max-min" if tcfg.fluid else "snapshot"
-        stepping = ""
-        if steps:
-            trace = "->".join(f"{s:g}" for s in steps)
-            stepping = (f"\nmid-flight ingress steps: {trace} Mbps "
-                        f"every {args.step_period:g}s (scheduled events)")
-        return (format_multi_tenant(reports)
-                + f"\n\ningress sharing: {sharing}"
-                + stepping
-                + f"\nworst-tenant e2e compliance: fifo "
-                f"{fifo.worst_tenant_compliance:.0%} -> fair "
-                f"{fair.worst_tenant_compliance:.0%} "
-                f"(shed {fair.shed})")
-
-    # --compare keeps the scenario's default batch size unless overridden;
-    # the single-server path defaults to plain FIFO.
-    batch = args.batch if args.batch is not None else (
-        ServingLoadConfig().max_batch if args.compare else 1)
-    cfg = ServingLoadConfig(seed=args.seed, slo_ms=args.slo_ms,
-                            arrival_rate_hz=args.rate,
-                            max_batch=batch,
-                            max_wait_s=args.wait_ms / 1e3)
-    if args.requests is not None:
-        cfg = replace(cfg, num_requests=args.requests)
-    if args.compare:
-        return format_serving_load(run_serving_load(cfg))
-    system = _make_system(cfg)
-    if batch > 1:
-        server = BatchingInferenceServer(
-            system, arrival_rate_hz=cfg.arrival_rate_hz,
-            policy=BatchPolicy(max_batch=cfg.max_batch,
-                               max_wait_s=cfg.max_wait_s),
-            seed=cfg.seed + 1)
-    else:
-        server = InferenceServer(system, arrival_rate_hz=cfg.arrival_rate_hz,
-                                 seed=cfg.seed + 1)
-    stats = server.run(num_requests=cfg.num_requests,
-                       condition_trace=_trace(cfg),
-                       trace_period_s=cfg.trace_period_s)
-    return stats.summary()
-
-
 def _telemetry(args) -> str:
     """Run an instrumented serving scenario; dump report + exports."""
     from .core import SLO, Murmuration, SearchDecisionEngine
@@ -239,24 +121,6 @@ def _telemetry(args) -> str:
             fh.write(prometheus_text(tel.registry))
         footer.append(f"wrote Prometheus text to {args.prom}")
     return report + "\n" + "\n".join(footer)
-
-
-def _control(args) -> str:
-    """Adaptive-control run: static vs controlled serving under a burst."""
-    from dataclasses import replace
-
-    from .eval.adaptive import AdaptiveConfig, format_adaptive, run_adaptive
-
-    cfg = AdaptiveConfig(seed=args.seed, slo_ms=args.slo_ms,
-                         arrival_rate_hz=args.rate)
-    if args.requests is not None:
-        cfg = replace(cfg, num_requests=args.requests)
-    reports = run_adaptive(cfg)
-    static, controlled = reports["static"], reports["controlled"]
-    return (format_adaptive(reports)
-            + f"\n\ne2e compliance: static {static.e2e_compliance:.0%} -> "
-            f"controlled {controlled.e2e_compliance:.0%} "
-            f"(shed {controlled.shed}, degraded {controlled.degraded})")
 
 
 def _links(args) -> str:
@@ -342,36 +206,78 @@ def _links(args) -> str:
     return report
 
 
-def _record(args) -> str:
-    """Capture a seeded serving-load run as a replayable recording."""
-    from dataclasses import replace
+def _run(args) -> str:
+    """Run one registered scenario: its table or JSON, and a recording."""
+    import json
+    from dataclasses import asdict
 
-    from .eval.serving_load import ServingLoadConfig, run_serving_load
+    from .eval.runner import (format_reports, override_config,
+                              report_values, run_scenario)
     from .telemetry import Telemetry, write_recordings
 
-    cfg = ServingLoadConfig(seed=args.seed, slo_ms=args.slo_ms,
-                            arrival_rate_hz=args.rate,
-                            max_batch=args.batch,
-                            max_wait_s=args.wait_ms / 1e3)
-    if args.requests is not None:
-        cfg = replace(cfg, num_requests=args.requests)
-    tel = Telemetry() if args.timelines else None
-    reports = run_serving_load(cfg, telemetry=tel, record=True)
-    lines = write_recordings(
-        args.out, [rep.recorder for rep in reports.values()])
-    summaries = [f"  {rep.name}: {rep.stats.summary()}"
-                 for rep in reports.values()]
-    return ("\n".join(summaries)
-            + f"\nwrote {lines} recording lines "
-            f"({len(reports)} runs) to {args.out}")
+    spec = SCENARIOS[args.scenario]
+    try:
+        cfg = override_config(spec.config(), args.set)
+    except ValueError as exc:
+        raise _UsageError(str(exc))
+    if cfg.num_requests <= 0:
+        raise _UsageError(
+            f"num_requests must be positive, got {cfg.num_requests}")
+    variants = (args.variants.split(",") if args.variants
+                else list(spec.variants))
+    unknown = [v for v in variants if v not in spec.variants]
+    if unknown:
+        raise _UsageError(
+            f"{args.scenario} has no variant {', '.join(unknown)}; "
+            f"valid variants: {', '.join(spec.variants)}")
+    if args.timelines and (args.record is None
+                           or spec.instrumented not in variants):
+        raise _UsageError(
+            f"--timelines needs --record and the instrumented variant "
+            f"({spec.instrumented or 'this scenario has none'})")
+    reports = run_scenario(args.scenario, cfg, variants=variants,
+                           record=args.record is not None,
+                           telemetry=Telemetry() if args.timelines else None)
+    if args.json:
+        # canonical key order + repr floats: two identical seeded runs
+        # print byte-identical JSON (CI determinism check)
+        out = json.dumps({"scenario": args.scenario, "config": asdict(cfg),
+                          "variants": report_values(reports)},
+                         sort_keys=True)
+    else:
+        out = format_reports(reports)
+    if args.record is not None:
+        lines = write_recordings(
+            args.record, [rep.recorder for rep in reports.values()])
+        note = (f"wrote {lines} recording lines ({len(reports)} runs) "
+                f"to {args.record}")
+        if cfg.decision_time_s is None:
+            note += ("\nnote: decision_time_s=none charges measured wall "
+                     "clock; this recording is not byte-stable")
+        if args.json:  # keep stdout pure JSON
+            print(note, file=sys.stderr)
+        else:
+            out += "\n\n" + note
+    return out
+
+
+def _stream(runs) -> str:
+    import io
+
+    from .telemetry import write_recordings
+
+    buf = io.StringIO()
+    write_recordings(buf, runs)
+    return buf.getvalue()
 
 
 def _replay(args) -> str:
     """Re-derive serving stats from a recording; optionally verify."""
-    from .eval.replay import (format_replay, load_recordings, rerecord,
-                              replay_serving_load, replay_stats,
-                              verify_invariants)
-    from .eval.serving_load import format_serving_load
+    from itertools import groupby
+
+    from .eval.replay import (format_replay, load_recordings, replay_reports,
+                              rerecord, verify_invariants)
+    from .eval.runner import format_reports
 
     try:
         recs = load_recordings(args.recording)
@@ -380,9 +286,9 @@ def _replay(args) -> str:
     if not recs:
         raise SystemExit(f"{args.recording}: no recorded runs found")
     lines = [format_replay(recs)]
-    if all(rec.scenario == "serving_load" for rec in recs):
-        lines.append("")
-        lines.append(format_serving_load(replay_serving_load(recs)))
+    for scenario, group in groupby(recs, key=lambda rec: rec.scenario):
+        if scenario in SCENARIOS:
+            lines += ["", format_reports(replay_reports(list(group)))]
     problems = []
     for rec in recs:
         problems += [f"{rec.variant}: {p}" for p in verify_invariants(rec)]
@@ -392,13 +298,16 @@ def _replay(args) -> str:
     lines.append(f"\ninvariants ok across {len(recs)} runs")
     if args.verify:
         for rec in recs:
-            fresh = rerecord(rec)
-            if replay_stats(fresh.recording()) != replay_stats(rec):
+            try:
+                fresh = rerecord(rec)
+            except ValueError as exc:
+                raise SystemExit(f"verify failed: {exc}")
+            if _stream([fresh]) != _stream([rec]):
                 raise SystemExit(
                     f"verify failed: live re-run of {rec.scenario}/"
-                    f"{rec.variant} disagrees with the recording")
+                    f"{rec.variant} is not byte-identical to the recording")
         lines.append(f"verified: live re-runs match all "
-                     f"{len(recs)} recorded runs")
+                     f"{len(recs)} recorded runs byte for byte")
     return "\n".join(lines)
 
 
@@ -411,27 +320,18 @@ _COMMANDS = {
     "fig18": (_fig18, "decision time: evolutionary vs RL"),
     "fig19": (_fig19, "model switch time"),
     "vit": (_vit, "extension: ViT patch-parallel inference"),
-    "chaos": (_chaos,
-              "fault injection: crash-and-recover serving; --mesh for "
-              "link-level faults on multi-hop topologies"),
-    "serve": (_serve,
-              "serving loop under load; --batch N for the batched "
-              "pipeline; --tenants N for multi-tenant fairness "
-              "(--fluid for max-min ingress sharing)"),
     "telemetry": (_telemetry,
                   "instrumented serving run: report + JSONL/Prometheus"),
     "links": (_links,
               "per-link congestion dashboard over transport_link_* "
               "metrics; --jsonl reads a telemetry export"),
-    "control": (_control,
-                "adaptive control plane: static vs controlled serving "
-                "under an overload burst"),
-    "record": (_record,
-               "capture a seeded serving-load run as a replayable JSONL "
-               "recording"),
+    "run": (_run,
+            "run a serving scenario (see `list`): variants side by side; "
+            "--set field=value overrides its config, --record captures "
+            "a replayable JSONL recording"),
     "replay": (_replay,
-               "re-derive serving stats/figures from a recording; "
-               "--verify re-runs live and diffs"),
+               "re-derive serving stats and tables from a recording; "
+               "--verify re-runs live and byte-diffs"),
 }
 
 
@@ -446,57 +346,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if name == "fig13":
             p.add_argument("--slo-ms", type=float, default=140.0,
                            help="latency SLO in milliseconds")
-        elif name == "chaos":
-            p.add_argument("--requests", type=int, default=None,
-                           help="requests to serve (default 60)")
-            p.add_argument("--slo-ms", type=float, default=400.0,
-                           help="latency SLO in milliseconds")
-            p.add_argument("--seed", type=int, default=0,
-                           help="seed for arrivals/noise/fault draws")
-            p.add_argument("--mesh", action="store_true",
-                           help="link-level mesh chaos instead of star "
-                                "crash-and-recover")
-            p.add_argument("--topology", choices=("ring", "line", "mesh"),
-                           default="ring",
-                           help="mesh topology for --mesh (default ring)")
-        elif name == "serve":
-            p.add_argument("--requests", type=int, default=None,
-                           help="requests to serve (default 120)")
-            p.add_argument("--rate", type=float, default=40.0,
-                           help="Poisson arrival rate (req/s)")
-            p.add_argument("--slo-ms", type=float, default=300.0,
-                           help="latency SLO in milliseconds")
-            p.add_argument("--batch", type=int, default=None,
-                           help="max batch size (1 = plain FIFO; "
-                                "--compare defaults to 8)")
-            p.add_argument("--wait-ms", type=float, default=0.0,
-                           help="batch fill timeout in milliseconds")
-            p.add_argument("--seed", type=int, default=0,
-                           help="seed for arrivals/noise/trace draws")
-            p.add_argument("--compare", action="store_true",
-                           help="run fifo vs batched vs batched-serial")
-            p.add_argument("--tenants", type=int, default=None,
-                           help="multi-tenant mode: N tenants share one "
-                                "ingress (first one bursts); compares "
-                                "fifo/admission/fair variants")
-            p.add_argument("--fluid", action="store_true",
-                           help="price the shared ingress with the "
-                                "fluid-flow (max-min) solver instead of "
-                                "the arrival-order snapshot (--tenants)")
-            p.add_argument("--json", action="store_true",
-                           help="print a canonical JSON summary instead "
-                                "of the table (--tenants; byte-stable "
-                                "across identically seeded runs)")
-            p.add_argument("--mid-flight", type=float, nargs="+",
-                           default=None, metavar="MBPS",
-                           help="step the shared ingress capacity through "
-                                "these Mbps values as scheduled events; "
-                                "in-flight uploads re-converge at each "
-                                "step instant (--tenants)")
-            p.add_argument("--step-period", type=float, default=1.0,
-                           metavar="S",
-                           help="seconds each --mid-flight step holds "
-                                "(default 1.0)")
         elif name == "telemetry":
             p.add_argument("--requests", type=int, default=60,
                            help="requests to serve")
@@ -518,54 +367,51 @@ def main(argv: Optional[List[str]] = None) -> int:
                            help="attach the fluid-flow (max-min) solver "
                                 "to the demo cluster and report its "
                                 "pricing stats")
-        elif name == "control":
-            p.add_argument("--requests", type=int, default=None,
-                           help="requests to serve (default 240)")
-            p.add_argument("--rate", type=float, default=8.0,
-                           help="baseline Poisson arrival rate (req/s)")
-            p.add_argument("--slo-ms", type=float, default=300.0,
-                           help="latency SLO in milliseconds")
-            p.add_argument("--seed", type=int, default=0,
-                           help="seed for arrivals/noise/trace draws")
-        elif name == "record":
-            p.add_argument("--requests", type=int, default=None,
-                           help="requests to serve (default 120)")
-            p.add_argument("--rate", type=float, default=40.0,
-                           help="Poisson arrival rate (req/s)")
-            p.add_argument("--slo-ms", type=float, default=300.0,
-                           help="latency SLO in milliseconds")
-            p.add_argument("--batch", type=int, default=8,
-                           help="max batch size for the batched variants")
-            p.add_argument("--wait-ms", type=float, default=0.0,
-                           help="batch fill timeout in milliseconds")
-            p.add_argument("--seed", type=int, default=0,
-                           help="seed for arrivals/noise/trace draws")
+        elif name == "run":
+            p.add_argument("scenario", choices=list(SCENARIOS),
+                           help="scenario to run")
+            p.add_argument("--set", action="append", default=[],
+                           metavar="FIELD=VALUE",
+                           help="override one field of the scenario's "
+                                "config (repeatable), e.g. "
+                                "num_requests=40, fluid=true, "
+                                "burst_window=2,4, decision_time_s=none")
+            p.add_argument("--variants", default=None, metavar="A,B",
+                           help="run only these variants (default: all)")
+            p.add_argument("--record", default=None, metavar="OUT",
+                           help="capture every variant into this "
+                                "recording JSONL")
             p.add_argument("--timelines", action="store_true",
-                           help="also capture per-request span timelines "
-                                "(batched variant)")
-            p.add_argument("--out", default="recording.jsonl",
-                           help="recording JSONL path")
+                           help="with --record: also capture the "
+                                "instrumented variant's per-request span "
+                                "timelines")
+            p.add_argument("--json", action="store_true",
+                           help="print a canonical JSON summary instead "
+                                "of the table (byte-stable across "
+                                "identically seeded runs)")
         elif name == "replay":
             p.add_argument("recording",
-                           help="recording JSONL path (from `record`)")
+                           help="recording JSONL path (from `run --record`)")
             p.add_argument("--verify", action="store_true",
-                           help="re-run the recorded scenario live and "
-                                "fail on any stats mismatch")
+                           help="re-run each recorded variant live and "
+                                "fail unless it re-records byte for byte")
     args = parser.parse_args(argv)
 
     if getattr(args, "requests", None) is not None and args.requests <= 0:
         parser.error(f"--requests must be positive, got {args.requests}")
-    if getattr(args, "batch", None) is not None and args.batch < 1:
-        parser.error(f"--batch must be positive, got {args.batch}")
-    if getattr(args, "tenants", None) is not None and args.tenants < 1:
-        parser.error(f"--tenants must be positive, got {args.tenants}")
     if args.command in (None, "list"):
         print("available figures:")
         for name, (_, help_text) in _COMMANDS.items():
-            print(f"  {name:7s} {help_text}")
+            print(f"  {name:9s} {help_text}")
+        print("scenarios (run <name>):")
+        for name, spec in SCENARIOS.items():
+            print(f"  {name:13s} {', '.join(spec.variants)}")
         return 0
     fn, _ = _COMMANDS[args.command]
-    print(fn(args))
+    try:
+        print(fn(args))
+    except _UsageError as exc:
+        parser.error(str(exc))
     return 0
 
 

@@ -12,58 +12,34 @@ from .experiments import (
     fig18_search_time,
     fig19_switch_time,
 )
-from .adaptive import (
-    AdaptiveConfig,
-    AdaptiveReport,
-    burst_arrival_process,
-    format_adaptive,
-    run_adaptive,
-)
-from .chaos import (
-    ChaosConfig,
-    ChaosReport,
-    chaos_crash_schedule,
-    format_chaos,
-    run_chaos,
-)
-from .event_core import (
-    EventCoreConfig,
-    EventCoreReport,
-    format_event_core,
-    run_event_core,
-)
-from .mesh_chaos import (
-    MeshChaosConfig,
-    MeshChaosReport,
-    build_mesh,
-    format_mesh_chaos,
-    mesh_chaos_schedule,
-    run_mesh_chaos,
-)
+from .adaptive import AdaptiveConfig, burst_arrival_process
+from .chaos import ChaosConfig, chaos_crash_schedule
+from .event_core import EventCoreConfig
+from .mesh_chaos import MeshChaosConfig, build_mesh, mesh_chaos_schedule
 from .multi_tenant import (
     MultiTenantConfig,
-    MultiTenantReport,
     TenantSpec,
     default_tenants,
-    format_multi_tenant,
-    run_multi_tenant,
     tenant_arrivals,
 )
 from .murmuration_method import MurmurationOracle, lattice_archs, policy_method
 from .replay import (
     format_replay,
     load_recordings,
-    replay_serving_load,
+    replay_reports,
     replay_stats,
     rerecord,
     verify_invariants,
 )
-from .serving_load import (
-    ServingLoadConfig,
-    ServingLoadReport,
-    format_serving_load,
-    run_serving_load,
+from .runner import (
+    SCENARIOS,
+    ScenarioReport,
+    build_world,
+    format_reports,
+    run_scenario,
+    run_world,
 )
+from .serving_load import ServingLoadConfig
 from .reporting import (
     accuracy_grid_to_csv,
     compliance_to_csv,
@@ -93,45 +69,33 @@ __all__ = [
     "fig18_search_time",
     "fig19_switch_time",
     "AdaptiveConfig",
-    "AdaptiveReport",
     "burst_arrival_process",
-    "format_adaptive",
-    "run_adaptive",
     "ChaosConfig",
-    "ChaosReport",
     "chaos_crash_schedule",
-    "format_chaos",
-    "run_chaos",
     "MeshChaosConfig",
-    "MeshChaosReport",
     "build_mesh",
     "mesh_chaos_schedule",
-    "format_mesh_chaos",
-    "run_mesh_chaos",
     "ServingLoadConfig",
-    "ServingLoadReport",
-    "format_serving_load",
-    "run_serving_load",
     "EventCoreConfig",
-    "EventCoreReport",
     "MultiTenantConfig",
-    "MultiTenantReport",
     "TenantSpec",
     "default_tenants",
-    "format_event_core",
-    "format_multi_tenant",
-    "run_event_core",
-    "run_multi_tenant",
     "tenant_arrivals",
     "MurmurationOracle",
     "lattice_archs",
     "policy_method",
     "format_replay",
     "load_recordings",
-    "replay_serving_load",
+    "replay_reports",
     "replay_stats",
     "rerecord",
     "verify_invariants",
+    "SCENARIOS",
+    "ScenarioReport",
+    "build_world",
+    "format_reports",
+    "run_scenario",
+    "run_world",
     "augmented_devices",
     "swarm_devices",
     "augmented_cluster",

@@ -17,24 +17,20 @@ so a fixed configuration reproduces identical numbers.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
-from ..core.decision import DecisionRecord, SearchDecisionEngine
-from ..core.murmuration import Murmuration
-from ..core.slo import SLO
 from ..devices.profiles import desktop_gtx1080, jetson_class, rpi4
 from ..faults.injector import FaultInjector
 from ..faults.resilience import ResilienceConfig
 from ..faults.schedule import DeviceCrash, FaultSchedule, LinkDegradation
-from ..nas.search_space import MBV3_SPACE
 from ..netsim.topology import NetworkCondition
-from ..runtime.server import InferenceServer, ServingStats
-from ..telemetry.recorder import RunRecorder
-from .serving_load import _PinnedTimeEngine
+from .spec import Scenario, World
 
-__all__ = ["ChaosConfig", "ChaosReport", "chaos_crash_schedule",
-           "run_chaos", "format_chaos"]
+__all__ = ["ChaosConfig", "NO_FAILOVER", "SCENARIO", "chaos_crash_schedule"]
+
+#: the ablation's data plane: requests touching a dead device fail
+NO_FAILOVER = ResilienceConfig(failover=False, degradation=False)
 
 
 @dataclass(frozen=True)
@@ -61,49 +57,6 @@ class ChaosConfig:
     decision_time_s: Optional[float] = 0.03
 
 
-@dataclass
-class ChaosReport:
-    """Per-variant outcome of a chaos run."""
-
-    name: str
-    stats: ServingStats
-    #: simulated seconds from fault recovery until the first clean
-    #: ("ok" + SLO-satisfied) request finished; None if never
-    recovery_s: Optional[float]
-    retries: int
-    failovers: int
-    #: populated when the run was captured (``record=True``)
-    recorder: Optional[RunRecorder] = None
-
-    @property
-    def compliance(self) -> float:
-        return self.stats.slo_compliance
-
-    @property
-    def completion(self) -> float:
-        return self.stats.completion_rate
-
-    @property
-    def outcomes(self) -> dict:
-        return self.stats.outcome_counts()
-
-
-class _StaticEngine:
-    """Decide once at nominal conditions, serve that strategy forever."""
-
-    def __init__(self, inner: SearchDecisionEngine,
-                 nominal: NetworkCondition):
-        self._inner = inner
-        self._nominal = nominal
-        self._record: Optional[DecisionRecord] = None
-
-    def decide(self, slo: SLO, condition: NetworkCondition) -> DecisionRecord:
-        if self._record is None:
-            first = self._inner.decide(slo, self._nominal)
-            self._record = DecisionRecord(first.strategy, 0.0, "static")
-        return self._record
-
-
 def chaos_crash_schedule(cfg: ChaosConfig) -> FaultSchedule:
     """The scenario's ground-truth fault trace."""
     return FaultSchedule([
@@ -115,90 +68,21 @@ def chaos_crash_schedule(cfg: ChaosConfig) -> FaultSchedule:
     ])
 
 
-def _recovery_s(stats: ServingStats, horizon: float) -> Optional[float]:
-    for r in stats.records:
-        if r.start >= horizon and r.outcome == "ok" and r.satisfied:
-            return r.finish - horizon
-    return None
+def _world(cfg: ChaosConfig, telemetry, static: bool = False,
+           resilience: Optional[ResilienceConfig] = None) -> World:
+    return World(
+        devices=[rpi4(), desktop_gtx1080(), jetson_class()],
+        condition=NetworkCondition((80.0, 60.0), (20.0, 30.0)),
+        arrival_rate_hz=cfg.arrival_rate_hz, static=static,
+        faults=FaultInjector(chaos_crash_schedule(cfg), seed=cfg.seed,
+                             telemetry=telemetry),
+        resilience=resilience)
 
 
-def _run_variant(name: str, cfg: ChaosConfig,
-                 resilience: Optional[ResilienceConfig],
-                 static: bool, telemetry=None,
-                 record: bool = False) -> ChaosReport:
-    devices = [rpi4(), desktop_gtx1080(), jetson_class()]
-    condition = NetworkCondition((80.0, 60.0), (20.0, 30.0))
-    schedule = chaos_crash_schedule(cfg)
-    faults = FaultInjector(schedule, seed=cfg.seed, telemetry=telemetry)
-    engine = SearchDecisionEngine(MBV3_SPACE, devices,
-                                  n_random_archs=cfg.n_random_archs,
-                                  seed=cfg.seed)
-    if cfg.decision_time_s is not None:
-        # Pin *before* the static wrapper: the static variant's one-off
-        # nominal decision is free either way, so pinning only re-prices
-        # the adaptive variants' cache misses.
-        engine = _PinnedTimeEngine(engine, cfg.decision_time_s)
-    if static:
-        engine = _StaticEngine(engine, condition)
-    recorder = (RunRecorder("chaos", variant=name, config=asdict(cfg))
-                if record else None)
-    system = Murmuration(
-        MBV3_SPACE, devices, condition, engine,
-        slo=SLO.latency_ms(cfg.slo_ms), use_predictor=False,
-        monitor_noise=0.02, seed=cfg.seed, telemetry=telemetry,
-        faults=faults, resilience=resilience, recorder=recorder)
-    server = InferenceServer(system, arrival_rate_hz=cfg.arrival_rate_hz,
-                             seed=cfg.seed + 1, telemetry=telemetry,
-                             recorder=recorder)
-    stats = server.run(num_requests=cfg.num_requests)
-    if recorder is not None:
-        if telemetry is not None:
-            recorder.capture_timelines(telemetry.timelines)
-        recorder.finish(stats)
-    return ChaosReport(
-        name=name, stats=stats,
-        recovery_s=_recovery_s(stats, schedule.horizon),
-        retries=sum(r.retries for r in stats.records),
-        failovers=sum(r.failovers for r in stats.records),
-        recorder=recorder)
-
-
-def run_chaos(cfg: ChaosConfig = ChaosConfig(),
-              telemetry=None,
-              record: bool = False) -> Dict[str, ChaosReport]:
-    """Run all three variants on the identical world; keyed by name.
-
-    ``telemetry`` (optional) instruments only the resilient variant —
-    attaching one registry to all three would conflate their counters.
-    ``record=True`` attaches a RunRecorder per variant; with the default
-    pinned ``decision_time_s`` the recordings are byte-stable functions
-    of the seeds (``record`` -> ``rerecord`` byte-diffs clean).  Set
-    ``decision_time_s=None`` to charge honestly measured wall clock
-    instead (recordings still replay exactly, but are no longer
-    byte-stable across hosts).
-    """
-    return {
-        "murmuration": _run_variant(
-            "murmuration", cfg, ResilienceConfig(), static=False,
-            telemetry=telemetry, record=record),
-        "static": _run_variant(
-            "static", cfg, ResilienceConfig(), static=True, record=record),
-        "no-failover": _run_variant(
-            "no-failover", cfg,
-            ResilienceConfig(failover=False, degradation=False),
-            static=False, record=record),
-    }
-
-
-def format_chaos(reports: Dict[str, ChaosReport]) -> str:
-    lines = [f"{'variant':>12s}{'complete':>10s}{'comply':>8s}"
-             f"{'ok':>5s}{'retr':>6s}{'degr':>6s}{'fail':>6s}"
-             f"{'recovery':>10s}"]
-    for rep in reports.values():
-        o = rep.outcomes
-        rec = f"{rep.recovery_s:.2f}s" if rep.recovery_s is not None else "-"
-        lines.append(
-            f"{rep.name:>12s}{rep.completion:>10.0%}{rep.compliance:>8.0%}"
-            f"{o['ok']:>5d}{o['retried']:>6d}{o['degraded']:>6d}"
-            f"{o['failed']:>6d}{rec:>10s}")
-    return "\n".join(lines)
+SCENARIO = Scenario(
+    name="chaos", config=ChaosConfig, world=_world,
+    variants={"murmuration": {},
+              "static": {"static": True},
+              "no-failover": {"resilience": NO_FAILOVER}},
+    instrumented="murmuration",
+    columns=("complete", "comply", "ok", "retr", "degr", "fail", "recovery"))

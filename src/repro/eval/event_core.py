@@ -30,26 +30,19 @@ benchmark pins.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
-from ..core.murmuration import Murmuration
-from ..core.decision import SearchDecisionEngine
-from ..core.slo import SLO
 from ..devices.profiles import desktop_gtx1080, rpi4
-from ..nas.search_space import MBV3_SPACE
 from ..netsim.contention import SharedIngress
 from ..netsim.fluid import FluidTracker
 from ..netsim.link import Link
 from ..netsim.topology import NetworkCondition
 from ..netsim.traces import condition_at
-from ..runtime.server import InferenceServer, ServingStats
 from ..sim import EventLoop, schedule_ingress_trace
-from ..telemetry.recorder import RunRecorder
-from .serving_load import _PinnedTimeEngine
+from .spec import Scenario, World
 
-__all__ = ["EventCoreConfig", "EventCoreReport", "SteppedIngress",
-           "run_event_core", "format_event_core"]
+__all__ = ["EventCoreConfig", "SCENARIO", "SteppedIngress"]
 
 
 @dataclass(frozen=True)
@@ -79,15 +72,6 @@ class EventCoreConfig:
             raise ValueError(
                 f"trace capacities must be positive, "
                 f"got {self.ingress_trace_mbps}")
-
-    @staticmethod
-    def from_dict(config: Dict[str, Any]) -> "EventCoreConfig":
-        """Rebuild from an ``asdict`` round trip (recording headers)."""
-        cfg = dict(config)
-        trace = cfg.get("ingress_trace_mbps")
-        if trace is not None:
-            cfg["ingress_trace_mbps"] = tuple(trace)
-        return EventCoreConfig(**cfg)
 
 
 class SteppedIngress(SharedIngress):
@@ -126,107 +110,31 @@ class SteppedIngress(SharedIngress):
         return super().admit(arrival, tenant)
 
 
-@dataclass
-class EventCoreReport:
-    """Per-variant outcome of a boundary-vs-event run."""
-
-    name: str
-    stats: ServingStats
-    slo_s: float
-    tracker: Optional[FluidTracker] = None
-    events: Optional[EventLoop] = None
-    recorder: Optional[RunRecorder] = None
-
-    @property
-    def e2e_compliance(self) -> float:
-        return self.stats.e2e_compliance(self.slo_s)
-
-    @property
-    def p95_ms(self) -> float:
-        return self.stats.percentile_ms(95)
-
-    @property
-    def mean_ms(self) -> float:
-        served = [r for r in self.stats.records if r.outcome != "shed"]
-        if not served:
-            return 0.0
-        return sum(r.end_to_end_s for r in served) / len(served) * 1e3
-
-    @property
-    def caps_updates(self) -> int:
-        return (self.tracker.caps_updates_total
-                if self.tracker is not None else 0)
-
-
-def _make_system(cfg: EventCoreConfig, recorder=None) -> Murmuration:
-    devices = [rpi4(), desktop_gtx1080()]
-    condition = NetworkCondition((150.0,), (10.0,))
-    engine = SearchDecisionEngine(MBV3_SPACE, devices,
-                                  n_random_archs=cfg.n_random_archs,
-                                  seed=cfg.seed)
-    if cfg.decision_time_s is not None:
-        engine = _PinnedTimeEngine(engine, cfg.decision_time_s)
-    return Murmuration(MBV3_SPACE, devices, condition, engine,
-                       slo=SLO.latency_ms(cfg.slo_ms), use_predictor=False,
-                       monitor_noise=0.02, seed=cfg.seed, recorder=recorder)
-
-
-def run_event_core(cfg: EventCoreConfig = EventCoreConfig(),
-                   record: bool = False,
-                   variants: Tuple[str, ...] = ("boundary", "event"),
-                   ) -> Dict[str, EventCoreReport]:
-    """Run the requested variants on the identical world; keyed by name.
-
-    ``record=True`` captures each variant into a
-    :class:`~repro.telemetry.recorder.RunRecorder` (scenario name
-    ``event_core``) for byte-stable replay.
-    """
-    slo_s = cfg.slo_ms / 1e3
-    payload_bytes = cfg.payload_kb * 1024.0
+def _world(cfg: EventCoreConfig, telemetry,
+           event_driven: bool = False) -> World:
+    tracker = FluidTracker()
     link = Link(bandwidth_mbps=cfg.ingress_trace_mbps[0],
                 delay_ms=cfg.ingress_delay_ms)
-    reports: Dict[str, EventCoreReport] = {}
-    for name in variants:
-        rec = (RunRecorder("event_core", variant=name,
-                           config=asdict(cfg)) if record else None)
-        tracker = FluidTracker()
-        loop: Optional[EventLoop] = None
-        system = _make_system(cfg, recorder=rec)
-        if name == "boundary":
-            ingress = SteppedIngress(link, tracker,
-                                     cfg.ingress_trace_mbps,
-                                     cfg.trace_period_s,
-                                     payload_bytes=payload_bytes)
-        elif name == "event":
-            ingress = SharedIngress(link, tracker,
-                                    payload_bytes=payload_bytes)
-            loop = EventLoop(system.clock)
-            schedule_ingress_trace(loop, ingress, cfg.ingress_trace_mbps,
-                                   cfg.trace_period_s)
-        else:
-            raise ValueError(f"unknown variant {name!r}")
-        server = InferenceServer(system,
-                                 arrival_rate_hz=cfg.arrival_rate_hz,
-                                 seed=cfg.seed + 1, recorder=rec,
-                                 ingress=ingress, events=loop)
-        stats = server.run(num_requests=cfg.num_requests)
-        if rec is not None:
-            rec.finish(stats)
-        reports[name] = EventCoreReport(name=name, stats=stats, slo_s=slo_s,
-                                        tracker=tracker, events=loop,
-                                        recorder=rec)
-    return reports
+    payload_bytes = cfg.payload_kb * 1024.0
+    loop = None
+    if event_driven:
+        ingress = SharedIngress(link, tracker, payload_bytes=payload_bytes)
+        loop = EventLoop()
+        schedule_ingress_trace(loop, ingress, cfg.ingress_trace_mbps,
+                               cfg.trace_period_s)
+    else:
+        ingress = SteppedIngress(link, tracker, cfg.ingress_trace_mbps,
+                                 cfg.trace_period_s,
+                                 payload_bytes=payload_bytes)
+    return World(
+        devices=[rpi4(), desktop_gtx1080()],
+        condition=NetworkCondition((150.0,), (10.0,)),
+        arrival_rate_hz=cfg.arrival_rate_hz,
+        ingress=ingress, tracker=tracker, events=loop)
 
 
-def format_event_core(reports: Dict[str, EventCoreReport]) -> str:
-    head = (f"{'variant':>10s}{'e2e':>7s}{'p95 ms':>9s}{'mean ms':>9s}"
-            f"{'caps-upd':>10s}{'events':>8s}")
-    lines = [head]
-    for rep in reports.values():
-        fired = (str(rep.events.fired_total)
-                 if rep.events is not None else "-")
-        lines.append(
-            f"{rep.name:>10s}{rep.e2e_compliance:>7.0%}"
-            f"{rep.p95_ms:>9.0f}{rep.mean_ms:>9.0f}"
-            f"{rep.caps_updates:>10d}{fired:>8s}")
-    return "\n".join(lines)
+SCENARIO = Scenario(
+    name="event_core", config=EventCoreConfig, world=_world,
+    variants={"boundary": {}, "event": {"event_driven": True}},
+    instrumented=None,
+    columns=("e2e", "p95ms", "mean-ms", "caps-upd", "events"))

@@ -27,27 +27,20 @@ pinned ``decision_time_s`` the recordings are byte-stable.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
-from ..core.decision import SearchDecisionEngine
-from ..core.murmuration import Murmuration
-from ..core.slo import SLO
 from ..devices.profiles import desktop_gtx1080, jetson_class, rpi4
 from ..faults.injector import FaultInjector
 from ..faults.resilience import ResilienceConfig
 from ..faults.schedule import (CorrelatedFailure, FaultSchedule, LinkFailure,
                                LinkFlap)
-from ..nas.search_space import MBV3_SPACE
 from ..netsim.mesh import (MeshCluster, line_topology, partial_mesh_topology,
                            ring_topology)
-from ..runtime.server import InferenceServer, ServingStats
-from ..telemetry.recorder import RunRecorder
-from .chaos import _recovery_s
-from .serving_load import _PinnedTimeEngine
+from .chaos import NO_FAILOVER
+from .spec import Scenario, World
 
-__all__ = ["MeshChaosConfig", "MeshChaosReport", "mesh_chaos_schedule",
-           "build_mesh", "run_mesh_chaos", "format_mesh_chaos"]
+__all__ = ["MeshChaosConfig", "SCENARIO", "build_mesh", "mesh_chaos_schedule"]
 
 TOPOLOGIES = ("ring", "line", "mesh")
 
@@ -86,36 +79,6 @@ class MeshChaosConfig:
                 f"got {self.topology!r}")
 
 
-@dataclass
-class MeshChaosReport:
-    """Per-variant outcome of a mesh chaos run."""
-
-    name: str
-    topology: str
-    stats: ServingStats
-    #: simulated seconds from the last fault clearing until the first
-    #: clean ("ok" + SLO-satisfied) request finished; None if never
-    recovery_s: Optional[float]
-    retries: int
-    failovers: int
-    #: requests served over a backup path (transport reroute count)
-    reroutes: int
-    #: populated when the run was captured (``record=True``)
-    recorder: Optional[RunRecorder] = None
-
-    @property
-    def compliance(self) -> float:
-        return self.stats.slo_compliance
-
-    @property
-    def completion(self) -> float:
-        return self.stats.completion_rate
-
-    @property
-    def outcomes(self) -> dict:
-        return self.stats.outcome_counts()
-
-
 def build_mesh(cfg: MeshChaosConfig, reroute: bool = True) -> MeshCluster:
     """The scenario's four-device swarm on the configured topology.
 
@@ -151,79 +114,22 @@ def mesh_chaos_schedule(cfg: MeshChaosConfig) -> FaultSchedule:
     ])
 
 
-def _run_variant(name: str, cfg: MeshChaosConfig,
-                 resilience: ResilienceConfig, reroute: bool,
-                 telemetry=None, record: bool = False) -> MeshChaosReport:
+def _world(cfg: MeshChaosConfig, telemetry, reroute: bool = True,
+           resilience: Optional[ResilienceConfig] = None) -> World:
     mesh = build_mesh(cfg, reroute=reroute)
-    schedule = mesh_chaos_schedule(cfg)
-    faults = FaultInjector(schedule, seed=cfg.seed, telemetry=telemetry)
-    devices = list(mesh.devices)
-    engine = SearchDecisionEngine(MBV3_SPACE, devices,
-                                  n_random_archs=cfg.n_random_archs,
-                                  seed=cfg.seed)
-    if cfg.decision_time_s is not None:
-        engine = _PinnedTimeEngine(engine, cfg.decision_time_s)
-    recorder = (RunRecorder("mesh_chaos", variant=name, config=asdict(cfg))
-                if record else None)
-    system = Murmuration(
-        MBV3_SPACE, devices, None, engine,
-        slo=SLO.latency_ms(cfg.slo_ms), use_predictor=False,
-        monitor_noise=0.02, seed=cfg.seed, telemetry=telemetry,
-        faults=faults, resilience=resilience, recorder=recorder,
-        cluster=mesh)
-    server = InferenceServer(system, arrival_rate_hz=cfg.arrival_rate_hz,
-                             seed=cfg.seed + 1, telemetry=telemetry,
-                             recorder=recorder)
-    stats = server.run(num_requests=cfg.num_requests)
-    if recorder is not None:
-        if telemetry is not None:
-            recorder.capture_timelines(telemetry.timelines)
-        recorder.finish(stats)
-    return MeshChaosReport(
-        name=name, topology=cfg.topology, stats=stats,
-        recovery_s=_recovery_s(stats, schedule.horizon),
-        retries=sum(r.retries for r in stats.records),
-        failovers=sum(r.failovers for r in stats.records),
-        reroutes=system.path_reroutes, recorder=recorder)
+    return World(
+        devices=mesh.devices, cluster=mesh,
+        arrival_rate_hz=cfg.arrival_rate_hz,
+        faults=FaultInjector(mesh_chaos_schedule(cfg), seed=cfg.seed,
+                             telemetry=telemetry),
+        resilience=resilience)
 
 
-def run_mesh_chaos(cfg: MeshChaosConfig = MeshChaosConfig(),
-                   telemetry=None,
-                   record: bool = False) -> Dict[str, MeshChaosReport]:
-    """Run all three variants on the identical world; keyed by name.
-
-    ``telemetry`` (optional) instruments only the resilient variant —
-    attaching one registry to all three would conflate their counters.
-    ``record=True`` attaches a RunRecorder per variant; with the default
-    pinned ``decision_time_s`` the recordings are byte-stable functions
-    of the seeds.
-    """
-    return {
-        "murmuration": _run_variant(
-            "murmuration", cfg, ResilienceConfig(), reroute=True,
-            telemetry=telemetry, record=record),
-        "no-failover": _run_variant(
-            "no-failover", cfg,
-            ResilienceConfig(failover=False, degradation=False),
-            reroute=True, record=record),
-        "no-reroute": _run_variant(
-            "no-reroute", cfg,
-            ResilienceConfig(failover=False, degradation=False),
-            reroute=False, record=record),
-    }
-
-
-def format_mesh_chaos(reports: Dict[str, MeshChaosReport]) -> str:
-    first = next(iter(reports.values()))
-    lines = [f"mesh chaos on '{first.topology}' topology",
-             f"{'variant':>12s}{'complete':>10s}{'comply':>8s}"
-             f"{'ok':>5s}{'retr':>6s}{'degr':>6s}{'fail':>6s}"
-             f"{'reroute':>9s}{'recovery':>10s}"]
-    for rep in reports.values():
-        o = rep.outcomes
-        rec = f"{rep.recovery_s:.2f}s" if rep.recovery_s is not None else "-"
-        lines.append(
-            f"{rep.name:>12s}{rep.completion:>10.0%}{rep.compliance:>8.0%}"
-            f"{o['ok']:>5d}{o['retried']:>6d}{o['degraded']:>6d}"
-            f"{o['failed']:>6d}{rep.reroutes:>9d}{rec:>10s}")
-    return "\n".join(lines)
+SCENARIO = Scenario(
+    name="mesh_chaos", config=MeshChaosConfig, world=_world,
+    variants={"murmuration": {},
+              "no-failover": {"resilience": NO_FAILOVER},
+              "no-reroute": {"resilience": NO_FAILOVER, "reroute": False}},
+    instrumented="murmuration",
+    columns=("complete", "comply", "ok", "retr", "degr", "fail", "reroute",
+             "recovery"))

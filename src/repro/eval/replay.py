@@ -28,9 +28,12 @@ from typing import Dict, List, Sequence, Union
 
 from ..runtime.batching import BatchedServingStats, BatchRecord
 from ..runtime.server import RequestRecord, ServingStats
+from ..telemetry import Telemetry
 from ..telemetry.recorder import Recording, RunRecorder, read_recordings
+from .runner import (SCENARIOS, ScenarioReport, config_from_dict,
+                     run_scenario)
 
-__all__ = ["load_recordings", "replay_stats", "replay_serving_load",
+__all__ = ["load_recordings", "replay_stats", "replay_reports",
            "verify_invariants", "rerecord", "format_replay"]
 
 # re-exported so eval code can speak "recordings" without importing
@@ -206,71 +209,43 @@ def _check_summary(rec: Recording) -> List[str]:
     return problems
 
 
-def replay_serving_load(
+def replay_reports(
         source: Union[str, Sequence[Recording]],
-        ) -> Dict[str, "ServingLoadReport"]:
-    """Recording stream -> the dict ``run_serving_load`` would return.
+        ) -> Dict[str, ScenarioReport]:
+    """Recordings of one scenario -> the dict ``run_scenario`` would
+    return, minus the live handles.
 
     Accepts a path/file or already-parsed recordings; the result feeds
-    :func:`repro.eval.serving_load.format_serving_load` directly, so
-    the serving-load figure derives from the recording alone.
+    :func:`repro.eval.runner.format_reports` directly, so any
+    scenario's table derives from its recording alone.
     """
-    from .serving_load import ServingLoadReport
     recs = (source if isinstance(source, (list, tuple))
             else read_recordings(source))
-    return {rec.variant: ServingLoadReport(name=rec.variant,
-                                           stats=replay_stats(rec))
+    return {rec.variant: ScenarioReport(
+                scenario=rec.scenario, name=rec.variant,
+                stats=replay_stats(rec), slo_s=rec.config["slo_ms"] / 1e3)
             for rec in recs}
 
 
 def rerecord(rec: Recording) -> RunRecorder:
-    """Re-run the recorded scenario live, capturing a fresh recording.
+    """Re-run the one recorded variant live, capturing a fresh recording.
 
     Byte-comparing the result against the original is the determinism
-    guard: with pinned decision costs a seeded ``serving_load``
-    re-recording must be identical down to the last float.
+    guard: with pinned decision costs a seeded re-recording must be
+    identical down to the last float.  A recording that carries
+    timelines was captured with telemetry on, so the re-run gets a
+    fresh :class:`~repro.telemetry.Telemetry` too.
     """
-    scenario = rec.scenario
-    config = rec.config
-    if scenario == "serving_load":
-        from .serving_load import ServingLoadConfig, run_serving_load
-        reports = run_serving_load(ServingLoadConfig(**config), record=True)
-        report = reports.get(rec.variant)
-    elif scenario == "chaos":
-        from .chaos import ChaosConfig, run_chaos
-        cfg = ChaosConfig(**{k: tuple(v) if isinstance(v, list) else v
-                             for k, v in config.items()})
-        report = run_chaos(cfg, record=True).get(rec.variant)
-    elif scenario == "mesh_chaos":
-        from .mesh_chaos import MeshChaosConfig, run_mesh_chaos
-        mcfg = MeshChaosConfig(
-            **{k: tuple(v) if isinstance(v, list) else v
-               for k, v in config.items()})
-        report = run_mesh_chaos(mcfg, record=True).get(rec.variant)
-    elif scenario == "multi_tenant":
-        from .multi_tenant import MultiTenantConfig, run_multi_tenant
-        tcfg = MultiTenantConfig.from_dict(config)
-        report = run_multi_tenant(tcfg, record=True,
-                                  variants=(rec.variant,)
-                                  ).get(rec.variant)
-    elif scenario == "event_core":
-        from .event_core import EventCoreConfig, run_event_core
-        ecfg = EventCoreConfig.from_dict(config)
-        report = run_event_core(ecfg, record=True,
-                                variants=(rec.variant,)).get(rec.variant)
-    elif scenario == "adaptive":
-        from .adaptive import AdaptiveConfig, run_adaptive
-        acfg = AdaptiveConfig(
-            **{k: tuple(v) if isinstance(v, list) else v
-               for k, v in config.items()})
-        report = run_adaptive(acfg, record=True).get(rec.variant)
-    else:
-        raise ValueError(f"cannot re-record unknown scenario {scenario!r}")
-    if report is None or report.recorder is None:
+    spec = SCENARIOS.get(rec.scenario)
+    if spec is None:
         raise ValueError(
-            f"scenario {scenario!r} did not produce variant "
-            f"{rec.variant!r}")
-    return report.recorder
+            f"cannot re-record unknown scenario {rec.scenario!r}; known: "
+            f"{', '.join(SCENARIOS)}")
+    cfg = config_from_dict(spec.config, rec.config)
+    reports = run_scenario(rec.scenario, cfg, record=True,
+                           telemetry=Telemetry() if rec.timelines else None,
+                           variants=(rec.variant,))
+    return reports[rec.variant].recorder
 
 
 def format_replay(recs: Sequence[Recording]) -> str:

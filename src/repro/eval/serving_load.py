@@ -25,22 +25,16 @@ instead (no longer bit-reproducible across hosts).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
-from ..core.decision import DecisionRecord, SearchDecisionEngine
-from ..core.murmuration import Murmuration
-from ..core.slo import SLO
 from ..devices.profiles import desktop_gtx1080, jetson_class, rpi4
-from ..nas.search_space import MBV3_SPACE
 from ..netsim.topology import NetworkCondition
 from ..netsim.traces import TraceConfig, random_walk_trace
-from ..runtime.batching import BatchingInferenceServer, BatchPolicy
-from ..runtime.server import InferenceServer, ServingStats
-from ..telemetry.recorder import RunRecorder
+from ..runtime.batching import BatchPolicy
+from .spec import Scenario, World
 
-__all__ = ["ServingLoadConfig", "ServingLoadReport", "run_serving_load",
-           "format_serving_load"]
+__all__ = ["ServingLoadConfig", "SCENARIO"]
 
 
 @dataclass(frozen=True)
@@ -63,126 +57,25 @@ class ServingLoadConfig:
     n_random_archs: int = 8
 
 
-@dataclass
-class ServingLoadReport:
-    """Per-variant outcome of a load run."""
-
-    name: str
-    stats: ServingStats
-    #: populated when the run was captured (``record=True``)
-    recorder: Optional[RunRecorder] = None
-
-    @property
-    def throughput_rps(self) -> float:
-        return self.stats.throughput_rps
-
-    @property
-    def p95_ms(self) -> float:
-        return self.stats.percentile_ms(95)
-
-    @property
-    def compliance(self) -> float:
-        return self.stats.slo_compliance
+def _world(cfg: ServingLoadConfig, telemetry, batched: bool = True,
+           overlap: bool = True) -> World:
+    return World(
+        devices=[rpi4(), desktop_gtx1080(), jetson_class()],
+        condition=NetworkCondition((150.0, 80.0), (10.0, 20.0)),
+        arrival_rate_hz=cfg.arrival_rate_hz,
+        policy=(BatchPolicy(max_batch=cfg.max_batch,
+                            max_wait_s=cfg.max_wait_s, overlap=overlap)
+                if batched else None),
+        trace=random_walk_trace(TraceConfig(
+            num_remote=2, bw_range=(40.0, 400.0), delay_range=(5.0, 60.0),
+            steps=cfg.trace_steps, seed=cfg.seed)),
+        trace_period_s=cfg.trace_period_s)
 
 
-class _PinnedTimeEngine:
-    """Price every engine decision at a fixed cost.
-
-    Cache hits never reach the engine (they cost zero decision time), so
-    only genuine misses are re-priced.
-    """
-
-    def __init__(self, inner, decision_time_s: float):
-        self._inner = inner
-        self._dt = decision_time_s
-
-    def decide(self, slo: SLO, condition: NetworkCondition) -> DecisionRecord:
-        rec = self._inner.decide(slo, condition)
-        return replace(rec, decision_time_s=self._dt)
-
-
-def _make_system(cfg: ServingLoadConfig, telemetry=None,
-                 recorder=None) -> Murmuration:
-    devices = [rpi4(), desktop_gtx1080(), jetson_class()]
-    condition = NetworkCondition((150.0, 80.0), (10.0, 20.0))
-    engine = SearchDecisionEngine(MBV3_SPACE, devices,
-                                  n_random_archs=cfg.n_random_archs,
-                                  seed=cfg.seed)
-    if cfg.decision_time_s is not None:
-        engine = _PinnedTimeEngine(engine, cfg.decision_time_s)
-    return Murmuration(MBV3_SPACE, devices, condition, engine,
-                       slo=SLO.latency_ms(cfg.slo_ms), use_predictor=False,
-                       monitor_noise=0.02, seed=cfg.seed,
-                       telemetry=telemetry, recorder=recorder)
-
-
-def _trace(cfg: ServingLoadConfig):
-    return random_walk_trace(TraceConfig(
-        num_remote=2, bw_range=(40.0, 400.0), delay_range=(5.0, 60.0),
-        steps=cfg.trace_steps, seed=cfg.seed))
-
-
-def run_serving_load(cfg: ServingLoadConfig = ServingLoadConfig(),
-                     telemetry=None,
-                     record: bool = False) -> Dict[str, ServingLoadReport]:
-    """Run all three variants on the identical world; keyed by name.
-
-    ``telemetry`` (optional) instruments only the batched variant —
-    one registry across all three would conflate their counters.
-
-    ``record=True`` captures each variant into a
-    :class:`~repro.telemetry.recorder.RunRecorder` (attached to its
-    report) so :mod:`repro.eval.replay` can re-derive the statistics
-    without re-simulating; with a pinned ``decision_time_s`` the
-    resulting recordings are byte-stable functions of the seeds.
-    """
-    trace = _trace(cfg)
-    reports: Dict[str, ServingLoadReport] = {}
-    variants = {
-        "fifo": lambda sys, tel, rec: InferenceServer(
-            sys, arrival_rate_hz=cfg.arrival_rate_hz, seed=cfg.seed + 1,
-            telemetry=tel, recorder=rec),
-        "batched": lambda sys, tel, rec: BatchingInferenceServer(
-            sys, arrival_rate_hz=cfg.arrival_rate_hz,
-            policy=BatchPolicy(max_batch=cfg.max_batch,
-                               max_wait_s=cfg.max_wait_s, overlap=True),
-            seed=cfg.seed + 1, telemetry=tel, recorder=rec),
-        "batched-serial": lambda sys, tel, rec: BatchingInferenceServer(
-            sys, arrival_rate_hz=cfg.arrival_rate_hz,
-            policy=BatchPolicy(max_batch=cfg.max_batch,
-                               max_wait_s=cfg.max_wait_s, overlap=False),
-            seed=cfg.seed + 1, telemetry=tel, recorder=rec),
-    }
-    for name, make in variants.items():
-        tel = telemetry if name == "batched" else None
-        rec = (RunRecorder("serving_load", variant=name,
-                           config=asdict(cfg)) if record else None)
-        server = make(_make_system(cfg, telemetry=tel, recorder=rec),
-                      tel, rec)
-        stats = server.run(num_requests=cfg.num_requests,
-                           condition_trace=trace,
-                           trace_period_s=cfg.trace_period_s)
-        if rec is not None:
-            if tel is not None:
-                rec.capture_timelines(tel.timelines)
-            rec.finish(stats)
-        reports[name] = ServingLoadReport(name=name, stats=stats,
-                                          recorder=rec)
-    return reports
-
-
-def format_serving_load(reports: Dict[str, ServingLoadReport]) -> str:
-    lines = [f"{'variant':>15s}{'rps':>7s}{'p50ms':>8s}{'p95ms':>8s}"
-             f"{'queue':>8s}{'comply':>8s}{'batch':>7s}{'saved':>8s}"]
-    for rep in reports.values():
-        st = rep.stats
-        size = (f"{st.mean_batch_size:.1f}"
-                if hasattr(st, "mean_batch_size") else "-")
-        saved = (f"{st.overlap_saved_s * 1e3:.0f}ms"
-                 if hasattr(st, "overlap_saved_s") else "-")
-        lines.append(
-            f"{rep.name:>15s}{rep.throughput_rps:>7.1f}"
-            f"{st.percentile_ms(50):>8.0f}{rep.p95_ms:>8.0f}"
-            f"{st.mean_queue_wait_ms:>8.0f}{rep.compliance:>8.0%}"
-            f"{size:>7s}{saved:>8s}")
-    return "\n".join(lines)
+SCENARIO = Scenario(
+    name="serving_load", config=ServingLoadConfig, world=_world,
+    variants={"fifo": {"batched": False},
+              "batched": {},
+              "batched-serial": {"overlap": False}},
+    instrumented="batched",
+    columns=("rps", "p50ms", "p95ms", "queue", "comply", "batch", "saved"))

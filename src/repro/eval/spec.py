@@ -1,0 +1,115 @@
+"""What a serving scenario declares; :mod:`repro.eval.runner` runs it.
+
+Every scenario here is the same experiment: serve one seeded request
+stream through several *variants* of the runtime over the identical
+dynamic world and compare SLO compliance.  A scenario module therefore
+states only what is specific to it, as one :class:`Scenario`; engine
+construction, decision-cost pinning, the facade, the server, recording
+and reporting are written once in the runner.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
+
+from ..core.decision import DecisionRecord
+from ..core.slo import SLO
+from ..netsim.topology import NetworkCondition
+
+__all__ = ["PinnedTimeEngine", "Scenario", "StaticEngine", "World"]
+
+
+class PinnedTimeEngine:
+    """Price every engine decision at a fixed cost.
+
+    The decision engine's measured wall clock depends on host hardware;
+    pinning it makes a whole run a pure function of its seeds (and its
+    recording byte-stable).  Cache hits never reach the engine (they
+    cost zero decision time), so only genuine misses are re-priced.
+    """
+
+    def __init__(self, inner, decision_time_s: float):
+        self._inner = inner
+        self._dt = decision_time_s
+
+    def decide(self, slo: SLO, condition: NetworkCondition) -> DecisionRecord:
+        rec = self._inner.decide(slo, condition)
+        return replace(rec, decision_time_s=self._dt)
+
+
+class StaticEngine:
+    """Decide once at nominal conditions, serve that strategy forever."""
+
+    def __init__(self, inner, nominal: NetworkCondition):
+        self._inner = inner
+        self._nominal = nominal
+        self._record: Optional[DecisionRecord] = None
+
+    def decide(self, slo: SLO, condition: NetworkCondition) -> DecisionRecord:
+        if self._record is None:
+            first = self._inner.decide(slo, self._nominal)
+            self._record = DecisionRecord(first.strategy, 0.0, "static")
+        return self._record
+
+
+@dataclass
+class World:
+    """One variant's world.
+
+    A scenario's ``world`` function fills in the parts specific to it;
+    a part left at its default is simply absent from the run (no
+    faults, no control plane, a FIFO server, Poisson arrivals, a static
+    network ...).  :func:`~repro.eval.runner.build_world` assembles the
+    decision engine, the facade and the server around the parts and
+    stores them, with what it was asked for, in the trailing fields.
+    """
+
+    devices: Sequence[Any]
+    arrival_rate_hz: float
+    #: nominal star network; None when ``cluster`` carries the topology
+    condition: Optional[NetworkCondition] = None
+    cluster: Any = None
+    #: freeze the first nominal decision (:class:`StaticEngine`)
+    static: bool = False
+    faults: Any = None
+    resilience: Any = None
+    control: Any = None
+    #: a ``BatchPolicy`` selects the batching server; None serves FIFO
+    policy: Any = None
+    arrival_process: Optional[Callable] = None
+    ingress: Any = None
+    #: the flow tracker pricing ``ingress`` (kept for the report)
+    tracker: Any = None
+    #: an ``EventLoop``; the facade is built on its clock
+    events: Any = None
+    trace: Optional[Sequence[NetworkCondition]] = None
+    trace_period_s: float = 1.0
+    tenants: Optional[Sequence[str]] = None
+    # -- filled in by build_world ------------------------------------
+    scenario: str = ""
+    variant: str = ""
+    cfg: Any = None
+    system: Any = None
+    server: Any = None
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One scenario's declaration."""
+
+    #: registry key and the ``scenario`` of its recording headers
+    name: str
+    #: frozen config dataclass (its ``asdict`` is the recording header's
+    #: ``config``); must carry ``num_requests``, ``slo_ms``, ``seed``,
+    #: ``n_random_archs`` and ``decision_time_s``
+    config: type
+    #: ``world(cfg, telemetry, **knobs) -> World``
+    world: Callable[..., World]
+    #: variant name -> knob overrides for ``world``, in report order
+    variants: Mapping[str, Dict[str, Any]]
+    #: the one variant that receives the caller's telemetry — a registry
+    #: shared across variants would conflate their counters
+    instrumented: Optional[str]
+    #: table columns, by name (``repro.eval.runner.COLUMNS``)
+    columns: Tuple[str, ...]

@@ -10,10 +10,8 @@ control plane's zero-impact contract.
 
 import pytest
 
-from repro.control import ControlLoop
-from repro.eval.adaptive import (AdaptiveConfig, burst_arrival_process,
-                                 _make_system, _trace, run_adaptive)
-from repro.runtime import BatchingInferenceServer, BatchPolicy
+from repro.eval.adaptive import AdaptiveConfig
+from repro.eval.runner import build_world, run_scenario, run_world
 
 _CFG = AdaptiveConfig(num_requests=60, trace_steps=60,
                       burst_window=(2.0, 4.0))
@@ -21,7 +19,7 @@ _CFG = AdaptiveConfig(num_requests=60, trace_steps=60,
 
 @pytest.fixture(scope="module")
 def reports():
-    return run_adaptive(_CFG)
+    return run_scenario("adaptive", _CFG)
 
 
 def test_every_submitted_request_is_accounted_for(reports):
@@ -67,22 +65,12 @@ def test_empty_control_loop_is_a_pure_observer():
     perturb serving: records are byte-identical to ``control=None``."""
     cfg = AdaptiveConfig(num_requests=30, trace_steps=30,
                          burst_window=(2.0, 3.0))
-    arrivals = burst_arrival_process(cfg.arrival_rate_hz, cfg.burst_window,
-                                     cfg.burst_factor)
-
-    def _run(control):
-        system = _make_system(cfg, control=control)
-        server = BatchingInferenceServer(
-            system, arrival_rate_hz=cfg.arrival_rate_hz,
-            policy=BatchPolicy(max_batch=cfg.max_batch, overlap=True),
-            seed=cfg.seed + 1, control=control, arrival_process=arrivals)
-        return server.run(num_requests=cfg.num_requests,
-                          condition_trace=_trace(cfg),
-                          trace_period_s=cfg.trace_period_s)
-
-    baseline = _run(None)
-    observer = ControlLoop([], period_s=0.5)
-    observed = _run(observer)
+    baseline = run_world(build_world("adaptive", cfg, "static"))
+    assert baseline.control is None
+    # the static variant again, observed by a loop with no controllers
+    observed = run_world(build_world("adaptive", cfg, "static",
+                                     controllers=list))
+    observer = observed.control
     assert observer.ticks > 0, "the observer loop never fired"
     assert observer.actions == []
-    assert observed.records == baseline.records
+    assert observed.stats.records == baseline.stats.records

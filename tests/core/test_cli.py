@@ -30,14 +30,71 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["fig99"])
 
+    def test_list_names_every_scenario_and_its_variants(self, capsys):
+        from repro.eval import SCENARIOS
+        assert main(["list"]) == 0
+        section = capsys.readouterr().out.split("scenarios", 1)[1]
+        for name, spec in SCENARIOS.items():
+            assert f"  {name} " in section
+            assert ", ".join(spec.variants) in section
+
     def test_nonpositive_requests_errors_cleanly(self, capsys):
-        """--requests <= 0 must die with a usage error, not a traceback."""
+        """A request count <= 0 must die with a usage error, not a
+        traceback."""
         for argv in (["telemetry", "--requests", "0"],
-                     ["chaos", "--requests", "-1"]):
+                     ["run", "chaos", "--set", "num_requests=-1"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
-            assert "--requests must be positive" in capsys.readouterr().err
+            assert "requests must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, listed", [
+        (["run", "bogus"], "mesh_chaos"),
+        (["run", "chaos", "--variants", "nope"], "no-failover"),
+        (["run", "chaos", "--set", "requests=5"], "num_requests"),
+        (["run", "chaos", "--set", "num_requests"], "FIELD=VALUE"),
+        (["run", "chaos", "--set", "num_requests=many"], "int"),
+        (["run", "adaptive", "--set", "burst_window=2;4"], "burst_window"),
+        (["run", "chaos", "--set", "decision_time_s=never"], "float"),
+        (["run", "multi_tenant", "--set", "fluid=maybe"], "true or false"),
+        (["run", "mesh_chaos", "--set", "topology=star"], "ring"),
+        (["run", "chaos", "--timelines"], "--record"),
+        (["run", "event_core", "--timelines", "--record", "x.jsonl"],
+         "this scenario has none"),
+    ])
+    def test_bad_run_input_is_a_usage_error(self, capsys, argv, listed):
+        """Unknown scenario/variant/field or an unparsable value exits
+        with code 2 and names what is valid — never a traceback."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert listed in capsys.readouterr().err
+
+    def test_run_set_parses_tuples_optionals_and_variants(self, capsys):
+        assert main(["run", "adaptive", "--set", "num_requests=12",
+                     "--set", "burst_window=1,2", "--set",
+                     "decision_time_s=0.02", "--variants", "static"]) == 0
+        out = capsys.readouterr().out
+        assert "static" in out and "controlled" not in out
+
+    def test_unpinned_recording_warns_it_is_not_byte_stable(self, capsys,
+                                                            tmp_path):
+        assert main(["run", "chaos", "--set", "num_requests=6", "--set",
+                     "decision_time_s=none", "--variants", "murmuration",
+                     "--record", str(tmp_path / "run.jsonl")]) == 0
+        assert "not byte-stable" in capsys.readouterr().out
+
+    def test_run_json_is_canonical_and_deterministic(self, capsys):
+        argv = ["run", "multi_tenant", "--set", "num_requests=16", "--set",
+                "fluid=true", "--json"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        payload = json.loads(first)
+        assert payload["config"]["fluid"] is True
+        assert set(payload["variants"]) == {"fifo", "admission", "fair"}
+        assert "worst" in payload["variants"]["fair"]
 
     def test_telemetry_runs_and_exports(self, capsys, tmp_path):
         out = tmp_path / "telemetry.jsonl"
@@ -60,8 +117,8 @@ class TestCLI:
 
     def test_record_then_replay(self, capsys, tmp_path):
         out = tmp_path / "run.jsonl"
-        assert main(["record", "--requests", "6", "--seed", "3",
-                     "--out", str(out)]) == 0
+        assert main(["run", "serving_load", "--set", "num_requests=6",
+                     "--set", "seed=3", "--record", str(out)]) == 0
         stdout = capsys.readouterr().out
         assert "wrote" in stdout and "3 runs" in stdout
         records = [json.loads(line)
@@ -78,21 +135,52 @@ class TestCLI:
     def test_record_is_deterministic(self, capsys, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         for path in (a, b):
-            assert main(["record", "--requests", "5", "--out",
-                         str(path)]) == 0
+            assert main(["run", "serving_load", "--set", "num_requests=5",
+                         "--record", str(path)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
     def test_replay_verify_round_trips(self, capsys, tmp_path):
         out = tmp_path / "run.jsonl"
-        assert main(["record", "--requests", "5", "--out", str(out)]) == 0
+        assert main(["run", "serving_load", "--set", "num_requests=5",
+                     "--timelines", "--record", str(out)]) == 0
         assert main(["replay", str(out), "--verify"]) == 0
         stdout = capsys.readouterr().out
         assert "verified: live re-runs match all 3 recorded runs" in stdout
 
+    def test_replay_verify_catches_non_stats_drift(self, tmp_path):
+        """--verify diffs bytes, so a doctored *decision* record (which
+        replay_stats never reads) fails it."""
+        out = tmp_path / "run.jsonl"
+        assert main(["run", "chaos", "--set", "num_requests=6",
+                     "--variants", "static", "--record", str(out)]) == 0
+        lines = out.read_text().strip().split("\n")
+        k = next(i for i, line in enumerate(lines)
+                 if json.loads(line)["record"] == "decision")
+        rec = json.loads(lines[k])
+        rec["t"] += 0.5
+        lines[k] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+        out.write_text("\n".join(lines) + "\n")
+        assert main(["replay", str(out)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["replay", str(out), "--verify"])
+        assert "not byte-identical" in str(exc.value)
+
+    def test_replay_prints_a_table_for_every_scenario(self, capsys,
+                                                      tmp_path):
+        out = tmp_path / "run.jsonl"
+        assert main(["run", "event_core", "--set", "num_requests=8",
+                     "--record", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["replay", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert "event_core/boundary" in stdout
+        assert "caps-upd" in stdout  # the scenario's own table
+
     def test_replay_rejects_corrupt_recording(self, capsys, tmp_path):
         out = tmp_path / "run.jsonl"
-        assert main(["record", "--requests", "5", "--out", str(out)]) == 0
+        assert main(["run", "serving_load", "--set", "num_requests=5",
+                     "--record", str(out)]) == 0
         lines = out.read_text().strip().split("\n")
         doctored = []
         for line in lines:

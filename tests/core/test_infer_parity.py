@@ -23,7 +23,7 @@ import pytest
 from repro.core import SLO, Murmuration, SearchDecisionEngine, Strategy
 from repro.core.decision import DecisionRecord
 from repro.devices import desktop_gtx1080, jetson_class, rpi4
-from repro.eval.serving_load import _PinnedTimeEngine
+from repro.eval.spec import PinnedTimeEngine
 from repro.faults import (DeviceCrash, FaultInjector, FaultSchedule,
                           MessageLoss)
 from repro.nas import (MBV3_SPACE, Supernet, build_graph, max_arch, min_arch,
@@ -83,7 +83,7 @@ def _system(mode: str) -> Murmuration:
         engine = SearchDecisionEngine(MBV3_SPACE, devices, n_random_archs=4,
                                       seed=3)
         return Murmuration(
-            MBV3_SPACE, devices, condition, _PinnedTimeEngine(engine, 0.02),
+            MBV3_SPACE, devices, condition, PinnedTimeEngine(engine, 0.02),
             slo=SLO.latency_ms(250.0), use_predictor=False,
             monitor_noise=0.05, seed=3,
             faults=_faults(mode, (0.3, 1.4), (0.6, 1.0)))

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from repro.eval.multi_tenant import (MultiTenantConfig, TenantSpec,
-                                     default_tenants, run_multi_tenant,
-                                     tenant_arrivals)
+                                     default_tenants, tenant_arrivals)
 from repro.eval.replay import replay_stats, rerecord, verify_invariants
+from repro.eval.runner import config_from_dict, run_scenario
 from repro.telemetry.recorder import read_recordings, write_recordings
 
 _CFG = MultiTenantConfig(num_requests=60, trace_steps=60)
@@ -17,7 +17,7 @@ _CFG = MultiTenantConfig(num_requests=60, trace_steps=60)
 
 @pytest.fixture(scope="module")
 def reports():
-    return run_multi_tenant(_CFG)
+    return run_scenario("multi_tenant", _CFG)
 
 
 class TestTenantSpec:
@@ -44,9 +44,11 @@ class TestTenantSpec:
             default_tenants(0)
 
     def test_from_dict_round_trips_the_config(self):
+        import json
         from dataclasses import asdict
         cfg = MultiTenantConfig(num_requests=10)
-        assert MultiTenantConfig.from_dict(asdict(cfg)) == cfg
+        header = json.loads(json.dumps(asdict(cfg)))  # tuples -> lists
+        assert config_from_dict(MultiTenantConfig, header) == cfg
 
 
 class TestTenantArrivals:
@@ -93,8 +95,9 @@ class TestScenario:
         lone = (TenantSpec("only", rate_hz=0.2),)
         base = MultiTenantConfig(tenants=lone, num_requests=15,
                                  trace_steps=60)
-        on = run_multi_tenant(base, variants=("fifo",))["fifo"]
-        off = run_multi_tenant(
+        on = run_scenario("multi_tenant", base, variants=("fifo",))["fifo"]
+        off = run_scenario(
+            "multi_tenant",
             MultiTenantConfig(tenants=lone, num_requests=15,
                               trace_steps=60, contention=False),
             variants=("fifo",))["fifo"]
@@ -106,7 +109,8 @@ class TestScenario:
 class TestRecordReplay:
     @pytest.fixture(scope="class")
     def recorded(self):
-        return run_multi_tenant(_CFG, record=True, variants=("fifo", "fair"))
+        return run_scenario("multi_tenant", _CFG, record=True,
+                            variants=("fifo", "fair"))
 
     def test_replay_reproduces_stats_exactly(self, recorded):
         for rep in recorded.values():

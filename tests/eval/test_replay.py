@@ -15,8 +15,9 @@ the serving stack three ways:
 Regenerate the fixture (only after an *intentional* schema or clock
 change) with::
 
-    PYTHONPATH=src python -m repro.cli record --requests 12 --seed 7 \
-        --timelines --out tests/fixtures/serving_load_golden.jsonl
+    PYTHONPATH=src python -m repro.cli run serving_load \
+        --set num_requests=12 --set seed=7 --timelines \
+        --record tests/fixtures/serving_load_golden.jsonl
 """
 
 import copy
@@ -27,10 +28,10 @@ from pathlib import Path
 import pytest
 
 from repro.eval.replay import (format_replay, load_recordings,
-                               replay_serving_load, replay_stats, rerecord,
+                               replay_reports, replay_stats, rerecord,
                                verify_invariants)
-from repro.eval.serving_load import (ServingLoadConfig, format_serving_load,
-                                     run_serving_load)
+from repro.eval.runner import format_reports, run_scenario
+from repro.eval.serving_load import ServingLoadConfig
 from repro.runtime.batching import BatchedServingStats
 from repro.runtime.server import ServingStats
 from repro.telemetry import Recording, Telemetry, write_recordings
@@ -50,7 +51,8 @@ def golden():
 def fresh(golden):
     """The golden scenario re-run live, recorded the same way."""
     cfg = ServingLoadConfig(**golden[0].config)
-    return run_serving_load(cfg, telemetry=Telemetry(), record=True)
+    return run_scenario("serving_load", cfg, telemetry=Telemetry(),
+                        record=True)
 
 
 class TestGoldenFixture:
@@ -240,15 +242,14 @@ class TestInvariantDetection:
 
 
 class TestReplayDrivers:
-    def test_replay_serving_load_feeds_the_figure_driver(self, golden):
-        reports = replay_serving_load(golden)
+    def test_replayed_reports_feed_the_formatter(self, golden, fresh):
+        """The table derived from the recording alone is the live one."""
+        reports = replay_reports(golden)
         assert list(reports) == VARIANTS
-        table = format_serving_load(reports)
-        for name in VARIANTS:
-            assert name in table
+        assert format_reports(reports) == format_reports(fresh)
 
-    def test_replay_serving_load_accepts_a_path(self):
-        reports = replay_serving_load(str(GOLDEN))
+    def test_replay_reports_accepts_a_path(self):
+        reports = replay_reports(str(GOLDEN))
         assert set(reports) == set(VARIANTS)
 
     def test_format_replay_digests_every_run(self, golden):
@@ -262,6 +263,36 @@ class TestReplayDrivers:
         with pytest.raises(ValueError, match="bogus"):
             rerecord(bogus)
 
+    def test_rerecord_names_an_unknown_config_key(self, golden):
+        header = dict(golden[0].header,
+                      config=dict(golden[0].config, max_btach=4))
+        with pytest.raises(ValueError, match="max_btach"):
+            rerecord(Recording(header=header))
+
     def test_rerecord_matches_original(self, golden):
         recorder = rerecord(golden[0])
         assert replay_stats(recorder.recording()) == replay_stats(golden[0])
+
+    def test_rerecord_is_byte_faithful_with_timelines(self, golden):
+        """The golden was captured with telemetry on the batched
+        variant; re-recording must bring its timeline records back."""
+        buf = io.StringIO()
+        write_recordings(buf, [rerecord(rec) for rec in golden])
+        assert buf.getvalue() == GOLDEN.read_text()
+
+    def test_rerecord_simulates_only_the_recorded_variant(self, monkeypatch):
+        from repro.eval import runner
+        built = []
+
+        class CountingEngine(runner.SearchDecisionEngine):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "SearchDecisionEngine", CountingEngine)
+        original = run_scenario(
+            "chaos", runner.SCENARIOS["chaos"].config(num_requests=8),
+            record=True, variants=("static",))["static"].recorder
+        built.clear()
+        rerecord(original.recording())
+        assert len(built) == 1

@@ -2,12 +2,11 @@
 
 Two regression layers ride here:
 
-* **every recordable scenario obeys the serving conservation laws** —
-  ``verify_invariants`` runs over fresh recordings of *all four*
-  scenarios (chaos, mesh_chaos, multi_tenant, adaptive), not just the
-  serving-load golden fixture the original replay suite pins.  Any
-  clock or accounting drift anywhere in the serving stack turns one of
-  these runs into a violation list;
+* **every registered scenario obeys the serving conservation laws** —
+  ``verify_invariants`` runs over fresh recordings of every entry in
+  ``SCENARIOS``, not just the serving-load golden fixture the original
+  replay suite pins.  Any clock or accounting drift anywhere in the
+  serving stack turns one of these runs into a violation list;
 * **the fluid-solver serving path is byte-stable** — a second golden
   fixture (``multi_tenant_fluid_golden.jsonl``: the multi-tenant
   scenario with ``fluid=True``, seed 7, 18 requests) must replay,
@@ -16,26 +15,20 @@ Two regression layers ride here:
 Regenerate the fluid fixture (only after an *intentional* schema or
 pricing change) with::
 
-    PYTHONPATH=src python - <<'PY'
-    from repro.eval.multi_tenant import (MultiTenantConfig,
-                                         default_tenants, run_multi_tenant)
-    from repro.telemetry import write_recordings
-    cfg = MultiTenantConfig(tenants=default_tenants(2), num_requests=18,
-                            seed=7, fluid=True)
-    reports = run_multi_tenant(cfg, record=True)
-    with open("tests/fixtures/multi_tenant_fluid_golden.jsonl", "w") as fh:
-        write_recordings(fh, [reports[v].recorder
-                              for v in ("fifo", "admission", "fair")])
-    PY
+    PYTHONPATH=src python -m repro.cli run multi_tenant \
+        --set num_requests=18 --set seed=7 --set fluid=true \
+        --record tests/fixtures/multi_tenant_fluid_golden.jsonl
 """
 
 import io
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.eval.replay import (load_recordings, replay_stats, rerecord,
                                verify_invariants)
+from repro.eval.runner import SCENARIOS, run_scenario
 from repro.telemetry import write_recordings
 
 FLUID_GOLDEN = Path(__file__).resolve().parents[1] / "fixtures" \
@@ -44,50 +37,30 @@ FLUID_GOLDEN = Path(__file__).resolve().parents[1] / "fixtures" \
 VARIANTS = ["fifo", "admission", "fair"]
 
 
-def _recorders_for(scenario):
+def _record_small(scenario):
     """Run one small seeded instance of ``scenario``, recording it."""
-    if scenario == "chaos":
-        from repro.eval.chaos import ChaosConfig, run_chaos
-        reports = run_chaos(ChaosConfig(num_requests=14), record=True)
-    elif scenario == "mesh_chaos":
-        from repro.eval.mesh_chaos import MeshChaosConfig, run_mesh_chaos
-        reports = run_mesh_chaos(MeshChaosConfig(num_requests=14),
-                                 record=True)
-    elif scenario == "multi_tenant":
-        from repro.eval.multi_tenant import (MultiTenantConfig,
-                                             run_multi_tenant)
-        reports = run_multi_tenant(
-            MultiTenantConfig(num_requests=14), record=True)
-    elif scenario == "adaptive":
-        from repro.eval.adaptive import AdaptiveConfig, run_adaptive
-        reports = run_adaptive(AdaptiveConfig(num_requests=14),
-                               record=True)
-    else:  # pragma: no cover - parametrization typo guard
-        raise ValueError(scenario)
-    return {name: rep.recorder for name, rep in reports.items()}
+    cfg = replace(SCENARIOS[scenario].config(), num_requests=14)
+    return run_scenario(scenario, cfg, record=True)
 
 
 class TestCrossSuiteInvariants:
     """Conservation laws hold for every recordable scenario."""
 
-    @pytest.mark.parametrize("scenario", ["chaos", "mesh_chaos",
-                                          "multi_tenant", "adaptive"])
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     def test_scenario_recordings_satisfy_all_invariants(self, scenario):
-        recorders = _recorders_for(scenario)
-        assert recorders  # the scenario produced at least one variant
-        for name, recorder in recorders.items():
-            assert recorder is not None, f"{scenario}/{name} not recorded"
-            rec = recorder.recording()
+        reports = _record_small(scenario)
+        assert list(reports) == list(SCENARIOS[scenario].variants)
+        for name, rep in reports.items():
+            assert rep.recorder is not None, f"{scenario}/{name} not recorded"
+            rec = rep.recorder.recording()
             assert rec.scenario == scenario
             problems = verify_invariants(rec)
             assert problems == [], f"{scenario}/{name}: {problems}"
 
     def test_adaptive_recordings_roundtrip_through_the_stream(self):
-        """``record=True`` on run_adaptive yields a parseable stream
-        whose replayed stats match the live run (new capability)."""
-        from repro.eval.adaptive import AdaptiveConfig, run_adaptive
-        reports = run_adaptive(AdaptiveConfig(num_requests=14),
-                               record=True)
+        """A recorded adaptive run yields a parseable stream whose
+        replayed stats match the live run."""
+        reports = _record_small("adaptive")
         buf = io.StringIO()
         write_recordings(buf, [reports[n].recorder
                                for n in ("static", "controlled")])
@@ -100,9 +73,7 @@ class TestCrossSuiteInvariants:
                 reports[name].stats.records
 
     def test_adaptive_rerecord_is_byte_identical(self):
-        from repro.eval.adaptive import AdaptiveConfig, run_adaptive
-        reports = run_adaptive(AdaptiveConfig(num_requests=14),
-                               record=True)
+        reports = _record_small("adaptive")
         original = io.StringIO()
         write_recordings(original, [reports["controlled"].recorder])
         fresh = io.StringIO()

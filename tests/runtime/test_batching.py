@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import SLO, Murmuration, SearchDecisionEngine
 from repro.devices import desktop_gtx1080, jetson_class, rpi4
-from repro.eval.serving_load import _PinnedTimeEngine
+from repro.eval.spec import PinnedTimeEngine
 from repro.faults import (DeviceCrash, FaultInjector, FaultSchedule,
                           crash_and_recover_schedule)
 from repro.nas import MBV3_SPACE
@@ -25,7 +25,7 @@ def _system(slo_ms=200.0, seed=0, faults=None, decision_s=_DT,
     engine = SearchDecisionEngine(MBV3_SPACE, devices, n_random_archs=4,
                                   seed=seed)
     if decision_s is not None:
-        engine = _PinnedTimeEngine(engine, decision_s)
+        engine = PinnedTimeEngine(engine, decision_s)
     return Murmuration(
         MBV3_SPACE, devices, NetworkCondition((300.0, 150.0), (10.0, 20.0)),
         engine, slo=SLO.latency_ms(slo_ms), use_predictor=False,

@@ -126,11 +126,11 @@ class TestTenantViews:
     def test_untagged_serving_is_bit_identical(self):
         """tenants=None must not move a single float (decision cost
         pinned: wall-clock decisions differ run to run by themselves)."""
-        from repro.eval.serving_load import _PinnedTimeEngine
+        from repro.eval.spec import PinnedTimeEngine
 
         def pinned():
             system = _system(seed=9)
-            system.engine = _PinnedTimeEngine(system.engine, 0.01)
+            system.engine = PinnedTimeEngine(system.engine, 0.01)
             return system
 
         a = InferenceServer(pinned(), arrival_rate_hz=2.0, seed=9).run(8)
@@ -256,12 +256,12 @@ class TestEventIntegration:
         empty EventLoop must not perturb a single float.  Decision time
         is pinned — the raw engine measures wall time, which no two
         runs share."""
-        from repro.eval.serving_load import _PinnedTimeEngine
+        from repro.eval.spec import PinnedTimeEngine
         from repro.sim import EventLoop
 
         def _pinned():
             system = _system()
-            system.engine = _PinnedTimeEngine(system.engine, 0.01)
+            system.engine = PinnedTimeEngine(system.engine, 0.01)
             return system
 
         plain = InferenceServer(_pinned(), arrival_rate_hz=20.0,
