@@ -1,0 +1,123 @@
+"""Frozen digests of the metrics registry after instrumented runs.
+
+``scenario_digests.json`` and the golden recordings pin every recording
+byte; this file pins what they do not — the *registry contents* when a
+``Telemetry()`` is attached.  ``tests/fixtures/
+telemetry_snapshot_digests.json`` holds the sha256 of the sorted
+``(name, labels, kind, value | count, sum, min, max)`` dump of the hub's
+registry for
+
+* every registered scenario's instrumented variant (``event_core``
+  declares none, so its ``event`` variant is handed the hub directly),
+  ``num_requests=14``, default seed, pinned decision time — plus
+  ``multi_tenant`` under the fluid ingress;
+* one executable-mode facade run under a crash + loss schedule, which
+  reaches the ``transport_*``, ``executor_*``, ``health_*`` and
+  ``faults_*`` families no scenario does.
+
+Only simulated-clock quantities enter the dump: the wall-clock
+histograms named in ``WALL_CLOCK`` are skipped.  The file was generated
+*before* the optional subsystems were given null forms and must keep
+passing untouched: a family, label set or value that telemetry-on used
+to export and no longer does changes a digest.
+
+Regenerate (only after an *intentional* metrics change) with::
+
+    PYTHONPATH=src:. python tests/telemetry/test_snapshot_digests.py
+"""
+
+import hashlib
+import json
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from repro.core import SLO, Murmuration
+from repro.devices import desktop_gtx1080, jetson_class, rpi4
+from repro.eval import SCENARIOS, build_world, run_world
+from repro.faults import (DeviceCrash, FaultInjector, FaultSchedule,
+                          MessageLoss)
+from repro.nas import Supernet
+from repro.netsim import NetworkCondition
+from repro.telemetry import Telemetry
+from tests.core import test_infer_parity as parity
+
+FIXTURE = Path(__file__).resolve().parents[1] / "fixtures" \
+    / "telemetry_snapshot_digests.json"
+FROZEN = json.loads(FIXTURE.read_text())
+
+#: measured on the host, so never byte-stable
+WALL_CLOCK = {"executor_segment_compute_wall_s"}
+
+
+def registry_digest(registry) -> str:
+    rows = []
+    for m in registry.collect():
+        if m.name in WALL_CLOCK:
+            continue
+        value = ([m.count, m.sum, m.min, m.max] if m.kind == "histogram"
+                 else m.value)
+        rows.append([m.name, list(m.labels), m.kind, value])
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def scenario_digest(scenario: str, mode: str) -> str:
+    """``mode`` is "telemetry" or "fluid+telemetry"."""
+    spec = SCENARIOS[scenario]
+    cfg = replace(spec.config(), num_requests=14)
+    if "fluid" in mode:
+        cfg = replace(cfg, fluid=True)
+    tel = Telemetry()
+    run_world(build_world(scenario, cfg, spec.instrumented or "event",
+                          telemetry=tel))
+    return registry_digest(tel.registry)
+
+
+def facade_digest() -> str:
+    """Executable facade under overlapping crashes and lossy links:
+    twelve single requests, then two batches of three."""
+    tel = Telemetry()
+    devices = [rpi4(), desktop_gtx1080(), jetson_class()]
+    condition = NetworkCondition((300.0, 150.0), (10.0, 20.0))
+    schedule = FaultSchedule([DeviceCrash(0.05, 0.4, device=1),
+                              DeviceCrash(0.0, 0.3, device=2),
+                              MessageLoss(0.0, 1e9, prob=0.15)])
+    system = Murmuration(
+        parity._TINY, devices, condition,
+        parity._SplitEngine(devices, condition),
+        slo=SLO.latency_ms(100.0),
+        supernet=Supernet(parity._TINY, seed=2).eval(),
+        use_predictor=False, monitor_noise=0.0, seed=3, telemetry=tel,
+        faults=FaultInjector(schedule, seed=5, telemetry=tel))
+    for i in range(12):
+        system.infer(parity._input("exec", False, i), request_id=i,
+                     tenant="a" if i % 2 else None)
+    for b in range(2):
+        ids = list(range(12 + 3 * b, 15 + 3 * b))
+        system.infer_batch([parity._input("exec", False, i) for i in ids],
+                           request_ids=ids)
+    return registry_digest(tel.registry)
+
+
+def test_every_scenario_is_frozen():
+    assert set(FROZEN) == set(SCENARIOS) | {"facade_exec_faults"}
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_registry_contents_match_the_frozen_digests(scenario):
+    for mode, frozen in FROZEN[scenario].items():
+        assert scenario_digest(scenario, mode) == frozen, \
+            f"{scenario}/{mode}"
+
+
+def test_executable_facade_registry_matches_the_frozen_digest():
+    assert facade_digest() == FROZEN["facade_exec_faults"]["telemetry"]
+
+
+if __name__ == "__main__":
+    FIXTURE.write_text(json.dumps(
+        {s: {m: (facade_digest() if s == "facade_exec_faults"
+                 else scenario_digest(s, m)) for m in modes}
+         for s, modes in FROZEN.items()},
+        indent=2, sort_keys=True) + "\n")
