@@ -235,9 +235,13 @@ def _run(args) -> str:
         raise _UsageError(
             f"--timelines needs --record and the instrumented variant "
             f"({spec.instrumented or 'this scenario has none'})")
-    reports = run_scenario(args.scenario, cfg, variants=variants,
-                           record=args.record is not None,
-                           telemetry=Telemetry() if args.timelines else None)
+    try:
+        reports = run_scenario(
+            args.scenario, cfg, variants=variants,
+            record=args.record is not None,
+            telemetry=Telemetry() if args.timelines else None)
+    except ValueError as exc:  # a config value the world rejects
+        raise _UsageError(str(exc))
     if args.json:
         # canonical key order + repr floats: two identical seeded runs
         # print byte-identical JSON (CI determinism check)

@@ -3,14 +3,14 @@
 A :class:`ControlLoop` observes the serving stack on a periodic
 simulated-clock cadence and lets composable controllers retune it
 online: cache granularity, batch policy, admission, and cache
-precompute.  Passing ``control=None`` (the default) anywhere keeps
-serving byte-identical to a control-free build.
+precompute.  ``control=None`` (the default anywhere) selects
+:data:`NULL_CONTROL`, which never ticks and admits every request.
 """
 
 from .controllers import (AdmissionController, BatchPolicyController,
                           CacheGranularityController, Controller,
                           PrecomputeScheduler, TenantFairnessController)
-from .loop import ControlAction, ControlLoop, ControlSnapshot
+from .loop import NULL_CONTROL, ControlAction, ControlLoop, ControlSnapshot
 
 __all__ = [
     "AdmissionController",
@@ -20,6 +20,7 @@ __all__ = [
     "ControlAction",
     "ControlLoop",
     "ControlSnapshot",
+    "NULL_CONTROL",
     "PrecomputeScheduler",
     "TenantFairnessController",
 ]

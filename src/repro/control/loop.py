@@ -7,11 +7,12 @@ on a fixed *simulated*-clock cadence, and lets a stack of composable
 :class:`~repro.control.controllers.Controller` objects act on each
 snapshot.
 
-Design contract (mirrors ``telemetry=`` / ``recorder=``):
+Design contract:
 
-* ``control=None`` (the default everywhere) keeps every serving code
-  path and every float **bit-identical** to a control-free build — all
-  integration points are guarded on ``None``;
+* ``control=None`` (the default everywhere) is normalised by
+  :meth:`ControlLoop.of` to :data:`NULL_CONTROL`, which never ticks and
+  admits everything, so the facade and the servers call their loop
+  unconditionally (DESIGN.md, "Optional subsystems");
 * the loop observes only what a deployed controller could observe: the
   monitor's *smoothed estimate* (never the injected ground truth), the
   cache's own counters, and the server's finished-request window.  The
@@ -25,15 +26,18 @@ Design contract (mirrors ``telemetry=`` / ``recorder=``):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..netsim.topology import NetworkCondition
+from ..netsim.traces import check_period
 from ..telemetry import Telemetry
 
-__all__ = ["ControlAction", "ControlSnapshot", "ControlLoop"]
+__all__ = ["ControlAction", "ControlSnapshot", "ControlLoop", "NullControl",
+           "NULL_CONTROL"]
 
 
 @dataclass(frozen=True)
@@ -109,15 +113,14 @@ class ControlLoop:
                  period_s: float = 0.5,
                  telemetry: Optional[Telemetry] = None,
                  max_catchup: int = 1):
-        if period_s <= 0:
-            raise ValueError(f"period_s must be positive, got {period_s}")
+        check_period(period_s)
         if max_catchup < 1:
             raise ValueError(
                 f"max_catchup must be at least 1, got {max_catchup}")
         self.controllers = list(controllers) if controllers is not None else []
         self.period_s = period_s
         self.max_catchup = int(max_catchup)
-        self.telemetry = telemetry
+        self.telemetry = Telemetry.of(telemetry)
         self.system = None
         self.server = None
         self.ticks = 0
@@ -131,13 +134,19 @@ class ControlLoop:
         # the per-request ``admit`` hook)
         self._admission = next(
             (c for c in self.controllers if hasattr(c, "admit")), None)
-        if telemetry is not None:
-            reg = telemetry.registry.child("control")
-            self._reg = reg
-            self._m_ticks = reg.counter("ticks_total",
-                                        help="control-loop ticks fired")
-            self._m_actions: dict = {}
-            self._m_verdicts: dict = {}
+        reg = self.telemetry.registry.child("control")
+        self._m_ticks = reg.counter("ticks_total",
+                                    help="control-loop ticks fired")
+        self._count_action = reg.counters(
+            "actions_total", "controller adjustments applied", "controller")
+        self._count_verdict = reg.counters(
+            "admission_total", "requests shed or degraded at admission",
+            "verdict", "tenant")
+
+    @staticmethod
+    def of(control: Optional["ControlLoop"]):
+        """``control`` itself, or :data:`NULL_CONTROL` for ``None``."""
+        return control if control is not None else NULL_CONTROL
 
     # -- wiring -------------------------------------------------------------
     def attach(self, system=None, server=None) -> "ControlLoop":
@@ -176,23 +185,26 @@ class ControlLoop:
                 if description:
                     self.actions.append(
                         ControlAction(now, controller.name, description))
-                    if self.telemetry is not None:
-                        counter = self._m_actions.get(controller.name)
-                        if counter is None:
-                            counter = self._reg.counter(
-                                "actions_total",
-                                help="controller adjustments applied",
-                                controller=controller.name)
-                            self._m_actions[controller.name] = counter
-                        counter.inc()
+                    self._count_action(controller.name)
             self.ticks += 1
             fired += 1
-            if self.telemetry is not None:
-                self._m_ticks.inc()
+            self._m_ticks.inc()
             self._next_due += self.period_s
         while self._next_due <= now:
             self._next_due += self.period_s
         return True
+
+    def server_tick(self, now: float, stats, arrivals: np.ndarray, i: int,
+                    busy_until: float) -> bool:
+        """:meth:`maybe_tick` as a server drives it before admitting
+        request ``i``.  The queue depth — requests from ``i`` on that
+        arrive before the pipeline frees at ``busy_until`` — is only
+        worked out when a tick is due to read it."""
+        depth = 0
+        if now >= self._next_due:
+            depth = max(int(np.searchsorted(arrivals, busy_until,
+                                            side="right")) - i, 0)
+        return self.maybe_tick(now, stats=stats, queue_depth=depth)
 
     # -- admission ----------------------------------------------------------
     def admit(self, arrival: float, start: float, slo,
@@ -215,19 +227,8 @@ class ControlLoop:
         else:
             verdict = self._admission.admit(arrival, start, slo.value, self,
                                             tenant=tenant)
-        if verdict != "serve" and self.telemetry is not None:
-            key = (verdict, tenant)
-            counter = self._m_verdicts.get(key)
-            if counter is None:
-                labels = {"verdict": verdict}
-                if tenant is not None:
-                    labels["tenant"] = tenant
-                counter = self._reg.counter(
-                    "admission_total",
-                    help="requests shed or degraded at admission",
-                    **labels)
-                self._m_verdicts[key] = counter
-            counter.inc()
+        if verdict != "serve":
+            self._count_verdict(verdict, tenant)
         return verdict
 
     # -- observation --------------------------------------------------------
@@ -278,13 +279,12 @@ class ControlLoop:
         around the smoothed estimate — noisier, but observable without
         any instrumentation.
         """
-        if self.telemetry is not None:
-            bw_h = self.telemetry.registry.get("monitor_bw_estimate_rel_error")
-            d_h = self.telemetry.registry.get(
-                "monitor_delay_estimate_rel_error")
-            if bw_h is not None and getattr(bw_h, "count", 0):
-                return (bw_h.mean,
-                        d_h.mean if d_h is not None and d_h.count else 0.0)
+        registry = self.telemetry.registry
+        bw_h = registry.get("monitor_bw_estimate_rel_error")
+        d_h = registry.get("monitor_delay_estimate_rel_error")
+        if bw_h is not None and getattr(bw_h, "count", 0):
+            return (bw_h.mean,
+                    d_h.mean if d_h is not None and d_h.count else 0.0)
         system = self.system
         if system is None:
             return 0.0, 0.0
@@ -313,3 +313,28 @@ class ControlLoop:
         detail = " ".join(f"{k}={v}" for k, v in sorted(per.items()))
         return (f"{self.ticks} ticks, {len(self.actions)} actions"
                 + (f" ({detail})" if detail else ""))
+
+
+class NullControl:
+    """The control loop of a runtime nobody steers: the facade- and
+    server-facing surface of :class:`ControlLoop`, never due, never
+    attached, every request served."""
+
+    #: never comes due — ``schedule_control_ticks`` schedules nothing
+    period_s = math.inf
+    #: never server-attached, so the facade offers it the cadence
+    server = None
+
+    def attach(self, system=None, server=None) -> "NullControl":
+        return self
+
+    def maybe_tick(self, *args, **kwargs) -> bool:
+        return False
+
+    server_tick = maybe_tick
+
+    def admit(self, *args, **kwargs) -> str:
+        return "serve"
+
+
+NULL_CONTROL = NullControl()

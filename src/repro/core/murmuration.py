@@ -27,6 +27,11 @@ strategies through open circuits are invalidated, fresh decisions are
 rerouted proactively, and a half-open probe re-admits recovered
 devices.  ``faults=None`` (the default) leaves every code path and
 every latency bit-identical to a fault-free build.
+
+``telemetry=``, ``recorder=`` and ``control=`` are different: the
+constructor normalises ``None`` to the subsystem's null form, so the
+request path calls all three unconditionally (DESIGN.md, "Optional
+subsystems").
 """
 
 from __future__ import annotations
@@ -54,7 +59,9 @@ from ..runtime.clock import SimulatedClock
 from ..runtime.executor import DistributedExecutor
 from ..runtime.predictor import MonitoringPredictor
 from ..runtime.reconfig import ModelReconfig
+from ..control.loop import ControlLoop
 from ..telemetry import Telemetry
+from ..telemetry.recorder import RunRecorder
 from .decision import DecisionRecord, RLDecisionEngine, SearchDecisionEngine
 from .slo import SLO
 from .strategy import Strategy
@@ -163,9 +170,9 @@ class Murmuration:
         self.engine = decision_engine
         self.slo = slo
         self.cache = cache if cache is not None else StrategyCache()
-        self.telemetry = telemetry
-        #: optional RunRecorder capturing decisions for record/replay
-        self.recorder = recorder
+        self.telemetry = Telemetry.of(telemetry)
+        #: the RunRecorder capturing decisions for record/replay
+        self.recorder = RunRecorder.of(recorder)
         self.monitor = NetworkMonitor(self.cluster, noise=monitor_noise,
                                       seed=seed, telemetry=telemetry)
         self.predictor = (MonitoringPredictor(self.cluster.num_devices - 1)
@@ -198,50 +205,53 @@ class Murmuration:
         #: :class:`~repro.sim.events.EventLoop` (one clock, one world)
         self.clock = clock if clock is not None else SimulatedClock()
         self._min_strategy: Optional[Strategy] = None
-        #: optional ControlLoop retuning the runtime from telemetry
-        self.control = control
-        if control is not None:
-            control.attach(system=self)
-        if telemetry is not None:
-            reg = telemetry.registry.child("core")
-            self._reg = reg
-            self._m_decision_s = reg.histogram(
-                "decision_s", help="decision-engine latency")
-            self._m_switch_s = reg.histogram(
-                "switch_s", help="model reconfiguration time")
-            self._m_inference_s = reg.histogram(
-                "inference_s", help="per-request inference latency")
-            self._m_cache_hits = reg.gauge(
-                "cache_hits", help="strategy-cache hits")
-            self._m_cache_misses = reg.gauge(
-                "cache_misses", help="strategy-cache misses")
-            self._m_cache_entries = reg.gauge(
-                "cache_entries", help="strategy-cache occupancy")
-            self._m_cache_hit_rate = reg.gauge(
-                "cache_hit_rate", help="strategy-cache hit rate")
-            self._m_cache_evictions = reg.gauge(
-                "cache_evictions", help="strategy-cache LRU evictions")
-            self._m_retries = reg.counter(
-                "retries_total", help="message retries charged to requests")
-            self._m_failovers = reg.counter(
-                "failovers_total", help="requests re-planned onto survivors")
-            self._m_degraded = reg.counter(
-                "degraded_requests_total",
-                help="requests completed via gateway degradation")
-            self._m_failed = reg.counter(
-                "failed_requests_total",
-                help="requests that could not be completed")
-            self._m_reroutes = reg.counter(
-                "reroutes_total",
-                help="decisions rerouted around open circuits")
-            self._m_cache_invalidated = reg.counter(
-                "cache_invalidations_total",
-                help="cached strategies dropped for routing through "
-                     "open-circuit devices")
-            # decisions_total counters resolved once per engine string
-            self._m_decisions: dict = {}
-            # snapshot gauges refresh at export time, not per request
-            reg.add_collect_hook(self._sync_cache_metrics)
+        #: the ControlLoop retuning the runtime from telemetry
+        self.control = ControlLoop.of(control).attach(system=self)
+        reg = self.telemetry.registry.child("core")
+        self._m_decision_s = reg.histogram(
+            "decision_s", help="decision-engine latency")
+        self._m_switch_s = reg.histogram(
+            "switch_s", help="model reconfiguration time")
+        self._m_inference_s = reg.histogram(
+            "inference_s", help="per-request inference latency")
+        self._m_cache_hits = reg.gauge(
+            "cache_hits", help="strategy-cache hits")
+        self._m_cache_misses = reg.gauge(
+            "cache_misses", help="strategy-cache misses")
+        self._m_cache_entries = reg.gauge(
+            "cache_entries", help="strategy-cache occupancy")
+        self._m_cache_hit_rate = reg.gauge(
+            "cache_hit_rate", help="strategy-cache hit rate")
+        self._m_cache_evictions = reg.gauge(
+            "cache_evictions", help="strategy-cache LRU evictions")
+        self._m_retries = reg.counter(
+            "retries_total", help="message retries charged to requests")
+        self._m_failovers = reg.counter(
+            "failovers_total", help="requests re-planned onto survivors")
+        self._m_degraded = reg.counter(
+            "degraded_requests_total",
+            help="requests completed via gateway degradation")
+        self._m_failed = reg.counter(
+            "failed_requests_total",
+            help="requests that could not be completed")
+        self._m_reroutes = reg.counter(
+            "reroutes_total",
+            help="decisions rerouted around open circuits")
+        self._m_cache_invalidated = reg.counter(
+            "cache_invalidations_total",
+            help="cached strategies dropped for routing through "
+                 "open-circuit devices")
+        self._count_decision = reg.counters(
+            "decisions_total", "decisions by engine", "engine")
+        # plan-only reroute accounting shares the transport's families
+        transport = self.telemetry.registry.child("transport")
+        self._count_path_reroute = transport.counters(
+            "reroute_total", "deliveries that travelled a non-base path")
+        self._count_link_reroute = transport.counters(
+            "link_reroutes_total", "rerouted deliveries per device pair",
+            "link")
+        # snapshot gauges refresh at export time, not per request
+        reg.add_collect_hook(self._sync_cache_metrics)
 
     @property
     def _now(self) -> float:
@@ -330,8 +340,7 @@ class Murmuration:
         if cached is not None and self._blocked_devices(cached.plan):
             # Routes through an open circuit: invalidate, decide afresh.
             self.cache.discard(self.slo, condition)
-            if self.telemetry is not None:
-                self._m_cache_invalidated.inc()
+            self._m_cache_invalidated.inc()
         cached = self.cache.get(self.slo, condition)
         if cached is not None:
             record = DecisionRecord(cached, 0.0, "cache")
@@ -349,25 +358,16 @@ class Murmuration:
             record = DecisionRecord(
                 self._reroute(record.strategy, condition),
                 record.decision_time_s, "reroute")
-            if self.telemetry is not None:
-                self._m_reroutes.inc()
+            self._m_reroutes.inc()
         return self._note_decision(record)
 
     def _note_decision(self, record: DecisionRecord) -> DecisionRecord:
         """Count, time and record one decision, whatever produced it."""
-        if self.telemetry is not None:
-            counter = self._m_decisions.get(record.engine)
-            if counter is None:
-                counter = self._reg.counter("decisions_total",
-                                            help="decisions by engine",
-                                            engine=record.engine)
-                self._m_decisions[record.engine] = counter
-            counter.inc()
-            self._m_decision_s.observe(record.decision_time_s)
-        if self.recorder is not None:
-            self.recorder.on_decision(self._now, record.engine,
-                                      record.decision_time_s,
-                                      record.engine == "cache")
+        self._count_decision(record.engine)
+        self._m_decision_s.observe(record.decision_time_s)
+        self.recorder.on_decision(self._now, record.engine,
+                                  record.decision_time_s,
+                                  record.engine == "cache")
         return record
 
     def min_strategy(self) -> Strategy:
@@ -532,7 +532,7 @@ class Murmuration:
             # reset, not advance_to: the overlap path rewinds, and
             # infer's tolerance window admits a few-ulp rewind
             self.clock.reset(now)
-        if self.control is not None and self.control.server is None:
+        if self.control.server is None:
             # Facade-only deployment: the facade drives the cadence.  A
             # server-attached loop ticks at the server instead, where
             # queue depth and request windows are known.
@@ -541,7 +541,7 @@ class Murmuration:
         if self.faults is not None:
             self.faults.advance(start)
             self.faults.apply_to(self.cluster, self._base_condition)
-        tracer = Telemetry.tracer_of(self.telemetry)
+        tracer = self.telemetry.tracer
         with tracer.span("decision", sim_time=start) as sp:
             decision = (self._note_decision(DecisionRecord(
                 self.min_strategy(), 0.0, "admission")) if degraded
@@ -563,8 +563,7 @@ class Murmuration:
                 switch_time = self.reconfig.switch(
                     strategy.arch).modeled_time_s
                 sp.add_sim(switch_time)
-            if self.telemetry is not None:
-                self._m_switch_s.observe(switch_time)
+            self._m_switch_s.observe(switch_time)
         exec_start = model_free + switch_time
         cache_hit = decision.engine == "cache"
         amortized_decision = decision.decision_time_s / n
@@ -635,16 +634,15 @@ class Murmuration:
             items.append(record)
             sim_t = sim_t + latency
             finishes.append(sim_t)
-            if self.telemetry is not None:
-                self._m_inference_s.observe(latency)
-                if retries:
-                    self._m_retries.inc(retries)
-                if failovers:
-                    self._m_failovers.inc(failovers)
-                if outcome == "degraded":
-                    self._m_degraded.inc()
-                elif outcome == "failed":
-                    self._m_failed.inc()
+            self._m_inference_s.observe(latency)
+            if retries:
+                self._m_retries.inc(retries)
+            if failovers:
+                self._m_failovers.inc(failovers)
+            if outcome == "degraded":
+                self._m_degraded.inc()
+            elif outcome == "failed":
+                self._m_failed.inc()
         # Full service time, not execution alone: the clock lands on the
         # last finish — ((start + d) + s) + l at n = 1, a serving loop's
         # ``finish`` — so callers that never pass ``now=`` stay in step
@@ -670,8 +668,7 @@ class Murmuration:
         for dev in self.health.drain_opened():
             n = self.cache.invalidate(
                 lambda s, d=dev: d in s.plan.devices_used())
-            if self.telemetry is not None and n:
-                self._m_cache_invalidated.inc(n)
+            self._m_cache_invalidated.inc(n)
         for a, b in self.health.drain_opened_links():
             ends = frozenset(d for d in (a, b) if d != 0)
             if not ends:
@@ -679,8 +676,7 @@ class Murmuration:
             n = self.cache.invalidate(
                 lambda s, e=ends: bool(e.intersection(
                     s.plan.devices_used())))
-            if self.telemetry is not None and n:
-                self._m_cache_invalidated.inc(n)
+            self._m_cache_invalidated.inc(n)
 
     # -- fault-aware execution paths ---------------------------------------
     def _execute(self, x: np.ndarray, strategy: Strategy,
@@ -804,18 +800,8 @@ class Murmuration:
             if not info.rerouted:
                 continue
             self.path_reroutes += 1
-            if self.telemetry is None:
-                continue
-            reg = getattr(self, "_transport_reg", None)
-            if reg is None:
-                reg = self.telemetry.registry.child("transport")
-                self._transport_reg = reg
-            reg.counter("reroute_total",
-                        help="deliveries that travelled a non-base path",
-                        ).inc()
-            reg.counter("link_reroutes_total",
-                        help="rerouted deliveries per device pair",
-                        link=f"0-{d}").inc()
+            self._count_path_reroute()
+            self._count_link_reroute(f"0-{d}")
 
     def _loss_penalty(self, remotes: List[int],
                       num_transfers: int) -> Tuple[float, int, Optional[int]]:

@@ -164,8 +164,9 @@ def build_world(scenario: str, cfg, variant: str, *, telemetry=None,
         engine = PinnedTimeEngine(engine, cfg.decision_time_s)
     if world.static:
         engine = StaticEngine(engine, world.condition)
-    recorder = (RunRecorder(scenario, variant=variant, config=asdict(cfg))
-                if record else None)
+    world.recorder = recorder = (
+        RunRecorder(scenario, variant=variant, config=asdict(cfg))
+        if record else None)
     world.system = Murmuration(
         MBV3_SPACE, devices, world.condition, engine,
         slo=SLO.latency_ms(cfg.slo_ms), use_predictor=False,
@@ -289,15 +290,15 @@ def run_world(world: World) -> ScenarioReport:
                        condition_trace=world.trace,
                        trace_period_s=world.trace_period_s,
                        tenants=world.tenants)
-    if server.recorder is not None:
-        if server.telemetry is not None:
-            server.recorder.capture_timelines(server.telemetry.timelines)
-        server.recorder.finish(stats)
+    if world.recorder is not None:
+        # the null hub's timelines are empty
+        world.recorder.capture_timelines(server.telemetry.timelines)
+        world.recorder.finish(stats)
     return ScenarioReport(
         scenario=world.scenario, name=world.variant, stats=stats,
         slo_s=cfg.slo_ms / 1e3, control=world.control,
         tracker=world.tracker, events=world.events, system=world.system,
-        recorder=server.recorder)
+        recorder=world.recorder)
 
 
 def run_scenario(scenario: str, cfg=None, *, telemetry=None,

@@ -92,6 +92,8 @@ class World:
     cfg: Any = None
     system: Any = None
     server: Any = None
+    #: the ``RunRecorder`` capturing the run (``record=True``), else None
+    recorder: Any = None
 
 
 @dataclass(frozen=True)

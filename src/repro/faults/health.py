@@ -75,33 +75,26 @@ class DeviceHealth:
         # per device-pair breakers, created lazily on first observation
         self._link_breakers: Dict[Tuple[int, int], _Breaker] = {}
         self._newly_opened_links: List[Tuple[int, int]] = []
-        self.telemetry = telemetry
-        if telemetry is not None:
-            self._reg = telemetry.registry.child("health")
-            self._m_failures = self._reg.counter(
-                "failures_total", help="delivery failures recorded")
-            self._m_successes = self._reg.counter(
-                "successes_total", help="delivery successes recorded")
-            self._m_transitions: Dict[tuple, object] = {}
-            self._m_state = {
-                d: self._reg.gauge("circuit_state",
-                                   help="0=closed 1=half-open 2=open",
-                                   device=str(d))
-                for d in range(num_devices)}
+        self.telemetry = Telemetry.of(telemetry)
+        reg = self.telemetry.registry.child("health")
+        self._m_failures = reg.counter(
+            "failures_total", help="delivery failures recorded")
+        self._m_successes = reg.counter(
+            "successes_total", help="delivery successes recorded")
+        self._count_transition = reg.counters(
+            "circuit_transitions_total", "circuit-breaker state changes",
+            "device", "to")
+        self._count_link_transition = reg.counters(
+            "link_circuit_transitions_total",
+            "per-link circuit-breaker state changes", "link", "to")
+        self._m_state = {
+            d: reg.gauge("circuit_state", help="0=closed 1=half-open 2=open",
+                         device=str(d))
+            for d in range(num_devices)}
 
     # -- telemetry helpers ------------------------------------------------
     def _transition(self, device: int, to: CircuitState) -> None:
-        if self.telemetry is None:
-            return
-        key = (device, to.value)
-        counter = self._m_transitions.get(key)
-        if counter is None:
-            counter = self._reg.counter(
-                "circuit_transitions_total",
-                help="circuit-breaker state changes",
-                device=str(device), to=to.value)
-            self._m_transitions[key] = counter
-        counter.inc()
+        self._count_transition(device, to.value)
         self._m_state[device].set(_GAUGE_VALUE[to])
 
     # -- queries ----------------------------------------------------------
@@ -133,8 +126,7 @@ class DeviceHealth:
         newly opened."""
         if device == 0:
             return False
-        if self.telemetry is not None:
-            self._m_failures.inc()
+        self._m_failures.inc()
         b = self._breakers[device]
         state = self.state(device, now)
         b.consecutive_failures += 1
@@ -152,8 +144,7 @@ class DeviceHealth:
     def record_success(self, device: int, now: float) -> None:
         if device == 0:
             return
-        if self.telemetry is not None:
-            self._m_successes.inc()
+        self._m_successes.inc()
         b = self._breakers[device]
         state = self.state(device, now)
         b.consecutive_failures = 0
@@ -180,17 +171,7 @@ class DeviceHealth:
 
     def _link_transition(self, pair: Tuple[int, int],
                          to: CircuitState) -> None:
-        if self.telemetry is None:
-            return
-        key = (pair, to.value)
-        counter = self._m_transitions.get(key)
-        if counter is None:
-            counter = self._reg.counter(
-                "link_circuit_transitions_total",
-                help="per-link circuit-breaker state changes",
-                link=f"{pair[0]}-{pair[1]}", to=to.value)
-            self._m_transitions[key] = counter
-        counter.inc()
+        self._count_link_transition(f"{pair[0]}-{pair[1]}", to.value)
 
     def link_state(self, a: int, b: int, now: float) -> CircuitState:
         """Current state of the pair's breaker (CLOSED if never observed),

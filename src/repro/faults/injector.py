@@ -45,17 +45,19 @@ class FaultInjector:
         # reachable() answer path-level questions and advance() meter
         # per-link downtime
         self._mesh = None
-        self._m_link_down: Dict[Tuple[int, int], object] = {}
-        self.telemetry = telemetry
-        if telemetry is not None:
-            self._reg = telemetry.registry.child("faults")
-            self._m_events: Dict[str, object] = {}
-            self._m_device_up: Dict[int, object] = {}
-            for dev in sorted(self._fault_devices()):
-                self._m_device_up[dev] = self._reg.gauge(
-                    "device_up", help="1 while the device is reachable",
-                    device=str(dev))
-                self._m_device_up[dev].set(1.0)
+        self.telemetry = Telemetry.of(telemetry)
+        reg = self.telemetry.registry.child("faults")
+        self._count_link_down = reg.counters(
+            "link_down_seconds", "simulated seconds each link spent down",
+            "link")
+        self._count_fault_event = reg.counters(
+            "events_total", "fault onsets by kind", "kind")
+        self._m_device_up: Dict[int, object] = {}
+        for dev in sorted(self._fault_devices()):
+            self._m_device_up[dev] = reg.gauge(
+                "device_up", help="1 while the device is reachable",
+                device=str(dev))
+            self._m_device_up[dev].set(1.0)
 
     def _fault_devices(self) -> set:
         out = set()
@@ -75,23 +77,16 @@ class FaultInjector:
     def advance(self, now: float) -> List[FaultEvent]:
         """Move the injector's clock; returns events that just became
         active (fault onsets) for logging/telemetry."""
-        if (self.telemetry is not None and self._mesh is not None
-                and now > self.now):
+        if self._mesh is not None and now > self.now:
             self._meter_link_downtime(float(now) - self.now)
         self.now = float(now)
         active = frozenset(self.schedule.active(self.now))
         started = active - self._active
         ended = self._active - active
         self._active = active
-        if self.telemetry is not None and (started or ended):
+        if started or ended:
             for e in started:
-                counter = self._m_events.get(e.kind)
-                if counter is None:
-                    counter = self._reg.counter(
-                        "events_total", help="fault onsets by kind",
-                        kind=e.kind)
-                    self._m_events[e.kind] = counter
-                counter.inc()
+                self._count_fault_event(e.kind)
             iso = self.schedule.unreachable_devices(self.now)
             for dev, gauge in self._m_device_up.items():
                 gauge.set(0.0 if dev in iso else 1.0)
@@ -104,14 +99,7 @@ class FaultInjector:
         is the same resolution the serving loop itself experiences)."""
         for edge in self.schedule.down_links(self.now,
                                              self._mesh.base_edges):
-            counter = self._m_link_down.get(edge)
-            if counter is None:
-                counter = self._reg.counter(
-                    "link_down_seconds",
-                    help="simulated seconds each link spent down",
-                    link=f"{edge[0]}-{edge[1]}")
-                self._m_link_down[edge] = counter
-            counter.inc(dt_s)
+            self._count_link_down(f"{edge[0]}-{edge[1]}", amount=dt_s)
 
     # -- world application ------------------------------------------------
     def apply_to(self, cluster: Cluster,

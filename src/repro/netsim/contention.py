@@ -24,8 +24,9 @@ fixes), and it preserves the two invariants the tests pin:
 * two simultaneous flows each get at least half the link.
 
 ``tracker=None`` (the default everywhere) keeps every serving float
-bit-identical to a contention-free build — the same guard discipline as
-``telemetry=`` / ``control=`` / ``faults=``.
+bit-identical to a contention-free build; like ``faults=`` it selects a
+different pricing path, so it stays a real ``None`` (DESIGN.md,
+"Optional subsystems").
 """
 
 from __future__ import annotations
@@ -85,20 +86,21 @@ class ContentionTracker:
         #: widest sharing ever seen per edge (1 = never contended)
         self.peak_share: Dict[Edge, int] = {}
         self._tenant_bytes: Dict[str, float] = {}
-        self.telemetry = telemetry
-        if telemetry is not None:
-            reg = telemetry.registry.child("contention")
-            self._reg = reg
-            self._m_flows = reg.counter(
-                "flows_total", help="transfers priced through the tracker")
-            self._m_contended = reg.counter(
-                "contended_flows_total",
-                help="transfers that shared at least one link")
-            self._m_share = reg.histogram(
-                "flow_share", help="per-flow fair-share divisor at pricing",
-                lo=1.0, hi=256.0)
-            self._m_link: dict = {}
-            self._m_tenant: dict = {}
+        self.telemetry = Telemetry.of(telemetry)
+        reg = self.telemetry.registry.child("contention")
+        self._m_flows = reg.counter(
+            "flows_total", help="transfers priced through the tracker")
+        self._m_contended = reg.counter(
+            "contended_flows_total",
+            help="transfers that shared at least one link")
+        self._m_share = reg.histogram(
+            "flow_share", help="per-flow fair-share divisor at pricing",
+            lo=1.0, hi=256.0)
+        self._count_link_contended = reg.counters(
+            "link_contended_total", "contended transfers per link", "link")
+        self._count_tenant_bytes = reg.counters(
+            "tenant_bytes_total", "payload bytes on the wire per tenant",
+            "tenant")
 
     # -- queries -----------------------------------------------------------
     def concurrency(self, edge: Edge, now: float) -> int:
@@ -151,29 +153,14 @@ class ContentionTracker:
         if tenant is not None and nbytes:
             self._tenant_bytes[tenant] = (
                 self._tenant_bytes.get(tenant, 0.0) + flow.nbytes)
-        if self.telemetry is not None:
-            self._m_flows.inc()
-            self._m_share.observe(float(share))
-            if contended:
-                self._m_contended.inc()
-                for edge in flow.edges:
-                    counter = self._m_link.get(edge)
-                    if counter is None:
-                        counter = self._reg.counter(
-                            "link_contended_total",
-                            help="contended transfers per link",
-                            link=f"{edge[0]}-{edge[1]}")
-                        self._m_link[edge] = counter
-                    counter.inc()
-            if tenant is not None and nbytes:
-                counter = self._m_tenant.get(tenant)
-                if counter is None:
-                    counter = self._reg.counter(
-                        "tenant_bytes_total",
-                        help="payload bytes on the wire per tenant",
-                        tenant=tenant)
-                    self._m_tenant[tenant] = counter
-                counter.inc(flow.nbytes)
+        self._m_flows.inc()
+        self._m_share.observe(float(share))
+        if contended:
+            self._m_contended.inc()
+            for edge in flow.edges:
+                self._count_link_contended(f"{edge[0]}-{edge[1]}")
+        if tenant is not None and nbytes:
+            self._count_tenant_bytes(tenant, amount=flow.nbytes)
         return flow
 
 

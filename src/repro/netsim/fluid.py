@@ -182,22 +182,23 @@ class FluidTracker:
         self._tenant_bytes: Dict[str, float] = {}
         #: clones used for peeks/predictions never touch accounting
         self._ghost = False
-        self.telemetry = telemetry
-        if telemetry is not None:
-            reg = telemetry.registry.child("fluid")
-            self._m_flows = reg.counter(
-                "flows_total", help="transfers priced through the solver")
-            self._m_contended = reg.counter(
-                "contended_flows_total",
-                help="transfers sharing at least one edge at admission")
-            self._m_segments = reg.counter(
-                "segments_total",
-                help="piecewise-constant rate segments advanced")
-            self._m_reconv = reg.histogram(
-                "flow_reconvergences",
-                help="rate re-convergences a flow saw before completing",
-                lo=1.0, hi=4096.0)
-            self._m_tenant: dict = {}
+        self.telemetry = Telemetry.of(telemetry)
+        reg = self.telemetry.registry.child("fluid")
+        self._m_flows = reg.counter(
+            "flows_total", help="transfers priced through the solver")
+        self._m_contended = reg.counter(
+            "contended_flows_total",
+            help="transfers sharing at least one edge at admission")
+        self._m_segments = reg.counter(
+            "segments_total",
+            help="piecewise-constant rate segments advanced")
+        self._m_reconv = reg.histogram(
+            "flow_reconvergences",
+            help="rate re-convergences a flow saw before completing",
+            lo=1.0, hi=4096.0)
+        self._count_tenant_bytes = reg.counters(
+            "tenant_bytes_total", "payload bytes on the wire per tenant",
+            "tenant")
 
     # -- engine ------------------------------------------------------------
     def _clone(self) -> "FluidTracker":
@@ -224,7 +225,6 @@ class FluidTracker:
         c.caps_updates_total = 0
         c._tenant_bytes = {}
         c._ghost = True
-        c.telemetry = None
         return c
 
     def _reconverge(self) -> None:
@@ -279,8 +279,7 @@ class FluidTracker:
         if t1 <= self._t or self._ghost:
             return
         self.segments_total += 1
-        if self.telemetry is not None:
-            self._m_segments.inc()
+        self._m_segments.inc()
         if self.record_segments:
             self.segments.append(FluidSegment(
                 self._t, t1, {f.fid: f.rate
@@ -291,8 +290,7 @@ class FluidTracker:
         self._finish[fid] = t
         if self._ghost:
             return
-        if self.telemetry is not None:
-            self._m_reconv.observe(float(flow.reconvergences) + 1.0)
+        self._m_reconv.observe(float(flow.reconvergences) + 1.0)
 
     def _advance(self, until: float) -> None:
         """Advance the piecewise simulation to ``until``, processing
@@ -342,19 +340,11 @@ class FluidTracker:
         if flow.tenant is not None and flow.nbytes:
             self._tenant_bytes[flow.tenant] = (
                 self._tenant_bytes.get(flow.tenant, 0.0) + flow.nbytes)
-        if self.telemetry is not None:
-            self._m_flows.inc()
-            if contended:
-                self._m_contended.inc()
-            if flow.tenant is not None and flow.nbytes:
-                counter = self._m_tenant.get(flow.tenant)
-                if counter is None:
-                    counter = self.telemetry.registry.child("fluid").counter(
-                        "tenant_bytes_total",
-                        help="payload bytes on the wire per tenant",
-                        tenant=flow.tenant)
-                    self._m_tenant[flow.tenant] = counter
-                counter.inc(flow.nbytes)
+        self._m_flows.inc()
+        if contended:
+            self._m_contended.inc()
+        if flow.tenant is not None and flow.nbytes:
+            self._count_tenant_bytes(flow.tenant, amount=flow.nbytes)
 
     # -- admission ---------------------------------------------------------
     def admit(self, edges: Sequence[Edge], caps: Mapping[Edge, float],

@@ -52,39 +52,31 @@ class NetworkMonitor:
         self._history: List[Measurement] = []
         self._smoothed_bw: Dict[int, float] = {}
         self._smoothed_delay: Dict[int, float] = {}
-        self.telemetry = telemetry
-        if telemetry is not None:
-            self._reg = telemetry.registry.child("monitor")
-            # Pre-resolved per-source counters keep the probe hot path
-            # to plain attribute increments.
-            self._m_probes = {
-                source: self._reg.counter("probes_total",
-                                          help="monitoring samples",
-                                          source=source)
-                for source in ("active", "passive")}
-            self._m_bw_err = self._reg.histogram(
-                "bw_estimate_rel_error",
-                help="|smoothed bw - true bw| / true bw after each sample")
-            self._m_delay_err = self._reg.histogram(
-                "delay_estimate_rel_error",
-                help="|smoothed delay - true delay| / true delay")
+        self.telemetry = Telemetry.of(telemetry)
+        reg = self.telemetry.registry.child("monitor")
+        # Pre-resolved per-source counters keep the probe hot path
+        # to plain attribute increments.
+        self._m_probes = {
+            source: reg.counter("probes_total", help="monitoring samples",
+                                source=source)
+            for source in ("active", "passive")}
+        self._m_bw_err = reg.histogram(
+            "bw_estimate_rel_error",
+            help="|smoothed bw - true bw| / true bw after each sample")
+        self._m_delay_err = reg.histogram(
+            "delay_estimate_rel_error",
+            help="|smoothed delay - true delay| / true delay")
 
     # -- probing -------------------------------------------------------------
     def _record(self, m: Measurement) -> Measurement:
         """Ingest one measurement and update telemetry error gauges."""
         self._ingest(m)
-        if self.telemetry is not None:
-            cond = self.cluster.condition
-            true_bw = cond.bandwidths_mbps[m.device - 1]
-            true_delay = cond.delays_ms[m.device - 1]
-            self._m_probes[m.source].inc()
-            if true_bw > 0:
-                self._m_bw_err.observe(
-                    abs(self._smoothed_bw[m.device] - true_bw) / true_bw)
-            if true_delay > 0:
-                self._m_delay_err.observe(
-                    abs(self._smoothed_delay[m.device] - true_delay)
-                    / true_delay)
+        cond = self.cluster.condition
+        self._m_probes[m.source].inc()
+        self._m_bw_err.observe_rel_error(
+            self._smoothed_bw[m.device], cond.bandwidths_mbps[m.device - 1])
+        self._m_delay_err.observe_rel_error(
+            self._smoothed_delay[m.device], cond.delays_ms[m.device - 1])
         return m
 
     def _observe(self, device: int, now: float, relative_noise: float,

@@ -8,6 +8,7 @@ examples and the monitoring-predictor tests replay.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
@@ -15,8 +16,17 @@ import numpy as np
 
 from .topology import NetworkCondition
 
-__all__ = ["TraceConfig", "condition_at", "random_walk_trace",
-           "step_trace", "mobility_trace"]
+__all__ = ["TraceConfig", "check_period", "condition_at",
+           "random_walk_trace", "step_trace", "mobility_trace"]
+
+
+def check_period(period_s: float) -> None:
+    """Reject a period that is not finite and positive (``nan`` passes
+    a bare ``<= 0`` test, then poisons ``int(t / period_s)`` or the
+    event heap) — the one check every cadence shares."""
+    if not 0 < period_s < math.inf:
+        raise ValueError(
+            f"period_s must be positive and finite, got {period_s}")
 
 
 def condition_at(trace, t: float, period_s: float):
@@ -31,8 +41,7 @@ def condition_at(trace, t: float, period_s: float):
     """
     if not trace:
         raise ValueError("condition_at needs a non-empty trace")
-    if period_s <= 0:
-        raise ValueError(f"period_s must be positive, got {period_s}")
+    check_period(period_s)
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t}")
     idx = min(int(t / period_s), len(trace) - 1)

@@ -90,24 +90,23 @@ class SupremeTrainer:
         self.buffer = self._build_buffer()
         self.history = TrainingHistory()
         self._collected = 0
-        self.telemetry = telemetry
-        if telemetry is not None:
-            reg = telemetry.registry.child("supreme")
-            self._m_episodes = reg.counter(
-                "episodes_total", help="collected rollout episodes")
-            self._m_mutations = reg.counter(
-                "mutations_total", help="mutation-round relabels")
-            self._m_updates = reg.counter(
-                "updates_total", help="supervised policy updates")
-            self._m_loss = reg.histogram(
-                "loss", help="imitation loss per update", lo=1e-8)
-            self._m_reward = reg.histogram(
-                "relabeled_reward", help="hindsight-relabeled reward",
-                lo=1e-8)
-            self._m_epsilon = reg.gauge(
-                "epsilon", help="current exploration rate")
-            self._m_buffer = reg.gauge(
-                "buffer_entries", help="entries stored in the buffer")
+        self.telemetry = Telemetry.of(telemetry)
+        reg = self.telemetry.registry.child("supreme")
+        self._m_episodes = reg.counter(
+            "episodes_total", help="collected rollout episodes")
+        self._m_mutations = reg.counter(
+            "mutations_total", help="mutation-round relabels")
+        self._m_updates = reg.counter(
+            "updates_total", help="supervised policy updates")
+        self._m_loss = reg.histogram(
+            "loss", help="imitation loss per update", lo=1e-8)
+        self._m_reward = reg.histogram(
+            "relabeled_reward", help="hindsight-relabeled reward",
+            lo=1e-8)
+        self._m_epsilon = reg.gauge(
+            "epsilon", help="current exploration rate")
+        self._m_buffer = reg.gauge(
+            "buffer_entries", help="entries stored in the buffer")
         self._bootstrap()
 
     # -- buffer construction ------------------------------------------------
@@ -149,8 +148,7 @@ class SupremeTrainer:
             condition=tuple(task.condition.as_vector()),
         )
         self.buffer.insert(values, entry)
-        if self.telemetry is not None:
-            self._m_reward.observe(entry.reward)
+        self._m_reward.observe(entry.reward)
 
     def _bootstrap(self) -> None:
         task = self.env.sample_task(self.rng)
@@ -178,10 +176,9 @@ class SupremeTrainer:
         for i, task in enumerate(tasks):
             self._relabel_and_insert(batch.actions[i], task)
         self._collected += len(tasks)
-        if self.telemetry is not None:
-            self._m_episodes.inc(len(tasks))
-            self._m_epsilon.set(self._epsilon())
-            self._m_buffer.set(sum(1 for _ in self.buffer.entries()))
+        self._m_episodes.inc(len(tasks))
+        self._m_epsilon.set(self._epsilon())
+        self._m_buffer.set(self.buffer.num_entries)
 
     def _train_batch(self) -> Optional[float]:
         cfg = self.cfg
@@ -194,7 +191,7 @@ class SupremeTrainer:
         actions = np.stack([e.actions for _, e in pairs])
         loss = supervised_update(self.policy, self.opt, self.env,
                                  contexts, actions)
-        if self.telemetry is not None and loss is not None:
+        if loss is not None:
             self._m_updates.inc()
             self._m_loss.observe(loss)
         return loss
@@ -216,8 +213,7 @@ class SupremeTrainer:
             else:
                 mutated = improve_locality(entry.actions, self.env, self.rng)
             self._relabel_and_insert(mutated, task)
-            if self.telemetry is not None:
-                self._m_mutations.inc()
+            self._m_mutations.inc()
 
     # -- driver ------------------------------------------------------------------
     def train(self, eval_tasks: Optional[Sequence[Task]] = None,

@@ -140,17 +140,15 @@ class BatchingInferenceServer(InferenceServer):
         #: re-read at every batch boundary — a BatchPolicyController may
         #: replace it mid-run
         self.policy = policy if policy is not None else BatchPolicy()
-        if telemetry is not None:
-            reg = telemetry.registry.child("server")
-            self._m_batch_size = reg.histogram(
-                "batch_size", help="requests per dispatched batch",
-                lo=1.0, hi=4096.0)
-            self._m_amortized = reg.counter(
-                "amortized_decisions_total",
-                help="decisions saved by batching (batch size - 1 each)")
-            self._m_overlap_saved = reg.gauge(
-                "overlap_saved_s",
-                help="cumulative decision seconds hidden under execution")
+        self._m_batch_size = self._reg.histogram(
+            "batch_size", help="requests per dispatched batch",
+            lo=1.0, hi=4096.0)
+        self._m_amortized = self._reg.counter(
+            "amortized_decisions_total",
+            help="decisions saved by batching (batch size - 1 each)")
+        self._m_overlap_saved = self._reg.gauge(
+            "overlap_saved_s",
+            help="cumulative decision seconds hidden under execution")
 
     # -- batch formation ---------------------------------------------------
     def _close_batch(self, arrivals: np.ndarray, i: int, exec_free: float,
@@ -217,35 +215,32 @@ class BatchingInferenceServer(InferenceServer):
         arrivals = self._arrivals(num_requests)
         exec_free = 0.0    # when the executor (cluster + model) frees
         dec_free = 0.0     # when the gateway's decision engine frees
-        tracer = Telemetry.tracer_of(self.telemetry)
+        tracer = self.telemetry.tracer
         i = 0
         k = 0
         while i < len(arrivals):
             degraded = False
-            if self.events is not None:
-                # world events due by the batch leader's arrival fire
-                # first (at their own scheduled times)
-                self.events.advance_to(float(arrivals[i]))
-            if self.control is not None:
-                self.control.maybe_tick(
-                    float(arrivals[i]), stats=stats,
-                    queue_depth=self._backlog(arrivals, i, exec_free))
-                # Shed hopeless leading requests before they anchor a
-                # batch; the surviving leader's verdict decides whether
-                # the whole batch degrades (all members share its
-                # strategy anyway).
-                while i < len(arrivals):
-                    a = float(arrivals[i])
-                    verdict = self.control.admit(
-                        a, max(a, exec_free), self.system.slo,
-                        tenant=self._tenant_of(tenants, i))
-                    if verdict != "shed":
-                        degraded = verdict == "degrade"
-                        break
-                    self._shed(stats, a, tenant=self._tenant_of(tenants, i))
-                    i += 1
-                if i >= len(arrivals):
+            # world events due by the batch leader's arrival fire first
+            # (at their own scheduled times)
+            self.events.advance_to(float(arrivals[i]))
+            self.control.server_tick(float(arrivals[i]), stats, arrivals, i,
+                                     exec_free)
+            # Shed hopeless leading requests before they anchor a
+            # batch; the surviving leader's verdict decides whether
+            # the whole batch degrades (all members share its
+            # strategy anyway).
+            while i < len(arrivals):
+                a = float(arrivals[i])
+                verdict = self.control.admit(
+                    a, max(a, exec_free), self.system.slo,
+                    tenant=self._tenant_of(tenants, i))
+                if verdict != "shed":
+                    degraded = verdict == "degrade"
                     break
+                self._shed(stats, a, tenant=self._tenant_of(tenants, i))
+                i += 1
+            if i >= len(arrivals):
+                break
             # Policy is re-read each batch: a BatchPolicyController may
             # have replaced it at the tick above.  A size-1 batch has
             # nothing to amortize and no second in-flight batch to hide
@@ -260,11 +255,10 @@ class BatchingInferenceServer(InferenceServer):
             # close already includes exec_free.
             d_start = max(close, dec_free) if overlap else close
             self._apply_trace(condition_trace, trace_period_s, d_start)
-            if self.events is not None:
-                # events up to the decision instant fire before the
-                # batch's decision observes the world; d_start can lag
-                # the loop after a long batch — the advance clamps
-                self.events.advance_to(d_start)
+            # events up to the decision instant fire before the batch's
+            # decision observes the world; d_start can lag the loop
+            # after a long batch — the advance clamps
+            self.events.advance_to(d_start)
             with tracer.span("batch", sim_time=d_start, index=k,
                              size=size) as bs:
                 res = self.system.infer_batch(
@@ -288,8 +282,7 @@ class BatchingInferenceServer(InferenceServer):
                 exec_start_s=res.exec_start_s, finish_s=res.finish_s,
                 cache_hit=res.cache_hit, overlap_saved_s=saved)
             stats.batches.append(batch)
-            if self.recorder is not None:
-                self.recorder.on_batch(batch)
+            self.recorder.on_batch(batch)
             for m, record in enumerate(res.items):
                 arrival = float(arrivals[i + m])
                 tenant = self._tenant_of(tenants, i + m)
@@ -306,12 +299,11 @@ class BatchingInferenceServer(InferenceServer):
                         root.annotate(outcome=record.outcome)
                 self._emit_served(stats, record, arrival, d_start,
                                   res.item_finish_s[m], tenant, batch=k)
-            if self.telemetry is not None:
-                self._m_batch_size.observe(float(size))
-                if size > 1:
-                    self._m_amortized.inc(size - 1)
-                if saved > 0:
-                    self._m_overlap_saved.inc(saved)
+            self._m_batch_size.observe(float(size))
+            if size > 1:
+                self._m_amortized.inc(size - 1)
+            if saved > 0:
+                self._m_overlap_saved.inc(saved)
             i = j
             k += 1
         return stats

@@ -109,7 +109,7 @@ class DistributedExecutor:
                  resilience: Optional[ResilienceConfig] = None):
         self.net = supernet
         self.cluster = cluster
-        self.telemetry = telemetry
+        self.telemetry = Telemetry.of(telemetry)
         self.faults = faults
         self.health = health
         self.resilience = (resilience if resilience is not None
@@ -118,20 +118,19 @@ class DistributedExecutor:
         retry = self.resilience.retry if self.resilience is not None else None
         self.transport = Transport(cluster, telemetry=telemetry,
                                    faults=faults, health=health, retry=retry)
-        if telemetry is not None:
-            reg = telemetry.registry.child("executor")
-            self._m_segments = reg.counter(
-                "segments_total", help="plan segments executed")
-            self._m_partitioned = reg.counter(
-                "partitioned_segments_total",
-                help="segments run under spatial partitioning")
-            self._m_segment_wall = reg.histogram(
-                "segment_compute_wall_s",
-                help="wall-clock NumPy compute per segment")
-            self._m_failovers = reg.counter(
-                "failovers_total", help="mid-plan failovers")
-            self._m_degraded = reg.counter(
-                "degraded_total", help="gateway-degraded executions")
+        reg = self.telemetry.registry.child("executor")
+        self._m_segments = reg.counter(
+            "segments_total", help="plan segments executed")
+        self._m_partitioned = reg.counter(
+            "partitioned_segments_total",
+            help="segments run under spatial partitioning")
+        self._m_segment_wall = reg.histogram(
+            "segment_compute_wall_s",
+            help="wall-clock NumPy compute per segment")
+        self._m_failovers = reg.counter(
+            "failovers_total", help="mid-plan failovers")
+        self._m_degraded = reg.counter(
+            "degraded_total", help="gateway-degraded executions")
 
     def execute(self, x: np.ndarray, arch: ArchConfig,
                 plan: ExecutionPlan,
@@ -192,8 +191,7 @@ class DistributedExecutor:
                                                retries) from e
                 excluded.add(e.device)
                 failovers += 1
-                if self.telemetry is not None:
-                    self._m_failovers.inc()
+                self._m_failovers.inc()
                 target = self._failover_target(excluded, sim_time)
                 if target is None and res.degradation:
                     # Graceful degradation: smallest feasible submodel,
@@ -204,8 +202,7 @@ class DistributedExecutor:
                     cur_graph = build_graph(cur_arch, self.net.space)
                     cur_plan = single_device_plan(cur_graph, device=0)
                     degraded = True
-                    if self.telemetry is not None:
-                        self._m_degraded.inc()
+                    self._m_degraded.inc()
                 else:
                     dev = target if target is not None else 0
                     cur_plan = single_device_plan(cur_graph, device=dev)
@@ -249,8 +246,7 @@ class DistributedExecutor:
 
         self.net.eval()
         self.transport.reset_log()
-        tel = self.telemetry
-        tracer = Telemetry.tracer_of(tel)
+        tracer = self.telemetry.tracer
         # Modelled timing is deterministic in (graph, plan, cluster), so
         # pricing it up front lets each segment span carry its simulated
         # interval as well as its measured wall time.
@@ -285,11 +281,11 @@ class DistributedExecutor:
                     # After the merge the activation conceptually sits on
                     # the first tile's device (the merger).
                     loc = bp.devices[0]
-            if tel is not None:
-                self._m_segments.inc()
-                if bp.grid.ntiles > 1:
-                    self._m_partitioned.inc()
-                self._m_segment_wall.observe(sp.wall_duration_s)
+            self._m_segments.inc()
+            if bp.grid.ntiles > 1:
+                self._m_partitioned.inc()
+            # the null span's wall duration is a constant: no clock read
+            self._m_segment_wall.observe(sp.wall_duration_s)
         # Result returns to the output device (tiny logits).
         if loc != plan.output_device:
             msg = self.transport.send_tensor(x, loc, plan.output_device,

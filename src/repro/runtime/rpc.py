@@ -76,7 +76,7 @@ class Transport:
                  retry: Optional[RetryPolicy] = None):
         self.cluster = cluster
         self.log: List[Message] = []
-        self.telemetry = telemetry
+        self.telemetry = Telemetry.of(telemetry)
         self.faults = faults
         self.health = health
         self.retry = retry if retry is not None else RetryPolicy()
@@ -90,21 +90,20 @@ class Transport:
         self._num_retries = 0
         self._num_reroutes = 0
         self._wasted_s = 0.0
-        if telemetry is not None:
-            self._reg = telemetry.registry.child("transport")
-            self._m_bytes = self._reg.counter(
-                "bytes_total", help="payload bytes on the wire")
-            self._m_messages = self._reg.counter(
-                "messages_total", help="cross-device messages")
-            self._m_transfer = self._reg.histogram(
-                "transfer_s", help="simulated per-message transfer time")
-            self._m_retries = self._reg.counter(
-                "retries_total", help="message re-transmissions")
-            self._m_unreachable = self._reg.counter(
-                "unreachable_total", help="sends that exhausted every retry")
-            self._m_reroutes = self._reg.counter(
-                "reroute_total",
-                help="deliveries that travelled a non-base path")
+        self._reg = self.telemetry.registry.child("transport")
+        self._m_bytes = self._reg.counter(
+            "bytes_total", help="payload bytes on the wire")
+        self._m_messages = self._reg.counter(
+            "messages_total", help="cross-device messages")
+        self._m_transfer = self._reg.histogram(
+            "transfer_s", help="simulated per-message transfer time")
+        self._m_retries = self._reg.counter(
+            "retries_total", help="message re-transmissions")
+        self._m_unreachable = self._reg.counter(
+            "unreachable_total", help="sends that exhausted every retry")
+        self._m_reroutes = self._reg.counter(
+            "reroute_total",
+            help="deliveries that travelled a non-base path")
 
     def _account(self, msg: Message, bits: Optional[int] = None) -> None:
         """Record one cross-device delivery in the telemetry registry."""
@@ -152,9 +151,8 @@ class Transport:
         if self.health is not None:
             self.health.record_failure(device, now)
             self.health.record_link_failure(src, dst, now)
-        if self.telemetry is not None:
-            self._m_retries.inc(policy.max_retries)
-            self._m_unreachable.inc()
+        self._m_retries.inc(policy.max_retries)
+        self._m_unreachable.inc()
         raise DeviceUnreachableError(device, wasted, policy.max_retries)
 
     def _wire_time(self, src: int, dst: int, nbytes: float,
@@ -183,11 +181,32 @@ class Transport:
         if not route_info(src, dst).rerouted:
             return
         self._num_reroutes += 1
-        if self.telemetry is not None:
-            self._m_reroutes.inc()
-            self._reg.counter("link_reroutes_total",
-                              help="rerouted deliveries per device pair",
-                              link=f"{src}-{dst}").inc()
+        self._m_reroutes.inc()
+        self._reg.counter("link_reroutes_total",
+                          help="rerouted deliveries per device pair",
+                          link=f"{src}-{dst}").inc()
+
+    def _send(self, src: int, dst: int, payload: Any, nbytes: int,
+              now: float, bits: Optional[int] = None) -> Message:
+        """Price, log and account one message (free when ``src == dst``)."""
+        wasted, retries, delivered = 0.0, 0, now
+        if src != dst:
+            if self.faults is not None:
+                wasted, retries = self._contend(src, dst, now)
+            delivered = (now + wasted
+                         + self._wire_time(src, dst, nbytes, now + wasted))
+        msg = Message(src, dst, payload, nbytes, now, delivered,
+                      request_id=self.request_id, retries=retries)
+        self.log.append(msg)
+        if src != dst:
+            self._total_bytes += nbytes
+            self._num_messages += 1
+            self._num_retries += retries
+            if retries:
+                self._wasted_s += wasted
+            self._note_route(src, dst)
+            self._account(msg, bits=bits)
+        return msg
 
     def send_tensor(self, x: np.ndarray, src: int, dst: int, bits: int,
                     now: float) -> Message:
@@ -197,58 +216,15 @@ class Transport:
         by the receiver (with real quantization error for bits < 32).
         """
         qt = quantize(x, bits)
-        nbytes = qt.nbytes
-        if src == dst:
-            delivered = now
-            payload = x
-            retries = 0
-        else:
-            wasted = 0.0
-            retries = 0
-            if self.faults is not None:
-                wasted, retries = self._contend(src, dst, now)
-            delivered = (now + wasted
-                         + self._wire_time(src, dst, nbytes, now + wasted))
-            payload = dequantize(qt)
-        msg = Message(src, dst, payload, nbytes, now, delivered,
-                      request_id=self.request_id, retries=retries)
-        self.log.append(msg)
+        msg = self._send(src, dst, x, qt.nbytes, now, bits=bits)
         if src != dst:
-            self._total_bytes += nbytes
-            self._num_messages += 1
-            self._num_retries += retries
-            if retries:
-                self._wasted_s += wasted
-            self._note_route(src, dst)
-            if self.telemetry is not None:
-                self._account(msg, bits=bits)
+            msg.payload = dequantize(qt)
         return msg
 
     def send_control(self, src: int, dst: int, payload: Any, now: float,
                      nbytes: int = 256) -> Message:
         """Small control-plane message (strategy updates, probes)."""
-        retries = 0
-        if src == dst:
-            delivered = now
-        else:
-            wasted = 0.0
-            if self.faults is not None:
-                wasted, retries = self._contend(src, dst, now)
-            delivered = (now + wasted
-                         + self._wire_time(src, dst, nbytes, now + wasted))
-        msg = Message(src, dst, payload, nbytes, now, delivered,
-                      request_id=self.request_id, retries=retries)
-        self.log.append(msg)
-        if src != dst:
-            self._total_bytes += nbytes
-            self._num_messages += 1
-            self._num_retries += retries
-            if retries:
-                self._wasted_s += wasted
-            self._note_route(src, dst)
-            if self.telemetry is not None:
-                self._account(msg)
-        return msg
+        return self._send(src, dst, payload, nbytes, now)
 
     @property
     def total_bytes(self) -> int:

@@ -13,14 +13,14 @@ accuracy one once queueing delay is counted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
-from typing import TYPE_CHECKING
-
+from ..control.loop import ControlLoop
 from ..netsim.topology import NetworkCondition
 from ..netsim.traces import condition_at
+from ..sim.events import EventLoop
 from ..telemetry import Telemetry
 from ..telemetry.recorder import RunRecorder
 
@@ -202,9 +202,14 @@ class InferenceServer:
                  recorder: Optional[RunRecorder] = None,
                  control=None, arrival_process=None, ingress=None,
                  events=None):
-        """``control`` (a :class:`~repro.control.ControlLoop`) lets the
+        """``telemetry``, ``recorder`` and ``control`` default to their
+        null forms and ``events`` to an empty loop on the facade's
+        clock, so the serving loop calls all four unconditionally
+        (DESIGN.md, "Optional subsystems").
+
+        ``control`` (a :class:`~repro.control.ControlLoop`) lets the
         server drive the control cadence with queue context and consult
-        admission per request; None keeps serving byte-identical.
+        admission per request.
 
         ``arrival_process`` overrides Poisson arrivals: a callable
         ``(rng, num_requests) -> array of arrival times`` (sorted,
@@ -218,53 +223,57 @@ class InferenceServer:
         :class:`~repro.netsim.fluid.FluidTracker` (either way the
         fluid/snapshot upload time feeds ``ready`` and therefore the
         queue-wait prediction the admission controller triages on).
-        None keeps serving byte-identical.
+        None serves without an uplink model.
 
         ``events`` (a :class:`~repro.sim.events.EventLoop`, ideally
         sharing the facade's :class:`~repro.runtime.clock
-        .SimulatedClock`) makes the server advance time *through* the
-        loop: every scheduled world event (condition step, fault
+        .SimulatedClock`) is the loop the server advances time
+        *through*: every scheduled world event (condition step, fault
         transition, control tick, capacity update) due at or before
         each admission instant and each service start fires first, at
-        its own scheduled time.  None — or a loop with nothing
-        scheduled — keeps serving byte-identical.
+        its own scheduled time.
         """
         if arrival_rate_hz <= 0:
             raise ValueError("arrival rate must be positive")
         self.system = system
         self.rate = arrival_rate_hz
         self.rng = np.random.default_rng(seed)
-        self.telemetry = telemetry
-        self.recorder = recorder
-        self.control = control
+        self.telemetry = Telemetry.of(telemetry)
+        self.recorder = RunRecorder.of(recorder)
+        self.control = ControlLoop.of(control)
         self.arrival_process = arrival_process
         self.ingress = ingress
-        #: optional EventLoop the serving loop advances through
-        self.events = events
+        #: the EventLoop the serving loop advances through
+        self.events = (events if events is not None
+                       else EventLoop(system.clock))
         self._last_trace_idx: Optional[int] = None
-        if control is not None:
-            control.attach(system=system, server=self)
-        if telemetry is not None:
-            reg = telemetry.registry.child("server")
-            self._m_requests = reg.counter(
-                "requests_total", help="requests served")
-            self._m_satisfied = reg.counter(
-                "slo_satisfied_total", help="requests meeting the SLO")
-            self._m_violated = reg.counter(
-                "slo_violated_total", help="requests missing the SLO")
-            self._m_queue = reg.histogram(
-                "queue_wait_s", help="simulated FIFO queue wait")
-            self._m_e2e = reg.histogram(
-                "e2e_s", help="simulated end-to-end latency")
-            self._m_compliance = reg.gauge(
-                "slo_compliance", help="running SLO compliance rate")
-            # outcomes_total counters resolved once per outcome string
-            self._m_outcomes: dict = {}
-            # per-tenant counters resolved once per (metric, tenant)
-            self._m_tenants: dict = {}
-            self._reg = reg
-            # snapshot gauge: refreshed at export time, not per request
-            reg.add_collect_hook(self._sync_compliance)
+        self.control.attach(system=system, server=self)
+        reg = self.telemetry.registry.child("server")
+        self._m_requests = reg.counter(
+            "requests_total", help="requests served")
+        self._m_satisfied = reg.counter(
+            "slo_satisfied_total", help="requests meeting the SLO")
+        self._m_violated = reg.counter(
+            "slo_violated_total", help="requests missing the SLO")
+        self._m_queue = reg.histogram(
+            "queue_wait_s", help="simulated FIFO queue wait")
+        self._m_e2e = reg.histogram(
+            "e2e_s", help="simulated end-to-end latency")
+        self._m_compliance = reg.gauge(
+            "slo_compliance", help="running SLO compliance rate")
+        self._count_outcome = reg.counters(
+            "outcomes_total", "requests by outcome", "outcome")
+        self._count_tenant_request = reg.counters(
+            "tenant_requests_total", "requests per tenant", "tenant")
+        self._count_tenant_satisfied = reg.counters(
+            "tenant_satisfied_total", "SLO-satisfied requests per tenant",
+            "tenant")
+        self._count_tenant_shed = reg.counters(
+            "tenant_shed_total", "admission-shed requests per tenant",
+            "tenant")
+        self._reg = reg
+        # snapshot gauge: refreshed at export time, not per request
+        reg.add_collect_hook(self._sync_compliance)
 
     def _sync_compliance(self) -> None:
         total = self._m_requests.value
@@ -288,49 +297,26 @@ class InferenceServer:
             idx, condition = condition_at(condition_trace, start,
                                           trace_period_s)
             self.system.update_condition(condition)
-            if self.recorder is not None and idx != self._last_trace_idx:
+            if idx != self._last_trace_idx:
                 self._last_trace_idx = idx
                 self.recorder.on_condition(start, idx, condition)
 
     def _observe_request(self, stats: ServingStats, rr: RequestRecord,
                          batch: Optional[int] = None) -> None:
         """Append one finished request and update serving telemetry."""
-        if self.recorder is not None:
-            self.recorder.on_request(len(stats.records), rr, batch=batch)
+        self.recorder.on_request(len(stats.records), rr, batch=batch)
         stats.records.append(rr)
-        if self.telemetry is not None:
-            self._m_requests.inc()
-            (self._m_satisfied if rr.satisfied
-             else self._m_violated).inc()
-            self._m_queue.observe(rr.queue_wait_s)
-            self._m_e2e.observe(rr.end_to_end_s)
-            counter = self._m_outcomes.get(rr.outcome)
-            if counter is None:
-                counter = self._reg.counter(
-                    "outcomes_total", help="requests by outcome",
-                    outcome=rr.outcome)
-                self._m_outcomes[rr.outcome] = counter
-            counter.inc()
-            if rr.tenant is not None:
-                self._tenant_counter("tenant_requests_total",
-                                     "requests per tenant",
-                                     rr.tenant).inc()
-                if rr.satisfied:
-                    self._tenant_counter("tenant_satisfied_total",
-                                         "SLO-satisfied requests per tenant",
-                                         rr.tenant).inc()
-                if rr.outcome == "shed":
-                    self._tenant_counter("tenant_shed_total",
-                                         "admission-shed requests per tenant",
-                                         rr.tenant).inc()
-
-    def _tenant_counter(self, name: str, help_text: str, tenant: str):
-        key = (name, tenant)
-        counter = self._m_tenants.get(key)
-        if counter is None:
-            counter = self._reg.counter(name, help=help_text, tenant=tenant)
-            self._m_tenants[key] = counter
-        return counter
+        self._m_requests.inc()
+        (self._m_satisfied if rr.satisfied else self._m_violated).inc()
+        self._m_queue.observe(rr.queue_wait_s)
+        self._m_e2e.observe(rr.end_to_end_s)
+        self._count_outcome(rr.outcome)
+        if rr.tenant is not None:
+            self._count_tenant_request(rr.tenant)
+            if rr.satisfied:
+                self._count_tenant_satisfied(rr.tenant)
+            if rr.outcome == "shed":
+                self._count_tenant_shed(rr.tenant)
 
     def _arrivals(self, num_requests: int) -> np.ndarray:
         """Arrival times: Poisson by default, or the injected process."""
@@ -382,13 +368,6 @@ class InferenceServer:
     def _tenant_of(tenants, i: int) -> Optional[str]:
         return tenants[i] if tenants is not None else None
 
-    @staticmethod
-    def _backlog(arrivals: np.ndarray, i: int, busy_until: float) -> int:
-        """Requests from ``i`` on that arrive before the pipeline frees
-        — the queue the server must drain before catching up."""
-        depth = int(np.searchsorted(arrivals, busy_until, side="right")) - i
-        return max(depth, 0)
-
     def run(self, num_requests: int,
             condition_trace: Optional[Sequence[NetworkCondition]] = None,
             trace_period_s: float = 1.0,
@@ -401,48 +380,41 @@ class InferenceServer:
 
         ``tenants`` (optional) tags request ``i`` with ``tenants[i]``;
         the tag rides through admission, the facade, records, and
-        telemetry.  None keeps single-tenant serving byte-identical.
+        telemetry.
         """
         self._check_run_args(num_requests, tenants)
         stats = ServingStats()
         self._last_trace_idx = None
         arrivals = self._arrivals(num_requests)
         server_free = 0.0
-        tracer = Telemetry.tracer_of(self.telemetry)
+        tracer = self.telemetry.tracer
         for i, arrival in enumerate(arrivals):
             arrival = float(arrival)
             tenant = self._tenant_of(tenants, i)
-            if self.events is not None:
-                # every world event due by this admission instant fires
-                # first (at its own scheduled time), so the ingress and
-                # the admission peek see the instant's true world
-                self.events.advance_to(arrival)
+            # every world event due by this admission instant fires
+            # first (at its own scheduled time), so the ingress and
+            # the admission peek see the instant's true world
+            self.events.advance_to(arrival)
             ready = arrival
             if self.ingress is not None:
                 # the payload crosses the shared uplink before service
                 # can start; concurrent tenants fair-share the wire
                 ready = arrival + self.ingress.upload_time(arrival, tenant)
             start = max(ready, server_free)
-            if self.control is not None:
-                self.control.maybe_tick(
-                    arrival, stats=stats,
-                    queue_depth=self._backlog(arrivals, i, server_free))
-                verdict = self.control.admit(arrival, start,
-                                             self.system.slo,
-                                             tenant=tenant)
-                if verdict == "shed":
-                    self._shed(stats, arrival, tenant=tenant)
-                    continue
-            else:
-                verdict = "serve"
+            self.control.server_tick(arrival, stats, arrivals, i,
+                                     server_free)
+            verdict = self.control.admit(arrival, start, self.system.slo,
+                                         tenant=tenant)
+            if verdict == "shed":
+                self._shed(stats, arrival, tenant=tenant)
+                continue
             if self.ingress is not None:
                 # only admitted requests occupy the uplink
                 self.ingress.admit(arrival, tenant)
             self._apply_trace(condition_trace, trace_period_s, start)
-            if self.events is not None:
-                # events between admission and service start (queueing)
-                # fire before the decision observes the world
-                self.events.advance_to(start)
+            # events between admission and service start (queueing)
+            # fire before the decision observes the world
+            self.events.advance_to(start)
             with tracer.span("request", sim_time=arrival,
                              request=i) as root:
                 with tracer.span("queue", sim_time=arrival) as qs:

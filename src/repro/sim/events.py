@@ -1,14 +1,5 @@
 """The discrete-event core: one clock, a heap of scheduled events.
 
-Until this module existed, four layers each kept their own notion of
-"now": the :class:`~repro.core.murmuration.Murmuration` facade held a
-raw ``_now`` float, the serving loops snapped condition traces at
-request start, :meth:`FaultInjector.advance` ran at request admission,
-and :meth:`ControlLoop.maybe_tick` could only fire when a request
-happened to arrive.  The world therefore changed *between* requests
-only — a condition step scheduled for t=3.0 took effect whenever the
-next request started, and an idle gap silently swallowed control ticks.
-
 :class:`EventLoop` centralizes simulated time: world changes (condition
 trace steps, fault transitions, control ticks, capacity updates) are
 :class:`Event` objects on a heap, and the serving loops *advance
@@ -24,7 +15,9 @@ Determinism rules
   target: a capacity step scheduled at t=3.0 that fires while the loop
   advances to t=3.4 still re-converges the fluid ledger at 3.0.
 * Scheduling into the past is an error (events must be known no later
-  than their fire time); advancing to the past is a clamp (serving
+  than their fire time), and so is a non-finite time: a NaN event
+  sits at the heap top and blocks everything behind it.  Advancing to
+  the past is a clamp (serving
   loops revisit earlier admission instants after a long service time —
   nothing fires twice, because fired events leave the heap).
 * The wrapped :class:`~repro.runtime.clock.SimulatedClock` never runs
@@ -34,14 +27,14 @@ Determinism rules
   without moving the clock back.)
 
 With no events scheduled, ``advance_to`` degenerates to
-``clock.advance_to`` — a build that never schedules anything is
-byte-identical to the pre-event-core runtime, which is what keeps the
-golden fixtures stable.
+``clock.advance_to``, which is why a server given no loop simply owns
+an empty one (DESIGN.md, "Optional subsystems").
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
@@ -108,11 +101,13 @@ class EventLoop:
                  kind: str = "event", priority: int = 0) -> Event:
         """Schedule ``fn`` to fire at simulated time ``t``.
 
-        ``t`` must not lie in the loop's past: an event the world could
-        not have known about at its own fire time is a modelling error,
-        not a race to paper over.
+        ``t`` must be finite and must not lie in the loop's past: an
+        event the world could not have known about at its own fire time
+        is a modelling error, not a race to paper over.
         """
         t = float(t)
+        if not math.isfinite(t):
+            raise ValueError(f"cannot schedule an event at {t}")
         if t < self.clock.now:
             raise ValueError(
                 f"cannot schedule an event at {t} in the past "
@@ -130,9 +125,12 @@ class EventLoop:
 
         Advancing to the past is a clamp (no-op for the clock, nothing
         fires): serving loops legitimately revisit earlier admission
-        instants after a long service time.
+        instants after a long service time.  A non-finite target is
+        an error.
         """
         t = float(t)
+        if not math.isfinite(t):
+            raise ValueError(f"cannot advance the loop to {t}")
         fired = 0
         while self._heap and self._heap[0][0] <= t:
             _, _, _, ev = heapq.heappop(self._heap)

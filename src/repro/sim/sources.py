@@ -13,14 +13,17 @@ Priorities at a shared instant (lower fires first):
 * ``PRIORITY_OBSERVER`` (10) — control ticks and monitor-fed capacity
   estimates: observers see the instant's final world state.
 
-Every source is opt-in: a runtime that schedules none of these behaves
-byte-identically to the boundary-only model.
+Every source is opt-in: a loop with nothing scheduled is a plain clock
+advance.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence
 
+from ..control.loop import ControlLoop
+from ..netsim.traces import check_period
+from ..telemetry.recorder import RunRecorder
 from .events import Event, EventLoop
 
 __all__ = ["PRIORITY_WORLD", "PRIORITY_OBSERVER",
@@ -50,10 +53,9 @@ def _tick_count(period_s: float, horizon_s: float) -> int:
 
 def _step_times(trace: Sequence, period_s: float) -> List[int]:
     """Indices where the piecewise-constant trace actually changes."""
+    check_period(period_s)
     if not trace:
         return []
-    if period_s <= 0:
-        raise ValueError(f"period_s must be positive, got {period_s}")
     out = [0]
     for idx in range(1, len(trace)):
         if trace[idx] != trace[idx - 1]:
@@ -75,6 +77,7 @@ def schedule_condition_trace(loop: EventLoop, system, trace,
     recorder (if any) logs the condition at the *step* instant — the
     boundary-only path logs it at the next request's start instead.
     """
+    recorder = RunRecorder.of(recorder)
     events = []
 
     # The cell is captured per event, not recomputed from the fire
@@ -88,8 +91,7 @@ def schedule_condition_trace(loop: EventLoop, system, trace,
         cluster = system.cluster
         if hasattr(cluster, "update_fluid_caps"):
             cluster.update_fluid_caps(t)
-        if recorder is not None:
-            recorder.on_condition(t, idx, condition)
+        recorder.on_condition(t, idx, condition)
 
     for idx in _step_times(trace, period_s):
         events.append(loop.schedule(idx * period_s,
@@ -138,8 +140,7 @@ def schedule_control_ticks(loop: EventLoop, control,
     driving the loop at admissions *and* scheduled ticks never
     double-fires.
     """
-    if control is None:
-        return []
+    control = ControlLoop.of(control)
     # k * period_s, not an accumulating t += period_s: accumulation
     # compounds float error so late ticks drift off true multiples and
     # the final tick near the horizon can be skipped or duplicated.
@@ -184,8 +185,7 @@ def schedule_monitor_caps(loop: EventLoop, system, tracker,
     re-converge onto what the monitor *believes* the links can carry,
     not the injected ground truth.
     """
-    if period_s <= 0:
-        raise ValueError(f"period_s must be positive, got {period_s}")
+    check_period(period_s)
     if not getattr(tracker, "prices_transfers", False):
         raise ValueError("monitor-fed caps need a fluid tracker "
                          "(prices_transfers=True)")

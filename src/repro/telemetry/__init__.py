@@ -19,7 +19,8 @@ The observability layer for the whole serving stack.  Four pieces:
   and figures from without re-simulating.
 
 Everything hangs off one :class:`Telemetry` hub that instrumented
-components accept as an optional constructor argument (``None`` = off)::
+components accept as an optional constructor argument (``None`` selects
+the no-op :data:`NULL_TELEMETRY`)::
 
     from repro.telemetry import Telemetry
     tel = Telemetry()
@@ -31,15 +32,16 @@ components accept as an optional constructor argument (``None`` = off)::
 
 from .export import (console_report, format_link_report, jsonl_records,
                      link_stats, prometheus_text, write_jsonl)
-from .hub import Telemetry
+from .hub import NULL_TELEMETRY, Telemetry
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .recorder import (SCHEMA_VERSION, Recording, RunRecorder,
+from .recorder import (NULL_RECORDER, SCHEMA_VERSION, Recording, RunRecorder,
                        read_recordings, write_recordings)
 from .timeline import RequestTimeline, TimelineEvent, stitch_timelines
 from .tracing import NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
     "Telemetry",
+    "NULL_TELEMETRY",
     "MetricsRegistry",
     "Counter",
     "Gauge",
@@ -60,6 +62,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "Recording",
     "RunRecorder",
+    "NULL_RECORDER",
     "read_recordings",
     "write_recordings",
 ]

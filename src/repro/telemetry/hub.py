@@ -1,12 +1,12 @@
 """The :class:`Telemetry` hub — one object to thread through the stack.
 
-Instrumented components accept ``telemetry: Optional[Telemetry]``.  The
-convention across the codebase:
+Instrumented components accept ``telemetry: Optional[Telemetry]`` and
+normalise it once, in their constructor, with :meth:`Telemetry.of`:
 
-* ``telemetry is None`` (the default everywhere) — telemetry is *off*.
-  Hot paths guard on ``None`` (or use :data:`~.tracing.NULL_TRACER`),
-  so disabled instrumentation costs at most a predicate per request and
-  allocates nothing.
+* ``None`` (the default everywhere) becomes :data:`NULL_TELEMETRY`, so
+  components call their metrics and spans unconditionally; against the
+  null hub each call is a no-op on a shared object and an
+  un-instrumented run allocates nothing.
 * one shared :class:`Telemetry` instance — every component scopes its
   own metric names (``server_*``, ``transport_*``, ...) via
   ``registry.child(scope)`` but shares the hub's store, tracer and
@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from .metrics import MetricsRegistry
+from .metrics import NULL_REGISTRY, MetricsRegistry
 from .timeline import RequestTimeline
-from .tracing import NULL_TRACER, NullTracer, Tracer
+from .tracing import NULL_TRACER, Tracer
 
-__all__ = ["Telemetry"]
+__all__ = ["Telemetry", "NullTelemetry", "NULL_TELEMETRY"]
 
 
 def _is_violation(timeline: RequestTimeline) -> bool:
@@ -122,6 +122,18 @@ class Telemetry:
         self._evict()
 
     @staticmethod
-    def tracer_of(telemetry: Optional["Telemetry"]):
-        """The hub's tracer, or the shared no-op tracer for ``None``."""
-        return telemetry.tracer if telemetry is not None else NULL_TRACER
+    def of(telemetry: Optional["Telemetry"]):
+        """``telemetry`` itself, or :data:`NULL_TELEMETRY` for ``None``."""
+        return telemetry if telemetry is not None else NULL_TELEMETRY
+
+
+class NullTelemetry:
+    """The hub of a component built without telemetry: a null registry,
+    the null tracer, never a timeline."""
+
+    registry = NULL_REGISTRY
+    tracer = NULL_TRACER
+    timelines: tuple = ()
+
+
+NULL_TELEMETRY = NullTelemetry()

@@ -25,7 +25,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Optional, Tuple
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
+           "NullRegistry", "NULL_REGISTRY"]
 
 LabelItems = Tuple[Tuple[str, str], ...]
 
@@ -143,6 +144,12 @@ class Histogram(Metric):
                 idx = self._nb
         self._counts[idx] += 1
 
+    def observe_rel_error(self, estimate: float, truth: float) -> None:
+        """Observe ``|estimate - truth| / truth``; a non-positive
+        ``truth`` has no relative error and is skipped."""
+        if truth > 0:
+            self.observe(abs(estimate - truth) / truth)
+
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
@@ -223,6 +230,24 @@ class MetricsRegistry:
     def counter(self, name: str, help: str = "", **labels) -> Counter:
         return self._instrument(Counter, name, help, labels)
 
+    def counters(self, name: str, help: str, *label_names: str):
+        """A ``count(*label_values, amount=1.0)`` function over one
+        counter family.  The series for a value tuple is registered on
+        first use (a ``None`` value leaves its label off), so a family
+        exports nothing until it has counted something; after that the
+        hot path is one dict lookup."""
+        series: Dict[tuple, Counter] = {}
+
+        def count(*values, amount: float = 1.0) -> None:
+            counter = series.get(values)
+            if counter is None:
+                labels = {k: v for k, v in zip(label_names, values)
+                          if v is not None}
+                counter = series[values] = self.counter(
+                    name, help=help, **labels)
+            counter.inc(amount)
+        return count
+
     def gauge(self, name: str, help: str = "", **labels) -> Gauge:
         return self._instrument(Gauge, name, help, labels)
 
@@ -250,3 +275,46 @@ class MetricsRegistry:
 
     def __len__(self) -> int:
         return len(self._store)
+
+
+class _NullMetric:
+    """What a :class:`NullRegistry` hands out: one shared stand-in for
+    :class:`Counter`, :class:`Gauge` and :class:`Histogram` whose
+    recording methods do nothing.  Never stored, collected or returned
+    by ``get``, so it has no read side."""
+
+    __slots__ = ()
+
+    def inc(self, *args, **kwargs) -> None:
+        pass
+
+    dec = set = observe = observe_rel_error = inc
+
+
+_NULL_METRIC = _NullMetric()
+
+
+class NullRegistry:
+    """The registry of a component built without telemetry: the surface
+    of :class:`MetricsRegistry`, no state.  Every scope is this
+    registry and every instrument the shared no-op metric."""
+
+    def child(self, scope: str) -> "NullRegistry":
+        return self
+
+    def counter(self, *args, **kwargs) -> _NullMetric:
+        return _NULL_METRIC
+
+    gauge = histogram = counter
+
+    def counters(self, *args, **kwargs):
+        return _NULL_METRIC.inc
+
+    def get(self, name: str, **labels) -> None:
+        return None
+
+    def add_collect_hook(self, hook) -> None:
+        pass
+
+
+NULL_REGISTRY = NullRegistry()

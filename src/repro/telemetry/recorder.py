@@ -34,8 +34,8 @@ from typing import (IO, Any, Dict, Iterable, Iterator, List, Optional,
 from .export import _json_default
 from .timeline import RequestTimeline
 
-__all__ = ["SCHEMA_VERSION", "Recording", "RunRecorder",
-           "read_recordings", "write_recordings"]
+__all__ = ["SCHEMA_VERSION", "Recording", "RunRecorder", "NullRecorder",
+           "NULL_RECORDER", "read_recordings", "write_recordings"]
 
 #: bump when a record kind changes incompatibly; readers refuse newer
 SCHEMA_VERSION = 1
@@ -80,6 +80,11 @@ class RunRecorder:
         self.batches: List[Dict[str, Any]] = []
         self.timelines: List[Dict[str, Any]] = []
         self.summary: Optional[Dict[str, Any]] = None
+
+    @staticmethod
+    def of(recorder: Optional["RunRecorder"]):
+        """``recorder`` itself, or :data:`NULL_RECORDER` for ``None``."""
+        return recorder if recorder is not None else NULL_RECORDER
 
     # -- event capture (called from instrumented code) ---------------------
     def on_condition(self, t: float, index: int, condition) -> None:
@@ -232,6 +237,20 @@ class RunRecorder:
             timelines=list(self.timelines),
             summary=self.summary,
         )
+
+
+class NullRecorder:
+    """The recorder of a run nobody captures: :class:`RunRecorder`'s
+    event-capture surface, every call a no-op that builds no record."""
+
+    def on_request(self, *args, **kwargs) -> None:
+        pass
+
+    on_condition = on_decision = on_batch = on_request
+    capture_timelines = finish = on_request
+
+
+NULL_RECORDER = NullRecorder()
 
 
 @dataclass

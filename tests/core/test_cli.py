@@ -61,6 +61,8 @@ class TestCLI:
         (["run", "chaos", "--timelines"], "--record"),
         (["run", "event_core", "--timelines", "--record", "x.jsonl"],
          "this scenario has none"),
+        (["run", "event_core", "--set", "trace_period_s=nan"],
+         "positive and finite"),
     ])
     def test_bad_run_input_is_a_usage_error(self, capsys, argv, listed):
         """Unknown scenario/variant/field or an unparsable value exits

@@ -145,3 +145,27 @@ def test_no_events_advance_is_plain_clock_advance():
     assert loop.advance_to(7.25) == 0
     assert clock.now == 7.25
     assert loop.fired_total == 0
+
+
+# -- non-finite times ------------------------------------------------------
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
+def test_scheduling_at_a_non_finite_time_is_rejected(t):
+    # a NaN event used to pass the ``t < now`` check, sit at the heap
+    # top and compare false against every advance target: everything
+    # behind it was silently lost
+    loop = EventLoop()
+    fired = []
+    with pytest.raises(ValueError, match="cannot schedule"):
+        loop.schedule(t, fired.append)
+    loop.schedule(1.0, fired.append)
+    assert loop.advance_to(5.0) == 1
+    assert fired == [1.0] and loop.pending == 0
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf")])
+def test_advancing_to_a_non_finite_time_is_rejected(t):
+    loop = EventLoop()
+    loop.schedule(1.0, lambda t: None)
+    with pytest.raises(ValueError, match="cannot advance"):
+        loop.advance_to(t)
+    assert loop.now == 0.0 and loop.pending == 1

@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.control import ControlLoop
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import DeviceCrash, FaultSchedule, Straggler
 from repro.netsim.contention import INGRESS_EDGE, ContentionTracker, \
     SharedIngress
 from repro.netsim.fluid import FluidTracker
 from repro.netsim.link import Link
+from repro.netsim.traces import condition_at
 from repro.sim import (PRIORITY_OBSERVER, PRIORITY_WORLD, EventLoop,
                        schedule_condition_trace, schedule_control_ticks,
                        schedule_fault_transitions, schedule_ingress_trace,
@@ -171,6 +173,43 @@ def test_control_ticks_land_on_true_multiples_without_drift():
 def test_control_ticks_none_control_is_a_noop():
     loop = EventLoop()
     assert schedule_control_ticks(loop, None, horizon_s=2.0) == []
+
+
+# -- periods are finite and positive, checked up front ---------------------
+_BAD_PERIODS = [float("nan"), float("inf"), 0.0, -1.0]
+
+
+@pytest.mark.parametrize("period_s", _BAD_PERIODS)
+@pytest.mark.parametrize("trace", [[10.0, 5.0, 10.0], []])
+def test_ingress_trace_rejects_a_bad_period(period_s, trace):
+    # nan used to schedule NaN-time events (the step at index 0 never
+    # fired); an empty trace used to return before the period check
+    loop = EventLoop()
+    ingress = SharedIngress(Link(bandwidth_mbps=40.0, delay_ms=5.0),
+                            FluidTracker(), payload_bytes=1024.0)
+    with pytest.raises(ValueError, match="period_s must be positive"):
+        schedule_ingress_trace(loop, ingress, trace, period_s)
+    assert loop.pending == 0
+
+
+@pytest.mark.parametrize("period_s", _BAD_PERIODS)
+def test_condition_trace_and_monitor_caps_reject_a_bad_period(period_s):
+    loop = EventLoop()
+    with pytest.raises(ValueError, match="period_s must be positive"):
+        schedule_condition_trace(loop, _System(), [_Condition(1)], period_s)
+    with pytest.raises(ValueError, match="period_s must be positive"):
+        schedule_monitor_caps(loop, _System(), FluidTracker(), period_s,
+                              horizon_s=2.0)
+
+
+@pytest.mark.parametrize("period_s", _BAD_PERIODS)
+def test_condition_at_and_control_loop_reject_a_bad_period(period_s):
+    # ControlLoop(period_s=nan) used to pass ``period_s <= 0`` and then
+    # report a tick as fired forever with ``ticks == 0``
+    with pytest.raises(ValueError, match="period_s must be positive"):
+        condition_at([1.0, 2.0], 0.5, period_s)
+    with pytest.raises(ValueError, match="period_s must be positive"):
+        ControlLoop([], period_s=period_s)
 
 
 # -- ingress capacity trace ------------------------------------------------
