@@ -1,6 +1,7 @@
-"""Murmuration core: SLO API, strategies, decision engines, strategy
-cache, and the system facade."""
+"""Murmuration core: SLO API, strategies, decision engines, the plan cost
+model, strategy cache, and the system facade."""
 
+from .cost_model import PlanCostModel
 from .decision import DecisionRecord, RLDecisionEngine, SearchDecisionEngine
 from .murmuration import BatchInferenceResult, InferenceRecord, Murmuration
 from .slo import SLO
@@ -11,6 +12,7 @@ __all__ = [
     "SLO",
     "Strategy",
     "StrategyCache",
+    "PlanCostModel",
     "DecisionRecord",
     "RLDecisionEngine",
     "SearchDecisionEngine",

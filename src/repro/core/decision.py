@@ -4,9 +4,10 @@ Two interchangeable engines:
 
 * :class:`RLDecisionEngine` — wraps a trained LSTM policy; one greedy
   rollout per decision (milliseconds — the Fig. 18 fast path);
-* :class:`SearchDecisionEngine` — exhaustive check of seed architectures
-  x canonical plan templates; slower but training-free (useful as a
-  bootstrap and as an upper-bound reference in tests).
+* :class:`SearchDecisionEngine` — exhaustive over seed architectures x
+  canonical plan templates, priced through a
+  :class:`~repro.core.cost_model.PlanCostModel`; training-free (useful
+  as a bootstrap and as an upper-bound reference in tests).
 
 Both return a :class:`~repro.core.strategy.Strategy` or ``None`` when no
 checked strategy satisfies the SLO.
@@ -21,15 +22,12 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..devices.profiles import DeviceProfile
-from ..nas.accuracy_model import plan_accuracy_penalty
 from ..nas.arch import ArchConfig, max_arch, min_arch, random_arch
-from ..nas.evolution import candidate_plans
-from ..nas.graph_builder import build_graph
 from ..nas.search_space import SearchSpace
 from ..netsim.topology import Cluster, NetworkCondition
-from ..partition.simulate import simulate_latency
 from ..rl.env import MurmurationEnv, Task
 from ..rl.policy import LSTMPolicy
+from .cost_model import PlanCostModel
 from .slo import SLO
 from .strategy import Strategy
 
@@ -92,7 +90,15 @@ class RLDecisionEngine:
 
 
 class SearchDecisionEngine:
-    """Brute-force over seed archs x plan templates."""
+    """Exhaustive over seed archs x plan templates.
+
+    The answer is the brute-force loop's (``tests/core/
+    reference_decide.py`` keeps that loop as the oracle); the work is
+    not: the candidate set is enumerated once, each candidate is
+    compiled the first time it is priced, and a latency SLO prices
+    candidates in descending accuracy and stops at the first feasible
+    one.
+    """
 
     def __init__(self, space: SearchSpace, devices: Sequence[DeviceProfile],
                  n_random_archs: int = 12, seed: int = 0):
@@ -101,27 +107,29 @@ class SearchDecisionEngine:
         rng = np.random.default_rng(seed)
         self.archs: List[ArchConfig] = [min_arch(space), max_arch(space)]
         self.archs += [random_arch(space, rng) for _ in range(n_random_archs)]
+        self._costs = PlanCostModel(space, self.devices)
 
     def decide(self, slo: SLO, condition: NetworkCondition) -> DecisionRecord:
-        from ..nas.accuracy_model import arch_accuracy
-
         t0 = time.perf_counter()
         cluster = Cluster(self.devices, condition)
+        costs = self._costs
         best: Optional[Strategy] = None
-        for arch in self.archs:
-            graph = build_graph(arch, self.space)
-            base_acc = arch_accuracy(arch, self.space)
-            for plan in candidate_plans(graph, cluster):
-                rep = simulate_latency(graph, plan, cluster)
-                acc = base_acc - plan_accuracy_penalty(plan)
-                if not slo.satisfied_by(rep.total_s, acc):
-                    continue
-                if best is None:
-                    better = True
-                elif slo.kind == "latency":
-                    better = acc > best.expected_accuracy
-                else:
-                    better = rep.total_s < best.expected_latency_s
-                if better:
-                    best = Strategy(arch, plan, rep.total_s, acc)
+        if slo.kind == "latency":
+            # Most accurate feasible candidate; among equals the first
+            # enumerated (the scan's stable order).
+            for _, arch, plan, acc in costs.scan(self.archs):
+                latency = costs.latency(arch, plan, cluster)
+                if latency <= slo.value:
+                    best = Strategy(arch, plan, latency, acc)
+                    break
+        else:
+            # Fastest candidate at or above the accuracy floor; among
+            # equals the first enumerated.
+            for arch in self.archs:
+                for plan, acc in costs.candidates(arch):
+                    if not acc >= slo.value:
+                        continue
+                    latency = costs.latency(arch, plan, cluster)
+                    if best is None or latency < best.expected_latency_s:
+                        best = Strategy(arch, plan, latency, acc)
         return DecisionRecord(best, time.perf_counter() - t0, "search")

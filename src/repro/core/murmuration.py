@@ -48,13 +48,10 @@ from ..faults.resilience import (ExecutionFailedError, NoRouteError,
                                  ResilienceConfig)
 from ..nas.accuracy_model import arch_accuracy, plan_accuracy_penalty
 from ..nas.arch import min_arch
-from ..nas.graph_builder import build_graph
 from ..nas.search_space import SearchSpace
 from ..nas.supernet import Supernet
 from ..netsim.monitor import NetworkMonitor
 from ..netsim.topology import Cluster, NetworkCondition
-from ..partition.plan import single_device_plan
-from ..partition.simulate import simulate_latency
 from ..runtime.clock import SimulatedClock
 from ..runtime.executor import DistributedExecutor
 from ..runtime.predictor import MonitoringPredictor
@@ -62,6 +59,7 @@ from ..runtime.reconfig import ModelReconfig
 from ..control.loop import ControlLoop
 from ..telemetry import Telemetry
 from ..telemetry.recorder import RunRecorder
+from .cost_model import PlanCostModel
 from .decision import DecisionRecord, RLDecisionEngine, SearchDecisionEngine
 from .slo import SLO
 from .strategy import Strategy
@@ -205,6 +203,12 @@ class Murmuration:
         #: :class:`~repro.sim.events.EventLoop` (one clock, one world)
         self.clock = clock if clock is not None else SimulatedClock()
         self._min_strategy: Optional[Strategy] = None
+        # The facade's own cost model: engine wrappers (pinned-time,
+        # pinned-cost) hide the inner engine's, and served, rerouted and
+        # failover strategies are priced per request, not per decision.
+        # It keeps a program per strategy the cache can hold.
+        self._costs = PlanCostModel(space, self.cluster.devices,
+                                    served=self.cache.capacity)
         #: the ControlLoop retuning the runtime from telemetry
         self.control = ControlLoop.of(control).attach(system=self)
         reg = self.telemetry.registry.child("core")
@@ -320,11 +324,11 @@ class Murmuration:
                    and self.health.allow_link(0, d, self._now)]
         target = max(allowed + [0],
                      key=lambda d: self.cluster.device(d).effective_flops)
-        graph = build_graph(strategy.arch, self.space)
-        plan = single_device_plan(graph, device=target)
-        expected = simulate_latency(
-            graph, plan, Cluster(list(self.cluster.devices), condition))
-        return Strategy(strategy.arch, plan, expected.total_s,
+        plan = self._costs.single_device(strategy.arch, target)
+        expected_s = self._costs.latency(
+            strategy.arch, plan,
+            Cluster(list(self.cluster.devices), condition))
+        return Strategy(strategy.arch, plan, expected_s,
                         self._accuracy(strategy.arch, plan))
 
     def decide(self, condition: Optional[NetworkCondition] = None,
@@ -375,18 +379,17 @@ class Murmuration:
 
         Memoized — the admission controller's degraded path must not pay
         graph construction and placement search per request.  The quoted
-        expected latency is priced under the construction-time
-        condition; it is the runtime's own (observable) estimate of what
-        a degraded answer costs, which is exactly the signal admission
-        control needs.
+        expected latency is priced under the cluster's condition at
+        first use (not re-priced as the network moves); it is the
+        runtime's own (observable) estimate of what a degraded answer
+        costs, which is exactly the signal admission control needs.
         """
         if self._min_strategy is None:
             arch = min_arch(self.space)
-            graph = build_graph(arch, self.space)
             best_plan, best_s = None, None
             for d in range(self.cluster.num_devices):
-                plan = single_device_plan(graph, device=d)
-                total = simulate_latency(graph, plan, self.cluster).total_s
+                plan = self._costs.single_device(arch, d)
+                total = self._costs.latency(arch, plan, self.cluster)
                 if best_s is None or total < best_s:
                     best_plan, best_s = plan, total
             self._min_strategy = Strategy(arch, best_plan, best_s,
@@ -607,9 +610,8 @@ class Murmuration:
                             carried_degraded = True
                 elif self.faults is None:
                     if base_latency is None:
-                        graph = build_graph(strategy.arch, self.space)
-                        base_latency = simulate_latency(
-                            graph, strategy.plan, self.cluster).total_s
+                        base_latency = self._costs.latency(
+                            strategy.arch, strategy.plan, self.cluster)
                     latency = base_latency
                     accuracy = strategy.expected_accuracy
                 else:
@@ -696,8 +698,8 @@ class Murmuration:
             return e.wasted_s, 0.0, "failed", e.retries, 0, None, None
         if result.outcome == "degraded":
             accuracy = self._accuracy(
-                result.executed_arch, single_device_plan(
-                    build_graph(result.executed_arch, self.space)))
+                result.executed_arch,
+                self._costs.single_device(result.executed_arch))
         else:
             accuracy = strategy.expected_accuracy
         return (result.report.total_s, accuracy, result.outcome,
@@ -734,10 +736,9 @@ class Murmuration:
             dead = next((d for d in remotes
                          if not faults.reachable(0, d)), None)
             if dead is None:
-                graph = build_graph(arch, self.space)
-                report = simulate_latency(graph, plan, self.cluster)
+                total_s = self._costs.latency(arch, plan, self.cluster)
                 extra, lost_retries, exhausted = self._loss_penalty(
-                    remotes, report.num_transfers)
+                    remotes, self._costs.num_transfers(arch, plan))
                 retries += lost_retries
                 penalty += extra
                 if exhausted is None:
@@ -750,7 +751,7 @@ class Murmuration:
                     outcome = ("degraded" if degraded
                                else "retried" if (retries or failovers)
                                else "ok")
-                    return (report.total_s + penalty, accuracy, outcome,
+                    return (total_s + penalty, accuracy, outcome,
                             retries, failovers,
                             _PlanState(arch, plan, degraded, replanned))
                 dead = exhausted
@@ -769,15 +770,13 @@ class Murmuration:
             if candidates:
                 target = max(candidates, key=lambda d: self.cluster.device(
                     d).effective_flops)
-                graph = build_graph(arch, self.space)
-                plan = single_device_plan(graph, device=target)
+                plan = self._costs.single_device(arch, target)
             else:
                 if res.degradation:
                     arch = replace(min_arch(self.space),
                                    resolution=arch.resolution)
                     degraded = True
-                graph = build_graph(arch, self.space)
-                plan = single_device_plan(graph, device=0)
+                plan = self._costs.single_device(arch)
             replanned = True
 
     def _note_plan_reroutes(self, remotes: List[int]) -> None:

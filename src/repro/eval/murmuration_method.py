@@ -16,21 +16,15 @@ Figures 13-17 evaluate the *deployed* system: a converged policy picking
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
-from typing import Callable, List, Optional, Sequence, Tuple
+from itertools import groupby, product, takewhile
+from typing import Callable, List, Optional, Sequence
 
-import numpy as np
-
+from ..core.cost_model import PlanCostModel
 from ..core.slo import SLO
 from ..core.strategy import Strategy
-from ..nas.accuracy_model import arch_accuracy, plan_accuracy_penalty
 from ..nas.arch import ArchConfig
-from ..nas.evolution import candidate_plans
-from ..nas.graph_builder import build_graph
 from ..nas.search_space import SearchSpace
 from ..netsim.topology import Cluster, NetworkCondition
-from ..partition.simulate import simulate_latency
 from ..rl.env import MurmurationEnv, Task
 
 __all__ = ["MurmurationOracle", "policy_method", "lattice_archs"]
@@ -55,39 +49,53 @@ def lattice_archs(space: SearchSpace) -> List[ArchConfig]:
 
 
 class MurmurationOracle:
-    """Exhaustive (lattice arch) x (plan template) strategy selection."""
+    """Exhaustive (lattice arch) x (plan template) strategy selection.
+
+    A latency SLO picks the most accurate feasible candidate and, among
+    equally accurate ones, the fastest; an accuracy SLO picks the
+    fastest candidate at or above the floor and, among equally fast
+    ones, the most accurate.  Remaining ties go to the candidate the
+    ``for arch: for plan`` enumeration meets first.
+    """
 
     def __init__(self, space: SearchSpace, devices: Sequence,
                  archs: Optional[List[ArchConfig]] = None):
         self.space = space
         self.devices = list(devices)
         self.archs = archs if archs is not None else lattice_archs(space)
-        # Pre-build graphs and accuracies once; plans depend on the
-        # cluster, so they are built per call.
-        self._graphs = [build_graph(a, space) for a in self.archs]
-        self._accs = [arch_accuracy(a, space) for a in self.archs]
+        self._costs = PlanCostModel(space, self.devices)
 
     def decide(self, slo: SLO, condition: NetworkCondition,
                ) -> Optional[Strategy]:
         cluster = Cluster(self.devices, condition)
-        best: Optional[Strategy] = None
-        for arch, graph, base_acc in zip(self.archs, self._graphs, self._accs):
-            for plan in candidate_plans(graph, cluster):
-                latency = simulate_latency(graph, plan, cluster).total_s
-                acc = base_acc - plan_accuracy_penalty(plan)
-                if not slo.satisfied_by(latency, acc):
-                    continue
-                if best is None:
-                    better = True
-                elif slo.kind == "latency":
-                    better = (acc, -latency) > (best.expected_accuracy,
-                                                -best.expected_latency_s)
-                else:
-                    better = (-latency, acc) > (-best.expected_latency_s,
-                                                best.expected_accuracy)
-                if better:
-                    best = Strategy(arch, plan, latency, acc)
-        return best
+        costs = self._costs
+
+        def priced(candidates):
+            return [(costs.latency(c.arch, c.plan, cluster), c)
+                    for c in candidates]
+
+        scan = costs.scan(self.archs)
+        best = None
+        if slo.kind == "latency":
+            # Walk equal-accuracy groups downwards; the first group with
+            # a feasible member holds the answer: its fastest (``min``
+            # keeps the first of equals, and a group is in enumeration
+            # order).
+            for _, group in groupby(scan, key=lambda c: c.accuracy):
+                feasible = [(latency, c) for latency, c in priced(group)
+                            if latency <= slo.value]
+                if feasible:
+                    best = min(feasible, key=lambda lc: lc[0])
+                    break
+        else:
+            floor = priced(takewhile(lambda c: c.accuracy >= slo.value, scan))
+            if floor:
+                best = min(floor, key=lambda lc: (
+                    lc[0], -lc[1].accuracy, lc[1].order))
+        if best is None:
+            return None
+        latency, c = best
+        return Strategy(c.arch, c.plan, latency, c.accuracy)
 
 
 def policy_method(env: MurmurationEnv, policy) -> Callable[

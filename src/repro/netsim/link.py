@@ -28,9 +28,12 @@ class Link:
     rpc_overhead_ms: float = 1.0
 
     def __post_init__(self):
-        if self.bandwidth_mbps <= 0:
+        # Negated comparisons: NaN fails every ordering test, so the
+        # plain ``<= 0`` / ``< 0`` forms would let it through to price
+        # transfers at NaN seconds (which ``max`` then ignores).
+        if not self.bandwidth_mbps > 0:
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth_mbps}")
-        if self.delay_ms < 0:
+        if not self.delay_ms >= 0:
             raise ValueError(f"delay must be non-negative, got {self.delay_ms}")
 
     @property

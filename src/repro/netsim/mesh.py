@@ -78,7 +78,8 @@ class MeshLink:
     def __post_init__(self):
         if self.a == self.b:
             raise ValueError("self-loops are not links")
-        if self.bandwidth_mbps <= 0 or self.delay_ms < 0:
+        # negated so that NaN, which fails every comparison, is rejected
+        if not (self.bandwidth_mbps > 0 and self.delay_ms >= 0):
             raise ValueError("invalid link parameters")
 
     @property

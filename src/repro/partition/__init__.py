@@ -10,6 +10,7 @@ from .plan import (
     spatial_front_plan,
     spatial_plan,
 )
+from .compiled import PlanProgram, compile_plan, price
 from .optimize import block_candidates, refine_plan
 from .simulate import LatencyReport, simulate_latency
 from .spatial import (
@@ -37,6 +38,9 @@ __all__ = [
     "spatial_plan",
     "LatencyReport",
     "simulate_latency",
+    "PlanProgram",
+    "compile_plan",
+    "price",
     "refine_plan",
     "block_candidates",
 ]

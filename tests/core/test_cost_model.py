@@ -1,0 +1,348 @@
+"""The plan cost model and the two decision searches built on it.
+
+``decide`` must answer exactly what the brute-force loops in
+``reference_decide.py`` answer — same arch, same plan, same floats —
+for both SLO kinds, including the ties each engine's rule breaks in its
+own way; and the model's memos must do what DESIGN.md says of them:
+build once, compile on first pricing, stay bounded, keep plans alive.
+"""
+
+import gc
+import weakref
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import repro.core.cost_model as cost_model
+from repro.core import (SLO, Murmuration, SearchDecisionEngine, Strategy,
+                        StrategyCache)
+from repro.core.cost_model import PlanCostModel
+from repro.devices.profiles import desktop_gtx1080, jetson_class, rpi4
+from repro.eval.murmuration_method import MurmurationOracle, lattice_archs
+from repro.faults import DeviceCrash, FaultInjector, FaultSchedule
+from repro.faults.resilience import NoRouteError
+from repro.nas.arch import max_arch, min_arch
+from repro.nas.search_space import MBV3_SPACE
+from repro.netsim import Cluster, NetworkCondition, ring_topology
+from repro.partition import simulate_latency, single_device_plan, spatial_plan
+from repro.partition.spatial import Grid
+from tests.core.reference_decide import (reference_oracle_decide,
+                                         reference_search_decide)
+
+NAN = float("nan")
+
+
+def devices(n):
+    kinds = (rpi4, desktop_gtx1080, jetson_class)
+    return [kinds[i % 3]() for i in range(n)]
+
+
+def conditions(n, count=3):
+    rng = np.random.default_rng(40 + n)
+    return [NetworkCondition(
+        tuple(float(b) for b in rng.uniform(5.0, 400.0, n - 1)),
+        tuple(float(d) for d in rng.uniform(2.0, 60.0, n - 1)))
+        for _ in range(count)]
+
+
+def shadow(arch):
+    """A distinct ArchConfig with the same graph and the same accuracy:
+    only a slot beyond a stage's chosen depth differs."""
+    stage = next(s for s, d in enumerate(arch.depths)
+                 if d < MBV3_SPACE.max_depth)
+    slot = arch.slot(MBV3_SPACE, stage, MBV3_SPACE.max_depth - 1)
+    kernels = list(arch.kernels)
+    kernels[slot] = next(k for k in MBV3_SPACE.kernel_options
+                         if k != kernels[slot])
+    twin = replace(arch, kernels=tuple(kernels))
+    assert twin != arch
+    return twin
+
+
+def fields(strategy):
+    if strategy is None:
+        return None
+    return (strategy.arch,
+            [(bp.grid, bp.devices, bp.bits) for bp in strategy.plan],
+            strategy.plan.output_device,
+            float(strategy.expected_latency_s).hex(),
+            float(strategy.expected_accuracy).hex())
+
+
+def slo_grid(engine, cluster):
+    """SLO values that land on, between and beyond the candidates."""
+    lats, accs = [], []
+    for c in engine._costs.scan(engine.archs):
+        lats.append(engine._costs.latency(c.arch, c.plan, cluster))
+        accs.append(c.accuracy)
+    lats.sort()
+    accs.sort()
+    picks = [0, len(lats) // 4, len(lats) // 2, -1]
+    return ([SLO.latency(lats[i]) for i in picks]
+            + [SLO.latency(lats[0] / 2), SLO.latency(lats[-1] * 2),
+               SLO.latency(float(np.nextafter(lats[len(lats) // 2], 0.0)))]
+            + [SLO.accuracy(accs[i]) for i in picks]
+            + [SLO.accuracy(1.0), SLO.accuracy(99.9),
+               SLO.accuracy(float(np.nextafter(accs[len(accs) // 2], 100.0)))])
+
+
+# -- decide == the brute-force loop ------------------------------------------
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_search_engine_answers_what_the_brute_force_loop_answers(n):
+    engine = SearchDecisionEngine(MBV3_SPACE, devices(n), n_random_archs=3,
+                                  seed=n)
+    # equal accuracy *and* equal latency under two distinct archs, and one
+    # arch listed twice: only first-enumerated-wins separates them
+    engine.archs = ([shadow(engine.archs[0])] + engine.archs
+                    + [engine.archs[1]])
+    for cond in conditions(n):
+        cluster = Cluster(engine.devices, cond)
+        for slo in slo_grid(engine, cluster):
+            assert fields(engine.decide(slo, cond).strategy) \
+                == fields(reference_search_decide(engine, slo, cond)), slo
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_oracle_answers_what_the_brute_force_loop_answers(n):
+    archs = lattice_archs(MBV3_SPACE)[n::23]
+    oracle = MurmurationOracle(MBV3_SPACE, devices(n),
+                               archs=[shadow(archs[0])] + archs)
+    for cond in conditions(n, count=2):
+        cluster = Cluster(oracle.devices, cond)
+        for slo in slo_grid(oracle, cluster):
+            assert fields(oracle.decide(slo, cond)) \
+                == fields(reference_oracle_decide(oracle, slo, cond)), slo
+
+
+def test_the_two_tie_break_rules_really_differ():
+    """Among a submodel's equally accurate plans the search engine keeps
+    the first feasible one, the oracle the fastest: if both engines
+    agreed everywhere the tie cases above would prove nothing."""
+    devs, cond = devices(3), NetworkCondition((300.0, 200.0), (5.0, 8.0))
+    engine = SearchDecisionEngine(MBV3_SPACE, devs, n_random_archs=0)
+    oracle = MurmurationOracle(MBV3_SPACE, devs, archs=engine.archs)
+    slo = SLO.latency(5.0)
+    first, fastest = engine.decide(slo, cond).strategy, oracle.decide(slo, cond)
+    assert first.expected_accuracy == fastest.expected_accuracy
+    assert fastest.expected_latency_s < first.expected_latency_s
+
+
+def test_a_nan_link_is_an_error_not_the_best_strategy():
+    """Regression: NaN passed ``Link``'s ``<= 0`` check, priced every
+    transfer at NaN and ``max(done, nan)`` kept ``done`` — the max
+    submodel on devices (0, 1) "ran" in 0.0 s and won every SLO."""
+    engine = SearchDecisionEngine(
+        MBV3_SPACE, [rpi4(), desktop_gtx1080(), jetson_class()],
+        n_random_archs=2)
+    for cond in (NetworkCondition((NAN, 100.0), (5.0, 5.0)),
+                 NetworkCondition((100.0, 100.0), (5.0, NAN))):
+        with pytest.raises(ValueError):
+            engine.decide(SLO.latency_ms(300), cond)
+        with pytest.raises(ValueError):
+            MurmurationOracle(MBV3_SPACE, engine.devices,
+                              archs=engine.archs).decide(
+                                  SLO.latency_ms(300), cond)
+
+
+# -- the model's memos ---------------------------------------------------------
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Call counts of what the model is there to not repeat."""
+    calls = {"build_graph": 0, "candidate_plans": 0, "compile_plan": 0}
+
+    def counting(name):
+        real = getattr(cost_model, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cost_model, name, wrapper)
+
+    for name in calls:
+        counting(name)
+    return calls
+
+
+def test_a_miss_compiles_only_what_it_prices(counted):
+    engine = SearchDecisionEngine(MBV3_SPACE, devices(3), n_random_archs=4)
+    assert counted == {"build_graph": 0, "candidate_plans": 0,
+                       "compile_plan": 0}, "constructors stay free"
+    for cond in conditions(3, count=6):
+        assert engine.decide(SLO.latency_ms(300), cond).strategy is not None
+    total = len(engine._costs.scan(engine.archs))
+    assert counted["build_graph"] == counted["candidate_plans"] == 6
+    assert 0 < counted["compile_plan"] < total // 4
+    # an accuracy floor of 1 % prices everything, once
+    for cond in conditions(3, count=2):
+        engine.decide(SLO.accuracy(1.0), cond)
+    assert counted["compile_plan"] == total
+    assert counted["build_graph"] == counted["candidate_plans"] == 6
+
+
+def test_scan_is_descending_and_stable():
+    model = PlanCostModel(MBV3_SPACE, devices(4))
+    archs = [min_arch(MBV3_SPACE), max_arch(MBV3_SPACE)]
+    scan = model.scan(archs)
+    assert [c.accuracy for c in scan] \
+        == sorted((c.accuracy for c in scan), reverse=True)
+    for a, b in zip(scan, scan[1:]):
+        if a.accuracy == b.accuracy:
+            assert a.order < b.order
+    assert sorted(c.order for c in scan) == list(range(len(scan)))
+    assert model.scan(list(archs)) is scan, "same archs, same scan"
+    assert model.scan(archs[:1]) is not scan
+
+
+def test_programs_are_bounded_by_use_and_keep_their_plan_alive():
+    served = 5
+    model = PlanCostModel(MBV3_SPACE, devices(3), served=served)
+    bound = cost_model._SPARE + served
+    arch = min_arch(MBV3_SPACE)
+    cluster = Cluster(model.devices, conditions(3)[0])
+    plan = single_device_plan(model.graph(arch), device=1)
+    expected = simulate_latency(model.graph(arch), plan, cluster)
+    assert model.latency(arch, plan, cluster) == expected.total_s
+    assert model.num_transfers(arch, plan) == expected.num_transfers
+    # the memo keys on id(plan): it must own a reference, or a new plan
+    # allocated at the freed address would be priced as the old one
+    alive = weakref.ref(plan)
+    del plan
+    gc.collect()
+    assert alive() is not None
+    # a strategy in service is priced between any two others: however
+    # many one-off plans pass through, it is never the one dropped
+    live = spatial_plan(model.graph(arch), Grid(1, 2), [1, 2])
+    live_program = model._program(arch, live)
+    for _ in range(3 * bound):
+        fresh = spatial_plan(model.graph(arch), Grid(1, 2), [1, 2])
+        assert model.latency(arch, fresh, cluster) == simulate_latency(
+            model.graph(arch), fresh, cluster).total_s
+        assert model._program(arch, live) is live_program
+    assert len(model._programs) == bound
+    gc.collect()
+    assert alive() is None, "the least recently used entry went, plan and all"
+
+
+def test_the_facade_keeps_a_program_per_cacheable_strategy(counted):
+    """An RL engine hands out a fresh plan object per decision, so the
+    facade may serve as many distinct plans as its strategy cache holds;
+    revisiting them round-robin must not recompile any."""
+    devs = devices(3)
+    system = Murmuration(
+        MBV3_SPACE, devs, NetworkCondition((150.0, 80.0), (10.0, 20.0)),
+        SearchDecisionEngine(MBV3_SPACE, devs, n_random_archs=0),
+        slo=SLO.latency_ms(300), cache=StrategyCache(capacity=100))
+    model, arch = system._costs, min_arch(MBV3_SPACE)
+    plans = [spatial_plan(model.graph(arch), Grid(1, 2), [1, 2])
+             for _ in range(100)]
+    for _ in range(3):
+        for plan in plans:
+            model.latency(arch, plan, system.cluster)
+    assert counted["compile_plan"] == len(plans)
+
+
+def test_single_device_plans_are_one_object_per_target(counted):
+    model = PlanCostModel(MBV3_SPACE, devices(3))
+    arch = max_arch(MBV3_SPACE)
+    cluster = Cluster(model.devices, conditions(3)[0])
+    for device in range(3):
+        plan = model.single_device(arch, device)
+        assert model.single_device(arch, device) is plan
+        assert fields(Strategy(arch, plan, 0.0, 0.0)) == fields(Strategy(
+            arch, single_device_plan(model.graph(arch), device), 0.0, 0.0))
+        for _ in range(3):      # a target met again is a replay
+            assert model.latency(arch, plan, cluster) == simulate_latency(
+                model.graph(arch), plan, cluster).total_s
+    assert model.single_device(arch) is model.single_device(arch, 0)
+    assert counted["compile_plan"] == 3 and counted["build_graph"] == 1
+    other = [a for a in lattice_archs(MBV3_SPACE) if a != arch]
+    for a in other[:4 * cost_model._SPARE]:
+        model.single_device(a, 1)
+    assert len(model._single) == cost_model._SPARE * 3
+
+
+def test_graphs_are_bounded(counted):
+    model = PlanCostModel(MBV3_SPACE, devices(2))
+    archs = lattice_archs(MBV3_SPACE)[:2 * cost_model._SPARE]
+    for arch in archs:
+        assert model.graph(arch) is model.graph(arch)
+    assert len(model._graphs) == cost_model._SPARE
+    assert counted["build_graph"] == len(archs)
+    # enumerated archs are never dropped: the bound grows with them
+    model.scan(archs)
+    assert len(model._graphs) >= len(archs)
+
+
+def test_no_route_surfaces_from_latency_as_from_the_oracle():
+    mesh = ring_topology(devices(4), 150.0, 10.0, reroute=False)
+    model = PlanCostModel(MBV3_SPACE, mesh.devices)
+    arch = max_arch(MBV3_SPACE)
+    plan = spatial_plan(model.graph(arch), Grid(1, 2), [1, 2])
+    assert model.latency(arch, plan, mesh) \
+        == simulate_latency(model.graph(arch), plan, mesh).total_s
+    mesh.apply_link_faults(down=[(1, 2)])
+    with pytest.raises(NoRouteError):
+        simulate_latency(model.graph(arch), plan, mesh)
+    with pytest.raises(NoRouteError):
+        model.latency(arch, plan, mesh)
+    mesh.apply_link_faults()
+    assert model.latency(arch, plan, mesh) \
+        == simulate_latency(model.graph(arch), plan, mesh).total_s
+
+
+# -- the facade prices through its own model ------------------------------------
+
+def test_a_cache_hit_is_a_replay(counted):
+    devs = devices(3)
+    system = Murmuration(
+        MBV3_SPACE, devs, NetworkCondition((150.0, 80.0), (10.0, 20.0)),
+        SearchDecisionEngine(MBV3_SPACE, devs, n_random_archs=2),
+        slo=SLO.latency_ms(300), use_predictor=False, monitor_noise=0.0)
+    first = system.infer()
+    after_miss = dict(counted)
+    records = [system.infer() for _ in range(5)]
+    assert all(r.cache_hit for r in records)
+    assert counted == after_miss, "a hit builds and compiles nothing"
+    graph = system._costs.graph(first.strategy.arch)
+    assert {r.latency_s for r in records} == {simulate_latency(
+        graph, first.strategy.plan, system.cluster).total_s}
+
+
+def test_failovers_and_reroutes_reuse_their_single_device_plans(counted):
+    """Regression: every failover and every proactive reroute built a
+    fresh single-device plan, which the id-keyed program memo could
+    never hit — one compile and one dead entry per faulted request."""
+    devs = devices(3)
+    system = Murmuration(
+        MBV3_SPACE, devs, NetworkCondition((150.0, 80.0), (10.0, 20.0)),
+        SearchDecisionEngine(MBV3_SPACE, devs, n_random_archs=2),
+        slo=SLO.latency_ms(300), use_predictor=False, monitor_noise=0.0,
+        faults=FaultInjector(FaultSchedule(
+            [DeviceCrash(0.0, 1e6, device=1)])))
+    records = [system.infer() for _ in range(30)]
+    assert sum(r.failovers for r in records) >= 2
+    rerouted = [r for r in records if r.strategy.plan.devices_used() == (0, 2)]
+    assert len(rerouted) >= 10 and all(r.outcome == "ok" for r in rerouted)
+    assert len({id(r.strategy.plan) for r in rerouted}) == 1
+    # every one of them was priced, on one program: the facade compiled
+    # that and the engine its own candidates, nothing per request
+    assert len(system._costs._programs) == 1
+    assert counted["compile_plan"] == 1 + len(system.engine._costs._programs)
+
+
+def test_min_strategy_is_priced_at_first_use():
+    devs = devices(2)
+    system = Murmuration(
+        MBV3_SPACE, devs, NetworkCondition((100.0,), (10.0,)),
+        SearchDecisionEngine(MBV3_SPACE, devs, n_random_archs=0),
+        slo=SLO.latency_ms(300), use_predictor=False)
+    system.update_condition(NetworkCondition((1.0,), (400.0,)))
+    slow = system.min_strategy()
+    graph = system._costs.graph(slow.arch)
+    assert slow.expected_latency_s == simulate_latency(
+        graph, slow.plan, system.cluster).total_s
+    system.update_condition(NetworkCondition((100.0,), (10.0,)))
+    assert system.min_strategy() is slow, "memoized, not re-priced"

@@ -26,6 +26,21 @@ class TestLink:
         with pytest.raises(ValueError):
             Link(bandwidth_mbps=10, delay_ms=-1)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"bandwidth_mbps": float("nan"), "delay_ms": 1.0},
+        {"bandwidth_mbps": 10.0, "delay_ms": float("nan")},
+    ])
+    def test_nan_is_rejected(self, kwargs):
+        """NaN fails ``<= 0`` and ``< 0`` alike; a NaN link prices every
+        transfer at NaN seconds, which ``max(done, nan)`` then drops —
+        the plan looks free."""
+        with pytest.raises(ValueError):
+            Link(**kwargs)
+
+    def test_infinite_bandwidth_is_a_link(self):
+        """A mesh self-route is an infinitely fast, zero-delay link."""
+        assert Link(float("inf"), 0.0, 0.0).transfer_time(10 ** 9) == 0.0
+
     def test_with_conditions(self):
         link = Link(100, 10)
         l2 = link.with_conditions(bandwidth_mbps=50)

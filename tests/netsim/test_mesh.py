@@ -22,6 +22,12 @@ class TestMeshLink:
         with pytest.raises(ValueError):
             MeshLink(0, 1, 0.0, 5.0)
 
+    def test_nan_params_rejected(self):
+        with pytest.raises(ValueError):
+            MeshLink(0, 1, float("nan"), 5.0)
+        with pytest.raises(ValueError):
+            MeshLink(0, 1, 100.0, float("nan"))
+
 
 class TestMeshCluster:
     def test_line_routing_accumulates_delay(self):

@@ -61,6 +61,19 @@ class TestCluster:
         with pytest.raises(ValueError):
             cl.set_condition(NetworkCondition((1.0, 2.0), (1.0, 2.0)))
 
+    @pytest.mark.parametrize("condition", [
+        NetworkCondition((float("nan"),), (5.0,)),
+        NetworkCondition((100.0,), (float("nan"),)),
+    ])
+    def test_nan_conditions_are_rejected(self, condition):
+        """A NaN link would price every transfer at NaN seconds, which
+        the simulator's ``max`` silently drops (ROADMAP aim 3)."""
+        with pytest.raises(ValueError):
+            Cluster([rpi4(), rpi4()], condition)
+        cl = Cluster([rpi4(), rpi4()], NetworkCondition((100.0,), (10.0,)))
+        with pytest.raises(ValueError):
+            cl.set_condition(condition)
+
     def test_device_accessors(self):
         cl = Cluster([rpi4(), desktop_gtx1080()],
                      NetworkCondition((100.0,), (10.0,)))
