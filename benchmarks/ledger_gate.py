@@ -1,8 +1,9 @@
 """The exact half of the perf gate (ROADMAP item 6).
 
     python3 -m benchmarks.perf --workload drift_miss --workload static_hit \\
+        --workload fluid_ring --workload tenant_mix \\
         --seed 0 --seconds 3 --trace 0
-    python3 -m benchmarks.ledger_gate BENCH_17.json [ledger.json]
+    python3 -m benchmarks.ledger_gate BENCH_18.json [ledger.json]
 
 fails when a run in the ledger is not ``correct`` or an untraced run's
 ``detail.sim_digest`` differs from the one the committed

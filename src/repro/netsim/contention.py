@@ -181,13 +181,14 @@ class SharedIngress:
     def __init__(self, link: Link, tracker: Optional[ContentionTracker],
                  payload_bytes: float = 0.0,
                  per_tenant_bytes: Optional[Dict[str, float]] = None):
-        if payload_bytes < 0:
-            raise ValueError(
-                f"payload_bytes must be non-negative, got {payload_bytes}")
         self.link = link
         self.tracker = tracker
         self.payload_bytes = float(payload_bytes)
         self.per_tenant_bytes = dict(per_tenant_bytes or {})
+        for nbytes in (self.payload_bytes, *self.per_tenant_bytes.values()):
+            if not nbytes >= 0:  # NaN fails this too
+                raise ValueError(
+                    f"payload_bytes must be non-negative, got {nbytes}")
 
     def _nbytes(self, tenant: Optional[str]) -> float:
         if tenant is not None and tenant in self.per_tenant_bytes:

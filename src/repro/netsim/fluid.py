@@ -54,12 +54,31 @@ the ledger's (authoritative) completion times — that is what the
 property suite and the snapshot-vs-fluid bench audit.  Admissions must
 arrive in nondecreasing simulated time (the serving loop's order); an
 admission in the ledger's past is clamped to the current ledger time.
+
+Inside
+------
+One solver, three pieces.  :func:`_waterfill` is the pure max-min
+allocation over *path classes* (distinct edge tuples with their
+multiplicity).  :class:`_Wire` holds the flows in flight as flat
+parallel lists and owns the only completion-event loop
+(:meth:`_Wire.events`).  :class:`FluidTracker` is the ledger around one
+wire: history (``_finish`` / ``_spec``), accounting, segments,
+telemetry.  Pricing never copies the ledger: a prediction or a peek
+copies the wire — the in-flight flows only — runs the same events on
+the copy and **stops at the flow it prices**; the history is never
+touched, so the cost of a transfer depends on the flows in flight and
+not on how many ever completed.  Every float is produced by the same
+operations in the same order as the clone-and-drain solver this
+replaced, which lives on as the test oracle
+(``tests/netsim/reference_fluid.py``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Dict, Iterator, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from ..telemetry import Telemetry
 
@@ -67,6 +86,7 @@ __all__ = ["FlowSpec", "FluidSegment", "FluidTracker", "solve_fluid"]
 
 
 Edge = Tuple[int, int]
+Path = Tuple[Edge, ...]
 
 
 def _edge(a: int, b: int) -> Edge:
@@ -102,36 +122,183 @@ class FluidSegment:
         return self.t1 - self.t0
 
 
-class _Flow:
-    """Mutable per-flow solver state."""
+def _waterfill(classes: Mapping[Path, int],
+               caps: Mapping[Edge, float]) -> Dict[Path, float]:
+    """Max-min rate of every path class (progressive filling).
 
-    __slots__ = ("fid", "edges", "start", "nbytes", "remaining_bits",
-                 "rate", "reconvergences", "tenant")
+    ``classes`` maps each distinct edge tuple to the number of flows
+    riding it.  Every unfrozen flow's rate rises together; the edges
+    with the smallest fair level ``cap_left / unfrozen`` saturate first
+    and freeze the classes crossing them at that level; repeat on the
+    residual graph until every class is bottlenecked.  Flows on one
+    path always freeze together, so a class is frozen once — but its
+    level is still subtracted from ``cap_left`` once per flow, never as
+    ``m * level``, which would round differently.  ``min`` and ``==``
+    do not depend on iteration order and a round subtracts one value,
+    so the result is a pure function of the flow multiset.  (A
+    saturated edge may end a round a float-dust below zero; every flow
+    on it froze in that round, so nothing reads it again.)
+    """
+    edges: Dict[Edge, list] = {}  # edge -> [cap_left, unfrozen, classes]
+    for path, m in classes.items():
+        cls = [path, m, True]     # ... still unfrozen
+        for e in path:
+            if e in edges:
+                rec = edges[e]
+                rec[1] += m
+                rec[2].append(cls)
+            else:
+                cap = caps.get(e)
+                if cap is None or not cap > 0.0:
+                    raise ValueError(f"edge {e} has no positive capacity")
+                edges[e] = [cap, m, [cls]]
+    rate: Dict[Path, float] = {}
+    live = list(edges.values())
+    while live:
+        levels = [rec[0] / rec[1] for rec in live]
+        level = min(levels)
+        for rec, q in zip(live, levels):
+            if q != level:
+                continue
+            for cls in rec[2]:
+                if not cls[2]:
+                    continue
+                cls[2] = False
+                path, m = cls[0], cls[1]
+                rate[path] = level
+                flows = range(m)
+                for e in path:
+                    crossed = edges[e]
+                    left = crossed[0]
+                    for _ in flows:
+                        left -= level
+                    crossed[0] = left
+                    crossed[1] -= m
+        live = [rec for rec in live if rec[1] > 0]
+    return rate
 
-    def __init__(self, fid: int, edges: Tuple[Edge, ...], start: float,
-                 nbytes: float, tenant: Optional[str]):
-        self.fid = fid
-        self.edges = edges
-        self.start = start
-        self.nbytes = nbytes
-        self.remaining_bits = nbytes * 8.0
-        #: current max-min rate (bits/s); None until first allocation
-        self.rate: Optional[float] = None
-        #: times this flow's rate changed after its first allocation
-        self.reconvergences = 0
-        self.tenant = tenant
 
-    def copy(self) -> "_Flow":
-        f = _Flow.__new__(_Flow)
-        f.fid = self.fid
-        f.edges = self.edges
-        f.start = self.start
-        f.nbytes = self.nbytes
-        f.remaining_bits = self.remaining_bits
-        f.rate = self.rate
-        f.reconvergences = self.reconvergences
-        f.tenant = self.tenant
-        return f
+class _Wire:
+    """The flows in flight, as flat parallel lists in flow-id order.
+
+    This is all a prediction or a peek copies.  :meth:`events` is the
+    one completion-event loop: the ledger consumes it to record
+    segments and finish times, a prediction consumes a copy's until the
+    flow it prices completes.
+    """
+
+    __slots__ = ("t", "started", "caps", "fids", "paths", "rem", "rate",
+                 "reconv")
+
+    def __init__(self) -> None:
+        #: simulated time of the last processed event
+        self.t = 0.0
+        self.started = False
+        self.caps: Dict[Edge, float] = {}
+        self.fids: List[int] = []
+        self.paths: List[Path] = []
+        #: bits left per flow
+        self.rem: List[float] = []
+        #: current max-min rate per flow (bits/s)
+        self.rate: List[float] = []
+        #: times each flow's rate changed after its first allocation
+        self.reconv: List[int] = []
+
+    def copy(self) -> "_Wire":
+        """A throwaway copy for a peek or a prediction.  ``caps`` is
+        shared: a copy that needs other capacities rebinds the name."""
+        w = _Wire.__new__(_Wire)
+        w.t = self.t
+        w.started = self.started
+        w.caps = self.caps
+        w.fids = self.fids[:]
+        w.paths = self.paths[:]
+        w.rem = self.rem[:]
+        w.rate = self.rate[:]
+        w.reconv = self.reconv[:]
+        return w
+
+    def reconverge(self) -> None:
+        """Re-run water-filling; count the flows whose rate moved."""
+        if not self.fids:
+            return
+        classes: Dict[Path, int] = {}
+        for p in self.paths:
+            classes[p] = classes[p] + 1 if p in classes else 1
+        level = _waterfill(classes, self.caps)
+        old = self.rate
+        self.rate = new = [level[p] for p in self.paths]
+        if new != old:
+            self.reconv = [c + (o != n)
+                           for c, o, n in zip(self.reconv, old, new)]
+
+    def add(self, fid: int, path: Path, bits: float) -> None:
+        """Put one flow on the wire and re-converge everyone."""
+        self.fids.append(fid)
+        self.paths.append(path)
+        self.rem.append(bits)
+        self.rate.append(math.nan)
+        self.reconv.append(-1)  # its first allocation is not a change
+        self.reconverge()
+
+    def events(self, until: float) -> Iterator[Tuple[float, List[int]]]:
+        """Run the completion events up to ``until``.
+
+        Yields ``(t, done)`` per event, ``done`` the positions of the
+        flows completing at ``t``.  At the yield the wire still shows
+        the interval that just ended — ``self.t`` is its start, the
+        completing flows are still listed at the rates they held — and
+        is moved past the event when the consumer comes back.
+        """
+        if until < self.t:
+            return  # clamp: the ledger's clock never runs backwards
+        while self.fids:
+            rate = self.rate
+            dts = [r / x for r, x in zip(self.rem, rate)]
+            dt_min = min(dts)
+            t_next = self.t + dt_min
+            if t_next > until:
+                return
+            self.rem = rem = [r - x * dt_min for r, x in zip(self.rem, rate)]
+            done = [i for i, dt in enumerate(dts)
+                    if dt == dt_min or rem[i] <= 0.0]
+            yield t_next, done
+            for i in reversed(done):
+                del self.fids[i], self.paths[i], rem[i], rate[i], \
+                    self.reconv[i]
+            self.t = t_next
+            self.reconverge()
+
+    def settle(self, until: float) -> None:
+        """After :meth:`events`: integrate the partial interval up to
+        ``until`` and move the clock there."""
+        if not self.started:
+            self.t = until
+            self.started = True
+        elif until > self.t:
+            if self.fids:
+                dt = until - self.t
+                self.rem = [r - x * dt for r, x in zip(self.rem, self.rate)]
+            self.t = until
+
+    def advance(self, until: float) -> None:
+        """Move a *copy* to ``until`` (the ledger's own advance records
+        what happens on the way: :meth:`FluidTracker._advance`)."""
+        for _ in self.events(until):
+            pass
+        self.settle(until)
+
+    def completion(self, fid: int) -> float:
+        """Run a *copy* until ``fid`` completes; that instant."""
+        for t, done in self.events(math.inf):
+            for i in done:
+                if self.fids[i] == fid:
+                    return t
+        raise KeyError(f"unknown flow id {fid}")
+
+    def sharing(self, path: Path) -> Dict[Edge, int]:
+        """Per edge of ``path``: the flows in flight crossing it."""
+        return {e: len([p for p in self.paths if e in p]) for e in path}
 
 
 class FluidTracker:
@@ -148,7 +315,9 @@ class FluidTracker:
       control peeks at upload times; only admitted requests occupy the
       wire) — guaranteed to return the same float a subsequent
       ``admit_transfer`` at the same instant would, because it runs the
-      identical arithmetic on a throwaway clone of the engine.
+      identical arithmetic on a copy of the in-flight flows; that
+      ``admit_transfer`` then commits the flow and hands the peeked
+      float back instead of predicting again.
     """
 
     #: clusters delegate the whole pricing computation to trackers that
@@ -157,14 +326,14 @@ class FluidTracker:
 
     def __init__(self, telemetry: Optional[Telemetry] = None,
                  record_segments: bool = False):
-        #: simulated time of the last processed event
-        self._t = 0.0
-        self._started = False
-        self._active: Dict[int, _Flow] = {}
-        self._caps: Dict[Edge, float] = {}
+        self._wire = _Wire()
+        #: the one capacity table, by the name the ledger always had
+        self._caps = self._wire.caps
         self._finish: Dict[int, float] = {}
         self._spec: Dict[int, FlowSpec] = {}
         self._next = 0
+        #: ``(arguments, price)`` of the last peek, until the ledger moves
+        self._peeked: Optional[Tuple[tuple, float]] = None
         self.record_segments = record_segments
         #: piecewise-constant rate segments (``record_segments=True``)
         self.segments: List[FluidSegment] = []
@@ -180,8 +349,6 @@ class FluidTracker:
         #: mid-flight capacity updates applied (:meth:`update_caps`)
         self.caps_updates_total = 0
         self._tenant_bytes: Dict[str, float] = {}
-        #: clones used for peeks/predictions never touch accounting
-        self._ghost = False
         self.telemetry = Telemetry.of(telemetry)
         reg = self.telemetry.registry.child("fluid")
         self._m_flows = reg.counter(
@@ -201,150 +368,97 @@ class FluidTracker:
             "tenant")
 
     # -- engine ------------------------------------------------------------
-    def _clone(self) -> "FluidTracker":
-        """A throwaway copy of the solver state for peeks/predictions.
-
-        Clones are *ghosts*: they never record segments, never bump
-        accounting, and never touch telemetry — running the identical
-        arithmetic is their only job.
-        """
-        c = FluidTracker.__new__(FluidTracker)
-        c._t = self._t
-        c._started = self._started
-        c._active = {fid: f.copy() for fid, f in self._active.items()}
-        c._caps = dict(self._caps)
-        c._finish = dict(self._finish)
-        c._spec = dict(self._spec)
-        c._next = self._next
-        c.record_segments = False
-        c.segments = []
-        c.flows_total = 0
-        c.contended_total = 0
-        c.peak_share = {}
-        c.segments_total = 0
-        c.caps_updates_total = 0
-        c._tenant_bytes = {}
-        c._ghost = True
-        return c
-
-    def _reconverge(self) -> None:
-        """Max-min allocation over the active flows (water-filling).
-
-        Progressive filling: every unfrozen flow's rate rises together;
-        the edge with the smallest fair level ``cap_left / unfrozen``
-        saturates first and freezes its flows at that level; repeat on
-        the residual graph until every flow is bottlenecked.  Iteration
-        orders are sorted, so the result is a pure function of the flow
-        set — no dict-ordering leakage.
-        """
-        if not self._active:
-            return
-        flows = [self._active[fid] for fid in sorted(self._active)]
-        edges = sorted({e for f in flows for e in f.edges})
-        cap_left: Dict[Edge, float] = {}
-        for e in edges:
-            cap = self._caps.get(e)
-            if cap is None or cap <= 0.0:
-                raise ValueError(f"edge {e} has no positive capacity")
-            cap_left[e] = cap
-        count = {e: 0 for e in edges}
-        for f in flows:
-            for e in f.edges:
-                count[e] += 1
-        unfrozen = {f.fid for f in flows}
-        while unfrozen:
-            level = min(cap_left[e] / count[e]
-                        for e in edges if count[e] > 0)
-            bottleneck = {e for e in edges
-                          if count[e] > 0 and cap_left[e] / count[e] == level}
-            for f in flows:
-                if f.fid not in unfrozen:
-                    continue
-                if not any(e in bottleneck for e in f.edges):
-                    continue
-                old = f.rate
-                f.rate = level
-                if old is not None and old != level:
-                    f.reconvergences += 1
-                unfrozen.discard(f.fid)
-                for e in f.edges:
-                    cap_left[e] -= level
-                    count[e] -= 1
-            for e in bottleneck:
-                if cap_left[e] < 0.0:
-                    cap_left[e] = 0.0  # float dust on saturated edges
-
     def _segment(self, t1: float) -> None:
-        """Record one advanced rate-constant interval ``[_t, t1)``."""
-        if t1 <= self._t or self._ghost:
+        """Record one advanced rate-constant interval ``[t, t1)``."""
+        wire = self._wire
+        if t1 <= wire.t:
             return
         self.segments_total += 1
         self._m_segments.inc()
         if self.record_segments:
             self.segments.append(FluidSegment(
-                self._t, t1, {f.fid: f.rate
-                              for f in self._active.values()}))
+                wire.t, t1, dict(zip(wire.fids, wire.rate))))
 
-    def _complete(self, fid: int, t: float) -> None:
-        flow = self._active.pop(fid)
-        self._finish[fid] = t
-        if self._ghost:
-            return
-        self._m_reconv.observe(float(flow.reconvergences) + 1.0)
+    def _run(self, until: float) -> None:
+        """Process every completion event up to ``until`` on the ledger
+        itself.  Every mutation of the ledger passes through here, so
+        this is also where a remembered peek stops being valid."""
+        self._peeked = None
+        wire = self._wire
+        for t, done in wire.events(until):
+            self._segment(t)
+            for i in done:
+                self._finish[wire.fids[i]] = t
+                self._m_reconv.observe(float(wire.reconv[i]) + 1.0)
 
     def _advance(self, until: float) -> None:
         """Advance the piecewise simulation to ``until``, processing
         every completion event on the way."""
-        if not self._started:
-            self._t = until
-            self._started = True
-            return
-        if until < self._t:
-            return  # clamp: the ledger's clock never runs backwards
-        while self._active:
-            dts = {fid: f.remaining_bits / f.rate
-                   for fid, f in self._active.items()}
-            dt_min = min(dts.values())
-            t_next = self._t + dt_min
-            if t_next > until:
-                break
-            self._segment(t_next)
-            for f in self._active.values():
-                f.remaining_bits -= f.rate * dt_min
-            done = [fid for fid in sorted(self._active)
-                    if dts[fid] == dt_min
-                    or self._active[fid].remaining_bits <= 0.0]
-            for fid in done:
-                self._complete(fid, t_next)
-            self._t = t_next
-            self._reconverge()
-        if self._active and self._t < until:
+        self._run(until)
+        wire = self._wire
+        if wire.fids:
             self._segment(until)
-            dt = until - self._t
-            for f in self._active.values():
-                f.remaining_bits -= f.rate * dt
-        if until > self._t:
-            self._t = until
+        wire.settle(until)
 
-    def _account(self, flow: _Flow, shares: Dict[Edge, int]) -> None:
-        if self._ghost:
-            return
+    def _checked(self, edges: Sequence[Edge], caps: Mapping[Edge, float],
+                 nbytes: float) -> Tuple[Path, Dict[Edge, float], float]:
+        """Canonical path, its capacities and the payload — or
+        ``ValueError``, before anything moved.  ``not (x > 0)`` rather
+        than ``x <= 0``: a NaN passes the latter and no flow priced
+        with it ever completes."""
+        path = tuple(_edge(*e) for e in edges)
+        if not path:
+            raise ValueError("a flow must cross at least one edge")
+        try:
+            path_caps = {e: float(caps[e]) for e in path}
+        except KeyError:  # the other spelling, as update_caps accepts
+            caps = {_edge(*e): cap for e, cap in caps.items()}
+            path_caps = {e: float(caps[e]) for e in path}
+        for e, cap in path_caps.items():
+            if not cap > 0.0:
+                raise ValueError(
+                    f"edge {e} capacity must be positive, got {cap}")
+        nbytes = float(nbytes)
+        if not nbytes >= 0.0:
+            raise ValueError(f"nbytes must be non-negative, got {nbytes}")
+        return path, path_caps, nbytes
+
+    def _admit(self, path: Path, path_caps: Dict[Edge, float], now: float,
+               nbytes: float, tenant: Optional[str]) -> int:
+        self._advance(now)
+        wire = self._wire
+        self._caps.update(path_caps)
+        shares = {e: 1 + n for e, n in wire.sharing(path).items()}
+        fid = self._next
+        self._next += 1
+        self._spec[fid] = FlowSpec(path, wire.t, nbytes, tenant)
+        bits = nbytes * 8.0
+        if bits <= 0.0:
+            # zero-byte flow: completes the instant it starts
+            self._finish[fid] = wire.t
+            self._m_reconv.observe(1.0)
+            wire.reconverge()
+        else:
+            wire.add(fid, path, bits)
+        self._account(nbytes, tenant, shares)
+        return fid
+
+    def _account(self, nbytes: float, tenant: Optional[str],
+                 shares: Dict[Edge, int]) -> None:
         self.flows_total += 1
-        worst = max(shares.values())
-        contended = worst > 1
+        contended = max(shares.values()) > 1
         if contended:
             self.contended_total += 1
         for e, s in shares.items():
             if s > self.peak_share.get(e, 1):
                 self.peak_share[e] = s
-        if flow.tenant is not None and flow.nbytes:
-            self._tenant_bytes[flow.tenant] = (
-                self._tenant_bytes.get(flow.tenant, 0.0) + flow.nbytes)
         self._m_flows.inc()
         if contended:
             self._m_contended.inc()
-        if flow.tenant is not None and flow.nbytes:
-            self._count_tenant_bytes(flow.tenant, amount=flow.nbytes)
+        if tenant is not None and nbytes:
+            self._tenant_bytes[tenant] = (
+                self._tenant_bytes.get(tenant, 0.0) + nbytes)
+            self._count_tenant_bytes(tenant, amount=nbytes)
 
     # -- admission ---------------------------------------------------------
     def admit(self, edges: Sequence[Edge], caps: Mapping[Edge, float],
@@ -352,35 +466,16 @@ class FluidTracker:
               tenant: Optional[str] = None) -> int:
         """Put one flow of ``nbytes`` on ``edges`` at time ``now``.
 
-        ``caps`` maps each of the flow's (canonical) edges to its
-        capacity in bits/s; capacities observed here update the
-        ledger's piecewise-constant view (existing flows on a changed
-        edge re-converge).  Returns the flow id.
+        ``caps`` maps each of the flow's edges (either spelling, like
+        :meth:`update_caps`) to its capacity in bits/s; capacities
+        observed here update the ledger's piecewise-constant view
+        (existing flows on a changed edge re-converge).  A capacity
+        that is not positive or a payload that is not non-negative
+        (NaN included) raises ``ValueError`` before the ledger moves.
+        Returns the flow id.
         """
-        canon = tuple(_edge(*e) for e in edges)
-        if not canon:
-            raise ValueError("a flow must cross at least one edge")
-        self._advance(float(now))
-        start = self._t
-        for e in canon:
-            cap = float(caps[_edge(*e)] if _edge(*e) in caps else caps[e])
-            if cap <= 0.0:
-                raise ValueError(f"edge {e} capacity must be positive")
-            self._caps[e] = cap
-        shares = {e: 1 + sum(1 for f in self._active.values()
-                             if e in f.edges) for e in canon}
-        flow = _Flow(self._next, canon, start, float(nbytes), tenant)
-        self._next += 1
-        self._active[flow.fid] = flow
-        self._spec[flow.fid] = FlowSpec(canon, start, float(nbytes), tenant)
-        if flow.remaining_bits <= 0.0:
-            # zero-byte flow: completes the instant it starts
-            self._complete(flow.fid, start)
-            self._reconverge()
-        else:
-            self._reconverge()
-        self._account(flow, shares)
-        return flow.fid
+        path, path_caps, nbytes = self._checked(edges, caps, nbytes)
+        return self._admit(path, path_caps, float(now), nbytes, tenant)
 
     def update_caps(self, now: float, caps: Mapping[Edge, float]) -> None:
         """Re-converge every in-flight flow under new edge capacities.
@@ -400,31 +495,14 @@ class FluidTracker:
         updates: Dict[Edge, float] = {}
         for e, cap in caps.items():
             cap = float(cap)
-            if cap <= 0.0:
+            if not cap > 0.0:
                 raise ValueError(
                     f"edge {e} capacity must be positive, got {cap}")
             updates[_edge(*e)] = cap
         self._advance(float(now))
         self._caps.update(updates)
-        self._reconverge()
-        if not self._ghost:
-            self.caps_updates_total += 1
-
-    def _transfer(self, engine: "FluidTracker", edges: Sequence[Edge],
-                  caps: Mapping[Edge, float], latency_s: float,
-                  nbytes: float, now: float, tenant: Optional[str],
-                  base_s: Optional[float]) -> float:
-        canon = tuple(_edge(*e) for e in edges)
-        engine._advance(float(now))
-        lone = not any(e in f.edges
-                       for f in engine._active.values() for e in canon)
-        fid = engine.admit(canon, caps, engine._t, nbytes, tenant)
-        if lone and base_s is not None:
-            # bit-identity fast path: a flow sharing no edge with any
-            # in-flight flow is priced exactly like the base link model
-            return base_s
-        start = engine._spec[fid].start
-        return latency_s + (engine.finish_time(fid) - start)
+        self._wire.reconverge()
+        self.caps_updates_total += 1
 
     def admit_transfer(self, edges: Sequence[Edge],
                        caps: Mapping[Edge, float], latency_s: float,
@@ -436,10 +514,25 @@ class FluidTracker:
         Returns total seconds: ``latency_s`` plus the wire time under
         max-min sharing with the flows known at admission.  ``base_s``
         (the contention-free ``transfer_time`` float) is returned
-        verbatim when the flow is lone — bit-identity.
+        verbatim when the flow is lone — bit-identity.  When the call
+        repeats the :meth:`peek_transfer` just before it, the peeked
+        float is the answer and nothing is predicted twice.
         """
-        return self._transfer(self, edges, caps, latency_s, nbytes, now,
-                              tenant, base_s)
+        path, path_caps, nbytes = self._checked(edges, caps, nbytes)
+        now = float(now)
+        peeked = self._peeked
+        self._advance(now)
+        wire = self._wire
+        lone = not any(wire.sharing(path).values())
+        fid = self._admit(path, path_caps, wire.t, nbytes, tenant)
+        if lone and base_s is not None:
+            # bit-identity fast path: a flow sharing no edge with any
+            # in-flight flow is priced exactly like the base link model
+            return base_s
+        if peeked is not None and peeked[0] == (
+                path, path_caps, latency_s, nbytes, now, tenant, base_s):
+            return peeked[1]
+        return latency_s + (self.finish_time(fid) - self._spec[fid].start)
 
     def peek_transfer(self, edges: Sequence[Edge],
                       caps: Mapping[Edge, float], latency_s: float,
@@ -448,19 +541,40 @@ class FluidTracker:
                       base_s: Optional[float] = None) -> float:
         """Price a transfer *without* committing it (admission peek).
 
-        Runs :meth:`admit_transfer` on a ghost clone, so the returned
-        float is exactly what a commit at the same instant would yield.
+        Replays :meth:`admit_transfer` on a copy of the in-flight flows
+        — advance to ``now``, add the flow, run the events until it
+        completes — so the returned float is exactly what a commit at
+        the same instant would yield.  The ledger itself (history,
+        accounting, segments, telemetry) is neither copied nor touched;
+        it only remembers ``(arguments, price)`` so that an
+        ``admit_transfer`` with the same arguments, arriving before
+        anything else moves the ledger, returns the price without
+        predicting again.
         """
-        return self._transfer(self._clone(), edges, caps, latency_s,
-                              nbytes, now, tenant, base_s)
+        path, path_caps, nbytes = self._checked(edges, caps, nbytes)
+        now = float(now)
+        ghost = self._wire.copy()
+        ghost.advance(now)
+        lone = not any(ghost.sharing(path).values())
+        ghost.advance(ghost.t)  # the admission's own advance
+        start = ghost.t
+        if lone and base_s is not None:
+            price = base_s
+        elif nbytes * 8.0 <= 0.0:
+            # completes where it starts: the commit's ``finish - start``
+            price = latency_s + (start - start)
+        else:
+            ghost.caps = {**ghost.caps, **path_caps}
+            ghost.add(self._next, path, nbytes * 8.0)
+            price = latency_s + (ghost.completion(self._next) - start)
+        self._peeked = ((path, path_caps, latency_s, nbytes, now, tenant,
+                         base_s), price)
+        return price
 
     # -- completion queries ------------------------------------------------
     def drain(self) -> None:
         """Run every active flow to completion (no further arrivals)."""
-        while self._active:
-            dt_min = min(f.remaining_bits / f.rate
-                         for f in self._active.values())
-            self._advance(self._t + dt_min)
+        self._run(math.inf)
 
     def finish_time(self, fid: int) -> float:
         """This flow's completion time: actual if already drained,
@@ -468,20 +582,17 @@ class FluidTracker:
         done = self._finish.get(fid)
         if done is not None:
             return done
-        if fid not in self._active:
-            raise KeyError(f"unknown flow id {fid}")
-        c = self._clone()
-        c.drain()
-        return c._finish[fid]
+        return self._wire.copy().completion(fid)
 
     def finish_times(self) -> Dict[int, float]:
         """Completion times for every flow ever admitted (active flows
         contribute their no-further-arrivals prediction)."""
-        if not self._active:
-            return dict(self._finish)
-        c = self._clone()
-        c.drain()
-        return dict(c._finish)
+        times = dict(self._finish)
+        ghost = self._wire.copy()
+        for t, done in ghost.events(math.inf):
+            for i in done:
+                times[ghost.fids[i]] = t
+        return times
 
     def flow_spec(self, fid: int) -> FlowSpec:
         """The admitted spec (edges/start/bytes/tenant) of one flow."""
@@ -490,11 +601,12 @@ class FluidTracker:
     # -- ContentionTracker-parity queries ----------------------------------
     def concurrency(self, edge: Edge, now: float) -> int:
         """Flows in flight on ``edge`` at simulated time ``now``
-        (non-mutating: runs the piecewise advance on a ghost clone)."""
-        c = self._clone()
-        c._advance(float(now))
+        (non-mutating: the completions up to ``now`` run on a copy of
+        the in-flight flows)."""
         e = _edge(*edge)
-        return sum(1 for f in c._active.values() if e in f.edges)
+        ghost = self._wire.copy()
+        ghost.advance(float(now))
+        return ghost.sharing((e,))[e]
 
     def share(self, edge: Edge, now: float) -> int:
         """Fair-share divisor a new flow admitted at ``now`` would see."""
@@ -510,13 +622,13 @@ class FluidTracker:
             "contended": self.contended_total,
             "peak_share": max(self.peak_share.values(), default=1),
             "segments": self.segments_total,
-            "active": len(self._active),
+            "active": len(self._wire.fids),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"FluidTracker({self.flows_total} flows, "
-                f"{len(self._active)} active, "
-                f"{self.segments_total} segments, t={self._t:g})")
+                f"{len(self._wire.fids)} active, "
+                f"{self.segments_total} segments, t={self._wire.t:g})")
 
 
 def solve_fluid(flows: Sequence[FlowSpec], caps: Mapping[Edge, float],

@@ -16,15 +16,15 @@ def bench(pr):
 
 
 def ledger():
-    """A ledger that reproduces BENCH_17.json, as the gate reads one."""
-    frozen = bench(17)
+    """A ledger that reproduces BENCH_18.json, as the gate reads one."""
+    frozen = bench(18)
     return {"provenance": {"seed": frozen["seed"]},
             "runs": [{"workload": name, "trace": 0, "correct": True,
                       "detail": {"sim_digest": row["sim_digest"]}}
                      for name, row in frozen["workloads"].items()]}
 
 
-@pytest.mark.parametrize("pr", [12, 17])
+@pytest.mark.parametrize("pr", [12, 17, 18])
 def test_bench_files_hold_the_contract_metrics_for_every_workload(pr):
     workloads = bench(pr)["workloads"]
     assert list(workloads) == [w["name"] for w in CONTRACT["workloads"]]
@@ -35,20 +35,24 @@ def test_bench_files_hold_the_contract_metrics_for_every_workload(pr):
 
 
 def test_simulated_results_did_not_move_between_the_two_points():
-    """A simulator speed-up leaves every simulated statistic identical."""
-    for name, row in bench(17)["workloads"].items():
-        assert row["sim_digest"] == bench(12)["workloads"][name]["sim_digest"]
+    """A simulator speed-up leaves every simulated statistic identical
+    (by now three points: the baseline, the plan cost model, the fluid
+    ledger)."""
+    for name, row in bench(12)["workloads"].items():
+        for pr in (17, 18):
+            assert bench(pr)["workloads"][name]["sim_digest"] \
+                == row["sim_digest"]
 
 
 def test_gate_passes_a_matching_ledger_and_names_what_differs():
-    assert problems(bench(17), ledger()) == []
+    assert problems(bench(18), ledger()) == []
     moved, failed, reseeded, traced = ledger(), ledger(), ledger(), ledger()
     moved["runs"][1]["detail"]["sim_digest"] = "0" * 64
-    assert "sim_digest" in problems(bench(17), moved)[0]
+    assert "sim_digest" in problems(bench(18), moved)[0]
     failed["runs"][0]["correct"] = False
-    assert "correctness" in problems(bench(17), failed)[0]
+    assert "correctness" in problems(bench(18), failed)[0]
     reseeded["provenance"]["seed"] = 7
-    assert "seed" in problems(bench(17), reseeded)[0]
+    assert "seed" in problems(bench(18), reseeded)[0]
     # a traced run digests one input set, not three: only `correct` counts
     traced["runs"][2].update(trace=1, detail={"sim_digest": "1" * 64})
-    assert problems(bench(17), traced) == []
+    assert problems(bench(18), traced) == []

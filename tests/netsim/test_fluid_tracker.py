@@ -10,6 +10,11 @@ over-charged) disappears under the fluid solver: two overlapping
 equal flows finish *simultaneously*.
 """
 
+import math
+import signal
+import tracemalloc
+from contextlib import contextmanager
+
 import pytest
 
 from repro.devices import desktop_gtx1080, jetson_class, rpi4
@@ -20,6 +25,21 @@ from repro.netsim.fluid import FlowSpec
 from repro.telemetry import Telemetry
 
 CAPS = {(0, 1): 100.0}  # 100 bits/s: 12.5 bytes drain in 1 s alone
+
+
+@contextmanager
+def hard_timeout(seconds=5.0):
+    """Fail instead of hanging: a NaN in the ledger used to spin
+    ``while self._active`` forever."""
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _devices():
@@ -116,13 +136,39 @@ class TestPeekNeverMoves:
         assert tracker.flows_total == 1
         assert tracker.stats()["active"] == 1
 
+    def test_pricing_cost_does_not_grow_with_history(self):
+        # two flows in flight throughout; the clone-and-drain ledger
+        # copied every finish time and spec ever recorded per transfer
+        # (tens of times more transient memory after 20 000 flows than
+        # after 200)
+        edge, caps = ((0, 1),), {(0, 1): 1e9}
+
+        def peak_after(completed):
+            tracker = FluidTracker()
+            tracker.admit(edge, caps, 0.0, 1e12)
+            tracker.admit(edge, caps, 0.0, 1e12)
+            for i in range(completed):
+                tracker.admit(edge, caps, i * 1e-3, 1e3)
+            now = completed * 1e-3
+            assert tracker.stats()["active"] == 3  # the last one lingers
+            tracemalloc.start()
+            try:
+                peek = tracker.peek_transfer(edge, caps, 0.0, 1e3, now)
+                assert tracker.admit_transfer(edge, caps, 0.0, 1e3,
+                                              now) == peek
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_after(20_000) < 2 * peak_after(200)
+
     def test_concurrency_and_share_are_non_mutating(self):
         tracker = FluidTracker()
         tracker.admit(((0, 1),), CAPS, 0.0, 12.5)
         assert tracker.concurrency((0, 1), 0.5) == 1
         assert tracker.share((0, 1), 0.5) == 2
         assert tracker.concurrency((0, 1), 10.0) == 0  # drained by then
-        # the queries advanced a clone, never the ledger
+        # the queries advanced a copy of the flows, never the ledger
         assert tracker.stats()["active"] == 1
 
 
@@ -148,6 +194,58 @@ class TestLedgerMechanics:
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
             FluidTracker().admit(((0, 1),), {(0, 1): 0.0}, 0.0, 1.0)
+
+    def test_caps_accept_either_edge_spelling(self):
+        # update_caps canonicalises its keys; admit used to look the
+        # canonical key up twice and raise KeyError: (0, 1)
+        tracker = FluidTracker()
+        tracker.admit(((1, 0),), {(1, 0): 100.0}, 0.0, 12.5)
+        peek = tracker.peek_transfer(((1, 0),), {(1, 0): 100.0}, 0.0, 12.5,
+                                     0.5)
+        assert tracker.admit_transfer(((0, 1),), {(1, 0): 100.0}, 0.0, 12.5,
+                                      0.5) == peek
+        assert tracker.finish_times() == {0: 1.5, 1: 2.0}
+        with pytest.raises(KeyError):
+            tracker.admit(((0, 1),), {(1, 2): 100.0}, 0.6, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("call", [
+        lambda t, bad: t.update_caps(0.5, {(0, 1): bad}),
+        lambda t, bad: t.admit(((0, 1),), {(0, 1): bad}, 0.5, 1.0),
+        lambda t, bad: t.admit_transfer(((0, 1),), {(0, 1): bad}, 0.0, 1.0,
+                                        0.5),
+        lambda t, bad: t.peek_transfer(((0, 1),), {(0, 1): bad}, 0.0, 1.0,
+                                       0.5),
+        # a payload may be zero: that case stands in for a second NaN
+        lambda t, bad: t.admit_transfer(((0, 1),), CAPS, 0.0,
+                                        bad or math.nan, 0.5),
+        lambda t, bad: t.peek_transfer(((0, 1),), CAPS, 0.0,
+                                       bad or math.nan, 0.5)],
+        ids=["update_caps", "admit-cap", "admit_transfer-cap",
+             "peek_transfer-cap", "admit_transfer-nbytes",
+             "peek_transfer-nbytes"])
+    def test_nan_and_nonpositive_inputs_raise_before_the_ledger_moves(
+            self, call, bad):
+        # with a flow in flight a NaN capacity or payload made every dt
+        # NaN: nothing completed and the call never returned
+        tracker = FluidTracker(record_segments=True)
+        fid = tracker.admit(((0, 1),), CAPS, 0.0, 12.5)
+        with hard_timeout():
+            with pytest.raises(ValueError, match="capacity|nbytes"):
+                call(tracker, bad)
+            assert tracker.stats() == {"flows": 1, "contended": 0,
+                                       "peak_share": 1, "segments": 0,
+                                       "active": 1}
+            assert tracker._caps == CAPS
+            assert tracker.finish_time(fid) == 1.0
+
+    def test_ingress_rejects_a_nan_payload(self):
+        link = Link(bandwidth_mbps=40.0, delay_ms=5.0)
+        with pytest.raises(ValueError, match="payload_bytes"):
+            SharedIngress(link, FluidTracker(), payload_bytes=math.nan)
+        with pytest.raises(ValueError, match="payload_bytes"):
+            SharedIngress(link, FluidTracker(), payload_bytes=1.0,
+                          per_tenant_bytes={"a": math.nan})
 
     def test_unknown_flow_id_raises(self):
         with pytest.raises(KeyError):
