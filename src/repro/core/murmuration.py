@@ -25,12 +25,15 @@ outcomes feed a :class:`~repro.faults.health.DeviceHealth` circuit
 breaker; the *decision layer* consults only that breaker — cached
 strategies through open circuits are invalidated, fresh decisions are
 rerouted proactively, and a half-open probe re-admits recovered
-devices.  ``faults=None`` (the default) leaves every code path and
-every latency bit-identical to a fault-free build.
+devices.  ``faults=`` is the one optional part that stays a real
+``None``: it alone selects per-item pricing with reachability checks
+and RNG loss draws.
 
-``telemetry=``, ``recorder=`` and ``control=`` are different: the
-constructor normalises ``None`` to the subsystem's null form, so the
-request path calls all three unconditionally (DESIGN.md, "Optional
+Everything else optional is always present: the constructor normalises
+``telemetry=``, ``recorder=`` and ``control=`` to their null forms,
+``resilience`` to ``ResilienceConfig()`` and — without an injector —
+the breakers to :data:`~repro.faults.health.NULL_HEALTH`, so the
+request path calls them unconditionally (DESIGN.md, "Optional
 subsystems").
 """
 
@@ -42,7 +45,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..devices.profiles import DeviceProfile
-from ..faults.health import DeviceHealth
+from ..faults.health import NULL_HEALTH, DeviceHealth
 from ..faults.injector import FaultInjector
 from ..faults.resilience import (ExecutionFailedError, NoRouteError,
                                  ResilienceConfig)
@@ -178,13 +181,14 @@ class Murmuration:
         self.supernet = supernet
         self.faults = faults
         self.resilience = (resilience if resilience is not None
-                           else (ResilienceConfig() if faults is not None
-                                 else None))
+                           else ResilienceConfig())
+        # only an injector makes a delivery fail, so without one every
+        # circuit stays closed: the null form says so and records nothing
         self.health = (DeviceHealth(
             self.cluster.num_devices,
             failure_threshold=self.resilience.failure_threshold,
             cooldown_s=self.resilience.cooldown_s,
-            telemetry=telemetry) if faults is not None else None)
+            telemetry=telemetry) if faults is not None else NULL_HEALTH)
         self._base_condition = condition
         self.reconfig = (ModelReconfig(supernet, self.cluster.local)
                          if supernet is not None else None)
@@ -297,20 +301,6 @@ class Murmuration:
         """Modelled accuracy of running ``arch`` under ``plan``."""
         return arch_accuracy(arch, self.space) - plan_accuracy_penalty(plan)
 
-    def _blocked_devices(self, plan) -> List[int]:
-        """Plan devices the circuit breakers currently reject.
-
-        A device is blocked when its own circuit is open *or* the
-        gateway-pair link circuit is open — a healthy device behind a
-        dead path is just as unusable for placement.
-        """
-        if self.health is None:
-            return []
-        return [d for d in plan.devices_used()
-                if d != 0 and not (self.health.allow(d, self._now)
-                                   and self.health.allow_link(
-                                       0, d, self._now))]
-
     def _reroute(self, strategy: Strategy,
                  condition: NetworkCondition) -> Strategy:
         """Re-place a strategy on breaker-approved devices only.
@@ -340,22 +330,22 @@ class Murmuration:
         # peek() first: a cached strategy routing through an open circuit
         # must not count as a hit — the request pays a full decision, so
         # the lookup below records an honest miss after the discard.
+        health, now = self.health, self._now
         cached = self.cache.peek(self.slo, condition)
-        if cached is not None and self._blocked_devices(cached.plan):
+        if cached is not None and health.blocked(cached.plan, now):
             # Routes through an open circuit: invalidate, decide afresh.
             self.cache.discard(self.slo, condition)
             self._m_cache_invalidated.inc()
         cached = self.cache.get(self.slo, condition)
         if cached is not None:
-            record = DecisionRecord(cached, 0.0, "cache")
-        else:
-            record = self.engine.decide(self.slo, condition)
-            if record.strategy is not None and not self._blocked_devices(
-                    record.strategy.plan):
-                self.cache.put(self.slo, condition, record.strategy)
-        if (record.strategy is not None and self.health is not None
-                and self.resilience.failover
-                and self._blocked_devices(record.strategy.plan)):
+            # a hit was just checked above: nothing on it is blocked
+            return self._note_decision(DecisionRecord(cached, 0.0, "cache"))
+        record = self.engine.decide(self.slo, condition)
+        if record.strategy is None:
+            return self._note_decision(record)
+        if not health.blocked(record.strategy.plan, now):
+            self.cache.put(self.slo, condition, record.strategy)
+        elif self.resilience.failover:
             # Proactive reroute: avoid re-paying timeouts on devices the
             # breaker already condemned.  Not cached — the original
             # strategy becomes valid again once the circuit closes.
@@ -665,8 +655,6 @@ class Murmuration:
         of the pair — the placement may be fine once the path recovers,
         so the strategy is merely dropped from the cache, not banned.
         """
-        if self.health is None:
-            return
         for dev in self.health.drain_opened():
             n = self.cache.invalidate(
                 lambda s, d=dev: d in s.plan.devices_used())

@@ -38,7 +38,7 @@ from ..netsim.contention import SharedIngress
 from ..netsim.fluid import FluidTracker
 from ..netsim.link import Link
 from ..netsim.topology import NetworkCondition
-from ..netsim.traces import condition_at
+from ..netsim.traces import check_capacity_trace, condition_at
 from ..sim import EventLoop, schedule_ingress_trace
 from .spec import Scenario, World
 
@@ -68,10 +68,7 @@ class EventCoreConfig:
     def __post_init__(self):
         if not self.ingress_trace_mbps:
             raise ValueError("need at least one ingress trace cell")
-        if any(b <= 0 for b in self.ingress_trace_mbps):
-            raise ValueError(
-                f"trace capacities must be positive, "
-                f"got {self.ingress_trace_mbps}")
+        check_capacity_trace(self.ingress_trace_mbps)
 
 
 class SteppedIngress(SharedIngress):
@@ -89,6 +86,7 @@ class SteppedIngress(SharedIngress):
     def __init__(self, link: Link, tracker, trace_mbps, period_s: float,
                  **kwargs):
         super().__init__(link, tracker, **kwargs)
+        check_capacity_trace(trace_mbps)
         self._trace = tuple(float(b) for b in trace_mbps)
         self._period_s = float(period_s)
         self._cell = 0

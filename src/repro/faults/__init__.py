@@ -14,9 +14,8 @@ The robustness layer for the distributed runtime.  Four pieces:
   exponential backoff), :class:`ResilienceConfig` (failover/degradation
   knobs), and the transport/executor error types.
 
-Everything is opt-in: ``faults=None`` (the default everywhere) leaves
-the runtime's behaviour and latency accounting bit-identical to a
-fault-free build, same discipline as ``telemetry=None``::
+Everything is opt-in: ``faults=None`` (the default everywhere) is a
+fault-free build, whose breakers are :data:`NULL_HEALTH`::
 
     from repro.faults import (DeviceCrash, FaultInjector, FaultSchedule,
                               ResilienceConfig)
@@ -26,7 +25,7 @@ fault-free build, same discipline as ``telemetry=None``::
                          resilience=ResilienceConfig())
 """
 
-from .health import CircuitState, DeviceHealth
+from .health import NULL_HEALTH, CircuitState, DeviceHealth
 from .injector import FaultInjector
 from .resilience import (DeviceUnreachableError, ExecutionFailedError,
                          NoRouteError, ResilienceConfig, RetryPolicy,
@@ -51,6 +50,7 @@ __all__ = [
     "chaos_schedule",
     "FaultInjector",
     "DeviceHealth",
+    "NULL_HEALTH",
     "CircuitState",
     "RetryPolicy",
     "ResilienceConfig",

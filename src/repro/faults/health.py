@@ -30,9 +30,10 @@ from __future__ import annotations
 import enum
 from typing import Dict, List, Optional, Tuple
 
+from ..netsim.link import canonical_edge
 from ..telemetry import Telemetry
 
-__all__ = ["CircuitState", "DeviceHealth"]
+__all__ = ["CircuitState", "DeviceHealth", "NULL_HEALTH"]
 
 
 class CircuitState(enum.Enum):
@@ -92,6 +93,11 @@ class DeviceHealth:
                          device=str(d))
             for d in range(num_devices)}
 
+    @staticmethod
+    def of(health: Optional["DeviceHealth"]):
+        """``health`` itself, or :data:`NULL_HEALTH` for ``None``."""
+        return health if health is not None else NULL_HEALTH
+
     # -- telemetry helpers ------------------------------------------------
     def _transition(self, device: int, to: CircuitState) -> None:
         self._count_transition(device, to.value)
@@ -116,6 +122,17 @@ class DeviceHealth:
         if device == 0:
             return True
         return self.state(device, now) is not CircuitState.OPEN
+
+    def blocked(self, plan, now: float) -> List[int]:
+        """Devices of ``plan`` the breakers currently reject.
+
+        A device is blocked when its own circuit is open *or* the
+        gateway-pair link circuit is open — a healthy device behind a
+        dead path is just as unusable for placement.
+        """
+        return [d for d in plan.devices_used()
+                if d != 0 and not (self.allow(d, now)
+                                   and self.allow_link(0, d, now))]
 
     def snapshot(self, now: float) -> Dict[int, str]:
         return {d: self.state(d, now).value for d in range(self.num_devices)}
@@ -162,12 +179,8 @@ class DeviceHealth:
         return out
 
     # -- per-link breakers (mesh) -----------------------------------------
-    @staticmethod
-    def _pair(a: int, b: int) -> Tuple[int, int]:
-        return (a, b) if a <= b else (b, a)
-
     def _link_breaker(self, a: int, b: int) -> _Breaker:
-        return self._link_breakers.setdefault(self._pair(a, b), _Breaker())
+        return self._link_breakers.setdefault(canonical_edge(a, b), _Breaker())
 
     def _link_transition(self, pair: Tuple[int, int],
                          to: CircuitState) -> None:
@@ -176,13 +189,13 @@ class DeviceHealth:
     def link_state(self, a: int, b: int, now: float) -> CircuitState:
         """Current state of the pair's breaker (CLOSED if never observed),
         resolving open -> half-open on cooldown expiry."""
-        br = self._link_breakers.get(self._pair(a, b))
+        br = self._link_breakers.get(canonical_edge(a, b))
         if br is None:
             return CircuitState.CLOSED
         if (br.state is CircuitState.OPEN
                 and now >= br.opened_at + self.cooldown_s):
             br.state = CircuitState.HALF_OPEN
-            self._link_transition(self._pair(a, b), CircuitState.HALF_OPEN)
+            self._link_transition(canonical_edge(a, b), CircuitState.HALF_OPEN)
         return br.state
 
     def allow_link(self, a: int, b: int, now: float) -> bool:
@@ -196,7 +209,7 @@ class DeviceHealth:
         the pair's circuit newly opened."""
         if a == b:
             return False
-        pair = self._pair(a, b)
+        pair = canonical_edge(a, b)
         br = self._link_breaker(a, b)
         state = self.link_state(a, b, now)
         br.consecutive_failures += 1
@@ -214,16 +227,55 @@ class DeviceHealth:
     def record_link_success(self, a: int, b: int, now: float) -> None:
         if a == b:
             return
-        br = self._link_breakers.get(self._pair(a, b))
+        br = self._link_breakers.get(canonical_edge(a, b))
         if br is None:
             return  # nothing to reset; don't allocate on the happy path
         state = self.link_state(a, b, now)
         br.consecutive_failures = 0
         if state is not CircuitState.CLOSED:
             br.state = CircuitState.CLOSED
-            self._link_transition(self._pair(a, b), CircuitState.CLOSED)
+            self._link_transition(canonical_edge(a, b), CircuitState.CLOSED)
 
     def drain_opened_links(self) -> List[Tuple[int, int]]:
         """Device pairs whose link circuit opened since the last drain."""
         out, self._newly_opened_links = self._newly_opened_links, []
         return out
+
+
+class NullHealth:
+    """The breakers of a run without a fault injector, where no
+    delivery can fail: every circuit closed, nothing recorded, nothing
+    newly opened (DESIGN.md, "Optional subsystems").  ``state`` /
+    ``link_state`` / ``snapshot`` are only read from a real
+    :class:`DeviceHealth`; :meth:`blocked` does not even enumerate the
+    plan's devices."""
+
+    def allow(self, device, now) -> bool:
+        return True
+
+    def allow_link(self, a, b, now) -> bool:
+        return True
+
+    def record_failure(self, device, now) -> bool:
+        return False
+
+    def record_link_failure(self, a, b, now) -> bool:
+        return False
+
+    def record_success(self, device, now) -> None:
+        pass
+
+    def record_link_success(self, a, b, now) -> None:
+        pass
+
+    def blocked(self, plan, now) -> tuple:
+        return ()
+
+    def drain_opened(self) -> tuple:
+        return ()
+
+    drain_opened_links = drain_opened
+
+
+#: what a component given no ``health`` holds
+NULL_HEALTH = NullHealth()

@@ -23,19 +23,13 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..netsim.link import Edge, canonical_edge
 from ..netsim.topology import NetworkCondition
 
 __all__ = ["FaultEvent", "DeviceCrash", "Straggler", "LinkDegradation",
            "MessageLoss", "Partition", "LinkFailure", "LinkFlap",
            "CorrelatedFailure", "FaultSchedule",
            "crash_and_recover_schedule", "chaos_schedule"]
-
-Edge = Tuple[int, int]
-
-
-def _norm_edge(a: int, b: int) -> Edge:
-    """Canonical (sorted) form of an undirected link."""
-    return (a, b) if a <= b else (b, a)
 
 
 @dataclass(frozen=True)
@@ -116,7 +110,7 @@ class LinkDegradation(FaultEvent):
             a, b = self.link
             if a == b or a < 0 or b < 0:
                 raise ValueError("link must join two distinct devices")
-            object.__setattr__(self, "link", _norm_edge(int(a), int(b)))
+            object.__setattr__(self, "link", canonical_edge(int(a), int(b)))
         elif self.device < 1:
             raise ValueError("degradation applies to a remote link (id >= 1)")
         if not (0.0 < self.bw_factor <= 1.0):
@@ -186,7 +180,7 @@ class LinkFailure(FaultEvent):
 
     @property
     def edge(self) -> Edge:
-        return _norm_edge(self.a, self.b)
+        return canonical_edge(self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -228,7 +222,7 @@ class LinkFlap(FaultEvent):
 
     @property
     def edge(self) -> Edge:
-        return _norm_edge(self.a, self.b)
+        return canonical_edge(self.a, self.b)
 
     def down_at(self, now: float) -> bool:
         """Is the link down at ``now``?  (False outside the window.)"""
@@ -274,7 +268,7 @@ class CorrelatedFailure(FaultEvent):
         for a, b in self.links:
             if a == b or a < 0 or b < 0:
                 raise ValueError("a link joins two distinct devices")
-            norm.append(_norm_edge(int(a), int(b)))
+            norm.append(canonical_edge(int(a), int(b)))
         object.__setattr__(self, "links", tuple(norm))
 
 
@@ -369,7 +363,7 @@ class FaultSchedule:
         if edges is not None:
             iso = self.unreachable_devices(now)
             if iso:
-                out.update(_norm_edge(a, b) for a, b in edges
+                out.update(canonical_edge(a, b) for a, b in edges
                            if a in iso or b in iso)
         return frozenset(out)
 
@@ -384,7 +378,7 @@ class FaultSchedule:
         pays.  Overlapping events compound (factors multiply, delays
         add), matching the star's :meth:`degrade` semantics.
         """
-        edge_set = {_norm_edge(a, b) for a, b in edges}
+        edge_set = {canonical_edge(a, b) for a, b in edges}
         out: Dict[Edge, Tuple[float, float]] = {}
 
         def _hit(edge: Edge, e: LinkDegradation) -> None:

@@ -2,12 +2,33 @@
 
 The base link model prices every transfer as if it had the wire to
 itself; on a multi-tenant edge cluster many requests cross the *same*
-uplink concurrently and TCP-ish fair sharing splits its bandwidth.  A
-:class:`ContentionTracker` keeps a ledger of in-flight flows per link
+uplink concurrently and TCP-ish fair sharing splits its bandwidth.
+
+The tracker protocol
+--------------------
+Whoever owns a wire — a star or mesh cluster, the :class:`SharedIngress`
+— only *describes* the wire a transfer occupies (its edges, their
+capacities in bit/s, the fixed latency) and hands it to a tracker:
+
+* ``admit_transfer(edges, caps, latency_s, nbytes, now, tenant=,
+  base_s=)`` prices the transfer and puts its flow on the wire;
+* ``peek_transfer(...)`` prices it without committing;
+* ``update_caps(now, caps)`` tells the tracker the capacities moved.
+
+``base_s`` is the caller's contention-free float; every implementation
+returns it verbatim for a flow that shares no edge, so a lone flow is
+priced **bit-identically** to the base link model.  Three
+implementations: :class:`LoneWire` (nobody ever shares; what a
+``tracker=None`` ingress holds), :class:`ContentionTracker` (below) and
+:class:`~repro.netsim.fluid.FluidTracker` (event-driven max-min).
+
+The snapshot model
+------------------
+A :class:`ContentionTracker` keeps a ledger of in-flight flows per link
 (star links and mesh *edges* — two routed paths sharing one bottleneck
-edge contend there, not just identical endpoint pairs), and clusters
-with a tracker attached price a transfer admitted at simulated time
-``t`` against the flows already on the wire at ``t``:
+edge contend there, not just identical endpoint pairs) and prices a
+transfer admitted at simulated time ``t`` against the flows already on
+the wire at ``t``:
 
     effective_bandwidth(edge, t) = base_bandwidth / (1 + in_flight(edge, t))
 
@@ -16,40 +37,23 @@ of two overlapping transfers keeps the full link, the second sees half.
 That under-charges the first and over-charges the second relative to a
 fluid-flow solver, but it is deterministic, order-independent within a
 simulated instant only up to arrival order (which the serving loop
-fixes), and it preserves the two invariants the tests pin:
-
-* a lone flow is priced **bit-identically** to the contention-free
-  model (zero-concurrency calls delegate to the existing
-  ``transfer_time``: no float even changes representation);
-* two simultaneous flows each get at least half the link.
-
-``tracker=None`` (the default everywhere) keeps every serving float
-bit-identical to a contention-free build; like ``faults=`` it selects a
-different pricing path, so it stays a real ``None`` (DESIGN.md,
-"Optional subsystems").
+fixes), and two simultaneous flows each get at least half the link.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..telemetry import Telemetry
-from .link import Link
+from .link import Edge, Link, canonical_edge
 
-__all__ = ["Flow", "ContentionTracker", "SharedIngress", "INGRESS_EDGE"]
-
-
-Edge = Tuple[int, int]
+__all__ = ["Flow", "ContentionTracker", "LoneWire", "SharedIngress",
+           "INGRESS_EDGE", "NULL_INGRESS"]
 
 #: sentinel edge for the client-side ingress uplink (requests enter the
 #: gateway over it; device ids are never negative, so it cannot collide)
 INGRESS_EDGE: Edge = (-1, 0)
-
-
-def _edge(a: int, b: int) -> Edge:
-    """Canonical (sorted) form of an undirected link."""
-    return (a, b) if a <= b else (b, a)
 
 
 @dataclass(frozen=True)
@@ -63,19 +67,29 @@ class Flow:
     tenant: Optional[str] = None
 
 
+class LoneWire:
+    """The tracker of a wire nobody shares: every transfer costs the
+    contention-free ``base_s`` (priced here only when the caller left
+    it out) and nothing is remembered."""
+
+    def admit_transfer(self, edges, caps, latency_s, nbytes, now,
+                       tenant=None, base_s=None) -> float:
+        if base_s is None:
+            base_s = latency_s + nbytes * 8.0 / min(caps[e] for e in edges)
+        return base_s
+
+    peek_transfer = admit_transfer
+
+    def update_caps(self, now, caps) -> None:
+        pass
+
+
 class ContentionTracker:
-    """Ledger of in-flight flows per link edge.
+    """Ledger of in-flight flows per link edge, priced at admission.
 
-    The tracker is *passive*: clusters ask :meth:`share` while pricing
-    a transfer and :meth:`register` the resulting flow.  Completed
-    flows are pruned lazily on registration, so memory stays bounded
-    by the number of genuinely concurrent flows.
+    Completed flows are pruned lazily on registration, so memory stays
+    bounded by the number of genuinely concurrent flows.
     """
-
-    #: passive trackers leave pricing to the cluster's inline snapshot
-    #: math; :class:`~repro.netsim.fluid.FluidTracker` flips this and
-    #: clusters delegate the whole computation to ``admit_transfer``.
-    prices_transfers = False
 
     def __init__(self, telemetry: Optional[Telemetry] = None):
         self._flows: Dict[Edge, List[Flow]] = {}
@@ -105,7 +119,7 @@ class ContentionTracker:
     # -- queries -----------------------------------------------------------
     def concurrency(self, edge: Edge, now: float) -> int:
         """Flows in flight on ``edge`` at simulated time ``now``."""
-        flows = self._flows.get(_edge(*edge))
+        flows = self._flows.get(canonical_edge(*edge))
         if not flows:
             return 0
         return sum(1 for f in flows if f.start <= now < f.end)
@@ -125,6 +139,52 @@ class ContentionTracker:
             "peak_share": max(self.peak_share.values(), default=1),
         }
 
+    # -- the tracker protocol ----------------------------------------------
+    def _snapshot(self, edges, caps, latency_s, nbytes, now,
+                  base_s) -> Tuple[float, int]:
+        """The snapshot rule, written once: ``(seconds, worst share)``.
+
+        Each edge's capacity is divided by its share at ``now`` and the
+        transfer runs at the slowest effective edge — an edge carrying
+        more flows may beat the raw bottleneck to it.  A flow sharing
+        nothing returns ``base_s`` itself, not an equal-valued float.
+        """
+        shares = [self.share(e, now) for e in edges]
+        worst = max(shares)
+        if worst == 1 and base_s is not None:
+            return base_s, worst
+        rate = min(caps[e] / share for e, share in zip(edges, shares))
+        return latency_s + nbytes * 8.0 / rate, worst
+
+    def peek_transfer(self, edges: Sequence[Edge],
+                      caps: Mapping[Edge, float], latency_s: float,
+                      nbytes: float, now: float,
+                      tenant: Optional[str] = None,
+                      base_s: Optional[float] = None) -> float:
+        """Price a transfer at ``now`` without putting it on the wire.
+
+        ``caps`` maps each of ``edges``, as spelled there, to bit/s.
+        """
+        return self._snapshot(edges, caps, latency_s, nbytes, now,
+                              base_s)[0]
+
+    def admit_transfer(self, edges: Sequence[Edge],
+                       caps: Mapping[Edge, float], latency_s: float,
+                       nbytes: float, now: float,
+                       tenant: Optional[str] = None,
+                       base_s: Optional[float] = None) -> float:
+        """Price a transfer at ``now`` and :meth:`register` its flow."""
+        seconds, worst = self._snapshot(edges, caps, latency_s, nbytes,
+                                        now, base_s)
+        self.register(edges, now, now + seconds, nbytes=nbytes,
+                      tenant=tenant, share=worst)
+        return seconds
+
+    def update_caps(self, now: float, caps: Mapping[Edge, float]) -> None:
+        """A no-op: a snapshot flow in flight keeps its admitted rate
+        (the boundary-only model); later admissions carry their own
+        capacities."""
+
     # -- mutation ----------------------------------------------------------
     def register(self, edges, start: float, end: float,
                  nbytes: float = 0.0, tenant: Optional[str] = None,
@@ -134,7 +194,7 @@ class ContentionTracker:
         ``share`` is the fair-share divisor the transfer was priced at
         (from :meth:`share` at admission); it only feeds accounting.
         """
-        flow = Flow(edges=tuple(_edge(*e) for e in edges),
+        flow = Flow(edges=tuple(canonical_edge(*e) for e in edges),
                     start=float(start), end=float(end),
                     nbytes=float(nbytes), tenant=tenant)
         for edge in flow.edges:
@@ -170,82 +230,69 @@ class SharedIngress:
     Models the one wire the paper's star abstracts away: requests from
     *all* tenants upload their input over the same client-side link
     before the gateway can start serving them.  Concurrent uploads
-    fair-share it through a :class:`ContentionTracker`, which is where
-    an asymmetric tenant burst physically slows the other tenants down.
+    fair-share it through ``tracker`` (any implementation of the
+    tracker protocol; None = :class:`LoneWire`), which is where an
+    asymmetric tenant burst physically slows the other tenants down.
 
     :meth:`upload_time` prices an upload without committing it (the
     admission controller peeks at it); :meth:`admit` prices *and*
     registers the flow — only admitted requests occupy the wire.
     """
 
-    def __init__(self, link: Link, tracker: Optional[ContentionTracker],
-                 payload_bytes: float = 0.0,
+    def __init__(self, link: Link, tracker, payload_bytes: float = 0.0,
                  per_tenant_bytes: Optional[Dict[str, float]] = None):
         self.link = link
-        self.tracker = tracker
+        self.tracker = tracker if tracker is not None else LoneWire()
         self.payload_bytes = float(payload_bytes)
-        self.per_tenant_bytes = dict(per_tenant_bytes or {})
+        self.per_tenant_bytes = {tenant: float(nbytes) for tenant, nbytes
+                                 in (per_tenant_bytes or {}).items()}
         for nbytes in (self.payload_bytes, *self.per_tenant_bytes.values()):
             if not nbytes >= 0:  # NaN fails this too
                 raise ValueError(
                     f"payload_bytes must be non-negative, got {nbytes}")
 
-    def _nbytes(self, tenant: Optional[str]) -> float:
-        if tenant is not None and tenant in self.per_tenant_bytes:
-            return float(self.per_tenant_bytes[tenant])
-        return self.payload_bytes
-
-    def _fluid_args(self, tenant: Optional[str]):
-        nbytes = self._nbytes(tenant)
-        caps = {INGRESS_EDGE: self.link.bandwidth_bps}
-        latency_s = (self.link.delay_ms + self.link.rpc_overhead_ms) / 1e3
-        return nbytes, caps, latency_s, self.link.transfer_time(nbytes)
+    def _price(self, transfer, arrival: float,
+               tenant: Optional[str]) -> float:
+        """Describe one tenant's upload to the tracker's ``transfer``
+        (its peek or its admit)."""
+        link = self.link
+        nbytes = self.per_tenant_bytes.get(tenant, self.payload_bytes)
+        return transfer(
+            (INGRESS_EDGE,), {INGRESS_EDGE: link.bandwidth_bps},
+            (link.delay_ms + link.rpc_overhead_ms) / 1e3, nbytes, arrival,
+            tenant=tenant, base_s=link.transfer_time(nbytes))
 
     def set_capacity(self, now: float, bandwidth_mbps: float) -> None:
         """Step the uplink's true bandwidth at simulated time ``now``.
 
         Replaces the link (delay and RPC overhead preserved) so every
-        later admission prices against the new capacity; with a fluid
-        tracker attached, every *in-flight* upload re-converges at
-        ``now`` too (:meth:`FluidTracker.update_caps`) — the mid-flight
-        semantics the event core schedules.  A snapshot tracker has no
-        re-convergence surface: its in-flight flows keep their admitted
-        rates, exactly like the boundary-only model.
+        later admission prices against the new capacity, and tells the
+        tracker: a fluid ledger re-converges every *in-flight* upload
+        at ``now`` (:meth:`FluidTracker.update_caps`) — the mid-flight
+        semantics the event core schedules — while a snapshot tracker's
+        in-flight flows keep their admitted rates.
         """
         self.link = self.link.with_conditions(bandwidth_mbps=bandwidth_mbps)
-        if getattr(self.tracker, "prices_transfers", False):
-            self.tracker.update_caps(
-                now, {INGRESS_EDGE: self.link.bandwidth_bps})
+        self.tracker.update_caps(now, {INGRESS_EDGE: self.link.bandwidth_bps})
 
     def upload_time(self, arrival: float,
                     tenant: Optional[str] = None) -> float:
         """Seconds to upload one request payload arriving at ``arrival``."""
-        if getattr(self.tracker, "prices_transfers", False):
-            nbytes, caps, latency_s, base_s = self._fluid_args(tenant)
-            return self.tracker.peek_transfer(
-                (INGRESS_EDGE,), caps, latency_s, nbytes, arrival,
-                tenant=tenant, base_s=base_s)
-        nbytes = self._nbytes(tenant)
-        share = (self.tracker.share(INGRESS_EDGE, arrival)
-                 if self.tracker is not None else 1)
-        if share == 1:
-            # zero-concurrency fast path: bit-identical to the base link
-            return self.link.transfer_time(nbytes)
-        return ((self.link.delay_ms + self.link.rpc_overhead_ms) / 1e3
-                + nbytes * 8.0 / (self.link.bandwidth_bps / share))
+        return self._price(self.tracker.peek_transfer, arrival, tenant)
 
     def admit(self, arrival: float, tenant: Optional[str] = None) -> float:
         """Price the upload and put the flow on the wire."""
-        if getattr(self.tracker, "prices_transfers", False):
-            nbytes, caps, latency_s, base_s = self._fluid_args(tenant)
-            return self.tracker.admit_transfer(
-                (INGRESS_EDGE,), caps, latency_s, nbytes, arrival,
-                tenant=tenant, base_s=base_s)
-        upload_s = self.upload_time(arrival, tenant)
-        if self.tracker is not None:
-            share = self.tracker.share(INGRESS_EDGE, arrival)
-            self.tracker.register((INGRESS_EDGE,), arrival,
-                                  arrival + upload_s,
-                                  nbytes=self._nbytes(tenant),
-                                  tenant=tenant, share=share)
-        return upload_s
+        return self._price(self.tracker.admit_transfer, arrival, tenant)
+
+
+class NullIngress:
+    """The ingress of a server with no uplink model: requests are at
+    the gateway the instant they arrive."""
+
+    def upload_time(self, arrival, tenant=None) -> float:
+        return 0.0
+
+    admit = upload_time
+
+
+NULL_INGRESS = NullIngress()

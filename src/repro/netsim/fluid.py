@@ -32,15 +32,12 @@ The resulting allocation is the max-min fair one at every instant:
   ``transfer_time`` float verbatim, exactly like the snapshot tracker's
   zero-concurrency fast path.
 
-:class:`FluidTracker` is a drop-in replacement for
-:class:`~repro.netsim.contention.ContentionTracker` wherever a
-``contention=`` / ``tracker=`` parameter is accepted
-(:meth:`Cluster.timed_transfer`, :meth:`MeshCluster.timed_transfer`,
-:class:`~repro.netsim.contention.SharedIngress`): it sets
-``prices_transfers = True``, so clusters delegate the whole pricing
-computation to :meth:`FluidTracker.admit_transfer` instead of running
-the inline snapshot math.  ``tracker=None`` builds stay bit-identical
-to the contention-free model, exactly as before.
+:class:`FluidTracker` implements the tracker protocol of
+:mod:`repro.netsim.contention` (``admit_transfer`` / ``peek_transfer``
+/ ``update_caps``), so it goes wherever a ``contention=`` / ``tracker=``
+parameter is accepted (:class:`Cluster`, :class:`MeshCluster`,
+:class:`~repro.netsim.contention.SharedIngress`): the owner of a wire
+describes it and the ledger prices it.
 
 On-line semantics
 -----------------
@@ -81,17 +78,11 @@ from typing import (Dict, Iterator, List, Mapping, Optional, Sequence,
                     Tuple)
 
 from ..telemetry import Telemetry
+from .link import Edge, canonical_edge
 
 __all__ = ["FlowSpec", "FluidSegment", "FluidTracker", "solve_fluid"]
 
-
-Edge = Tuple[int, int]
 Path = Tuple[Edge, ...]
-
-
-def _edge(a: int, b: int) -> Edge:
-    """Canonical (sorted) form of an undirected link."""
-    return (a, b) if a <= b else (b, a)
 
 
 @dataclass(frozen=True)
@@ -304,11 +295,10 @@ class _Wire:
 class FluidTracker:
     """Max-min fair bandwidth ledger with event-driven re-convergence.
 
-    Drop-in behind the :class:`ContentionTracker` interface: exposes the
-    same accounting surface (``flows_total`` / ``contended_total`` /
-    ``peak_share`` / ``tenant_bytes()`` / ``stats()`` /
-    ``concurrency()`` / ``share()``) plus the fluid-pricing entry
-    points clusters delegate to when ``prices_transfers`` is True:
+    Exposes :class:`ContentionTracker`'s accounting surface
+    (``flows_total`` / ``contended_total`` / ``peak_share`` /
+    ``tenant_bytes()`` / ``stats()`` / ``concurrency()`` / ``share()``)
+    and the pricing half of the tracker protocol:
 
     * :meth:`admit_transfer` — price *and* commit a transfer;
     * :meth:`peek_transfer` — price without committing (admission
@@ -319,10 +309,6 @@ class FluidTracker:
       ``admit_transfer`` then commits the flow and hands the peeked
       float back instead of predicting again.
     """
-
-    #: clusters delegate the whole pricing computation to trackers that
-    #: set this (the snapshot tracker keeps the inline math)
-    prices_transfers = True
 
     def __init__(self, telemetry: Optional[Telemetry] = None,
                  record_segments: bool = False):
@@ -406,13 +392,13 @@ class FluidTracker:
         ``ValueError``, before anything moved.  ``not (x > 0)`` rather
         than ``x <= 0``: a NaN passes the latter and no flow priced
         with it ever completes."""
-        path = tuple(_edge(*e) for e in edges)
+        path = tuple(canonical_edge(*e) for e in edges)
         if not path:
             raise ValueError("a flow must cross at least one edge")
         try:
             path_caps = {e: float(caps[e]) for e in path}
         except KeyError:  # the other spelling, as update_caps accepts
-            caps = {_edge(*e): cap for e, cap in caps.items()}
+            caps = {canonical_edge(*e): cap for e, cap in caps.items()}
             path_caps = {e: float(caps[e]) for e in path}
         for e, cap in path_caps.items():
             if not cap > 0.0:
@@ -498,7 +484,7 @@ class FluidTracker:
             if not cap > 0.0:
                 raise ValueError(
                     f"edge {e} capacity must be positive, got {cap}")
-            updates[_edge(*e)] = cap
+            updates[canonical_edge(*e)] = cap
         self._advance(float(now))
         self._caps.update(updates)
         self._wire.reconverge()
@@ -603,7 +589,7 @@ class FluidTracker:
         """Flows in flight on ``edge`` at simulated time ``now``
         (non-mutating: the completions up to ``now`` run on a copy of
         the in-flight flows)."""
-        e = _edge(*edge)
+        e = canonical_edge(*edge)
         ghost = self._wire.copy()
         ghost.advance(float(now))
         return ghost.sharing((e,))[e]
@@ -646,7 +632,7 @@ def solve_fluid(flows: Sequence[FlowSpec], caps: Mapping[Edge, float],
     order = sorted(
         range(len(specs)),
         key=lambda i: (specs[i].start,
-                       tuple(_edge(*e) for e in specs[i].edges),
+                       tuple(canonical_edge(*e) for e in specs[i].edges),
                        specs[i].nbytes,
                        specs[i].tenant is not None,
                        specs[i].tenant or ""))

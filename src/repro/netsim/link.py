@@ -8,8 +8,16 @@ fixed per-message RPC overhead (serialization + gRPC framing).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Tuple
 
-__all__ = ["Link", "LOOPBACK"]
+__all__ = ["Edge", "Link", "LOOPBACK", "canonical_edge"]
+
+Edge = Tuple[int, int]
+
+
+def canonical_edge(a: int, b: int) -> Edge:
+    """Canonical (sorted) form of an undirected link or device pair."""
+    return (a, b) if a <= b else (b, a)
 
 
 @dataclass(frozen=True)

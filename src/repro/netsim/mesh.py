@@ -51,19 +51,11 @@ import networkx as nx
 
 from ..devices.profiles import DeviceProfile
 from ..faults.resilience import NoRouteError
-from .link import Link
+from .link import Edge, Link, canonical_edge
 from .topology import NetworkCondition
 
 __all__ = ["MeshLink", "RouteInfo", "MeshCluster", "line_topology",
            "ring_topology", "partial_mesh_topology"]
-
-
-Edge = Tuple[int, int]
-
-
-def _edge(a: int, b: int) -> Edge:
-    """Canonical (sorted) form of an undirected link."""
-    return (a, b) if a <= b else (b, a)
 
 
 @dataclass(frozen=True)
@@ -84,7 +76,7 @@ class MeshLink:
 
     @property
     def edge(self) -> Edge:
-        return _edge(self.a, self.b)
+        return canonical_edge(self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -122,8 +114,8 @@ class MeshCluster:
             raise ValueError("need at least one device")
         self.devices: List[DeviceProfile] = list(devices)
         self.rpc_overhead_ms = rpc_overhead_ms
-        #: optional ContentionTracker; None keeps pricing bit-identical
-        #: to the contention-free model
+        #: the tracker pricing shared edges; same contract as
+        #: Cluster.contention
         self.contention = contention
         #: False pins routing to the fault-free base paths (ablation)
         self.reroute = reroute
@@ -181,7 +173,7 @@ class MeshCluster:
         Routes are invalidated: a cached path picked under the old
         parameters may no longer be the minimum-delay one.
         """
-        edge = _edge(a, b)
+        edge = canonical_edge(a, b)
         link = self._base.get(edge)
         if link is None:
             raise ValueError(f"no link between {a} and {b}")
@@ -200,15 +192,23 @@ class MeshCluster:
         """Install the fault overlay: ``down`` links leave the routing
         graph, ``degraded`` maps edges to ``(bw_factor, extra_delay_ms)``.
 
-        Edges the mesh does not have are ignored (a schedule written for
-        a larger topology, mirroring the star's out-of-range tolerance).
-        Returns True when the overlay actually changed (and therefore
-        the path cache was invalidated).
+        A link degraded to no bandwidth at all (a factor that is not
+        ``> 0``, NaN included) carries nothing, so it is down: transfers
+        reroute around it or raise :class:`NoRouteError`, and nothing
+        downstream ever divides by its bandwidth.  Edges the mesh does
+        not have are ignored (a schedule written for a larger topology,
+        mirroring the star's out-of-range tolerance).  Returns True when
+        the overlay actually changed (and therefore the path cache was
+        invalidated).
         """
-        down_set = frozenset(_edge(*e) for e in down) & set(self._base)
-        deg = {_edge(*e): (float(f), float(x))
+        deg = {canonical_edge(*e): (float(f), float(x))
                for e, (f, x) in (degraded or {}).items()
-               if _edge(*e) in self._base}
+               if canonical_edge(*e) in self._base}
+        dead = {e for e, (f, _) in deg.items()
+                if not self._base[e].bandwidth_mbps * f > 0}
+        deg = {e: fx for e, fx in deg.items() if e not in dead}
+        down_set = (frozenset(canonical_edge(*e) for e in down)
+                    & set(self._base)) | dead
         if down_set == self._down and deg == self._degraded:
             return False
         self._down = down_set
@@ -284,33 +284,25 @@ class MeshCluster:
             "a mesh has per-link state, not a per-remote condition vector; "
             "use set_link_quality() / apply_link_faults() instead")
 
-    def update_fluid_caps(self, now: float, tracker=None) -> bool:
-        """Push the *surviving* edges' current (fault-overlaid)
-        capacities into a fluid tracker so in-flight transfers
-        re-converge at ``now``.
+    def update_fluid_caps(self, now: float) -> bool:
+        """Hand the *surviving* edges' current (fault-overlaid)
+        capacities to the tracker.
 
         Same contract as :meth:`Cluster.update_fluid_caps`: call after
         a link mutation (degradation event, flap transition) changed
-        the overlay; snapshot trackers and ``None`` are a no-op.  Down
-        edges are simply absent — their capacities stay whatever the
-        ledger last saw, which only matters if a flow is still riding
-        a severed edge (the transport layer, not the fluid ledger,
-        decides that flow's fate).
+        the overlay.  Down edges are simply absent — their capacities
+        stay whatever a ledger last saw, which only matters if a flow
+        is still riding a severed edge (the transport layer, not the
+        ledger, decides that flow's fate); with every edge down there
+        is nothing to tell.
         """
-        tracker = tracker if tracker is not None else self.contention
-        if not getattr(tracker, "prices_transfers", False):
+        if self.contention is None:
             return False
-        # A fault overlay may degrade a surviving edge's bandwidth all
-        # the way to 0 without severing it; the fluid ledger rejects
-        # non-positive caps, so such edges keep their last-seen
-        # capacity (same rule as fully severed edges).
-        caps = {_edge(a, b): data["bandwidth"] * 1e6
-                for a, b, data in self._graph.edges(data=True)
-                if data["bandwidth"] > 0.0}
-        if not caps:
-            return False
-        tracker.update_caps(float(now), caps)
-        return True
+        caps = {canonical_edge(a, b): data["bandwidth"] * 1e6
+                for a, b, data in self._graph.edges(data=True)}
+        if caps:
+            self.contention.update_caps(float(now), caps)
+        return bool(caps)
 
     # -- routing -----------------------------------------------------------
     def _base_path(self, src: int, dst: int) -> Tuple[int, ...]:
@@ -354,7 +346,7 @@ class MeshCluster:
             return cached
         if not self.reroute:
             path = self._base_path(src, dst)
-            if any(_edge(a, b) in self._down
+            if any(canonical_edge(a, b) in self._down
                    for a, b in zip(path, path[1:])):
                 raise NoRouteError(src, dst)
             info = self._price_path(path, False)
@@ -414,45 +406,23 @@ class MeshCluster:
 
     def timed_transfer(self, src: int, dst: int, nbytes: float,
                        now: float, tenant: Optional[str] = None) -> float:
-        """Contention-aware routed transfer at simulated time ``now``.
+        """Routed transfer pricing at simulated time ``now``.
 
-        Each edge of the current route is fair-shared with the flows in
-        flight on it — two routed paths that only overlap on one
-        bottleneck edge contend exactly there.  With no tracker or no
-        concurrent flow this delegates to :meth:`transfer_time`
-        (bit-identical pricing).
+        The mesh describes the wire — every edge of the current route
+        with its overlaid capacity — and its tracker prices it: two
+        routed paths that only overlap on one bottleneck edge contend
+        exactly there.  Without a tracker this is :meth:`transfer_time`.
         """
-        if src == dst:
-            return 0.0
-        tracker = self.contention
-        if tracker is None:
-            return self.transfer_time(src, dst, nbytes)
+        base_s = self.transfer_time(src, dst, nbytes)
+        if self.contention is None or src == dst:
+            return base_s
         info = self.route_info(src, dst)
-        edges = tuple(_edge(a, b) for a, b in zip(info.path, info.path[1:]))
-        if getattr(tracker, "prices_transfers", False):
-            # fluid solver: delegate the whole pricing computation;
-            # lone flows return base_s verbatim (bit-identity)
-            caps = {_edge(a, b): self._graph.edges[a, b]["bandwidth"] * 1e6
-                    for a, b in zip(info.path, info.path[1:])}
-            latency_s = (info.delay_ms + self.rpc_overhead_ms) / 1e3
-            return tracker.admit_transfer(
-                edges, caps, latency_s, nbytes, now, tenant=tenant,
-                base_s=self.transfer_time(src, dst, nbytes))
-        shares = {e: tracker.share(e, now) for e in edges}
-        worst = max(shares.values())
-        if worst == 1:
-            t = self.transfer_time(src, dst, nbytes)
-        else:
-            # bottleneck over *effective* per-edge bandwidth: an edge
-            # carrying more flows may beat the raw bottleneck to it
-            eff = min(self._graph.edges[a, b]["bandwidth"] * 1e6
-                      / shares[_edge(a, b)]
+        edges = tuple(canonical_edge(a, b)
                       for a, b in zip(info.path, info.path[1:]))
-            t = ((info.delay_ms + self.rpc_overhead_ms) / 1e3
-                 + nbytes * 8.0 / eff)
-        tracker.register(edges, now, now + t, nbytes=nbytes,
-                         tenant=tenant, share=worst)
-        return t
+        caps = {e: self._graph.edges[e]["bandwidth"] * 1e6 for e in edges}
+        return self.contention.admit_transfer(
+            edges, caps, (info.delay_ms + self.rpc_overhead_ms) / 1e3,
+            nbytes, now, tenant=tenant, base_s=base_s)
 
     def hop_count(self, src: int, dst: int) -> int:
         """Hops on the *current* route (a reroute may lengthen it)."""

@@ -64,8 +64,9 @@ class Cluster:
         self.devices: List[DeviceProfile] = list(devices)
         self.condition = condition
         self.rpc_overhead_ms = rpc_overhead_ms
-        #: optional ContentionTracker; None keeps pricing bit-identical
-        #: to the contention-free model
+        #: the tracker pricing shared wires (netsim.contention, "The
+        #: tracker protocol"); None = nobody shares.  Plain attribute:
+        #: callers attach one after construction too.
         self.contention = contention
         # Per-device compute-time multipliers (straggler injection).
         # Empty = nominal; only the fault injector ever populates this,
@@ -116,63 +117,32 @@ class Cluster:
         latency = (a.delay_ms + b.delay_ms + a.rpc_overhead_ms) / 1e3
         return wire + latency
 
-    def _star_edges(self, src: int, dst: int) -> tuple:
-        """Edges a star transfer occupies: one spoke, or both on a relay."""
+    def _wire(self, src: int, dst: int) -> tuple:
+        """The wire a transfer occupies — one spoke, or both on a relay
+        — as ``(edges, capacities in bit/s, fixed latency in s)``."""
         if src == 0 or dst == 0:
             other = dst if src == 0 else src
-            return ((0, other),)
-        return ((0, src), (0, dst))
+            link = self._links[other]
+            return (((0, other),), {(0, other): link.bandwidth_bps},
+                    (link.delay_ms + link.rpc_overhead_ms) / 1e3)
+        a, b = self._links[src], self._links[dst]
+        return (((0, src), (0, dst)),
+                {(0, src): a.bandwidth_bps, (0, dst): b.bandwidth_bps},
+                (a.delay_ms + b.delay_ms + a.rpc_overhead_ms) / 1e3)
 
     def timed_transfer(self, src: int, dst: int, nbytes: float,
                        now: float, tenant: Optional[str] = None) -> float:
-        """Contention-aware transfer pricing at simulated time ``now``.
-
-        With no tracker attached, or no concurrent flow on the wire,
-        this delegates to :meth:`transfer_time` — bit-identical pricing.
-        Otherwise each occupied spoke's bandwidth is divided by its
-        fair-share count and the flow is registered so later transfers
-        see it.
-        """
-        if src == dst:
-            return 0.0
-        tracker = self.contention
-        if tracker is None:
-            return self.transfer_time(src, dst, nbytes)
-        edges = self._star_edges(src, dst)
-        if getattr(tracker, "prices_transfers", False):
-            # fluid solver: delegate the whole pricing computation;
-            # lone flows return base_s verbatim (bit-identity)
-            if src == 0 or dst == 0:
-                link = self._links[dst if src == 0 else src]
-                caps = {edges[0]: link.bandwidth_bps}
-                latency_s = (link.delay_ms + link.rpc_overhead_ms) / 1e3
-            else:
-                a, b = self._links[src], self._links[dst]
-                caps = {edges[0]: a.bandwidth_bps,
-                        edges[1]: b.bandwidth_bps}
-                latency_s = (a.delay_ms + b.delay_ms
-                             + a.rpc_overhead_ms) / 1e3
-            return tracker.admit_transfer(
-                edges, caps, latency_s, nbytes, now, tenant=tenant,
-                base_s=self.transfer_time(src, dst, nbytes))
-        shares = {e: tracker.share(e, now) for e in edges}
-        worst = max(shares.values())
-        if worst == 1:
-            t = self.transfer_time(src, dst, nbytes)
-        elif src == 0 or dst == 0:
-            other = dst if src == 0 else src
-            link = self._links[other]
-            t = ((link.delay_ms + link.rpc_overhead_ms) / 1e3
-                 + nbytes * 8.0 / (link.bandwidth_bps / shares[edges[0]]))
-        else:
-            a, b = self._links[src], self._links[dst]
-            eff = min(a.bandwidth_bps / shares[(0, src)],
-                      b.bandwidth_bps / shares[(0, dst)])
-            t = (nbytes * 8.0 / eff
-                 + (a.delay_ms + b.delay_ms + a.rpc_overhead_ms) / 1e3)
-        tracker.register(edges, now, now + t, nbytes=nbytes,
-                         tenant=tenant, share=worst)
-        return t
+        """Transfer pricing at simulated time ``now``: the cluster
+        describes the wire, its tracker (:attr:`contention`) prices it
+        against the flows in flight and remembers the new one.  Without
+        a tracker this is :meth:`transfer_time`."""
+        base_s = self.transfer_time(src, dst, nbytes)
+        if self.contention is None or src == dst:
+            return base_s
+        edges, caps, latency_s = self._wire(src, dst)
+        return self.contention.admit_transfer(
+            edges, caps, latency_s, nbytes, now, tenant=tenant,
+            base_s=base_s)
 
     # -- dynamics ----------------------------------------------------------
     def set_condition(self, condition: NetworkCondition) -> None:
@@ -182,26 +152,20 @@ class Cluster:
         self.condition = condition
         self._rebuild_links()
 
-    def update_fluid_caps(self, now: float, tracker=None) -> bool:
-        """Push the cluster's *current* per-spoke capacities into a
-        fluid tracker so in-flight transfers re-converge at ``now``.
+    def update_fluid_caps(self, now: float) -> bool:
+        """Hand the cluster's *current* per-spoke capacities to its
+        tracker, so a fluid ledger re-converges the transfers in flight
+        at ``now`` (a snapshot tracker keeps their admitted rates).
 
         Call after :meth:`set_condition` (or a fault overlay) changed
         the links — the event core does this at each condition step.
-        ``tracker`` defaults to the cluster's own; returns True when a
-        re-convergence was issued.  Snapshot trackers and ``None`` are
-        a no-op — their in-flight flows keep admitted rates, which is
-        the boundary-only model, bit-identical to before.
+        Returns True when there was a tracker to tell.
         """
-        tracker = tracker if tracker is not None else self.contention
-        if not getattr(tracker, "prices_transfers", False):
+        if self.contention is None:
             return False
-        caps = {(0, i): self._links[i].bandwidth_bps
-                for i in range(1, self.num_devices)
-                if self._links[i].bandwidth_bps > 0.0}
-        if not caps:
-            return False
-        tracker.update_caps(float(now), caps)
+        self.contention.update_caps(
+            float(now), {(0, i): self._links[i].bandwidth_bps
+                         for i in range(1, self.num_devices)})
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

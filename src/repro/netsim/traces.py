@@ -16,8 +16,9 @@ import numpy as np
 
 from .topology import NetworkCondition
 
-__all__ = ["TraceConfig", "check_period", "condition_at",
-           "random_walk_trace", "step_trace", "mobility_trace"]
+__all__ = ["TraceConfig", "check_capacity_trace", "check_period",
+           "condition_at", "random_walk_trace", "step_trace",
+           "mobility_trace"]
 
 
 def check_period(period_s: float) -> None:
@@ -27,6 +28,18 @@ def check_period(period_s: float) -> None:
     if not 0 < period_s < math.inf:
         raise ValueError(
             f"period_s must be positive and finite, got {period_s}")
+
+
+def check_capacity_trace(trace_mbps) -> None:
+    """Reject a capacity trace with a cell that is not a positive
+    bandwidth (``nan`` passes a bare ``<= 0`` test), naming the cell —
+    before an event is scheduled or a request served, not from inside
+    the step that reaches it."""
+    for idx, mbps in enumerate(trace_mbps):
+        if not mbps > 0:
+            raise ValueError(
+                f"capacity trace cell {idx} must be a positive bandwidth "
+                f"in Mbps, got {mbps}")
 
 
 def condition_at(trace, t: float, period_s: float):

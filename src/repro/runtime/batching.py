@@ -206,10 +206,6 @@ class BatchingInferenceServer(InferenceServer):
         the SLO and the condition cell, which is all batching needs).
         """
         self._check_run_args(num_requests, tenants)
-        if self.ingress is not None:
-            raise ValueError(
-                "the batched pipeline does not model a shared ingress; "
-                "use InferenceServer for ingress-contended serving")
         stats = BatchedServingStats()
         self._last_trace_idx = None
         arrivals = self._arrivals(num_requests)

@@ -40,6 +40,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..faults.health import DeviceHealth
 from ..faults.resilience import (DeviceUnreachableError, ExecutionFailedError,
                                  NoRouteError, ResilienceConfig)
 from ..models.graph import ModelGraph
@@ -111,13 +112,12 @@ class DistributedExecutor:
         self.cluster = cluster
         self.telemetry = Telemetry.of(telemetry)
         self.faults = faults
-        self.health = health
+        self.health = DeviceHealth.of(health)
         self.resilience = (resilience if resilience is not None
-                           else (ResilienceConfig() if faults is not None
-                                 else None))
-        retry = self.resilience.retry if self.resilience is not None else None
+                           else ResilienceConfig())
         self.transport = Transport(cluster, telemetry=telemetry,
-                                   faults=faults, health=health, retry=retry)
+                                   faults=faults, health=self.health,
+                                   retry=self.resilience.retry)
         reg = self.telemetry.registry.child("executor")
         self._m_segments = reg.counter(
             "segments_total", help="plan segments executed")
@@ -178,11 +178,9 @@ class DistributedExecutor:
                     # transport would have reported.
                     penalty += res.retry.give_up_cost()
                     retries += res.retry.max_retries
-                    if self.health is not None:
-                        self.health.record_failure(
-                            e.device, sim_time + penalty)
-                        self.health.record_link_failure(
-                            e.src, e.dst, sim_time + penalty)
+                    self.health.record_failure(e.device, sim_time + penalty)
+                    self.health.record_link_failure(
+                        e.src, e.dst, sim_time + penalty)
                 else:
                     penalty += e.wasted_s
                     retries += self.transport.num_retries
@@ -228,8 +226,7 @@ class DistributedExecutor:
         schedule.  Returns ``None`` when no remote candidate remains.
         """
         candidates = [d for d in range(1, self.cluster.num_devices)
-                      if d not in excluded
-                      and (self.health is None or self.health.allow(d, now))]
+                      if d not in excluded and self.health.allow(d, now)]
         if not candidates:
             return None
         return max(candidates,

@@ -32,6 +32,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..faults.health import DeviceHealth
 from ..faults.resilience import DeviceUnreachableError, RetryPolicy
 from ..netsim.topology import Cluster
 from ..nn.quantize import QuantizedTensor, dequantize, quantize
@@ -78,7 +79,7 @@ class Transport:
         self.log: List[Message] = []
         self.telemetry = Telemetry.of(telemetry)
         self.faults = faults
-        self.health = health
+        self.health = DeviceHealth.of(health)
         self.retry = retry if retry is not None else RetryPolicy()
         #: request id stamped onto every message until changed
         self.request_id: Optional[int] = None
@@ -139,33 +140,18 @@ class Transport:
             delivered = (faults.reachable(src, dst)
                          and not faults.message_lost(src, dst))
             if delivered:
-                if self.health is not None:
-                    for d in (src, dst):
-                        if d != 0:
-                            self.health.record_success(d, now)
-                    self.health.record_link_success(src, dst, now)
+                for d in (src, dst):  # the gateway's is a no-op
+                    self.health.record_success(d, now)
+                self.health.record_link_success(src, dst, now)
                 return wasted, attempt
             wasted += policy.timeout_of(attempt)
         device = dst if dst != 0 else src
         self._num_retries += policy.max_retries
-        if self.health is not None:
-            self.health.record_failure(device, now)
-            self.health.record_link_failure(src, dst, now)
+        self.health.record_failure(device, now)
+        self.health.record_link_failure(src, dst, now)
         self._m_retries.inc(policy.max_retries)
         self._m_unreachable.inc()
         raise DeviceUnreachableError(device, wasted, policy.max_retries)
-
-    def _wire_time(self, src: int, dst: int, nbytes: float,
-                   now: float) -> float:
-        """Transfer time at ``now``: contention-aware when the cluster
-        tracks flows (snapshot :class:`ContentionTracker` or fluid
-        max-min :class:`~repro.netsim.fluid.FluidTracker` — the cluster
-        picks), else the classic un-shared pricing (clusters without
-        ``timed_transfer`` — test doubles — keep working)."""
-        timed = getattr(self.cluster, "timed_transfer", None)
-        if timed is not None:
-            return timed(src, dst, nbytes, now, tenant=self.tenant)
-        return self.cluster.transfer_time(src, dst, nbytes)
 
     def _note_route(self, src: int, dst: int) -> None:
         """Count deliveries riding a backup path (mesh clusters only).
@@ -193,8 +179,10 @@ class Transport:
         if src != dst:
             if self.faults is not None:
                 wasted, retries = self._contend(src, dst, now)
-            delivered = (now + wasted
-                         + self._wire_time(src, dst, nbytes, now + wasted))
+            # the cluster's tracker, if it has one, prices the wire
+            # against the flows in flight when the send goes out
+            delivered = (now + wasted + self.cluster.timed_transfer(
+                src, dst, nbytes, now + wasted, tenant=self.tenant))
         msg = Message(src, dst, payload, nbytes, now, delivered,
                       request_id=self.request_id, retries=retries)
         self.log.append(msg)

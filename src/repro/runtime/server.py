@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 import numpy as np
 
 from ..control.loop import ControlLoop
+from ..netsim.contention import NULL_INGRESS
 from ..netsim.topology import NetworkCondition
 from ..netsim.traces import condition_at
 from ..sim.events import EventLoop
@@ -202,10 +203,10 @@ class InferenceServer:
                  recorder: Optional[RunRecorder] = None,
                  control=None, arrival_process=None, ingress=None,
                  events=None):
-        """``telemetry``, ``recorder`` and ``control`` default to their
-        null forms and ``events`` to an empty loop on the facade's
-        clock, so the serving loop calls all four unconditionally
-        (DESIGN.md, "Optional subsystems").
+        """``telemetry``, ``recorder``, ``control`` and ``ingress``
+        default to their null forms and ``events`` to an empty loop on
+        the facade's clock, so the serving loop calls all five
+        unconditionally (DESIGN.md, "Optional subsystems").
 
         ``control`` (a :class:`~repro.control.ControlLoop`) lets the
         server drive the control cadence with queue context and consult
@@ -223,7 +224,6 @@ class InferenceServer:
         :class:`~repro.netsim.fluid.FluidTracker` (either way the
         fluid/snapshot upload time feeds ``ready`` and therefore the
         queue-wait prediction the admission controller triages on).
-        None serves without an uplink model.
 
         ``events`` (a :class:`~repro.sim.events.EventLoop`, ideally
         sharing the facade's :class:`~repro.runtime.clock
@@ -242,7 +242,7 @@ class InferenceServer:
         self.recorder = RunRecorder.of(recorder)
         self.control = ControlLoop.of(control)
         self.arrival_process = arrival_process
-        self.ingress = ingress
+        self.ingress = ingress if ingress is not None else NULL_INGRESS
         #: the EventLoop the serving loop advances through
         self.events = (events if events is not None
                        else EventLoop(system.clock))
@@ -395,11 +395,9 @@ class InferenceServer:
             # first (at its own scheduled time), so the ingress and
             # the admission peek see the instant's true world
             self.events.advance_to(arrival)
-            ready = arrival
-            if self.ingress is not None:
-                # the payload crosses the shared uplink before service
-                # can start; concurrent tenants fair-share the wire
-                ready = arrival + self.ingress.upload_time(arrival, tenant)
+            # the payload crosses the shared uplink before service
+            # can start; concurrent tenants fair-share the wire
+            ready = arrival + self.ingress.upload_time(arrival, tenant)
             start = max(ready, server_free)
             self.control.server_tick(arrival, stats, arrivals, i,
                                      server_free)
@@ -408,9 +406,8 @@ class InferenceServer:
             if verdict == "shed":
                 self._shed(stats, arrival, tenant=tenant)
                 continue
-            if self.ingress is not None:
-                # only admitted requests occupy the uplink
-                self.ingress.admit(arrival, tenant)
+            # only admitted requests occupy the uplink
+            self.ingress.admit(arrival, tenant)
             self._apply_trace(condition_trace, trace_period_s, start)
             # events between admission and service start (queueing)
             # fire before the decision observes the world

@@ -22,7 +22,8 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from ..control.loop import ControlLoop
-from ..netsim.traces import check_period
+from ..netsim.fluid import FluidTracker
+from ..netsim.traces import check_capacity_trace, check_period
 from ..telemetry.recorder import RunRecorder
 from .events import Event, EventLoop
 
@@ -88,9 +89,7 @@ def schedule_condition_trace(loop: EventLoop, system, trace,
     def fire(t: float, idx: int) -> None:
         condition = trace[idx]
         system.update_condition(condition)
-        cluster = system.cluster
-        if hasattr(cluster, "update_fluid_caps"):
-            cluster.update_fluid_caps(t)
+        system.cluster.update_fluid_caps(t)
         recorder.on_condition(t, idx, condition)
 
     for idx in _step_times(trace, period_s):
@@ -120,9 +119,7 @@ def schedule_fault_transitions(loop: EventLoop, system) -> List[Event]:
     def fire(t: float) -> None:
         injector.advance(t)
         injector.apply_to(system.cluster, system._base_condition)
-        cluster = system.cluster
-        if hasattr(cluster, "update_fluid_caps"):
-            cluster.update_fluid_caps(t)
+        system.cluster.update_fluid_caps(t)
 
     return [loop.schedule(t, fire, kind="fault-transition",
                           priority=PRIORITY_WORLD)
@@ -160,8 +157,11 @@ def schedule_ingress_trace(loop: EventLoop, ingress,
     (:meth:`SharedIngress.set_capacity`); with a fluid tracker attached
     every in-flight upload re-converges at the step instant — the
     mid-flight semantics the boundary-only model can only apply at the
-    next admission.
+    next admission.  A cell that is not a positive bandwidth raises
+    ``ValueError`` here, before anything is scheduled.
     """
+    check_capacity_trace(trace_mbps)
+
     # Same index capture as schedule_condition_trace: recomputing the
     # cell from the fire time loses transitions to float rounding.
     def fire(t: float, idx: int) -> None:
@@ -186,9 +186,10 @@ def schedule_monitor_caps(loop: EventLoop, system, tracker,
     not the injected ground truth.
     """
     check_period(period_s)
-    if not getattr(tracker, "prices_transfers", False):
-        raise ValueError("monitor-fed caps need a fluid tracker "
-                         "(prices_transfers=True)")
+    if not isinstance(tracker, FluidTracker):
+        raise ValueError(
+            f"monitor-fed caps need a fluid tracker (in-flight flows "
+            f"re-converge onto them), got {type(tracker).__name__}")
 
     def fire(t: float) -> None:
         if probe:

@@ -63,6 +63,8 @@ class TestCLI:
          "this scenario has none"),
         (["run", "event_core", "--set", "trace_period_s=nan"],
          "positive and finite"),
+        (["run", "event_core", "--set", "ingress_trace_mbps=40,nan,40"],
+         "cell 1 must be a positive bandwidth"),
     ])
     def test_bad_run_input_is_a_usage_error(self, capsys, argv, listed):
         """Unknown scenario/variant/field or an unparsable value exits

@@ -1,12 +1,13 @@
 """The null forms keep the surface of the subsystems they stand in for.
 
-Components call ``telemetry``, ``recorder`` and ``control`` without
-asking whether they were given one (DESIGN.md, "Optional subsystems"),
-so a method added to the real class and not to its null form would
-raise ``AttributeError`` in the first run that leaves the subsystem
-out.  One reflection test per pair turns that into a tier-1 failure;
-one behavioural test checks what the null forms are for: a run with
-every optional subsystem absent allocates nothing on their behalf.
+Components call ``telemetry``, ``recorder``, ``control``, the ingress,
+the breakers and the contention tracker without asking whether they
+were given one (DESIGN.md, "Optional subsystems"), so a method added to
+the real class and not to its null form would raise ``AttributeError``
+in the first run that leaves the subsystem out.  One reflection test
+per pair turns that into a tier-1 failure; one behavioural test checks
+what the null forms are for: a run with every optional subsystem absent
+allocates nothing on their behalf.
 """
 
 import inspect
@@ -16,11 +17,27 @@ import pytest
 
 from repro.control import NULL_CONTROL, ControlLoop
 from repro.eval import SCENARIOS, run_scenario
+from repro.faults import NULL_HEALTH, DeviceHealth
+from repro.netsim import ContentionTracker, FluidTracker, SharedIngress
+from repro.netsim.contention import NULL_INGRESS, LoneWire
 from repro.sim import EventLoop
 from repro.telemetry import (NULL_RECORDER, NULL_TELEMETRY,
                              Counter, Gauge, Histogram, MetricsRegistry,
                              RunRecorder, Span, Telemetry)
 from repro.telemetry import metrics, recorder
+
+def _methods(cls):
+    return {name: fn for name, fn in inspect.getmembers(cls,
+                                                        inspect.isfunction)
+            if not name.startswith("_") or name == "__len__"}
+
+
+#: the tracker protocol (``repro.netsim.contention``); everything else
+#: on a tracker — accounting, the ledger's queries — is read from the
+#: tracker the caller built, never through a cluster or an ingress
+_PROTOCOL = {"admit_transfer", "peek_transfer", "update_caps"}
+_BEYOND_PROTOCOL = {name for cls in (FluidTracker, ContentionTracker)
+                    for name in _methods(cls)} - _PROTOCOL
 
 #: (real classes, null form, public methods the null form leaves out and
 #: why that is safe)
@@ -38,13 +55,19 @@ PAIRS = {
     # so nothing can read it back
     "metric": ((Counter, Gauge, Histogram), metrics._NULL_METRIC,
                {"quantile", "quantiles"}),
+    # the three implementations of the protocol bind the same calls:
+    # the lone wire against both ledgers, the snapshot against the fluid
+    "tracker": ((FluidTracker, ContentionTracker), LoneWire(),
+                _BEYOND_PROTOCOL),
+    "tracker-snapshot": ((FluidTracker,), ContentionTracker(),
+                         _BEYOND_PROTOCOL),
+    # capacity steps go to the ingress the caller built and scheduled
+    "ingress": ((SharedIngress,), NULL_INGRESS, {"set_capacity"}),
+    # ``state`` / ``snapshot`` / ``link_state`` are read only from a
+    # real ``DeviceHealth`` (tests, dashboards), never from a component
+    "health": ((DeviceHealth,), NULL_HEALTH, {"of", "state", "snapshot",
+                                              "link_state"}),
 }
-
-
-def _methods(cls):
-    return {name: fn for name, fn in inspect.getmembers(cls,
-                                                        inspect.isfunction)
-            if not name.startswith("_") or name == "__len__"}
 
 
 def _calls(fn):
@@ -105,9 +128,10 @@ def test_null_hub_and_null_control_carry_the_attributes_components_read():
 
 def test_a_run_without_optional_subsystems_allocates_nothing_for_them(
         monkeypatch):
-    """``serving_load`` with telemetry, recorder, control and events all
-    ``None``: no span, no metric, no recording — and every server still
-    advanced time through an (empty) event loop of its own."""
+    """``serving_load`` with telemetry, recorder, control, events,
+    ingress and faults all ``None``: no span, no metric, no recording,
+    no breaker, no uplink — and every server still advanced time
+    through an (empty) event loop of its own."""
     made = []
 
     def counting(cls):
@@ -119,7 +143,7 @@ def test_a_run_without_optional_subsystems_allocates_nothing_for_them(
         monkeypatch.setattr(cls, "__init__", wrapped)
 
     for cls in (Span, metrics.Metric, RunRecorder, recorder.Recording,
-                EventLoop):
+                EventLoop, DeviceHealth, SharedIngress):
         counting(cls)
     cfg = replace(SCENARIOS["serving_load"].config(), num_requests=14)
     reports = run_scenario("serving_load", cfg)
@@ -131,3 +155,4 @@ def test_a_run_without_optional_subsystems_allocates_nothing_for_them(
         assert rep.system.telemetry is NULL_TELEMETRY
         assert rep.system.recorder is NULL_RECORDER
         assert rep.system.control is NULL_CONTROL
+        assert rep.system.health is NULL_HEALTH

@@ -3,8 +3,12 @@
 ``telemetry``, ``recorder``, ``control`` and ``events`` are always
 present inside ``src/`` — a null form stands in for an absent one
 (DESIGN.md, "Optional subsystems") — so code there calls them without
-asking.  Before that there were 69 such tests in 15 files; this test
-keeps them from growing back one convenient ``if`` at a time.
+asking.  Before that there were 69 such tests in 15 files.  The wire
+and the breakers followed: the contention ``tracker``, the ``ingress``,
+``health`` and ``resilience`` had 33 forks and ``prices_transfers``
+probes in 11 files, choosing between nine pricing bodies.  One budget
+per family keeps either from growing back one convenient ``if`` at a
+time.
 """
 
 import re
@@ -26,22 +30,57 @@ ALLOWED = {
 }
 BUDGET = 10
 
+WIRE_GUARD = re.compile(
+    r"(tracker|ingress|contention|health|resilience) is (not )?None"
+    r"|prices_transfers")
+WIRE_ALLOWED = {
+    # the normalisers
+    "repro/netsim/contention.py": 1,    # SharedIngress(tracker=None)
+    "repro/runtime/server.py": 1,       # InferenceServer(ingress=None)
+    "repro/faults/health.py": 1,        # DeviceHealth.of
+    # ``resilience=None`` means the default policy
+    "repro/core/murmuration.py": 1,
+    "repro/runtime/executor.py": 1,
+    # ``cluster.contention`` is a plain attribute callers also assign
+    # after construction: one early return in ``timed_transfer`` and one
+    # in ``update_fluid_caps``, per cluster
+    "repro/netsim/topology.py": 2,
+    "repro/netsim/mesh.py": 2,
+    # the ``links`` demo drains the fluid tracker it may have built
+    "repro/cli.py": 1,
+}
+WIRE_BUDGET = 10
 
-def test_optional_subsystem_guards_stay_within_budget():
+
+def _check(guard, allowed, budget, advice):
     found = {}
     for path in sorted(SRC.rglob("*.py")):
         lines = [f"{path.relative_to(SRC)}:{n}: {line.strip()}"
                  for n, line in enumerate(path.read_text().splitlines(), 1)
-                 if GUARD.search(line)]
+                 if guard.search(line)]
         if lines:
             found[str(path.relative_to(SRC))] = lines
     over = [line for name, lines in found.items()
-            for line in lines[ALLOWED.get(name, 0):]]
+            for line in lines[allowed.get(name, 0):]]
     total = sum(map(len, found.values()))
-    assert not over and total <= BUDGET, (
-        f"{total} optional-subsystem guards in src/ (budget {BUDGET}); "
-        "not on the allowlist:\n  " + "\n  ".join(over) + "\n"
-        "Components never test whether telemetry, a recorder, a control "
-        "loop or an event loop exists: normalise the constructor argument "
-        "once (Telemetry.of / RunRecorder.of / ControlLoop.of) and call "
-        "the null form unconditionally.")
+    assert not over and total <= budget, (
+        f"{total} guards matching {guard.pattern!r} in src/ (budget "
+        f"{budget}); not on the allowlist:\n  " + "\n  ".join(over)
+        + "\n" + advice)
+
+
+def test_optional_subsystem_guards_stay_within_budget():
+    _check(GUARD, ALLOWED, BUDGET,
+           "Components never test whether telemetry, a recorder, a "
+           "control loop or an event loop exists: normalise the "
+           "constructor argument once (Telemetry.of / RunRecorder.of / "
+           "ControlLoop.of) and call the null form unconditionally.")
+
+
+def test_wire_and_breaker_guards_stay_within_budget():
+    _check(WIRE_GUARD, WIRE_ALLOWED, WIRE_BUDGET,
+           "Nothing forks on whether a wire is shared, an uplink is "
+           "modelled or breakers exist: describe the wire to the "
+           "tracker (LoneWire when nobody shares), call NULL_INGRESS "
+           "and NULL_HEALTH unconditionally, and never probe a tracker "
+           "for what it can do.")

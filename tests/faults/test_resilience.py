@@ -10,11 +10,12 @@ import pytest
 
 from repro.core import SLO, Murmuration, SearchDecisionEngine
 from repro.devices import desktop_gtx1080, rpi4
-from repro.faults import (FaultInjector, FaultSchedule, ResilienceConfig,
-                          RetryPolicy)
+from repro.faults import (NULL_HEALTH, DeviceHealth, FaultInjector,
+                          FaultSchedule, ResilienceConfig, RetryPolicy)
 from repro.nas import MBV3_SPACE
 from repro.netsim import NetworkCondition
 from repro.runtime import InferenceServer
+from repro.telemetry import Telemetry
 
 
 class TestRetryPolicy:
@@ -78,12 +79,25 @@ class TestNoOpGuarantee:
             assert (b.outcome, b.retries, b.failovers) == ("ok", 0, 0)
 
     def test_disabled_runtime_has_no_fault_state(self):
+        """Without an injector only ``faults`` is a real ``None``: the
+        breakers are the null form (every circuit closed, nothing
+        recorded, no ``health_*`` metric) and ``resilience`` is the
+        default policy nothing consults."""
         devices = [rpi4(), desktop_gtx1080()]
+        tel = Telemetry()
         system = Murmuration(
             MBV3_SPACE, devices, NetworkCondition((80.0,), (30.0,)),
             SearchDecisionEngine(MBV3_SPACE, devices, n_random_archs=2),
-            slo=SLO.latency_ms(300.0))
+            slo=SLO.latency_ms(300.0), telemetry=tel)
         assert system.faults is None
-        assert system.health is None
-        assert system.resilience is None
+        assert system.health is NULL_HEALTH
+        assert not isinstance(system.health, DeviceHealth)
+        assert system.resilience == ResilienceConfig()
         assert system.cluster.compute_scale == {}
+        plan = system.infer().strategy.plan
+        assert system.health.blocked(plan, 0.0) == ()
+        assert system.health.allow(1, 0.0)
+        assert not system.health.record_failure(1, 0.0)
+        assert system.health.drain_opened() == ()
+        assert not [m.name for m in tel.registry.collect()
+                    if m.name.startswith("health")]

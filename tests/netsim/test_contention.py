@@ -14,7 +14,7 @@ import pytest
 from repro.devices import rpi4
 from repro.netsim import (Cluster, ContentionTracker, Link, MeshLink,
                           MeshCluster, NetworkCondition, SharedIngress)
-from repro.netsim.contention import INGRESS_EDGE
+from repro.netsim.contention import INGRESS_EDGE, NULL_INGRESS, LoneWire
 
 
 MB = 1_000_000.0
@@ -215,3 +215,67 @@ class TestSharedIngress:
         assert tracker.concurrency(INGRESS_EDGE, 0.0) == 1
         assert tracker.concurrency((0, 1), 0.0) == 0
         assert INGRESS_EDGE[0] < 0
+
+
+class TestTrackerProtocol:
+    """``admit_transfer`` / ``peek_transfer`` / ``update_caps`` on the
+    snapshot tracker and the lone wire (the fluid ledger's are pinned
+    in ``test_fluid_tracker.py``)."""
+
+    WIRE = (((0, 1), (0, 2)), {(0, 1): 80e6, (0, 2): 20e6}, 0.015)
+
+    def test_a_peek_prices_what_the_admit_then_charges(self):
+        tracker = ContentionTracker()
+        edges, caps, latency_s = self.WIRE
+        tracker.register([(0, 1)], start=0.0, end=9.0)
+        tracker.register([(0, 1)], start=0.0, end=9.0)
+        peek = tracker.peek_transfer(edges, caps, latency_s, MB, 1.0,
+                                     base_s=0.415)
+        assert tracker.flows_total == 2           # a peek commits nothing
+        # (0, 1) is shared three ways: 80/3 Mbps is still above the
+        # unshared 20 Mbps of (0, 2), so that edge stays the bottleneck
+        assert peek == latency_s + MB * 8.0 / 20e6
+        caps = {**caps, (0, 1): 30e6}             # now 10 Mbps effective
+        peek = tracker.peek_transfer(edges, caps, latency_s, MB, 1.0)
+        assert peek == latency_s + MB * 8.0 / (30e6 / 3)
+        assert tracker.admit_transfer(edges, caps, latency_s, MB, 1.0,
+                                      tenant="t") == peek
+        assert tracker.flows_total == 3 and tracker.contended_total == 1
+        assert tracker.peak_share[(0, 1)] == 3
+        assert tracker.tenant_bytes() == {"t": MB}
+        assert tracker.concurrency((0, 2), 1.0 + peek / 2) == 1
+
+    def test_a_lone_flow_gets_the_callers_float_itself(self):
+        edges, caps, latency_s = self.WIRE
+        base_s = 0.4150000000000001   # not what the formula would give
+        for tracker in (ContentionTracker(), LoneWire()):
+            assert tracker.peek_transfer(edges, caps, latency_s, MB, 0.0,
+                                         base_s=base_s) is base_s
+            assert tracker.admit_transfer(edges, caps, latency_s, MB, 0.0,
+                                          base_s=base_s) is base_s
+            # left out, the contention-free price is the formula at share 1
+            assert tracker.peek_transfer(edges, caps, latency_s, MB, 9.0) \
+                == latency_s + MB * 8.0 / 20e6
+
+    def test_the_lone_wire_never_contends(self):
+        wire = LoneWire()
+        edges, caps, latency_s = self.WIRE
+        for _ in range(3):
+            assert wire.admit_transfer(edges, caps, latency_s, MB, 0.0,
+                                       base_s=0.5) == 0.5
+        assert wire.update_caps(1.0, {(0, 1): 1e6}) is None
+
+    def test_snapshot_flows_in_flight_keep_their_admitted_rate(self):
+        tracker = ContentionTracker()
+        first = tracker.admit_transfer(((0, 1),), {(0, 1): 10e6}, 0.0, MB,
+                                       0.0)
+        tracker.update_caps(0.1, {(0, 1): 1e6})   # documented no-op
+        assert tracker.concurrency((0, 1), first - 1e-9) == 1
+        assert tracker.concurrency((0, 1), first) == 0
+        # a later admission carries its own capacities
+        assert tracker.admit_transfer(((0, 1),), {(0, 1): 1e6}, 0.0, MB,
+                                      5.0) == MB * 8.0 / 1e6
+
+    def test_a_server_without_an_uplink_waits_for_nothing(self):
+        assert NULL_INGRESS.upload_time(3.0, "a") == 0.0
+        assert NULL_INGRESS.admit(3.0, tenant="a") == 0.0

@@ -1,8 +1,8 @@
 """FluidTracker as a drop-in behind the ContentionTracker interface.
 
 Covers the integration contract the fluid solver ships under: clusters
-and the shared ingress delegate pricing when ``prices_transfers`` is
-set, lone flows and ``tracker=None`` builds stay bit-identical to the
+and the shared ingress hand it the wire through the tracker protocol,
+lone flows and ``tracker=None`` builds stay bit-identical to the
 contention-free floats, peeks never move the ledger, and — the
 behavioral contract the bench reports — the snapshot model's
 documented admission-order bias (first flow under-charged, second

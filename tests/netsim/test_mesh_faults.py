@@ -323,6 +323,66 @@ class TestFluidCapOverlay:
         assert caps[(1, 2)] == pytest.approx(100e6)
 
 
+class TestZeroBandwidthOverlay:
+    """A link degraded to no bandwidth carries nothing: it leaves the
+    routing graph like a down edge instead of staying in it at 0 Mbps
+    (``ZeroDivisionError`` in pricing, 0.0 Mbps in ``condition``)."""
+
+    @pytest.mark.parametrize("factor", [0.0, -1.0, float("nan")])
+    def test_the_edge_reroutes_like_a_down_one(self, factor):
+        mesh = _ring()
+        assert mesh.apply_link_faults(degraded={(1, 0): (factor, 0.0)})
+        assert mesh.down_links == {(0, 1)}
+        assert mesh.degraded_links == {}
+        info = mesh.route_info(0, 1)
+        assert info.path == (0, 3, 2, 1) and info.rerouted
+        assert mesh.transfer_time(0, 1, 1000) == pytest.approx(
+            (30.0 + 1.0) / 1e3 + 8000 / 100e6)
+        assert all(bw > 0 for bw in mesh.condition.bandwidths_mbps)
+        # the same overlay again changes nothing; clearing it does
+        assert not mesh.apply_link_faults(degraded={(0, 1): (factor, 0.0)})
+        assert mesh.apply_link_faults()
+        assert mesh.route_info(0, 1).path == (0, 1)
+
+    def test_without_an_alternative_the_error_is_typed(self):
+        mesh = line_topology([rpi4() for _ in range(3)], 100.0, 10.0)
+        mesh.apply_link_faults(degraded={(1, 2): (0.0, 5.0)})
+        with pytest.raises(NoRouteError):
+            mesh.transfer_time(0, 2, 1000)
+        with pytest.raises(NoRouteError):
+            mesh.timed_transfer(0, 2, 1000, now=0.0)
+        # the monitor's view falls back to the fault-free path
+        assert mesh.condition.bandwidths_mbps == (100.0, 100.0)
+
+    def test_static_routing_fails_instead_of_dividing_by_zero(self):
+        mesh = _ring(reroute=False)
+        mesh.apply_link_faults(degraded={(0, 1): (0.0, 0.0)})
+        with pytest.raises(NoRouteError):
+            mesh.transfer_time(0, 1, 1000)
+
+    def test_the_facade_serves_through_the_reroute(self):
+        """A strategy placed on device 1 before the overlay keeps being
+        served — over the backup path — after (0, 1) lost its
+        bandwidth."""
+        from repro.core import SLO, Murmuration, SearchDecisionEngine
+        from repro.devices import desktop_gtx1080
+        from repro.eval.spec import StaticEngine
+        from repro.nas import MBV3_SPACE
+        devices = [rpi4(), desktop_gtx1080(), rpi4(), rpi4()]
+        mesh = ring_topology(devices, 100.0, 10.0)
+        engine = StaticEngine(
+            SearchDecisionEngine(MBV3_SPACE, devices, n_random_archs=2),
+            mesh.condition)
+        system = Murmuration(MBV3_SPACE, devices, None, engine,
+                             slo=SLO.latency_ms(300.0), cluster=mesh)
+        before = system.infer()
+        assert before.strategy.plan.devices_used() == (0, 1)
+        mesh.apply_link_faults(degraded={(0, 1): (0.0, 0.0)})
+        after = system.infer()
+        assert after.strategy.plan.devices_used() == (0, 1)
+        assert after.latency_s > before.latency_s
+
+
 class TestLinkBreakers:
     def test_link_breaker_opens_and_recovers(self):
         from repro.faults.health import CircuitState, DeviceHealth

@@ -213,6 +213,27 @@ def test_condition_at_and_control_loop_reject_a_bad_period(period_s):
 
 
 # -- ingress capacity trace ------------------------------------------------
+@pytest.mark.parametrize("bad", [0, -5.0, float("nan")])
+def test_a_bad_ingress_trace_cell_is_rejected_before_anything_runs(bad):
+    """A cell that is not a positive bandwidth used to schedule happily
+    and raise from inside its own event — already popped, the clock
+    stuck at the step — or, for the lazy ablation and the scenario
+    config, mid-serving.  All three name the cell up front."""
+    from repro.eval.event_core import EventCoreConfig, SteppedIngress
+    loop = EventLoop()
+    link = Link(bandwidth_mbps=40.0, delay_ms=5.0)
+    ingress = SharedIngress(link, FluidTracker(), payload_bytes=1024.0)
+    with pytest.raises(ValueError, match="cell 1 must be a positive"):
+        schedule_ingress_trace(loop, ingress, [40, bad, 40], 1.0)
+    assert loop.pending == 0
+    loop.advance_to(5.0)
+    assert loop.clock.now == 5.0 and ingress.link is link
+    with pytest.raises(ValueError, match="cell 1 must be a positive"):
+        SteppedIngress(link, FluidTracker(), (40.0, bad, 40.0), 1.0)
+    with pytest.raises(ValueError, match="cell 2 must be a positive"):
+        EventCoreConfig(ingress_trace_mbps=(40.0, 40.0, bad))
+
+
 def test_ingress_trace_steps_capacity_and_reconverges_fluid():
     loop = EventLoop()
     tracker = FluidTracker()
