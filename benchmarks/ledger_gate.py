@@ -1,14 +1,17 @@
 """The exact half of the perf gate (ROADMAP item 6).
 
     python3 -m benchmarks.perf --workload drift_miss --workload static_hit \\
-        --workload fluid_ring --workload tenant_mix \\
-        --seed 0 --seconds 3 --trace 0
+        --workload fluid_ring --workload tenant_mix --workload mesh_faults \\
+        --workload strategy_eval --seed 0 --seconds 3 --trace 0
     python3 -m benchmarks.ledger_gate BENCH_18.json [ledger.json]
 
 fails when a run in the ledger is not ``correct`` or an untraced run's
 ``detail.sim_digest`` differs from the one the committed
-``BENCH_<pr>.json`` holds for that workload.  Throughput is not gated:
-reference-host seconds are not yet validated on the CI runner."""
+``BENCH_<pr>.json`` holds for that workload (all six: ``drift_miss``,
+``static_hit``, ``fluid_ring``, ``tenant_mix``, ``mesh_faults``,
+``strategy_eval``; a ledger holding fewer is checked for those it
+holds).  Throughput is not gated: reference-host seconds are not yet
+validated on the CI runner."""
 import json
 import sys
 from pathlib import Path

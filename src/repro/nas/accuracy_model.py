@@ -25,7 +25,7 @@ linearity.
 from __future__ import annotations
 
 import hashlib
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -67,21 +67,32 @@ def _residual(arch: ArchConfig, space: SearchSpace) -> float:
     return (2.0 * u - 1.0) * _RESIDUAL_SCALE
 
 
+def _mean(values: List[float]) -> float:
+    """``float(np.mean(values))`` without its dispatch layers: the same
+    pairwise ``np.add.reduce`` over the same float64 array, divided by
+    the same count — bit-identical, at a third of the cost on the 5–20
+    element lists of one submodel."""
+    return float(np.add.reduce(np.asarray(values)) / len(values))
+
+
 def arch_accuracy(arch: ArchConfig, space: SearchSpace) -> float:
     """Top-1 accuracy (percent) of a submodel, independent of placement."""
     arch.validate(space)
     res_pen = _unit_penalty(arch.resolution, min(space.resolution_options),
                             max(space.resolution_options))
-    depth_pen = float(np.mean([
+    depth_pen = _mean([
         _unit_penalty(d, space.min_depth, space.max_depth)
-        for d in arch.depths]))
+        for d in arch.depths])
+    # one penalty per option, looked up per active slot
     klo, khi = min(space.kernel_options), max(space.kernel_options)
     elo, ehi = min(space.expand_options), max(space.expand_options)
+    kernel_pens = {k: _unit_penalty(k, klo, khi)
+                   for k in space.kernel_options}
+    expand_pens = {e: _unit_penalty(e, elo, ehi)
+                   for e in space.expand_options}
     active = arch.active_slots(space)
-    kernel_pen = float(np.mean([
-        _unit_penalty(arch.kernels[i], klo, khi) for i in active]))
-    expand_pen = float(np.mean([
-        _unit_penalty(arch.expands[i], elo, ehi) for i in active]))
+    kernel_pen = _mean([kernel_pens[arch.kernels[i]] for i in active])
+    expand_pen = _mean([expand_pens[arch.expands[i]] for i in active])
     acc = (ACC_MAX
            - _W_RESOLUTION * res_pen
            - _W_DEPTH * depth_pen
@@ -99,19 +110,25 @@ def plan_accuracy_penalty(plan: ExecutionPlan) -> float:
     blocks affected.
     """
     n = len(plan)
-    frac_1x2 = sum(1 for bp in plan if bp.grid.ntiles == 2) / n
-    frac_2x2 = sum(1 for bp in plan if bp.grid.ntiles >= 4) / n
+    tiled_1x2 = tiled_2x2 = 0
     # Quantization only matters where the input actually crosses devices.
     crossings8 = crossings16 = 0
     prev_devices = (0,)
     for bp in plan:
-        crosses = tuple(bp.devices) != prev_devices
-        if crosses:
+        ntiles = bp.grid.ntiles
+        if ntiles == 2:
+            tiled_1x2 += 1
+        elif ntiles >= 4:
+            tiled_2x2 += 1
+        devices = tuple(bp.devices)
+        if devices != prev_devices:
             if bp.bits == 8:
                 crossings8 += 1
             elif bp.bits == 16:
                 crossings16 += 1
-        prev_devices = tuple(bp.devices)
+        prev_devices = devices
+    frac_1x2 = tiled_1x2 / n
+    frac_2x2 = tiled_2x2 / n
     pen = (_P_GRID_1X2 * frac_1x2 + _P_GRID_2X2 * frac_2x2
            + _P_BITS_8 * min(1.0, crossings8 / 4.0)
            + _P_BITS_16 * min(1.0, crossings16 / 4.0))

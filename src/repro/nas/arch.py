@@ -57,11 +57,9 @@ class ArchConfig:
         return stage * space.max_depth + block
 
     def active_slots(self, space: SearchSpace) -> List[int]:
-        out = []
-        for s in range(space.num_stages):
-            for b in range(self.depths[s]):
-                out.append(self.slot(space, s, b))
-        return out
+        depths, max_depth = self.depths, space.max_depth
+        return [s * max_depth + b for s in range(space.num_stages)
+                for b in range(depths[s])]
 
     def num_blocks(self) -> int:
         return int(sum(self.depths))
@@ -94,8 +92,8 @@ class ArchConfig:
         """Hashable identity ignoring inactive-slot values."""
         active = self.active_slots(space)
         return (self.resolution, self.depths,
-                tuple(self.kernels[i] for i in active),
-                tuple(self.expands[i] for i in active))
+                tuple(map(self.kernels.__getitem__, active)),
+                tuple(map(self.expands.__getitem__, active)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,19 @@
 The resulting graph feeds the same latency simulator as the fixed
 baseline models, so Murmuration submodels and baselines are priced
 identically.
+
+No two submodels of a search repeat, but their blocks do: an MBConv
+block's cost is a pure function of ten small ints (where it sits, its
+input size and channels, its expansion, kernel, stride and SE flag), and
+``MBV3_SPACE`` has 900 distinct ones for about 10^20 submodels.
+:func:`build_graph` therefore assembles each graph from **shared frozen
+blocks** kept in one bounded memo; a graph owns its block *list*, never
+its blocks, so compare blocks with ``==``, not by identity.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Optional
 
 from ..models.graph import ComputeBlock, ModelGraph, conv_flops, linear_flops
@@ -18,6 +27,11 @@ from .search_space import SearchSpace
 __all__ = ["build_graph"]
 
 _FP32 = 4
+
+#: distinct MBConv cost blocks kept, least recently used out first — the
+#: one memo in ``repro`` that lives at module level (DESIGN.md, "Plan
+#: cost model", Bounds: why a table of ints to frozen floats may)
+_BLOCK_MEMO = 4096
 
 
 def _mbconv(h: int, w: int, in_ch: int, expand_ratio: int, out_ch: int,
@@ -36,6 +50,20 @@ def _mbconv(h: int, w: int, in_ch: int, expand_ratio: int, out_ch: int,
     return f, params * _FP32
 
 
+@lru_cache(maxsize=_BLOCK_MEMO)
+def _mbconv_block(stage: int, block: int, h: int, w: int, in_ch: int,
+                  expand_ratio: int, out_ch: int, kernel: int, stride: int,
+                  use_se: bool) -> ComputeBlock:
+    """The (frozen) cost block of one inverted-residual block on an
+    ``h x w`` input — a pure function of its arguments, so every graph
+    that contains the block holds this one object."""
+    f, p = _mbconv(h, w, in_ch, expand_ratio, out_ch, kernel, stride, use_se)
+    return ComputeBlock(
+        f"stage{stage}.block{block}", flops=f,
+        out_hw=(h // stride, w // stride), out_ch=out_ch, weight_bytes=p,
+        stage=stage + 1, halo=kernel // 2, depthwise=True)
+
+
 def build_graph(arch: ArchConfig, space: SearchSpace,
                 accuracy: Optional[float] = None) -> ModelGraph:
     """Build the cost graph of a submodel.
@@ -43,9 +71,10 @@ def build_graph(arch: ArchConfig, space: SearchSpace,
     ``accuracy`` defaults to the calibrated analytical model; pass an
     explicit value to tag the graph with a measured/predicted accuracy.
     """
-    arch.validate(space)
     if accuracy is None:
-        accuracy = arch_accuracy(arch, space)
+        accuracy = arch_accuracy(arch, space)   # validates the arch first
+    else:
+        arch.validate(space)
 
     res = arch.resolution
     blocks: List[ComputeBlock] = []
@@ -55,17 +84,15 @@ def build_graph(arch: ArchConfig, space: SearchSpace,
         out_hw=(h, w), out_ch=space.stem_ch,
         weight_bytes=3 * space.stem_ch * 9 * _FP32, stage=0))
     in_ch = space.stem_ch
+    kernels, expands, max_depth = arch.kernels, arch.expands, space.max_depth
     for s, spec in enumerate(space.stages):
         for b in range(arch.depths[s]):
-            slot = arch.slot(space, s, b)
+            slot = s * max_depth + b
             stride = spec.stride if b == 0 else 1
-            f, p = _mbconv(h, w, in_ch, arch.expands[slot], spec.out_ch,
-                           arch.kernels[slot], stride, spec.use_se)
+            blocks.append(_mbconv_block(
+                s, b, h, w, in_ch, expands[slot], spec.out_ch, kernels[slot],
+                stride, spec.use_se))
             h, w = h // stride, w // stride
-            blocks.append(ComputeBlock(
-                f"stage{s}.block{b}", flops=f, out_hw=(h, w),
-                out_ch=spec.out_ch, weight_bytes=p, stage=s + 1,
-                halo=arch.kernels[slot] // 2, depthwise=True))
             in_ch = spec.out_ch
     blocks.append(ComputeBlock(
         "conv_last", flops=conv_flops(h, w, in_ch, space.final_ch, 1),

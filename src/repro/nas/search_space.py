@@ -11,6 +11,7 @@ submodel architecture (:class:`~repro.nas.arch.ArchConfig`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Tuple
 
 from ..nn.quantize import SUPPORTED_BITS
@@ -59,15 +60,20 @@ class SearchSpace:
             if len(opts) == 0 or sorted(set(opts)) != sorted(opts):
                 raise ValueError(f"{name}_options must be unique and non-empty")
 
-    @property
+    # Derived constants, computed once per space: pricing one submodel
+    # read ``max_depth`` 164 times.  ``cached_property`` stores the value
+    # in the instance ``__dict__`` (no ``__setattr__``, so frozen is
+    # fine); it is not a field, so ``==``, ``hash``, ``repr`` and
+    # ``dataclasses.replace`` are what they were.
+    @cached_property
     def num_stages(self) -> int:
         return len(self.stages)
 
-    @property
+    @cached_property
     def max_depth(self) -> int:
         return max(self.depth_options)
 
-    @property
+    @cached_property
     def min_depth(self) -> int:
         return min(self.depth_options)
 

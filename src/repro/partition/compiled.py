@@ -18,6 +18,12 @@ simulate_latency(g, p, cluster).total_s`` holds with ``==`` (DESIGN.md,
 "Plan cost model"; ``tests/partition/test_compiled_kernel.py`` is the
 differential oracle).  A compile costs most of a simulation, so
 callers that price a pair once stay on ``simulate_latency``.
+
+These are the only two plan walkers in ``src/``.  Neither is derived
+from the other: ``simulate_latency`` is held to the object-per-tile
+walker it replaced (``tests/partition/reference_simulate.py``, every
+report field), and this module to ``simulate_latency`` (``total_s`` and
+``num_transfers``), so a drift in either shows against a fixed point.
 """
 
 from __future__ import annotations
@@ -77,8 +83,12 @@ def compile_plan(graph: ModelGraph, plan: ExecutionPlan,
                  devices: Sequence[DeviceProfile]) -> PlanProgram:
     """Lower ``plan`` over ``graph`` to a :class:`PlanProgram`.
 
-    Mirrors ``simulate_latency`` line by line; everything that function
-    reads from the *cluster's condition* is left symbolic.
+    The walk is ``simulate_latency``'s, block by block and tile by tile:
+    the same ``same_grid`` test, one ``input_bytes`` and one K/V share
+    per block, the same source and peer order, the same compute terms.
+    Where that function prices a transfer and adds it to an arrival,
+    this one records a table slot and an arrival step; everything read
+    from the *cluster's condition* is left symbolic.
     """
     plan.validate_for(graph, len(devices))
 

@@ -8,7 +8,7 @@ the strategy cache stores — the "strategy" of the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..models.graph import ModelGraph
 from ..nn.quantize import SUPPORTED_BITS
@@ -29,6 +29,11 @@ class BlockPlan:
     devices : device id per tile, row-major; length == grid.ntiles.
     bits : wire precision for this block's *input* when it crosses a
         device boundary (8/16/32).
+
+    Instances are immutable and **shared**: the plan constructors below
+    and ``MurmurationEnv.decode`` build each distinct ``(grid, devices,
+    bits)`` once and repeat the instance, within a plan and across
+    plans.  Compare block plans with ``==``, never by identity.
     """
 
     grid: Grid
@@ -95,7 +100,7 @@ class ExecutionPlan:
                     raise ValueError(
                         f"plan references device {d} but cluster has "
                         f"{num_devices}")
-        if self.output_device >= num_devices:
+        if not 0 <= self.output_device < num_devices:
             raise ValueError("output device out of range")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -109,8 +114,7 @@ class ExecutionPlan:
 
 def single_device_plan(graph: ModelGraph, device: int = 0) -> ExecutionPlan:
     """Run everything on one device (the Fig. 1a baseline)."""
-    g11 = Grid(1, 1)
-    return ExecutionPlan([BlockPlan(g11, (device,)) for _ in graph],
+    return ExecutionPlan([BlockPlan(Grid(1, 1), (device,))] * len(graph),
                          output_device=device if device == 0 else 0)
 
 
@@ -124,10 +128,11 @@ def layerwise_split_plan(graph: ModelGraph, split: int, local: int = 0,
     if not (0 <= split <= len(graph)):
         raise ValueError(f"split {split} out of range for {len(graph)} blocks")
     g11 = Grid(1, 1)
-    plans = []
-    for i in range(len(graph)):
-        dev = local if i < split else remote
-        plans.append(BlockPlan(g11, (dev,), bits=bits))
+    plans: List[BlockPlan] = []
+    if split > 0:
+        plans += [BlockPlan(g11, (local,), bits=bits)] * split
+    if split < len(graph):
+        plans += [BlockPlan(g11, (remote,), bits=bits)] * (len(graph) - split)
     return ExecutionPlan(plans, output_device=0)
 
 
@@ -135,16 +140,8 @@ def spatial_plan(graph: ModelGraph, grid: Grid, devices: Sequence[int],
                  aggregator: int = 0, bits: int = 32) -> ExecutionPlan:
     """ADCNN-style plan: every partitionable block split on ``grid`` over
     ``devices``; fused / non-partitionable blocks run on ``aggregator``."""
-    if len(devices) != grid.ntiles:
-        raise ValueError(f"{grid} grid needs {grid.ntiles} devices")
-    g11 = Grid(1, 1)
-    plans = []
-    for block in graph:
-        if block.partitionable and not block.fused and grid.ntiles > 1:
-            plans.append(BlockPlan(grid, tuple(devices), bits=bits))
-        else:
-            plans.append(BlockPlan(g11, (aggregator,), bits=bits))
-    return ExecutionPlan(plans, output_device=0)
+    return spatial_front_plan(graph, grid, devices, aggregator=aggregator,
+                              bits=bits, min_hw=0)
 
 
 def spatial_front_plan(graph: ModelGraph, grid: Grid,
@@ -160,15 +157,18 @@ def spatial_front_plan(graph: ModelGraph, grid: Grid,
     """
     if len(devices) != grid.ntiles:
         raise ValueError(f"{grid} grid needs {grid.ntiles} devices")
-    g11 = Grid(1, 1)
+    # front? -> its setting; each is built (and validated) when the first
+    # block needs it and repeated from then on
+    settings = {True: (grid, tuple(devices)),
+                False: (Grid(1, 1), (aggregator,))}
+    shared: Dict[bool, BlockPlan] = {}
     plans = []
     for block in graph:
         front = (block.partitionable and not block.fused
                  and min(block.out_hw) >= min_hw and grid.ntiles > 1)
-        if front:
-            plans.append(BlockPlan(grid, tuple(devices), bits=bits))
-        else:
-            plans.append(BlockPlan(g11, (aggregator,), bits=bits))
+        if front not in shared:
+            shared[front] = BlockPlan(*settings[front], bits=bits)
+        plans.append(shared[front])
     return ExecutionPlan(plans, output_device=0)
 
 
@@ -191,20 +191,28 @@ def greedy_spatial_plan(graph: ModelGraph, devices: Sequence[int],
         grids = [Grid(1, 1), Grid(1, 2), Grid(2, 2), Grid(2, 3), Grid(3, 3)]
     usable = [g for g in grids if g.ntiles <= len(devices)]
     g11 = Grid(1, 1)
+    # None -> the aggregator's setting, a grid -> that grid over the
+    # first devices; each is built (and validated) when first chosen
+    # and repeated from then on
+    shared: Dict[Optional[Grid], BlockPlan] = {}
     plans = []
     for block in graph:
         if block.fused or not block.partitionable:
-            plans.append(BlockPlan(g11, (aggregator,), bits=bits))
-            continue
-        best_grid, best_cost = g11, 1.0
-        for g in usable:
-            h, w = block.out_hw
-            if h < 2 * g.rows or w < 2 * g.cols:
-                continue  # tiles would be degenerate
-            cost = fdsp_compute_overhead(block.out_hw, g,
-                                         halo=block.halo) / g.ntiles
-            if cost < best_cost - 1e-9:
-                best_grid, best_cost = g, cost
-        plans.append(BlockPlan(best_grid, tuple(devices[:best_grid.ntiles]),
+            best_grid = None
+        else:
+            best_grid, best_cost = g11, 1.0
+            for g in usable:
+                h, w = block.out_hw
+                if h < 2 * g.rows or w < 2 * g.cols:
+                    continue  # tiles would be degenerate
+                cost = fdsp_compute_overhead(block.out_hw, g,
+                                             halo=block.halo) / g.ntiles
+                if cost < best_cost - 1e-9:
+                    best_grid, best_cost = g, cost
+        if best_grid not in shared:
+            shared[best_grid] = (
+                BlockPlan(g11, (aggregator,), bits=bits) if best_grid is None
+                else BlockPlan(best_grid, tuple(devices[:best_grid.ntiles]),
                                bits=bits))
+        plans.append(shared[best_grid])
     return ExecutionPlan(plans, output_device=0)

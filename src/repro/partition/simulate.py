@@ -11,12 +11,26 @@ The same simulation backs the RL environment's reward, the baseline
 evaluations (Neurosurgeon/ADCNN), and the figure benchmarks, so all
 methods are compared under identical cost assumptions — mirroring how
 the paper runs every method on the same testbed.
+
+It is also the inner loop of RL training and of evolutionary search,
+which price a *fresh* (submodel, plan) pair per step, so the walk runs
+on flat lists and local accumulators: the previous block's tiles are
+two parallel sequences (device, ready time), a block's wire sizes, FLOP
+share and memory term are worked out once per block rather than per
+tile, priced transfers are logged and summed into the report's
+communication terms once at the end.  The arithmetic is the same float
+operations in the same order as the object-per-tile walker it replaced,
+which is kept verbatim in ``tests/partition/reference_simulate.py`` as
+the oracle: ``tests/partition/test_reference_simulate.py`` requires
+``==`` on every :class:`LatencyReport` field, and
+:func:`repro.partition.compiled.compile_plan` walks a plan block by
+block the way this function does (``test_compiled_kernel.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..models.graph import ModelGraph
 from ..netsim.topology import Cluster
@@ -51,10 +65,7 @@ class LatencyReport:
         return max(self.compute_s, key=self.compute_s.get)  # type: ignore[arg-type]
 
 
-@dataclass
-class _TileState:
-    device: int
-    ready: float  # time the tile's data is available on `device`
+_G11 = Grid(1, 1)
 
 
 def simulate_latency(graph: ModelGraph, plan: ExecutionPlan,
@@ -65,98 +76,100 @@ def simulate_latency(graph: ModelGraph, plan: ExecutionPlan,
     runtime pre-deploys the supernet/model — see Section 5.1); the
     separate model-switch experiment prices weight movement.
     """
-    plan.validate_for(graph, cluster.num_devices)
+    n_dev = cluster.num_devices
+    plan.validate_for(graph, n_dev)
 
     # Straggler injection: per-device compute-time multipliers set by the
-    # fault injector.  Empty (the default) costs one falsy check per block
+    # fault injector.  Empty (the default) costs one falsy check per tile
     # and leaves every timing bit-identical.
     compute_scale = getattr(cluster, "compute_scale", None)
+    transfer_time = cluster.transfer_time
+    devices = [cluster.device(i) for i in range(n_dev)]
 
-    n_dev = cluster.num_devices
-    report = LatencyReport(total_s=0.0,
-                           compute_s={i: 0.0 for i in range(n_dev)},
-                           tx_bytes={i: 0.0 for i in range(n_dev)},
-                           rx_bytes={i: 0.0 for i in range(n_dev)})
-    dev_ready = [0.0] * cluster.num_devices
+    dev_ready = [0.0] * n_dev
+    compute_s = [0.0] * n_dev
+    per_block_done: List[float] = []
+    # every priced transfer ``(src, dst, nbytes, seconds)``, in order; the
+    # report's communication terms are summed from it once, at the end
+    sent: List[Tuple[int, int, int, float]] = []
 
-    # Input starts on the local device (device 0) at t=0.
-    tiles: List[_TileState] = [_TileState(device=0, ready=0.0)]
-    prev_grid = Grid(1, 1)
+    # Input starts on the local device (device 0) at t=0.  The tiles of
+    # the previous block: where each sits and when its data is there.
+    tile_dev: Sequence[int] = (0,)
+    tile_ready: List[float] = [0.0]
+    prev_grid = _G11
     prev_elements = graph.input_elements
 
-    def _transfer(src: int, dst: int, nbytes: float, avail: float) -> float:
-        """Price one transfer; returns arrival time at dst."""
-        if src == dst or nbytes <= 0:
-            return avail
-        t = cluster.transfer_time(src, dst, nbytes)
-        report.comm_s += t
-        report.comm_bytes += nbytes
-        report.num_transfers += 1
-        report.tx_bytes[src] += nbytes
-        report.rx_bytes[dst] += nbytes
-        return avail + t
-
-    for i, (block, bp) in enumerate(zip(graph.blocks, plan.block_plans)):
-        ntiles = bp.grid.ntiles
-        fdsp = fdsp_compute_overhead(block.out_hw, bp.grid, halo=block.halo)
+    for block, bp in zip(graph.blocks, plan.block_plans):
+        grid, tiles_on, bits = bp.grid, bp.devices, bp.bits
+        ntiles = grid.ntiles
+        fdsp = fdsp_compute_overhead(block.out_hw, grid, halo=block.halo)
         slice_elements = prev_elements / ntiles
+        nprev = len(tile_dev)
+        same_grid = (nprev == ntiles
+                     and (grid is prev_grid or grid == prev_grid))
+        # A tile's input: its predecessor's slice, or (repartition) an
+        # equal share gathered from every previous holder.
+        input_bytes = wire_bytes(
+            int(slice_elements if same_grid else slice_elements / nprev),
+            bits)
+        # Attention K/V exchange: what every tile gets from each peer.
+        sync_bytes = (wire_bytes(int(block.sync_elements / ntiles), bits)
+                      if ntiles > 1 and block.sync_elements > 0 else 0)
+        # One tile's compute terms are the same on every tile.
+        out_elements = block.out_elements
+        flops = block.flops * fdsp / ntiles
+        mem = (_FP32 * (prev_elements + out_elements) * fdsp / ntiles
+               + block.weight_bytes)
+        depthwise = block.depthwise
 
-        new_tiles: List[_TileState] = []
-        same_grid = (bp.grid == prev_grid and len(tiles) == ntiles)
-        for j in range(ntiles):
-            dst = bp.devices[j]
+        new_ready: List[float] = []
+        for j, dst in enumerate(tiles_on):
             # --- input arrival ------------------------------------------------
             if same_grid:
-                src_tile = tiles[j]
-                if src_tile.device == dst:
-                    arrival = src_tile.ready
-                else:
-                    nbytes = wire_bytes(int(slice_elements), bp.bits)
-                    arrival = _transfer(src_tile.device, dst, nbytes,
-                                        src_tile.ready)
+                src = tile_dev[j]
+                arrival = tile_ready[j]
+                if src != dst and input_bytes > 0:
+                    t = transfer_time(src, dst, input_bytes)
+                    sent.append((src, dst, input_bytes, t))
+                    arrival = arrival + t
             else:
-                # Repartition: tile j's slice is gathered from every
-                # previous holder proportionally.
                 arrival = 0.0
-                share = slice_elements / len(tiles)
-                for src_tile in tiles:
-                    if src_tile.device == dst:
-                        arrival = max(arrival, src_tile.ready)
-                    else:
-                        nbytes = wire_bytes(int(share), bp.bits)
-                        arrival = max(arrival, _transfer(
-                            src_tile.device, dst, nbytes, src_tile.ready))
+                for src, ready in zip(tile_dev, tile_ready):
+                    if src != dst and input_bytes > 0:
+                        t = transfer_time(src, dst, input_bytes)
+                        sent.append((src, dst, input_bytes, t))
+                        ready = ready + t
+                    if ready > arrival:
+                        arrival = ready
             # --- peer synchronization (attention K/V exchange) -----------------
-            if ntiles > 1 and block.sync_elements > 0:
-                share = wire_bytes(
-                    int(block.sync_elements / ntiles), bp.bits)
-                for k in range(ntiles):
-                    if k == j or bp.devices[k] == dst:
+            if sync_bytes > 0:
+                for k, src in enumerate(tiles_on):
+                    if k == j or src == dst:
                         continue
-                    src_ready = (tiles[k].ready if same_grid and k < len(tiles)
-                                 else arrival)
-                    arrival = max(arrival, _transfer(
-                        bp.devices[k], dst, share, src_ready))
+                    t = transfer_time(src, dst, sync_bytes)
+                    sent.append((src, dst, sync_bytes, t))
+                    ready = (tile_ready[k] if same_grid else arrival) + t
+                    if ready > arrival:
+                        arrival = ready
             # --- compute -------------------------------------------------------
-            dev = cluster.device(dst)
-            flops = block.flops * fdsp / ntiles
-            if block.depthwise:
-                flops *= dev.depthwise_penalty
-            mem = (_FP32 * (prev_elements + block.out_elements) * fdsp / ntiles
-                   + block.weight_bytes)
-            t_compute = dev.compute_time(flops, mem)
+            dev = devices[dst]
+            t_compute = dev.compute_time(
+                flops * dev.depthwise_penalty if depthwise else flops, mem)
             if compute_scale:
                 t_compute *= compute_scale.get(dst, 1.0)
-            start = max(dev_ready[dst], arrival)
+            start = dev_ready[dst]
+            if arrival > start:
+                start = arrival
             end = start + t_compute
             dev_ready[dst] = end
-            report.compute_s[dst] += t_compute
-            new_tiles.append(_TileState(device=dst, ready=end))
+            compute_s[dst] += t_compute
+            new_ready.append(end)
 
-        tiles = new_tiles
-        prev_grid = bp.grid
-        prev_elements = block.out_elements
-        report.per_block_done.append(max(t.ready for t in tiles))
+        tile_dev, tile_ready = tiles_on, new_ready
+        prev_grid = grid
+        prev_elements = out_elements
+        per_block_done.append(max(new_ready))
 
     # Ship the result (logits) back to the output device.  The testbed's
     # tc-netem delay shapes the request direction; the tiny logits
@@ -164,23 +177,31 @@ def simulate_latency(graph: ModelGraph, plan: ExecutionPlan,
     # wire time are charged here.
     out_dev = plan.output_device
     done = 0.0
-    result_bytes = wire_bytes(int(prev_elements / len(tiles)), 32)
-    for tile in tiles:
-        if tile.device == out_dev:
-            done = max(done, tile.ready)
-            continue
-        link_t = cluster.transfer_time(tile.device, out_dev, result_bytes)
-        delay_s = 0.0
-        if tile.device != 0 and out_dev == 0:
-            delay_s = cluster.link_to(tile.device).delay_ms / 1e3
-        elif tile.device == 0 and out_dev != 0:
-            delay_s = cluster.link_to(out_dev).delay_ms / 1e3
-        t = max(link_t - delay_s, 0.0)
-        report.comm_s += t
-        report.comm_bytes += result_bytes
-        report.num_transfers += 1
-        report.tx_bytes[tile.device] += result_bytes
-        report.rx_bytes[out_dev] += result_bytes
-        done = max(done, tile.ready + t)
-    report.total_s = done
-    return report
+    result_bytes = wire_bytes(int(prev_elements / len(tile_dev)), 32)
+    for src, ready in zip(tile_dev, tile_ready):
+        if src != out_dev:
+            link_t = transfer_time(src, out_dev, result_bytes)
+            delay_s = 0.0
+            if src != 0 and out_dev == 0:
+                delay_s = cluster.link_to(src).delay_ms / 1e3
+            elif src == 0 and out_dev != 0:
+                delay_s = cluster.link_to(out_dev).delay_ms / 1e3
+            t = max(link_t - delay_s, 0.0)
+            sent.append((src, out_dev, result_bytes, t))
+            ready = ready + t
+        if ready > done:
+            done = ready
+
+    comm_s = comm_bytes = 0.0
+    tx_bytes = [0.0] * n_dev
+    rx_bytes = [0.0] * n_dev
+    for src, dst, nbytes, t in sent:
+        comm_s += t
+        comm_bytes += nbytes
+        tx_bytes[src] += nbytes
+        rx_bytes[dst] += nbytes
+    return LatencyReport(
+        total_s=done, compute_s=dict(enumerate(compute_s)), comm_s=comm_s,
+        comm_bytes=comm_bytes, num_transfers=len(sent),
+        per_block_done=per_block_done, tx_bytes=dict(enumerate(tx_bytes)),
+        rx_bytes=dict(enumerate(rx_bytes)))

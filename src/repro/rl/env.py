@@ -9,6 +9,16 @@ reward of Eq. 2 / Eq. 3 is assigned.
 The environment also exposes :meth:`decode` and :meth:`evaluate_actions`
 so the replay-buffer machinery (relabeling, mutation) can re-price stored
 action sequences under different tasks without re-rolling the policy.
+
+Training prices a *fresh* strategy per step — no (submodel, plan) pair
+repeats, so nothing whole can be memoised — but every part of one does
+(DESIGN.md, "Pricing a fresh strategy"): the graph is assembled from
+shared cost blocks, the plan from this env's table of block plans (one
+``BlockPlan`` per distinct ``(grid, devices, bits)``), the schedule is
+tabled once, the canonical key of the decoded arch is derived once per
+evaluation, and the default accuracy is the one ``build_graph`` already
+tagged the graph with.  Pricing itself stays on ``simulate_latency``:
+compiling a pair that is priced once would cost more than it saves.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..devices.profiles import DeviceProfile
-from ..nas.accuracy_model import plan_accuracy_penalty, strategy_accuracy
+from ..nas.accuracy_model import plan_accuracy_penalty
 from ..nas.arch import ArchConfig
 from ..nas.graph_builder import build_graph
 from ..nas.search_space import SearchSpace
@@ -30,6 +40,16 @@ from ..partition.spatial import Grid
 from .spaces import ActionStep, build_schedule
 
 __all__ = ["Task", "StrategyOutcome", "EnvConfig", "MurmurationEnv"]
+
+#: entries an env keeps in its graph memo and in its ``BlockPlan`` table
+_MEMO_BOUND = 4096
+
+
+def _make_room(memo: dict) -> None:
+    """Drop the first (oldest) entry of a full memo; it is rebuilt if it
+    is asked for again (the ``core/cost_model._make_room`` idiom)."""
+    if len(memo) >= _MEMO_BOUND:
+        del memo[next(iter(memo))]
 
 
 @dataclass(frozen=True)
@@ -89,12 +109,36 @@ class MurmurationEnv:
         self.space = space
         self.devices = list(devices)
         self.cfg = config or EnvConfig()
+        # The default is the analytical model's value, which build_graph
+        # already tagged the env's (memoised) graph with.
         self.accuracy_fn = accuracy_fn or (
-            lambda a: strategy_accuracy(a, space))
+            lambda a: self._graph(a).accuracy)
         self.schedule: List[ActionStep] = build_schedule(
             space, len(self.devices), self.cfg.max_tiles)
         self.max_choices = max(s.n_choices for s in self.schedule)
+        # What decode reads of each step, tabled once: ``(kind id,
+        # position, n_choices, options)``.  ``position`` is where the
+        # chosen option lands in its kind's row of decisions: the stage,
+        # the stage-major tile slot for a device step, 0 for a global
+        # step (whose stage is -1).
+        max_tiles = self.cfg.max_tiles
+        options = (space.resolution_options, space.depth_options,
+                   space.kernel_options, space.expand_options,
+                   space.grid_options, space.bits_options,
+                   range(len(self.devices)), range(len(self.devices)))
+        self._steps = [
+            (s.kind_id,
+             s.stage * max_tiles + s.slot if s.kind == "device"
+             else max(s.stage, 0),
+             s.n_choices, options[s.kind_id])
+            for s in self.schedule]
+        # canonical key -> graph, least recently used first; the pair
+        # beside it answers "the arch just decoded" without deriving a key
         self._graph_cache: dict = {}
+        self._last_graph: tuple = (None, None)
+        # (grid, devices, bits) -> the one BlockPlan of this env with
+        # that setting (validated when built), oldest first
+        self._block_plans: dict = {}
 
     # -- dimensions --------------------------------------------------------
     @property
@@ -229,72 +273,71 @@ class MurmurationEnv:
             raise ValueError(
                 f"expected {len(self.schedule)} actions, got {len(actions)}")
         space = self.space
-        cfg = self.cfg
-        res = None
-        depths = [space.min_depth] * space.num_stages
-        kernels = [min(space.kernel_options)] * space.num_stages
-        expands = [min(space.expand_options)] * space.num_stages
-        grids = [Grid(1, 1)] * space.num_stages
-        bits = [32] * space.num_stages
-        tile_devs = [[0] * cfg.max_tiles for _ in range(space.num_stages)]
-        head_dev = 0
-        for step, a in zip(self.schedule, actions):
-            if not (0 <= a < step.n_choices):
-                raise ValueError(f"action {a} out of range for {step}")
-            if step.kind == "resolution":
-                res = space.resolution_options[a]
-            elif step.kind == "depth":
-                depths[step.stage] = space.depth_options[a]
-            elif step.kind == "kernel":
-                kernels[step.stage] = space.kernel_options[a]
-            elif step.kind == "expand":
-                expands[step.stage] = space.expand_options[a]
-            elif step.kind == "grid":
-                grids[step.stage] = space.grid_options[a]
-            elif step.kind == "bits":
-                bits[step.stage] = space.bits_options[a]
-            elif step.kind == "device":
-                tile_devs[step.stage][step.slot] = a
-            elif step.kind == "head_device":
-                head_dev = a
+        num_stages, max_tiles = space.num_stages, self.cfg.max_tiles
+        g11 = Grid(1, 1)
+        # one row of decisions per action kind (``ACTION_TYPES`` order),
+        # preset to what an episode that skipped the step would mean
+        res, head_dev = [None], [0]
+        depths = [space.min_depth] * num_stages
+        kernels = [min(space.kernel_options)] * num_stages
+        expands = [min(space.expand_options)] * num_stages
+        grids = [g11] * num_stages
+        bits = [32] * num_stages
+        tile_devs = [0] * (num_stages * max_tiles)
+        rows = (res, depths, kernels, expands, grids, bits, tile_devs,
+                head_dev)
+        for i, ((kind, position, n_choices, options), a) in enumerate(
+                zip(self._steps, actions)):
+            if not (0 <= a < n_choices):
+                raise ValueError(
+                    f"action {a} out of range for {self.schedule[i]}")
+            rows[kind][position] = options[a]
 
-        slots = space.num_stages * space.max_depth
-        arch_kernels = [0] * slots
-        arch_expands = [0] * slots
-        for s in range(space.num_stages):
-            for b in range(space.max_depth):
-                arch_kernels[s * space.max_depth + b] = kernels[s]
-                arch_expands[s * space.max_depth + b] = expands[s]
-        arch = ArchConfig(res, tuple(depths), tuple(arch_kernels),
-                          tuple(arch_expands))
+        # all blocks of a stage share the stage's kernel and expansion
+        max_depth = space.max_depth
+        arch = ArchConfig(
+            res[0], tuple(depths),
+            tuple([k for k in kernels for _ in range(max_depth)]),
+            tuple([e for e in expands for _ in range(max_depth)]))
 
         graph = self._graph(arch)
-        plans: List[BlockPlan] = []
-        g11 = Grid(1, 1)
-        stem_dev = tile_devs[0][0]
-        for block in graph:
-            if block.fused or not block.partitionable:
-                plans.append(BlockPlan(g11, (head_dev,), bits=bits[-1]))
-            elif block.stage == 0:  # stem
-                plans.append(BlockPlan(g11, (stem_dev,), bits=bits[0]))
-            elif 1 <= block.stage <= space.num_stages:
-                s = block.stage - 1
-                g = grids[s]
-                devs = tuple(tile_devs[s][:g.ntiles])
-                plans.append(BlockPlan(g, devs, bits=bits[s]))
-            else:  # final conv
-                plans.append(BlockPlan(g11, (head_dev,), bits=bits[-1]))
+        shared = self._block_plan
+        head = shared(g11, (head_dev[0],), bits[-1])    # fused + final conv
+        by_stage = [shared(g11, (tile_devs[0],), bits[0])]   # the stem
+        for s, g in enumerate(grids):
+            slots = tile_devs[s * max_tiles:(s + 1) * max_tiles]
+            by_stage.append(shared(g, tuple(slots[:g.ntiles]), bits[s]))
+        plans = [head if block.fused or not block.partitionable
+                 or not 0 <= block.stage <= num_stages
+                 else by_stage[block.stage] for block in graph]
         return arch, ExecutionPlan(plans, output_device=0)
 
+    def _block_plan(self, grid: Grid, devices: Tuple[int, ...],
+                    bits: int) -> BlockPlan:
+        """This env's one ``BlockPlan`` with the setting (they are frozen:
+        every plan decoded here repeats the instance)."""
+        key = (grid, devices, bits)
+        found = self._block_plans.get(key)
+        if found is None:
+            _make_room(self._block_plans)
+            found = self._block_plans[key] = BlockPlan(grid, devices, bits)
+        return found
+
     def _graph(self, arch: ArchConfig):
+        last_arch, graph = self._last_graph
+        if arch is last_arch:
+            return graph
+        # Every lookup re-inserts what it found, so the dict's order is
+        # its order of use and a full memo drops one graph, the least
+        # recently used.
         key = arch.canonical_key(self.space)
-        g = self._graph_cache.get(key)
-        if g is None:
-            g = build_graph(arch, self.space)
-            if len(self._graph_cache) > 4096:
-                self._graph_cache.clear()
-            self._graph_cache[key] = g
-        return g
+        graph = self._graph_cache.pop(key, None)
+        if graph is None:
+            graph = build_graph(arch, self.space)
+            _make_room(self._graph_cache)
+        self._graph_cache[key] = graph
+        self._last_graph = (arch, graph)
+        return graph
 
     # -- pricing ---------------------------------------------------------------
     def evaluate_strategy(self, arch: ArchConfig, plan: ExecutionPlan,

@@ -133,12 +133,19 @@ class TestFig18And19:
     def test_rl_much_faster_even_vs_tiny_evolution(self):
         """With a deliberately tiny evolutionary budget the RL decision
         is still clearly faster; the full-budget ratio (~1000x, Fig. 18)
-        is measured in the benchmark."""
+        is measured in the benchmark.
+
+        Evolution shares the latency simulator every pricing speed-up
+        makes cheaper, while an RL decision is LSTM-bound, so this 16 x 4
+        budget is held to its share of the paper-scale (100 x 20) bar of
+        50x — 1.6x; it read 9.9–12.2x before PR 20 and 6.3–8.3x after.
+        Ten RL decisions average out the first, cold one."""
         data = fig18_search_time(
             evolution_config=EvolutionConfig(population=16, generations=4),
-            repeats=3)
+            repeats=10)
+        share = 50.0 * (16 * 4) / (100 * 20)
         for dev in ("rpi4", "desktop_gtx1080"):
-            assert data["rl"][dev] < data["evolutionary"][dev] / 5
+            assert data["rl"][dev] < data["evolutionary"][dev] / share
         assert "seconds" in format_search_time(data).lower()
 
     def test_supernet_switch_is_milliseconds(self):

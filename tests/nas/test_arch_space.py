@@ -1,5 +1,8 @@
 """Search space and architecture configs (with hypothesis properties)."""
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,6 +45,24 @@ class TestSearchSpace:
         with pytest.raises(ValueError):
             SearchSpace(stages=(StageSpec(16, 2, False, "relu"),),
                         kernel_options=(3, 3))
+
+    def test_derived_constants_leave_the_dataclass_as_it_was(self):
+        """``num_stages`` / ``max_depth`` / ``min_depth`` are computed
+        once and kept on the instance; they are not fields."""
+        fresh, read = tiny_space(), tiny_space()
+        assert (read.num_stages, read.max_depth, read.min_depth,
+                read.max_blocks) == (3, 2, 1, 6)
+        assert read.max_depth is read.max_depth
+        assert read == fresh and hash(read) == hash(fresh)
+        assert repr(read) == repr(fresh)
+        assert dataclasses.astuple(read) == dataclasses.astuple(fresh)
+        deeper = dataclasses.replace(read, depth_options=(2, 3, 5))
+        assert (deeper.min_depth, deeper.max_depth, deeper.max_blocks) \
+            == (2, 5, 15)
+        assert dataclasses.replace(read) == fresh
+        assert copy.deepcopy(read) == fresh
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            read.stem_ch = 4
 
     def test_tiny_space_trains_fast(self):
         ts = tiny_space()

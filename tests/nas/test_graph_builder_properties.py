@@ -1,5 +1,7 @@
 """Cost-graph builder: structural and monotonicity properties."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.nas import (MBV3_SPACE, ArchConfig, build_graph, max_arch,
                        min_arch, random_arch)
+from repro.nas.accuracy_model import arch_accuracy
 
 SPACE = MBV3_SPACE
 
@@ -56,6 +59,61 @@ class TestStructure:
         for _ in range(15):
             f = build_graph(random_arch(SPACE, rng), SPACE).total_flops
             assert lo <= f <= hi
+
+
+class TestSharedBlocks:
+    """Graphs are assembled from shared frozen ``ComputeBlock``s."""
+
+    def test_archs_that_share_a_stage_share_its_block_objects(self):
+        a = random_arch(SPACE, np.random.default_rng(4))
+        slots = SPACE.max_depth
+        # same resolution and first two stages; the rest differs
+        b = ArchConfig(
+            a.resolution, a.depths[:2] + (2, 4, 3),
+            a.kernels[:2 * slots] + (3,) * (3 * slots),
+            a.expands[:2 * slots] + (6,) * (3 * slots))
+        ga, gb = build_graph(a, SPACE), build_graph(b, SPACE)
+        front = 1 + sum(a.depths[:2])
+        for x, y in zip(ga.blocks[1:front], gb.blocks[1:front]):
+            assert x is y
+        assert ga.blocks[:front] == gb.blocks[:front]
+        assert ga.blocks is not gb.blocks           # the lists are not shared
+        # an inactive slot does not reach the graph
+        c = ArchConfig(a.resolution, a.depths, a.kernels,
+                       tuple(e if i in a.active_slots(SPACE) else 3
+                             for i, e in enumerate(a.expands)))
+        assert all(x is y for x, y in zip(
+            ga.blocks[1:-3], build_graph(c, SPACE).blocks[1:-3]))
+
+    def test_a_stride_or_input_size_change_is_another_block(self):
+        lo = build_graph(min_arch(SPACE), SPACE)
+        hi = build_graph(dataclasses.replace(
+            min_arch(SPACE), resolution=max(SPACE.resolution_options)), SPACE)
+        for x, y in zip(lo.blocks[1:-3], hi.blocks[1:-3]):
+            assert x is not y and x.name == y.name and x.flops < y.flops
+
+    @given(arch_strategy())
+    @settings(max_examples=20, deadline=None)
+    def test_explicit_accuracy_still_tags_the_graph(self, arch):
+        tagged = build_graph(arch, SPACE, accuracy=61.5)
+        plain = build_graph(arch, SPACE)
+        assert tagged.accuracy == 61.5 != plain.accuracy
+        assert plain.accuracy == arch_accuracy(arch, SPACE)
+        assert all(x is y for x, y in zip(tagged.blocks[1:-3],
+                                          plain.blocks[1:-3]))
+        assert tagged.blocks == plain.blocks
+
+    def test_an_invalid_arch_is_rejected_either_way(self):
+        bad = dataclasses.replace(min_arch(SPACE), resolution=100)
+        with pytest.raises(ValueError, match="resolution 100"):
+            build_graph(bad, SPACE)
+        with pytest.raises(ValueError, match="resolution 100"):
+            build_graph(bad, SPACE, accuracy=70.0)
+
+    def test_the_block_memo_is_bounded(self):
+        from repro.nas.graph_builder import _mbconv_block
+        info = _mbconv_block.cache_info()
+        assert info.maxsize == 4096 and info.currsize <= info.maxsize
 
 
 class TestMonotonicity:

@@ -2,10 +2,15 @@
 
 import pytest
 
+from repro.devices import desktop_gtx1080, rpi4
 from repro.models import get_model
+from repro.nas.evolution import candidate_plans
+from repro.netsim import Cluster, NetworkCondition
 from repro.partition import (BlockPlan, ExecutionPlan, Grid,
-                             layerwise_split_plan, single_device_plan,
-                             spatial_front_plan, spatial_plan)
+                             layerwise_split_plan, simulate_latency,
+                             single_device_plan, spatial_front_plan,
+                             spatial_plan)
+from repro.partition.compiled import compile_plan, price
 from repro.partition.plan import greedy_spatial_plan
 
 
@@ -58,6 +63,21 @@ class TestExecutionPlanValidation:
         with pytest.raises(ValueError, match="output device"):
             ExecutionPlan(plans, output_device=9).validate_for(graph, 2)
 
+    @pytest.mark.parametrize("walker", ["simulate", "compiled"])
+    def test_negative_output_device_is_rejected_not_priced(self, graph,
+                                                           walker):
+        """-1 used to pass validation and die in ``transfer_time`` with
+        a bare ``KeyError: -1``, in both plan walkers."""
+        cluster = Cluster([rpi4(), desktop_gtx1080()],
+                          NetworkCondition((100.0,), (10.0,)))
+        plan = ExecutionPlan([BlockPlan(Grid(1, 1), (1,)) for _ in graph],
+                             output_device=-1)
+        with pytest.raises(ValueError, match="output device out of range"):
+            if walker == "simulate":
+                simulate_latency(graph, plan, cluster)
+            else:
+                price(compile_plan(graph, plan, cluster.devices), cluster)
+
 
 class TestConstructors:
     def test_single_device(self, graph):
@@ -105,3 +125,45 @@ class TestConstructors:
         plan = greedy_spatial_plan(graph, [0, 1])
         plan.validate_for(graph, 2)
         assert all(max(bp.devices) <= 1 for bp in plan)
+
+
+class TestSharedBlockPlans:
+    """The constructors build each distinct ``(grid, devices, bits)``
+    once per plan and repeat the frozen instance."""
+
+    def test_a_plan_holds_one_instance_per_distinct_setting(self, graph):
+        plans = candidate_plans(graph, Cluster(
+            [rpi4()] * 9, NetworkCondition.uniform(8, 100.0, 10.0)))
+        assert len(plans) >= 30
+        for plan in plans:
+            distinct = {(bp.grid, bp.devices, bp.bits) for bp in plan}
+            assert len({id(bp) for bp in plan}) == len(distinct)
+
+    def test_a_cold_enumeration_validates_few_block_plans(self, graph,
+                                                          monkeypatch):
+        built = []
+        post_init = BlockPlan.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(BlockPlan, "__post_init__", counted)
+        plans = candidate_plans(graph, Cluster(
+            [rpi4()] * 3, NetworkCondition.uniform(2, 100.0, 10.0)))
+        # at most a handful of settings per template, not one per block
+        assert len(built) <= 4 * len(plans)
+        assert sum(len(plan) for plan in plans) >= 15 * len(plans)
+
+    def test_settings_are_built_only_when_a_block_needs_them(self, graph):
+        """An invalid id for a role no block plays raised nothing before
+        the instances were shared, and raises nothing now."""
+        layerwise_split_plan(graph, len(graph), remote=-1)     # all local
+        layerwise_split_plan(graph, 0, local=-1)               # all remote
+        spatial_front_plan(graph, Grid(1, 2), [-1, -2], min_hw=10 ** 6)
+        with pytest.raises(ValueError, match="non-negative"):
+            layerwise_split_plan(graph, 1, local=-1)
+        with pytest.raises(ValueError, match="non-negative"):
+            spatial_plan(graph, Grid(1, 2), [0, -1])
+        with pytest.raises(ValueError, match="non-negative"):
+            greedy_spatial_plan(graph, [0, 1], aggregator=-1)

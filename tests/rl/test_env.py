@@ -1,10 +1,12 @@
 """Environment: schedule, decode, rewards, curriculum, relabeling."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from repro.devices import desktop_gtx1080, rpi4
-from repro.nas import MBV3_SPACE
+from repro.nas import MBV3_SPACE, ArchConfig, random_arch
 from repro.rl import (ACTION_TYPES, EnvConfig, MurmurationEnv, Task,
                       bootstrap_actions, build_schedule)
 from repro.netsim import NetworkCondition
@@ -61,7 +63,7 @@ class TestDecode:
         assert 1 in plan.devices_used()
 
     def test_wrong_length_rejected(self, env):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="expected 47 actions, got 2"):
             env.decode([0, 1])
 
     def test_out_of_range_action_rejected(self, env):
@@ -69,6 +71,42 @@ class TestDecode:
         actions[0] = 99
         with pytest.raises(ValueError):
             env.decode(actions)
+
+    @pytest.mark.parametrize("index,bad", [(0, 5), (4, -1), (6, 2), (46, 7)])
+    def test_out_of_range_action_names_its_step(self, env, index, bad):
+        actions = [int(a) for a in bootstrap_actions(env)[1]]
+        actions[index] = bad
+        with pytest.raises(ValueError) as caught:
+            env.decode(actions)
+        assert str(caught.value) == (
+            f"action {bad} out of range for {env.schedule[index]}")
+
+    def test_equal_block_settings_are_one_object_per_env(self, env):
+        rng = np.random.default_rng(3)
+        actions = [int(rng.integers(s.n_choices)) for s in env.schedule]
+        (arch_a, plan_a), (arch_b, plan_b) = (env.decode(actions),
+                                              env.decode(actions))
+        assert arch_a == arch_b and plan_a is not plan_b
+        assert plan_a.block_plans == plan_b.block_plans
+        assert all(a is b for a, b in zip(plan_a, plan_b))
+        distinct = {(bp.grid, bp.devices, bp.bits) for bp in plan_a}
+        assert len({id(bp) for bp in plan_a}) == len(distinct)
+        other = MurmurationEnv(MBV3_SPACE, [rpi4(), desktop_gtx1080()])
+        _, plan_c = other.decode(actions)
+        assert plan_c.block_plans == plan_a.block_plans
+        assert not any(a is c for a, c in zip(plan_a, plan_c))
+
+    def test_too_few_tile_slots_for_the_grid_still_raise(self):
+        """A 2x2 grid under ``max_tiles=2`` names two devices for four
+        tiles: a ``BlockPlan`` error, not a neighbouring stage's slots."""
+        small = MurmurationEnv(MBV3_SPACE, [rpi4(), desktop_gtx1080()],
+                               EnvConfig(max_tiles=2))
+        actions = [0] * small.episode_length
+        grid_steps = [i for i, s in enumerate(small.schedule)
+                      if s.kind == "grid"]
+        actions[grid_steps[0]] = 2                       # 2x2
+        with pytest.raises(ValueError, match="needs 4 device ids, got 2"):
+            small.decode(actions)
 
     def test_decode_random_rollouts_always_valid(self, env):
         rng = np.random.default_rng(0)
@@ -121,6 +159,67 @@ class TestEvaluate:
         fast = env.evaluate_actions(actions, Task(
             1.0, NetworkCondition((400.0,), (5.0,))))
         assert fast.latency_s <= slow.latency_s
+
+
+    def test_custom_accuracy_fn_is_called_once_and_wins(self):
+        """The graph is tagged with the analytical accuracy; a custom
+        function's value, not the tag, is what the outcome reports."""
+        calls = []
+
+        def measured(arch):
+            calls.append(arch)
+            return 71.25
+
+        custom = MurmurationEnv(MBV3_SPACE, [rpi4(), desktop_gtx1080()],
+                                accuracy_fn=measured)
+        task = Task(0.3, NetworkCondition((200.0,), (20.0,)))
+        actions = bootstrap_actions(custom)[0]     # everything local
+        out = custom.evaluate_actions(actions, task)
+        assert calls == [out.arch]
+        assert out.accuracy == 71.25               # no plan penalty locally
+        assert custom._graph(out.arch).accuracy != 71.25
+        custom.evaluate_actions(actions, task)
+        assert len(calls) == 2
+
+    def test_default_accuracy_is_the_analytical_model(self, env):
+        from repro.nas.accuracy_model import (plan_accuracy_penalty,
+                                              strategy_accuracy)
+        task = Task(0.3, NetworkCondition((200.0,), (20.0,)))
+        for actions in bootstrap_actions(env):
+            out = env.evaluate_actions(actions, task)
+            assert out.accuracy == (strategy_accuracy(out.arch, MBV3_SPACE)
+                                    - plan_accuracy_penalty(out.plan))
+            # evaluate_strategy alone, on an arch the env did not decode
+            again = env.evaluate_strategy(
+                ArchConfig(*astuple(out.arch)), out.plan, task)
+            assert (again.latency_s, again.accuracy, again.reward) \
+                == (out.latency_s, out.accuracy, out.reward)
+
+
+class TestGraphMemo:
+    def test_a_full_memo_evicts_one_graph_not_all(self):
+        """Entry 4 097 used to clear the memo, so a long run rebuilt
+        every live graph together; now the least recently used goes."""
+        env = MurmurationEnv(MBV3_SPACE, [rpi4(), desktop_gtx1080()])
+        rng = np.random.default_rng(7)
+        archs = {}
+        while len(archs) < 4097:
+            arch = random_arch(MBV3_SPACE, rng)
+            archs.setdefault(arch.canonical_key(MBV3_SPACE), arch)
+        archs = list(archs.values())
+        graphs = [env._graph(a) for a in archs[:4096]]
+        assert env._graph(archs[0]) is graphs[0]      # now the most recent
+        env._graph(archs[4096])                       # entry 4 097
+        for i in (0, 2, 2048, 4095):
+            assert env._graph(archs[i]) is graphs[i]
+        assert env._graph(archs[1]) is not graphs[1]  # the one evicted
+        assert env._graph(archs[1]).blocks == graphs[1].blocks
+
+    def test_an_equal_arch_finds_the_graph_of_its_canonical_key(self, env):
+        arch = random_arch(MBV3_SPACE, np.random.default_rng(1))
+        graph = env._graph(arch)
+        assert env._graph(arch) is graph
+        assert env._graph(ArchConfig(*astuple(arch))) is graph
 
 
 class TestTasks:
