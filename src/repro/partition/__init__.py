@@ -11,7 +11,6 @@ from .plan import (
     spatial_plan,
 )
 from .compiled import PlanProgram, compile_plan, price
-from .optimize import block_candidates, refine_plan
 from .simulate import LatencyReport, simulate_latency
 from .spatial import (
     GRIDS,
@@ -41,6 +40,4 @@ __all__ = [
     "PlanProgram",
     "compile_plan",
     "price",
-    "refine_plan",
-    "block_candidates",
 ]

@@ -11,22 +11,20 @@ the simulated clock:
   accumulate into a batch (bounded by :attr:`BatchPolicy.max_batch`,
   with a :attr:`BatchPolicy.max_wait_s` fill timeout anchored at the
   oldest queued request).  One decision and one model switch are
-  amortized across the whole batch, which is sound because all items
-  share the SLO and the condition observed at decision time — the batch
-  occupies a single :class:`~repro.core.strategy_cache.StrategyCache`
-  cell.
-* **Overlap** — the decision for batch *k+1* runs on the gateway while
-  batch *k* still executes on the cluster, so decision latency leaves
-  the critical path exactly when the cache misses (a cache hit costs no
-  decision time to begin with).  The model switch cannot overlap — the
-  weights are in use until batch *k* drains — so it is charged after
-  ``max(decision end, executor free)``.
+  amortized across the batch, which is sound because all items share
+  the SLO and the condition observed at decision time.
+* **Overlap** — a batch whose cap fills while batch *k* still executes
+  closes early, so its decision runs on the gateway under that
+  execution and leaves the critical path exactly when the cache misses.
+  The model switch cannot overlap — the weights are in use until batch
+  *k* drains — so it is charged after ``max(decision end, executor
+  free)``.
 
-With ``max_batch=1`` the policy degenerates to the FIFO server: a batch
-is full at its first member (the fill timeout never engages) and there
-is no second in-flight batch to pipeline against, so overlap is
-disabled and the produced :class:`ServingStats` records are bit-
-identical to :meth:`InferenceServer.run` (enforced by test).
+Both servers run :meth:`InferenceServer._serve`; this one only chooses
+who rides a dispatch and what it emits.  At ``max_batch=1`` a batch is
+full at its first member and never closes early, so the
+:class:`ServingStats` records are the FIFO server's, bit for bit, by
+construction.
 """
 
 from __future__ import annotations
@@ -121,12 +119,9 @@ class BatchedServingStats(ServingStats):
 
 
 class BatchingInferenceServer(InferenceServer):
-    """Poisson arrivals -> batch accumulation -> amortized adaptation.
-
-    Same arrival process, statistics, and telemetry as the FIFO
-    :class:`InferenceServer` (same seed => same arrival times), plus the
-    batch pipeline described in the module docstring.
-    """
+    """Poisson arrivals -> batch accumulation -> amortized adaptation:
+    the FIFO :class:`InferenceServer`'s arrivals, loop, statistics and
+    telemetry with batch-shaped dispatches (module docstring)."""
 
     def __init__(self, system, arrival_rate_hz: float,
                  policy: Optional[BatchPolicy] = None, seed: int = 0,
@@ -155,45 +150,77 @@ class BatchingInferenceServer(InferenceServer):
                      early: bool) -> "tuple":
         """Pick the members of the batch led by request ``i``.
 
-        Returns ``(j, close)``: members are ``arrivals[i:j]`` and the
-        batch's membership is known at simulated time ``close``.
+        Returns ``(j, close)``: members are ``arrivals[i:j]``, known at
+        simulated time ``close``.  Everything queued by the time the
+        pipeline could take the batch rides, up to the cap; an under-
+        full batch holds open until its fill timeout (anchored at the
+        oldest member) or the cap — the timer runs to its deadline, a
+        real server cannot know no further request is coming.
 
         ``early`` (overlap mode): a batch whose cap fills while the
-        previous batch still executes closes the moment its last seat is
-        taken — membership is identical to waiting for the executor, but
-        the decision can start immediately and overlap the ongoing
-        execution.
+        previous one still executes closes the moment its last seat is
+        taken — same members, but the decision can start under the
+        ongoing execution.
         """
-        n = len(arrivals)
         a_first = float(arrivals[i])
-        # Everything queued by the time the pipeline could take the
-        # batch is admitted immediately, up to the cap.
         natural = max(a_first, exec_free)
-        cap_idx = i + self.policy.max_batch - 1
-        if early and cap_idx < n and float(arrivals[cap_idx]) <= natural:
-            return i + self.policy.max_batch, float(arrivals[cap_idx])
-        j = i + 1
-        while j < n and j - i < self.policy.max_batch \
-                and float(arrivals[j]) <= natural:
-            j += 1
-        close = natural
-        if j - i < self.policy.max_batch and self.policy.max_wait_s > 0:
-            # Under-full: hold the batch open until the fill timeout
-            # (anchored at the oldest member) or the cap, whichever
-            # fires first.  The timer runs to its deadline — a real
-            # server cannot know no further request is coming.
-            deadline = a_first + self.policy.max_wait_s
-            if deadline > natural:
-                while j < n and j - i < self.policy.max_batch \
-                        and float(arrivals[j]) <= deadline:
-                    j += 1
-                if j - i == self.policy.max_batch:
-                    close = max(natural, float(arrivals[j - 1]))
-                else:
-                    close = deadline
-        return j, close
+        horizon = max(natural, a_first + self.policy.max_wait_s)
+        j = min(i + self.policy.max_batch,
+                int(np.searchsorted(arrivals, horizon, side="right")))
+        if j - i < self.policy.max_batch:
+            return j, horizon
+        filled = float(arrivals[j - 1])
+        return j, filled if early else max(natural, filled)
 
-    # -- serving loop ------------------------------------------------------
+    # -- what this server chooses in the serving loop ----------------------
+    def _members(self, arrivals: np.ndarray, i: int, ready: float,
+                 exec_free: float) -> tuple:
+        """The batch under the policy as it stands *now* (a
+        BatchPolicyController may have replaced it at this arrival's
+        tick).  A size-1 cap has nothing to amortize and no second
+        in-flight batch to hide a decision under: never early, which is
+        the FIFO server's own answer."""
+        early = self.policy.overlap and self.policy.max_batch > 1
+        return self._close_batch(arrivals, i, exec_free, early)
+
+    def _dispatch(self, stats: BatchedServingStats, k: int, i: int, j: int,
+                  arrivals: np.ndarray, tenants, degraded: bool,
+                  close: float, d_start: float, exec_free: float) -> tuple:
+        """One ``batch`` root span around the facade's batch path, a
+        :class:`BatchRecord`, then a flat ``request`` root per member."""
+        size = j - i
+        tracer = self.telemetry.tracer
+        with tracer.span("batch", sim_time=d_start, index=k, size=size) as bs:
+            res = self.system.infer_batch(
+                batch_size=size, now=d_start, request_ids=list(range(i, j)),
+                exec_not_before=exec_free, degraded=degraded,
+                tenants=tenants[i:j])
+            bs.set_sim_end(res.finish_s)
+            bs.annotate(cache_hit=res.cache_hit)
+        # What a serial pipeline would have charged: decision at
+        # max(close, exec_free), execution right after.
+        saved = max(0.0, max(close, exec_free) + res.decision_time_s
+                    + res.switch_time_s - res.exec_start_s)
+        batch = BatchRecord(
+            index=k, size=size, close_s=close, decision_start_s=d_start,
+            decision_s=res.decision_time_s, switch_s=res.switch_time_s,
+            exec_start_s=res.exec_start_s, finish_s=res.finish_s,
+            cache_hit=res.cache_hit, overlap_saved_s=saved)
+        stats.batches.append(batch)
+        self.recorder.on_batch(batch)
+        for m, record in enumerate(res.items, start=i):
+            arrival = float(arrivals[m])
+            with tracer.span("request", sim_time=arrival, request=m) as root:
+                with tracer.span("queue", sim_time=arrival) as qs:
+                    qs.set_sim_end(d_start)
+                self._emit_served(stats, root, record, arrival, d_start,
+                                  res.item_finish_s[m - i], tenants[m],
+                                  batch=k)
+        self._m_batch_size.observe(float(size))
+        self._m_amortized.inc(size - 1)
+        self._m_overlap_saved.inc(saved)
+        return res.finish_s, d_start + res.decision_time_s
+
     def run(self, num_requests: int,
             condition_trace: Optional[Sequence[NetworkCondition]] = None,
             trace_period_s: float = 1.0,
@@ -205,101 +232,5 @@ class BatchingInferenceServer(InferenceServer):
         :meth:`InferenceServer.run`; a batch may mix tenants (they share
         the SLO and the condition cell, which is all batching needs).
         """
-        self._check_run_args(num_requests, tenants)
-        stats = BatchedServingStats()
-        self._last_trace_idx = None
-        arrivals = self._arrivals(num_requests)
-        exec_free = 0.0    # when the executor (cluster + model) frees
-        dec_free = 0.0     # when the gateway's decision engine frees
-        tracer = self.telemetry.tracer
-        i = 0
-        k = 0
-        while i < len(arrivals):
-            degraded = False
-            # world events due by the batch leader's arrival fire first
-            # (at their own scheduled times)
-            self.events.advance_to(float(arrivals[i]))
-            self.control.server_tick(float(arrivals[i]), stats, arrivals, i,
-                                     exec_free)
-            # Shed hopeless leading requests before they anchor a
-            # batch; the surviving leader's verdict decides whether
-            # the whole batch degrades (all members share its
-            # strategy anyway).
-            while i < len(arrivals):
-                a = float(arrivals[i])
-                verdict = self.control.admit(
-                    a, max(a, exec_free), self.system.slo,
-                    tenant=self._tenant_of(tenants, i))
-                if verdict != "shed":
-                    degraded = verdict == "degrade"
-                    break
-                self._shed(stats, a, tenant=self._tenant_of(tenants, i))
-                i += 1
-            if i >= len(arrivals):
-                break
-            # Policy is re-read each batch: a BatchPolicyController may
-            # have replaced it at the tick above.  A size-1 batch has
-            # nothing to amortize and no second in-flight batch to hide
-            # a decision under: serial, FIFO-identical.
-            pol = self.policy
-            overlap = pol.overlap and pol.max_batch > 1
-            j, close = self._close_batch(arrivals, i, exec_free,
-                                         early=overlap)
-            size = j - i
-            # Overlapped: decide as soon as membership is known and the
-            # engine is free.  Serial: the whole pipeline is the unit —
-            # close already includes exec_free.
-            d_start = max(close, dec_free) if overlap else close
-            self._apply_trace(condition_trace, trace_period_s, d_start)
-            # events up to the decision instant fire before the batch's
-            # decision observes the world; d_start can lag the loop
-            # after a long batch — the advance clamps
-            self.events.advance_to(d_start)
-            with tracer.span("batch", sim_time=d_start, index=k,
-                             size=size) as bs:
-                res = self.system.infer_batch(
-                    batch_size=size, now=d_start,
-                    request_ids=list(range(i, j)),
-                    exec_not_before=(exec_free if overlap else None),
-                    degraded=degraded,
-                    tenants=None if tenants is None else tenants[i:j])
-                bs.set_sim_end(res.finish_s)
-                bs.annotate(cache_hit=res.cache_hit)
-            # What a serial pipeline would have charged: decision at
-            # max(close, exec_free), execution right after.
-            serial_exec_start = (max(close, exec_free)
-                                 + res.decision_time_s + res.switch_time_s)
-            saved = max(0.0, serial_exec_start - res.exec_start_s)
-            dec_free = d_start + res.decision_time_s
-            exec_free = res.finish_s
-            batch = BatchRecord(
-                index=k, size=size, close_s=close, decision_start_s=d_start,
-                decision_s=res.decision_time_s, switch_s=res.switch_time_s,
-                exec_start_s=res.exec_start_s, finish_s=res.finish_s,
-                cache_hit=res.cache_hit, overlap_saved_s=saved)
-            stats.batches.append(batch)
-            self.recorder.on_batch(batch)
-            for m, record in enumerate(res.items):
-                arrival = float(arrivals[i + m])
-                tenant = self._tenant_of(tenants, i + m)
-                with tracer.span("request", sim_time=arrival,
-                                 request=i + m) as root:
-                    with tracer.span("queue", sim_time=arrival) as qs:
-                        qs.set_sim_end(d_start)
-                    root.set_sim_end(res.item_finish_s[m])
-                    root.annotate(satisfied=record.satisfied,
-                                  cache_hit=record.cache_hit, batch=k)
-                    if tenant is not None:
-                        root.annotate(tenant=tenant)
-                    if record.outcome != "ok":
-                        root.annotate(outcome=record.outcome)
-                self._emit_served(stats, record, arrival, d_start,
-                                  res.item_finish_s[m], tenant, batch=k)
-            self._m_batch_size.observe(float(size))
-            if size > 1:
-                self._m_amortized.inc(size - 1)
-            if saved > 0:
-                self._m_overlap_saved.inc(saved)
-            i = j
-            k += 1
-        return stats
+        return self._serve(BatchedServingStats(), num_requests,
+                           condition_trace, trace_period_s, tenants)

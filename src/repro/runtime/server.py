@@ -3,11 +3,14 @@
 The paper's runtime decides per request; this module adds the missing
 piece a deployment needs around that: a request arrival process, a FIFO
 queue on the local device, and end-to-end statistics (queueing + decision
-+ switch + inference), all on simulated time.
++ switch + inference), all on simulated time.  An adaptation policy that
+picks slightly faster submodels can dominate a higher-accuracy one once
+queueing delay is counted.
 
-Useful for studying what SLO compliance means under load: an adaptation
-policy that picks slightly faster submodels can dominate a higher-
-accuracy one once queueing delay is counted.
+There is one admission-and-dispatch loop, :meth:`InferenceServer._serve`;
+:class:`InferenceServer` and :class:`~repro.runtime.batching
+.BatchingInferenceServer` differ only in who rides a dispatch
+(``_members``) and what a dispatch emits (``_dispatch``).
 """
 
 from __future__ import annotations
@@ -206,32 +209,25 @@ class InferenceServer:
         """``telemetry``, ``recorder``, ``control`` and ``ingress``
         default to their null forms and ``events`` to an empty loop on
         the facade's clock, so the serving loop calls all five
-        unconditionally (DESIGN.md, "Optional subsystems").
-
-        ``control`` (a :class:`~repro.control.ControlLoop`) lets the
-        server drive the control cadence with queue context and consult
-        admission per request.
+        unconditionally (DESIGN.md, "Optional subsystems").  With a
+        ``control`` loop the server drives its cadence with queue
+        context and consults admission per request.
 
         ``arrival_process`` overrides Poisson arrivals: a callable
-        ``(rng, num_requests) -> array of arrival times`` (sorted,
-        seconds).  Used by overload-burst scenarios.
+        ``(rng, num_requests) -> array of arrival times`` (seconds,
+        finite and non-decreasing — checked before anything is served).
 
         ``ingress`` (a :class:`~repro.netsim.contention.SharedIngress`)
         models the shared last-mile uplink request payloads cross
-        before service can start; concurrent tenants fair-share it —
-        arrival-order snapshot with a ``ContentionTracker`` attached,
-        event-driven max-min with a
-        :class:`~repro.netsim.fluid.FluidTracker` (either way the
-        fluid/snapshot upload time feeds ``ready`` and therefore the
-        queue-wait prediction the admission controller triages on).
+        before service can start; concurrent tenants fair-share it as
+        its tracker prices (snapshot or fluid), and the upload time
+        feeds ``ready`` and so the queue wait admission triages on.
 
-        ``events`` (a :class:`~repro.sim.events.EventLoop`, ideally
-        sharing the facade's :class:`~repro.runtime.clock
-        .SimulatedClock`) is the loop the server advances time
-        *through*: every scheduled world event (condition step, fault
-        transition, control tick, capacity update) due at or before
-        each admission instant and each service start fires first, at
-        its own scheduled time.
+        ``events`` (a :class:`~repro.sim.events.EventLoop`, ideally on
+        the facade's :class:`~repro.runtime.clock.SimulatedClock`) is
+        the loop the server advances time *through*: every scheduled
+        world event due by an admission instant or a service start
+        fires first, at its own scheduled time.
         """
         if arrival_rate_hz <= 0:
             raise ValueError("arrival rate must be positive")
@@ -282,14 +278,11 @@ class InferenceServer:
 
     def _apply_trace(self, condition_trace, trace_period_s: float,
                      start: float) -> None:
-        """Switch the true world to the trace cell the request *starts*
-        in.
-
-        Indexed by service start, not arrival: under queueing a request
-        executes later than it arrived, and the runtime must see the
-        network as it is then, not a stale snapshot.  This is the
-        boundary-only model — the world changes when a request touches
-        it; schedule the trace on an event loop
+        """Switch the true world to the trace cell a dispatch *starts*
+        in — not the one it arrived in: a queued request must see the
+        network as it is when it runs.  This is the boundary-only model
+        (the world changes when a request touches it); schedule the
+        trace on an event loop
         (:func:`~repro.sim.sources.schedule_condition_trace`) to apply
         steps at their true instants instead.
         """
@@ -319,33 +312,49 @@ class InferenceServer:
                 self._count_tenant_shed(rr.tenant)
 
     def _arrivals(self, num_requests: int) -> np.ndarray:
-        """Arrival times: Poisson by default, or the injected process."""
-        if self.arrival_process is not None:
-            arrivals = np.asarray(
-                self.arrival_process(self.rng, num_requests), dtype=float)
-            if len(arrivals) != num_requests:
-                raise ValueError(
-                    f"arrival_process returned {len(arrivals)} times "
-                    f"for num_requests={num_requests}")
-            return arrivals
-        return np.cumsum(self.rng.exponential(1.0 / self.rate,
-                                              num_requests))
+        """Arrival times: Poisson by default, or the injected process
+        (checked once, before anything is served)."""
+        if self.arrival_process is None:
+            return np.cumsum(self.rng.exponential(1.0 / self.rate,
+                                                  num_requests))
+        arrivals = np.asarray(
+            self.arrival_process(self.rng, num_requests), dtype=float)
+        if len(arrivals) != num_requests:
+            raise ValueError(
+                f"arrival_process returned {len(arrivals)} times "
+                f"for num_requests={num_requests}")
+        bad = ~np.isfinite(arrivals)
+        bad[1:] |= arrivals[1:] < arrivals[:-1]
+        if bad.any():
+            idx = int(np.argmax(bad))
+            raise ValueError(
+                f"arrival_process returned {arrivals[idx]!r} at index "
+                f"{idx}: arrival times must be finite and non-decreasing")
+        return arrivals
 
     def _shed(self, stats: ServingStats, arrival: float,
-              batch: Optional[int] = None,
-              tenant: Optional[str] = None) -> None:
+              tenant: Optional[str]) -> None:
         """Account one admission-shed request: zero service, not
         satisfied, pipeline untouched."""
         self._observe_request(stats, RequestRecord(
             arrival=arrival, start=arrival, finish=arrival,
             inference_s=0.0, decision_s=0.0, switch_s=0.0,
-            satisfied=False, outcome="shed", tenant=tenant), batch=batch)
+            satisfied=False, outcome="shed", tenant=tenant))
 
-    def _emit_served(self, stats: ServingStats, record: "InferenceRecord",
-                     arrival: float, start: float, finish: float,
-                     tenant: Optional[str],
+    def _emit_served(self, stats: ServingStats, root,
+                     record: "InferenceRecord", arrival: float,
+                     start: float, finish: float, tenant: Optional[str],
                      batch: Optional[int] = None) -> None:
-        """Account one request the facade served."""
+        """Close one served request's ``root`` span and account it."""
+        root.set_sim_end(finish)
+        root.annotate(satisfied=record.satisfied,
+                      cache_hit=record.cache_hit)
+        if batch is not None:
+            root.annotate(batch=batch)
+        if tenant is not None:
+            root.annotate(tenant=tenant)
+        if record.outcome != "ok":
+            root.annotate(outcome=record.outcome)
         self._observe_request(stats, RequestRecord(
             arrival=arrival, start=start, finish=finish,
             inference_s=record.latency_s,
@@ -354,19 +363,90 @@ class InferenceServer:
             outcome=record.outcome, retries=record.retries,
             failovers=record.failovers, tenant=tenant), batch=batch)
 
-    @staticmethod
-    def _check_run_args(num_requests: int, tenants) -> None:
+    # -- the serving loop --------------------------------------------------
+    def _serve(self, stats: ServingStats, num_requests: int,
+               condition_trace, trace_period_s: float,
+               tenants) -> ServingStats:
+        """The one loop behind both servers' ``run``.  Per arrival:
+        fire the world events due, price the upload, tick control, ask
+        admission; a shed request ends there.  An admitted one leads a
+        dispatch: :meth:`_members` says who rides with it, the world
+        moves to the decision instant, :meth:`_dispatch` serves them
+        (DESIGN.md, "Batched serving & the simulated clock")."""
         if num_requests <= 0:
             raise ValueError(
                 f"num_requests must be positive, got {num_requests}")
-        if tenants is not None and len(tenants) != num_requests:
+        if tenants is None:
+            tenants = [None] * num_requests
+        elif len(tenants) != num_requests:
             raise ValueError(
                 f"tenants covers {len(tenants)} requests but "
                 f"num_requests is {num_requests}")
+        self._last_trace_idx = None
+        arrivals = self._arrivals(num_requests)
+        exec_free = 0.0    # when the executor (cluster + model) frees
+        dec_free = 0.0     # when the gateway's decision engine frees
+        advance_to = self.events.advance_to
+        i = k = 0
+        while i < num_requests:
+            arrival, tenant = float(arrivals[i]), tenants[i]
+            # world events due by this admission instant fire first, so
+            # the ingress and the admission peek see its true world
+            advance_to(arrival)
+            # the payload crosses the shared uplink before service
+            ready = arrival + self.ingress.upload_time(arrival, tenant)
+            self.control.server_tick(arrival, stats, arrivals, i, exec_free)
+            verdict = self.control.admit(arrival, max(ready, exec_free),
+                                         self.system.slo, tenant=tenant)
+            if verdict == "shed":
+                self._shed(stats, arrival, tenant)
+                i += 1
+                continue
+            # only admitted requests occupy the uplink
+            self.ingress.admit(arrival, tenant)
+            j, close = self._members(arrivals, i, ready, exec_free)
+            # decide once membership is known and the engine is free (a
+            # dispatch that did not close early waited for the executor,
+            # which never frees before the engine)
+            d_start = max(close, dec_free)
+            self._apply_trace(condition_trace, trace_period_s, d_start)
+            # events up to the decision instant fire before it observes
+            # the world (d_start may lag the loop: the advance clamps)
+            advance_to(d_start)
+            exec_free, dec_free = self._dispatch(
+                stats, k, i, j, arrivals, tenants, verdict == "degrade",
+                close, d_start, exec_free)
+            i, k = j, k + 1
+        return stats
 
-    @staticmethod
-    def _tenant_of(tenants, i: int) -> Optional[str]:
-        return tenants[i] if tenants is not None else None
+    def _members(self, arrivals: np.ndarray, i: int, ready: float,
+                 exec_free: float) -> tuple:
+        """``(j, close)`` of the dispatch request ``i`` leads: it serves
+        ``arrivals[i:j]`` and its membership is known at ``close``.
+        FIFO: the leader alone, once its payload is in and the pipeline
+        is free."""
+        return i + 1, max(ready, exec_free)
+
+    def _dispatch(self, stats: ServingStats, k: int, i: int, j: int,
+                  arrivals: np.ndarray, tenants, degraded: bool,
+                  close: float, start: float, exec_free: float) -> tuple:
+        """Serve ``arrivals[i:j]`` as dispatch ``k``, deciding at
+        ``start``; returns the new ``(exec_free, dec_free)``.  FIFO: one
+        ``request`` root span around the facade's single-request path."""
+        arrival, tracer = float(arrivals[i]), self.telemetry.tracer
+        with tracer.span("request", sim_time=arrival, request=i) as root:
+            with tracer.span("queue", sim_time=arrival) as qs:
+                qs.set_sim_end(start)
+            record: "InferenceRecord" = self.system.infer(
+                now=start, request_id=i, degraded=degraded,
+                tenant=tenants[i])
+            # Summed left-to-right in pipeline order (decision, switch,
+            # execute): the float the facade ends its own clock on.
+            finish = (start + record.decision_time_s
+                      + record.switch_time_s + record.latency_s)
+            self._emit_served(stats, root, record, arrival, start, finish,
+                              tenants[i])
+        return finish, finish
 
     def run(self, num_requests: int,
             condition_trace: Optional[Sequence[NetworkCondition]] = None,
@@ -376,61 +456,9 @@ class InferenceServer:
         """Serve ``num_requests``; returns the timeline statistics.
 
         ``condition_trace`` (optional) switches the true network state
-        every ``trace_period_s`` of simulated time.
-
-        ``tenants`` (optional) tags request ``i`` with ``tenants[i]``;
-        the tag rides through admission, the facade, records, and
-        telemetry.
+        every ``trace_period_s`` of simulated time; ``tenants``
+        (optional) tags request ``i`` with ``tenants[i]``, and the tag
+        rides through admission, the facade, records, and telemetry.
         """
-        self._check_run_args(num_requests, tenants)
-        stats = ServingStats()
-        self._last_trace_idx = None
-        arrivals = self._arrivals(num_requests)
-        server_free = 0.0
-        tracer = self.telemetry.tracer
-        for i, arrival in enumerate(arrivals):
-            arrival = float(arrival)
-            tenant = self._tenant_of(tenants, i)
-            # every world event due by this admission instant fires
-            # first (at its own scheduled time), so the ingress and
-            # the admission peek see the instant's true world
-            self.events.advance_to(arrival)
-            # the payload crosses the shared uplink before service
-            # can start; concurrent tenants fair-share the wire
-            ready = arrival + self.ingress.upload_time(arrival, tenant)
-            start = max(ready, server_free)
-            self.control.server_tick(arrival, stats, arrivals, i,
-                                     server_free)
-            verdict = self.control.admit(arrival, start, self.system.slo,
-                                         tenant=tenant)
-            if verdict == "shed":
-                self._shed(stats, arrival, tenant=tenant)
-                continue
-            # only admitted requests occupy the uplink
-            self.ingress.admit(arrival, tenant)
-            self._apply_trace(condition_trace, trace_period_s, start)
-            # events between admission and service start (queueing)
-            # fire before the decision observes the world
-            self.events.advance_to(start)
-            with tracer.span("request", sim_time=arrival,
-                             request=i) as root:
-                with tracer.span("queue", sim_time=arrival) as qs:
-                    qs.set_sim_end(start)
-                record: "InferenceRecord" = self.system.infer(
-                    now=start, request_id=i,
-                    degraded=(verdict == "degrade"), tenant=tenant)
-                # Summed left-to-right in pipeline order (decision,
-                # switch, execute) so the batched server's size-1
-                # degenerate case reproduces these floats bit-exactly.
-                finish = (start + record.decision_time_s
-                          + record.switch_time_s + record.latency_s)
-                root.set_sim_end(finish)
-                root.annotate(satisfied=record.satisfied,
-                              cache_hit=record.cache_hit)
-                if tenant is not None:
-                    root.annotate(tenant=tenant)
-                if record.outcome != "ok":
-                    root.annotate(outcome=record.outcome)
-            server_free = finish
-            self._emit_served(stats, record, arrival, start, finish, tenant)
-        return stats
+        return self._serve(ServingStats(), num_requests, condition_trace,
+                           trace_period_s, tenants)

@@ -1,16 +1,14 @@
-"""Integration: the serving loop over an adaptive system on a trace,
-energy accounting of the chosen strategies, and plan refinement feeding
-the strategy cache."""
+"""Integration: the serving loop over an adaptive system on a trace, and
+energy accounting of the chosen strategies."""
 
 import numpy as np
 import pytest
 
-from repro.core import SLO, Murmuration, SearchDecisionEngine, Strategy
+from repro.core import SLO, Murmuration, SearchDecisionEngine
 from repro.devices import desktop_gtx1080, energy_of_report, rpi4
 from repro.nas import MBV3_SPACE, build_graph
-from repro.netsim import (Cluster, NetworkCondition, TraceConfig,
-                          random_walk_trace)
-from repro.partition import refine_plan, simulate_latency
+from repro.netsim import NetworkCondition, TraceConfig, random_walk_trace
+from repro.partition import simulate_latency
 from repro.runtime import InferenceServer
 
 
@@ -47,24 +45,3 @@ class TestServingIntegration:
         er = energy_of_report(rep, devices)
         assert er.total_j > 0
         assert rep.total_s == pytest.approx(rec.latency_s, rel=0.2)
-
-    def test_refined_strategy_into_cache(self, devices):
-        """Offline plan refinement produces a strategy the cache can
-        serve — the 'polish before caching' workflow."""
-        condition = NetworkCondition((250.0,), (15.0,))
-        cluster = Cluster(devices, condition)
-        engine = SearchDecisionEngine(MBV3_SPACE, devices, n_random_archs=4)
-        slo = SLO.latency_ms(250)
-        raw = engine.decide(slo, condition).strategy
-        graph = build_graph(raw.arch, MBV3_SPACE)
-        plan, latency = refine_plan(graph, raw.plan, cluster, max_passes=1)
-        assert latency <= raw.expected_latency_s + 1e-9
-
-        system = Murmuration(MBV3_SPACE, devices, condition, engine,
-                             slo=slo, use_predictor=False,
-                             monitor_noise=0.0, seed=4)
-        polished = Strategy(raw.arch, plan, latency, raw.expected_accuracy)
-        system.cache.put(slo, condition, polished)
-        rec = system.infer()
-        assert rec.cache_hit
-        assert rec.latency_s <= raw.expected_latency_s + 1e-9

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.control import AdmissionController, ControlLoop
 from repro.core import SLO, Murmuration, SearchDecisionEngine
 from repro.devices import desktop_gtx1080, jetson_class, rpi4
 from repro.eval.spec import PinnedTimeEngine
@@ -12,15 +13,18 @@ from repro.faults import (DeviceCrash, FaultInjector, FaultSchedule,
                           crash_and_recover_schedule)
 from repro.nas import MBV3_SPACE
 from repro.netsim import NetworkCondition, TraceConfig, step_trace
-from repro.telemetry import Telemetry
 from repro.runtime import (BatchedServingStats, BatchingInferenceServer,
                            BatchPolicy, InferenceServer)
+from repro.sim import (EventLoop, schedule_condition_trace,
+                       schedule_control_ticks)
+from repro.telemetry import Telemetry
+from repro.telemetry.recorder import RunRecorder
 
 _DT = 0.02  # pinned per-miss decision cost: deterministic clocks
 
 
 def _system(slo_ms=200.0, seed=0, faults=None, decision_s=_DT,
-            telemetry=None):
+            telemetry=None, **facade_kw):
     devices = [rpi4(), desktop_gtx1080(), jetson_class()]
     engine = SearchDecisionEngine(MBV3_SPACE, devices, n_random_archs=4,
                                   seed=seed)
@@ -29,7 +33,8 @@ def _system(slo_ms=200.0, seed=0, faults=None, decision_s=_DT,
     return Murmuration(
         MBV3_SPACE, devices, NetworkCondition((300.0, 150.0), (10.0, 20.0)),
         engine, slo=SLO.latency_ms(slo_ms), use_predictor=False,
-        monitor_noise=0.0, seed=seed, faults=faults, telemetry=telemetry)
+        monitor_noise=0.0, seed=seed, faults=faults, telemetry=telemetry,
+        **facade_kw)
 
 
 class TestBatchPolicy:
@@ -214,58 +219,131 @@ class TestBatchedFaults:
                     assert m.retries == 0
 
 
+# -- FIFO parity: one law over a table of worlds --------------------------
+class _Gate(AdmissionController):
+    """Admission that also sheds everything while ``closed`` (a world
+    event opens it), once there is a tick's worth of evidence."""
+
+    closed = True
+
+    def admit(self, arrival, start, slo_s, loop, tenant=None):
+        if self.closed and loop.ticks:
+            return "shed"
+        return super().admit(arrival, start, slo_s, loop, tenant=tenant)
+
+
+def _crash_faults():
+    return FaultInjector(crash_and_recover_schedule(
+        device=1, crash_at=0.3, recover_at=1.2), seed=15)
+
+
+def _parity_trace(seed=12):
+    return step_trace(TraceConfig(num_remote=2, steps=20, seed=seed,
+                                  bw_range=(50.0, 400.0),
+                                  delay_range=(5.0, 50.0)), period=2)
+
+
+def _shedding_world(system, loop):
+    """Admission that sheds in streaks, with its ticks, a condition
+    trace and the gate's re-opening all scheduled on the event loop."""
+    gate = _Gate()
+    control = ControlLoop([gate], period_s=0.25)
+    schedule_control_ticks(loop, control, horizon_s=12.0)
+    schedule_condition_trace(loop, system, _parity_trace(), 0.5)
+    loop.schedule(2.0, lambda t: setattr(gate, "closed", False))
+    return control
+
+
+#: row -> seeds, rate, n, facade kwargs (factories are called per run),
+#: ``run`` kwargs and the control-plane factory
+PARITY_WORLDS = {
+    "plain": dict(system_seed=10, seed=11, rate=20.0, n=25),
+    "trace": dict(system_seed=12, seed=13, rate=30.0, n=20,
+                  run=dict(condition_trace=_parity_trace(),
+                           trace_period_s=0.5)),
+    "crash_and_recover": dict(system_seed=15, seed=16, rate=20.0, n=40,
+                              facade=dict(faults=_crash_faults)),
+    "tenants": dict(system_seed=17, seed=18, rate=40.0, n=30, run=dict(
+        tenants=[("a", "b", None)[i % 3] for i in range(30)])),
+    "shedding_admission": dict(system_seed=19, seed=20, rate=12.0, n=60,
+                               facade=dict(slo_ms=300.0),
+                               world=_shedding_world),
+}
+
+
+def _facade_view(system):
+    # ExecutionPlan compares by identity: unpack the strategy
+    return [(replace(r, strategy=None), r.strategy.arch,
+             tuple(r.strategy.plan), r.strategy.expected_latency_s)
+            for r in system.records]
+
+
+def _serve_parity_row(row, server_cls, **server_kw):
+    spec = PARITY_WORLDS[row]
+    facade_kw = {k: v() if callable(v) else v
+                 for k, v in spec.get("facade", {}).items()}
+    loop = EventLoop()
+    recorder = RunRecorder("parity", variant=row)
+    system = _system(seed=spec["system_seed"], recorder=recorder,
+                     clock=loop.clock, **facade_kw)
+    control = spec["world"](system, loop) if "world" in spec else None
+    server = server_cls(system, spec["rate"], seed=spec["seed"],
+                        recorder=recorder, control=control, events=loop,
+                        **server_kw)
+    stats = server.run(spec["n"], **spec.get("run", {}))
+    requests = [{k: v for k, v in rec.items() if k != "batch"}
+                for rec in recorder.requests]
+    ticks = (control.ticks, control.actions) if control is not None else None
+    return stats, system, ticks, requests, loop
+
+
+def assert_max_batch_one_is_fifo(row):
+    """The law: ``max_batch=1`` *is* the FIFO server — records, facade
+    records, control ticks + action log, recorded request lines."""
+    a, fifo_system, fifo_ticks, fifo_lines, fifo_loop = _serve_parity_row(
+        row, InferenceServer)
+    b, batched_system, ticks, lines, loop = _serve_parity_row(
+        row, BatchingInferenceServer, policy=BatchPolicy(max_batch=1))
+    assert a.records == b.records  # frozen dataclass: exact equality
+    assert _facade_view(fifo_system) == _facade_view(batched_system)
+    assert fifo_ticks == ticks
+    assert fifo_lines == lines
+    assert fifo_loop.fired_total == loop.fired_total
+    assert [x.size for x in b.batches] == [1] * len(b.batches)
+    return a, b
+
+
 class TestFifoParity:
     def test_batch_size_one_is_bit_identical_to_fifo(self):
         """max_batch=1 must reproduce the FIFO server exactly — same
         floats, same flags, every field of every record."""
-        fifo = InferenceServer(_system(seed=10), arrival_rate_hz=20.0,
-                               seed=11)
-        batched = BatchingInferenceServer(
-            _system(seed=10), arrival_rate_hz=20.0,
-            policy=BatchPolicy(max_batch=1), seed=11)
-        a = fifo.run(num_requests=25)
-        b = batched.run(num_requests=25)
-        assert a.records == b.records  # frozen dataclass: exact equality
+        assert_max_batch_one_is_fifo("plain")
 
     def test_batch_size_one_parity_with_trace(self):
-        trace = step_trace(TraceConfig(num_remote=2, steps=20, seed=12,
-                                       bw_range=(50.0, 400.0),
-                                       delay_range=(5.0, 50.0)), period=2)
-        fifo = InferenceServer(_system(seed=12), arrival_rate_hz=30.0,
-                               seed=13)
-        batched = BatchingInferenceServer(
-            _system(seed=12), arrival_rate_hz=30.0,
-            policy=BatchPolicy(max_batch=1), seed=13)
-        a = fifo.run(num_requests=20, condition_trace=trace,
-                     trace_period_s=0.5)
-        b = batched.run(num_requests=20, condition_trace=trace,
-                        trace_period_s=0.5)
-        assert a.records == b.records
+        assert_max_batch_one_is_fifo("trace")
 
     def test_batch_size_one_parity_under_crash_and_recover(self):
         """Plan-only chaos: retries, failover and recovery come out the
-        same from both loops, server-side and facade-side."""
-        def faults():
-            return FaultInjector(crash_and_recover_schedule(
-                device=1, crash_at=0.3, recover_at=1.2), seed=15)
-
-        fifo_system = _system(seed=15, faults=faults())
-        batched_system = _system(seed=15, faults=faults())
-        a = InferenceServer(fifo_system, arrival_rate_hz=20.0,
-                            seed=16).run(num_requests=40)
-        b = BatchingInferenceServer(
-            batched_system, arrival_rate_hz=20.0,
-            policy=BatchPolicy(max_batch=1), seed=16).run(num_requests=40)
-        assert a.records == b.records
-        # ExecutionPlan compares by identity: unpack the strategy
-        def facade_view(system):
-            return [(replace(r, strategy=None), r.strategy.arch,
-                     tuple(r.strategy.plan), r.strategy.expected_latency_s)
-                    for r in system.records]
-        assert facade_view(fifo_system) == facade_view(batched_system)
+        same from both servers, server-side and facade-side."""
+        a, _ = assert_max_batch_one_is_fifo("crash_and_recover")
         assert a.outcome_counts()["retried"] > 0
         assert any(r.failovers for r in a.records)
         assert a.records[-1].outcome == "ok"  # device 1 came back
+
+    @pytest.mark.parametrize("row", [
+        r for r in PARITY_WORLDS
+        if r not in ("plain", "trace", "crash_and_recover")])
+    def test_batch_size_one_parity(self, row):
+        """The rows with no legacy-named test of their own."""
+        a, b = assert_max_batch_one_is_fifo(row)
+        if row == "tenants":
+            assert {r.tenant for r in a.records} == {"a", "b", None}
+        if row == "shedding_admission":
+            outcomes = [r.outcome for r in a.records]
+            assert outcomes.count("shed") >= 6
+            assert "shed, shed, shed" in ", ".join(outcomes)  # a streak
+            assert outcomes[-1] != "shed"      # the gate re-opened
+            assert len(b.batches) == len(a.records) - a.shed_count
 
     def test_summary_mentions_batches(self):
         server = BatchingInferenceServer(
@@ -274,6 +352,78 @@ class TestFifoParity:
         stats = server.run(num_requests=16)
         assert "batches" in stats.summary()
         assert "amortized" in stats.summary()
+
+
+class TestShedStreak:
+    """Regression: inside a run of shed batch leaders the batched loop
+    neither fired world events nor ticked control, so later leaders were
+    judged against a stale world — a gate opened by an event at t = 1.0
+    stayed shut for every request after the first shed."""
+
+    ARRIVALS = [0.1, 0.6, 0.8, 1.05, 1.2, 1.4]
+
+    def _run(self, server_cls, **server_kw):
+        system = _system()
+        loop = EventLoop(system.clock)
+        gate = _Gate()
+        control = ControlLoop([gate], period_s=0.25)
+        loop.schedule(1.0, lambda t: setattr(gate, "closed", False))
+        server = server_cls(system, 5.0, control=control, events=loop,
+                            arrival_process=lambda rng, n: self.ARRIVALS,
+                            **server_kw)
+        stats = server.run(len(self.ARRIVALS))
+        return [r.outcome for r in stats.records], control.ticks
+
+    @pytest.mark.parametrize("server_kw", [
+        None, dict(policy=BatchPolicy(max_batch=1)),
+        dict(policy=BatchPolicy(max_batch=4)),
+        dict(policy=BatchPolicy(max_batch=4, overlap=False))],
+        ids=["fifo", "max1", "max4", "max4_serial"])
+    def test_a_shed_leader_still_moves_the_world(self, server_kw):
+        outcomes, ticks = (self._run(InferenceServer) if server_kw is None
+                           else self._run(BatchingInferenceServer,
+                                          **server_kw))
+        assert outcomes == ["ok", "shed", "shed", "ok", "ok", "ok"]
+        assert ticks == 4
+
+
+class TestCloseBatch:
+    def test_matches_the_member_by_member_scan(self):
+        """``_close_batch`` answers by bisection; the scan it replaced
+        is the oracle (ties, fill timeouts, early closes)."""
+        def scan(policy, arrivals, i, exec_free, early):
+            n, cap = len(arrivals), policy.max_batch
+            natural = max(arrivals[i], exec_free)
+            if early and i + cap - 1 < n and arrivals[i + cap - 1] <= natural:
+                return i + cap, arrivals[i + cap - 1]
+            j = i + 1
+            while j < n and j - i < cap and arrivals[j] <= natural:
+                j += 1
+            deadline = arrivals[i] + policy.max_wait_s
+            if j - i == cap or deadline <= natural:
+                return j, natural
+            while j < n and j - i < cap and arrivals[j] <= deadline:
+                j += 1
+            return j, (max(natural, arrivals[j - 1]) if j - i == cap
+                       else deadline)
+
+        rng = np.random.default_rng(0)
+        server = BatchingInferenceServer(_system(), 5.0)
+        for _ in range(3000):
+            n = int(rng.integers(1, 24))
+            arrivals = np.cumsum(rng.exponential(0.1, n)
+                                 * (rng.random(n) > 0.3))
+            i = int(rng.integers(n))
+            exec_free = float(rng.choice([
+                0.0, arrivals[i], arrivals[i] + rng.exponential(0.2),
+                arrivals[min(i + 2, n - 1)]]))
+            server.policy = BatchPolicy(
+                max_batch=int(rng.integers(1, 9)),
+                max_wait_s=float(rng.choice([0.0, 0.05, 0.3, 2.0])))
+            for early in (False, True):
+                assert server._close_batch(arrivals, i, exec_free, early) \
+                    == scan(server.policy, arrivals.tolist(), i, exec_free,
+                            early)
 
 
 class TestBatchedTenants:

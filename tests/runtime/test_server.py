@@ -7,7 +7,8 @@ from repro.core import SLO, Murmuration, SearchDecisionEngine
 from repro.devices import desktop_gtx1080, rpi4
 from repro.nas import MBV3_SPACE
 from repro.netsim import NetworkCondition, TraceConfig, step_trace
-from repro.runtime import InferenceServer, RequestRecord, ServingStats
+from repro.runtime import (BatchingInferenceServer, InferenceServer,
+                           RequestRecord, ServingStats)
 
 
 def _system(slo_ms=200.0, seed=0):
@@ -231,6 +232,43 @@ class TestInferenceServer:
         # the world the last request executed in is cell 1, which an
         # arrival-indexed lookup would never have applied
         assert system.cluster.condition == cond_b
+
+
+class TestInjectedArrivals:
+    """An injected ``arrival_process`` is checked once, before anything
+    is served.  Regression: a NaN or infinite arrival raised from
+    ``EventLoop.advance_to`` after a request had already been served,
+    and ``[0.5, 0.2, 0.9]`` was served silently — request 1 starting at
+    0.57 under FIFO and at 0.50 batched."""
+
+    @pytest.mark.parametrize("server_cls",
+                             [InferenceServer, BatchingInferenceServer])
+    @pytest.mark.parametrize("times,index", [
+        ([0.1, float("nan"), 0.3], 1),
+        ([0.1, 0.2, float("inf")], 2),
+        ([float("-inf"), 0.2, 0.3], 0),
+        ([0.5, 0.2, 0.9], 1),
+        ([0.1, 0.4, 0.4, 0.3], 3),
+    ])
+    def test_bad_arrival_is_named_before_anything_is_served(
+            self, server_cls, times, index):
+        system = _system()
+        server = server_cls(system, arrival_rate_hz=2.0,
+                            arrival_process=lambda rng, n: times)
+        with pytest.raises(ValueError, match=f"index {index}:.*finite and "
+                                             f"non-decreasing"):
+            server.run(num_requests=len(times))
+        assert system.records == []          # nothing reached the facade
+        assert system.clock.now == 0.0       # and no time passed
+
+    @pytest.mark.parametrize("server_cls",
+                             [InferenceServer, BatchingInferenceServer])
+    def test_ties_and_a_late_start_are_fine(self, server_cls):
+        times = [3.0, 3.0, 3.5, 3.5, 9.0]
+        server = server_cls(_system(), arrival_rate_hz=2.0,
+                            arrival_process=lambda rng, n: times)
+        stats = server.run(num_requests=5)
+        assert [r.arrival for r in stats.records] == times
 
 
 class TestEventIntegration:
