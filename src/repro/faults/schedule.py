@@ -115,8 +115,8 @@ class LinkDegradation(FaultEvent):
             raise ValueError("degradation applies to a remote link (id >= 1)")
         if not (0.0 < self.bw_factor <= 1.0):
             raise ValueError("bw_factor must be in (0, 1]")
-        if self.extra_delay_ms < 0.0:
-            raise ValueError("extra delay must be non-negative")
+        if not 0.0 <= self.extra_delay_ms < math.inf:
+            raise ValueError("extra delay must be finite and non-negative")
 
 
 @dataclass(frozen=True)

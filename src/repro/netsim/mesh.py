@@ -3,9 +3,21 @@
 The paper's deployments are stars (one switch); real edge swarms —
 drones relaying for each other, multi-hop sensor fields — are not.  This
 module generalizes :class:`~repro.netsim.topology.Cluster` to an
-arbitrary link graph: transfers route along the minimum-latency path
-(computed with networkx), paying every hop's delay and the bottleneck
-hop's bandwidth.
+arbitrary link graph: transfers route along the minimum-latency path,
+paying every hop's delay and the bottleneck hop's bandwidth.
+
+The link graph is two plain adjacency dicts, ``node -> {neighbour:
+(delay_ms, bandwidth_mbps)}`` — the base links and the base links under
+the fault overlay — each filled in the order the links were given.  The
+path search (:func:`_min_delay_path`) is a bidirectional Dijkstra on
+delay.  Among equal-delay paths the winner is decided by that search's
+own order, which is part of the contract (frozen in
+``tests/fixtures/route_digests.json``): the two directions take turns
+starting from the source, a heap entry is ``(distance, push number,
+node)`` so the earlier push wins a distance tie, neighbours are relaxed
+in link order, only a strictly shorter distance replaces a known one,
+and the path returned runs through the meeting node of the first
+strictly better total seen when a node is settled from both sides.
 
 A :class:`MeshCluster` is a drop-in replacement wherever a ``Cluster``
 is consumed (the latency simulator, the executor's transport) because it
@@ -43,11 +55,11 @@ benchmark compares against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, \
     Sequence, Tuple
-
-import networkx as nx
 
 from ..devices.profiles import DeviceProfile
 from ..faults.resilience import NoRouteError
@@ -97,6 +109,59 @@ class RouteInfo:
         return len(self.path) - 1
 
 
+#: ``node -> {neighbour: (delay_ms, bandwidth_mbps)}``, both directions
+Adjacency = Dict[int, Dict[int, Tuple[float, float]]]
+
+
+def _min_delay_path(adj: Adjacency, src: int, dst: int) -> Tuple[int, ...]:
+    """The min-delay path between two distinct nodes: bidirectional
+    Dijkstra.
+
+    The order of every step decides which of several equal-delay paths
+    is returned (see the module docstring); delays are non-negative, so
+    a settled node is never reached again by a shorter way.  Raises
+    :class:`NoRouteError` when the two searches never meet.
+    """
+    dists = ({}, {})                        # settled, per direction
+    seen = ({src: 0}, {dst: 0})             # best known, per direction
+    preds = ({src: None}, {dst: None})
+    fringe = ([(0, 0, src)], [(0, 1, dst)])
+    pushes = 2
+    best = meet = None
+    side = 1
+    while fringe[0] and fringe[1]:
+        side = 1 - side
+        dist, _, v = heappop(fringe[side])
+        if v in dists[side]:
+            continue
+        dists[side][v] = dist
+        if v in dists[1 - side]:
+            path, node = [], meet
+            while node is not None:
+                path.append(node)
+                node = preds[0][node]
+            path.reverse()
+            node = preds[1][meet]
+            while node is not None:
+                path.append(node)
+                node = preds[1][node]
+            return tuple(path)
+        for w, (delay, _) in adj[v].items():
+            if w in dists[side]:
+                continue
+            reach = dist + delay
+            if w not in seen[side] or reach < seen[side][w]:
+                seen[side][w] = reach
+                heappush(fringe[side], (reach, pushes, w))
+                pushes += 1
+                preds[side][w] = v
+                if w in seen[1 - side]:
+                    total = reach + seen[1 - side][w]
+                    if best is None or best > total:
+                        best, meet = total, w
+    raise NoRouteError(src, dst)
+
+
 class MeshCluster:
     """Devices connected by an arbitrary set of links.
 
@@ -134,26 +199,34 @@ class MeshCluster:
         #: bumped on every link-set mutation; cached routes from an older
         #: epoch are unreachable because the cache is dropped at the bump
         self.route_epoch = 0
-        self._graph = nx.Graph()
-        self._base_graph = nx.Graph()
-        self._rebuild_graphs()
+        self._base_adj = self._adj = self._adjacency(overlay=False)
         self._path_cache: Dict[Tuple[int, int], RouteInfo] = {}
         self._base_paths: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self._cond_cache: Optional[NetworkCondition] = None
 
     # -- link-set mutation -------------------------------------------------
-    def _rebuild_graphs(self) -> None:
-        for g, overlay in ((self._base_graph, False), (self._graph, True)):
-            g.clear()
-            g.add_nodes_from(range(len(self.devices)))
-            for edge, link in self._base.items():
-                bw, delay = link.bandwidth_mbps, link.delay_ms
-                if overlay:
-                    if edge in self._down:
-                        continue
-                    factor, extra = self._degraded.get(edge, (1.0, 0.0))
-                    bw, delay = bw * factor, delay + extra
-                g.add_edge(*edge, delay=delay, bandwidth=bw)
+    def _adjacency(self, overlay: bool) -> Adjacency:
+        """The base links, or the base links under the fault overlay, as
+        a fresh adjacency dict (never mutated once built)."""
+        adj: Adjacency = {i: {} for i in range(len(self.devices))}
+        for edge, link in self._base.items():
+            bw, delay = link.bandwidth_mbps, link.delay_ms
+            if overlay:
+                if edge in self._down:
+                    continue
+                factor, extra = self._degraded.get(edge, (1.0, 0.0))
+                bw, delay = bw * factor, delay + extra
+            a, b = edge
+            adj[a][b] = adj[b][a] = (delay, bw)
+        return adj
+
+    def _rebuild_overlay(self) -> None:
+        """While nothing is faulted the overlaid graph *is* the base
+        graph (the same dict), so a fault-free mesh builds one."""
+        faulted = bool(self._down or self._degraded)
+        self._adj = (self._adjacency(overlay=True) if faulted
+                     else self._base_adj)
+        self.invalidate_routes()
 
     def invalidate_routes(self) -> None:
         """Drop every cached route and advance the routing epoch.
@@ -182,8 +255,8 @@ class MeshCluster:
             link.bandwidth_mbps if bandwidth_mbps is None else bandwidth_mbps,
             link.delay_ms if delay_ms is None else delay_ms)
         self._base_paths.clear()
-        self._rebuild_graphs()
-        self.invalidate_routes()
+        self._base_adj = self._adjacency(overlay=False)
+        self._rebuild_overlay()
 
     def apply_link_faults(
             self, down: Iterable[Edge] = (),
@@ -197,13 +270,23 @@ class MeshCluster:
         reroute around it or raise :class:`NoRouteError`, and nothing
         downstream ever divides by its bandwidth.  Edges the mesh does
         not have are ignored (a schedule written for a larger topology,
-        mirroring the star's out-of-range tolerance).  Returns True when
-        the overlay actually changed (and therefore the path cache was
-        invalidated).
+        mirroring the star's out-of-range tolerance).  An extra delay
+        that is not finite, or that takes its link's delay below zero,
+        is a ``ValueError`` naming the edge, raised before the overlay
+        changes: routing has no answer on such a graph.  Returns True
+        when the overlay actually changed (and therefore the path cache
+        was invalidated).
         """
         deg = {canonical_edge(*e): (float(f), float(x))
                for e, (f, x) in (degraded or {}).items()
                if canonical_edge(*e) in self._base}
+        for e, (_, extra) in deg.items():
+            delay = self._base[e].delay_ms
+            # negated so that NaN, which fails every comparison, is rejected
+            if not (math.isfinite(extra) and delay + extra >= 0):
+                raise ValueError(
+                    f"link {e}: extra delay {extra} ms on a {delay} ms link "
+                    "must be finite and leave the delay non-negative")
         dead = {e for e, (f, _) in deg.items()
                 if not self._base[e].bandwidth_mbps * f > 0}
         deg = {e: fx for e, fx in deg.items() if e not in dead}
@@ -213,8 +296,7 @@ class MeshCluster:
             return False
         self._down = down_set
         self._degraded = deg
-        self._rebuild_graphs()
-        self.invalidate_routes()
+        self._rebuild_overlay()
         return True
 
     # -- Cluster-compatible surface ----------------------------------------
@@ -256,7 +338,13 @@ class MeshCluster:
 
     def is_connected(self) -> bool:
         """Connectivity of the *current* (fault-overlaid) graph."""
-        return nx.is_connected(self._graph)
+        seen, stack = {0}, [0]
+        while stack:
+            for w in self._adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return len(seen) == len(self.devices)
 
     @property
     def condition(self) -> NetworkCondition:
@@ -298,8 +386,9 @@ class MeshCluster:
         """
         if self.contention is None:
             return False
-        caps = {canonical_edge(a, b): data["bandwidth"] * 1e6
-                for a, b, data in self._graph.edges(data=True)}
+        # each edge once, from its lower endpoint, in link order
+        caps = {(a, b): bw * 1e6 for a, nbrs in self._adj.items()
+                for b, (_, bw) in nbrs.items() if a < b}
         if caps:
             self.contention.update_caps(float(now), caps)
         return bool(caps)
@@ -310,23 +399,20 @@ class MeshCluster:
         cached = self._base_paths.get(key)
         if cached is not None:
             return cached
-        try:
-            path = tuple(nx.shortest_path(self._base_graph, src, dst,
-                                          weight="delay"))
-        except nx.NetworkXNoPath as exc:
-            raise NoRouteError(src, dst) from exc
+        path = _min_delay_path(self._base_adj, src, dst)
         self._base_paths[key] = path
         self._base_paths[(dst, src)] = tuple(reversed(path))
         return path
 
-    def _price_path(self, path: Tuple[int, ...],
+    @staticmethod
+    def _price_path(adj: Adjacency, path: Tuple[int, ...],
                     rerouted: bool) -> RouteInfo:
         delay = 0.0
         bw = float("inf")
         for a, b in zip(path, path[1:]):
-            edge = self._graph.edges[a, b]
-            delay += edge["delay"]
-            bw = min(bw, edge["bandwidth"])
+            hop_delay, hop_bw = adj[a][b]
+            delay += hop_delay
+            bw = min(bw, hop_bw)
         return RouteInfo(delay, bw, path, rerouted)
 
     def route_info(self, src: int, dst: int) -> RouteInfo:
@@ -349,20 +435,16 @@ class MeshCluster:
             if any(canonical_edge(a, b) in self._down
                    for a, b in zip(path, path[1:])):
                 raise NoRouteError(src, dst)
-            info = self._price_path(path, False)
+            info = self._price_path(self._adj, path, False)
         else:
-            try:
-                path = tuple(nx.shortest_path(self._graph, src, dst,
-                                              weight="delay"))
-            except nx.NetworkXNoPath as exc:
-                raise NoRouteError(src, dst) from exc
+            path = _min_delay_path(self._adj, src, dst)
             # Any overlay (down *or* degraded links) can move the
             # min-delay path off the fault-free one; comparing against
             # the base path whenever an overlay is active is what makes
             # degradation-induced reroutes visible to the counters.
             rerouted = (bool(self._down or self._degraded)
                         and path != self._base_path(src, dst))
-            info = self._price_path(path, rerouted)
+            info = self._price_path(self._adj, path, rerouted)
         self._path_cache[key] = info
         self._path_cache[(dst, src)] = RouteInfo(
             info.delay_ms, info.bandwidth_mbps,
@@ -381,13 +463,7 @@ class MeshCluster:
                 # never connected, even fault-free: an effectively dead
                 # pair (sentinel values; nothing routes work through it)
                 return RouteInfo(1e6, 1e-6, (src, dst), False)
-            delay = 0.0
-            bw = float("inf")
-            for a, b in zip(path, path[1:]):
-                edge = self._base_graph.edges[a, b]
-                delay += edge["delay"]
-                bw = min(bw, edge["bandwidth"])
-            return RouteInfo(delay, bw, path, False)
+            return self._price_path(self._base_adj, path, False)
 
     def has_route(self, src: int, dst: int) -> bool:
         """Does a path survive the current fault overlay?"""
@@ -419,7 +495,7 @@ class MeshCluster:
         info = self.route_info(src, dst)
         edges = tuple(canonical_edge(a, b)
                       for a, b in zip(info.path, info.path[1:]))
-        caps = {e: self._graph.edges[e]["bandwidth"] * 1e6 for e in edges}
+        caps = {(a, b): self._adj[a][b][1] * 1e6 for a, b in edges}
         return self.contention.admit_transfer(
             edges, caps, (info.delay_ms + self.rpc_overhead_ms) / 1e3,
             nbytes, now, tenant=tenant, base_s=base_s)

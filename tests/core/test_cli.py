@@ -1,9 +1,14 @@
 """CLI figure runner."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -200,3 +205,20 @@ class TestCLI:
     def test_replay_missing_file_errors(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["replay", str(tmp_path / "nope.jsonl")])
+
+
+def test_the_program_imports_no_graph_or_plotting_library():
+    """Starting up is most of a one-shot run: ``networkx`` alone was a
+    quarter of the import time and a third of the memory, for three
+    calls on graphs of under ten nodes.  (``runtime/predictor.py``
+    imports ``scipy`` inside the one function that fits with it.)"""
+    heavy = ("networkx", "scipy", "matplotlib")
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; import repro, repro.cli, repro.netsim.mesh; "
+         f"print([m for m in {heavy!r} if m in sys.modules])"],
+        capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(repro.__file__).parents[1]),
+             os.environ.get("PYTHONPATH", "")])})
+    assert out.stdout.strip() == "[]"

@@ -360,6 +360,27 @@ class TestZeroBandwidthOverlay:
         with pytest.raises(NoRouteError):
             mesh.transfer_time(0, 1, 1000)
 
+    @pytest.mark.parametrize("extra", [float("nan"), float("inf"), -25.0])
+    def test_an_extra_delay_routing_cannot_price_is_rejected(self, extra):
+        """A NaN extra delay used to be installed (``transfer_time`` and
+        ``condition`` then answered NaN) and one below minus the link's
+        own 10 ms made a negative weight the first search tripped over
+        mid-run; both are refused, naming the edge, with the overlay
+        as it was."""
+        mesh = _ring()
+        mesh.apply_link_faults(down=[(2, 3)])
+        epoch = mesh.route_epoch
+        with pytest.raises(ValueError, match=r"link \(0, 1\)"):
+            mesh.apply_link_faults(degraded={(1, 0): (0.5, extra)})
+        assert mesh.down_links == {(2, 3)} and mesh.degraded_links == {}
+        assert mesh.route_epoch == epoch
+        assert mesh.transfer_time(0, 1, 1000) == pytest.approx(
+            (10.0 + 1.0) / 1e3 + 8000 / 100e6)
+        # taking a link's delay to exactly zero is a price, not an error
+        assert mesh.apply_link_faults(degraded={(0, 1): (0.5, -10.0)})
+        assert mesh.route_info(0, 1).delay_ms == 0.0
+        assert mesh.condition.delays_ms[0] == 0.0
+
     def test_the_facade_serves_through_the_reroute(self):
         """A strategy placed on device 1 before the overlay keeps being
         served — over the backup path — after (0, 1) lost its
