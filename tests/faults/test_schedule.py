@@ -37,7 +37,7 @@ class TestEventValidation:
             LinkDegradation(0.0, 1.0, device=1, bw_factor=1.5)
         with pytest.raises(ValueError):
             LinkDegradation(0.0, 1.0, device=1, extra_delay_ms=-1.0)
-        for extra in (float("nan"), float("inf")):  # NaN passed `< 0`
+        for extra in (float("nan"), float("inf")):  # NaN is not `< 0`
             with pytest.raises(ValueError):
                 LinkDegradation(0.0, 1.0, link=(0, 1), extra_delay_ms=extra)
 

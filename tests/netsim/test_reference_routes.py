@@ -95,10 +95,10 @@ def _random_world(rng):
               float(rng.integers(0, 4)))
              for p, k in zip(pairs, keep) if k]
     links = [links[i] for i in rng.permutation(len(links))]
-    down = [l[:2] for l in links if rng.random() < 0.2]
-    degraded = {l[:2][::-1]: (float(rng.choice([0.5, 0.0])),
-                              float(rng.choice([-l[3], 0.0, 1.0, 2.0])))
-                for l in links if rng.random() < 0.2}
+    down = [link[:2] for link in links if rng.random() < 0.2]
+    degraded = {link[:2][::-1]: (float(rng.choice([0.5, 0.0])),
+                                 float(rng.choice([-link[3], 0.0, 1.0, 2.0])))
+                for link in links if rng.random() < 0.2}
     return n, links, down, degraded
 
 
@@ -120,7 +120,7 @@ def test_isolated_nodes_and_the_lone_device():
 _LINKS = st.lists(
     st.tuples(st.integers(0, 7), st.integers(0, 7),
               st.sampled_from([10.0, 40.0, 100.0]),
-              st.integers(0, 3).map(float)).filter(lambda l: l[0] != l[1]),
+              st.integers(0, 3).map(float)).filter(lambda t: t[0] != t[1]),
     max_size=16)
 
 
