@@ -47,6 +47,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..telemetry import Telemetry
 from .link import Edge, Link, canonical_edge
+from .traces import check_time
 
 __all__ = ["Flow", "ContentionTracker", "LoneWire", "SharedIngress",
            "INGRESS_EDGE", "NULL_INGRESS"]
@@ -74,6 +75,7 @@ class LoneWire:
 
     def admit_transfer(self, edges, caps, latency_s, nbytes, now,
                        tenant=None, base_s=None) -> float:
+        check_time(now)
         if base_s is None:
             base_s = latency_s + nbytes * 8.0 / min(caps[e] for e in edges)
         return base_s
@@ -81,7 +83,7 @@ class LoneWire:
     peek_transfer = admit_transfer
 
     def update_caps(self, now, caps) -> None:
-        pass
+        check_time(now)
 
 
 class ContentionTracker:
@@ -119,6 +121,7 @@ class ContentionTracker:
     # -- queries -----------------------------------------------------------
     def concurrency(self, edge: Edge, now: float) -> int:
         """Flows in flight on ``edge`` at simulated time ``now``."""
+        check_time(now)
         flows = self._flows.get(canonical_edge(*edge))
         if not flows:
             return 0
@@ -149,6 +152,7 @@ class ContentionTracker:
         more flows may beat the raw bottleneck to it.  A flow sharing
         nothing returns ``base_s`` itself, not an equal-valued float.
         """
+        check_time(now)
         shares = [self.share(e, now) for e in edges]
         worst = max(shares)
         if worst == 1 and base_s is not None:
@@ -164,6 +168,8 @@ class ContentionTracker:
         """Price a transfer at ``now`` without putting it on the wire.
 
         ``caps`` maps each of ``edges``, as spelled there, to bit/s.
+        A ``now`` that is not finite raises ``ValueError``, here and in
+        every other entry point, before anything is pruned or priced.
         """
         return self._snapshot(edges, caps, latency_s, nbytes, now,
                               base_s)[0]
@@ -184,6 +190,7 @@ class ContentionTracker:
         """A no-op: a snapshot flow in flight keeps its admitted rate
         (the boundary-only model); later admissions carry their own
         capacities."""
+        check_time(now)
 
     # -- mutation ----------------------------------------------------------
     def register(self, edges, start: float, end: float,
@@ -272,8 +279,9 @@ class SharedIngress:
         semantics the event core schedules — while a snapshot tracker's
         in-flight flows keep their admitted rates.
         """
-        self.link = self.link.with_conditions(bandwidth_mbps=bandwidth_mbps)
-        self.tracker.update_caps(now, {INGRESS_EDGE: self.link.bandwidth_bps})
+        link = self.link.with_conditions(bandwidth_mbps=bandwidth_mbps)
+        self.tracker.update_caps(now, {INGRESS_EDGE: link.bandwidth_bps})
+        self.link = link
 
     def upload_time(self, arrival: float,
                     tenant: Optional[str] = None) -> float:

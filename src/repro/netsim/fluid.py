@@ -56,29 +56,33 @@ Inside
 ------
 One solver, three pieces.  :func:`_waterfill` is the pure max-min
 allocation over *path classes* (distinct edge tuples with their
-multiplicity).  :class:`_Wire` holds the flows in flight as flat
-parallel lists and owns the only completion-event loop
-(:meth:`_Wire.events`).  :class:`FluidTracker` is the ledger around one
-wire: history (``_finish`` / ``_spec``), accounting, segments,
-telemetry.  Pricing never copies the ledger: a prediction or a peek
-copies the wire — the in-flight flows only — runs the same events on
-the copy and **stops at the flow it prices**; the history is never
-touched, so the cost of a transfer depends on the flows in flight and
-not on how many ever completed.  Every float is produced by the same
-operations in the same order as the clone-and-drain solver this
-replaced, which lives on as the test oracle
-(``tests/netsim/reference_fluid.py``).
+multiplicity).  :class:`_State` is the wire at one instant — the flows
+in flight as flat lists, never written again — and the one stepping
+function: :meth:`_State.due` computes the next completion event and
+:meth:`_State.after` the state past it, each at most once, remembered
+on the state.  :class:`FluidTracker` is a pointer into that timeline
+plus history (``_finish`` / ``_spec``), accounting, segments and
+telemetry.  Everything else walks from where the ledger stands: a
+prediction until its flow completes (never building the state past that
+event); the ledger, later, over the same remembered events to record
+them; a peek to ``now``, where it *branches* — settle, merge
+capacities, add the flow — and walks the branch, which the
+``admit_transfer`` behind it adopts instead of adding the flow again.
+Nothing is copied, a stale branch is garbage, and the history is never
+touched: a transfer costs what the flows in flight cost.  Every float
+comes from the same operations in the same order as the clone-and-drain
+solver that is the test oracle (``tests/netsim/reference_fluid.py``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import (Dict, Iterator, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..telemetry import Telemetry
 from .link import Edge, canonical_edge
+from .traces import check_time
 
 __all__ = ["FlowSpec", "FluidSegment", "FluidTracker", "solve_fluid"]
 
@@ -169,127 +173,152 @@ def _waterfill(classes: Mapping[Path, int],
     return rate
 
 
-class _Wire:
-    """The flows in flight, as flat parallel lists in flow-id order.
-
-    This is all a prediction or a peek copies.  :meth:`events` is the
-    one completion-event loop: the ledger consumes it to record
-    segments and finish times, a prediction consumes a copy's until the
-    flow it prices completes.
+class _State:
+    """The wire at one instant: the flows in flight, flat and in
+    flow-id order.  Nothing is written after construction but the two
+    remembered answers — the next completion event (:meth:`due`) and
+    the state past it (:meth:`after`), each computed at most once — so
+    whoever walks this way again (another peek, the admit behind a
+    peek, the ledger catching up with a prediction) finds them done.
+    ``settled`` / ``recapped`` / ``added`` branch; what the old branch
+    remembered is garbage once nobody points at it.
     """
 
-    __slots__ = ("t", "started", "caps", "fids", "paths", "rem", "rate",
-                 "reconv")
+    __slots__ = ("t", "caps", "fids", "paths", "rem", "rate", "reconv",
+                 "classes", "solves", "_event", "_after", "__weakref__")
 
-    def __init__(self) -> None:
-        #: simulated time of the last processed event
-        self.t = 0.0
-        self.started = False
-        self.caps: Dict[Edge, float] = {}
-        self.fids: List[int] = []
-        self.paths: List[Path] = []
-        #: bits left per flow
-        self.rem: List[float] = []
-        #: current max-min rate per flow (bits/s)
-        self.rate: List[float] = []
-        #: times each flow's rate changed after its first allocation
-        self.reconv: List[int] = []
+    def __init__(self, t, caps, fids, paths, rem, rate, reconv, classes,
+                 solves) -> None:
+        #: time of the last processed event; ``-inf`` on a fresh wire,
+        #: whose first settle may land anywhere
+        self.t: float = t
+        #: edge -> bits/s, shared along the timeline: never written
+        self.caps: Dict[Edge, float] = caps
+        #: per flow: id, path, bits left, max-min rate (bits/s), times
+        #: the rate changed after its first allocation
+        self.fids, self.paths, self.rem = fids, paths, rem
+        self.rate, self.reconv = rate, reconv
+        #: the multiset of ``paths``, as :func:`_waterfill` takes it
+        self.classes: Dict[Path, int] = classes
+        #: the ledger's water-fill count, one cell for the whole timeline
+        self.solves: List[int] = solves
+        self._event: Optional[Tuple[float, List[int], List[float]]] = None
+        self._after: Optional[_State] = None
 
-    def copy(self) -> "_Wire":
-        """A throwaway copy for a peek or a prediction.  ``caps`` is
-        shared: a copy that needs other capacities rebinds the name."""
-        w = _Wire.__new__(_Wire)
-        w.t = self.t
-        w.started = self.started
-        w.caps = self.caps
-        w.fids = self.fids[:]
-        w.paths = self.paths[:]
-        w.rem = self.rem[:]
-        w.rate = self.rate[:]
-        w.reconv = self.reconv[:]
-        return w
+    def _converged(self, t, caps, fids, paths, rem, rate, reconv,
+                   classes) -> "_State":
+        """The state these flows make once water-filling has re-run:
+        ``rate`` and ``reconv`` come in as the flows held them, and a
+        flow whose rate moved has seen one more change."""
+        if fids:
+            self.solves[0] += 1
+            level = _waterfill(classes, caps)
+            old, rate = rate, [level[p] for p in paths]
+            if rate != old:
+                reconv = [c + (o != n) for c, o, n in zip(reconv, old, rate)]
+        return _State(t, caps, fids, paths, rem, rate, reconv, classes,
+                      self.solves)
 
-    def reconverge(self) -> None:
-        """Re-run water-filling; count the flows whose rate moved."""
-        if not self.fids:
-            return
-        classes: Dict[Path, int] = {}
-        for p in self.paths:
-            classes[p] = classes[p] + 1 if p in classes else 1
-        level = _waterfill(classes, self.caps)
-        old = self.rate
-        self.rate = new = [level[p] for p in self.paths]
-        if new != old:
-            self.reconv = [c + (o != n)
-                           for c, o, n in zip(self.reconv, old, new)]
-
-    def add(self, fid: int, path: Path, bits: float) -> None:
-        """Put one flow on the wire and re-converge everyone."""
-        self.fids.append(fid)
-        self.paths.append(path)
-        self.rem.append(bits)
-        self.rate.append(math.nan)
-        self.reconv.append(-1)  # its first allocation is not a change
-        self.reconverge()
-
-    def events(self, until: float) -> Iterator[Tuple[float, List[int]]]:
-        """Run the completion events up to ``until``.
-
-        Yields ``(t, done)`` per event, ``done`` the positions of the
-        flows completing at ``t``.  At the yield the wire still shows
-        the interval that just ended — ``self.t`` is its start, the
-        completing flows are still listed at the rates they held — and
-        is moved past the event when the consumer comes back.
-        """
+    def due(self, until: float) -> Optional[tuple]:
+        """The next completion ``(t, positions completing, bits left
+        there)`` if at or before ``until``, else None.  This state shows
+        the interval it ends: the completing flows at the rates they held."""
         if until < self.t:
-            return  # clamp: the ledger's clock never runs backwards
-        while self.fids:
-            rate = self.rate
-            dts = [r / x for r, x in zip(self.rem, rate)]
+            return None  # clamp: the clock never runs backwards
+        event = self._event
+        if event is None:
+            if not self.fids:
+                return None  # an empty wire: nothing is ever due
+            dts = [r / x for r, x in zip(self.rem, self.rate)]
             dt_min = min(dts)
-            t_next = self.t + dt_min
-            if t_next > until:
-                return
-            self.rem = rem = [r - x * dt_min for r, x in zip(self.rem, rate)]
+            rem = [r - x * dt_min for r, x in zip(self.rem, self.rate)]
             done = [i for i, dt in enumerate(dts)
                     if dt == dt_min or rem[i] <= 0.0]
-            yield t_next, done
+            event = self._event = (self.t + dt_min, done, rem)
+        return None if event[0] > until else event
+
+    def after(self) -> "_State":
+        """The state past the event :meth:`due` found: its flows gone,
+        the clock there, the rest re-converged.  Apart from the event: a
+        prediction stops *at* its flow's and never needs this water-fill."""
+        nxt = self._after
+        if nxt is None:
+            t, done, rem = self._event
+            fids, paths, rem = list(self.fids), list(self.paths), list(rem)
+            rate, reconv = list(self.rate), list(self.reconv)
+            classes = dict(self.classes)
             for i in reversed(done):
-                del self.fids[i], self.paths[i], rem[i], rate[i], \
-                    self.reconv[i]
-            self.t = t_next
-            self.reconverge()
+                classes[paths[i]] -= 1
+                if not classes[paths[i]]:
+                    del classes[paths[i]]
+                del fids[i], paths[i], rem[i], rate[i], reconv[i]
+            nxt = self._after = self._converged(
+                t, self.caps, fids, paths, rem, rate, reconv, classes)
+        return nxt
 
-    def settle(self, until: float) -> None:
-        """After :meth:`events`: integrate the partial interval up to
-        ``until`` and move the clock there."""
-        if not self.started:
-            self.t = until
-            self.started = True
-        elif until > self.t:
-            if self.fids:
-                dt = until - self.t
-                self.rem = [r - x * dt for r, x in zip(self.rem, self.rate)]
-            self.t = until
+    def walk(self, until: float):
+        """The completions up to ``until`` as ``(state, event)``, each
+        state still before its event; ``state.after()`` is built only
+        if the consumer comes back for more (or asks for it)."""
+        state, event = self, self.due(until)
+        while event is not None:
+            yield state, event
+            state = state.after()
+            event = state.due(until)
 
-    def advance(self, until: float) -> None:
-        """Move a *copy* to ``until`` (the ledger's own advance records
-        what happens on the way: :meth:`FluidTracker._advance`)."""
-        for _ in self.events(until):
-            pass
-        self.settle(until)
+    def reached(self, until: float) -> "_State":
+        """The state past every completion up to ``until``."""
+        state = self
+        for before, _ in self.walk(until):
+            state = before.after()
+        return state
+
+    def settled(self, until: float) -> "_State":
+        """After :meth:`reached`: the partial interval up to ``until``
+        integrated and the clock there (rates hold: nothing to solve)."""
+        if not until > self.t:
+            return self
+        rem = self.rem
+        if self.fids:
+            dt = until - self.t
+            rem = [r - x * dt for r, x in zip(rem, self.rate)]
+        return _State(until, self.caps, self.fids, self.paths, rem,
+                      self.rate, self.reconv, self.classes, self.solves)
+
+    def recapped(self, updates: Mapping[Edge, float]) -> "_State":
+        """Everyone re-converged under ``updates``, merged into a new
+        table — or this state itself when no capacity differs: rates
+        are a pure function of the flows and the table."""
+        caps = self.caps
+        if all(caps.get(e) == cap for e, cap in updates.items()):
+            return self
+        return self._converged(self.t, {**caps, **updates}, self.fids,
+                               self.paths, self.rem, self.rate, self.reconv,
+                               self.classes)
+
+    def added(self, fid: int, path: Path, bits: float,
+              updates: Mapping[Edge, float]) -> "_State":
+        """One more flow on the wire under the capacities it brings,
+        everyone re-converged (its first allocation is not a change)."""
+        classes = dict(self.classes)
+        classes[path] = classes.get(path, 0) + 1
+        return self._converged(
+            self.t, {**self.caps, **updates}, self.fids + [fid],
+            self.paths + [path], self.rem + [bits], self.rate + [math.nan],
+            self.reconv + [-1], classes)
 
     def completion(self, fid: int) -> float:
-        """Run a *copy* until ``fid`` completes; that instant."""
-        for t, done in self.events(math.inf):
+        """The instant ``fid`` completes if nothing else arrives."""
+        for state, (t, done, _) in self.walk(math.inf):
             for i in done:
-                if self.fids[i] == fid:
+                if state.fids[i] == fid:
                     return t
         raise KeyError(f"unknown flow id {fid}")
 
     def sharing(self, path: Path) -> Dict[Edge, int]:
         """Per edge of ``path``: the flows in flight crossing it."""
-        return {e: len([p for p in self.paths if e in p]) for e in path}
+        classes = self.classes.items()
+        return {e: sum([m for p, m in classes if e in p]) for e in path}
 
 
 class FluidTracker:
@@ -303,23 +332,22 @@ class FluidTracker:
     * :meth:`admit_transfer` — price *and* commit a transfer;
     * :meth:`peek_transfer` — price without committing (admission
       control peeks at upload times; only admitted requests occupy the
-      wire) — guaranteed to return the same float a subsequent
-      ``admit_transfer`` at the same instant would, because it runs the
-      identical arithmetic on a copy of the in-flight flows; that
-      ``admit_transfer`` then commits the flow and hands the peeked
-      float back instead of predicting again.
+      wire): a subsequent ``admit_transfer`` at the same instant would
+      return the same float, because the peek is that admit's own
+      arithmetic on a branch of the timeline — which that admit then
+      adopts, handing the float back instead of solving again.
     """
 
     def __init__(self, telemetry: Optional[Telemetry] = None,
                  record_segments: bool = False):
-        self._wire = _Wire()
-        #: the one capacity table, by the name the ledger always had
-        self._caps = self._wire.caps
+        #: where the ledger stands on its timeline
+        self._head = _State(-math.inf, {}, [], [], [], [], [], {}, [0])
         self._finish: Dict[int, float] = {}
         self._spec: Dict[int, FlowSpec] = {}
         self._next = 0
-        #: ``(arguments, price)`` of the last peek, until the ledger moves
-        self._peeked: Optional[Tuple[tuple, float]] = None
+        #: ``(arguments, price, branch)`` of the last peek, until the
+        #: ledger moves: the branch is the state with the flow added
+        self._peeked: Optional[Tuple[tuple, float, Optional[_State]]] = None
         self.record_segments = record_segments
         #: piecewise-constant rate segments (``record_segments=True``)
         self.segments: List[FluidSegment] = []
@@ -354,37 +382,47 @@ class FluidTracker:
             "tenant")
 
     # -- engine ------------------------------------------------------------
-    def _segment(self, t1: float) -> None:
+    @property
+    def _caps(self) -> Dict[Edge, float]:
+        """The capacity table where the ledger stands (read, never write)."""
+        return self._head.caps
+
+    @property
+    def solves_total(self) -> int:
+        """Water-fills run for this ledger, peeks' and predictions' too:
+        a cost, not an answer — so not in :meth:`stats` or the registry."""
+        return self._head.solves[0]
+
+    def _segment(self, state: _State, t1: float) -> None:
         """Record one advanced rate-constant interval ``[t, t1)``."""
-        wire = self._wire
-        if t1 <= wire.t:
+        if t1 <= state.t:
             return
         self.segments_total += 1
         self._m_segments.inc()
         if self.record_segments:
             self.segments.append(FluidSegment(
-                wire.t, t1, dict(zip(wire.fids, wire.rate))))
+                state.t, t1, dict(zip(state.fids, state.rate))))
 
     def _run(self, until: float) -> None:
-        """Process every completion event up to ``until`` on the ledger
-        itself.  Every mutation of the ledger passes through here, so
-        this is also where a remembered peek stops being valid."""
+        """Move the ledger past every completion up to ``until``,
+        recording each.  Every mutation of the ledger passes through
+        here, so this is also where a remembered peek stops being valid."""
         self._peeked = None
-        wire = self._wire
-        for t, done in wire.events(until):
-            self._segment(t)
+        for state, (t, done, _) in self._head.walk(until):
+            self._segment(state, t)
             for i in done:
-                self._finish[wire.fids[i]] = t
-                self._m_reconv.observe(float(wire.reconv[i]) + 1.0)
+                self._finish[state.fids[i]] = t
+                self._m_reconv.observe(float(state.reconv[i]) + 1.0)
+            self._head = state.after()
 
     def _advance(self, until: float) -> None:
         """Advance the piecewise simulation to ``until``, processing
         every completion event on the way."""
         self._run(until)
-        wire = self._wire
-        if wire.fids:
-            self._segment(until)
-        wire.settle(until)
+        head = self._head
+        if head.fids:
+            self._segment(head, until)
+        self._head = head.settled(until)
 
     def _checked(self, edges: Sequence[Edge], caps: Mapping[Edge, float],
                  nbytes: float) -> Tuple[Path, Dict[Edge, float], float]:
@@ -410,22 +448,26 @@ class FluidTracker:
         return path, path_caps, nbytes
 
     def _admit(self, path: Path, path_caps: Dict[Edge, float], now: float,
-               nbytes: float, tenant: Optional[str]) -> int:
+               nbytes: float, tenant: Optional[str],
+               branch: Optional[_State] = None) -> int:
+        """Commit one flow; ``branch`` is the state a peek of this very
+        flow already built, adopted instead of adding it again."""
         self._advance(now)
-        wire = self._wire
-        self._caps.update(path_caps)
-        shares = {e: 1 + n for e, n in wire.sharing(path).items()}
+        head = self._head
+        shares = {e: 1 + n for e, n in head.sharing(path).items()}
         fid = self._next
         self._next += 1
-        self._spec[fid] = FlowSpec(path, wire.t, nbytes, tenant)
+        self._spec[fid] = FlowSpec(path, head.t, nbytes, tenant)
         bits = nbytes * 8.0
         if bits <= 0.0:
             # zero-byte flow: completes the instant it starts
-            self._finish[fid] = wire.t
+            self._finish[fid] = head.t
             self._m_reconv.observe(1.0)
-            wire.reconverge()
+            self._head = head.recapped(path_caps)
+        elif branch is not None:
+            self._head = branch
         else:
-            wire.add(fid, path, bits)
+            self._head = head.added(fid, path, bits, path_caps)
         self._account(nbytes, tenant, shares)
         return fid
 
@@ -460,24 +502,25 @@ class FluidTracker:
         (NaN included) raises ``ValueError`` before the ledger moves.
         Returns the flow id.
         """
+        now = check_time(now)
         path, path_caps, nbytes = self._checked(edges, caps, nbytes)
-        return self._admit(path, path_caps, float(now), nbytes, tenant)
+        return self._admit(path, path_caps, now, nbytes, tenant)
 
     def update_caps(self, now: float, caps: Mapping[Edge, float]) -> None:
         """Re-converge every in-flight flow under new edge capacities.
 
         The mid-flight entry point (the boundary-only model only
         refreshes capacities when a flow is *admitted*): advance the
-        piecewise ledger to ``now`` — a completion landing exactly at
-        ``now`` is processed *first*, so event ordering at a shared
-        instant is deterministic — then install the new capacities and
-        re-run water-filling, so every active flow's rate re-converges
-        from ``now`` on.  Bytes already transferred are untouched
-        (conservation holds segment by segment); capacities for edges
-        with no active flow are stored for future admissions.  An
+        ledger to ``now`` — a completion landing exactly at ``now`` is
+        processed *first*, so event ordering at a shared instant is
+        deterministic — then re-run water-filling under the new
+        capacities, so every active flow's rate re-converges from
+        ``now`` on.  Bytes already transferred are untouched; capacities
+        of edges with no active flow are kept for future admissions.  An
         update in the ledger's past clamps to the ledger's current time,
         the same rule out-of-order admissions follow.
         """
+        now = check_time(now)
         updates: Dict[Edge, float] = {}
         for e, cap in caps.items():
             cap = float(cap)
@@ -485,9 +528,8 @@ class FluidTracker:
                 raise ValueError(
                     f"edge {e} capacity must be positive, got {cap}")
             updates[canonical_edge(*e)] = cap
-        self._advance(float(now))
-        self._caps.update(updates)
-        self._wire.reconverge()
+        self._advance(now)
+        self._head = self._head.recapped(updates)
         self.caps_updates_total += 1
 
     def admit_transfer(self, edges: Sequence[Edge],
@@ -502,22 +544,25 @@ class FluidTracker:
         (the contention-free ``transfer_time`` float) is returned
         verbatim when the flow is lone — bit-identity.  When the call
         repeats the :meth:`peek_transfer` just before it, the peeked
-        float is the answer and nothing is predicted twice.
+        float is the answer and the peek's branch the new ledger state:
+        nothing is solved twice.
         """
+        now = check_time(now)
         path, path_caps, nbytes = self._checked(edges, caps, nbytes)
-        now = float(now)
-        peeked = self._peeked
+        price = branch = None
+        if self._peeked is not None and self._peeked[0] == (
+                path, path_caps, latency_s, nbytes, now, tenant, base_s):
+            _, price, branch = self._peeked
         self._advance(now)
-        wire = self._wire
-        lone = not any(wire.sharing(path).values())
-        fid = self._admit(path, path_caps, wire.t, nbytes, tenant)
+        lone = not any(self._head.sharing(path).values())
+        fid = self._admit(path, path_caps, self._head.t, nbytes, tenant,
+                          branch)
         if lone and base_s is not None:
             # bit-identity fast path: a flow sharing no edge with any
             # in-flight flow is priced exactly like the base link model
             return base_s
-        if peeked is not None and peeked[0] == (
-                path, path_caps, latency_s, nbytes, now, tenant, base_s):
-            return peeked[1]
+        if price is not None:
+            return price
         return latency_s + (self.finish_time(fid) - self._spec[fid].start)
 
     def peek_transfer(self, edges: Sequence[Edge],
@@ -527,34 +572,31 @@ class FluidTracker:
                       base_s: Optional[float] = None) -> float:
         """Price a transfer *without* committing it (admission peek).
 
-        Replays :meth:`admit_transfer` on a copy of the in-flight flows
-        — advance to ``now``, add the flow, run the events until it
-        completes — so the returned float is exactly what a commit at
-        the same instant would yield.  The ledger itself (history,
-        accounting, segments, telemetry) is neither copied nor touched;
-        it only remembers ``(arguments, price)`` so that an
+        Runs :meth:`admit_transfer` on a branch of the timeline — walk
+        to ``now``, add the flow, walk until it completes — so the float
+        is exactly what a commit at the same instant would yield.  The
+        ledger (history, accounting, segments, telemetry) is not
+        touched; it remembers ``(arguments, price, branch)`` so that an
         ``admit_transfer`` with the same arguments, arriving before
-        anything else moves the ledger, returns the price without
-        predicting again.
+        anything else moves the ledger, adopts all three.
         """
+        now = check_time(now)
         path, path_caps, nbytes = self._checked(edges, caps, nbytes)
-        now = float(now)
-        ghost = self._wire.copy()
-        ghost.advance(now)
-        lone = not any(ghost.sharing(path).values())
-        ghost.advance(ghost.t)  # the admission's own advance
-        start = ghost.t
+        state = self._head.reached(now).settled(now)
+        lone = not any(state.sharing(path).values())
+        state = state.reached(state.t)  # the admission's own advance
+        start = state.t
+        branch = None
         if lone and base_s is not None:
             price = base_s
         elif nbytes * 8.0 <= 0.0:
             # completes where it starts: the commit's ``finish - start``
             price = latency_s + (start - start)
         else:
-            ghost.caps = {**ghost.caps, **path_caps}
-            ghost.add(self._next, path, nbytes * 8.0)
-            price = latency_s + (ghost.completion(self._next) - start)
+            branch = state.added(self._next, path, nbytes * 8.0, path_caps)
+            price = latency_s + (branch.completion(self._next) - start)
         self._peeked = ((path, path_caps, latency_s, nbytes, now, tenant,
-                         base_s), price)
+                         base_s), price, branch)
         return price
 
     # -- completion queries ------------------------------------------------
@@ -568,16 +610,17 @@ class FluidTracker:
         done = self._finish.get(fid)
         if done is not None:
             return done
-        return self._wire.copy().completion(fid)
+        return self._head.completion(fid)
 
     def finish_times(self) -> Dict[int, float]:
         """Completion times for every flow ever admitted (active flows
-        contribute their no-further-arrivals prediction)."""
+        contribute their no-further-arrivals prediction).  A live
+        ledger then holds its whole future — one state per completion to
+        come, each listing the flows still in flight — until it moves."""
         times = dict(self._finish)
-        ghost = self._wire.copy()
-        for t, done in ghost.events(math.inf):
+        for state, (t, done, _) in self._head.walk(math.inf):
             for i in done:
-                times[ghost.fids[i]] = t
+                times[state.fids[i]] = t
         return times
 
     def flow_spec(self, fid: int) -> FlowSpec:
@@ -586,13 +629,10 @@ class FluidTracker:
 
     # -- ContentionTracker-parity queries ----------------------------------
     def concurrency(self, edge: Edge, now: float) -> int:
-        """Flows in flight on ``edge`` at simulated time ``now``
-        (non-mutating: the completions up to ``now`` run on a copy of
-        the in-flight flows)."""
+        """Flows in flight on ``edge`` at simulated time ``now`` (a
+        walk: the ledger does not move, a peek is not spent)."""
         e = canonical_edge(*edge)
-        ghost = self._wire.copy()
-        ghost.advance(float(now))
-        return ghost.sharing((e,))[e]
+        return self._head.reached(check_time(now)).sharing((e,))[e]
 
     def share(self, edge: Edge, now: float) -> int:
         """Fair-share divisor a new flow admitted at ``now`` would see."""
@@ -608,13 +648,13 @@ class FluidTracker:
             "contended": self.contended_total,
             "peak_share": max(self.peak_share.values(), default=1),
             "segments": self.segments_total,
-            "active": len(self._wire.fids),
+            "active": len(self._head.fids),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"FluidTracker({self.flows_total} flows, "
-                f"{len(self._wire.fids)} active, "
-                f"{self.segments_total} segments, t={self._wire.t:g})")
+                f"{len(self._head.fids)} active, "
+                f"{self.segments_total} segments, t={self._head.t:g})")
 
 
 def solve_fluid(flows: Sequence[FlowSpec], caps: Mapping[Edge, float],

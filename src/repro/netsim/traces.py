@@ -30,6 +30,18 @@ def check_period(period_s: float) -> None:
             f"period_s must be positive and finite, got {period_s}")
 
 
+def check_time(now: float) -> float:
+    """``now`` as a float, or ``ValueError`` when it is not a finite
+    instant — the one check every tracker entry point shares.  ``nan``
+    compares false with everything, so a ledger that tests ``t_next >
+    now`` fires every pending event and one that tests ``end > now``
+    prunes every flow; ``inf`` moves a clock where nothing can follow."""
+    now = float(now)
+    if not -math.inf < now < math.inf:
+        raise ValueError(f"now must be a finite time, got {now}")
+    return now
+
+
 def check_capacity_trace(trace_mbps) -> None:
     """Reject a capacity trace with a cell that is not a positive
     bandwidth (``nan`` passes a bare ``<= 0`` test), naming the cell —

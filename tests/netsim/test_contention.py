@@ -9,12 +9,15 @@ Pins the two contracts the contention model stands on:
   fair share: the first keeps the full wire, the second sees half).
 """
 
+import math
+
 import pytest
 
 from repro.devices import rpi4
 from repro.netsim import (Cluster, ContentionTracker, Link, MeshLink,
                           MeshCluster, NetworkCondition, SharedIngress)
 from repro.netsim.contention import INGRESS_EDGE, NULL_INGRESS, LoneWire
+from repro.netsim.fluid import FluidTracker
 
 
 MB = 1_000_000.0
@@ -279,3 +282,60 @@ class TestTrackerProtocol:
     def test_a_server_without_an_uplink_waits_for_nothing(self):
         assert NULL_INGRESS.upload_time(3.0, "a") == 0.0
         assert NULL_INGRESS.admit(3.0, tenant="a") == 0.0
+
+
+_E, _CAPS = (0, 1), {(0, 1): 10e6}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+class TestNonFiniteNow:
+    """``NaN > until`` is false, so a fluid ledger fired every pending
+    completion; ``f.end > nan`` is false, so the snapshot tracker pruned
+    every flow in flight; ``inf`` left a clock nothing can follow.  Every
+    entry point of every tracker refuses the instant before it moves."""
+
+    CALLS = {
+        "admit": lambda t, now: t.admit((_E,), _CAPS, now, MB),
+        "admit_transfer": lambda t, now: t.admit_transfer(
+            (_E,), _CAPS, 0.001, MB, now),
+        "peek_transfer": lambda t, now: t.peek_transfer(
+            (_E,), _CAPS, 0.001, MB, now, base_s=0.5),
+        "update_caps": lambda t, now: t.update_caps(now, {(0, 1): 5e6}),
+        "concurrency": lambda t, now: t.concurrency(_E, now),
+        "share": lambda t, now: t.share(_E, now),
+    }
+
+    @pytest.mark.parametrize("make", [FluidTracker, ContentionTracker,
+                                      LoneWire])
+    def test_every_entry_point_raises_before_anything_moves(self, make, bad):
+        tracker, twin = make(), make()
+        for ledger in (tracker, twin):  # two flows in flight
+            ledger.admit_transfer((_E,), _CAPS, 0.001, MB, 0.0)
+            ledger.admit_transfer((_E,), _CAPS, 0.001, MB / 2, 0.1)
+        for name, call in self.CALLS.items():
+            if hasattr(tracker, name):
+                with pytest.raises(ValueError, match="finite time, got"):
+                    call(tracker, bad)
+        # an overlapping transfer is priced as if nothing had been tried
+        after = ((_E,), _CAPS, 0.001, MB, 0.2)
+        assert tracker.admit_transfer(*after) == twin.admit_transfer(*after)
+        if make is not LoneWire:
+            assert tracker.stats() == twin.stats()
+            assert tracker.concurrency(_E, 0.3) == 3
+        if make is FluidTracker:
+            assert tracker.finish_times() == twin.finish_times()
+            assert tracker._caps == _CAPS
+
+    @pytest.mark.parametrize("make", [FluidTracker, ContentionTracker,
+                                      lambda: None])
+    def test_the_shared_ingress_inherits_the_check(self, make, bad):
+        ingress, twin = (SharedIngress(Link(40.0, 5.0), make(),
+                                       payload_bytes=MB) for _ in range(2))
+        ingress.admit(0.0, "a"), twin.admit(0.0, "a")
+        for call in (ingress.upload_time, ingress.admit):
+            with pytest.raises(ValueError, match="finite time, got"):
+                call(bad, "a")
+        with pytest.raises(ValueError, match="finite time, got"):
+            ingress.set_capacity(bad, 20.0)
+        assert ingress.link == twin.link  # refused whole, not half applied
+        assert ingress.admit(0.1, "b") == twin.admit(0.1, "b")

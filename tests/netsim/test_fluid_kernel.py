@@ -7,12 +7,19 @@ requires ``==`` — never ``approx`` — on every returned float,
 ``finish_times()``, every recorded segment and every counter: the
 frozen worlds of ``test_fluid_digests.py``, seeded random scripts, a
 ``hypothesis`` strategy over (edges, capacities, sizes, arrival gaps,
-interleaved peeks and queries, ``update_caps``), and ``_waterfill``
-against the oracle's per-flow ``_reconverge``.  Then the pins on what
-a peek may and may not share with the admit that follows it.
+interleaved and repeated peeks and queries, ``update_caps``; example
+count from ``FLUID_KERNEL_N``, which CI multiplies by ten), and
+``_waterfill`` against the oracle's per-flow ``_reconverge``.  Then the
+pins, counted in water-fills (``FluidTracker.solves_total``), on what
+the ledger may compute once only — a peek and the admit behind it, a
+prediction and the advance that follows it — and on what it may keep
+alive.
 """
 
+import gc
 import itertools
+import os
+import weakref
 from dataclasses import astuple
 
 import numpy as np
@@ -29,6 +36,7 @@ from tests.netsim.test_fluid_digests import WORLDS, play
 
 NODES = 5
 EDGES = list(itertools.combinations(range(NODES), 2))
+KERNEL_N = int(os.environ.get("FLUID_KERNEL_N", "200"))
 
 
 def registry_rows(tel):
@@ -153,7 +161,8 @@ def scripts(draw):
         t += draw(_GAP)
         kind = draw(st.sampled_from(
             ["transfer", "transfer", "peek+transfer", "peek+transfer",
-             "peek", "peek+other", "admit", "update_caps", "query"]))
+             "peek", "peek+other", "peeks+transfer", "peek+query+transfer",
+             "admit", "update_caps", "query"]))
         path = tuple(draw(_PATHS))
         path_caps = {tuple(sorted(e)): caps[tuple(sorted(e))] for e in path}
         nbytes = draw(st.one_of(st.just(0.0), st.floats(1.0, 1e6)))
@@ -175,6 +184,13 @@ def scripts(draw):
         else:
             if kind.startswith("peek"):
                 script.append(("peek_transfer", args, kwargs))
+            if kind == "peeks+transfer":  # the same instant, again
+                script += [("peek_transfer", args, kwargs)] * draw(
+                    st.integers(1, 3))
+            if kind == "peek+query+transfer":
+                script.append(("concurrency",
+                               (path[0], t + draw(st.floats(0.0, 2.0))), {}))
+                script.append(("finish_times", (), {}))
             if kind == "peek+other":
                 args = args[:3] + (nbytes + draw(st.floats(1.0, 1e5)), t)
             if kind != "peek":
@@ -182,7 +198,7 @@ def scripts(draw):
     return script
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=KERNEL_N, deadline=None)
 @given(scripts())
 def test_any_script_matches_the_reference(script):
     assert_same_ledger(script)
@@ -234,40 +250,38 @@ def _two_in_flight(cls=FluidTracker, **kwargs):
     return tracker
 
 
-class _CountedPredictions:
-    """Counts the event loops run to price a flow."""
-
-    def __init__(self, monkeypatch):
-        self.calls = 0
-        inner = fluid._Wire.completion
-
-        def counted(wire, fid):
-            self.calls += 1
-            return inner(wire, fid)
-        monkeypatch.setattr(fluid._Wire, "completion", counted)
+def _solved(tracker, call):
+    """``(answer, water-fills it took)`` of one call on the ledger."""
+    before = tracker.solves_total
+    answer = call()
+    return answer, tracker.solves_total - before
 
 
-def test_the_admit_behind_a_peek_reuses_its_float(monkeypatch):
+def test_the_admit_behind_a_peek_reuses_its_float():
     tracker, oracle = _two_in_flight(), _two_in_flight(ReferenceTracker)
-    predictions = _CountedPredictions(monkeypatch)
     args = ((E,), CAPS, 0.001, 6e4, 0.1)
-    peek = tracker.peek_transfer(*args, tenant="a", base_s=0.5)
-    assert predictions.calls == 1
-    assert tracker.admit_transfer(*args, tenant="a", base_s=0.5) == peek
-    assert predictions.calls == 1  # committed, not predicted again
+    peek, cost = _solved(tracker, lambda: tracker.peek_transfer(
+        *args, tenant="a", base_s=0.5))
+    assert cost == 2  # the add, and the completion before its own
+    admit, cost = _solved(tracker, lambda: tracker.admit_transfer(
+        *args, tenant="a", base_s=0.5))
+    assert admit == peek
+    assert cost == 0  # the peek's branch adopted: nothing solved twice
     assert peek == oracle.admit_transfer(*args, tenant="a", base_s=0.5)
     # the peek is spent: the same call again is a new flow, priced anew
-    again = tracker.admit_transfer(*args, tenant="a", base_s=0.5)
-    assert predictions.calls == 2
+    again, cost = _solved(tracker, lambda: tracker.admit_transfer(
+        *args, tenant="a", base_s=0.5))
+    assert cost > 0
     assert again == oracle.admit_transfer(*args, tenant="a", base_s=0.5)
     assert again != peek
+    assert tracker.finish_times() == oracle.finish_times()
 
 
 @pytest.mark.parametrize("change", [
     {"nbytes": 6e4 + 1.0}, {"now": 0.1000001}, {"latency_s": 0.002},
     {"caps": {E: 2e6}}, {"edges": (E, (1, 2))}, {"tenant": "b"},
     {"base_s": None}])
-def test_a_peek_with_other_arguments_is_not_reused(monkeypatch, change):
+def test_a_peek_with_other_arguments_is_not_reused(change):
     tracker, oracle = _two_in_flight(), _two_in_flight(ReferenceTracker)
     call = {"edges": (E,), "caps": CAPS, "latency_s": 0.001, "nbytes": 6e4,
             "now": 0.1, "tenant": "a", "base_s": 0.5}
@@ -275,9 +289,9 @@ def test_a_peek_with_other_arguments_is_not_reused(monkeypatch, change):
     other = {**call, **change}
     if "edges" in change:
         other["caps"] = {E: 1e6, (1, 2): 1e6}
-    predictions = _CountedPredictions(monkeypatch)
-    assert tracker.admit_transfer(**other) == oracle.admit_transfer(**other)
-    assert predictions.calls == 1
+    admit, cost = _solved(tracker, lambda: tracker.admit_transfer(**other))
+    assert admit == oracle.admit_transfer(**other)
+    assert cost == 2  # added and predicted for itself
     assert tracker.finish_times() == oracle.finish_times()
 
 
@@ -287,26 +301,130 @@ def test_a_peek_with_other_arguments_is_not_reused(monkeypatch, change):
     lambda t: t.admit((E,), CAPS, 0.1, 1e4),
     lambda t: t.admit_transfer(((1, 2),), {(1, 2): 1e6}, 0.0, 1e4, 0.1),
     lambda t: t.drain()])
-def test_a_peek_is_not_reused_once_the_ledger_moved(monkeypatch, between):
+def test_a_peek_is_not_reused_once_the_ledger_moved(between):
     tracker, oracle = _two_in_flight(), _two_in_flight(ReferenceTracker)
     args = ((E,), CAPS, 0.001, 6e4, 0.1)
     tracker.peek_transfer(*args)
     between(tracker)
     between(oracle)
-    predictions = _CountedPredictions(monkeypatch)
-    assert tracker.admit_transfer(*args) == oracle.admit_transfer(*args)
-    assert predictions.calls == 1
+    admit, cost = _solved(tracker, lambda: tracker.admit_transfer(*args))
+    assert admit == oracle.admit_transfer(*args)
+    assert cost > 0
     assert tracker.finish_times() == oracle.finish_times()
 
 
-def test_queries_between_peek_and_admit_do_not_spend_the_peek(monkeypatch):
+def test_queries_between_peek_and_admit_do_not_spend_the_peek():
     tracker = _two_in_flight()
     args = ((E,), CAPS, 0.001, 6e4, 0.1)
     peek = tracker.peek_transfer(*args)
     tracker.finish_times(), tracker.concurrency(E, 0.2), tracker.stats()
-    predictions = _CountedPredictions(monkeypatch)
-    assert tracker.admit_transfer(*args) == peek
-    assert predictions.calls == 0
+    assert _solved(tracker, lambda: tracker.admit_transfer(*args)) == (peek, 0)
+
+
+def test_an_advance_over_predicted_events_solves_nothing():
+    tracker, oracle = _two_in_flight(), _two_in_flight(ReferenceTracker)
+    # pricing the second flow ran the first one's completion already
+    _, cost = _solved(tracker, lambda: tracker.update_caps(0.7, CAPS))
+    assert cost == 0
+    _, cost = _solved(tracker, lambda: tracker.admit((E,), CAPS, 0.8, 1e4))
+    assert cost == 1  # its own add
+    tracker.finish_times()
+    assert _solved(tracker, tracker.drain) == (None, 0)
+    oracle.update_caps(0.7, CAPS), oracle.admit((E,), CAPS, 0.8, 1e4)
+    oracle.drain()
+    assert tracker.finish_times() == oracle.finish_times()
+
+
+def test_peeks_at_one_instant_share_one_advance():
+    tracker, oracle = FluidTracker(), ReferenceTracker()
+    for ledger in (tracker, oracle):  # committed, never predicted
+        ledger.admit((E,), CAPS, 0.0, 4e4)
+        ledger.admit((E,), CAPS, 0.05, 9e4)
+    args = ((E,), CAPS, 0.001, 6e4, 0.7)  # past the first completion
+    peeks = [_solved(tracker, lambda: tracker.peek_transfer(*args))
+             for _ in range(4)]
+    assert {price for price, _ in peeks} == {oracle.peek_transfer(*args)}
+    # the completion on the way is solved by the first peek and found by
+    # the rest; each adds its flow and runs the one completion before it
+    assert [cost for _, cost in peeks] == [3, 2, 2, 2]
+    assert _solved(tracker, lambda: tracker.share(E, 0.7)) == (2, 0)
+    assert _solved(tracker, lambda: tracker.admit_transfer(*args)) == (
+        oracle.admit_transfer(*args), 0)
+    assert tracker.finish_times() == oracle.finish_times()
+
+
+def test_a_lone_peek_keeps_no_branch_and_the_admit_adds_the_flow():
+    tracker, oracle = FluidTracker(), ReferenceTracker()
+    other = (((1, 2),), {(1, 2): 1e6}, 0.001, 4e4, 0.0)
+    tracker.admit_transfer(*other), oracle.admit_transfer(*other)
+    args = ((E,), CAPS, 0.001, 6e4, 0.1)
+    assert _solved(tracker, lambda: tracker.peek_transfer(
+        *args, base_s=0.481)) == (0.481, 0)
+    admit, cost = _solved(tracker, lambda: tracker.admit_transfer(
+        *args, base_s=0.481))
+    assert (admit, cost) == (0.481, 1)  # lone: added, never predicted
+    assert oracle.admit_transfer(*args, base_s=0.481) == 0.481
+    assert tracker.stats() == oracle.stats()
+    again = ((E,), CAPS, 0.001, 2e4, 0.2)
+    assert tracker.admit_transfer(*again) == oracle.admit_transfer(*again)
+    assert tracker.finish_times() == oracle.finish_times()
+
+
+# -- what the timeline keeps alive --------------------------------------------
+def _live_states(tracker):
+    gc.collect()
+    kind = type(tracker._head)
+    return sum(type(obj) is kind for obj in gc.get_objects())
+
+
+@pytest.mark.parametrize("move", [
+    lambda t: t.admit_transfer((E,), CAPS, 0.001, 1e4, 0.2),
+    lambda t: t.update_caps(0.2, {E: 5e5}),
+    lambda t: t.drain()])
+def test_the_states_behind_the_head_are_collected(move):
+    tracker = _two_in_flight()
+    tracker.finish_times()  # remember the whole future
+    head = weakref.ref(tracker._head)
+    future = weakref.ref(tracker._head.after())
+    move(tracker)
+    assert head() is None
+    assert future() is None or future() is tracker._head  # drain ends on it
+    assert _live_states(tracker) <= tracker.stats()["active"] + 1
+
+
+def test_a_spent_peek_and_an_abandoned_branch_are_collected():
+    tracker = _two_in_flight()
+    args = ((E,), CAPS, 0.001, 6e4, 0.1)
+    tracker.peek_transfer(*args)
+    abandoned = weakref.ref(tracker._peeked[2])
+    tracker.peek_transfer(*args[:3], 7e4, 0.1)  # the last peek only
+    assert abandoned() is None
+    behind, adopted = (weakref.ref(tracker._head),
+                       weakref.ref(tracker._peeked[2]))
+    tracker.admit_transfer(*args[:3], 7e4, 0.1)
+    assert behind() is None and adopted() is tracker._head
+    assert tracker._peeked is None
+    tracker.peek_transfer(*args[:3], 5e4, 0.3)
+    abandoned = weakref.ref(tracker._peeked[2])
+    tracker.update_caps(0.3, {E: 2e6})
+    assert abandoned() is None
+    assert _live_states(tracker) <= tracker.stats()["active"] + 1
+
+
+def test_live_states_are_bounded_by_the_flows_in_flight():
+    others = _live_states(FluidTracker()) - 1
+    tracker = FluidTracker()
+    rng = np.random.default_rng(23)
+    for i, nbytes in enumerate(rng.uniform(1e3, 4e4, 400)):  # one edge
+        tracker.admit((E,), CAPS, 1e-4 * i, float(nbytes))
+    in_flight = [400]
+    for now in (10.0, 30.0, 50.0, 70.0):  # ... as the burst drains
+        assert len(tracker.finish_times()) == 400  # the whole future
+        assert 1 < _live_states(tracker) - others <= in_flight[-1] + 1
+        tracker.update_caps(now, CAPS)
+        in_flight.append(tracker.stats()["active"])
+    assert in_flight[0] > in_flight[1] > in_flight[2] > in_flight[3] > 0
+    assert in_flight[4] == 0 and _live_states(tracker) - others == 1
 
 
 def test_ghosts_never_touch_accounting_or_telemetry():

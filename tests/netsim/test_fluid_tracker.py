@@ -168,7 +168,7 @@ class TestPeekNeverMoves:
         assert tracker.concurrency((0, 1), 0.5) == 1
         assert tracker.share((0, 1), 0.5) == 2
         assert tracker.concurrency((0, 1), 10.0) == 0  # drained by then
-        # the queries advanced a copy of the flows, never the ledger
+        # the queries walked the timeline; the ledger did not move
         assert tracker.stats()["active"] == 1
 
 
