@@ -13,6 +13,7 @@ from repro.devices import desktop_gtx1080, rpi4
 from repro.eval import run_training_curves
 
 STEPS = 6_000 if full_scale() else 480
+METHODS = ["SUPREME (Ours)", "Murmuration", "GCSL", "PPO", "DQN"]
 
 
 @pytest.mark.benchmark(group="rl-baselines")
@@ -20,7 +21,7 @@ def test_all_rl_baselines(benchmark):
     histories = benchmark.pedantic(
         lambda: run_training_curves([rpi4(), desktop_gtx1080()],
                                     total_steps=STEPS, eval_every=STEPS,
-                                    seed=3, include_dqn=True),
+                                    seed=3, methods=METHODS),
         rounds=1, iterations=1)
     print("\n=== RL baselines at a common budget ===")
     print(f"{'method':<18s}{'reward':>8s}{'compliance':>12s}")

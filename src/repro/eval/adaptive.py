@@ -40,7 +40,7 @@ from ..devices.profiles import desktop_gtx1080, jetson_class, rpi4
 from ..netsim.topology import NetworkCondition
 from ..netsim.traces import TraceConfig, mobility_trace
 from ..runtime.batching import BatchPolicy
-from .spec import Scenario, World
+from .spec import Claim, Scenario, World
 
 __all__ = ["AdaptiveConfig", "SCENARIO", "burst_arrival_process",
            "default_controllers"]
@@ -137,4 +137,10 @@ SCENARIO = Scenario(
     variants={"static": {},
               "controlled": {"controllers": default_controllers}},
     instrumented="controlled",
-    columns=("e2e", "p95ms", "queue", "shed", "degr", "batch"))
+    columns=("e2e", "p95ms", "queue", "shed", "degr", "batch"),
+    claims=(
+        Claim("control beats the static configuration end to end",
+              ("controlled", "e2e"), ">", ("static", "e2e")),
+        Claim("and on tail latency",
+              ("controlled", "p95ms"), "<", ("static", "p95ms"))),
+    smoke=("num_requests=80", "trace_steps=60", "burst_window=2.0,4.0"))

@@ -25,7 +25,7 @@ from ..faults.injector import FaultInjector
 from ..faults.resilience import ResilienceConfig
 from ..faults.schedule import DeviceCrash, FaultSchedule, LinkDegradation
 from ..netsim.topology import NetworkCondition
-from .spec import Scenario, World
+from .spec import Claim, Scenario, World
 
 __all__ = ["ChaosConfig", "NO_FAILOVER", "SCENARIO", "chaos_crash_schedule"]
 
@@ -85,4 +85,22 @@ SCENARIO = Scenario(
               "static": {"static": True},
               "no-failover": {"resilience": NO_FAILOVER}},
     instrumented="murmuration",
-    columns=("complete", "comply", "ok", "retr", "degr", "fail", "recovery"))
+    columns=("complete", "comply", "ok", "retr", "degr", "fail", "recovery"),
+    claims=(
+        Claim("the resilient runtime completes every request",
+              ("murmuration", "complete"), "==", 1.0),
+        Claim("the double outage forces gateway degradation",
+              ("murmuration", "degr"), ">", 0),
+        Claim("failures are found by paid retries",
+              ("murmuration", "retries"), ">", 0),
+        Claim("and paid failovers", ("murmuration", "failovers"), ">", 0),
+        Claim("a clean request lands within a second of the faults clearing",
+              ("murmuration", "recovery"), "<", 1.0),
+        Claim("adaptation beats the static strategy on compliance",
+              ("murmuration", "comply"), ">", ("static", "comply")),
+        Claim("without failover requests fail",
+              ("no-failover", "fail"), ">", 0),
+        Claim("and fewer comply than under the resilient runtime",
+              ("no-failover", "comply"), "<", ("murmuration", "comply"))),
+    smoke=("num_requests=24", "gpu_crash=1.0,3.0", "jetson_crash=1.5,3.0",
+           "degrade_window=3.5,5.0"))

@@ -24,8 +24,8 @@ question is *when* the serving stack lets them see the change:
 
 Both variants serve the identical arrival stream with pinned decision
 cost, so the compliance/latency gap between them is purely the
-boundary-vs-event semantics — a seed-reproducible number the event-core
-benchmark pins.
+boundary-vs-event semantics — a seed-reproducible number the claims
+below pin.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from ..netsim.link import Link
 from ..netsim.topology import NetworkCondition
 from ..netsim.traces import check_capacity_trace, condition_at
 from ..sim import EventLoop, schedule_ingress_trace
-from .spec import Scenario, World
+from .spec import Claim, Scenario, World
 
 __all__ = ["EventCoreConfig", "SCENARIO", "SteppedIngress"]
 
@@ -135,4 +135,14 @@ SCENARIO = Scenario(
     name="event_core", config=EventCoreConfig, world=_world,
     variants={"boundary": {}, "event": {"event_driven": True}},
     instrumented=None,
-    columns=("e2e", "p95ms", "mean-ms", "caps-upd", "events"))
+    columns=("e2e", "p95ms", "mean-ms", "caps-upd", "events"),
+    claims=(
+        Claim("event-driven steps beat boundary-only by >= 25 pt end to end",
+              ("event", "e2e"), ">=", ("boundary", "e2e"), 0.25),
+        Claim("and by >= 1000 ms at p95",
+              ("event", "p95ms"), "<=", ("boundary", "p95ms"), -1000.0),
+        Claim("boundary-only never re-converges mid-flight",
+              ("boundary", "caps-upd"), "==", 0),
+        Claim("the event core does at each of the trace's 5 steps",
+              ("event", "caps-upd"), "==", 5)),
+    smoke=("num_requests=60",))

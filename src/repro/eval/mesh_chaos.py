@@ -38,7 +38,7 @@ from ..faults.schedule import (CorrelatedFailure, FaultSchedule, LinkFailure,
 from ..netsim.mesh import (MeshCluster, line_topology, partial_mesh_topology,
                            ring_topology)
 from .chaos import NO_FAILOVER
-from .spec import Scenario, World
+from .spec import Claim, Scenario, World
 
 __all__ = ["MeshChaosConfig", "SCENARIO", "build_mesh", "mesh_chaos_schedule"]
 
@@ -125,6 +125,9 @@ def _world(cfg: MeshChaosConfig, telemetry, reroute: bool = True,
         resilience=resilience)
 
 
+#: the world of the claims about a topology without alternatives
+_LINE = ("topology=line",)
+
 SCENARIO = Scenario(
     name="mesh_chaos", config=MeshChaosConfig, world=_world,
     variants={"murmuration": {},
@@ -132,4 +135,20 @@ SCENARIO = Scenario(
               "no-reroute": {"resilience": NO_FAILOVER, "reroute": False}},
     instrumented="murmuration",
     columns=("complete", "comply", "ok", "retr", "degr", "fail", "reroute",
-             "recovery"))
+             "recovery"),
+    claims=(
+        Claim("rerouting completes at least 95%",
+              ("murmuration", "complete"), ">=", 0.95),
+        Claim("over backup paths", ("murmuration", "reroute"), ">", 0),
+        Claim("static routing tables complete under 70%",
+              ("no-reroute", "complete"), "<", 0.70),
+        Claim("and never reroute", ("no-reroute", "reroute"), "==", 0),
+        Claim("on the ring, routing alone completes what the full ladder does",
+              ("no-failover", "complete"), "==", ("murmuration", "complete")),
+        Claim("a line has no backup path, yet 95% complete",
+              ("murmuration", "complete") + _LINE, ">=", 0.95),
+        Claim("by degrading", ("murmuration", "degr") + _LINE, ">", 0),
+        Claim("which static routing cannot do",
+              ("no-reroute", "complete") + _LINE, "<", 0.70)),
+    smoke=("num_requests=24", "link_fail_window=1.0,4.0",
+           "flap_window=4.5,6.0", "blast_window=6.5,8.0"))

@@ -1,4 +1,5 @@
-"""The one scenario runner: registry, build step, run step, report, table.
+"""The one scenario runner: registry, build step, run step, report, table,
+claims.
 
 ``SCENARIOS`` maps a name to its :class:`~repro.eval.spec.Scenario`.
 :func:`build_world` builds one variant's world — the scenario's own
@@ -11,12 +12,14 @@ serves the stream, closes the recording and returns a
 Every variant sees the identical world because each part is a pure
 function of the config, and with a pinned ``decision_time_s`` (every
 config's default) so is the recording, byte for byte.
+:func:`check_claims` evaluates a scenario's declared acceptance.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import operator
 import typing
 from dataclasses import asdict, dataclass
 from typing import (Any, Callable, Dict, List, Mapping, NamedTuple, Optional,
@@ -31,9 +34,10 @@ from ..runtime.server import InferenceServer, ServingStats
 from ..telemetry.recorder import RunRecorder
 from . import (adaptive, chaos, event_core, mesh_chaos, multi_tenant,
                serving_load)
-from .spec import PinnedTimeEngine, Scenario, StaticEngine, World
+from .spec import Claim, PinnedTimeEngine, Scenario, StaticEngine, World
 
-__all__ = ["COLUMNS", "Column", "SCENARIOS", "ScenarioReport", "build_world",
+__all__ = ["COLUMNS", "ClaimResult", "Column", "OPS", "SCENARIOS",
+           "ScenarioReport", "build_world", "check_claims",
            "config_from_dict", "format_reports", "override_config",
            "report_values", "run_scenario", "run_world"]
 
@@ -144,8 +148,9 @@ def build_world(scenario: str, cfg, variant: str, *, telemetry=None,
                 record: bool = False, **knobs) -> World:
     """Build one variant of ``scenario``, ready to :func:`run_world`.
 
-    ``cfg=None`` is the scenario's default config.  ``knobs`` override the variant's own (the arguments of the
-    scenario's ``world`` function) for one-off ablations.
+    ``cfg=None`` is the scenario's default config.  ``knobs`` are
+    arguments of the scenario's ``world`` function; they override the
+    variant's own for one-off ablations.
     """
     spec = _spec(scenario)
     cfg = spec.config() if cfg is None else cfg
@@ -191,8 +196,8 @@ def build_world(scenario: str, cfg, variant: str, *, telemetry=None,
 
 @dataclass
 class ScenarioReport:
-    """One variant's outcome: the stats, the live handles, and every
-    derived metric the tables and benchmarks read.
+    """One variant's outcome: the stats, the live handles, and the
+    derived metrics the tables and claims read.
 
     Handles are None where the variant had no such part — and all of
     them are None on a report replayed from a recording.
@@ -235,10 +240,6 @@ class ScenarioReport:
         return self.stats.throughput_rps
 
     @property
-    def p95_ms(self) -> float:
-        return self.stats.percentile_ms(95)
-
-    @property
     def outcomes(self) -> dict:
         return self.stats.outcome_counts()
 
@@ -249,14 +250,6 @@ class ScenarioReport:
     @property
     def degraded(self) -> int:
         return self.outcomes["degraded"]
-
-    @property
-    def retries(self) -> int:
-        return sum(r.retries for r in self.stats.records)
-
-    @property
-    def failovers(self) -> int:
-        return sum(r.failovers for r in self.stats.records)
 
     @property
     def recovery_s(self) -> Optional[float]:
@@ -271,16 +264,6 @@ class ScenarioReport:
             if r.start >= horizon and r.outcome == "ok" and r.satisfied:
                 return r.finish - horizon
         return None
-
-    @property
-    def reroutes(self) -> Optional[int]:
-        """Requests served over a backup mesh path."""
-        return getattr(self.system, "path_reroutes", None)
-
-    @property
-    def caps_updates(self) -> int:
-        """Mid-flight capacity re-convergences of the fluid ledger."""
-        return getattr(self.tracker, "caps_updates_total", 0)
 
 
 def run_world(world: World) -> ScenarioReport:
@@ -345,7 +328,7 @@ def _mean_ms(rep: ScenarioReport) -> float:
 COLUMNS: Dict[str, Column] = {col.header: col for col in (
     Column("rps", lambda r: r.throughput_rps, _f1),
     Column("p50ms", lambda r: r.stats.percentile_ms(50), _f0),
-    Column("p95ms", lambda r: r.p95_ms, _f0),
+    Column("p95ms", lambda r: r.stats.percentile_ms(95), _f0),
     Column("mean-ms", _mean_ms, _f0),
     Column("queue", lambda r: r.stats.mean_queue_wait_ms, _f0),
     Column("comply", lambda r: r.compliance, _pct),
@@ -360,8 +343,11 @@ COLUMNS: Dict[str, Column] = {col.header: col for col in (
     Column("batch", lambda r: getattr(r.stats, "mean_batch_size", None), _f1),
     Column("saved", lambda r: getattr(r.stats, "overlap_saved_s", None),
            lambda v: f"{v * 1e3:.0f}ms"),
+    Column("retries", lambda r: sum(x.retries for x in r.stats.records)),
+    Column("failovers", lambda r: sum(x.failovers for x in r.stats.records)),
     Column("recovery", lambda r: r.recovery_s, "{:.2f}s".format),
-    Column("reroute", lambda r: r.reroutes),
+    # requests served over a backup mesh path
+    Column("reroute", lambda r: getattr(r.system, "path_reroutes", None)),
     Column("contended", lambda r: getattr(r.tracker, "contended_total", None)),
     Column("caps-upd",
            lambda r: getattr(r.tracker, "caps_updates_total", None)),
@@ -410,3 +396,73 @@ def format_reports(reports: Mapping[str, ScenarioReport]) -> str:
             lines.append(f"{'':>{widths[0]}s} control: "
                          f"{rep.control.summary()}")
     return "\n".join(lines)
+
+
+# -- acceptance claims -------------------------------------------------------
+
+#: the comparisons a claim may state
+OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt,
+       "<=": operator.le, "==": operator.eq}
+
+
+class ClaimResult(NamedTuple):
+    claim: Claim
+    holds: bool
+    #: the two cell values compared (``right`` before the margin)
+    left: Any
+    right: Any
+
+    def __str__(self) -> str:
+        left, right = ("not available" if v is None else f"{v:g}"
+                       for v in (self.left, self.right))
+        margin = f" {self.claim.margin:+g}" if self.claim.margin else ""
+        return (f"{'PASS' if self.holds else 'FAIL'}  {self.claim.text}: "
+                f"{left} {self.claim.op} {right}{margin}")
+
+
+def check_claims(scenario: str, cfg=None, reports=None,
+                 claims: Optional[Sequence[Claim]] = None,
+                 ) -> List[ClaimResult]:
+    """Evaluate the scenario's claims (or ``claims``) at ``cfg``.
+
+    ``reports`` are ``run_scenario(scenario, cfg)``'s when the caller
+    already has them; a cell in another world is run here, each
+    (world, variant) once.  A claim naming an unknown variant, column,
+    operator or config field raises ``ValueError`` before anything runs.
+    """
+    spec = _spec(scenario)
+    cfg = spec.config() if cfg is None else cfg
+    claims = spec.claims if claims is None else claims
+    worlds = {}
+    for claim in claims:
+        named = [("operator", claim.op, OPS)]
+        for cell in (claim.left, claim.right):
+            if isinstance(cell, tuple):
+                variant, column, *world = cell
+                named += [("variant", variant, spec.variants),
+                          ("column", column, COLUMNS)]
+                worlds[tuple(world), variant] = override_config(cfg, world)
+        for kind, name, known in named:
+            if name not in known:
+                raise ValueError(
+                    f"{scenario}: claim {claim.text!r} names no {kind} "
+                    f"{name!r}; known: {', '.join(known)}")
+    ran = {((), name): rep for name, rep in (reports or {}).items()}
+    for (world, variant), world_cfg in worlds.items():
+        if (world, variant) not in ran:
+            ran[world, variant] = run_scenario(
+                scenario, world_cfg, variants=(variant,))[variant]
+
+    def value(cell):
+        if not isinstance(cell, tuple):
+            return cell
+        variant, column, *world = cell
+        return COLUMNS[column].value(ran[tuple(world), variant])
+
+    results = []
+    for claim in claims:
+        left, right = value(claim.left), value(claim.right)
+        holds = (left is not None and right is not None
+                 and OPS[claim.op](left, right + claim.margin))
+        results.append(ClaimResult(claim, holds, left, right))
+    return results

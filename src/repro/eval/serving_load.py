@@ -32,7 +32,7 @@ from ..devices.profiles import desktop_gtx1080, jetson_class, rpi4
 from ..netsim.topology import NetworkCondition
 from ..netsim.traces import TraceConfig, random_walk_trace
 from ..runtime.batching import BatchPolicy
-from .spec import Scenario, World
+from .spec import Claim, Scenario, World
 
 __all__ = ["ServingLoadConfig", "SCENARIO"]
 
@@ -78,4 +78,18 @@ SCENARIO = Scenario(
               "batched": {},
               "batched-serial": {"overlap": False}},
     instrumented="batched",
-    columns=("rps", "p50ms", "p95ms", "queue", "comply", "batch", "saved"))
+    columns=("rps", "p50ms", "p95ms", "queue", "comply", "batch", "saved"),
+    claims=(
+        Claim("batched out-serves fifo under load",
+              ("batched", "rps"), ">", ("fifo", "rps")),
+        Claim("batched p95 is no worse than fifo's",
+              ("batched", "p95ms"), "<=", ("fifo", "p95ms")),
+        Claim("batched compliance is no worse than fifo's",
+              ("batched", "comply"), ">=", ("fifo", "comply")),
+        Claim("batches amortize decisions", ("batched", "batch"), ">", 1.0),
+        Claim("overlap hides decision time", ("batched", "saved"), ">", 0.0),
+        Claim("serial batching hides none",
+              ("batched-serial", "saved"), "==", 0.0),
+        Claim("overlap is no slower than serial batching",
+              ("batched", "rps"), ">=", ("batched-serial", "rps"))),
+    smoke=("num_requests=48", "trace_steps=40"))

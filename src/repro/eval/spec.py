@@ -11,13 +11,14 @@ and reporting are written once in the runner.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 from ..core.decision import DecisionRecord
 from ..core.slo import SLO
 from ..netsim.topology import NetworkCondition
 
-__all__ = ["PinnedTimeEngine", "Scenario", "StaticEngine", "World"]
+__all__ = ["Claim", "PinnedTimeEngine", "Scenario", "StaticEngine", "World"]
 
 
 class PinnedTimeEngine:
@@ -96,6 +97,22 @@ class World:
     recorder: Any = None
 
 
+class Claim(NamedTuple):
+    """One line of a scenario's acceptance: ``left op right + margin``.
+
+    A cell is ``(variant, column, *overrides)``: that variant's value
+    under a ``repro.eval.runner.COLUMNS`` header, read in the world the
+    ``FIELD=VALUE`` overrides select (none: the config under test).
+    ``right`` is a cell or a constant; ``op`` is a key of ``OPS``.
+    """
+
+    text: str
+    left: Tuple[str, ...]
+    op: str
+    right: Union[Tuple[str, ...], float]
+    margin: float = 0.0
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One scenario's declaration."""
@@ -115,3 +132,8 @@ class Scenario:
     instrumented: Optional[str]
     #: table columns, by name (``repro.eval.runner.COLUMNS``)
     columns: Tuple[str, ...]
+    #: what the variants must show against each other
+    #: (``repro.eval.runner.check_claims``)
+    claims: Tuple[Claim, ...] = ()
+    #: the CI-sized world, as ``FIELD=VALUE`` overrides of ``config()``
+    smoke: Tuple[str, ...] = ()

@@ -1,9 +1,10 @@
 """Library driver for the RL training-curve experiments (Figs. 11/12).
 
 Runs the paper's four training curves — full SUPREME, the intermediate
-"Murmuration" variant (bucketed sharing only), GCSL and PPO — plus the
-optional DQN baseline, on a given scenario, under one validation task
-set, and returns their :class:`~repro.rl.common.TrainingHistory` curves.
+"Murmuration" variant (bucketed sharing only), GCSL and PPO — or any
+roster of those and the DQN baseline, on a given scenario, under one
+validation task set, and returns their
+:class:`~repro.rl.common.TrainingHistory` curves.
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ def run_training_curves(devices: Sequence[DeviceProfile],
                         total_steps: int = 800, eval_every: int = 200,
                         seed: int = 0, space: SearchSpace = MBV3_SPACE,
                         slo_range=(0.05, 0.5), eval_points: int = 3,
-                        include_dqn: bool = False,
                         methods: Optional[Sequence[str]] = None,
                         ) -> Dict[str, TrainingHistory]:
     """Train every requested method on one scenario.
 
     ``methods`` defaults to the paper's Fig. 11 roster; pass a subset
-    (e.g. ``["SUPREME (Ours)", "PPO"]``) to save time.
+    (e.g. ``["SUPREME (Ours)", "PPO"]``) to save time, or add ``"DQN"``
+    for the appendix baseline.
     """
     env = MurmurationEnv(space, list(devices),
                          EnvConfig(slo_kind="latency", slo_range=slo_range))
@@ -39,8 +40,6 @@ def run_training_curves(devices: Sequence[DeviceProfile],
 
     roster = list(methods) if methods is not None else [
         "SUPREME (Ours)", "Murmuration", "GCSL", "PPO"]
-    if include_dqn and "DQN" not in roster:
-        roster.append("DQN")
 
     histories: Dict[str, TrainingHistory] = {}
     for name in roster:

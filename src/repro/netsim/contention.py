@@ -42,6 +42,7 @@ fixes), and two simultaneous flows each get at least half the link.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -200,9 +201,17 @@ class ContentionTracker:
 
         ``share`` is the fair-share divisor the transfer was priced at
         (from :meth:`share` at admission); it only feeds accounting.
+        A flow that does not run from a finite ``start`` to a finite
+        ``end`` at or after it raises ``ValueError``: a NaN start is
+        never counted in flight and an endless flow is never pruned.
         """
+        start = check_time(start)
+        if not start <= end < math.inf:
+            raise ValueError(
+                f"a flow must end at a finite time at or after its start "
+                f"({start}), got {end}")
         flow = Flow(edges=tuple(canonical_edge(*e) for e in edges),
-                    start=float(start), end=float(end),
+                    start=start, end=float(end),
                     nbytes=float(nbytes), tenant=tenant)
         for edge in flow.edges:
             bucket = self._flows.setdefault(edge, [])

@@ -64,7 +64,7 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, \
 from ..devices.profiles import DeviceProfile
 from ..faults.resilience import NoRouteError
 from .link import Edge, Link, canonical_edge
-from .topology import NetworkCondition
+from .topology import NetworkCondition, no_device
 
 __all__ = ["MeshLink", "RouteInfo", "MeshCluster", "line_topology",
            "ring_topology", "partial_mesh_topology"]
@@ -146,7 +146,11 @@ def _min_delay_path(adj: Adjacency, src: int, dst: int) -> Tuple[int, ...]:
                 path.append(node)
                 node = preds[1][node]
             return tuple(path)
-        for w, (delay, _) in adj[v].items():
+        try:
+            neighbours = adj[v]
+        except KeyError:  # an endpoint the mesh does not have
+            raise no_device(v, len(adj)) from None
+        for w, (delay, _) in neighbours.items():
             if w in dists[side]:
                 continue
             reach = dist + delay

@@ -48,6 +48,12 @@ class NetworkCondition:
         return list(self.bandwidths_mbps) + list(self.delays_ms)
 
 
+def no_device(i, num_devices: int) -> ValueError:
+    """What a cluster raises for a device id it does not have."""
+    return ValueError(f"no device {i}: the cluster has {num_devices} "
+                      f"devices (ids 0..{num_devices - 1})")
+
+
 class Cluster:
     """A local device + remote devices + the links between them."""
 
@@ -94,11 +100,17 @@ class Cluster:
         return self.devices[0]
 
     def device(self, i: int) -> DeviceProfile:
-        return self.devices[i]
+        try:
+            return self.devices[i]
+        except IndexError:
+            raise no_device(i, self.num_devices) from None
 
     def link_to(self, i: int) -> Link:
         """Link between the local device and device ``i``."""
-        return self._links[i]
+        try:
+            return self._links[i]
+        except KeyError:
+            raise no_device(i, self.num_devices) from None
 
     def transfer_time(self, src: int, dst: int, nbytes: float) -> float:
         """Transfer time between any two devices.
@@ -109,10 +121,13 @@ class Cluster:
         """
         if src == dst:
             return 0.0
-        if src == 0 or dst == 0:
-            other = dst if src == 0 else src
-            return self._links[other].transfer_time(nbytes)
-        a, b = self._links[src], self._links[dst]
+        try:
+            if src == 0 or dst == 0:
+                other = dst if src == 0 else src
+                return self._links[other].transfer_time(nbytes)
+            a, b = self._links[src], self._links[dst]
+        except KeyError as exc:
+            raise no_device(exc.args[0], self.num_devices) from None
         wire = nbytes * 8.0 / min(a.bandwidth_bps, b.bandwidth_bps)
         latency = (a.delay_ms + b.delay_ms + a.rpc_overhead_ms) / 1e3
         return wire + latency

@@ -106,6 +106,36 @@ class TestScenario:
         assert on.stats.records == off.stats.records
 
 
+class TestDefaultWorld:
+    """What the full-size run shows through its live handles (the
+    table's columns are claims on the scenario's spec)."""
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        return run_scenario("multi_tenant")
+
+    def test_fairness_is_tenant_aware_not_just_triage(self, reports):
+        """Fair must not lose to FIFO for *any* tenant while sheds target
+        the burster: the steady tenant keeps (most of) its compliance."""
+        fifo = reports["fifo"].tenant_compliance()
+        fair = reports["fair"].tenant_compliance()
+        for tenant, base in fifo.items():
+            assert fair[tenant] >= base, (
+                f"tenant {tenant}: fair {fair[tenant]:.0%} < fifo {base:.0%}")
+        ctrl = reports["fair"].control.controllers[0]
+        sheds = dict(ctrl.shed_by_tenant)
+        if sheds:
+            assert max(sheds, key=sheds.get) == "burst"
+
+    def test_contention_happened_and_was_priced(self, reports):
+        """Concurrent uploads actually contended on the shared ingress."""
+        for rep in reports.values():
+            assert rep.tracker is not None
+            assert rep.tracker.flows_total > 0
+            assert rep.tracker.contended_total > 0
+            assert max(rep.tracker.peak_share.values(), default=1) >= 2
+
+
 class TestRecordReplay:
     @pytest.fixture(scope="class")
     def recorded(self):

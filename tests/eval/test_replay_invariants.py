@@ -6,7 +6,9 @@ Two regression layers ride here:
   ``verify_invariants`` runs over fresh recordings of every entry in
   ``SCENARIOS``, not just the serving-load golden fixture the original
   replay suite pins.  Any clock or accounting drift anywhere in the
-  serving stack turns one of these runs into a violation list;
+  serving stack turns one of these runs into a violation list; and at
+  its ``smoke`` world every scenario re-records byte for byte and
+  accounts for every submitted request;
 * **the fluid-solver serving path is byte-stable** — a second golden
   fixture (``multi_tenant_fluid_golden.jsonl``: the multi-tenant
   scenario with ``fluid=True``, seed 7, 18 requests) must replay,
@@ -28,7 +30,7 @@ import pytest
 
 from repro.eval.replay import (load_recordings, replay_stats, rerecord,
                                verify_invariants)
-from repro.eval.runner import SCENARIOS, run_scenario
+from repro.eval.runner import SCENARIOS, override_config, run_scenario
 from repro.telemetry import write_recordings
 
 FLUID_GOLDEN = Path(__file__).resolve().parents[1] / "fixtures" \
@@ -41,6 +43,15 @@ def _record_small(scenario):
     """Run one small seeded instance of ``scenario``, recording it."""
     cfg = replace(SCENARIOS[scenario].config(), num_requests=14)
     return run_scenario(scenario, cfg, record=True)
+
+
+@pytest.fixture(scope="module", params=sorted(SCENARIOS))
+def smoke(request):
+    """``(cfg, reports)`` of a scenario's smoke world — sized so its
+    sheds, faults and bursts all happen — recorded once for the laws."""
+    spec = SCENARIOS[request.param]
+    cfg = override_config(spec.config(), spec.smoke)
+    return cfg, run_scenario(request.param, cfg, record=True)
 
 
 class TestCrossSuiteInvariants:
@@ -72,15 +83,31 @@ class TestCrossSuiteInvariants:
             assert replay_stats(rec).records == \
                 reports[name].stats.records
 
-    def test_adaptive_rerecord_is_byte_identical(self):
-        reports = _record_small("adaptive")
+    def test_rerecord_is_exact(self, smoke):
+        """record -> stream -> rerecord is byte-stable, every variant."""
         original = io.StringIO()
-        write_recordings(original, [reports["controlled"].recorder])
+        write_recordings(original,
+                         [rep.recorder for rep in smoke[1].values()])
         fresh = io.StringIO()
-        write_recordings(
-            fresh,
-            [rerecord(reports["controlled"].recorder.recording())])
+        write_recordings(fresh, [
+            rerecord(rec)
+            for rec in load_recordings(io.StringIO(original.getvalue()))])
         assert fresh.getvalue() == original.getvalue()
+
+    def test_request_conservation(self, smoke):
+        """shed + completed + failed == submitted, and the tenants
+        served are the tenants declared, for every variant."""
+        cfg, reports = smoke
+        declared = {t.name for t in getattr(cfg, "tenants", ())}
+        for rep in reports.values():
+            counts = rep.stats.outcome_counts()
+            completed = sum(v for k, v in counts.items()
+                            if k not in ("failed", "shed"))
+            total = completed + counts["failed"] + counts.get("shed", 0)
+            assert total == len(rep.stats.records) == cfg.num_requests
+            assert set(rep.stats.tenants()) == declared
+            assert ({r.tenant for r in rep.stats.records}
+                    == (declared or {None}))
 
 
 @pytest.fixture(scope="module")

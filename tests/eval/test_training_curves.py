@@ -18,7 +18,7 @@ class TestRunTrainingCurves:
     def test_include_dqn(self):
         histories = run_training_curves(
             [rpi4(), rpi4()], total_steps=32, eval_every=32, eval_points=2,
-            methods=["PPO"], include_dqn=True)
+            methods=["PPO", "DQN"])
         assert "DQN" in histories
 
     def test_unknown_method(self):

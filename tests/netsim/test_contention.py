@@ -17,7 +17,7 @@ from repro.devices import rpi4
 from repro.netsim import (Cluster, ContentionTracker, Link, MeshLink,
                           MeshCluster, NetworkCondition, SharedIngress)
 from repro.netsim.contention import INGRESS_EDGE, NULL_INGRESS, LoneWire
-from repro.netsim.fluid import FluidTracker
+from repro.netsim.fluid import FlowSpec, FluidTracker, solve_fluid
 
 
 MB = 1_000_000.0
@@ -61,6 +61,20 @@ class TestContentionTracker:
         # registering at t=49 pruned everything that ended before it
         assert len(tracker._flows[(0, 1)]) == 1
         assert tracker.flows_total == 50
+
+    @pytest.mark.parametrize("start, end", [
+        (math.nan, 1.0), (math.inf, math.inf), (-math.inf, 1.0),
+        (0.0, math.nan), (1.0, 0.5), (0.0, math.inf)])
+    def test_a_flow_that_is_not_a_finite_interval_is_rejected(self, start,
+                                                              end):
+        """A NaN start is in flight at no instant and an endless flow is
+        never pruned; both used to come back as a ``Flow``."""
+        tracker = ContentionTracker()
+        with pytest.raises(ValueError, match="finite time"):
+            tracker.register([(0, 1)], start=start, end=end)
+        assert tracker.flows_total == 0
+        assert tracker.concurrency((0, 1), 0.75) == 0
+        tracker.register([(0, 1)], start=1.0, end=1.0)   # empty is fine
 
     def test_accounting_counts_contended_flows_and_peak(self):
         tracker = ContentionTracker()
@@ -278,6 +292,20 @@ class TestTrackerProtocol:
         # a later admission carries its own capacities
         assert tracker.admit_transfer(((0, 1),), {(0, 1): 1e6}, 0.0, MB,
                                       5.0) == MB * 8.0 / 1e6
+
+    def test_overlap_contract_snapshot_asymmetric_fluid_simultaneous(self):
+        """The microscopic bias the snapshot-vs-fluid gap of the
+        multi_tenant claims comes from."""
+        link = Link(bandwidth_mbps=8.0 / 1e6, delay_ms=0.0,
+                    rpc_overhead_ms=0.0)  # 1 byte/s wire, no latency
+        ingress = SharedIngress(link, ContentionTracker(), payload_bytes=8.0)
+        first = ingress.admit(0.0)
+        second = ingress.admit(0.0)
+        assert second == 2.0 * first  # snapshot: second pays double forever
+        finishes, _ = solve_fluid(
+            [FlowSpec(((-1, 0),), 0.0, 8.0), FlowSpec(((-1, 0),), 0.0, 8.0)],
+            {(-1, 0): link.bandwidth_bps})
+        assert finishes[0] == finishes[1]  # fluid: simultaneous
 
     def test_a_server_without_an_uplink_waits_for_nothing(self):
         assert NULL_INGRESS.upload_time(3.0, "a") == 0.0

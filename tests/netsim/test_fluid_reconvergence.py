@@ -111,6 +111,26 @@ def test_cap_increase_never_finishes_a_flow_later(seed):
                 f"{baseline[bf]} -> {after[sf]} (later)")
 
 
+def test_flow_reconverges_at_the_step_instant():
+    """A cap step lands *exactly* at its scheduled time in the ledger:
+    the flow's rate segments flip at t_step and the finish time equals
+    the closed-form two-rate integral."""
+    tracker = FluidTracker(record_segments=True)
+    nbytes = 5e6 / 8.0  # 5 Mbit
+    tracker.admit((_E,), {_E: 10e6}, 0.0, nbytes)
+    # halfway through (2.5 Mbit sent at t=0.25), capacity halves
+    tracker.update_caps(0.25, {_E: 5e6})
+    tracker.drain()
+    finish = tracker.finish_times()[0]
+    assert finish == pytest.approx(0.25 + 2.5e6 / 5e6)  # = 0.75
+    # the audit trail: one segment ends exactly at the step instant,
+    # rates flip from 10 Mbps to 5 Mbps there
+    cut = [s for s in tracker.segments if s.t1 == 0.25]
+    assert cut and cut[0].rates[0] == pytest.approx(10e6)
+    after = [s for s in tracker.segments if s.t0 == 0.25]
+    assert after and after[0].rates[0] == pytest.approx(5e6)
+
+
 def test_update_on_completion_instant_processes_completion_first():
     """8e6 bits over an 8 Mbps link completes at exactly t=1.0; a cap
     step at 1.0 must not touch it — completions at the instant resolve

@@ -67,6 +67,20 @@ class TestMeshCluster:
         with pytest.raises(ValueError):
             MeshCluster([rpi4()], [MeshLink(0, 5, 100.0, 5.0)])
 
+    @pytest.mark.parametrize("reroute", [True, False])
+    def test_an_unknown_device_id_is_a_typed_error(self, reroute):
+        """It was a bare ``KeyError: 9`` from inside the path search."""
+        mesh = ring_topology([rpi4() for _ in range(4)], 100.0, 5.0,
+                             reroute=reroute)
+        for call in (lambda: mesh.transfer_time(0, 9, 1e3),
+                     lambda: mesh.transfer_time(9, 0, 1e3),
+                     lambda: mesh.timed_transfer(0, 9, 1e3, 0.0),
+                     lambda: mesh.route_info(1, 9),
+                     lambda: mesh.link_to(9)):
+            with pytest.raises(ValueError, match="no device 9: .* 4 devices"):
+                call()
+        assert mesh.route_info(0, 3).hops == 1   # the last id is fine
+
     def test_simulator_accepts_mesh(self):
         """A relay chain is a drop-in Cluster replacement."""
         devices = [rpi4() for _ in range(3)]

@@ -80,3 +80,18 @@ class TestCluster:
         assert cl.local.name == "rpi4"
         assert cl.device(1).name == "desktop_gtx1080"
         assert cl.num_devices == 2
+
+    def test_an_unknown_device_id_is_a_typed_error(self):
+        """It was a bare ``KeyError: 5`` / ``IndexError`` from the
+        failing lookup."""
+        cl = Cluster([rpi4(), desktop_gtx1080(), rpi4()],
+                     NetworkCondition((100.0, 50.0), (10.0, 20.0)))
+        for call in (lambda: cl.transfer_time(0, 5, 1e3),
+                     lambda: cl.transfer_time(5, 1, 1e3),
+                     lambda: cl.transfer_time(1, 5, 1e3),
+                     lambda: cl.timed_transfer(0, 5, 1e3, 0.0),
+                     lambda: cl.link_to(5),
+                     lambda: cl.device(5)):
+            with pytest.raises(ValueError, match="no device 5: .* 3 devices"):
+                call()
+        assert cl.transfer_time(0, 2, 1e3) > 0.0   # the last id is fine

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.control import ControlLoop
+from repro.eval.runner import run_scenario
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import DeviceCrash, FaultSchedule, Straggler
 from repro.netsim.contention import INGRESS_EDGE, ContentionTracker, \
@@ -250,6 +251,17 @@ def test_ingress_trace_steps_capacity_and_reconverges_fluid():
     assert tracker._caps[INGRESS_EDGE] == 5e6
     loop.advance_to(2.0)
     assert ingress.link.bandwidth_mbps == 40.0
+
+
+def test_reconvergence_happened_mid_flight():
+    """Only the event variant applies capacities mid-flight, once per
+    trace-cell change (5 changes in the default trace), and the served
+    run leaves no step behind on its loop."""
+    reports = run_scenario("event_core")
+    assert reports["boundary"].tracker.caps_updates_total == 0
+    assert reports["event"].tracker.caps_updates_total == 5
+    assert reports["event"].events.fired_total == 5
+    assert reports["event"].events.pending == 0
 
 
 def test_ingress_step_survives_float_rounded_fire_times():
