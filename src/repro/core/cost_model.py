@@ -4,8 +4,9 @@ A decision search prices the same ``archs x candidate_plans`` set under
 every condition it is asked about, and a cached strategy is priced on
 every request it serves.  Nothing about a pair but its link-transfer
 terms depends on the condition, so a :class:`PlanCostModel` builds each
-graph once, enumerates each arch's candidates once, compiles a pair to
-a :class:`~repro.partition.compiled.PlanProgram` the first time it is
+graph once, enumerates an arch's candidates the first time a scan
+reaches it, compiles a pair to a
+:class:`~repro.partition.compiled.PlanProgram` the first time it is
 priced, and from then on a price is a replay
 (:func:`~repro.partition.compiled.price`) — bit-identical to
 ``simulate_latency(...).total_s`` (DESIGN.md, "Plan cost model").
@@ -20,7 +21,9 @@ most of a simulation, the price comes on top, and nothing amortises it.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+import weakref
+from heapq import heappop, heappush
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..devices.profiles import DeviceProfile
 from ..models.graph import ModelGraph
@@ -64,6 +67,64 @@ def _make_room(memo: dict, bound: int) -> None:
         del memo[next(iter(memo))]
 
 
+class _Scan:
+    """The candidates of one ``archs`` tuple, highest accuracy first and
+    equal accuracies in ``for arch: for plan`` order, enumerated only as
+    deep as a walk has gone.
+
+    A best-first merge: no candidate is more accurate than its arch's
+    :meth:`PlanCostModel.bound`, so an arch whose key ``(-bound,
+    position, -1)`` sorts after the best candidate already enumerated
+    cannot hold the next one, and stays unopened.  Walks replay the
+    prefix yielded so far and extend it only when they go deeper.
+    """
+
+    def __init__(self, model: "PlanCostModel", archs: tuple):
+        self.archs = archs
+        # a proxy: the model holds its scan, and a strong reference back
+        # would make the pair a cycle that only the collector frees
+        self._model = weakref.proxy(model)
+        self._yielded: List[Candidate] = []
+        # ((-accuracy, arch position, plan position), candidate)
+        self._heap: list = []
+        # ((-bound, arch position, -1), arch), the best last; None until
+        # the first walk (a constructor computes nothing)
+        self._unopened: Optional[list] = None
+
+    def __iter__(self) -> Iterator[Candidate]:
+        yielded, k = self._yielded, 0
+        while k < len(yielded) or self._extend():
+            yield yielded[k]
+            k += 1
+
+    def __len__(self) -> int:
+        """How many candidates there are (enumerates every arch)."""
+        while self._extend():
+            pass
+        return len(self._yielded)
+
+    def _extend(self) -> bool:
+        """Append the next candidate to the prefix; False past the last."""
+        model, heap, unopened = self._model, self._heap, self._unopened
+        if unopened is None:
+            unopened = self._unopened = sorted(
+                (((-model.bound(arch), i, -1), arch)
+                 for i, arch in enumerate(self.archs)), reverse=True)
+        while unopened and (not heap or unopened[-1][0] < heap[0][0]):
+            (_, i, _), arch = unopened.pop()
+            found = model.candidates(arch)
+            # every arch has as many templates as the next (their list
+            # depends on the device count alone), so arch i's plans
+            # start at i * len(found) of the eager enumeration
+            for j, (plan, acc) in enumerate(found):
+                heappush(heap, ((-acc, i, j),
+                                Candidate(i * len(found) + j, arch, plan, acc)))
+        if not heap:
+            return False
+        self._yielded.append(heappop(heap)[1])
+        return True
+
+
 class PlanCostModel:
     """Graphs, candidates and compiled programs for one device set.
 
@@ -79,6 +140,7 @@ class PlanCostModel:
         self.devices = list(devices)
         self._served = served
         self._graphs: Dict[ArchConfig, ModelGraph] = {}
+        self._bounds: Dict[ArchConfig, float] = {}
         self._single: Dict[Tuple[ArchConfig, int], ExecutionPlan] = {}
         self._candidates: Dict[
             ArchConfig, List[Tuple[ExecutionPlan, float]]] = {}
@@ -87,7 +149,7 @@ class PlanCostModel:
         # id from being recycled while the entry lives
         self._programs: Dict[Tuple[ArchConfig, int],
                              Tuple[ExecutionPlan, PlanProgram]] = {}
-        self._scan: Tuple[tuple, Tuple[Candidate, ...]] = ((), ())
+        self._scan = _Scan(self, ())
 
     # -- memos -------------------------------------------------------------
     def graph(self, arch: ArchConfig) -> ModelGraph:
@@ -95,9 +157,18 @@ class PlanCostModel:
         graph = self._graphs.pop(arch, None)
         if graph is None:
             _make_room(self._graphs, _SPARE + len(self._candidates))
-            graph = build_graph(arch, self.space)
+            graph = build_graph(arch, self.space, self._bounds.get(arch))
         self._graphs[arch] = graph
         return graph
+
+    def bound(self, arch: ArchConfig) -> float:
+        """``arch_accuracy(arch)``: no candidate of ``arch`` is more
+        accurate (every plan penalty is >= 0), and its first template,
+        the device-0 single-device plan, is exactly this accurate."""
+        bound = self._bounds.get(arch)
+        if bound is None:
+            bound = self._bounds[arch] = arch_accuracy(arch, self.space)
+        return bound
 
     def single_device(self, arch: ArchConfig, device: int = 0
                       ) -> ExecutionPlan:
@@ -120,7 +191,7 @@ class PlanCostModel:
         nothing of a cluster but its device count)."""
         found = self._candidates.get(arch)
         if found is None:
-            base = arch_accuracy(arch, self.space)
+            base = self.bound(arch)
             found = self._candidates[arch] = [
                 (plan, base - plan_accuracy_penalty(plan))
                 for plan in candidate_plans(self.graph(arch),
@@ -148,19 +219,17 @@ class PlanCostModel:
         """``LatencyReport.num_transfers`` of the pair (structural)."""
         return self._program(arch, plan).num_transfers
 
-    def scan(self, archs: Sequence[ArchConfig]) -> Tuple[Candidate, ...]:
-        """Every candidate of ``archs``, highest accuracy first.
+    def scan(self, archs: Sequence[ArchConfig]) -> _Scan:
+        """Every candidate of ``archs``, highest accuracy first, lazily.
 
-        The sort is stable, so equal accuracies keep the ``for arch:
-        for plan`` order a brute-force loop visits them in; only the
-        non-dominated points can win an SLO, and for a latency bound the
-        winner is the first feasible candidate of this order.
+        The order is a stable sort's: equal accuracies keep the ``for
+        arch: for plan`` order a brute-force loop visits them in; only
+        the non-dominated points can win an SLO, and for a latency bound
+        the winner is the first feasible candidate of this order.  An
+        arch is enumerated only when a walk reaches its bound, and the
+        prefix walked so far is kept for the next walk of the same archs.
         """
         key = tuple(archs)
-        if self._scan[0] != key:
-            pairs = ((arch, plan, acc) for arch in key
-                     for plan, acc in self.candidates(arch))
-            self._scan = (key, tuple(sorted(
-                (Candidate(order, *pair) for order, pair in enumerate(pairs)),
-                key=lambda c: -c.accuracy)))
-        return self._scan[1]
+        if self._scan.archs != key:
+            self._scan = _Scan(self, key)
+        return self._scan

@@ -94,8 +94,9 @@ class SearchDecisionEngine:
 
     The answer is the brute-force loop's (``tests/core/
     reference_decide.py`` keeps that loop as the oracle); the work is
-    not: the candidate set is enumerated once, each candidate is
-    compiled the first time it is priced, and a latency SLO prices
+    not: an arch's candidates are enumerated once, and only when its
+    accuracy bound says one of them may be the answer; each candidate is
+    compiled the first time it is priced; and a latency SLO prices
     candidates in descending accuracy and stops at the first feasible
     one.
     """
@@ -124,8 +125,11 @@ class SearchDecisionEngine:
                     break
         else:
             # Fastest candidate at or above the accuracy floor; among
-            # equals the first enumerated.
+            # equals the first enumerated.  An arch whose bound is below
+            # the floor has no candidate above it and is not enumerated.
             for arch in self.archs:
+                if costs.bound(arch) < slo.value:
+                    continue
                 for plan, acc in costs.candidates(arch):
                     if not acc >= slo.value:
                         continue

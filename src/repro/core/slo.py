@@ -6,6 +6,7 @@ seconds or an accuracy floor in percent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["SLO"]
@@ -25,10 +26,12 @@ class SLO:
     def __post_init__(self):
         if self.kind not in ("latency", "accuracy"):
             raise ValueError(f"SLO kind must be latency|accuracy, got {self.kind!r}")
-        if self.kind == "latency" and self.value <= 0:
-            raise ValueError("latency SLO must be positive seconds")
+        if self.kind == "latency" and not 0 < self.value < math.inf:
+            raise ValueError(f"latency SLO must be finite positive seconds, "
+                             f"got {self.value!r}")
         if self.kind == "accuracy" and not (0 < self.value <= 100):
-            raise ValueError("accuracy SLO must be in (0, 100] percent")
+            raise ValueError(f"accuracy SLO must be in (0, 100] percent, "
+                             f"got {self.value!r}")
 
     @staticmethod
     def latency(seconds: float) -> "SLO":

@@ -16,6 +16,7 @@ LRU eviction bounds memory.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from typing import Optional, Tuple
 
@@ -26,15 +27,22 @@ from .strategy import Strategy
 __all__ = ["StrategyCache"]
 
 
+def _check_steps(**steps: Optional[float]) -> None:
+    """A snap step divides every key value: it must be finite and > 0
+    (``None`` is "leave unchanged")."""
+    for name, step in steps.items():
+        if step is not None and not 0 < step < math.inf:
+            raise ValueError(
+                f"{name} must be positive and finite, got {step!r}")
+
+
 class StrategyCache:
     def __init__(self, capacity: int = 256, slo_step: float = 0.01,
                  bw_step: float = 25.0, delay_step: float = 10.0):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        for name, step in (("slo_step", slo_step), ("bw_step", bw_step),
-                           ("delay_step", delay_step)):
-            if step <= 0:
-                raise ValueError(f"{name} must be positive, got {step}")
+        if type(capacity) is not int or capacity < 1:   # not a float, not a bool
+            raise ValueError(f"capacity must be an int >= 1, got {capacity!r}")
+        _check_steps(slo_step=slo_step, bw_step=bw_step,
+                     delay_step=delay_step)
         self.capacity = capacity
         self.slo_step = slo_step
         self.bw_step = bw_step
@@ -141,10 +149,8 @@ class StrategyCache:
         retunes granularity from windowed deltas of those counters, so
         a retune must not erase the evidence it acted on.
         """
-        for name, step in (("slo_step", slo_step), ("bw_step", bw_step),
-                           ("delay_step", delay_step)):
-            if step is not None and step <= 0:
-                raise ValueError(f"{name} must be positive, got {step}")
+        _check_steps(slo_step=slo_step, bw_step=bw_step,
+                     delay_step=delay_step)
         new = (slo_step if slo_step is not None else self.slo_step,
                bw_step if bw_step is not None else self.bw_step,
                delay_step if delay_step is not None else self.delay_step)

@@ -10,6 +10,7 @@ and reporting are written once in the runner.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import (Any, Callable, Dict, Mapping, NamedTuple, Optional,
                     Sequence, Tuple, Union)
@@ -31,6 +32,9 @@ class PinnedTimeEngine:
     """
 
     def __init__(self, inner, decision_time_s: float):
+        if not 0.0 <= decision_time_s < math.inf:
+            raise ValueError(f"decision_time_s must be finite and >= 0, "
+                             f"got {decision_time_s!r}")
         self._inner = inner
         self._dt = decision_time_s
 

@@ -7,10 +7,16 @@ These are the bodies ``SearchDecisionEngine.decide`` and
 every graph, re-enumerate every plan, simulate every pair, keep the best
 under the engine's own tie-break.  Slow on purpose; never import this
 from ``src/``.
+
+``reference_scan`` is ``PlanCostModel.scan`` as it was before it became
+a lazy best-first merge: every candidate of every arch, stable-sorted by
+descending accuracy — verbatim but for returning the tuple instead of
+memoising it.
 """
 
-from typing import Optional
+from typing import Optional, Tuple
 
+from repro.core.cost_model import Candidate
 from repro.core.slo import SLO
 from repro.core.strategy import Strategy
 from repro.nas.accuracy_model import arch_accuracy, plan_accuracy_penalty
@@ -18,6 +24,16 @@ from repro.nas.evolution import candidate_plans
 from repro.nas.graph_builder import build_graph
 from repro.netsim.topology import Cluster, NetworkCondition
 from repro.partition.simulate import simulate_latency
+
+
+def reference_scan(model, archs) -> Tuple[Candidate, ...]:
+    """``PlanCostModel.scan``: enumerate everything, then sort."""
+    key = tuple(archs)
+    pairs = ((arch, plan, acc) for arch in key
+             for plan, acc in model.candidates(arch))
+    return tuple(sorted(
+        (Candidate(order, *pair) for order, pair in enumerate(pairs)),
+        key=lambda c: -c.accuracy))
 
 
 def reference_search_decide(engine, slo: SLO, condition: NetworkCondition,

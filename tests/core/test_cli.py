@@ -79,6 +79,23 @@ class TestCLI:
         assert exc.value.code == 2
         assert listed in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting, named", [
+        ("slo_ms=nan", "latency SLO must be finite"),
+        ("slo_ms=inf", "latency SLO must be finite"),
+        ("decision_time_s=nan", "decision_time_s must be finite"),
+        ("decision_time_s=-1", "decision_time_s must be finite"),
+    ])
+    def test_a_hostile_slo_or_pinned_time_fails_before_serving(
+            self, capsys, setting, named):
+        """Regression: ``slo_ms=inf`` died with an ``OverflowError``
+        traceback, ``slo_ms=nan`` and ``decision_time_s=-1`` mid-run, and
+        ``decision_time_s=nan`` "succeeded" with NaN latencies."""
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "serving_load", "--set", setting])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert named in captured.err and captured.out == ""
+
     def test_run_set_parses_tuples_optionals_and_variants(self, capsys):
         assert main(["run", "adaptive", "--set", "num_requests=12",
                      "--set", "burst_window=1,2", "--set",

@@ -28,6 +28,15 @@ class TestSLO:
         with pytest.raises(ValueError):
             SLO(kind, value)
 
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf")])
+    def test_a_non_finite_latency_is_rejected_by_name(self, seconds):
+        """Regression: ``nan <= 0`` is False, so NaN and infinity passed
+        and surfaced later as an int conversion in the strategy cache."""
+        with pytest.raises(ValueError, match=f"finite.*got {seconds!r}"):
+            SLO.latency(seconds)
+        with pytest.raises(ValueError, match="finite"):
+            SLO.latency_ms(seconds)
+
     def test_invalid_kind(self):
         with pytest.raises(ValueError):
             SLO("throughput", 5.0)
@@ -84,6 +93,32 @@ class TestStrategyCache:
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             StrategyCache(capacity=0)
+
+    @pytest.mark.parametrize("capacity", [float("nan"), 2.5, 3.0, True])
+    def test_capacity_must_be_an_int(self, capacity):
+        """Regression: ``capacity=nan`` never evicted and ``2.5`` was
+        silently 2."""
+        with pytest.raises(ValueError, match="capacity must be an int"):
+            StrategyCache(capacity=capacity)
+
+    @pytest.mark.parametrize("name", ["slo_step", "bw_step", "delay_step"])
+    @pytest.mark.parametrize("step", [float("nan"), float("inf")])
+    def test_non_finite_steps_rejected(self, name, step):
+        """Regression: a NaN step passed ``step <= 0`` and the first
+        lookup raised a bare int-conversion error."""
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            StrategyCache(**{name: step})
+        cache = StrategyCache()
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            cache.set_steps(**{name: step})
+        assert getattr(cache, name) == getattr(StrategyCache(), name)
+
+    def test_tiny_steps_stay_legal(self):
+        """``examples/dynamic_network.py`` disables sharing this way."""
+        cache = StrategyCache(capacity=1, bw_step=1e-9, delay_step=1e-9)
+        cond = NetworkCondition((100.0,), (10.0,))
+        cache.put(SLO.latency(0.1), cond, _strategy())
+        assert cache.get(SLO.latency(0.1), cond) is not None
 
     def test_hit_rate(self):
         cache = StrategyCache()

@@ -11,8 +11,12 @@ import gc
 import weakref
 from dataclasses import replace
 
+from itertools import islice
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.core.cost_model as cost_model
 from repro.core import (SLO, Murmuration, SearchDecisionEngine, Strategy,
@@ -22,12 +26,15 @@ from repro.devices.profiles import desktop_gtx1080, jetson_class, rpi4
 from repro.eval.murmuration_method import MurmurationOracle, lattice_archs
 from repro.faults import DeviceCrash, FaultInjector, FaultSchedule
 from repro.faults.resilience import NoRouteError
-from repro.nas.arch import max_arch, min_arch
+from repro.nas.accuracy_model import arch_accuracy, plan_accuracy_penalty
+from repro.nas.arch import max_arch, min_arch, random_arch
 from repro.nas.search_space import MBV3_SPACE
 from repro.netsim import Cluster, NetworkCondition, ring_topology
 from repro.partition import simulate_latency, single_device_plan, spatial_plan
 from repro.partition.spatial import Grid
+from repro.rl import EnvConfig, MurmurationEnv
 from tests.core.reference_decide import (reference_oracle_decide,
+                                         reference_scan,
                                          reference_search_decide)
 
 NAN = float("nan")
@@ -185,15 +192,129 @@ def test_a_miss_compiles_only_what_it_prices(counted):
 def test_scan_is_descending_and_stable():
     model = PlanCostModel(MBV3_SPACE, devices(4))
     archs = [min_arch(MBV3_SPACE), max_arch(MBV3_SPACE)]
-    scan = model.scan(archs)
+    lazy = model.scan(archs)
+    scan = tuple(lazy)
     assert [c.accuracy for c in scan] \
         == sorted((c.accuracy for c in scan), reverse=True)
     for a, b in zip(scan, scan[1:]):
         if a.accuracy == b.accuracy:
             assert a.order < b.order
     assert sorted(c.order for c in scan) == list(range(len(scan)))
-    assert model.scan(list(archs)) is scan, "same archs, same scan"
-    assert model.scan(archs[:1]) is not scan
+    assert model.scan(list(archs)) is lazy, "same archs, same scan"
+    assert model.scan(archs[:1]) is not lazy
+
+
+# -- the best-first scan == the eager stable sort ------------------------------
+
+@st.composite
+def arch_lists(draw):
+    """Random archs, some with a shadow twin that ties on accuracy, some
+    listed more than once."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pool = [random_arch(MBV3_SPACE, rng)
+            for _ in range(draw(st.integers(1, 5)))]
+    pool += [shadow(a) for a in pool
+             if min(a.depths) < MBV3_SPACE.max_depth and draw(st.booleans())]
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 9), arch_lists(), st.integers(0, 400))
+def test_the_lazy_scan_is_the_eager_stable_sort(n, archs, depth):
+    model = PlanCostModel(MBV3_SPACE, devices(n))
+    walked = list(islice(model.scan(archs), depth))
+    # the bound is tight (a template of penalty 0.0), so an arch is
+    # enumerated exactly when the walk yields its first candidate
+    assert set(model._candidates) == {c.arch for c in walked}
+    eager = reference_scan(model, archs)
+    lazy = tuple(model.scan(archs))
+    assert walked == list(lazy[:depth]), "the prefix is replayed"
+    assert len(lazy) == len(eager) == len(model.scan(archs))
+    for a, b in zip(lazy, eager):
+        assert a.arch is b.arch and a.plan is b.plan
+        assert (a.order, a.accuracy.hex()) == (b.order, b.accuracy.hex())
+
+
+def test_an_unopened_arch_wins_a_tie_with_a_later_arch_plan():
+    """Arch 0's bound equals the accuracy of a penalised plan of arch 1:
+    the stable sort puts arch 0's first plan before it, so the merge must
+    open arch 0 on a tie, not only on a strictly higher bound."""
+    model = PlanCostModel(MBV3_SPACE, devices(3))
+    low, high = min_arch(MBV3_SPACE), max_arch(MBV3_SPACE)
+    model._bounds[high] = 80.0
+    tied = 80.0 - max(plan_accuracy_penalty(p)
+                      for p, _ in model.candidates(high))
+    model._bounds[low] = tied
+    scan = tuple(model.scan([low, high]))
+    assert scan[0].arch is high and scan[0].accuracy == 80.0
+    first_tied = next(c for c in scan if c.accuracy == tied)
+    assert first_tied.arch is low and first_tied.order == 0
+    assert scan == reference_scan(model, [low, high])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 2 ** 32 - 1))
+def test_no_template_beats_its_bound_and_the_first_meets_it(n, seed):
+    model = PlanCostModel(MBV3_SPACE, devices(n))
+    arch = random_arch(MBV3_SPACE, np.random.default_rng(seed))
+    assert model.bound(arch) == arch_accuracy(arch, MBV3_SPACE)
+    found = model.candidates(arch)
+    assert all(plan_accuracy_penalty(plan) >= 0.0 for plan, _ in found)
+    assert all(acc <= model.bound(arch) for _, acc in found)
+    first = single_device_plan(model.graph(arch), 0)
+    assert plan_accuracy_penalty(first) == 0.0
+    assert fields(Strategy(arch, found[0][0], 0.0, 0.0)) \
+        == fields(Strategy(arch, first, 0.0, 0.0))
+    assert found[0][1] == model.bound(arch)
+
+
+_ENVS = {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.data())
+def test_a_decoded_plan_has_a_non_negative_penalty(n, data):
+    if n not in _ENVS:
+        _ENVS[n] = MurmurationEnv(MBV3_SPACE, devices(n),
+                                  EnvConfig(slo_kind="latency"))
+    env = _ENVS[n]
+    actions = [data.draw(st.integers(0, s.n_choices - 1))
+               for s in env.schedule]
+    _, plan = env.decode(actions)
+    assert plan_accuracy_penalty(plan) >= 0.0
+
+
+def test_a_cold_latency_miss_enumerates_one_arch_not_ten(counted):
+    """``drift_miss``'s engine at its nominal condition: the answer is
+    the most accurate arch's first plan, and nothing else is built."""
+    devs = [rpi4(), desktop_gtx1080(), jetson_class()]
+    engine = SearchDecisionEngine(MBV3_SPACE, devs, n_random_archs=8, seed=0)
+    slo = SLO.latency_ms(300)
+    cond = NetworkCondition((150.0, 80.0), (10.0, 20.0))
+    assert len(engine.archs) == 10
+    answer = engine.decide(slo, cond).strategy
+    assert counted["build_graph"] == counted["candidate_plans"] == 1
+    assert counted["compile_plan"] <= 2
+    assert fields(answer) == fields(reference_search_decide(engine, slo, cond))
+
+
+def test_an_accuracy_floor_above_every_bound_enumerates_nothing(counted):
+    engine = SearchDecisionEngine(MBV3_SPACE, devices(3), n_random_archs=8)
+    cond = conditions(3)[0]
+    bounds = [engine._costs.bound(a) for a in engine.archs]
+    top = max(bounds)
+    above = float(np.nextafter(top, 100.0))
+    assert engine.decide(SLO.accuracy(above), cond).strategy is None
+    assert counted == {"build_graph": 0, "candidate_plans": 0,
+                       "compile_plan": 0}
+    # a floor *at* the best bound is met by that arch's penalty-free plan
+    # and enumerates only the archs that reach it
+    met = engine.decide(SLO.accuracy(top), cond).strategy
+    assert met.expected_accuracy == top
+    assert counted["candidate_plans"] == len(set(
+        a for a, b in zip(engine.archs, bounds) if b == top))
+    assert fields(met) == fields(
+        reference_search_decide(engine, SLO.accuracy(top), cond))
 
 
 def test_programs_are_bounded_by_use_and_keep_their_plan_alive():
@@ -272,7 +393,7 @@ def test_graphs_are_bounded(counted):
     assert len(model._graphs) == cost_model._SPARE
     assert counted["build_graph"] == len(archs)
     # enumerated archs are never dropped: the bound grows with them
-    model.scan(archs)
+    tuple(model.scan(archs))
     assert len(model._graphs) >= len(archs)
 
 
