@@ -568,7 +568,6 @@ class Murmuration:
         plan_state: Optional[_PlanState] = None
         exec_strategy = strategy   # executable mode: carried failover plan
         carried_degraded = False
-        base_latency: Optional[float] = None
         for idx in range(n):
             x = xs[idx] if xs is not None else None
             rid = request_ids[idx] if request_ids is not None else None
@@ -599,10 +598,8 @@ class Murmuration:
                         if outcome == "degraded":
                             carried_degraded = True
                 elif self.faults is None:
-                    if base_latency is None:
-                        base_latency = self._costs.latency(
-                            strategy.arch, strategy.plan, self.cluster)
-                    latency = base_latency
+                    latency = self._costs.latency(
+                        strategy.arch, strategy.plan, self.cluster)
                     accuracy = strategy.expected_accuracy
                 else:
                     (latency, accuracy, outcome, retries, failovers,

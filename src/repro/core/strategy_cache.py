@@ -51,6 +51,8 @@ class StrategyCache:
         # condition) of the *last write* is kept so set_steps() can
         # re-snap every entry under a new granularity.
         self._store: "OrderedDict[tuple, Tuple[SLO, NetworkCondition, Strategy]]" = OrderedDict()
+        # (slo, condition, key): a decision's peek, get and put share it
+        self._last: tuple = ()
         self.hits = 0
         self.misses = 0
         self.inserts = 0
@@ -70,9 +72,19 @@ class StrategyCache:
             tuple(snap(d, self.delay_step) for d in condition.delays_ms),
         )
 
+    def _cell(self, slo: SLO, condition: NetworkCondition) -> tuple:
+        """``_key``, snapped once for a run of lookups on the same two
+        (frozen, held) objects; :meth:`set_steps` forgets it."""
+        last = self._last
+        if last and last[0] is slo and last[1] is condition:
+            return last[2]
+        key = self._key(slo, condition)
+        self._last = (slo, condition, key)
+        return key
+
     # -- API -------------------------------------------------------------------
     def get(self, slo: SLO, condition: NetworkCondition) -> Optional[Strategy]:
-        key = self._key(slo, condition)
+        key = self._cell(slo, condition)
         entry = self._store.get(key)
         if entry is None:
             self.misses += 1
@@ -90,12 +102,12 @@ class StrategyCache:
         out of ``hits``/``misses`` is what lets ``hit_rate`` mean "the
         fraction of served decisions answered from cache".
         """
-        entry = self._store.get(self._key(slo, condition))
+        entry = self._store.get(self._cell(slo, condition))
         return entry[2] if entry is not None else None
 
     def put(self, slo: SLO, condition: NetworkCondition,
             strategy: Strategy) -> None:
-        key = self._key(slo, condition)
+        key = self._cell(slo, condition)
         if key in self._store:
             self.overwrites += 1
         else:
@@ -111,7 +123,7 @@ class StrategyCache:
 
         Returns True if an entry was removed.
         """
-        removed = self._store.pop(self._key(slo, condition), None) is not None
+        removed = self._store.pop(self._cell(slo, condition), None) is not None
         if removed:
             self.invalidations += 1
         return removed
@@ -157,6 +169,7 @@ class StrategyCache:
         if new == (self.slo_step, self.bw_step, self.delay_step):
             return 0
         self.slo_step, self.bw_step, self.delay_step = new
+        self._last = ()
         old = self._store
         self._store = OrderedDict()
         dropped = 0

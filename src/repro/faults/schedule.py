@@ -18,6 +18,7 @@ benchmarks reproducible.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -81,8 +82,10 @@ class Straggler(FaultEvent):
         super().__post_init__()
         if self.device < 0:
             raise ValueError("device id must be non-negative")
-        if self.slowdown < 1.0:
-            raise ValueError("slowdown is a compute-time multiplier >= 1")
+        # negated: a NaN scale would make max() ignore the device's compute
+        if not 1.0 <= self.slowdown < math.inf:
+            raise ValueError(f"slowdown is a finite compute-time multiplier "
+                             f">= 1, got {self.slowdown}")
 
 
 @dataclass(frozen=True)
@@ -281,6 +284,9 @@ class FaultSchedule:
                 raise TypeError(f"not a FaultEvent: {e!r}")
         self.events: Tuple[FaultEvent, ...] = tuple(
             sorted(events, key=lambda e: (e.start, e.end, e.kind)))
+        self._times = self.transition_times()
+        # segment index -> its live events, filled as queries reach it
+        self._segments: Dict[int, Tuple[FaultEvent, ...]] = {}
 
     # -- container protocol ----------------------------------------------
     def __len__(self) -> int:
@@ -315,15 +321,29 @@ class FaultSchedule:
         return tuple(sorted(times))
 
     # -- point-in-time queries -------------------------------------------
+    def _live(self, now: float) -> Tuple[FaultEvent, ...]:
+        """The events that can be active at ``now``, in schedule order:
+        those active at the first instant of ``now``'s transition
+        segment (activity only changes at a transition).  Queries still
+        test ``active(now)``, which a NaN ``now`` fails everywhere."""
+        i = bisect_right(self._times, now)
+        live = self._segments.get(i)
+        if live is None:
+            first = self._times[i - 1] if i else -math.inf
+            live = self._segments[i] = tuple(
+                e for e in self.events if e.active(first))
+        return live
+
     def active(self, now: float) -> Tuple[FaultEvent, ...]:
-        return tuple(e for e in self.events if e.active(now))
+        return tuple(e for e in self._live(now) if e.active(now))
 
     def down_devices(self, now: float) -> frozenset:
         """Devices that are crashed at ``now`` (individually or as part
         of an active failure domain)."""
-        out = {e.device for e in self.events
+        live = self._live(now)
+        out = {e.device for e in live
                if isinstance(e, DeviceCrash) and e.active(now)}
-        for e in self.events:
+        for e in live:
             if isinstance(e, CorrelatedFailure) and e.active(now):
                 out.update(e.devices)
         return frozenset(out)
@@ -331,7 +351,7 @@ class FaultSchedule:
     def unreachable_devices(self, now: float) -> frozenset:
         """Crashed or partitioned-away devices at ``now``."""
         out = set(self.down_devices(now))
-        for e in self.events:
+        for e in self._live(now):
             if isinstance(e, Partition) and e.active(now):
                 out.update(e.devices)
         return frozenset(out)
@@ -351,7 +371,7 @@ class FaultSchedule:
         semantics.
         """
         out = set()
-        for e in self.events:
+        for e in self._live(now):
             if not e.active(now):
                 continue
             if isinstance(e, LinkFailure):
@@ -385,7 +405,7 @@ class FaultSchedule:
             f, x = out.get(edge, (1.0, 0.0))
             out[edge] = (f * e.bw_factor, x + e.extra_delay_ms)
 
-        for e in self.events:
+        for e in self._live(now):
             if not (isinstance(e, LinkDegradation) and e.active(now)):
                 continue
             if e.link is not None:
@@ -407,7 +427,7 @@ class FaultSchedule:
     def compute_scale(self, now: float) -> Dict[int, float]:
         """Per-device compute-time multipliers from active stragglers."""
         out: Dict[int, float] = {}
-        for e in self.events:
+        for e in self._live(now):
             if isinstance(e, Straggler) and e.active(now):
                 out[e.device] = out.get(e.device, 1.0) * e.slowdown
         return out
@@ -422,7 +442,7 @@ class FaultSchedule:
             return 0.0
         links = {d for d in (src, dst) if d != 0}
         p_keep = 1.0
-        for e in self.events:
+        for e in self._live(now):
             if not (isinstance(e, MessageLoss) and e.active(now)):
                 continue
             hits = len(links) if e.device is None else (e.device in links)
@@ -436,7 +456,7 @@ class FaultSchedule:
         bws = list(condition.bandwidths_mbps)
         delays = list(condition.delays_ms)
         changed = False
-        for e in self.events:
+        for e in self._live(now):
             if not (isinstance(e, LinkDegradation) and e.active(now)):
                 continue
             if e.link is not None:

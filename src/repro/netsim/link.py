@@ -7,10 +7,11 @@ fixed per-message RPC overhead (serialization + gRPC framing).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Tuple
 
-__all__ = ["Edge", "Link", "LOOPBACK", "canonical_edge"]
+__all__ = ["Edge", "Link", "LOOPBACK", "canonical_edge", "check_rpc_overhead"]
 
 Edge = Tuple[int, int]
 
@@ -18,6 +19,16 @@ Edge = Tuple[int, int]
 def canonical_edge(a: int, b: int) -> Edge:
     """Canonical (sorted) form of an undirected link or device pair."""
     return (a, b) if a <= b else (b, a)
+
+
+def check_rpc_overhead(rpc_overhead_ms: float) -> float:
+    """A per-message overhead must be finite and non-negative (negated
+    test: NaN fails every comparison); a negative one prices a transfer
+    below zero seconds, a NaN one at NaN."""
+    if not 0 <= rpc_overhead_ms < math.inf:
+        raise ValueError(f"rpc overhead must be finite and non-negative, "
+                         f"got {rpc_overhead_ms}")
+    return rpc_overhead_ms
 
 
 @dataclass(frozen=True)
@@ -43,6 +54,7 @@ class Link:
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth_mbps}")
         if not self.delay_ms >= 0:
             raise ValueError(f"delay must be non-negative, got {self.delay_ms}")
+        check_rpc_overhead(self.rpc_overhead_ms)
 
     @property
     def bandwidth_bps(self) -> float:

@@ -44,8 +44,9 @@ end-to-end view (:attr:`MeshCluster.condition`) and its own delivery
 outcomes.
 
 Every mutation of the link set — fault overlay *or* base parameters
-(:meth:`MeshCluster.set_link_quality`) — bumps ``route_epoch`` and
-drops the path cache, so cached routes can never go stale.
+(:meth:`MeshCluster.set_link_quality`) — bumps ``route_epoch`` and the
+world ``version`` and drops the path cache, so neither a cached route
+nor a memoised price can go stale.
 
 ``reroute=False`` pins routing to the fault-free base paths (static
 routing tables): a transfer whose base path crosses a down link fails
@@ -63,8 +64,8 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, \
 
 from ..devices.profiles import DeviceProfile
 from ..faults.resilience import NoRouteError
-from .link import Edge, Link, canonical_edge
-from .topology import NetworkCondition, no_device
+from .link import Edge, Link, canonical_edge, check_rpc_overhead
+from .topology import NetworkCondition, VersionedWorld, no_device
 
 __all__ = ["MeshLink", "RouteInfo", "MeshCluster", "line_topology",
            "ring_topology", "partial_mesh_topology"]
@@ -166,7 +167,7 @@ def _min_delay_path(adj: Adjacency, src: int, dst: int) -> Tuple[int, ...]:
     raise NoRouteError(src, dst)
 
 
-class MeshCluster:
+class MeshCluster(VersionedWorld):
     """Devices connected by an arbitrary set of links.
 
     Routing: min-delay path (Dijkstra on delay over the fault overlay);
@@ -182,15 +183,12 @@ class MeshCluster:
         if not devices:
             raise ValueError("need at least one device")
         self.devices: List[DeviceProfile] = list(devices)
-        self.rpc_overhead_ms = rpc_overhead_ms
+        self.rpc_overhead_ms = check_rpc_overhead(rpc_overhead_ms)
         #: the tracker pricing shared edges; same contract as
         #: Cluster.contention
         self.contention = contention
         #: False pins routing to the fault-free base paths (ablation)
         self.reroute = reroute
-        # Per-device compute-time multipliers (straggler injection);
-        # same contract as Cluster.compute_scale.
-        self.compute_scale: Dict[int, float] = {}
         self._base: Dict[Edge, MeshLink] = {}
         n = len(self.devices)
         for link in links:
@@ -233,12 +231,14 @@ class MeshCluster:
         self.invalidate_routes()
 
     def invalidate_routes(self) -> None:
-        """Drop every cached route and advance the routing epoch.
+        """Drop every cached route and advance the routing epoch and the
+        world version.
 
         Called automatically by every link-set mutation; exposed for
         callers that mutate the graph through other means.
         """
         self.route_epoch += 1
+        self.version += 1
         self._path_cache.clear()
         self._cond_cache = None
 

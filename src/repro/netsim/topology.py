@@ -10,12 +10,13 @@ links.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..devices.profiles import DeviceProfile
-from .link import LOOPBACK, Link
+from .link import LOOPBACK, Link, check_rpc_overhead
 
-__all__ = ["Cluster", "NetworkCondition"]
+__all__ = ["Cluster", "NetworkCondition", "VersionedWorld"]
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,30 @@ def no_device(i, num_devices: int) -> ValueError:
                       f"devices (ids 0..{num_devices - 1})")
 
 
-class Cluster:
+class VersionedWorld:
+    """A cluster's ``version``, bumped by every mutation that can move a
+    plan's price and by nothing else (``PlanCostModel.latency`` memoises
+    one price per ``(cluster, version)``); assigning ``compute_scale``
+    is one."""
+
+    version = 0
+    _compute_scale: Mapping[int, float] = MappingProxyType({})
+
+    @property
+    def compute_scale(self) -> Mapping[int, float]:
+        """Per-device compute-time multipliers (straggler injection),
+        read-only between assignments.  Empty = nominal; only the fault
+        injector sets it, so planners that build their own cluster from
+        an *observed* condition never see ground-truth slowdowns."""
+        return self._compute_scale
+
+    @compute_scale.setter
+    def compute_scale(self, scale: Mapping[int, float]) -> None:
+        self._compute_scale = MappingProxyType(dict(scale))
+        self.version += 1
+
+
+class Cluster(VersionedWorld):
     """A local device + remote devices + the links between them."""
 
     def __init__(self, devices: Sequence[DeviceProfile],
@@ -68,27 +92,21 @@ class Cluster:
                 f"condition covers {condition.num_remote} remote devices but "
                 f"cluster has {len(devices) - 1}")
         self.devices: List[DeviceProfile] = list(devices)
-        self.condition = condition
-        self.rpc_overhead_ms = rpc_overhead_ms
+        self.rpc_overhead_ms = check_rpc_overhead(rpc_overhead_ms)
         #: the tracker pricing shared wires (netsim.contention, "The
         #: tracker protocol"); None = nobody shares.  Plain attribute:
         #: callers attach one after construction too.
         self.contention = contention
-        # Per-device compute-time multipliers (straggler injection).
-        # Empty = nominal; only the fault injector ever populates this,
-        # so planners that build their own Cluster from an *observed*
-        # condition never see ground-truth slowdowns.
-        self.compute_scale: Dict[int, float] = {}
-        self._links: Dict[int, Link] = {}
-        self._rebuild_links()
+        self.condition = condition
+        self._links = self._build_links(condition)
 
-    def _rebuild_links(self) -> None:
-        self._links = {0: LOOPBACK}
+    def _build_links(self, condition: NetworkCondition) -> Dict[int, Link]:
+        links = {0: LOOPBACK}
         for i in range(1, len(self.devices)):
-            self._links[i] = Link(
-                bandwidth_mbps=self.condition.bandwidths_mbps[i - 1],
-                delay_ms=self.condition.delays_ms[i - 1],
-                rpc_overhead_ms=self.rpc_overhead_ms)
+            links[i] = Link(bandwidth_mbps=condition.bandwidths_mbps[i - 1],
+                            delay_ms=condition.delays_ms[i - 1],
+                            rpc_overhead_ms=self.rpc_overhead_ms)
+        return links
 
     # -- queries ---------------------------------------------------------
     @property
@@ -161,11 +179,13 @@ class Cluster:
 
     # -- dynamics ----------------------------------------------------------
     def set_condition(self, condition: NetworkCondition) -> None:
-        """Apply new network conditions (mobility / contention events)."""
+        """Apply new network conditions (mobility / contention events);
+        a rejected one raises before anything changes."""
         if condition.num_remote != self.num_devices - 1:
             raise ValueError("condition dimensionality changed")
-        self.condition = condition
-        self._rebuild_links()
+        links = self._build_links(condition)
+        self.condition, self._links = condition, links
+        self.version += 1
 
     def update_fluid_caps(self, now: float) -> bool:
         """Hand the cluster's *current* per-spoke capacities to its

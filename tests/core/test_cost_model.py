@@ -24,18 +24,21 @@ from repro.core import (SLO, Murmuration, SearchDecisionEngine, Strategy,
 from repro.core.cost_model import PlanCostModel
 from repro.devices.profiles import desktop_gtx1080, jetson_class, rpi4
 from repro.eval.murmuration_method import MurmurationOracle, lattice_archs
-from repro.faults import DeviceCrash, FaultInjector, FaultSchedule
+from repro.faults import (DeviceCrash, FaultInjector, FaultSchedule,
+                          LinkDegradation, LinkFailure, LinkFlap, Straggler)
 from repro.faults.resilience import NoRouteError
 from repro.nas.accuracy_model import arch_accuracy, plan_accuracy_penalty
 from repro.nas.arch import max_arch, min_arch, random_arch
 from repro.nas.search_space import MBV3_SPACE
 from repro.netsim import Cluster, NetworkCondition, ring_topology
 from repro.partition import simulate_latency, single_device_plan, spatial_plan
+from repro.partition.compiled import compile_plan, price
 from repro.partition.spatial import Grid
 from repro.rl import EnvConfig, MurmurationEnv
 from tests.core.reference_decide import (reference_oracle_decide,
                                          reference_scan,
                                          reference_search_decide)
+from tests.partition.test_compiled_kernel import priced_cases, star
 
 NAN = float("nan")
 
@@ -467,3 +470,206 @@ def test_min_strategy_is_priced_at_first_use():
         graph, slow.plan, system.cluster).total_s
     system.update_condition(NetworkCondition((100.0,), (10.0,)))
     assert system.min_strategy() is slow, "memoized, not re-priced"
+
+
+# -- priced once per world state ------------------------------------------------
+
+#: the model key of a graph drawn by ``priced_cases`` (not every one has
+#: an arch: ViT and ResNet-50 are among them)
+DRAWN = "drawn graph"
+
+
+def outcome(fn):
+    """A price, or the pair a typed ``NoRouteError`` named."""
+    try:
+        return fn()
+    except NoRouteError as exc:
+        return ("no route", exc.src, exc.dst)
+
+
+def condition_of(data, n, nan=False):
+    bws = data.draw(st.lists(st.floats(0.05, 2000.0), min_size=n - 1,
+                             max_size=n - 1))
+    if nan:
+        bws[data.draw(st.integers(0, n - 2))] = NAN
+    return NetworkCondition(tuple(bws), tuple(data.draw(st.lists(
+        st.floats(0.0, 500.0), min_size=n - 1, max_size=n - 1))))
+
+
+def scale_of(data, n):
+    return data.draw(st.dictionaries(st.integers(0, n - 1),
+                                     st.floats(0.1, 20.0), max_size=n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(priced_cases(), st.data())
+def test_a_memoised_price_is_a_fresh_price_after_every_mutation(case, data):
+    """Both cluster kinds, driven through every public mutation: after
+    each step the model's (possibly memoised) price is the price of a
+    fresh compile, which is ``simulate_latency``'s.  A mutation that
+    forgot to bump ``version`` shows here as a stale price."""
+    graph, plan, n, _, scale = case
+    ring_n = max(n, 3)
+    star_world = star(n, seed=data.draw(st.integers(0, 99)), scale=scale)
+    ring = ring_topology(devices(ring_n), 120.0, 8.0,
+                         reroute=data.draw(st.booleans()))
+    base = star_world.condition
+    star_faults = FaultInjector(FaultSchedule([
+        Straggler(1.0, 3.0, device=n - 1, slowdown=2.5),
+        LinkDegradation(2.0, 4.0, device=1, bw_factor=0.3,
+                        extra_delay_ms=12.0),
+        Straggler(2.5, 5.0, device=0, slowdown=1.5)]))
+    ring_faults = FaultInjector(FaultSchedule([
+        LinkFailure(1.0, 3.0, a=0, b=1),
+        LinkDegradation(2.0, 4.0, link=(1, 2), bw_factor=0.25,
+                        extra_delay_ms=15.0),
+        Straggler(0.5, 3.5, device=1, slowdown=3.0),
+        LinkFlap(0.5, 6.0, a=ring_n - 1, b=0, step_s=0.4, seed=3)]))
+    plans = [plan] + [single_device_plan(graph, device=d) for d in range(n)]
+    models = {id(star_world): PlanCostModel(MBV3_SPACE, devices(n)),
+              id(ring): PlanCostModel(MBV3_SPACE, devices(ring_n))}
+    for model in models.values():
+        model._graphs[DRAWN] = graph
+
+    def check():
+        for world in (star_world, ring):
+            for p in plans:
+                assert outcome(lambda: models[id(world)].latency(
+                    DRAWN, p, world)) \
+                    == outcome(lambda: price(compile_plan(
+                        graph, p, world.devices), world)) \
+                    == outcome(lambda: simulate_latency(
+                        graph, p, world).total_s)
+
+    check()
+    for _ in range(data.draw(st.integers(1, 8))):
+        step = data.draw(st.sampled_from(
+            ["condition", "rejected", "scale", "faults", "none"]))
+        if step == "condition":
+            base = condition_of(data, n)
+            star_world.set_condition(base)
+        elif step == "rejected":
+            with pytest.raises(ValueError):
+                star_world.set_condition(condition_of(data, n, nan=True))
+        elif step == "scale":
+            star_world.compute_scale = scale_of(data, n)
+        elif step == "faults":
+            star_faults.advance(data.draw(st.floats(0.0, 6.0)))
+            star_faults.apply_to(star_world, base)
+        step = data.draw(st.sampled_from(
+            ["quality", "overlay", "invalidate", "scale", "faults", "none"]))
+        edge = data.draw(st.integers(0, ring_n - 1))
+        a, b = edge, (edge + 1) % ring_n
+        if step == "quality":
+            ring.set_link_quality(a, b, data.draw(st.floats(0.05, 2000.0)),
+                                  data.draw(st.floats(0.0, 100.0)))
+        elif step == "overlay":
+            ring.apply_link_faults(
+                down=[(a, b)] if data.draw(st.booleans()) else [],
+                degraded={(b, (b + 1) % ring_n): (
+                    data.draw(st.floats(0.05, 1.0)),
+                    data.draw(st.floats(0.0, 80.0)))})
+        elif step == "invalidate":
+            ring.invalidate_routes()
+        elif step == "scale":
+            ring.compute_scale = scale_of(data, ring_n)
+        elif step == "faults":
+            ring_faults.advance(data.draw(st.floats(0.0, 6.0)))
+            ring_faults.apply_to(ring)
+        check()
+
+
+@pytest.fixture
+def served(monkeypatch):
+    """The clusters ``PlanCostModel.latency`` has really priced on."""
+    clusters = []
+    real = cost_model.price
+
+    def counting(program, cluster):
+        clusters.append(cluster)
+        return real(program, cluster)
+    monkeypatch.setattr(cost_model, "price", counting)
+    return clusters
+
+
+def static_facade(**kwargs):
+    devs = devices(3)
+    return Murmuration(
+        MBV3_SPACE, devs, NetworkCondition((150.0, 80.0), (10.0, 20.0)),
+        SearchDecisionEngine(MBV3_SPACE, devs, n_random_archs=2),
+        slo=SLO.latency_ms(300), use_predictor=False, monitor_noise=0.0,
+        **kwargs)
+
+
+def test_hits_on_a_static_world_price_the_served_strategy_once(served):
+    system = static_facade()
+    records = [system.infer() for _ in range(20)]
+    batches = [system.infer_batch(batch_size=5) for _ in range(3)]
+    assert all(r.cache_hit for r in records[1:])
+    assert all(b.cache_hit for b in batches)
+    assert sum(c is system.cluster for c in served) == 1
+    assert len({r.latency_s for r in records}) == 1
+
+
+def test_a_stepped_world_prices_the_served_strategy_once_per_step(served):
+    system = static_facade()
+    steps = [NetworkCondition((150.0 + k, 80.0), (10.0, 20.0 - k))
+             for k in range(5)]
+    for cond in steps:
+        system.update_condition(cond)
+        for _ in range(4):
+            system.infer()
+        system.infer_batch(batch_size=3)
+    assert sum(c is system.cluster for c in served) == len(steps)
+
+
+@pytest.mark.parametrize("mesh", [False, True], ids=["star", "ring"])
+def test_a_no_op_apply_to_between_transitions_keeps_the_version(mesh):
+    """The injector re-applies only at a transition, so a faulted world
+    is re-priced once per transition, not once per request."""
+    if mesh:
+        world = ring_topology(devices(4), 120.0, 8.0)
+        schedule = [LinkFailure(1.0, 3.0, a=0, b=1)]
+    else:
+        world = star(3)
+        schedule = [Straggler(1.0, 3.0, device=1, slowdown=2.0)]
+    base = None if mesh else world.condition
+    faults = FaultInjector(FaultSchedule(schedule))
+    seen = []
+    for now in (0.0, 0.5, 0.9, 1.0, 1.7, 2.9, 3.0, 4.0, 9.0):
+        faults.advance(now)
+        faults.apply_to(world, base)
+        seen.append(world.version)
+    # the first application, the onset at 1.0 and the recovery at 3.0
+    first, onset, recovery = seen[0], seen[3], seen[6]
+    assert seen == [first] * 3 + [onset] * 3 + [recovery] * 3
+    assert 0 < first < onset < recovery
+
+
+@pytest.mark.parametrize("mesh", [False, True], ids=["star", "ring"])
+def test_compute_scale_is_read_only_between_assignments(mesh):
+    world = ring_topology(devices(3), 120.0, 8.0) if mesh else star(3)
+    world.compute_scale = {1: 1.5}
+    version = world.version
+    with pytest.raises(TypeError):
+        world.compute_scale[1] = 2.0
+    assert world.compute_scale == {1: 1.5} and world.version == version
+
+
+def test_decide_snaps_the_cache_key_once_on_a_miss_and_on_a_hit(monkeypatch):
+    """``peek``, ``get`` and, on a miss, ``put`` share one snapped key."""
+    snapped = []
+    real = StrategyCache._key
+
+    def counting(self, slo, condition):
+        snapped.append(condition)
+        return real(self, slo, condition)
+    monkeypatch.setattr(StrategyCache, "_key", counting)
+    system = static_facade()
+    # a fresh (equal) condition object per decision
+    assert system.decide(NetworkCondition(
+        (150.0, 80.0), (10.0, 20.0))).engine == "search"
+    assert len(snapped) == 1
+    assert system.decide(NetworkCondition(
+        (150.0, 80.0), (10.0, 20.0))).engine == "cache"
+    assert len(snapped) == 2

@@ -1,6 +1,8 @@
 """Fault schedules: validation, point-in-time queries, generators."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults import (CorrelatedFailure, DeviceCrash, FaultSchedule,
                           LinkDegradation, LinkFailure, LinkFlap,
@@ -29,6 +31,15 @@ class TestEventValidation:
     def test_straggler_slowdown_at_least_one(self):
         with pytest.raises(ValueError):
             Straggler(0.0, 1.0, device=1, slowdown=0.5)
+
+    @pytest.mark.parametrize("slowdown", [float("nan"), float("inf")])
+    def test_a_straggler_slowdown_must_be_finite(self, slowdown):
+        """Regression: NaN passed ``slowdown < 1.0``, so device 1's
+        compute scale became NaN and ``max(done, nan)`` kept ``done``:
+        the max submodel on device 1 priced at 0.0 s (0.0637 s
+        nominal).  An infinite slowdown priced it at inf."""
+        with pytest.raises(ValueError, match=f"got {slowdown}"):
+            Straggler(0.0, 1.0, device=1, slowdown=slowdown)
 
     def test_degradation_factor_range(self):
         with pytest.raises(ValueError):
@@ -124,6 +135,85 @@ class TestScheduleQueries:
         sched = FaultSchedule([DeviceCrash(1.0, 4.0, device=1),
                                Straggler(0.0, 2.0, device=1)])
         assert sched.horizon == 4.0
+
+
+class _Unindexed(FaultSchedule):
+    """The oracle: every query scans every event, as before the
+    transition-segment index."""
+
+    def _live(self, now):
+        return self.events
+
+
+_TIMES = st.integers(0, 12).map(lambda k: k * 0.25)
+_ENDS = st.one_of(st.integers(1, 8).map(lambda k: k * 0.25),
+                  st.just(float("inf")))
+_REMOTE = st.integers(1, 3)
+_EDGE = st.sampled_from([(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)])
+
+
+@st.composite
+def _events(draw):
+    start = draw(_TIMES)
+    end = start + draw(_ENDS)
+    kind = draw(st.integers(0, 7))
+    if kind == 0:
+        return DeviceCrash(start, end, device=draw(_REMOTE))
+    if kind == 1:
+        return Straggler(start, end, device=draw(st.integers(0, 3)),
+                         slowdown=draw(st.floats(1.0, 5.0)))
+    if kind == 2:
+        link = draw(st.one_of(st.none(), _EDGE))
+        return LinkDegradation(start, end, device=draw(_REMOTE), link=link,
+                               bw_factor=draw(st.floats(0.05, 1.0)),
+                               extra_delay_ms=draw(st.floats(0.0, 50.0)))
+    if kind == 3:
+        return MessageLoss(start, end, prob=draw(st.floats(0.0, 0.9)),
+                           device=draw(st.one_of(st.none(), _REMOTE)))
+    if kind == 4:
+        return Partition(start, end, devices=tuple(draw(
+            st.sets(_REMOTE, min_size=1))))
+    if kind == 5:
+        return LinkFailure(start, end, *draw(_EDGE))
+    if kind == 6:
+        return LinkFlap(start, end, *draw(_EDGE), step_s=0.3,
+                        seed=draw(st.integers(0, 9)))
+    return CorrelatedFailure(start, end,
+                             devices=tuple(draw(st.sets(_REMOTE))),
+                             links=(draw(_EDGE),))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_events(), max_size=8),
+       st.lists(st.one_of(_TIMES, _TIMES.map(lambda t: t + 0.1),
+                          st.sampled_from([-1.0, 50.0, float("inf"),
+                                           float("nan")])),
+                min_size=1, max_size=6))
+def test_indexed_queries_read_what_a_scan_of_every_event_reads(events, times):
+    """Every point-in-time query of the indexed schedule equals the same
+    query over every event, at transition instants, between them, and
+    at times no window holds (NaN included); compounded factors keep
+    their association because each segment keeps schedule order."""
+    fast, slow = FaultSchedule(events), _Unindexed(events)
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    base = NetworkCondition((100.0, 80.0, 60.0), (10.0, 20.0, 5.0))
+    for now in times + list(fast.transition_times()):
+        for name, args in (("active", ()), ("down_devices", ()),
+                           ("unreachable_devices", ()),
+                           ("compute_scale", ()), ("down_links", ()),
+                           ("down_links", (edges,)),
+                           ("link_degradations", (edges,))):
+            assert getattr(fast, name)(now, *args) \
+                == getattr(slow, name)(now, *args), (name, now)
+        for src, dst in ((0, 1), (1, 2), (3, 0), (2, 2)):
+            assert fast.loss_prob(src, dst, now) \
+                == slow.loss_prob(src, dst, now)
+            assert fast.reachable(src, dst, now) \
+                == slow.reachable(src, dst, now)
+        degraded = fast.degrade(base, now)
+        assert (degraded.bandwidths_mbps, degraded.delays_ms) \
+            == (slow.degrade(base, now).bandwidths_mbps,
+                slow.degrade(base, now).delays_ms)
 
 
 class TestLinkEvents:

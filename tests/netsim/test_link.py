@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netsim import LOOPBACK, Link
+from repro.devices import rpi4
+from repro.netsim import (LOOPBACK, Cluster, Link, MeshCluster, MeshLink,
+                          NetworkCondition)
 
 
 class TestLink:
@@ -36,6 +38,26 @@ class TestLink:
         the plan looks free."""
         with pytest.raises(ValueError):
             Link(**kwargs)
+
+    @pytest.mark.parametrize("overhead", [-5.0, float("nan"), float("inf")])
+    def test_an_rpc_overhead_must_be_finite_and_non_negative(self, overhead):
+        """Regression: ``rpc_overhead_ms=-5`` priced a 1 kB transfer over
+        a 100 Mbps, 1 ms star link at -0.0039 s, and NaN priced it at
+        NaN, on both cluster kinds (the mesh reads its own attribute,
+        not a ``Link``'s)."""
+        devices = [rpi4(), rpi4()]
+        for build in (
+                lambda: Link(10.0, 1.0, rpc_overhead_ms=overhead),
+                lambda: Cluster(devices, NetworkCondition((100.0,), (5.0,)),
+                                rpc_overhead_ms=overhead),
+                lambda: Cluster(devices[:1], NetworkCondition((), ()),
+                                rpc_overhead_ms=overhead),
+                lambda: MeshCluster(devices, [MeshLink(0, 1, 100.0, 5.0)],
+                                    rpc_overhead_ms=overhead)):
+            with pytest.raises(ValueError, match=f"rpc overhead .* {overhead}"):
+                build()
+        assert Cluster(devices, NetworkCondition((100.0,), (5.0,)),
+                       rpc_overhead_ms=0.0).transfer_time(0, 1, 1e3) > 0.0
 
     def test_infinite_bandwidth_is_a_link(self):
         """A mesh self-route is an infinitely fast, zero-delay link."""

@@ -2,8 +2,14 @@
 
 import pytest
 
+from repro.core.cost_model import PlanCostModel
 from repro.devices import desktop_gtx1080, rpi4
+from repro.nas.arch import max_arch
+from repro.nas.search_space import MBV3_SPACE
 from repro.netsim import Cluster, NetworkCondition
+from repro.partition import Grid, simulate_latency, spatial_plan
+
+NAN = float("nan")
 
 
 class TestNetworkCondition:
@@ -73,6 +79,29 @@ class TestCluster:
         cl = Cluster([rpi4(), rpi4()], NetworkCondition((100.0,), (10.0,)))
         with pytest.raises(ValueError):
             cl.set_condition(condition)
+
+    def test_a_rejected_condition_leaves_the_cluster_as_it_was(self):
+        """Regression: ``set_condition`` stored the condition before its
+        links were validated, so a NaN condition left ``condition`` at
+        the rejected value and only the loopback in the link table, and
+        the next ``link_to(1)`` said the cluster had no device 1."""
+        devs = [rpi4(), desktop_gtx1080(), rpi4()]
+        good = NetworkCondition((100.0, 50.0), (10.0, 20.0))
+        cl = Cluster(devs, good)
+        cl.set_condition(good)
+        model = PlanCostModel(MBV3_SPACE, devs)
+        arch = max_arch(MBV3_SPACE)
+        plan = spatial_plan(model.graph(arch), Grid(1, 2), [1, 2])
+        priced = model.latency(arch, plan, cl)
+        before = (cl.condition, cl.version, cl.link_to(1), cl.link_to(2),
+                  cl.transfer_time(1, 2, 1e6))
+        with pytest.raises(ValueError):
+            cl.set_condition(NetworkCondition((NAN, 80.0), (10.0, 20.0)))
+        assert (cl.condition, cl.version, cl.link_to(1), cl.link_to(2),
+                cl.transfer_time(1, 2, 1e6)) == before
+        assert cl.condition is good
+        assert model.latency(arch, plan, cl) == priced == simulate_latency(
+            model.graph(arch), plan, cl).total_s
 
     def test_device_accessors(self):
         cl = Cluster([rpi4(), desktop_gtx1080()],
