@@ -62,14 +62,13 @@ class StrategyCache:
 
     # -- key construction ---------------------------------------------------
     def _key(self, slo: SLO, condition: NetworkCondition) -> tuple:
-        def snap(v: float, step: float) -> int:
-            return int(round(v / step))
-
+        bw_step, delay_step = self.bw_step, self.delay_step
         return (
             slo.kind,
-            snap(slo.value, self.slo_step),
-            tuple(snap(b, self.bw_step) for b in condition.bandwidths_mbps),
-            tuple(snap(d, self.delay_step) for d in condition.delays_ms),
+            int(round(slo.value / self.slo_step)),
+            tuple([int(round(b / bw_step))
+                   for b in condition.bandwidths_mbps]),
+            tuple([int(round(d / delay_step)) for d in condition.delays_ms]),
         )
 
     def _cell(self, slo: SLO, condition: NetworkCondition) -> tuple:

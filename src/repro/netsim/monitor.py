@@ -5,12 +5,16 @@ estimates) with *passive* observations (timing actual data transfers).
 Measurements carry realistic multiplicative noise; an exponentially
 weighted moving average smooths them, and the most recent smoothed
 estimate forms the condition fed to the decision module.
+
+The noise is ``rng.lognormal(0.0, sigma)``'s stream, drawn in blocks of
+standard normals and finished as ``exp(0.0 + sigma * z)`` — numpy's own
+formula, so every sample equals the scalar call's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+import math
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -19,9 +23,10 @@ from .topology import Cluster, NetworkCondition
 
 __all__ = ["Measurement", "NetworkMonitor"]
 
+_BLOCK = 256    # standard normals drawn per refill
 
-@dataclass(frozen=True)
-class Measurement:
+
+class Measurement(NamedTuple):
     """One monitoring sample for one remote device."""
 
     device: int
@@ -45,10 +50,16 @@ class NetworkMonitor:
     def __init__(self, cluster: Cluster, noise: float = 0.05,
                  ewma_alpha: float = 0.5, seed: int = 0,
                  telemetry: Optional[Telemetry] = None):
+        if not 0 <= noise < math.inf:
+            raise ValueError(f"noise must be finite and >= 0, got {noise!r}")
+        if not 0 < ewma_alpha <= 1:
+            raise ValueError(
+                f"ewma_alpha must be in (0, 1], got {ewma_alpha!r}")
         self.cluster = cluster
         self.noise = noise
         self.ewma_alpha = ewma_alpha
         self._rng = np.random.default_rng(seed)
+        self._normals = iter(())
         self._history: List[Measurement] = []
         self._smoothed_bw: Dict[int, float] = {}
         self._smoothed_delay: Dict[int, float] = {}
@@ -68,10 +79,17 @@ class NetworkMonitor:
             help="|smoothed delay - true delay| / true delay")
 
     # -- probing -------------------------------------------------------------
-    def _record(self, m: Measurement) -> Measurement:
+    def _lognormal(self, sigma: float) -> float:
+        """The next ``self._rng.lognormal(0.0, sigma)``, bit for bit."""
+        z = next(self._normals, None)
+        if z is None:
+            self._normals = iter(self._rng.standard_normal(_BLOCK).tolist())
+            z = next(self._normals)
+        return math.exp(0.0 + sigma * z)
+
+    def _record(self, m: Measurement, cond: NetworkCondition) -> Measurement:
         """Ingest one measurement and update telemetry error gauges."""
         self._ingest(m)
-        cond = self.cluster.condition
         self._m_probes[m.source].inc()
         self._m_bw_err.observe_rel_error(
             self._smoothed_bw[m.device], cond.bandwidths_mbps[m.device - 1])
@@ -79,20 +97,15 @@ class NetworkMonitor:
             self._smoothed_delay[m.device], cond.delays_ms[m.device - 1])
         return m
 
-    def _observe(self, device: int, now: float, relative_noise: float,
-                 source: str) -> Measurement:
-        cond = self.cluster.condition
-        true_bw = cond.bandwidths_mbps[device - 1]
-        true_delay = cond.delays_ms[device - 1]
-        bw = true_bw * float(self._rng.lognormal(0.0, relative_noise))
-        delay = true_delay * float(self._rng.lognormal(0.0, relative_noise))
-        return self._record(Measurement(device, bw, delay, now, source))
-
     def active_probe(self, device: int, now: float = 0.0) -> Measurement:
         """Ping + short bandwidth probe against one remote device."""
         if not (1 <= device < self.cluster.num_devices):
             raise ValueError(f"device {device} is not a remote device")
-        return self._observe(device, now, self.noise, "active")
+        cond = self.cluster.condition
+        bw = cond.bandwidths_mbps[device - 1] * self._lognormal(self.noise)
+        delay = cond.delays_ms[device - 1] * self._lognormal(self.noise)
+        return self._record(Measurement(device, bw, delay, now, "active"),
+                            cond)
 
     def passive_observe(self, device: int, nbytes: float, elapsed_s: float,
                         now: float = 0.0) -> Measurement:
@@ -108,8 +121,12 @@ class NetworkMonitor:
         still comes from the ack timing (noisy, 2x active noise —
         transfers share the link with inference traffic).
         """
-        if elapsed_s <= 0:
-            raise ValueError("elapsed time must be positive")
+        if not 0 < elapsed_s < math.inf:
+            raise ValueError(
+                f"elapsed_s must be positive and finite, got {elapsed_s!r}")
+        if not 0 < nbytes < math.inf:
+            raise ValueError(
+                f"nbytes must be positive and finite, got {nbytes!r}")
         if not (1 <= device < self.cluster.num_devices):
             raise ValueError(f"device {device} is not a remote device")
         link = self.cluster.link_to(device)
@@ -119,10 +136,10 @@ class NetworkMonitor:
         # signal; keep a sliver of the elapsed time so bw stays finite.
         payload_s = max(elapsed_s - overhead_s, 0.01 * elapsed_s)
         bw_mbps = nbytes * 8.0 / payload_s / 1e6
-        true_delay = self.cluster.condition.delays_ms[device - 1]
-        delay = true_delay * float(self._rng.lognormal(0.0, self.noise * 2.0))
+        cond = self.cluster.condition
+        delay = cond.delays_ms[device - 1] * self._lognormal(self.noise * 2.0)
         return self._record(
-            Measurement(device, bw_mbps, delay, now, "passive"))
+            Measurement(device, bw_mbps, delay, now, "passive"), cond)
 
     def probe_all(self, now: float = 0.0) -> List[Measurement]:
         return [self.active_probe(d, now)

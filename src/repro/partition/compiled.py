@@ -13,7 +13,8 @@ structural walk is pure repetition.
 ``simulate_latency`` does it, and records a condition-independent
 :class:`PlanProgram`; :func:`price` asks the cluster for the program's
 few distinct transfer times and replays the same float operations in
-the same order, so ``price(compile_plan(g, p, devices), cluster) ==
+the same order — a chain of tiles on one device as one left fold over
+their compute times — so ``price(compile_plan(g, p, devices), cluster) ==
 simulate_latency(g, p, cluster).total_s`` holds with ``==`` (DESIGN.md,
 "Plan cost model"; ``tests/partition/test_compiled_kernel.py`` is the
 differential oracle).  A compile costs most of a simulation, so
@@ -24,10 +25,15 @@ from the other: ``simulate_latency`` is held to the object-per-tile
 walker it replaced (``tests/partition/reference_simulate.py``, every
 report field), and this module to ``simulate_latency`` (``total_s`` and
 ``num_transfers``), so a drift in either shows against a fixed point.
+The per-tile interpreter ``price`` replaced is a third oracle
+(``tests/partition/reference_price.py``).
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import reduce
+from operator import add
 from typing import Dict, List, Sequence, Tuple
 
 from ..devices.profiles import DeviceProfile
@@ -54,12 +60,13 @@ _MAX_SELF = 4   # arrival = max(arrival, arrival + t[x])
 class PlanProgram:
     """One ``(graph, plan)`` pair, lowered for ``num_devices`` devices."""
 
-    __slots__ = ("num_devices", "transfers", "tiles", "compute", "tail",
-                 "num_transfers")
+    __slots__ = ("num_devices", "transfers", "tiles", "entries", "compute",
+                 "tail", "num_transfers")
 
     def __init__(self, num_devices: int,
                  transfers: Tuple[Tuple[int, int, float], ...],
                  tiles: Tuple[Tuple[int, tuple], ...],
+                 entries: Tuple[Tuple[int, tuple, int, int], ...],
                  compute: Tuple[float, ...],
                  tail: Tuple[Tuple[int, int, int], ...],
                  num_transfers: int):
@@ -69,6 +76,11 @@ class PlanProgram:
         self.transfers = transfers
         #: ``(device, arrival steps)`` per tile, in execution order
         self.tiles = tiles
+        #: ``tiles`` lowered into runs, ``(device, steps, lo, hi)``: one
+        #: tile ``lo`` (``hi == lo + 1``) with its arrival steps, or,
+        #: with ``steps == ()``, tiles ``lo..hi-1`` each starting when
+        #: the one before ends on that device; ``ready[hi]`` is written
+        self.entries = entries
         #: nominal ``DeviceProfile.compute_time`` per tile
         self.compute = compute
         #: ``(k, x, delay_device)`` per final tile: ``x < 0`` when the
@@ -187,7 +199,32 @@ def compile_plan(graph: ModelGraph, plan: ExecutionPlan,
         tail.append((k, x, delay_dev))
 
     return PlanProgram(len(devices), tuple(table), tuple(tiles),
-                       tuple(compute), tuple(tail), num_transfers)
+                       _lower(tiles, tail), tuple(compute), tuple(tail),
+                       num_transfers)
+
+
+def _lower(tiles: Sequence[Tuple[int, tuple]],
+           tail: Sequence[Tuple[int, int, int]]
+           ) -> Tuple[Tuple[int, tuple, int, int], ...]:
+    """``tiles`` as :attr:`PlanProgram.entries`.
+
+    A tile whose only step is ``ready[g]`` of the tile just before it,
+    on its own device (or of the input, before any tile ran), finds
+    ``dev_ready[dst] == ready[g]``: that tile wrote both.  So it ends at
+    ``ready[g] + compute[g]``, and a run of such tiles skips every
+    ``ready`` slot nothing else reads.
+    """
+    reads = Counter(k for _, steps in tiles for _, k, _ in steps)
+    reads.update(k for k, _, _ in tail)
+    entries: List[Tuple[int, tuple, int, int]] = []
+    for g, (dst, steps) in enumerate(tiles):
+        chained = (steps == ((_READY, g, -1),)
+                   and (g == 0 or tiles[g - 1][0] == dst))
+        if chained and entries and not entries[-1][1] and reads[g] == 1:
+            entries[-1] = (dst, (), entries[-1][2], g + 1)
+        else:
+            entries.append((dst, () if chained else steps, g, g + 1))
+    return tuple(entries)
 
 
 def price(program: PlanProgram, cluster) -> float:
@@ -212,24 +249,28 @@ def price(program: PlanProgram, cluster) -> float:
         compute = [c * compute_scale.get(dst, 1.0)
                    for c, (dst, _) in zip(compute, program.tiles)]
 
-    ready = [0.0]
+    ready = [0.0] * (len(compute) + 1)
     dev_ready = [0.0] * program.num_devices
-    for (dst, steps), t_compute in zip(program.tiles, compute):
-        arrival = 0.0
-        for op, k, x in steps:
-            if op == _READY:
-                arrival = ready[k]
-            elif op == _SENT:
-                arrival = ready[k] + t[x]
-            elif op == _MAX_READY:
-                arrival = max(arrival, ready[k])
-            elif op == _MAX_SENT:
-                arrival = max(arrival, ready[k] + t[x])
-            else:
-                arrival = max(arrival, arrival + t[x])
-        end = max(dev_ready[dst], arrival) + t_compute
-        dev_ready[dst] = end
-        ready.append(end)
+    for dst, steps, lo, hi in program.entries:
+        if steps:
+            arrival = 0.0
+            for op, k, x in steps:
+                if op == _READY:
+                    arrival = ready[k]
+                elif op == _SENT:
+                    arrival = ready[k] + t[x]
+                elif op == _MAX_READY:
+                    arrival = max(arrival, ready[k])
+                elif op == _MAX_SENT:
+                    arrival = max(arrival, ready[k] + t[x])
+                else:
+                    arrival = max(arrival, arrival + t[x])
+            end = max(dev_ready[dst], arrival) + compute[lo]
+        else:
+            # the tiles' own sequential adds, so never sum() (compensated
+            # on Python >= 3.12) and never math.fsum (one rounding)
+            end = reduce(add, compute[lo:hi], ready[lo])
+        dev_ready[dst] = ready[hi] = end
 
     done = 0.0
     for k, x, delay_dev in program.tail:
