@@ -1,9 +1,10 @@
-"""Appendix — traditional RL baselines head-to-head, including DQN.
+"""Appendix — the RL baselines head-to-head.
 
 Sec. 4.3 argues that "traditional RL algorithms such as PPO or DQN give
 suboptimal performance" because the goal-conditioned reward is zero
 until exploration finds an SLO-satisfying strategy.  This bench measures
-all five methods at a common budget and prints final reward/compliance.
+SUPREME, its bucketed-sharing variant, GCSL and PPO at a common budget
+and prints final reward/compliance.
 """
 
 import pytest
@@ -13,7 +14,7 @@ from repro.devices import desktop_gtx1080, rpi4
 from repro.eval import run_training_curves
 
 STEPS = 6_000 if full_scale() else 480
-METHODS = ["SUPREME (Ours)", "Murmuration", "GCSL", "PPO", "DQN"]
+METHODS = ["SUPREME (Ours)", "Murmuration", "GCSL", "PPO"]
 
 
 @pytest.mark.benchmark(group="rl-baselines")
@@ -27,7 +28,6 @@ def test_all_rl_baselines(benchmark):
     print(f"{'method':<18s}{'reward':>8s}{'compliance':>12s}")
     for name, h in histories.items():
         print(f"{name:<18s}{h.avg_reward[-1]:8.3f}{h.compliance[-1]:12.3f}")
-    # the value/policy-gradient baselines trail the relabeling methods
-    vb = max(histories["PPO"].avg_reward[-1],
-             histories["DQN"].avg_reward[-1])
-    assert histories["SUPREME (Ours)"].avg_reward[-1] >= vb
+    # the policy-gradient baseline trails the relabeling methods
+    assert histories["SUPREME (Ours)"].avg_reward[-1] \
+        >= histories["PPO"].avg_reward[-1]

@@ -2,8 +2,8 @@
 
 Runs the paper's four training curves — full SUPREME, the intermediate
 "Murmuration" variant (bucketed sharing only), GCSL and PPO — or any
-roster of those and the DQN baseline, on a given scenario, under one
-validation task set, and returns their
+roster of those, on a given scenario, under one validation task set,
+and returns their
 :class:`~repro.rl.common.TrainingHistory` curves.
 """
 
@@ -13,9 +13,9 @@ from typing import Dict, List, Optional, Sequence
 
 from ..devices.profiles import DeviceProfile
 from ..nas.search_space import MBV3_SPACE, SearchSpace
-from ..rl import (DQNConfig, DQNTrainer, EnvConfig, GCSLConfig, GCSLTrainer,
-                  MurmurationEnv, PPOConfig, PPOTrainer, SupremeConfig,
-                  SupremeTrainer, TrainingHistory, murmuration_basic_config,
+from ..rl import (EnvConfig, GCSLConfig, GCSLTrainer, MurmurationEnv,
+                  PPOConfig, PPOTrainer, SupremeConfig, SupremeTrainer,
+                  TrainingHistory, murmuration_basic_config,
                   satisfiable_mask)
 
 __all__ = ["run_training_curves", "format_training_curves"]
@@ -30,8 +30,7 @@ def run_training_curves(devices: Sequence[DeviceProfile],
     """Train every requested method on one scenario.
 
     ``methods`` defaults to the paper's Fig. 11 roster; pass a subset
-    (e.g. ``["SUPREME (Ours)", "PPO"]``) to save time, or add ``"DQN"``
-    for the appendix baseline.
+    (e.g. ``["SUPREME (Ours)", "PPO"]``) to save time.
     """
     env = MurmurationEnv(space, list(devices),
                          EnvConfig(slo_kind="latency", slo_range=slo_range))
@@ -54,9 +53,6 @@ def run_training_curves(devices: Sequence[DeviceProfile],
                 total_steps=total_steps, eval_every=eval_every, seed=seed))
         elif name == "PPO":
             trainer = PPOTrainer(env, PPOConfig(
-                total_steps=total_steps, eval_every=eval_every, seed=seed))
-        elif name == "DQN":
-            trainer = DQNTrainer(env, DQNConfig(
                 total_steps=total_steps, eval_every=eval_every, seed=seed))
         else:
             raise ValueError(f"unknown method {name!r}")

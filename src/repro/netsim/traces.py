@@ -60,16 +60,18 @@ def condition_at(trace, t: float, period_s: float):
     The one place the piecewise-constant trace indexing rule lives
     (it used to be duplicated across the serving loops): cell ``i``
     covers ``[i * period_s, (i + 1) * period_s)`` and the final cell
-    extends forever — the world holds its last state.  Works for any
-    sequence (conditions, capacities, ...).  Returns
-    ``(index, trace[index])``.
+    extends forever — the world holds its last state, however far (or
+    infinitely) past its end ``t`` lies.  Works for any sequence
+    (conditions, capacities, ...).  Returns ``(index, trace[index])``.
     """
     if not trace:
         raise ValueError("condition_at needs a non-empty trace")
     check_period(period_s)
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"t must be non-negative, got {t}")
-    idx = min(int(t / period_s), len(trace) - 1)
+    last = len(trace) - 1
+    cell = t / period_s
+    idx = int(cell) if cell < last else last
     return idx, trace[idx]
 
 

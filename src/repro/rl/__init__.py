@@ -13,7 +13,6 @@ from .common import (
     satisfiable_mask,
     supervised_update,
 )
-from .dqn import DQNConfig, DQNTrainer
 from .env import EnvConfig, MurmurationEnv, StrategyOutcome, Task
 from .gcsl import GCSLConfig, GCSLTrainer
 from .policy import LSTMPolicy, PolicyConfig, RolloutBatch
@@ -43,8 +42,6 @@ __all__ = [
     "GCSLConfig",
     "PPOTrainer",
     "PPOConfig",
-    "DQNTrainer",
-    "DQNConfig",
     "SupremeTrainer",
     "SupremeConfig",
     "murmuration_basic_config",

@@ -29,6 +29,7 @@ construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -64,9 +65,9 @@ class BatchPolicy:
         if self.max_batch < 1:
             raise ValueError(
                 f"max_batch must be positive, got {self.max_batch}")
-        if self.max_wait_s < 0:
-            raise ValueError(
-                f"max_wait_s must be non-negative, got {self.max_wait_s}")
+        if not 0 <= self.max_wait_s < math.inf:
+            raise ValueError(f"max_wait_s must be finite and non-negative, "
+                             f"got {self.max_wait_s}")
 
 
 @dataclass(frozen=True)

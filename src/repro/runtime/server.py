@@ -229,8 +229,9 @@ class InferenceServer:
         world event due by an admission instant or a service start
         fires first, at its own scheduled time.
         """
-        if arrival_rate_hz <= 0:
-            raise ValueError("arrival rate must be positive")
+        if not arrival_rate_hz > 0:
+            raise ValueError(f"arrival_rate_hz must be positive, "
+                             f"got {arrival_rate_hz}")
         self.system = system
         self.rate = arrival_rate_hz
         self.rng = np.random.default_rng(seed)

@@ -1,49 +1,22 @@
 """Shared fixtures."""
 
+import functools
+
 import numpy as np
 import pytest
 
-from repro.devices import desktop_gtx1080, rpi4
-from repro.nas import MBV3_SPACE, SyntheticImageDataset, Supernet, tiny_space
-from repro.netsim import Cluster, NetworkCondition
+from tests import frozen
+
+
+@pytest.fixture(scope="session")
+def moved():
+    """:func:`tests.frozen.moved`, each entry computed once a session."""
+    return functools.lru_cache(maxsize=None)(frozen.moved)
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
-
-
-@pytest.fixture(scope="session")
-def space():
-    return MBV3_SPACE
-
-
-@pytest.fixture(scope="session")
-def tspace():
-    return tiny_space()
-
-
-@pytest.fixture(scope="session")
-def tiny_net(tspace):
-    return Supernet(tspace, seed=7)
-
-
-@pytest.fixture(scope="session")
-def tiny_dataset():
-    return SyntheticImageDataset(resolution=32, train_size=96, val_size=64,
-                                 seed=3)
-
-
-@pytest.fixture
-def augmented_cluster():
-    return Cluster([rpi4(), desktop_gtx1080()],
-                   NetworkCondition((200.0,), (20.0,)))
-
-
-@pytest.fixture
-def swarm_cluster_5():
-    return Cluster([rpi4() for _ in range(5)],
-                   NetworkCondition((100.0,) * 4, (20.0,) * 4))
 
 
 def numeric_grad(f, x, eps=1e-6):

@@ -84,12 +84,15 @@ class TestCLI:
         ("slo_ms=inf", "latency SLO must be finite"),
         ("decision_time_s=nan", "decision_time_s must be finite"),
         ("decision_time_s=-1", "decision_time_s must be finite"),
+        ("max_wait_s=nan", "max_wait_s must be finite"),
+        ("max_wait_s=inf", "max_wait_s must be finite"),
     ])
     def test_a_hostile_slo_or_pinned_time_fails_before_serving(
             self, capsys, setting, named):
         """Regression: ``slo_ms=inf`` died with an ``OverflowError``
         traceback, ``slo_ms=nan`` and ``decision_time_s=-1`` mid-run, and
-        ``decision_time_s=nan`` "succeeded" with NaN latencies."""
+        ``decision_time_s=nan`` "succeeded" with NaN latencies; a NaN
+        fill timeout served as if it were 0, an infinite one overflowed."""
         with pytest.raises(SystemExit) as exc:
             main(["run", "serving_load", "--set", setting])
         assert exc.value.code == 2

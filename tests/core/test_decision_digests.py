@@ -18,16 +18,9 @@ The file was generated *before* the decision search moved onto the plan
 cost model and must keep passing untouched: a different tie-break, a
 float that moved by one ulp or a candidate that went missing changes a
 digest.
-
-Regenerate (only after an *intentional* change to pricing, the
-candidate set or a tie-break rule) with::
-
-    PYTHONPATH=src python tests/core/test_decision_digests.py
 """
 
-import hashlib
-import json
-from pathlib import Path
+import functools
 
 import numpy as np
 import pytest
@@ -38,14 +31,14 @@ from repro.eval.experiments import (fig15_accuracy_slo_latency,
                                     fig16a_compliance_augmented,
                                     fig16b_compliance_swarm)
 from repro.eval.murmuration_method import MurmurationOracle, lattice_archs
+from repro.nas.accuracy_model import arch_accuracy, plan_accuracy_penalty
+from repro.nas.evolution import candidate_plans
+from repro.nas.graph_builder import build_graph
 from repro.nas.search_space import MBV3_SPACE
 from repro.netsim.grids import AUGMENTED_BANDWIDTHS
-from repro.netsim.topology import NetworkCondition
-
-FIXTURE = Path(__file__).resolve().parents[1] / "fixtures" \
-    / "decision_digests.json"
-FROZEN = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {
-    "decisions": {}, "figures": {}}
+from repro.netsim.topology import Cluster, NetworkCondition
+from repro.partition.simulate import simulate_latency
+from tests.frozen import sha256
 
 DEVICE_COUNTS = (2, 3, 4, 5, 6, 9)
 N_CONDITIONS = 3
@@ -88,7 +81,7 @@ def strategy_digest(strategy):
               strategy.plan.output_device,
               float(strategy.expected_latency_s).hex(),
               float(strategy.expected_accuracy).hex())
-    return hashlib.sha256(repr(answer).encode()).hexdigest()
+    return sha256(repr(answer))
 
 
 def case_id(name, n, ci, kind, level):
@@ -119,66 +112,33 @@ def figures():
     }
 
 
-def test_the_whole_grid_is_frozen():
-    assert set(FROZEN["decisions"]) == {
-        case_id(name, n, ci, kind, level)
-        for name in ENGINES for n in DEVICE_COUNTS
-        for ci in range(N_CONDITIONS) for kind in KINDS for level in LEVELS}
+def slo_values(eng, n, cond):
+    """SLO value per kind and level: the boundary is the median of every
+    candidate's brute-force price."""
+    cluster = Cluster(devices(n), cond)
+    lats, accs = [], []
+    for arch in eng.archs:
+        graph = build_graph(arch, MBV3_SPACE)
+        base = arch_accuracy(arch, MBV3_SPACE)
+        for plan in candidate_plans(graph, cluster):
+            lats.append(simulate_latency(graph, plan, cluster).total_s)
+            accs.append(base - plan_accuracy_penalty(plan))
+    lats.sort()
+    accs.sort()
+    return {"latency": {"generous": 60.0, "boundary": lats[len(lats) // 2],
+                        "infeasible": lats[0] / 2.0},
+            "accuracy": {"generous": 1.0, "boundary": accs[len(accs) // 2],
+                         "infeasible": 99.9}}
 
 
-@pytest.mark.parametrize("n", DEVICE_COUNTS)
-@pytest.mark.parametrize("name", ENGINES)
-def test_decisions_match_the_frozen_digests(name, n):
-    _, decide = engine(name, n)
-    for ci, cond in enumerate(conditions(n)):
-        for kind in KINDS:
-            for level in LEVELS:
-                cid = case_id(name, n, ci, kind, level)
-                frozen = FROZEN["decisions"][cid]
-                slo = SLO(kind, float.fromhex(frozen["value"]))
-                assert strategy_digest(decide(slo, cond)) \
-                    == frozen["digest"], cid
-                if level == "infeasible":
-                    assert frozen["digest"] is None, cid
-                else:
-                    assert frozen["digest"] is not None, cid
-
-
-def test_small_figure_outputs_match_to_the_last_bit():
-    assert figures() == FROZEN["figures"]
-
-
-def _generate():
-    """Price every candidate by brute force to place the boundary SLOs."""
-    from repro.nas.accuracy_model import arch_accuracy, plan_accuracy_penalty
-    from repro.nas.evolution import candidate_plans
-    from repro.nas.graph_builder import build_graph
-    from repro.netsim.topology import Cluster
-    from repro.partition.simulate import simulate_latency
-
+@functools.lru_cache(maxsize=None)
+def fixture_content():
     decisions = {}
     for name in ENGINES:
         for n in DEVICE_COUNTS:
             eng, decide = engine(name, n)
             for ci, cond in enumerate(conditions(n)):
-                cluster = Cluster(devices(n), cond)
-                lats, accs = [], []
-                for arch in eng.archs:
-                    graph = build_graph(arch, MBV3_SPACE)
-                    base = arch_accuracy(arch, MBV3_SPACE)
-                    for plan in candidate_plans(graph, cluster):
-                        lats.append(simulate_latency(
-                            graph, plan, cluster).total_s)
-                        accs.append(base - plan_accuracy_penalty(plan))
-                lats.sort()
-                accs.sort()
-                values = {
-                    "latency": {"generous": 60.0,
-                                "boundary": lats[len(lats) // 2],
-                                "infeasible": lats[0] / 2.0},
-                    "accuracy": {"generous": 1.0,
-                                 "boundary": accs[len(accs) // 2],
-                                 "infeasible": 99.9}}
+                values = slo_values(eng, n, cond)
                 for kind in KINDS:
                     for level in LEVELS:
                         value = float(values[kind][level])
@@ -186,10 +146,21 @@ def _generate():
                             "value": value.hex(),
                             "digest": strategy_digest(
                                 decide(SLO(kind, value), cond))}
-    FIXTURE.write_text(json.dumps(
-        {"decisions": decisions, "figures": figures()},
-        indent=1, sort_keys=True) + "\n")
+    return {"decisions": decisions, "figures": figures()}
 
 
-if __name__ == "__main__":
-    _generate()
+def test_the_whole_grid_is_frozen(moved):
+    assert "decisions" not in moved("decision_digests")
+
+
+@pytest.mark.parametrize("n", DEVICE_COUNTS)
+@pytest.mark.parametrize("name", ENGINES)
+def test_decisions_match_the_frozen_digests(moved, name, n):
+    assert "decisions" not in moved("decision_digests")
+    for cid, row in fixture_content()["decisions"].items():
+        if cid.startswith(f"{name}/n{n}/"):   # only infeasible goes unmet
+            assert (row["digest"] is None) == cid.endswith("infeasible")
+
+
+def test_small_figure_outputs_match_to_the_last_bit(moved):
+    assert "figures" not in moved("decision_digests")

@@ -8,14 +8,9 @@ strategy as sha256 digests) for seeded facade-only runs in all four
 modes — plan-only and executable, each with and without fault injection
 — with ``degraded`` off and on.  A refactor of the serving path must
 leave the file untouched.
-
-Regenerate (only when behaviour is *meant* to change):
-``PYTHONPATH=src python tests/core/test_infer_parity.py``
 """
 
-import hashlib
-import json
-from pathlib import Path
+import functools
 
 import numpy as np
 import pytest
@@ -33,9 +28,7 @@ from repro.netsim import Cluster, NetworkCondition
 from repro.netsim.contention import ContentionTracker
 from repro.partition import layerwise_split_plan
 from repro.partition.simulate import simulate_latency
-
-GOLDEN = Path(__file__).resolve().parents[1] / "fixtures" / \
-    "facade_parity_golden.json"
+from tests.frozen import sha256
 
 MODES = ("plan", "plan_faults", "exec", "exec_faults")
 _TINY = tiny_space()
@@ -102,25 +95,21 @@ def _input(mode: str, degraded: bool, i: int):
     return np.random.default_rng(100 + i).normal(size=(1, 3, res, res))
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
 def _dump(record) -> dict:
     s = record.strategy
     return {
         "latency_s": record.latency_s.hex(),
         "accuracy": float(record.accuracy).hex(),
         "satisfied": bool(record.satisfied),
-        "strategy": _digest(repr((s.arch, tuple(s.plan),
-                                  s.plan.output_device,
-                                  float(s.expected_latency_s).hex(),
-                                  float(s.expected_accuracy).hex()))),
+        "strategy": sha256(repr((s.arch, tuple(s.plan),
+                                 s.plan.output_device,
+                                 float(s.expected_latency_s).hex(),
+                                 float(s.expected_accuracy).hex())))[:16],
         "cache_hit": record.cache_hit,
         "decision_time_s": float(record.decision_time_s).hex(),
         "switch_time_s": float(record.switch_time_s).hex(),
-        "logits": (None if record.logits is None else hashlib.sha256(
-            np.ascontiguousarray(record.logits).tobytes()).hexdigest()[:16]),
+        "logits": (None if record.logits is None else sha256(
+            np.ascontiguousarray(record.logits).tobytes())[:16]),
         "outcome": record.outcome,
         "retries": record.retries,
         "failovers": record.failovers,
@@ -159,21 +148,21 @@ def _key(kind: str, mode: str, degraded: bool) -> str:
     return f"{kind}/{mode}/{'degraded' if degraded else 'normal'}"
 
 
-@pytest.fixture(scope="module")
-def golden():
-    return json.loads(GOLDEN.read_text())
+@functools.lru_cache(maxsize=None)
+def fixture_content():
+    return {_key(*c): _case(*c) for c in CASES}
 
 
 @pytest.mark.parametrize("kind,mode,degraded", CASES)
-def test_records_match_the_frozen_fixture(golden, kind, mode, degraded):
-    assert _case(kind, mode, degraded) == golden[_key(kind, mode, degraded)]
+def test_records_match_the_frozen_fixture(moved, kind, mode, degraded):
+    assert _key(kind, mode, degraded) not in moved("facade_parity_golden")
 
 
-def test_fixture_exercises_every_outcome(golden):
+def test_fixture_exercises_every_outcome():
     """The fixture is only worth freezing if the fault modes really
     retried, failed over and degraded, and the cache both hit and
     missed."""
-    records = [r for case in golden.values() for r in case]
+    records = [r for case in fixture_content().values() for r in case]
     assert {r["outcome"] for r in records} >= {"ok", "retried", "degraded"}
     assert {r["cache_hit"] for r in records} == {True, False}
     assert any(r["failovers"] for r in records)
@@ -209,9 +198,3 @@ def test_batched_transfers_bill_their_own_tenant():
     assert tracker.tenant_bytes() == {"a": per_request,
                                       "b": 2 * per_request}
 
-
-if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(
-        {_key(*c): _case(*c) for c in CASES}, indent=1, sort_keys=True)
-        + "\n")
-    print(f"wrote {GOLDEN}")

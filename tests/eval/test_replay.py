@@ -8,19 +8,14 @@ the serving stack three ways:
   recorded summary field for field (floats survive JSON round trips
   exactly, so equality is ``==``, not a tolerance);
 * **re-record** — re-running the recorded config live must produce a
-  byte-identical stream (any clock or accounting drift diffs);
+  byte-identical stream (any clock or accounting drift diffs): the
+  ``serving_load_golden`` entry of ``tests/frozen.py``;
 * **invariants** — every recording must satisfy the serving-time
   conservation laws that ``verify_invariants`` encodes.
-
-Regenerate the fixture (only after an *intentional* schema or clock
-change) with::
-
-    PYTHONPATH=src python -m repro.cli run serving_load \
-        --set num_requests=12 --set seed=7 --timelines \
-        --record tests/fixtures/serving_load_golden.jsonl
 """
 
 import copy
+import functools
 import io
 import math
 from pathlib import Path
@@ -30,8 +25,7 @@ import pytest
 from repro.eval.replay import (format_replay, load_recordings,
                                replay_reports, replay_stats, rerecord,
                                verify_invariants)
-from repro.eval.runner import format_reports, run_scenario
-from repro.eval.serving_load import ServingLoadConfig
+from repro.eval.runner import SCENARIOS, format_reports, run_scenario
 from repro.runtime.batching import BatchedServingStats
 from repro.runtime.server import ServingStats
 from repro.telemetry import Recording, Telemetry, write_recordings
@@ -47,12 +41,25 @@ def golden():
     return load_recordings(str(GOLDEN))
 
 
-@pytest.fixture(scope="module")
-def fresh(golden):
-    """The golden scenario re-run live, recorded the same way."""
-    cfg = ServingLoadConfig(**golden[0].config)
+@functools.lru_cache(maxsize=None)
+def fresh_reports():
+    """``run serving_load --set num_requests=12 --set seed=7 --timelines
+    --record``, the golden's command."""
+    cfg = SCENARIOS["serving_load"].config(num_requests=12, seed=7)
     return run_scenario("serving_load", cfg, telemetry=Telemetry(),
                         record=True)
+
+
+def fixture_content():
+    buf = io.StringIO()
+    write_recordings(buf, [fresh_reports()[name].recorder
+                           for name in VARIANTS])
+    return buf.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fresh():
+    return fresh_reports()
 
 
 class TestGoldenFixture:
@@ -90,12 +97,6 @@ class TestGoldenFixture:
     def test_golden_recordings_satisfy_all_invariants(self, golden):
         for rec in golden:
             assert verify_invariants(rec) == []
-
-    def test_rerecording_is_byte_identical(self, golden, fresh):
-        """The determinism guard: same seeds, same bytes."""
-        buf = io.StringIO()
-        write_recordings(buf, [fresh[name].recorder for name in VARIANTS])
-        assert buf.getvalue() == GOLDEN.read_text()
 
     def test_timelines_recorded_for_instrumented_variant(self, golden):
         by_name = {rec.variant: rec for rec in golden}

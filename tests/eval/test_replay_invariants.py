@@ -12,14 +12,8 @@ Two regression layers ride here:
 * **the fluid-solver serving path is byte-stable** — a second golden
   fixture (``multi_tenant_fluid_golden.jsonl``: the multi-tenant
   scenario with ``fluid=True``, seed 7, 18 requests) must replay,
-  satisfy the invariants, and re-record byte-identically.
-
-Regenerate the fluid fixture (only after an *intentional* schema or
-pricing change) with::
-
-    PYTHONPATH=src python -m repro.cli run multi_tenant \
-        --set num_requests=18 --set seed=7 --set fluid=true \
-        --record tests/fixtures/multi_tenant_fluid_golden.jsonl
+  satisfy the invariants, and re-record byte-identically (its
+  ``tests/frozen.py`` entry).
 """
 
 import io
@@ -37,6 +31,17 @@ FLUID_GOLDEN = Path(__file__).resolve().parents[1] / "fixtures" \
     / "multi_tenant_fluid_golden.jsonl"
 
 VARIANTS = ["fifo", "admission", "fair"]
+
+
+def fixture_content():
+    """``run multi_tenant --set num_requests=18 --set seed=7 --set
+    fluid=true --record``, the golden's command."""
+    cfg = SCENARIOS["multi_tenant"].config(num_requests=18, seed=7,
+                                           fluid=True)
+    buf = io.StringIO()
+    write_recordings(buf, [rep.recorder for rep in run_scenario(
+        "multi_tenant", cfg, record=True).values()])
+    return buf.getvalue()
 
 
 def _record_small(scenario):
@@ -133,14 +138,6 @@ class TestFluidGoldenFixture:
         fifo = next(r for r in fluid_golden if r.variant == "fifo")
         waits = [r["start"] - r["arrival"] for r in fifo.requests]
         assert max(waits) > 0.0
-
-    def test_rerecording_is_byte_identical(self, fluid_golden):
-        """record -> rerecord byte-stability for the fluid serving path."""
-        with open(FLUID_GOLDEN) as fh:
-            original = fh.read()
-        fresh = io.StringIO()
-        write_recordings(fresh, [rerecord(rec) for rec in fluid_golden])
-        assert fresh.getvalue() == original
 
     def test_replay_matches_recorded_summary(self, fluid_golden):
         for rec in fluid_golden:

@@ -8,27 +8,22 @@ land in the stream), and for ``multi_tenant`` with the fluid ingress.
 The file was generated *before* the six scenario modules were folded
 into one runner and must keep passing untouched: any float, key or
 ordering drift in any scenario changes a digest.
-
-Regenerate (only after an *intentional* schema, clock or pricing
-change) with::
-
-    PYTHONPATH=src python tests/eval/test_scenario_digests.py
 """
 
-import hashlib
 import io
-import json
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
 from repro.eval import SCENARIOS, run_scenario
 from repro.telemetry import Telemetry, write_recordings
+from tests.frozen import sha256
 
-FIXTURE = Path(__file__).resolve().parents[1] / "fixtures" \
-    / "scenario_digests.json"
-FROZEN = json.loads(FIXTURE.read_text())
+#: scenario -> the modes its recording is frozen in
+MODES = {"adaptive": ("plain", "telemetry"), "chaos": ("plain", "telemetry"),
+         "event_core": ("plain",), "mesh_chaos": ("plain", "telemetry"),
+         "multi_tenant": ("fluid", "fluid+telemetry", "plain", "telemetry"),
+         "serving_load": ("plain", "telemetry")}
 
 
 def digest(scenario, mode):
@@ -41,20 +36,17 @@ def digest(scenario, mode):
         telemetry=Telemetry() if "telemetry" in mode else None)
     buf = io.StringIO()
     write_recordings(buf, [rep.recorder for rep in reports.values()])
-    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    return sha256(buf.getvalue())
+
+
+def fixture_content():
+    return {s: {m: digest(s, m) for m in modes} for s, modes in MODES.items()}
 
 
 def test_every_scenario_is_frozen():
-    assert set(FROZEN) == set(SCENARIOS)
+    assert set(MODES) == set(SCENARIOS)
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_recording_bytes_match_the_frozen_digests(scenario):
-    for mode, frozen in FROZEN[scenario].items():
-        assert digest(scenario, mode) == frozen, f"{scenario}/{mode}"
-
-
-if __name__ == "__main__":
-    FIXTURE.write_text(json.dumps(
-        {s: {m: digest(s, m) for m in modes} for s, modes in FROZEN.items()},
-        indent=2, sort_keys=True) + "\n")
+def test_recording_bytes_match_the_frozen_digests(moved, scenario):
+    assert scenario not in moved("scenario_digests")

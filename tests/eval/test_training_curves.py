@@ -15,12 +15,6 @@ class TestRunTrainingCurves:
         for h in histories.values():
             assert len(h.steps) >= 1
 
-    def test_include_dqn(self):
-        histories = run_training_curves(
-            [rpi4(), rpi4()], total_steps=32, eval_every=32, eval_points=2,
-            methods=["PPO", "DQN"])
-        assert "DQN" in histories
-
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             run_training_curves([rpi4()], total_steps=16,

@@ -23,16 +23,9 @@ permutation.
 The file was generated *before* the ledger stopped cloning itself to
 price a transfer and must keep passing untouched: a rate, a finish time
 or a returned float that moves by one ulp changes a digest.
-
-Regenerate (only after an *intentional* change to the float arithmetic
-of the solver) with::
-
-    PYTHONPATH=src python tests/netsim/test_fluid_digests.py
 """
 
-import hashlib
-import json
-from pathlib import Path
+import functools
 
 import numpy as np
 import pytest
@@ -42,10 +35,7 @@ from repro.netsim import (FluidTracker, Link, SharedIngress, ring_topology,
                           solve_fluid)
 from repro.netsim.fluid import FlowSpec
 from repro.telemetry import Telemetry
-
-FIXTURE = Path(__file__).resolve().parents[1] / "fixtures" \
-    / "fluid_price_digests.json"
-FROZEN = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
+from tests.frozen import digest
 
 RING = 6
 RING_CAPS = {tuple(sorted((i, (i + 1) % RING))): 100e6 for i in range(RING)}
@@ -246,38 +236,33 @@ def solve_fluid_answers():
     return answers
 
 
-def digest(answer):
-    return hashlib.sha256(
-        json.dumps(answer, sort_keys=True).encode()).hexdigest()
-
-
+@functools.lru_cache(maxsize=None)
 def answers():
     out = {name: play(world) for name, world in WORLDS.items()}
     out["solve_fluid"] = solve_fluid_answers()
     return out
 
 
-@pytest.fixture(scope="module")
-def live():
-    return answers()
+def fixture_content():
+    # the cheap counts beside each digest say *what* moved
+    return {name: {"digest": digest(a), "counts": _counts(a)}
+            for name, a in answers().items()}
 
 
 @pytest.mark.parametrize("name", [*WORLDS, "solve_fluid"])
-def test_world_prices_what_it_priced_when_frozen(live, name):
-    assert name in FROZEN, f"{name} missing from {FIXTURE.name}"
-    assert digest(live[name]) == FROZEN[name]["digest"]
-    # the cheap counts beside the digest say *what* moved
-    assert _counts(live[name]) == FROZEN[name]["counts"]
+def test_world_prices_what_it_priced_when_frozen(moved, name):
+    assert name not in moved("fluid_price_digests")
 
 
-def test_solve_fluid_is_permutation_invariant(live):
-    first = live["solve_fluid"][0]
-    for other in live["solve_fluid"][1:]:
+def test_solve_fluid_is_permutation_invariant():
+    first = answers()["solve_fluid"][0]
+    for other in answers()["solve_fluid"][1:]:
         assert other["finish"] == first["finish"]
 
 
-def test_worlds_reach_the_cases_they_name(live):
+def test_worlds_reach_the_cases_they_name():
     """The fixture would pin nothing if the worlds were all lone flows."""
+    live = answers()
     assert live["ingress"]["stats"]["peak_share"] >= 4
     assert live["ingress"]["caps_updates"] == 2
     assert live["ring6"]["stats"]["peak_share"] >= 6
@@ -295,14 +280,3 @@ def _counts(answer):
     return {"priced": len(answer["priced"]),
             "flows": answer["stats"]["flows"],
             "segments": len(answer["segments"])}
-
-
-def _generate():
-    FIXTURE.write_text(json.dumps(
-        {name: {"digest": digest(a), "counts": _counts(a)}
-         for name, a in answers().items()},
-        indent=1, sort_keys=True) + "\n")
-
-
-if __name__ == "__main__":
-    _generate()

@@ -28,16 +28,9 @@ mesh lacks and links degraded to nothing included), one
 The file was generated *before* the mesh stopped routing through
 networkx and must keep passing untouched: one path that breaks a tie
 the other way changes a digest.
-
-Regenerate (only after an *intentional* change to what the mesh routes)
-with::
-
-    PYTHONPATH=src:. python tests/netsim/test_route_digests.py
 """
 
-import hashlib
-import json
-from pathlib import Path
+import functools
 
 import numpy as np
 import pytest
@@ -45,10 +38,7 @@ import pytest
 from repro.devices import rpi4
 from repro.faults.resilience import NoRouteError
 from repro.netsim import MeshCluster, MeshLink
-
-FIXTURE = Path(__file__).resolve().parents[1] / "fixtures" \
-    / "route_digests.json"
-FROZEN = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
+from tests.frozen import digest
 
 SHAPES = ("line", "ring", "partial")
 SIZES = range(2, 10)
@@ -177,11 +167,6 @@ def play(shape, n, delays, reroute):
     return states
 
 
-def digest(states):
-    return hashlib.sha256(
-        json.dumps(states, sort_keys=True).encode()).hexdigest()
-
-
 def _counts(states):
     asked = [r for s in states for r in s["ascending"] + s["descending"]]
     return {"asked": len(asked),
@@ -200,23 +185,26 @@ def _key(shape, n, delays, reroute):
     return f"{shape}/{n}/{delays}/{'reroute' if reroute else 'static'}"
 
 
-@pytest.fixture(scope="module")
-def live():
+@functools.lru_cache(maxsize=None)
+def answers():
     return {_key(*case): play(*case) for case in CASES}
 
 
+def fixture_content():
+    # the cheap counts beside each digest say *what* moved
+    return {key: {"digest": digest(s), "counts": _counts(s)}
+            for key, s in answers().items()}
+
+
 @pytest.mark.parametrize("case", CASES, ids=lambda c: _key(*c))
-def test_mesh_routes_what_it_routed_when_frozen(live, case):
-    key = _key(*case)
-    assert key in FROZEN, f"{key} missing from {FIXTURE.name}"
-    # the cheap counts beside the digest say *what* moved
-    assert _counts(live[key]) == FROZEN[key]["counts"]
-    assert digest(live[key]) == FROZEN[key]["digest"]
+def test_mesh_routes_what_it_routed_when_frozen(moved, case):
+    assert _key(*case) not in moved("route_digests")
 
 
-def test_worlds_reach_the_cases_they_name(live):
+def test_worlds_reach_the_cases_they_name():
     """The fixture would pin nothing if no route ever tied, failed or
     moved."""
+    live = answers()
     total = {k: sum(_counts(s)[k] for s in live.values())
              for k in ("asked", "no_route", "rerouted", "multi_hop",
                        "disconnected")}
@@ -244,13 +232,3 @@ def test_worlds_reach_the_cases_they_name(live):
                 told = {tuple(e) for e, _ in s["caps"]}
                 assert not told & {tuple(e) for e in s["down"]}
 
-
-def _generate():
-    FIXTURE.write_text(json.dumps(
-        {_key(*case): {"digest": digest(s), "counts": _counts(s)}
-         for case in CASES for s in [play(*case)]},
-        indent=1, sort_keys=True) + "\n")
-
-
-if __name__ == "__main__":
-    _generate()

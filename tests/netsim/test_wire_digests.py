@@ -25,16 +25,10 @@ a :class:`SharedIngress` burst with per-tenant payloads and one
 The file was generated *before* the three contention modes became one
 tracker protocol and must keep passing untouched: a priced float that
 moves by one ulp changes a digest.
-
-Regenerate (only after an *intentional* change to what a wire prices)
-with::
-
-    PYTHONPATH=src:. python tests/netsim/test_wire_digests.py
 """
 
-import hashlib
+import functools
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,10 +37,7 @@ from repro.devices.profiles import desktop_gtx1080, jetson_class, rpi4
 from repro.netsim import (Cluster, ContentionTracker, FluidTracker, Link,
                           NetworkCondition, SharedIngress, ring_topology)
 from tests.core.test_infer_parity import _dump, _input, _system
-
-FIXTURE = Path(__file__).resolve().parents[1] / "fixtures" \
-    / "wire_price_digests.json"
-FROZEN = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
+from tests.frozen import digest
 
 #: contention mode -> tracker factory
 MODES = {"none": lambda: None, "snapshot": ContentionTracker,
@@ -182,11 +173,6 @@ def play(world, mode):
     return answer
 
 
-def digest(answer):
-    return hashlib.sha256(
-        json.dumps(answer, sort_keys=True).encode()).hexdigest()
-
-
 def _counts(answer):
     stats = answer.get("stats", {})
     return {"priced": len(answer["priced"]),
@@ -197,23 +183,26 @@ def _counts(answer):
 CASES = [(name, mode) for name in WORLDS for mode in MODES]
 
 
-@pytest.fixture(scope="module")
-def live():
+@functools.lru_cache(maxsize=None)
+def answers():
     return {f"{name}/{mode}": play(WORLDS[name], mode)
             for name, mode in CASES}
 
 
+def fixture_content():
+    # the cheap counts beside each digest say *what* moved
+    return {key: {"digest": digest(a), "counts": _counts(a)}
+            for key, a in answers().items()}
+
+
 @pytest.mark.parametrize("name,mode", CASES)
-def test_wire_prices_what_it_priced_when_frozen(live, name, mode):
-    key = f"{name}/{mode}"
-    assert key in FROZEN, f"{key} missing from {FIXTURE.name}"
-    assert digest(live[key]) == FROZEN[key]["digest"]
-    # the cheap counts beside the digest say *what* moved
-    assert _counts(live[key]) == FROZEN[key]["counts"]
+def test_wire_prices_what_it_priced_when_frozen(moved, name, mode):
+    assert f"{name}/{mode}" not in moved("wire_price_digests")
 
 
-def test_worlds_reach_the_cases_they_name(live):
+def test_worlds_reach_the_cases_they_name():
     """The fixture would pin nothing if every flow were lone."""
+    live = answers()
     for mode in ("snapshot", "fluid"):
         star = live[f"star/{mode}"]
         assert star["stats"]["contended"] >= 30
@@ -258,15 +247,3 @@ def test_a_lone_flow_costs_the_same_under_every_tracker():
                                 payload_bytes=1e5)
         assert ingress.upload_time(0.5) == ingress.admit(0.5) \
             == ingress.link.transfer_time(1e5)
-
-
-def _generate():
-    FIXTURE.write_text(json.dumps(
-        {f"{name}/{mode}": {"digest": digest(a), "counts": _counts(a)}
-         for (name, mode) in CASES
-         for a in [play(WORLDS[name], mode)]},
-        indent=1, sort_keys=True) + "\n")
-
-
-if __name__ == "__main__":
-    _generate()

@@ -29,17 +29,10 @@ The file was generated *before* graphs began to share their blocks,
 plans their block settings and ``simulate_latency`` moved to flat lists,
 and must keep passing untouched: an accuracy, a FLOP count or a priced
 float that moves by one ulp changes a digest.
-
-Regenerate (only after an *intentional* change to what a strategy
-costs) with::
-
-    PYTHONPATH=src:. python tests/rl/test_strategy_digests.py
 """
 
-import hashlib
-import json
+import functools
 from dataclasses import astuple, fields
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,10 +51,7 @@ from repro.netsim import Cluster, NetworkCondition, ring_topology
 from repro.partition import (BlockPlan, ExecutionPlan, Grid,
                              simulate_latency)
 from repro.rl import EnvConfig, MurmurationEnv
-
-FIXTURE = Path(__file__).resolve().parents[1] / "fixtures" \
-    / "strategy_price_digests.json"
-FROZEN = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
+from tests.frozen import digest
 
 GRIDS = (Grid(1, 1), Grid(1, 2), Grid(2, 2), Grid(2, 3))
 TINY = tiny_space()
@@ -181,7 +171,7 @@ ENVS = {
 }
 
 
-def env_answer(which, slo_kind, n=300):
+def env_answer(which, slo_kind):
     space, num_devices = ENVS[which]
     env = MurmurationEnv(space, _devices(num_devices),
                          EnvConfig(slo_kind=slo_kind))
@@ -189,7 +179,7 @@ def env_answer(which, slo_kind, n=300):
                                  int(slo_kind == "accuracy")))
     choices = np.asarray([s.n_choices for s in env.schedule])
     rows = []
-    for _ in range(n):
+    for _ in range(300):
         actions = [int(a) for a in rng.integers(0, choices)]
         task = env.sample_task(rng)
         arch, plan = env.decode(actions)
@@ -256,34 +246,32 @@ for _n in range(2, 10):
     CASES[f"plans/{_n}"] = (plans_answer, _n)
 
 
+@functools.lru_cache(maxsize=None)
 def play(key):
     fn, *args = CASES[key]
     return fn(*args)
 
 
-def digest(answer):
-    return hashlib.sha256(
-        json.dumps(answer, sort_keys=True).encode()).hexdigest()
+def fixture_content():
+    # the row count beside each digest says *what* moved
+    return {key: {"digest": digest(play(key)), "count": len(play(key))}
+            for key in CASES}
 
 
 @pytest.mark.parametrize("key", list(CASES))
-def test_a_fresh_strategy_costs_what_it_cost_when_frozen(key):
-    assert key in FROZEN, f"{key} missing from {FIXTURE.name}"
-    answer = play(key)
-    # the row count beside the digest says *what* moved
-    assert len(answer) == FROZEN[key]["count"]
-    assert digest(answer) == FROZEN[key]["digest"]
+def test_a_fresh_strategy_costs_what_it_cost_when_frozen(moved, key):
+    assert key not in moved("strategy_price_digests")
 
 
 def test_the_cases_reach_the_branches_they_name():
     """The fixture would pin little if no plan tiled, gathered, synced,
     crossed the faulted link or answered away from device 0."""
-    vit = report_answer("vit_small_16", "star5")
+    vit = play("report/vit_small_16/star5")
     local = vit[0]["num_transfers"]
     assert sum(r["num_transfers"] > local + 4 for r in vit) >= 4
-    ring = report_answer("resnet50", "ring4_faulted")
+    ring = play("report/resnet50/ring4_faulted")
     assert all(isinstance(r, dict) for r in ring)      # rerouted, not lost
-    scaled = report_answer("resnet50", "star3_scaled")
+    scaled = play("report/resnet50/star3_scaled")
     plain = CLUSTERS["star3_scaled"]()
     plain.compute_scale = {}
     graph = get_model("resnet50")
@@ -294,18 +282,10 @@ def test_the_cases_reach_the_branches_they_name():
     assert {_mixed_plan(graph, 3, rng).output_device
             for _ in range(12)} == {0, 1, 2}
     for which in ENVS:
-        rows = env_answer(which, "latency", n=40)
+        rows = play(f"env/{which}/latency")
         assert any(r["outcome"][5] for r in rows)
         assert not all(r["outcome"][5] for r in rows)
         grids = {(b[0], b[1]) for r in rows
                  for b in r["decode"][1]["blocks"]}
         assert {(1, 1), (1, 2), (2, 2)} <= grids
 
-
-if __name__ == "__main__":
-    frozen = {}
-    for key in CASES:
-        answer = play(key)
-        frozen[key] = {"digest": digest(answer), "count": len(answer)}
-    FIXTURE.write_text(json.dumps(frozen, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(frozen)} digests to {FIXTURE}")

@@ -43,8 +43,10 @@ class TestBatchPolicy:
             BatchPolicy(max_batch=0)
 
     def test_invalid_max_wait(self):
-        with pytest.raises(ValueError, match="max_wait_s"):
-            BatchPolicy(max_wait_s=-0.1)
+        # nan passed ``< 0`` and served as if it were 0
+        for wait in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="max_wait_s must be finite"):
+                BatchPolicy(max_wait_s=wait)
 
 
 class TestBatchFormation:

@@ -154,8 +154,10 @@ class TestServingStatsEmpty:
 
 class TestInferenceServer:
     def test_invalid_rate(self):
-        with pytest.raises(ValueError):
-            InferenceServer(_system(), arrival_rate_hz=0.0)
+        # nan passed ``<= 0``, then "cannot advance the loop to nan"
+        for rate in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="arrival_rate_hz must be"):
+                InferenceServer(_system(), arrival_rate_hz=rate)
 
     def test_invalid_num_requests(self):
         server = InferenceServer(_system(), arrival_rate_hz=2.0)

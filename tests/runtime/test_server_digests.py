@@ -30,17 +30,12 @@ loop neither fires world events nor ticks control, which the merge of
 the two loops fixes (``TestShedStreak`` in ``test_batching.py``).
 
 The file was generated *before* the two ``run`` loops became one and
-must keep passing untouched.  Regenerate (only after an *intentional*
-change to what a server emits) with::
-
-    PYTHONPATH=src:. python tests/runtime/test_server_digests.py
+must keep passing untouched.
 """
 
-import hashlib
+import functools
 import io
-import json
 from dataclasses import fields
-from pathlib import Path
 
 import pytest
 
@@ -60,10 +55,7 @@ from repro.sim import (EventLoop, schedule_condition_trace,
                        schedule_control_ticks, schedule_ingress_trace)
 from repro.telemetry import Telemetry
 from repro.telemetry.recorder import RunRecorder, write_recordings
-
-FIXTURE = Path(__file__).resolve().parents[1] / "fixtures" \
-    / "server_loop_digests.json"
-FROZEN = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
+from tests.frozen import digest, sha256
 
 N = 120
 
@@ -203,7 +195,7 @@ def play(name):
     answer = {
         "requests": [_fields(r) for r in stats.records],
         "batches": [_fields(b) for b in getattr(stats, "batches", [])],
-        "jsonl": hashlib.sha256(jsonl.getvalue().encode()).hexdigest(),
+        "jsonl": sha256(jsonl.getvalue()),
         "spans": [_span(root) for root in tel.tracer.finished],
         "events_fired": loop.fired_total,
     }
@@ -213,11 +205,6 @@ def play(name):
             actions=[(_hex(a.t), a.controller, a.description)
                      for a in control.actions])
     return answer
-
-
-def digest(answer):
-    return hashlib.sha256(
-        json.dumps(answer, sort_keys=True).encode()).hexdigest()
 
 
 def _counts(answer):
@@ -231,17 +218,20 @@ def _counts(answer):
             "events_fired": answer["events_fired"]}
 
 
-@pytest.fixture(scope="module")
-def live():
+@functools.lru_cache(maxsize=None)
+def answers():
     return {name: play(name) for name in WORLDS}
 
 
+def fixture_content():
+    # the cheap counts beside each digest say *what* moved
+    return {name: {"digest": digest(a), "counts": _counts(a)}
+            for name, a in answers().items()}
+
+
 @pytest.mark.parametrize("name", WORLDS)
-def test_server_emits_what_it_emitted_when_frozen(live, name):
-    assert name in FROZEN, f"{name} missing from {FIXTURE.name}"
-    # the cheap counts beside the digest say *what* moved
-    assert _counts(live[name]) == FROZEN[name]["counts"]
-    assert digest(live[name]) == FROZEN[name]["digest"]
+def test_server_emits_what_it_emitted_when_frozen(moved, name):
+    assert name not in moved("server_loop_digests")
 
 
 def _longest_streak(answer, outcome):
@@ -252,9 +242,10 @@ def _longest_streak(answer, outcome):
     return best
 
 
-def test_worlds_reach_the_cases_they_name(live):
+def test_worlds_reach_the_cases_they_name():
     """The fixture would pin nothing if no world queued, shed, batched,
     overlapped or failed over."""
+    live = answers()
     for name, answer in live.items():
         assert len(answer["requests"]) == N
         assert bool(answer["batches"]) == name.startswith("batched/")
@@ -290,16 +281,3 @@ def test_worlds_reach_the_cases_they_name(live):
     assert {r["tenant"] for r
             in live["batched/mixed_tenants"]["requests"]} == {"a", "b", None}
 
-
-def _generate():
-    frozen = {}
-    for name in WORLDS:
-        answer = play(name)
-        frozen[name] = {"digest": digest(answer), "counts": _counts(answer)}
-        print(name, frozen[name]["counts"])
-    FIXTURE.write_text(json.dumps(frozen, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(frozen)} digests to {FIXTURE}")
-
-
-if __name__ == "__main__":
-    _generate()

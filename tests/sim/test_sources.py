@@ -213,6 +213,14 @@ def test_condition_at_and_control_loop_reject_a_bad_period(period_s):
         ControlLoop([], period_s=period_s)
 
 
+def test_condition_at_holds_the_last_cell_however_far_past_the_end():
+    # 1e308 / 0.5 is inf, and ``int(inf)`` raised OverflowError
+    assert [condition_at([1, 2, 3], t, 0.5)[0]
+            for t in (0.999, 1.0, 1e308, float("inf"))] == [1, 2, 2, 2]
+    with pytest.raises(ValueError, match="t must be non-negative"):
+        condition_at([1, 2, 3], float("nan"), 0.5)
+
+
 # -- ingress capacity trace ------------------------------------------------
 @pytest.mark.parametrize("bad", [0, -5.0, float("nan")])
 def test_a_bad_ingress_trace_cell_is_rejected_before_anything_runs(bad):

@@ -20,16 +20,10 @@ histograms named in ``WALL_CLOCK`` are skipped.  The file was generated
 *before* the optional subsystems were given null forms and must keep
 passing untouched: a family, label set or value that telemetry-on used
 to export and no longer does changes a digest.
-
-Regenerate (only after an *intentional* metrics change) with::
-
-    PYTHONPATH=src:. python tests/telemetry/test_snapshot_digests.py
 """
 
-import hashlib
 import json
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
@@ -42,13 +36,16 @@ from repro.nas import Supernet
 from repro.netsim import NetworkCondition
 from repro.telemetry import Telemetry
 from tests.core import test_infer_parity as parity
-
-FIXTURE = Path(__file__).resolve().parents[1] / "fixtures" \
-    / "telemetry_snapshot_digests.json"
-FROZEN = json.loads(FIXTURE.read_text())
+from tests.frozen import sha256
 
 #: measured on the host, so never byte-stable
 WALL_CLOCK = {"executor_segment_compute_wall_s"}
+
+#: run -> the modes its registry is frozen in
+MODES = {"adaptive": ("telemetry",), "chaos": ("telemetry",),
+         "event_core": ("telemetry",), "facade_exec_faults": ("telemetry",),
+         "mesh_chaos": ("telemetry",), "serving_load": ("telemetry",),
+         "multi_tenant": ("fluid+telemetry", "telemetry")}
 
 
 def registry_digest(registry) -> str:
@@ -59,7 +56,7 @@ def registry_digest(registry) -> str:
         value = ([m.count, m.sum, m.min, m.max] if m.kind == "histogram"
                  else m.value)
         rows.append([m.name, list(m.labels), m.kind, value])
-    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    return sha256(json.dumps(rows))
 
 
 def scenario_digest(scenario: str, mode: str) -> str:
@@ -100,24 +97,20 @@ def facade_digest() -> str:
     return registry_digest(tel.registry)
 
 
+def fixture_content():
+    return {s: {m: (facade_digest() if s == "facade_exec_faults"
+                    else scenario_digest(s, m)) for m in modes}
+            for s, modes in MODES.items()}
+
+
 def test_every_scenario_is_frozen():
-    assert set(FROZEN) == set(SCENARIOS) | {"facade_exec_faults"}
+    assert set(MODES) == set(SCENARIOS) | {"facade_exec_faults"}
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_registry_contents_match_the_frozen_digests(scenario):
-    for mode, frozen in FROZEN[scenario].items():
-        assert scenario_digest(scenario, mode) == frozen, \
-            f"{scenario}/{mode}"
+def test_registry_contents_match_the_frozen_digests(moved, scenario):
+    assert scenario not in moved("telemetry_snapshot_digests")
 
 
-def test_executable_facade_registry_matches_the_frozen_digest():
-    assert facade_digest() == FROZEN["facade_exec_faults"]["telemetry"]
-
-
-if __name__ == "__main__":
-    FIXTURE.write_text(json.dumps(
-        {s: {m: (facade_digest() if s == "facade_exec_faults"
-                 else scenario_digest(s, m)) for m in modes}
-         for s, modes in FROZEN.items()},
-        indent=2, sort_keys=True) + "\n")
+def test_executable_facade_registry_matches_the_frozen_digest(moved):
+    assert "facade_exec_faults" not in moved("telemetry_snapshot_digests")
