@@ -159,10 +159,12 @@ class BatchPolicyController(Controller):
 
     def __init__(self, min_batch: int = 1, max_batch: int = 64,
                  depth_per_slot: float = 2.0, headroom: float = 0.5):
-        if min_batch < 1 or max_batch < min_batch:
+        # BatchPolicy's rule: a float bound would reach its max_batch
+        if (type(min_batch) is not int or type(max_batch) is not int
+                or min_batch < 1 or max_batch < min_batch):
             raise ValueError(
-                f"need 1 <= min_batch <= max_batch, got "
-                f"{min_batch}, {max_batch}")
+                f"need ints 1 <= min_batch <= max_batch, got "
+                f"min_batch={min_batch!r}, max_batch={max_batch!r}")
         if depth_per_slot <= 0:
             raise ValueError(
                 f"depth_per_slot must be positive, got {depth_per_slot}")

@@ -277,11 +277,13 @@ class Murmuration:
         self.slo = slo
 
     def update_condition(self, condition: NetworkCondition) -> None:
-        """Apply a change in true network conditions (trace replay)."""
+        """Apply a change in true network conditions (trace replay).
+        Without an injector, re-applying the condition the cluster holds
+        is a no-op: its ``version``, and so its memoised prices, stay."""
         self._base_condition = condition
         if self.faults is not None:
             self.faults.apply_to(self.cluster, condition)
-        else:
+        elif condition is not self.cluster.condition:
             self.cluster.set_condition(condition)
 
     def observed_condition(self, now: Optional[float] = None) -> NetworkCondition:
@@ -568,6 +570,9 @@ class Murmuration:
         plan_state: Optional[_PlanState] = None
         exec_strategy = strategy   # executable mode: carried failover plan
         carried_degraded = False
+        # fault-free plan-only: nothing on that branch moves the cluster
+        # between items, so all read one memoised float, once per batch
+        price: Optional[float] = None
         for idx in range(n):
             x = xs[idx] if xs is not None else None
             rid = request_ids[idx] if request_ids is not None else None
@@ -598,8 +603,10 @@ class Murmuration:
                         if outcome == "degraded":
                             carried_degraded = True
                 elif self.faults is None:
-                    latency = self._costs.latency(
-                        strategy.arch, strategy.plan, self.cluster)
+                    if price is None:
+                        price = self._costs.latency(
+                            strategy.arch, strategy.plan, self.cluster)
+                    latency = price
                     accuracy = strategy.expected_accuracy
                 else:
                     (latency, accuracy, outcome, retries, failovers,

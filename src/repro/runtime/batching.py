@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -62,17 +62,17 @@ class BatchPolicy:
     overlap: bool = True
 
     def __post_init__(self):
-        if self.max_batch < 1:
+        if type(self.max_batch) is not int or self.max_batch < 1:
             raise ValueError(
-                f"max_batch must be positive, got {self.max_batch}")
+                f"max_batch must be an int >= 1, got {self.max_batch!r}")
         if not 0 <= self.max_wait_s < math.inf:
             raise ValueError(f"max_wait_s must be finite and non-negative, "
                              f"got {self.max_wait_s}")
 
 
-@dataclass(frozen=True)
-class BatchRecord:
-    """Timeline of one dispatched batch (simulated seconds)."""
+class BatchRecord(NamedTuple):
+    """Timeline of one dispatched batch (simulated seconds); a
+    ``NamedTuple`` like :class:`~repro.runtime.server.RequestRecord`."""
 
     index: int
     size: int

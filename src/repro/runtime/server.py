@@ -16,7 +16,7 @@ There is one admission-and-dispatch loop, :meth:`InferenceServer._serve`;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -34,12 +34,13 @@ if TYPE_CHECKING:  # avoid core <-> runtime circular import at runtime
 __all__ = ["RequestRecord", "ServingStats", "InferenceServer"]
 
 
-@dataclass(frozen=True)
-class RequestRecord:
+class RequestRecord(NamedTuple):
     """Timeline of one served request (simulated seconds).
 
     A request shed at admission gets ``start == finish == arrival`` and
-    all-zero service components: it never occupied the pipeline.
+    all-zero service components: it never occupied the pipeline.  A
+    ``NamedTuple``, not a frozen dataclass: one is built per request,
+    and a frozen dataclass pays an ``object.__setattr__`` per field.
     """
 
     arrival: float

@@ -43,6 +43,10 @@ class _FakeSystem:
     lambda: CacheGranularityController(min_window=0),
     lambda: BatchPolicyController(min_batch=0),
     lambda: BatchPolicyController(min_batch=8, max_batch=4),
+    # a float bound reached ``replace(policy, max_batch=...)`` mid-run
+    lambda: BatchPolicyController(max_batch=8.0),
+    lambda: BatchPolicyController(min_batch=1.5),
+    lambda: BatchPolicyController(max_batch=float("inf")),
     lambda: BatchPolicyController(depth_per_slot=0.0),
     lambda: BatchPolicyController(headroom=1.0),
     lambda: AdmissionController(margin=0.0),

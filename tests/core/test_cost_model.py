@@ -646,6 +646,23 @@ def test_a_no_op_apply_to_between_transitions_keeps_the_version(mesh):
     assert 0 < first < onset < recovery
 
 
+def test_re_applying_the_held_condition_keeps_the_version(served):
+    """Without an injector, the facade handed the condition its cluster
+    already holds (a boundary-model trace inside one cell) changes
+    nothing, so nothing is re-priced; a different condition still bumps."""
+    system = static_facade()
+    cond = NetworkCondition((120.0, 60.0), (12.0, 25.0))
+    system.update_condition(cond)
+    version = system.cluster.version
+    system.infer()
+    system.update_condition(cond)
+    assert system.cluster.version == version
+    system.infer()
+    assert sum(c is system.cluster for c in served) == 1
+    system.update_condition(NetworkCondition((90.0, 60.0), (12.0, 25.0)))
+    assert system.cluster.version == version + 1
+
+
 @pytest.mark.parametrize("mesh", [False, True], ids=["star", "ring"])
 def test_compute_scale_is_read_only_between_assignments(mesh):
     world = ring_topology(devices(3), 120.0, 8.0) if mesh else star(3)

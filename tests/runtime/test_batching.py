@@ -42,6 +42,14 @@ class TestBatchPolicy:
         with pytest.raises(ValueError, match="max_batch"):
             BatchPolicy(max_batch=0)
 
+    @pytest.mark.parametrize("cap", [2.5, 8.0, float("nan"), float("inf"),
+                                     True, -1])
+    def test_a_cap_is_an_int_of_at_least_one(self, cap):
+        # a float cap was accepted and died mid-run on ``arrivals[j - 1]``
+        # with numpy's IndexError; inf meant "no cap" by accident
+        with pytest.raises(ValueError, match="max_batch must be an int"):
+            BatchPolicy(max_batch=cap)
+
     def test_invalid_max_wait(self):
         # nan passed ``< 0`` and served as if it were 0
         for wait in (-0.1, float("nan"), float("inf")):
@@ -111,6 +119,31 @@ class TestAmortizedAccounting:
         assert stats.amortized_decisions == sum(
             b.size - 1 for b in stats.batches)
         assert stats.amortized_decisions > 0
+
+    def test_a_fault_free_plan_only_dispatch_prices_once(self, monkeypatch):
+        """The served strategy's price is read once per dispatch, and
+        every item of the dispatch carries that one float."""
+        system = _system(seed=5)
+        priced = []
+        real = system._costs.latency
+
+        def counting(*args):
+            priced.append(args)
+            return real(*args)
+        monkeypatch.setattr(system._costs, "latency", counting)
+        trace = step_trace(TraceConfig(num_remote=2, steps=20, seed=5,
+                                       bw_range=(50.0, 400.0),
+                                       delay_range=(5.0, 50.0)), period=1)
+        stats = BatchingInferenceServer(
+            system, arrival_rate_hz=80.0, policy=BatchPolicy(max_batch=8),
+            seed=5).run(num_requests=40, condition_trace=trace,
+                        trace_period_s=0.05)
+        assert len(priced) == len(stats.batches) < len(stats.records)
+        i = 0
+        for b in stats.batches:
+            members = stats.records[i:i + b.size]
+            i += b.size
+            assert len({r.inference_s.hex() for r in members}) == 1
 
     def test_batch_clock_is_sequential_within_batch(self):
         server = BatchingInferenceServer(

@@ -1,14 +1,19 @@
 """Serving loop: queueing behaviour and statistics."""
 
+import io
+
 import numpy as np
 import pytest
 
 from repro.core import SLO, Murmuration, SearchDecisionEngine
 from repro.devices import desktop_gtx1080, rpi4
+from repro.eval.replay import replay_stats
 from repro.nas import MBV3_SPACE
 from repro.netsim import NetworkCondition, TraceConfig, step_trace
-from repro.runtime import (BatchingInferenceServer, InferenceServer,
-                           RequestRecord, ServingStats)
+from repro.runtime import (BatchingInferenceServer, BatchRecord,
+                           InferenceServer, RequestRecord, ServingStats)
+from repro.telemetry.recorder import (RunRecorder, read_recordings,
+                                      write_recordings)
 
 
 def _system(slo_ms=200.0, seed=0):
@@ -41,6 +46,42 @@ class TestRequestRecord:
                           satisfied=True)
         assert r.queue_wait_s == pytest.approx(0.5)
         assert r.end_to_end_s == pytest.approx(1.0)
+
+    def test_fields_keep_the_order_of_the_dataclasses_they_replaced(self):
+        # the server-loop digests hash the fields in this order
+        assert RequestRecord._fields == (
+            "arrival", "start", "finish", "inference_s", "decision_s",
+            "switch_s", "satisfied", "outcome", "retries", "failovers",
+            "tenant")
+        assert BatchRecord._fields == (
+            "index", "size", "close_s", "decision_start_s", "decision_s",
+            "switch_s", "exec_start_s", "finish_s", "cache_hit",
+            "overlap_saved_s")
+
+    def test_an_immutable_value_with_the_old_defaults(self):
+        r = _served_record(1.0, 2.0)
+        with pytest.raises(AttributeError):
+            r.finish = 3.0
+        assert (r.outcome, r.retries, r.failovers, r.tenant) \
+            == ("ok", 0, 0, None)
+        twin = _served_record(1.0, 2.0)
+        assert r == twin and hash(r) == hash(twin)
+        assert r != _served_record(1.0, 2.5)
+
+    def test_records_round_trip_through_replay(self):
+        recorder = RunRecorder("serving_load", variant="batched")
+        stats = BatchingInferenceServer(
+            _system(seed=3), arrival_rate_hz=60.0, seed=3,
+            recorder=recorder).run(num_requests=24)
+        recorder.finish(stats)
+        buf = io.StringIO()
+        write_recordings(buf, [recorder])
+        replayed = replay_stats(read_recordings(io.StringIO(
+            buf.getvalue()))[0])
+        assert replayed.records == stats.records
+        assert replayed.batches == stats.batches
+        assert {type(r) for r in replayed.records} == {RequestRecord}
+        assert {type(b) for b in replayed.batches} == {BatchRecord}
 
 
 class TestShedAccounting:

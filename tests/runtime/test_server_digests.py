@@ -35,7 +35,6 @@ must keep passing untouched.
 
 import functools
 import io
-from dataclasses import fields
 
 import pytest
 
@@ -176,7 +175,7 @@ def _hex(value):
 
 
 def _fields(record):
-    return {f.name: _hex(getattr(record, f.name)) for f in fields(record)}
+    return {name: _hex(getattr(record, name)) for name in record._fields}
 
 
 def _span(span):
