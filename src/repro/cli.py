@@ -378,8 +378,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                            metavar="FIELD=VALUE",
                            help="override one field of the scenario's "
                                 "config (repeatable), e.g. "
-                                "num_requests=40, fluid=true, "
-                                "burst_window=2,4, decision_time_s=none")
+                                "num_requests=40, burst_window=2,4, "
+                                "decision_time_s=none")
             p.add_argument("--variants", default=None, metavar="A,B",
                            help="run only these variants (default: all)")
             p.add_argument("--record", default=None, metavar="OUT",

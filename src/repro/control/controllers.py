@@ -212,9 +212,8 @@ class AdmissionController(Controller):
     the server asks :meth:`admit` with the request's arrival and
     predicted dispatch time (``wait = start - arrival``; with a shared
     ingress attached the wait already includes the upload time the
-    tracker predicted — snapshot fair-share or fluid max-min — so the
-    triage below prices uplink congestion without knowing which model
-    produced it):
+    fluid ledger predicted, so the triage below prices uplink
+    congestion without knowing how it was priced):
 
     * ``wait + full service <= margin x SLO`` -> ``"serve"``: the real
       answer still makes its deadline;

@@ -3,8 +3,8 @@
 Several tenants share one serving gateway *and* one last-mile uplink
 (:class:`~repro.netsim.contention.SharedIngress`): every request's
 payload crosses the same wire before service can start, so concurrent
-tenants fair-share its bandwidth through a
-:class:`~repro.netsim.contention.ContentionTracker`.  One tenant bursts
+tenants fair-share its bandwidth through the max-min
+:class:`~repro.netsim.fluid.FluidTracker`.  One tenant bursts
 (piecewise-Poisson, ``burst_factor`` x its base rate inside
 ``burst_window``); the others stay steady.
 
@@ -30,6 +30,7 @@ byte-stable function of the config.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
@@ -38,7 +39,7 @@ import numpy as np
 from ..control import (AdmissionController, ControlLoop,
                        TenantFairnessController)
 from ..devices.profiles import desktop_gtx1080, jetson_class, rpi4
-from ..netsim.contention import ContentionTracker, SharedIngress
+from ..netsim.contention import SharedIngress
 from ..netsim.fluid import FluidTracker
 from ..netsim.link import Link
 from ..netsim.topology import NetworkCondition
@@ -66,13 +67,20 @@ class TenantSpec:
     burst_factor: float = 1.0
 
     def __post_init__(self):
-        if self.rate_hz <= 0:
-            raise ValueError(f"rate_hz must be positive, got {self.rate_hz}")
-        if self.weight <= 0:
-            raise ValueError(f"weight must be positive, got {self.weight}")
-        if self.burst_factor <= 0:
-            raise ValueError(
-                f"burst_factor must be positive, got {self.burst_factor}")
+        # negated comparisons: NaN fails every ordering test
+        for name in ("rate_hz", "weight", "burst_factor"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(
+                    f"{name} must be positive and finite, got {value}")
+        if not 0 <= self.payload_kb < math.inf:
+            raise ValueError(f"payload_kb must be finite and non-negative, "
+                             f"got {self.payload_kb}")
+        window = self.burst_window
+        if window is not None and not (
+                len(window) == 2 and 0 <= window[0] < window[1] < math.inf):
+            raise ValueError(f"burst_window must be None or (t0, t1) with "
+                             f"0 <= t0 < t1 < inf, got {window}")
 
 
 def default_tenants(n: int = 2) -> Tuple[TenantSpec, ...]:
@@ -105,11 +113,6 @@ class MultiTenantConfig:
     #: the shared last-mile uplink all tenants upload over
     ingress_bw_mbps: float = 40.0
     ingress_delay_ms: float = 5.0
-    #: False disables the flow tracker: uploads never contend
-    contention: bool = True
-    #: True prices the shared ingress with the fluid-flow (max-min)
-    #: solver instead of the arrival-order snapshot tracker
-    fluid: bool = False
 
     def __post_init__(self):
         if not self.tenants:
@@ -149,12 +152,7 @@ def _world(cfg: MultiTenantConfig, telemetry,
            controllers: Optional[Callable[[MultiTenantConfig], List]] = None,
            ) -> World:
     arrivals, tenants = tenant_arrivals(cfg)
-    if not cfg.contention:
-        tracker = None
-    elif cfg.fluid:
-        tracker = FluidTracker(telemetry=telemetry)
-    else:
-        tracker = ContentionTracker(telemetry=telemetry)
+    tracker = FluidTracker(telemetry=telemetry)
     return World(
         devices=[rpi4(), desktop_gtx1080(), jetson_class()],
         condition=NetworkCondition((150.0, 80.0), (10.0, 20.0)),
@@ -176,14 +174,6 @@ def _world(cfg: MultiTenantConfig, telemetry,
         trace_period_s=cfg.trace_period_s)
 
 
-#: the two ingress pricing models on one world (pinned whole, so also
-#: under ``smoke``: on a shorter stream the gap's sign can flip), its
-#: uplink sized so burst-time sharing is wide enough for them to
-#: disagree about who makes the deadline
-_SNAPSHOT = ("num_requests=120", "trace_steps=120", "ingress_bw_mbps=25",
-             "fluid=false")
-_FLUID = _SNAPSHOT[:3] + ("fluid=true",)
-
 SCENARIO = Scenario(
     name="multi_tenant", config=MultiTenantConfig, world=_world,
     variants={
@@ -196,13 +186,6 @@ SCENARIO = Scenario(
     claims=(
         Claim("fair beats fifo at the worst tenant by >= 15 pt",
               ("fair", "worst"), ">=", ("fifo", "worst"), 0.15),
-        Claim("fluid pricing lifts the worst tenant by >= 2 pt over snapshot",
-              ("fair", "worst") + _FLUID, ">=", ("fair", "worst") + _SNAPSHOT,
-              0.02),
-        Claim("snapshot pessimism sheds more",
-              ("fair", "shed") + _FLUID, "<", ("fair", "shed") + _SNAPSHOT),
-        Claim("the fluid model prices real contention",
-              ("fair", "contended") + _FLUID, ">", 0),
-        Claim("and so does the snapshot model",
-              ("fair", "contended") + _SNAPSHOT, ">", 0)),
+        Claim("the fluid ledger prices real contention",
+              ("fair", "contended"), ">", 0)),
     smoke=("num_requests=80", "trace_steps=60"))

@@ -102,10 +102,6 @@ def _parse(text: str, hint):
         if text.lower() == "none":
             return None
         hint = next(a for a in args if a is not type(None))
-    if hint is bool:
-        if text.lower() not in ("true", "false"):
-            raise ValueError("expected true or false")
-        return text.lower() == "true"
     if hint in (int, float, str):
         return hint(text)
     # a tuple field: comma-separated numbers, or JSON for tuples of records
@@ -118,7 +114,7 @@ def override_config(cfg, assignments: Sequence[str]):
     """Apply ``field=value`` strings to a config dataclass.
 
     Values parse by the field's annotation: ``num_requests=40``,
-    ``fluid=true``, ``decision_time_s=none``, ``burst_window=2,4``.
+    ``decision_time_s=none``, ``burst_window=2,4``.
     Raises ``ValueError`` naming the valid fields (or the expected
     type) on anything else.
     """

@@ -11,7 +11,7 @@ from .grids import (
     training_grid,
     validation_conditions,
 )
-from .contention import ContentionTracker, Flow, SharedIngress
+from .contention import SharedIngress
 from .fluid import FlowSpec, FluidSegment, FluidTracker, solve_fluid
 from .link import LOOPBACK, Link
 from .mesh import (MeshCluster, MeshLink, RouteInfo, line_topology,
@@ -21,8 +21,6 @@ from .topology import Cluster, NetworkCondition
 from .traces import TraceConfig, mobility_trace, random_walk_trace, step_trace
 
 __all__ = [
-    "ContentionTracker",
-    "Flow",
     "FlowSpec",
     "FluidSegment",
     "FluidTracker",

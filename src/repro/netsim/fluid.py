@@ -1,12 +1,5 @@
 """Fluid-flow (max-min) bandwidth sharing: rates re-converge at events.
 
-The snapshot model in :mod:`repro.netsim.contention` freezes every
-flow's fair share at admission: the first of two overlapping transfers
-keeps the full link for its whole lifetime and the second pays the
-shared rate for its whole lifetime, even after the first completes.
-That under-charges the first and over-charges the second relative to
-how TCP-ish fair sharing actually behaves.
-
 This module prices flows with a **fluid-flow solver**: at every *event*
 (a flow arriving or completing, or a link capacity update observed at
 admission) the solver reruns progressive-filling water-filling over all
@@ -29,8 +22,7 @@ The resulting allocation is the max-min fair one at every instant:
   nondecreasing simulated time, which is the same sequence);
 * **lone-flow bit-identity** — a flow that shares no edge with any
   in-flight flow is priced by returning the contention-free
-  ``transfer_time`` float verbatim, exactly like the snapshot tracker's
-  zero-concurrency fast path.
+  ``transfer_time`` float verbatim.
 
 :class:`FluidTracker` implements the tracker protocol of
 :mod:`repro.netsim.contention` (``admit_transfer`` / ``peek_transfer``
@@ -48,7 +40,7 @@ the event set known at admission (exact if no later flow arrives —
 lone flows are bit-identical); the solver's internal ledger keeps
 re-converging as later flows arrive, and :meth:`finish_times` exposes
 the ledger's (authoritative) completion times — that is what the
-property suite and the snapshot-vs-fluid bench audit.  Admissions must
+property suite audits.  Admissions must
 arrive in nondecreasing simulated time (the serving loop's order); an
 admission in the ledger's past is clamped to the current ledger time.
 
@@ -324,10 +316,10 @@ class _State:
 class FluidTracker:
     """Max-min fair bandwidth ledger with event-driven re-convergence.
 
-    Exposes :class:`ContentionTracker`'s accounting surface
-    (``flows_total`` / ``contended_total`` / ``peak_share`` /
-    ``tenant_bytes()`` / ``stats()`` / ``concurrency()`` / ``share()``)
-    and the pricing half of the tracker protocol:
+    Keeps accounting (``flows_total`` / ``contended_total`` /
+    ``peak_share`` / ``tenant_bytes()`` / ``stats()``), answers
+    ``concurrency()`` / ``share()`` about the wire, and implements the
+    tracker protocol:
 
     * :meth:`admit_transfer` — price *and* commit a transfer;
     * :meth:`peek_transfer` — price without committing (admission
@@ -351,7 +343,7 @@ class FluidTracker:
         self.record_segments = record_segments
         #: piecewise-constant rate segments (``record_segments=True``)
         self.segments: List[FluidSegment] = []
-        # -- ContentionTracker-parity accounting --------------------------
+        # -- accounting ----------------------------------------------------
         #: flows ever admitted
         self.flows_total = 0
         #: flows that shared at least one edge when admitted
@@ -627,7 +619,7 @@ class FluidTracker:
         """The admitted spec (edges/start/bytes/tenant) of one flow."""
         return self._spec[fid]
 
-    # -- ContentionTracker-parity queries ----------------------------------
+    # -- wire queries ------------------------------------------------------
     def concurrency(self, edge: Edge, now: float) -> int:
         """Flows in flight on ``edge`` at simulated time ``now`` (a
         walk: the ledger does not move, a peek is not spent)."""

@@ -11,7 +11,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Tuple
 
-__all__ = ["Edge", "Link", "LOOPBACK", "canonical_edge", "check_rpc_overhead"]
+__all__ = ["Edge", "Link", "LOOPBACK", "canonical_edge", "check_delay",
+           "check_rpc_overhead"]
 
 Edge = Tuple[int, int]
 
@@ -19,6 +20,16 @@ Edge = Tuple[int, int]
 def canonical_edge(a: int, b: int) -> Edge:
     """Canonical (sorted) form of an undirected link or device pair."""
     return (a, b) if a <= b else (b, a)
+
+
+def check_delay(delay_ms: float) -> float:
+    """A link delay must be finite and non-negative (negated test: NaN
+    fails every comparison); an infinite one prices every transfer at
+    ``inf`` seconds, which no simulated clock can reach."""
+    if not 0 <= delay_ms < math.inf:
+        raise ValueError(f"delay_ms must be finite and non-negative, "
+                         f"got {delay_ms}")
+    return delay_ms
 
 
 def check_rpc_overhead(rpc_overhead_ms: float) -> float:
@@ -52,8 +63,7 @@ class Link:
         # transfers at NaN seconds (which ``max`` then ignores).
         if not self.bandwidth_mbps > 0:
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth_mbps}")
-        if not self.delay_ms >= 0:
-            raise ValueError(f"delay must be non-negative, got {self.delay_ms}")
+        check_delay(self.delay_ms)
         check_rpc_overhead(self.rpc_overhead_ms)
 
     @property

@@ -64,7 +64,8 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, \
 
 from ..devices.profiles import DeviceProfile
 from ..faults.resilience import NoRouteError
-from .link import Edge, Link, canonical_edge, check_rpc_overhead
+from .link import (Edge, Link, canonical_edge, check_delay,
+                   check_rpc_overhead)
 from .topology import NetworkCondition, VersionedWorld, no_device
 
 __all__ = ["MeshLink", "RouteInfo", "MeshCluster", "line_topology",
@@ -84,8 +85,10 @@ class MeshLink:
         if self.a == self.b:
             raise ValueError("self-loops are not links")
         # negated so that NaN, which fails every comparison, is rejected
-        if not (self.bandwidth_mbps > 0 and self.delay_ms >= 0):
-            raise ValueError("invalid link parameters")
+        if not 0 < self.bandwidth_mbps < math.inf:
+            raise ValueError(f"bandwidth_mbps must be positive and finite, "
+                             f"got {self.bandwidth_mbps}")
+        check_delay(self.delay_ms)
 
     @property
     def edge(self) -> Edge:

@@ -189,8 +189,8 @@ class Cluster(VersionedWorld):
 
     def update_fluid_caps(self, now: float) -> bool:
         """Hand the cluster's *current* per-spoke capacities to its
-        tracker, so a fluid ledger re-converges the transfers in flight
-        at ``now`` (a snapshot tracker keeps their admitted rates).
+        tracker, so the ledger re-converges the transfers in flight at
+        ``now``.
 
         Call after :meth:`set_condition` (or a fault overlay) changed
         the links — the event core does this at each condition step.

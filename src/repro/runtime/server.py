@@ -221,7 +221,7 @@ class InferenceServer:
         ``ingress`` (a :class:`~repro.netsim.contention.SharedIngress`)
         models the shared last-mile uplink request payloads cross
         before service can start; concurrent tenants fair-share it as
-        its tracker prices (snapshot or fluid), and the upload time
+        its fluid ledger prices, and the upload time
         feeds ``ready`` and so the queue wait admission triages on.
 
         ``events`` (a :class:`~repro.sim.events.EventLoop`, ideally on

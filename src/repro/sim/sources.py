@@ -154,8 +154,8 @@ def schedule_ingress_trace(loop: EventLoop, ingress,
     """Schedule a shared-ingress uplink capacity trace mid-flight.
 
     At each cell change the uplink's true bandwidth steps
-    (:meth:`SharedIngress.set_capacity`); with a fluid tracker attached
-    every in-flight upload re-converges at the step instant — the
+    (:meth:`SharedIngress.set_capacity`) and the ingress's ledger
+    re-converges every in-flight upload at the step instant — the
     mid-flight semantics the boundary-only model can only apply at the
     next admission.  A cell that is not a positive bandwidth raises
     ``ValueError`` here, before anything is scheduled.

@@ -61,7 +61,7 @@ class TestCLI:
         (["run", "chaos", "--set", "num_requests=many"], "int"),
         (["run", "adaptive", "--set", "burst_window=2;4"], "burst_window"),
         (["run", "chaos", "--set", "decision_time_s=never"], "float"),
-        (["run", "multi_tenant", "--set", "fluid=maybe"], "true or false"),
+        (["run", "multi_tenant", "--set", "fluid=true"], "no field 'fluid'"),
         (["run", "mesh_chaos", "--set", "topology=star"], "ring"),
         (["run", "chaos", "--timelines"], "--record"),
         (["run", "event_core", "--timelines", "--record", "x.jsonl"],
@@ -70,6 +70,17 @@ class TestCLI:
          "positive and finite"),
         (["run", "event_core", "--set", "ingress_trace_mbps=40,nan,40"],
          "cell 1 must be a positive bandwidth"),
+        (["run", "multi_tenant", "--set",
+          'tenants=[{"name": "a", "rate_hz": Infinity}]'], "rate_hz"),
+        (["run", "multi_tenant", "--set",
+          'tenants=[{"name": "a", "rate_hz": 4, "weight": NaN}]'], "weight"),
+        (["run", "mesh_chaos", "--set", "bandwidth_mbps=inf"],
+         "bandwidth_mbps must be positive and finite"),
+        (["run", "mesh_chaos", "--set", "delay_ms=inf"], "delay_ms"),
+        (["run", "multi_tenant", "--set", "ingress_delay_ms=inf"],
+         "delay_ms must be finite"),
+        (["run", "event_core", "--set", "ingress_delay_ms=inf"],
+         "delay_ms must be finite"),
     ])
     def test_bad_run_input_is_a_usage_error(self, capsys, argv, listed):
         """Unknown scenario/variant/field or an unparsable value exits
@@ -115,13 +126,13 @@ class TestCLI:
 
     def test_run_json_is_canonical_and_deterministic(self, capsys):
         argv = ["run", "multi_tenant", "--set", "num_requests=16", "--set",
-                "fluid=true", "--json"]
+                "ingress_bw_mbps=25", "--json"]
         assert main(argv) == 0
         first = capsys.readouterr().out
         assert main(argv) == 0
         assert capsys.readouterr().out == first
         payload = json.loads(first)
-        assert payload["config"]["fluid"] is True
+        assert payload["config"]["ingress_bw_mbps"] == 25.0
         assert set(payload["variants"]) == {"fifo", "admission", "fair"}
         assert "worst" in payload["variants"]["fair"]
 

@@ -25,7 +25,7 @@ from repro.nas import (MBV3_SPACE, Supernet, build_graph, max_arch, min_arch,
                        tiny_space)
 from repro.nas.accuracy_model import arch_accuracy, plan_accuracy_penalty
 from repro.netsim import Cluster, NetworkCondition
-from repro.netsim.contention import ContentionTracker
+from repro.netsim.fluid import FluidTracker
 from repro.partition import layerwise_split_plan
 from repro.partition.simulate import simulate_latency
 from tests.frozen import sha256
@@ -187,7 +187,7 @@ def test_batched_transfers_bill_their_own_tenant():
     after one ``infer(tenant="a")`` every later batched transfer was
     billed to "a"."""
     system = _system("exec")
-    tracker = system.cluster.contention = ContentionTracker()
+    tracker = system.cluster.contention = FluidTracker()
     x = _input("exec", False, 0)
     system.infer(x, tenant="a")
     per_request = tracker.tenant_bytes()["a"]

@@ -1,13 +1,13 @@
 """The null forms keep the surface of the subsystems they stand in for.
 
-Components call ``telemetry``, ``recorder``, ``control``, the ingress,
-the breakers and the contention tracker without asking whether they
-were given one (DESIGN.md, "Optional subsystems"), so a method added to
-the real class and not to its null form would raise ``AttributeError``
-in the first run that leaves the subsystem out.  One reflection test
-per pair turns that into a tier-1 failure; one behavioural test checks
-what the null forms are for: a run with every optional subsystem absent
-allocates nothing on their behalf.
+Components call ``telemetry``, ``recorder``, ``control``, the ingress
+and the breakers without asking whether they were given one (DESIGN.md,
+"Optional subsystems"), so a method added to the real class and not to
+its null form would raise ``AttributeError`` in the first run that
+leaves the subsystem out.  One reflection test per pair turns that into
+a tier-1 failure; one behavioural test checks what the null forms are
+for: a run with every optional subsystem absent allocates nothing on
+their behalf.
 """
 
 import inspect
@@ -18,8 +18,8 @@ import pytest
 from repro.control import NULL_CONTROL, ControlLoop
 from repro.eval import SCENARIOS, run_scenario
 from repro.faults import NULL_HEALTH, DeviceHealth
-from repro.netsim import ContentionTracker, FluidTracker, SharedIngress
-from repro.netsim.contention import NULL_INGRESS, LoneWire
+from repro.netsim import SharedIngress
+from repro.netsim.contention import NULL_INGRESS
 from repro.sim import EventLoop
 from repro.telemetry import (NULL_RECORDER, NULL_TELEMETRY,
                              Counter, Gauge, Histogram, MetricsRegistry,
@@ -31,13 +31,6 @@ def _methods(cls):
                                                         inspect.isfunction)
             if not name.startswith("_") or name == "__len__"}
 
-
-#: the tracker protocol (``repro.netsim.contention``); everything else
-#: on a tracker — accounting, the ledger's queries — is read from the
-#: tracker the caller built, never through a cluster or an ingress
-_PROTOCOL = {"admit_transfer", "peek_transfer", "update_caps"}
-_BEYOND_PROTOCOL = {name for cls in (FluidTracker, ContentionTracker)
-                    for name in _methods(cls)} - _PROTOCOL
 
 #: (real classes, null form, public methods the null form leaves out and
 #: why that is safe)
@@ -55,12 +48,6 @@ PAIRS = {
     # so nothing can read it back
     "metric": ((Counter, Gauge, Histogram), metrics._NULL_METRIC,
                {"quantile", "quantiles"}),
-    # the three implementations of the protocol bind the same calls:
-    # the lone wire against both ledgers, the snapshot against the fluid
-    "tracker": ((FluidTracker, ContentionTracker), LoneWire(),
-                _BEYOND_PROTOCOL),
-    "tracker-snapshot": ((FluidTracker,), ContentionTracker(),
-                         _BEYOND_PROTOCOL),
     # capacity steps go to the ingress the caller built and scheduled
     "ingress": ((SharedIngress,), NULL_INGRESS, {"set_capacity"}),
     # ``state`` / ``snapshot`` / ``link_state`` are read only from a

@@ -35,7 +35,6 @@ WIRE_GUARD = re.compile(
     r"|prices_transfers")
 WIRE_ALLOWED = {
     # the normalisers
-    "repro/netsim/contention.py": 1,    # SharedIngress(tracker=None)
     "repro/runtime/server.py": 1,       # InferenceServer(ingress=None)
     "repro/faults/health.py": 1,        # DeviceHealth.of
     # ``resilience=None`` means the default policy
@@ -49,7 +48,7 @@ WIRE_ALLOWED = {
     # the ``links`` demo drains the fluid tracker it may have built
     "repro/cli.py": 1,
 }
-WIRE_BUDGET = 10
+WIRE_BUDGET = 9
 
 
 def _check(guard, allowed, budget, advice):
@@ -81,6 +80,5 @@ def test_wire_and_breaker_guards_stay_within_budget():
     _check(WIRE_GUARD, WIRE_ALLOWED, WIRE_BUDGET,
            "Nothing forks on whether a wire is shared, an uplink is "
            "modelled or breakers exist: describe the wire to the "
-           "tracker (LoneWire when nobody shares), call NULL_INGRESS "
-           "and NULL_HEALTH unconditionally, and never probe a tracker "
-           "for what it can do.")
+           "tracker, call NULL_INGRESS and NULL_HEALTH unconditionally, "
+           "and never probe a tracker for what it can do.")

@@ -76,18 +76,19 @@ def test_a_claim_that_cannot_be_evaluated_raises_before_anything_runs(
 
 
 def test_each_other_world_of_a_claim_is_run_once(monkeypatch):
-    """multi_tenant's fluid and snapshot cells name two worlds of one
-    variant: with the base world's reports given, that is two runs."""
-    spec = SCENARIOS["multi_tenant"]
+    """mesh_chaos names its line world in three cells of two variants:
+    with the base world's reports given, that is two runs."""
+    spec = SCENARIOS["mesh_chaos"]
     cfg = override_config(spec.config(), spec.smoke)
-    base = run_scenario("multi_tenant", cfg)
+    base = run_scenario("mesh_chaos", cfg)
     ran = []
 
     def counted(scenario, cfg, variants):
-        ran.append((cfg.fluid, cfg.ingress_bw_mbps, tuple(variants)))
+        ran.append((cfg.topology, tuple(variants)))
         return run_scenario(scenario, cfg, variants=variants)
 
     monkeypatch.setattr(runner, "run_scenario", counted)
-    results = check_claims("multi_tenant", cfg, base)
-    assert sorted(ran) == [(False, 25.0, ("fair",)), (True, 25.0, ("fair",))]
+    results = check_claims("mesh_chaos", cfg, base)
+    assert sorted(ran) == [("line", ("murmuration",)),
+                           ("line", ("no-reroute",))]
     assert all(r.holds for r in results), [str(r) for r in results]

@@ -2,6 +2,7 @@
 record/replay round trips (scenario name ``multi_tenant``)."""
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from repro.eval.multi_tenant import (MultiTenantConfig, TenantSpec,
                                      default_tenants, tenant_arrivals)
 from repro.eval.replay import replay_stats, rerecord, verify_invariants
 from repro.eval.runner import config_from_dict, run_scenario
+from repro.netsim import SharedIngress
 from repro.telemetry.recorder import read_recordings, write_recordings
 
 _CFG = MultiTenantConfig(num_requests=60, trace_steps=60)
@@ -28,6 +30,32 @@ class TestTenantSpec:
             TenantSpec("a", rate_hz=1.0, weight=-1.0)
         with pytest.raises(ValueError, match="burst_factor"):
             TenantSpec("a", rate_hz=1.0, burst_factor=0.0)
+
+    @pytest.mark.parametrize("field, kwargs", [
+        ("rate_hz", {"rate_hz": math.inf}),
+        ("rate_hz", {"rate_hz": math.nan}),
+        ("weight", {"weight": math.nan}),
+        ("weight", {"weight": math.inf}),
+        ("burst_factor", {"burst_factor": math.inf}),
+        ("burst_factor", {"burst_factor": math.nan}),
+        ("payload_kb", {"payload_kb": math.inf}),
+        ("payload_kb", {"payload_kb": math.nan}),
+        ("payload_kb", {"payload_kb": -1.0}),
+        ("burst_window", {"burst_window": (8.0, 4.0)}),
+        ("burst_window", {"burst_window": (4.0, 4.0)}),
+        ("burst_window", {"burst_window": (math.nan, 4.0)}),
+        ("burst_window", {"burst_window": (4.0, math.inf)}),
+        ("burst_window", {"burst_window": (-1.0, 4.0)}),
+    ])
+    def test_rejects_a_contract_that_would_silently_change_the_run(
+            self, field, kwargs):
+        """Regression: an infinite rate put every request at t = 0 on
+        one tenant, a NaN or infinite weight was served and moved the
+        fair variant's sheds, a reversed or NaN window meant no burst,
+        and an infinite payload died mid-run."""
+        kwargs = {"rate_hz": 4.0, **kwargs}
+        with pytest.raises(ValueError, match=field):
+            TenantSpec("a", **kwargs)
 
     def test_config_rejects_duplicate_tenant_names(self):
         with pytest.raises(ValueError, match="unique"):
@@ -88,22 +116,32 @@ class TestScenario:
             assert rep.tracker is not None
             assert rep.tracker.contended_total > 0
 
-    def test_single_tenant_without_overlap_is_contention_free(self):
-        """Acceptance: one tenant whose uploads never overlap serves
-        bit-identically with the tracker on or off — attaching the
-        contention model to a quiet system must not move a float."""
+    def test_single_tenant_without_overlap_is_contention_free(
+            self, monkeypatch):
+        """Acceptance: one tenant whose uploads never overlap pays the
+        base link model for every upload, peeked or admitted — the
+        ledger on a quiet wire must not move a float."""
+        priced = []
+
+        def spy(price):
+            def priced_as(ingress, arrival, tenant=None):
+                seconds = price(ingress, arrival, tenant)
+                nbytes = ingress.per_tenant_bytes[tenant]
+                priced.append((seconds, ingress.link.transfer_time(nbytes)))
+                return seconds
+            return priced_as
+
+        for name in ("upload_time", "admit"):
+            monkeypatch.setattr(SharedIngress, name,
+                                spy(getattr(SharedIngress, name)))
         lone = (TenantSpec("only", rate_hz=0.2),)
-        base = MultiTenantConfig(tenants=lone, num_requests=15,
-                                 trace_steps=60)
-        on = run_scenario("multi_tenant", base, variants=("fifo",))["fifo"]
-        off = run_scenario(
-            "multi_tenant",
-            MultiTenantConfig(tenants=lone, num_requests=15,
-                              trace_steps=60, contention=False),
-            variants=("fifo",))["fifo"]
-        assert on.tracker.contended_total == 0   # genuinely no overlap
-        assert off.tracker is None
-        assert on.stats.records == off.stats.records
+        cfg = MultiTenantConfig(tenants=lone, num_requests=15,
+                                trace_steps=60)
+        rep = run_scenario("multi_tenant", cfg, variants=("fifo",))["fifo"]
+        assert rep.tracker.contended_total == 0   # genuinely no overlap
+        assert len(priced) == 2 * cfg.num_requests
+        for seconds, base in priced:
+            assert seconds == base
 
 
 class TestDefaultWorld:

@@ -11,8 +11,8 @@ Two regression layers ride here:
   accounts for every submitted request;
 * **the fluid-solver serving path is byte-stable** — a second golden
   fixture (``multi_tenant_fluid_golden.jsonl``: the multi-tenant
-  scenario with ``fluid=True``, seed 7, 18 requests) must replay,
-  satisfy the invariants, and re-record byte-identically (its
+  scenario behind its fluid-priced ingress, seed 7, 18 requests) must
+  replay, satisfy the invariants, and re-record byte-identically (its
   ``tests/frozen.py`` entry).
 """
 
@@ -24,7 +24,8 @@ import pytest
 
 from repro.eval.replay import (load_recordings, replay_stats, rerecord,
                                verify_invariants)
-from repro.eval.runner import SCENARIOS, override_config, run_scenario
+from repro.eval.runner import (SCENARIOS, config_from_dict, override_config,
+                               run_scenario)
 from repro.telemetry import write_recordings
 
 FLUID_GOLDEN = Path(__file__).resolve().parents[1] / "fixtures" \
@@ -34,14 +35,17 @@ VARIANTS = ["fifo", "admission", "fair"]
 
 
 def fixture_content():
-    """``run multi_tenant --set num_requests=18 --set seed=7 --set
-    fluid=true --record``, the golden's command."""
-    cfg = SCENARIOS["multi_tenant"].config(num_requests=18, seed=7,
-                                           fluid=True)
+    """``run multi_tenant --set num_requests=18 --set seed=7
+    --record``, the golden's command."""
+    cfg = _golden_config()
     buf = io.StringIO()
     write_recordings(buf, [rep.recorder for rep in run_scenario(
         "multi_tenant", cfg, record=True).values()])
     return buf.getvalue()
+
+
+def _golden_config():
+    return SCENARIOS["multi_tenant"].config(num_requests=18, seed=7)
 
 
 def _record_small(scenario):
@@ -124,7 +128,8 @@ class TestFluidGoldenFixture:
     def test_fixture_holds_all_three_variants(self, fluid_golden):
         assert [rec.variant for rec in fluid_golden] == VARIANTS
         assert all(rec.scenario == "multi_tenant" for rec in fluid_golden)
-        assert all(rec.config["fluid"] is True for rec in fluid_golden)
+        assert all(config_from_dict(type(_golden_config()), rec.config)
+                   == _golden_config() for rec in fluid_golden)
 
     def test_golden_recordings_satisfy_all_invariants(self, fluid_golden):
         for rec in fluid_golden:
@@ -132,9 +137,8 @@ class TestFluidGoldenFixture:
             assert problems == [], f"{rec.variant}: {problems}"
 
     def test_fluid_pricing_left_its_mark(self, fluid_golden):
-        """The fixture is not accidentally a snapshot-tracker run: at
-        least one request's upload was slowed by fluid sharing (its
-        service start exceeds arrival plus the lone-upload time)."""
+        """At least one request's upload was slowed by fluid sharing
+        (its service start exceeds arrival plus the lone-upload time)."""
         fifo = next(r for r in fluid_golden if r.variant == "fifo")
         waits = [r["start"] - r["arrival"] for r in fifo.requests]
         assert max(waits) > 0.0

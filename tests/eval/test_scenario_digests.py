@@ -3,8 +3,8 @@
 ``tests/fixtures/scenario_digests.json`` holds the sha256 of the
 ``write_recordings`` byte stream of each ``repro.eval`` scenario — all
 variants in their native order, default seeds, ``num_requests=14`` —
-plain, with a ``Telemetry()`` on the instrumented variant (timelines
-land in the stream), and for ``multi_tenant`` with the fluid ingress.
+plain and with a ``Telemetry()`` on the instrumented variant
+(timelines land in the stream).
 The file was generated *before* the six scenario modules were folded
 into one runner and must keep passing untouched: any float, key or
 ordering drift in any scenario changes a digest.
@@ -22,18 +22,16 @@ from tests.frozen import sha256
 #: scenario -> the modes its recording is frozen in
 MODES = {"adaptive": ("plain", "telemetry"), "chaos": ("plain", "telemetry"),
          "event_core": ("plain",), "mesh_chaos": ("plain", "telemetry"),
-         "multi_tenant": ("fluid", "fluid+telemetry", "plain", "telemetry"),
+         "multi_tenant": ("plain", "telemetry"),
          "serving_load": ("plain", "telemetry")}
 
 
 def digest(scenario, mode):
-    """``mode`` is "plain" or any "+"-join of "telemetry" and "fluid"."""
+    """``mode`` is "plain" or "telemetry"."""
     cfg = replace(SCENARIOS[scenario].config(), num_requests=14)
-    if "fluid" in mode:
-        cfg = replace(cfg, fluid=True)
     reports = run_scenario(
         scenario, cfg, record=True,
-        telemetry=Telemetry() if "telemetry" in mode else None)
+        telemetry=Telemetry() if mode == "telemetry" else None)
     buf = io.StringIO()
     write_recordings(buf, [rep.recorder for rep in reports.values()])
     return sha256(buf.getvalue())

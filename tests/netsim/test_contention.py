@@ -1,12 +1,15 @@
 """Shared-link contention: fair-share invariants and bit-identity.
 
-Pins the two contracts the contention model stands on:
+Pins the two contracts every owner of a wire — a star spoke, a star
+relay across two spokes, a routed mesh path, the shared ingress — stands
+on when it hands the wire to the fluid ledger:
 
 * a lone flow (or ``contention=None``) is priced **bit-identically** to
   the contention-free link model — the serving stack's floats cannot
   drift just because a tracker is attached;
-* two simultaneous flows each get at least half the link (arrival-order
-  fair share: the first keeps the full wire, the second sees half).
+* two simultaneous flows each get at least half the link (max-min: the
+  first is priced lone at admission, the second shares the wire until
+  both finish together).
 """
 
 import math
@@ -14,10 +17,9 @@ import math
 import pytest
 
 from repro.devices import rpi4
-from repro.netsim import (Cluster, ContentionTracker, Link, MeshLink,
+from repro.netsim import (Cluster, FluidTracker, Link, MeshLink,
                           MeshCluster, NetworkCondition, SharedIngress)
-from repro.netsim.contention import INGRESS_EDGE, NULL_INGRESS, LoneWire
-from repro.netsim.fluid import FlowSpec, FluidTracker, solve_fluid
+from repro.netsim.contention import INGRESS_EDGE, NULL_INGRESS
 
 
 MB = 1_000_000.0
@@ -27,71 +29,6 @@ def _cluster(tracker=None, n_remote=2, bw=100.0, delay=10.0):
     devices = [rpi4() for _ in range(n_remote + 1)]
     condition = NetworkCondition.uniform(n_remote, bw, delay)
     return Cluster(devices, condition, contention=tracker)
-
-
-class TestContentionTracker:
-    def test_empty_tracker_sees_no_concurrency(self):
-        tracker = ContentionTracker()
-        assert tracker.concurrency((0, 1), 0.0) == 0
-        assert tracker.share((0, 1), 0.0) == 1
-
-    def test_in_flight_flow_raises_share_only_while_in_flight(self):
-        tracker = ContentionTracker()
-        tracker.register([(0, 1)], start=1.0, end=2.0)
-        assert tracker.share((0, 1), 0.5) == 1   # not started yet
-        assert tracker.share((0, 1), 1.0) == 2   # start is inclusive
-        assert tracker.share((0, 1), 1.5) == 2
-        assert tracker.share((0, 1), 2.0) == 1   # end is exclusive
-
-    def test_edges_are_canonicalized(self):
-        tracker = ContentionTracker()
-        tracker.register([(1, 0)], start=0.0, end=1.0)
-        assert tracker.share((0, 1), 0.5) == 2
-        assert tracker.share((1, 0), 0.5) == 2
-
-    def test_flows_only_contend_on_shared_edges(self):
-        tracker = ContentionTracker()
-        tracker.register([(0, 1)], start=0.0, end=1.0)
-        assert tracker.share((0, 2), 0.5) == 1
-
-    def test_finished_flows_are_pruned_lazily(self):
-        tracker = ContentionTracker()
-        for k in range(50):
-            tracker.register([(0, 1)], start=float(k), end=float(k) + 0.5)
-        # registering at t=49 pruned everything that ended before it
-        assert len(tracker._flows[(0, 1)]) == 1
-        assert tracker.flows_total == 50
-
-    @pytest.mark.parametrize("start, end", [
-        (math.nan, 1.0), (math.inf, math.inf), (-math.inf, 1.0),
-        (0.0, math.nan), (1.0, 0.5), (0.0, math.inf)])
-    def test_a_flow_that_is_not_a_finite_interval_is_rejected(self, start,
-                                                              end):
-        """A NaN start is in flight at no instant and an endless flow is
-        never pruned; both used to come back as a ``Flow``."""
-        tracker = ContentionTracker()
-        with pytest.raises(ValueError, match="finite time"):
-            tracker.register([(0, 1)], start=start, end=end)
-        assert tracker.flows_total == 0
-        assert tracker.concurrency((0, 1), 0.75) == 0
-        tracker.register([(0, 1)], start=1.0, end=1.0)   # empty is fine
-
-    def test_accounting_counts_contended_flows_and_peak(self):
-        tracker = ContentionTracker()
-        tracker.register([(0, 1)], 0.0, 1.0, share=1)
-        tracker.register([(0, 1)], 0.5, 1.5, share=2)
-        tracker.register([(0, 1)], 0.6, 1.6, share=3)
-        assert tracker.flows_total == 3
-        assert tracker.contended_total == 2
-        assert tracker.peak_share[(0, 1)] == 3
-        assert tracker.stats()["peak_share"] == 3
-
-    def test_tenant_bytes_ledger(self):
-        tracker = ContentionTracker()
-        tracker.register([(0, 1)], 0.0, 1.0, nbytes=100.0, tenant="a")
-        tracker.register([(0, 1)], 0.1, 1.1, nbytes=50.0, tenant="a")
-        tracker.register([(0, 1)], 0.2, 1.2, nbytes=25.0, tenant="b")
-        assert tracker.tenant_bytes() == {"a": 150.0, "b": 25.0}
 
 
 class TestStarContention:
@@ -104,14 +41,15 @@ class TestStarContention:
     def test_lone_flow_is_bit_identical(self):
         """Zero concurrency must delegate to transfer_time — not even a
         float representation change."""
-        cluster = _cluster(tracker=ContentionTracker())
+        cluster = _cluster(tracker=FluidTracker())
         expected = cluster.transfer_time(0, 1, MB)
         assert cluster.timed_transfer(0, 1, MB, now=0.0) == expected
 
     def test_two_simultaneous_flows_each_get_at_least_half(self):
-        """Arrival-order fair share: the first keeps the full wire, the
-        second is priced at half bandwidth — neither below half."""
-        cluster = _cluster(tracker=ContentionTracker())
+        """The first is priced lone at admission; the second shares the
+        spoke with it until both finish, at half bandwidth — neither
+        below half."""
+        cluster = _cluster(tracker=FluidTracker())
         solo = cluster.transfer_time(0, 1, MB)
         first = cluster.timed_transfer(0, 1, MB, now=0.0)
         second = cluster.timed_transfer(0, 1, MB, now=0.0)
@@ -125,7 +63,7 @@ class TestStarContention:
         assert (second - latency) <= half_bw_wire + 1e-12
 
     def test_disjoint_spokes_do_not_contend(self):
-        cluster = _cluster(tracker=ContentionTracker())
+        cluster = _cluster(tracker=FluidTracker())
         cluster.timed_transfer(0, 1, MB, now=0.0)
         assert cluster.timed_transfer(0, 2, MB, now=0.0) \
             == cluster.transfer_time(0, 2, MB)
@@ -133,21 +71,21 @@ class TestStarContention:
     def test_relay_transfer_contends_on_either_spoke(self):
         """A remote<->remote relay occupies both spokes: traffic already
         on the destination spoke slows it down."""
-        cluster = _cluster(tracker=ContentionTracker())
+        cluster = _cluster(tracker=FluidTracker())
         base = cluster.transfer_time(1, 2, MB)
         cluster.timed_transfer(0, 2, MB, now=0.0)   # busy spoke 0-2
         relayed = cluster.timed_transfer(1, 2, MB, now=0.0)
         assert relayed > base
 
     def test_flow_expiry_restores_full_bandwidth(self):
-        cluster = _cluster(tracker=ContentionTracker())
+        cluster = _cluster(tracker=FluidTracker())
         t = cluster.timed_transfer(0, 1, MB, now=0.0)
         later = t + 1.0
         assert cluster.timed_transfer(0, 1, MB, now=later) \
             == cluster.transfer_time(0, 1, MB)
 
     def test_same_device_transfer_is_free(self):
-        cluster = _cluster(tracker=ContentionTracker())
+        cluster = _cluster(tracker=FluidTracker())
         assert cluster.timed_transfer(1, 1, MB, now=0.0) == 0.0
 
 
@@ -160,7 +98,7 @@ class TestMeshContention:
         return MeshCluster(devices, links, contention=tracker)
 
     def test_lone_mesh_flow_is_bit_identical(self):
-        mesh = self._mesh(ContentionTracker())
+        mesh = self._mesh(FluidTracker())
         expected = mesh.transfer_time(0, 2, MB)
         assert mesh.timed_transfer(0, 2, MB, now=0.0) == expected
 
@@ -168,7 +106,7 @@ class TestMeshContention:
         """0->2 routes 0-1-2 and 1->2 routes 1-2: different endpoint
         pairs, same bottleneck edge — the second flow must pay for the
         first one's occupancy of 1-2."""
-        tracker = ContentionTracker()
+        tracker = FluidTracker()
         mesh = self._mesh(tracker)
         base = mesh.transfer_time(1, 2, MB)
         mesh.timed_transfer(0, 2, MB, now=0.0)      # occupies 0-1 and 1-2
@@ -178,7 +116,7 @@ class TestMeshContention:
         assert tracker.peak_share[(1, 2)] == 2
 
     def test_disjoint_mesh_paths_do_not_contend(self):
-        tracker = ContentionTracker()
+        tracker = FluidTracker()
         mesh = self._mesh(tracker)
         mesh.timed_transfer(0, 1, MB, now=0.0)      # occupies only 0-1
         assert mesh.timed_transfer(1, 2, MB, now=0.0) \
@@ -192,16 +130,16 @@ class TestSharedIngress:
 
     def test_rejects_negative_payload(self):
         with pytest.raises(ValueError, match="payload_bytes"):
-            self._ingress(None, payload=-1.0)
+            self._ingress(FluidTracker(), payload=-1.0)
 
     def test_lone_upload_matches_the_link_model(self):
-        ingress = self._ingress(ContentionTracker())
+        ingress = self._ingress(FluidTracker())
         assert ingress.upload_time(0.0) \
             == ingress.link.transfer_time(ingress.payload_bytes)
 
     def test_upload_time_does_not_commit_the_flow(self):
         """upload_time is a peek; only admit() occupies the wire."""
-        tracker = ContentionTracker()
+        tracker = FluidTracker()
         ingress = self._ingress(tracker)
         t = ingress.upload_time(0.0)
         assert ingress.upload_time(0.0) == t      # still uncontended
@@ -209,7 +147,7 @@ class TestSharedIngress:
         assert ingress.upload_time(0.0) > t       # now it shares
 
     def test_concurrent_uploads_each_get_at_least_half(self):
-        ingress = self._ingress(ContentionTracker())
+        ingress = self._ingress(FluidTracker())
         solo = ingress.admit(0.0, tenant="a")
         second = ingress.admit(0.0, tenant="b")
         link = ingress.link
@@ -219,14 +157,26 @@ class TestSharedIngress:
 
     def test_per_tenant_payloads(self):
         ingress = SharedIngress(
-            Link(bandwidth_mbps=40.0, delay_ms=5.0), None,
+            Link(bandwidth_mbps=40.0, delay_ms=5.0), FluidTracker(),
             payload_bytes=1024.0,
             per_tenant_bytes={"big": 4096.0})
         assert ingress.upload_time(0.0, tenant="big") \
             > ingress.upload_time(0.0, tenant="small-unknown")
 
+    def test_each_tenant_is_billed_its_own_bytes(self):
+        tracker = FluidTracker()
+        ingress = SharedIngress(Link(bandwidth_mbps=40.0, delay_ms=5.0),
+                                tracker, payload_bytes=1024.0,
+                                per_tenant_bytes={"big": 4096.0})
+        ingress.admit(0.0, tenant="big")
+        ingress.admit(0.0, tenant="small")
+        ingress.upload_time(0.1, tenant="big")    # a peek bills nothing
+        ingress.admit(0.2, tenant="big")
+        ingress.admit(0.3)                        # untagged: not billed
+        assert tracker.tenant_bytes() == {"big": 8192.0, "small": 1024.0}
+
     def test_ingress_edge_cannot_collide_with_devices(self):
-        tracker = ContentionTracker()
+        tracker = FluidTracker()
         ingress = self._ingress(tracker)
         ingress.admit(0.0, tenant="a")
         assert tracker.concurrency(INGRESS_EDGE, 0.0) == 1
@@ -235,29 +185,29 @@ class TestSharedIngress:
 
 
 class TestTrackerProtocol:
-    """``admit_transfer`` / ``peek_transfer`` / ``update_caps`` on the
-    snapshot tracker and the lone wire (the fluid ledger's are pinned
-    in ``test_fluid_tracker.py``)."""
+    """``admit_transfer`` / ``peek_transfer`` on the fluid ledger, as an
+    owner calls them (its mechanics are pinned in
+    ``test_fluid_tracker.py`` and ``test_fluid_kernel.py``)."""
 
     WIRE = (((0, 1), (0, 2)), {(0, 1): 80e6, (0, 2): 20e6}, 0.015)
 
     def test_a_peek_prices_what_the_admit_then_charges(self):
-        tracker = ContentionTracker()
+        tracker = FluidTracker()
         edges, caps, latency_s = self.WIRE
-        tracker.register([(0, 1)], start=0.0, end=9.0)
-        tracker.register([(0, 1)], start=0.0, end=9.0)
+        tracker.admit([(0, 1)], {(0, 1): 80e6}, 0.0, 1e12)
+        tracker.admit([(0, 1)], {(0, 1): 80e6}, 0.0, 1e12)
         peek = tracker.peek_transfer(edges, caps, latency_s, MB, 1.0,
                                      base_s=0.415)
         assert tracker.flows_total == 2           # a peek commits nothing
         # (0, 1) is shared three ways: 80/3 Mbps is still above the
         # unshared 20 Mbps of (0, 2), so that edge stays the bottleneck
-        assert peek == latency_s + MB * 8.0 / 20e6
-        caps = {**caps, (0, 1): 30e6}             # now 10 Mbps effective
+        assert peek == pytest.approx(latency_s + MB * 8.0 / 20e6)
+        caps = {**caps, (0, 1): 30e6}             # now 10 Mbps each
         peek = tracker.peek_transfer(edges, caps, latency_s, MB, 1.0)
-        assert peek == latency_s + MB * 8.0 / (30e6 / 3)
+        assert peek == pytest.approx(latency_s + MB * 8.0 / (30e6 / 3))
         assert tracker.admit_transfer(edges, caps, latency_s, MB, 1.0,
                                       tenant="t") == peek
-        assert tracker.flows_total == 3 and tracker.contended_total == 1
+        assert tracker.flows_total == 3 and tracker.contended_total == 2
         assert tracker.peak_share[(0, 1)] == 3
         assert tracker.tenant_bytes() == {"t": MB}
         assert tracker.concurrency((0, 2), 1.0 + peek / 2) == 1
@@ -265,47 +215,14 @@ class TestTrackerProtocol:
     def test_a_lone_flow_gets_the_callers_float_itself(self):
         edges, caps, latency_s = self.WIRE
         base_s = 0.4150000000000001   # not what the formula would give
-        for tracker in (ContentionTracker(), LoneWire()):
-            assert tracker.peek_transfer(edges, caps, latency_s, MB, 0.0,
-                                         base_s=base_s) is base_s
-            assert tracker.admit_transfer(edges, caps, latency_s, MB, 0.0,
-                                          base_s=base_s) is base_s
-            # left out, the contention-free price is the formula at share 1
-            assert tracker.peek_transfer(edges, caps, latency_s, MB, 9.0) \
-                == latency_s + MB * 8.0 / 20e6
-
-    def test_the_lone_wire_never_contends(self):
-        wire = LoneWire()
-        edges, caps, latency_s = self.WIRE
-        for _ in range(3):
-            assert wire.admit_transfer(edges, caps, latency_s, MB, 0.0,
-                                       base_s=0.5) == 0.5
-        assert wire.update_caps(1.0, {(0, 1): 1e6}) is None
-
-    def test_snapshot_flows_in_flight_keep_their_admitted_rate(self):
-        tracker = ContentionTracker()
-        first = tracker.admit_transfer(((0, 1),), {(0, 1): 10e6}, 0.0, MB,
-                                       0.0)
-        tracker.update_caps(0.1, {(0, 1): 1e6})   # documented no-op
-        assert tracker.concurrency((0, 1), first - 1e-9) == 1
-        assert tracker.concurrency((0, 1), first) == 0
-        # a later admission carries its own capacities
-        assert tracker.admit_transfer(((0, 1),), {(0, 1): 1e6}, 0.0, MB,
-                                      5.0) == MB * 8.0 / 1e6
-
-    def test_overlap_contract_snapshot_asymmetric_fluid_simultaneous(self):
-        """The microscopic bias the snapshot-vs-fluid gap of the
-        multi_tenant claims comes from."""
-        link = Link(bandwidth_mbps=8.0 / 1e6, delay_ms=0.0,
-                    rpc_overhead_ms=0.0)  # 1 byte/s wire, no latency
-        ingress = SharedIngress(link, ContentionTracker(), payload_bytes=8.0)
-        first = ingress.admit(0.0)
-        second = ingress.admit(0.0)
-        assert second == 2.0 * first  # snapshot: second pays double forever
-        finishes, _ = solve_fluid(
-            [FlowSpec(((-1, 0),), 0.0, 8.0), FlowSpec(((-1, 0),), 0.0, 8.0)],
-            {(-1, 0): link.bandwidth_bps})
-        assert finishes[0] == finishes[1]  # fluid: simultaneous
+        tracker = FluidTracker()
+        assert tracker.peek_transfer(edges, caps, latency_s, MB, 0.0,
+                                     base_s=base_s) is base_s
+        assert tracker.admit_transfer(edges, caps, latency_s, MB, 0.0,
+                                      base_s=base_s) is base_s
+        # left out, the ledger prices the wire alone at its bottleneck
+        assert tracker.peek_transfer(edges, caps, latency_s, MB, 9.0) \
+            == pytest.approx(latency_s + MB * 8.0 / 20e6)
 
     def test_a_server_without_an_uplink_waits_for_nothing(self):
         assert NULL_INGRESS.upload_time(3.0, "a") == 0.0
@@ -317,10 +234,9 @@ _E, _CAPS = (0, 1), {(0, 1): 10e6}
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 class TestNonFiniteNow:
-    """``NaN > until`` is false, so a fluid ledger fired every pending
-    completion; ``f.end > nan`` is false, so the snapshot tracker pruned
-    every flow in flight; ``inf`` left a clock nothing can follow.  Every
-    entry point of every tracker refuses the instant before it moves."""
+    """``NaN > until`` is false, so the ledger fired every pending
+    completion; ``inf`` left a clock nothing can follow.  Every entry
+    point refuses the instant before it moves."""
 
     CALLS = {
         "admit": lambda t, now: t.admit((_E,), _CAPS, now, MB),
@@ -333,29 +249,24 @@ class TestNonFiniteNow:
         "share": lambda t, now: t.share(_E, now),
     }
 
-    @pytest.mark.parametrize("make", [FluidTracker, ContentionTracker,
-                                      LoneWire])
+    @pytest.mark.parametrize("make", [FluidTracker])
     def test_every_entry_point_raises_before_anything_moves(self, make, bad):
         tracker, twin = make(), make()
         for ledger in (tracker, twin):  # two flows in flight
             ledger.admit_transfer((_E,), _CAPS, 0.001, MB, 0.0)
             ledger.admit_transfer((_E,), _CAPS, 0.001, MB / 2, 0.1)
-        for name, call in self.CALLS.items():
-            if hasattr(tracker, name):
-                with pytest.raises(ValueError, match="finite time, got"):
-                    call(tracker, bad)
+        for call in self.CALLS.values():
+            with pytest.raises(ValueError, match="finite time, got"):
+                call(tracker, bad)
         # an overlapping transfer is priced as if nothing had been tried
         after = ((_E,), _CAPS, 0.001, MB, 0.2)
         assert tracker.admit_transfer(*after) == twin.admit_transfer(*after)
-        if make is not LoneWire:
-            assert tracker.stats() == twin.stats()
-            assert tracker.concurrency(_E, 0.3) == 3
-        if make is FluidTracker:
-            assert tracker.finish_times() == twin.finish_times()
-            assert tracker._caps == _CAPS
+        assert tracker.stats() == twin.stats()
+        assert tracker.concurrency(_E, 0.3) == 3
+        assert tracker.finish_times() == twin.finish_times()
+        assert tracker._caps == _CAPS
 
-    @pytest.mark.parametrize("make", [FluidTracker, ContentionTracker,
-                                      lambda: None])
+    @pytest.mark.parametrize("make", [FluidTracker])
     def test_the_shared_ingress_inherits_the_check(self, make, bad):
         ingress, twin = (SharedIngress(Link(40.0, 5.0), make(),
                                        payload_bytes=MB) for _ in range(2))

@@ -1,13 +1,11 @@
-"""FluidTracker as a drop-in behind the ContentionTracker interface.
+"""FluidTracker behind the tracker protocol.
 
 Covers the integration contract the fluid solver ships under: clusters
 and the shared ingress hand it the wire through the tracker protocol,
 lone flows and ``tracker=None`` builds stay bit-identical to the
-contention-free floats, peeks never move the ledger, and — the
-behavioral contract the bench reports — the snapshot model's
-documented admission-order bias (first flow under-charged, second
-over-charged) disappears under the fluid solver: two overlapping
-equal flows finish *simultaneously*.
+contention-free floats, peeks never move the ledger, and two
+overlapping equal flows finish *simultaneously* — no admission-order
+bias.
 """
 
 import math
@@ -18,9 +16,8 @@ from contextlib import contextmanager
 import pytest
 
 from repro.devices import desktop_gtx1080, jetson_class, rpi4
-from repro.netsim import (Cluster, ContentionTracker, FluidTracker, Link,
-                          NetworkCondition, SharedIngress, ring_topology,
-                          solve_fluid)
+from repro.netsim import (Cluster, FluidTracker, Link, NetworkCondition,
+                          SharedIngress, ring_topology, solve_fluid)
 from repro.netsim.fluid import FlowSpec
 from repro.telemetry import Telemetry
 
@@ -51,20 +48,8 @@ def _condition():
 
 
 class TestSnapshotBiasRegression:
-    """The documented snapshot bias, pinned as a behavioral contract."""
-
-    def test_snapshot_finishes_equal_overlapping_flows_asymmetrically(self):
-        link = Link(bandwidth_mbps=8.0 / 1e6, delay_ms=0.0,
-                    rpc_overhead_ms=0.0)  # 8 bits/s: 1 byte/s wire
-        tracker = ContentionTracker()
-        ingress = SharedIngress(link, tracker, payload_bytes=8.0)
-        first = ingress.admit(0.0)
-        second = ingress.admit(0.001)
-        # first keeps the whole wire (its share was frozen at admission),
-        # second pays the halved rate for its entire lifetime
-        assert first == link.transfer_time(8.0)
-        assert second == pytest.approx(2.0 * first)
-        assert 0.0 + first != pytest.approx(0.001 + second)
+    """Overlapping flows share the wire for as long as they overlap:
+    neither keeps the rate it was admitted at."""
 
     def test_fluid_finishes_equal_overlapping_flows_simultaneously(self):
         fin, _ = solve_fluid([FlowSpec(((0, 1),), 0.0, 12.5),
@@ -269,7 +254,7 @@ class TestLedgerMechanics:
 
 
 class TestAccountingParity:
-    """The ContentionTracker accounting surface, fluid edition."""
+    """The ledger's accounting: flows, contention, peaks, tenants."""
 
     def test_counts_flows_contention_and_peak_share(self):
         tracker = FluidTracker()

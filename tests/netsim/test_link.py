@@ -59,6 +59,21 @@ class TestLink:
         assert Cluster(devices, NetworkCondition((100.0,), (5.0,)),
                        rpc_overhead_ms=0.0).transfer_time(0, 1, 1e3) > 0.0
 
+    @pytest.mark.parametrize("delay", [float("inf"), float("nan"), -1.0])
+    def test_a_delay_must_be_finite_and_non_negative(self, delay):
+        """Regression: an infinite delay built a star spoke and a mesh
+        edge that priced every transfer at ``inf`` seconds, failing
+        mid-run or with an ``OverflowError`` from the strategy cache."""
+        devices = [rpi4(), rpi4()]
+        for build in (
+                lambda: Link(10.0, delay),
+                lambda: Cluster(devices, NetworkCondition((100.0,), (delay,))),
+                lambda: MeshLink(0, 1, 100.0, delay)):
+            with pytest.raises(ValueError,
+                               match=f"delay_ms must be finite and "
+                                     f"non-negative, got {delay}"):
+                build()
+
     def test_infinite_bandwidth_is_a_link(self):
         """A mesh self-route is an infinitely fast, zero-delay link."""
         assert Link(float("inf"), 0.0, 0.0).transfer_time(10 ** 9) == 0.0

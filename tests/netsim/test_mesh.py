@@ -22,6 +22,16 @@ class TestMeshLink:
         with pytest.raises(ValueError):
             MeshLink(0, 1, 0.0, 5.0)
 
+    @pytest.mark.parametrize("bw", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_a_bandwidth_must_be_positive_and_finite(self, bw):
+        """Regression: an infinite edge bandwidth was a link, and the
+        strategy cache's key snapping died on it with an
+        ``OverflowError``; every rejection said only "invalid link
+        parameters"."""
+        with pytest.raises(ValueError, match=f"bandwidth_mbps must be "
+                                             f"positive and finite, got {bw}"):
+            MeshLink(0, 1, bw, 5.0)
+
     def test_nan_params_rejected(self):
         with pytest.raises(ValueError):
             MeshLink(0, 1, float("nan"), 5.0)

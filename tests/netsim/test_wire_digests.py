@@ -1,18 +1,17 @@
-"""Frozen digests of what a shared wire prices, under every tracker.
+"""Frozen digests of what a shared wire prices, with and without a ledger.
 
 ``fluid_price_digests.json`` pins the fluid ledger and
-``scenario_digests.json`` the ingress through the serving stack; nothing
-pinned the *snapshot* bodies of the clusters by ``float.hex``.  This
+``scenario_digests.json`` the ingress through the serving stack.  This
 file pins the pricing surface of the wire itself:
 ``tests/fixtures/wire_price_digests.json`` holds, per seeded world and
-per contention mode (no tracker, :class:`ContentionTracker`,
-:class:`FluidTracker`), the sha256 over ``float.hex`` of
+per contention mode (no tracker on a cluster, :class:`FluidTracker`),
+the sha256 over ``float.hex`` of
 
 * every ``timed_transfer`` / ``upload_time`` / ``admit`` return, in
   call order;
-* the tracker's ``stats()``, ``peak_share`` and ``tenant_bytes()`` (and,
-  for the fluid ledger, ``caps_updates_total`` and the drained finish
-  times — what ``update_fluid_caps`` moved).
+* the ledger's ``stats()``, ``peak_share``, ``tenant_bytes()``,
+  ``caps_updates_total`` and drained finish times (what
+  ``update_fluid_caps`` moved).
 
 The worlds: a star with overlapping spoke and relay flows, same-instant
 arrivals and one condition step; a ring mesh where two routes share one
@@ -22,9 +21,10 @@ a :class:`SharedIngress` burst with per-tenant payloads and one
 ``cluster.contention`` set, with and without a crash + loss schedule
 (every delivery's ``delivered_at`` beside the served records).
 
-The file was generated *before* the three contention modes became one
+The file was generated *before* the contention modes became one
 tracker protocol and must keep passing untouched: a priced float that
-moves by one ulp changes a digest.
+moves by one ulp changes a digest.  An ingress always has a ledger, so
+it has no "none" mode.
 """
 
 import functools
@@ -34,14 +34,13 @@ import numpy as np
 import pytest
 
 from repro.devices.profiles import desktop_gtx1080, jetson_class, rpi4
-from repro.netsim import (Cluster, ContentionTracker, FluidTracker, Link,
-                          NetworkCondition, SharedIngress, ring_topology)
+from repro.netsim import (Cluster, FluidTracker, Link, NetworkCondition,
+                          SharedIngress, ring_topology)
 from tests.core.test_infer_parity import _dump, _input, _system
 from tests.frozen import digest
 
 #: contention mode -> tracker factory
-MODES = {"none": lambda: None, "snapshot": ContentionTracker,
-         "fluid": FluidTracker}
+MODES = {"none": lambda: None, "fluid": FluidTracker}
 _TENANTS = ("a", "b", None)
 
 
@@ -164,7 +163,6 @@ def play(world, mode):
                         for k, v in sorted(tracker.peak_share.items())},
             tenant_bytes={k: v.hex() for k, v
                           in sorted(tracker.tenant_bytes().items())})
-    if mode == "fluid":
         tracker.drain()
         answer.update(
             caps_updates=tracker.caps_updates_total,
@@ -180,7 +178,8 @@ def _counts(answer):
             "contended": stats.get("contended")}
 
 
-CASES = [(name, mode) for name in WORLDS for mode in MODES]
+CASES = [(name, mode) for name in WORLDS for mode in MODES
+         if (name, mode) != ("ingress", "none")]
 
 
 @functools.lru_cache(maxsize=None)
@@ -203,47 +202,58 @@ def test_wire_prices_what_it_priced_when_frozen(moved, name, mode):
 def test_worlds_reach_the_cases_they_name():
     """The fixture would pin nothing if every flow were lone."""
     live = answers()
-    for mode in ("snapshot", "fluid"):
-        star = live[f"star/{mode}"]
-        assert star["stats"]["contended"] >= 30
-        assert star["stats"]["peak_share"] >= 4
-        # a relay flow occupies two spokes, and each one was shared
-        assert all(star["peak_share"][f"(0, {i})"] >= 3 for i in (1, 2, 3))
-        mesh = live[f"ring_mesh/{mode}"]
-        assert mesh["stats"]["contended"] >= 30
-        assert mesh["peak_share"]["(1, 2)"] >= 3      # the shared edge
-        assert mesh["peak_share"]["(4, 5)"] >= 2      # only while rerouted
-        assert live[f"ingress/{mode}"]["stats"]["peak_share"] >= 4
-        assert set(live[f"ingress/{mode}"]["tenant_bytes"]) == {"bulk",
-                                                                "chat"}
-        for run in ("facade_exec", "facade_exec_faults"):
-            assert live[f"{run}/{mode}"]["stats"]["contended"] >= 6
-            assert live[f"{run}/{mode}"]["tenant_bytes"]
+    star = live["star/fluid"]
+    assert star["stats"]["contended"] >= 30
+    assert star["stats"]["peak_share"] >= 4
+    # a relay flow occupies two spokes, and each one was shared
+    assert all(star["peak_share"][f"(0, {i})"] >= 3 for i in (1, 2, 3))
+    mesh = live["ring_mesh/fluid"]
+    assert mesh["stats"]["contended"] >= 30
+    assert mesh["peak_share"]["(1, 2)"] >= 3      # the shared edge
+    assert mesh["peak_share"]["(4, 5)"] >= 2      # only while rerouted
+    assert live["ingress/fluid"]["stats"]["peak_share"] >= 4
+    assert set(live["ingress/fluid"]["tenant_bytes"]) == {"bulk", "chat"}
+    for run in ("facade_exec", "facade_exec_faults"):
+        assert live[f"{run}/fluid"]["stats"]["contended"] >= 6
+        assert live[f"{run}/fluid"]["tenant_bytes"]
     assert live["star/fluid"]["caps_updates"] == 1
     assert live["ring_mesh/fluid"]["caps_updates"] == 2
     assert live["ingress/fluid"]["caps_updates"] == 1
     rerouted = live["ring_mesh/none"]["priced"][1::2]
     assert {(0.0).hex(), (1.0).hex()} == set(rerouted)
-    # a tracker changes what a shared wire costs, never whether it is
-    # priced: the three modes answer the same calls
+    # a ledger changes what a shared wire costs, never whether it is
+    # priced: both modes answer the same calls
     for name in WORLDS:
-        if name != "ingress":   # its admits depend on the peeked price
+        if name != "ingress":
             assert len({len(live[f"{name}/{m}"]["priced"])
                         for m in MODES}) == 1
 
 
-def test_a_lone_flow_costs_the_same_under_every_tracker():
-    """One transfer on an idle wire: every mode returns the
+def _lone(owner, tracker):
+    """One transfer on ``owner``'s idle wire, priced through ``tracker``
+    (a peek first, where the owner has one), and the contention-free
+    float of the same transfer."""
+    if owner == "ingress":
+        ingress = SharedIngress(Link(20.0, 3.0), tracker, payload_bytes=1e5)
+        base = ingress.link.transfer_time(1e5)
+        return [ingress.upload_time(0.5), ingress.admit(0.5)], base
+    if owner == "mesh route":   # two hops round the ring
+        wire = ring_topology(_devices(6), 80.0, 3.0)
+        wire.contention = tracker
+        src, dst = 0, 2
+    else:
+        wire = Cluster(_devices(3),
+                       NetworkCondition((50.0, 20.0), (5.0, 8.0)),
+                       contention=tracker)
+        src, dst = (0, 1) if owner == "star spoke" else (1, 2)
+    return ([wire.timed_transfer(src, dst, 3e5, 1.0)],
+            wire.transfer_time(src, dst, 3e5))
+
+
+@pytest.mark.parametrize("owner", ["star spoke", "star relay", "mesh route",
+                                   "ingress"])
+def test_a_lone_flow_costs_the_base_price_on_every_owner(owner):
+    """One transfer on an idle wire: the ledger returns the owner's
     contention-free float itself."""
-    for mode in MODES:
-        star = Cluster(_devices(3), NetworkCondition((50.0, 20.0),
-                                                     (5.0, 8.0)),
-                       contention=MODES[mode]())
-        assert star.timed_transfer(0, 1, 3e5, 1.0) \
-            == star.transfer_time(0, 1, 3e5)
-        assert star.timed_transfer(1, 2, 3e5, 9.0) \
-            == star.transfer_time(1, 2, 3e5)
-        ingress = SharedIngress(Link(20.0, 3.0), MODES[mode](),
-                                payload_bytes=1e5)
-        assert ingress.upload_time(0.5) == ingress.admit(0.5) \
-            == ingress.link.transfer_time(1e5)
+    priced, base = _lone(owner, FluidTracker())
+    assert priced == [base] * len(priced)

@@ -6,8 +6,7 @@ from repro.control import ControlLoop
 from repro.eval.runner import run_scenario
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import DeviceCrash, FaultSchedule, Straggler
-from repro.netsim.contention import INGRESS_EDGE, ContentionTracker, \
-    SharedIngress
+from repro.netsim.contention import INGRESS_EDGE, SharedIngress
 from repro.netsim.fluid import FluidTracker
 from repro.netsim.link import Link
 from repro.netsim.traces import condition_at
@@ -278,21 +277,11 @@ def test_ingress_step_survives_float_rounded_fire_times():
     # when recomputed from time — the step must carry its own index.
     loop = EventLoop()
     ingress = SharedIngress(Link(bandwidth_mbps=40.0, delay_ms=5.0),
-                            ContentionTracker(), payload_bytes=1024.0)
+                            FluidTracker(), payload_bytes=1024.0)
     schedule_ingress_trace(loop, ingress, [40.0, 40.0, 40.0, 5.0],
                            period_s=0.7)
     loop.advance_to(10.0)
     assert ingress.link.bandwidth_mbps == 5.0
-
-
-def test_ingress_trace_with_snapshot_tracker_only_steps_the_link():
-    loop = EventLoop()
-    tracker = ContentionTracker()
-    ingress = SharedIngress(Link(bandwidth_mbps=40.0, delay_ms=5.0),
-                            tracker, payload_bytes=1024.0)
-    schedule_ingress_trace(loop, ingress, [40.0, 5.0], period_s=1.0)
-    loop.advance_to(1.0)
-    assert ingress.link.bandwidth_mbps == 5.0  # no re-convergence surface
 
 
 # -- monitor-fed caps ------------------------------------------------------
@@ -333,7 +322,7 @@ def test_monitor_caps_reject_non_fluid_trackers_and_bad_periods():
     system = _System()
     system.monitor = _Monitor((10.0,))
     with pytest.raises(ValueError, match="fluid"):
-        schedule_monitor_caps(loop, system, ContentionTracker(),
+        schedule_monitor_caps(loop, system, object(),
                               period_s=0.5, horizon_s=1.0)
     with pytest.raises(ValueError, match="positive"):
         schedule_monitor_caps(loop, system, FluidTracker(),

@@ -9,8 +9,7 @@ registry for
 
 * every registered scenario's instrumented variant (``event_core``
   declares none, so its ``event`` variant is handed the hub directly),
-  ``num_requests=14``, default seed, pinned decision time — plus
-  ``multi_tenant`` under the fluid ingress;
+  ``num_requests=14``, default seed, pinned decision time;
 * one executable-mode facade run under a crash + loss schedule, which
   reaches the ``transport_*``, ``executor_*``, ``health_*`` and
   ``faults_*`` families no scenario does.
@@ -45,7 +44,7 @@ WALL_CLOCK = {"executor_segment_compute_wall_s"}
 MODES = {"adaptive": ("telemetry",), "chaos": ("telemetry",),
          "event_core": ("telemetry",), "facade_exec_faults": ("telemetry",),
          "mesh_chaos": ("telemetry",), "serving_load": ("telemetry",),
-         "multi_tenant": ("fluid+telemetry", "telemetry")}
+         "multi_tenant": ("telemetry",)}
 
 
 def registry_digest(registry) -> str:
@@ -59,12 +58,9 @@ def registry_digest(registry) -> str:
     return sha256(json.dumps(rows))
 
 
-def scenario_digest(scenario: str, mode: str) -> str:
-    """``mode`` is "telemetry" or "fluid+telemetry"."""
+def scenario_digest(scenario: str) -> str:
     spec = SCENARIOS[scenario]
     cfg = replace(spec.config(), num_requests=14)
-    if "fluid" in mode:
-        cfg = replace(cfg, fluid=True)
     tel = Telemetry()
     run_world(build_world(scenario, cfg, spec.instrumented or "event",
                           telemetry=tel))
@@ -99,7 +95,7 @@ def facade_digest() -> str:
 
 def fixture_content():
     return {s: {m: (facade_digest() if s == "facade_exec_faults"
-                    else scenario_digest(s, m)) for m in modes}
+                    else scenario_digest(s)) for m in modes}
             for s, modes in MODES.items()}
 
 
