@@ -21,8 +21,9 @@ land in the :class:`~repro.control.loop.ControlLoop` action log and the
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..netsim.topology import NetworkCondition
 
@@ -75,8 +76,9 @@ class CacheGranularityController(Controller):
         if not (0.0 <= hit_lo < hit_hi <= 1.0):
             raise ValueError(
                 f"need 0 <= hit_lo < hit_hi <= 1, got {hit_lo}, {hit_hi}")
-        if factor <= 1.0:
-            raise ValueError(f"factor must exceed 1, got {factor}")
+        if not 1.0 < factor < math.inf:
+            raise ValueError(f"factor must exceed 1 and be finite, "
+                             f"got {factor}")
         if min_window < 1:
             raise ValueError(
                 f"min_window must be positive, got {min_window}")
@@ -149,10 +151,11 @@ class BatchPolicyController(Controller):
 
     Backlog deeper than ``depth_per_slot`` x the current cap means the
     pipeline is not draining: double the cap (larger batches amortize
-    more decisions per simulated second).  A near-empty queue *and* p95
-    end-to-end latency under ``headroom`` x the SLO means batching is
-    buying nothing but queueing delay: halve the cap back down.  The
-    dead band between the two conditions prevents flapping.
+    more decisions per simulated second).  A near-empty queue *and* the
+    window's p95 end-to-end latency (the report's: sheds left out) under
+    ``headroom`` x the SLO means batching is buying nothing but queueing
+    delay: halve the cap back down.  The dead band between the two
+    conditions prevents flapping.
     """
 
     name = "batch-policy"
@@ -165,9 +168,9 @@ class BatchPolicyController(Controller):
             raise ValueError(
                 f"need ints 1 <= min_batch <= max_batch, got "
                 f"min_batch={min_batch!r}, max_batch={max_batch!r}")
-        if depth_per_slot <= 0:
-            raise ValueError(
-                f"depth_per_slot must be positive, got {depth_per_slot}")
+        if not 0.0 < depth_per_slot < math.inf:
+            raise ValueError(f"depth_per_slot must be positive and finite, "
+                             f"got {depth_per_slot}")
         if not (0.0 < headroom < 1.0):
             raise ValueError(f"headroom must be in (0, 1), got {headroom}")
         self.min_batch = min_batch
@@ -188,17 +191,17 @@ class BatchPolicyController(Controller):
             server.policy = replace(policy, max_batch=new)
             return (f"grow max_batch {cap}->{new} "
                     f"(backlog {snapshot.queue_depth})")
-        if (snapshot.queue_depth <= cap // 4
-                and snapshot.slo_s is not None
-                and snapshot.window_requests > 0
-                and snapshot.window_p95_e2e_s
-                < self.headroom * snapshot.slo_s):
+        if (snapshot.queue_depth > cap // 4 or snapshot.slo_s is None
+                or not snapshot.window.records):
+            return None
+        p95_ms = snapshot.window.percentile_ms(95)
+        if p95_ms < self.headroom * snapshot.slo_s * 1e3:
             new = max(cap // 2, self.min_batch)
             if new == cap:
                 return None
             server.policy = replace(policy, max_batch=new)
             return (f"shrink max_batch {cap}->{new} "
-                    f"(p95 {snapshot.window_p95_e2e_s * 1e3:.0f}ms under "
+                    f"(p95 {p95_ms:.0f}ms under "
                     f"{self.headroom:.0%} of SLO)")
         return None
 
@@ -232,8 +235,9 @@ class AdmissionController(Controller):
     name = "admission"
 
     def __init__(self, margin: float = 0.85, ewma_alpha: float = 0.3):
-        if margin <= 0:
-            raise ValueError(f"margin must be positive, got {margin}")
+        if not 0.0 < margin < math.inf:
+            raise ValueError(
+                f"margin must be positive and finite, got {margin}")
         if not (0.0 < ewma_alpha <= 1.0):
             raise ValueError(
                 f"ewma_alpha must be in (0, 1], got {ewma_alpha}")
@@ -244,34 +248,39 @@ class AdmissionController(Controller):
         self.degraded = 0
 
     def update(self, snapshot, loop) -> Optional[str]:
-        if snapshot.window_mean_service_s > 0.0:
-            a = self.ewma_alpha
+        mean = snapshot.window.mean_service_s
+        if mean > 0.0:
             prev = self.service_estimate_s
             self.service_estimate_s = (
-                snapshot.window_mean_service_s if prev == 0.0
-                else a * snapshot.window_mean_service_s + (1 - a) * prev)
+                mean if prev == 0.0
+                else self.ewma_alpha * mean + (1 - self.ewma_alpha) * prev)
         return None  # acts per request via admit(), not per tick
+
+    def _triage(self, wait: float, slo_s: float, loop) -> Tuple[str, float]:
+        """The deadline triage: the verdict and the service seconds it
+        admits (0.0 for a shed)."""
+        est = self.service_estimate_s
+        budget = self.margin * slo_s - wait
+        if est <= budget:
+            return "serve", est
+        est_min = (loop.system.min_strategy().expected_latency_s
+                   if loop.system is not None else est)
+        if est_min <= budget:
+            self.degraded += 1
+            return "degrade", est_min
+        self.shed += 1
+        return "shed", 0.0
 
     def admit(self, arrival: float, start: float, slo_s: float,
               loop, tenant: Optional[str] = None) -> str:
         # tenant-blind by design: every request is triaged on its own
         # deadline alone (TenantFairnessController adds the budgets)
-        est = self.service_estimate_s
-        if est <= 0.0:
+        if self.service_estimate_s <= 0.0:
             return "serve"  # no evidence yet
-        budget = self.margin * slo_s - (start - arrival)
-        if est <= budget:
-            return "serve"
-        est_min = (loop.system.min_strategy().expected_latency_s
-                   if loop.system is not None else est)
-        if est_min <= budget:
-            self.degraded += 1
-            return "degrade"
-        self.shed += 1
-        return "shed"
+        return self._triage(start - arrival, slo_s, loop)[0]
 
 
-class TenantFairnessController(Controller):
+class TenantFairnessController(AdmissionController):
     """Per-tenant SLO budgets at admission: weighted shed/degrade.
 
     The plain :class:`AdmissionController` triages each request on its
@@ -295,7 +304,8 @@ class TenantFairnessController(Controller):
     behaviour — budgets are rate-shaped, not grudges.  Untagged
     requests (``tenant=None``) are triaged deadline-only; the
     controller acts on evidence exactly like the plain admission rule
-    (everything is admitted until the first completed-request window).
+    (everything is admitted until the first completed-request window),
+    whose service estimate and triage it inherits.
     """
 
     name = "tenant-fairness"
@@ -304,47 +314,32 @@ class TenantFairnessController(Controller):
                  margin: float = 0.85, ewma_alpha: float = 0.3,
                  pressure: float = 0.5, tolerance: float = 1.2,
                  decay: float = 0.3):
-        if margin <= 0:
-            raise ValueError(f"margin must be positive, got {margin}")
-        if not (0.0 < ewma_alpha <= 1.0):
+        super().__init__(margin=margin, ewma_alpha=ewma_alpha)
+        if not 0.0 <= pressure < math.inf:
             raise ValueError(
-                f"ewma_alpha must be in (0, 1], got {ewma_alpha}")
-        if pressure < 0:
+                f"pressure must be non-negative and finite, got {pressure}")
+        if not 1.0 <= tolerance < math.inf:
             raise ValueError(
-                f"pressure must be non-negative, got {pressure}")
-        if tolerance < 1.0:
-            raise ValueError(
-                f"tolerance must be at least 1, got {tolerance}")
+                f"tolerance must be at least 1 and finite, got {tolerance}")
         if not (0.0 < decay <= 1.0):
             raise ValueError(f"decay must be in (0, 1], got {decay}")
-        if weights is not None:
-            for k, w in weights.items():
-                if w <= 0:
-                    raise ValueError(
-                        f"tenant {k!r} weight must be positive, got {w}")
+        for k, w in (weights or {}).items():
+            if not 0.0 < w < math.inf:
+                raise ValueError(
+                    f"weights[{k!r}] must be positive and finite, got {w}")
         self.weights = dict(weights) if weights else {}
-        self.margin = margin
-        self.ewma_alpha = ewma_alpha
         self.pressure = pressure
         self.tolerance = tolerance
         self.decay = decay
-        self.service_estimate_s = 0.0
         #: decayed admitted-service seconds per tenant (the ledger)
         self.served_share: Dict[str, float] = {}
-        self.shed = 0
-        self.degraded = 0
         self.shed_by_tenant: Dict[str, int] = {}
         self.degraded_by_tenant: Dict[str, int] = {}
         #: sheds issued specifically to enforce the fair share
         self.fairness_sheds = 0
 
     def update(self, snapshot, loop) -> Optional[str]:
-        if snapshot.window_mean_service_s > 0.0:
-            a = self.ewma_alpha
-            prev = self.service_estimate_s
-            self.service_estimate_s = (
-                snapshot.window_mean_service_s if prev == 0.0
-                else a * snapshot.window_mean_service_s + (1 - a) * prev)
+        super().update(snapshot, loop)
         for tenant in self.served_share:
             self.served_share[tenant] *= (1.0 - self.decay)
         return None  # acts per request via admit(), not per tick
@@ -374,12 +369,11 @@ class TenantFairnessController(Controller):
 
     def admit(self, arrival: float, start: float, slo_s: float,
               loop, tenant: Optional[str] = None) -> str:
-        est = self.service_estimate_s
-        if est <= 0.0:
+        if self.service_estimate_s <= 0.0:
             return "serve"  # no evidence yet
         wait = start - arrival
-        pressured = wait > self.pressure * slo_s
-        if tenant is not None and pressured and self.over_share(tenant):
+        if (tenant is not None and wait > self.pressure * slo_s
+                and self.over_share(tenant)):
             # The queue is pressured and this tenant is eating more
             # than its share: shedding *its* request is what frees the
             # seat a within-share tenant's request would otherwise lose.
@@ -387,20 +381,12 @@ class TenantFairnessController(Controller):
             self.fairness_sheds += 1
             self._count(self.shed_by_tenant, tenant)
             return "shed"
-        budget = self.margin * slo_s - wait
-        if est <= budget:
-            self._charge(tenant, est)
-            return "serve"
-        est_min = (loop.system.min_strategy().expected_latency_s
-                   if loop.system is not None else est)
-        if est_min <= budget:
-            self.degraded += 1
-            self._count(self.degraded_by_tenant, tenant)
-            self._charge(tenant, est_min)
-            return "degrade"
-        self.shed += 1
-        self._count(self.shed_by_tenant, tenant)
-        return "shed"
+        verdict, service_s = self._triage(wait, slo_s, loop)
+        self._charge(tenant, service_s)  # a shed admits 0.0: no charge
+        if verdict != "serve":
+            self._count(self.shed_by_tenant if verdict == "shed"
+                        else self.degraded_by_tenant, tenant)
+        return verdict
 
 
 class PrecomputeScheduler(Controller):
@@ -420,8 +406,9 @@ class PrecomputeScheduler(Controller):
 
     def __init__(self, horizon_s: float = 2.0, min_drift: float = 0.02,
                  max_cells: int = 2):
-        if horizon_s <= 0:
-            raise ValueError(f"horizon_s must be positive, got {horizon_s}")
+        if not 0.0 < horizon_s < math.inf:
+            raise ValueError(
+                f"horizon_s must be positive and finite, got {horizon_s}")
         if max_cells < 1:
             raise ValueError(f"max_cells must be positive, got {max_cells}")
         self.horizon_s = horizon_s

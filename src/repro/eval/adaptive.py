@@ -114,8 +114,8 @@ def default_controllers() -> List:
 def _world(cfg: AdaptiveConfig, telemetry,
            controllers: Optional[Callable[[], List]] = None) -> World:
     """``controllers`` is a factory — controllers carry state, so every
-    run stacks fresh ones; telemetry also feeds the control loop's
-    snapshot error signal."""
+    run stacks fresh ones.  Telemetry only counts the loop's ticks and
+    verdicts: no controller reads it."""
     return World(
         devices=[rpi4(), desktop_gtx1080(), jetson_class()],
         condition=NetworkCondition((150.0, 80.0), (10.0, 20.0)),

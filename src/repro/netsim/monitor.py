@@ -24,6 +24,7 @@ from .topology import Cluster, NetworkCondition
 __all__ = ["Measurement", "NetworkMonitor"]
 
 _BLOCK = 256    # standard normals drawn per refill
+_RECENT = 16    # samples behind recent_rel_error
 
 
 class Measurement(NamedTuple):
@@ -161,6 +162,27 @@ class NetworkMonitor:
     @property
     def history(self) -> List[Measurement]:
         return list(self._history)
+
+    def recent_rel_error(self) -> Tuple[float, float]:
+        """(bandwidth, delay) mean of ``|sample - smoothed| / smoothed``
+        over the last 16 samples, each against its device's
+        current smoothed estimate; 0.0 with no sample.
+
+        This is the estimate error a deployment can observe.  The
+        ``*_estimate_rel_error`` histograms compare against the true
+        link instead: they are for dashboards, never for steering.
+        """
+        bw_errs: List[float] = []
+        delay_errs: List[float] = []
+        for m in self._history[-_RECENT:]:
+            sm_bw = self._smoothed_bw[m.device]
+            sm_delay = self._smoothed_delay[m.device]
+            if sm_bw:
+                bw_errs.append(abs(m.bandwidth_mbps - sm_bw) / sm_bw)
+            if sm_delay:
+                delay_errs.append(abs(m.delay_ms - sm_delay) / sm_delay)
+        return (float(np.mean(bw_errs)) if bw_errs else 0.0,
+                float(np.mean(delay_errs)) if delay_errs else 0.0)
 
     def estimate(self) -> NetworkCondition:
         """Current smoothed estimate of all links.

@@ -99,6 +99,14 @@ class ServingStats:
                                    q) * 1e3)
 
     @property
+    def mean_service_s(self) -> float:
+        """Mean decision + switch + inference seconds over the requests
+        that produced a result (neither failed nor shed); 0.0 if none."""
+        done = [r.decision_s + r.switch_s + r.inference_s
+                for r in self.records if r.outcome not in ("failed", "shed")]
+        return float(np.mean(done)) if done else 0.0
+
+    @property
     def mean_queue_wait_ms(self) -> float:
         served = self._served()
         if not served:

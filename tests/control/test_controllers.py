@@ -1,23 +1,33 @@
 """The four controllers: guards, feedback rules, and convergence."""
 
+import math
 from types import SimpleNamespace
 
 import pytest
 
 from repro.control import (AdmissionController, BatchPolicyController,
                            CacheGranularityController, ControlLoop,
-                           ControlSnapshot, PrecomputeScheduler)
+                           ControlSnapshot, PrecomputeScheduler,
+                           TenantFairnessController)
 from repro.core import StrategyCache
 from repro.netsim import NetworkCondition
-from repro.runtime import BatchPolicy
+from repro.runtime import BatchPolicy, RequestRecord, ServingStats
 
 
-def _snap(t=1.0, hits=0, misses=0, rel_err=0.0, requests=0,
-          mean_service=0.0, p95=0.0, queue=0, slo_s=0.3, condition=None):
+def _served(n=1, service_s=0.0, e2e_s=None):
+    """``n`` served requests of ``service_s`` seconds of service each,
+    ``e2e_s`` end to end (default: no queue wait)."""
+    e2e_s = service_s if e2e_s is None else e2e_s
+    return [RequestRecord(arrival=0.0, start=e2e_s - service_s,
+                          finish=e2e_s, inference_s=service_s,
+                          decision_s=0.0, switch_s=0.0, satisfied=True)] * n
+
+
+def _snap(t=1.0, hits=0, misses=0, rel_err=0.0, window=(), queue=0,
+          slo_s=0.3, condition=None):
     return ControlSnapshot(
-        t=t, cache={}, window_hits=hits, window_misses=misses,
-        window_requests=requests, window_satisfied=requests,
-        window_mean_service_s=mean_service, window_p95_e2e_s=p95,
+        t=t, window_hits=hits, window_misses=misses,
+        window=ServingStats(list(window)),
         queue_depth=queue, slo_s=slo_s, condition=condition,
         monitor_bw_rel_err=rel_err, monitor_delay_rel_err=rel_err)
 
@@ -58,6 +68,25 @@ class _FakeSystem:
 def test_constructor_guards_raise_value_error(ctor):
     with pytest.raises(ValueError):
         ctor()
+
+
+@pytest.mark.parametrize("controller, field, value", [
+    # a NaN margin makes every budget NaN: after the first window every
+    # request is shed; an infinite one means admission never acts
+    (AdmissionController, "margin", math.nan),
+    (AdmissionController, "margin", math.inf),
+    (TenantFairnessController, "margin", math.nan),
+    (TenantFairnessController, "pressure", math.nan),
+    (TenantFairnessController, "tolerance", math.nan),
+    (TenantFairnessController, "weights", {"a": math.nan}),
+    (BatchPolicyController, "depth_per_slot", math.nan),
+    (CacheGranularityController, "factor", math.nan),
+    (PrecomputeScheduler, "horizon_s", math.nan),
+])
+def test_a_hostile_setting_is_a_value_error_naming_its_field(
+        controller, field, value):
+    with pytest.raises(ValueError, match=field):
+        controller(**{field: value})
 
 
 # hit-rate signals: 1/9 = 11% (overload), 9/1 = 90% (healthy)
@@ -176,8 +205,8 @@ class TestBatchPolicy:
     def test_idle_queue_with_headroom_halves_the_cap(self):
         loop, server = self._loop(max_batch=8)
         c = BatchPolicyController(headroom=0.5)
-        msg = c.update(_snap(queue=0, requests=5, p95=0.05, slo_s=0.3),
-                       loop)
+        msg = c.update(_snap(queue=0, window=_served(5, e2e_s=0.05),
+                             slo_s=0.3), loop)
         assert msg is not None and msg.startswith("shrink")
         assert server.policy.max_batch == 4
 
@@ -185,13 +214,14 @@ class TestBatchPolicy:
         loop, server = self._loop(max_batch=4)
         c = BatchPolicyController()
         # queue neither deep (> 8) nor near-empty (<= 1): hold
-        assert c.update(_snap(queue=5, requests=5, p95=0.05), loop) is None
+        assert c.update(_snap(queue=5, window=_served(5, e2e_s=0.05)),
+                        loop) is None
         assert server.policy.max_batch == 4
 
     def test_no_shrink_without_a_request_window(self):
         loop, _ = self._loop(max_batch=8)
         c = BatchPolicyController()
-        assert c.update(_snap(queue=0, requests=0, p95=0.0), loop) is None
+        assert c.update(_snap(queue=0), loop) is None
 
     def test_ignores_non_batching_servers(self):
         c = BatchPolicyController()
@@ -210,18 +240,18 @@ class TestAdmission:
 
     def test_update_tracks_an_ewma_of_service_time(self):
         c = AdmissionController(ewma_alpha=0.3)
-        c.update(_snap(mean_service=0.2), None)
+        c.update(_snap(window=_served(service_s=0.2)), None)
         assert c.service_estimate_s == pytest.approx(0.2)
-        c.update(_snap(mean_service=0.1), None)
+        c.update(_snap(window=_served(service_s=0.1)), None)
         assert c.service_estimate_s == pytest.approx(0.3 * 0.1 + 0.7 * 0.2)
-        c.update(_snap(mean_service=0.0), None)  # empty window: hold
+        c.update(_snap(), None)  # empty window: hold
         assert c.service_estimate_s == pytest.approx(0.17)
 
     def test_triage_serve_degrade_shed_by_remaining_budget(self):
         """margin*slo = 0.255; est 0.2, degraded est 0.05."""
         loop = self._loop(min_latency_s=0.05)
         c = AdmissionController(margin=0.85)
-        c.update(_snap(mean_service=0.2), loop)
+        c.update(_snap(window=_served(service_s=0.2)), loop)
         assert c.admit(0.0, 0.0, 0.3, loop) == "serve"     # 0.2 fits
         assert c.admit(0.0, 0.1, 0.3, loop) == "degrade"   # only 0.05 fits
         assert c.admit(0.0, 0.25, 0.3, loop) == "shed"     # nothing fits

@@ -6,6 +6,8 @@ relies on: evidence-gated triage, the decayed admitted-service ledger,
 over-share shedding under pressure, and the untagged passthrough.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.control import TenantFairnessController
@@ -15,7 +17,7 @@ class _Snap:
     """Just enough of a ControlSnapshot for update()."""
 
     def __init__(self, mean_service_s):
-        self.window_mean_service_s = mean_service_s
+        self.window = SimpleNamespace(mean_service_s=mean_service_s)
 
 
 class _MinStrategy:

@@ -4,10 +4,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.control import ControlAction, ControlLoop, Controller
+from repro.control import (BatchPolicyController, ControlAction, ControlLoop,
+                           Controller)
 from repro.core import SLO, StrategyCache
 from repro.netsim import NetworkCondition
-from repro.runtime import RequestRecord, ServingStats
+from repro.runtime import BatchPolicy, RequestRecord, ServingStats
 from repro.telemetry import Telemetry
 
 
@@ -28,12 +29,12 @@ class _Recorder(Controller):
 class _FakeMonitor:
     def __init__(self, condition):
         self._condition = condition
-        self.history = []
-        self._smoothed_bw = {}
-        self._smoothed_delay = {}
 
     def estimate(self):
         return self._condition
+
+    def recent_rel_error(self):
+        return 0.0, 0.0
 
 
 class _FakeSystem:
@@ -87,10 +88,10 @@ class TestCadence:
         assert loop.maybe_tick(3.0)
 
     def test_default_long_gap_fires_exactly_once(self):
-        """Regression for the idle-gap semantics: with the default
-        ``max_catchup=1`` a gap spanning many periods fires exactly one
-        tick per maybe_tick call — never a burst — and the controller
-        sees exactly one snapshot at the late now."""
+        """Regression for the idle-gap semantics: a gap spanning many
+        periods fires exactly one tick per maybe_tick call — never a
+        burst — and the controller sees exactly one snapshot at the late
+        now."""
         rec = _Recorder()
         loop = ControlLoop([rec], period_s=0.5)
         assert loop.maybe_tick(10.3)      # missed ~20 periods
@@ -100,36 +101,6 @@ class TestCadence:
         assert not loop.maybe_tick(10.4)  # realigned past now
         assert loop.maybe_tick(10.5)
         assert loop.ticks == 2
-
-    def test_max_catchup_runs_one_tick_per_missed_period_capped(self):
-        """Opting into catch-up: a long gap replays up to ``max_catchup``
-        ticks in one call, then realigns the cadence ahead of now."""
-        rec = _Recorder()
-        loop = ControlLoop([rec], period_s=0.5, max_catchup=3)
-        assert loop.maybe_tick(2.7)       # missed 5 periods: 3 ticks
-        assert loop.ticks == 3
-        assert len(rec.snapshots) == 3
-        # every catch-up snapshot is taken at the call's now (stats are
-        # only known as of the call), not at imaginary past instants
-        assert all(s.t == 2.7 for s in rec.snapshots)
-        assert not loop.maybe_tick(2.9)   # realigned to 3.0
-        assert loop.maybe_tick(3.0)
-        assert loop.ticks == 4
-
-    def test_max_catchup_covers_small_gaps_exactly(self):
-        """A gap shorter than the cap catches up one tick per elapsed
-        period, no more."""
-        loop = ControlLoop([_Recorder()], period_s=0.5, max_catchup=10)
-        assert loop.maybe_tick(1.1)       # periods at 0.5 and 1.0
-        assert loop.ticks == 2
-        assert not loop.maybe_tick(1.4)
-        assert loop.maybe_tick(1.5)
-        assert loop.ticks == 3
-
-    @pytest.mark.parametrize("max_catchup", [0, -1])
-    def test_invalid_max_catchup_rejected(self, max_catchup):
-        with pytest.raises(ValueError, match="max_catchup"):
-            ControlLoop([], period_s=0.5, max_catchup=max_catchup)
 
     @pytest.mark.parametrize("period", [0.0, -1.0, -0.5])
     def test_invalid_period_rejected(self, period):
@@ -157,8 +128,8 @@ class TestSnapshot:
         loop.maybe_tick(1.0, stats=stats, queue_depth=3)
         snap = rec.snapshots[-1]
         assert snap.window_misses == 1 and snap.window_hits == 0
-        assert snap.window_requests == 1
-        assert snap.window_mean_service_s == pytest.approx(0.2)
+        assert snap.window.records == stats.records
+        assert snap.window.mean_service_s == pytest.approx(0.2)
         assert snap.queue_depth == 3
         assert snap.slo_s == pytest.approx(0.3)
         assert snap.condition == system.monitor.estimate()
@@ -167,7 +138,8 @@ class TestSnapshot:
         stats.records.append(_record(1.0, 1.1, 1.5, satisfied=False))
         loop.maybe_tick(2.0, stats=stats)
         snap = rec.snapshots[-1]
-        assert snap.window_requests == 1 and snap.window_satisfied == 0
+        assert snap.window.records == stats.records[1:]
+        assert snap.window.slo_compliance == 0.0
         assert snap.window_misses == 0
 
     def test_shed_and_failed_excluded_from_service_estimate(self):
@@ -182,8 +154,29 @@ class TestSnapshot:
         ])
         loop.maybe_tick(1.0, stats=stats)
         snap = rec.snapshots[-1]
-        assert snap.window_requests == 3
-        assert snap.window_mean_service_s == pytest.approx(0.2)
+        assert len(snap.window.records) == 3
+        assert snap.window.mean_service_s == pytest.approx(0.2)
+
+    def test_batch_policy_reads_the_reports_p95_with_sheds_in_the_window(
+            self):
+        """A window of one 200 ms request and nineteen sheds (end to end
+        0 s): the report's p95 leaves the sheds out and reads 200 ms, over
+        the 150 ms shrink threshold, so the cap holds.  A p95 taken over
+        the sheds too reads 10 ms and halves the cap — the more admission
+        sheds, the more the batch cap shrinks."""
+        server = SimpleNamespace(policy=BatchPolicy(max_batch=8))
+        rec = _Recorder()
+        loop = ControlLoop([rec, BatchPolicyController(headroom=0.5)],
+                           period_s=1.0).attach(system=_FakeSystem(),
+                                                server=server)
+        stats = ServingStats(records=[_record(0.0, 0.0, 0.2)] + [
+            _record(0.05 * k, 0.05 * k, 0.05 * k, outcome="shed",
+                    satisfied=False) for k in range(1, 20)])
+        loop.maybe_tick(1.0, stats=stats, queue_depth=0)
+        assert server.policy.max_batch == 8
+        assert loop.actions == []
+        assert rec.snapshots[-1].window.percentile_ms(95) \
+            == stats.percentile_ms(95) == pytest.approx(200.0)
 
     def test_empty_window_hit_rate_is_none(self):
         rec = _Recorder()
@@ -191,7 +184,8 @@ class TestSnapshot:
         loop.maybe_tick(1.0)
         snap = rec.snapshots[-1]
         assert snap.window_hit_rate is None
-        assert snap.window_mean_service_s == 0.0
+        assert snap.window.records == []
+        assert snap.window.mean_service_s == 0.0
         assert snap.condition is None and snap.slo_s is None
 
 
@@ -226,7 +220,7 @@ class _AlwaysShed(Controller):
     def update(self, snapshot, loop):
         return None
 
-    def admit(self, arrival, start, slo_s, loop):
+    def admit(self, arrival, start, slo_s, loop, tenant=None):
         return "shed"
 
 

@@ -40,8 +40,7 @@ PAIRS = {
     "recorder": ((RunRecorder,), NULL_RECORDER, {"of", "records",
                                                  "recording"}),
     # the report side reads the ``World``/``ScenarioReport`` handle
-    "control": ((ControlLoop,), NULL_CONTROL, {"of", "action_log",
-                                               "summary"}),
+    "control": ((ControlLoop,), NULL_CONTROL, {"of", "summary"}),
     # exporters enumerate the registry of the hub the caller built
     "registry": ((MetricsRegistry,), metrics.NULL_REGISTRY, {"collect", "__len__"}),
     # a null metric is never stored, collected or returned by ``get``,

@@ -8,7 +8,9 @@ and the breakers followed: the contention ``tracker``, the ``ingress``,
 ``health`` and ``resilience`` had 33 forks and ``prices_transfers``
 probes in 11 files, choosing between nine pricing bodies.  One budget
 per family keeps either from growing back one convenient ``if`` at a
-time.
+time.  A third keeps components writing telemetry, never reading it
+back: the control loop once steered on the monitor's error histograms,
+which compare against the true link.
 """
 
 import re
@@ -50,6 +52,8 @@ WIRE_ALLOWED = {
 }
 WIRE_BUDGET = 9
 
+READ_BACK = re.compile(r"registry\.get\(")
+
 
 def _check(guard, allowed, budget, advice):
     found = {}
@@ -82,3 +86,10 @@ def test_wire_and_breaker_guards_stay_within_budget():
            "modelled or breakers exist: describe the wire to the "
            "tracker, call NULL_INGRESS and NULL_HEALTH unconditionally, "
            "and never probe a tracker for what it can do.")
+
+
+def test_no_component_reads_a_metric_back():
+    _check(READ_BACK, {}, 0,
+           "Components write telemetry; nothing steers on it.  A signal a "
+           "controller needs comes from the component that observes it "
+           "(NetworkMonitor.recent_rel_error, the ServingStats window).")
