@@ -16,8 +16,8 @@ reconfigure, execute) serves every caller: :meth:`Murmuration.infer` is
   each item really runs the partitioned submodel on its input through
   the distributed executor.
 
-Fault handling (opt-in via ``faults=``): the injector perturbs the true
-world each request; the *data plane* discovers crashed peers through
+Fault handling (``faults=``): the injector perturbs the true world
+each request; the *data plane* discovers crashed peers through
 timed-out sends (never by reading the schedule), pays the retry
 schedule, fails over to surviving devices, and degrades to the smallest
 feasible submodel on the gateway when nothing else survives.  Delivery
@@ -25,16 +25,15 @@ outcomes feed a :class:`~repro.faults.health.DeviceHealth` circuit
 breaker; the *decision layer* consults only that breaker — cached
 strategies through open circuits are invalidated, fresh decisions are
 rerouted proactively, and a half-open probe re-admits recovered
-devices.  ``faults=`` is the one optional part that stays a real
-``None``: it alone selects per-item pricing with reachability checks
-and RNG loss draws.
+devices.
 
-Everything else optional is always present: the constructor normalises
-``telemetry=``, ``recorder=`` and ``control=`` to their null forms,
-``resilience`` to ``ResilienceConfig()`` and — without an injector —
-the breakers to :data:`~repro.faults.health.NULL_HEALTH`, so the
-request path calls them unconditionally (DESIGN.md, "Optional
-subsystems").
+Every optional part is always present: the constructor normalises
+``telemetry=``, ``recorder=``, ``control=`` and ``faults=`` to their
+null forms, ``resilience`` to ``ResilienceConfig()`` and — unless the
+injector can fail — the breakers to
+:data:`~repro.faults.health.NULL_HEALTH`, so the request path calls
+them unconditionally (DESIGN.md, "Optional subsystems").  A world that
+cannot fail prices a plan-only batch once instead of per item.
 """
 
 from __future__ import annotations
@@ -179,22 +178,22 @@ class Murmuration:
         self.predictor = (MonitoringPredictor(self.cluster.num_devices - 1)
                           if use_predictor else None)
         self.supernet = supernet
-        self.faults = faults
+        self.faults = FaultInjector.of(faults)
         self.resilience = (resilience if resilience is not None
                            else ResilienceConfig())
-        # only an injector makes a delivery fail, so without one every
-        # circuit stays closed: the null form says so and records nothing
+        # in a world that cannot fail every circuit stays closed: the
+        # null form says so and records nothing
         self.health = (DeviceHealth(
             self.cluster.num_devices,
             failure_threshold=self.resilience.failure_threshold,
             cooldown_s=self.resilience.cooldown_s,
-            telemetry=telemetry) if faults is not None else NULL_HEALTH)
+            telemetry=telemetry) if self.faults.can_fail else NULL_HEALTH)
         self._base_condition = condition
         self.reconfig = (ModelReconfig(supernet, self.cluster.local)
                          if supernet is not None else None)
         self.executor = (DistributedExecutor(supernet, self.cluster,
                                              telemetry=telemetry,
-                                             faults=faults,
+                                             faults=self.faults,
                                              health=self.health,
                                              resilience=self.resilience)
                          if supernet is not None else None)
@@ -278,13 +277,10 @@ class Murmuration:
 
     def update_condition(self, condition: NetworkCondition) -> None:
         """Apply a change in true network conditions (trace replay).
-        Without an injector, re-applying the condition the cluster holds
-        is a no-op: its ``version``, and so its memoised prices, stay."""
+        Under the null injector, re-applying the condition the cluster
+        holds is a no-op: its ``version`` and memoised prices stay."""
         self._base_condition = condition
-        if self.faults is not None:
-            self.faults.apply_to(self.cluster, condition)
-        elif condition is not self.cluster.condition:
-            self.cluster.set_condition(condition)
+        self.faults.apply_to(self.cluster, condition)
 
     def observed_condition(self, now: Optional[float] = None) -> NetworkCondition:
         """Monitor probe round -> smoothed estimate (+ optional forecast)."""
@@ -533,9 +529,8 @@ class Murmuration:
             # queue depth and request windows are known.
             self.control.maybe_tick(self._now)
         start = self._now
-        if self.faults is not None:
-            self.faults.advance(start)
-            self.faults.apply_to(self.cluster, self._base_condition)
+        self.faults.advance(start)
+        self.faults.apply_to(self.cluster, self._base_condition)
         tracer = self.telemetry.tracer
         with tracer.span("decision", sim_time=start) as sp:
             decision = (self._note_decision(DecisionRecord(
@@ -570,9 +565,9 @@ class Murmuration:
         plan_state: Optional[_PlanState] = None
         exec_strategy = strategy   # executable mode: carried failover plan
         carried_degraded = False
-        # fault-free plan-only: nothing on that branch moves the cluster
+        # plan-only in a world that cannot fail: nothing moves the cluster
         # between items, so all read one memoised float, once per batch
-        price: Optional[float] = None
+        can_fail, price = self.faults.can_fail, None
         for idx in range(n):
             x = xs[idx] if xs is not None else None
             rid = request_ids[idx] if request_ids is not None else None
@@ -602,7 +597,7 @@ class Murmuration:
                             self._accuracy(*executed))
                         if outcome == "degraded":
                             carried_degraded = True
-                elif self.faults is None:
+                elif not can_fail:
                     if price is None:
                         price = self._costs.latency(
                             strategy.arch, strategy.plan, self.cluster)
@@ -675,8 +670,7 @@ class Murmuration:
     # -- fault-aware execution paths ---------------------------------------
     def _execute(self, x: np.ndarray, strategy: Strategy,
                  sim_t: float, request_id: Optional[int]) -> Tuple:
-        """Executable mode: the executor owns retry/failover/degradation
-        (none of which can happen without a fault injector).
+        """Executable mode: the executor owns retry/failover/degradation.
 
         The last tuple element is the ``(arch, plan)`` actually executed
         (None on failure) so batched callers can carry a failover

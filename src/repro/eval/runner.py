@@ -28,6 +28,7 @@ from typing import (Any, Callable, Dict, List, Mapping, NamedTuple, Optional,
 from ..core.decision import SearchDecisionEngine
 from ..core.murmuration import Murmuration
 from ..core.slo import SLO
+from ..faults.injector import NULL_FAULTS
 from ..nas.search_space import MBV3_SPACE
 from ..runtime.batching import BatchingInferenceServer
 from ..runtime.server import InferenceServer, ServingStats
@@ -252,11 +253,9 @@ class ScenarioReport:
         """Simulated seconds from the last fault clearing until the
         first clean ("ok" + SLO-satisfied) request finished; None if
         never (or if the world had no faults)."""
-        faults = getattr(self.system, "faults", None)
-        if faults is None:
-            return None
-        horizon = faults.schedule.horizon
-        for r in self.stats.records:
+        schedule = getattr(self.system, "faults", NULL_FAULTS).schedule
+        horizon = schedule.horizon
+        for r in (self.stats.records if schedule else ()):
             if r.start >= horizon and r.outcome == "ok" and r.satisfied:
                 return r.finish - horizon
         return None

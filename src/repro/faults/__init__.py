@@ -14,19 +14,18 @@ The robustness layer for the distributed runtime.  Four pieces:
   exponential backoff), :class:`ResilienceConfig` (failover/degradation
   knobs), and the transport/executor error types.
 
-Everything is opt-in: ``faults=None`` (the default everywhere) is a
-fault-free build, whose breakers are :data:`NULL_HEALTH`::
+``faults=None`` (the default) is :data:`NULL_FAULTS`, where nothing fails
+and the breakers are :data:`NULL_HEALTH`.  To inject faults::
 
     from repro.faults import (DeviceCrash, FaultInjector, FaultSchedule,
                               ResilienceConfig)
     schedule = FaultSchedule([DeviceCrash(2.0, 5.0, device=1)])
-    injector = FaultInjector(schedule, seed=0)
-    system = Murmuration(..., faults=injector,
+    system = Murmuration(..., faults=FaultInjector(schedule, seed=0),
                          resilience=ResilienceConfig())
 """
 
 from .health import NULL_HEALTH, CircuitState, DeviceHealth
-from .injector import FaultInjector
+from .injector import NULL_FAULTS, FaultInjector
 from .resilience import (DeviceUnreachableError, ExecutionFailedError,
                          NoRouteError, ResilienceConfig, RetryPolicy,
                          TransportError)
@@ -49,6 +48,7 @@ __all__ = [
     "crash_and_recover_schedule",
     "chaos_schedule",
     "FaultInjector",
+    "NULL_FAULTS",
     "DeviceHealth",
     "NULL_HEALTH",
     "CircuitState",

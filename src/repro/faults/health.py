@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..netsim.link import canonical_edge
 from ..telemetry import Telemetry
+from .resilience import check_breaker
 
 __all__ = ["CircuitState", "DeviceHealth", "NULL_HEALTH"]
 
@@ -64,10 +65,7 @@ class DeviceHealth:
                  telemetry: Optional[Telemetry] = None):
         if num_devices < 1:
             raise ValueError("need at least one device")
-        if failure_threshold < 1:
-            raise ValueError("failure threshold must be >= 1")
-        if cooldown_s < 0:
-            raise ValueError("cooldown must be non-negative")
+        check_breaker(failure_threshold, cooldown_s)
         self.num_devices = num_devices
         self.failure_threshold = failure_threshold
         self.cooldown_s = cooldown_s

@@ -13,6 +13,10 @@ feeding the :class:`~repro.faults.health.DeviceHealth` breaker.
 
 Message-loss draws come from the injector's own seeded RNG, so a fixed
 ``(schedule, seed)`` pair replays the identical fault trace.
+
+A run given no injector holds :data:`NULL_FAULTS` (:meth:`FaultInjector.of`),
+a healthy world with the same surface: every peer reachable, no message
+lost, nothing scheduled (DESIGN.md, "Optional subsystems").
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from ..telemetry import Telemetry
 from .schedule import (CorrelatedFailure, DeviceCrash, FaultEvent,
                        FaultSchedule, Partition)
 
-__all__ = ["FaultInjector"]
+__all__ = ["FaultInjector", "NULL_FAULTS"]
 
 
 class FaultInjector:
@@ -58,6 +62,17 @@ class FaultInjector:
                 "device_up", help="1 while the device is reachable",
                 device=str(dev))
             self._m_device_up[dev].set(1.0)
+
+    @staticmethod
+    def of(faults: Optional["FaultInjector"]):
+        """``faults`` itself, or :data:`NULL_FAULTS` for ``None``."""
+        return faults if faults is not None else NULL_FAULTS
+
+    @property
+    def can_fail(self) -> bool:
+        """Can a delivery fail at all?  Only if the schedule holds an
+        event; with none, the world is the null injector's."""
+        return bool(self.schedule)
 
     def _fault_devices(self) -> set:
         out = set()
@@ -172,3 +187,41 @@ class FaultInjector:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"FaultInjector(now={self.now:.3f}, "
                 f"active={len(self._active)}/{len(self.schedule)})")
+
+
+class NullFaults:
+    """The injector of a run without one: nothing fails, ever.
+
+    A class of its own, not a :class:`FaultInjector` (the perf harness
+    wraps the real methods by identity).  ``is_down`` and
+    ``compute_scale`` are read only from a real injector (tests).
+    """
+
+    schedule = FaultSchedule()
+    can_fail = False
+
+    def transition_times(self) -> Tuple[float, ...]:
+        return ()
+
+    def advance(self, now) -> tuple:
+        return ()
+
+    def apply_to(self, cluster, base_condition=None) -> None:
+        """Hand a star its base condition, unless it already holds it
+        (its memoised prices stay); a mesh has no condition to set."""
+        if (base_condition is not cluster.condition
+                and not hasattr(cluster, "apply_link_faults")):
+            cluster.set_condition(base_condition)
+
+    def reachable(self, src, dst) -> bool:
+        return True
+
+    def loss_prob(self, src, dst) -> float:
+        return 0.0
+
+    def message_lost(self, src, dst) -> bool:
+        return False
+
+
+#: what a component given no ``faults`` holds
+NULL_FAULTS = NullFaults()

@@ -15,10 +15,24 @@ the gateway, and the circuit-breaker thresholds fed to
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 __all__ = ["RetryPolicy", "ResilienceConfig", "TransportError",
-           "NoRouteError", "DeviceUnreachableError", "ExecutionFailedError"]
+           "NoRouteError", "DeviceUnreachableError", "ExecutionFailedError",
+           "check_breaker"]
+
+
+def check_breaker(failure_threshold: int, cooldown_s: float) -> None:
+    """The circuit-breaker knobs :class:`ResilienceConfig` and
+    :class:`~repro.faults.health.DeviceHealth` share.  Negated tests: a
+    NaN threshold would never open a circuit, a NaN cooldown never
+    half-open one."""
+    if type(failure_threshold) is not int or failure_threshold < 1:
+        raise ValueError(f"failure_threshold must be an int >= 1, "
+                         f"got {failure_threshold!r}")
+    if not cooldown_s >= 0:
+        raise ValueError(f"cooldown_s must be >= 0, got {cooldown_s!r}")
 
 
 @dataclass(frozen=True)
@@ -36,12 +50,16 @@ class RetryPolicy:
     backoff: float = 2.0
 
     def __post_init__(self):
-        if self.timeout_s <= 0:
-            raise ValueError("timeout must be positive")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        if self.backoff < 1.0:
-            raise ValueError("backoff factor must be >= 1")
+        # negated: NaN fails every comparison
+        if not 0 < self.timeout_s < math.inf:
+            raise ValueError(f"timeout_s must be finite and positive, "
+                             f"got {self.timeout_s!r}")
+        if type(self.max_retries) is not int or self.max_retries < 0:
+            raise ValueError(f"max_retries must be an int >= 0, "
+                             f"got {self.max_retries!r}")
+        if not 1 <= self.backoff < math.inf:
+            raise ValueError(f"backoff must be finite and >= 1, "
+                             f"got {self.backoff!r}")
 
     @property
     def attempts(self) -> int:
@@ -71,10 +89,7 @@ class ResilienceConfig:
     cooldown_s: float = 2.0
 
     def __post_init__(self):
-        if self.failure_threshold < 1:
-            raise ValueError("failure threshold must be >= 1")
-        if self.cooldown_s < 0:
-            raise ValueError("cooldown must be non-negative")
+        check_breaker(self.failure_threshold, self.cooldown_s)
 
 
 class TransportError(RuntimeError):

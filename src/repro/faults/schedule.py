@@ -216,8 +216,9 @@ class LinkFlap(FaultEvent):
             raise ValueError("a link joins two distinct devices")
         if not (0.0 < self.p_fail <= 1.0 and 0.0 < self.p_recover <= 1.0):
             raise ValueError("transition probabilities must be in (0, 1]")
-        if self.step_s <= 0:
-            raise ValueError("step must be positive")
+        if not 0 < self.step_s < math.inf:  # negated: NaN fails it
+            raise ValueError(f"step_s must be finite and positive, "
+                             f"got {self.step_s!r}")
         # memoized chain state; non-field attrs stay out of eq/hash
         object.__setattr__(self, "_states", [False])  # False = DOWN
         object.__setattr__(self, "_rng",

@@ -15,13 +15,13 @@ an :class:`~repro.partition.plan.ExecutionPlan`:
 * timing comes from the same latency simulator the RL reward uses, so
   executed latencies and planned latencies agree by construction.
 
-Failure semantics (opt-in via ``faults=``): when a send exhausts its
-retries mid-plan, the executor fails over — it restarts the request on
-the best surviving device (re-paying the wasted discovery time), and
-when no remote survives it gracefully degrades to the smallest feasible
-submodel entirely on the gateway: accuracy drops, the request still
-completes.  With failover disabled the request fails with
-:class:`~repro.faults.resilience.ExecutionFailedError`.
+Failure semantics (``faults=``, the null injector when absent): when a
+send exhausts its retries mid-plan, the executor fails over — it
+restarts the request on the best surviving device (re-paying the wasted
+discovery time), and when no remote survives it gracefully degrades to
+the smallest feasible submodel entirely on the gateway: accuracy drops,
+the request still completes.  With failover disabled the request fails
+with :class:`~repro.faults.resilience.ExecutionFailedError`.
 
 On a mesh the failure taxonomy splits in two.  *Path dead with an
 alternative*: the routing layer transparently fails over inside
@@ -41,6 +41,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..faults.health import DeviceHealth
+from ..faults.injector import FaultInjector
 from ..faults.resilience import (DeviceUnreachableError, ExecutionFailedError,
                                  NoRouteError, ResilienceConfig)
 from ..models.graph import ModelGraph
@@ -111,12 +112,12 @@ class DistributedExecutor:
         self.net = supernet
         self.cluster = cluster
         self.telemetry = Telemetry.of(telemetry)
-        self.faults = faults
+        self.faults = FaultInjector.of(faults)
         self.health = DeviceHealth.of(health)
         self.resilience = (resilience if resilience is not None
                            else ResilienceConfig())
         self.transport = Transport(cluster, telemetry=telemetry,
-                                   faults=faults, health=self.health,
+                                   faults=self.faults, health=self.health,
                                    retry=self.resilience.retry)
         reg = self.telemetry.registry.child("executor")
         self._m_segments = reg.counter(
@@ -148,8 +149,6 @@ class DistributedExecutor:
         graph = graph or build_graph(arch, self.net.space)
         plan.validate_for(graph, self.cluster.num_devices)
         self.transport.request_id = request_id
-        if self.faults is None:
-            return self._run_plan(x, arch, plan, graph, sim_time, request_id)
         return self._run_resilient(x, arch, plan, graph, sim_time, request_id)
 
     # -- fault-aware outer loop -------------------------------------------

@@ -6,12 +6,12 @@ via the cluster's link model — and whose payload really is the
 (optionally quantized) tensor, so precision loss is physically incurred,
 not just priced.
 
-Failure semantics (opt-in via ``faults=``): each cross-device send may
-be lost or the peer may be unreachable.  The sender only learns this
-when its ack timeout expires, so every failed attempt costs the
-attempt's timeout (exponential backoff across attempts), and the
-successful retry re-pays the full transfer time — retries show up in
-delivered-at timestamps, latency, and telemetry.  When every attempt
+Failure semantics (``faults=``, the null injector when absent): each
+cross-device send may be lost or the peer unreachable.  The sender
+learns this only when its ack timeout expires, so every failed attempt
+costs the attempt's timeout (exponential backoff across attempts), and
+the successful retry re-pays the full transfer time — retries show up
+in delivered-at timestamps, latency, and telemetry.  When every attempt
 times out, :class:`~repro.faults.resilience.DeviceUnreachableError`
 carries the wasted time for the caller to charge to the request.
 
@@ -33,6 +33,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..faults.health import DeviceHealth
+from ..faults.injector import FaultInjector
 from ..faults.resilience import DeviceUnreachableError, RetryPolicy
 from ..netsim.topology import Cluster
 from ..nn.quantize import QuantizedTensor, dequantize, quantize
@@ -78,7 +79,7 @@ class Transport:
         self.cluster = cluster
         self.log: List[Message] = []
         self.telemetry = Telemetry.of(telemetry)
-        self.faults = faults
+        self.faults = FaultInjector.of(faults)
         self.health = DeviceHealth.of(health)
         self.retry = retry if retry is not None else RetryPolicy()
         #: request id stamped onto every message until changed
@@ -177,8 +178,7 @@ class Transport:
         """Price, log and account one message (free when ``src == dst``)."""
         wasted, retries, delivered = 0.0, 0, now
         if src != dst:
-            if self.faults is not None:
-                wasted, retries = self._contend(src, dst, now)
+            wasted, retries = self._contend(src, dst, now)
             # the cluster's tracker, if it has one, prices the wire
             # against the flows in flight when the send goes out
             delivered = (now + wasted + self.cluster.timed_transfer(

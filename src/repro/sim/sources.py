@@ -113,8 +113,6 @@ def schedule_fault_transitions(loop: EventLoop, system) -> List[Event]:
     query time, not a schedulable transition list.
     """
     injector = system.faults
-    if injector is None:
-        return []
 
     def fire(t: float) -> None:
         injector.advance(t)

@@ -1,10 +1,10 @@
 """The null forms keep the surface of the subsystems they stand in for.
 
-Components call ``telemetry``, ``recorder``, ``control``, the ingress
-and the breakers without asking whether they were given one (DESIGN.md,
-"Optional subsystems"), so a method added to the real class and not to
-its null form would raise ``AttributeError`` in the first run that
-leaves the subsystem out.  One reflection test per pair turns that into
+Components call ``telemetry``, ``recorder``, ``control``, the ingress,
+the breakers and the fault injector without asking whether they were
+given one (DESIGN.md, "Optional subsystems"), so a method added to the
+real class and not to its null form would raise ``AttributeError`` in
+the first run that leaves the subsystem out.  One reflection test per pair turns that into
 a tier-1 failure; one behavioural test checks what the null forms are
 for: a run with every optional subsystem absent allocates nothing on
 their behalf.
@@ -17,7 +17,7 @@ import pytest
 
 from repro.control import NULL_CONTROL, ControlLoop
 from repro.eval import SCENARIOS, run_scenario
-from repro.faults import NULL_HEALTH, DeviceHealth
+from repro.faults import NULL_FAULTS, NULL_HEALTH, DeviceHealth, FaultInjector
 from repro.netsim import SharedIngress
 from repro.netsim.contention import NULL_INGRESS
 from repro.sim import EventLoop
@@ -53,6 +53,10 @@ PAIRS = {
     # real ``DeviceHealth`` (tests, dashboards), never from a component
     "health": ((DeviceHealth,), NULL_HEALTH, {"of", "state", "snapshot",
                                               "link_state"}),
+    # ``is_down`` / ``compute_scale`` are read only from a real injector
+    # (tests); ``apply_to`` is what moves the cluster
+    "faults": ((FaultInjector,), NULL_FAULTS, {"of", "is_down",
+                                               "compute_scale"}),
 }
 
 
@@ -116,8 +120,8 @@ def test_a_run_without_optional_subsystems_allocates_nothing_for_them(
         monkeypatch):
     """``serving_load`` with telemetry, recorder, control, events,
     ingress and faults all ``None``: no span, no metric, no recording,
-    no breaker, no uplink — and every server still advanced time
-    through an (empty) event loop of its own."""
+    no breaker, no uplink, no injector — and every server still advanced
+    time through an (empty) event loop of its own."""
     made = []
 
     def counting(cls):
@@ -129,7 +133,7 @@ def test_a_run_without_optional_subsystems_allocates_nothing_for_them(
         monkeypatch.setattr(cls, "__init__", wrapped)
 
     for cls in (Span, metrics.Metric, RunRecorder, recorder.Recording,
-                EventLoop, DeviceHealth, SharedIngress):
+                EventLoop, DeviceHealth, SharedIngress, FaultInjector):
         counting(cls)
     cfg = replace(SCENARIOS["serving_load"].config(), num_requests=14)
     reports = run_scenario("serving_load", cfg)
@@ -142,3 +146,4 @@ def test_a_run_without_optional_subsystems_allocates_nothing_for_them(
         assert rep.system.recorder is NULL_RECORDER
         assert rep.system.control is NULL_CONTROL
         assert rep.system.health is NULL_HEALTH
+        assert rep.system.faults is NULL_FAULTS

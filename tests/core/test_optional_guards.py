@@ -10,7 +10,9 @@ probes in 11 files, choosing between nine pricing bodies.  One budget
 per family keeps either from growing back one convenient ``if`` at a
 time.  A third keeps components writing telemetry, never reading it
 back: the control loop once steered on the monitor's error histograms,
-which compare against the true link.
+which compare against the true link.  The fault injector was the last
+real ``None``: eight forks in five files chose between a faulty and a
+fault-free body, and only its normaliser is left.
 """
 
 import re
@@ -52,6 +54,11 @@ WIRE_ALLOWED = {
 }
 WIRE_BUDGET = 9
 
+FAULTS_GUARD = re.compile(r"(faults|injector) is (not )?None")
+#: the normaliser, FaultInjector.of
+FAULTS_ALLOWED = {"repro/faults/injector.py": 1}
+FAULTS_BUDGET = 1
+
 READ_BACK = re.compile(r"registry\.get\(")
 
 
@@ -86,6 +93,13 @@ def test_wire_and_breaker_guards_stay_within_budget():
            "modelled or breakers exist: describe the wire to the "
            "tracker, call NULL_INGRESS and NULL_HEALTH unconditionally, "
            "and never probe a tracker for what it can do.")
+
+
+def test_fault_injector_guards_stay_within_budget():
+    _check(FAULTS_GUARD, FAULTS_ALLOWED, FAULTS_BUDGET,
+           "Nothing forks on whether an injector was given: components "
+           "hold FaultInjector.of(faults) and call it unconditionally; a "
+           "world that cannot fail is told apart by `can_fail`, not None.")
 
 
 def test_no_component_reads_a_metric_back():

@@ -13,7 +13,7 @@ from repro.faults import (DeviceCrash, DeviceUnreachableError,
                           MessageLoss, ResilienceConfig, RetryPolicy)
 from repro.devices import rpi4
 from repro.nas import Supernet, build_graph, max_arch, min_arch, tiny_space
-from repro.netsim import Cluster, NetworkCondition
+from repro.netsim import Cluster, NetworkCondition, ring_topology
 from repro.partition import layerwise_split_plan, single_device_plan
 from repro.runtime import DistributedExecutor
 from repro.runtime.rpc import Transport
@@ -212,3 +212,18 @@ class TestExecutorFailover:
         ex.execute(x, arch, plan)
         assert tel.registry.get("executor_failovers_total").value == 2
         assert tel.registry.get("executor_degraded_total").value == 1
+
+    def test_no_route_without_an_injector_fails_over(self, net, x):
+        """Regression: with no injector the executor ran the plan bare,
+        so a mesh with no route to the plan's remote raised
+        ``NoRouteError`` mid-run.  It now takes the same ladder as a
+        faulty world: charge the give-up schedule, fail over."""
+        mesh = ring_topology([rpi4() for _ in range(3)], 100.0, 10.0)
+        mesh.apply_link_faults(down=[(0, 1), (1, 2)])  # device 1 cut off
+        arch = max_arch(SPACE)
+        graph = build_graph(arch, SPACE)
+        plan = layerwise_split_plan(graph, len(graph) // 2, remote=1)
+        res = DistributedExecutor(net, mesh).execute(x, arch, plan)
+        assert (res.outcome, res.retries, res.failovers) == ("retried", 2, 1)
+        assert set(res.executed_plan.devices_used()) == {0, 2}
+        assert res.penalty_s == RetryPolicy().give_up_cost()

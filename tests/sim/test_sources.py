@@ -4,7 +4,7 @@ import pytest
 
 from repro.control import ControlLoop
 from repro.eval.runner import run_scenario
-from repro.faults.injector import FaultInjector
+from repro.faults.injector import NULL_FAULTS, FaultInjector
 from repro.faults.schedule import DeviceCrash, FaultSchedule, Straggler
 from repro.netsim.contention import INGRESS_EDGE, SharedIngress
 from repro.netsim.fluid import FluidTracker
@@ -133,8 +133,10 @@ def test_fault_transitions_fire_at_onsets_and_recoveries():
 
 
 def test_no_injector_schedules_nothing():
+    # a system given no injector holds the null one, which has no
+    # transitions to schedule
     loop = EventLoop()
-    assert schedule_fault_transitions(loop, _System(faults=None)) == []
+    assert schedule_fault_transitions(loop, _System(faults=NULL_FAULTS)) == []
     assert loop.pending == 0
 
 
