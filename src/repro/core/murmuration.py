@@ -86,9 +86,10 @@ class _PlanState:
     replanned: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class InferenceRecord:
-    """Outcome of one served request."""
+    """Outcome of one served request (frozen: the items of a price-once
+    batch share one)."""
 
     latency_s: float
     accuracy: float
@@ -565,10 +566,31 @@ class Murmuration:
         plan_state: Optional[_PlanState] = None
         exec_strategy = strategy   # executable mode: carried failover plan
         carried_degraded = False
-        # plan-only in a world that cannot fail: nothing moves the cluster
-        # between items, so all read one memoised float, once per batch
-        can_fail, price = self.faults.can_fail, None
-        for idx in range(n):
+        if not self.faults.can_fail and (xs is None or self.executor is None):
+            # Plan-only in a world that cannot fail: nothing moves the
+            # cluster between items, so one price and one record serve all
+            # n, and each observer takes the dispatch in one call.
+            latency = self._costs.latency(strategy.arch, strategy.plan,
+                                          self.cluster)
+            accuracy = strategy.expected_accuracy
+            satisfied = (self.slo.satisfied_by(latency, accuracy)
+                         if self.slo else True)
+            outcome = "degraded" if degraded else "ok"
+            items = [InferenceRecord(
+                latency, accuracy, satisfied, strategy, cache_hit,
+                amortized_decision, amortized_switch, None, outcome)] * n
+            self.records += items
+            for _ in items:
+                sim_t = sim_t + latency
+                finishes.append(sim_t)
+            tracer.spans("execute", exec_start, finishes, request=request_ids,
+                         tenant=tenants,
+                         outcome=[outcome] * n if degraded else None)
+            self._m_inference_s.observe_many([latency] * n)
+            if degraded:
+                self._m_degraded.inc(n)
+        # the items the block above did not serve: executable or faulty
+        for idx in range(len(items), n):
             x = xs[idx] if xs is not None else None
             rid = request_ids[idx] if request_ids is not None else None
             tenant = tenants[idx] if tenants is not None else None
@@ -597,12 +619,6 @@ class Murmuration:
                             self._accuracy(*executed))
                         if outcome == "degraded":
                             carried_degraded = True
-                elif not can_fail:
-                    if price is None:
-                        price = self._costs.latency(
-                            strategy.arch, strategy.plan, self.cluster)
-                    latency = price
-                    accuracy = strategy.expected_accuracy
                 else:
                     (latency, accuracy, outcome, retries, failovers,
                      plan_state) = self._plan_only_faulty(
@@ -615,12 +631,11 @@ class Murmuration:
             satisfied = (outcome != "failed"
                          and (self.slo.satisfied_by(latency, accuracy)
                               if self.slo else True))
+            # positional: a frozen record pays per field, keywords on top
             record = InferenceRecord(
-                latency_s=latency, accuracy=accuracy, satisfied=satisfied,
-                strategy=strategy, cache_hit=cache_hit,
-                decision_time_s=amortized_decision,
-                switch_time_s=amortized_switch, logits=logits,
-                outcome=outcome, retries=retries, failovers=failovers)
+                latency, accuracy, satisfied, strategy, cache_hit,
+                amortized_decision, amortized_switch, logits, outcome,
+                retries, failovers)
             self.records.append(record)
             items.append(record)
             sim_t = sim_t + latency

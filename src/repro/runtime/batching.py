@@ -188,7 +188,8 @@ class BatchingInferenceServer(InferenceServer):
                   arrivals: np.ndarray, tenants, degraded: bool,
                   close: float, d_start: float, exec_free: float) -> tuple:
         """One ``batch`` root span around the facade's batch path, a
-        :class:`BatchRecord`, then a flat ``request`` root per member."""
+        :class:`BatchRecord`, then its members' records, in one call per
+        observer (a flat ``request`` root each)."""
         size = j - i
         tracer = self.telemetry.tracer
         with tracer.span("batch", sim_time=d_start, index=k, size=size) as bs:
@@ -209,14 +210,12 @@ class BatchingInferenceServer(InferenceServer):
             cache_hit=res.cache_hit, overlap_saved_s=saved)
         stats.batches.append(batch)
         self.recorder.on_batch(batch)
-        for m, record in enumerate(res.items, start=i):
-            arrival = float(arrivals[m])
-            with tracer.span("request", sim_time=arrival, request=m) as root:
-                with tracer.span("queue", sim_time=arrival) as qs:
-                    qs.set_sim_end(d_start)
-                self._emit_served(stats, root, record, arrival, d_start,
-                                  res.item_finish_s[m - i], tenants[m],
-                                  batch=k)
+        served = [self._served(record, arrival, d_start, finish, tenant)
+                  for record, arrival, finish, tenant in zip(
+                      res.items, arrivals[i:j].tolist(), res.item_finish_s,
+                      tenants[i:j])]
+        tracer.requests(i, served, cache_hit=res.cache_hit, batch=k)
+        self._observe(stats, served, batch=k)
         self._m_batch_size.observe(float(size))
         self._m_amortized.inc(size - 1)
         self._m_overlap_saved.inc(saved)

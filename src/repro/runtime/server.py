@@ -278,6 +278,7 @@ class InferenceServer:
             "tenant_shed_total", "admission-shed requests per tenant",
             "tenant")
         self._reg = reg
+        self._observe_metrics = reg.observer(self._count_requests)
         # snapshot gauge: refreshed at export time, not per request
         reg.add_collect_hook(self._sync_compliance)
 
@@ -304,22 +305,27 @@ class InferenceServer:
                 self._last_trace_idx = idx
                 self.recorder.on_condition(start, idx, condition)
 
-    def _observe_request(self, stats: ServingStats, rr: RequestRecord,
-                         batch: Optional[int] = None) -> None:
-        """Append one finished request and update serving telemetry."""
-        self.recorder.on_request(len(stats.records), rr, batch=batch)
-        stats.records.append(rr)
-        self._m_requests.inc()
-        (self._m_satisfied if rr.satisfied else self._m_violated).inc()
-        self._m_queue.observe(rr.queue_wait_s)
-        self._m_e2e.observe(rr.end_to_end_s)
-        self._count_outcome(rr.outcome)
-        if rr.tenant is not None:
-            self._count_tenant_request(rr.tenant)
-            if rr.satisfied:
-                self._count_tenant_satisfied(rr.tenant)
-            if rr.outcome == "shed":
-                self._count_tenant_shed(rr.tenant)
+    def _observe(self, stats: ServingStats, records: List[RequestRecord],
+                 batch: Optional[int] = None) -> None:
+        """Append finished requests; each observer takes them in one call."""
+        self.recorder.on_requests(len(stats.records), records, batch=batch)
+        stats.records += records
+        self._observe_metrics(records)
+
+    def _count_requests(self, records: List[RequestRecord]) -> None:
+        """The serving metrics' per-record loop (``registry.observer``)."""
+        for rr in records:
+            self._m_requests.inc()
+            (self._m_satisfied if rr.satisfied else self._m_violated).inc()
+            self._m_queue.observe(rr.queue_wait_s)
+            self._m_e2e.observe(rr.end_to_end_s)
+            self._count_outcome(rr.outcome)
+            if rr.tenant is not None:
+                self._count_tenant_request(rr.tenant)
+                if rr.satisfied:
+                    self._count_tenant_satisfied(rr.tenant)
+                if rr.outcome == "shed":
+                    self._count_tenant_shed(rr.tenant)
 
     def _arrivals(self, num_requests: int) -> np.ndarray:
         """Arrival times: Poisson by default, or the injected process
@@ -346,32 +352,19 @@ class InferenceServer:
               tenant: Optional[str]) -> None:
         """Account one admission-shed request: zero service, not
         satisfied, pipeline untouched."""
-        self._observe_request(stats, RequestRecord(
+        self._observe(stats, [RequestRecord(
             arrival=arrival, start=arrival, finish=arrival,
             inference_s=0.0, decision_s=0.0, switch_s=0.0,
-            satisfied=False, outcome="shed", tenant=tenant))
+            satisfied=False, outcome="shed", tenant=tenant)])
 
-    def _emit_served(self, stats: ServingStats, root,
-                     record: "InferenceRecord", arrival: float,
-                     start: float, finish: float, tenant: Optional[str],
-                     batch: Optional[int] = None) -> None:
-        """Close one served request's ``root`` span and account it."""
-        root.set_sim_end(finish)
-        root.annotate(satisfied=record.satisfied,
-                      cache_hit=record.cache_hit)
-        if batch is not None:
-            root.annotate(batch=batch)
-        if tenant is not None:
-            root.annotate(tenant=tenant)
-        if record.outcome != "ok":
-            root.annotate(outcome=record.outcome)
-        self._observe_request(stats, RequestRecord(
-            arrival=arrival, start=start, finish=finish,
-            inference_s=record.latency_s,
-            decision_s=record.decision_time_s,
-            switch_s=record.switch_time_s, satisfied=record.satisfied,
-            outcome=record.outcome, retries=record.retries,
-            failovers=record.failovers, tenant=tenant), batch=batch)
+    @staticmethod
+    def _served(record: "InferenceRecord", arrival: float, start: float,
+                finish: float, tenant: Optional[str]) -> RequestRecord:
+        """The serving timeline of one request the facade served."""
+        return RequestRecord(
+            arrival, start, finish, record.latency_s, record.decision_time_s,
+            record.switch_time_s, record.satisfied, record.outcome,
+            record.retries, record.failovers, tenant)
 
     # -- the serving loop --------------------------------------------------
     def _serve(self, stats: ServingStats, num_requests: int,
@@ -454,8 +447,15 @@ class InferenceServer:
             # execute): the float the facade ends its own clock on.
             finish = (start + record.decision_time_s
                       + record.switch_time_s + record.latency_s)
-            self._emit_served(stats, root, record, arrival, start, finish,
-                              tenants[i])
+            root.set_sim_end(finish)
+            root.annotate(satisfied=record.satisfied,
+                          cache_hit=record.cache_hit)
+            if tenants[i] is not None:
+                root.annotate(tenant=tenants[i])
+            if record.outcome != "ok":
+                root.annotate(outcome=record.outcome)
+            self._observe(stats, [self._served(record, arrival, start,
+                                               finish, tenants[i])])
         return finish, finish
 
     def run(self, num_requests: int,

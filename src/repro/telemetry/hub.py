@@ -57,9 +57,11 @@ class Telemetry:
                  tracer: Optional[Tracer] = None,
                  max_timelines: int = 10000,
                  sample_every: int = 1):
-        if sample_every < 1:
-            raise ValueError(
-                f"sample_every must be positive, got {sample_every}")
+        for field, value, least in (("max_timelines", max_timelines, 0),
+                                    ("sample_every", sample_every, 1)):
+            if type(value) is not int or value < least:
+                raise ValueError(f"{field} must be an int >= {least}, "
+                                 f"got {value!r}")
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
         self.max_timelines = max_timelines

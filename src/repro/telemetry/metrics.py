@@ -67,8 +67,9 @@ class Counter(Metric):
         self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up; use a Gauge")
+        if not amount >= 0:
+            raise ValueError(f"counter {self.name!r}: counters only go up "
+                             f"(got {amount!r}); use a Gauge")
         self.value += amount
 
 
@@ -111,8 +112,10 @@ class Histogram(Metric):
     def __init__(self, name: str, labels: LabelItems = (), help: str = "",
                  lo: float = 1e-6, hi: float = 1e5, growth: float = 1.1):
         super().__init__(name, labels, help)
-        if not (0 < lo < hi) or growth <= 1.0:
-            raise ValueError("need 0 < lo < hi and growth > 1")
+        if not (0 < lo < hi < math.inf and 1.0 < growth < math.inf):
+            raise ValueError(f"histogram {name!r}: need 0 < lo < hi < inf "
+                             f"and 1 < growth < inf, got lo={lo!r}, "
+                             f"hi={hi!r}, growth={growth!r}")
         self.lo = lo
         self.hi = hi
         self._log_growth = math.log(growth)
@@ -127,22 +130,29 @@ class Histogram(Metric):
 
     def observe(self, value: float) -> None:
         v = float(value)
+        lo = self.lo
+        if v < lo:
+            idx = 0
+        elif v < self.hi:
+            idx = 1 + int(math.log(v / lo) / self._log_growth)
+            if idx > self._nb:  # guard float edge cases
+                idx = self._nb
+        elif v >= self.hi:
+            idx = self._nb + 1
+        else:
+            raise ValueError(f"histogram {self.name!r} observed NaN")
         self.count += 1
         self.sum += v
         if v < self.min:
             self.min = v
         if v > self.max:
             self.max = v
-        lo = self.lo
-        if v < lo:
-            idx = 0
-        elif v >= self.hi:
-            idx = self._nb + 1
-        else:
-            idx = 1 + int(math.log(v / lo) / self._log_growth)
-            if idx > self._nb:  # guard float edge cases
-                idx = self._nb
         self._counts[idx] += 1
+
+    def observe_many(self, values: Iterable[float]) -> None:
+        """:meth:`observe` each value, in order."""
+        for v in values:
+            self.observe(v)
 
     def observe_rel_error(self, estimate: float, truth: float) -> None:
         """Observe ``|estimate - truth| / truth``; a non-positive
@@ -257,6 +267,11 @@ class MetricsRegistry:
         return self._instrument(Histogram, name, help, labels,
                                 lo=lo, hi=hi, growth=growth)
 
+    def observer(self, observe):
+        """``observe``: a loop that only feeds this registry's instruments
+        (the null registry returns its no-op instead)."""
+        return observe
+
     def get(self, name: str, **labels) -> Optional[Metric]:
         """Look up an existing instrument (scoped name) or ``None``."""
         items: LabelItems = tuple(sorted(
@@ -288,7 +303,7 @@ class _NullMetric:
     def inc(self, *args, **kwargs) -> None:
         pass
 
-    dec = set = observe = observe_rel_error = inc
+    dec = set = observe = observe_many = observe_rel_error = inc
 
 
 _NULL_METRIC = _NullMetric()
@@ -308,6 +323,9 @@ class NullRegistry:
     gauge = histogram = counter
 
     def counters(self, *args, **kwargs):
+        return _NULL_METRIC.inc
+
+    def observer(self, observe):
         return _NULL_METRIC.inc
 
     def get(self, name: str, **labels) -> None:

@@ -133,6 +133,12 @@ class RunRecorder:
             rec["tenant"] = str(tenant)
         self.requests.append(rec)
 
+    def on_requests(self, first_id: int, records: Sequence,
+                    batch: Optional[int] = None) -> None:
+        """:meth:`on_request` for each record, ids from ``first_id``."""
+        for request_id, rr in enumerate(records, first_id):
+            self.on_request(request_id, rr, batch=batch)
+
     def on_batch(self, br) -> None:
         """One dispatched batch (a ``BatchRecord``-shaped object)."""
         self.batches.append({
@@ -246,7 +252,7 @@ class NullRecorder:
     def on_request(self, *args, **kwargs) -> None:
         pass
 
-    on_condition = on_decision = on_batch = on_request
+    on_condition = on_decision = on_batch = on_requests = on_request
     capture_timelines = finish = on_request
 
 

@@ -24,7 +24,7 @@ allocation and no bookkeeping.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 __all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER"]
 
@@ -39,13 +39,15 @@ class Span:
 
     def __init__(self, name: str, sim_time: Optional[float] = None,
                  attrs: Optional[Dict[str, Any]] = None,
-                 tracer: Optional["Tracer"] = None, root: bool = True):
+                 tracer: Optional["Tracer"] = None, root: bool = True,
+                 sim_end: Optional[float] = None):
+        """A given ``sim_end`` closes the span at once (no wall time)."""
         self.name = name
         self.attrs: Dict[str, Any] = attrs if attrs is not None else {}
         self.sim_start = sim_time
-        self.sim_end: Optional[float] = None
+        self.sim_end = sim_end
         self.wall_start = _wall()
-        self.wall_end: Optional[float] = None
+        self.wall_end = None if sim_end is None else self.wall_start
         self.children: List["Span"] = []
         self._tracer = tracer
         self._root = root
@@ -121,8 +123,9 @@ class Tracer:
     enabled = True
 
     def __init__(self, max_finished: int = 10000):
-        if max_finished < 1:
-            raise ValueError("max_finished must be positive")
+        if type(max_finished) is not int or max_finished < 1:
+            raise ValueError(f"max_finished must be an int >= 1, got "
+                             f"{max_finished!r}")
         self.max_finished = max_finished
         self.finished: List[Span] = []
         self.dropped = 0  # roots truncated off the front of `finished`
@@ -144,11 +147,51 @@ class Tracer:
             if self._stack.pop() is span:
                 break
         if span._root:
-            self.finished.append(span)
-            excess = len(self.finished) - self.max_finished
-            if excess > 0:
-                del self.finished[:excess]
-                self.dropped += excess
+            self._closed([span])
+
+    def _closed(self, spans: List[Span]) -> None:
+        """File closed spans under the active span, else as roots."""
+        if self._stack:
+            self._stack[-1].children.extend(spans)
+            return
+        self.finished.extend(spans)
+        excess = len(self.finished) - self.max_finished
+        if excess > 0:
+            del self.finished[:excess]
+            self.dropped += excess
+
+    def spans(self, name: str, start: float, ends: Sequence[float],
+              **columns: Optional[Sequence[Any]]) -> None:
+        """Back-to-back spans, ``ends[k - 1]`` (``start`` first) to
+        ``ends[k]``, each with ``key=values[k]`` per column (a ``None``
+        column or value left off): one annotated ``span()`` per item."""
+        out: List[Span] = []
+        for k, end in enumerate(ends):
+            out.append(Span(name, start, {
+                key: col[k] for key, col in columns.items()
+                if col is not None and col[k] is not None},
+                sim_end=float(end)))
+            start = end
+        self._closed(out)
+
+    def requests(self, first: int, records: Sequence[Any],
+                 **attrs: Any) -> None:
+        """A ``request`` span around a ``queue`` child per served
+        ``RequestRecord`` (ids from ``first``), annotated as the FIFO
+        server annotates its live one."""
+        out: List[Span] = []
+        for rid, rr in enumerate(records, first):
+            sp = Span("request", rr.arrival, {"request": rid, "satisfied":
+                                              rr.satisfied, **attrs},
+                      sim_end=float(rr.finish))
+            sp.children.append(Span("queue", rr.arrival,
+                                    sim_end=float(rr.start)))
+            if rr.tenant is not None:
+                sp.attrs["tenant"] = rr.tenant
+            if rr.outcome != "ok":
+                sp.attrs["outcome"] = rr.outcome
+            out.append(sp)
+        self._closed(out)
 
     @property
     def active(self) -> Optional[Span]:
@@ -199,6 +242,11 @@ class NullTracer:
     def span(self, name: str, sim_time: Optional[float] = None,
              **attrs: Any) -> _NullSpan:
         return _SHARED_NULL_SPAN
+
+    def spans(self, *args: Any, **kwargs: Any) -> None:
+        pass
+
+    requests = spans
 
     @property
     def active(self) -> None:

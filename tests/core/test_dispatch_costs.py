@@ -1,0 +1,92 @@
+"""A price-once batch serves its items at batch cost.
+
+In a world that cannot fail, a plan-only dispatch prices its strategy
+once, shares one frozen ``InferenceRecord`` among its items, and hands
+each observer the whole dispatch in one call.  Under null telemetry that
+makes the observer cost of a dispatch independent of its size: the law
+below counts calls into the null forms' methods at ``n = 1`` and
+``n = 8`` and requires the same count, so per-item observer work cannot
+creep back one convenient loop at a time.
+"""
+
+import collections
+import dataclasses
+import inspect
+
+import numpy as np
+import pytest
+
+from repro.core import SLO, Murmuration, SearchDecisionEngine
+from repro.devices.profiles import desktop_gtx1080, jetson_class, rpi4
+from repro.eval.spec import PinnedTimeEngine
+from repro.nas.search_space import MBV3_SPACE
+from repro.netsim import NetworkCondition
+from repro.runtime import BatchingInferenceServer, BatchPolicy
+from repro.telemetry import metrics, recorder, tracing
+
+#: the null observers a serving run calls
+NULL_OBSERVERS = (tracing.NullTracer, tracing._NullSpan, metrics._NullMetric,
+                  metrics.NullRegistry, recorder.NullRecorder)
+
+
+def _system():
+    devices = [rpi4(), desktop_gtx1080(), jetson_class()]
+    engine = PinnedTimeEngine(SearchDecisionEngine(
+        MBV3_SPACE, devices, n_random_archs=4, seed=0), 0.02)
+    return Murmuration(MBV3_SPACE, devices,
+                       NetworkCondition((300.0, 150.0), (10.0, 20.0)), engine,
+                       slo=SLO.latency_ms(250.0), use_predictor=False,
+                       monitor_noise=0.0, seed=0)
+
+
+def _null_calls(monkeypatch, cap: int) -> collections.Counter:
+    """Calls into the null observers while a batched server serves two
+    full dispatches of ``cap`` requests each (a miss, then a hit)."""
+    calls: collections.Counter = collections.Counter()
+
+    def counting(cls, name, fn):
+        def wrapped(*args, **kwargs):
+            calls[f"{cls.__name__}.{name}"] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for cls in NULL_OBSERVERS:
+        for name, fn in inspect.getmembers(cls, inspect.isfunction):
+            if not name.startswith("__") or name in ("__enter__",
+                                                     "__exit__"):
+                monkeypatch.setattr(cls, name, counting(cls, name, fn))
+    server = BatchingInferenceServer(
+        _system(), 10.0, policy=BatchPolicy(max_batch=cap),
+        arrival_process=lambda rng, n: np.zeros(n))
+    calls.clear()   # construction is not per dispatch
+    stats = server.run(2 * cap)
+    assert [b.size for b in stats.batches] == [cap, cap]
+    monkeypatch.undo()
+    return calls
+
+
+def test_null_observer_calls_per_dispatch_do_not_grow_with_its_size(
+        monkeypatch):
+    one, eight = _null_calls(monkeypatch, 1), _null_calls(monkeypatch, 8)
+    assert one and one == eight, (
+        "per-item observer calls in a price-once dispatch: "
+        + str({k: (one[k], eight[k]) for k in set(one) | set(eight)
+               if one[k] != eight[k]}))
+
+
+def test_a_price_once_batch_shares_one_frozen_record():
+    system = _system()
+    res = system.infer_batch(batch_size=5, request_ids=list(range(5)))
+    first = res.items[0]
+    assert all(item is first for item in res.items)
+    assert system.records == res.items
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.latency_s = 0.0
+    moved = dataclasses.replace(first, outcome="degraded")
+    assert moved.outcome == "degraded" and first.outcome == "ok"
+    # finishes are the left-to-right adds the per-item loop made
+    sim_t = res.exec_start_s
+    for finish in res.item_finish_s:
+        sim_t = sim_t + first.latency_s
+        assert finish == sim_t
+    assert res.finish_s == sim_t == system.clock.now

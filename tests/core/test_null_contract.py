@@ -21,9 +21,9 @@ from repro.faults import NULL_FAULTS, NULL_HEALTH, DeviceHealth, FaultInjector
 from repro.netsim import SharedIngress
 from repro.netsim.contention import NULL_INGRESS
 from repro.sim import EventLoop
-from repro.telemetry import (NULL_RECORDER, NULL_TELEMETRY,
+from repro.telemetry import (NULL_RECORDER, NULL_TELEMETRY, NULL_TRACER,
                              Counter, Gauge, Histogram, MetricsRegistry,
-                             RunRecorder, Span, Telemetry)
+                             RunRecorder, Span, Telemetry, Tracer)
 from repro.telemetry import metrics, recorder
 
 def _methods(cls):
@@ -43,6 +43,8 @@ PAIRS = {
     "control": ((ControlLoop,), NULL_CONTROL, {"of", "summary"}),
     # exporters enumerate the registry of the hub the caller built
     "registry": ((MetricsRegistry,), metrics.NULL_REGISTRY, {"collect", "__len__"}),
+    # nothing reads spans back from a component's tracer
+    "tracer": ((Tracer,), NULL_TRACER, set()),
     # a null metric is never stored, collected or returned by ``get``,
     # so nothing can read it back
     "metric": ((Counter, Gauge, Histogram), metrics._NULL_METRIC,

@@ -23,6 +23,13 @@ class TestCounter:
     def test_kind(self):
         assert Counter("x").kind == "counter"
 
+    def test_rejects_nan_naming_the_counter(self):
+        """``nan < 0`` is false: a NaN used to poison the counter."""
+        c = Counter("requests_total")
+        with pytest.raises(ValueError, match="requests_total"):
+            c.inc(math.nan)
+        assert c.value == 0.0
+
 
 class TestGauge:
     def test_set_inc_dec(self):
@@ -104,6 +111,24 @@ class TestHistogram:
     def test_invalid_quantile(self):
         with pytest.raises(ValueError):
             Histogram("x").quantile(1.5)
+
+    @pytest.mark.parametrize("observe", [
+        lambda h: h.observe(math.nan),
+        lambda h: h.observe_many([0.5, math.nan])])
+    def test_nan_is_refused_naming_the_histogram(self, observe):
+        h = Histogram("lat_s")
+        with pytest.raises(ValueError, match="lat_s"):
+            observe(h)
+        # refused before anything is counted
+        assert h.count == (0 if h.sum == 0.0 else 1)
+        assert h.sum in (0.0, 0.5) and sum(h._counts) == h.count
+
+    @pytest.mark.parametrize("kwargs", [
+        {"growth": math.nan}, {"growth": math.inf}, {"hi": math.inf},
+        {"lo": math.nan}, {"hi": math.nan}])
+    def test_non_finite_bounds_are_refused_naming_the_metric(self, kwargs):
+        with pytest.raises(ValueError, match="core_lat_s"):
+            MetricsRegistry().child("core").histogram("lat_s", **kwargs)
 
 
 class TestMetricsRegistry:

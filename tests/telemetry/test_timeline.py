@@ -194,6 +194,23 @@ class TestSloAwareRetention:
         with pytest.raises(ValueError, match="sample_every"):
             Telemetry(sample_every=0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("sample_every", float("nan")), ("sample_every", 2.0),
+        ("sample_every", True), ("max_timelines", float("nan")),
+        ("max_timelines", -1), ("max_timelines", 2.5),
+        ("max_timelines", True)])
+    def test_settings_must_be_ints_in_range(self, field, value):
+        """A NaN ``sample_every`` used to sample out every satisfied
+        timeline, and ``max_timelines`` was never checked."""
+        with pytest.raises(ValueError, match=field):
+            Telemetry(**{field: value})
+
+    def test_a_zero_timeline_cap_keeps_only_violators(self):
+        tel = Telemetry(max_timelines=0)
+        _request_tree(tel.tracer, request=0, satisfied=True)
+        _request_tree(tel.tracer, request=1, satisfied=False)
+        assert [tl.request_id for tl in tel.timelines] == [1]
+
     def test_child_views_inherit_sampling(self):
         tel = Telemetry(sample_every=2)
         child = tel.child("server")

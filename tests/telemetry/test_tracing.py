@@ -121,6 +121,13 @@ class TestBoundedBuffer:
         with pytest.raises(ValueError):
             Tracer(max_finished=0)
 
+    @pytest.mark.parametrize("value", [2.5, float("nan"), True, "3", -1])
+    def test_max_finished_must_be_an_int_at_construction(self, value):
+        """2.5 used to fail mid-run at the first root past the cap, NaN
+        removed the bound and True counted as 1."""
+        with pytest.raises(ValueError, match="max_finished"):
+            Tracer(max_finished=value)
+
 
 class TestNullTracer:
     def test_shared_span_no_allocation(self):
