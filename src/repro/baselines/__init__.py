@@ -1,25 +1,11 @@
 """Fixed-DNN distributed-inference baselines: Neurosurgeon (layer-wise)
 and ADCNN (FDSP spatial), plus the figure-driver registry."""
 
-from .adcnn import FDSP_FINETUNE_PENALTY, ADCNNResult, adcnn_plan
-from .neurosurgeon import NeurosurgeonResult, neurosurgeon_plan
-from .registry import (
-    AUGMENTED_BASELINES,
-    SWARM_BASELINES,
-    BaselineMethod,
-    BaselineOutcome,
-    make_baseline,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "neurosurgeon_plan",
-    "NeurosurgeonResult",
-    "adcnn_plan",
-    "ADCNNResult",
-    "FDSP_FINETUNE_PENALTY",
-    "BaselineMethod",
-    "BaselineOutcome",
-    "make_baseline",
-    "AUGMENTED_BASELINES",
-    "SWARM_BASELINES",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    "neurosurgeon": ("neurosurgeon_plan", "NeurosurgeonResult"),
+    "adcnn": ("adcnn_plan", "ADCNNResult", "FDSP_FINETUNE_PENALTY"),
+    "registry": ("BaselineMethod", "BaselineOutcome", "make_baseline",
+                 "AUGMENTED_BASELINES", "SWARM_BASELINES"),
+})

@@ -21,13 +21,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .eval import (SCENARIOS, fig13_augmented_accuracy, fig14_swarm_accuracy,
-                   fig15_accuracy_slo_latency, fig16a_compliance_augmented,
-                   fig16b_compliance_swarm, fig17_scalability,
-                   fig18_search_time, fig19_switch_time,
-                   format_accuracy_grid, format_compliance,
-                   format_latency_grid, format_scalability,
-                   format_search_time, format_switch_time)
+from .eval.runner import SCENARIOS
 
 __all__ = ["main"]
 
@@ -37,34 +31,49 @@ class _UsageError(Exception):
 
 
 def _fig13(args) -> str:
+    from .eval import fig13_augmented_accuracy, format_accuracy_grid
+
     data = fig13_augmented_accuracy(latency_slo_ms=args.slo_ms)
     return format_accuracy_grid(data)
 
 
 def _fig14(args) -> str:
+    from .eval import fig14_swarm_accuracy, format_accuracy_grid
+
     return format_accuracy_grid(fig14_swarm_accuracy(),
                                 row_label="slo_ms", col_label="bw")
 
 
 def _fig15(args) -> str:
+    from .eval import fig15_accuracy_slo_latency, format_latency_grid
+
     return format_latency_grid(fig15_accuracy_slo_latency())
 
 
 def _fig16(args) -> str:
+    from .eval import (fig16a_compliance_augmented, fig16b_compliance_swarm,
+                       format_compliance)
+
     a = format_compliance(fig16a_compliance_augmented())
     b = format_compliance(fig16b_compliance_swarm())
     return f"-- Fig 16a (augmented) --\n{a}\n\n-- Fig 16b (swarm) --\n{b}"
 
 
 def _fig17(args) -> str:
+    from .eval import fig17_scalability, format_scalability
+
     return format_scalability(fig17_scalability())
 
 
 def _fig18(args) -> str:
+    from .eval import fig18_search_time, format_search_time
+
     return format_search_time(fig18_search_time())
 
 
 def _fig19(args) -> str:
+    from .eval import fig19_switch_time, format_switch_time
+
     return format_switch_time(fig19_switch_time())
 
 

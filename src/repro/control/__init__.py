@@ -7,20 +7,12 @@ precompute.  ``control=None`` (the default anywhere) selects
 :data:`NULL_CONTROL`, which never ticks and admits every request.
 """
 
-from .controllers import (AdmissionController, BatchPolicyController,
-                          CacheGranularityController, Controller,
-                          PrecomputeScheduler, TenantFairnessController)
-from .loop import NULL_CONTROL, ControlAction, ControlLoop, ControlSnapshot
+from .. import _lazy_exports
 
-__all__ = [
-    "AdmissionController",
-    "BatchPolicyController",
-    "CacheGranularityController",
-    "Controller",
-    "ControlAction",
-    "ControlLoop",
-    "ControlSnapshot",
-    "NULL_CONTROL",
-    "PrecomputeScheduler",
-    "TenantFairnessController",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    "controllers": ("AdmissionController", "BatchPolicyController",
+                    "CacheGranularityController", "Controller",
+                    "PrecomputeScheduler", "TenantFairnessController"),
+    "loop": ("ControlAction", "ControlLoop", "ControlSnapshot",
+             "NULL_CONTROL"),
+})

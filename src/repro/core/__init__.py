@@ -1,22 +1,13 @@
 """Murmuration core: SLO API, strategies, decision engines, the plan cost
 model, strategy cache, and the system facade."""
 
-from .cost_model import PlanCostModel
-from .decision import DecisionRecord, RLDecisionEngine, SearchDecisionEngine
-from .murmuration import BatchInferenceResult, InferenceRecord, Murmuration
-from .slo import SLO
-from .strategy import Strategy
-from .strategy_cache import StrategyCache
+from .. import _lazy_exports
 
-__all__ = [
-    "SLO",
-    "Strategy",
-    "StrategyCache",
-    "PlanCostModel",
-    "DecisionRecord",
-    "RLDecisionEngine",
-    "SearchDecisionEngine",
-    "Murmuration",
-    "InferenceRecord",
-    "BatchInferenceResult",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    "slo": ("SLO",),
+    "strategy": ("Strategy",),
+    "strategy_cache": ("StrategyCache",),
+    "cost_model": ("PlanCostModel",),
+    "decision": ("DecisionRecord", "RLDecisionEngine", "SearchDecisionEngine"),
+    "murmuration": ("Murmuration", "InferenceRecord", "BatchInferenceResult"),
+})

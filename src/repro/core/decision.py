@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,10 +26,12 @@ from ..nas.arch import ArchConfig, max_arch, min_arch, random_arch
 from ..nas.search_space import SearchSpace
 from ..netsim.topology import Cluster, NetworkCondition
 from ..rl.env import MurmurationEnv, Task
-from ..rl.policy import LSTMPolicy
 from .cost_model import PlanCostModel
 from .slo import SLO
 from .strategy import Strategy
+
+if TYPE_CHECKING:
+    from ..rl.policy import LSTMPolicy
 
 __all__ = ["DecisionRecord", "RLDecisionEngine", "SearchDecisionEngine"]
 

@@ -39,7 +39,7 @@ cannot fail prices a plan-only batch once instead of per item.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,7 +51,6 @@ from ..faults.resilience import (ExecutionFailedError, NoRouteError,
 from ..nas.accuracy_model import arch_accuracy, plan_accuracy_penalty
 from ..nas.arch import min_arch
 from ..nas.search_space import SearchSpace
-from ..nas.supernet import Supernet
 from ..netsim.monitor import NetworkMonitor
 from ..netsim.topology import Cluster, NetworkCondition
 from ..runtime.clock import SimulatedClock
@@ -66,6 +65,9 @@ from .decision import DecisionRecord, RLDecisionEngine, SearchDecisionEngine
 from .slo import SLO
 from .strategy import Strategy
 from .strategy_cache import StrategyCache
+
+if TYPE_CHECKING:
+    from ..nas.supernet import Supernet
 
 __all__ = ["BatchInferenceResult", "InferenceRecord", "Murmuration"]
 

@@ -1,39 +1,12 @@
 """Device profiles and per-device latency/switch-cost models."""
 
-from .energy import (
-    ENERGY_CATALOG,
-    EnergyProfile,
-    EnergyReport,
-    energy_of_report,
-)
-from .latency import (
-    block_time,
-    graph_time,
-    model_switch_time,
-    supernet_reconfig_time,
-)
-from .profiles import (
-    DEVICE_CATALOG,
-    DeviceProfile,
-    desktop_gtx1080,
-    get_device,
-    jetson_class,
-    rpi4,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "DeviceProfile",
-    "DEVICE_CATALOG",
-    "get_device",
-    "rpi4",
-    "desktop_gtx1080",
-    "jetson_class",
-    "block_time",
-    "graph_time",
-    "model_switch_time",
-    "supernet_reconfig_time",
-    "EnergyProfile",
-    "EnergyReport",
-    "ENERGY_CATALOG",
-    "energy_of_report",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    "profiles": ("DeviceProfile", "DEVICE_CATALOG", "get_device", "rpi4",
+                 "desktop_gtx1080", "jetson_class"),
+    "latency": ("block_time", "graph_time", "model_switch_time",
+                "supernet_reconfig_time"),
+    "energy": ("EnergyProfile", "EnergyReport", "ENERGY_CATALOG",
+               "energy_of_report"),
+})

@@ -24,14 +24,15 @@ floats losslessly, so replay equality is ``==``, not a tolerance.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Sequence, Union
 
 from ..runtime.batching import BatchedServingStats, BatchRecord
 from ..runtime.server import RequestRecord, ServingStats
 from ..telemetry import Telemetry
 from ..telemetry.recorder import Recording, RunRecorder, read_recordings
-from .runner import (SCENARIOS, ScenarioReport, config_from_dict,
-                     run_scenario)
+
+if TYPE_CHECKING:
+    from .runner import ScenarioReport
 
 __all__ = ["load_recordings", "replay_stats", "replay_reports",
            "verify_invariants", "rerecord", "format_replay"]
@@ -219,6 +220,8 @@ def replay_reports(
     :func:`repro.eval.runner.format_reports` directly, so any
     scenario's table derives from its recording alone.
     """
+    from .runner import ScenarioReport
+
     recs = (source if isinstance(source, (list, tuple))
             else read_recordings(source))
     return {rec.variant: ScenarioReport(
@@ -236,6 +239,8 @@ def rerecord(rec: Recording) -> RunRecorder:
     timelines was captured with telemetry on, so the re-run gets a
     fresh :class:`~repro.telemetry.Telemetry` too.
     """
+    from .runner import SCENARIOS, config_from_dict, run_scenario
+
     spec = SCENARIOS.get(rec.scenario)
     if spec is None:
         raise ValueError(

@@ -24,38 +24,16 @@ and the breakers are :data:`NULL_HEALTH`.  To inject faults::
                          resilience=ResilienceConfig())
 """
 
-from .health import NULL_HEALTH, CircuitState, DeviceHealth
-from .injector import NULL_FAULTS, FaultInjector
-from .resilience import (DeviceUnreachableError, ExecutionFailedError,
-                         NoRouteError, ResilienceConfig, RetryPolicy,
-                         TransportError)
-from .schedule import (CorrelatedFailure, DeviceCrash, FaultEvent,
-                       FaultSchedule, LinkDegradation, LinkFailure, LinkFlap,
-                       MessageLoss, Partition, Straggler, chaos_schedule,
-                       crash_and_recover_schedule)
+from .. import _lazy_exports
 
-__all__ = [
-    "FaultEvent",
-    "DeviceCrash",
-    "Straggler",
-    "LinkDegradation",
-    "MessageLoss",
-    "Partition",
-    "LinkFailure",
-    "LinkFlap",
-    "CorrelatedFailure",
-    "FaultSchedule",
-    "crash_and_recover_schedule",
-    "chaos_schedule",
-    "FaultInjector",
-    "NULL_FAULTS",
-    "DeviceHealth",
-    "NULL_HEALTH",
-    "CircuitState",
-    "RetryPolicy",
-    "ResilienceConfig",
-    "TransportError",
-    "NoRouteError",
-    "DeviceUnreachableError",
-    "ExecutionFailedError",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    "schedule": ("FaultEvent", "DeviceCrash", "Straggler", "LinkDegradation",
+                 "MessageLoss", "Partition", "LinkFailure", "LinkFlap",
+                 "CorrelatedFailure", "FaultSchedule",
+                 "crash_and_recover_schedule", "chaos_schedule"),
+    "injector": ("FaultInjector", "NULL_FAULTS"),
+    "health": ("DeviceHealth", "NULL_HEALTH", "CircuitState"),
+    "resilience": ("RetryPolicy", "ResilienceConfig", "TransportError",
+                   "NoRouteError", "DeviceUnreachableError",
+                   "ExecutionFailedError"),
+})

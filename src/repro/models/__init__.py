@@ -1,30 +1,10 @@
 """Model cost-graph representation and the fixed-model zoo."""
 
-from .graph import ComputeBlock, ModelGraph, conv_flops, linear_flops
-from .vit import vit_base_16, vit_profile, vit_small_16
-from .zoo import (
-    MODEL_ZOO,
-    densenet161,
-    get_model,
-    inception_v3,
-    mobilenet_v3_large,
-    resnet50,
-    resnext101_32x8d,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "ComputeBlock",
-    "ModelGraph",
-    "conv_flops",
-    "linear_flops",
-    "MODEL_ZOO",
-    "get_model",
-    "mobilenet_v3_large",
-    "resnet50",
-    "inception_v3",
-    "densenet161",
-    "resnext101_32x8d",
-    "vit_profile",
-    "vit_base_16",
-    "vit_small_16",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    "graph": ("ComputeBlock", "ModelGraph", "conv_flops", "linear_flops"),
+    "zoo": ("MODEL_ZOO", "get_model", "mobilenet_v3_large", "resnet50",
+            "inception_v3", "densenet161", "resnext101_32x8d"),
+    "vit": ("vit_profile", "vit_base_16", "vit_small_16"),
+})

@@ -5,69 +5,20 @@ supernet, progressive-shrinking training, accuracy models/predictors,
 cost-graph lowering, and the evolutionary-search baseline.
 """
 
-from .accuracy_model import (
-    ACC_MAX,
-    arch_accuracy,
-    plan_accuracy_penalty,
-    strategy_accuracy,
-)
-from .accuracy_predictor import AccuracyPredictor, fit_predictor
-from .arch import (
-    ArchConfig,
-    crossover_arch,
-    max_arch,
-    min_arch,
-    mutate_arch,
-    random_arch,
-)
-from .dataset import SyntheticImageDataset, downsample
-from .evolution import (
-    EvolutionConfig,
-    EvolutionResult,
-    candidate_plans,
-    evolutionary_search,
-)
-from .graph_builder import build_graph
-from .search_space import MBV3_SPACE, SearchSpace, StageSpec, tiny_space
-from .supernet import Supernet
-from .training import (
-    SupernetTrainer,
-    TrainConfig,
-    TrainResult,
-    evaluate_arch,
-    partition_aware_forward,
-    recalibrate_bn,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "SearchSpace",
-    "StageSpec",
-    "MBV3_SPACE",
-    "tiny_space",
-    "ArchConfig",
-    "max_arch",
-    "min_arch",
-    "random_arch",
-    "mutate_arch",
-    "crossover_arch",
-    "Supernet",
-    "SupernetTrainer",
-    "TrainConfig",
-    "TrainResult",
-    "evaluate_arch",
-    "recalibrate_bn",
-    "partition_aware_forward",
-    "SyntheticImageDataset",
-    "downsample",
-    "ACC_MAX",
-    "arch_accuracy",
-    "plan_accuracy_penalty",
-    "strategy_accuracy",
-    "AccuracyPredictor",
-    "fit_predictor",
-    "build_graph",
-    "EvolutionConfig",
-    "EvolutionResult",
-    "candidate_plans",
-    "evolutionary_search",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    "search_space": ("SearchSpace", "StageSpec", "MBV3_SPACE", "tiny_space"),
+    "arch": ("ArchConfig", "max_arch", "min_arch", "random_arch",
+             "mutate_arch", "crossover_arch"),
+    "supernet": ("Supernet",),
+    "training": ("SupernetTrainer", "TrainConfig", "TrainResult",
+                 "evaluate_arch", "recalibrate_bn", "partition_aware_forward"),
+    "dataset": ("SyntheticImageDataset", "downsample"),
+    "accuracy_model": ("ACC_MAX", "arch_accuracy", "plan_accuracy_penalty",
+                       "strategy_accuracy"),
+    "accuracy_predictor": ("AccuracyPredictor", "fit_predictor"),
+    "graph_builder": ("build_graph",),
+    "evolution": ("EvolutionConfig", "EvolutionResult", "candidate_plans",
+                  "evolutionary_search"),
+})

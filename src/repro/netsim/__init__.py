@@ -1,53 +1,19 @@
 """Network simulation: links, cluster topology, evaluation grids,
 dynamic traces, and the monitoring subsystem."""
 
-from .grids import (
-    AUGMENTED_BANDWIDTHS,
-    AUGMENTED_DELAYS,
-    SWARM_BANDWIDTHS,
-    SWARM_DELAY,
-    augmented_conditions,
-    swarm_conditions,
-    training_grid,
-    validation_conditions,
-)
-from .contention import SharedIngress
-from .fluid import FlowSpec, FluidSegment, FluidTracker, solve_fluid
-from .link import LOOPBACK, Link
-from .mesh import (MeshCluster, MeshLink, RouteInfo, line_topology,
-                   partial_mesh_topology, ring_topology)
-from .monitor import Measurement, NetworkMonitor
-from .topology import Cluster, NetworkCondition
-from .traces import TraceConfig, mobility_trace, random_walk_trace, step_trace
+from .. import _lazy_exports
 
-__all__ = [
-    "FlowSpec",
-    "FluidSegment",
-    "FluidTracker",
-    "SharedIngress",
-    "solve_fluid",
-    "Link",
-    "LOOPBACK",
-    "MeshCluster",
-    "MeshLink",
-    "RouteInfo",
-    "line_topology",
-    "partial_mesh_topology",
-    "ring_topology",
-    "Cluster",
-    "NetworkCondition",
-    "NetworkMonitor",
-    "Measurement",
-    "TraceConfig",
-    "random_walk_trace",
-    "step_trace",
-    "mobility_trace",
-    "AUGMENTED_BANDWIDTHS",
-    "AUGMENTED_DELAYS",
-    "SWARM_BANDWIDTHS",
-    "SWARM_DELAY",
-    "augmented_conditions",
-    "swarm_conditions",
-    "training_grid",
-    "validation_conditions",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    "fluid": ("FlowSpec", "FluidSegment", "FluidTracker", "solve_fluid"),
+    "contention": ("SharedIngress",),
+    "link": ("Link", "LOOPBACK"),
+    "mesh": ("MeshCluster", "MeshLink", "RouteInfo", "line_topology",
+             "partial_mesh_topology", "ring_topology"),
+    "topology": ("Cluster", "NetworkCondition"),
+    "monitor": ("NetworkMonitor", "Measurement"),
+    "traces": ("TraceConfig", "random_walk_trace", "step_trace",
+               "mobility_trace"),
+    "grids": ("AUGMENTED_BANDWIDTHS", "AUGMENTED_DELAYS", "SWARM_BANDWIDTHS",
+              "SWARM_DELAY", "augmented_conditions", "swarm_conditions",
+              "training_grid", "validation_conditions"),
+})

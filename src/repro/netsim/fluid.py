@@ -416,6 +416,17 @@ class FluidTracker:
             self._segment(head, until)
         self._head = head.settled(until)
 
+    @staticmethod
+    def _check_prices(latency_s: float, base_s: Optional[float]) -> None:
+        """Both times a transfer's price hands back are finite and
+        non-negative — or ``ValueError``, before anything moved."""
+        if not 0 <= latency_s < math.inf:
+            raise ValueError(f"latency_s must be a finite non-negative "
+                             f"time, got {latency_s}")
+        if base_s is not None and not 0 <= base_s < math.inf:
+            raise ValueError(f"base_s must be a finite non-negative "
+                             f"time, got {base_s}")
+
     def _checked(self, edges: Sequence[Edge], caps: Mapping[Edge, float],
                  nbytes: float) -> Tuple[Path, Dict[Edge, float], float]:
         """Canonical path, its capacities and the payload — or
@@ -540,6 +551,7 @@ class FluidTracker:
         nothing is solved twice.
         """
         now = check_time(now)
+        self._check_prices(latency_s, base_s)
         path, path_caps, nbytes = self._checked(edges, caps, nbytes)
         price = branch = None
         if self._peeked is not None and self._peeked[0] == (
@@ -573,6 +585,7 @@ class FluidTracker:
         anything else moves the ledger, adopts all three.
         """
         now = check_time(now)
+        self._check_prices(latency_s, base_s)
         path, path_caps, nbytes = self._checked(edges, caps, nbytes)
         state = self._head.reached(now).settled(now)
         lone = not any(state.sharing(path).values())

@@ -7,57 +7,18 @@ LSTM cell with BPTT for the RL policy, optimizers, and feature-map
 quantization.
 """
 
-from . import functional
-from .layers import (
-    BatchNorm2d,
-    Conv2d,
-    DepthwiseConv2d,
-    Flatten,
-    GlobalAvgPool,
-    HSigmoid,
-    HSwish,
-    Linear,
-    Module,
-    Parameter,
-    ReLU,
-    Sequential,
-    SqueezeExcite,
-)
-from .lstm import LSTMCell
-from .optim import SGD, Adam, CosineLR, clip_grad_norm
-from .quantize import (
-    SUPPORTED_BITS,
-    QuantizedTensor,
-    dequantize,
-    fake_quantize,
-    quantize,
-    wire_bytes,
-)
+from .. import _lazy_exports
+# shares its submodule's name, which the first import of the submodule
+# binds here: only an eager import keeps ``repro.nn.quantize`` the function
+from .quantize import quantize
 
-__all__ = [
-    "functional",
-    "Module",
-    "Parameter",
-    "Conv2d",
-    "DepthwiseConv2d",
-    "BatchNorm2d",
-    "Linear",
-    "ReLU",
-    "HSwish",
-    "HSigmoid",
-    "GlobalAvgPool",
-    "Flatten",
-    "SqueezeExcite",
-    "Sequential",
-    "LSTMCell",
-    "SGD",
-    "Adam",
-    "CosineLR",
-    "clip_grad_norm",
-    "QuantizedTensor",
-    "quantize",
-    "dequantize",
-    "fake_quantize",
-    "wire_bytes",
-    "SUPPORTED_BITS",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    "functional": ("functional",),
+    "layers": ("Module", "Parameter", "Conv2d", "DepthwiseConv2d",
+               "BatchNorm2d", "Linear", "ReLU", "HSwish", "HSigmoid",
+               "GlobalAvgPool", "Flatten", "SqueezeExcite", "Sequential"),
+    "lstm": ("LSTMCell",),
+    "optim": ("SGD", "Adam", "CosineLR", "clip_grad_norm"),
+    "quantize": ("QuantizedTensor", "quantize", "dequantize", "fake_quantize",
+                 "wire_bytes", "SUPPORTED_BITS"),
+})

@@ -1,43 +1,14 @@
 """Model partitioning: FDSP spatial tiling, layer-wise splits, execution
 plans and the distributed-latency simulator."""
 
-from .plan import (
-    BlockPlan,
-    ExecutionPlan,
-    greedy_spatial_plan,
-    layerwise_split_plan,
-    single_device_plan,
-    spatial_front_plan,
-    spatial_plan,
-)
-from .compiled import PlanProgram, compile_plan, price
-from .simulate import LatencyReport, simulate_latency
-from .spatial import (
-    GRIDS,
-    Grid,
-    fdsp_compute_overhead,
-    merge_tiles,
-    split_tiles,
-    tile_shape,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "Grid",
-    "greedy_spatial_plan",
-    "spatial_front_plan",
-    "GRIDS",
-    "fdsp_compute_overhead",
-    "split_tiles",
-    "merge_tiles",
-    "tile_shape",
-    "BlockPlan",
-    "ExecutionPlan",
-    "single_device_plan",
-    "layerwise_split_plan",
-    "spatial_plan",
-    "LatencyReport",
-    "simulate_latency",
-    "PlanProgram",
-    "compile_plan",
-    "price",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    "spatial": ("Grid", "GRIDS", "fdsp_compute_overhead", "split_tiles",
+                "merge_tiles", "tile_shape"),
+    "plan": ("greedy_spatial_plan", "spatial_front_plan", "BlockPlan",
+             "ExecutionPlan", "single_device_plan", "layerwise_split_plan",
+             "spatial_plan"),
+    "simulate": ("LatencyReport", "simulate_latency"),
+    "compiled": ("PlanProgram", "compile_plan", "price"),
+})

@@ -1,18 +1,10 @@
 """SUPREME: bucketed replay buffer with sharing/pruning/mutation, and
 the full Stage-2 trainer."""
 
-from .buffer import BucketDim, BucketedReplayBuffer, Entry
-from .mutation import improve_locality, mutate_actions, suboptimal_buckets
-from .trainer import SupremeConfig, SupremeTrainer, murmuration_basic_config
+from ... import _lazy_exports
 
-__all__ = [
-    "BucketDim",
-    "BucketedReplayBuffer",
-    "Entry",
-    "mutate_actions",
-    "improve_locality",
-    "suboptimal_buckets",
-    "SupremeConfig",
-    "SupremeTrainer",
-    "murmuration_basic_config",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    "buffer": ("BucketDim", "BucketedReplayBuffer", "Entry"),
+    "mutation": ("mutate_actions", "improve_locality", "suboptimal_buckets"),
+    "trainer": ("SupremeConfig", "SupremeTrainer", "murmuration_basic_config"),
+})

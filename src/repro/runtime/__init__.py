@@ -1,31 +1,15 @@
 """Stage 3 runtime: simulated clock, RPC substitute, the distributed
 executor, model reconfiguration and the monitoring predictor."""
 
-from .batching import (BatchedServingStats, BatchingInferenceServer,
-                       BatchPolicy, BatchRecord)
-from .clock import SimulatedClock
-from .executor import DistributedExecutor, ExecutionResult
-from .predictor import LinearPredictor, MonitoringPredictor
-from .reconfig import FixedModelStore, ModelReconfig, SwitchRecord
-from .rpc import Message, Transport
-from .server import InferenceServer, RequestRecord, ServingStats
+from .. import _lazy_exports
 
-__all__ = [
-    "SimulatedClock",
-    "Transport",
-    "Message",
-    "DistributedExecutor",
-    "ExecutionResult",
-    "ModelReconfig",
-    "FixedModelStore",
-    "SwitchRecord",
-    "LinearPredictor",
-    "MonitoringPredictor",
-    "InferenceServer",
-    "RequestRecord",
-    "ServingStats",
-    "BatchingInferenceServer",
-    "BatchPolicy",
-    "BatchRecord",
-    "BatchedServingStats",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    "clock": ("SimulatedClock",),
+    "rpc": ("Transport", "Message"),
+    "executor": ("DistributedExecutor", "ExecutionResult"),
+    "reconfig": ("ModelReconfig", "FixedModelStore", "SwitchRecord"),
+    "predictor": ("LinearPredictor", "MonitoringPredictor"),
+    "server": ("InferenceServer", "RequestRecord", "ServingStats"),
+    "batching": ("BatchingInferenceServer", "BatchPolicy", "BatchRecord",
+                 "BatchedServingStats"),
+})

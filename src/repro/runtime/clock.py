@@ -8,28 +8,39 @@ lets a laptop reproduce a five-Raspberry-Pi testbed's timing behaviour.
 
 from __future__ import annotations
 
+import math
+
+from ..netsim.traces import check_time
+
 __all__ = ["SimulatedClock"]
 
 
 class SimulatedClock:
-    """Monotonically advancing simulated time in seconds."""
+    """Monotonically advancing simulated time in seconds.
+
+    The time is always a finite instant (``check_time``): a NaN passes
+    every ``<`` guard and would be inherited by each request after it.
+    """
 
     def __init__(self, start: float = 0.0):
-        self._now = float(start)
+        self._now = check_time(start)
 
     @property
     def now(self) -> float:
         return self._now
 
     def advance(self, dt: float) -> float:
-        if dt < 0:
+        if not 0 <= dt < math.inf:
             raise ValueError(f"cannot advance time by {dt}")
         self._now += dt
         return self._now
 
     def advance_to(self, t: float) -> float:
-        if t < self._now:
-            raise ValueError(f"cannot rewind clock from {self._now} to {t}")
+        if not self._now <= t < math.inf:
+            if t < self._now:
+                raise ValueError(
+                    f"cannot rewind clock from {self._now} to {t}")
+            check_time(t)
         self._now = t
         return self._now
 
@@ -48,7 +59,7 @@ class SimulatedClock:
         through :meth:`advance` / :meth:`advance_to`, which guard
         monotonicity.
         """
-        self._now = float(t)
+        self._now = check_time(t)
         return self._now
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -36,7 +36,7 @@ burned discovering it and runs the same failover/degradation ladder.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,13 +47,15 @@ from ..faults.resilience import (DeviceUnreachableError, ExecutionFailedError,
 from ..models.graph import ModelGraph
 from ..nas.arch import ArchConfig, min_arch
 from ..nas.graph_builder import build_graph
-from ..nas.supernet import Supernet
 from ..netsim.topology import Cluster
 from ..partition.plan import BlockPlan, ExecutionPlan, single_device_plan
 from ..partition.simulate import LatencyReport, simulate_latency
 from ..partition.spatial import Grid, merge_tiles, split_tiles
 from ..telemetry import Telemetry
 from .rpc import Transport
+
+if TYPE_CHECKING:
+    from ..nas.supernet import Supernet
 
 __all__ = ["ExecutionResult", "DistributedExecutor"]
 

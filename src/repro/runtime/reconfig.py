@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..devices.latency import model_switch_time, supernet_reconfig_time
 from ..devices.profiles import DeviceProfile
@@ -19,7 +19,9 @@ from ..models.graph import ModelGraph
 from ..nas.arch import ArchConfig
 from ..nas.graph_builder import build_graph
 from ..nas.search_space import SearchSpace
-from ..nas.supernet import Supernet
+
+if TYPE_CHECKING:
+    from ..nas.supernet import Supernet
 
 __all__ = ["SwitchRecord", "ModelReconfig", "FixedModelStore"]
 

@@ -7,13 +7,12 @@ traces, fault schedules, control cadences, and capacity traces into
 events that fire at their true instants (see DESIGN.md, "Event core").
 """
 
-from .events import Event, EventLoop
-from .sources import (PRIORITY_OBSERVER, PRIORITY_WORLD,
-                      schedule_condition_trace, schedule_control_ticks,
-                      schedule_fault_transitions, schedule_ingress_trace,
-                      schedule_monitor_caps)
+from .. import _lazy_exports
 
-__all__ = ["Event", "EventLoop", "PRIORITY_WORLD", "PRIORITY_OBSERVER",
-           "schedule_condition_trace", "schedule_fault_transitions",
-           "schedule_control_ticks", "schedule_ingress_trace",
-           "schedule_monitor_caps"]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    "events": ("Event", "EventLoop"),
+    "sources": ("PRIORITY_WORLD", "PRIORITY_OBSERVER",
+                "schedule_condition_trace", "schedule_fault_transitions",
+                "schedule_control_ticks", "schedule_ingress_trace",
+                "schedule_monitor_caps"),
+})

@@ -30,39 +30,15 @@ the no-op :data:`NULL_TELEMETRY`)::
     print(console_report(tel.registry, tel.timelines))
 """
 
-from .export import (console_report, format_link_report, jsonl_records,
-                     link_stats, prometheus_text, write_jsonl)
-from .hub import NULL_TELEMETRY, Telemetry
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .recorder import (NULL_RECORDER, SCHEMA_VERSION, Recording, RunRecorder,
-                       read_recordings, write_recordings)
-from .timeline import RequestTimeline, TimelineEvent, stitch_timelines
-from .tracing import NULL_TRACER, NullTracer, Span, Tracer
+from .. import _lazy_exports
 
-__all__ = [
-    "Telemetry",
-    "NULL_TELEMETRY",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
-    "Span",
-    "RequestTimeline",
-    "TimelineEvent",
-    "stitch_timelines",
-    "write_jsonl",
-    "jsonl_records",
-    "prometheus_text",
-    "console_report",
-    "link_stats",
-    "format_link_report",
-    "SCHEMA_VERSION",
-    "Recording",
-    "RunRecorder",
-    "NULL_RECORDER",
-    "read_recordings",
-    "write_recordings",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    "hub": ("Telemetry", "NULL_TELEMETRY"),
+    "metrics": ("MetricsRegistry", "Counter", "Gauge", "Histogram"),
+    "tracing": ("Tracer", "NullTracer", "NULL_TRACER", "Span"),
+    "timeline": ("RequestTimeline", "TimelineEvent", "stitch_timelines"),
+    "export": ("write_jsonl", "jsonl_records", "prometheus_text",
+               "console_report", "link_stats", "format_link_report"),
+    "recorder": ("SCHEMA_VERSION", "Recording", "RunRecorder", "NULL_RECORDER",
+                 "read_recordings", "write_recordings"),
+})

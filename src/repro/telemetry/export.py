@@ -25,6 +25,7 @@ import warnings
 from typing import IO, Iterable, Iterator, List, Optional, Sequence, Union
 
 from .metrics import Counter, Gauge, Histogram, Metric, MetricsRegistry
+from .recorder import _json_default
 from .timeline import RequestTimeline
 
 __all__ = ["jsonl_records", "write_jsonl", "prometheus_text",
@@ -55,14 +56,6 @@ def _metric_record(m: Metric) -> dict:
     else:
         rec["value"] = m.value
     return rec
-
-
-def _json_default(obj):
-    """Tolerate NumPy scalars (and anything else stringable) in attrs."""
-    item = getattr(obj, "item", None)
-    if callable(item):
-        return item()
-    return str(obj)
 
 
 def jsonl_records(registry: MetricsRegistry,

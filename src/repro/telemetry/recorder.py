@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import (IO, Any, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Union)
 
-from .export import _json_default
 from .timeline import RequestTimeline
 
 __all__ = ["SCHEMA_VERSION", "Recording", "RunRecorder", "NullRecorder",
@@ -39,6 +38,14 @@ __all__ = ["SCHEMA_VERSION", "Recording", "RunRecorder", "NullRecorder",
 
 #: bump when a record kind changes incompatibly; readers refuse newer
 SCHEMA_VERSION = 1
+
+
+def _json_default(obj):
+    """Tolerate NumPy scalars (and anything else stringable) in attrs."""
+    item = getattr(obj, "item", None)
+    if callable(item):
+        return item()
+    return str(obj)
 
 
 def _dumps(rec: Dict[str, Any]) -> str:

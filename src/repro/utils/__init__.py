@@ -1,5 +1,7 @@
 """Utility helpers: module checkpointing."""
 
-from .checkpoint import load_module, module_arrays, save_module
+from .. import _lazy_exports
 
-__all__ = ["save_module", "load_module", "module_arrays"]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    "checkpoint": ("save_module", "load_module", "module_arrays"),
+})

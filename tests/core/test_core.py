@@ -1,5 +1,7 @@
 """Core: SLO API, strategy cache, decision engines, the facade."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -397,6 +399,21 @@ class TestMurmurationFacade:
         sys.infer(now=2.0)
         with pytest.raises(ValueError, match="rewind"):
             sys.infer(now=1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("front", ["infer", "infer_batch"])
+    def test_a_non_finite_now_is_refused_before_anything_is_served(
+            self, devices, front, bad):
+        """``nan`` passes the rewind guard (``nan < x`` is false): the
+        clock became NaN and every later request inherited it."""
+        sys = self._system(devices, use_predictor=False)
+        sys.infer(now=1.0)
+        before = (sys.clock.now, sys.cache.hits, sys.cache.misses)
+        with pytest.raises(ValueError, match=str(bad)):
+            getattr(sys, front)(now=bad)
+        assert (sys.clock.now, sys.cache.hits, sys.cache.misses) == before
+        sys.infer()
+        assert before[0] < sys.clock.now < math.inf
 
     def test_infer_tolerates_float_noise_rewinds(self, devices):
         """Servers sum service segments in a different association order

@@ -224,6 +224,34 @@ class TestLedgerMechanics:
             assert tracker._caps == CAPS
             assert tracker.finish_time(fid) == 1.0
 
+    @pytest.mark.parametrize("call", ["admit_transfer", "peek_transfer"])
+    @pytest.mark.parametrize("times", [
+        {"latency_s": math.nan}, {"latency_s": -1.0},
+        {"latency_s": math.inf}, {"base_s": math.nan},
+        {"base_s": -1.0}, {"base_s": math.inf}],
+        ids=["latency-nan", "latency-negative", "latency-inf", "base-nan",
+             "base-negative", "base-inf"])
+    def test_a_hostile_price_time_raises_before_the_ledger_moves(
+            self, call, times):
+        # contended, a NaN latency priced NaN and -1 priced a negative
+        # duration; lone, a NaN base_s came back verbatim
+        tracker = FluidTracker(record_segments=True)
+        fid = tracker.admit(((0, 1),), CAPS, 0.0, 12.5)
+        kwargs = {"latency_s": 0.0, "base_s": 0.5, **times}
+        name = next(iter(times))
+        with pytest.raises(ValueError, match=name):
+            getattr(tracker, call)(((0, 1),), CAPS, nbytes=1.0, now=0.5,
+                                   **kwargs)
+        assert tracker.stats() == {"flows": 1, "contended": 0,
+                                   "peak_share": 1, "segments": 0,
+                                   "active": 1}
+        assert tracker.finish_time(fid) == 1.0
+        lone = FluidTracker()
+        with pytest.raises(ValueError, match=name):
+            getattr(lone, call)(((0, 1),), CAPS, nbytes=1.0, now=0.5,
+                                **kwargs)
+        assert lone.stats()["flows"] == 0
+
     def test_ingress_rejects_a_nan_payload(self):
         link = Link(bandwidth_mbps=40.0, delay_ms=5.0)
         with pytest.raises(ValueError, match="payload_bytes"):

@@ -1,5 +1,7 @@
 """Runtime subsystems: clock, transport, reconfig, monitoring predictor."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,18 @@ class TestClock:
             c.advance(-1)
         with pytest.raises(ValueError):
             c.advance_to(1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("call", [
+        SimulatedClock, lambda t: SimulatedClock(5.0).reset(t),
+        lambda t: SimulatedClock(5.0).advance_to(t),
+        lambda t: SimulatedClock(5.0).advance(t)],
+        ids=["start", "reset", "advance_to", "advance"])
+    def test_a_non_finite_time_is_refused_naming_it(self, call, bad):
+        # ``nan < x`` is false, so a NaN passed every rewind guard and
+        # every later request inherited it
+        with pytest.raises(ValueError, match=str(bad)):
+            call(bad)
 
 
 class TestTransport:
