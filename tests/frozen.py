@@ -80,10 +80,11 @@ def _python(*args: str, check=False) -> bytes:
 
 
 def figure_tables() -> dict:
-    """sha256 of the seeded ``fig13`` / ``fig14`` / ``fig17`` tables
-    (``fig15`` / ``fig16`` are in ``decision_digests``)."""
+    """sha256 of every byte-stable figure table the CLI prints
+    (``fig18`` times the host; ``vit`` is not frozen)."""
     return {figure: sha256(_python("-m", "repro.cli", figure, check=True))
-            for figure in ("fig13", "fig14", "fig17")}
+            for figure in ("fig13", "fig14", "fig15", "fig16", "fig17",
+                           "fig19")}
 
 
 def sim_digests(ledger: dict) -> dict:
