@@ -1,11 +1,11 @@
 """Command-line figure runner.
 
-``python -m repro.cli <figure>`` regenerates one of the paper's
-evaluation figures and prints its series — a thin convenience wrapper
-over :mod:`repro.eval` (the pytest benchmarks add assertions on top).
+``python -m repro.cli <figure>`` regenerates one entry of
+:data:`repro.eval.figures.FIGURES` at full size and prints its table
+(``benchmarks/bench_claims.py`` checks its claims on top).
 
     python -m repro.cli list
-    python -m repro.cli fig13 --slo-ms 140
+    python -m repro.cli fig13
     python -m repro.cli fig17
     python -m repro.cli vit
     python -m repro.cli telemetry --requests 60 --out telemetry.jsonl
@@ -21,6 +21,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from .eval.figures import FIGURES, run_figure
 from .eval.runner import SCENARIOS
 
 __all__ = ["main"]
@@ -30,71 +31,18 @@ class _UsageError(Exception):
     """Bad command-line input found after parsing; exits with code 2."""
 
 
-def _fig13(args) -> str:
-    from .eval import fig13_augmented_accuracy, format_accuracy_grid
-
-    data = fig13_augmented_accuracy(latency_slo_ms=args.slo_ms)
-    return format_accuracy_grid(data)
-
-
-def _fig14(args) -> str:
-    from .eval import fig14_swarm_accuracy, format_accuracy_grid
-
-    return format_accuracy_grid(fig14_swarm_accuracy(),
-                                row_label="slo_ms", col_label="bw")
+def _writable(flag: str, path: str) -> None:
+    """Refuse an unwritable output path before any work is done."""
+    try:
+        with open(path, "a"):  # creates it if missing, never truncates
+            pass
+    except OSError as exc:
+        raise _UsageError(f"{flag} {path}: {exc.strerror}")
 
 
-def _fig15(args) -> str:
-    from .eval import fig15_accuracy_slo_latency, format_latency_grid
-
-    return format_latency_grid(fig15_accuracy_slo_latency())
-
-
-def _fig16(args) -> str:
-    from .eval import (fig16a_compliance_augmented, fig16b_compliance_swarm,
-                       format_compliance)
-
-    a = format_compliance(fig16a_compliance_augmented())
-    b = format_compliance(fig16b_compliance_swarm())
-    return f"-- Fig 16a (augmented) --\n{a}\n\n-- Fig 16b (swarm) --\n{b}"
-
-
-def _fig17(args) -> str:
-    from .eval import fig17_scalability, format_scalability
-
-    return format_scalability(fig17_scalability())
-
-
-def _fig18(args) -> str:
-    from .eval import fig18_search_time, format_search_time
-
-    return format_search_time(fig18_search_time())
-
-
-def _fig19(args) -> str:
-    from .eval import fig19_switch_time, format_switch_time
-
-    return format_switch_time(fig19_switch_time())
-
-
-def _vit(args) -> str:
-    from .devices import rpi4
-    from .models import vit_small_16
-    from .netsim import Cluster, NetworkCondition
-    from .partition import (Grid, simulate_latency, single_device_plan,
-                            spatial_plan)
-
-    v = vit_small_16()
-    lines = ["ViT-S/16 patch-parallel on a 5-Pi swarm (latency, s)",
-             f"{'bw Mbps':>8s}{'single':>9s}{'patch-par':>11s}"]
-    for bw in (5.0, 20.0, 100.0, 1000.0):
-        cl = Cluster([rpi4() for _ in range(5)],
-                     NetworkCondition((bw,) * 4, (2.0,) * 4))
-        single = simulate_latency(v, single_device_plan(v), cl).total_s
-        pp = simulate_latency(v, spatial_plan(v, Grid(2, 2), [0, 1, 2, 3]),
-                              cl).total_s
-        lines.append(f"{bw:8.0f}{single:9.2f}{pp:11.2f}")
-    return "\n".join(lines)
+def _figure(args) -> str:
+    """Regenerate one registered figure at full size: its table."""
+    return FIGURES[args.command].format(run_figure(args.command))
 
 
 def _telemetry(args) -> str:
@@ -109,13 +57,19 @@ def _telemetry(args) -> str:
 
     tel = Telemetry()
     devices = [rpi4(), desktop_gtx1080()]
-    system = Murmuration(
-        MBV3_SPACE, devices, NetworkCondition((80.0,), (30.0,)),
-        SearchDecisionEngine(MBV3_SPACE, devices, n_random_archs=4),
-        slo=SLO.latency_ms(args.slo_ms), use_predictor=False,
-        monitor_noise=0.02, seed=0, telemetry=tel)
-    server = InferenceServer(system, arrival_rate_hz=args.rate, seed=1,
-                             telemetry=tel)
+    try:
+        system = Murmuration(
+            MBV3_SPACE, devices, NetworkCondition((80.0,), (30.0,)),
+            SearchDecisionEngine(MBV3_SPACE, devices, n_random_archs=4),
+            slo=SLO.latency_ms(args.slo_ms), use_predictor=False,
+            monitor_noise=0.02, seed=0, telemetry=tel)
+        server = InferenceServer(system, arrival_rate_hz=args.rate, seed=1,
+                                 telemetry=tel)
+    except ValueError as exc:  # --slo-ms or --rate out of range
+        raise _UsageError(str(exc))
+    for flag, path in (("--out", args.out), ("--prom", args.prom)):
+        if path is not None:
+            _writable(flag, path)
     trace = random_walk_trace(TraceConfig(
         num_remote=1, bw_range=(25.0, 120.0), delay_range=(15.0, 70.0),
         steps=30, seed=1))
@@ -244,6 +198,8 @@ def _run(args) -> str:
         raise _UsageError(
             f"--timelines needs --record and the instrumented variant "
             f"({spec.instrumented or 'this scenario has none'})")
+    if args.record is not None:
+        _writable("--record", args.record)
     try:
         reports = run_scenario(
             args.scenario, cfg, variants=variants,
@@ -325,14 +281,7 @@ def _replay(args) -> str:
 
 
 _COMMANDS = {
-    "fig13": (_fig13, "accuracy grid @ latency SLO (augmented)"),
-    "fig14": (_fig14, "swarm accuracy vs bandwidth per SLO"),
-    "fig15": (_fig15, "latency under accuracy SLOs"),
-    "fig16": (_fig16, "SLO compliance rates"),
-    "fig17": (_fig17, "scaling with device count"),
-    "fig18": (_fig18, "decision time: evolutionary vs RL"),
-    "fig19": (_fig19, "model switch time"),
-    "vit": (_vit, "extension: ViT patch-parallel inference"),
+    **{name: (_figure, figure.help) for name, figure in FIGURES.items()},
     "telemetry": (_telemetry,
                   "instrumented serving run: report + JSONL/Prometheus"),
     "links": (_links,
@@ -356,10 +305,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub.add_parser("list", help="list available figures")
     for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if name == "fig13":
-            p.add_argument("--slo-ms", type=float, default=140.0,
-                           help="latency SLO in milliseconds")
-        elif name == "telemetry":
+        if name == "telemetry":
             p.add_argument("--requests", type=int, default=60,
                            help="requests to serve")
             p.add_argument("--rate", type=float, default=4.0,
@@ -415,7 +361,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command in (None, "list"):
         print("available figures:")
         for name, (_, help_text) in _COMMANDS.items():
-            print(f"  {name:9s} {help_text}")
+            print(f"  {name:16s} {help_text}")
         print("scenarios (run <name>):")
         for name, spec in SCENARIOS.items():
             print(f"  {name:13s} {', '.join(spec.variants)}")

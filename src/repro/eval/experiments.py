@@ -1,25 +1,27 @@
-"""Per-figure experiment drivers (paper Sec. 6).
+"""Per-figure experiment drivers (paper Sec. 6), the runtime ablation
+and the extensions.
 
-Each ``figNN_*`` function regenerates the data behind one figure and
-returns plain dict/list structures; :mod:`repro.eval.reporting` renders
-them as the text tables the benchmarks print.  EXPERIMENTS.md records
-paper-vs-measured for each.
+Each function regenerates the data behind one figure as plain dicts;
+:data:`repro.eval.figures.FIGURES` declares how each prints and what it
+must show.  EXPERIMENTS.md records paper-vs-measured for each.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..baselines.registry import (AUGMENTED_BASELINES, SWARM_BASELINES,
                                   BaselineMethod)
+from ..core.decision import SearchDecisionEngine
+from ..core.murmuration import Murmuration
 from ..core.slo import SLO
-from ..core.strategy import Strategy
+from ..core.strategy_cache import StrategyCache
+from ..devices.energy import energy_of_report
 from ..devices.latency import model_switch_time, supernet_reconfig_time
 from ..devices.profiles import desktop_gtx1080, rpi4
+from ..models.vit import vit_small_16
 from ..models.zoo import MODEL_ZOO, get_model
 from ..nas.evolution import EvolutionConfig, evolutionary_search
 from ..nas.graph_builder import build_graph
@@ -27,8 +29,14 @@ from ..nas.search_space import MBV3_SPACE, SearchSpace
 from ..netsim.grids import (AUGMENTED_BANDWIDTHS, AUGMENTED_DELAYS,
                             SWARM_BANDWIDTHS, SWARM_DELAY)
 from ..netsim.topology import Cluster, NetworkCondition
+from ..netsim.traces import TraceConfig, random_walk_trace
+from ..partition.plan import (layerwise_split_plan, single_device_plan,
+                              spatial_plan)
+from ..partition.simulate import simulate_latency
+from ..partition.spatial import Grid
 from ..rl.env import EnvConfig, MurmurationEnv, Task
 from ..rl.policy import LSTMPolicy
+from ..runtime.reconfig import FixedModelStore
 from .murmuration_method import MurmurationOracle
 from .scenarios import augmented_devices, swarm_devices
 
@@ -42,10 +50,11 @@ __all__ = [
     "fig17_scalability",
     "fig18_search_time",
     "fig19_switch_time",
+    "fig19_switch_costs",
+    "runtime_ablation",
+    "vit_patch_parallel",
+    "energy_tradeoff",
 ]
-
-DecideFn = Callable[[SLO, NetworkCondition], Optional[Strategy]]
-
 
 @dataclass(frozen=True)
 class MethodPoint:
@@ -56,126 +65,96 @@ class MethodPoint:
     latency_ms: Optional[float]
 
 
-def _murmuration_point(oracle: MurmurationOracle, slo: SLO,
-                       condition: NetworkCondition,
-                       accuracy_floor: Optional[float] = None) -> MethodPoint:
-    s = oracle.decide(slo, condition)
-    if s is None or (accuracy_floor is not None
-                     and s.expected_accuracy < accuracy_floor):
-        return MethodPoint(False, None, None)
-    return MethodPoint(True, s.expected_accuracy,
-                       s.expected_latency_s * 1e3)
+PointGrid = Dict[str, Dict[Tuple, MethodPoint]]
 
 
-def _baseline_point(method: BaselineMethod, cluster: Cluster, slo: SLO,
-                    accuracy_floor: Optional[float] = None) -> MethodPoint:
-    out = method.evaluate(cluster, slo)
-    ok = out.satisfied and (accuracy_floor is None
-                            or out.accuracy >= accuracy_floor)
-    if not ok:
-        return MethodPoint(False, None, None)
-    return MethodPoint(True, out.accuracy, out.latency_s * 1e3)
+def _grid(devices, methods: Sequence[BaselineMethod], cells,
+          space: SearchSpace, accuracy_floor: Optional[float] = None,
+          ) -> PointGrid:
+    """Each baseline's point, then Murmuration's, in every ``(key, slo,
+    condition)`` cell: ``{method: {key: point}}``.  A point below
+    ``accuracy_floor`` misses the (joint) SLO."""
+    def point(accuracy, latency_s):
+        if accuracy_floor is not None and not accuracy >= accuracy_floor:
+            return MethodPoint(False, None, None)
+        return MethodPoint(True, accuracy, latency_s * 1e3)
+
+    oracle = MurmurationOracle(space, devices)
+    out: PointGrid = {m.name: {} for m in methods}
+    out["Murmuration (Ours)"] = {}
+    for key, slo, condition in cells:
+        cluster = Cluster(devices, condition)
+        for m in methods:
+            r = m.evaluate(cluster, slo)
+            out[m.name][key] = (point(r.accuracy, r.latency_s) if r.satisfied
+                                else MethodPoint(False, None, None))
+        s = oracle.decide(slo, condition)
+        out["Murmuration (Ours)"][key] = (
+            MethodPoint(False, None, None) if s is None
+            else point(s.expected_accuracy, s.expected_latency_s))
+    return out
 
 
 # ---------------------------------------------------------------------------
-# Fig. 13 — augmented computing, accuracy vs (bw, delay) @ latency SLO
+# Figs. 13-15 — accuracy under a latency SLO, latency under an accuracy SLO
 # ---------------------------------------------------------------------------
 
 def fig13_augmented_accuracy(latency_slo_ms: float = 140.0,
                              bandwidths: Sequence[float] = AUGMENTED_BANDWIDTHS,
                              delays: Sequence[float] = AUGMENTED_DELAYS,
-                             space: SearchSpace = MBV3_SPACE,
-                             ) -> Dict[str, Dict[Tuple[float, float], MethodPoint]]:
-    """Accuracy achieved under a latency SLO across the (bw, delay) grid.
+                             space: SearchSpace = MBV3_SPACE) -> PointGrid:
+    """Accuracy achieved under a latency SLO across the (bw, delay) grid
+    (augmented computing).
 
     Returns {method name: {(delay_ms, bw_mbps): MethodPoint}}.
     """
     slo = SLO.latency_ms(latency_slo_ms)
-    devices = augmented_devices()
-    oracle = MurmurationOracle(space, devices)
-    results: Dict[str, Dict[Tuple[float, float], MethodPoint]] = {
-        m.name: {} for m in AUGMENTED_BASELINES}
-    results["Murmuration (Ours)"] = {}
-    for delay in delays:
-        for bw in bandwidths:
-            condition = NetworkCondition((bw,), (delay,))
-            cluster = Cluster(devices, condition)
-            for m in AUGMENTED_BASELINES:
-                results[m.name][(delay, bw)] = _baseline_point(m, cluster, slo)
-            results["Murmuration (Ours)"][(delay, bw)] = _murmuration_point(
-                oracle, slo, condition)
-    return results
+    return _grid(augmented_devices(), AUGMENTED_BASELINES, [
+        ((delay, bw), slo, NetworkCondition((bw,), (delay,)))
+        for delay in delays for bw in bandwidths], space)
 
-
-# ---------------------------------------------------------------------------
-# Fig. 14 — device swarm, accuracy vs bw per latency SLO @ 20 ms delay
-# ---------------------------------------------------------------------------
 
 def fig14_swarm_accuracy(latency_slos_ms: Sequence[float] = (
         2000.0, 1000.0, 600.0, 500.0, 400.0),
         bandwidths: Sequence[float] = SWARM_BANDWIDTHS,
         delay_ms: float = SWARM_DELAY,
-        space: SearchSpace = MBV3_SPACE,
-        ) -> Dict[str, Dict[Tuple[float, float], MethodPoint]]:
-    """Returns {method: {(latency_slo_ms, bw): MethodPoint}}."""
-    devices = swarm_devices(5)
-    oracle = MurmurationOracle(space, devices)
-    results: Dict[str, Dict[Tuple[float, float], MethodPoint]] = {
-        m.name: {} for m in SWARM_BASELINES}
-    results["Murmuration (Ours)"] = {}
-    for slo_ms in latency_slos_ms:
-        slo = SLO.latency_ms(slo_ms)
-        for bw in bandwidths:
-            bws = [100.0] * 4
-            bws[0] = bw
-            condition = NetworkCondition(tuple(bws), (delay_ms,) * 4)
-            cluster = Cluster(devices, condition)
-            for m in SWARM_BASELINES:
-                results[m.name][(slo_ms, bw)] = _baseline_point(m, cluster, slo)
-            results["Murmuration (Ours)"][(slo_ms, bw)] = _murmuration_point(
-                oracle, slo, condition)
-    return results
+        space: SearchSpace = MBV3_SPACE) -> PointGrid:
+    """Device swarm, one remote Pi's bandwidth swept (the others at 100
+    Mbps): {method: {(latency_slo_ms, bw): MethodPoint}}."""
+    return _grid(swarm_devices(5), SWARM_BASELINES, [
+        ((slo_ms, bw), SLO.latency_ms(slo_ms),
+         NetworkCondition((bw, 100.0, 100.0, 100.0), (delay_ms,) * 4))
+        for slo_ms in latency_slos_ms for bw in bandwidths], space)
 
-
-# ---------------------------------------------------------------------------
-# Fig. 15 — latency under an accuracy SLO (augmented computing)
-# ---------------------------------------------------------------------------
 
 def fig15_accuracy_slo_latency(
         accuracy_slos: Sequence[float] = (72.0, 73.0, 74.0, 75.0, 76.0,
                                           77.0, 78.0, 78.5),
         bandwidths: Sequence[float] = AUGMENTED_BANDWIDTHS,
         delay_ms: float = 20.0,
-        space: SearchSpace = MBV3_SPACE,
-        ) -> Dict[str, Dict[Tuple[float, float], MethodPoint]]:
+        space: SearchSpace = MBV3_SPACE) -> PointGrid:
     """Returns {method: {(bw, accuracy_slo): MethodPoint}} — Fig. 15 uses
     only the Neurosurgeon family plus Murmuration."""
-    devices = augmented_devices()
-    oracle = MurmurationOracle(space, devices)
     neuro = [m for m in AUGMENTED_BASELINES if m.framework == "neurosurgeon"]
-    results: Dict[str, Dict[Tuple[float, float], MethodPoint]] = {
-        m.name: {} for m in neuro}
-    results["Murmuration (Ours)"] = {}
-    for bw in bandwidths:
-        condition = NetworkCondition((bw,), (delay_ms,))
-        cluster = Cluster(devices, condition)
-        for acc_slo in accuracy_slos:
-            slo = SLO.accuracy(acc_slo)
-            for m in neuro:
-                results[m.name][(bw, acc_slo)] = _baseline_point(
-                    m, cluster, slo)
-            results["Murmuration (Ours)"][(bw, acc_slo)] = _murmuration_point(
-                oracle, slo, condition)
-    return results
+    return _grid(augmented_devices(), neuro, [
+        ((bw, acc), SLO.accuracy(acc), NetworkCondition((bw,), (delay_ms,)))
+        for bw in bandwidths for acc in accuracy_slos], space)
 
 
 # ---------------------------------------------------------------------------
 # Fig. 16 — SLO compliance rates
 # ---------------------------------------------------------------------------
 
-def _compliance(points: Dict[Tuple, MethodPoint]) -> float:
-    vals = list(points.values())
-    return 100.0 * sum(p.satisfied for p in vals) / len(vals)
+def _compliance(grid: PointGrid, slos: Sequence[float]
+                ) -> Dict[str, Dict[float, float]]:
+    """Per method, the share (%) of cells met at each SLO (key[0])."""
+    out: Dict[str, Dict[float, float]] = {}
+    for name, points in grid.items():
+        out[name] = {}
+        for slo in slos:
+            met = [p.satisfied for key, p in points.items() if key[0] == slo]
+            out[name][slo] = 100.0 * sum(met) / len(met)
+    return out
 
 
 def fig16a_compliance_augmented(
@@ -185,60 +164,30 @@ def fig16a_compliance_augmented(
     """Compliance over the 40 augmented network settings with a joint
     (latency <= L, accuracy >= 75%) SLO.  Methods: the paper's Fig. 16a
     trio."""
-    devices = augmented_devices()
-    oracle = MurmurationOracle(space, devices)
     methods = [m for m in AUGMENTED_BASELINES
                if m.name in ("Neurosurgeon + ResNet50",
                              "Neurosurgeon + Inception")]
-    out: Dict[str, Dict[float, float]] = {m.name: {} for m in methods}
-    out["Murmuration (Ours)"] = {}
-    for slo_ms in latency_slos_ms:
-        slo = SLO.latency_ms(slo_ms)
-        cells: Dict[str, Dict[Tuple, MethodPoint]] = {
-            m.name: {} for m in methods}
-        cells["Murmuration (Ours)"] = {}
-        for delay in AUGMENTED_DELAYS:
-            for bw in AUGMENTED_BANDWIDTHS:
-                condition = NetworkCondition((bw,), (delay,))
-                cluster = Cluster(devices, condition)
-                for m in methods:
-                    cells[m.name][(delay, bw)] = _baseline_point(
-                        m, cluster, slo, accuracy_floor)
-                cells["Murmuration (Ours)"][(delay, bw)] = _murmuration_point(
-                    oracle, slo, condition, accuracy_floor)
-        for name, pts in cells.items():
-            out[name][slo_ms] = _compliance(pts)
-    return out
+    return _compliance(_grid(augmented_devices(), methods, [
+        ((slo_ms, delay, bw), SLO.latency_ms(slo_ms),
+         NetworkCondition((bw,), (delay,)))
+        for slo_ms in latency_slos_ms for delay in AUGMENTED_DELAYS
+        for bw in AUGMENTED_BANDWIDTHS], space, accuracy_floor),
+        latency_slos_ms)
 
 
 def fig16b_compliance_swarm(
         latency_slos_ms: Sequence[float] = (600.0, 1000.0),
         accuracy_floor: float = 74.0,
         space: SearchSpace = MBV3_SPACE) -> Dict[str, Dict[float, float]]:
-    """Compliance over the 9 swarm settings (bw 5-500, delay 20 ms)."""
-    devices = swarm_devices(5)
-    oracle = MurmurationOracle(space, devices)
+    """Compliance over the 9 swarm settings (bw 5-500, delay 20 ms), the
+    whole swarm's links swept together."""
     methods = [m for m in SWARM_BASELINES
                if m.name in ("ADCNN + MobileNetV3", "ADCNN + ResNet50")]
-    out: Dict[str, Dict[float, float]] = {m.name: {} for m in methods}
-    out["Murmuration (Ours)"] = {}
-    for slo_ms in latency_slos_ms:
-        slo = SLO.latency_ms(slo_ms)
-        cells: Dict[str, Dict[Tuple, MethodPoint]] = {
-            m.name: {} for m in methods}
-        cells["Murmuration (Ours)"] = {}
-        for bw in SWARM_BANDWIDTHS:
-            # Fig. 16b sweeps the whole swarm's links together.
-            condition = NetworkCondition((bw,) * 4, (SWARM_DELAY,) * 4)
-            cluster = Cluster(devices, condition)
-            for m in methods:
-                cells[m.name][(bw,)] = _baseline_point(m, cluster, slo,
-                                                       accuracy_floor)
-            cells["Murmuration (Ours)"][(bw,)] = _murmuration_point(
-                oracle, slo, condition, accuracy_floor)
-        for name, pts in cells.items():
-            out[name][slo_ms] = _compliance(pts)
-    return out
+    return _compliance(_grid(swarm_devices(5), methods, [
+        ((slo_ms, bw), SLO.latency_ms(slo_ms),
+         NetworkCondition((bw,) * 4, (SWARM_DELAY,) * 4))
+        for slo_ms in latency_slos_ms for bw in SWARM_BANDWIDTHS],
+        space, accuracy_floor), latency_slos_ms)
 
 
 # ---------------------------------------------------------------------------
@@ -272,17 +221,20 @@ def fig17_scalability(accuracy_slos: Sequence[float] = (75.0, 76.0),
 # Fig. 18 — decision time: evolutionary search vs the RL policy
 # ---------------------------------------------------------------------------
 
-def fig18_search_time(space: SearchSpace = MBV3_SPACE,
-                      evolution_config: Optional[EvolutionConfig] = None,
-                      repeats: int = 3) -> Dict[str, Dict[str, float]]:
-    """Wall-clock decision time, projected onto the two device classes.
+def fig18_search_time(space: SearchSpace = MBV3_SPACE, population: int = 100,
+                      generations: int = 20, repeats: int = 20,
+                      ) -> Dict[str, Dict[str, float]]:
+    """Wall-clock decision time, projected onto the two device classes:
+    an evolutionary search of ``population x generations`` candidates
+    (the paper's budget by default) against the mean of ``repeats`` RL
+    decisions (enough that the first, cold one does not decide it).
 
     Returns {"evolutionary": {device: seconds}, "rl": {device: seconds}}.
     """
     devices = augmented_devices()
     condition = NetworkCondition((200.0,), (20.0,))
     cluster = Cluster(devices, condition)
-    cfg = evolution_config or EvolutionConfig(population=50, generations=15)
+    cfg = EvolutionConfig(population=population, generations=generations)
 
     t0 = time.perf_counter()
     evolutionary_search(space, cluster, latency_slo_s=0.14, config=cfg)
@@ -327,4 +279,97 @@ def fig19_switch_time(space: SearchSpace = MBV3_SPACE,
         graph = get_model(name)
         out[f"reload {graph.name}"] = model_switch_time(graph, pi,
                                                         in_memory=False)
+    return out
+
+
+def fig19_switch_costs(space: SearchSpace = MBV3_SPACE) -> dict:
+    """Fig. 19's bars (``"switch"``) and the reload seconds of six
+    switches alternating ResNet50 and DenseNet161 in a store with room
+    for one (``"alternating_reload_s"``); the supernet pays no reload."""
+    store = FixedModelStore(
+        rpi4(), resident_budget=get_model("resnet50").total_weight_bytes + 1)
+    reload_s = sum(store.switch(get_model(name)).modeled_time_s
+                   for _ in range(3) for name in ("resnet50", "densenet161"))
+    return {"switch": fig19_switch_time(space),
+            "alternating_reload_s": reload_s}
+
+
+# ---------------------------------------------------------------------------
+# The runtime ablation (Sec. 5.1) and the extensions (ViT, energy)
+# ---------------------------------------------------------------------------
+
+def runtime_ablation() -> Dict[str, Tuple[float, int, float]]:
+    """Decision seconds over a 40-step random-walk trace with the
+    strategy cache, with it effectively disabled, and with it warmed by
+    ``precompute`` against forecast conditions: ``{arm: (mean seconds,
+    cache hits, first request's seconds)}``.  The other two arms decide
+    once before the replay: an engine's first miss enumerates its
+    candidates (~7 ms against ~0.03 ms warm), swamping a 40-step mean.
+    """
+    trace = random_walk_trace(TraceConfig(
+        num_remote=1, bw_range=(80.0, 400.0), delay_range=(5.0, 60.0),
+        steps=40, seed=3))
+
+    def replay(cache, use_predictor=False, seed=0, forecasts=0):
+        devices = augmented_devices()
+        system = Murmuration(
+            MBV3_SPACE, devices, NetworkCondition((200.0,), (20.0,)),
+            SearchDecisionEngine(MBV3_SPACE, devices, n_random_archs=8),
+            slo=SLO.latency(0.3), cache=cache, use_predictor=use_predictor,
+            monitor_noise=0.02, seed=seed)
+        if forecasts:
+            system.precompute([system.observed_condition()
+                               for _ in range(forecasts)])
+        else:
+            system.engine.decide(system.slo, trace[0])
+        times = []
+        for condition in trace:
+            system.update_condition(condition)
+            times.append(system.infer().decision_time_s)
+        return (sum(times) / len(times), times.count(0.0), times[0])
+
+    return {
+        "with cache": replay(StrategyCache(capacity=256)),
+        "without cache": replay(StrategyCache(
+            capacity=1, bw_step=1e-6, delay_step=1e-6)),
+        "after precompute": replay(StrategyCache(capacity=256),
+                                   use_predictor=True, seed=1, forecasts=5)}
+
+
+def vit_patch_parallel(bandwidths: Sequence[float] = (
+        5.0, 20.0, 100.0, 500.0, 1000.0),
+        ) -> Dict[float, Tuple[float, float, float, float]]:
+    """ViT-S/16 latency (s) on a 5-Pi swarm (2 ms links) per bandwidth:
+    single device, a layer-wise split at the midpoint, and 2x2 patch
+    parallelism exchanging K/V in fp32 and in int8."""
+    v = vit_small_16()
+    plans = (single_device_plan(v), layerwise_split_plan(v, len(v) // 2),
+             spatial_plan(v, Grid(2, 2), [0, 1, 2, 3], bits=32),
+             spatial_plan(v, Grid(2, 2), [0, 1, 2, 3], bits=8))
+    out = {}
+    for bw in bandwidths:
+        cluster = Cluster(swarm_devices(5),
+                          NetworkCondition((bw,) * 4, (2.0,) * 4))
+        out[bw] = tuple(simulate_latency(v, plan, cluster).total_s
+                        for plan in plans)
+    return out
+
+
+def energy_tradeoff() -> Dict[str, Tuple[float, float, float]]:
+    """ResNet50 ``(latency s, energy J, radio J)`` run locally on a Pi,
+    tiled 2x2 over four Pis, and offloaded from a Pi to the GPU."""
+    g = get_model("resnet50")
+    swarm = Cluster(swarm_devices(5),
+                    NetworkCondition((500.0,) * 4, (5.0,) * 4))
+    augmented = Cluster(augmented_devices(),
+                        NetworkCondition((400.0,), (5.0,)))
+    out = {}
+    for name, cluster, plan in (
+            ("1 Pi (local)", swarm, single_device_plan(g)),
+            ("4 Pis (2x2 FDSP)", swarm,
+             spatial_plan(g, Grid(2, 2), [0, 1, 2, 3])),
+            ("Pi -> GPU offload", augmented, layerwise_split_plan(g, 0))):
+        report = simulate_latency(g, plan, cluster)
+        energy = energy_of_report(report, cluster.devices)
+        out[name] = (report.total_s, energy.total_j, energy.network_j)
     return out

@@ -8,11 +8,30 @@ from .experiments import MethodPoint
 
 __all__ = ["format_accuracy_grid", "format_compliance", "format_scalability",
            "format_search_time", "format_switch_time", "format_latency_grid",
-           "accuracy_grid_to_csv", "compliance_to_csv"]
+           "format_rows", "accuracy_grid_to_csv", "compliance_to_csv"]
 
 
 def _cell(value: Optional[float], fmt: str = "{:6.1f}") -> str:
     return fmt.format(value) if value is not None else "     -"
+
+
+def _grid_tables(results, attr: str, title: str, row_label: str,
+                 col_label: str, label_width: int, col_fmt: str,
+                 row_width: int) -> str:
+    lines = []
+    rows = sorted({k[0] for pts in results.values() for k in pts})
+    cols = sorted({k[1] for pts in results.values() for k in pts})
+    missed = MethodPoint(False, None, None)
+    for method, pts in results.items():
+        lines.append(f"== {method} ({title} | '-' = SLO missed) ==")
+        lines.append(f"{row_label:>10s}\\{col_label:<{label_width}s}"
+                     + "".join(format(c, col_fmt) for c in cols))
+        for r in rows:
+            lines.append(f"{r:>{row_width}.0f}" + "".join(
+                _cell(getattr(pts.get((r, c), missed), attr), "{:8.1f}")
+                for c in cols))
+        lines.append("")
+    return "\n".join(lines)
 
 
 def format_accuracy_grid(results: Dict[str, Dict[Tuple[float, float],
@@ -20,21 +39,8 @@ def format_accuracy_grid(results: Dict[str, Dict[Tuple[float, float],
                          row_label: str = "delay",
                          col_label: str = "bw") -> str:
     """Render {method: {(row, col): point}} as accuracy tables."""
-    lines = []
-    rows = sorted({k[0] for pts in results.values() for k in pts})
-    cols = sorted({k[1] for pts in results.values() for k in pts})
-    for method, pts in results.items():
-        lines.append(f"== {method} (accuracy % | '-' = SLO missed) ==")
-        header = f"{row_label:>10s}\\{col_label:<4s}" + "".join(
-            f"{c:>8.0f}" for c in cols)
-        lines.append(header)
-        for r in rows:
-            cells = "".join(
-                _cell(pts.get((r, c), MethodPoint(False, None, None)).accuracy,
-                      "{:8.1f}") for c in cols)
-            lines.append(f"{r:>15.0f}" + cells)
-        lines.append("")
-    return "\n".join(lines)
+    return _grid_tables(results, "accuracy", "accuracy %", row_label,
+                        col_label, 4, ">8.0f", 15)
 
 
 def format_latency_grid(results: Dict[str, Dict[Tuple[float, float],
@@ -42,21 +48,8 @@ def format_latency_grid(results: Dict[str, Dict[Tuple[float, float],
                         row_label: str = "bw",
                         col_label: str = "acc_slo") -> str:
     """Render {method: {(row, col): point}} as latency (ms) tables."""
-    lines = []
-    rows = sorted({k[0] for pts in results.values() for k in pts})
-    cols = sorted({k[1] for pts in results.values() for k in pts})
-    for method, pts in results.items():
-        lines.append(f"== {method} (latency ms | '-' = SLO missed) ==")
-        header = f"{row_label:>10s}\\{col_label:<7s}" + "".join(
-            f"{c:>8.1f}" for c in cols)
-        lines.append(header)
-        for r in rows:
-            cells = "".join(
-                _cell(pts.get((r, c), MethodPoint(False, None, None)).latency_ms,
-                      "{:8.1f}") for c in cols)
-            lines.append(f"{r:>17.0f}" + cells)
-        lines.append("")
-    return "\n".join(lines)
+    return _grid_tables(results, "latency_ms", "latency ms", row_label,
+                        col_label, 7, ">8.1f", 17)
 
 
 def format_compliance(results: Dict[str, Dict[float, float]],
@@ -94,6 +87,17 @@ def format_switch_time(results: Dict[str, float]) -> str:
     lines = ["Model switch time on Raspberry Pi 4"]
     for name, seconds in results.items():
         lines.append(f"{name:<42s} {seconds * 1e3:10.2f} ms")
+    return "\n".join(lines)
+
+
+def format_rows(title: str, columns: Sequence[str],
+                rows: Dict[object, Sequence[float]]) -> str:
+    """``{label: values}`` under ``columns``, four significant digits."""
+    width = max(len(str(label)) for label in rows) + 2
+    lines = [title, " " * width + "".join(f"{c:>15s}" for c in columns)]
+    for label, values in rows.items():
+        lines.append(f"{label!s:<{width}s}"
+                     + "".join(f"{v:15.4g}" for v in values))
     return "\n".join(lines)
 
 

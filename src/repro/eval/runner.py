@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import operator
 import typing
 from dataclasses import asdict, dataclass
 from typing import (Any, Callable, Dict, List, Mapping, NamedTuple, Optional,
@@ -35,12 +34,12 @@ from ..runtime.server import InferenceServer, ServingStats
 from ..telemetry.recorder import RunRecorder
 from . import (adaptive, chaos, event_core, mesh_chaos, multi_tenant,
                serving_load)
-from .spec import Claim, PinnedTimeEngine, Scenario, StaticEngine, World
+from .spec import (Claim, ClaimResult, PinnedTimeEngine, Scenario,
+                   StaticEngine, World, check_names, compare)
 
-__all__ = ["COLUMNS", "ClaimResult", "Column", "OPS", "SCENARIOS",
-           "ScenarioReport", "build_world", "check_claims",
-           "config_from_dict", "format_reports", "override_config",
-           "report_values", "run_scenario", "run_world"]
+__all__ = ["COLUMNS", "Column", "SCENARIOS", "ScenarioReport", "build_world",
+           "check_claims", "config_from_dict", "format_reports",
+           "override_config", "report_values", "run_scenario", "run_world"]
 
 SCENARIOS: Dict[str, Scenario] = {spec.name: spec for spec in (
     serving_load.SCENARIO, chaos.SCENARIO, mesh_chaos.SCENARIO,
@@ -395,26 +394,6 @@ def format_reports(reports: Mapping[str, ScenarioReport]) -> str:
 
 # -- acceptance claims -------------------------------------------------------
 
-#: the comparisons a claim may state
-OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt,
-       "<=": operator.le, "==": operator.eq}
-
-
-class ClaimResult(NamedTuple):
-    claim: Claim
-    holds: bool
-    #: the two cell values compared (``right`` before the margin)
-    left: Any
-    right: Any
-
-    def __str__(self) -> str:
-        left, right = ("not available" if v is None else f"{v:g}"
-                       for v in (self.left, self.right))
-        margin = f" {self.claim.margin:+g}" if self.claim.margin else ""
-        return (f"{'PASS' if self.holds else 'FAIL'}  {self.claim.text}: "
-                f"{left} {self.claim.op} {right}{margin}")
-
-
 def check_claims(scenario: str, cfg=None, reports=None,
                  claims: Optional[Sequence[Claim]] = None,
                  ) -> List[ClaimResult]:
@@ -430,18 +409,14 @@ def check_claims(scenario: str, cfg=None, reports=None,
     claims = spec.claims if claims is None else claims
     worlds = {}
     for claim in claims:
-        named = [("operator", claim.op, OPS)]
+        named = []
         for cell in (claim.left, claim.right):
             if isinstance(cell, tuple):
                 variant, column, *world = cell
                 named += [("variant", variant, spec.variants),
                           ("column", column, COLUMNS)]
                 worlds[tuple(world), variant] = override_config(cfg, world)
-        for kind, name, known in named:
-            if name not in known:
-                raise ValueError(
-                    f"{scenario}: claim {claim.text!r} names no {kind} "
-                    f"{name!r}; known: {', '.join(known)}")
+        check_names(scenario, claim, named)
     ran = {((), name): rep for name, rep in (reports or {}).items()}
     for (world, variant), world_cfg in worlds.items():
         if (world, variant) not in ran:
@@ -454,10 +429,4 @@ def check_claims(scenario: str, cfg=None, reports=None,
         variant, column, *world = cell
         return COLUMNS[column].value(ran[tuple(world), variant])
 
-    results = []
-    for claim in claims:
-        left, right = value(claim.left), value(claim.right)
-        holds = (left is not None and right is not None
-                 and OPS[claim.op](left, right + claim.margin))
-        results.append(ClaimResult(claim, holds, left, right))
-    return results
+    return compare(claims, value)

@@ -10,10 +10,8 @@ from __future__ import annotations
 from typing import List
 
 from ..devices.profiles import DeviceProfile, desktop_gtx1080, rpi4
-from ..netsim.topology import Cluster, NetworkCondition
 
-__all__ = ["augmented_devices", "swarm_devices", "augmented_cluster",
-           "swarm_cluster"]
+__all__ = ["augmented_devices", "swarm_devices"]
 
 
 def augmented_devices() -> List[DeviceProfile]:
@@ -25,10 +23,3 @@ def swarm_devices(n: int = 5) -> List[DeviceProfile]:
         raise ValueError("need at least one device")
     return [rpi4() for _ in range(n)]
 
-
-def augmented_cluster(condition: NetworkCondition) -> Cluster:
-    return Cluster(augmented_devices(), condition)
-
-
-def swarm_cluster(condition: NetworkCondition, n: int = 5) -> Cluster:
-    return Cluster(swarm_devices(n), condition)

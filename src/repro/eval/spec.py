@@ -5,21 +5,24 @@ stream through several *variants* of the runtime over the identical
 dynamic world and compare SLO compliance.  A scenario module therefore
 states only what is specific to it, as one :class:`Scenario`; engine
 construction, decision-cost pinning, the facade, the server, recording
-and reporting are written once in the runner.
+and reporting are written once in the runner.  :class:`Claim` rows and
+:func:`compare` serve the figures (:mod:`repro.eval.figures`) too.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
-from typing import (Any, Callable, Dict, Mapping, NamedTuple, Optional,
-                    Sequence, Tuple, Union)
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, NamedTuple,
+                    Optional, Sequence, Tuple, Union)
 
 from ..core.decision import DecisionRecord
 from ..core.slo import SLO
 from ..netsim.topology import NetworkCondition
 
-__all__ = ["Claim", "PinnedTimeEngine", "Scenario", "StaticEngine", "World"]
+__all__ = ["Claim", "ClaimResult", "OPS", "PinnedTimeEngine", "Scenario",
+           "StaticEngine", "World", "check_names", "compare"]
 
 
 class PinnedTimeEngine:
@@ -102,19 +105,65 @@ class World:
 
 
 class Claim(NamedTuple):
-    """One line of a scenario's acceptance: ``left op right + margin``.
+    """One line of an acceptance: ``left op right + margin``.
 
-    A cell is ``(variant, column, *overrides)``: that variant's value
-    under a ``repro.eval.runner.COLUMNS`` header, read in the world the
-    ``FIELD=VALUE`` overrides select (none: the config under test).
-    ``right`` is a cell or a constant; ``op`` is a key of ``OPS``.
+    A scenario cell is ``(variant, column, *overrides)``: that variant's
+    value under a ``repro.eval.runner.COLUMNS`` header, read in the
+    world the ``FIELD=VALUE`` overrides select (none: the config under
+    test).  A figure cell is the name of one of its
+    :class:`~repro.eval.figures.Figure`'s measures.  ``right`` is a cell
+    or a constant; ``op`` is a key of ``OPS``.
     """
 
     text: str
-    left: Tuple[str, ...]
+    left: Union[Tuple[str, ...], str]
     op: str
-    right: Union[Tuple[str, ...], float]
+    right: Union[Tuple[str, ...], str, float]
     margin: float = 0.0
+
+
+#: the comparisons a claim may state
+OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt,
+       "<=": operator.le, "==": operator.eq}
+
+
+class ClaimResult(NamedTuple):
+    claim: Claim
+    holds: bool
+    #: the two cell values compared (``right`` before the margin)
+    left: Any
+    right: Any
+
+    def __str__(self) -> str:
+        left, right = ("not available" if v is None else f"{v:g}"
+                       for v in (self.left, self.right))
+        margin = f" {self.claim.margin:+g}" if self.claim.margin else ""
+        return (f"{'PASS' if self.holds else 'FAIL'}  {self.claim.text}: "
+                f"{left} {self.claim.op} {right}{margin}")
+
+
+def check_names(owner: str, claim: Claim,
+                named: Iterable[Tuple[str, str, Any]]) -> None:
+    """Raise ``ValueError`` unless the claim's operator and each
+    ``(kind, name, known)`` it names exist."""
+    for kind, name, known in [("operator", claim.op, OPS), *named]:
+        if name not in known:
+            raise ValueError(
+                f"{owner}: claim {claim.text!r} names no {kind} "
+                f"{name!r}; known: {', '.join(known)}")
+
+
+def compare(claims: Sequence[Claim],
+            value: Callable[[Any], Any]) -> List[ClaimResult]:
+    """Each claim with its two cells read by ``value``; a cell that
+    reads None (not available) fails its claim."""
+    results = []
+    for claim in claims:
+        left, right = value(claim.left), value(claim.right)
+        holds = (left is not None and right is not None
+                 and OPS[claim.op](left, right + claim.margin))
+        results.append(ClaimResult(claim, holds, left, right))
+    return results
 
 
 @dataclass(frozen=True)

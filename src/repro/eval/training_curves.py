@@ -4,21 +4,23 @@ Runs the paper's four training curves — full SUPREME, the intermediate
 "Murmuration" variant (bucketed sharing only), GCSL and PPO — or any
 roster of those, on a given scenario, under one validation task set,
 and returns their
-:class:`~repro.rl.common.TrainingHistory` curves.
+:class:`~repro.rl.common.TrainingHistory` curves; also the SUPREME
+component ablation.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
-from ..devices.profiles import DeviceProfile
+from ..devices.profiles import DeviceProfile, desktop_gtx1080, rpi4
 from ..nas.search_space import MBV3_SPACE, SearchSpace
 from ..rl import (EnvConfig, GCSLConfig, GCSLTrainer, MurmurationEnv,
                   PPOConfig, PPOTrainer, SupremeConfig, SupremeTrainer,
                   TrainingHistory, murmuration_basic_config,
                   satisfiable_mask)
 
-__all__ = ["run_training_curves", "format_training_curves"]
+__all__ = ["run_training_curves", "format_training_curves",
+           "supreme_ablation"]
 
 
 def run_training_curves(devices: Sequence[DeviceProfile],
@@ -40,23 +42,18 @@ def run_training_curves(devices: Sequence[DeviceProfile],
     roster = list(methods) if methods is not None else [
         "SUPREME (Ours)", "Murmuration", "GCSL", "PPO"]
 
+    trainers = {"SUPREME (Ours)": (SupremeTrainer, SupremeConfig),
+                "Murmuration": (SupremeTrainer, murmuration_basic_config),
+                "GCSL": (GCSLTrainer, GCSLConfig),
+                "PPO": (PPOTrainer, PPOConfig)}
     histories: Dict[str, TrainingHistory] = {}
     for name in roster:
-        if name == "SUPREME (Ours)":
-            trainer = SupremeTrainer(env, SupremeConfig(
-                total_steps=total_steps, eval_every=eval_every, seed=seed))
-        elif name == "Murmuration":
-            trainer = SupremeTrainer(env, murmuration_basic_config(
-                total_steps=total_steps, eval_every=eval_every, seed=seed))
-        elif name == "GCSL":
-            trainer = GCSLTrainer(env, GCSLConfig(
-                total_steps=total_steps, eval_every=eval_every, seed=seed))
-        elif name == "PPO":
-            trainer = PPOTrainer(env, PPOConfig(
-                total_steps=total_steps, eval_every=eval_every, seed=seed))
-        else:
+        if name not in trainers:
             raise ValueError(f"unknown method {name!r}")
-        histories[name] = trainer.train(tasks, mask)
+        trainer, config = trainers[name]
+        histories[name] = trainer(env, config(
+            total_steps=total_steps, eval_every=eval_every, seed=seed,
+        )).train(tasks, mask)
     return histories
 
 
@@ -76,3 +73,33 @@ def format_training_curves(histories: Dict[str, TrainingHistory]) -> str:
         lines.append(f"{name:<18s}" + "".join(f"{c:8.3f}"
                                               for c in h.compliance))
     return "\n".join(lines)
+
+
+#: SUPREME with each of its mechanisms disabled in turn
+SUPREME_ABLATIONS = {
+    "full": {},
+    "no-share": {"share": False},
+    "no-prune": {"prune": False},
+    "no-mutate": {"mutate": False},
+    "no-curriculum": {"curriculum": False},
+    "no-epsilon": {"epsilon_start": 0.0, "epsilon_end": 0.0},
+}
+
+
+def supreme_ablation(steps: int = 6_000,
+                     ) -> Dict[str, Tuple[float, float, int]]:
+    """Each :data:`SUPREME_ABLATIONS` variant trained on the augmented
+    pair (seed 7): ``{variant: (final reward, final compliance, replay
+    buffer entries)}``."""
+    env = MurmurationEnv(MBV3_SPACE, [rpi4(), desktop_gtx1080()],
+                         EnvConfig(slo_kind="latency"))
+    tasks = env.validation_tasks(points=3)
+    mask = satisfiable_mask(env, tasks)
+    out = {}
+    for name, overrides in SUPREME_ABLATIONS.items():
+        trainer = SupremeTrainer(env, SupremeConfig(
+            total_steps=steps, eval_every=steps, seed=7, **overrides))
+        hist = trainer.train(tasks, mask)
+        out[name] = (hist.avg_reward[-1], hist.compliance[-1],
+                     trainer.buffer.num_entries)
+    return out

@@ -14,9 +14,10 @@ from repro.cli import main
 
 class TestCLI:
     def test_list(self, capsys):
+        from repro.eval.figures import FIGURES
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        assert "fig13" in out and "vit" in out
+        assert all(f"  {name} " in out for name in FIGURES)
 
     def test_no_command_lists(self, capsys):
         assert main([]) == 0
@@ -109,6 +110,35 @@ class TestCLI:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert named in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("argv, named", [
+        (["run", "serving_load", "--record", "{tmp}/no/x.jsonl"], "--record"),
+        (["run", "serving_load", "--record", "{tmp}"], "Is a directory"),
+        (["telemetry", "--out", "{tmp}/no/t.jsonl"], "--out"),
+        (["telemetry", "--out", "{tmp}/t.jsonl", "--prom", "{tmp}"], "--prom"),
+        (["telemetry", "--out", "{tmp}/t.jsonl", "--rate", "0"],
+         "arrival_rate_hz"),
+        (["telemetry", "--out", "{tmp}/t.jsonl", "--rate", "nan"],
+         "arrival_rate_hz"),
+        (["telemetry", "--out", "{tmp}/t.jsonl", "--slo-ms", "nan"],
+         "latency SLO"),
+    ])
+    def test_a_bad_output_path_or_value_fails_before_serving(
+            self, capsys, monkeypatch, tmp_path, argv, named):
+        """Regression: each died with a traceback, a bad path only after
+        every variant had been served."""
+        from repro.eval import runner
+        from repro.runtime import InferenceServer
+
+        def served(*args, **kwargs):
+            raise AssertionError("served before the usage error")
+
+        monkeypatch.setattr(runner, "run_scenario", served)
+        monkeypatch.setattr(InferenceServer, "run", served)
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(tmp=tmp_path) for arg in argv])
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
 
     def test_run_set_parses_tuples_optionals_and_variants(self, capsys):
         assert main(["run", "adaptive", "--set", "num_requests=12",

@@ -1,13 +1,14 @@
 """A scenario's claims are data that ``check_claims`` can fail.
 
-The claims themselves are checked at full size by
-``benchmarks/bench_scenarios.py``; this module checks the checker, on
-the event-core scenario's smoke world.
+The claims themselves are checked at both sizes by
+``benchmarks/bench_claims.py``; this module checks the checker, on the
+event-core scenario's smoke world (and, for a bad name, on a figure).
 """
 
 import pytest
 
-from repro.eval import runner
+from repro.eval import figures, runner
+from repro.eval.figures import FIGURES, check_figure
 from repro.eval.runner import (COLUMNS, SCENARIOS, check_claims,
                                override_config, run_scenario)
 from repro.eval.spec import Claim
@@ -56,23 +57,32 @@ def test_without_reports_the_cells_are_run_here(reports):
     assert fresh == given
 
 
-@pytest.mark.parametrize("claim, complaint", [
-    (Claim("x", ("nope", "e2e"), ">", 0.0), "no variant 'nope'"),
-    (Claim("x", ("event", "nope"), ">", 0.0), "no column 'nope'"),
-    (Claim("x", ("event", "e2e"), ">", ("event", "nope")), "no column"),
-    (Claim("x", ("event", "e2e"), "!=", 0.0), "no operator '!='"),
-    (Claim("x", ("event", "e2e", "nope=1"), ">", 0.0), "no field 'nope'"),
-    (Claim("x", ("event", "e2e", "num_requests=many"), ">", 0.0),
-     "does not parse as int"),
+@pytest.mark.parametrize("name, claim, complaint", [
+    ("event_core", Claim("x", ("nope", "e2e"), ">", 0.0),
+     "no variant 'nope'"),
+    ("event_core", Claim("x", ("event", "nope"), ">", 0.0),
+     "no column 'nope'"),
+    ("event_core", Claim("x", ("event", "e2e"), ">", ("event", "nope")),
+     "no column"),
+    ("event_core", Claim("x", ("event", "e2e"), "!=", 0.0),
+     "no operator '!='"),
+    ("event_core", Claim("x", ("event", "e2e", "nope=1"), ">", 0.0),
+     "no field 'nope'"),
+    ("event_core", Claim("x", ("event", "e2e", "num_requests=many"), ">",
+                         0.0), "does not parse as int"),
+    ("fig19", Claim("x", "reconfig_s", "<", "nope"), "no measure 'nope'"),
+    ("fig19", Claim("x", "reconfig_s", "!=", 0.0), "no operator '!='"),
 ])
 def test_a_claim_that_cannot_be_evaluated_raises_before_anything_runs(
-        monkeypatch, claim, complaint):
+        monkeypatch, name, claim, complaint):
     def no_run(*args, **kwargs):
-        raise AssertionError("the scenario ran")
+        raise AssertionError("the scenario or figure ran")
 
     monkeypatch.setattr(runner, "run_scenario", no_run)
+    monkeypatch.setattr(figures, "run_figure", no_run)
+    check = check_figure if name in FIGURES else check_claims
     with pytest.raises(ValueError, match=complaint):
-        check_claims("event_core", claims=(claim,))
+        check(name, claims=(claim,))
 
 
 def test_each_other_world_of_a_claim_is_run_once(monkeypatch):

@@ -15,7 +15,6 @@ from repro.eval import (MurmurationOracle, augmented_devices,
                         lattice_archs, swarm_devices)
 from repro.eval.spec import PinnedTimeEngine
 from repro.nas import MBV3_SPACE
-from repro.nas.evolution import EvolutionConfig
 from repro.netsim import NetworkCondition
 
 
@@ -162,9 +161,7 @@ class TestFig18And19:
         budget is held to its share of the paper-scale (100 x 20) bar of
         50x — 1.6x; it read 9.9–12.2x before PR 20 and 6.3–8.3x after.
         Ten RL decisions average out the first, cold one."""
-        data = fig18_search_time(
-            evolution_config=EvolutionConfig(population=16, generations=4),
-            repeats=10)
+        data = fig18_search_time(population=16, generations=4, repeats=10)
         share = 50.0 * (16 * 4) / (100 * 20)
         for dev in ("rpi4", "desktop_gtx1080"):
             assert data["rl"][dev] < data["evolutionary"][dev] / share

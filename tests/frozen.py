@@ -80,8 +80,8 @@ def _python(*args: str, check=False) -> bytes:
 
 
 def figure_tables() -> dict:
-    """sha256 of every byte-stable figure table the CLI prints
-    (``fig18`` times the host; ``vit`` is not frozen)."""
+    """sha256 of the seeded Figs. 13-17 and 19 tables the CLI prints
+    (``fig18`` times the host)."""
     return {figure: sha256(_python("-m", "repro.cli", figure, check=True))
             for figure in ("fig13", "fig14", "fig15", "fig16", "fig17",
                            "fig19")}
