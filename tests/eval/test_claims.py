@@ -8,7 +8,7 @@ event-core scenario's smoke world (and, for a bad name, on a figure).
 import pytest
 
 from repro.eval import figures, runner
-from repro.eval.figures import FIGURES, check_figure
+from repro.eval.figures import check_figure
 from repro.eval.runner import (COLUMNS, SCENARIOS, check_claims,
                                override_config, run_scenario)
 from repro.eval.spec import Claim
@@ -57,32 +57,37 @@ def test_without_reports_the_cells_are_run_here(reports):
     assert fresh == given
 
 
-@pytest.mark.parametrize("name, claim, complaint", [
-    ("event_core", Claim("x", ("nope", "e2e"), ">", 0.0),
-     "no variant 'nope'"),
-    ("event_core", Claim("x", ("event", "nope"), ">", 0.0),
-     "no column 'nope'"),
-    ("event_core", Claim("x", ("event", "e2e"), ">", ("event", "nope")),
-     "no column"),
-    ("event_core", Claim("x", ("event", "e2e"), "!=", 0.0),
-     "no operator '!='"),
-    ("event_core", Claim("x", ("event", "e2e", "nope=1"), ">", 0.0),
-     "no field 'nope'"),
-    ("event_core", Claim("x", ("event", "e2e", "num_requests=many"), ">",
-                         0.0), "does not parse as int"),
-    ("fig19", Claim("x", "reconfig_s", "<", "nope"), "no measure 'nope'"),
-    ("fig19", Claim("x", "reconfig_s", "!=", 0.0), "no operator '!='"),
+@pytest.mark.parametrize("claim, complaint", [
+    (Claim("x", ("nope", "e2e"), ">", 0.0), "no variant 'nope'"),
+    (Claim("x", ("event", "nope"), ">", 0.0), "no column 'nope'"),
+    (Claim("x", ("event", "e2e"), ">", ("event", "nope")), "no column"),
+    (Claim("x", ("event", "e2e"), "!=", 0.0), "no operator '!='"),
+    (Claim("x", ("event", "e2e", "nope=1"), ">", 0.0), "no field 'nope'"),
+    (Claim("x", ("event", "e2e", "num_requests=many"), ">", 0.0),
+     "does not parse as int"),
 ])
 def test_a_claim_that_cannot_be_evaluated_raises_before_anything_runs(
-        monkeypatch, name, claim, complaint):
+        monkeypatch, claim, complaint):
     def no_run(*args, **kwargs):
-        raise AssertionError("the scenario or figure ran")
+        raise AssertionError("the scenario ran")
 
     monkeypatch.setattr(runner, "run_scenario", no_run)
-    monkeypatch.setattr(figures, "run_figure", no_run)
-    check = check_figure if name in FIGURES else check_claims
     with pytest.raises(ValueError, match=complaint):
-        check(name, claims=(claim,))
+        check_claims("event_core", claims=(claim,))
+
+
+@pytest.mark.parametrize("claim, complaint", [
+    (Claim("x", "reconfig_s", "<", "nope"), "no measure 'nope'"),
+    (Claim("x", "reconfig_s", "!=", 0.0), "no operator '!='"),
+])
+def test_a_figure_claim_that_cannot_be_evaluated_raises_before_anything_runs(
+        monkeypatch, claim, complaint):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the figure ran")
+
+    monkeypatch.setattr(figures, "run_figure", no_run)
+    with pytest.raises(ValueError, match=complaint):
+        check_figure("fig19", claims=(claim,))
 
 
 def test_each_other_world_of_a_claim_is_run_once(monkeypatch):
