@@ -18,6 +18,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -32,12 +33,17 @@ class _UsageError(Exception):
 
 
 def _writable(flag: str, path: str) -> None:
-    """Refuse an unwritable output path before any work is done."""
-    try:
-        with open(path, "a"):  # creates it if missing, never truncates
-            pass
-    except OSError as exc:
-        raise _UsageError(f"{flag} {path}: {exc.strerror}")
+    """Refuse an output path that cannot be written, creating nothing."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        problem = "Is a directory"
+    elif not os.path.isdir(parent):
+        problem = "No such directory"
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        problem = "Permission denied"
+    else:
+        return
+    raise _UsageError(f"{flag} {path}: {problem}")
 
 
 def _figure(args) -> str:

@@ -9,6 +9,7 @@ __all__, __getattr__, __dir__ = _lazy_exports(globals(), {
                     "fig16a_compliance_augmented", "fig16b_compliance_swarm",
                     "fig17_scalability", "fig18_search_time",
                     "fig19_switch_time"),
+    "figures": ("FIGURES", "Figure", "check_figure", "run_figure"),
     "adaptive": ("AdaptiveConfig", "burst_arrival_process"),
     "chaos": ("ChaosConfig", "chaos_crash_schedule"),
     "mesh_chaos": ("MeshChaosConfig", "build_mesh", "mesh_chaos_schedule"),
@@ -22,8 +23,7 @@ __all__, __getattr__, __dir__ = _lazy_exports(globals(), {
                "replay_stats", "rerecord", "verify_invariants"),
     "runner": ("SCENARIOS", "ScenarioReport", "build_world", "format_reports",
                "run_scenario", "run_world"),
-    "scenarios": ("augmented_devices", "swarm_devices", "augmented_cluster",
-                  "swarm_cluster"),
+    "scenarios": ("augmented_devices", "swarm_devices"),
     "reporting": ("format_accuracy_grid", "format_latency_grid",
                   "format_compliance", "format_scalability",
                   "format_search_time", "format_switch_time",

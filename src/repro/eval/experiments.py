@@ -36,7 +36,6 @@ from ..partition.simulate import simulate_latency
 from ..partition.spatial import Grid
 from ..rl.env import EnvConfig, MurmurationEnv, Task
 from ..rl.policy import LSTMPolicy
-from ..runtime.reconfig import FixedModelStore
 from .murmuration_method import MurmurationOracle
 from .scenarios import augmented_devices, swarm_devices
 
@@ -50,11 +49,11 @@ __all__ = [
     "fig17_scalability",
     "fig18_search_time",
     "fig19_switch_time",
-    "fig19_switch_costs",
     "runtime_ablation",
     "vit_patch_parallel",
     "energy_tradeoff",
 ]
+
 
 @dataclass(frozen=True)
 class MethodPoint:
@@ -282,18 +281,6 @@ def fig19_switch_time(space: SearchSpace = MBV3_SPACE,
     return out
 
 
-def fig19_switch_costs(space: SearchSpace = MBV3_SPACE) -> dict:
-    """Fig. 19's bars (``"switch"``) and the reload seconds of six
-    switches alternating ResNet50 and DenseNet161 in a store with room
-    for one (``"alternating_reload_s"``); the supernet pays no reload."""
-    store = FixedModelStore(
-        rpi4(), resident_budget=get_model("resnet50").total_weight_bytes + 1)
-    reload_s = sum(store.switch(get_model(name)).modeled_time_s
-                   for _ in range(3) for name in ("resnet50", "densenet161"))
-    return {"switch": fig19_switch_time(space),
-            "alternating_reload_s": reload_s}
-
-
 # ---------------------------------------------------------------------------
 # The runtime ablation (Sec. 5.1) and the extensions (ViT, energy)
 # ---------------------------------------------------------------------------
@@ -336,9 +323,7 @@ def runtime_ablation() -> Dict[str, Tuple[float, int, float]]:
                                    use_predictor=True, seed=1, forecasts=5)}
 
 
-def vit_patch_parallel(bandwidths: Sequence[float] = (
-        5.0, 20.0, 100.0, 500.0, 1000.0),
-        ) -> Dict[float, Tuple[float, float, float, float]]:
+def vit_patch_parallel() -> Dict[float, Tuple[float, float, float, float]]:
     """ViT-S/16 latency (s) on a 5-Pi swarm (2 ms links) per bandwidth:
     single device, a layer-wise split at the midpoint, and 2x2 patch
     parallelism exchanging K/V in fp32 and in int8."""
@@ -347,7 +332,7 @@ def vit_patch_parallel(bandwidths: Sequence[float] = (
              spatial_plan(v, Grid(2, 2), [0, 1, 2, 3], bits=32),
              spatial_plan(v, Grid(2, 2), [0, 1, 2, 3], bits=8))
     out = {}
-    for bw in bandwidths:
+    for bw in (5.0, 20.0, 100.0, 500.0, 1000.0):
         cluster = Cluster(swarm_devices(5),
                           NetworkCondition((bw,) * 4, (2.0,) * 4))
         out[bw] = tuple(simulate_latency(v, plan, cluster).total_s

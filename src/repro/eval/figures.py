@@ -1,30 +1,33 @@
 """The paper's figures as data: ``FIGURES`` maps a name to its
 :class:`Figure` -- driver, formatter, named *measures* of the driver's
-data and ``claims`` over them (the scenarios' :class:`~repro.eval.spec.Claim`
-rows, compared by the same :func:`~repro.eval.spec.compare`).
-``repro.cli`` builds a subcommand per entry and
-``benchmarks/bench_claims.py`` checks the claims.  Drivers and
-formatters are ``repro.eval`` exports resolved on first call, so
-importing the table imports no driver.
-"""
+data and :class:`~repro.eval.spec.Claim` rows over them.  ``repro.cli``
+builds a subcommand per entry; ``benchmarks/bench_claims.py`` checks
+the claims.  Drivers and formatters are imported on first call."""
 
 from __future__ import annotations
 
 import importlib
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
+from .scenarios import augmented_devices, swarm_devices
 from .spec import Claim, ClaimResult, check_names, compare
 
 __all__ = ["FIGURES", "Figure", "check_figure", "run_figure"]
 
 
-def _eval(name: str) -> Callable:
-    """The ``repro.eval`` export ``name``, imported when first called."""
-    return lambda *args, **kwargs: getattr(
-        importlib.import_module(__package__), name)(*args, **kwargs)
+def _lazy(module: str, name: str) -> Callable:
+    """``repro.eval.<module>.<name>``, imported when first called."""
+    return lambda *args, **kwargs: getattr(importlib.import_module(
+        f"{__package__}.{module}"), name)(*args, **kwargs)
+
+
+_driver = partial(_lazy, "experiments")
+_format = partial(_lazy, "reporting")
+_train = partial(_lazy, "training_curves")
 
 
 @dataclass(frozen=True)
@@ -46,8 +49,10 @@ class Figure:
     slow: bool = False
 
 
-OURS = "Murmuration (Ours)"
+OURS, SUPREME = "Murmuration (Ours)", "SUPREME (Ours)"
+AUGMENTED, SWARM = "augmented computing", "device swarm"
 SWITCH = "Murmuration (supernet reconfig)"
+LOCAL, FDSP, OFFLOAD = "1 Pi (local)", "4 Pis (2x2 FDSP)", "Pi -> GPU offload"
 
 
 def _met(data, method: str) -> int:
@@ -92,35 +97,41 @@ def _series(data) -> List[list]:
     return [[points[n] for n in sorted(points)] for points in data.values()]
 
 
-def _curves(total_steps=20_000, eval_every=2_000):
-    return {name: _eval("run_training_curves")(
-                _eval(devices)(), total_steps, eval_every, seed=0)
-            for name, devices in (("augmented computing", "augmented_devices"),
-                                  ("device swarm", "swarm_devices"))}
+def _switch_costs():
+    """Fig. 19's bars and the reload seconds of six switches alternating
+    ResNet50 and DenseNet161 in a store with room for one."""
+    from ..devices import rpi4
+    from ..models import get_model
+    from ..runtime import FixedModelStore
 
-
-def _search_time(population=100, generations=20):
-    return {"seconds": _eval("fig18_search_time")(
-                population=population, generations=generations),
-            "candidates": population * generations}
+    store = FixedModelStore(
+        rpi4(), resident_budget=get_model("resnet50").total_weight_bytes + 1)
+    return {"switch": _driver("fig19_switch_time")(),
+            "alternating_reload_s": sum(
+                store.switch(get_model(name)).modeled_time_s
+                for _ in range(3) for name in ("resnet50", "densenet161"))}
 
 
 def _rows(title: str, *columns: str) -> Callable[[Any], str]:
-    return lambda rows: _eval("format_rows")(title, columns, rows)
+    return lambda rows: _format("format_rows")(title, columns, rows)
 
 
 FIGURES: Dict[str, Figure] = {
     "fig11": Figure(
-        "RL training curves, both scenarios (Figs. 11 and 12)", _curves,
+        "RL training curves, both scenarios (Figs. 11 and 12)",
+        lambda total_steps=20_000, eval_every=2_000: {
+            name: _train("run_training_curves")(
+                devices(), total_steps, eval_every, seed=0)
+            for name, devices in ((AUGMENTED, augmented_devices),
+                                  (SWARM, swarm_devices))},
         lambda d: "\n\n".join(f"=== Fig 11/12 ({name}) ===\n"
-                              + _eval("format_training_curves")(histories)
+                              + _train("format_training_curves")(histories)
                               for name, histories in d.items()),
-        {f"{tag}_{key}": (lambda d, s=scenario, m=method:
-                          d[s][m].avg_reward[-1])
-         for tag, scenario in (("augmented", "augmented computing"),
-                               ("swarm", "device swarm"))
-         for key, method in (("supreme", "SUPREME (Ours)"), ("gcsl", "GCSL"),
-                             ("ppo", "PPO"))},
+        {"augmented_supreme": lambda d: d[AUGMENTED][SUPREME].avg_reward[-1],
+         "augmented_gcsl": lambda d: d[AUGMENTED]["GCSL"].avg_reward[-1],
+         "augmented_ppo": lambda d: d[AUGMENTED]["PPO"].avg_reward[-1],
+         "swarm_supreme": lambda d: d[SWARM][SUPREME].avg_reward[-1],
+         "swarm_ppo": lambda d: d[SWARM]["PPO"].avg_reward[-1]},
         (Claim("augmented: SUPREME ends at or above PPO",
                "augmented_supreme", ">=", "augmented_ppo"),
          Claim("augmented: SUPREME ends at most 0.05 below GCSL",
@@ -129,7 +140,7 @@ FIGURES: Dict[str, Figure] = {
                "swarm_supreme", ">=", "swarm_ppo")),
         smoke={"total_steps": 800, "eval_every": 200}, slow=True),
     "fig13": Figure("accuracy grid @ 140 ms latency SLO (augmented)",
-        _eval("fig13_augmented_accuracy"), _eval("format_accuracy_grid"),
+        _driver("fig13_augmented_accuracy"), _format("format_accuracy_grid"),
         {"misses": lambda d: len(d[OURS]) - _met(d, OURS),
          "densenet161_cells": lambda d: _met(d, "Neurosurgeon + DenseNet161"),
          "resnext101_cells": lambda d: _met(d, "Neurosurgeon + ResNeXt101"),
@@ -146,9 +157,9 @@ FIGURES: Dict[str, Figure] = {
         smoke={"bandwidths": (50.0, 150.0, 250.0, 400.0),
                "delays": (5.0, 50.0, 100.0)}),
     "fig14": Figure("swarm accuracy vs bandwidth per SLO",
-        _eval("fig14_swarm_accuracy"),
-        lambda d: _eval("format_accuracy_grid")(d, row_label="slo_ms",
-                                                col_label="bw"),
+        _driver("fig14_swarm_accuracy"),
+        lambda d: _format("format_accuracy_grid")(d, row_label="slo_ms",
+                                                  col_label="bw"),
         {"misses_at_loosest": lambda d: sum(
             not p.satisfied for p in _loosest(d)),
          "accuracy_fall": lambda d: _worst_fall(d, 1, "accuracy"),
@@ -170,7 +181,7 @@ FIGURES: Dict[str, Figure] = {
         smoke={"latency_slos_ms": (2000.0, 600.0, 400.0),
                "bandwidths": (5.0, 50.0, 200.0, 500.0)}),
     "fig15": Figure("latency under accuracy SLOs",
-        _eval("fig15_accuracy_slo_latency"), _eval("format_latency_grid"),
+        _driver("fig15_accuracy_slo_latency"), _format("format_latency_grid"),
         {"latency_fall_ms": lambda d: _worst_fall(d, 0, "latency_ms"),
          "reduction_at_77": lambda d: max(
              (min(rivals) / ours for ours, rivals in _versus(
@@ -183,10 +194,10 @@ FIGURES: Dict[str, Figure] = {
         smoke={"bandwidths": (50.0, 200.0, 400.0),
                "accuracy_slos": (72.0, 74.0, 76.0, 77.0, 78.0)}),
     "fig16": Figure("SLO compliance rates (16a augmented, 16b swarm)",
-        lambda: {"augmented": _eval("fig16a_compliance_augmented")(),
-                 "swarm": _eval("fig16b_compliance_swarm")()},
+        lambda: {"augmented": _driver("fig16a_compliance_augmented")(),
+                 "swarm": _driver("fig16b_compliance_swarm")()},
         lambda d: "-- Fig 16a (augmented) --\n{}\n\n-- Fig 16b (swarm) --\n{}"
-        .format(*map(_eval("format_compliance"), d.values())),
+        .format(*map(_format("format_compliance"), d.values())),
         {"augmented_min_lead": lambda d: min(_gaps(d["augmented"])),
          "augmented_at_140": lambda d: d["augmented"][OURS][140.0],
          "augmented_at_100": lambda d: d["augmented"][OURS][100.0],
@@ -199,10 +210,9 @@ FIGURES: Dict[str, Figure] = {
          Claim("16b: Murmuration's bar tops every baseline at every SLO",
                "swarm_min_lead", ">=", 0.0, -1e-9),
          Claim("16b: 40+ points over the weakest baseline",
-               "swarm_max_gain", ">=", 40.0)),
-        smoke={}),
+               "swarm_max_gain", ">=", 40.0)), smoke={}),
     "fig17": Figure("scaling with device count",
-        _eval("fig17_scalability"), _eval("format_scalability"),
+        _driver("fig17_scalability"), _format("format_scalability"),
         {"uncovered": lambda d: sum(lats.count(None) for lats in _series(d)),
          "latency_rise_ms": lambda d: max(
              (b - a for lats in _series(d) for a, b in zip(lats, lats[1:])
@@ -215,11 +225,14 @@ FIGURES: Dict[str, Figure] = {
          Claim("another device never raises the latency",
                "latency_rise_ms", "<=", 0.0, 1e-9),
          Claim("1 -> 9 devices is over 1.7x faster at both SLOs",
-               "min_speedup", ">", 1.7)),
-        smoke={}),
+               "min_speedup", ">", 1.7)), smoke={}),
     "fig18": Figure(
-        "decision time: evolutionary search vs RL", _search_time,
-        lambda d: _eval("format_search_time")(d["seconds"]),
+        "decision time: evolutionary search vs RL",
+        lambda population=100, generations=20: {
+            "seconds": _driver("fig18_search_time")(
+                population=population, generations=generations),
+            "candidates": population * generations},
+        lambda d: _format("format_search_time")(d["seconds"]),
         # budget-independent: the host ratio scaled to 2000 candidates
         {"ratio_per_2000": lambda d: min(
             d["seconds"]["evolutionary"][dev] / d["seconds"]["rl"][dev]
@@ -230,9 +243,8 @@ FIGURES: Dict[str, Figure] = {
          Claim("an RL decision takes under 0.2 s on the desktop",
                "rl_desktop_s", "<", 0.2)),
         smoke={"population": 40, "generations": 10}),
-    "fig19": Figure("model switch time",
-        _eval("fig19_switch_costs"),
-        lambda d: _eval("format_switch_time")(d["switch"]),
+    "fig19": Figure("model switch time", _switch_costs,
+        lambda d: _format("format_switch_time")(d["switch"]),
         {"reconfig_s": lambda d: d["switch"][SWITCH],
          "min_reload_ratio": lambda d: min(
              t for name, t in d["switch"].items()
@@ -243,11 +255,10 @@ FIGURES: Dict[str, Figure] = {
          Claim("every fixed-model reload costs over 30x a reconfiguration",
                "min_reload_ratio", ">", 30.0),
          Claim("6 alternating switches under a one-model budget reload for "
-               "over 5 s", "alternating_reload_s", ">", 5.0)),
-        smoke={}),
+               "over 5 s", "alternating_reload_s", ">", 5.0)), smoke={}),
     "ablation_runtime": Figure(
         "ablation: strategy cache and precompute (Sec. 5.1)",
-        _eval("runtime_ablation"),
+        _driver("runtime_ablation"),
         _rows("Decision time over a 40-step trace", "mean s", "cache hits",
               "first s"),
         {"cache_hits": lambda d: d["with cache"][1],
@@ -258,11 +269,10 @@ FIGURES: Dict[str, Figure] = {
          Claim("the cache cuts the mean decision time",
                "mean_s_with_cache", "<", "mean_s_without_cache"),
          Claim("after precompute the first decision takes under 0.5 s",
-               "first_s_after_precompute", "<", 0.5)),
-        smoke={}),
+               "first_s_after_precompute", "<", 0.5)), smoke={}),
     "ablation_supreme": Figure(
         "ablation: SUPREME with each mechanism disabled",
-        _eval("supreme_ablation"),
+        _train("supreme_ablation"),
         _rows("SUPREME component ablation", "reward", "compliance", "buffer"),
         {"non_finite_rewards": lambda d: sum(
             not math.isfinite(row[0]) for row in d.values()),
@@ -275,66 +285,49 @@ FIGURES: Dict[str, Figure] = {
         smoke={"steps": 600}, slow=True),
     "rl_baselines": Figure(
         "appendix: SUPREME, Murmuration, GCSL and PPO at one budget",
-        lambda steps=6_000: _eval("run_training_curves")(
-            _eval("augmented_devices")(), total_steps=steps,
-            eval_every=steps, seed=3),
-        lambda d: _eval("format_rows")(
-            "RL baselines at a common budget", ("reward", "compliance"),
-            {name: (h.avg_reward[-1], h.compliance[-1])
-             for name, h in d.items()}),
-        {"supreme": lambda d: d["SUPREME (Ours)"].avg_reward[-1],
+        lambda steps=6_000: _train("run_training_curves")(
+            augmented_devices(), total_steps=steps, eval_every=steps, seed=3),
+        _train("format_training_curves"),
+        {"supreme": lambda d: d[SUPREME].avg_reward[-1],
          "ppo": lambda d: d["PPO"].avg_reward[-1]},
         (Claim("PPO trails SUPREME", "supreme", ">=", "ppo"),),
         smoke={"steps": 480}, slow=True),
     "vit": Figure("extension: ViT patch-parallel inference",
-        _eval("vit_patch_parallel"),
+        _driver("vit_patch_parallel"),
         _rows("ViT-S/16 on a 5-Pi swarm (latency s, by bandwidth Mbps)",
               "single", "split", "patch-par fp32", "patch-par int8"),
         {"fp32_speedup_at_1000": lambda d: d[1000.0][0] / d[1000.0][2],
          "fp32_slowdown_1000_to_5": lambda d: d[5.0][2] / d[1000.0][2],
-         "fp32_at_5": lambda d: d[5.0][2],
-         "int8_at_5": lambda d: d[5.0][3]},
+         "fp32_at_5": lambda d: d[5.0][2], "int8_at_5": lambda d: d[5.0][3]},
         (Claim("at 1 Gbps patch parallelism is over 2.5x faster than one "
                "device", "fp32_speedup_at_1000", ">", 2.5),
          Claim("its latency grows over 1.5x from 1000 to 5 Mbps",
                "fp32_slowdown_1000_to_5", ">", 1.5),
          Claim("int8 K/V exchange recovers part of it at 5 Mbps",
-               "int8_at_5", "<", "fp32_at_5")),
-        smoke={}),
+               "int8_at_5", "<", "fp32_at_5")), smoke={}),
     "energy": Figure(
         "extension: energy vs latency of three ResNet50 deployments",
-        _eval("energy_tradeoff"),
+        _driver("energy_tradeoff"),
         _rows("Energy vs latency (ResNet50)", "latency s", "energy J",
               "radio J"),
-        {**{f"{key}_{unit}": (lambda d, row=row, i=i: d[row][i])
-            for key, row in (("local", "1 Pi (local)"),
-                             ("fdsp", "4 Pis (2x2 FDSP)"),
-                             ("offload", "Pi -> GPU offload"))
-            for i, unit in enumerate(("s", "j"))},
-         "fdsp_over_local_j": lambda d: (d["4 Pis (2x2 FDSP)"][1]
-                                         / d["1 Pi (local)"][1])},
+        {"local_s": lambda d: d[LOCAL][0], "fdsp_s": lambda d: d[FDSP][0],
+         "offload_s": lambda d: d[OFFLOAD][0],
+         "local_j": lambda d: d[LOCAL][1],
+         "offload_j": lambda d: d[OFFLOAD][1],
+         "fdsp_over_local_j": lambda d: d[FDSP][1] / d[LOCAL][1]},
         (Claim("4-Pi FDSP is faster than one Pi", "fdsp_s", "<", "local_s"),
          Claim("GPU offload is faster than one Pi", "offload_s", "<",
                "local_s"),
          Claim("the swarm pays redundant work (over 0.8x one Pi's energy)",
                "fdsp_over_local_j", ">", 0.8),
          Claim("the 220 W GPU costs more energy than one Pi",
-               "offload_j", ">", "local_j")),
-        smoke={}),
+               "offload_j", ">", "local_j")), smoke={}),
 }
-
-
-def _figure(name: str) -> Figure:
-    try:
-        return FIGURES[name]
-    except KeyError:
-        raise ValueError(f"unknown figure {name!r}; known: "
-                         f"{', '.join(FIGURES)}") from None
 
 
 def run_figure(name: str, smoke: bool = False):
     """The figure's data at full size (or at its ``smoke`` budget)."""
-    figure = _figure(name)
+    figure = FIGURES[name]
     return figure.driver(**(figure.smoke if smoke else {}))
 
 
@@ -344,7 +337,7 @@ def check_figure(name: str, data=None, *, smoke: bool = False,
     """Evaluate the figure's claims (or ``claims``) on ``data``, run here
     at the chosen size when not given.  A claim naming an unknown measure
     or operator raises ``ValueError`` before anything runs."""
-    figure = _figure(name)
+    figure = FIGURES[name]
     claims = figure.claims if claims is None else claims
     for claim in claims:
         check_names(name, claim, [

@@ -114,6 +114,8 @@ class TestCLI:
     @pytest.mark.parametrize("argv, named", [
         (["run", "serving_load", "--record", "{tmp}/no/x.jsonl"], "--record"),
         (["run", "serving_load", "--record", "{tmp}"], "Is a directory"),
+        (["run", "serving_load", "--set", "decision_time_s=-1", "--record",
+          "{tmp}/new.jsonl"], "decision_time_s"),
         (["telemetry", "--out", "{tmp}/no/t.jsonl"], "--out"),
         (["telemetry", "--out", "{tmp}/t.jsonl", "--prom", "{tmp}"], "--prom"),
         (["telemetry", "--out", "{tmp}/t.jsonl", "--rate", "0"],
@@ -126,19 +128,20 @@ class TestCLI:
     def test_a_bad_output_path_or_value_fails_before_serving(
             self, capsys, monkeypatch, tmp_path, argv, named):
         """Regression: each died with a traceback, a bad path only after
-        every variant had been served."""
+        every variant had been served.  None leaves a file behind."""
         from repro.eval import runner
         from repro.runtime import InferenceServer
 
         def served(*args, **kwargs):
             raise AssertionError("served before the usage error")
 
-        monkeypatch.setattr(runner, "run_scenario", served)
+        monkeypatch.setattr(runner, "run_world", served)
         monkeypatch.setattr(InferenceServer, "run", served)
         with pytest.raises(SystemExit) as exc:
             main([arg.format(tmp=tmp_path) for arg in argv])
         assert exc.value.code == 2
         assert named in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_run_set_parses_tuples_optionals_and_variants(self, capsys):
         assert main(["run", "adaptive", "--set", "num_requests=12",
