@@ -25,9 +25,8 @@ linearity.
 from __future__ import annotations
 
 import hashlib
+from operator import add
 from typing import List, Optional
-
-import numpy as np
 
 from ..partition.plan import ExecutionPlan
 from .arch import ArchConfig
@@ -53,52 +52,54 @@ _P_BITS_8 = 0.45     # all device-crossing inputs quantized to 8 bit
 _P_BITS_16 = 0.12
 
 
-def _unit_penalty(value: float, lo: float, hi: float) -> float:
-    """Map value in [lo, hi] to a penalty fraction in [0, 1] (1 at lo)."""
-    if hi == lo:
-        return 0.0
-    return (hi - value) / (hi - lo)
-
-
-def _residual(arch: ArchConfig, space: SearchSpace) -> float:
-    key = repr(arch.canonical_key(space)).encode()
-    digest = hashlib.sha256(key).digest()
+def _residual(key: tuple) -> float:
+    """The ±0.15 % texture of the arch with this canonical key."""
+    digest = hashlib.sha256(repr(key).encode()).digest()
     u = int.from_bytes(digest[:8], "little") / 2 ** 64
     return (2.0 * u - 1.0) * _RESIDUAL_SCALE
 
 
+def _pairwise_sum(values: List[float]) -> float:
+    """NumPy's float64 ``pairwise_sum`` (``loops_utils.h.src``), step for
+    step: one loop under 8 values, 8 accumulators to 128, halves above."""
+    n = len(values)
+    if n < 8:
+        s = -0.0
+        for v in values:
+            s += v
+        return s
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    r = values[:8]
+    rest = n - n % 8
+    for i in range(8, rest, 8):
+        r = list(map(add, r, values[i:i + 8]))
+    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for v in values[rest:]:
+        s += v
+    return s
+
+
 def _mean(values: List[float]) -> float:
-    """``float(np.mean(values))`` without its dispatch layers: the same
-    pairwise ``np.add.reduce`` over the same float64 array, divided by
-    the same count — bit-identical, at a third of the cost on the 5–20
-    element lists of one submodel."""
-    return float(np.add.reduce(np.asarray(values)) / len(values))
+    """``float(np.mean(values))`` bit for bit, without NumPy's dispatch:
+    ``np.add.reduce`` adds the pairwise sum to its identity 0.0
+    (``tests/nas/test_graph_reference.py`` fuzzes the two)."""
+    return (0.0 + _pairwise_sum(values)) / len(values)
 
 
 def arch_accuracy(arch: ArchConfig, space: SearchSpace) -> float:
     """Top-1 accuracy (percent) of a submodel, independent of placement."""
     arch.validate(space)
-    res_pen = _unit_penalty(arch.resolution, min(space.resolution_options),
-                            max(space.resolution_options))
-    depth_pen = _mean([
-        _unit_penalty(d, space.min_depth, space.max_depth)
-        for d in arch.depths])
-    # one penalty per option, looked up per active slot
-    klo, khi = min(space.kernel_options), max(space.kernel_options)
-    elo, ehi = min(space.expand_options), max(space.expand_options)
-    kernel_pens = {k: _unit_penalty(k, klo, khi)
-                   for k in space.kernel_options}
-    expand_pens = {e: _unit_penalty(e, elo, ehi)
-                   for e in space.expand_options}
-    active = arch.active_slots(space)
-    kernel_pen = _mean([kernel_pens[arch.kernels[i]] for i in active])
-    expand_pen = _mean([expand_pens[arch.expands[i]] for i in active])
+    res_pens, depth_pens, kernel_pens, expand_pens = space.unit_penalties
+    # the key holds the active slots' kernels and expansions, in order
+    key = res, depths, kernels, expands = arch.canonical_key(space)
     acc = (ACC_MAX
-           - _W_RESOLUTION * res_pen
-           - _W_DEPTH * depth_pen
-           - _W_KERNEL * kernel_pen
-           - _W_EXPAND * expand_pen
-           + _residual(arch, space))
+           - _W_RESOLUTION * res_pens[res]
+           - _W_DEPTH * _mean(list(map(depth_pens.__getitem__, depths)))
+           - _W_KERNEL * _mean(list(map(kernel_pens.__getitem__, kernels)))
+           - _W_EXPAND * _mean(list(map(expand_pens.__getitem__, expands)))
+           + _residual(key))
     return float(acc)
 
 
@@ -115,7 +116,7 @@ def plan_accuracy_penalty(plan: ExecutionPlan) -> float:
     crossings8 = crossings16 = 0
     prev_devices = (0,)
     for bp in plan:
-        ntiles = bp.grid.ntiles
+        ntiles = len(bp.devices)        # == bp.grid.ntiles
         if ntiles == 2:
             tiled_1x2 += 1
         elif ntiles >= 4:

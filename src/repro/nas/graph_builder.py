@@ -8,16 +8,17 @@ identically.
 No two submodels of a search repeat, but their blocks do: an MBConv
 block's cost is a pure function of ten small ints (where it sits, its
 input size and channels, its expansion, kernel, stride and SE flag), and
-``MBV3_SPACE`` has 900 distinct ones for about 10^20 submodels.
-:func:`build_graph` therefore assembles each graph from **shared frozen
-blocks** kept in one bounded memo; a graph owns its block *list*, never
-its blocks, so compare blocks with ``==``, not by identity.
+``MBV3_SPACE`` has 900 distinct ones for about 10^20 submodels.  The stem
+depends on the resolution alone and the final conv and head on the
+trunk's output size.  :func:`build_graph` therefore assembles each graph
+from **shared frozen blocks** kept in bounded memos; a graph owns its
+block *list*, never its blocks, so compare blocks with ``==``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..models.graph import ComputeBlock, ModelGraph, conv_flops, linear_flops
 from .accuracy_model import arch_accuracy
@@ -28,9 +29,8 @@ __all__ = ["build_graph"]
 
 _FP32 = 4
 
-#: distinct MBConv cost blocks kept, least recently used out first — the
-#: one memo in ``repro`` that lives at module level (DESIGN.md, "Plan
-#: cost model", Bounds: why a table of ints to frozen floats may)
+#: cost blocks each memo keeps, least recently used out first (DESIGN.md,
+#: "Plan cost model", Bounds: why a table of ints to frozen blocks may)
 _BLOCK_MEMO = 4096
 
 
@@ -64,6 +64,37 @@ def _mbconv_block(stage: int, block: int, h: int, w: int, in_ch: int,
         stage=stage + 1, halo=kernel // 2, depthwise=True)
 
 
+@lru_cache(maxsize=_BLOCK_MEMO)
+def _stem(res: int, stem_ch: int) -> ComputeBlock:
+    """The stem conv of a ``res x res`` image."""
+    return ComputeBlock(
+        "stem", flops=conv_flops(res, res, 3, stem_ch, 3, 2),
+        out_hw=(res // 2, res // 2), out_ch=stem_ch,
+        weight_bytes=3 * stem_ch * 9 * _FP32, stage=0)
+
+
+@lru_cache(maxsize=_BLOCK_MEMO)
+def _tail(h: int, w: int, in_ch: int, final_ch: int, hh: int, nc: int,
+          num_stages: int) -> Tuple[ComputeBlock, ...]:
+    """The final conv and the two head blocks behind an ``h x w x in_ch``
+    trunk output."""
+    head_flops = linear_flops(final_ch, hh) + linear_flops(hh, nc)
+    head_params = (final_ch * hh + hh + hh * nc + nc) * _FP32
+    return (
+        ComputeBlock(
+            "conv_last", flops=conv_flops(h, w, in_ch, final_ch, 1),
+            out_hw=(h, w), out_ch=final_ch,
+            weight_bytes=in_ch * final_ch * _FP32, stage=num_stages + 1),
+        ComputeBlock(
+            "head.pool", flops=2.0 * h * w * final_ch, out_hw=(1, 1),
+            out_ch=final_ch, partitionable=False, fused=True,
+            stage=num_stages + 2),
+        ComputeBlock(
+            "head.fc", flops=head_flops, out_hw=(1, 1), out_ch=nc,
+            weight_bytes=head_params, partitionable=False, fused=True,
+            stage=num_stages + 2))
+
+
 def build_graph(arch: ArchConfig, space: SearchSpace,
                 accuracy: Optional[float] = None) -> ModelGraph:
     """Build the cost graph of a submodel.
@@ -77,12 +108,8 @@ def build_graph(arch: ArchConfig, space: SearchSpace,
         arch.validate(space)
 
     res = arch.resolution
-    blocks: List[ComputeBlock] = []
+    blocks: List[ComputeBlock] = [_stem(res, space.stem_ch)]
     h = w = res // 2
-    blocks.append(ComputeBlock(
-        "stem", flops=conv_flops(res, res, 3, space.stem_ch, 3, 2),
-        out_hw=(h, w), out_ch=space.stem_ch,
-        weight_bytes=3 * space.stem_ch * 9 * _FP32, stage=0))
     in_ch = space.stem_ch
     kernels, expands, max_depth = arch.kernels, arch.expands, space.max_depth
     for s, spec in enumerate(space.stages):
@@ -94,22 +121,7 @@ def build_graph(arch: ArchConfig, space: SearchSpace,
                 stride, spec.use_se))
             h, w = h // stride, w // stride
             in_ch = spec.out_ch
-    blocks.append(ComputeBlock(
-        "conv_last", flops=conv_flops(h, w, in_ch, space.final_ch, 1),
-        out_hw=(h, w), out_ch=space.final_ch,
-        weight_bytes=in_ch * space.final_ch * _FP32,
-        stage=space.num_stages + 1))
-    hh = space.head_hidden
-    nc = space.num_classes
-    head_flops = linear_flops(space.final_ch, hh) + linear_flops(hh, nc)
-    head_params = (space.final_ch * hh + hh + hh * nc + nc) * _FP32
-    blocks.append(ComputeBlock(
-        "head.pool", flops=2.0 * h * w * space.final_ch, out_hw=(1, 1),
-        out_ch=space.final_ch, partitionable=False, fused=True,
-        stage=space.num_stages + 2))
-    blocks.append(ComputeBlock(
-        "head.fc", flops=head_flops, out_hw=(1, 1), out_ch=nc,
-        weight_bytes=head_params, partitionable=False, fused=True,
-        stage=space.num_stages + 2))
+    blocks += _tail(h, w, in_ch, space.final_ch, space.head_hidden,
+                    space.num_classes, space.num_stages)
     return ModelGraph("murmuration_subnet", blocks, accuracy,
                       input_hw=(res, res))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Tuple
+from typing import Dict, Tuple
 
 from ..nn.quantize import SUPPORTED_BITS
 from ..partition.spatial import GRIDS, Grid
@@ -76,6 +76,17 @@ class SearchSpace:
     @cached_property
     def min_depth(self) -> int:
         return min(self.depth_options)
+
+    @cached_property
+    def unit_penalties(self) -> Tuple[Dict[int, float], ...]:
+        """Per resolution, depth, kernel and expand option, the accuracy
+        model's penalty fraction: ``(hi - v) / (hi - lo)`` over the
+        dimension's options, 1 at the smallest, 0 if it has one value."""
+        return tuple(
+            {v: (max(opts) - v) / (max(opts) - min(opts))
+             if max(opts) != min(opts) else 0.0 for v in opts}
+            for opts in (self.resolution_options, self.depth_options,
+                         self.kernel_options, self.expand_options))
 
     @property
     def max_blocks(self) -> int:

@@ -16,11 +16,12 @@ It is also the inner loop of RL training and of evolutionary search,
 which price a *fresh* (submodel, plan) pair per step, so the walk runs
 on flat lists and local accumulators: the previous block's tiles are
 two parallel sequences (device, ready time), a block's wire sizes, FLOP
-share and memory term are worked out once per block rather than per
-tile, priced transfers are logged and summed into the report's
-communication terms once at the end.  The arithmetic is the same float
-operations in the same order as the object-per-tile walker it replaced,
-which is kept verbatim in ``tests/partition/reference_simulate.py`` as
+share and memory term are worked out once per block (its FDSP factor
+read from a table by ``(out_hw, grid, halo)``), each device's roofline
+constants once per call, and priced transfers are summed into the
+report's communication terms once at the end.  The arithmetic is the
+same float operations in the same order as the object-per-tile walker it
+replaced, kept verbatim in ``tests/partition/reference_simulate.py`` as
 the oracle: ``tests/partition/test_reference_simulate.py`` requires
 ``==`` on every :class:`LatencyReport` field, and
 :func:`repro.partition.compiled.compile_plan` walks a plan block by
@@ -30,11 +31,11 @@ block the way this function does (``test_compiled_kernel.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 from ..models.graph import ModelGraph
 from ..netsim.topology import Cluster
-from ..nn.quantize import wire_bytes
 from .plan import ExecutionPlan
 from .spatial import Grid, fdsp_compute_overhead
 
@@ -68,6 +69,12 @@ class LatencyReport:
 _G11 = Grid(1, 1)
 
 
+@lru_cache(maxsize=1024)     # a few hundred keys (DESIGN.md, "Bounds")
+def _fdsp_factor(out_hw: Tuple[int, int], rows: int, cols: int,
+                 halo: int) -> float:
+    return fdsp_compute_overhead(out_hw, Grid(rows, cols), halo=halo)
+
+
 def simulate_latency(graph: ModelGraph, plan: ExecutionPlan,
                      cluster: Cluster) -> LatencyReport:
     """Simulate one batch-1 inference; returns a :class:`LatencyReport`.
@@ -84,7 +91,10 @@ def simulate_latency(graph: ModelGraph, plan: ExecutionPlan,
     # and leaves every timing bit-identical.
     compute_scale = getattr(cluster, "compute_scale", None)
     transfer_time = cluster.transfer_time
-    devices = [cluster.device(i) for i in range(n_dev)]
+    # each device's roofline constants (``DeviceProfile.compute_time``)
+    roofline = [(d.effective_flops, d.mem_bandwidth, d.block_overhead_s,
+                 d.depthwise_penalty)
+                for d in map(cluster.device, range(n_dev))]
 
     dev_ready = [0.0] * n_dev
     compute_s = [0.0] * n_dev
@@ -102,22 +112,24 @@ def simulate_latency(graph: ModelGraph, plan: ExecutionPlan,
 
     for block, bp in zip(graph.blocks, plan.block_plans):
         grid, tiles_on, bits = bp.grid, bp.devices, bp.bits
-        ntiles = grid.ntiles
-        fdsp = fdsp_compute_overhead(block.out_hw, grid, halo=block.halo)
+        ntiles = len(tiles_on)          # == grid.ntiles (BlockPlan checks)
+        out_hw = block.out_hw
+        fdsp = _fdsp_factor(out_hw, grid.rows, grid.cols, block.halo)
         slice_elements = prev_elements / ntiles
         nprev = len(tile_dev)
         same_grid = (nprev == ntiles
                      and (grid is prev_grid or grid == prev_grid))
         # A tile's input: its predecessor's slice, or (repartition) an
-        # equal share gathered from every previous holder.
-        input_bytes = wire_bytes(
-            int(slice_elements if same_grid else slice_elements / nprev),
-            bits)
+        # equal share gathered from every previous holder; wire sizes are
+        # ``wire_bytes`` (BlockPlan validated the bits).
+        input_bytes = 32 + (int(
+            slice_elements if same_grid else slice_elements / nprev)
+            * bits + 7) // 8
         # Attention K/V exchange: what every tile gets from each peer.
-        sync_bytes = (wire_bytes(int(block.sync_elements / ntiles), bits)
+        sync_bytes = (32 + (int(block.sync_elements / ntiles) * bits + 7) // 8
                       if ntiles > 1 and block.sync_elements > 0 else 0)
         # One tile's compute terms are the same on every tile.
-        out_elements = block.out_elements
+        out_elements = out_hw[0] * out_hw[1] * block.out_ch
         flops = block.flops * fdsp / ntiles
         mem = (_FP32 * (prev_elements + out_elements) * fdsp / ntiles
                + block.weight_bytes)
@@ -153,9 +165,12 @@ def simulate_latency(graph: ModelGraph, plan: ExecutionPlan,
                     if ready > arrival:
                         arrival = ready
             # --- compute -------------------------------------------------------
-            dev = devices[dst]
-            t_compute = dev.compute_time(
-                flops * dev.depthwise_penalty if depthwise else flops, mem)
+            eff, mem_bw, overhead, dw_penalty = roofline[dst]
+            t_compute = (flops * dw_penalty if depthwise else flops) / eff
+            t_memory = mem / mem_bw
+            if t_memory > t_compute:
+                t_compute = t_memory
+            t_compute += overhead
             if compute_scale:
                 t_compute *= compute_scale.get(dst, 1.0)
             start = dev_ready[dst]
@@ -177,7 +192,7 @@ def simulate_latency(graph: ModelGraph, plan: ExecutionPlan,
     # wire time are charged here.
     out_dev = plan.output_device
     done = 0.0
-    result_bytes = wire_bytes(int(prev_elements / len(tile_dev)), 32)
+    result_bytes = 32 + (int(prev_elements / len(tile_dev)) * 32 + 7) // 8
     for src, ready in zip(tile_dev, tile_ready):
         if src != out_dev:
             link_t = transfer_time(src, out_dev, result_bytes)

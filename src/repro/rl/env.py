@@ -24,6 +24,8 @@ compiling a pair that is priced once would cost more than it saves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
+from operator import getitem, lt
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,9 +39,11 @@ from ..netsim.topology import Cluster, NetworkCondition
 from ..partition.plan import BlockPlan, ExecutionPlan
 from ..partition.simulate import simulate_latency
 from ..partition.spatial import Grid
-from .spaces import ActionStep, build_schedule
+from .spaces import ACTION_TYPES, ActionStep, build_schedule
 
 __all__ = ["Task", "StrategyOutcome", "EnvConfig", "MurmurationEnv"]
+
+_G11 = Grid(1, 1)
 
 #: entries an env keeps in its graph memo and in its ``BlockPlan`` table
 _MEMO_BOUND = 4096
@@ -98,6 +102,27 @@ class EnvConfig:
     def __post_init__(self):
         if self.slo_kind not in ("latency", "accuracy"):
             raise ValueError("slo_kind must be 'latency' or 'accuracy'")
+        # Negated tests (NaN fails every comparison): the ranges are
+        # sampled and divided by, as acc_norm and latency_ref_s are.
+        s, a, b, d, n = (self.slo_range, self.acc_slo_range, self.bw_range,
+                         self.delay_range, self.acc_norm)
+        for name, rule, ok in (
+                ("slo_range", "0 < lo <= hi < inf", 0 < s[0] <= s[1] < inf),
+                ("acc_slo_range", "finite, lo <= hi",
+                 -inf < a[0] <= a[1] < inf),
+                ("bw_range", "0 < lo <= hi < inf", 0 < b[0] <= b[1] < inf),
+                ("delay_range", "0 <= lo <= hi < inf, hi > 0",
+                 0 <= d[0] <= d[1] < inf and d[1] > 0),
+                ("acc_norm", "finite, lo < hi", -inf < n[0] < n[1] < inf),
+                ("alpha", "finite", -inf < self.alpha < inf),
+                ("beta", "finite", -inf < self.beta < inf),
+                ("latency_ref_s", "0 < x < inf",
+                 0 < self.latency_ref_s < inf),
+                ("max_tiles", "an int >= 1",
+                 isinstance(self.max_tiles, int) and self.max_tiles >= 1)):
+            if not ok:
+                raise ValueError(
+                    f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 class MurmurationEnv:
@@ -113,31 +138,40 @@ class MurmurationEnv:
         # already tagged the env's (memoised) graph with.
         self.accuracy_fn = accuracy_fn or (
             lambda a: self._graph(a).accuracy)
-        self.schedule: List[ActionStep] = build_schedule(
-            space, len(self.devices), self.cfg.max_tiles)
-        self.max_choices = max(s.n_choices for s in self.schedule)
-        # What decode reads of each step, tabled once: ``(kind id,
-        # position, n_choices, options)``.  ``position`` is where the
-        # chosen option lands in its kind's row of decisions: the stage,
-        # the stage-major tile slot for a device step, 0 for a global
-        # step (whose stage is -1).
         max_tiles = self.cfg.max_tiles
+        most = max(g.ntiles for g in space.grid_options)
+        if max_tiles < most:
+            raise ValueError(f"max_tiles must be at least the space's "
+                             f"largest grid ({most} tiles), got {max_tiles}")
+        self.schedule: List[ActionStep] = build_schedule(
+            space, len(self.devices), max_tiles)
+        self.max_choices = max(s.n_choices for s in self.schedule)
+        # What decode reads, tabled once: each step's choice count and
+        # options, and the step behind each decision (a stage's kernel and
+        # expansion repeated per slot: all blocks of a stage share them).
         options = (space.resolution_options, space.depth_options,
                    space.kernel_options, space.expand_options,
                    space.grid_options, space.bits_options,
                    range(len(self.devices)), range(len(self.devices)))
-        self._steps = [
-            (s.kind_id,
-             s.stage * max_tiles + s.slot if s.kind == "device"
-             else max(s.stage, 0),
-             s.n_choices, options[s.kind_id])
-            for s in self.schedule]
+        self._n_choices = [s.n_choices for s in self.schedule]
+        self._options = [options[s.kind_id] for s in self.schedule]
+        steps = {kind: [] for kind in ACTION_TYPES}   # stage-major, by slot
+        for i, s in enumerate(self.schedule):
+            steps[s.kind].append(i)
+        slots, tiles = range(space.max_depth), steps["device"]
+        self._rows = (
+            steps["resolution"][0], steps["depth"],
+            [i for i in steps["kernel"] for _ in slots],
+            [i for i in steps["expand"] for _ in slots],
+            steps["grid"], steps["bits"],
+            [tiles[i:i + max_tiles] for i in range(0, len(tiles), max_tiles)],
+            steps["head_device"][0])
         # canonical key -> graph, least recently used first; the pair
         # beside it answers "the arch just decoded" without deriving a key
         self._graph_cache: dict = {}
         self._last_graph: tuple = (None, None)
-        # (grid, devices, bits) -> the one BlockPlan of this env with
-        # that setting (validated when built), oldest first
+        # (grid rows, cols, devices, bits) -> the one BlockPlan of this
+        # env with that setting (validated when built), oldest first
         self._block_plans: dict = {}
 
     # -- dimensions --------------------------------------------------------
@@ -272,51 +306,38 @@ class MurmurationEnv:
         if len(actions) != len(self.schedule):
             raise ValueError(
                 f"expected {len(self.schedule)} actions, got {len(actions)}")
-        space = self.space
-        num_stages, max_tiles = space.num_stages, self.cfg.max_tiles
-        g11 = Grid(1, 1)
-        # one row of decisions per action kind (``ACTION_TYPES`` order),
-        # preset to what an episode that skipped the step would mean
-        res, head_dev = [None], [0]
-        depths = [space.min_depth] * num_stages
-        kernels = [min(space.kernel_options)] * num_stages
-        expands = [min(space.expand_options)] * num_stages
-        grids = [g11] * num_stages
-        bits = [32] * num_stages
-        tile_devs = [0] * (num_stages * max_tiles)
-        rows = (res, depths, kernels, expands, grids, bits, tile_devs,
-                head_dev)
-        for i, ((kind, position, n_choices, options), a) in enumerate(
-                zip(self._steps, actions)):
-            if not (0 <= a < n_choices):
-                raise ValueError(
-                    f"action {a} out of range for {self.schedule[i]}")
-            rows[kind][position] = options[a]
-
-        # all blocks of a stage share the stage's kernel and expansion
-        max_depth = space.max_depth
-        arch = ArchConfig(
-            res[0], tuple(depths),
-            tuple([k for k in kernels for _ in range(max_depth)]),
-            tuple([e for e in expands for _ in range(max_depth)]))
+        n_choices = self._n_choices
+        if min(actions) < 0 or not all(map(lt, actions, n_choices)):
+            i = next(i for i, (a, n) in enumerate(zip(actions, n_choices))
+                     if not 0 <= a < n)
+            raise ValueError(
+                f"action {actions[i]} out of range for {self.schedule[i]}")
+        chosen = list(map(getitem, self._options, actions)).__getitem__
+        res, depths, kernels, expands, grids, bits, tiles, head = self._rows
+        arch = ArchConfig(chosen(res), tuple(map(chosen, depths)),
+                          tuple(map(chosen, kernels)),
+                          tuple(map(chosen, expands)))
 
         graph = self._graph(arch)
         shared = self._block_plan
-        head = shared(g11, (head_dev[0],), bits[-1])    # fused + final conv
-        by_stage = [shared(g11, (tile_devs[0],), bits[0])]   # the stem
-        for s, g in enumerate(grids):
-            slots = tile_devs[s * max_tiles:(s + 1) * max_tiles]
-            by_stage.append(shared(g, tuple(slots[:g.ntiles]), bits[s]))
-        plans = [head if block.fused or not block.partitionable
-                 or not 0 <= block.stage <= num_stages
-                 else by_stage[block.stage] for block in graph]
+        wire = list(map(chosen, bits))
+        head_plan = shared(_G11, (chosen(head),), wire[-1])
+        by_stage = [shared(_G11, (chosen(tiles[0][0]),), wire[0])]  # stem
+        for g, b, slots in zip(map(chosen, grids), wire, tiles):
+            by_stage.append(shared(g, tuple(map(chosen, slots[:g.ntiles])), b))
+        # build_graph's layout: the stem, each stage's blocks, then the
+        # final conv and the fused head, which run on the head device
+        plans = by_stage[:1]
+        for stage_plan, depth in zip(by_stage[1:], arch.depths):
+            plans += [stage_plan] * depth
+        plans += [head_plan] * (len(graph) - len(plans))
         return arch, ExecutionPlan(plans, output_device=0)
 
     def _block_plan(self, grid: Grid, devices: Tuple[int, ...],
                     bits: int) -> BlockPlan:
         """This env's one ``BlockPlan`` with the setting (they are frozen:
         every plan decoded here repeats the instance)."""
-        key = (grid, devices, bits)
+        key = (grid.rows, grid.cols, devices, bits)
         found = self._block_plans.get(key)
         if found is None:
             _make_room(self._block_plans)

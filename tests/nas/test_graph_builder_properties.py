@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.models.graph import ComputeBlock
 from repro.nas import (MBV3_SPACE, ArchConfig, build_graph, max_arch,
                        min_arch, random_arch)
 from repro.nas.accuracy_model import arch_accuracy
@@ -114,6 +115,67 @@ class TestSharedBlocks:
         from repro.nas.graph_builder import _mbconv_block
         info = _mbconv_block.cache_info()
         assert info.maxsize == 4096 and info.currsize <= info.maxsize
+
+    def test_archs_at_one_resolution_share_their_stem_and_tail(self):
+        rng = np.random.default_rng(5)
+        a = random_arch(SPACE, rng)
+        b = dataclasses.replace(random_arch(SPACE, rng),
+                                resolution=a.resolution,
+                                depths=tuple(reversed(a.depths)))
+        ga, gb = build_graph(a, SPACE), build_graph(b, SPACE)
+        assert [x.name for x in ga.blocks[-3:]] == [
+            "conv_last", "head.pool", "head.fc"]
+        assert ga.blocks[0] is gb.blocks[0]
+        assert all(x is y for x, y in zip(ga.blocks[-3:], gb.blocks[-3:]))
+        other = build_graph(dataclasses.replace(
+            a, resolution=min(SPACE.resolution_options)), SPACE)
+        assert ga.blocks[0] is not other.blocks[0]
+
+    def test_a_second_pass_builds_no_block_and_memos_stay_in_their_key_space(
+            self, monkeypatch):
+        """Pricing the same fresh strategies again, through a new env,
+        builds no ``ComputeBlock``; each module-level memo then holds
+        exactly the keys those strategies reach (DESIGN.md, "Bounds")."""
+        from repro.devices import desktop_gtx1080, jetson_class, rpi4
+        from repro.nas import graph_builder as gb
+        from repro.netsim import NetworkCondition
+        from repro.partition import simulate
+        from repro.rl import MurmurationEnv, Task
+
+        memos = (gb._mbconv_block, gb._stem, gb._tail, simulate._fdsp_factor)
+        for memo in memos:
+            memo.cache_clear()
+        devices = [rpi4(), desktop_gtx1080(), jetson_class()]
+        task = Task(0.2, NetworkCondition((120.0, 300.0), (20.0, 5.0)))
+        rng = np.random.default_rng(8)
+        schedule = MurmurationEnv(SPACE, devices).schedule
+        strategies = [[int(rng.integers(s.n_choices)) for s in schedule]
+                      for _ in range(60)]
+
+        def price():
+            env = MurmurationEnv(SPACE, devices)
+            return [env.decode(a) for a in strategies], [
+                env.evaluate_actions(a, task) for a in strategies]
+
+        price()
+        built = []
+        init = ComputeBlock.__init__
+        monkeypatch.setattr(ComputeBlock, "__init__",
+                            lambda self, *a, **k: built.append(1)
+                            or init(self, *a, **k))
+        pairs, _ = price()
+        assert built == []
+        graphs = [build_graph(arch, SPACE) for arch, _ in pairs]
+        trunk = {(b.name, b.flops) for g in graphs for b in g.blocks[1:-3]}
+        resolutions = {arch.resolution for arch, _ in pairs}
+        fdsp = {(b.out_hw, bp.grid.rows, bp.grid.cols, b.halo)
+                for g, (_, plan) in zip(graphs, pairs)
+                for b, bp in zip(g, plan)}
+        assert gb._mbconv_block.cache_info().currsize == len(trunk) <= 900
+        assert gb._stem.cache_info().currsize == len(resolutions) <= 5
+        tails = {g.blocks[-3].out_hw for g in graphs}   # 7x7, 6x6, 5x5
+        assert gb._tail.cache_info().currsize == len(tails) <= 3
+        assert simulate._fdsp_factor.cache_info().currsize == len(fdsp)
 
 
 class TestMonotonicity:

@@ -97,16 +97,13 @@ class TestDecode:
         assert not any(a is c for a, c in zip(plan_a, plan_c))
 
     def test_too_few_tile_slots_for_the_grid_still_raise(self):
-        """A 2x2 grid under ``max_tiles=2`` names two devices for four
-        tiles: a ``BlockPlan`` error, not a neighbouring stage's slots."""
-        small = MurmurationEnv(MBV3_SPACE, [rpi4(), desktop_gtx1080()],
-                               EnvConfig(max_tiles=2))
-        actions = [0] * small.episode_length
-        grid_steps = [i for i, s in enumerate(small.schedule)
-                      if s.kind == "grid"]
-        actions[grid_steps[0]] = 2                       # 2x2
-        with pytest.raises(ValueError, match="needs 4 device ids, got 2"):
-            small.decode(actions)
+        """A 2x2 grid under ``max_tiles=2`` would name two devices for
+        four tiles: the env refuses it when built, naming the field,
+        before any action is decoded."""
+        with pytest.raises(ValueError, match="max_tiles must be at least "
+                           r"the space's largest grid \(4 tiles\), got 2"):
+            MurmurationEnv(MBV3_SPACE, [rpi4(), desktop_gtx1080()],
+                           EnvConfig(max_tiles=2))
 
     def test_decode_random_rollouts_always_valid(self, env):
         rng = np.random.default_rng(0)
@@ -141,6 +138,31 @@ class TestReward:
     def test_invalid_slo_kind(self):
         with pytest.raises(ValueError):
             EnvConfig(slo_kind="throughput")
+
+    @pytest.mark.parametrize("settings", [
+        dict(acc_norm=(80.0, 80.0)),
+        dict(acc_norm=(70.0, float("nan"))),
+        dict(slo_kind="accuracy", latency_ref_s=0.0),
+        dict(latency_ref_s=float("inf")),
+        dict(alpha=float("nan")),
+        dict(beta=float("-inf")),
+        dict(slo_range=(0.0, 0.5)),
+        dict(acc_slo_range=(78.5, 72.0)),
+        dict(bw_range=(0.0, 400.0)),
+        dict(delay_range=(0.0, 0.0)),
+        dict(delay_range=(5.0, float("nan"))),
+        dict(max_tiles=0),
+        dict(max_tiles=2),                   # MBV3_SPACE has a 2x2 grid
+    ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+    def test_a_hostile_setting_raises_before_anything_is_priced(
+            self, settings):
+        """Each once crashed mid-run (``ZeroDivisionError`` at the first
+        satisfied strategy, ``IndexError`` in ``decode``) or priced NaN
+        rewards; now building the env refuses it, naming the field."""
+        field = list(settings)[-1]
+        with pytest.raises(ValueError, match=rf"^{field} must be"):
+            MurmurationEnv(MBV3_SPACE, [rpi4(), desktop_gtx1080()],
+                           EnvConfig(**settings))
 
 
 class TestEvaluate:
