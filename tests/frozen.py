@@ -122,6 +122,7 @@ FROZEN = {Path(fixture).stem: (fixture, fn) for fixture, fn in [
     ("facade_parity_golden.json", _of("core.test_infer_parity")),
     ("figure_table_digests.json", figure_tables),
     ("fluid_price_digests.json", _of("netsim.test_fluid_digests")),
+    ("hostile_verdicts.json", _of("eval.test_hostile_verdicts")),
     ("ledger_sim_digests.json", ledger_sim_digests),
     ("multi_tenant_fluid_golden.jsonl", _of("eval.test_replay_invariants")),
     ("route_digests.json", _of("netsim.test_route_digests")),
