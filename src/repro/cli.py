@@ -189,9 +189,6 @@ def _run(args) -> str:
         cfg = override_config(spec.config(), args.set)
     except ValueError as exc:
         raise _UsageError(str(exc))
-    if cfg.num_requests <= 0:
-        raise _UsageError(
-            f"num_requests must be positive, got {cfg.num_requests}")
     variants = (args.variants.split(",") if args.variants
                 else list(spec.variants))
     unknown = [v for v in variants if v not in spec.variants]

@@ -21,10 +21,11 @@ land in the :class:`~repro.control.loop.ControlLoop` action log and the
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import Annotated, Dict, List, Optional, Tuple
 
+from .. import (Bound, Finite, IntAtLeast, NonNegative, Positive,
+                Probability, check_fields)
 from ..netsim.topology import NetworkCondition
 
 __all__ = ["Controller", "CacheGranularityController",
@@ -68,20 +69,21 @@ class CacheGranularityController(Controller):
 
     name = "cache-granularity"
 
+    hit_lo: Annotated[float, Probability]
+    hit_hi: Annotated[float, Probability]
+    factor: Annotated[float, Finite, Bound(1.0, lo_open=True)]
+    rel_err_budget: Annotated[float, Finite, NonNegative]
+    min_bw_step: Annotated[float, Finite, Positive]
+    max_bw_step: Annotated[float, Finite, Positive]
+    min_delay_step: Annotated[float, Finite, Positive]
+    max_delay_step: Annotated[float, Finite, Positive]
+    min_window: Annotated[int, IntAtLeast(1)]
+
     def __init__(self, hit_lo: float = 0.4, hit_hi: float = 0.85,
                  factor: float = 1.5, rel_err_budget: float = 0.25,
                  min_bw_step: float = 5.0, max_bw_step: float = 200.0,
                  min_delay_step: float = 2.0, max_delay_step: float = 80.0,
                  min_window: int = 8):
-        if not (0.0 <= hit_lo < hit_hi <= 1.0):
-            raise ValueError(
-                f"need 0 <= hit_lo < hit_hi <= 1, got {hit_lo}, {hit_hi}")
-        if not 1.0 < factor < math.inf:
-            raise ValueError(f"factor must exceed 1 and be finite, "
-                             f"got {factor}")
-        if min_window < 1:
-            raise ValueError(
-                f"min_window must be positive, got {min_window}")
         self.hit_lo = hit_lo
         self.hit_hi = hit_hi
         self.factor = factor
@@ -91,6 +93,10 @@ class CacheGranularityController(Controller):
         self.min_delay_step = min_delay_step
         self.max_delay_step = max_delay_step
         self.min_window = min_window
+        check_fields(self)
+        if not hit_lo < hit_hi:
+            raise ValueError(f"{type(self).__name__} needs hit_lo < hit_hi, "
+                             f"got {hit_lo}, {hit_hi}")
         #: finest steps this controller may return to (ratchet up when a
         #: refinement collapses the hit rate; clamped to the coarse max
         #: so the floor can never *exceed* the reachable range)
@@ -160,23 +166,22 @@ class BatchPolicyController(Controller):
 
     name = "batch-policy"
 
+    #: BatchPolicy's rule: a float bound would reach its max_batch
+    min_batch: Annotated[int, IntAtLeast(1)]
+    max_batch: Annotated[int, IntAtLeast(1)]
+    depth_per_slot: Annotated[float, Finite, Positive]
+    headroom: Annotated[float, Bound(0.0, 1.0, lo_open=True, hi_open=True)]
+
     def __init__(self, min_batch: int = 1, max_batch: int = 64,
                  depth_per_slot: float = 2.0, headroom: float = 0.5):
-        # BatchPolicy's rule: a float bound would reach its max_batch
-        if (type(min_batch) is not int or type(max_batch) is not int
-                or min_batch < 1 or max_batch < min_batch):
-            raise ValueError(
-                f"need ints 1 <= min_batch <= max_batch, got "
-                f"min_batch={min_batch!r}, max_batch={max_batch!r}")
-        if not 0.0 < depth_per_slot < math.inf:
-            raise ValueError(f"depth_per_slot must be positive and finite, "
-                             f"got {depth_per_slot}")
-        if not (0.0 < headroom < 1.0):
-            raise ValueError(f"headroom must be in (0, 1), got {headroom}")
         self.min_batch = min_batch
         self.max_batch = max_batch
         self.depth_per_slot = depth_per_slot
         self.headroom = headroom
+        check_fields(self)
+        if not min_batch <= max_batch:
+            raise ValueError(f"{type(self).__name__} needs min_batch <= "
+                             f"max_batch, got {min_batch}, {max_batch}")
 
     def update(self, snapshot, loop) -> Optional[str]:
         server = loop.server
@@ -234,15 +239,15 @@ class AdmissionController(Controller):
 
     name = "admission"
 
+    #: a NaN margin makes every budget NaN (every request is shed after
+    #: the first window); an infinite one means admission never acts
+    margin: Annotated[float, Finite, Positive]
+    ewma_alpha: Annotated[float, Bound(0.0, 1.0, lo_open=True)]
+
     def __init__(self, margin: float = 0.85, ewma_alpha: float = 0.3):
-        if not 0.0 < margin < math.inf:
-            raise ValueError(
-                f"margin must be positive and finite, got {margin}")
-        if not (0.0 < ewma_alpha <= 1.0):
-            raise ValueError(
-                f"ewma_alpha must be in (0, 1], got {ewma_alpha}")
         self.margin = margin
         self.ewma_alpha = ewma_alpha
+        check_fields(self)
         self.service_estimate_s = 0.0
         self.shed = 0
         self.degraded = 0
@@ -310,27 +315,21 @@ class TenantFairnessController(AdmissionController):
 
     name = "tenant-fairness"
 
+    weights: Annotated[Dict[str, float], Finite, Positive]
+    pressure: Annotated[float, Finite, NonNegative]
+    tolerance: Annotated[float, Finite, Bound(1.0)]
+    decay: Annotated[float, Bound(0.0, 1.0, lo_open=True)]
+
     def __init__(self, weights: Optional[Dict[str, float]] = None,
                  margin: float = 0.85, ewma_alpha: float = 0.3,
                  pressure: float = 0.5, tolerance: float = 1.2,
                  decay: float = 0.3):
-        super().__init__(margin=margin, ewma_alpha=ewma_alpha)
-        if not 0.0 <= pressure < math.inf:
-            raise ValueError(
-                f"pressure must be non-negative and finite, got {pressure}")
-        if not 1.0 <= tolerance < math.inf:
-            raise ValueError(
-                f"tolerance must be at least 1 and finite, got {tolerance}")
-        if not (0.0 < decay <= 1.0):
-            raise ValueError(f"decay must be in (0, 1], got {decay}")
-        for k, w in (weights or {}).items():
-            if not 0.0 < w < math.inf:
-                raise ValueError(
-                    f"weights[{k!r}] must be positive and finite, got {w}")
         self.weights = dict(weights) if weights else {}
         self.pressure = pressure
         self.tolerance = tolerance
         self.decay = decay
+        # checks this class's settings with the base's
+        super().__init__(margin=margin, ewma_alpha=ewma_alpha)
         #: decayed admitted-service seconds per tenant (the ledger)
         self.served_share: Dict[str, float] = {}
         self.shed_by_tenant: Dict[str, int] = {}
@@ -404,16 +403,16 @@ class PrecomputeScheduler(Controller):
 
     name = "precompute"
 
+    horizon_s: Annotated[float, Finite, Positive]
+    min_drift: Annotated[float, Finite, NonNegative]
+    max_cells: Annotated[int, IntAtLeast(1)]
+
     def __init__(self, horizon_s: float = 2.0, min_drift: float = 0.02,
                  max_cells: int = 2):
-        if not 0.0 < horizon_s < math.inf:
-            raise ValueError(
-                f"horizon_s must be positive and finite, got {horizon_s}")
-        if max_cells < 1:
-            raise ValueError(f"max_cells must be positive, got {max_cells}")
         self.horizon_s = horizon_s
         self.min_drift = min_drift
         self.max_cells = max_cells
+        check_fields(self)
         self.computed = 0
         self._prev: Optional[NetworkCondition] = None
         self._prev_t: Optional[float] = None

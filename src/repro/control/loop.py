@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Annotated, List, Optional, Sequence
 
 import numpy as np
 
+from .. import Period, check_fields
 from ..netsim.topology import NetworkCondition
-from ..netsim.traces import check_period
 from ..telemetry import Telemetry
 
 if TYPE_CHECKING:  # the server imports this module
@@ -92,17 +92,19 @@ class ControlLoop:
     Parameters
     ----------
     controllers : the controllers to consult, in order, at every tick.
-    period_s : tick cadence in simulated seconds (must be positive).
+    period_s : tick cadence in simulated seconds.
     telemetry : optional hub; the loop scopes itself under ``control_*``
         and counts ticks, per-controller actions, and admission verdicts.
     """
 
+    period_s: Annotated[float, Period]
+
     def __init__(self, controllers: Optional[Sequence] = None,
                  period_s: float = 0.5,
                  telemetry: Optional[Telemetry] = None):
-        check_period(period_s)
-        self.controllers = list(controllers) if controllers is not None else []
         self.period_s = period_s
+        check_fields(self)
+        self.controllers = list(controllers) if controllers is not None else []
         self.telemetry = Telemetry.of(telemetry)
         self.system = None
         self.server = None

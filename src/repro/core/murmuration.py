@@ -47,7 +47,7 @@ from ..devices.profiles import DeviceProfile
 from ..faults.health import NULL_HEALTH, DeviceHealth
 from ..faults.injector import FaultInjector
 from ..faults.resilience import (ExecutionFailedError, NoRouteError,
-                                 ResilienceConfig)
+                                 NoStrategyError, ResilienceConfig)
 from ..nas.accuracy_model import arch_accuracy, plan_accuracy_penalty
 from ..nas.arch import min_arch
 from ..nas.search_space import SearchSpace
@@ -542,7 +542,7 @@ class Murmuration:
             sp.add_sim(decision.decision_time_s)
             sp.annotate(engine=decision.engine, **note)
         if decision.strategy is None:
-            raise RuntimeError(
+            raise NoStrategyError(
                 "no strategy satisfies the SLO under current conditions")
         strategy = decision.strategy
         decision_end = start + decision.decision_time_s

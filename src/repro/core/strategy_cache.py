@@ -16,10 +16,10 @@ LRU eviction bounds memory.
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import Annotated, Optional, Tuple
 
+from .. import Finite, IntAtLeast, Positive, check_fields
 from ..netsim.topology import NetworkCondition
 from .slo import SLO
 from .strategy import Strategy
@@ -27,26 +27,23 @@ from .strategy import Strategy
 __all__ = ["StrategyCache"]
 
 
-def _check_steps(**steps: Optional[float]) -> None:
-    """A snap step divides every key value: it must be finite and > 0
-    (``None`` is "leave unchanged")."""
-    for name, step in steps.items():
-        if step is not None and not 0 < step < math.inf:
-            raise ValueError(
-                f"{name} must be positive and finite, got {step!r}")
+#: a snap step divides every key value
+Step = Annotated[float, Finite, Positive]
 
 
 class StrategyCache:
+    capacity: Annotated[int, IntAtLeast(1)]
+    slo_step: Step
+    bw_step: Step
+    delay_step: Step
+
     def __init__(self, capacity: int = 256, slo_step: float = 0.01,
                  bw_step: float = 25.0, delay_step: float = 10.0):
-        if type(capacity) is not int or capacity < 1:   # not a float, not a bool
-            raise ValueError(f"capacity must be an int >= 1, got {capacity!r}")
-        _check_steps(slo_step=slo_step, bw_step=bw_step,
-                     delay_step=delay_step)
         self.capacity = capacity
         self.slo_step = slo_step
         self.bw_step = bw_step
         self.delay_step = delay_step
+        check_fields(self)
         # key -> (slo, condition, strategy); the un-snapped (slo,
         # condition) of the *last write* is kept so set_steps() can
         # re-snap every entry under a new granularity.
@@ -141,9 +138,9 @@ class StrategyCache:
         self.invalidations += len(doomed)
         return len(doomed)
 
-    def set_steps(self, slo_step: Optional[float] = None,
-                  bw_step: Optional[float] = None,
-                  delay_step: Optional[float] = None,
+    def set_steps(self, slo_step: Optional[Step] = None,
+                  bw_step: Optional[Step] = None,
+                  delay_step: Optional[Step] = None,
                   rekey: bool = True) -> int:
         """Change the snap granularity mid-run; returns entries dropped.
 
@@ -160,8 +157,7 @@ class StrategyCache:
         retunes granularity from windowed deltas of those counters, so
         a retune must not erase the evidence it acted on.
         """
-        _check_steps(slo_step=slo_step, bw_step=bw_step,
-                     delay_step=delay_step)
+        check_fields(StrategyCache.set_steps, locals())
         new = (slo_step if slo_step is not None else self.slo_step,
                bw_step if bw_step is not None else self.bw_step,
                delay_step if delay_step is not None else self.delay_step)

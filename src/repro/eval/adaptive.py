@@ -29,10 +29,11 @@ Decision cost is pinned (``decision_time_s``) exactly as in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Annotated, Callable, List, Optional
 
 import numpy as np
 
+from .. import Checked, IntAtLeast, Period, check_fields
 from ..control import (AdmissionController, BatchPolicyController,
                        CacheGranularityController, ControlLoop,
                        PrecomputeScheduler)
@@ -40,47 +41,43 @@ from ..devices.profiles import desktop_gtx1080, jetson_class, rpi4
 from ..netsim.topology import NetworkCondition
 from ..netsim.traces import TraceConfig, mobility_trace
 from ..runtime.batching import BatchPolicy
-from .spec import Claim, Scenario, World
+from .spec import (Claim, DecisionTime, NumRequests, RandomArchs, Rate,
+                   Scenario, Seed, SloMs, World)
 
 __all__ = ["AdaptiveConfig", "SCENARIO", "burst_arrival_process",
            "default_controllers"]
 
 
 @dataclass(frozen=True)
-class AdaptiveConfig:
+class AdaptiveConfig(Checked):
     """One static-vs-controlled run (simulated seconds unless noted)."""
 
-    num_requests: int = 240
+    num_requests: NumRequests = 240
     #: baseline arrival rate; sized so the pipeline keeps up off-burst
-    arrival_rate_hz: float = 8.0
+    arrival_rate_hz: Rate = 8.0
     #: burst window (simulated seconds) and rate multiplier inside it
     burst_window: tuple = (4.0, 6.0)
-    burst_factor: float = 5.0
-    slo_ms: float = 300.0
-    seed: int = 0
-    max_batch: int = 4
-    #: fixed per-miss decision cost (None = measure wall clock;
-    #: forfeits byte-reproducibility)
-    decision_time_s: Optional[float] = 0.04
+    burst_factor: Rate = 5.0
+    slo_ms: SloMs = 300.0
+    seed: Seed = 0
+    max_batch: Annotated[int, IntAtLeast(1)] = 4
+    decision_time_s: DecisionTime = 0.04
     #: drifting world: sinusoidal mobility keeps the cache under
     #: pressure and gives the precompute scheduler a signal
-    trace_steps: int = 120
-    trace_period_s: float = 0.25
-    n_random_archs: int = 8
+    trace_steps: Annotated[int, IntAtLeast(0)] = 120
+    trace_period_s: Annotated[float, Period] = 0.25
+    n_random_archs: RandomArchs = 8
     #: control cadence (simulated seconds between ticks)
-    control_period_s: float = 0.5
+    control_period_s: Annotated[float, Period] = 0.5
 
 
-def burst_arrival_process(rate_hz: float, window: tuple,
-                          factor: float) -> Callable:
+def burst_arrival_process(rate_hz: Rate, window: tuple,
+                          factor: Rate) -> Callable:
     """Piecewise-Poisson arrivals: ``rate_hz``, times ``factor`` inside
     ``window``.  The rate applying to each gap is the rate at the gap's
     start, so the process is a pure function of the rng stream.
     """
-    if rate_hz <= 0:
-        raise ValueError(f"rate_hz must be positive, got {rate_hz}")
-    if factor <= 0:
-        raise ValueError(f"factor must be positive, got {factor}")
+    check_fields(burst_arrival_process, locals())
     t0, t1 = window
 
     def process(rng: np.random.Generator, n: int) -> np.ndarray:

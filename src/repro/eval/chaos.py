@@ -18,14 +18,17 @@ so a fixed configuration reproduces identical numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Annotated, Optional
 
+from .. import Bound, Checked
 from ..devices.profiles import desktop_gtx1080, jetson_class, rpi4
 from ..faults.injector import FaultInjector
 from ..faults.resilience import ResilienceConfig
 from ..faults.schedule import DeviceCrash, FaultSchedule, LinkDegradation
+from ..netsim.link import Delay
 from ..netsim.topology import NetworkCondition
-from .spec import Claim, Scenario, World
+from .spec import (Claim, DecisionTime, NumRequests, RandomArchs, Rate,
+                   Scenario, Seed, SloMs, World)
 
 __all__ = ["ChaosConfig", "NO_FAILOVER", "SCENARIO", "chaos_crash_schedule"]
 
@@ -34,13 +37,13 @@ NO_FAILOVER = ResilienceConfig(failover=False, degradation=False)
 
 
 @dataclass(frozen=True)
-class ChaosConfig:
+class ChaosConfig(Checked):
     """One chaos serving run (all times in simulated seconds)."""
 
-    num_requests: int = 60
-    arrival_rate_hz: float = 4.0
-    slo_ms: float = 400.0
-    seed: int = 0
+    num_requests: NumRequests = 60
+    arrival_rate_hz: Rate = 4.0
+    slo_ms: SloMs = 400.0
+    seed: Seed = 0
     #: GPU desktop (device 1) outage window
     gpu_crash: tuple = (2.0, 8.0)
     #: Jetson (device 2) outage window; overlaps the GPU outage so a
@@ -49,12 +52,10 @@ class ChaosConfig:
     #: post-recovery window where the GPU link collapses (bandwidth
     #: scaled, delay added) — stresses *adaptation*, not failover
     degrade_window: tuple = (9.0, 13.0)
-    degrade_bw_factor: float = 0.1
-    degrade_delay_ms: float = 60.0
-    n_random_archs: int = 4
-    #: fixed per-miss decision cost (None = measure wall clock; forfeits
-    #: byte-stable recordings)
-    decision_time_s: Optional[float] = 0.03
+    degrade_bw_factor: Annotated[float, Bound(0.0, 1.0, lo_open=True)] = 0.1
+    degrade_delay_ms: Delay = 60.0
+    n_random_archs: RandomArchs = 4
+    decision_time_s: DecisionTime = 0.03
 
 
 def chaos_crash_schedule(cfg: ChaosConfig) -> FaultSchedule:

@@ -31,16 +31,18 @@ below pin.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Annotated, Tuple
 
+from .. import Bound, Period, Positive, check_fields
 from ..devices.profiles import desktop_gtx1080, rpi4
 from ..netsim.contention import SharedIngress
 from ..netsim.fluid import FluidTracker
-from ..netsim.link import Link
+from ..netsim.link import Delay, Link
 from ..netsim.topology import NetworkCondition
-from ..netsim.traces import check_capacity_trace, condition_at
+from ..netsim.traces import condition_at
 from ..sim import EventLoop, schedule_ingress_trace
-from .spec import Claim, Scenario, World
+from .spec import (Claim, DecisionTime, NumRequests, PayloadKb, RandomArchs,
+                   Rate, Scenario, Seed, SloMs, World)
 
 __all__ = ["EventCoreConfig", "SCENARIO", "SteppedIngress"]
 
@@ -49,26 +51,25 @@ __all__ = ["EventCoreConfig", "SCENARIO", "SteppedIngress"]
 class EventCoreConfig:
     """One boundary-vs-event comparison (simulated seconds unless noted)."""
 
-    num_requests: int = 120
-    slo_ms: float = 800.0
-    seed: int = 0
-    #: fixed per-miss decision cost (None = measure wall clock;
-    #: forfeits byte-reproducibility)
-    decision_time_s: Optional[float] = 0.04
-    arrival_rate_hz: float = 6.0
+    num_requests: NumRequests = 120
+    slo_ms: SloMs = 800.0
+    seed: Seed = 0
+    decision_time_s: DecisionTime = 0.04
+    arrival_rate_hz: Rate = 6.0
     #: request payload crossing the shared ingress
-    payload_kb: float = 512.0
+    payload_kb: PayloadKb = 512.0
     #: the uplink's piecewise-constant capacity, one cell per period
-    ingress_trace_mbps: Tuple[float, ...] = (
+    ingress_trace_mbps: Annotated[Tuple[float, ...], Positive] = (
         40.0, 40.0, 5.0, 40.0, 40.0, 5.0, 40.0, 40.0)
-    trace_period_s: float = 2.0
-    ingress_delay_ms: float = 5.0
-    n_random_archs: int = 8
+    #: cell ``i`` steps at ``i * trace_period_s``, which must stay finite
+    trace_period_s: Annotated[float, Period, Bound(hi=1e9)] = 2.0
+    ingress_delay_ms: Delay = 5.0
+    n_random_archs: RandomArchs = 8
 
     def __post_init__(self):
+        check_fields(self)
         if not self.ingress_trace_mbps:
             raise ValueError("need at least one ingress trace cell")
-        check_capacity_trace(self.ingress_trace_mbps)
 
 
 class SteppedIngress(SharedIngress):
@@ -83,16 +84,18 @@ class SteppedIngress(SharedIngress):
     which is exactly the lag the event core removes.
     """
 
+    trace_mbps: Annotated[Tuple[float, ...], Positive]
+    period_s: Annotated[float, Period]
+
     def __init__(self, link: Link, tracker, trace_mbps, period_s: float,
                  **kwargs):
-        super().__init__(link, tracker, **kwargs)
-        check_capacity_trace(trace_mbps)
-        self._trace = tuple(float(b) for b in trace_mbps)
-        self._period_s = float(period_s)
+        self.trace_mbps = tuple(float(b) for b in trace_mbps)
+        self.period_s = period_s
+        super().__init__(link, tracker, **kwargs)   # checks these too
         self._cell = 0
 
     def _step_to(self, now: float) -> None:
-        idx, bw = condition_at(self._trace, now, self._period_s)
+        idx, bw = condition_at(self.trace_mbps, now, self.period_s)
         if idx != self._cell:
             self._cell = idx
             # only the link steps: the ledger learns the new capacity

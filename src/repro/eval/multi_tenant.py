@@ -32,19 +32,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Annotated, Callable, List, Optional, Tuple
 
 import numpy as np
 
+from .. import IntAtLeast, Period, check_fields
 from ..control import (AdmissionController, ControlLoop,
                        TenantFairnessController)
 from ..devices.profiles import desktop_gtx1080, jetson_class, rpi4
 from ..netsim.contention import SharedIngress
 from ..netsim.fluid import FluidTracker
-from ..netsim.link import Link
+from ..netsim.link import Delay, Link
 from ..netsim.topology import NetworkCondition
 from ..netsim.traces import TraceConfig, mobility_trace
-from .spec import Claim, Scenario, World
+from .spec import (Claim, DecisionTime, NumRequests, PayloadKb, RandomArchs,
+                   Rate, Scenario, Seed, SloMs, World)
 
 __all__ = ["MultiTenantConfig", "SCENARIO", "TenantSpec", "default_tenants",
            "tenant_arrivals"]
@@ -56,26 +58,18 @@ class TenantSpec:
 
     name: str
     #: base Poisson arrival rate
-    rate_hz: float
+    rate_hz: Rate
     #: fair-share weight at admission (budget fraction)
-    weight: float = 1.0
+    weight: Rate = 1.0
     #: request payload crossing the shared ingress
-    payload_kb: float = 256.0
+    payload_kb: PayloadKb = 256.0
     #: optional overload burst: (t0, t1) simulated seconds
     burst_window: Optional[Tuple[float, float]] = None
     #: rate multiplier inside the burst window
-    burst_factor: float = 1.0
+    burst_factor: Rate = 1.0
 
     def __post_init__(self):
-        # negated comparisons: NaN fails every ordering test
-        for name in ("rate_hz", "weight", "burst_factor"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(
-                    f"{name} must be positive and finite, got {value}")
-        if not 0 <= self.payload_kb < math.inf:
-            raise ValueError(f"payload_kb must be finite and non-negative, "
-                             f"got {self.payload_kb}")
+        check_fields(self)
         window = self.burst_window
         if window is not None and not (
                 len(window) == 2 and 0 <= window[0] < window[1] < math.inf):
@@ -83,10 +77,10 @@ class TenantSpec:
                              f"0 <= t0 < t1 < inf, got {window}")
 
 
-def default_tenants(n: int = 2) -> Tuple[TenantSpec, ...]:
+def default_tenants(n: Annotated[int, IntAtLeast(1)] = 2
+                    ) -> Tuple[TenantSpec, ...]:
     """``n`` tenants splitting the default load; the first one bursts."""
-    if n < 1:
-        raise ValueError(f"need at least one tenant, got {n}")
+    check_fields(default_tenants, locals())
     specs = [TenantSpec("burst", rate_hz=4.0,
                         burst_window=(4.0, 8.0), burst_factor=8.0)]
     for k in range(1, n):
@@ -100,21 +94,20 @@ class MultiTenantConfig:
     """One multi-tenant comparison run (simulated seconds unless noted)."""
 
     tenants: Tuple[TenantSpec, ...] = field(default_factory=default_tenants)
-    num_requests: int = 240
-    slo_ms: float = 300.0
-    seed: int = 0
-    #: fixed per-miss decision cost (None = measure wall clock;
-    #: forfeits byte-reproducibility)
-    decision_time_s: Optional[float] = 0.04
-    trace_steps: int = 120
-    trace_period_s: float = 0.25
-    n_random_archs: int = 8
-    control_period_s: float = 0.5
+    num_requests: NumRequests = 240
+    slo_ms: SloMs = 300.0
+    seed: Seed = 0
+    decision_time_s: DecisionTime = 0.04
+    trace_steps: Annotated[int, IntAtLeast(0)] = 120
+    trace_period_s: Annotated[float, Period] = 0.25
+    n_random_archs: RandomArchs = 8
+    control_period_s: Annotated[float, Period] = 0.5
     #: the shared last-mile uplink all tenants upload over
-    ingress_bw_mbps: float = 40.0
-    ingress_delay_ms: float = 5.0
+    ingress_bw_mbps: Rate = 40.0
+    ingress_delay_ms: Delay = 5.0
 
     def __post_init__(self):
+        check_fields(self)
         if not self.tenants:
             raise ValueError("need at least one tenant")
         names = [t.name for t in self.tenants]

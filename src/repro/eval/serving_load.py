@@ -26,35 +26,36 @@ instead (no longer bit-reproducible across hosts).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Annotated
 
+from .. import Checked, Finite, IntAtLeast, NonNegative, Period
 from ..devices.profiles import desktop_gtx1080, jetson_class, rpi4
 from ..netsim.topology import NetworkCondition
 from ..netsim.traces import TraceConfig, random_walk_trace
 from ..runtime.batching import BatchPolicy
-from .spec import Claim, Scenario, World
+from .spec import (Claim, DecisionTime, NumRequests, RandomArchs, Rate,
+                   Scenario, Seed, SloMs, World)
 
 __all__ = ["ServingLoadConfig", "SCENARIO"]
 
 
 @dataclass(frozen=True)
-class ServingLoadConfig:
+class ServingLoadConfig(Checked):
     """One load-comparison run (simulated seconds unless noted)."""
 
-    num_requests: int = 120
+    num_requests: NumRequests = 120
     #: arrival rate is chosen to saturate the pipeline — batching only
     #: matters when requests queue
-    arrival_rate_hz: float = 40.0
-    slo_ms: float = 300.0
-    seed: int = 0
-    max_batch: int = 8
-    max_wait_s: float = 0.0
-    #: fixed per-miss decision cost (None = measure wall clock)
-    decision_time_s: Optional[float] = 0.04
+    arrival_rate_hz: Rate = 40.0
+    slo_ms: SloMs = 300.0
+    seed: Seed = 0
+    max_batch: Annotated[int, IntAtLeast(1)] = 8
+    max_wait_s: Annotated[float, Finite, NonNegative] = 0.0
+    decision_time_s: DecisionTime = 0.04
     #: network drift that keeps the strategy cache missing
-    trace_steps: int = 80
-    trace_period_s: float = 0.25
-    n_random_archs: int = 8
+    trace_steps: Annotated[int, IntAtLeast(0)] = 80
+    trace_period_s: Annotated[float, Period] = 0.25
+    n_random_archs: RandomArchs = 8
 
 
 def _world(cfg: ServingLoadConfig, telemetry, batched: bool = True,

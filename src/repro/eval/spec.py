@@ -11,18 +11,35 @@ and reporting are written once in the runner.  :class:`Claim` rows and
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, replace
-from typing import (Any, Callable, Dict, Iterable, List, Mapping, NamedTuple,
-                    Optional, Sequence, Tuple, Union)
+from typing import (Annotated, Any, Callable, Dict, Iterable, List, Mapping,
+                    NamedTuple, Optional, Sequence, Tuple, Union)
 
+from .. import Domain, Finite, IntAtLeast, Positive, check_fields
 from ..core.decision import DecisionRecord
 from ..core.slo import SLO
 from ..netsim.topology import NetworkCondition
 
 __all__ = ["Claim", "ClaimResult", "OPS", "PinnedTimeEngine", "Scenario",
            "StaticEngine", "World", "check_names", "compare"]
+
+# -- the domains of the fields every scenario config carries ---------------
+
+NumRequests = Annotated[int, IntAtLeast(1)]
+SloMs = Annotated[float, Finite, Positive]
+Seed = Annotated[int, IntAtLeast(0)]
+RandomArchs = Annotated[int, IntAtLeast(0)]
+#: fixed per-miss decision seconds (an hour at most, so simulated time
+#: stays finite); None charges the measured wall clock and forfeits
+#: byte-stable recordings
+DecisionTime = Optional[Annotated[float, Domain(
+    "finite, non-negative and at most 3600 s", lambda v: 0.0 <= v <= 3600.0)]]
+#: an arrival rate, a rate multiplier or a link bandwidth
+Rate = Annotated[float, Finite, Positive]
+#: a request payload, a terabyte at most so its bytes stay finite
+PayloadKb = Annotated[float, Domain("finite, non-negative and at most 1e9 kB",
+                                    lambda v: 0.0 <= v <= 1e9)]
 
 
 class PinnedTimeEngine:
@@ -34,16 +51,16 @@ class PinnedTimeEngine:
     cost zero decision time), so only genuine misses are re-priced.
     """
 
+    decision_time_s: DecisionTime
+
     def __init__(self, inner, decision_time_s: float):
-        if not 0.0 <= decision_time_s < math.inf:
-            raise ValueError(f"decision_time_s must be finite and >= 0, "
-                             f"got {decision_time_s!r}")
         self._inner = inner
-        self._dt = decision_time_s
+        self.decision_time_s = decision_time_s
+        check_fields(self)
 
     def decide(self, slo: SLO, condition: NetworkCondition) -> DecisionRecord:
         rec = self._inner.decide(slo, condition)
-        return replace(rec, decision_time_s=self._dt)
+        return replace(rec, decision_time_s=self.decision_time_s)
 
 
 class StaticEngine:

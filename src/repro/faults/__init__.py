@@ -34,6 +34,6 @@ __all__, __getattr__, __dir__ = _lazy_exports(globals(), {
     "injector": ("FaultInjector", "NULL_FAULTS"),
     "health": ("DeviceHealth", "NULL_HEALTH", "CircuitState"),
     "resilience": ("RetryPolicy", "ResilienceConfig", "TransportError",
-                   "NoRouteError", "DeviceUnreachableError",
-                   "ExecutionFailedError"),
+                   "NoRouteError", "NoStrategyError",
+                   "DeviceUnreachableError", "ExecutionFailedError"),
 })

@@ -28,11 +28,12 @@ nothing.
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional, Tuple
+from typing import Annotated, Dict, List, Optional, Tuple
 
+from .. import IntAtLeast, check_fields
 from ..netsim.link import canonical_edge
 from ..telemetry import Telemetry
-from .resilience import check_breaker
+from .resilience import Cooldown, Threshold
 
 __all__ = ["CircuitState", "DeviceHealth", "NULL_HEALTH"]
 
@@ -60,15 +61,17 @@ class _Breaker:
 class DeviceHealth:
     """Circuit breakers for every device in a cluster."""
 
+    num_devices: Annotated[int, IntAtLeast(1)]
+    failure_threshold: Threshold
+    cooldown_s: Cooldown
+
     def __init__(self, num_devices: int, failure_threshold: int = 3,
                  cooldown_s: float = 2.0,
                  telemetry: Optional[Telemetry] = None):
-        if num_devices < 1:
-            raise ValueError("need at least one device")
-        check_breaker(failure_threshold, cooldown_s)
         self.num_devices = num_devices
         self.failure_threshold = failure_threshold
         self.cooldown_s = cooldown_s
+        check_fields(self)
         self._breakers = [_Breaker() for _ in range(num_devices)]
         self._newly_opened: List[int] = []
         # per device-pair breakers, created lazily on first observation

@@ -15,28 +15,25 @@ the gateway, and the circuit-breaker thresholds fed to
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from typing import Annotated
+
+from .. import Bound, Checked, Finite, IntAtLeast, NonNegative, Positive
 
 __all__ = ["RetryPolicy", "ResilienceConfig", "TransportError",
-           "NoRouteError", "DeviceUnreachableError", "ExecutionFailedError",
-           "check_breaker"]
+           "NoRouteError", "NoStrategyError", "DeviceUnreachableError",
+           "ExecutionFailedError"]
 
-
-def check_breaker(failure_threshold: int, cooldown_s: float) -> None:
-    """The circuit-breaker knobs :class:`ResilienceConfig` and
-    :class:`~repro.faults.health.DeviceHealth` share.  Negated tests: a
-    NaN threshold would never open a circuit, a NaN cooldown never
-    half-open one."""
-    if type(failure_threshold) is not int or failure_threshold < 1:
-        raise ValueError(f"failure_threshold must be an int >= 1, "
-                         f"got {failure_threshold!r}")
-    if not cooldown_s >= 0:
-        raise ValueError(f"cooldown_s must be >= 0, got {cooldown_s!r}")
+#: the circuit-breaker knobs :class:`ResilienceConfig` and
+#: :class:`~repro.faults.health.DeviceHealth` share: consecutive failures
+#: before a circuit opens, and the open -> half-open window (an infinite
+#: one never half-opens)
+Threshold = Annotated[int, IntAtLeast(1)]
+Cooldown = Annotated[float, NonNegative]
 
 
 @dataclass(frozen=True)
-class RetryPolicy:
+class RetryPolicy(Checked):
     """Timeout + exponential-backoff retry schedule for one message.
 
     Attempt ``i`` (0-based) is declared lost after
@@ -45,21 +42,9 @@ class RetryPolicy:
     up and reports the peer unreachable.
     """
 
-    timeout_s: float = 0.05
-    max_retries: int = 2
-    backoff: float = 2.0
-
-    def __post_init__(self):
-        # negated: NaN fails every comparison
-        if not 0 < self.timeout_s < math.inf:
-            raise ValueError(f"timeout_s must be finite and positive, "
-                             f"got {self.timeout_s!r}")
-        if type(self.max_retries) is not int or self.max_retries < 0:
-            raise ValueError(f"max_retries must be an int >= 0, "
-                             f"got {self.max_retries!r}")
-        if not 1 <= self.backoff < math.inf:
-            raise ValueError(f"backoff must be finite and >= 1, "
-                             f"got {self.backoff!r}")
+    timeout_s: Annotated[float, Finite, Positive] = 0.05
+    max_retries: Annotated[int, IntAtLeast(0)] = 2
+    backoff: Annotated[float, Finite, Bound(1.0)] = 2.0
 
     @property
     def attempts(self) -> int:
@@ -75,7 +60,7 @@ class RetryPolicy:
 
 
 @dataclass(frozen=True)
-class ResilienceConfig:
+class ResilienceConfig(Checked):
     """How the runtime reacts to the faults it experiences."""
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -84,12 +69,9 @@ class ResilienceConfig:
     #: last resort: smallest feasible submodel entirely on the gateway
     degradation: bool = True
     #: consecutive failures before a device's circuit opens
-    failure_threshold: int = 3
+    failure_threshold: Threshold = 3
     #: open -> half-open probe window, simulated seconds
-    cooldown_s: float = 2.0
-
-    def __post_init__(self):
-        check_breaker(self.failure_threshold, self.cooldown_s)
+    cooldown_s: Cooldown = 2.0
 
 
 class TransportError(RuntimeError):
@@ -136,6 +118,15 @@ class DeviceUnreachableError(TransportError):
         self.device = device
         self.wasted_s = wasted_s
         self.retries = retries
+
+
+class NoStrategyError(RuntimeError):
+    """No strategy satisfies the SLO under the observed conditions.
+
+    :meth:`~repro.core.murmuration.Murmuration.infer` raises it to a
+    direct caller; a serving loop records the dispatch's requests as
+    ``failed`` (zero service, SLO missed) and keeps serving.
+    """
 
 
 class ExecutionFailedError(RuntimeError):

@@ -20,11 +20,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Annotated, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..netsim.link import Edge, canonical_edge
+from .. import (Bound, Finite, IntAtLeast, NonNegative, Period, Positive,
+                check_fields)
+from ..netsim.link import Delay, Edge, canonical_edge
 from ..netsim.topology import NetworkCondition
 
 __all__ = ["FaultEvent", "DeviceCrash", "Straggler", "LinkDegradation",
@@ -37,15 +39,17 @@ __all__ = ["FaultEvent", "DeviceCrash", "Straggler", "LinkDegradation",
 class FaultEvent:
     """Base: something is wrong during ``[start, end)`` simulated seconds."""
 
-    start: float
-    end: float
+    start: Annotated[float, Finite, NonNegative]
+    #: an infinite end never recovers
+    end: Annotated[float, Positive]
 
     kind = "event"
 
     def __post_init__(self):
-        if not (self.start >= 0.0 and self.end > self.start):
-            raise ValueError(
-                f"need 0 <= start < end, got [{self.start}, {self.end})")
+        check_fields(self)
+        if not self.end > self.start:
+            raise ValueError(f"{type(self).__name__} needs start < end, "
+                             f"got [{self.start}, {self.end})")
 
     def active(self, now: float) -> bool:
         return self.start <= now < self.end
@@ -60,13 +64,9 @@ class DeviceCrash(FaultEvent):
     request to fail.
     """
 
-    device: int = 1
+    #: only a remote device can crash
+    device: Annotated[int, IntAtLeast(1)] = 1
     kind = "crash"
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.device < 1:
-            raise ValueError("only remote devices (id >= 1) can crash")
 
 
 @dataclass(frozen=True)
@@ -74,18 +74,10 @@ class Straggler(FaultEvent):
     """A device computes ``slowdown``x slower (thermal throttling,
     co-tenant contention)."""
 
-    device: int = 1
-    slowdown: float = 2.0
+    device: Annotated[int, IntAtLeast(0)] = 1
+    #: a compute-time multiplier
+    slowdown: Annotated[float, Finite, Bound(1.0)] = 2.0
     kind = "straggler"
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.device < 0:
-            raise ValueError("device id must be non-negative")
-        # negated: a NaN scale would make max() ignore the device's compute
-        if not 1.0 <= self.slowdown < math.inf:
-            raise ValueError(f"slowdown is a finite compute-time multiplier "
-                             f">= 1, got {self.slowdown}")
 
 
 @dataclass(frozen=True)
@@ -101,9 +93,9 @@ class LinkDegradation(FaultEvent):
     remote-remote links are ignored (the star has no such edge).
     """
 
-    device: int = 1
-    bw_factor: float = 1.0
-    extra_delay_ms: float = 0.0
+    device: Annotated[int, IntAtLeast(0)] = 1
+    bw_factor: Annotated[float, Bound(0.0, 1.0, lo_open=True)] = 1.0
+    extra_delay_ms: Delay = 0.0
     link: Optional[Edge] = None
     kind = "degradation"
 
@@ -116,10 +108,6 @@ class LinkDegradation(FaultEvent):
             object.__setattr__(self, "link", canonical_edge(int(a), int(b)))
         elif self.device < 1:
             raise ValueError("degradation applies to a remote link (id >= 1)")
-        if not (0.0 < self.bw_factor <= 1.0):
-            raise ValueError("bw_factor must be in (0, 1]")
-        if not 0.0 <= self.extra_delay_ms < math.inf:
-            raise ValueError("extra delay must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -129,16 +117,10 @@ class MessageLoss(FaultEvent):
     ``device=None`` applies to every remote link.
     """
 
-    prob: float = 0.0
-    device: Optional[int] = None
+    prob: Annotated[float, Bound(0.0, 1.0, hi_open=True)] = 0.0
+    #: a remote device's link
+    device: Optional[Annotated[int, IntAtLeast(1)]] = None
     kind = "loss"
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not (0.0 <= self.prob < 1.0):
-            raise ValueError("loss probability must be in [0, 1)")
-        if self.device is not None and self.device < 1:
-            raise ValueError("loss applies to a remote link (id >= 1)")
 
 
 @dataclass(frozen=True)
@@ -150,16 +132,14 @@ class Partition(FaultEvent):
     switch they lost).
     """
 
-    devices: Tuple[int, ...] = ()
+    #: remote devices: the gateway cannot be cut off from itself
+    devices: Annotated[Tuple[int, ...], IntAtLeast(1)] = ()
     kind = "partition"
 
     def __post_init__(self):
         super().__post_init__()
         if not self.devices:
             raise ValueError("partition needs at least one device")
-        if any(d < 1 for d in self.devices):
-            raise ValueError("the gateway (device 0) cannot be partitioned "
-                             "away from itself")
 
 
 @dataclass(frozen=True)
@@ -172,13 +152,13 @@ class LinkFailure(FaultEvent):
     star has exactly one path per device.
     """
 
-    a: int = 0
-    b: int = 1
+    a: Annotated[int, IntAtLeast(0)] = 0
+    b: Annotated[int, IntAtLeast(0)] = 1
     kind = "link_failure"
 
     def __post_init__(self):
         super().__post_init__()
-        if self.a == self.b or self.a < 0 or self.b < 0:
+        if self.a == self.b:
             raise ValueError("a link joins two distinct devices")
 
     @property
@@ -202,23 +182,18 @@ class LinkFlap(FaultEvent):
     matter in which order times are queried.
     """
 
-    a: int = 0
-    b: int = 1
-    p_fail: float = 0.3
-    p_recover: float = 0.3
-    step_s: float = 0.5
-    seed: int = 0
+    a: Annotated[int, IntAtLeast(0)] = 0
+    b: Annotated[int, IntAtLeast(0)] = 1
+    p_fail: Annotated[float, Bound(0.0, 1.0, lo_open=True)] = 0.3
+    p_recover: Annotated[float, Bound(0.0, 1.0, lo_open=True)] = 0.3
+    step_s: Annotated[float, Period] = 0.5
+    seed: Annotated[int, IntAtLeast(0)] = 0
     kind = "link_flap"
 
     def __post_init__(self):
         super().__post_init__()
-        if self.a == self.b or self.a < 0 or self.b < 0:
+        if self.a == self.b:
             raise ValueError("a link joins two distinct devices")
-        if not (0.0 < self.p_fail <= 1.0 and 0.0 < self.p_recover <= 1.0):
-            raise ValueError("transition probabilities must be in (0, 1]")
-        if not 0 < self.step_s < math.inf:  # negated: NaN fails it
-            raise ValueError(f"step_s must be finite and positive, "
-                             f"got {self.step_s!r}")
         # memoized chain state; non-field attrs stay out of eq/hash
         object.__setattr__(self, "_states", [False])  # False = DOWN
         object.__setattr__(self, "_rng",
@@ -253,7 +228,8 @@ class CorrelatedFailure(FaultEvent):
     for independent faults.
     """
 
-    devices: Tuple[int, ...] = ()
+    #: remote devices: the gateway is the coordinator
+    devices: Annotated[Tuple[int, ...], IntAtLeast(1)] = ()
     links: Tuple[Edge, ...] = ()
     domain: str = "rack"
     kind = "correlated"
@@ -263,9 +239,6 @@ class CorrelatedFailure(FaultEvent):
         if not self.devices and not self.links:
             raise ValueError("a failure domain must contain at least one "
                              "device or link")
-        if any(d < 1 for d in self.devices):
-            raise ValueError("the gateway (device 0) cannot be in a failure "
-                             "domain — it is the coordinator")
         object.__setattr__(
             self, "devices", tuple(int(d) for d in self.devices))
         norm = []
@@ -493,22 +466,23 @@ def crash_and_recover_schedule(device: int, crash_at: float,
     return FaultSchedule([DeviceCrash(crash_at, recover_at, device=device)])
 
 
-def chaos_schedule(num_remote: int, duration_s: float, seed: int = 0,
-                   crash_rate_hz: float = 0.05,
-                   mean_outage_s: float = 4.0,
-                   straggler_rate_hz: float = 0.05,
-                   max_slowdown: float = 4.0,
-                   loss_prob: float = 0.0) -> FaultSchedule:
+def chaos_schedule(
+        num_remote: Annotated[int, IntAtLeast(1)],
+        duration_s: Annotated[float, Finite, Positive],
+        seed: Annotated[int, IntAtLeast(0)] = 0,
+        crash_rate_hz: Annotated[float, Finite, NonNegative] = 0.05,
+        mean_outage_s: Annotated[float, Finite, Positive] = 4.0,
+        straggler_rate_hz: Annotated[float, Finite, NonNegative] = 0.05,
+        max_slowdown: Annotated[float, Finite, Bound(1.0)] = 4.0,
+        loss_prob: Annotated[float, Bound(0.0, 1.0, hi_open=True)] = 0.0,
+) -> FaultSchedule:
     """A seeded random fault mix over ``[0, duration_s)``.
 
     Crash and straggler windows arrive per device as Poisson processes;
     an optional all-link :class:`MessageLoss` covers the whole horizon.
     Same seed, same chaos — the benchmarks depend on that.
     """
-    if num_remote < 1:
-        raise ValueError("need at least one remote device")
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
+    check_fields(chaos_schedule, locals())
     rng = np.random.default_rng(seed)
     events: List[FaultEvent] = []
     for dev in range(1, num_remote + 1):

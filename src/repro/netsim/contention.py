@@ -24,8 +24,9 @@ max-min); tests substitute their own recorders through it.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Annotated, Dict, Optional
 
+from .. import NonNegative, check_fields
 from .link import Edge, Link
 
 __all__ = ["SharedIngress", "INGRESS_EDGE", "NULL_INGRESS"]
@@ -50,6 +51,9 @@ class SharedIngress:
     registers the flow — only admitted requests occupy the wire.
     """
 
+    payload_bytes: Annotated[float, NonNegative]
+    per_tenant_bytes: Annotated[Dict[str, float], NonNegative]
+
     def __init__(self, link: Link, tracker, payload_bytes: float = 0.0,
                  per_tenant_bytes: Optional[Dict[str, float]] = None):
         self.link = link
@@ -57,10 +61,7 @@ class SharedIngress:
         self.payload_bytes = float(payload_bytes)
         self.per_tenant_bytes = {tenant: float(nbytes) for tenant, nbytes
                                  in (per_tenant_bytes or {}).items()}
-        for nbytes in (self.payload_bytes, *self.per_tenant_bytes.values()):
-            if not nbytes >= 0:  # NaN fails this too
-                raise ValueError(
-                    f"payload_bytes must be non-negative, got {nbytes}")
+        check_fields(self)
 
     def _price(self, transfer, arrival: float,
                tenant: Optional[str]) -> float:

@@ -7,14 +7,18 @@ fixed per-message RPC overhead (serialization + gRPC framing).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from typing import Tuple
+from typing import Annotated, Tuple
 
-__all__ = ["Edge", "Link", "LOOPBACK", "canonical_edge", "check_delay",
-           "check_rpc_overhead"]
+from .. import Checked, Domain, Positive
+
+__all__ = ["Delay", "Edge", "Link", "LOOPBACK", "canonical_edge"]
 
 Edge = Tuple[int, int]
+#: a delay in milliseconds: at most 1e9, so a path or a retry chain
+#: summing many of them stays finite
+Delay = Annotated[float, Domain("finite, non-negative and at most 1e9 ms",
+                                lambda v: 0.0 <= v <= 1e9)]
 
 
 def canonical_edge(a: int, b: int) -> Edge:
@@ -22,28 +26,8 @@ def canonical_edge(a: int, b: int) -> Edge:
     return (a, b) if a <= b else (b, a)
 
 
-def check_delay(delay_ms: float) -> float:
-    """A link delay must be finite and non-negative (negated test: NaN
-    fails every comparison); an infinite one prices every transfer at
-    ``inf`` seconds, which no simulated clock can reach."""
-    if not 0 <= delay_ms < math.inf:
-        raise ValueError(f"delay_ms must be finite and non-negative, "
-                         f"got {delay_ms}")
-    return delay_ms
-
-
-def check_rpc_overhead(rpc_overhead_ms: float) -> float:
-    """A per-message overhead must be finite and non-negative (negated
-    test: NaN fails every comparison); a negative one prices a transfer
-    below zero seconds, a NaN one at NaN."""
-    if not 0 <= rpc_overhead_ms < math.inf:
-        raise ValueError(f"rpc overhead must be finite and non-negative, "
-                         f"got {rpc_overhead_ms}")
-    return rpc_overhead_ms
-
-
 @dataclass(frozen=True)
-class Link:
+class Link(Checked):
     """One direction of a network path between two devices.
 
     Attributes
@@ -53,18 +37,9 @@ class Link:
     rpc_overhead_ms : fixed per-message cost (serialization, framing).
     """
 
-    bandwidth_mbps: float
-    delay_ms: float
-    rpc_overhead_ms: float = 1.0
-
-    def __post_init__(self):
-        # Negated comparisons: NaN fails every ordering test, so the
-        # plain ``<= 0`` / ``< 0`` forms would let it through to price
-        # transfers at NaN seconds (which ``max`` then ignores).
-        if not self.bandwidth_mbps > 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth_mbps}")
-        check_delay(self.delay_ms)
-        check_rpc_overhead(self.rpc_overhead_ms)
+    bandwidth_mbps: Annotated[float, Positive]
+    delay_ms: Delay
+    rpc_overhead_ms: Delay = 1.0
 
     @property
     def bandwidth_bps(self) -> float:

@@ -14,10 +14,11 @@ formula, so every sample equals the scalar call's.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Annotated, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from .. import Bound, Finite, IntAtLeast, NonNegative, check_fields
 from ..telemetry import Telemetry
 from .topology import Cluster, NetworkCondition
 
@@ -48,17 +49,18 @@ class NetworkMonitor:
     ewma_alpha : smoothing factor; 1.0 = trust the latest sample fully.
     """
 
+    noise: Annotated[float, Finite, NonNegative]
+    ewma_alpha: Annotated[float, Bound(0.0, 1.0, lo_open=True)]
+    seed: Annotated[int, IntAtLeast(0)]
+
     def __init__(self, cluster: Cluster, noise: float = 0.05,
                  ewma_alpha: float = 0.5, seed: int = 0,
                  telemetry: Optional[Telemetry] = None):
-        if not 0 <= noise < math.inf:
-            raise ValueError(f"noise must be finite and >= 0, got {noise!r}")
-        if not 0 < ewma_alpha <= 1:
-            raise ValueError(
-                f"ewma_alpha must be in (0, 1], got {ewma_alpha!r}")
-        self.cluster = cluster
         self.noise = noise
         self.ewma_alpha = ewma_alpha
+        self.seed = seed
+        check_fields(self)
+        self.cluster = cluster
         self._rng = np.random.default_rng(seed)
         self._normals = iter(())
         self._history: List[Measurement] = []

@@ -63,6 +63,7 @@ class ExecutionPlan:
             raise ValueError("empty execution plan")
         self.block_plans: List[BlockPlan] = list(block_plans)
         self.output_device = output_device
+        self._devices_used: Optional[Tuple[int, ...]] = None
 
     def __len__(self) -> int:
         return len(self.block_plans)
@@ -74,10 +75,14 @@ class ExecutionPlan:
         return iter(self.block_plans)
 
     def devices_used(self) -> Tuple[int, ...]:
-        used = {self.output_device}
-        for bp in self.block_plans:
-            used.update(bp.devices)
-        return tuple(sorted(used))
+        """The sorted device ids the plan touches, output device included;
+        walked once, on the first call (nothing mutates a built plan)."""
+        if self._devices_used is None:
+            used = {self.output_device}
+            for bp in self.block_plans:
+                used.update(bp.devices)
+            self._devices_used = tuple(sorted(used))
+        return self._devices_used
 
     def validate_for(self, graph: ModelGraph, num_devices: int) -> None:
         """Check the plan is structurally legal for ``graph``.

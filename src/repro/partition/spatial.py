@@ -15,24 +15,22 @@ by the real NumPy executor).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Annotated, List, Sequence, Tuple
 
 import numpy as np
+
+from .. import Checked, IntAtLeast
 
 __all__ = ["Grid", "GRIDS", "fdsp_compute_overhead", "split_tiles",
            "merge_tiles", "tile_shape"]
 
 
 @dataclass(frozen=True)
-class Grid:
+class Grid(Checked):
     """An r x c spatial partitioning grid. (1, 1) means unpartitioned."""
 
-    rows: int
-    cols: int
-
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"invalid grid {self.rows}x{self.cols}")
+    rows: Annotated[int, IntAtLeast(1)]
+    cols: Annotated[int, IntAtLeast(1)]
 
     @property
     def ntiles(self) -> int:

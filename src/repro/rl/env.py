@@ -24,12 +24,12 @@ compiling a pair that is priced once would cost more than it saves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import inf
 from operator import getitem, lt
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Annotated, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import Finite, IntAtLeast, NonNegative, Positive, check_fields
 from ..devices.profiles import DeviceProfile
 from ..nas.accuracy_model import plan_accuracy_penalty
 from ..nas.arch import ArchConfig
@@ -89,40 +89,34 @@ class EnvConfig:
     """
 
     slo_kind: str = "latency"
-    slo_range: Tuple[float, float] = (0.05, 0.5)      # seconds (latency SLO)
-    acc_slo_range: Tuple[float, float] = (72.0, 78.5)  # percent (accuracy SLO)
-    bw_range: Tuple[float, float] = (50.0, 400.0)
-    delay_range: Tuple[float, float] = (5.0, 100.0)
-    alpha: float = 2.0
-    beta: float = 0.1
-    acc_norm: Tuple[float, float] = (70.0, 80.0)
-    latency_ref_s: float = 1.0
-    max_tiles: int = 4
+    # the ranges are sampled and divided by, as acc_norm and
+    # latency_ref_s are
+    slo_range: Annotated[Tuple[float, float], Finite, Positive] = (
+        0.05, 0.5)      # seconds (latency SLO)
+    acc_slo_range: Annotated[Tuple[float, float], Finite] = (
+        72.0, 78.5)     # percent (accuracy SLO)
+    bw_range: Annotated[Tuple[float, float], Finite, Positive] = (
+        50.0, 400.0)
+    delay_range: Annotated[Tuple[float, float], Finite, NonNegative] = (
+        5.0, 100.0)
+    alpha: Annotated[float, Finite] = 2.0
+    beta: Annotated[float, Finite] = 0.1
+    acc_norm: Annotated[Tuple[float, float], Finite] = (70.0, 80.0)
+    latency_ref_s: Annotated[float, Finite, Positive] = 1.0
+    max_tiles: Annotated[int, IntAtLeast(1)] = 4
 
     def __post_init__(self):
         if self.slo_kind not in ("latency", "accuracy"):
             raise ValueError("slo_kind must be 'latency' or 'accuracy'")
-        # Negated tests (NaN fails every comparison): the ranges are
-        # sampled and divided by, as acc_norm and latency_ref_s are.
-        s, a, b, d, n = (self.slo_range, self.acc_slo_range, self.bw_range,
-                         self.delay_range, self.acc_norm)
-        for name, rule, ok in (
-                ("slo_range", "0 < lo <= hi < inf", 0 < s[0] <= s[1] < inf),
-                ("acc_slo_range", "finite, lo <= hi",
-                 -inf < a[0] <= a[1] < inf),
-                ("bw_range", "0 < lo <= hi < inf", 0 < b[0] <= b[1] < inf),
-                ("delay_range", "0 <= lo <= hi < inf, hi > 0",
-                 0 <= d[0] <= d[1] < inf and d[1] > 0),
-                ("acc_norm", "finite, lo < hi", -inf < n[0] < n[1] < inf),
-                ("alpha", "finite", -inf < self.alpha < inf),
-                ("beta", "finite", -inf < self.beta < inf),
-                ("latency_ref_s", "0 < x < inf",
-                 0 < self.latency_ref_s < inf),
-                ("max_tiles", "an int >= 1",
-                 isinstance(self.max_tiles, int) and self.max_tiles >= 1)):
-            if not ok:
-                raise ValueError(
-                    f"{name} must be {rule}, got {getattr(self, name)!r}")
+        check_fields(self)
+        # each range is an ordered (lo, hi) with hi > 0: acc_norm divides
+        # by hi - lo, the delay range by hi
+        for name in ("slo_range", "acc_slo_range", "bw_range",
+                     "delay_range", "acc_norm"):
+            lo, hi = getattr(self, name)
+            if not (lo < hi if name == "acc_norm" else lo <= hi and hi > 0):
+                raise ValueError(f"EnvConfig.{name} must be an ordered "
+                                 f"(lo, hi), got {(lo, hi)!r}")
 
 
 class MurmurationEnv:
@@ -141,8 +135,9 @@ class MurmurationEnv:
         max_tiles = self.cfg.max_tiles
         most = max(g.ntiles for g in space.grid_options)
         if max_tiles < most:
-            raise ValueError(f"max_tiles must be at least the space's "
-                             f"largest grid ({most} tiles), got {max_tiles}")
+            raise ValueError(f"EnvConfig.max_tiles must be at least the "
+                             f"space's largest grid ({most} tiles), got "
+                             f"{max_tiles}")
         self.schedule: List[ActionStep] = build_schedule(
             space, len(self.devices), max_tiles)
         self.max_choices = max(s.n_choices for s in self.schedule)

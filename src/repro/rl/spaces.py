@@ -10,8 +10,9 @@ of a given scenario, which lets rollouts be batched through the LSTM.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Annotated, List, Sequence, Tuple
 
+from .. import IntAtLeast, check_fields
 from ..nas.search_space import SearchSpace
 
 __all__ = ["ActionStep", "ACTION_TYPES", "build_schedule"]
@@ -33,15 +34,14 @@ class ActionStep:
     """
 
     kind: str
-    n_choices: int
-    stage: int = -1
-    slot: int = 0
+    n_choices: Annotated[int, IntAtLeast(1)]
+    stage: Annotated[int, IntAtLeast(-1)] = -1
+    slot: Annotated[int, IntAtLeast(0)] = 0
 
     def __post_init__(self):
         if self.kind not in ACTION_TYPES:
             raise ValueError(f"unknown action kind {self.kind!r}")
-        if self.n_choices < 1:
-            raise ValueError("action needs at least one choice")
+        check_fields(self)
 
     @property
     def kind_id(self) -> int:

@@ -29,12 +29,12 @@ construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional, Sequence
+from typing import Annotated, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .. import Checked, Finite, IntAtLeast, NonNegative
 from ..netsim.topology import NetworkCondition
 from ..telemetry import Telemetry
 from .server import InferenceServer, ServingStats
@@ -44,7 +44,7 @@ __all__ = ["BatchPolicy", "BatchRecord", "BatchedServingStats",
 
 
 @dataclass(frozen=True)
-class BatchPolicy:
+class BatchPolicy(Checked):
     """When a forming batch stops admitting and dispatches.
 
     A batch dispatches at the earliest of: the cap is reached, or the
@@ -54,20 +54,12 @@ class BatchPolicy:
     """
 
     #: hard cap on batch size
-    max_batch: int = 8
+    max_batch: Annotated[int, IntAtLeast(1)] = 8
     #: how long an under-full batch may wait for companions, measured
     #: from its oldest member's arrival (0 = never wait)
-    max_wait_s: float = 0.0
+    max_wait_s: Annotated[float, Finite, NonNegative] = 0.0
     #: pipeline the next batch's decision under the current execution
     overlap: bool = True
-
-    def __post_init__(self):
-        if type(self.max_batch) is not int or self.max_batch < 1:
-            raise ValueError(
-                f"max_batch must be an int >= 1, got {self.max_batch!r}")
-        if not 0 <= self.max_wait_s < math.inf:
-            raise ValueError(f"max_wait_s must be finite and non-negative, "
-                             f"got {self.max_wait_s}")
 
 
 class BatchRecord(NamedTuple):

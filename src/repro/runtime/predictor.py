@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Annotated, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .. import IntAtLeast, check_fields
 from ..netsim.monitor import Measurement
 from ..netsim.topology import NetworkCondition
 
@@ -28,10 +29,11 @@ class LinearPredictor:
     with inference traffic.
     """
 
+    window: Annotated[int, IntAtLeast(2)]
+
     def __init__(self, window: int = 8, robust: bool = False):
-        if window < 2:
-            raise ValueError("window must be >= 2")
         self.window = window
+        check_fields(self)
         self.robust = robust
         self._ts: Deque[float] = deque(maxlen=window)
         self._vs: Deque[float] = deque(maxlen=window)

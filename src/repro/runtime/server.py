@@ -16,11 +16,14 @@ There is one admission-and-dispatch loop, :meth:`InferenceServer._serve`;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence
+from typing import (TYPE_CHECKING, Annotated, List, NamedTuple, Optional,
+                    Sequence)
 
 import numpy as np
 
+from .. import IntAtLeast, Positive, check_fields
 from ..control.loop import ControlLoop
+from ..faults.resilience import NoStrategyError
 from ..netsim.contention import NULL_INGRESS
 from ..netsim.topology import NetworkCondition
 from ..netsim.traces import condition_at
@@ -210,6 +213,9 @@ class ServingStats:
 class InferenceServer:
     """Poisson arrivals -> FIFO queue -> per-request adaptation."""
 
+    arrival_rate_hz: Annotated[float, Positive]
+    seed: Annotated[int, IntAtLeast(0)]
+
     def __init__(self, system: "Murmuration", arrival_rate_hz: float,
                  seed: int = 0, telemetry: Optional[Telemetry] = None,
                  recorder: Optional[RunRecorder] = None,
@@ -238,11 +244,10 @@ class InferenceServer:
         world event due by an admission instant or a service start
         fires first, at its own scheduled time.
         """
-        if not arrival_rate_hz > 0:
-            raise ValueError(f"arrival_rate_hz must be positive, "
-                             f"got {arrival_rate_hz}")
+        self.arrival_rate_hz = arrival_rate_hz
+        self.seed = seed
+        check_fields(self)
         self.system = system
-        self.rate = arrival_rate_hz
         self.rng = np.random.default_rng(seed)
         self.telemetry = Telemetry.of(telemetry)
         self.recorder = RunRecorder.of(recorder)
@@ -331,7 +336,7 @@ class InferenceServer:
         """Arrival times: Poisson by default, or the injected process
         (checked once, before anything is served)."""
         if self.arrival_process is None:
-            return np.cumsum(self.rng.exponential(1.0 / self.rate,
+            return np.cumsum(self.rng.exponential(1.0 / self.arrival_rate_hz,
                                                   num_requests))
         arrivals = np.asarray(
             self.arrival_process(self.rng, num_requests), dtype=float)
@@ -367,7 +372,8 @@ class InferenceServer:
             record.retries, record.failovers, tenant)
 
     # -- the serving loop --------------------------------------------------
-    def _serve(self, stats: ServingStats, num_requests: int,
+    def _serve(self, stats: ServingStats,
+               num_requests: Annotated[int, IntAtLeast(1)],
                condition_trace, trace_period_s: float,
                tenants) -> ServingStats:
         """The one loop behind both servers' ``run``.  Per arrival:
@@ -376,9 +382,7 @@ class InferenceServer:
         dispatch: :meth:`_members` says who rides with it, the world
         moves to the decision instant, :meth:`_dispatch` serves them
         (DESIGN.md, "Batched serving & the simulated clock")."""
-        if num_requests <= 0:
-            raise ValueError(
-                f"num_requests must be positive, got {num_requests}")
+        check_fields(InferenceServer._serve, locals())
         if tenants is None:
             tenants = [None] * num_requests
         elif len(tenants) != num_requests:
@@ -416,10 +420,18 @@ class InferenceServer:
             # events up to the decision instant fire before it observes
             # the world (d_start may lag the loop: the advance clamps)
             advance_to(d_start)
-            exec_free, dec_free = self._dispatch(
-                stats, k, i, j, arrivals, tenants, verdict == "degrade",
-                close, d_start, exec_free)
-            i, k = j, k + 1
+            try:
+                exec_free, dec_free = self._dispatch(
+                    stats, k, i, j, arrivals, tenants, verdict == "degrade",
+                    close, d_start, exec_free)
+                k += 1
+            except NoStrategyError:   # each request fails, zero service
+                self._observe(stats, [RequestRecord(
+                    a, d_start, d_start, 0.0, 0.0, 0.0, False, "failed",
+                    tenant=t) for a, t in zip(arrivals[i:j].tolist(),
+                                              tenants[i:j])])
+                dec_free = d_start
+            i = j
         return stats
 
     def _members(self, arrivals: np.ndarray, i: int, ready: float,

@@ -19,11 +19,11 @@ advance.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Annotated, List, Sequence
 
+from .. import Finite, NonNegative, Period, Positive, check_fields
 from ..control.loop import ControlLoop
 from ..netsim.fluid import FluidTracker
-from ..netsim.traces import check_capacity_trace, check_period
 from ..telemetry.recorder import RunRecorder
 from .events import Event, EventLoop
 
@@ -54,7 +54,6 @@ def _tick_count(period_s: float, horizon_s: float) -> int:
 
 def _step_times(trace: Sequence, period_s: float) -> List[int]:
     """Indices where the piecewise-constant trace actually changes."""
-    check_period(period_s)
     if not trace:
         return []
     out = [0]
@@ -65,7 +64,7 @@ def _step_times(trace: Sequence, period_s: float) -> List[int]:
 
 
 def schedule_condition_trace(loop: EventLoop, system, trace,
-                             period_s: float,
+                             period_s: Annotated[float, Period],
                              recorder=None) -> List[Event]:
     """Schedule the condition trace's steps at their true instants.
 
@@ -78,6 +77,7 @@ def schedule_condition_trace(loop: EventLoop, system, trace,
     recorder (if any) logs the condition at the *step* instant — the
     boundary-only path logs it at the next request's start instead.
     """
+    check_fields(schedule_condition_trace, locals())
     recorder = RunRecorder.of(recorder)
     events = []
 
@@ -125,7 +125,8 @@ def schedule_fault_transitions(loop: EventLoop, system) -> List[Event]:
 
 
 def schedule_control_ticks(loop: EventLoop, control,
-                           horizon_s: float) -> List[Event]:
+                           horizon_s: Annotated[float, Finite, NonNegative]
+                           ) -> List[Event]:
     """Schedule the control loop's cadence as events up to ``horizon_s``.
 
     The boundary-only path can only tick when a request happens to
@@ -135,6 +136,7 @@ def schedule_control_ticks(loop: EventLoop, control,
     driving the loop at admissions *and* scheduled ticks never
     double-fires.
     """
+    check_fields(schedule_control_ticks, locals())
     control = ControlLoop.of(control)
     # k * period_s, not an accumulating t += period_s: accumulation
     # compounds float error so late ticks drift off true multiples and
@@ -147,8 +149,8 @@ def schedule_control_ticks(loop: EventLoop, control,
 
 
 def schedule_ingress_trace(loop: EventLoop, ingress,
-                           trace_mbps: Sequence[float],
-                           period_s: float) -> List[Event]:
+                           trace_mbps: Annotated[Sequence[float], Positive],
+                           period_s: Annotated[float, Period]) -> List[Event]:
     """Schedule a shared-ingress uplink capacity trace mid-flight.
 
     At each cell change the uplink's true bandwidth steps
@@ -158,7 +160,7 @@ def schedule_ingress_trace(loop: EventLoop, ingress,
     next admission.  A cell that is not a positive bandwidth raises
     ``ValueError`` here, before anything is scheduled.
     """
-    check_capacity_trace(trace_mbps)
+    check_fields(schedule_ingress_trace, locals())
 
     # Same index capture as schedule_condition_trace: recomputing the
     # cell from the fire time loses transitions to float rounding.
@@ -172,7 +174,8 @@ def schedule_ingress_trace(loop: EventLoop, ingress,
 
 
 def schedule_monitor_caps(loop: EventLoop, system, tracker,
-                          period_s: float, horizon_s: float,
+                          period_s: Annotated[float, Period],
+                          horizon_s: Annotated[float, Finite, NonNegative],
                           probe: bool = True) -> List[Event]:
     """Feed the network monitor's *observed* capacities into fluid caps.
 
@@ -183,7 +186,7 @@ def schedule_monitor_caps(loop: EventLoop, system, tracker,
     re-converge onto what the monitor *believes* the links can carry,
     not the injected ground truth.
     """
-    check_period(period_s)
+    check_fields(schedule_monitor_caps, locals())
     if not isinstance(tracker, FluidTracker):
         raise ValueError(
             f"monitor-fed caps need a fluid tracker (in-flight flows "

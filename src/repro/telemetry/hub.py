@@ -15,8 +15,9 @@ normalise it once, in their constructor, with :meth:`Telemetry.of`:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Annotated, List, Optional
 
+from .. import IntAtLeast, check_fields
 from .metrics import NULL_REGISTRY, MetricsRegistry
 from .timeline import RequestTimeline
 from .tracing import NULL_TRACER, Tracer
@@ -53,19 +54,18 @@ class Telemetry:
     cap yields rather than hide the tail).
     """
 
+    max_timelines: Annotated[int, IntAtLeast(0)]
+    sample_every: Annotated[int, IntAtLeast(1)]
+
     def __init__(self, registry: Optional[MetricsRegistry] = None,
                  tracer: Optional[Tracer] = None,
                  max_timelines: int = 10000,
                  sample_every: int = 1):
-        for field, value, least in (("max_timelines", max_timelines, 0),
-                                    ("sample_every", sample_every, 1)):
-            if type(value) is not int or value < least:
-                raise ValueError(f"{field} must be an int >= {least}, "
-                                 f"got {value!r}")
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else Tracer()
         self.max_timelines = max_timelines
         self.sample_every = sample_every
+        check_fields(self)
+        self.registry = registry if registry is not None else MetricsRegistry()
+        self.tracer = tracer if tracer is not None else Tracer()
         self._timelines: List[RequestTimeline] = []
         # total roots already materialized (including truncated ones),
         # held in a one-element list so child views share the cursor

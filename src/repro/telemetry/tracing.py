@@ -24,7 +24,9 @@ allocation and no bookkeeping.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Annotated, Any, Dict, List, Optional, Sequence
+
+from .. import IntAtLeast, check_fields
 
 __all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER"]
 
@@ -121,12 +123,11 @@ class Tracer:
     """
 
     enabled = True
+    max_finished: Annotated[int, IntAtLeast(1)]
 
     def __init__(self, max_finished: int = 10000):
-        if type(max_finished) is not int or max_finished < 1:
-            raise ValueError(f"max_finished must be an int >= 1, got "
-                             f"{max_finished!r}")
         self.max_finished = max_finished
+        check_fields(self)
         self.finished: List[Span] = []
         self.dropped = 0  # roots truncated off the front of `finished`
         self._stack: List[Span] = []

@@ -97,3 +97,16 @@ def test_empty_control_loop_is_a_pure_observer():
     assert observer.ticks > 0, "the observer loop never fired"
     assert observer.actions == []
     assert observed.stats.records == baseline.stats.records
+
+
+def test_a_nan_burst_factor_is_rejected_naming_it():
+    """Regression: NaN passed ``factor <= 0``; ``run adaptive --set
+    burst_factor=nan`` served 16 requests and failed at 120 naming
+    ``arrival_process``, not the field."""
+    from repro.eval.adaptive import burst_arrival_process
+    with pytest.raises(ValueError,
+                       match=r"^burst_arrival_process\.factor must be"):
+        burst_arrival_process(4.0, (1.0, 2.0), float("nan"))
+    with pytest.raises(ValueError,
+                       match=r"^AdaptiveConfig\.burst_factor must be"):
+        AdaptiveConfig(burst_factor=float("nan"))

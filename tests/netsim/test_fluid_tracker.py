@@ -256,7 +256,7 @@ class TestLedgerMechanics:
         link = Link(bandwidth_mbps=40.0, delay_ms=5.0)
         with pytest.raises(ValueError, match="payload_bytes"):
             SharedIngress(link, FluidTracker(), payload_bytes=math.nan)
-        with pytest.raises(ValueError, match="payload_bytes"):
+        with pytest.raises(ValueError, match=r"per_tenant_bytes\['a'\]"):
             SharedIngress(link, FluidTracker(), payload_bytes=1.0,
                           per_tenant_bytes={"a": math.nan})
 

@@ -54,7 +54,8 @@ class TestLink:
                                 rpc_overhead_ms=overhead),
                 lambda: MeshCluster(devices, [MeshLink(0, 1, 100.0, 5.0)],
                                     rpc_overhead_ms=overhead)):
-            with pytest.raises(ValueError, match=f"rpc overhead .* {overhead}"):
+            with pytest.raises(ValueError,
+                               match=f"rpc_overhead_ms must be .* {overhead}"):
                 build()
         assert Cluster(devices, NetworkCondition((100.0,), (5.0,)),
                        rpc_overhead_ms=0.0).transfer_time(0, 1, 1e3) > 0.0
@@ -70,8 +71,8 @@ class TestLink:
                 lambda: Cluster(devices, NetworkCondition((100.0,), (delay,))),
                 lambda: MeshLink(0, 1, 100.0, delay)):
             with pytest.raises(ValueError,
-                               match=f"delay_ms must be finite and "
-                                     f"non-negative, got {delay}"):
+                               match=f"delay_ms must be finite, non-negative "
+                                     f"and at most 1e9 ms, got {delay}"):
                 build()
 
     def test_infinite_bandwidth_is_a_link(self):

@@ -160,7 +160,8 @@ class TestReward:
         satisfied strategy, ``IndexError`` in ``decode``) or priced NaN
         rewards; now building the env refuses it, naming the field."""
         field = list(settings)[-1]
-        with pytest.raises(ValueError, match=rf"^{field} must be"):
+        with pytest.raises(ValueError,
+                           match=rf"^EnvConfig\.{field}(\[\d\])? must be"):
             MurmurationEnv(MBV3_SPACE, [rpi4(), desktop_gtx1080()],
                            EnvConfig(**settings))
 

@@ -354,3 +354,20 @@ class TestEventIntegration:
         for a, b in zip(plain.records, stats.records):
             assert (a.arrival, a.start, a.finish) == \
                 (b.arrival, b.start, b.finish)
+
+
+@pytest.mark.parametrize("server", [InferenceServer, BatchingInferenceServer])
+def test_an_slo_no_strategy_meets_fails_each_request_and_keeps_serving(
+        server):
+    """Regression: a 0.7 ms SLO died mid-run with "no strategy satisfies
+    the SLO"; a serving loop now records the dispatch's requests as
+    failed (zero service, SLO missed) and serves the rest."""
+    system = _system(slo_ms=0.7)
+    stats = server(system, arrival_rate_hz=20.0, seed=3).run(12)
+    assert [r.outcome for r in stats.records] == ["failed"] * 12
+    assert all(r.start == r.finish and not r.satisfied
+               and r.inference_s == r.decision_s == r.switch_s == 0.0
+               for r in stats.records)
+    assert stats.slo_compliance == 0.0 and stats.completion_rate == 0.0
+    with pytest.raises(RuntimeError, match="no strategy satisfies"):
+        system.infer()

@@ -233,14 +233,14 @@ def test_a_bad_ingress_trace_cell_is_rejected_before_anything_runs(bad):
     loop = EventLoop()
     link = Link(bandwidth_mbps=40.0, delay_ms=5.0)
     ingress = SharedIngress(link, FluidTracker(), payload_bytes=1024.0)
-    with pytest.raises(ValueError, match="cell 1 must be a positive"):
+    with pytest.raises(ValueError, match=r"trace_mbps\[1\] must be positive"):
         schedule_ingress_trace(loop, ingress, [40, bad, 40], 1.0)
     assert loop.pending == 0
     loop.advance_to(5.0)
     assert loop.clock.now == 5.0 and ingress.link is link
-    with pytest.raises(ValueError, match="cell 1 must be a positive"):
+    with pytest.raises(ValueError, match=r"trace_mbps\[1\] must be positive"):
         SteppedIngress(link, FluidTracker(), (40.0, bad, 40.0), 1.0)
-    with pytest.raises(ValueError, match="cell 2 must be a positive"):
+    with pytest.raises(ValueError, match=r"trace_mbps\[2\] must be positive"):
         EventCoreConfig(ingress_trace_mbps=(40.0, 40.0, bad))
 
 
