@@ -96,6 +96,25 @@ class TestPartitioned:
         corr = np.corrcoef(res.logits.ravel(), direct.ravel())[0, 1]
         assert corr > 0.8
 
+    def test_a_tile_result_leaves_after_its_tile_arrived(self, net, cluster,
+                                                         x, arch):
+        """Regression: a tile's result went to the merger stamped at its
+        segment's start, with the scatter, so a ledger put gather and
+        scatter flows on the wire together.  It now leaves when the
+        segment's compute is done."""
+        graph = build_graph(arch, SPACE)
+        ex = DistributedExecutor(net, cluster)
+        plan = spatial_front_plan(graph, Grid(2, 2), [1, 2, 3, 4], min_hw=8)
+        ex.execute(x, arch, plan, sim_time=2.0)
+        log = ex.transport.log
+        # the log holds each tile's scatter right before its result's send
+        tiles = [(a, b) for a, b in zip(log, log[1:])
+                 if a.src == 0 and b.src == a.dst and b.dst == 1]
+        assert len(tiles) >= 3
+        for scatter, gather in tiles:
+            assert scatter.sent_at >= 2.0
+            assert gather.sent_at >= scatter.delivered_at
+
     def test_min_arch_resolution_16(self, net, cluster, arch):
         a = min_arch(SPACE)
         graph = build_graph(a, SPACE)
