@@ -45,18 +45,23 @@ def _faults(mode: str, crash1: tuple, crash2: tuple) -> FaultInjector:
     return FaultInjector(schedule, seed=5)
 
 
+def _half_split(graph):
+    return layerwise_split_plan(graph, len(graph) // 2, remote=1)
+
+
 class _SplitEngine:
-    """Always offloads the back half of the max submodel to device 1.
+    """Always serves one plan of the max submodel: ``place(graph)``, by
+    default its back half offloaded to device 1.
 
     The search engine keeps the tiny executable model on the gateway
     (RPC overhead dwarfs its compute), which would leave the executable
     fault modes with no wire to fail on.
     """
 
-    def __init__(self, devices, condition):
+    def __init__(self, devices, condition, place=_half_split):
         arch = max_arch(_TINY)
         graph = build_graph(arch, _TINY)
-        plan = layerwise_split_plan(graph, len(graph) // 2, remote=1)
+        plan = place(graph)
         expected = simulate_latency(
             graph, plan, Cluster(list(devices), condition)).total_s
         self._strategy = Strategy(
@@ -67,7 +72,7 @@ class _SplitEngine:
         return DecisionRecord(self._strategy, 0.002, "search")
 
 
-def _system(mode: str) -> Murmuration:
+def _system(mode: str, place=_half_split) -> Murmuration:
     devices = [rpi4(), desktop_gtx1080(), jetson_class()]
     condition = NetworkCondition((300.0, 150.0), (10.0, 20.0))
     if mode.startswith("plan"):
@@ -81,7 +86,7 @@ def _system(mode: str) -> Murmuration:
             monitor_noise=0.05, seed=3,
             faults=_faults(mode, (0.3, 1.4), (0.6, 1.0)))
     return Murmuration(
-        _TINY, devices, condition, _SplitEngine(devices, condition),
+        _TINY, devices, condition, _SplitEngine(devices, condition, place),
         slo=SLO.latency_ms(100.0), supernet=Supernet(_TINY, seed=2).eval(),
         use_predictor=False, monitor_noise=0.0, seed=3,
         faults=_faults(mode, (0.05, 0.4), (0.0, 0.3)))
