@@ -137,8 +137,11 @@ def _declarations(owner) -> Tuple[tuple, ...]:
         test = one = domains[0].test
         for more in domains[1:]:
             test = one = lambda v, a=one, b=more.test: a(v) and b(v)
-        kind = typing.get_origin(base) or base
-        items = (None if kind in (float, int)
+        # a parameterised container's marks hold for each element; a
+        # number's, or a bare type's (``Annotated[tuple, ...]``), for the
+        # whole value
+        kind = typing.get_origin(base)
+        items = (None if kind is None
                  else dict.items if kind is dict else enumerate)
         if items is not None:
             test = lambda v, one=one, items=items: all(

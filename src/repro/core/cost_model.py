@@ -98,12 +98,6 @@ class _Scan:
             yield yielded[k]
             k += 1
 
-    def __len__(self) -> int:
-        """How many candidates there are (enumerates every arch)."""
-        while self._extend():
-            pass
-        return len(self._yielded)
-
     def _extend(self) -> bool:
         """Append the next candidate to the prefix; False past the last."""
         model, heap, unopened = self._model, self._heap, self._unopened

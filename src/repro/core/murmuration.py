@@ -98,10 +98,6 @@ class InferenceRecord:
     def latency_ms(self) -> float:
         return self.latency_s * 1e3
 
-    @property
-    def completed(self) -> bool:
-        return self.outcome != "failed"
-
 
 @dataclass
 class BatchInferenceResult:
@@ -127,10 +123,6 @@ class BatchInferenceResult:
     #: completion time of the last item (== the final ``_now``)
     finish_s: float
     cache_hit: bool
-
-    @property
-    def size(self) -> int:
-        return len(self.items)
 
 
 class Murmuration:
@@ -315,23 +307,16 @@ class Murmuration:
         if self.slo is None:
             raise RuntimeError("no SLO set; call set_slo() first")
         condition = condition or self.observed_condition()
-        # peek() first: a cached strategy routing through an open circuit
-        # must not count as a hit — the request pays a full decision, so
-        # the lookup below records an honest miss after the discard.
-        health, now = self.health, self._now
-        cached = self.cache.peek(self.slo, condition)
-        if cached is not None and health.blocked(cached.plan, now):
-            # Routes through an open circuit: invalidate, decide afresh.
-            self.cache.discard(self.slo, condition)
-            self._m_cache_invalidated.inc()
+        # No cached strategy routes through an open circuit: nothing
+        # blocked is put, and _drain_health drops what a circuit's
+        # opening condemns.
         cached = self.cache.get(self.slo, condition)
         if cached is not None:
-            # a hit was just checked above: nothing on it is blocked
             return self._note_decision(DecisionRecord(cached, 0.0, "cache"))
         record = self.engine.decide(self.slo, condition)
         if record.strategy is None:
             return self._note_decision(record)
-        if not health.blocked(record.strategy.plan, now):
+        if not self.health.blocked(record.strategy.plan, self._now):
             self.cache.put(self.slo, condition, record.strategy)
         elif self.resilience.failover:
             # Proactive reroute: avoid re-paying timeouts on devices the
@@ -395,7 +380,8 @@ class Murmuration:
             # not poison the miss count behind core_cache_hit_rate.
             if self.cache.peek(self.slo, cond) is None:
                 rec = self.engine.decide(self.slo, cond)
-                if rec.strategy is not None:
+                if rec.strategy is not None and not self.health.blocked(
+                        rec.strategy.plan, self._now):
                     self.cache.put(self.slo, cond, rec.strategy)
                     computed += 1
         return computed

@@ -114,16 +114,6 @@ class StrategyCache:
             self._store.popitem(last=False)
             self.evictions += 1
 
-    def discard(self, slo: SLO, condition: NetworkCondition) -> bool:
-        """Drop one entry (e.g. it routes through a failed device).
-
-        Returns True if an entry was removed.
-        """
-        removed = self._store.pop(self._cell(slo, condition), None) is not None
-        if removed:
-            self.invalidations += 1
-        return removed
-
     def invalidate(self, predicate) -> int:
         """Drop every cached strategy for which ``predicate(strategy)``
         is true; returns the number removed.
@@ -181,16 +171,6 @@ class StrategyCache:
             dropped = len(old)
         self.invalidations += dropped
         return dropped
-
-    def clear(self) -> None:
-        """Drop all entries *and* reset every counter."""
-        self._store.clear()
-        self.hits = 0
-        self.misses = 0
-        self.inserts = 0
-        self.overwrites = 0
-        self.evictions = 0
-        self.invalidations = 0
 
     def stats(self) -> dict:
         """Snapshot of cache effectiveness (feeds telemetry gauges)."""

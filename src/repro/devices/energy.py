@@ -68,10 +68,6 @@ class EnergyReport:
     def total_j(self) -> float:
         return sum(self.per_device_j.values())
 
-    @property
-    def busiest_device(self) -> int:
-        return max(self.per_device_j, key=self.per_device_j.get)  # type: ignore[arg-type]
-
 
 def energy_of_report(report: LatencyReport,
                      devices: Sequence[DeviceProfile]) -> EnergyReport:

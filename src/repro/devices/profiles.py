@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
-__all__ = ["DeviceProfile", "DEVICE_CATALOG", "get_device", "rpi4",
+__all__ = ["DeviceProfile", "DEVICE_CATALOG", "rpi4",
            "desktop_gtx1080", "jetson_class"]
 
 
@@ -125,9 +125,3 @@ DEVICE_CATALOG: Dict[str, object] = {
     "desktop_gtx1080": desktop_gtx1080,
     "jetson_class": jetson_class,
 }
-
-
-def get_device(name: str) -> DeviceProfile:
-    if name not in DEVICE_CATALOG:
-        raise KeyError(f"unknown device {name!r}; available: {sorted(DEVICE_CATALOG)}")
-    return DEVICE_CATALOG[name]()  # type: ignore[operator]

@@ -26,7 +26,6 @@ __all__, __getattr__, __dir__ = _lazy_exports(globals(), {
     "scenarios": ("augmented_devices", "swarm_devices"),
     "reporting": ("format_accuracy_grid", "format_latency_grid",
                   "format_compliance", "format_scalability",
-                  "format_search_time", "format_switch_time",
-                  "accuracy_grid_to_csv", "compliance_to_csv"),
+                  "format_search_time", "format_switch_time"),
     "training_curves": ("run_training_curves", "format_training_curves"),
 })

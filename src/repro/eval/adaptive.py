@@ -10,7 +10,10 @@ the middle of the run — differing only in the ``control=`` parameter:
 * ``controlled`` — a :class:`~repro.control.ControlLoop` stacking all
   four controllers: cache granularity retuning, batch-policy
   adaptation, SLO-aware admission (shed/degrade), and drift-directed
-  cache precompute.
+  cache precompute.  Cache-granularity retuning does not act at this
+  scenario's sizes: at the default 240 requests the control line reads
+  ``batch-policy=4 precompute=44``, and ``StrategyCache.set_steps`` is
+  never called.
 
 The burst is what separates them.  A static pipeline admits everything,
 the queue grows without bound, and every request in and after the burst
@@ -41,8 +44,8 @@ from ..devices.profiles import desktop_gtx1080, jetson_class, rpi4
 from ..netsim.topology import NetworkCondition
 from ..netsim.traces import TraceConfig, mobility_trace
 from ..runtime.batching import BatchPolicy
-from .spec import (Claim, DecisionTime, NumRequests, RandomArchs, Rate,
-                   Scenario, Seed, SloMs, World)
+from .spec import (BurstWindow, Claim, DecisionTime, NumRequests,
+                   RandomArchs, Rate, Scenario, Seed, SloMs, World)
 
 __all__ = ["AdaptiveConfig", "SCENARIO", "burst_arrival_process",
            "default_controllers"]
@@ -56,7 +59,7 @@ class AdaptiveConfig(Checked):
     #: baseline arrival rate; sized so the pipeline keeps up off-burst
     arrival_rate_hz: Rate = 8.0
     #: burst window (simulated seconds) and rate multiplier inside it
-    burst_window: tuple = (4.0, 6.0)
+    burst_window: BurstWindow = (4.0, 6.0)
     burst_factor: Rate = 5.0
     slo_ms: SloMs = 300.0
     seed: Seed = 0
@@ -71,7 +74,7 @@ class AdaptiveConfig(Checked):
     control_period_s: Annotated[float, Period] = 0.5
 
 
-def burst_arrival_process(rate_hz: Rate, window: tuple,
+def burst_arrival_process(rate_hz: Rate, window: BurstWindow,
                           factor: Rate) -> Callable:
     """Piecewise-Poisson arrivals: ``rate_hz``, times ``factor`` inside
     ``window``.  The rate applying to each gap is the rate at the gap's

@@ -30,13 +30,12 @@ byte-stable function of the config.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Annotated, Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .. import IntAtLeast, Period, check_fields
+from .. import Checked, IntAtLeast, Period, check_fields
 from ..control import (AdmissionController, ControlLoop,
                        TenantFairnessController)
 from ..devices.profiles import desktop_gtx1080, jetson_class, rpi4
@@ -45,15 +44,15 @@ from ..netsim.fluid import FluidTracker
 from ..netsim.link import Delay, Link
 from ..netsim.topology import NetworkCondition
 from ..netsim.traces import TraceConfig, mobility_trace
-from .spec import (Claim, DecisionTime, NumRequests, PayloadKb, RandomArchs,
-                   Rate, Scenario, Seed, SloMs, World)
+from .spec import (BurstWindow, Claim, DecisionTime, NumRequests, PayloadKb,
+                   RandomArchs, Rate, Scenario, Seed, SloMs, World)
 
 __all__ = ["MultiTenantConfig", "SCENARIO", "TenantSpec", "default_tenants",
            "tenant_arrivals"]
 
 
 @dataclass(frozen=True)
-class TenantSpec:
+class TenantSpec(Checked):
     """One tenant's traffic contract."""
 
     name: str
@@ -64,17 +63,9 @@ class TenantSpec:
     #: request payload crossing the shared ingress
     payload_kb: PayloadKb = 256.0
     #: optional overload burst: (t0, t1) simulated seconds
-    burst_window: Optional[Tuple[float, float]] = None
+    burst_window: Optional[BurstWindow] = None
     #: rate multiplier inside the burst window
     burst_factor: Rate = 1.0
-
-    def __post_init__(self):
-        check_fields(self)
-        window = self.burst_window
-        if window is not None and not (
-                len(window) == 2 and 0 <= window[0] < window[1] < math.inf):
-            raise ValueError(f"burst_window must be None or (t0, t1) with "
-                             f"0 <= t0 < t1 < inf, got {window}")
 
 
 def default_tenants(n: Annotated[int, IntAtLeast(1)] = 2

@@ -8,7 +8,7 @@ from .experiments import MethodPoint
 
 __all__ = ["format_accuracy_grid", "format_compliance", "format_scalability",
            "format_search_time", "format_switch_time", "format_latency_grid",
-           "format_rows", "accuracy_grid_to_csv", "compliance_to_csv"]
+           "format_rows"]
 
 
 def _cell(value: Optional[float], fmt: str = "{:6.1f}") -> str:
@@ -99,38 +99,3 @@ def format_rows(title: str, columns: Sequence[str],
         lines.append(f"{label!s:<{width}s}"
                      + "".join(f"{v:15.4g}" for v in values))
     return "\n".join(lines)
-
-
-def accuracy_grid_to_csv(results: Dict[str, Dict[Tuple[float, float],
-                                                 MethodPoint]],
-                         path: str, row_label: str = "row",
-                         col_label: str = "col") -> str:
-    """Dump a figure's {method: {(row, col): point}} data as tidy CSV
-    (one observation per line) for external plotting."""
-    import csv
-
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["method", row_label, col_label, "satisfied",
-                    "accuracy", "latency_ms"])
-        for method, pts in results.items():
-            for (r, c), p in sorted(pts.items()):
-                w.writerow([method, r, c, int(p.satisfied),
-                            "" if p.accuracy is None else f"{p.accuracy:.3f}",
-                            "" if p.latency_ms is None
-                            else f"{p.latency_ms:.3f}"])
-    return path
-
-
-def compliance_to_csv(results: Dict[str, Dict[float, float]],
-                      path: str, x_label: str = "slo_ms") -> str:
-    """Dump compliance-bar data as tidy CSV."""
-    import csv
-
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["method", x_label, "compliance_pct"])
-        for method, pts in results.items():
-            for x, v in sorted(pts.items()):
-                w.writerow([method, x, f"{v:.3f}"])
-    return path

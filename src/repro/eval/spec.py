@@ -11,6 +11,7 @@ and reporting are written once in the runner.  :class:`Claim` rows and
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, replace
 from typing import (Annotated, Any, Callable, Dict, Iterable, List, Mapping,
@@ -40,6 +41,11 @@ Rate = Annotated[float, Finite, Positive]
 #: a request payload, a terabyte at most so its bytes stay finite
 PayloadKb = Annotated[float, Domain("finite, non-negative and at most 1e9 kB",
                                     lambda v: 0.0 <= v <= 1e9)]
+#: an overload burst ``(t0, t1)`` in simulated seconds (a bare ``tuple``,
+#: so the domain tests the pair, not each number)
+BurstWindow = Annotated[tuple, Domain(
+    "(t0, t1) with 0 <= t0 < t1 < inf",
+    lambda w: len(w) == 2 and 0 <= w[0] < w[1] < math.inf)]
 
 
 class PinnedTimeEngine:

@@ -30,7 +30,7 @@ __all__, __getattr__, __dir__ = _lazy_exports(globals(), {
     "schedule": ("FaultEvent", "DeviceCrash", "Straggler", "LinkDegradation",
                  "MessageLoss", "Partition", "LinkFailure", "LinkFlap",
                  "CorrelatedFailure", "FaultSchedule",
-                 "crash_and_recover_schedule", "chaos_schedule"),
+                 "crash_and_recover_schedule"),
     "injector": ("FaultInjector", "NULL_FAULTS"),
     "health": ("DeviceHealth", "NULL_HEALTH", "CircuitState"),
     "resilience": ("RetryPolicy", "ResilienceConfig", "TransportError",

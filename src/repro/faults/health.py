@@ -186,9 +186,6 @@ class DeviceHealth:
                 if d != 0 and not (self.allow(d, now)
                                    and self.allow_link(0, d, now))]
 
-    def snapshot(self, now: float) -> Dict[int, str]:
-        return {d: self.state(d, now).value for d in range(self.num_devices)}
-
     def record_failure(self, device: int, now: float) -> bool:
         """Record one delivery failure; returns True if the circuit
         newly opened."""

@@ -32,7 +32,7 @@ from ..netsim.topology import NetworkCondition
 __all__ = ["FaultEvent", "DeviceCrash", "Straggler", "LinkDegradation",
            "MessageLoss", "Partition", "LinkFailure", "LinkFlap",
            "CorrelatedFailure", "FaultSchedule",
-           "crash_and_recover_schedule", "chaos_schedule"]
+           "crash_and_recover_schedule"]
 
 
 @dataclass(frozen=True)
@@ -263,9 +263,6 @@ class FaultSchedule:
         self._segments: Dict[int, Tuple[FaultEvent, ...]] = {}
 
     # -- container protocol ----------------------------------------------
-    def __len__(self) -> int:
-        return len(self.events)
-
     def __iter__(self) -> Iterator[FaultEvent]:
         return iter(self.events)
 
@@ -465,41 +462,3 @@ def crash_and_recover_schedule(device: int, crash_at: float,
     """The canonical trace: one remote device dies, then comes back."""
     return FaultSchedule([DeviceCrash(crash_at, recover_at, device=device)])
 
-
-def chaos_schedule(
-        num_remote: Annotated[int, IntAtLeast(1)],
-        duration_s: Annotated[float, Finite, Positive],
-        seed: Annotated[int, IntAtLeast(0)] = 0,
-        crash_rate_hz: Annotated[float, Finite, NonNegative] = 0.05,
-        mean_outage_s: Annotated[float, Finite, Positive] = 4.0,
-        straggler_rate_hz: Annotated[float, Finite, NonNegative] = 0.05,
-        max_slowdown: Annotated[float, Finite, Bound(1.0)] = 4.0,
-        loss_prob: Annotated[float, Bound(0.0, 1.0, hi_open=True)] = 0.0,
-) -> FaultSchedule:
-    """A seeded random fault mix over ``[0, duration_s)``.
-
-    Crash and straggler windows arrive per device as Poisson processes;
-    an optional all-link :class:`MessageLoss` covers the whole horizon.
-    Same seed, same chaos — the benchmarks depend on that.
-    """
-    check_fields(chaos_schedule, locals())
-    rng = np.random.default_rng(seed)
-    events: List[FaultEvent] = []
-    for dev in range(1, num_remote + 1):
-        t = float(rng.exponential(1.0 / crash_rate_hz)) if crash_rate_hz > 0 \
-            else duration_s
-        while t < duration_s:
-            outage = float(rng.exponential(mean_outage_s))
-            events.append(DeviceCrash(t, min(t + outage, duration_s + outage),
-                                      device=dev))
-            t += outage + float(rng.exponential(1.0 / crash_rate_hz))
-        t = float(rng.exponential(1.0 / straggler_rate_hz)) \
-            if straggler_rate_hz > 0 else duration_s
-        while t < duration_s:
-            span = float(rng.exponential(mean_outage_s))
-            slow = 1.0 + float(rng.uniform(0.5, max_slowdown - 1.0))
-            events.append(Straggler(t, t + span, device=dev, slowdown=slow))
-            t += span + float(rng.exponential(1.0 / straggler_rate_hz))
-    if loss_prob > 0.0:
-        events.append(MessageLoss(0.0, duration_s, prob=loss_prob))
-    return FaultSchedule(events)

@@ -13,7 +13,7 @@ Murmuration makes partitioning and placement decisions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 __all__ = ["ComputeBlock", "ModelGraph"]
@@ -64,10 +64,6 @@ class ComputeBlock:
         """Number of scalars in the output activation (batch size 1)."""
         return self.out_hw[0] * self.out_hw[1] * self.out_ch
 
-    def scaled(self, flop_scale: float) -> "ComputeBlock":
-        """A copy with FLOPs scaled (used for FDSP padding overhead)."""
-        return replace(self, flops=self.flops * flop_scale)
-
 
 class ModelGraph:
     """An ordered block sequence with an accuracy tag.
@@ -110,12 +106,6 @@ class ModelGraph:
 
     def __getitem__(self, i) -> ComputeBlock:
         return self.blocks[i]
-
-    def block_output_elements(self, i: int) -> int:
-        return self.blocks[i].out_elements
-
-    def partitionable_indices(self) -> List[int]:
-        return [i for i, b in enumerate(self.blocks) if b.partitionable]
 
     def split_points(self) -> List[int]:
         """Valid layer-wise split points: 0 = everything remote,

@@ -409,7 +409,3 @@ class Supernet(Module):
         for unit in reversed(self._active_run):
             grad = unit.backward(grad)
         return grad
-
-    def logits(self, x: np.ndarray, arch: ArchConfig) -> np.ndarray:
-        """Inference convenience (eval mode, no tape kept by callers)."""
-        return self.forward_arch(x, arch)

@@ -14,6 +14,5 @@ __all__, __getattr__, __dir__ = _lazy_exports(globals(), {
     "traces": ("TraceConfig", "random_walk_trace", "step_trace",
                "mobility_trace"),
     "grids": ("AUGMENTED_BANDWIDTHS", "AUGMENTED_DELAYS", "SWARM_BANDWIDTHS",
-              "SWARM_DELAY", "augmented_conditions", "swarm_conditions",
-              "training_grid", "validation_conditions"),
+              "SWARM_DELAY"),
 })

@@ -2,8 +2,9 @@
 
 A self-contained, dependency-free (NumPy-only) NN engine providing exactly
 what the Murmuration reproduction needs: vectorized conv/depthwise-conv/
-linear/batchnorm layers with manual backprop, MobileNetV3 activations, an
-LSTM cell with BPTT for the RL policy, optimizers, and feature-map
+linear/batchnorm functions with manual backprop (the supernet's elastic
+layers build on them), MobileNetV3 activations, linear layers, an LSTM
+cell with BPTT for the RL policy, optimizers, and feature-map
 quantization.
 """
 
@@ -14,9 +15,7 @@ from .quantize import quantize
 
 __all__, __getattr__, __dir__ = _lazy_exports(globals(), {
     "functional": ("functional",),
-    "layers": ("Module", "Parameter", "Conv2d", "DepthwiseConv2d",
-               "BatchNorm2d", "Linear", "ReLU", "HSwish", "HSigmoid",
-               "GlobalAvgPool", "Flatten", "SqueezeExcite", "Sequential"),
+    "layers": ("Module", "Parameter", "Linear", "ReLU", "Sequential"),
     "lstm": ("LSTMCell",),
     "optim": ("SGD", "Adam", "CosineLR", "clip_grad_norm"),
     "quantize": ("QuantizedTensor", "quantize", "dequantize", "fake_quantize",

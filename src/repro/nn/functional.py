@@ -23,8 +23,6 @@ __all__ = [
     "conv2d_backward",
     "depthwise_conv2d",
     "depthwise_conv2d_backward",
-    "avg_pool2d",
-    "avg_pool2d_backward",
     "global_avg_pool",
     "global_avg_pool_backward",
     "relu",
@@ -34,7 +32,6 @@ __all__ = [
     "hsigmoid",
     "hsigmoid_backward",
     "sigmoid",
-    "tanh",
     "softmax",
     "log_softmax",
     "cross_entropy",
@@ -188,32 +185,6 @@ def depthwise_conv2d_backward(grad_out: np.ndarray, cache):
 # Pooling
 # ---------------------------------------------------------------------------
 
-def avg_pool2d(x: np.ndarray, kernel: int, stride: Optional[int] = None):
-    stride = stride or kernel
-    n, c, h, w = x.shape
-    oh = _out_size(h, kernel, stride, 0)
-    ow = _out_size(w, kernel, stride, 0)
-    sn, sc, sh, sw = x.strides
-    shape = (n, c, oh, ow, kernel, kernel)
-    strides = (sn, sc, sh * stride, sw * stride, sh, sw)
-    windows = np.lib.stride_tricks.as_strided(x, shape=shape, strides=strides)
-    out = windows.mean(axis=(4, 5))
-    return out, (x.shape, kernel, stride)
-
-
-def avg_pool2d_backward(grad_out: np.ndarray, cache):
-    x_shape, kernel, stride = cache
-    n, c, h, w = x_shape
-    grad_x = np.zeros(x_shape, dtype=grad_out.dtype)
-    scale = 1.0 / (kernel * kernel)
-    oh, ow = grad_out.shape[2], grad_out.shape[3]
-    for i in range(kernel):
-        for j in range(kernel):
-            grad_x[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += (
-                grad_out * scale)
-    return grad_x
-
-
 def global_avg_pool(x: np.ndarray):
     out = x.mean(axis=(2, 3))
     return out, x.shape
@@ -269,10 +240,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(x)
 
 
 # ---------------------------------------------------------------------------

@@ -14,23 +14,9 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from . import functional as F
-from .init import he_normal, xavier_uniform
+from .init import xavier_uniform
 
-__all__ = [
-    "Parameter",
-    "Module",
-    "Conv2d",
-    "DepthwiseConv2d",
-    "BatchNorm2d",
-    "Linear",
-    "ReLU",
-    "HSwish",
-    "HSigmoid",
-    "GlobalAvgPool",
-    "Flatten",
-    "SqueezeExcite",
-    "Sequential",
-]
+__all__ = ["Parameter", "Module", "Linear", "ReLU", "Sequential"]
 
 
 class Parameter:
@@ -86,12 +72,6 @@ class Module:
         for m in self._modules.values():
             yield from m.parameters()
 
-    def named_parameters(self, prefix: str = "") -> Iterator[Tuple[str, Parameter]]:
-        for name, p in self._params.items():
-            yield prefix + name, p
-        for mname, m in self._modules.items():
-            yield from m.named_parameters(prefix + mname + ".")
-
     def modules(self) -> Iterator["Module"]:
         yield self
         for m in self._modules.values():
@@ -112,22 +92,6 @@ class Module:
     def num_parameters(self) -> int:
         return sum(p.data.size for p in self.parameters())
 
-    # -- state dict ----------------------------------------------------------
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        out = {}
-        for name, p in self.named_parameters():
-            out[name] = p.data.copy()
-        return out
-
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        for name, p in self.named_parameters():
-            if name not in state:
-                raise KeyError(f"missing parameter {name!r} in state dict")
-            if state[name].shape != p.data.shape:
-                raise ValueError(
-                    f"shape mismatch for {name!r}: {state[name].shape} vs {p.data.shape}")
-            p.data[...] = state[name]
-
     # -- interface -----------------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError
@@ -137,85 +101,6 @@ class Module:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
-
-
-class Conv2d(Module):
-    """Standard convolution with optional bias."""
-
-    def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int = 1,
-                 pad: Optional[int] = None, bias: bool = True,
-                 rng: Optional[np.random.Generator] = None):
-        super().__init__()
-        self.in_ch, self.out_ch = in_ch, out_ch
-        self.kernel, self.stride = kernel, stride
-        self.pad = pad if pad is not None else kernel // 2
-        self.weight = Parameter(
-            he_normal((out_ch, in_ch, kernel, kernel), fan_in=in_ch * kernel * kernel,
-                      rng=rng))
-        self.bias = Parameter(np.zeros(out_ch)) if bias else None
-        self._cache = None
-
-    def forward(self, x):
-        b = self.bias.data if self.bias is not None else None
-        out, self._cache = F.conv2d(x, self.weight.data, b, self.stride, self.pad)
-        return out
-
-    def backward(self, grad):
-        gx, gw, gb = F.conv2d_backward(grad, self._cache)
-        self.weight.grad += gw
-        if self.bias is not None:
-            self.bias.grad += gb
-        return gx
-
-
-class DepthwiseConv2d(Module):
-    def __init__(self, channels: int, kernel: int, stride: int = 1,
-                 pad: Optional[int] = None, bias: bool = True,
-                 rng: Optional[np.random.Generator] = None):
-        super().__init__()
-        self.channels, self.kernel, self.stride = channels, kernel, stride
-        self.pad = pad if pad is not None else kernel // 2
-        self.weight = Parameter(
-            he_normal((channels, 1, kernel, kernel), fan_in=kernel * kernel, rng=rng))
-        self.bias = Parameter(np.zeros(channels)) if bias else None
-        self._cache = None
-
-    def forward(self, x):
-        b = self.bias.data if self.bias is not None else None
-        out, self._cache = F.depthwise_conv2d(x, self.weight.data, b,
-                                              self.stride, self.pad)
-        return out
-
-    def backward(self, grad):
-        gx, gw, gb = F.depthwise_conv2d_backward(grad, self._cache)
-        self.weight.grad += gw
-        if self.bias is not None:
-            self.bias.grad += gb
-        return gx
-
-
-class BatchNorm2d(Module):
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
-        super().__init__()
-        self.channels = channels
-        self.momentum, self.eps = momentum, eps
-        self.gamma = Parameter(np.ones(channels))
-        self.beta = Parameter(np.zeros(channels))
-        self.running_mean = np.zeros(channels)
-        self.running_var = np.ones(channels)
-        self._cache = None
-
-    def forward(self, x):
-        out, self._cache = F.batchnorm2d(
-            x, self.gamma.data, self.beta.data, self.running_mean,
-            self.running_var, self.training, self.momentum, self.eps)
-        return out
-
-    def backward(self, grad):
-        gx, gg, gb = F.batchnorm2d_backward(grad, self._cache)
-        self.gamma.grad += gg
-        self.beta.grad += gb
-        return gx
 
 
 class Linear(Module):
@@ -249,76 +134,6 @@ class ReLU(Module):
 
     def backward(self, grad):
         return F.relu_backward(grad, self._mask)
-
-
-class HSwish(Module):
-    def forward(self, x):
-        out, self._x = F.hswish(x)
-        return out
-
-    def backward(self, grad):
-        return F.hswish_backward(grad, self._x)
-
-
-class HSigmoid(Module):
-    def forward(self, x):
-        out, self._x = F.hsigmoid(x)
-        return out
-
-    def backward(self, grad):
-        return F.hsigmoid_backward(grad, self._x)
-
-
-class GlobalAvgPool(Module):
-    def forward(self, x):
-        out, self._shape = F.global_avg_pool(x)
-        return out
-
-    def backward(self, grad):
-        return F.global_avg_pool_backward(grad, self._shape)
-
-
-class Flatten(Module):
-    def forward(self, x):
-        self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, grad):
-        return grad.reshape(self._shape)
-
-
-class SqueezeExcite(Module):
-    """Squeeze-and-excitation gate (MobileNetV3 style, hsigmoid gating)."""
-
-    def __init__(self, channels: int, reduction: int = 4,
-                 rng: Optional[np.random.Generator] = None):
-        super().__init__()
-        hidden = max(1, channels // reduction)
-        self.channels, self.hidden = channels, hidden
-        self.fc1 = Linear(channels, hidden, rng=rng)
-        self.relu = ReLU()
-        self.fc2 = Linear(hidden, channels, rng=rng)
-        self.gate = HSigmoid()
-
-    def forward(self, x):
-        self._x = x
-        s, self._pool_shape = F.global_avg_pool(x)
-        s = self.fc1(s)
-        s = self.relu(s)
-        s = self.fc2(s)
-        s = self.gate(s)
-        self._scale = s
-        return x * s[:, :, None, None]
-
-    def backward(self, grad):
-        grad_x_direct = grad * self._scale[:, :, None, None]
-        grad_s = (grad * self._x).sum(axis=(2, 3))
-        g = self.gate.backward(grad_s)
-        g = self.fc2.backward(g)
-        g = self.relu.backward(g)
-        g = self.fc1.backward(g)
-        grad_x_pool = F.global_avg_pool_backward(g, self._pool_shape)
-        return grad_x_direct + grad_x_pool
 
 
 class Sequential(Module):

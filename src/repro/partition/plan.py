@@ -50,10 +50,6 @@ class BlockPlan:
         if any(d < 0 for d in self.devices):
             raise ValueError("device ids must be non-negative")
 
-    @property
-    def device_set(self) -> Tuple[int, ...]:
-        return tuple(sorted(set(self.devices)))
-
 
 class ExecutionPlan:
     """Per-block plans for a whole model, plus the output device."""

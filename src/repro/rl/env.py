@@ -63,9 +63,6 @@ class Task:
     slo: float
     condition: NetworkCondition
 
-    def context_vector(self, env: "MurmurationEnv") -> np.ndarray:
-        return env.encode_task(self)
-
 
 @dataclass(frozen=True)
 class StrategyOutcome:

@@ -74,10 +74,6 @@ class _Head:
         self.bias.grad += grad_logits.sum(axis=0)
         return grad_logits @ self.weight.data
 
-    def parameters(self):
-        yield self.weight
-        yield self.bias
-
 
 class LSTMPolicy(Module):
     """Goal-conditioned LSTM policy with typed heads and a value head."""
@@ -97,7 +93,7 @@ class LSTMPolicy(Module):
             kind: _Head(cfg.hidden_size, n, rng)
             for kind, n in head_sizes.items()}
         self.value_head = _Head(cfg.hidden_size, 1, rng)
-        # Register head parameters so parameters()/state_dict see them.
+        # Register head parameters so parameters() sees them.
         for kind, head in self.heads.items():
             self.register_parameter(f"head_{kind}_w", head.weight)
             self.register_parameter(f"head_{kind}_b", head.bias)

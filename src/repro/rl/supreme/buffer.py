@@ -65,11 +65,6 @@ class BucketDim:
         g = np.asarray(self.grid)
         return int(np.abs(g - value).argmin())
 
-    def harder_step(self, idx: int) -> Optional[int]:
-        """Neighbor index one step harder, or None at the boundary."""
-        j = idx - self.relax_sign
-        return j if 0 <= j < self.size else None
-
 
 @dataclass
 class Entry:
@@ -80,10 +75,6 @@ class Entry:
     latency_s: float
     accuracy: float
     condition: Tuple[float, ...] = ()   # observed network condition values
-
-    def copy(self) -> "Entry":
-        return Entry(self.actions.copy(), self.reward, self.latency_s,
-                     self.accuracy, self.condition)
 
 
 class BucketedReplayBuffer:

@@ -59,10 +59,6 @@ class Event:
     kind: str
     fire: Callable[[float], None] = field(compare=False)
 
-    @property
-    def sort_key(self) -> Tuple[float, int, int]:
-        return (self.time, self.priority, self.seq)
-
 
 class EventLoop:
     """A heap of timestamped events over one shared simulated clock.

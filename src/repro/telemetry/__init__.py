@@ -36,7 +36,7 @@ __all__, __getattr__, __dir__ = _lazy_exports(globals(), {
     "hub": ("Telemetry", "NULL_TELEMETRY"),
     "metrics": ("MetricsRegistry", "Counter", "Gauge", "Histogram"),
     "tracing": ("Tracer", "NullTracer", "NULL_TRACER", "Span"),
-    "timeline": ("RequestTimeline", "TimelineEvent", "stitch_timelines"),
+    "timeline": ("RequestTimeline", "TimelineEvent"),
     "export": ("write_jsonl", "jsonl_records", "prometheus_text",
                "console_report", "link_stats", "format_link_report"),
     "recorder": ("SCHEMA_VERSION", "Recording", "RunRecorder", "NULL_RECORDER",

@@ -114,15 +114,6 @@ class Telemetry:
             self._evict()
         return self._timelines
 
-    def add_timeline(self, timeline: RequestTimeline) -> None:
-        """Append an explicitly-built timeline (bypasses the tracer).
-
-        Explicit appends bypass 1-in-N sampling (the caller already
-        chose to keep this timeline) but share the SLO-aware eviction.
-        """
-        self._timelines.append(timeline)
-        self._evict()
-
     @staticmethod
     def of(telemetry: Optional["Telemetry"]):
         """``telemetry`` itself, or :data:`NULL_TELEMETRY` for ``None``."""

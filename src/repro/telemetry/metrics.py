@@ -185,10 +185,6 @@ class Histogram(Metric):
                 return min(max(est, self.min), self.max)
         return self.max
 
-    def quantiles(self, qs: Iterable[float] = (0.5, 0.95, 0.99),
-                  ) -> Dict[float, float]:
-        return {q: self.quantile(q) for q in qs}
-
 
 class MetricsRegistry:
     """Creates, dedupes and enumerates instruments.

@@ -15,11 +15,11 @@ has to report the same interval twice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from .tracing import Span
 
-__all__ = ["TimelineEvent", "RequestTimeline", "stitch_timelines"]
+__all__ = ["TimelineEvent", "RequestTimeline"]
 
 
 class TimelineEvent:
@@ -138,75 +138,3 @@ class RequestTimeline:
             lines.append(f"  {label:<24s} {dur_ms:9.3f} ms |{bar:<{width}s}|")
         return "\n".join(lines)
 
-
-# -- cross-device stitching -------------------------------------------------
-
-def stitch_timelines(timelines: Sequence[RequestTimeline],
-                     messages: Iterable = (),
-                     ) -> List[RequestTimeline]:
-    """Merge per-device timelines (and transport messages) by request id.
-
-    Distributed execution produces observations on more than one
-    tracer: each device's span tree becomes its own timeline, and every
-    cross-device transfer is a :class:`~repro.runtime.rpc.Message`
-    stamped with the serving ``request_id`` that caused it.  This
-    stitches them back into one timeline per request:
-
-    * timelines sharing a ``request_id`` merge into one (first
-      occurrence wins the root; attrs union, first writer wins);
-    * each message whose ``request_id`` matches a timeline contributes
-      a ``transfer`` event (``sim_start=sent_at``, duration
-      ``delivered_at - sent_at``, with src/dst/nbytes/retries attrs);
-    * non-root events re-order by simulated start time (stable, so
-      same-instant parent/child order is preserved) and the root
-      envelope is widened to cover any stitched-in event that runs
-      past it.
-
-    Inputs are not mutated; returned timelines are fresh objects in
-    first-seen order.  Messages without a ``request_id``, or whose id
-    matches no timeline, are ignored.
-    """
-    merged: Dict[Any, RequestTimeline] = {}
-    order: List[Any] = []
-    for tl in timelines:
-        cur = merged.get(tl.request_id)
-        if cur is None:
-            merged[tl.request_id] = RequestTimeline(
-                request_id=tl.request_id, events=list(tl.events),
-                attrs=dict(tl.attrs))
-            order.append(tl.request_id)
-        else:
-            cur.events.extend(tl.events)
-            for k, v in tl.attrs.items():
-                cur.attrs.setdefault(k, v)
-    for msg in messages:
-        rid = getattr(msg, "request_id", None)
-        if rid is None or rid not in merged:
-            continue
-        tl = merged[rid]
-        depth = (tl.events[0].depth + 1) if tl.events else 0
-        tl.events.append(TimelineEvent(
-            "transfer", float(msg.sent_at),
-            float(msg.delivered_at - msg.sent_at), 0.0, depth,
-            {"src": msg.src, "dst": msg.dst, "nbytes": msg.nbytes,
-             "retries": msg.retries}))
-    for tl in merged.values():
-        if len(tl.events) < 2:
-            continue
-        head, rest = tl.events[0], tl.events[1:]
-        fallback = head.sim_start if head.sim_start is not None else 0.0
-        rest.sort(key=lambda e: (e.sim_start if e.sim_start is not None
-                                 else fallback))
-        end = max((e.sim_start + e.sim_duration_s
-                   for e in rest if e.sim_start is not None),
-                  default=None)
-        if (end is not None and head.sim_start is not None
-                and end > head.sim_start + head.sim_duration_s):
-            # widen a copy — the original root event may be shared with
-            # the un-stitched timeline still held by the hub
-            head = TimelineEvent(head.name, head.sim_start,
-                                 end - head.sim_start,
-                                 head.wall_duration_s, head.depth,
-                                 dict(head.attrs))
-        tl.events[:] = [head] + rest
-    return [merged[rid] for rid in order]

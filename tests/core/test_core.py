@@ -171,24 +171,6 @@ class TestStrategyCache:
         cache.put(slo, NetworkCondition((120.0,), (10.0,)), s)
         assert len(cache) == 2 and cache.inserts == 2
 
-    def test_clear_resets_store_and_counters(self):
-        cache = StrategyCache(capacity=1)
-        slo = SLO.latency(0.1)
-        cond = NetworkCondition((100.0,), (10.0,))
-        cache.get(slo, cond)                                   # miss
-        cache.put(slo, cond, _strategy())                      # insert
-        cache.put(slo, cond, _strategy())                      # overwrite
-        cache.put(slo, NetworkCondition((300.0,), (50.0,)),
-                  _strategy())                                 # eviction
-        cache.get(slo, NetworkCondition((300.0,), (50.0,)))    # hit
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.stats() == {
-            "entries": 0, "capacity": 1, "hits": 0, "misses": 0,
-            "hit_rate": 0.0, "inserts": 0, "overwrites": 0, "evictions": 0,
-            "invalidations": 0, "slo_step": 0.01, "bw_step": 25.0,
-            "delay_step": 10.0}
-
     def test_peek_does_not_touch_stats_or_lru(self):
         """Regression: probing lookups (precompute warm-up, blocked-plan
         checks) must not count as serving hits/misses or refresh LRU."""

@@ -4,7 +4,7 @@ the figures depend on."""
 import pytest
 
 from repro.devices import (DEVICE_CATALOG, block_time, desktop_gtx1080,
-                           get_device, graph_time, model_switch_time, rpi4,
+                           graph_time, model_switch_time, rpi4,
                            supernet_reconfig_time)
 from repro.models import get_model
 from repro.models.graph import ComputeBlock
@@ -14,11 +14,7 @@ class TestProfiles:
     def test_catalog_complete(self):
         for name in ("rpi4", "desktop_gtx1080", "jetson_class"):
             assert name in DEVICE_CATALOG
-            assert get_device(name).name == name
-
-    def test_unknown_device(self):
-        with pytest.raises(KeyError):
-            get_device("tpu_v5")
+            assert DEVICE_CATALOG[name]().name == name
 
     def test_compute_time_roofline(self):
         dev = rpi4()

@@ -117,11 +117,6 @@ class TestDrainOpened:
         h.record_failure(1, 1.5)
         assert h.drain_opened() == [1]
 
-    def test_snapshot(self):
-        h = DeviceHealth(2, failure_threshold=1)
-        h.record_failure(1, 0.0)
-        assert h.snapshot(0.1) == {0: "closed", 1: "open"}
-
 
 class TestLinkBreakers:
     def test_unknown_pair_is_closed_and_allowed(self):

@@ -165,3 +165,28 @@ class TestNoOpGuarantee:
                     if m.name.startswith("health")]
         # an empty schedule cannot fail either, so it gets them too
         assert not FaultInjector(FaultSchedule([])).can_fail
+
+
+def test_no_cache_insert_routes_through_an_open_circuit():
+    """Every insert checks the breakers (``decide`` no longer re-checks
+    a hit): a strategy through an open circuit is neither cached by a
+    decision nor warmed by ``precompute``; it is cached again once the
+    circuit lets traffic through."""
+    devices = [rpi4(), desktop_gtx1080(), jetson_class()]
+    condition = NetworkCondition((300.0, 150.0), (10.0, 20.0))
+    system = Murmuration(
+        _TINY, devices, condition, _SplitEngine(devices, condition),
+        slo=SLO.latency_ms(100.0), use_predictor=False, monitor_noise=0.0,
+        faults=FaultInjector(FaultSchedule([DeviceCrash(50.0, 60.0,
+                                                        device=2)])),
+        resilience=ResilienceConfig(failure_threshold=1, cooldown_s=5.0,
+                                    failover=False))
+    assert 1 in system.decide(condition).strategy.plan.devices_used()
+    assert len(system.cache) == 1
+    system.health.record_failure(1, 0.0)
+    system._drain_health()              # as each dispatch ends
+    assert len(system.cache) == 0
+    assert system.decide(condition).engine == "search"
+    assert system.precompute([condition]) == 0 and len(system.cache) == 0
+    system.clock.advance_to(10.0)       # past the cooldown: half-open
+    assert system.precompute([condition]) == 1

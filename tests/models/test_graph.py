@@ -14,11 +14,6 @@ class TestComputeBlock:
         b = _block(hw=(7, 5), ch=3)
         assert b.out_elements == 7 * 5 * 3
 
-    def test_scaled(self):
-        b = _block(flops=100.0)
-        assert b.scaled(1.5).flops == 150.0
-        assert b.flops == 100.0  # original untouched
-
     def test_frozen(self):
         b = _block()
         with pytest.raises(Exception):
@@ -52,11 +47,6 @@ class TestModelGraph:
     def test_split_points(self):
         g = ModelGraph("m", [_block(), _block(), _block()], 70.0)
         assert g.split_points() == [0, 1, 2, 3]
-
-    def test_partitionable_indices(self):
-        g = ModelGraph("m", [_block(), _block(partitionable=False),
-                             _block()], 70.0)
-        assert g.partitionable_indices() == [0, 2]
 
     def test_iteration_and_indexing(self):
         blocks = [_block(name=f"b{i}") for i in range(4)]

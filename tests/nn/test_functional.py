@@ -136,22 +136,6 @@ class TestDepthwiseConv2d:
 # ---------------------------------------------------------------------------
 
 class TestPooling:
-    def test_avg_pool_values(self):
-        x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
-        out, _ = F.avg_pool2d(x, 2)
-        np.testing.assert_allclose(out[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
-    def test_avg_pool_grad(self, rng):
-        x = rng.normal(size=(1, 2, 4, 4))
-
-        def loss():
-            out, _ = F.avg_pool2d(x, 2)
-            return float((out ** 2).sum())
-
-        out, cache = F.avg_pool2d(x, 2)
-        gx = F.avg_pool2d_backward(2 * out, cache)
-        np.testing.assert_allclose(gx, numeric_grad(loss, x), atol=1e-6)
-
     def test_global_avg_pool(self, rng):
         x = rng.normal(size=(2, 3, 4, 4))
         out, shape = F.global_avg_pool(x)

@@ -14,33 +14,14 @@ def rng():
 
 class TestModuleInfra:
     def test_parameters_enumerated(self, rng):
-        m = nn.Sequential(nn.Conv2d(3, 4, 3), nn.BatchNorm2d(4), nn.Linear(4, 2))
+        m = nn.Sequential(nn.Linear(3, 4, rng=rng), nn.ReLU(),
+                          nn.Linear(4, 2, bias=False, rng=rng))
         names = [p.name for p in m.parameters()]
-        assert "weight" in names and "gamma" in names
+        assert names == ["weight", "bias", "weight"]
         assert m.num_parameters() > 0
 
-    def test_state_dict_roundtrip(self, rng):
-        m1 = nn.Linear(4, 3, rng=rng)
-        m2 = nn.Linear(4, 3, rng=rng)
-        x = rng.normal(size=(2, 4))
-        assert not np.allclose(m1(x), m2(x))
-        m2.load_state_dict(m1.state_dict())
-        np.testing.assert_allclose(m1(x), m2(x))
-
-    def test_load_state_dict_missing_key(self):
-        m = nn.Linear(4, 3)
-        with pytest.raises(KeyError):
-            m.load_state_dict({})
-
-    def test_load_state_dict_shape_mismatch(self):
-        m = nn.Linear(4, 3)
-        sd = m.state_dict()
-        sd["weight"] = np.zeros((2, 2))
-        with pytest.raises(ValueError, match="shape mismatch"):
-            m.load_state_dict(sd)
-
     def test_train_eval_propagates(self):
-        m = nn.Sequential(nn.BatchNorm2d(3), nn.Sequential(nn.BatchNorm2d(3)))
+        m = nn.Sequential(nn.Linear(3, 3), nn.Sequential(nn.ReLU()))
         m.eval()
         assert all(not mod.training for mod in m.modules())
         m.train()
@@ -56,55 +37,11 @@ class TestModuleInfra:
         assert (m.weight.grad == 0).all()
 
 
-class TestConvLayers:
-    def test_conv_output_shape(self, rng):
-        conv = nn.Conv2d(3, 8, 5, stride=2, rng=rng)
-        out = conv(rng.normal(size=(2, 3, 16, 16)))
-        assert out.shape == (2, 8, 8, 8)
-
-    def test_conv_accumulates_grad(self, rng):
-        conv = nn.Conv2d(2, 2, 3, rng=rng)
-        x = rng.normal(size=(1, 2, 4, 4))
-        conv(x)
-        conv.backward(np.ones((1, 2, 4, 4)))
-        g1 = conv.weight.grad.copy()
-        conv(x)
-        conv.backward(np.ones((1, 2, 4, 4)))
-        np.testing.assert_allclose(conv.weight.grad, 2 * g1)
-
-    def test_depthwise_preserves_channels(self, rng):
-        dw = nn.DepthwiseConv2d(5, 3, rng=rng)
-        out = dw(rng.normal(size=(2, 5, 8, 8)))
-        assert out.shape == (2, 5, 8, 8)
-
-
-class TestSqueezeExcite:
-    def test_gating_bounded(self, rng):
-        se = nn.SqueezeExcite(8, rng=rng)
-        x = rng.normal(size=(2, 8, 4, 4))
-        out = se(x)
-        assert out.shape == x.shape
-        # |out| <= |x| elementwise because the gate is in [0, 1]
-        assert (np.abs(out) <= np.abs(x) + 1e-12).all()
-
-    def test_gradient_matches_numeric(self, rng):
-        se = nn.SqueezeExcite(4, rng=rng)
-        x = rng.normal(size=(1, 4, 3, 3))
-
-        def loss():
-            return float((se(x) ** 2).sum())
-
-        out = se(x)
-        gx = se.backward(2 * out)
-        np.testing.assert_allclose(gx, numeric_grad(loss, x), atol=1e-5)
-
-
 class TestSequential:
     def test_forward_backward_chain(self, rng):
-        m = nn.Sequential(
-            nn.Conv2d(2, 4, 3, rng=rng), nn.BatchNorm2d(4), nn.ReLU(),
-            nn.GlobalAvgPool(), nn.Linear(4, 3, rng=rng))
-        x = rng.normal(size=(2, 2, 6, 6))
+        m = nn.Sequential(nn.Linear(5, 4, rng=rng), nn.ReLU(),
+                          nn.Linear(4, 3, rng=rng))
+        x = rng.normal(size=(2, 5))
         out = m(x)
         assert out.shape == (2, 3)
         gx = m.backward(np.ones_like(out))
@@ -112,24 +49,15 @@ class TestSequential:
 
     def test_append_and_index(self):
         m = nn.Sequential(nn.ReLU())
-        m.append(nn.HSwish())
+        m.append(nn.Linear(2, 2))
         assert len(m) == 2
-        assert isinstance(m[1], nn.HSwish)
-
-    def test_flatten_roundtrip(self, rng):
-        f = nn.Flatten()
-        x = rng.normal(size=(2, 3, 4, 4))
-        y = f(x)
-        assert y.shape == (2, 48)
-        assert f.backward(y).shape == x.shape
+        assert isinstance(m[1], nn.Linear)
 
     def test_whole_net_gradient(self, rng):
-        """End-to-end numeric gradient through a small CNN (eval-mode BN
-        to keep the function deterministic)."""
-        m = nn.Sequential(
-            nn.Conv2d(1, 2, 3, rng=rng), nn.HSwish(),
-            nn.GlobalAvgPool(), nn.Linear(2, 2, rng=rng))
-        x = rng.normal(size=(1, 1, 5, 5))
+        """End-to-end numeric gradient through a small MLP."""
+        m = nn.Sequential(nn.Linear(3, 4, rng=rng), nn.ReLU(),
+                          nn.Linear(4, 2, rng=rng))
+        x = rng.normal(size=(2, 3))
         w = m[0].weight.data
 
         def loss():

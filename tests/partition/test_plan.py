@@ -32,10 +32,6 @@ class TestBlockPlan:
         with pytest.raises(ValueError):
             BlockPlan(Grid(1, 1), (-1,))
 
-    def test_device_set_sorted_unique(self):
-        bp = BlockPlan(Grid(2, 2), (3, 1, 3, 0))
-        assert bp.device_set == (0, 1, 3)
-
 
 class TestExecutionPlanValidation:
     def test_empty_plan(self):

@@ -44,14 +44,6 @@ class TestBucketDim:
         assert d.index_easier(25.0) == 1
         assert d.index_easier(5.0) == 0  # clamped
 
-    def test_harder_step_direction(self):
-        up = BucketDim("slo", (1.0, 2.0, 3.0), +1)
-        assert up.harder_step(2) == 1
-        assert up.harder_step(0) is None
-        down = BucketDim("delay", (1.0, 2.0, 3.0), -1)
-        assert down.harder_step(0) == 1
-        assert down.harder_step(2) is None
-
 
 class TestInsertAndTopN:
     def test_top_n_kept_by_reward(self):

@@ -123,7 +123,7 @@ class TestTeacherForcing:
         num_h = numeric_grad(nll, head.weight.data, eps=1e-6)
         np.testing.assert_allclose(got_h, num_h, atol=1e-4)
 
-    def test_state_dict_covers_heads(self, env, policy):
-        sd = policy.state_dict()
-        assert any(k.startswith("head_") for k in sd)
-        assert "value_w" in sd
+    def test_parameters_cover_heads(self, env, policy):
+        params = {id(p) for p in policy.parameters()}
+        for head in (*policy.heads.values(), policy.value_head):
+            assert {id(head.weight), id(head.bias)} <= params

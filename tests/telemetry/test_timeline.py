@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.runtime.rpc import Message
-from repro.telemetry import (RequestTimeline, Telemetry, TimelineEvent,
-                             Tracer, stitch_timelines)
+from repro.telemetry import RequestTimeline, Telemetry, TimelineEvent, Tracer
 
 
 def _request_tree(tracer, arrival=0.0, request=0, satisfied=None):
@@ -112,11 +110,6 @@ class TestLazyMaterialization:
             _request_tree(tel.tracer, request=i)
         assert [tl.request_id for tl in tel.timelines] == [2, 3]
 
-    def test_add_timeline_appends_explicitly(self):
-        tel = Telemetry()
-        tel.add_timeline(RequestTimeline(request_id=42))
-        assert tel.timelines[-1].request_id == 42
-
 
 class TestSloAwareRetention:
     """Sampling and eviction must never hide SLO-violating requests.
@@ -182,14 +175,6 @@ class TestSloAwareRetention:
                       satisfied=np.bool_(True))
         assert [tl.request_id for tl in tel.timelines] == [0]
 
-    def test_add_timeline_eviction_spares_violators(self):
-        tel = Telemetry(max_timelines=2)
-        tel.add_timeline(RequestTimeline(request_id=0,
-                                         attrs={"satisfied": False}))
-        tel.add_timeline(RequestTimeline(request_id=1))
-        tel.add_timeline(RequestTimeline(request_id=2))
-        assert [tl.request_id for tl in tel.timelines] == [0, 2]
-
     def test_sample_every_must_be_positive(self):
         with pytest.raises(ValueError, match="sample_every"):
             Telemetry(sample_every=0)
@@ -219,85 +204,3 @@ class TestSloAwareRetention:
             _request_tree(tel.tracer, request=i)
         assert [tl.request_id for tl in child.timelines] == [0, 2]
 
-
-def _device_timeline(request_id, events):
-    """Timeline with (name, start, duration, depth) tuples as events."""
-    return RequestTimeline(
-        request_id=request_id,
-        events=[TimelineEvent(n, s, d, 0.0, depth)
-                for n, s, d, depth in events],
-        attrs={"request": request_id})
-
-
-class TestStitchTimelines:
-    def test_merges_by_request_id(self):
-        gateway = _device_timeline(3, [("request", 0.0, 0.10, 0),
-                                       ("decision", 0.0, 0.02, 1)])
-        remote = _device_timeline(3, [("segment", 0.05, 0.03, 1)])
-        other = _device_timeline(4, [("request", 1.0, 0.05, 0)])
-        out = stitch_timelines([gateway, remote, other])
-        assert [tl.request_id for tl in out] == [3, 4]  # first-seen order
-        assert out[0].phases() == ["request", "decision", "segment"]
-
-    def test_non_root_events_sorted_by_sim_start(self):
-        a = _device_timeline(0, [("request", 0.0, 0.10, 0),
-                                 ("late", 0.08, 0.02, 1)])
-        b = _device_timeline(0, [("early", 0.01, 0.02, 1)])
-        out = stitch_timelines([a, b])
-        assert out[0].phases() == ["request", "early", "late"]
-
-    def test_attrs_union_first_writer_wins(self):
-        a = _device_timeline(0, [("request", 0.0, 0.1, 0)])
-        a.attrs.update(device=0, satisfied=True)
-        b = _device_timeline(0, [("segment", 0.0, 0.1, 1)])
-        b.attrs.update(device=1, engine="cache")
-        out = stitch_timelines([a, b])
-        assert out[0].attrs["device"] == 0
-        assert out[0].attrs["engine"] == "cache"
-
-    def test_messages_become_transfer_events(self):
-        tl = _device_timeline(5, [("request", 0.0, 0.20, 0)])
-        msg = Message(src=0, dst=1, payload=None, nbytes=4096,
-                      sent_at=0.05, delivered_at=0.09, request_id=5,
-                      retries=1)
-        out = stitch_timelines([tl], messages=[msg])
-        transfer = next(e for e in out[0].events if e.name == "transfer")
-        assert transfer.sim_start == pytest.approx(0.05)
-        assert transfer.sim_duration_s == pytest.approx(0.04)
-        assert transfer.depth == 1
-        assert transfer.attrs == {"src": 0, "dst": 1, "nbytes": 4096,
-                                  "retries": 1}
-
-    def test_unmatched_messages_ignored(self):
-        tl = _device_timeline(5, [("request", 0.0, 0.2, 0)])
-        stray = Message(src=0, dst=1, payload=None, nbytes=1,
-                        sent_at=0.0, delivered_at=0.1, request_id=99)
-        anonymous = Message(src=0, dst=1, payload=None, nbytes=1,
-                            sent_at=0.0, delivered_at=0.1)
-        out = stitch_timelines([tl], messages=[stray, anonymous])
-        assert out[0].phases() == ["request"]
-
-    def test_root_envelope_widened_to_cover_stitched_events(self):
-        gateway = _device_timeline(0, [("request", 0.0, 0.10, 0)])
-        remote = _device_timeline(0, [("segment", 0.08, 0.07, 1)])
-        out = stitch_timelines([gateway, remote])
-        assert out[0].total_s == pytest.approx(0.15)
-
-    def test_inputs_not_mutated(self):
-        gateway = _device_timeline(0, [("request", 0.0, 0.10, 0)])
-        remote = _device_timeline(0, [("segment", 0.08, 0.07, 1)])
-        stitch_timelines([gateway, remote])
-        assert gateway.phases() == ["request"]
-        assert gateway.total_s == pytest.approx(0.10)
-        assert remote.phases() == ["segment"]
-
-    def test_hub_timelines_unaffected_by_stitching(self):
-        """The hub's copies stay pristine when their events get merged
-        into a stitched view (events are shared, not copied)."""
-        tel = Telemetry()
-        _request_tree(tel.tracer, arrival=0.0, request=0)
-        hub_tl = tel.timelines[0]
-        late = _device_timeline(0, [("remote", 0.05, 0.5, 1)])
-        stitched = stitch_timelines([hub_tl, late])
-        assert stitched[0].total_s == pytest.approx(0.55)
-        assert hub_tl.total_s == pytest.approx(0.08)

@@ -20,21 +20,20 @@ from repro.control import (AdmissionController, BatchPolicyController,
                            PrecomputeScheduler, TenantFairnessController)
 from repro.core.strategy_cache import StrategyCache
 from repro.devices.profiles import desktop_gtx1080, rpi4
-from repro.eval.adaptive import burst_arrival_process
+from repro.eval.adaptive import AdaptiveConfig, burst_arrival_process
 from repro.eval.event_core import SteppedIngress
 from repro.eval.multi_tenant import TenantSpec, default_tenants
-from repro.eval.runner import SCENARIOS
+from repro.eval.runner import SCENARIOS, override_config
 from repro.eval.spec import PinnedTimeEngine
 from repro.faults import (CorrelatedFailure, DeviceCrash, DeviceHealth,
                           FaultEvent, LinkDegradation, LinkFailure, LinkFlap,
                           MessageLoss, Partition, ResilienceConfig,
-                          RetryPolicy, Straggler, chaos_schedule)
+                          RetryPolicy, Straggler)
 from repro.netsim.link import Link
 from repro.netsim.mesh import MeshCluster, MeshLink
 from repro.netsim.monitor import NetworkMonitor
 from repro.netsim.topology import Cluster, NetworkCondition
 from repro.netsim.contention import SharedIngress
-from repro.netsim.grids import training_grid
 from repro.netsim.traces import TraceConfig, condition_at
 from repro.partition.spatial import Grid
 from repro.rl.env import EnvConfig
@@ -84,7 +83,6 @@ OWNERS = {
     PinnedTimeEngine: dict(inner=None, decision_time_s=0.0),
     SteppedIngress: dict(link=_LINK, tracker=None,
                          trace_mbps=(40.0,), period_s=1.0),
-    chaos_schedule: dict(num_remote=1, duration_s=10.0),
     burst_arrival_process: dict(rate_hz=1.0, window=(0.0, 1.0),
                                 factor=2.0),
     schedule_control_ticks: dict(loop=None, control=None, horizon_s=1.0),
@@ -100,7 +98,6 @@ OWNERS = {
     Tracer: {}, Telemetry: {}, LinearPredictor: {},
     Grid: dict(rows=1, cols=1),
     ActionStep: dict(kind="device", n_choices=2),
-    training_grid: dict(lo=0.0, hi=1.0),
     default_tenants: {},
 }
 
@@ -183,8 +180,25 @@ def test_an_optional_setting_lets_none_through_and_a_tuple_checks_each():
 
 def test_a_generator_names_itself_and_its_argument():
     with pytest.raises(ValueError,
-                       match=r"^chaos_schedule\.duration_s must be"):
-        chaos_schedule(2, math.nan)
-    with pytest.raises(ValueError,
                        match=r"^burst_arrival_process\.factor must be"):
         burst_arrival_process(1.0, (0.0, 1.0), math.nan)
+
+
+@pytest.mark.parametrize("window", ["nan,4", "6,4", "4,4", "4,inf", "-1,4",
+                                    "4"])
+@pytest.mark.parametrize("owner", [AdaptiveConfig, TenantSpec,
+                                   burst_arrival_process],
+                         ids=lambda o: o.__qualname__)
+def test_a_burst_window_that_means_no_burst_is_rejected_wherever_declared(
+        owner, window):
+    """A NaN, reversed, empty or unbounded window used to be served as
+    no burst at all by ``adaptive``.  One declaration (``BurstWindow``)
+    now rejects it for every field that holds a window."""
+    name = "window" if owner is burst_arrival_process else "burst_window"
+    value = tuple(float(t) for t in window.split(","))
+    with pytest.raises(ValueError, match=rf"^{owner.__qualname__}\.{name} "
+                                         r"must be \(t0, t1\) with "):
+        _build(owner, **{name: value})
+    if owner is AdaptiveConfig:
+        with pytest.raises(ValueError, match=r"^AdaptiveConfig\.burst_window"):
+            override_config(AdaptiveConfig(), [f"burst_window={window}"])
