@@ -28,6 +28,7 @@ import sys
 import tempfile
 import threading
 from pathlib import Path
+from time import perf_counter
 from typing import Callable, Dict, Iterable, List, NamedTuple, Set
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,7 +48,8 @@ _STEPS = ("CacheGranularityController's action: 0 calls at adaptive's "
 _LOSS = "the message-loss path: no scenario or workload schedules MessageLoss"
 _NULL = ("a null twin: test_null_contract holds its surface equal to the "
          "real class's")
-_RECONFIG = "in-memory submodel switching, which ROADMAP 4A's exec_split reaches"
+_RECONFIG = ("in-memory submodel switching, which ROADMAP 4A's exec_split "
+             "reaches")
 _MESH = ("a mesh inspector: the route / mesh-fault tests and digests read "
          "it to check routing")
 _METRICS = ("registry / metric API: the telemetry tests and digests read "
@@ -301,7 +303,8 @@ def verdict(missed: Iterable[Def], keep: Dict[str, str]) -> List[str]:
     """What fails the check: an unreached function with no ``keep`` row,
     and a ``keep`` row that names nothing unreached."""
     names = {d.qualname for d in missed}
-    return ([f"unreached and not in KEEP: {n}" for n in sorted(names - set(keep))]
+    return ([f"unreached and not in KEEP: {n}"
+             for n in sorted(names - set(keep))]
             + [f"stale KEEP row (reached, or no such def): {n}"
                for n in sorted(set(keep) - names)])
 
@@ -412,7 +415,6 @@ def entry_points(tmp: Path) -> Dict[str, Callable[[], None]]:
 
 
 def main() -> int:
-    from time import perf_counter
     sys.path.insert(0, str(ROOT))          # benchmarks.*, examples' cwd
     t0 = perf_counter()
     candidates = package_defs(SRC, "repro")   # the lines the runs import
