@@ -306,6 +306,24 @@ class TestInjectedArrivals:
 
     @pytest.mark.parametrize("server_cls",
                              [InferenceServer, BatchingInferenceServer])
+    @pytest.mark.parametrize("times", [
+        np.zeros((3, 2)), [[0.1], [0.2], [0.3]], 0.5],
+        ids=["pairs", "column", "scalar"])
+    def test_an_arrival_array_not_one_time_per_request_is_refused(
+            self, server_cls, times):
+        """Regression: a 2-D result of the right length passed the
+        length check and died in the first dispatch with a bare
+        ``TypeError`` from ``float(arrivals[i])``."""
+        system = _system()
+        server = server_cls(system, arrival_rate_hz=2.0,
+                            arrival_process=lambda rng, n: times)
+        with pytest.raises(ValueError, match="one time per request"):
+            server.run(num_requests=3)
+        assert system.records == []
+        assert system.clock.now == 0.0
+
+    @pytest.mark.parametrize("server_cls",
+                             [InferenceServer, BatchingInferenceServer])
     def test_ties_and_a_late_start_are_fine(self, server_cls):
         times = [3.0, 3.0, 3.5, 3.5, 9.0]
         server = server_cls(_system(), arrival_rate_hz=2.0,
