@@ -28,10 +28,9 @@ Design contract:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Annotated, List, Optional, Sequence
-
-import numpy as np
 
 from .. import Period, check_fields
 from ..netsim.topology import NetworkCondition
@@ -174,7 +173,7 @@ class ControlLoop:
             self._next_due += self.period_s
         return True
 
-    def server_tick(self, now: float, stats, arrivals: np.ndarray, i: int,
+    def server_tick(self, now: float, stats, arrivals: List[float], i: int,
                     busy_until: float) -> bool:
         """:meth:`maybe_tick` as a server drives it before admitting
         request ``i``.  The queue depth — requests from ``i`` on that
@@ -182,8 +181,7 @@ class ControlLoop:
         worked out when a tick is due to read it."""
         depth = 0
         if now >= self._next_due:
-            depth = max(int(np.searchsorted(arrivals, busy_until,
-                                            side="right")) - i, 0)
+            depth = bisect_right(arrivals, busy_until, i) - i
         return self.maybe_tick(now, stats=stats, queue_depth=depth)
 
     # -- admission ----------------------------------------------------------
