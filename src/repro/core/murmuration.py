@@ -189,6 +189,12 @@ class Murmuration:
         #: :class:`~repro.sim.events.EventLoop` (one clock, one world)
         self.clock = clock if clock is not None else SimulatedClock()
         self._min_strategy: Optional[Strategy] = None
+        # frozen records reused while nothing in them changes: the last
+        # cache hit's decision, and the last price-once dispatch's item
+        # record with the fields it was built from
+        self._hit = DecisionRecord(None, 0.0, "cache")
+        self._shared_fields: tuple = ()
+        self._shared: Optional[InferenceRecord] = None
         # The facade's own cost model: engine wrappers (pinned-time,
         # pinned-cost) hide the inner engine's, and served, rerouted and
         # failover strategies are priced per request, not per decision.
@@ -312,7 +318,9 @@ class Murmuration:
         # opening condemns.
         cached = self.cache.get(self.slo, condition)
         if cached is not None:
-            return self._note_decision(DecisionRecord(cached, 0.0, "cache"))
+            if self._hit.strategy is not cached:
+                self._hit = DecisionRecord(cached, 0.0, "cache")
+            return self._note_decision(self._hit)
         record = self.engine.decide(self.slo, condition)
         if record.strategy is None:
             return self._note_decision(record)
@@ -549,9 +557,12 @@ class Murmuration:
             satisfied = (self.slo.satisfied_by(latency, accuracy)
                          if self.slo else True)
             outcome = "degraded" if degraded else "ok"
-            items = [InferenceRecord(
-                latency, accuracy, satisfied, strategy, cache_hit,
-                amortized_decision, amortized_switch, None, outcome)] * n
+            fields = (latency, accuracy, satisfied, strategy, cache_hit,
+                      amortized_decision, amortized_switch, None, outcome)
+            if fields != self._shared_fields:
+                self._shared_fields = fields
+                self._shared = InferenceRecord(*fields)
+            items = [self._shared] * n
             self.records += items
             for _ in items:
                 sim_t = sim_t + latency

@@ -6,7 +6,9 @@ each observer the whole dispatch in one call.  Under null telemetry that
 makes the observer cost of a dispatch independent of its size: the law
 below counts calls into the null forms' methods at ``n = 1`` and
 ``n = 8`` and requires the same count, so per-item observer work cannot
-creep back one convenient loop at a time.
+creep back one convenient loop at a time.  The same law holds for the
+records a cache hit repeats: after the first hit, a dispatch that
+changes nothing builds no ``DecisionRecord`` and no ``InferenceRecord``.
 """
 
 import collections
@@ -17,11 +19,14 @@ import numpy as np
 import pytest
 
 from repro.core import SLO, Murmuration, SearchDecisionEngine
+from repro.core.decision import DecisionRecord
+from repro.core.murmuration import InferenceRecord
 from repro.devices.profiles import desktop_gtx1080, jetson_class, rpi4
 from repro.eval.spec import PinnedTimeEngine
 from repro.nas.search_space import MBV3_SPACE
 from repro.netsim import NetworkCondition
-from repro.runtime import BatchingInferenceServer, BatchPolicy
+from repro.runtime import (BatchingInferenceServer, BatchPolicy,
+                           InferenceServer)
 from repro.telemetry import metrics, recorder, tracing
 
 #: the null observers a serving run calls
@@ -90,3 +95,43 @@ def test_a_price_once_batch_shares_one_frozen_record():
         sim_t = sim_t + first.latency_s
         assert finish == sim_t
     assert res.finish_s == sim_t == system.clock.now
+
+
+def _records_built(monkeypatch, batched: bool,
+                   hits: int) -> collections.Counter:
+    """Decision and item records constructed while a server serves one
+    miss dispatch, then ``hits`` cache-hit dispatches."""
+    built: collections.Counter = collections.Counter()
+
+    def counting(cls):
+        init = cls.__init__
+
+        def wrapped(self, *args, **kwargs):
+            built[cls.__name__] += 1
+            init(self, *args, **kwargs)
+        return wrapped
+
+    for cls in (DecisionRecord, InferenceRecord):
+        monkeypatch.setattr(cls, "__init__", counting(cls))
+    cap = 8 if batched else 1
+
+    def arrivals(rng, n):   # a dispatch's members together, one a second
+        return np.repeat(np.arange(n // cap, dtype=float), cap)
+
+    server = (BatchingInferenceServer(_system(), 10.0,
+                                      policy=BatchPolicy(max_batch=cap),
+                                      arrival_process=arrivals)
+              if batched else
+              InferenceServer(_system(), 10.0, arrival_process=arrivals))
+    stats = server.run(cap * (1 + hits))
+    assert server.system.cache.hits == hits
+    assert len(stats.records) == cap * (1 + hits)
+    monkeypatch.undo()
+    return built
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["fifo", "batched"])
+def test_a_hit_dispatch_builds_no_record_it_repeats(monkeypatch, batched):
+    short = _records_built(monkeypatch, batched, 4)
+    long = _records_built(monkeypatch, batched, 32)
+    assert short and short == long, (short, long)
