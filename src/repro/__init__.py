@@ -37,6 +37,7 @@ import sys
 import typing
 from importlib import import_module
 from numbers import Integral
+from operator import add
 from typing import (Annotated, Callable, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
 
@@ -192,3 +193,35 @@ class Checked:
 
     def __post_init__(self):
         check_fields(self)
+
+
+# -- NumPy's float64 mean, bit for bit ----------------------------------------
+
+def _pairwise_sum(values: List[float]) -> float:
+    """NumPy's float64 ``pairwise_sum`` (``loops_utils.h.src``), step for
+    step: one loop under 8 values, 8 accumulators to 128, halves above."""
+    n = len(values)
+    if n < 8:
+        s = -0.0
+        for v in values:
+            s += v
+        return s
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    r = values[:8]
+    rest = n - n % 8
+    for i in range(8, rest, 8):
+        r = list(map(add, r, values[i:i + 8]))
+    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for v in values[rest:]:
+        s += v
+    return s
+
+
+def _mean(values: List[float]) -> float:
+    """``float(np.mean(values))`` bit for bit, without NumPy's dispatch:
+    ``np.add.reduce`` adds the pairwise sum to its identity 0.0.  The
+    accuracy model's means and the monitor's error signal take it
+    (``tests/nas/test_graph_reference.py`` fuzzes the two)."""
+    return (0.0 + _pairwise_sum(values)) / len(values)

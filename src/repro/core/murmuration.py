@@ -120,7 +120,7 @@ class BatchInferenceResult:
     exec_start_s: float
     #: absolute completion time of each item, in batch order
     item_finish_s: List[float]
-    #: completion time of the last item (== the final ``_now``)
+    #: completion time of the last item (== the final ``clock.now``)
     finish_s: float
     cache_hit: bool
 
@@ -246,16 +246,6 @@ class Murmuration:
         # snapshot gauges refresh at export time, not per request
         reg.add_collect_hook(self._sync_cache_metrics)
 
-    @property
-    def _now(self) -> float:
-        """The facade's current simulated time (the shared clock's).
-
-        Read-only: time moves through :attr:`clock` — ``advance`` /
-        ``advance_to`` for the monotone serving path, ``reset`` for the
-        batched overlap rewind — never by assigning a float.
-        """
-        return self.clock.now
-
     # -- control plane -----------------------------------------------------
     def set_slo(self, slo: SLO) -> None:
         """The SLO API: a single scalar latency or accuracy objective."""
@@ -270,7 +260,7 @@ class Murmuration:
 
     def observed_condition(self, now: Optional[float] = None) -> NetworkCondition:
         """Monitor probe round -> smoothed estimate (+ optional forecast)."""
-        now = self._now if now is None else now
+        now = self.clock.now if now is None else now
         measurements = self.monitor.probe_all(now)
         estimate = self.monitor.estimate()
         if self.predictor is not None:
@@ -295,7 +285,7 @@ class Murmuration:
         """
         # the ladder's target, with open link circuits excluded too;
         # the gateway competes
-        target = self._ladder.target(self._now, links=True)
+        target = self._ladder.target(self.clock.now, links=True)
         device = self.cluster.device
         if target is None or (device(0).effective_flops
                               > device(target).effective_flops):
@@ -324,7 +314,7 @@ class Murmuration:
         record = self.engine.decide(self.slo, condition)
         if record.strategy is None:
             return self._note_decision(record)
-        if not self.health.blocked(record.strategy.plan, self._now):
+        if not self.health.blocked(record.strategy.plan, self.clock.now):
             self.cache.put(self.slo, condition, record.strategy)
         elif self.resilience.failover:
             # Proactive reroute: avoid re-paying timeouts on devices the
@@ -340,7 +330,7 @@ class Murmuration:
         """Count, time and record one decision, whatever produced it."""
         self._count_decision(record.engine)
         self._m_decision_s.observe(record.decision_time_s)
-        self.recorder.on_decision(self._now, record.engine,
+        self.recorder.on_decision(self.clock.now, record.engine,
                                   record.decision_time_s,
                                   record.engine == "cache")
         return record
@@ -389,7 +379,7 @@ class Murmuration:
             if self.cache.peek(self.slo, cond) is None:
                 rec = self.engine.decide(self.slo, cond)
                 if rec.strategy is not None and not self.health.blocked(
-                        rec.strategy.plan, self._now):
+                        rec.strategy.plan, self.clock.now):
                     self.cache.put(self.slo, cond, rec.strategy)
                     computed += 1
         return computed
@@ -426,11 +416,11 @@ class Murmuration:
             # association order than ((start + d) + s) + l can land a
             # few ulps below the clock.  Tolerate float noise, reject
             # genuine rewinds.
-            tol = 1e-9 * max(1.0, self.clock.now)
-            if now < self.clock.now - tol:
+            clock_now = self.clock.now
+            if now < clock_now - 1e-9 * max(1.0, clock_now):
                 raise ValueError(
                     f"infer(now={now}) would rewind the simulated clock "
-                    f"from {self.clock.now}; serving time is monotone "
+                    f"from {clock_now}; serving time is monotone "
                     f"(the batched overlap path is the one legitimate "
                     f"rewind and goes through infer_batch)")
         return self._serve(
@@ -467,10 +457,11 @@ class Murmuration:
         carries forward so the batch re-plans as a unit.
 
         Clock model: the decision starts at ``now`` (default: the
-        current ``_now``); the switch begins once the decision is done
-        *and* the executor is free (``exec_not_before``, which lets a
-        pipelined server overlap this batch's decision with the previous
-        batch's execution); ``_now`` ends at the last item's completion.
+        current ``clock.now``); the switch begins once the decision is
+        done *and* the executor is free (``exec_not_before``, which lets
+        a pipelined server overlap this batch's decision with the
+        previous batch's execution); ``clock.now`` ends at the last
+        item's completion.
         ``now`` may rewind the clock here: batch k+1's decision starts
         while batch k still executes — pipeline time, not a causality
         violation, because decision starts are monotone across batches.
@@ -511,8 +502,8 @@ class Murmuration:
             # Facade-only deployment: the facade drives the cadence.  A
             # server-attached loop ticks at the server instead, where
             # queue depth and request windows are known.
-            self.control.maybe_tick(self._now)
-        start = self._now
+            self.control.maybe_tick(self.clock.now)
+        start = self.clock.now
         self.faults.advance(start)
         self.faults.apply_to(self.cluster, self._base_condition)
         tracer = self.telemetry.tracer
@@ -594,7 +585,7 @@ class Murmuration:
                         logits = ran.logits
                     else:
                         ran = self._ladder.climb(self._priced, served.arch,
-                                                 served.plan, self._now)
+                                                 served.plan, self.clock.now)
                 except ExecutionFailedError as e:
                     latency, accuracy, outcome = e.wasted_s, 0.0, "failed"
                     retries, failovers = e.retries, 0
@@ -643,7 +634,8 @@ class Murmuration:
         # ``finish`` — so callers that never pass ``now=`` stay in step
         # with fault schedules and health cooldowns.
         self.clock.advance_to(sim_t)
-        self._drain_health()
+        if self.faults.can_fail:   # else NULL_HEALTH: nothing opens
+            self._drain_health()
         return BatchInferenceResult(
             items=items, decision_time_s=decision.decision_time_s,
             switch_time_s=switch_time, decision_start_s=start,
@@ -681,7 +673,7 @@ class Murmuration:
         Breakers are stamped at the dispatch start; ``penalty`` is not
         read.
         """
-        faults, health, now = self.faults, self.health, self._now
+        faults, health, now = self.faults, self.health, self.clock.now
         retry = self.resilience.retry
         remotes = [d for d in plan.devices_used() if d != 0]
         dead = next((d for d in remotes if not faults.reachable(0, d)), None)

@@ -59,13 +59,13 @@ class StrategyCache:
 
     # -- key construction ---------------------------------------------------
     def _key(self, slo: SLO, condition: NetworkCondition) -> tuple:
+        # round() of a float (NumPy's included) is already an int
         bw_step, delay_step = self.bw_step, self.delay_step
         return (
             slo.kind,
-            int(round(slo.value / self.slo_step)),
-            tuple([int(round(b / bw_step))
-                   for b in condition.bandwidths_mbps]),
-            tuple([int(round(d / delay_step)) for d in condition.delays_ms]),
+            round(slo.value / self.slo_step),
+            tuple([round(b / bw_step) for b in condition.bandwidths_mbps]),
+            tuple([round(d / delay_step) for d in condition.delays_ms]),
         )
 
     def _cell(self, slo: SLO, condition: NetworkCondition) -> tuple:
@@ -160,12 +160,13 @@ class StrategyCache:
         dropped = 0
         if rekey:
             # Iterating oldest -> newest means a collision is resolved
-            # in favour of the more recently used entry, and the new
-            # store's insertion order preserves the old LRU order.
+            # in favour of the more recently used entry, which moves to
+            # the end: the new store's order is the old LRU order.
             for slo, condition, strategy in old.values():
                 key = self._key(slo, condition)
                 if key in self._store:
                     dropped += 1
+                    del self._store[key]
                 self._store[key] = (slo, condition, strategy)
         else:
             dropped = len(old)

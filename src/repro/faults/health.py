@@ -238,9 +238,9 @@ class NullHealth:
     """The breakers of a run without a fault injector, where no
     delivery can fail: every circuit closed, nothing recorded, nothing
     newly opened (DESIGN.md, "Optional subsystems").  ``state`` /
-    ``link_state`` / ``snapshot`` are only read from a real
-    :class:`DeviceHealth`; :meth:`blocked` does not even enumerate the
-    plan's devices."""
+    ``link_state`` / ``snapshot`` are only read, and opened circuits
+    only drained, from a real :class:`DeviceHealth`; :meth:`blocked`
+    does not even enumerate the plan's devices."""
 
     def allow(self, device, now) -> bool:
         return True
@@ -262,11 +262,6 @@ class NullHealth:
 
     def blocked(self, plan, now) -> tuple:
         return ()
-
-    def drain_opened(self) -> tuple:
-        return ()
-
-    drain_opened_links = drain_opened
 
 
 #: what a component given no ``health`` holds

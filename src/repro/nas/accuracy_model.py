@@ -25,9 +25,9 @@ linearity.
 from __future__ import annotations
 
 import hashlib
-from operator import add
 from typing import List, Optional
 
+from .. import _mean
 from ..partition.plan import ExecutionPlan
 from .arch import ArchConfig
 from .search_space import SearchSpace
@@ -57,35 +57,6 @@ def _residual(key: tuple) -> float:
     digest = hashlib.sha256(repr(key).encode()).digest()
     u = int.from_bytes(digest[:8], "little") / 2 ** 64
     return (2.0 * u - 1.0) * _RESIDUAL_SCALE
-
-
-def _pairwise_sum(values: List[float]) -> float:
-    """NumPy's float64 ``pairwise_sum`` (``loops_utils.h.src``), step for
-    step: one loop under 8 values, 8 accumulators to 128, halves above."""
-    n = len(values)
-    if n < 8:
-        s = -0.0
-        for v in values:
-            s += v
-        return s
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
-    r = values[:8]
-    rest = n - n % 8
-    for i in range(8, rest, 8):
-        r = list(map(add, r, values[i:i + 8]))
-    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for v in values[rest:]:
-        s += v
-    return s
-
-
-def _mean(values: List[float]) -> float:
-    """``float(np.mean(values))`` bit for bit, without NumPy's dispatch:
-    ``np.add.reduce`` adds the pairwise sum to its identity 0.0
-    (``tests/nas/test_graph_reference.py`` fuzzes the two)."""
-    return (0.0 + _pairwise_sum(values)) / len(values)
 
 
 def arch_accuracy(arch: ArchConfig, space: SearchSpace) -> float:

@@ -18,7 +18,7 @@ from typing import Annotated, Deque, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .. import Bound, Finite, IntAtLeast, NonNegative, check_fields
+from .. import Bound, Finite, IntAtLeast, NonNegative, _mean, check_fields
 from ..telemetry import Telemetry
 from .topology import Cluster, NetworkCondition
 
@@ -69,7 +69,6 @@ class NetworkMonitor:
         self._smoothed_delay: Dict[int, float] = {}
         self.telemetry = Telemetry.of(telemetry)
         reg = self.telemetry.registry.child("monitor")
-        # pre-resolved: the probe hot path is a plain increment
         self._m_probes = reg.counter("probes_total",
                                      help="monitoring samples",
                                      source="active")
@@ -83,42 +82,48 @@ class NetworkMonitor:
         self._m_delay_err = reg.histogram(
             "delay_estimate_rel_error",
             help="|smoothed delay - true delay| / true delay")
+        self._observe_probe = reg.observer(self._count_probe)
 
     # -- probing -------------------------------------------------------------
-    def active_probe(self, device: int, now: float = 0.0) -> Measurement:
-        """Ping + short bandwidth probe against one remote device, in one
-        pass: bandwidth draw, delay draw, EWMA, counter, then both
-        estimate errors against the true link."""
-        if not (1 <= device < self.cluster.num_devices):
-            raise ValueError(f"device {device} is not a remote device")
+    def probe_all(self, now: float = 0.0) -> List[Measurement]:
+        """One round of ping + short bandwidth probes, remotes in order.
+        Per remote: bandwidth draw, delay draw, EWMA, then one observer
+        call (the counter and both estimate errors against the truth)."""
         cond = self.cluster.condition
-        true_bw = cond.bandwidths_mbps[device - 1]
-        true_delay = cond.delays_ms[device - 1]
-        k = self._drawn
-        if k == _BLOCK:    # a probe takes two: a block never splits one
-            self._normals = self._rng.standard_normal(_BLOCK).tolist()
-            k = 0
-        self._drawn = k + 2
-        bw = true_bw * math.exp(0.0 + self.noise * self._normals[k])
-        delay = true_delay * math.exp(0.0 + self.noise * self._normals[k + 1])
-        m = Measurement(device, bw, delay, now, "active")
-        self._recent.append(m)
-        a = self.ewma_alpha
+        noise, a = self.noise, self.ewma_alpha
         smoothed_bw, smoothed_delay = self._smoothed_bw, self._smoothed_delay
-        if device in smoothed_bw:
-            bw = smoothed_bw[device] = a * bw + (1 - a) * smoothed_bw[device]
-            delay = smoothed_delay[device] = (
-                a * delay + (1 - a) * smoothed_delay[device])
-        else:
-            smoothed_bw[device], smoothed_delay[device] = bw, delay
+        normals, k = self._normals, self._drawn
+        out = []
+        for device in range(1, self.cluster.num_devices):
+            true_bw = cond.bandwidths_mbps[device - 1]
+            true_delay = cond.delays_ms[device - 1]
+            if k == _BLOCK:    # a probe takes two: a block never splits one
+                normals = self._normals = self._rng.standard_normal(
+                    _BLOCK).tolist()
+                k = 0
+            bw = true_bw * math.exp(0.0 + noise * normals[k])
+            delay = true_delay * math.exp(0.0 + noise * normals[k + 1])
+            k += 2
+            m = Measurement(device, bw, delay, now, "active")
+            self._recent.append(m)
+            out.append(m)
+            if device in smoothed_bw:
+                bw = smoothed_bw[device] = (
+                    a * bw + (1 - a) * smoothed_bw[device])
+                delay = smoothed_delay[device] = (
+                    a * delay + (1 - a) * smoothed_delay[device])
+            else:
+                smoothed_bw[device], smoothed_delay[device] = bw, delay
+            self._observe_probe(bw, true_bw, delay, true_delay)
+        self._drawn = k
+        return out
+
+    def _count_probe(self, bw: float, true_bw: float, delay: float,
+                     true_delay: float) -> None:
+        """One probe's metrics (``registry.observer``)."""
         self._m_probes.inc()
         self._m_bw_err.observe_rel_error(bw, true_bw)
         self._m_delay_err.observe_rel_error(delay, true_delay)
-        return m
-
-    def probe_all(self, now: float = 0.0) -> List[Measurement]:
-        return [self.active_probe(d, now)
-                for d in range(1, self.cluster.num_devices)]
 
     # -- state ---------------------------------------------------------------
     def recent_rel_error(self) -> Tuple[float, float]:
@@ -139,8 +144,8 @@ class NetworkMonitor:
                 bw_errs.append(abs(m.bandwidth_mbps - sm_bw) / sm_bw)
             if sm_delay:
                 delay_errs.append(abs(m.delay_ms - sm_delay) / sm_delay)
-        return (float(np.mean(bw_errs)) if bw_errs else 0.0,
-                float(np.mean(delay_errs)) if delay_errs else 0.0)
+        return (_mean(bw_errs) if bw_errs else 0.0,
+                _mean(delay_errs) if delay_errs else 0.0)
 
     def estimate(self) -> NetworkCondition:
         """Current smoothed estimate of all links.

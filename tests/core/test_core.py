@@ -291,6 +291,24 @@ class TestSetSteps:
         assert cache.peek(slo, c_b) is None  # B was oldest: evicted
         assert cache.peek(slo, c_a) is s
 
+    def test_a_collision_survivor_keeps_its_recency(self):
+        """The entry that wins a collision is the most recently used of
+        the cell: it takes the newer position, so a later eviction goes
+        to an entry used before it."""
+        cache = StrategyCache(capacity=3, bw_step=25.0)
+        slo = SLO.latency(0.1)
+        a, b, c = _strategy(), _strategy(), _strategy()
+        cache.put(slo, NetworkCondition((100.0,), (10.0,)), a)  # cell 4
+        cache.put(slo, NetworkCondition((200.0,), (10.0,)), c)  # cell 8
+        cache.put(slo, NetworkCondition((120.0,), (10.0,)), b)  # cell 5
+        # at 50: A and B collide in cell 2, and B, used last, survives
+        assert cache.set_steps(bw_step=50.0) == 1
+        assert [e[2] for e in cache._store.values()] == [c, b]
+        cache.put(slo, NetworkCondition((400.0,), (10.0,)), _strategy())
+        cache.put(slo, NetworkCondition((600.0,), (10.0,)), _strategy())
+        assert cache.peek(slo, NetworkCondition((200.0,), (10.0,))) is None
+        assert cache.peek(slo, NetworkCondition((120.0,), (10.0,))) is b
+
 
 @pytest.fixture(scope="module")
 def devices():
@@ -366,11 +384,11 @@ class TestMurmurationFacade:
         sys = self._system(devices, use_predictor=False)
         rec = sys.infer(now=0.0)
         assert rec.decision_time_s > 0.0  # first request really decides
-        assert sys._now == pytest.approx(
+        assert sys.clock.now == pytest.approx(
             rec.decision_time_s + rec.switch_time_s + rec.latency_s)
-        before = sys._now
+        before = sys.clock.now
         rec2 = sys.infer()
-        assert sys._now == pytest.approx(
+        assert sys.clock.now == pytest.approx(
             before + rec2.decision_time_s + rec2.switch_time_s
             + rec2.latency_s)
 
@@ -421,7 +439,7 @@ class TestMurmurationFacade:
                           seed=1, clock=clock)
         assert sys.clock is clock
         clock.advance_to(5.0)
-        assert sys._now == 5.0
+        assert sys.clock.now == 5.0
         sys.infer(now=6.0)
         assert clock.now > 6.0  # service time accrued on the shared clock
 

@@ -8,6 +8,7 @@ build once, compile on first pricing, stay bounded, keep plans alive.
 """
 
 import gc
+import os
 import weakref
 from dataclasses import replace
 
@@ -28,7 +29,7 @@ from repro.faults import (DeviceCrash, FaultInjector, FaultSchedule,
                           LinkDegradation, LinkFailure, LinkFlap, Straggler)
 from repro.faults.resilience import NoRouteError
 from repro.nas.accuracy_model import arch_accuracy, plan_accuracy_penalty
-from repro.nas.arch import max_arch, min_arch, random_arch
+from repro.nas.arch import ArchConfig, max_arch, min_arch, random_arch
 from repro.nas.search_space import MBV3_SPACE
 from repro.netsim import Cluster, NetworkCondition, ring_topology
 from repro.partition import simulate_latency, single_device_plan, spatial_plan
@@ -41,6 +42,7 @@ from tests.core.reference_decide import (reference_oracle_decide,
 from tests.partition.test_compiled_kernel import priced_cases, star
 
 NAN = float("nan")
+KERNEL_N = int(os.environ.get("PRICE_KERNEL_N", "100"))
 
 
 def devices(n):
@@ -577,6 +579,58 @@ def test_a_memoised_price_is_a_fresh_price_after_every_mutation(case, data):
             ring_faults.advance(data.draw(st.floats(0.0, 6.0)))
             ring_faults.apply_to(ring)
         check()
+
+
+@settings(max_examples=KERNEL_N, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from(["price", "repeat", "condition", "scale"]),
+    st.integers(0, 1), st.integers(0, 2), st.integers(0, 1),
+    st.integers(0, 2 ** 16)), min_size=1, max_size=24))
+def test_a_repeated_price_is_the_oracles_and_hashes_no_arch(steps):
+    """``latency`` over 2 archs, 2 plans each plus an equal-content copy
+    of the first, and 2 clusters that move under it: every price is
+    ``simulate_latency``'s, and an immediate repeat on an unchanged
+    cluster is answered without hashing its ``ArchConfig``."""
+    model = PlanCostModel(MBV3_SPACE, devices(3))
+    archs = [min_arch(MBV3_SPACE), max_arch(MBV3_SPACE)]
+    plans = [[single_device_plan(model.graph(a), device=1),
+              spatial_plan(model.graph(a), Grid(1, 2), [1, 2]),
+              single_device_plan(model.graph(a), device=1)] for a in archs]
+    for same in plans:    # equal content, another object
+        assert (list(same[0]), same[0].output_device) \
+            == (list(same[2]), same[2].output_device)
+        assert same[0] is not same[2]
+    worlds = [star(3, seed=1), star(3, seed=2)]
+    hashes = []
+    real_hash = ArchConfig.__hash__
+
+    def counting(self):
+        hashes.append(self)
+        return real_hash(self)
+
+    last, moved = None, False   # moved: the last call's cluster changed
+    for kind, a, p, w, seed in steps:
+        if kind in ("condition", "scale"):
+            if kind == "condition":
+                worlds[w].set_condition(star(3, seed=seed).condition)
+            else:
+                worlds[w].compute_scale = {seed % 3: 1.0 + seed % 7}
+            moved = moved or (last is not None and last[2] is worlds[w])
+            continue
+        call = last if kind == "repeat" and last else (
+            archs[a], plans[a][p], worlds[w])
+        del hashes[:]
+        ArchConfig.__hash__ = counting
+        try:
+            got = model.latency(*call)
+        finally:
+            ArchConfig.__hash__ = real_hash
+        arch, plan, world = call
+        assert got == simulate_latency(model.graph(arch), plan,
+                                       world).total_s
+        if call is last and not moved:
+            assert not hashes, "a repeat hashed its arch"
+        last, moved = call, False
 
 
 @pytest.fixture

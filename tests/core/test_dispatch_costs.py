@@ -9,6 +9,9 @@ below counts calls into the null forms' methods at ``n = 1`` and
 creep back one convenient loop at a time.  The same law holds for the
 records a cache hit repeats: after the first hit, a dispatch that
 changes nothing builds no ``DecisionRecord`` and no ``InferenceRecord``.
+Two null forms cost a fixed amount: a probe round under null telemetry
+makes one no-op metric call per remote, and a hit dispatch in a world
+that cannot fail makes no call into the null breakers at all.
 """
 
 import collections
@@ -23,8 +26,9 @@ from repro.core.decision import DecisionRecord
 from repro.core.murmuration import InferenceRecord
 from repro.devices.profiles import desktop_gtx1080, jetson_class, rpi4
 from repro.eval.spec import PinnedTimeEngine
+from repro.faults.health import NULL_HEALTH, NullHealth
 from repro.nas.search_space import MBV3_SPACE
-from repro.netsim import NetworkCondition
+from repro.netsim import Cluster, NetworkCondition, NetworkMonitor
 from repro.runtime import (BatchingInferenceServer, BatchPolicy,
                            InferenceServer)
 from repro.telemetry import metrics, recorder, tracing
@@ -44,9 +48,9 @@ def _system():
                        monitor_noise=0.0, seed=0)
 
 
-def _null_calls(monkeypatch, cap: int) -> collections.Counter:
-    """Calls into the null observers while a batched server serves two
-    full dispatches of ``cap`` requests each (a miss, then a hit)."""
+def _count_calls(monkeypatch, classes) -> collections.Counter:
+    """From here on, every call into a method of ``classes`` (dunders
+    aside, but for a context manager's) counts as ``Class.method``."""
     calls: collections.Counter = collections.Counter()
 
     def counting(cls, name, fn):
@@ -55,11 +59,18 @@ def _null_calls(monkeypatch, cap: int) -> collections.Counter:
             return fn(*args, **kwargs)
         return wrapped
 
-    for cls in NULL_OBSERVERS:
+    for cls in classes:
         for name, fn in inspect.getmembers(cls, inspect.isfunction):
             if not name.startswith("__") or name in ("__enter__",
                                                      "__exit__"):
                 monkeypatch.setattr(cls, name, counting(cls, name, fn))
+    return calls
+
+
+def _null_calls(monkeypatch, cap: int) -> collections.Counter:
+    """Calls into the null observers while a batched server serves two
+    full dispatches of ``cap`` requests each (a miss, then a hit)."""
+    calls = _count_calls(monkeypatch, NULL_OBSERVERS)
     server = BatchingInferenceServer(
         _system(), 10.0, policy=BatchPolicy(max_batch=cap),
         arrival_process=lambda rng, n: np.zeros(n))
@@ -135,3 +146,35 @@ def test_a_hit_dispatch_builds_no_record_it_repeats(monkeypatch, batched):
     short = _records_built(monkeypatch, batched, 4)
     long = _records_built(monkeypatch, batched, 32)
     assert short and short == long, (short, long)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_a_null_probe_round_makes_one_call_per_remote(monkeypatch, n):
+    """The counter and both error histograms of a probe are one
+    ``registry.observer`` call: under null telemetry, one no-op each."""
+    calls = _count_calls(monkeypatch, NULL_OBSERVERS)
+    monitor = NetworkMonitor(Cluster([rpi4()] * n, NetworkCondition(
+        (100.0,) * (n - 1), (10.0,) * (n - 1))), seed=0)
+    calls.clear()   # construction is not per probe
+    assert len(monitor.probe_all()) == n - 1
+    assert calls == {"_NullMetric.inc": n - 1}
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["fifo", "batched"])
+def test_a_hit_in_a_world_that_cannot_fail_calls_no_null_breaker(
+        monkeypatch, batched):
+    system = _system()
+    assert system.health is NULL_HEALTH
+    # warm the cache for the (noiseless) observed cell: every dispatch hits
+    assert system.precompute([system.cluster.condition]) == 1
+    calls = _count_calls(monkeypatch, [NullHealth])
+    cap = 8 if batched else 1
+    server = (BatchingInferenceServer(system, 10.0,
+                                      policy=BatchPolicy(max_batch=cap),
+                                      arrival_process=lambda rng, n:
+                                      np.zeros(n))
+              if batched else InferenceServer(system, 10.0))
+    stats = server.run(4 * cap)
+    assert len(stats.records) == 4 * cap
+    assert system.cache.hits == 4 and system.cache.misses == 0
+    assert not calls, dict(calls)

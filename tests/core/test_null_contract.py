@@ -52,9 +52,11 @@ PAIRS = {
     # capacity steps go to the ingress the caller built and scheduled
     "ingress": ((SharedIngress,), NULL_INGRESS, {"set_capacity"}),
     # ``state`` / ``snapshot`` / ``link_state`` are read only from a
-    # real ``DeviceHealth`` (tests, dashboards), never from a component
+    # real ``DeviceHealth`` (tests, dashboards), never from a component;
+    # the facade drains opened circuits only from a real one
     "health": ((DeviceHealth,), NULL_HEALTH, {"of", "state", "snapshot",
-                                              "link_state"}),
+                                              "link_state", "drain_opened",
+                                              "drain_opened_links"}),
     # ``is_down`` / ``compute_scale`` are read only from a real injector
     # (tests); ``apply_to`` is what moves the cluster
     "faults": ((FaultInjector,), NULL_FAULTS, {"of", "is_down",

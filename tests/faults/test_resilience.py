@@ -160,7 +160,6 @@ class TestNoOpGuarantee:
         assert system.health.blocked(plan, 0.0) == ()
         assert system.health.allow(1, 0.0)
         assert not system.health.record_failure(1, 0.0)
-        assert system.health.drain_opened() == ()
         assert not [m.name for m in tel.registry.collect()
                     if m.name.startswith("health")]
         # an empty schedule cannot fail either, so it gets them too
