@@ -27,7 +27,6 @@ Design contract:
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Annotated, List, Optional, Sequence
@@ -152,9 +151,7 @@ class ControlLoop:
 
         When ``now`` jumped several periods past the next due tick, one
         tick fires (observing the world at ``now``: the past is gone)
-        and the cadence realigns past ``now``.  Under the event core
-        :func:`~repro.sim.sources.schedule_control_ticks` fires every
-        period at its true instant instead.
+        and the cadence realigns past ``now``.
         """
         if stats is not None:
             self._stats = stats
@@ -246,8 +243,6 @@ class NullControl:
     server-facing surface of :class:`ControlLoop`, never due, never
     attached, every request served."""
 
-    #: never comes due — ``schedule_control_ticks`` schedules nothing
-    period_s = math.inf
     #: never server-attached, so the facade offers it the cadence
     server = None
 

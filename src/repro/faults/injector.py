@@ -21,7 +21,7 @@ lost, nothing scheduled (DESIGN.md, "Optional subsystems").
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -84,11 +84,6 @@ class FaultInjector:
         return out
 
     # -- time -------------------------------------------------------------
-    def transition_times(self) -> Tuple[float, ...]:
-        """The schedule's onset/recovery instants (for the event core:
-        one scheduled world re-application per instant)."""
-        return self.schedule.transition_times()
-
     def advance(self, now: float) -> List[FaultEvent]:
         """Move the injector's clock; returns events that just became
         active (fault onsets) for logging/telemetry."""
@@ -199,9 +194,6 @@ class NullFaults:
 
     schedule = FaultSchedule()
     can_fail = False
-
-    def transition_times(self) -> Tuple[float, ...]:
-        return ()
 
     def advance(self, now) -> tuple:
         return ()

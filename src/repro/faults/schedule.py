@@ -283,8 +283,8 @@ class FaultSchedule:
         which the schedule's active set (and hence the world overlay)
         can change.  A :class:`LinkFlap`'s internal up/down bursts are
         *not* listed: the flap's memoized burst pattern is a property
-        of query time, not a schedulable transition.  The event core
-        schedules one world re-application per listed instant.
+        of query time, not a schedulable transition.  The segment
+        lookup bisects ``now`` into them.
         """
         times = {float(e.start) for e in self.events}
         times.update(float(e.end) for e in self.events

@@ -296,11 +296,8 @@ class InferenceServer:
                      start: float) -> None:
         """Switch the true world to the trace cell a dispatch *starts*
         in — not the one it arrived in: a queued request must see the
-        network as it is when it runs.  This is the boundary-only model
-        (the world changes when a request touches it); schedule the
-        trace on an event loop
-        (:func:`~repro.sim.sources.schedule_condition_trace`) to apply
-        steps at their true instants instead.
+        network as it is when it runs.  This is the boundary-only model:
+        the world changes when a request touches it.
         """
         if condition_trace:
             idx, condition = condition_at(condition_trace, start,

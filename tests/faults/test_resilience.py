@@ -151,7 +151,6 @@ class TestNoOpGuarantee:
             SearchDecisionEngine(MBV3_SPACE, devices, n_random_archs=2),
             slo=SLO.latency_ms(300.0), telemetry=tel)
         assert system.faults is NULL_FAULTS and not system.faults.can_fail
-        assert system.faults.transition_times() == ()
         assert system.health is NULL_HEALTH
         assert not isinstance(system.health, DeviceHealth)
         assert system.resilience == ResilienceConfig()

@@ -34,11 +34,6 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Set
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
-_SOURCES = ("a world-change event source: server_loop_digests pins it "
-            "(fifo/admission_shed_streaks, batched/event_trace); ROADMAP "
-            "2(b) decides its fate")
-_EVENTS = ("EventLoop surface the world-change sources build on "
-           "(ROADMAP 2(b)); tests/sim/test_event_loop.py pins it")
 _CONTENDED = ("a contended wire: the wire, route and fluid digests pin it; "
               "no scenario or workload contends a mesh")
 _FLUID = "fluid_price_digests pins it"
@@ -58,21 +53,6 @@ _TRACING = "tracer API: the tracing and timeline tests read spans through it"
 
 #: qualified name -> why it stays although no entry point reaches it
 KEEP: Dict[str, str] = {
-    "repro.sim.sources:_tick_count": _SOURCES,
-    "repro.sim.sources:schedule_condition_trace": _SOURCES,
-    "repro.sim.sources:schedule_condition_trace.<locals>.fire": _SOURCES,
-    "repro.sim.sources:schedule_fault_transitions": _SOURCES,
-    "repro.sim.sources:schedule_fault_transitions.<locals>.fire": _SOURCES,
-    "repro.sim.sources:schedule_control_ticks": _SOURCES,
-    "repro.sim.sources:schedule_monitor_caps": _SOURCES,
-    "repro.sim.sources:schedule_monitor_caps.<locals>.fire": _SOURCES,
-    "repro.faults.injector:FaultInjector.transition_times": _SOURCES,
-    "repro.sim.events:EventLoop.now": _EVENTS,
-    "repro.sim.events:EventLoop.pending": _EVENTS,
-    "repro.sim.events:EventLoop.peek_time": _EVENTS,
-    "repro.sim.events:EventLoop.advance": _EVENTS,
-    "repro.sim.events:EventLoop.run": _EVENTS,
-    "repro.sim.events:EventLoop.__len__": _EVENTS,
     "repro.netsim.mesh:MeshCluster.update_fluid_caps": _CONTENDED,
     "repro.netsim.mesh:MeshCluster.timed_transfer": _CONTENDED,
     "repro.netsim.topology:Cluster.update_fluid_caps": _CONTENDED,
@@ -97,7 +77,6 @@ KEEP: Dict[str, str] = {
     "repro.faults.health:NullHealth.allow_link": _NULL,
     "repro.faults.health:NullHealth.record_failure": _NULL,
     "repro.faults.health:NullHealth.record_link_failure": _NULL,
-    "repro.faults.injector:NullFaults.transition_times": _NULL,
     "repro.faults.injector:NullFaults.loss_prob": _NULL,
     "repro.telemetry.metrics:NullRegistry.get": _NULL,
     "repro.telemetry.tracing:NullTracer.active": _NULL,

@@ -15,10 +15,11 @@ from repro.nas import MBV3_SPACE
 from repro.netsim import NetworkCondition, TraceConfig, step_trace
 from repro.runtime import (BatchedServingStats, BatchingInferenceServer,
                            BatchPolicy, InferenceServer)
-from repro.sim import (EventLoop, schedule_condition_trace,
-                       schedule_control_ticks)
+from repro.sim import EventLoop
 from repro.telemetry import Telemetry
 from repro.telemetry.recorder import RunRecorder
+from tests.runtime.world_events import (schedule_condition_steps,
+                                        schedule_control_ticks)
 
 _DT = 0.02  # pinned per-miss decision cost: deterministic clocks
 
@@ -283,9 +284,11 @@ def _shedding_world(system, loop):
     trace and the gate's re-opening all scheduled on the event loop."""
     gate = _Gate()
     control = ControlLoop([gate], period_s=0.25)
-    schedule_control_ticks(loop, control, horizon_s=12.0)
-    schedule_condition_trace(loop, system, _parity_trace(), 0.5)
+    # world first, then the gate, then the ticks: at a shared instant
+    # the tick observes the changed world
+    schedule_condition_steps(loop, system, _parity_trace(), 0.5)
     loop.schedule(2.0, lambda t: setattr(gate, "closed", False))
+    schedule_control_ticks(loop, control, horizon_s=12.0)
     return control
 
 
@@ -496,5 +499,5 @@ class TestBatchedEvents:
             events=loop)
         stats = server.run(num_requests=24)
         assert fired == [0.05, 0.4]
-        assert loop.pending == 0
+        assert loop.fired_total == 2
         assert len(stats.records) == 24

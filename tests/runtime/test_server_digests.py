@@ -50,11 +50,12 @@ from repro.netsim import (FluidTracker, Link, NetworkCondition,
                           SharedIngress, TraceConfig, step_trace)
 from repro.runtime import (BatchingInferenceServer, BatchPolicy,
                            InferenceServer)
-from repro.sim import (EventLoop, schedule_condition_trace,
-                       schedule_control_ticks, schedule_ingress_trace)
+from repro.sim import EventLoop, schedule_ingress_trace
 from repro.telemetry import Telemetry
 from repro.telemetry.recorder import RunRecorder, write_recordings
 from tests.frozen import digest, sha256
+from tests.runtime.world_events import (schedule_condition_steps,
+                                        schedule_control_ticks)
 
 N = 120
 
@@ -114,7 +115,7 @@ def serve(name, *, policy=None, rate_hz=20.0, seed=0, slo_ms=200.0,
             schedule_ingress_trace(loop, ingress, ingress_trace, 1.0)
         server = InferenceServer(system, rate_hz, ingress=ingress, **common)
     if scheduled_trace:
-        schedule_condition_trace(loop, system, _trace(seed), 0.5,
+        schedule_condition_steps(loop, system, _trace(seed), 0.5,
                                  recorder=recorder)
     if scheduled_ticks:
         schedule_control_ticks(loop, control, horizon_s=N / rate_hz)

@@ -41,9 +41,7 @@ from repro.rl.spaces import ActionStep
 from repro.runtime.batching import BatchingInferenceServer, BatchPolicy
 from repro.runtime.predictor import LinearPredictor
 from repro.runtime.server import InferenceServer
-from repro.sim.sources import (schedule_condition_trace,
-                               schedule_control_ticks, schedule_ingress_trace,
-                               schedule_monitor_caps)
+from repro.sim.events import schedule_ingress_trace
 from repro.telemetry import Telemetry, Tracer
 
 _LINK = Link(100.0, 5.0)
@@ -85,12 +83,6 @@ OWNERS = {
                          trace_mbps=(40.0,), period_s=1.0),
     burst_arrival_process: dict(rate_hz=1.0, window=(0.0, 1.0),
                                 factor=2.0),
-    schedule_control_ticks: dict(loop=None, control=None, horizon_s=1.0),
-    schedule_monitor_caps: dict(loop=None, system=None,
-                                tracker=None, period_s=1.0,
-                                horizon_s=1.0),
-    schedule_condition_trace: dict(loop=None, system=None, trace=[],
-                                   period_s=1.0),
     schedule_ingress_trace: dict(loop=None, ingress=None,
                                  trace_mbps=(40.0,), period_s=1.0),
     condition_at: dict(trace=[1.0], t=0.0, period_s=1.0),
