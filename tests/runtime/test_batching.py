@@ -19,7 +19,7 @@ from repro.sim import EventLoop
 from repro.telemetry import Telemetry
 from repro.telemetry.recorder import RunRecorder
 from tests.runtime.world_events import (schedule_condition_steps,
-                                        schedule_control_ticks)
+                                        schedule_ticks)
 
 _DT = 0.02  # pinned per-miss decision cost: deterministic clocks
 
@@ -288,7 +288,7 @@ def _shedding_world(system, loop):
     # the tick observes the changed world
     schedule_condition_steps(loop, system, _parity_trace(), 0.5)
     loop.schedule(2.0, lambda t: setattr(gate, "closed", False))
-    schedule_control_ticks(loop, control, horizon_s=12.0)
+    schedule_ticks(loop, control, horizon_s=12.0)
     return control
 
 

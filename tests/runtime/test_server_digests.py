@@ -55,7 +55,7 @@ from repro.telemetry import Telemetry
 from repro.telemetry.recorder import RunRecorder, write_recordings
 from tests.frozen import digest, sha256
 from tests.runtime.world_events import (schedule_condition_steps,
-                                        schedule_control_ticks)
+                                        schedule_ticks)
 
 N = 120
 
@@ -118,7 +118,7 @@ def serve(name, *, policy=None, rate_hz=20.0, seed=0, slo_ms=200.0,
         schedule_condition_steps(loop, system, _trace(seed), 0.5,
                                  recorder=recorder)
     if scheduled_ticks:
-        schedule_control_ticks(loop, control, horizon_s=N / rate_hz)
+        schedule_ticks(loop, control, horizon_s=N / rate_hz)
     tags = ([tenants[i % len(tenants)] for i in range(N)]
             if tenants else None)
     stats = server.run(N, condition_trace=_trace(seed) if trace else None,

@@ -22,7 +22,7 @@ def schedule_condition_steps(loop, system, trace, period_s, recorder=None):
             loop.schedule(idx * period_s, lambda t, i=idx: fire(t, i))
 
 
-def schedule_control_ticks(loop, control, horizon_s):
+def schedule_ticks(loop, control, horizon_s):
     """A tick at every ``k * control.period_s`` up to ``horizon_s``."""
     k = 1
     while k * control.period_s <= horizon_s:
