@@ -15,11 +15,11 @@ Run:  python examples/device_swarm.py        (~2 min)
 
 import numpy as np
 
-from repro.core import SLO
+from repro.core import SLO, SearchDecisionEngine
 from repro.devices import rpi4
-from repro.eval import MurmurationOracle
 from repro.nas import (Supernet, SupernetTrainer, SyntheticImageDataset,
-                       TrainConfig, build_graph, max_arch, tiny_space)
+                       TrainConfig, build_graph, lattice_archs, max_arch,
+                       tiny_space)
 from repro.netsim import Cluster, NetworkCondition
 from repro.partition import Grid, spatial_front_plan
 from repro.runtime import DistributedExecutor
@@ -68,8 +68,9 @@ def scaling_sweep() -> None:
     base = None
     print(f"{'devices':>8s} {'latency':>10s} {'speedup':>8s} {'accuracy':>9s}")
     for n in (1, 2, 3, 5, 7, 9):
-        oracle = MurmurationOracle(MBV3_SPACE, [rpi4() for _ in range(n)])
-        s = oracle.decide(slo, condition_of(n))
+        engine = SearchDecisionEngine(MBV3_SPACE, [rpi4() for _ in range(n)],
+                                      archs=lattice_archs(MBV3_SPACE))
+        s = engine.decide(slo, condition_of(n)).strategy
         lat = s.expected_latency_s * 1e3
         base = base or lat
         print(f"{n:8d} {lat:8.1f}ms {base / lat:7.2f}x "

@@ -4,10 +4,14 @@ Two interchangeable engines:
 
 * :class:`RLDecisionEngine` — wraps a trained LSTM policy; one greedy
   rollout per decision (milliseconds — the Fig. 18 fast path);
-* :class:`SearchDecisionEngine` — exhaustive over seed architectures x
+* :class:`SearchDecisionEngine` — exhaustive over an arch set x
   canonical plan templates, priced through a
-  :class:`~repro.core.cost_model.PlanCostModel`; training-free (useful
-  as a bootstrap and as an upper-bound reference in tests).
+  :class:`~repro.core.cost_model.PlanCostModel`; training-free.  Over
+  its seeded default archs it serves every scenario; over
+  :func:`~repro.nas.arch.lattice_archs` it is the converged-policy
+  proxy Figs. 13-17 decide with (the paper's RL policy approaches this
+  choice after 20k training steps, Fig. 11), and the one exhaustive
+  reference a trained policy is measured against.
 
 Both return a :class:`~repro.core.strategy.Strategy` or ``None`` when no
 checked strategy satisfies the SLO.
@@ -92,7 +96,9 @@ class RLDecisionEngine:
 
 
 class SearchDecisionEngine:
-    """Exhaustive over seed archs x plan templates.
+    """Exhaustive over ``archs`` x plan templates; without ``archs``,
+    over the min and max submodels and ``n_random_archs`` seeded random
+    ones.
 
     The answer is the brute-force loop's (``tests/core/
     reference_decide.py`` keeps that loop as the oracle); the work is
@@ -104,12 +110,17 @@ class SearchDecisionEngine:
     """
 
     def __init__(self, space: SearchSpace, devices: Sequence[DeviceProfile],
-                 n_random_archs: int = 12, seed: int = 0):
+                 n_random_archs: int = 12, seed: int = 0,
+                 archs: Optional[Sequence[ArchConfig]] = None):
         self.space = space
         self.devices = list(devices)
-        rng = np.random.default_rng(seed)
-        self.archs: List[ArchConfig] = [min_arch(space), max_arch(space)]
-        self.archs += [random_arch(space, rng) for _ in range(n_random_archs)]
+        if archs is None:
+            rng = np.random.default_rng(seed)
+            archs = [min_arch(space), max_arch(space)]
+            archs += [random_arch(space, rng) for _ in range(n_random_archs)]
+        self.archs: List[ArchConfig] = list(archs)
+        if not self.archs:
+            raise ValueError("SearchDecisionEngine needs at least one arch")
         self._costs = PlanCostModel(space, self.devices)
 
     def decide(self, slo: SLO, condition: NetworkCondition) -> DecisionRecord:

@@ -1,5 +1,6 @@
-"""Evaluation drivers: scenarios, the Murmuration strategy oracle,
-per-figure experiments and text reporting."""
+"""Evaluation drivers: scenarios, per-figure experiments (Murmuration's
+choice in Figs. 13-17 is :class:`~repro.core.decision.SearchDecisionEngine`
+over :func:`~repro.nas.arch.lattice_archs`) and text reporting."""
 
 from .. import _lazy_exports
 
@@ -17,8 +18,6 @@ __all__, __getattr__, __dir__ = _lazy_exports(globals(), {
     "event_core": ("EventCoreConfig",),
     "multi_tenant": ("MultiTenantConfig", "TenantSpec", "default_tenants",
                      "tenant_arrivals"),
-    "murmuration_method": ("MurmurationOracle", "lattice_archs",
-                           "policy_method"),
     "replay": ("format_replay", "load_recordings", "replay_reports",
                "replay_stats", "rerecord", "verify_invariants"),
     "runner": ("SCENARIOS", "ScenarioReport", "build_world", "format_reports",

@@ -23,6 +23,7 @@ from ..devices.latency import model_switch_time, supernet_reconfig_time
 from ..devices.profiles import desktop_gtx1080, rpi4
 from ..models.vit import vit_small_16
 from ..models.zoo import MODEL_ZOO, get_model
+from ..nas.arch import lattice_archs
 from ..nas.evolution import EvolutionConfig, evolutionary_search
 from ..nas.graph_builder import build_graph
 from ..nas.search_space import MBV3_SPACE, SearchSpace
@@ -36,7 +37,6 @@ from ..partition.simulate import simulate_latency
 from ..partition.spatial import Grid
 from ..rl.env import EnvConfig, MurmurationEnv, Task
 from ..rl.policy import LSTMPolicy
-from .murmuration_method import MurmurationOracle
 from .scenarios import augmented_devices, swarm_devices
 
 __all__ = [
@@ -78,7 +78,7 @@ def _grid(devices, methods: Sequence[BaselineMethod], cells,
             return MethodPoint(False, None, None)
         return MethodPoint(True, accuracy, latency_s * 1e3)
 
-    oracle = MurmurationOracle(space, devices)
+    engine = SearchDecisionEngine(space, devices, archs=lattice_archs(space))
     out: PointGrid = {m.name: {} for m in methods}
     out["Murmuration (Ours)"] = {}
     for key, slo, condition in cells:
@@ -87,7 +87,7 @@ def _grid(devices, methods: Sequence[BaselineMethod], cells,
             r = m.evaluate(cluster, slo)
             out[m.name][key] = (point(r.accuracy, r.latency_s) if r.satisfied
                                 else MethodPoint(False, None, None))
-        s = oracle.decide(slo, condition)
+        s = engine.decide(slo, condition).strategy
         out["Murmuration (Ours)"][key] = (
             MethodPoint(False, None, None) if s is None
             else point(s.expected_accuracy, s.expected_latency_s))
@@ -208,10 +208,11 @@ def fig17_scalability(accuracy_slos: Sequence[float] = (75.0, 76.0),
         out[acc] = {}
         for n in device_counts:
             devices = swarm_devices(n)
-            oracle = MurmurationOracle(space, devices)
+            engine = SearchDecisionEngine(space, devices,
+                                          archs=lattice_archs(space))
             condition = NetworkCondition((bandwidth_mbps,) * (n - 1),
                                          (delay_ms,) * (n - 1))
-            s = oracle.decide(slo, condition)
+            s = engine.decide(slo, condition).strategy
             out[acc][n] = None if s is None else s.expected_latency_s * 1e3
     return out
 

@@ -10,7 +10,7 @@ from .. import _lazy_exports
 __all__, __getattr__, __dir__ = _lazy_exports(globals(), {
     "search_space": ("SearchSpace", "StageSpec", "MBV3_SPACE", "tiny_space"),
     "arch": ("ArchConfig", "max_arch", "min_arch", "random_arch",
-             "mutate_arch", "crossover_arch"),
+             "lattice_archs", "mutate_arch", "crossover_arch"),
     "supernet": ("Supernet",),
     "training": ("SupernetTrainer", "TrainConfig", "TrainResult",
                  "evaluate_arch", "recalibrate_bn", "partition_aware_forward"),

@@ -9,6 +9,7 @@ live in the :class:`~repro.partition.plan.ExecutionPlan` instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from .search_space import SearchSpace
 
 __all__ = ["ArchConfig", "max_arch", "min_arch", "random_arch",
-           "mutate_arch", "crossover_arch"]
+           "lattice_archs", "mutate_arch", "crossover_arch"]
 
 
 @dataclass(frozen=True)
@@ -135,6 +136,18 @@ def random_arch(space: SearchSpace,
         expands=tuple(int(rng.choice(space.expand_options))
                       for _ in range(slots)),
     )
+
+
+def lattice_archs(space: SearchSpace) -> List[ArchConfig]:
+    """A deterministic sweep of submodels: every (resolution, depth
+    level, kernel level, expand level) combination, uniform per stage."""
+    slots = space.num_stages * space.max_depth
+    return [ArchConfig(resolution=res, depths=(d,) * space.num_stages,
+                       kernels=(k,) * slots, expands=(e,) * slots)
+            for res, d, k, e in product(space.resolution_options,
+                                        space.depth_options,
+                                        space.kernel_options,
+                                        space.expand_options)]
 
 
 def mutate_arch(arch: ArchConfig, space: SearchSpace,

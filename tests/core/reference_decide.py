@@ -1,12 +1,11 @@
-"""The brute-force decision loops, kept as test oracles.
+"""The brute-force decision loop, kept as a test oracle.
 
-These are the bodies ``SearchDecisionEngine.decide`` and
-``MurmurationOracle.decide`` had before both moved onto
-:class:`~repro.core.cost_model.PlanCostModel`, verbatim but for reading
-``space`` / ``devices`` / ``archs`` off the engine passed in: rebuild
-every graph, re-enumerate every plan, simulate every pair, keep the best
-under the engine's own tie-break.  Slow on purpose; never import this
-from ``src/``.
+``reference_search_decide`` is the body ``SearchDecisionEngine.decide``
+had before it moved onto :class:`~repro.core.cost_model.PlanCostModel`,
+verbatim but for reading ``space`` / ``devices`` / ``archs`` off the
+engine passed in: rebuild every graph, re-enumerate every plan, simulate
+every pair, keep the best under the engine's tie-break.  Slow on
+purpose; never import this from ``src/``.
 
 ``reference_scan`` is ``PlanCostModel.scan`` as it was before it became
 a lazy best-first merge: every candidate of every arch, stable-sorted by
@@ -57,30 +56,4 @@ def reference_search_decide(engine, slo: SLO, condition: NetworkCondition,
                 better = rep.total_s < best.expected_latency_s
             if better:
                 best = Strategy(arch, plan, rep.total_s, acc)
-    return best
-
-
-def reference_oracle_decide(engine, slo: SLO, condition: NetworkCondition,
-                            ) -> Optional[Strategy]:
-    """``MurmurationOracle.decide``: lexicographic on the other axis."""
-    cluster = Cluster(engine.devices, condition)
-    best: Optional[Strategy] = None
-    for arch in engine.archs:
-        graph = build_graph(arch, engine.space)
-        base_acc = arch_accuracy(arch, engine.space)
-        for plan in candidate_plans(graph, cluster):
-            latency = simulate_latency(graph, plan, cluster).total_s
-            acc = base_acc - plan_accuracy_penalty(plan)
-            if not slo.satisfied_by(latency, acc):
-                continue
-            if best is None:
-                better = True
-            elif slo.kind == "latency":
-                better = (acc, -latency) > (best.expected_accuracy,
-                                            -best.expected_latency_s)
-            else:
-                better = (-latency, acc) > (-best.expected_latency_s,
-                                            best.expected_accuracy)
-            if better:
-                best = Strategy(arch, plan, latency, acc)
     return best

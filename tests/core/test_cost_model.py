@@ -1,9 +1,9 @@
-"""The plan cost model and the two decision searches built on it.
+"""The plan cost model and the decision search built on it.
 
-``decide`` must answer exactly what the brute-force loops in
-``reference_decide.py`` answer — same arch, same plan, same floats —
-for both SLO kinds, including the ties each engine's rule breaks in its
-own way; and the model's memos must do what DESIGN.md says of them:
+``decide`` must answer exactly what the brute-force loop in
+``reference_decide.py`` answers — same arch, same plan, same floats —
+for both SLO kinds, including the ties its rule breaks, over seeded and
+lattice arch sets; and the model's memos must do what DESIGN.md says of them:
 build once, compile on first pricing, stay bounded, keep plans alive.
 """
 
@@ -24,20 +24,19 @@ from repro.core import (SLO, Murmuration, SearchDecisionEngine, Strategy,
                         StrategyCache)
 from repro.core.cost_model import PlanCostModel
 from repro.devices.profiles import desktop_gtx1080, jetson_class, rpi4
-from repro.eval.murmuration_method import MurmurationOracle, lattice_archs
 from repro.faults import (DeviceCrash, FaultInjector, FaultSchedule,
                           LinkDegradation, LinkFailure, LinkFlap, Straggler)
 from repro.faults.resilience import NoRouteError
 from repro.nas.accuracy_model import arch_accuracy, plan_accuracy_penalty
-from repro.nas.arch import ArchConfig, max_arch, min_arch, random_arch
+from repro.nas.arch import (ArchConfig, lattice_archs, max_arch, min_arch,
+                            random_arch)
 from repro.nas.search_space import MBV3_SPACE
 from repro.netsim import Cluster, NetworkCondition, ring_topology
 from repro.partition import simulate_latency, single_device_plan, spatial_plan
 from repro.partition.compiled import compile_plan, price
 from repro.partition.spatial import Grid
 from repro.rl import EnvConfig, MurmurationEnv
-from tests.core.reference_decide import (reference_oracle_decide,
-                                         reference_scan,
+from tests.core.reference_decide import (reference_scan,
                                          reference_search_decide)
 from tests.partition.test_compiled_kernel import priced_cases, star
 
@@ -103,42 +102,40 @@ def slo_grid(engine, cluster):
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_search_engine_answers_what_the_brute_force_loop_answers(n):
-    engine = SearchDecisionEngine(MBV3_SPACE, devices(n), n_random_archs=3,
+    seeded = SearchDecisionEngine(MBV3_SPACE, devices(n), n_random_archs=3,
                                   seed=n)
     # equal accuracy *and* equal latency under two distinct archs, and one
     # arch listed twice: only first-enumerated-wins separates them
-    engine.archs = ([shadow(engine.archs[0])] + engine.archs
-                    + [engine.archs[1]])
-    for cond in conditions(n):
-        cluster = Cluster(engine.devices, cond)
-        for slo in slo_grid(engine, cluster):
-            assert fields(engine.decide(slo, cond).strategy) \
-                == fields(reference_search_decide(engine, slo, cond)), slo
-
-
-@pytest.mark.parametrize("n", [2, 4])
-def test_oracle_answers_what_the_brute_force_loop_answers(n):
+    seeded.archs = ([shadow(seeded.archs[0])] + seeded.archs
+                    + [seeded.archs[1]])
+    # a slice of the arch set the figures decide over, with a shadow twin
     archs = lattice_archs(MBV3_SPACE)[n::23]
-    oracle = MurmurationOracle(MBV3_SPACE, devices(n),
-                               archs=[shadow(archs[0])] + archs)
-    for cond in conditions(n, count=2):
-        cluster = Cluster(oracle.devices, cond)
-        for slo in slo_grid(oracle, cluster):
-            assert fields(oracle.decide(slo, cond)) \
-                == fields(reference_oracle_decide(oracle, slo, cond)), slo
+    lattice = SearchDecisionEngine(MBV3_SPACE, devices(n),
+                                   archs=[shadow(archs[0])] + archs)
+    for engine in (seeded, lattice):
+        for cond in conditions(n):
+            cluster = Cluster(engine.devices, cond)
+            for slo in slo_grid(engine, cluster):
+                assert fields(engine.decide(slo, cond).strategy) \
+                    == fields(reference_search_decide(engine, slo, cond)), slo
 
 
-def test_the_two_tie_break_rules_really_differ():
-    """Among a submodel's equally accurate plans the search engine keeps
-    the first feasible one, the oracle the fastest: if both engines
-    agreed everywhere the tie cases above would prove nothing."""
+def test_a_latency_tie_goes_to_the_first_enumerated_not_the_fastest():
+    """Among equally accurate feasible plans the engine keeps the first
+    enumerated, and on this world a strictly faster one exists: without
+    such a tie the tie cases above would prove nothing."""
     devs, cond = devices(3), NetworkCondition((300.0, 200.0), (5.0, 8.0))
     engine = SearchDecisionEngine(MBV3_SPACE, devs, n_random_archs=0)
-    oracle = MurmurationOracle(MBV3_SPACE, devs, archs=engine.archs)
     slo = SLO.latency(5.0)
-    first, fastest = engine.decide(slo, cond).strategy, oracle.decide(slo, cond)
-    assert first.expected_accuracy == fastest.expected_accuracy
-    assert fastest.expected_latency_s < first.expected_latency_s
+    first = engine.decide(slo, cond).strategy
+    costs, cluster = engine._costs, Cluster(devs, cond)
+    group = [Strategy(c.arch, c.plan, costs.latency(c.arch, c.plan, cluster),
+                      c.accuracy) for c in costs.scan(engine.archs)
+             if c.accuracy == first.expected_accuracy]
+    assert all(s.expected_latency_s <= slo.value for s in group)
+    assert fields(first) == fields(group[0])
+    assert min(s.expected_latency_s for s in group) \
+        < first.expected_latency_s
 
 
 def test_a_nan_link_is_an_error_not_the_best_strategy():
@@ -153,9 +150,16 @@ def test_a_nan_link_is_an_error_not_the_best_strategy():
         with pytest.raises(ValueError):
             engine.decide(SLO.latency_ms(300), cond)
         with pytest.raises(ValueError):
-            MurmurationOracle(MBV3_SPACE, engine.devices,
-                              archs=engine.archs).decide(
-                                  SLO.latency_ms(300), cond)
+            SearchDecisionEngine(MBV3_SPACE, engine.devices,
+                                 archs=lattice_archs(MBV3_SPACE)).decide(
+                                     SLO.accuracy(70.0), cond)
+
+
+def test_an_empty_arch_set_is_rejected_when_built():
+    """Without the check every ``decide`` answers None, and a figure
+    prints every cell as a miss."""
+    with pytest.raises(ValueError, match="at least one arch"):
+        SearchDecisionEngine(MBV3_SPACE, devices(2), archs=[])
 
 
 # -- the model's memos ---------------------------------------------------------

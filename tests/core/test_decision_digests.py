@@ -2,9 +2,11 @@
 
 ``scenario_digests.json``, ``facade_parity_golden.json`` and the golden
 recordings pin the facade and every scenario; this file pins the
-*engines* underneath them.  ``tests/fixtures/decision_digests.json``
-holds, for :class:`SearchDecisionEngine` and :class:`MurmurationOracle`,
-the sha256 of the chosen strategy over a seeded grid of
+*engine* underneath them.  ``tests/fixtures/decision_digests.json``
+holds, for :class:`SearchDecisionEngine` over its seeded default archs
+(the ``search/*`` rows) and over slices of the lattice the figures
+decide over (the ``oracle/*`` rows), the sha256 of the chosen strategy
+over a seeded grid of
 
 * 2, 3, 4, 5, 6 and 9 devices, so every ``candidate_plans`` branch
   (1x2, 2x2, 2x3, 3x3, front, greedy) and the repartition path is hit;
@@ -15,9 +17,15 @@ the sha256 of the chosen strategy over a seeded grid of
 
 plus ``float.hex`` of small ``fig15`` / ``fig16a`` / ``fig16b`` outputs.
 The file was generated *before* the decision search moved onto the plan
-cost model and must keep passing untouched: a different tie-break, a
-float that moved by one ulp or a candidate that went missing changes a
-digest.
+cost model: a different tie-break, a float that moved by one ulp or a
+candidate that went missing changes a digest.  Its ``oracle/*`` rows
+were once a second decider's, which took the fastest of the most
+accurate feasible candidates under a latency SLO.  When the figures
+moved onto the engine, the 23 rows where that rule and the engine's
+(the first enumerated) pick different plans of the same accuracy were
+regenerated: every ``oracle/*/latency/generous`` row and five at
+``latency/boundary``.  No ``value``, no feasibility, no ``search/*``
+row and no ``figures`` key moved.
 """
 
 import functools
@@ -30,15 +38,15 @@ from repro.devices.profiles import desktop_gtx1080, jetson_class, rpi4
 from repro.eval.experiments import (fig15_accuracy_slo_latency,
                                     fig16a_compliance_augmented,
                                     fig16b_compliance_swarm)
-from repro.eval.murmuration_method import MurmurationOracle, lattice_archs
 from repro.nas.accuracy_model import arch_accuracy, plan_accuracy_penalty
 from repro.nas.evolution import candidate_plans
 from repro.nas.graph_builder import build_graph
+from repro.nas.arch import lattice_archs
 from repro.nas.search_space import MBV3_SPACE
 from repro.netsim.grids import AUGMENTED_BANDWIDTHS
 from repro.netsim.topology import Cluster, NetworkCondition
 from repro.partition.simulate import simulate_latency
-from tests.frozen import sha256
+from tests.frozen import load, sha256
 
 DEVICE_COUNTS = (2, 3, 4, 5, 6, 9)
 N_CONDITIONS = 3
@@ -61,14 +69,12 @@ def conditions(n):
 
 
 def engine(name, n):
-    """The engine and a ``decide -> Strategy | None`` over it."""
+    """The seeded engine (``search``) or one over a lattice slice."""
     if name == "search":
-        eng = SearchDecisionEngine(MBV3_SPACE, devices(n), n_random_archs=3,
-                                   seed=n)
-        return eng, lambda slo, cond: eng.decide(slo, cond).strategy
-    eng = MurmurationOracle(MBV3_SPACE, devices(n),
-                            archs=lattice_archs(MBV3_SPACE)[n::17])
-    return eng, eng.decide
+        return SearchDecisionEngine(MBV3_SPACE, devices(n), n_random_archs=3,
+                                    seed=n)
+    return SearchDecisionEngine(MBV3_SPACE, devices(n),
+                                archs=lattice_archs(MBV3_SPACE)[n::17])
 
 
 def strategy_digest(strategy):
@@ -136,7 +142,7 @@ def fixture_content():
     decisions = {}
     for name in ENGINES:
         for n in DEVICE_COUNTS:
-            eng, decide = engine(name, n)
+            eng = engine(name, n)
             for ci, cond in enumerate(conditions(n)):
                 values = slo_values(eng, n, cond)
                 for kind in KINDS:
@@ -144,8 +150,8 @@ def fixture_content():
                         value = float(values[kind][level])
                         decisions[case_id(name, n, ci, kind, level)] = {
                             "value": value.hex(),
-                            "digest": strategy_digest(
-                                decide(SLO(kind, value), cond))}
+                            "digest": strategy_digest(eng.decide(
+                                SLO(kind, value), cond).strategy)}
     return {"decisions": decisions, "figures": figures()}
 
 
@@ -155,11 +161,15 @@ def test_the_whole_grid_is_frozen(moved):
 
 @pytest.mark.parametrize("n", DEVICE_COUNTS)
 @pytest.mark.parametrize("name", ENGINES)
-def test_decisions_match_the_frozen_digests(moved, name, n):
-    assert "decisions" not in moved("decision_digests")
-    for cid, row in fixture_content()["decisions"].items():
-        if cid.startswith(f"{name}/n{n}/"):   # only infeasible goes unmet
-            assert (row["digest"] is None) == cid.endswith("infeasible")
+def test_decisions_match_the_frozen_digests(name, n):
+    def rows(decisions):
+        return {cid: row for cid, row in decisions.items()
+                if cid.startswith(f"{name}/n{n}/")}
+
+    live = rows(fixture_content()["decisions"])
+    assert live == rows(load("decision_digests.json")["decisions"])
+    for cid, row in live.items():           # only infeasible goes unmet
+        assert (row["digest"] is None) == cid.endswith("infeasible")
 
 
 def test_small_figure_outputs_match_to_the_last_bit(moved):

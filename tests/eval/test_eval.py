@@ -3,39 +3,47 @@ qualitative claims on reduced grids (full grids run in benchmarks/)."""
 
 import pytest
 
-from repro.core import SLO
+from repro.core import SLO, SearchDecisionEngine
 from repro.core.decision import DecisionRecord
-from repro.eval import (MurmurationOracle, augmented_devices,
+from repro.eval import (augmented_devices,
                         fig13_augmented_accuracy, fig15_accuracy_slo_latency,
                         fig16b_compliance_swarm, fig17_scalability,
                         fig18_search_time, fig19_switch_time,
                         format_accuracy_grid, format_compliance,
                         format_latency_grid, format_scalability,
                         format_search_time, format_switch_time,
-                        lattice_archs, swarm_devices)
+                        swarm_devices)
 from repro.eval.spec import PinnedTimeEngine
-from repro.nas import MBV3_SPACE
+from repro.nas import MBV3_SPACE, lattice_archs
 from repro.netsim import NetworkCondition
 
 
+def lattice_engine(devices):
+    """Murmuration's decider in Figs. 13-17."""
+    return SearchDecisionEngine(MBV3_SPACE, devices,
+                                archs=lattice_archs(MBV3_SPACE))
+
+
 class TestOracle:
+    """The figures' exhaustive decider: the engine over the lattice."""
+
     def test_lattice_covers_all_levels(self):
         archs = lattice_archs(MBV3_SPACE)
         assert len(archs) == 5 * 3 * 3 * 3
         assert len({a.resolution for a in archs}) == 5
 
     def test_latency_slo_maximizes_accuracy(self):
-        oracle = MurmurationOracle(MBV3_SPACE, augmented_devices())
+        engine = lattice_engine(augmented_devices())
         cond = NetworkCondition((400.0,), (5.0,))
-        loose = oracle.decide(SLO.latency(1.0), cond)
-        tight = oracle.decide(SLO.latency(0.12), cond)
+        loose = engine.decide(SLO.latency(1.0), cond).strategy
+        tight = engine.decide(SLO.latency(0.12), cond).strategy
         assert loose and tight
         assert loose.expected_accuracy >= tight.expected_accuracy
 
     def test_impossible_slo_none(self):
-        oracle = MurmurationOracle(MBV3_SPACE, augmented_devices())
-        assert oracle.decide(SLO.latency(0.0001),
-                             NetworkCondition((50.0,), (100.0,))) is None
+        engine = lattice_engine(augmented_devices())
+        assert engine.decide(SLO.latency(0.0001), NetworkCondition(
+            (50.0,), (100.0,))).strategy is None
 
 
 class TestPinnedTimeEngine:

@@ -6,7 +6,9 @@
 ``FROZEN`` maps a name to ``(fixture, fn)``: a file under
 ``tests/fixtures/`` and the function computing its content from the live
 code.  The check prints each entry that moved with its top-level keys
-that moved (or the first differing line of a ``.jsonl``) and exits 1;
+that moved (with how many sub-keys moved, and the first ten, where the
+value is a dict), or the first differing line of a ``.jsonl``, and
+exits 1;
 ``--regenerate`` rewrites only the named entries that moved.
 """
 
@@ -50,7 +52,17 @@ def write(fixture: str, content) -> None:
     (FIXTURES / fixture).write_text(content)
 
 
-def _diff(fixture: str, content) -> list:
+def _keys_moved(content: dict, frozen: dict) -> list:
+    return sorted(k for k in content.keys() | frozen.keys()
+                  if k not in content or k not in frozen
+                  or content[k] != frozen[k])
+
+
+def _diff(fixture: str, content, detail=False) -> list:
+    """What moved: top-level keys of a ``.json``, or the first differing
+    line of a ``.jsonl``.  With ``detail``, a key whose value is a dict
+    on both sides also says how many of its sub-keys moved and the first
+    ten."""
     frozen = load(fixture)
     if fixture.endswith(".jsonl"):
         if content == frozen:
@@ -60,9 +72,18 @@ def _diff(fixture: str, content) -> list:
                     min(len(old), len(new)))
         return [f"line {line + 1}"]
     content, frozen = json.loads(json.dumps(content)), frozen or {}
-    return sorted(k for k in content.keys() | frozen.keys()
-                  if k not in content or k not in frozen
-                  or content[k] != frozen[k])
+    keys = _keys_moved(content, frozen)
+    if not detail:
+        return keys
+    out = []
+    for k in keys:
+        new, old = content.get(k), frozen.get(k)
+        if isinstance(new, dict) and isinstance(old, dict):
+            sub = _keys_moved(new, old)
+            shown = ", ".join(sub[:10] + ["…"] * (len(sub) > 10))
+            k = f"{k} ({len(sub)} of {len(new.keys() | old.keys())}: {shown})"
+        out.append(k)
+    return out
 
 
 def moved(name: str) -> list:
@@ -151,7 +172,7 @@ def main(argv=None) -> int:
     for name in args.names or FROZEN:
         fixture, fn = FROZEN[name]
         content = fn()
-        what = ", ".join(_diff(fixture, content))
+        what = ", ".join(_diff(fixture, content, detail=True))
         if not what:
             continue
         found += 1

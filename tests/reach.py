@@ -61,10 +61,6 @@ KEEP: Dict[str, str] = {
     "repro.devices.latency:graph_time": _ORACLE,
     "repro.devices.latency:block_time": _ORACLE,
     "repro.devices.latency:block_mem_bytes": _ORACLE + " (via block_time)",
-    "repro.eval.murmuration_method:policy_method":
-        "no caller yet: ROADMAP item 3C decides",
-    "repro.eval.murmuration_method:policy_method.<locals>.decide":
-        "no caller yet: ROADMAP item 3C decides",
     "repro.runtime.reconfig:ModelReconfig.__init__": _RECONFIG,
     "repro.runtime.reconfig:ModelReconfig.switch": _RECONFIG,
     "repro.runtime.reconfig:ModelReconfig.active_units": _RECONFIG,

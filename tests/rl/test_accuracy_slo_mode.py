@@ -85,14 +85,15 @@ class TestHeterogeneousCluster:
         assert (onehots.sum(axis=1) == 1.0).all()
         assert not (onehots[0] == onehots[1]).all()
 
-    def test_oracle_uses_fastest_device(self):
-        """With a GPU and a Jetson attached, big offloads land on the
-        GPU when its link is good."""
-        from repro.core import SLO
-        from repro.eval import MurmurationOracle
+    def test_the_fastest_plan_offloads_to_the_gpu(self):
+        """With a GPU and a Jetson attached and good links, the fastest
+        plan above an accuracy floor offloads to the GPU."""
+        from repro.core import SLO, SearchDecisionEngine
+        from repro.nas import lattice_archs
         devices = [rpi4(), jetson_class(), desktop_gtx1080()]
-        oracle = MurmurationOracle(MBV3_SPACE, devices)
-        s = oracle.decide(SLO.latency_ms(120),
-                          NetworkCondition((300.0, 300.0), (5.0, 5.0)))
+        engine = SearchDecisionEngine(MBV3_SPACE, devices,
+                                      archs=lattice_archs(MBV3_SPACE))
+        s = engine.decide(SLO.accuracy(78.5), NetworkCondition(
+            (300.0, 300.0), (5.0, 5.0))).strategy
         assert s is not None
-        assert 2 in s.plan.devices_used()  # the GTX1080
+        assert s.plan.devices_used() == (0, 2)  # the GTX1080

@@ -64,3 +64,24 @@ def test_regenerate_rewrites_only_the_named_entries_that_moved(
     assert frozen.moved("lines") == ["line 2"]        # not named, not written
     assert frozen.main(["--regenerate", "lines"]) == 0
     assert frozen.main([]) == 0
+
+
+def test_a_moved_dict_names_how_many_of_its_keys_moved(tmp_path, monkeypatch,
+                                                        capsys):
+    live = {"rows": {f"r{i:02d}": i for i in range(13)}, "flat": 1}
+    monkeypatch.setattr(frozen, "FIXTURES", tmp_path)
+    monkeypatch.setattr(frozen, "FROZEN", {"nest": ("nest.json",
+                                                    lambda: live)})
+    frozen.write("nest.json", live)
+    for i in range(11):
+        live["rows"][f"r{i:02d}"] = -i - 1
+    live["flat"] = 2
+    assert frozen.moved("nest") == ["flat", "rows"]
+    assert frozen.main([]) == 1
+    assert capsys.readouterr().out == (
+        "moved nest: flat, rows (11 of 13: r00, r01, r02, r03, r04, r05, "
+        "r06, r07, r08, r09, …)\n")
+    live["rows"] = {"r00": -1}           # one moved, twelve gone
+    assert frozen.main([]) == 1
+    assert capsys.readouterr().out == "moved nest: flat, rows (13 of 13: " \
+        "r00, r01, r02, r03, r04, r05, r06, r07, r08, r09, …)\n"
