@@ -203,13 +203,12 @@ def fig17_scalability(accuracy_slos: Sequence[float] = (75.0, 76.0),
     Returns {accuracy_slo: {n_devices: latency_ms or None}}.
     """
     out: Dict[float, Dict[int, Optional[float]]] = {}
+    archs = lattice_archs(space)
     for acc in accuracy_slos:
         slo = SLO.accuracy(acc)
         out[acc] = {}
         for n in device_counts:
-            devices = swarm_devices(n)
-            engine = SearchDecisionEngine(space, devices,
-                                          archs=lattice_archs(space))
+            engine = SearchDecisionEngine(space, swarm_devices(n), archs=archs)
             condition = NetworkCondition((bandwidth_mbps,) * (n - 1),
                                          (delay_ms,) * (n - 1))
             s = engine.decide(slo, condition).strategy
