@@ -222,6 +222,6 @@ def _pairwise_sum(values: List[float]) -> float:
 def _mean(values: List[float]) -> float:
     """``float(np.mean(values))`` bit for bit, without NumPy's dispatch:
     ``np.add.reduce`` adds the pairwise sum to its identity 0.0.  The
-    accuracy model's means and the monitor's error signal take it
-    (``tests/nas/test_graph_reference.py`` fuzzes the two)."""
+    accuracy model is its one user (``tests/nas/test_graph_reference.py``
+    fuzzes it against ``np.mean``)."""
     return (0.0 + _pairwise_sum(values)) / len(values)

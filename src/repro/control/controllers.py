@@ -7,11 +7,7 @@ discipline (after the runtime managers of Xun et al., DATE'24):
   truth the deployment could not see;
 * move multiplicatively inside hard clamps, with a hysteresis dead band
   between the "push up" and "push down" thresholds so a noisy signal
-  cannot flip the knob every tick;
-* remember what went wrong: a refinement that collapsed the hit rate
-  latches a floor so the same mistake is not retried, which is what
-  makes convergence (settling under a stationary trace) provable by
-  test rather than hoped for.
+  cannot flip the knob every tick.
 
 ``update(snapshot, loop)`` returns a human-readable description of the
 adjustment made, or None when the controller held still; descriptions
@@ -25,11 +21,10 @@ from dataclasses import replace
 from typing import Annotated, Dict, List, Optional, Tuple
 
 from .. import (Bound, Finite, IntAtLeast, NonNegative, Positive,
-                Probability, check_fields)
+                check_fields)
 from ..netsim.topology import NetworkCondition
 
-__all__ = ["Controller", "CacheGranularityController",
-           "BatchPolicyController", "AdmissionController",
+__all__ = ["Controller", "BatchPolicyController", "AdmissionController",
            "TenantFairnessController", "PrecomputeScheduler"]
 
 
@@ -40,116 +35,6 @@ class Controller:
 
     def update(self, snapshot, loop) -> Optional[str]:
         raise NotImplementedError
-
-
-class CacheGranularityController(Controller):
-    """Retunes :class:`StrategyCache` snap steps from hit rate vs. error.
-
-    The cache trades two observable failure modes against each other:
-    cells too fine -> serving lookups miss and every request pays a full
-    decision (low ``window_hit_rate``); cells too coarse -> strategies
-    are reused across genuinely different conditions, visible as monitor
-    relative error far below the cell width (fidelity left on the
-    table).  The rule:
-
-    * hit rate below ``hit_lo``  -> **coarsen** bandwidth/delay steps by
-      ``factor`` (rekeying keeps the surviving entries);
-    * hit rate above ``hit_hi`` *and* the monitor's relative error is
-      under ``rel_err_budget`` -> **refine** by ``factor`` so cached
-      strategies track conditions more faithfully;
-    * in between: hold (the hysteresis dead band).
-
-    Anti-oscillation: when a coarsening immediately follows this
-    controller's own refinement, the abandoned finer level is latched as
-    a *refine floor* — the controller never refines back past it.  With
-    clamped multiplicative moves and a ratcheting floor the reachable
-    step set is finite and shrinks, so under a stationary workload the
-    controller provably settles.
-    """
-
-    name = "cache-granularity"
-
-    hit_lo: Annotated[float, Probability]
-    hit_hi: Annotated[float, Probability]
-    factor: Annotated[float, Finite, Bound(1.0, lo_open=True)]
-    rel_err_budget: Annotated[float, Finite, NonNegative]
-    min_bw_step: Annotated[float, Finite, Positive]
-    max_bw_step: Annotated[float, Finite, Positive]
-    min_delay_step: Annotated[float, Finite, Positive]
-    max_delay_step: Annotated[float, Finite, Positive]
-    min_window: Annotated[int, IntAtLeast(1)]
-
-    def __init__(self, hit_lo: float = 0.4, hit_hi: float = 0.85,
-                 factor: float = 1.5, rel_err_budget: float = 0.25,
-                 min_bw_step: float = 5.0, max_bw_step: float = 200.0,
-                 min_delay_step: float = 2.0, max_delay_step: float = 80.0,
-                 min_window: int = 8):
-        self.hit_lo = hit_lo
-        self.hit_hi = hit_hi
-        self.factor = factor
-        self.rel_err_budget = rel_err_budget
-        self.min_bw_step = min_bw_step
-        self.max_bw_step = max_bw_step
-        self.min_delay_step = min_delay_step
-        self.max_delay_step = max_delay_step
-        self.min_window = min_window
-        check_fields(self)
-        if not hit_lo < hit_hi:
-            raise ValueError(f"{type(self).__name__} needs hit_lo < hit_hi, "
-                             f"got {hit_lo}, {hit_hi}")
-        #: finest steps this controller may return to (ratchet up when a
-        #: refinement collapses the hit rate; clamped to the coarse max
-        #: so the floor can never *exceed* the reachable range)
-        self.refine_floor_bw: Optional[float] = None
-        self.refine_floor_delay: Optional[float] = None
-        self._last_move: Optional[str] = None
-
-    def update(self, snapshot, loop) -> Optional[str]:
-        system = loop.system
-        if system is None:
-            return None
-        if snapshot.window_hits + snapshot.window_misses < self.min_window:
-            return None  # not enough evidence this window
-        hit_rate = snapshot.window_hit_rate
-        cache = system.cache
-        bw, dl = cache.bw_step, cache.delay_step
-        if hit_rate < self.hit_lo:
-            if self._last_move == "refine":
-                # That refinement is what tanked the hit rate: latch it
-                # out of reach before undoing it.
-                self.refine_floor_bw = max(
-                    self.refine_floor_bw or 0.0,
-                    min(bw * self.factor, self.max_bw_step))
-                self.refine_floor_delay = max(
-                    self.refine_floor_delay or 0.0,
-                    min(dl * self.factor, self.max_delay_step))
-            new_bw = min(bw * self.factor, self.max_bw_step)
-            new_dl = min(dl * self.factor, self.max_delay_step)
-            if (new_bw, new_dl) == (bw, dl):
-                return None  # already at the coarse clamp
-            dropped = cache.set_steps(bw_step=new_bw, delay_step=new_dl)
-            self._last_move = "coarsen"
-            return (f"coarsen bw_step {bw:g}->{new_bw:g} "
-                    f"delay_step {dl:g}->{new_dl:g} "
-                    f"(hit rate {hit_rate:.0%}, {dropped} rekey collisions)")
-        rel_err = max(snapshot.monitor_bw_rel_err,
-                      snapshot.monitor_delay_rel_err)
-        if hit_rate > self.hit_hi and rel_err < self.rel_err_budget:
-            floor = max(self.min_bw_step, self.refine_floor_bw or 0.0)
-            new_bw = max(bw / self.factor, floor)
-            dl_floor = max(self.min_delay_step,
-                           self.refine_floor_delay or 0.0)
-            new_dl = max(dl / self.factor, dl_floor)
-            if (new_bw, new_dl) == (bw, dl):
-                return None  # at the fine clamp or the latched floor
-            dropped = cache.set_steps(bw_step=new_bw, delay_step=new_dl)
-            self._last_move = "refine"
-            return (f"refine bw_step {bw:g}->{new_bw:g} "
-                    f"delay_step {dl:g}->{new_dl:g} "
-                    f"(hit rate {hit_rate:.0%}, rel err {rel_err:.0%}, "
-                    f"{dropped} dropped)")
-        self._last_move = None
-        return None
 
 
 class BatchPolicyController(Controller):

@@ -14,10 +14,9 @@ Design contract:
   admits everything, so the facade and the servers call their loop
   unconditionally (DESIGN.md, "Optional subsystems");
 * the loop observes only what a deployed controller could observe: the
-  monitor's *smoothed estimate* and the scatter of its recent samples
-  around it (never the injected ground truth the monitor's telemetry
-  histograms compare against), the cache's own counters, and the
-  server's finished requests since the previous tick as a
+  monitor's *smoothed estimate* (never the injected ground truth the
+  monitor's telemetry histograms compare against) and the server's
+  finished requests since the previous tick as a
   :class:`~repro.runtime.server.ServingStats` — the report's own
   statistics, not a private copy of them;
 * ticks fire between requests on the simulated clock (``maybe_tick`` is
@@ -59,9 +58,6 @@ class ControlSnapshot:
     """
 
     t: float
-    #: cache hits/misses since the previous tick (serving lookups only)
-    window_hits: int
-    window_misses: int
     #: the requests finished since the previous tick, as a report: a
     #: controller reads the statistic it needs (``percentile_ms``,
     #: ``mean_service_s``, ...) exactly as the report prints it
@@ -72,16 +68,6 @@ class ControlSnapshot:
     slo_s: Optional[float]
     #: the monitor's current smoothed estimate — the observed world
     condition: Optional[NetworkCondition]
-    #: scatter of the monitor's recent samples around its estimate
-    #: (``NetworkMonitor.recent_rel_error``)
-    monitor_bw_rel_err: float
-    monitor_delay_rel_err: float
-
-    @property
-    def window_hit_rate(self) -> Optional[float]:
-        """Cache hit rate over the window, or None with no lookups."""
-        total = self.window_hits + self.window_misses
-        return self.window_hits / total if total else None
 
 
 class ControlLoop:
@@ -111,8 +97,6 @@ class ControlLoop:
         self._next_due = period_s
         self._stats = None
         self._seen_requests = 0
-        self._last_hits = 0
-        self._last_misses = 0
         # the admission controller, if one is stacked (duck-typed on
         # the per-request ``admit`` hook)
         self._admission = next(
@@ -210,23 +194,14 @@ class ControlLoop:
         system = self.system
         if system is None:
             return ControlSnapshot(
-                t=now, window_hits=0, window_misses=0, window=window,
-                queue_depth=queue_depth, slo_s=None, condition=None,
-                monitor_bw_rel_err=0.0, monitor_delay_rel_err=0.0)
-        cache = system.cache
-        hits, misses = cache.hits, cache.misses
-        window_hits = hits - self._last_hits
-        window_misses = misses - self._last_misses
-        self._last_hits, self._last_misses = hits, misses
+                t=now, window=window, queue_depth=queue_depth, slo_s=None,
+                condition=None)
         slo = system.slo
-        bw_err, delay_err = system.monitor.recent_rel_error()
         return ControlSnapshot(
-            t=now, window_hits=window_hits, window_misses=window_misses,
-            window=window, queue_depth=queue_depth,
+            t=now, window=window, queue_depth=queue_depth,
             slo_s=(slo.value if slo is not None and slo.kind == "latency"
                    else None),
-            condition=system.monitor.estimate(),
-            monitor_bw_rel_err=bw_err, monitor_delay_rel_err=delay_err)
+            condition=system.monitor.estimate())
 
     # -- reporting ----------------------------------------------------------
     def summary(self) -> str:

@@ -6,18 +6,13 @@ are snapped to a configurable granularity — two conditions within the
 same cell share a strategy, which is safe because strategies are lower
 bounds under mild relaxation (the SUPREME observation).
 
-Granularity is *runtime-tunable*: :meth:`set_steps` changes the snap
-steps mid-run, rekeying (or invalidating) the existing entries, so a
-control loop can trade hit rate against strategy fidelity from observed
-telemetry instead of committing at construction time.
-
 LRU eviction bounds memory.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Annotated, Optional, Tuple
+from typing import Annotated, Optional
 
 from .. import Finite, IntAtLeast, Positive, check_fields
 from ..netsim.topology import NetworkCondition
@@ -44,10 +39,7 @@ class StrategyCache:
         self.bw_step = bw_step
         self.delay_step = delay_step
         check_fields(self)
-        # key -> (slo, condition, strategy); the un-snapped (slo,
-        # condition) of the *last write* is kept so set_steps() can
-        # re-snap every entry under a new granularity.
-        self._store: "OrderedDict[tuple, Tuple[SLO, NetworkCondition, Strategy]]" = OrderedDict()
+        self._store: "OrderedDict[tuple, Strategy]" = OrderedDict()
         # (slo, condition, key): a decision's peek, get and put share it
         self._last: tuple = ()
         self.hits = 0
@@ -70,7 +62,7 @@ class StrategyCache:
 
     def _cell(self, slo: SLO, condition: NetworkCondition) -> tuple:
         """``_key``, snapped once for a run of lookups on the same two
-        (frozen, held) objects; :meth:`set_steps` forgets it."""
+        (frozen, held) objects."""
         last = self._last
         if last and last[0] is slo and last[1] is condition:
             return last[2]
@@ -81,13 +73,13 @@ class StrategyCache:
     # -- API -------------------------------------------------------------------
     def get(self, slo: SLO, condition: NetworkCondition) -> Optional[Strategy]:
         key = self._cell(slo, condition)
-        entry = self._store.get(key)
-        if entry is None:
+        strategy = self._store.get(key)
+        if strategy is None:
             self.misses += 1
             return None
         self._store.move_to_end(key)
         self.hits += 1
-        return entry[2]
+        return strategy
 
     def peek(self, slo: SLO, condition: NetworkCondition) -> Optional[Strategy]:
         """Look up an entry without touching statistics or LRU order.
@@ -98,8 +90,7 @@ class StrategyCache:
         out of ``hits``/``misses`` is what lets ``hit_rate`` mean "the
         fraction of served decisions answered from cache".
         """
-        entry = self._store.get(self._cell(slo, condition))
-        return entry[2] if entry is not None else None
+        return self._store.get(self._cell(slo, condition))
 
     def put(self, slo: SLO, condition: NetworkCondition,
             strategy: Strategy) -> None:
@@ -108,7 +99,7 @@ class StrategyCache:
             self.overwrites += 1
         else:
             self.inserts += 1
-        self._store[key] = (slo, condition, strategy)
+        self._store[key] = strategy
         self._store.move_to_end(key)
         while len(self._store) > self.capacity:
             self._store.popitem(last=False)
@@ -122,56 +113,11 @@ class StrategyCache:
         strategies that route through a device whose circuit just
         opened.
         """
-        doomed = [k for k, e in self._store.items() if predicate(e[2])]
+        doomed = [k for k, s in self._store.items() if predicate(s)]
         for k in doomed:
             del self._store[k]
         self.invalidations += len(doomed)
         return len(doomed)
-
-    def set_steps(self, slo_step: Optional[Step] = None,
-                  bw_step: Optional[Step] = None,
-                  delay_step: Optional[Step] = None,
-                  rekey: bool = True) -> int:
-        """Change the snap granularity mid-run; returns entries dropped.
-
-        With ``rekey=True`` (default) every live entry is re-snapped
-        under the new steps from the exact (SLO, condition) it was
-        written with; entries that collide in a now-coarser cell keep
-        the most recently used strategy.  With ``rekey=False`` the
-        store is invalidated instead (counters survive — only
-        ``invalidations`` grows), which is the conservative choice when
-        the caller cannot vouch that old strategies remain lower bounds
-        under the new cells.
-
-        Hit/miss statistics are *never* reset here: the control loop
-        retunes granularity from windowed deltas of those counters, so
-        a retune must not erase the evidence it acted on.
-        """
-        check_fields(StrategyCache.set_steps, locals())
-        new = (slo_step if slo_step is not None else self.slo_step,
-               bw_step if bw_step is not None else self.bw_step,
-               delay_step if delay_step is not None else self.delay_step)
-        if new == (self.slo_step, self.bw_step, self.delay_step):
-            return 0
-        self.slo_step, self.bw_step, self.delay_step = new
-        self._last = ()
-        old = self._store
-        self._store = OrderedDict()
-        dropped = 0
-        if rekey:
-            # Iterating oldest -> newest means a collision is resolved
-            # in favour of the more recently used entry, which moves to
-            # the end: the new store's order is the old LRU order.
-            for slo, condition, strategy in old.values():
-                key = self._key(slo, condition)
-                if key in self._store:
-                    dropped += 1
-                    del self._store[key]
-                self._store[key] = (slo, condition, strategy)
-        else:
-            dropped = len(old)
-        self.invalidations += dropped
-        return dropped
 
     def stats(self) -> dict:
         """Snapshot of cache effectiveness (feeds telemetry gauges)."""

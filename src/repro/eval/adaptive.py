@@ -8,12 +8,8 @@ the middle of the run — differing only in the ``control=`` parameter:
   granularity and batch policy hold for the whole run, and every
   request is admitted no matter how hopeless its deadline;
 * ``controlled`` — a :class:`~repro.control.ControlLoop` stacking all
-  four controllers: cache granularity retuning, batch-policy
-  adaptation, SLO-aware admission (shed/degrade), and drift-directed
-  cache precompute.  Cache-granularity retuning does not act at this
-  scenario's sizes: at the default 240 requests the control line reads
-  ``batch-policy=4 precompute=44``, and ``StrategyCache.set_steps`` is
-  never called.
+  three controllers: batch-policy adaptation, SLO-aware admission
+  (shed/degrade), and drift-directed cache precompute.
 
 The burst is what separates them.  A static pipeline admits everything,
 the queue grows without bound, and every request in and after the burst
@@ -38,8 +34,7 @@ import numpy as np
 
 from .. import Checked, IntAtLeast, Period, check_fields
 from ..control import (AdmissionController, BatchPolicyController,
-                       CacheGranularityController, ControlLoop,
-                       PrecomputeScheduler)
+                       ControlLoop, PrecomputeScheduler)
 from ..devices.profiles import desktop_gtx1080, jetson_class, rpi4
 from ..netsim.topology import NetworkCondition
 from ..netsim.traces import TraceConfig, mobility_trace
@@ -96,7 +91,7 @@ def burst_arrival_process(rate_hz: Rate, window: BurstWindow,
 
 
 def default_controllers() -> List:
-    """The standard four-controller stack, scenario-tuned.
+    """The standard three-controller stack, scenario-tuned.
 
     The batch cap stays modest (8): this workload's per-item execution
     dominates its decision cost, so giant batches would trade a few
@@ -104,7 +99,6 @@ def default_controllers() -> List:
     deadlines.
     """
     return [
-        CacheGranularityController(),
         BatchPolicyController(max_batch=8),
         AdmissionController(),
         PrecomputeScheduler(),

@@ -13,19 +13,17 @@ formula, so every sample equals the scalar call's.
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import Annotated, Deque, Dict, List, NamedTuple, Optional, Tuple
+from typing import Annotated, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
-from .. import Bound, Finite, IntAtLeast, NonNegative, _mean, check_fields
+from .. import Bound, Finite, IntAtLeast, NonNegative, check_fields
 from ..telemetry import Telemetry
 from .topology import Cluster, NetworkCondition
 
 __all__ = ["Measurement", "NetworkMonitor"]
 
 _BLOCK = 256    # standard normals drawn per refill (even: two per probe)
-_RECENT = 16    # samples behind recent_rel_error
 
 
 class Measurement(NamedTuple):
@@ -64,7 +62,6 @@ class NetworkMonitor:
         #: the current block of standard normals and how many are used
         self._normals: List[float] = []
         self._drawn = _BLOCK
-        self._recent: Deque[Measurement] = deque(maxlen=_RECENT)
         self._smoothed_bw: Dict[int, float] = {}
         self._smoothed_delay: Dict[int, float] = {}
         self.telemetry = Telemetry.of(telemetry)
@@ -104,9 +101,7 @@ class NetworkMonitor:
             bw = true_bw * math.exp(0.0 + noise * normals[k])
             delay = true_delay * math.exp(0.0 + noise * normals[k + 1])
             k += 2
-            m = Measurement(device, bw, delay, now, "active")
-            self._recent.append(m)
-            out.append(m)
+            out.append(Measurement(device, bw, delay, now, "active"))
             if device in smoothed_bw:
                 bw = smoothed_bw[device] = (
                     a * bw + (1 - a) * smoothed_bw[device])
@@ -126,27 +121,6 @@ class NetworkMonitor:
         self._m_delay_err.observe_rel_error(delay, true_delay)
 
     # -- state ---------------------------------------------------------------
-    def recent_rel_error(self) -> Tuple[float, float]:
-        """(bandwidth, delay) mean of ``|sample - smoothed| / smoothed``
-        over the last 16 samples, each against its device's
-        current smoothed estimate; 0.0 with no sample.
-
-        This is the estimate error a deployment can observe.  The
-        ``*_estimate_rel_error`` histograms compare against the true
-        link instead: they are for dashboards, never for steering.
-        """
-        bw_errs: List[float] = []
-        delay_errs: List[float] = []
-        for m in self._recent:
-            sm_bw = self._smoothed_bw[m.device]
-            sm_delay = self._smoothed_delay[m.device]
-            if sm_bw:
-                bw_errs.append(abs(m.bandwidth_mbps - sm_bw) / sm_bw)
-            if sm_delay:
-                delay_errs.append(abs(m.delay_ms - sm_delay) / sm_delay)
-        return (_mean(bw_errs) if bw_errs else 0.0,
-                _mean(delay_errs) if delay_errs else 0.0)
-
     def estimate(self) -> NetworkCondition:
         """Current smoothed estimate of all links.
 

@@ -1,4 +1,4 @@
-"""The four controllers: guards, feedback rules, and convergence."""
+"""The controllers: guards and feedback rules."""
 
 import math
 from types import SimpleNamespace
@@ -6,10 +6,8 @@ from types import SimpleNamespace
 import pytest
 
 from repro.control import (AdmissionController, BatchPolicyController,
-                           CacheGranularityController, ControlLoop,
-                           ControlSnapshot, PrecomputeScheduler,
+                           ControlLoop, ControlSnapshot, PrecomputeScheduler,
                            TenantFairnessController)
-from repro.core import StrategyCache
 from repro.netsim import NetworkCondition
 from repro.runtime import BatchPolicy, RequestRecord, ServingStats
 
@@ -23,18 +21,14 @@ def _served(n=1, service_s=0.0, e2e_s=None):
                           decision_s=0.0, switch_s=0.0, satisfied=True)] * n
 
 
-def _snap(t=1.0, hits=0, misses=0, rel_err=0.0, window=(), queue=0,
-          slo_s=0.3, condition=None):
+def _snap(t=1.0, window=(), queue=0, slo_s=0.3, condition=None):
     return ControlSnapshot(
-        t=t, window_hits=hits, window_misses=misses,
-        window=ServingStats(list(window)),
-        queue_depth=queue, slo_s=slo_s, condition=condition,
-        monitor_bw_rel_err=rel_err, monitor_delay_rel_err=rel_err)
+        t=t, window=ServingStats(list(window)),
+        queue_depth=queue, slo_s=slo_s, condition=condition)
 
 
 class _FakeSystem:
     def __init__(self, min_latency_s=0.05):
-        self.cache = StrategyCache()
         self.precomputed = []
         self._min_latency_s = min_latency_s
 
@@ -46,24 +40,16 @@ class _FakeSystem:
         return SimpleNamespace(expected_latency_s=self._min_latency_s)
 
 
+# The single-field bounds at 0, 1.5, NaN and inf are swept for every
+# controller by tests/test_domains.py; these are the rules it does not
+# feed: a cross-field rule and values outside its sweep.
 @pytest.mark.parametrize("ctor", [
-    lambda: CacheGranularityController(hit_lo=0.9, hit_hi=0.5),
-    lambda: CacheGranularityController(hit_lo=-0.1),
-    lambda: CacheGranularityController(factor=1.0),
-    lambda: CacheGranularityController(min_window=0),
-    lambda: BatchPolicyController(min_batch=0),
     lambda: BatchPolicyController(min_batch=8, max_batch=4),
     # a float bound reached ``replace(policy, max_batch=...)`` mid-run
     lambda: BatchPolicyController(max_batch=8.0),
-    lambda: BatchPolicyController(min_batch=1.5),
     lambda: BatchPolicyController(max_batch=float("inf")),
-    lambda: BatchPolicyController(depth_per_slot=0.0),
     lambda: BatchPolicyController(headroom=1.0),
-    lambda: AdmissionController(margin=0.0),
-    lambda: AdmissionController(ewma_alpha=0.0),
     lambda: AdmissionController(ewma_alpha=1.1),
-    lambda: PrecomputeScheduler(horizon_s=0.0),
-    lambda: PrecomputeScheduler(max_cells=0),
 ])
 def test_constructor_guards_raise_value_error(ctor):
     with pytest.raises(ValueError):
@@ -71,117 +57,13 @@ def test_constructor_guards_raise_value_error(ctor):
 
 
 @pytest.mark.parametrize("controller, field, value", [
-    # a NaN margin makes every budget NaN: after the first window every
-    # request is shed; an infinite one means admission never acts
-    (AdmissionController, "margin", math.nan),
-    (AdmissionController, "margin", math.inf),
-    (TenantFairnessController, "margin", math.nan),
-    (TenantFairnessController, "pressure", math.nan),
-    (TenantFairnessController, "tolerance", math.nan),
+    # the sweep feeds scalars only: a NaN inside a mapping
     (TenantFairnessController, "weights", {"a": math.nan}),
-    (BatchPolicyController, "depth_per_slot", math.nan),
-    (CacheGranularityController, "factor", math.nan),
-    (PrecomputeScheduler, "horizon_s", math.nan),
 ])
 def test_a_hostile_setting_is_a_value_error_naming_its_field(
         controller, field, value):
     with pytest.raises(ValueError, match=field):
         controller(**{field: value})
-
-
-# hit-rate signals: 1/9 = 11% (overload), 9/1 = 90% (healthy)
-_LOW = dict(hits=1, misses=9)
-_HIGH = dict(hits=9, misses=1)
-
-
-class TestCacheGranularity:
-    def _loop(self):
-        return ControlLoop([]).attach(system=_FakeSystem())
-
-    def test_holds_without_enough_evidence(self):
-        c = CacheGranularityController(min_window=8)
-        assert c.update(_snap(hits=2, misses=2), self._loop()) is None
-
-    def test_holds_without_a_system(self):
-        c = CacheGranularityController()
-        assert c.update(_snap(**_LOW), ControlLoop([])) is None
-
-    def test_low_hit_rate_coarsens_both_steps(self):
-        loop = self._loop()
-        c = CacheGranularityController(factor=1.5)
-        msg = c.update(_snap(**_LOW), loop)
-        assert msg is not None and msg.startswith("coarsen")
-        cache = loop.system.cache
-        assert cache.bw_step == pytest.approx(37.5)
-        assert cache.delay_step == pytest.approx(15.0)
-
-    def test_high_hit_rate_with_low_error_refines(self):
-        loop = self._loop()
-        c = CacheGranularityController(factor=1.5, rel_err_budget=0.25)
-        msg = c.update(_snap(rel_err=0.1, **_HIGH), loop)
-        assert msg is not None and msg.startswith("refine")
-        assert loop.system.cache.bw_step == pytest.approx(25 / 1.5)
-
-    def test_high_error_blocks_refinement(self):
-        loop = self._loop()
-        c = CacheGranularityController(rel_err_budget=0.25)
-        assert c.update(_snap(rel_err=0.5, **_HIGH), loop) is None
-
-    def test_dead_band_holds(self):
-        loop = self._loop()
-        c = CacheGranularityController(hit_lo=0.4, hit_hi=0.85)
-        assert c.update(_snap(hits=6, misses=4), loop) is None
-
-    def test_settles_at_coarse_clamp_under_sustained_misses(self):
-        loop = self._loop()
-        c = CacheGranularityController(max_bw_step=200.0,
-                                       max_delay_step=80.0)
-        for _ in range(20):
-            c.update(_snap(**_LOW), loop)
-        cache = loop.system.cache
-        assert cache.bw_step == 200.0 and cache.delay_step == 80.0
-        assert c.update(_snap(**_LOW), loop) is None  # settled
-
-    def test_settles_at_fine_clamp_under_sustained_hits(self):
-        loop = self._loop()
-        c = CacheGranularityController(min_bw_step=5.0, min_delay_step=2.0)
-        for _ in range(20):
-            c.update(_snap(rel_err=0.0, **_HIGH), loop)
-        cache = loop.system.cache
-        assert cache.bw_step == 5.0 and cache.delay_step == 2.0
-        assert c.update(_snap(rel_err=0.0, **_HIGH), loop) is None
-
-    def test_failed_refinement_latches_a_floor(self):
-        """refine -> hit-rate collapse -> coarsen must latch the finer
-        level out of reach: the next healthy window may NOT re-refine."""
-        loop = self._loop()
-        cache = loop.system.cache
-        c = CacheGranularityController(factor=1.5)
-        assert c.update(_snap(**_HIGH), loop).startswith("refine")
-        assert c.update(_snap(**_LOW), loop).startswith("coarsen")
-        assert c.refine_floor_bw == pytest.approx(25.0)
-        assert c.update(_snap(**_HIGH), loop) is None  # floor holds
-        assert cache.bw_step == pytest.approx(25.0)
-        assert cache.delay_step == pytest.approx(10.0)
-
-    def test_adversarial_alternation_settles(self):
-        """Even a worst-case alternating signal cannot oscillate forever:
-        every refine->coarsen round trip ratchets the floor, so the
-        reachable step set shrinks to a fixed point."""
-        loop = self._loop()
-        cache = loop.system.cache
-        c = CacheGranularityController()
-        acted_at = []
-        for i in range(120):
-            snap = _snap(**(_HIGH if i % 2 == 0 else _LOW))
-            if c.update(snap, loop) is not None:
-                acted_at.append(i)
-        assert acted_at, "controller never acted at all"
-        assert max(acted_at) < 60, "still oscillating after 60 updates"
-        final = (cache.bw_step, cache.delay_step)
-        for i in range(10):
-            assert c.update(_snap(**(_HIGH if i % 2 else _LOW)), loop) is None
-        assert (cache.bw_step, cache.delay_step) == final
 
 
 class TestBatchPolicy:

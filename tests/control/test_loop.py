@@ -6,7 +6,7 @@ import pytest
 
 from repro.control import (BatchPolicyController, ControlAction, ControlLoop,
                            Controller)
-from repro.core import SLO, StrategyCache
+from repro.core import SLO
 from repro.netsim import NetworkCondition
 from repro.runtime import BatchPolicy, RequestRecord, ServingStats
 from repro.telemetry import Telemetry
@@ -33,15 +33,11 @@ class _FakeMonitor:
     def estimate(self):
         return self._condition
 
-    def recent_rel_error(self):
-        return 0.0, 0.0
-
 
 class _FakeSystem:
     """Just enough of the Murmuration facade for a snapshot."""
 
     def __init__(self, slo=None, min_latency_s=0.05):
-        self.cache = StrategyCache()
         self.slo = slo if slo is not None else SLO.latency(0.3)
         self.monitor = _FakeMonitor(NetworkCondition((100.0,), (10.0,)))
         self._min_latency_s = min_latency_s
@@ -123,11 +119,8 @@ class TestSnapshot:
         system = _FakeSystem()
         loop = ControlLoop([rec], period_s=1.0).attach(system=system)
         stats = ServingStats(records=[_record(0.0, 0.0, 0.2)])
-        slo, cond = SLO.latency(0.3), NetworkCondition((100.0,), (10.0,))
-        system.cache.get(slo, cond)               # one serving miss
         loop.maybe_tick(1.0, stats=stats, queue_depth=3)
         snap = rec.snapshots[-1]
-        assert snap.window_misses == 1 and snap.window_hits == 0
         assert snap.window.records == stats.records
         assert snap.window.mean_service_s == pytest.approx(0.2)
         assert snap.queue_depth == 3
@@ -140,7 +133,6 @@ class TestSnapshot:
         snap = rec.snapshots[-1]
         assert snap.window.records == stats.records[1:]
         assert snap.window.slo_compliance == 0.0
-        assert snap.window_misses == 0
 
     def test_shed_and_failed_excluded_from_service_estimate(self):
         """A shed request's zero-second 'service' must not drag the
@@ -178,12 +170,11 @@ class TestSnapshot:
         assert rec.snapshots[-1].window.percentile_ms(95) \
             == stats.percentile_ms(95) == pytest.approx(200.0)
 
-    def test_empty_window_hit_rate_is_none(self):
+    def test_an_unattached_tick_sees_no_window_condition_or_slo(self):
         rec = _Recorder()
         loop = ControlLoop([rec], period_s=1.0)
         loop.maybe_tick(1.0)
         snap = rec.snapshots[-1]
-        assert snap.window_hit_rate is None
         assert snap.window.records == []
         assert snap.window.mean_service_s == 0.0
         assert snap.condition is None and snap.slo_s is None

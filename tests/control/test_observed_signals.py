@@ -5,9 +5,9 @@ Two laws over real scenario runs:
 * a tick's ``window`` is the report over the records finished since the
   previous tick — joined in order, the windows are exactly the records
   finished by the last tick, each once;
-* the monitor-error signal is the scatter of the monitor's own recent
-  samples, so attaching a telemetry hub (whose histograms compare the
-  estimate against the true link) changes no snapshot and no record.
+* a snapshot carries the monitor's own smoothed estimate, so attaching a
+  telemetry hub (whose histograms compare the estimate against the true
+  link) changes no snapshot and no record.
 """
 
 import pytest
@@ -64,12 +64,13 @@ def test_successive_windows_join_to_the_records_finished_by_each_tick(
     assert all(a is b for a, b in zip(joined, records))
 
 
-def test_the_monitor_error_signal_does_not_depend_on_telemetry():
+def test_a_snapshot_does_not_depend_on_telemetry():
     plain, spy_plain = _run("adaptive", _ADAPTIVE, "controlled")
     traced, spy_traced = _run("adaptive", _ADAPTIVE, "controlled",
                               telemetry=Telemetry())
-    signal = [[(s.t, s.monitor_bw_rel_err, s.monitor_delay_rel_err)
+    signal = [[(s.t, s.condition, s.queue_depth, s.slo_s,
+                len(s.window.records))
                for s in spy.snapshots] for spy in (spy_plain, spy_traced)]
     assert signal[0] == signal[1]
-    assert any(bw > 0.0 for _, bw, _ in signal[0])
+    assert len({condition for _, condition, *_ in signal[0]}) > 1
     assert plain.stats.records == traced.stats.records

@@ -110,10 +110,6 @@ class TestStrategyCache:
         lookup raised a bare int-conversion error."""
         with pytest.raises(ValueError, match=f"{name} must be positive"):
             StrategyCache(**{name: step})
-        cache = StrategyCache()
-        with pytest.raises(ValueError, match=f"{name} must be positive"):
-            cache.set_steps(**{name: step})
-        assert getattr(cache, name) == getattr(StrategyCache(), name)
 
     def test_tiny_steps_stay_legal(self):
         """``examples/dynamic_network.py`` disables sharing this way."""
@@ -204,110 +200,6 @@ class TestStrategyCache:
         assert st["hit_rate"] == 0.5
         assert st["inserts"] == 1
         assert st["overwrites"] == 0 and st["evictions"] == 0
-
-
-class TestSetSteps:
-    """Runtime granularity retuning — the control plane's cache knob."""
-
-    def test_rekey_preserves_entries_and_recent_wins_collisions(self):
-        cache = StrategyCache(bw_step=25.0, delay_step=10.0)
-        slo = SLO.latency(0.1)
-        s_old, s_new = _strategy(), _strategy()
-        cache.put(slo, NetworkCondition((100.0,), (10.0,)), s_old)
-        cache.put(slo, NetworkCondition((120.0,), (10.0,)), s_new)
-        assert len(cache) == 2
-        # coarsening to 50: cells 100/50=2 and 120/50=2.4 collide; the
-        # more recently used entry must survive
-        dropped = cache.set_steps(bw_step=50.0)
-        assert dropped == 1 and len(cache) == 1
-        assert cache.invalidations == 1
-        assert cache.get(slo, NetworkCondition((110.0,), (10.0,))) is s_new
-
-    def test_rekey_false_invalidates_everything(self):
-        cache = StrategyCache(bw_step=25.0)
-        slo = SLO.latency(0.1)
-        cache.put(slo, NetworkCondition((100.0,), (10.0,)), _strategy())
-        cache.put(slo, NetworkCondition((300.0,), (10.0,)), _strategy())
-        dropped = cache.set_steps(bw_step=50.0, rekey=False)
-        assert dropped == 2 and len(cache) == 0
-        assert cache.invalidations == 2
-        assert cache.bw_step == 50.0
-
-    def test_refine_separates_formerly_shared_cells(self):
-        """After refining, peek() must see the new, finer snapping."""
-        cache = StrategyCache(bw_step=50.0, delay_step=10.0)
-        slo = SLO.latency(0.1)
-        s = _strategy()
-        cache.put(slo, NetworkCondition((100.0,), (10.0,)), s)
-        assert cache.peek(slo, NetworkCondition((120.0,), (10.0,))) is s
-        assert cache.set_steps(bw_step=25.0) == 0  # refine drops nothing
-        # entry re-snapped from its exact written condition (cell 4);
-        # 120 now lands in cell 5, its own distinct cell
-        assert cache.peek(slo, NetworkCondition((120.0,), (10.0,))) is None
-        assert cache.peek(slo, NetworkCondition((104.0,), (10.0,))) is s
-
-    def test_unchanged_steps_are_a_noop(self):
-        cache = StrategyCache()
-        slo = SLO.latency(0.1)
-        cache.put(slo, NetworkCondition((100.0,), (10.0,)), _strategy())
-        assert cache.set_steps(bw_step=cache.bw_step) == 0
-        assert cache.set_steps() == 0
-        assert len(cache) == 1 and cache.invalidations == 0
-
-    @pytest.mark.parametrize("kwargs", [dict(slo_step=0.0),
-                                        dict(bw_step=-1.0),
-                                        dict(delay_step=0.0)])
-    def test_invalid_steps_rejected(self, kwargs):
-        cache = StrategyCache()
-        with pytest.raises(ValueError, match="must be positive"):
-            cache.set_steps(**kwargs)
-
-    def test_hit_miss_counters_survive_a_retune(self):
-        """The control loop retunes from windowed hit/miss deltas, so a
-        retune must not erase the evidence it acted on."""
-        cache = StrategyCache()
-        slo = SLO.latency(0.1)
-        cond = NetworkCondition((100.0,), (10.0,))
-        cache.get(slo, cond)                 # miss
-        cache.put(slo, cond, _strategy())
-        cache.get(slo, cond)                 # hit
-        cache.set_steps(bw_step=50.0)
-        st = cache.stats()
-        assert st["hits"] == 1 and st["misses"] == 1
-        assert st["bw_step"] == 50.0
-
-    def test_rekey_preserves_lru_order(self):
-        """Eviction order after a retune still reflects pre-retune use."""
-        cache = StrategyCache(capacity=2, bw_step=25.0)
-        slo = SLO.latency(0.1)
-        s = _strategy()
-        c_a = NetworkCondition((50.0,), (10.0,))
-        c_b = NetworkCondition((300.0,), (10.0,))
-        cache.put(slo, c_a, s)
-        cache.put(slo, c_b, s)
-        assert cache.get(slo, c_a) is s      # A is now most recent
-        cache.set_steps(bw_step=30.0)
-        cache.put(slo, NetworkCondition((150.0,), (10.0,)), s)
-        assert cache.peek(slo, c_b) is None  # B was oldest: evicted
-        assert cache.peek(slo, c_a) is s
-
-    def test_a_collision_survivor_keeps_its_recency(self):
-        """The entry that wins a collision is the most recently used of
-        the cell: it takes the newer position, so a later eviction goes
-        to an entry used before it."""
-        cache = StrategyCache(capacity=3, bw_step=25.0)
-        slo = SLO.latency(0.1)
-        a, b, c = _strategy(), _strategy(), _strategy()
-        cache.put(slo, NetworkCondition((100.0,), (10.0,)), a)  # cell 4
-        cache.put(slo, NetworkCondition((200.0,), (10.0,)), c)  # cell 8
-        cache.put(slo, NetworkCondition((120.0,), (10.0,)), b)  # cell 5
-        # at 50: A and B collide in cell 2, and B, used last, survives
-        assert cache.set_steps(bw_step=50.0) == 1
-        assert [e[2] for e in cache._store.values()] == [c, b]
-        cache.put(slo, NetworkCondition((400.0,), (10.0,)), _strategy())
-        cache.put(slo, NetworkCondition((600.0,), (10.0,)), _strategy())
-        assert cache.peek(slo, NetworkCondition((200.0,), (10.0,))) is None
-        assert cache.peek(slo, NetworkCondition((120.0,), (10.0,))) is b
 
 
 @pytest.fixture(scope="module")

@@ -106,4 +106,4 @@ def test_no_component_reads_a_metric_back():
     _check(READ_BACK, {}, 0,
            "Components write telemetry; nothing steers on it.  A signal a "
            "controller needs comes from the component that observes it "
-           "(NetworkMonitor.recent_rel_error, the ServingStats window).")
+           "(NetworkMonitor.estimate, the ServingStats window).")

@@ -5,10 +5,9 @@ sample as ``exp(0.0 + sigma * z)``.  The stream law: probe rounds, over
 2-4 remotes and across several block refills (a round may straddle
 one), see exactly the samples ``default_rng(seed).lognormal(0.0,
 sigma)`` would have given them, one call at a time, and the smoothed
-estimate is the EWMA fold of those samples.  ``recent_rel_error``'s
-means are ``np.mean``'s bit for bit.  Then the monitor's typed errors:
-a noise or smoothing factor that would poison every estimate is refused
-at construction.
+estimate is the EWMA fold of those samples.  Then the monitor's typed
+errors: a noise or smoothing factor that would poison every estimate is
+refused at construction.
 
 ``PRICE_KERNEL_N`` sets the fuzzers' example count; CI multiplies it by
 ten.
@@ -94,39 +93,6 @@ def test_probe_rounds_equal_the_per_sample_stream(
         assert mon.estimate() == NetworkCondition(
             tuple(bw[d] for d in range(1, remotes + 1)),
             tuple(delay[d] for d in range(1, remotes + 1)))
-
-
-def _np_rel_error(mon):
-    """``recent_rel_error`` as it stood: ``float(np.mean(...))``."""
-    bw_errs, delay_errs = [], []
-    for m in mon._recent:
-        sm_bw = mon._smoothed_bw[m.device]
-        sm_delay = mon._smoothed_delay[m.device]
-        if sm_bw:
-            bw_errs.append(abs(m.bandwidth_mbps - sm_bw) / sm_bw)
-        if sm_delay:
-            delay_errs.append(abs(m.delay_ms - sm_delay) / sm_delay)
-    return (float(np.mean(bw_errs)) if bw_errs else 0.0,
-            float(np.mean(delay_errs)) if delay_errs else 0.0)
-
-
-@settings(max_examples=KERNEL_N, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from([0.02, 0.05, 0.37]),
-       st.sampled_from([0.3, 0.5, 1.0]), st.integers(1, 4),
-       st.integers(1, 16))
-def test_recent_rel_error_is_the_numpy_mean(seed, noise, alpha, remotes,
-                                            rounds):
-    """After every round, from 1 sample to the full window of 16 and
-    past it, both means equal the ``np.mean`` form ``.hex()`` for
-    ``.hex()``."""
-    rng = np.random.default_rng(seed)
-    world = Cluster([rpi4()] * (remotes + 1), truth_of(rng, remotes))
-    mon = NetworkMonitor(world, noise=noise, ewma_alpha=alpha, seed=seed)
-    assert mon.recent_rel_error() == (0.0, 0.0)
-    for _ in range(rounds):
-        mon.probe_all()
-        got, want = mon.recent_rel_error(), _np_rel_error(mon)
-        assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 def test_an_estimate_that_reads_the_true_link_follows_it():

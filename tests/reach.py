@@ -38,8 +38,6 @@ _CONTENDED = ("a contended wire: the wire, route and fluid digests pin it; "
               "no scenario or workload contends a mesh")
 _FLUID = "fluid_price_digests pins it"
 _ORACLE = "the oracle of test_simulate::test_matches_graph_time"
-_STEPS = ("CacheGranularityController's action: 0 calls at adaptive's "
-          "240 requests (control line batch-policy=4 precompute=44)")
 _LOSS = "the message-loss path: no scenario or workload schedules MessageLoss"
 _NULL = ("a null twin: test_null_contract holds its surface equal to the "
          "real class's")
@@ -64,8 +62,6 @@ KEEP: Dict[str, str] = {
     "repro.runtime.reconfig:ModelReconfig.__init__": _RECONFIG,
     "repro.runtime.reconfig:ModelReconfig.switch": _RECONFIG,
     "repro.runtime.reconfig:ModelReconfig.active_units": _RECONFIG,
-    "repro.core.strategy_cache:StrategyCache.set_steps": _STEPS,
-    "repro.control.loop:ControlSnapshot.window_hit_rate": _STEPS,
     "repro.faults.injector:FaultInjector.message_lost": _LOSS,
     "repro.core.cost_model:PlanCostModel.num_transfers": _LOSS,
     "repro.core.cost_model:PlanCostModel._program": _LOSS,

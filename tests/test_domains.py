@@ -16,8 +16,8 @@ import pytest
 
 from repro import _declarations
 from repro.control import (AdmissionController, BatchPolicyController,
-                           CacheGranularityController, ControlLoop,
-                           PrecomputeScheduler, TenantFairnessController)
+                           ControlLoop, PrecomputeScheduler,
+                           TenantFairnessController)
 from repro.core.strategy_cache import StrategyCache
 from repro.devices.profiles import desktop_gtx1080, rpi4
 from repro.eval.adaptive import AdaptiveConfig, burst_arrival_process
@@ -65,9 +65,8 @@ OWNERS = {
     RetryPolicy: {}, ResilienceConfig: {},
     DeviceHealth: dict(num_devices=2),
     EnvConfig: {},
-    CacheGranularityController: {}, BatchPolicyController: {},
-    AdmissionController: {}, TenantFairnessController: {},
-    PrecomputeScheduler: {}, ControlLoop: {},
+    BatchPolicyController: {}, AdmissionController: {},
+    TenantFairnessController: {}, PrecomputeScheduler: {}, ControlLoop: {},
     NetworkMonitor: dict(cluster=_CLUSTER),
     StrategyCache: {}, BatchPolicy: {}, TraceConfig: {},
     Link: dict(bandwidth_mbps=100.0, delay_ms=5.0),
