@@ -280,8 +280,7 @@ class Murmuration:
         """Re-place a strategy on breaker-approved devices only.
 
         Uses decision-layer knowledge exclusively: the health state and
-        the *observed* condition (a fresh cluster, so ground-truth
-        straggler scales never leak in).
+        the *observed* condition, priced on a fresh cluster.
         """
         # the ladder's target, with open link circuits excluded too;
         # the gateway competes

@@ -3,8 +3,9 @@
 The robustness layer for the distributed runtime.  Four pieces:
 
 * :mod:`~repro.faults.schedule` — timed, immutable fault events
-  (crashes, stragglers, link degradation, message loss, partitions) in
-  a :class:`FaultSchedule`, plus seeded generators;
+  (crashes, link degradation, message loss, link failures and flaps,
+  correlated failure domains) in a :class:`FaultSchedule`, plus seeded
+  generators;
 * :mod:`~repro.faults.injector` — :class:`FaultInjector`, which applies
   the schedule to the simulated world and answers the data plane's
   ground-truth queries (the decision layer never peeks);
@@ -27,8 +28,8 @@ and the breakers are :data:`NULL_HEALTH`.  To inject faults::
 from .. import _lazy_exports
 
 __all__, __getattr__, __dir__ = _lazy_exports(globals(), {
-    "schedule": ("FaultEvent", "DeviceCrash", "Straggler", "LinkDegradation",
-                 "MessageLoss", "Partition", "LinkFailure", "LinkFlap",
+    "schedule": ("FaultEvent", "DeviceCrash", "LinkDegradation",
+                 "MessageLoss", "LinkFailure", "LinkFlap",
                  "CorrelatedFailure", "FaultSchedule",
                  "crash_and_recover_schedule"),
     "injector": ("FaultInjector", "NULL_FAULTS"),

@@ -3,8 +3,8 @@
 One :class:`FaultInjector` owns the ground-truth fault state derived
 from its :class:`~repro.faults.schedule.FaultSchedule` at the current
 simulated time.  It perturbs the *true* world — the cluster's link
-conditions and per-device compute scale — and answers the data plane's
-physical questions (is this peer reachable? did this message survive?).
+conditions — and answers the data plane's physical questions (is this
+peer reachable? did this message survive?).
 
 The decision layer never calls these queries.  It sees faults only
 through their observable consequences: degraded links show up in the
@@ -28,7 +28,7 @@ import numpy as np
 from ..netsim.topology import Cluster, NetworkCondition
 from ..telemetry import Telemetry
 from .schedule import (CorrelatedFailure, DeviceCrash, FaultEvent,
-                       FaultSchedule, Partition)
+                       FaultSchedule)
 
 __all__ = ["FaultInjector", "NULL_FAULTS"]
 
@@ -79,7 +79,7 @@ class FaultInjector:
         for e in self.schedule:
             if isinstance(e, DeviceCrash):
                 out.add(e.device)
-            elif isinstance(e, (Partition, CorrelatedFailure)):
+            elif isinstance(e, CorrelatedFailure):
                 out.update(e.devices)
         return out
 
@@ -97,7 +97,7 @@ class FaultInjector:
         if started or ended:
             for e in started:
                 self._count_fault_event(e.kind)
-            iso = self.schedule.unreachable_devices(self.now)
+            iso = self.schedule.down_devices(self.now)
             for dev, gauge in self._m_device_up.items():
                 gauge.set(0.0 if dev in iso else 1.0)
         return sorted(started, key=lambda e: (e.start, e.kind))
@@ -136,7 +136,6 @@ class FaultInjector:
             if key == self._applied_key:
                 return
             cluster.apply_link_faults(down=down, degraded=degraded)
-            cluster.compute_scale = self.schedule.compute_scale(self.now)
             self._applied_key = key
             return
         if base_condition is None:
@@ -145,17 +144,16 @@ class FaultInjector:
         if key == self._applied_key:
             return
         cluster.set_condition(self.schedule.degrade(base_condition, self.now))
-        cluster.compute_scale = self.schedule.compute_scale(self.now)
         self._applied_key = key
 
     # -- ground-truth queries (data plane only) ---------------------------
     def is_down(self, device: int) -> bool:
-        return device in self.schedule.unreachable_devices(self.now)
+        return device in self.schedule.down_devices(self.now)
 
     def reachable(self, src: int, dst: int) -> bool:
         """Can a message physically travel ``src -> dst`` right now?
 
-        Device-level first (crashed/partitioned endpoints); on a mesh,
+        Device-level first (crashed endpoints); on a mesh,
         additionally requires a surviving path under the current fault
         overlay — no route means no delivery even with both endpoints
         alive.
@@ -176,9 +174,6 @@ class FaultInjector:
             return False
         return bool(self._rng.random() < p)
 
-    def compute_scale(self) -> Dict[int, float]:
-        return self.schedule.compute_scale(self.now)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"FaultInjector(now={self.now:.3f}, "
                 f"active={len(self._active)}/{len(self.schedule)})")
@@ -188,8 +183,8 @@ class NullFaults:
     """The injector of a run without one: nothing fails, ever.
 
     A class of its own, not a :class:`FaultInjector` (the perf harness
-    wraps the real methods by identity).  ``is_down`` and
-    ``compute_scale`` are read only from a real injector (tests).
+    wraps the real methods by identity).  ``is_down`` is read only from
+    a real injector (tests).
     """
 
     schedule = FaultSchedule()

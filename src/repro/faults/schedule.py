@@ -1,11 +1,11 @@
 """Timed fault schedules: *what* goes wrong in the world, and *when*.
 
 A :class:`FaultSchedule` is a plain, immutable list of timed events —
-device crashes, stragglers, link degradation, message loss, network
-partitions — each active over a ``[start, end)`` window of simulated
-time.  The schedule is pure ground truth: only the data plane (the
-transport and the executor, i.e. code that would physically notice a
-dead peer) may consult it, through the
+device crashes, link degradation, message loss, link failures and
+flaps, correlated failure domains — each active over a ``[start, end)``
+window of simulated time.  The schedule is pure ground truth: only the
+data plane (the transport and the executor, i.e. code that would
+physically notice a dead peer) may consult it, through the
 :class:`~repro.faults.injector.FaultInjector`.  The decision layer
 learns about faults the honest way — timeouts, retries and the
 circuit-breaker state they feed.
@@ -29,9 +29,8 @@ from .. import (Bound, Finite, IntAtLeast, NonNegative, Period, Positive,
 from ..netsim.link import Delay, Edge, canonical_edge
 from ..netsim.topology import NetworkCondition
 
-__all__ = ["FaultEvent", "DeviceCrash", "Straggler", "LinkDegradation",
-           "MessageLoss", "Partition", "LinkFailure", "LinkFlap",
-           "CorrelatedFailure", "FaultSchedule",
+__all__ = ["FaultEvent", "DeviceCrash", "LinkDegradation", "MessageLoss",
+           "LinkFailure", "LinkFlap", "CorrelatedFailure", "FaultSchedule",
            "crash_and_recover_schedule"]
 
 
@@ -70,44 +69,20 @@ class DeviceCrash(FaultEvent):
 
 
 @dataclass(frozen=True)
-class Straggler(FaultEvent):
-    """A device computes ``slowdown``x slower (thermal throttling,
-    co-tenant contention)."""
-
-    device: Annotated[int, IntAtLeast(0)] = 1
-    #: a compute-time multiplier
-    slowdown: Annotated[float, Finite, Bound(1.0)] = 2.0
-    kind = "straggler"
-
-
-@dataclass(frozen=True)
 class LinkDegradation(FaultEvent):
     """A link collapses: bandwidth scaled by ``bw_factor``,
     ``extra_delay_ms`` added (interference, congestion, rate limiting).
 
-    Star-addressed (the default): ``device=k`` degrades remote ``k``'s
-    link to the switch — on a mesh this reads as "device k's radio
-    degrades", hitting every edge incident to ``k``.  Mesh-addressed:
-    ``link=(a, b)`` pins the event to that one edge; on a star cluster a
-    gateway-incident ``link=(0, k)`` degrades remote ``k`` and
-    remote-remote links are ignored (the star has no such edge).
+    ``device=k`` degrades remote ``k``'s link to the switch — on a mesh
+    this reads as "device k's radio degrades", hitting every edge
+    incident to ``k``.
     """
 
-    device: Annotated[int, IntAtLeast(0)] = 1
+    #: a remote device's link
+    device: Annotated[int, IntAtLeast(1)] = 1
     bw_factor: Annotated[float, Bound(0.0, 1.0, lo_open=True)] = 1.0
     extra_delay_ms: Delay = 0.0
-    link: Optional[Edge] = None
     kind = "degradation"
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.link is not None:
-            a, b = self.link
-            if a == b or a < 0 or b < 0:
-                raise ValueError("link must join two distinct devices")
-            object.__setattr__(self, "link", canonical_edge(int(a), int(b)))
-        elif self.device < 1:
-            raise ValueError("degradation applies to a remote link (id >= 1)")
 
 
 @dataclass(frozen=True)
@@ -121,25 +96,6 @@ class MessageLoss(FaultEvent):
     #: a remote device's link
     device: Optional[Annotated[int, IntAtLeast(1)]] = None
     kind = "loss"
-
-
-@dataclass(frozen=True)
-class Partition(FaultEvent):
-    """A set of remote devices is cut off from the star's switch.
-
-    Devices inside the partition are unreachable from everything else
-    (including each other: remote-remote traffic relays through the
-    switch they lost).
-    """
-
-    #: remote devices: the gateway cannot be cut off from itself
-    devices: Annotated[Tuple[int, ...], IntAtLeast(1)] = ()
-    kind = "partition"
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.devices:
-            raise ValueError("partition needs at least one device")
 
 
 @dataclass(frozen=True)
@@ -319,14 +275,6 @@ class FaultSchedule:
                 out.update(e.devices)
         return frozenset(out)
 
-    def unreachable_devices(self, now: float) -> frozenset:
-        """Crashed or partitioned-away devices at ``now``."""
-        out = set(self.down_devices(now))
-        for e in self._live(now):
-            if isinstance(e, Partition) and e.active(now):
-                out.update(e.devices)
-        return frozenset(out)
-
     # -- mesh (link-level) queries ----------------------------------------
     def down_links(self, now: float,
                    edges: Optional[Sequence[Edge]] = None) -> frozenset:
@@ -335,11 +283,10 @@ class FaultSchedule:
         Collects explicitly failed edges (:class:`LinkFailure`, a
         :class:`LinkFlap` currently in its DOWN state, a
         :class:`CorrelatedFailure`'s links).  When the mesh's ``edges``
-        are supplied, every edge incident to an unreachable device is
-        down too: a crashed or partitioned relay cannot forward, so a
-        link-level partition must sever *all* of a device's edges —
-        never silently collapse to the star's "remote k is gone"
-        semantics.
+        are supplied, every edge incident to a down device is down too:
+        a crashed relay cannot forward, so its failure must sever *all*
+        of its edges — never silently collapse to the star's "remote k
+        is gone" semantics.
         """
         out = set()
         for e in self._live(now):
@@ -352,7 +299,7 @@ class FaultSchedule:
             elif isinstance(e, CorrelatedFailure):
                 out.update(e.links)
         if edges is not None:
-            iso = self.unreachable_devices(now)
+            iso = self.down_devices(now)
             if iso:
                 out.update(canonical_edge(a, b) for a, b in edges
                            if a in iso or b in iso)
@@ -363,11 +310,10 @@ class FaultSchedule:
                           ) -> Dict[Edge, Tuple[float, float]]:
         """Active per-edge ``(bw_factor, extra_delay_ms)`` over ``edges``.
 
-        Mesh-addressed events (``link=(a, b)``) hit exactly that edge;
-        star-addressed events (``device=k``) hit every edge incident to
-        ``k`` — the device's radio degrades, so every path through it
-        pays.  Overlapping events compound (factors multiply, delays
-        add), matching the star's :meth:`degrade` semantics.
+        An event on ``device=k`` hits every edge incident to ``k`` — the
+        device's radio degrades, so every path through it pays.
+        Overlapping events compound (factors multiply, delays add),
+        matching the star's :meth:`degrade` semantics.
         """
         edge_set = {canonical_edge(a, b) for a, b in edges}
         out: Dict[Edge, Tuple[float, float]] = {}
@@ -379,29 +325,17 @@ class FaultSchedule:
         for e in self._live(now):
             if not (isinstance(e, LinkDegradation) and e.active(now)):
                 continue
-            if e.link is not None:
-                if e.link in edge_set:
-                    _hit(e.link, e)
-            else:
-                for edge in edge_set:
-                    if e.device in edge:
-                        _hit(edge, e)
+            for edge in edge_set:
+                if e.device in edge:
+                    _hit(edge, e)
         return out
 
     def reachable(self, src: int, dst: int, now: float) -> bool:
         """Can a message physically travel ``src -> dst`` at ``now``?"""
         if src == dst:
             return True
-        iso = self.unreachable_devices(now)
+        iso = self.down_devices(now)
         return src not in iso and dst not in iso
-
-    def compute_scale(self, now: float) -> Dict[int, float]:
-        """Per-device compute-time multipliers from active stragglers."""
-        out: Dict[int, float] = {}
-        for e in self._live(now):
-            if isinstance(e, Straggler) and e.active(now):
-                out[e.device] = out.get(e.device, 1.0) * e.slowdown
-        return out
 
     def loss_prob(self, src: int, dst: int, now: float) -> float:
         """Combined drop probability for one ``src -> dst`` message.
@@ -430,13 +364,7 @@ class FaultSchedule:
         for e in self._live(now):
             if not (isinstance(e, LinkDegradation) and e.active(now)):
                 continue
-            if e.link is not None:
-                # mesh-addressed: a star only has gateway-incident links
-                if 0 not in e.link:
-                    continue
-                i = max(e.link) - 1
-            else:
-                i = e.device - 1
+            i = e.device - 1
             if i >= len(bws):
                 continue  # schedule written for a larger cluster
             bws[i] *= e.bw_factor

@@ -10,8 +10,7 @@ links.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import check_fields
 from ..devices.profiles import DeviceProfile
@@ -59,24 +58,9 @@ def no_device(i, num_devices: int) -> ValueError:
 class VersionedWorld:
     """A cluster's ``version``, bumped by every mutation that can move a
     plan's price and by nothing else (``PlanCostModel.latency`` memoises
-    one price per ``(cluster, version)``); assigning ``compute_scale``
-    is one."""
+    one price per ``(cluster, version)``)."""
 
     version = 0
-    _compute_scale: Mapping[int, float] = MappingProxyType({})
-
-    @property
-    def compute_scale(self) -> Mapping[int, float]:
-        """Per-device compute-time multipliers (straggler injection),
-        read-only between assignments.  Empty = nominal; only the fault
-        injector sets it, so planners that build their own cluster from
-        an *observed* condition never see ground-truth slowdowns."""
-        return self._compute_scale
-
-    @compute_scale.setter
-    def compute_scale(self, scale: Mapping[int, float]) -> None:
-        self._compute_scale = MappingProxyType(dict(scale))
-        self.version += 1
 
 
 class Cluster(VersionedWorld):

@@ -231,10 +231,8 @@ def price(program: PlanProgram, cluster) -> float:
     """``simulate_latency(graph, plan, cluster).total_s`` for the pair
     ``program`` was compiled from, bit for bit.
 
-    Link state and straggler scales are read from ``cluster`` here,
-    never at compile time: a program outlives any one condition, and a
-    planner's cluster built from an *observed* condition carries no
-    ``compute_scale``.
+    Link state is read from ``cluster`` here, never at compile time: a
+    program outlives any one condition, and a mesh reroutes.
     """
     if cluster.num_devices != program.num_devices:
         raise ValueError(
@@ -244,10 +242,6 @@ def price(program: PlanProgram, cluster) -> float:
     t = [transfer_time(src, dst, nbytes)
          for src, dst, nbytes in program.transfers]
     compute = program.compute
-    compute_scale = getattr(cluster, "compute_scale", None)
-    if compute_scale:
-        compute = [c * compute_scale.get(dst, 1.0)
-                   for c, (dst, _) in zip(compute, program.tiles)]
 
     ready = [0.0] * (len(compute) + 1)
     dev_ready = [0.0] * program.num_devices

@@ -86,10 +86,6 @@ def simulate_latency(graph: ModelGraph, plan: ExecutionPlan,
     n_dev = cluster.num_devices
     plan.validate_for(graph, n_dev)
 
-    # Straggler injection: per-device compute-time multipliers set by the
-    # fault injector.  Empty (the default) costs one falsy check per tile
-    # and leaves every timing bit-identical.
-    compute_scale = getattr(cluster, "compute_scale", None)
     transfer_time = cluster.transfer_time
     # each device's roofline constants (``DeviceProfile.compute_time``)
     roofline = [(d.effective_flops, d.mem_bandwidth, d.block_overhead_s,
@@ -171,8 +167,6 @@ def simulate_latency(graph: ModelGraph, plan: ExecutionPlan,
             if t_memory > t_compute:
                 t_compute = t_memory
             t_compute += overhead
-            if compute_scale:
-                t_compute *= compute_scale.get(dst, 1.0)
             start = dev_ready[dst]
             if arrival > start:
                 start = arrival

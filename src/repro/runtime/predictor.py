@@ -8,7 +8,6 @@ module *precompute* strategies before conditions actually change.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Annotated, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -21,20 +20,13 @@ __all__ = ["LinearPredictor", "MonitoringPredictor"]
 
 
 class LinearPredictor:
-    """Line fit over a sliding window of (t, value).
-
-    ``robust=True`` switches from least squares to the Theil-Sen
-    estimator (scipy), which shrugs off the occasional wildly wrong
-    probe — a real failure mode of active measurements sharing a link
-    with inference traffic.
-    """
+    """Least-squares line fit over a sliding window of (t, value)."""
 
     window: Annotated[int, IntAtLeast(2)]
 
-    def __init__(self, window: int = 8, robust: bool = False):
+    def __init__(self, window: int = 8):
         self.window = window
         check_fields(self)
-        self.robust = robust
         self._ts: Deque[float] = deque(maxlen=window)
         self._vs: Deque[float] = deque(maxlen=window)
 
@@ -56,11 +48,7 @@ class LinearPredictor:
         vs = np.asarray(self._vs)
         if np.ptp(ts) == 0:
             return float(vs.mean())
-        if self.robust and len(vs) >= 3:
-            from scipy.stats import theilslopes
-            slope, intercept, _, _ = theilslopes(vs, ts)
-        else:
-            slope, intercept = np.polyfit(ts, vs, 1)
+        slope, intercept = np.polyfit(ts, vs, 1)
         return float(slope * t + intercept)
 
 
@@ -69,17 +57,14 @@ class MonitoringPredictor:
 
     def __init__(self, num_remote: int, window: int = 8,
                  bw_range: Tuple[float, float] = (1.0, 1000.0),
-                 delay_range: Tuple[float, float] = (0.0, 500.0),
-                 robust: bool = False):
+                 delay_range: Tuple[float, float] = (0.0, 500.0)):
         self.num_remote = num_remote
         self.bw_range = bw_range
         self.delay_range = delay_range
         self._bw: Dict[int, LinearPredictor] = {
-            d: LinearPredictor(window, robust)
-            for d in range(1, num_remote + 1)}
+            d: LinearPredictor(window) for d in range(1, num_remote + 1)}
         self._delay: Dict[int, LinearPredictor] = {
-            d: LinearPredictor(window, robust)
-            for d in range(1, num_remote + 1)}
+            d: LinearPredictor(window) for d in range(1, num_remote + 1)}
 
     def observe(self, m: Measurement) -> None:
         if m.device not in self._bw:

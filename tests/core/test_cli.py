@@ -274,8 +274,7 @@ class TestCLI:
 def test_the_program_imports_no_graph_or_plotting_library():
     """Starting up is most of a one-shot run: ``networkx`` alone was a
     quarter of the import time and a third of the memory, for three
-    calls on graphs of under ten nodes.  (``runtime/predictor.py``
-    imports ``scipy`` inside the one function that fits with it.)"""
+    calls on graphs of under ten nodes."""
     heavy = ("networkx", "scipy", "matplotlib")
     out = subprocess.run(
         [sys.executable, "-c",

@@ -25,7 +25,7 @@ from repro.core import (SLO, Murmuration, SearchDecisionEngine, Strategy,
 from repro.core.cost_model import PlanCostModel
 from repro.devices.profiles import desktop_gtx1080, jetson_class, rpi4
 from repro.faults import (DeviceCrash, FaultInjector, FaultSchedule,
-                          LinkDegradation, LinkFailure, LinkFlap, Straggler)
+                          LinkDegradation, LinkFailure, LinkFlap)
 from repro.faults.resilience import NoRouteError
 from repro.nas.accuracy_model import arch_accuracy, plan_accuracy_penalty
 from repro.nas.arch import (ArchConfig, lattice_archs, max_arch, min_arch,
@@ -502,11 +502,6 @@ def condition_of(data, n, nan=False):
         st.floats(0.0, 500.0), min_size=n - 1, max_size=n - 1))))
 
 
-def scale_of(data, n):
-    return data.draw(st.dictionaries(st.integers(0, n - 1),
-                                     st.floats(0.1, 20.0), max_size=n))
-
-
 @settings(max_examples=40, deadline=None)
 @given(priced_cases(), st.data())
 def test_a_memoised_price_is_a_fresh_price_after_every_mutation(case, data):
@@ -514,22 +509,17 @@ def test_a_memoised_price_is_a_fresh_price_after_every_mutation(case, data):
     each step the model's (possibly memoised) price is the price of a
     fresh compile, which is ``simulate_latency``'s.  A mutation that
     forgot to bump ``version`` shows here as a stale price."""
-    graph, plan, n, _, scale = case
+    graph, plan, n, _ = case
     ring_n = max(n, 3)
-    star_world = star(n, seed=data.draw(st.integers(0, 99)), scale=scale)
+    star_world = star(n, seed=data.draw(st.integers(0, 99)))
     ring = ring_topology(devices(ring_n), 120.0, 8.0,
                          reroute=data.draw(st.booleans()))
     base = star_world.condition
     star_faults = FaultInjector(FaultSchedule([
-        Straggler(1.0, 3.0, device=n - 1, slowdown=2.5),
         LinkDegradation(2.0, 4.0, device=1, bw_factor=0.3,
-                        extra_delay_ms=12.0),
-        Straggler(2.5, 5.0, device=0, slowdown=1.5)]))
+                        extra_delay_ms=12.0)]))
     ring_faults = FaultInjector(FaultSchedule([
         LinkFailure(1.0, 3.0, a=0, b=1),
-        LinkDegradation(2.0, 4.0, link=(1, 2), bw_factor=0.25,
-                        extra_delay_ms=15.0),
-        Straggler(0.5, 3.5, device=1, slowdown=3.0),
         LinkFlap(0.5, 6.0, a=ring_n - 1, b=0, step_s=0.4, seed=3)]))
     plans = [plan] + [single_device_plan(graph, device=d) for d in range(n)]
     models = {id(star_world): PlanCostModel(MBV3_SPACE, devices(n)),
@@ -550,20 +540,19 @@ def test_a_memoised_price_is_a_fresh_price_after_every_mutation(case, data):
     check()
     for _ in range(data.draw(st.integers(1, 8))):
         step = data.draw(st.sampled_from(
-            ["condition", "rejected", "scale", "faults", "none"]))
+            ["condition", "rejected", "faults", "none"]))
         if step == "condition":
             base = condition_of(data, n)
             star_world.set_condition(base)
         elif step == "rejected":
             with pytest.raises(ValueError):
                 star_world.set_condition(condition_of(data, n, nan=True))
-        elif step == "scale":
-            star_world.compute_scale = scale_of(data, n)
         elif step == "faults":
             star_faults.advance(data.draw(st.floats(0.0, 6.0)))
             star_faults.apply_to(star_world, base)
         step = data.draw(st.sampled_from(
-            ["quality", "overlay", "invalidate", "scale", "faults", "none"]))
+            ["quality", "overlay", "degrade", "invalidate", "faults",
+             "none"]))
         edge = data.draw(st.integers(0, ring_n - 1))
         a, b = edge, (edge + 1) % ring_n
         if step == "quality":
@@ -575,10 +564,10 @@ def test_a_memoised_price_is_a_fresh_price_after_every_mutation(case, data):
                 degraded={(b, (b + 1) % ring_n): (
                     data.draw(st.floats(0.05, 1.0)),
                     data.draw(st.floats(0.0, 80.0)))})
+        elif step == "degrade":
+            ring.apply_link_faults(degraded={(1, 2): (0.25, 15.0)})
         elif step == "invalidate":
             ring.invalidate_routes()
-        elif step == "scale":
-            ring.compute_scale = scale_of(data, ring_n)
         elif step == "faults":
             ring_faults.advance(data.draw(st.floats(0.0, 6.0)))
             ring_faults.apply_to(ring)
@@ -587,7 +576,7 @@ def test_a_memoised_price_is_a_fresh_price_after_every_mutation(case, data):
 
 @settings(max_examples=KERNEL_N, deadline=None)
 @given(st.lists(st.tuples(
-    st.sampled_from(["price", "repeat", "condition", "scale"]),
+    st.sampled_from(["price", "repeat", "condition"]),
     st.integers(0, 1), st.integers(0, 2), st.integers(0, 1),
     st.integers(0, 2 ** 16)), min_size=1, max_size=24))
 def test_a_repeated_price_is_the_oracles_and_hashes_no_arch(steps):
@@ -614,11 +603,8 @@ def test_a_repeated_price_is_the_oracles_and_hashes_no_arch(steps):
 
     last, moved = None, False   # moved: the last call's cluster changed
     for kind, a, p, w, seed in steps:
-        if kind in ("condition", "scale"):
-            if kind == "condition":
-                worlds[w].set_condition(star(3, seed=seed).condition)
-            else:
-                worlds[w].compute_scale = {seed % 3: 1.0 + seed % 7}
+        if kind == "condition":
+            worlds[w].set_condition(star(3, seed=seed).condition)
             moved = moved or (last is not None and last[2] is worlds[w])
             continue
         call = last if kind == "repeat" and last else (
@@ -690,7 +676,7 @@ def test_a_no_op_apply_to_between_transitions_keeps_the_version(mesh):
         schedule = [LinkFailure(1.0, 3.0, a=0, b=1)]
     else:
         world = star(3)
-        schedule = [Straggler(1.0, 3.0, device=1, slowdown=2.0)]
+        schedule = [LinkDegradation(1.0, 3.0, device=1, bw_factor=0.5)]
     base = None if mesh else world.condition
     faults = FaultInjector(FaultSchedule(schedule))
     seen = []
@@ -698,10 +684,12 @@ def test_a_no_op_apply_to_between_transitions_keeps_the_version(mesh):
         faults.advance(now)
         faults.apply_to(world, base)
         seen.append(world.version)
-    # the first application, the onset at 1.0 and the recovery at 3.0
+    # the first application, the onset at 1.0 and the recovery at 3.0;
+    # the star's first one sets its base condition, the ring's empty
+    # overlay is the one it already holds
     first, onset, recovery = seen[0], seen[3], seen[6]
     assert seen == [first] * 3 + [onset] * 3 + [recovery] * 3
-    assert 0 < first < onset < recovery
+    assert (0 if mesh else 1) == first < onset < recovery
 
 
 def test_re_applying_the_held_condition_keeps_the_version(served):
@@ -719,16 +707,6 @@ def test_re_applying_the_held_condition_keeps_the_version(served):
     assert sum(c is system.cluster for c in served) == 1
     system.update_condition(NetworkCondition((90.0, 60.0), (12.0, 25.0)))
     assert system.cluster.version == version + 1
-
-
-@pytest.mark.parametrize("mesh", [False, True], ids=["star", "ring"])
-def test_compute_scale_is_read_only_between_assignments(mesh):
-    world = ring_topology(devices(3), 120.0, 8.0) if mesh else star(3)
-    world.compute_scale = {1: 1.5}
-    version = world.version
-    with pytest.raises(TypeError):
-        world.compute_scale[1] = 2.0
-    assert world.compute_scale == {1: 1.5} and world.version == version
 
 
 def test_decide_snaps_the_cache_key_once_on_a_miss_and_on_a_hit(monkeypatch):

@@ -57,10 +57,9 @@ PAIRS = {
     "health": ((DeviceHealth,), NULL_HEALTH, {"of", "state", "snapshot",
                                               "link_state", "drain_opened",
                                               "drain_opened_links"}),
-    # ``is_down`` / ``compute_scale`` are read only from a real injector
-    # (tests); ``apply_to`` is what moves the cluster
-    "faults": ((FaultInjector,), NULL_FAULTS, {"of", "is_down",
-                                               "compute_scale"}),
+    # ``is_down`` is read only from a real injector (tests);
+    # ``apply_to`` is what moves the cluster
+    "faults": ((FaultInjector,), NULL_FAULTS, {"of", "is_down"}),
 }
 
 

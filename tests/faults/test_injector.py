@@ -4,7 +4,7 @@ import pytest
 
 from repro.devices import rpi4
 from repro.faults import (DeviceCrash, FaultInjector, FaultSchedule,
-                          LinkDegradation, MessageLoss, Straggler)
+                          LinkDegradation, MessageLoss)
 from repro.netsim import Cluster, NetworkCondition
 from repro.telemetry import Telemetry
 
@@ -12,7 +12,6 @@ from repro.telemetry import Telemetry
 def _sched():
     return FaultSchedule([
         DeviceCrash(1.0, 2.0, device=1),
-        Straggler(1.0, 3.0, device=2, slowdown=2.0),
         LinkDegradation(1.0, 2.0, device=2, bw_factor=0.5),
     ])
 
@@ -22,8 +21,7 @@ class TestAdvance:
         inj = FaultInjector(_sched())
         assert inj.advance(0.5) == []
         started = inj.advance(1.5)
-        assert {e.kind for e in started} == {"crash", "straggler",
-                                             "degradation"}
+        assert {e.kind for e in started} == {"crash", "degradation"}
         assert inj.advance(1.7) == []  # still active, not new
         assert inj.advance(2.5) == []  # crash+degradation ended
 
@@ -34,24 +32,21 @@ class TestAdvance:
         assert not inj.is_down(2)
         assert not inj.reachable(0, 1)
         assert inj.reachable(0, 2)
-        assert inj.compute_scale() == {2: 2.0}
         inj.advance(2.5)
         assert not inj.is_down(1)
 
 
 class TestApplyTo:
-    def test_applies_degradation_and_scale(self):
+    def test_applies_degradation(self):
         base = NetworkCondition((100.0, 100.0), (10.0, 10.0))
         cluster = Cluster([rpi4()] * 3, base)
         inj = FaultInjector(_sched())
         inj.advance(1.5)
         inj.apply_to(cluster, base)
         assert cluster.condition.bandwidths_mbps == (100.0, 50.0)
-        assert cluster.compute_scale == {2: 2.0}
         inj.advance(3.5)
         inj.apply_to(cluster, base)
         assert cluster.condition is base
-        assert cluster.compute_scale == {}
 
     def test_idempotent_between_transitions(self):
         base = NetworkCondition((100.0, 100.0), (10.0, 10.0))

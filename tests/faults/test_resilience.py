@@ -154,7 +154,6 @@ class TestNoOpGuarantee:
         assert system.health is NULL_HEALTH
         assert not isinstance(system.health, DeviceHealth)
         assert system.resilience == ResilienceConfig()
-        assert system.cluster.compute_scale == {}
         plan = system.infer().strategy.plan
         assert system.health.blocked(plan, 0.0) == ()
         assert system.health.allow(1, 0.0)

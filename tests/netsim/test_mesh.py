@@ -1,5 +1,5 @@
-"""Mesh topologies (extension): routing, compatibility with the
-simulator, and the robust monitoring predictor."""
+"""Mesh topologies (extension): routing and compatibility with the
+simulator."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from repro.models import get_model
 from repro.netsim import (Cluster, MeshCluster, MeshLink, NetworkCondition,
                           line_topology, ring_topology)
 from repro.partition import layerwise_split_plan, simulate_latency
-from repro.runtime import LinearPredictor
 
 
 class TestMeshLink:
@@ -114,23 +113,3 @@ class TestMeshCluster:
         t_star = simulate_latency(g, plan, star).total_s
         assert t_mesh == pytest.approx(t_star, rel=1e-6)
 
-
-class TestRobustPredictor:
-    def test_theil_sen_ignores_outlier(self):
-        ls = LinearPredictor(window=8, robust=False)
-        ts_ = LinearPredictor(window=8, robust=True)
-        for t in range(6):
-            ls.observe(float(t), 10.0 + 2.0 * t)
-            ts_.observe(float(t), 10.0 + 2.0 * t)
-        ls.observe(6.0, 500.0)   # corrupted probe
-        ts_.observe(6.0, 500.0)
-        truth = 10.0 + 2.0 * 8
-        assert abs(ts_.predict(8.0) - truth) < abs(ls.predict(8.0) - truth)
-
-    def test_robust_matches_ls_on_clean_trend(self):
-        ls = LinearPredictor(robust=False)
-        ts_ = LinearPredictor(robust=True)
-        for t in range(6):
-            ls.observe(float(t), 5.0 - 0.5 * t)
-            ts_.observe(float(t), 5.0 - 0.5 * t)
-        assert ts_.predict(10.0) == pytest.approx(ls.predict(10.0), abs=1e-9)

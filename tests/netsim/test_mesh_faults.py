@@ -4,16 +4,17 @@ injector's link-level application.
 Covers the mesh side of the chaos stack: down/degraded overlays feed
 routing (multi-path failover with honest latency), ``reroute=False``
 pins the ablation to static tables, the path cache can never serve a
-stale route across a link mutation, and link-level partitions keep
-mesh semantics (all incident edges sever) instead of silently
-collapsing to the star's per-remote view.
+stale route across a link mutation, and a crashed device keeps mesh
+semantics (all incident edges sever) instead of silently collapsing to
+the star's per-remote view.
 """
 
 import pytest
 
 from repro.devices import rpi4
-from repro.faults import (CorrelatedFailure, FaultInjector, FaultSchedule,
-                          LinkDegradation, LinkFailure, LinkFlap, Partition)
+from repro.faults import (CorrelatedFailure, DeviceCrash, FaultInjector,
+                          FaultSchedule, LinkDegradation, LinkFailure,
+                          LinkFlap)
 from repro.faults.resilience import NoRouteError, TransportError
 from repro.netsim import MeshCluster, MeshLink, line_topology, \
     partial_mesh_topology, ring_topology
@@ -186,9 +187,9 @@ class TestRouteCacheInvalidation:
 
 class TestLinkLevelPartitions:
     def test_partition_severs_every_incident_edge(self):
-        """A partitioned relay loses *all* its mesh edges — the schedule
+        """A crashed relay loses *all* its mesh edges — the schedule
         must not collapse to the star's 'remote k is gone' semantics."""
-        sched = FaultSchedule([Partition(1.0, 5.0, devices=(2,))])
+        sched = FaultSchedule([DeviceCrash(1.0, 5.0, device=2)])
         mesh = _ring()
         down = sched.down_links(2.0, edges=mesh.base_edges)
         assert down == frozenset({(1, 2), (2, 3)})
@@ -196,35 +197,26 @@ class TestLinkLevelPartitions:
         assert sched.down_links(2.0) == frozenset()
 
     def test_partitioned_relay_blocks_transit(self):
-        """Traffic relaying *through* the partitioned device reroutes,
-        even though neither endpoint is partitioned."""
-        sched = FaultSchedule([Partition(1.0, 5.0, devices=(2,))])
+        """Traffic relaying *through* the crashed device reroutes, even
+        though neither endpoint is down."""
+        sched = FaultSchedule([DeviceCrash(1.0, 5.0, device=2)])
         mesh = _ring()
         mesh.apply_link_faults(down=sched.down_links(2.0, mesh.base_edges))
         info = mesh.route_info(1, 3)
         assert 2 not in info.path  # forced around the dead relay
         assert info.path == (1, 0, 3)
 
-    def test_degrade_on_star_keeps_mesh_links_out(self):
-        """A link-addressed degradation on a remote-remote edge has no
-        star equivalent and must leave the condition untouched."""
-        from repro.netsim import NetworkCondition
-        cond = NetworkCondition((100.0, 100.0, 100.0), (5.0, 5.0, 5.0))
-        sched = FaultSchedule([
-            LinkDegradation(0.0, 10.0, link=(1, 2), bw_factor=0.1),
-            LinkDegradation(0.0, 10.0, link=(0, 2), bw_factor=0.5),
-        ])
-        out = sched.degrade(cond, 1.0)
-        assert out.bandwidths_mbps == (100.0, 50.0, 100.0)
-
     def test_star_addressed_degradation_hits_all_incident_edges(self):
         sched = FaultSchedule([
             LinkDegradation(0.0, 10.0, device=2, bw_factor=0.5,
-                            extra_delay_ms=3.0)])
+                            extra_delay_ms=3.0),
+            LinkDegradation(0.0, 10.0, device=3, bw_factor=0.5)])
         mesh = _ring()
         deg = sched.link_degradations(1.0, mesh.base_edges)
-        assert set(deg) == {(1, 2), (2, 3)}
+        assert set(deg) == {(1, 2), (2, 3), (0, 3)}
         assert deg[(1, 2)] == (0.5, 3.0)
+        # both radios degrade the edge they share: the factors compound
+        assert deg[(2, 3)] == (0.25, 3.0)
 
 
 class TestInjectorOnMesh:

@@ -35,14 +35,11 @@ def devices(n):
     return [kinds[i % 3]() for i in range(n)]
 
 
-def star(n, seed=0, scale=None):
+def star(n, seed=0):
     rng = np.random.default_rng(seed)
-    cluster = Cluster(devices(n), NetworkCondition(
+    return Cluster(devices(n), NetworkCondition(
         tuple(float(b) for b in rng.uniform(5.0, 400.0, n - 1)),
         tuple(float(d) for d in rng.uniform(0.0, 60.0, n - 1))))
-    if scale:
-        cluster.compute_scale = dict(scale)
-    return cluster
 
 
 def mbv3_graphs():
@@ -136,20 +133,6 @@ def test_alternating_grids_force_the_gather_branch(graph, output_device):
             assert_identical(graph, plan, cluster)
 
 
-def test_compute_scale_is_applied_at_price_time():
-    graph = build_graph(max_arch(MBV3_SPACE), MBV3_SPACE)
-    nominal = star(3, seed=2)
-    slowed = star(3, seed=2, scale={1: 2.5, 2: 0.5})
-    for plan in candidate_plans(graph, nominal):
-        program = compile_plan(graph, plan, nominal.devices)
-        for cluster in (nominal, slowed):
-            report = simulate_latency(graph, plan, cluster)
-            assert price(program, cluster) == report.total_s
-    remote = candidate_plans(graph, nominal)[1]
-    program = compile_plan(graph, remote, nominal.devices)
-    assert price(program, slowed) > price(program, nominal)
-
-
 def test_a_program_rejects_a_cluster_of_another_size():
     graph = build_graph(min_arch(MBV3_SPACE), MBV3_SPACE)
     program = compile_plan(graph, single_device_plan(graph), devices(3))
@@ -180,7 +163,6 @@ def test_ring_mesh_under_faults_prices_identically(overlay, reroute):
     graph = build_graph(max_arch(MBV3_SPACE), MBV3_SPACE)
     mesh = ring_topology(devices(4), 150.0, 10.0, reroute=reroute)
     mesh.apply_link_faults(**overlay)
-    mesh.compute_scale = {1: 3.0}
     raised = 0
     for plan in candidate_plans(graph, mesh):
         raised += assert_identical(graph, plan, mesh) is None
@@ -229,18 +211,14 @@ def priced_cases(draw):
                             max_size=n - 1))),
         tuple(draw(st.lists(st.floats(0.0, 500.0), min_size=n - 1,
                             max_size=n - 1))))
-    scale = draw(st.dictionaries(st.integers(0, n - 1),
-                                 st.floats(0.1, 20.0), max_size=n))
-    return graph, plan, n, condition, scale
+    return graph, plan, n, condition
 
 
 @settings(max_examples=150, deadline=None)
 @given(priced_cases())
 def test_fuzzed_plans_price_identically_on_a_star(case):
-    graph, plan, n, condition, scale = case
-    cluster = Cluster(devices(n), condition)
-    cluster.compute_scale = scale
-    assert_identical(graph, plan, cluster)
+    graph, plan, n, condition = case
+    assert_identical(graph, plan, Cluster(devices(n), condition))
 
 
 @settings(max_examples=60, deadline=None)
@@ -251,7 +229,7 @@ def test_fuzzed_plans_price_identically_on_a_star(case):
                        max_size=3))
 def test_fuzzed_plans_price_identically_on_a_faulted_ring(
         case, reroute, down, degraded):
-    graph, plan, n, _, scale = case
+    graph, plan, n, _ = case
     if n < 3:
         n = 3
     mesh = ring_topology(devices(n), 120.0, 8.0, reroute=reroute)
@@ -261,5 +239,4 @@ def test_fuzzed_plans_price_identically_on_a_faulted_ring(
 
     mesh.apply_link_faults(down=[edge(i) for i in down],
                            degraded={edge(i): v for i, v in degraded.items()})
-    mesh.compute_scale = scale
     assert_identical(graph, plan, mesh)

@@ -55,10 +55,8 @@ def assert_three_agree(graph, plan, cluster):
 @settings(max_examples=KERNEL_N, deadline=None)
 @given(priced_cases())
 def test_fused_price_equals_the_interpreter_on_a_star(case):
-    graph, plan, n, condition, scale = case
-    cluster = Cluster(devices(n), condition)
-    cluster.compute_scale = scale
-    assert_three_agree(graph, plan, cluster)
+    graph, plan, n, condition = case
+    assert_three_agree(graph, plan, Cluster(devices(n), condition))
 
 
 @settings(max_examples=max(KERNEL_N // 2, 1), deadline=None)
@@ -69,7 +67,7 @@ def test_fused_price_equals_the_interpreter_on_a_star(case):
                        max_size=3))
 def test_fused_price_equals_the_interpreter_on_a_faulted_ring(
         case, reroute, down, degraded):
-    graph, plan, n, _, scale = case
+    graph, plan, n, _ = case
     n = max(n, 3)
     mesh = ring_topology(devices(n), 120.0, 8.0, reroute=reroute)
 
@@ -78,7 +76,6 @@ def test_fused_price_equals_the_interpreter_on_a_faulted_ring(
 
     mesh.apply_link_faults(down=[edge(i) for i in down],
                            degraded={edge(i): v for i, v in degraded.items()})
-    mesh.compute_scale = scale
     assert_three_agree(graph, plan, mesh)
 
 
@@ -98,7 +95,6 @@ def test_a_single_device_plan_is_at_most_two_entries():
             assert len(program.entries) <= 2
             assert not program.entries[-1][1], "the chain was not fused"
             cluster = Cluster(devices(3), _condition(3, seed=device))
-            cluster.compute_scale = {device: 1.7}
             assert price(program, cluster) \
                 == reference_price(program, cluster)
 
@@ -135,7 +131,7 @@ def assert_lowered(program):
 @settings(max_examples=KERNEL_N, deadline=None)
 @given(priced_cases())
 def test_lowering_keeps_every_read_slot_and_fuses_only_chains(case):
-    graph, plan, n, _, _ = case
+    graph, plan, n, _ = case
     assert_lowered(compile_plan(graph, plan, devices(n)))
 
 
@@ -174,15 +170,13 @@ def synthetic_programs(draw):
     tiles = tuple(tiles)
     program = PlanProgram(n, TRANSFERS, tiles, _lower(tiles, tail), compute,
                           tail, 0)
-    scale = draw(st.dictionaries(st.integers(0, n - 1),
-                                 st.floats(0.1, 20.0), max_size=n))
-    return program, scale, draw(st.integers(0, 2**16))
+    return program, draw(st.integers(0, 2**16))
 
 
 @settings(max_examples=KERNEL_N * 2, deadline=None)
 @given(synthetic_programs())
 def test_synthetic_programs_lower_and_price_as_the_interpreter(case):
-    program, scale, seed = case
+    program, seed = case
     assert_lowered(program)
-    cluster = star(program.num_devices, seed=seed, scale=scale)
+    cluster = star(program.num_devices, seed=seed)
     assert price(program, cluster) == reference_price(program, cluster)

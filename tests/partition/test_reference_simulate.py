@@ -70,7 +70,7 @@ def assert_same_report(graph, plan, cluster):
 
 @pytest.mark.parametrize("n", [2, 3, 5, 9])
 def test_every_candidate_plan_reports_identically(n):
-    cluster = star(n, seed=n, scale={0: 1.5, n - 1: 0.75} if n == 5 else None)
+    cluster = star(n, seed=n)
     graphs = mbv3_graphs() + [vit_small_16(), get_model("resnet50")]
     for graph in graphs:
         for plan in candidate_plans(graph, cluster):
@@ -101,7 +101,6 @@ def test_ring_mesh_under_faults_reports_identically(overlay, reroute):
     graph = build_graph(max_arch(MBV3_SPACE), MBV3_SPACE)
     mesh = ring_topology(devices(4), 150.0, 10.0, reroute=reroute)
     mesh.apply_link_faults(**overlay)
-    mesh.compute_scale = {1: 3.0}
     for plan in candidate_plans(graph, mesh):
         assert_same_report(graph, plan, mesh)
 
@@ -111,10 +110,8 @@ def test_ring_mesh_under_faults_reports_identically(overlay, reroute):
 @settings(max_examples=120, deadline=None)
 @given(priced_cases())
 def test_fuzzed_plans_report_identically_on_a_star(case):
-    graph, plan, n, condition, scale = case
-    cluster = Cluster(devices(n), condition)
-    cluster.compute_scale = scale
-    assert_same_report(graph, plan, cluster)
+    graph, plan, n, condition = case
+    assert_same_report(graph, plan, Cluster(devices(n), condition))
 
 
 @settings(max_examples=60, deadline=None)
@@ -125,7 +122,7 @@ def test_fuzzed_plans_report_identically_on_a_star(case):
                        max_size=3))
 def test_fuzzed_plans_report_identically_on_a_faulted_ring(
         case, reroute, down, degraded):
-    graph, plan, n, _, scale = case
+    graph, plan, n, _ = case
     if n < 3:
         n = 3
     mesh = ring_topology(devices(n), 120.0, 8.0, reroute=reroute)
@@ -135,5 +132,4 @@ def test_fuzzed_plans_report_identically_on_a_faulted_ring(
 
     mesh.apply_link_faults(down=[edge(i) for i in down],
                            degraded={edge(i): v for i, v in degraded.items()})
-    mesh.compute_scale = scale
     assert_same_report(graph, plan, mesh)

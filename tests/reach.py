@@ -76,16 +76,12 @@ KEEP: Dict[str, str] = {
         "server_loop_digests builds its crash world with it",
     "repro.faults.resilience:NoRouteError.device":
         "route_digests records it for every unroutable pair",
-    "repro.faults.schedule:Partition.__post_init__":
-        "no scenario partitions the star; tests/faults build Partition events",
     "repro.faults.schedule:FaultSchedule.link_degradations.<locals>._hit":
-        "an edge-keyed LinkDegradation: no scenario degrades one mesh edge",
+        "no scenario degrades a mesh link",
     "repro.faults.health:DeviceHealth.state":
         "test_health / test_ladder read circuit states through it",
     "repro.faults.injector:FaultInjector.is_down":
         "test_injector / test_mesh_faults read device outages through it",
-    "repro.faults.injector:FaultInjector.compute_scale":
-        "test_injector reads the straggler scales through it",
     "repro.netsim.mesh:RouteInfo.hops": _MESH,
     "repro.netsim.mesh:MeshCluster.set_link_quality": _MESH,
     "repro.netsim.mesh:MeshCluster.local": _MESH,

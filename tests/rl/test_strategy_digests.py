@@ -12,8 +12,8 @@ the sha256 over ``float.hex`` / ``repr`` of
   plan, cluster) triples: MBV3 random archs with per-slot kernels and
   expands, ``vit_small_16`` (the K/V sync branch) and ``resnet50``, under
   every candidate template and seeded mixed-grid plans (some with
-  ``output_device != 0``), on stars of 2, 3 and 5 devices, a star with a
-  non-empty ``compute_scale`` and a ring mesh under a fault overlay;
+  ``output_device != 0``), on stars of 2, 3 and 5 devices and a ring
+  mesh under a fault overlay;
 * ``env/*`` — ``decode`` (the arch and every block's ``(grid, devices,
   bits)``) and every :class:`StrategyOutcome` field of
   ``evaluate_actions`` for seeded action sequences and tasks on
@@ -93,22 +93,18 @@ FAMILIES = {
 }
 
 
-def _star(n, seed, scale=None):
+def _star(n, seed):
     rng = np.random.default_rng((20, 2, seed))
-    cluster = Cluster(_devices(n), NetworkCondition(
+    return Cluster(_devices(n), NetworkCondition(
         tuple(float(b) for b in rng.uniform(5.0, 400.0, n - 1)),
         tuple(float(d) for d in rng.uniform(0.0, 60.0, n - 1))))
-    if scale:
-        cluster.compute_scale = dict(scale)
-    return cluster
 
 
 def _faulted_ring():
     """(0, 1) is down, so 0 -> 1 goes the long way round over a degraded
-    (2, 3); device 1 straggles."""
+    (2, 3)."""
     mesh = ring_topology(_devices(4), 150.0, 10.0)
     mesh.apply_link_faults(down=[(0, 1)], degraded={(2, 3): (0.25, 15.0)})
-    mesh.compute_scale = {1: 3.0}
     return mesh
 
 
@@ -116,9 +112,12 @@ CLUSTERS = {
     "star2": lambda: _star(2, 2),
     "star3": lambda: _star(3, 3),
     "star5": lambda: _star(5, 5),
-    "star3_scaled": lambda: _star(3, 4, scale={0: 1.75, 2: 0.5}),
     "ring4_faulted": _faulted_ring,
 }
+#: each cluster's index in the seed of its mixed plans: its place among
+#: the sorted cluster names when the fixture was frozen (3 was a
+#: deleted cluster's)
+SEED_INDEX = {"ring4_faulted": 0, "star2": 1, "star3": 2, "star5": 4}
 
 
 def _mixed_plan(graph, n, rng):
@@ -154,7 +153,7 @@ def report_answer(family, kind):
     cluster = CLUSTERS[kind]()
     n = cluster.num_devices
     rng = np.random.default_rng((20, 3, sorted(FAMILIES).index(family),
-                                 sorted(CLUSTERS).index(kind)))
+                                 SEED_INDEX[kind]))
     rows = []
     for graph in FAMILIES[family]():
         plans = candidate_plans(graph, cluster)
@@ -271,13 +270,7 @@ def test_the_cases_reach_the_branches_they_name():
     assert sum(r["num_transfers"] > local + 4 for r in vit) >= 4
     ring = play("report/resnet50/ring4_faulted")
     assert all(isinstance(r, dict) for r in ring)      # rerouted, not lost
-    scaled = play("report/resnet50/star3_scaled")
-    plain = CLUSTERS["star3_scaled"]()
-    plain.compute_scale = {}
     graph = get_model("resnet50")
-    first = candidate_plans(graph, plain)[0]
-    assert scaled[0]["total_s"] \
-        != _hex(simulate_latency(graph, first, plain).total_s)
     rng = np.random.default_rng(0)
     assert {_mixed_plan(graph, 3, rng).output_device
             for _ in range(12)} == {0, 1, 2}

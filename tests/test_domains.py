@@ -27,8 +27,7 @@ from repro.eval.runner import SCENARIOS, override_config
 from repro.eval.spec import PinnedTimeEngine
 from repro.faults import (CorrelatedFailure, DeviceCrash, DeviceHealth,
                           FaultEvent, LinkDegradation, LinkFailure, LinkFlap,
-                          MessageLoss, Partition, ResilienceConfig,
-                          RetryPolicy, Straggler)
+                          MessageLoss, ResilienceConfig, RetryPolicy)
 from repro.netsim.link import Link
 from repro.netsim.mesh import MeshCluster, MeshLink
 from repro.netsim.monitor import NetworkMonitor
@@ -55,10 +54,8 @@ OWNERS = {
     TenantSpec: dict(name="t", rate_hz=1.0),
     FaultEvent: dict(start=0.0, end=1.0),
     DeviceCrash: dict(start=0.0, end=1.0),
-    Straggler: dict(start=0.0, end=1.0),
     LinkDegradation: dict(start=0.0, end=1.0),
     MessageLoss: dict(start=0.0, end=1.0),
-    Partition: dict(start=0.0, end=1.0, devices=(1,)),
     LinkFailure: dict(start=0.0, end=1.0),
     LinkFlap: dict(start=0.0, end=1.0),
     CorrelatedFailure: dict(start=0.0, end=1.0, devices=(1,)),
