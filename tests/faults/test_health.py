@@ -1,7 +1,5 @@
 """The DeviceHealth circuit breaker: closed -> open -> half-open -> closed."""
 
-import pytest
-
 from repro.faults import CircuitState, DeviceHealth
 from repro.telemetry import Telemetry
 
