@@ -17,8 +17,8 @@ from repro.baselines import make_baseline
 from repro.core import SLO, Murmuration, RLDecisionEngine
 from repro.devices import desktop_gtx1080, rpi4
 from repro.nas import MBV3_SPACE
-from repro.netsim import (Cluster, NetworkCondition, TraceConfig,
-                          mobility_trace)
+from repro.netsim import (NetworkCondition, TraceConfig, mobility_trace,
+                          star_topology)
 from repro.rl import EnvConfig, MurmurationEnv, SupremeConfig, SupremeTrainer
 
 SLO_MS = 140.0
@@ -63,7 +63,8 @@ def main() -> None:
             ours_ok += rec.satisfied
         except RuntimeError:
             ours = "     -- no strategy --"
-        out = baseline.evaluate(Cluster(devices, cond), SLO.latency_ms(SLO_MS))
+        out = baseline.evaluate(star_topology(devices, cond),
+                                SLO.latency_ms(SLO_MS))
         base = (f"{out.latency_s * 1e3:6.1f}ms @{out.accuracy:4.1f}%"
                 if out.satisfied else "     -- misses SLO --")
         base_ok += out.satisfied

@@ -20,7 +20,7 @@ from repro.devices import rpi4
 from repro.nas import (Supernet, SupernetTrainer, SyntheticImageDataset,
                        TrainConfig, build_graph, lattice_archs, max_arch,
                        tiny_space)
-from repro.netsim import Cluster, NetworkCondition
+from repro.netsim import NetworkCondition, star_topology
 from repro.partition import Grid, spatial_front_plan
 from repro.runtime import DistributedExecutor
 from repro.nas import MBV3_SPACE
@@ -38,8 +38,8 @@ def real_partitioned_execution() -> None:
     print(f"  val accuracy: max-net {result.val_accuracy['max']:.1f}%, "
           f"min-net {result.val_accuracy['min']:.1f}%")
 
-    cluster = Cluster([rpi4() for _ in range(5)],
-                      NetworkCondition((200.0,) * 4, (5.0,) * 4))
+    cluster = star_topology([rpi4() for _ in range(5)],
+                            NetworkCondition((200.0,) * 4, (5.0,) * 4))
     from repro.nas import recalibrate_bn
     arch = max_arch(space)
     recalibrate_bn(net, ds, arch)

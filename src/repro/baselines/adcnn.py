@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
 from ..models.graph import ModelGraph
-from ..netsim.topology import Cluster
+from ..netsim.mesh import MeshCluster
 from ..partition.plan import ExecutionPlan, single_device_plan, spatial_plan
 from ..partition.simulate import simulate_latency
 from ..partition.spatial import Grid
@@ -48,7 +48,7 @@ def _assignments(n_devices: int, ntiles: int) -> List[Tuple[int, ...]]:
     return out
 
 
-def adcnn_plan(graph: ModelGraph, cluster: Cluster,
+def adcnn_plan(graph: ModelGraph, cluster: MeshCluster,
                bits: int = 32) -> ADCNNResult:
     """Best FDSP spatial partition of ``graph`` over the cluster."""
     candidates: List[Tuple[float, Grid, Tuple[int, ...], ExecutionPlan]] = []

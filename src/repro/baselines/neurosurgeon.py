@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..models.graph import ModelGraph
-from ..netsim.topology import Cluster
+from ..netsim.mesh import MeshCluster
 from ..partition.plan import ExecutionPlan, layerwise_split_plan
 from ..partition.simulate import simulate_latency
 
@@ -29,7 +29,7 @@ class NeurosurgeonResult:
     accuracy: float
 
 
-def neurosurgeon_plan(graph: ModelGraph, cluster: Cluster,
+def neurosurgeon_plan(graph: ModelGraph, cluster: MeshCluster,
                       remote: int = 1, bits: int = 32) -> NeurosurgeonResult:
     """Best layer-wise split of ``graph`` between device 0 and ``remote``.
 

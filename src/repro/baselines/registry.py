@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional
 from ..core.slo import SLO
 from ..models.graph import ModelGraph
 from ..models.zoo import get_model
-from ..netsim.topology import Cluster
+from ..netsim.mesh import MeshCluster
 from .adcnn import adcnn_plan
 from .neurosurgeon import neurosurgeon_plan
 
@@ -38,7 +38,7 @@ class BaselineMethod:
     framework: str        # "neurosurgeon" | "adcnn"
     model_name: str
 
-    def evaluate(self, cluster: Cluster, slo: Optional[SLO] = None,
+    def evaluate(self, cluster: MeshCluster, slo: Optional[SLO] = None,
                  ) -> BaselineOutcome:
         graph = get_model(self.model_name)
         if self.framework == "neurosurgeon":

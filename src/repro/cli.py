@@ -137,7 +137,7 @@ def _links(args) -> str:
 
     from .devices import desktop_gtx1080, jetson_class, rpi4
     from .nas import Supernet, build_graph, max_arch, tiny_space
-    from .netsim import Cluster, NetworkCondition
+    from .netsim import NetworkCondition, star_topology
     from .partition import Grid, layerwise_split_plan, spatial_plan
     from .runtime import DistributedExecutor
     from .telemetry import Telemetry
@@ -150,10 +150,10 @@ def _links(args) -> str:
         from .netsim import FluidTracker
 
         tracker = FluidTracker(telemetry=tel)
-    cluster = Cluster(
+    cluster = star_topology(
         [rpi4(), desktop_gtx1080(), jetson_class(), rpi4()],
-        NetworkCondition((300.0, 80.0, 25.0), (5.0, 20.0, 40.0)),
-        contention=tracker)
+        NetworkCondition((300.0, 80.0, 25.0), (5.0, 20.0, 40.0)))
+    cluster.contention = tracker
     ex = DistributedExecutor(net, cluster, telemetry=tel)
     arch = max_arch(space)
     graph = build_graph(arch, space)

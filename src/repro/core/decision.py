@@ -28,7 +28,8 @@ import numpy as np
 from ..devices.profiles import DeviceProfile
 from ..nas.arch import ArchConfig, max_arch, min_arch, random_arch
 from ..nas.search_space import SearchSpace
-from ..netsim.topology import Cluster, NetworkCondition
+from ..netsim.mesh import star_topology
+from ..netsim.topology import NetworkCondition
 from ..rl.env import MurmurationEnv, Task
 from .cost_model import PlanCostModel
 from .slo import SLO
@@ -122,10 +123,14 @@ class SearchDecisionEngine:
         if not self.archs:
             raise ValueError("SearchDecisionEngine needs at least one arch")
         self._costs = PlanCostModel(space, self.devices)
+        #: the star a decision prices on, re-conditioned per decision
+        self._star = star_topology(self.devices, NetworkCondition.uniform(
+            len(self.devices) - 1, 1.0, 0.0))
 
     def decide(self, slo: SLO, condition: NetworkCondition) -> DecisionRecord:
         t0 = time.perf_counter()
-        cluster = Cluster(self.devices, condition)
+        cluster = self._star
+        cluster.set_condition(condition)
         costs = self._costs
         best: Optional[Strategy] = None
         if slo.kind == "latency":

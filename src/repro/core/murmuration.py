@@ -49,13 +49,14 @@ from ..devices.profiles import DeviceProfile
 from ..faults.health import NULL_HEALTH, DeviceHealth
 from ..faults.injector import FaultInjector
 from ..faults.resilience import (DeviceUnreachableError, ExecutionFailedError,
-                                 FailoverLadder, NoStrategyError,
-                                 ResilienceConfig)
+                                 FailoverLadder, NoRouteError,
+                                 NoStrategyError, ResilienceConfig)
 from ..nas.accuracy_model import arch_accuracy, plan_accuracy_penalty
 from ..nas.arch import min_arch
 from ..nas.search_space import SearchSpace
 from ..netsim.monitor import NetworkMonitor
-from ..netsim.topology import Cluster, NetworkCondition
+from ..netsim.mesh import star_topology
+from ..netsim.topology import NetworkCondition
 from ..runtime.clock import SimulatedClock
 from ..runtime.executor import DistributedExecutor, ExecutionResult
 from ..runtime.rpc import Reroutes
@@ -140,16 +141,10 @@ class Murmuration:
                  resilience: Optional[ResilienceConfig] = None,
                  recorder=None, control=None, cluster=None, clock=None):
         self.space = space
-        if cluster is not None:
-            # Caller-built topology (e.g. a MeshCluster): the runtime
-            # serves on it as-is.  ``condition`` defaults to the
-            # cluster's own end-to-end view, which for a mesh is the
-            # routed gateway->remote star equivalent.
-            self.cluster = cluster
-            if condition is None:
-                condition = cluster.condition
-        else:
-            self.cluster = Cluster(list(devices), condition)
+        # a caller-built topology (a mesh) is served as-is; else the
+        # paper's star over ``devices`` at ``condition``
+        self.cluster = (cluster if cluster is not None
+                        else star_topology(devices, condition))
         self.engine = decision_engine
         self.slo = slo
         self.cache = cache if cache is not None else StrategyCache()
@@ -171,7 +166,6 @@ class Murmuration:
             failure_threshold=self.resilience.failure_threshold,
             cooldown_s=self.resilience.cooldown_s,
             telemetry=telemetry) if self.faults.can_fail else NULL_HEALTH)
-        self._base_condition = condition
         self.reconfig = (ModelReconfig(supernet, self.cluster.local)
                          if supernet is not None else None)
         self.executor = (DistributedExecutor(supernet, self.cluster,
@@ -243,6 +237,9 @@ class Murmuration:
         self._count_decision = reg.counters(
             "decisions_total", "decisions by engine", "engine")
         self._reroutes = Reroutes(self.cluster, self.telemetry)
+        #: a star at the *observed* condition, re-conditioned per reroute
+        self._observed = star_topology(self.cluster.devices,
+                                       self.cluster.condition)
         # snapshot gauges refresh at export time, not per request
         reg.add_collect_hook(self._sync_cache_metrics)
 
@@ -252,11 +249,11 @@ class Murmuration:
         self.slo = slo
 
     def update_condition(self, condition: NetworkCondition) -> None:
-        """Apply a change in true network conditions (trace replay).
-        Under the null injector, re-applying the condition the cluster
-        holds is a no-op: its ``version`` and memoised prices stay."""
-        self._base_condition = condition
-        self.faults.apply_to(self.cluster, condition)
+        """Apply a change in true network conditions (trace replay) to
+        the star's spokes; the injector's overlay stays on top of them.
+        Re-applying the condition the star holds is a no-op: its
+        ``version`` and memoised prices stay."""
+        self.cluster.set_condition(condition)
 
     def observed_condition(self, now: Optional[float] = None) -> NetworkCondition:
         """Monitor probe round -> smoothed estimate (+ optional forecast)."""
@@ -280,7 +277,7 @@ class Murmuration:
         """Re-place a strategy on breaker-approved devices only.
 
         Uses decision-layer knowledge exclusively: the health state and
-        the *observed* condition, priced on a fresh cluster.
+        the *observed* condition, priced on the facade's observed star.
         """
         # the ladder's target, with open link circuits excluded too;
         # the gateway competes
@@ -290,9 +287,8 @@ class Murmuration:
                               > device(target).effective_flops):
             target = 0
         plan = self._costs.single_device(strategy.arch, target)
-        expected_s = self._costs.latency(
-            strategy.arch, plan,
-            Cluster(list(self.cluster.devices), condition))
+        self._observed.set_condition(condition)
+        expected_s = self._costs.latency(strategy.arch, plan, self._observed)
         return Strategy(strategy.arch, plan, expected_s,
                         self._accuracy(strategy.arch, plan))
 
@@ -349,7 +345,10 @@ class Murmuration:
             best_plan, best_s = None, None
             for d in range(self.cluster.num_devices):
                 plan = self._costs.single_device(arch, d)
-                total = self._costs.latency(arch, plan, self.cluster)
+                try:
+                    total = self._costs.latency(arch, plan, self.cluster)
+                except NoRouteError:    # cut off right now
+                    continue
                 if best_s is None or total < best_s:
                     best_plan, best_s = plan, total
             self._min_strategy = Strategy(arch, best_plan, best_s,
@@ -504,7 +503,7 @@ class Murmuration:
             self.control.maybe_tick(self.clock.now)
         start = self.clock.now
         self.faults.advance(start)
-        self.faults.apply_to(self.cluster, self._base_condition)
+        self.faults.apply_to(self.cluster)
         tracer = self.telemetry.tracer
         with tracer.span("decision", sim_time=start) as sp:
             decision = (self._note_decision(DecisionRecord(

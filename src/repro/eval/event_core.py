@@ -35,7 +35,7 @@ from typing import Annotated, Tuple
 
 from .. import Bound, Period, Positive, check_fields
 from ..devices.profiles import desktop_gtx1080, rpi4
-from ..netsim.contention import SharedIngress
+from ..netsim.ingress import SharedIngress
 from ..netsim.fluid import FluidTracker
 from ..netsim.link import Delay, Link
 from ..netsim.topology import NetworkCondition

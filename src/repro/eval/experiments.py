@@ -29,7 +29,8 @@ from ..nas.graph_builder import build_graph
 from ..nas.search_space import MBV3_SPACE, SearchSpace
 from ..netsim.grids import (AUGMENTED_BANDWIDTHS, AUGMENTED_DELAYS,
                             SWARM_BANDWIDTHS, SWARM_DELAY)
-from ..netsim.topology import Cluster, NetworkCondition
+from ..netsim.mesh import star_topology
+from ..netsim.topology import NetworkCondition
 from ..netsim.traces import TraceConfig, random_walk_trace
 from ..partition.plan import (layerwise_split_plan, single_device_plan,
                               spatial_plan)
@@ -82,7 +83,7 @@ def _grid(devices, methods: Sequence[BaselineMethod], cells,
     out: PointGrid = {m.name: {} for m in methods}
     out["Murmuration (Ours)"] = {}
     for key, slo, condition in cells:
-        cluster = Cluster(devices, condition)
+        cluster = star_topology(devices, condition)
         for m in methods:
             r = m.evaluate(cluster, slo)
             out[m.name][key] = (point(r.accuracy, r.latency_s) if r.satisfied
@@ -232,7 +233,7 @@ def fig18_search_time(space: SearchSpace = MBV3_SPACE, population: int = 100,
     """
     devices = augmented_devices()
     condition = NetworkCondition((200.0,), (20.0,))
-    cluster = Cluster(devices, condition)
+    cluster = star_topology(devices, condition)
     cfg = EvolutionConfig(population=population, generations=generations)
 
     t0 = time.perf_counter()
@@ -333,8 +334,8 @@ def vit_patch_parallel() -> Dict[float, Tuple[float, float, float, float]]:
              spatial_plan(v, Grid(2, 2), [0, 1, 2, 3], bits=8))
     out = {}
     for bw in (5.0, 20.0, 100.0, 500.0, 1000.0):
-        cluster = Cluster(swarm_devices(5),
-                          NetworkCondition((bw,) * 4, (2.0,) * 4))
+        cluster = star_topology(swarm_devices(5),
+                                NetworkCondition((bw,) * 4, (2.0,) * 4))
         out[bw] = tuple(simulate_latency(v, plan, cluster).total_s
                         for plan in plans)
     return out
@@ -344,10 +345,10 @@ def energy_tradeoff() -> Dict[str, Tuple[float, float, float]]:
     """ResNet50 ``(latency s, energy J, radio J)`` run locally on a Pi,
     tiled 2x2 over four Pis, and offloaded from a Pi to the GPU."""
     g = get_model("resnet50")
-    swarm = Cluster(swarm_devices(5),
-                    NetworkCondition((500.0,) * 4, (5.0,) * 4))
-    augmented = Cluster(augmented_devices(),
-                        NetworkCondition((400.0,), (5.0,)))
+    swarm = star_topology(swarm_devices(5),
+                          NetworkCondition((500.0,) * 4, (5.0,) * 4))
+    augmented = star_topology(augmented_devices(),
+                              NetworkCondition((400.0,), (5.0,)))
     out = {}
     for name, cluster, plan in (
             ("1 Pi (local)", swarm, single_device_plan(g)),

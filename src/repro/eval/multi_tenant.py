@@ -1,7 +1,7 @@
 """Multi-tenant serving scenario: fairness under an asymmetric burst.
 
 Several tenants share one serving gateway *and* one last-mile uplink
-(:class:`~repro.netsim.contention.SharedIngress`): every request's
+(:class:`~repro.netsim.ingress.SharedIngress`): every request's
 payload crosses the same wire before service can start, so concurrent
 tenants fair-share its bandwidth through the max-min
 :class:`~repro.netsim.fluid.FluidTracker`.  One tenant bursts
@@ -39,7 +39,7 @@ from .. import Checked, IntAtLeast, Period, check_fields
 from ..control import (AdmissionController, ControlLoop,
                        TenantFairnessController)
 from ..devices.profiles import desktop_gtx1080, jetson_class, rpi4
-from ..netsim.contention import SharedIngress
+from ..netsim.ingress import SharedIngress
 from ..netsim.fluid import FluidTracker
 from ..netsim.link import Delay, Link
 from ..netsim.topology import NetworkCondition

@@ -21,14 +21,16 @@ lost, nothing scheduled (DESIGN.md, "Optional subsystems").
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
-from ..netsim.topology import Cluster, NetworkCondition
 from ..telemetry import Telemetry
 from .schedule import (CorrelatedFailure, DeviceCrash, FaultEvent,
                        FaultSchedule)
+
+if TYPE_CHECKING:
+    from ..netsim.mesh import MeshCluster
 
 __all__ = ["FaultInjector", "NULL_FAULTS"]
 
@@ -45,9 +47,8 @@ class FaultInjector:
         self.now = 0.0
         self._active: frozenset = frozenset()
         self._applied_key: Optional[tuple] = None
-        # bound by apply_to() when the cluster has a link surface; lets
-        # reachable() answer path-level questions and advance() meter
-        # per-link downtime
+        # bound by apply_to(); lets reachable() answer path-level
+        # questions and advance() meter per-link downtime
         self._mesh = None
         self.telemetry = Telemetry.of(telemetry)
         reg = self.telemetry.registry.child("faults")
@@ -112,38 +113,27 @@ class FaultInjector:
             self._count_link_down(f"{edge[0]}-{edge[1]}", amount=dt_s)
 
     # -- world application ------------------------------------------------
-    def apply_to(self, cluster: Cluster,
-                 base_condition: Optional[NetworkCondition] = None) -> None:
-        """Overwrite the cluster's true state with the faulted view.
+    def apply_to(self, cluster: "MeshCluster") -> None:
+        """Overwrite the cluster's true state with the faulted view: the
+        link-level overlay — down edges leave its routing graph (a
+        crashed device takes all of its edges with it), degraded edges
+        are repriced — over whatever base links the cluster holds; the
+        cluster invalidates its own route cache when the overlay
+        changes.
 
-        A star :class:`Cluster` gets the degraded condition vector; a
-        :class:`~repro.netsim.mesh.MeshCluster` (anything exposing
-        ``apply_link_faults``) gets the link-level overlay — down edges
-        leave its routing graph, degraded edges are repriced — and the
-        mesh invalidates its own route cache when the overlay changes.
-
-        Idempotent per (active events, base condition): repeated calls
-        between transitions skip the rebuild.
+        Idempotent per overlay: repeated calls between transitions skip
+        the rebuild.
         """
-        if hasattr(cluster, "apply_link_faults"):
-            self._mesh = cluster
-            edges = cluster.base_edges
-            down = self.schedule.down_links(self.now, edges)
-            degraded = self.schedule.link_degradations(self.now, edges)
-            # key on the computed overlay, not the active event set: a
-            # LinkFlap transitions up/down *within* one active window
-            key = (down, tuple(sorted(degraded.items())))
-            if key == self._applied_key:
-                return
-            cluster.apply_link_faults(down=down, degraded=degraded)
-            self._applied_key = key
-            return
-        if base_condition is None:
-            raise TypeError("a star cluster needs its base condition")
-        key = (self._active, base_condition)
+        self._mesh = cluster
+        edges = cluster.base_edges
+        down = self.schedule.down_links(self.now, edges)
+        degraded = self.schedule.link_degradations(self.now, edges)
+        # key on the computed overlay, not the active event set: a
+        # LinkFlap transitions up/down *within* one active window
+        key = (down, tuple(sorted(degraded.items())))
         if key == self._applied_key:
             return
-        cluster.set_condition(self.schedule.degrade(base_condition, self.now))
+        cluster.apply_link_faults(down=down, degraded=degraded)
         self._applied_key = key
 
     # -- ground-truth queries (data plane only) ---------------------------
@@ -153,10 +143,9 @@ class FaultInjector:
     def reachable(self, src: int, dst: int) -> bool:
         """Can a message physically travel ``src -> dst`` right now?
 
-        Device-level first (crashed endpoints); on a mesh,
-        additionally requires a surviving path under the current fault
-        overlay — no route means no delivery even with both endpoints
-        alive.
+        Device-level first (crashed endpoints); then, on the cluster
+        :meth:`apply_to` overlaid, a surviving path — no route means no
+        delivery even with both endpoints alive.
         """
         if not self.schedule.reachable(src, dst, self.now):
             return False
@@ -193,12 +182,8 @@ class NullFaults:
     def advance(self, now) -> tuple:
         return ()
 
-    def apply_to(self, cluster, base_condition=None) -> None:
-        """Hand a star its base condition, unless it already holds it
-        (its memoised prices stay); a mesh has no condition to set."""
-        if (base_condition is not cluster.condition
-                and not hasattr(cluster, "apply_link_faults")):
-            cluster.set_condition(base_condition)
+    def apply_to(self, cluster) -> None:
+        """A healthy world overlays nothing."""
 
     def reachable(self, src, dst) -> bool:
         return True

@@ -27,7 +27,6 @@ import numpy as np
 from .. import (Bound, Finite, IntAtLeast, NonNegative, Period, Positive,
                 check_fields)
 from ..netsim.link import Delay, Edge, canonical_edge
-from ..netsim.topology import NetworkCondition
 
 __all__ = ["FaultEvent", "DeviceCrash", "LinkDegradation", "MessageLoss",
            "LinkFailure", "LinkFlap", "CorrelatedFailure", "FaultSchedule",
@@ -73,9 +72,8 @@ class LinkDegradation(FaultEvent):
     """A link collapses: bandwidth scaled by ``bw_factor``,
     ``extra_delay_ms`` added (interference, congestion, rate limiting).
 
-    ``device=k`` degrades remote ``k``'s link to the switch — on a mesh
-    this reads as "device k's radio degrades", hitting every edge
-    incident to ``k``.
+    ``device=k`` degrades every edge incident to ``k`` ("device k's
+    radio degrades"): on a star, remote ``k``'s link to the switch.
     """
 
     #: a remote device's link
@@ -103,9 +101,8 @@ class LinkFailure(FaultEvent):
     """One mesh link is hard-down for the whole window (cable pull,
     radio shadowing, switch-port death).
 
-    Link-addressed, so only meaningful on a mesh cluster; a star
-    schedule models the same thing as :class:`DeviceCrash` because the
-    star has exactly one path per device.
+    Link-addressed: on a star a spoke is its remote's only path, so a
+    failed spoke cuts that remote off.
     """
 
     a: Annotated[int, IntAtLeast(0)] = 0
@@ -275,18 +272,17 @@ class FaultSchedule:
                 out.update(e.devices)
         return frozenset(out)
 
-    # -- mesh (link-level) queries ----------------------------------------
+    # -- link-level queries ----------------------------------------------
     def down_links(self, now: float,
                    edges: Optional[Sequence[Edge]] = None) -> frozenset:
         """Links that are hard-down at ``now``.
 
         Collects explicitly failed edges (:class:`LinkFailure`, a
         :class:`LinkFlap` currently in its DOWN state, a
-        :class:`CorrelatedFailure`'s links).  When the mesh's ``edges``
-        are supplied, every edge incident to a down device is down too:
-        a crashed relay cannot forward, so its failure must sever *all*
-        of its edges — never silently collapse to the star's "remote k
-        is gone" semantics.
+        :class:`CorrelatedFailure`'s links).  When the cluster's
+        ``edges`` are supplied, every edge incident to a down device is
+        down too: a crashed relay cannot forward, so its failure severs
+        *all* of its edges (on a star, the crashed remote's spoke).
         """
         out = set()
         for e in self._live(now):
@@ -312,8 +308,7 @@ class FaultSchedule:
 
         An event on ``device=k`` hits every edge incident to ``k`` — the
         device's radio degrades, so every path through it pays.
-        Overlapping events compound (factors multiply, delays add),
-        matching the star's :meth:`degrade` semantics.
+        Overlapping events compound (factors multiply, delays add).
         """
         edge_set = {canonical_edge(a, b) for a, b in edges}
         out: Dict[Edge, Tuple[float, float]] = {}
@@ -354,25 +349,6 @@ class FaultSchedule:
             for _ in range(int(hits)):
                 p_keep *= 1.0 - e.prob
         return 1.0 - p_keep
-
-    def degrade(self, condition: NetworkCondition,
-                now: float) -> NetworkCondition:
-        """Apply active link degradations on top of a base condition."""
-        bws = list(condition.bandwidths_mbps)
-        delays = list(condition.delays_ms)
-        changed = False
-        for e in self._live(now):
-            if not (isinstance(e, LinkDegradation) and e.active(now)):
-                continue
-            i = e.device - 1
-            if i >= len(bws):
-                continue  # schedule written for a larger cluster
-            bws[i] *= e.bw_factor
-            delays[i] += e.extra_delay_ms
-            changed = True
-        if not changed:
-            return condition
-        return NetworkCondition(tuple(bws), tuple(delays))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         kinds: Dict[str, int] = {}

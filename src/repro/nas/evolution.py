@@ -20,7 +20,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..netsim.topology import Cluster
+from ..netsim.mesh import MeshCluster
 from ..partition.plan import (ExecutionPlan, greedy_spatial_plan,
                               layerwise_split_plan, single_device_plan,
                               spatial_front_plan, spatial_plan)
@@ -55,7 +55,7 @@ class EvolutionResult:
     feasible: bool
 
 
-def candidate_plans(graph, cluster: Cluster,
+def candidate_plans(graph, cluster: MeshCluster,
                     bits_options: Sequence[int] = (32, 8)) -> List[ExecutionPlan]:
     """Plan templates a (non-RL) searcher considers for one submodel:
     local-only, all-remote per device, best layer splits, and spatial
@@ -106,7 +106,7 @@ def candidate_plans(graph, cluster: Cluster,
     return plans
 
 
-def _evaluate(arch: ArchConfig, space: SearchSpace, cluster: Cluster,
+def _evaluate(arch: ArchConfig, space: SearchSpace, cluster: MeshCluster,
               latency_slo_s: float,
               accuracy_fn: Callable[[ArchConfig], float],
               ) -> Tuple[float, float, Optional[ExecutionPlan], int]:
@@ -130,7 +130,7 @@ def _evaluate(arch: ArchConfig, space: SearchSpace, cluster: Cluster,
     return best[0], best[1], best[2], evals
 
 
-def evolutionary_search(space: SearchSpace, cluster: Cluster,
+def evolutionary_search(space: SearchSpace, cluster: MeshCluster,
                         latency_slo_s: float,
                         accuracy_fn: Optional[Callable[[ArchConfig], float]] = None,
                         config: Optional[EvolutionConfig] = None,

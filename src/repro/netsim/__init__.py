@@ -5,11 +5,11 @@ from .. import _lazy_exports
 
 __all__, __getattr__, __dir__ = _lazy_exports(globals(), {
     "fluid": ("FlowSpec", "FluidSegment", "FluidTracker", "solve_fluid"),
-    "contention": ("SharedIngress",),
+    "ingress": ("SharedIngress", "NULL_INGRESS"),
     "link": ("Link", "LOOPBACK"),
-    "mesh": ("MeshCluster", "MeshLink", "RouteInfo", "line_topology",
-             "partial_mesh_topology", "ring_topology"),
-    "topology": ("Cluster", "NetworkCondition"),
+    "mesh": ("MeshCluster", "MeshLink", "RouteInfo", "star_topology",
+             "line_topology", "partial_mesh_topology", "ring_topology"),
+    "topology": ("NetworkCondition",),
     "monitor": ("NetworkMonitor", "Measurement"),
     "traces": ("TraceConfig", "random_walk_trace", "step_trace",
                "mobility_trace"),

@@ -24,12 +24,28 @@ The resulting allocation is the max-min fair one at every instant:
   in-flight flow is priced by returning the contention-free
   ``transfer_time`` float verbatim.
 
-:class:`FluidTracker` implements the tracker protocol of
-:mod:`repro.netsim.contention` (``admit_transfer`` / ``peek_transfer``
-/ ``update_caps``), so it goes wherever a ``contention=`` / ``tracker=``
-parameter is accepted (:class:`Cluster`, :class:`MeshCluster`,
-:class:`~repro.netsim.contention.SharedIngress`): the owner of a wire
+:class:`FluidTracker` implements the tracker protocol (below), so it
+goes wherever a ``contention=`` / ``tracker=`` parameter is accepted
+(:class:`~repro.netsim.mesh.MeshCluster`,
+:class:`~repro.netsim.ingress.SharedIngress`): the owner of a wire
 describes it and the ledger prices it.
+
+The tracker protocol
+--------------------
+Whoever owns a wire — a cluster, the shared ingress — only
+*describes* the wire a transfer occupies (its edges, their capacities
+in bit/s, the fixed latency) and hands it to a tracker:
+
+* ``admit_transfer(edges, caps, latency_s, nbytes, now, tenant=,
+  base_s=)`` prices the transfer and puts its flow on the wire;
+* ``peek_transfer(...)`` prices it without committing;
+* ``update_caps(now, caps)`` tells the tracker the capacities moved.
+
+``base_s`` is the caller's contention-free float, returned verbatim for
+a flow that shares no edge, so a lone flow is priced
+**bit-identically** to the base link model.  :class:`FluidTracker` is
+the ledger behind the protocol; tests substitute their own recorders
+through it.
 
 On-line semantics
 -----------------

@@ -1,25 +1,11 @@
-"""Shared-link contention: fair-share bandwidth between in-flight flows.
+"""The shared ingress uplink every tenant's request payload crosses.
 
-The base link model prices every transfer as if it had the wire to
-itself; on a multi-tenant edge cluster many requests cross the *same*
-uplink concurrently and TCP-ish fair sharing splits its bandwidth.
-
-The tracker protocol
---------------------
-Whoever owns a wire — a star or mesh cluster, the :class:`SharedIngress`
-— only *describes* the wire a transfer occupies (its edges, their
-capacities in bit/s, the fixed latency) and hands it to a tracker:
-
-* ``admit_transfer(edges, caps, latency_s, nbytes, now, tenant=,
-  base_s=)`` prices the transfer and puts its flow on the wire;
-* ``peek_transfer(...)`` prices it without committing;
-* ``update_caps(now, caps)`` tells the tracker the capacities moved.
-
-``base_s`` is the caller's contention-free float, returned verbatim for
-a flow that shares no edge, so a lone flow is priced
-**bit-identically** to the base link model.  The ledger behind the
-protocol is :class:`~repro.netsim.fluid.FluidTracker` (event-driven
-max-min); tests substitute their own recorders through it.
+The star abstracts away the client side; on a multi-tenant edge cluster
+every request first uploads its input over one last-mile link, and
+concurrent uploads fair-share it.  :class:`SharedIngress` describes
+that wire to a tracker (``repro.netsim.fluid``, "The tracker
+protocol"); :data:`NULL_INGRESS` is a server's uplink when none is
+modelled.
 """
 
 from __future__ import annotations

@@ -1,15 +1,28 @@
-"""Arbitrary mesh topologies (extension).
+"""Cluster topologies: devices joined by a link graph.
 
-The paper's deployments are stars (one switch); real edge swarms —
-drones relaying for each other, multi-hop sensor fields — are not.  This
-module generalizes :class:`~repro.netsim.topology.Cluster` to an
-arbitrary link graph: transfers route along the minimum-latency path,
-paying every hop's delay and the bottleneck hop's bandwidth.
+A cluster is a set of devices and the links between them; device 0 is
+the gateway, which holds the input and receives the result.  The
+paper's deployment is a *star* (:func:`star_topology`): every remote
+device reaches the gateway over its own (bandwidth, delay) link and
+remote-to-remote traffic relays through the switch.  Real edge swarms —
+drones relaying for each other, multi-hop sensor fields — are other
+shapes of the same graph (:func:`line_topology`, :func:`ring_topology`,
+:func:`partial_mesh_topology`).  A transfer routes along the
+minimum-delay path, paying every hop's delay, one RPC overhead and the
+bottleneck hop's bandwidth.
 
 The link graph is two plain adjacency dicts, ``node -> {neighbour:
 (delay_ms, bandwidth_mbps)}`` — the base links and the base links under
-the fault overlay — each filled in the order the links were given.  The
-path search (:func:`_min_delay_path`) is a bidirectional Dijkstra on
+the fault overlay — each filled in the order the links were given.
+
+Routes
+------
+In a tree (``n - 1`` links joining all ``n`` devices: every star, every
+line) each pair has exactly one path, whatever the weights.  Its paths
+come from a module-level table keyed by the device count and the base
+edge set (:func:`_tree_paths`); a route is that path priced on the
+current overlay, and a down edge on it leaves no route.  A graph with a
+cycle routes with :func:`_min_delay_path`, a bidirectional Dijkstra on
 delay.  Among equal-delay paths the winner is decided by that search's
 own order, which is part of the contract (frozen in
 ``tests/fixtures/route_digests.json``): the two directions take turns
@@ -19,33 +32,30 @@ in link order, only a strictly shorter distance replaces a known one,
 and the path returned runs through the meeting node of the first
 strictly better total seen when a node is settled from both sides.
 
-A :class:`MeshCluster` is a drop-in replacement wherever a ``Cluster``
-is consumed (the latency simulator, the executor's transport) because it
-exposes the same ``devices`` / ``device()`` / ``transfer_time()``
-surface.
-
 Fault-aware routing
 -------------------
-The mesh carries a *fault overlay* on top of its base link set: links
-can be **down** (removed from routing) or **degraded** (bandwidth
+The cluster carries a *fault overlay* on top of its base link set:
+links can be **down** (removed from routing) or **degraded** (bandwidth
 scaled, delay added).  Routing always runs on the overlaid graph, so
-when a link dies transfers automatically fail over to the next-best
-surviving path — paying that path's honest delay and bottleneck
-bandwidth — and :meth:`MeshCluster.transfer_time` raises a typed
-:class:`~repro.faults.resilience.NoRouteError` when no path survives.
-The routing model is link-state: the local runtime's routing table
-converges instantly when the overlay changes (a documented
-simplification — real protocols converge in seconds, not never).
+when a link dies transfers fail over to the next-best surviving path —
+paying that path's honest delay and bottleneck bandwidth — and
+:meth:`MeshCluster.transfer_time` raises a typed
+:class:`~repro.faults.resilience.NoRouteError` when no path survives
+(on a star, when the remote's spoke is down).  The routing model is
+link-state: the local runtime's routing table converges instantly when
+the overlay changes (a documented simplification — real protocols
+converge in seconds, not never).
 
 Only the :class:`~repro.faults.injector.FaultInjector` mutates the
 overlay (via :meth:`MeshCluster.apply_link_faults`); the decision layer
-still observes the mesh exclusively through the monitor's noisy
+still observes the cluster exclusively through the monitor's noisy
 end-to-end view (:attr:`MeshCluster.condition`) and its own delivery
 outcomes.
 
-Every mutation of the link set — fault overlay *or* base parameters
-(:meth:`MeshCluster.set_link_quality`) — bumps ``route_epoch`` and the
-world ``version`` and drops the path cache, so neither a cached route
+Every mutation of the link set — fault overlay, base parameters
+(:meth:`MeshCluster.set_link_quality`) or a star's spokes
+(:meth:`MeshCluster.set_condition`) — bumps ``route_epoch`` and the
+world ``version`` and drops the route cache, so neither a cached route
 nor a memoised price can go stale.
 
 ``reroute=False`` pins routing to the fault-free base paths (static
@@ -58,18 +68,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from heapq import heappop, heappush
 from typing import Annotated, Dict, FrozenSet, Iterable, List, Mapping, \
-    Optional, Sequence, Tuple
+    NamedTuple, Optional, Sequence, Tuple
 
 from .. import Finite, IntAtLeast, Positive, check_fields
 from ..devices.profiles import DeviceProfile
 from ..faults.resilience import NoRouteError
 from .link import Delay, Edge, Link, canonical_edge
-from .topology import NetworkCondition, VersionedWorld, no_device
+from .topology import NetworkCondition
 
-__all__ = ["MeshLink", "RouteInfo", "MeshCluster", "line_topology",
-           "ring_topology", "partial_mesh_topology"]
+__all__ = ["MeshLink", "RouteInfo", "MeshCluster", "star_topology",
+           "line_topology", "ring_topology", "partial_mesh_topology"]
+
+
+def no_device(i, num_devices: int) -> ValueError:
+    """What a cluster raises for a device id it does not have."""
+    return ValueError(f"no device {i}: the cluster has {num_devices} "
+                      f"devices (ids 0..{num_devices - 1})")
 
 
 @dataclass(frozen=True)
@@ -91,8 +108,7 @@ class MeshLink:
         return canonical_edge(self.a, self.b)
 
 
-@dataclass(frozen=True)
-class RouteInfo:
+class RouteInfo(NamedTuple):
     """One resolved route under the current fault overlay."""
 
     #: total path propagation delay, milliseconds
@@ -111,6 +127,59 @@ class RouteInfo:
 
 #: ``node -> {neighbour: (delay_ms, bandwidth_mbps)}``, both directions
 Adjacency = Dict[int, Dict[int, Tuple[float, float]]]
+#: ``(src, dst) -> path``, endpoints included, for every ordered pair
+Paths = Dict[Tuple[int, int], Tuple[int, ...]]
+
+
+def _walk(adj: Adjacency, path: Tuple[int, ...]) -> Tuple[float, float]:
+    """``path``'s total delay and bottleneck bandwidth on ``adj``; a hop
+    ``adj`` lacks (down under the overlay) leaves no route."""
+    delay = 0.0
+    bw = math.inf
+    try:
+        for a, b in zip(path, path[1:]):
+            hop_delay, hop_bw = adj[a][b]
+            delay += hop_delay
+            if hop_bw < bw:
+                bw = hop_bw
+    except KeyError:
+        raise NoRouteError(path[0], path[-1]) from None
+    return delay, bw
+
+
+@lru_cache(maxsize=256)
+def _tree_paths(n: int, edges: FrozenSet[Edge]) -> Optional[Paths]:
+    """Every ordered pair's one path when ``edges`` join all ``n``
+    devices with ``n - 1`` links (a tree), else None.
+
+    A tree's paths do not depend on its weights, so they are computed
+    once per edge set and shared by every cluster of that shape (the
+    table is never mutated).  Each path is the unique simple path, the
+    one :func:`_min_delay_path` finds on any weights.
+    """
+    if len(edges) != n - 1:
+        return None
+    nbrs: Dict[int, List[int]] = {i: [] for i in range(n)}
+    for a, b in edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    paths: Paths = {}
+    for src in range(n):
+        # a depth-first walk: each device's path is its parent's plus it
+        found = {src: (src,)}
+        stack = [src]
+        while stack:
+            v = stack.pop()
+            for w in nbrs[v]:
+                if w not in found:
+                    found[w] = found[v] + (w,)
+                    stack.append(w)
+        if len(found) < n:      # n - 1 links that leave a device out
+            return None         # close a cycle elsewhere
+        for dst, path in found.items():
+            if dst != src:
+                paths[src, dst] = path
+    return paths
 
 
 def _min_delay_path(adj: Adjacency, src: int, dst: int) -> Tuple[int, ...]:
@@ -166,17 +235,21 @@ def _min_delay_path(adj: Adjacency, src: int, dst: int) -> Tuple[int, ...]:
     raise NoRouteError(src, dst)
 
 
-class MeshCluster(VersionedWorld):
-    """Devices connected by an arbitrary set of links.
+class MeshCluster:
+    """Devices joined by a set of links.
 
-    Routing: min-delay path (Dijkstra on delay over the fault overlay);
-    a transfer pays the sum of hop delays, one RPC overhead, and wire
-    time at the bottleneck bandwidth along the path (store-and-forward
-    pipelining collapses the per-hop serialization to the slowest hop
-    for large payloads).
+    Routing: the tree's one path, or the min-delay path over the fault
+    overlay (module docstring); a transfer pays the sum of hop delays,
+    one RPC overhead, and wire time at the bottleneck bandwidth along
+    the path (store-and-forward pipelining collapses the per-hop
+    serialization to the slowest hop for large payloads).
     """
 
     rpc_overhead_ms: Delay
+    #: bumped by every mutation that can move a plan's price and by
+    #: nothing else (``PlanCostModel.latency`` memoises one price per
+    #: ``(cluster, version)``)
+    version = 0
 
     def __init__(self, devices: Sequence[DeviceProfile],
                  links: Sequence[MeshLink], rpc_overhead_ms: float = 1.0,
@@ -186,17 +259,25 @@ class MeshCluster(VersionedWorld):
         self.devices: List[DeviceProfile] = list(devices)
         self.rpc_overhead_ms = rpc_overhead_ms
         check_fields(self)
-        #: the tracker pricing shared edges; same contract as
-        #: Cluster.contention
+        #: the tracker pricing shared edges (``netsim.fluid``, "The
+        #: tracker protocol"); None = nobody shares.  Plain attribute:
+        #: callers attach one after construction too.
         self.contention = contention
         #: False pins routing to the fault-free base paths (ablation)
         self.reroute = reroute
-        self._base: Dict[Edge, MeshLink] = {}
+        #: edge -> its base ``(delay_ms, bandwidth_mbps)``, in link order
+        self._base: Dict[Edge, Tuple[float, float]] = {}
         n = len(self.devices)
         for link in links:
             if not (0 <= link.a < n and 0 <= link.b < n):
                 raise ValueError(f"link {link} references unknown device")
-            self._base[link.edge] = link
+            self._base[link.edge] = (link.delay_ms, link.bandwidth_mbps)
+        #: every pair's path when the graph is a tree, else None
+        self._tree = _tree_paths(n, frozenset(self._base))
+        #: every link a spoke from the gateway: a per-remote condition
+        #: vector describes it (set_condition)
+        self._star = (self._tree is not None
+                      and all(a == 0 for a, _ in self._base))
         # fault overlay: links removed from / degraded in the routing graph
         self._down: FrozenSet[Edge] = frozenset()
         self._degraded: Dict[Edge, Tuple[float, float]] = {}
@@ -205,7 +286,10 @@ class MeshCluster(VersionedWorld):
         self.route_epoch = 0
         self._base_adj = self._adj = self._adjacency(overlay=False)
         self._path_cache: Dict[Tuple[int, int], RouteInfo] = {}
-        self._base_paths: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+        #: ``(src, dst) -> (fixed latency s, bottleneck bit/s)`` of the
+        #: current route: what a transfer pays besides its bytes
+        self._wires: Dict[Tuple[int, int], Tuple[float, float]] = {}
+        self._base_paths: Paths = {}
         self._cond_cache: Optional[NetworkCondition] = None
 
     # -- link-set mutation -------------------------------------------------
@@ -213,20 +297,19 @@ class MeshCluster(VersionedWorld):
         """The base links, or the base links under the fault overlay, as
         a fresh adjacency dict (never mutated once built)."""
         adj: Adjacency = {i: {} for i in range(len(self.devices))}
-        for edge, link in self._base.items():
-            bw, delay = link.bandwidth_mbps, link.delay_ms
+        for edge, hop in self._base.items():
             if overlay:
                 if edge in self._down:
                     continue
                 factor, extra = self._degraded.get(edge, (1.0, 0.0))
-                bw, delay = bw * factor, delay + extra
+                hop = (hop[0] + extra, hop[1] * factor)
             a, b = edge
-            adj[a][b] = adj[b][a] = (delay, bw)
+            adj[a][b] = adj[b][a] = hop
         return adj
 
     def _rebuild_overlay(self) -> None:
         """While nothing is faulted the overlaid graph *is* the base
-        graph (the same dict), so a fault-free mesh builds one."""
+        graph (the same dict), so a fault-free cluster builds one."""
         faulted = bool(self._down or self._degraded)
         self._adj = (self._adjacency(overlay=True) if faulted
                      else self._base_adj)
@@ -242,7 +325,42 @@ class MeshCluster(VersionedWorld):
         self.route_epoch += 1
         self.version += 1
         self._path_cache.clear()
+        self._wires.clear()
         self._cond_cache = None
+
+    def set_condition(self, condition: NetworkCondition) -> None:
+        """Give a star's spokes ``condition``: remote ``i``'s link to
+        the gateway takes the bandwidth and delay at index ``i - 1``.
+
+        While no fault overlays the spokes, the star keeps the
+        ``condition`` object itself as its :attr:`condition`, and
+        re-applying the object it holds changes nothing (its ``version``
+        and memoised prices stay).  A rejected condition raises before
+        anything changes.  Any other shape has per-link state, not a
+        per-remote vector.
+        """
+        if not self._star:
+            raise NotImplementedError(
+                "only a star has a per-remote condition vector; use "
+                "set_link_quality() / apply_link_faults() instead")
+        faulted = bool(self._down or self._degraded)
+        if condition is self._cond_cache and not faulted:
+            return
+        bws, delays = condition.bandwidths_mbps, condition.delays_ms
+        if len(bws) != len(self.devices) - 1:
+            raise ValueError("condition dimensionality changed")
+        base = {}
+        for i, (bw, delay) in enumerate(zip(bws, delays), 1):
+            # MeshLink's domains, tested inline; one it rejects raises
+            # naming the field and the value
+            if not (0.0 < bw < math.inf and 0.0 <= delay <= 1e9):
+                MeshLink(0, i, bw, delay)
+            base[0, i] = (delay, bw)
+        self._base = base
+        self._base_adj = self._adjacency(overlay=False)
+        self._rebuild_overlay()
+        if not faulted:
+            self._cond_cache = condition
 
     def set_link_quality(self, a: int, b: int,
                          bandwidth_mbps: Optional[float] = None,
@@ -253,13 +371,13 @@ class MeshCluster(VersionedWorld):
         parameters may no longer be the minimum-delay one.
         """
         edge = canonical_edge(a, b)
-        link = self._base.get(edge)
-        if link is None:
+        hop = self._base.get(edge)
+        if hop is None:
             raise ValueError(f"no link between {a} and {b}")
-        self._base[edge] = MeshLink(
-            link.a, link.b,
-            link.bandwidth_mbps if bandwidth_mbps is None else bandwidth_mbps,
-            link.delay_ms if delay_ms is None else delay_ms)
+        link = MeshLink(*edge, hop[1] if bandwidth_mbps is None
+                        else bandwidth_mbps,
+                        hop[0] if delay_ms is None else delay_ms)
+        self._base[edge] = (link.delay_ms, link.bandwidth_mbps)
         self._base_paths.clear()
         self._base_adj = self._adjacency(overlay=False)
         self._rebuild_overlay()
@@ -274,27 +392,26 @@ class MeshCluster(VersionedWorld):
         A link degraded to no bandwidth at all (a factor that is not
         ``> 0``, NaN included) carries nothing, so it is down: transfers
         reroute around it or raise :class:`NoRouteError`, and nothing
-        downstream ever divides by its bandwidth.  Edges the mesh does
-        not have are ignored (a schedule written for a larger topology,
-        mirroring the star's out-of-range tolerance).  An extra delay
-        that is not finite, or that takes its link's delay below zero,
-        is a ``ValueError`` naming the edge, raised before the overlay
-        changes: routing has no answer on such a graph.  Returns True
-        when the overlay actually changed (and therefore the path cache
-        was invalidated).
+        downstream ever divides by its bandwidth.  Edges the cluster
+        does not have are ignored (a schedule written for a larger
+        topology).  An extra delay that is not finite, or that takes its
+        link's delay below zero, is a ``ValueError`` naming the edge,
+        raised before the overlay changes: routing has no answer on such
+        a graph.  Returns True when the overlay actually changed (and
+        therefore the route cache was invalidated).
         """
         deg = {canonical_edge(*e): (float(f), float(x))
                for e, (f, x) in (degraded or {}).items()
                if canonical_edge(*e) in self._base}
         for e, (_, extra) in deg.items():
-            delay = self._base[e].delay_ms
+            delay = self._base[e][0]
             # negated so that NaN, which fails every comparison, is rejected
             if not (math.isfinite(extra) and delay + extra >= 0):
                 raise ValueError(
                     f"link {e}: extra delay {extra} ms on a {delay} ms link "
                     "must be finite and leave the delay non-negative")
         dead = {e for e, (f, _) in deg.items()
-                if not self._base[e].bandwidth_mbps * f > 0}
+                if not self._base[e][1] * f > 0}
         deg = {e: fx for e, fx in deg.items() if e not in dead}
         down_set = (frozenset(canonical_edge(*e) for e in down)
                     & set(self._base)) | dead
@@ -305,7 +422,7 @@ class MeshCluster(VersionedWorld):
         self._rebuild_overlay()
         return True
 
-    # -- Cluster-compatible surface ----------------------------------------
+    # -- queries -----------------------------------------------------------
     @property
     def num_devices(self) -> int:
         return len(self.devices)
@@ -315,12 +432,15 @@ class MeshCluster(VersionedWorld):
         return self.devices[0]
 
     def device(self, i: int) -> DeviceProfile:
+        if not 0 <= i < len(self.devices):
+            raise no_device(i, len(self.devices))
         return self.devices[i]
 
     @property
     def links(self) -> Tuple[MeshLink, ...]:
         """The base (fault-free) link set."""
-        return tuple(self._base.values())
+        return tuple(MeshLink(a, b, bw, delay)
+                     for (a, b), (delay, bw) in self._base.items())
 
     @property
     def base_edges(self) -> FrozenSet[Edge]:
@@ -355,7 +475,8 @@ class MeshCluster(VersionedWorld):
     @property
     def condition(self) -> NetworkCondition:
         """Star-equivalent end-to-end view: the routed (bottleneck bw,
-        total delay) from the gateway to every remote device.
+        total delay) from the gateway to every remote device — on a
+        star under no fault, the condition it was given.
 
         This is what the network monitor samples — the decision layer
         sees path *quality* (a rerouted path shows up as a slower link),
@@ -373,22 +494,18 @@ class MeshCluster(VersionedWorld):
             self._cond_cache = NetworkCondition(tuple(bws), tuple(delays))
         return self._cond_cache
 
-    def set_condition(self, condition: NetworkCondition) -> None:
-        raise NotImplementedError(
-            "a mesh has per-link state, not a per-remote condition vector; "
-            "use set_link_quality() / apply_link_faults() instead")
-
     def update_fluid_caps(self, now: float) -> bool:
         """Hand the *surviving* edges' current (fault-overlaid)
-        capacities to the tracker.
+        capacities to the tracker, so the ledger re-converges the
+        transfers in flight at ``now``.
 
-        Same contract as :meth:`Cluster.update_fluid_caps`: call after
-        a link mutation (degradation event, flap transition) changed
-        the overlay.  Down edges are simply absent — their capacities
-        stay whatever a ledger last saw, which only matters if a flow
-        is still riding a severed edge (the transport layer, not the
-        ledger, decides that flow's fate); with every edge down there
-        is nothing to tell.
+        Call after a link mutation (a condition step, a degradation
+        event, a flap transition) changed the links.  Down edges are
+        simply absent — their capacities stay whatever a ledger last
+        saw, which only matters if a flow is still riding a severed edge
+        (the transport layer, not the ledger, decides that flow's fate);
+        with every edge down there is nothing to tell.  Returns True
+        when there was a tracker told something.
         """
         if self.contention is None:
             return False
@@ -401,6 +518,15 @@ class MeshCluster(VersionedWorld):
 
     # -- routing -----------------------------------------------------------
     def _base_path(self, src: int, dst: int) -> Tuple[int, ...]:
+        """The fault-free path: the tree's one path, or Dijkstra's on
+        the base graph (cached until a base link changes)."""
+        tree = self._tree
+        if tree is not None:
+            try:
+                return tree[src, dst]
+            except KeyError:
+                n = len(self.devices)
+                raise no_device(dst if 0 <= src < n else src, n) from None
         key = (src, dst)
         cached = self._base_paths.get(key)
         if cached is not None:
@@ -410,38 +536,24 @@ class MeshCluster(VersionedWorld):
         self._base_paths[(dst, src)] = tuple(reversed(path))
         return path
 
-    @staticmethod
-    def _price_path(adj: Adjacency, path: Tuple[int, ...],
-                    rerouted: bool) -> RouteInfo:
-        delay = 0.0
-        bw = float("inf")
-        for a, b in zip(path, path[1:]):
-            hop_delay, hop_bw = adj[a][b]
-            delay += hop_delay
-            bw = min(bw, hop_bw)
-        return RouteInfo(delay, bw, path, rerouted)
-
     def route_info(self, src: int, dst: int) -> RouteInfo:
         """Resolve the current route ``src -> dst``.
 
-        With rerouting enabled this is the min-delay path on the
-        fault-overlaid graph (``rerouted=True`` when it differs from the
-        fault-free base path); with ``reroute=False`` it is always the
-        base path, priced under the overlay's degradations, and raises
-        :class:`NoRouteError` if any base-path link is down.
+        On a tree, or with ``reroute=False``, this is the fault-free
+        base path priced under the overlay's degradations, and it raises
+        :class:`NoRouteError` if any of its links is down.  Otherwise it
+        is the min-delay path on the fault-overlaid graph
+        (``rerouted=True`` when it differs from the base path).
         """
         if src == dst:
-            return RouteInfo(0.0, float("inf"), (src,), False)
+            return RouteInfo(0.0, math.inf, (src,), False)
         key = (src, dst)
         cached = self._path_cache.get(key)
         if cached is not None:
             return cached
-        if not self.reroute:
+        if self._tree is not None or not self.reroute:
             path = self._base_path(src, dst)
-            if any(canonical_edge(a, b) in self._down
-                   for a, b in zip(path, path[1:])):
-                raise NoRouteError(src, dst)
-            info = self._price_path(self._adj, path, False)
+            info = RouteInfo(*_walk(self._adj, path), path, False)
         else:
             path = _min_delay_path(self._adj, src, dst)
             # Any overlay (down *or* degraded links) can move the
@@ -450,11 +562,11 @@ class MeshCluster(VersionedWorld):
             # degradation-induced reroutes visible to the counters.
             rerouted = (bool(self._down or self._degraded)
                         and path != self._base_path(src, dst))
-            info = self._price_path(self._adj, path, rerouted)
+            info = RouteInfo(*_walk(self._adj, path), path, rerouted)
         self._path_cache[key] = info
         self._path_cache[(dst, src)] = RouteInfo(
-            info.delay_ms, info.bandwidth_mbps,
-            tuple(reversed(info.path)), info.rerouted)
+            info.delay_ms, info.bandwidth_mbps, info.path[::-1],
+            info.rerouted)
         return info
 
     def _route_or_base(self, src: int, dst: int) -> RouteInfo:
@@ -469,7 +581,7 @@ class MeshCluster(VersionedWorld):
                 # never connected, even fault-free: an effectively dead
                 # pair (sentinel values; nothing routes work through it)
                 return RouteInfo(1e6, 1e-6, (src, dst), False)
-            return self._price_path(self._base_adj, path, False)
+            return RouteInfo(*_walk(self._base_adj, path), path, False)
 
     def has_route(self, src: int, dst: int) -> bool:
         """Does a path survive the current fault overlay?"""
@@ -480,17 +592,30 @@ class MeshCluster(VersionedWorld):
             return False
 
     def transfer_time(self, src: int, dst: int, nbytes: float) -> float:
+        """Seconds to move ``nbytes`` over the current route: its delay
+        and one RPC overhead, plus wire time at its bottleneck."""
         if src == dst:
             return 0.0
-        info = self.route_info(src, dst)
-        return ((info.delay_ms + self.rpc_overhead_ms) / 1e3
-                + nbytes * 8.0 / (info.bandwidth_mbps * 1e6))
+        wire = self._wires.get((src, dst)) or self._wire(src, dst)
+        return wire[0] + nbytes * 8.0 / wire[1]
+
+    def _wire(self, src: int, dst: int) -> Tuple[float, float]:
+        """The current route's ``(fixed latency s, bottleneck bit/s)``,
+        remembered both ways until the link set changes; a tree walks
+        its one path without resolving a :class:`RouteInfo`."""
+        if self._tree is not None:
+            delay, bw = _walk(self._adj, self._base_path(src, dst))
+        else:
+            delay, bw, _, _ = self.route_info(src, dst)
+        wire = self._wires[src, dst] = self._wires[dst, src] = (
+            (delay + self.rpc_overhead_ms) / 1e3, bw * 1e6)
+        return wire
 
     def timed_transfer(self, src: int, dst: int, nbytes: float,
                        now: float, tenant: Optional[str] = None) -> float:
         """Routed transfer pricing at simulated time ``now``.
 
-        The mesh describes the wire — every edge of the current route
+        The cluster describes the wire — every edge of the current route
         with its overlaid capacity — and its tracker prices it: two
         routed paths that only overlap on one bottleneck edge contend
         exactly there.  Without a tracker this is :meth:`transfer_time`.
@@ -516,6 +641,27 @@ class MeshCluster(VersionedWorld):
         return (f"MeshCluster({len(self.devices)} devices, "
                 f"{len(self._base)} links, {len(self._down)} down, "
                 f"epoch={self.route_epoch})")
+
+
+def star_topology(devices: Sequence[DeviceProfile],
+                  condition: NetworkCondition,
+                  rpc_overhead_ms: float = 1.0) -> MeshCluster:
+    """The paper's deployment: every remote reaches the gateway (device
+    0) over its own link through one switch, remote ``i``'s at
+    ``condition``'s index ``i - 1``; remote-to-remote traffic relays
+    through the switch (both spokes' delays, the slower one's
+    bandwidth).  The star holds ``condition`` as its :attr:`condition`
+    until a fault overlays it; :meth:`MeshCluster.set_condition` moves
+    it."""
+    if condition.num_remote != max(len(devices) - 1, 0):
+        raise ValueError(
+            f"condition covers {condition.num_remote} remote devices but "
+            f"cluster has {len(devices) - 1}")
+    spokes = [MeshLink(0, i, bw, delay) for i, (bw, delay) in enumerate(
+        zip(condition.bandwidths_mbps, condition.delays_ms), 1)]
+    star = MeshCluster(devices, spokes, rpc_overhead_ms)
+    star._cond_cache = condition
+    return star
 
 
 def line_topology(devices: Sequence[DeviceProfile], bandwidth_mbps: float,

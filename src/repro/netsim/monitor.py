@@ -19,7 +19,8 @@ import numpy as np
 
 from .. import Bound, Finite, IntAtLeast, NonNegative, check_fields
 from ..telemetry import Telemetry
-from .topology import Cluster, NetworkCondition
+from .mesh import MeshCluster
+from .topology import NetworkCondition
 
 __all__ = ["Measurement", "NetworkMonitor"]
 
@@ -50,7 +51,7 @@ class NetworkMonitor:
     ewma_alpha: Annotated[float, Bound(0.0, 1.0, lo_open=True)]
     seed: Annotated[int, IntAtLeast(0)]
 
-    def __init__(self, cluster: Cluster, noise: float = 0.05,
+    def __init__(self, cluster: MeshCluster, noise: float = 0.05,
                  ewma_alpha: float = 0.5, seed: int = 0,
                  telemetry: Optional[Telemetry] = None):
         self.noise = noise

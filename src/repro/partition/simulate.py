@@ -2,7 +2,7 @@
 
 Given a :class:`~repro.models.graph.ModelGraph`, an
 :class:`~repro.partition.plan.ExecutionPlan` and a
-:class:`~repro.netsim.topology.Cluster`, this module replays the
+:class:`~repro.netsim.mesh.MeshCluster`, this module replays the
 inference as an event-driven list schedule: per-device busy times,
 per-tile data locations, and every inter-device transfer (priced at the
 plan's wire precision) are tracked explicitly.
@@ -35,7 +35,7 @@ from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 from ..models.graph import ModelGraph
-from ..netsim.topology import Cluster
+from ..netsim.mesh import MeshCluster
 from .plan import ExecutionPlan
 from .spatial import Grid, fdsp_compute_overhead
 
@@ -76,7 +76,7 @@ def _fdsp_factor(out_hw: Tuple[int, int], rows: int, cols: int,
 
 
 def simulate_latency(graph: ModelGraph, plan: ExecutionPlan,
-                     cluster: Cluster) -> LatencyReport:
+                     cluster: MeshCluster) -> LatencyReport:
     """Simulate one batch-1 inference; returns a :class:`LatencyReport`.
 
     Weights are assumed resident on every participating device (the

@@ -35,7 +35,8 @@ from ..nas.accuracy_model import plan_accuracy_penalty
 from ..nas.arch import ArchConfig
 from ..nas.graph_builder import build_graph
 from ..nas.search_space import SearchSpace
-from ..netsim.topology import Cluster, NetworkCondition
+from ..netsim.mesh import star_topology
+from ..netsim.topology import NetworkCondition
 from ..partition.plan import BlockPlan, ExecutionPlan
 from ..partition.simulate import simulate_latency
 from ..partition.spatial import Grid
@@ -165,6 +166,9 @@ class MurmurationEnv:
         # (grid rows, cols, devices, bits) -> the one BlockPlan of this
         # env with that setting (validated when built), oldest first
         self._block_plans: dict = {}
+        #: the star a strategy is priced on, re-conditioned per task
+        self._star = star_topology(self.devices, NetworkCondition.uniform(
+            len(self.devices) - 1, 1.0, 0.0))
 
     # -- dimensions --------------------------------------------------------
     @property
@@ -355,8 +359,9 @@ class MurmurationEnv:
     # -- pricing ---------------------------------------------------------------
     def evaluate_strategy(self, arch: ArchConfig, plan: ExecutionPlan,
                           task: Task) -> StrategyOutcome:
-        cluster = Cluster(self.devices, task.condition)
-        report = simulate_latency(self._graph(arch), plan, cluster)
+        star = self._star
+        star.set_condition(task.condition)
+        report = simulate_latency(self._graph(arch), plan, star)
         accuracy = self.accuracy_fn(arch) - plan_accuracy_penalty(plan)
         latency = report.total_s
         reward, ok = self.reward(latency, accuracy, task.slo)

@@ -45,7 +45,7 @@ from ..faults.resilience import (DeviceUnreachableError, FailoverLadder,
 from ..models.graph import ModelGraph
 from ..nas.arch import ArchConfig
 from ..nas.graph_builder import build_graph
-from ..netsim.topology import Cluster
+from ..netsim.mesh import MeshCluster
 from ..partition.plan import BlockPlan, ExecutionPlan, single_device_plan
 from ..partition.simulate import LatencyReport, simulate_latency
 from ..partition.spatial import Grid, merge_tiles, split_tiles
@@ -115,7 +115,7 @@ def _segments(plan: ExecutionPlan) -> List[_Segment]:
 class DistributedExecutor:
     """Execute (arch, plan) on a cluster, for real."""
 
-    def __init__(self, supernet: Supernet, cluster: Cluster,
+    def __init__(self, supernet: Supernet, cluster: MeshCluster,
                  telemetry: Optional[Telemetry] = None,
                  faults=None, health=None,
                  resilience: Optional[ResilienceConfig] = None):

@@ -32,7 +32,7 @@ from ..faults.health import DeviceHealth
 from ..faults.injector import FaultInjector
 from ..faults.resilience import (DeviceUnreachableError, NoRouteError,
                                  RetryPolicy)
-from ..netsim.topology import Cluster
+from ..netsim.mesh import MeshCluster
 from ..nn.quantize import QuantizedTensor, dequantize, quantize
 from ..telemetry import Telemetry
 
@@ -67,11 +67,12 @@ class Reroutes:
     ``transport_reroute_total`` and per-pair
     ``transport_link_reroutes_total``.  The transport notes each
     delivery; plan-only serving, which sends nothing, notes each
-    (request, remote).  A star has no routes and counts nothing.
+    (request, remote).  A tree (a star) has one path per pair and never
+    counts.
     """
 
-    def __init__(self, cluster: Cluster, telemetry: Telemetry):
-        self._route_info = getattr(cluster, "route_info", None)
+    def __init__(self, cluster: MeshCluster, telemetry: Telemetry):
+        self._route_info = cluster.route_info
         reg = telemetry.registry.child("transport")
         self._count = reg.counters(
             "reroute_total", "deliveries that travelled a non-base path")
@@ -82,8 +83,6 @@ class Reroutes:
     def note(self, src: int, dst: int) -> bool:
         """Count one delivery between the pair if it rode a backup path
         (a pair with no route at all did not); True if it did."""
-        if self._route_info is None:
-            return False
         try:
             if not self._route_info(src, dst).rerouted:
                 return False
@@ -105,7 +104,7 @@ class Transport:
     survive resets, tracking the unbounded-horizon totals.
     """
 
-    def __init__(self, cluster: Cluster,
+    def __init__(self, cluster: MeshCluster,
                  telemetry: Optional[Telemetry] = None,
                  faults=None, health=None,
                  retry: Optional[RetryPolicy] = None):

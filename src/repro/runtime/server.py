@@ -24,7 +24,7 @@ import numpy as np
 from .. import IntAtLeast, Positive, check_fields
 from ..control.loop import ControlLoop
 from ..faults.resilience import NoStrategyError
-from ..netsim.contention import NULL_INGRESS
+from ..netsim.ingress import NULL_INGRESS
 from ..netsim.topology import NetworkCondition
 from ..netsim.traces import condition_at
 from ..sim.events import EventLoop
@@ -232,7 +232,7 @@ class InferenceServer:
         ``(rng, num_requests) -> array of arrival times`` (seconds,
         finite and non-decreasing — checked before anything is served).
 
-        ``ingress`` (a :class:`~repro.netsim.contention.SharedIngress`)
+        ``ingress`` (a :class:`~repro.netsim.ingress.SharedIngress`)
         models the shared last-mile uplink request payloads cross
         before service can start; concurrent tenants fair-share it as
         its fluid ledger prices, and the upload time

@@ -8,20 +8,20 @@ from repro.baselines import (AUGMENTED_BASELINES, FDSP_FINETUNE_PENALTY,
 from repro.core import SLO
 from repro.devices import desktop_gtx1080, graph_time, rpi4
 from repro.models import get_model
-from repro.netsim import Cluster, NetworkCondition
+from repro.netsim import NetworkCondition, star_topology
 from repro.partition import simulate_latency, single_device_plan
 
 
 @pytest.fixture
 def augmented():
-    return Cluster([rpi4(), desktop_gtx1080()],
-                   NetworkCondition((200.0,), (20.0,)))
+    return star_topology([rpi4(), desktop_gtx1080()],
+                         NetworkCondition((200.0,), (20.0,)))
 
 
 @pytest.fixture
 def swarm():
-    return Cluster([rpi4() for _ in range(5)],
-                   NetworkCondition((200.0,) * 4, (20.0,) * 4))
+    return star_topology([rpi4() for _ in range(5)],
+                         NetworkCondition((200.0,) * 4, (20.0,) * 4))
 
 
 class TestNeurosurgeon:
@@ -39,8 +39,8 @@ class TestNeurosurgeon:
         assert r.split == 0
 
     def test_slow_network_keeps_small_model_local(self):
-        cl = Cluster([rpi4(), desktop_gtx1080()],
-                     NetworkCondition((1.0,), (200.0,)))
+        cl = star_topology([rpi4(), desktop_gtx1080()],
+                           NetworkCondition((1.0,), (200.0,)))
         g = get_model("mobilenet_v3_large")
         r = neurosurgeon_plan(g, cl)
         assert r.split == len(g)  # all local
@@ -57,8 +57,8 @@ class TestNeurosurgeon:
 
 class TestADCNN:
     def test_partitions_on_fast_network(self, swarm):
-        cl = Cluster([rpi4() for _ in range(5)],
-                     NetworkCondition((1000.0,) * 4, (2.0,) * 4))
+        cl = star_topology([rpi4() for _ in range(5)],
+                           NetworkCondition((1000.0,) * 4, (2.0,) * 4))
         g = get_model("resnet50")
         r = adcnn_plan(g, cl)
         assert r.grid.ntiles > 1
@@ -66,16 +66,16 @@ class TestADCNN:
         assert r.latency_s < single
 
     def test_falls_back_local_on_terrible_network(self):
-        cl = Cluster([rpi4() for _ in range(5)],
-                     NetworkCondition((0.5,) * 4, (500.0,) * 4))
+        cl = star_topology([rpi4() for _ in range(5)],
+                           NetworkCondition((0.5,) * 4, (500.0,) * 4))
         g = get_model("mobilenet_v3_large")
         r = adcnn_plan(g, cl)
         assert r.grid.ntiles == 1
         assert r.accuracy == g.accuracy  # no FDSP penalty unpartitioned
 
     def test_finetune_penalty_applied_when_partitioned(self, swarm):
-        cl = Cluster([rpi4() for _ in range(5)],
-                     NetworkCondition((1000.0,) * 4, (2.0,) * 4))
+        cl = star_topology([rpi4() for _ in range(5)],
+                           NetworkCondition((1000.0,) * 4, (2.0,) * 4))
         g = get_model("resnet50")
         r = adcnn_plan(g, cl)
         assert r.accuracy == pytest.approx(g.accuracy - FDSP_FINETUNE_PENALTY)
@@ -112,12 +112,12 @@ class TestRegistry:
         m = make_baseline("neurosurgeon", "densenet161")
         for bw in (50.0, 200.0, 400.0):
             for delay in (5.0, 50.0, 100.0):
-                cl = Cluster([rpi4(), desktop_gtx1080()],
-                             NetworkCondition((bw,), (delay,)))
+                cl = star_topology([rpi4(), desktop_gtx1080()],
+                                   NetworkCondition((bw,), (delay,)))
                 assert not m.evaluate(cl, SLO.latency_ms(140)).satisfied
 
     def test_mbv3_meets_140ms_on_good_network(self):
         m = make_baseline("neurosurgeon", "mobilenet_v3_large")
-        cl = Cluster([rpi4(), desktop_gtx1080()],
-                     NetworkCondition((400.0,), (5.0,)))
+        cl = star_topology([rpi4(), desktop_gtx1080()],
+                           NetworkCondition((400.0,), (5.0,)))
         assert m.evaluate(cl, SLO.latency_ms(140)).satisfied

@@ -21,7 +21,8 @@ from repro.core.strategy import Strategy
 from repro.nas.accuracy_model import arch_accuracy, plan_accuracy_penalty
 from repro.nas.evolution import candidate_plans
 from repro.nas.graph_builder import build_graph
-from repro.netsim.topology import Cluster, NetworkCondition
+from repro.netsim.mesh import star_topology
+from repro.netsim.topology import NetworkCondition
 from repro.partition.simulate import simulate_latency
 
 
@@ -38,7 +39,7 @@ def reference_scan(model, archs) -> Tuple[Candidate, ...]:
 def reference_search_decide(engine, slo: SLO, condition: NetworkCondition,
                             ) -> Optional[Strategy]:
     """``SearchDecisionEngine.decide``: strictly better replaces."""
-    cluster = Cluster(engine.devices, condition)
+    cluster = star_topology(engine.devices, condition)
     best: Optional[Strategy] = None
     for arch in engine.archs:
         graph = build_graph(arch, engine.space)

@@ -31,7 +31,7 @@ from repro.nas.accuracy_model import arch_accuracy, plan_accuracy_penalty
 from repro.nas.arch import (ArchConfig, lattice_archs, max_arch, min_arch,
                             random_arch)
 from repro.nas.search_space import MBV3_SPACE
-from repro.netsim import Cluster, NetworkCondition, ring_topology
+from repro.netsim import NetworkCondition, ring_topology, star_topology
 from repro.partition import simulate_latency, single_device_plan, spatial_plan
 from repro.partition.compiled import compile_plan, price
 from repro.partition.spatial import Grid
@@ -114,7 +114,7 @@ def test_search_engine_answers_what_the_brute_force_loop_answers(n):
                                    archs=[shadow(archs[0])] + archs)
     for engine in (seeded, lattice):
         for cond in conditions(n):
-            cluster = Cluster(engine.devices, cond)
+            cluster = star_topology(engine.devices, cond)
             for slo in slo_grid(engine, cluster):
                 assert fields(engine.decide(slo, cond).strategy) \
                     == fields(reference_search_decide(engine, slo, cond)), slo
@@ -128,7 +128,7 @@ def test_a_latency_tie_goes_to_the_first_enumerated_not_the_fastest():
     engine = SearchDecisionEngine(MBV3_SPACE, devs, n_random_archs=0)
     slo = SLO.latency(5.0)
     first = engine.decide(slo, cond).strategy
-    costs, cluster = engine._costs, Cluster(devs, cond)
+    costs, cluster = engine._costs, star_topology(devs, cond)
     group = [Strategy(c.arch, c.plan, costs.latency(c.arch, c.plan, cluster),
                       c.accuracy) for c in costs.scan(engine.archs)
              if c.accuracy == first.expected_accuracy]
@@ -331,7 +331,7 @@ def test_programs_are_bounded_by_use_and_keep_their_plan_alive():
     model = PlanCostModel(MBV3_SPACE, devices(3), served=served)
     bound = cost_model._SPARE + served
     arch = min_arch(MBV3_SPACE)
-    cluster = Cluster(model.devices, conditions(3)[0])
+    cluster = star_topology(model.devices, conditions(3)[0])
     plan = single_device_plan(model.graph(arch), device=1)
     expected = simulate_latency(model.graph(arch), plan, cluster)
     assert model.latency(arch, plan, cluster) == expected.total_s
@@ -377,7 +377,7 @@ def test_the_facade_keeps_a_program_per_cacheable_strategy(counted):
 def test_single_device_plans_are_one_object_per_target(counted):
     model = PlanCostModel(MBV3_SPACE, devices(3))
     arch = max_arch(MBV3_SPACE)
-    cluster = Cluster(model.devices, conditions(3)[0])
+    cluster = star_topology(model.devices, conditions(3)[0])
     for device in range(3):
         plan = model.single_device(arch, device)
         assert model.single_device(arch, device) is plan
@@ -505,7 +505,7 @@ def condition_of(data, n, nan=False):
 @settings(max_examples=40, deadline=None)
 @given(priced_cases(), st.data())
 def test_a_memoised_price_is_a_fresh_price_after_every_mutation(case, data):
-    """Both cluster kinds, driven through every public mutation: after
+    """A star and a ring, driven through every public mutation: after
     each step the model's (possibly memoised) price is the price of a
     fresh compile, which is ``simulate_latency``'s.  A mutation that
     forgot to bump ``version`` shows here as a stale price."""
@@ -514,7 +514,6 @@ def test_a_memoised_price_is_a_fresh_price_after_every_mutation(case, data):
     star_world = star(n, seed=data.draw(st.integers(0, 99)))
     ring = ring_topology(devices(ring_n), 120.0, 8.0,
                          reroute=data.draw(st.booleans()))
-    base = star_world.condition
     star_faults = FaultInjector(FaultSchedule([
         LinkDegradation(2.0, 4.0, device=1, bw_factor=0.3,
                         extra_delay_ms=12.0)]))
@@ -542,14 +541,13 @@ def test_a_memoised_price_is_a_fresh_price_after_every_mutation(case, data):
         step = data.draw(st.sampled_from(
             ["condition", "rejected", "faults", "none"]))
         if step == "condition":
-            base = condition_of(data, n)
-            star_world.set_condition(base)
+            star_world.set_condition(condition_of(data, n))
         elif step == "rejected":
             with pytest.raises(ValueError):
                 star_world.set_condition(condition_of(data, n, nan=True))
         elif step == "faults":
             star_faults.advance(data.draw(st.floats(0.0, 6.0)))
-            star_faults.apply_to(star_world, base)
+            star_faults.apply_to(star_world)
         step = data.draw(st.sampled_from(
             ["quality", "overlay", "degrade", "invalidate", "faults",
              "none"]))
@@ -677,19 +675,17 @@ def test_a_no_op_apply_to_between_transitions_keeps_the_version(mesh):
     else:
         world = star(3)
         schedule = [LinkDegradation(1.0, 3.0, device=1, bw_factor=0.5)]
-    base = None if mesh else world.condition
     faults = FaultInjector(FaultSchedule(schedule))
     seen = []
     for now in (0.0, 0.5, 0.9, 1.0, 1.7, 2.9, 3.0, 4.0, 9.0):
         faults.advance(now)
-        faults.apply_to(world, base)
+        faults.apply_to(world)
         seen.append(world.version)
     # the first application, the onset at 1.0 and the recovery at 3.0;
-    # the star's first one sets its base condition, the ring's empty
-    # overlay is the one it already holds
+    # the first one's empty overlay is the one the world already holds
     first, onset, recovery = seen[0], seen[3], seen[6]
     assert seen == [first] * 3 + [onset] * 3 + [recovery] * 3
-    assert (0 if mesh else 1) == first < onset < recovery
+    assert 0 == first < onset < recovery
 
 
 def test_re_applying_the_held_condition_keeps_the_version(served):

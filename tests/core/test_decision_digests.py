@@ -44,7 +44,8 @@ from repro.nas.graph_builder import build_graph
 from repro.nas.arch import lattice_archs
 from repro.nas.search_space import MBV3_SPACE
 from repro.netsim.grids import AUGMENTED_BANDWIDTHS
-from repro.netsim.topology import Cluster, NetworkCondition
+from repro.netsim.mesh import star_topology
+from repro.netsim.topology import NetworkCondition
 from repro.partition.simulate import simulate_latency
 from tests.frozen import load, sha256
 
@@ -121,7 +122,7 @@ def figures():
 def slo_values(eng, n, cond):
     """SLO value per kind and level: the boundary is the median of every
     candidate's brute-force price."""
-    cluster = Cluster(devices(n), cond)
+    cluster = star_topology(devices(n), cond)
     lats, accs = [], []
     for arch in eng.archs:
         graph = build_graph(arch, MBV3_SPACE)

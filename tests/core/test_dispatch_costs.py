@@ -28,7 +28,7 @@ from repro.devices.profiles import desktop_gtx1080, jetson_class, rpi4
 from repro.eval.spec import PinnedTimeEngine
 from repro.faults.health import NULL_HEALTH, NullHealth
 from repro.nas.search_space import MBV3_SPACE
-from repro.netsim import Cluster, NetworkCondition, NetworkMonitor
+from repro.netsim import NetworkCondition, NetworkMonitor, star_topology
 from repro.runtime import (BatchingInferenceServer, BatchPolicy,
                            InferenceServer)
 from repro.telemetry import metrics, recorder, tracing
@@ -153,7 +153,7 @@ def test_a_null_probe_round_makes_one_call_per_remote(monkeypatch, n):
     """The counter and both error histograms of a probe are one
     ``registry.observer`` call: under null telemetry, one no-op each."""
     calls = _count_calls(monkeypatch, NULL_OBSERVERS)
-    monitor = NetworkMonitor(Cluster([rpi4()] * n, NetworkCondition(
+    monitor = NetworkMonitor(star_topology([rpi4()] * n, NetworkCondition(
         (100.0,) * (n - 1), (10.0,) * (n - 1))), seed=0)
     calls.clear()   # construction is not per probe
     assert len(monitor.probe_all()) == n - 1

@@ -24,7 +24,7 @@ from repro.faults import (DeviceCrash, FaultInjector, FaultSchedule,
 from repro.nas import (MBV3_SPACE, Supernet, build_graph, max_arch, min_arch,
                        tiny_space)
 from repro.nas.accuracy_model import arch_accuracy, plan_accuracy_penalty
-from repro.netsim import Cluster, NetworkCondition
+from repro.netsim import NetworkCondition, star_topology
 from repro.netsim.fluid import FluidTracker
 from repro.partition import layerwise_split_plan
 from repro.partition.simulate import simulate_latency
@@ -63,7 +63,7 @@ class _SplitEngine:
         graph = build_graph(arch, _TINY)
         plan = place(graph)
         expected = simulate_latency(
-            graph, plan, Cluster(list(devices), condition)).total_s
+            graph, plan, star_topology(list(devices), condition)).total_s
         self._strategy = Strategy(
             arch, plan, expected,
             arch_accuracy(arch, _TINY) - plan_accuracy_penalty(plan))

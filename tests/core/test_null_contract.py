@@ -19,7 +19,7 @@ from repro.control import NULL_CONTROL, ControlLoop
 from repro.eval import SCENARIOS, run_scenario
 from repro.faults import NULL_FAULTS, NULL_HEALTH, DeviceHealth, FaultInjector
 from repro.netsim import SharedIngress
-from repro.netsim.contention import NULL_INGRESS
+from repro.netsim.ingress import NULL_INGRESS
 from repro.sim import EventLoop
 from repro.telemetry import (NULL_RECORDER, NULL_TELEMETRY, NULL_TRACER,
                              Counter, Gauge, Histogram, MetricsRegistry,

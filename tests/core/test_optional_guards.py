@@ -46,13 +46,12 @@ WIRE_ALLOWED = {
     "repro/runtime/executor.py": 1,
     # ``cluster.contention`` is a plain attribute callers also assign
     # after construction: one early return in ``timed_transfer`` and one
-    # in ``update_fluid_caps``, per cluster
-    "repro/netsim/topology.py": 2,
+    # in ``update_fluid_caps``
     "repro/netsim/mesh.py": 2,
     # the ``links`` demo drains the fluid tracker it may have built
     "repro/cli.py": 1,
 }
-WIRE_BUDGET = 9
+WIRE_BUDGET = 7
 
 FAULTS_GUARD = re.compile(r"(faults|injector) is (not )?None")
 #: the normaliser, FaultInjector.of

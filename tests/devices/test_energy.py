@@ -5,15 +5,15 @@ import pytest
 from repro.devices import (ENERGY_CATALOG, EnergyProfile, desktop_gtx1080,
                            energy_of_report, rpi4)
 from repro.models import get_model
-from repro.netsim import Cluster, NetworkCondition
+from repro.netsim import NetworkCondition, star_topology
 from repro.partition import (Grid, layerwise_split_plan, simulate_latency,
                              single_device_plan, spatial_plan)
 
 
 @pytest.fixture(scope="module")
 def swarm():
-    return Cluster([rpi4() for _ in range(5)],
-                   NetworkCondition((500.0,) * 4, (5.0,) * 4))
+    return star_topology([rpi4() for _ in range(5)],
+                         NetworkCondition((500.0,) * 4, (5.0,) * 4))
 
 
 class TestEnergyProfile:
@@ -68,8 +68,8 @@ class TestEnergyOfReport:
         assert e8.network_j < e32.network_j / 2
 
     def test_gpu_offload_energy_on_gpu(self):
-        cl = Cluster([rpi4(), desktop_gtx1080()],
-                     NetworkCondition((400.0,), (5.0,)))
+        cl = star_topology([rpi4(), desktop_gtx1080()],
+                           NetworkCondition((400.0,), (5.0,)))
         g = get_model("resnet50")
         rep = simulate_latency(g, layerwise_split_plan(g, 0), cl)
         er = energy_of_report(rep, cl.devices)

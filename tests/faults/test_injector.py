@@ -5,7 +5,7 @@ import pytest
 from repro.devices import rpi4
 from repro.faults import (DeviceCrash, FaultInjector, FaultSchedule,
                           LinkDegradation, MessageLoss)
-from repro.netsim import Cluster, NetworkCondition
+from repro.netsim import NetworkCondition, star_topology
 from repro.telemetry import Telemetry
 
 
@@ -39,34 +39,39 @@ class TestAdvance:
 class TestApplyTo:
     def test_applies_degradation(self):
         base = NetworkCondition((100.0, 100.0), (10.0, 10.0))
-        cluster = Cluster([rpi4()] * 3, base)
+        cluster = star_topology([rpi4()] * 3, base)
         inj = FaultInjector(_sched())
         inj.advance(1.5)
-        inj.apply_to(cluster, base)
+        inj.apply_to(cluster)
         assert cluster.condition.bandwidths_mbps == (100.0, 50.0)
+        assert cluster.down_links == {(0, 1)}    # the crashed remote's spoke
         inj.advance(3.5)
-        inj.apply_to(cluster, base)
-        assert cluster.condition is base
+        inj.apply_to(cluster)
+        assert cluster.condition == base
+        assert not cluster.down_links
 
     def test_idempotent_between_transitions(self):
         base = NetworkCondition((100.0, 100.0), (10.0, 10.0))
-        cluster = Cluster([rpi4()] * 3, base)
+        cluster = star_topology([rpi4()] * 3, base)
         inj = FaultInjector(_sched())
         inj.advance(1.5)
-        inj.apply_to(cluster, base)
-        cond = cluster.condition
+        inj.apply_to(cluster)
+        cond, version = cluster.condition, cluster.version
         inj.advance(1.6)
-        inj.apply_to(cluster, base)
-        assert cluster.condition is cond  # no rebuild: same active set
+        inj.apply_to(cluster)
+        # no rebuild: same overlay
+        assert cluster.condition is cond and cluster.version == version
 
     def test_base_condition_change_reapplies(self):
+        """A new condition moves the star's spokes; the overlay stays on
+        top of them."""
         base = NetworkCondition((100.0, 100.0), (10.0, 10.0))
-        cluster = Cluster([rpi4()] * 3, base)
+        cluster = star_topology([rpi4()] * 3, base)
         inj = FaultInjector(_sched())
         inj.advance(1.5)
-        inj.apply_to(cluster, base)
-        newer = NetworkCondition((40.0, 40.0), (10.0, 10.0))
-        inj.apply_to(cluster, newer)
+        inj.apply_to(cluster)
+        cluster.set_condition(NetworkCondition((40.0, 40.0), (10.0, 10.0)))
+        inj.apply_to(cluster)
         assert cluster.condition.bandwidths_mbps == (40.0, 20.0)
 
 

@@ -18,7 +18,7 @@ from repro.faults import (CircuitState, DeviceCrash, ExecutionFailedError,
 from repro.faults.resilience import FailoverLadder
 from repro.nas import Supernet, build_graph, max_arch, tiny_space
 from repro.nas.accuracy_model import arch_accuracy, plan_accuracy_penalty
-from repro.netsim import Cluster, NetworkCondition
+from repro.netsim import NetworkCondition, star_topology
 from repro.partition import layerwise_split_plan, single_device_plan
 from repro.partition.simulate import simulate_latency
 
@@ -36,7 +36,7 @@ class _Split:
         plan = layerwise_split_plan(graph, len(graph) // 2, remote=1,
                                     bits=bits)
         expected = simulate_latency(
-            graph, plan, Cluster(list(devices), CONDITION)).total_s
+            graph, plan, star_topology(list(devices), CONDITION)).total_s
         self.strategy = Strategy(
             arch, plan, expected,
             arch_accuracy(arch, SPACE) - plan_accuracy_penalty(plan))

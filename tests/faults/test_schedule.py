@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.faults import (CorrelatedFailure, DeviceCrash, FaultSchedule,
                           LinkDegradation, LinkFailure, LinkFlap,
                           MessageLoss, crash_and_recover_schedule)
-from repro.netsim import NetworkCondition
 
 
 class TestEventValidation:
@@ -74,21 +73,19 @@ class TestScheduleQueries:
         assert sched.loss_prob(0, 2, 0.5) == pytest.approx(0.3)
 
     def test_degrade(self):
-        base = NetworkCondition((100.0, 80.0), (10.0, 20.0))
+        """A degradation hits its remote's spoke of a star only, and
+        only inside its window."""
+        spokes = [(0, 1), (0, 2)]
         sched = FaultSchedule([
             LinkDegradation(0.0, 1.0, device=1, bw_factor=0.5,
                             extra_delay_ms=15.0)])
-        out = sched.degrade(base, 0.5)
-        assert out.bandwidths_mbps == (50.0, 80.0)
-        assert out.delays_ms == (25.0, 20.0)
-        # inactive window: the exact same object comes back
-        assert sched.degrade(base, 2.0) is base
+        assert sched.link_degradations(0.5, spokes) == {(0, 1): (0.5, 15.0)}
+        assert sched.link_degradations(2.0, spokes) == {}
 
     def test_degrade_ignores_out_of_range_device(self):
-        base = NetworkCondition((100.0,), (10.0,))
         sched = FaultSchedule([
             LinkDegradation(0.0, 1.0, device=5, bw_factor=0.5)])
-        assert sched.degrade(base, 0.5) is base
+        assert sched.link_degradations(0.5, [(0, 1)]) == {}
 
     def test_horizon(self):
         assert FaultSchedule([]).horizon == 0.0
@@ -149,7 +146,6 @@ def test_indexed_queries_read_what_a_scan_of_every_event_reads(events, times):
     their association because each segment keeps schedule order."""
     fast, slow = FaultSchedule(events), _Unindexed(events)
     edges = [(0, 1), (1, 2), (2, 3), (0, 3)]
-    base = NetworkCondition((100.0, 80.0, 60.0), (10.0, 20.0, 5.0))
     for now in times + list(fast.transition_times()):
         for name, args in (("active", ()), ("down_devices", ()),
                            ("down_links", ()), ("down_links", (edges,)),
@@ -161,10 +157,6 @@ def test_indexed_queries_read_what_a_scan_of_every_event_reads(events, times):
                 == slow.loss_prob(src, dst, now)
             assert fast.reachable(src, dst, now) \
                 == slow.reachable(src, dst, now)
-        degraded = fast.degrade(base, now)
-        assert (degraded.bandwidths_mbps, degraded.delays_ms) \
-            == (slow.degrade(base, now).bandwidths_mbps,
-                slow.degrade(base, now).delays_ms)
 
 
 class TestLinkEvents:

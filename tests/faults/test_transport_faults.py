@@ -13,7 +13,7 @@ from repro.faults import (DeviceCrash, DeviceUnreachableError,
                           MessageLoss, ResilienceConfig, RetryPolicy)
 from repro.devices import rpi4
 from repro.nas import Supernet, build_graph, max_arch, min_arch, tiny_space
-from repro.netsim import Cluster, NetworkCondition, ring_topology
+from repro.netsim import NetworkCondition, ring_topology, star_topology
 from repro.partition import layerwise_split_plan, single_device_plan
 from repro.runtime import DistributedExecutor
 from repro.runtime.rpc import Transport
@@ -24,8 +24,8 @@ POLICY = RetryPolicy(timeout_s=0.05, max_retries=2, backoff=2.0)
 
 
 def _cluster(n=3):
-    return Cluster([rpi4() for _ in range(n)],
-                   NetworkCondition((100.0,) * (n - 1), (10.0,) * (n - 1)))
+    return star_topology([rpi4() for _ in range(n)],
+                         NetworkCondition.uniform(n - 1, 100.0, 10.0))
 
 
 def _injector(events, now=1.0, seed=0):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.devices import rpi4
 from repro.models import vit_base_16, vit_profile, vit_small_16
-from repro.netsim import Cluster, NetworkCondition
+from repro.netsim import NetworkCondition, star_topology
 from repro.partition import (Grid, simulate_latency, single_device_plan,
                              spatial_plan)
 
@@ -35,8 +35,8 @@ class TestViTProfiles:
 
 class TestPatchParallelSimulation:
     def _cluster(self, bw):
-        return Cluster([rpi4() for _ in range(5)],
-                       NetworkCondition((bw,) * 4, (2.0,) * 4))
+        return star_topology([rpi4() for _ in range(5)],
+                             NetworkCondition((bw,) * 4, (2.0,) * 4))
 
     def test_patch_parallel_speedup_on_fast_links(self):
         v = vit_small_16()

@@ -9,7 +9,7 @@ from repro.nas import (EvolutionConfig, MBV3_SPACE, Supernet,
                        downsample, evaluate_arch, evolutionary_search,
                        max_arch, min_arch, partition_aware_forward,
                        tiny_space)
-from repro.netsim import Cluster, NetworkCondition
+from repro.netsim import NetworkCondition, star_topology
 from repro.partition import Grid
 
 
@@ -116,8 +116,8 @@ class TestTrainer:
 class TestEvolution:
     @pytest.fixture
     def cluster(self):
-        return Cluster([rpi4(), desktop_gtx1080()],
-                       NetworkCondition((200.0,), (20.0,)))
+        return star_topology([rpi4(), desktop_gtx1080()],
+                             NetworkCondition((200.0,), (20.0,)))
 
     def test_finds_feasible_under_loose_slo(self, cluster):
         res = evolutionary_search(

@@ -17,9 +17,9 @@ import math
 import pytest
 
 from repro.devices import rpi4
-from repro.netsim import (Cluster, FluidTracker, Link, MeshLink,
-                          MeshCluster, NetworkCondition, SharedIngress)
-from repro.netsim.contention import INGRESS_EDGE, NULL_INGRESS
+from repro.netsim import (FluidTracker, Link, MeshCluster, MeshLink,
+                          NetworkCondition, SharedIngress, star_topology)
+from repro.netsim.ingress import INGRESS_EDGE, NULL_INGRESS
 
 
 MB = 1_000_000.0
@@ -28,7 +28,9 @@ MB = 1_000_000.0
 def _cluster(tracker=None, n_remote=2, bw=100.0, delay=10.0):
     devices = [rpi4() for _ in range(n_remote + 1)]
     condition = NetworkCondition.uniform(n_remote, bw, delay)
-    return Cluster(devices, condition, contention=tracker)
+    star = star_topology(devices, condition)
+    star.contention = tracker
+    return star
 
 
 class TestStarContention:

@@ -16,8 +16,8 @@ from contextlib import contextmanager
 import pytest
 
 from repro.devices import desktop_gtx1080, jetson_class, rpi4
-from repro.netsim import (Cluster, FluidTracker, Link, NetworkCondition,
-                          SharedIngress, ring_topology, solve_fluid)
+from repro.netsim import (FluidTracker, Link, NetworkCondition, SharedIngress,
+                          ring_topology, solve_fluid, star_topology)
 from repro.netsim.fluid import FlowSpec
 from repro.telemetry import Telemetry
 
@@ -70,9 +70,8 @@ class TestSnapshotBiasRegression:
 
 class TestDropInBitIdentity:
     def test_star_lone_transfer_bit_identical(self):
-        plain = Cluster(_devices(), _condition())
-        fluid = Cluster(_devices(), _condition(),
-                        contention=FluidTracker())
+        plain = star_topology(_devices(), _condition())
+        fluid = star_topology(_devices(), _condition())
         for src, dst in ((0, 1), (0, 2), (1, 2)):
             want = plain.transfer_time(src, dst, 1e6)
             # fresh tracker per pair: each transfer must be lone
@@ -95,8 +94,8 @@ class TestDropInBitIdentity:
         assert ingress.admit(0.0) == link.transfer_time(256 * 1024)
 
     def test_contended_transfers_price_higher_than_base(self):
-        fluid = Cluster(_devices(), _condition(),
-                        contention=FluidTracker())
+        fluid = star_topology(_devices(), _condition())
+        fluid.contention = FluidTracker()
         base = fluid.transfer_time(0, 1, 1e6)
         first = fluid.timed_transfer(0, 1, 1e6, 0.0)
         second = fluid.timed_transfer(0, 1, 1e6, 1e-3)

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.devices import rpi4
-from repro.netsim import (LOOPBACK, Cluster, Link, MeshCluster, MeshLink,
-                          NetworkCondition)
+from repro.netsim import (LOOPBACK, Link, NetworkCondition,
+                          star_topology)
 
 
 class TestLink:
@@ -19,14 +19,6 @@ class TestLink:
     def test_zero_bytes_still_pays_delay(self):
         link = Link(bandwidth_mbps=100, delay_ms=10)
         assert link.transfer_time(0) == pytest.approx(0.011)
-
-    def test_invalid_bandwidth(self):
-        with pytest.raises(ValueError):
-            Link(bandwidth_mbps=0, delay_ms=1)
-
-    def test_invalid_delay(self):
-        with pytest.raises(ValueError):
-            Link(bandwidth_mbps=10, delay_ms=-1)
 
     @pytest.mark.parametrize("kwargs", [
         {"bandwidth_mbps": float("nan"), "delay_ms": 1.0},
@@ -43,33 +35,35 @@ class TestLink:
     def test_an_rpc_overhead_must_be_finite_and_non_negative(self, overhead):
         """Regression: ``rpc_overhead_ms=-5`` priced a 1 kB transfer over
         a 100 Mbps, 1 ms star link at -0.0039 s, and NaN priced it at
-        NaN, on both cluster kinds (the mesh reads its own attribute,
-        not a ``Link``'s)."""
+        NaN.  ``Link`` and ``MeshCluster`` themselves are in
+        ``tests/test_domains.py``'s sweep; a star passes it through."""
         devices = [rpi4(), rpi4()]
         for build in (
-                lambda: Link(10.0, 1.0, rpc_overhead_ms=overhead),
-                lambda: Cluster(devices, NetworkCondition((100.0,), (5.0,)),
-                                rpc_overhead_ms=overhead),
-                lambda: Cluster(devices[:1], NetworkCondition((), ()),
-                                rpc_overhead_ms=overhead),
-                lambda: MeshCluster(devices, [MeshLink(0, 1, 100.0, 5.0)],
-                                    rpc_overhead_ms=overhead)):
+                lambda: star_topology(devices,
+                                      NetworkCondition((100.0,), (5.0,)),
+                                      rpc_overhead_ms=overhead),
+                lambda: star_topology(devices[:1], NetworkCondition((), ()),
+                                      rpc_overhead_ms=overhead)):
             with pytest.raises(ValueError,
                                match=f"rpc_overhead_ms must be .* {overhead}"):
                 build()
-        assert Cluster(devices, NetworkCondition((100.0,), (5.0,)),
-                       rpc_overhead_ms=0.0).transfer_time(0, 1, 1e3) > 0.0
+        star = star_topology(devices, NetworkCondition((100.0,), (5.0,)),
+                             rpc_overhead_ms=0.0)
+        assert star.transfer_time(0, 1, 1e3) > 0.0
 
     @pytest.mark.parametrize("delay", [float("inf"), float("nan"), -1.0])
     def test_a_delay_must_be_finite_and_non_negative(self, delay):
         """Regression: an infinite delay built a star spoke and a mesh
         edge that priced every transfer at ``inf`` seconds, failing
-        mid-run or with an ``OverflowError`` from the strategy cache."""
+        mid-run or with an ``OverflowError`` from the strategy cache
+        (``Link`` and ``MeshLink`` themselves are in the class sweep)."""
         devices = [rpi4(), rpi4()]
+        star = star_topology(devices, NetworkCondition((100.0,), (5.0,)))
         for build in (
-                lambda: Link(10.0, delay),
-                lambda: Cluster(devices, NetworkCondition((100.0,), (delay,))),
-                lambda: MeshLink(0, 1, 100.0, delay)):
+                lambda: star_topology(devices,
+                                      NetworkCondition((100.0,), (delay,))),
+                lambda: star.set_condition(
+                    NetworkCondition((100.0,), (delay,)))):
             with pytest.raises(ValueError,
                                match=f"delay_ms must be finite, non-negative "
                                      f"and at most 1e9 ms, got {delay}"):

@@ -22,15 +22,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.devices import rpi4
-from repro.netsim import Cluster, Measurement, NetworkCondition, NetworkMonitor
+from repro.netsim import (Measurement, NetworkCondition, NetworkMonitor,
+                          star_topology)
 
 KERNEL_N = int(os.environ.get("PRICE_KERNEL_N", "100"))
 DRAWS = 600     # more than two blocks
 
 
 def cluster():
-    return Cluster([rpi4(), rpi4(), rpi4()],
-                   NetworkCondition((100.0, 200.0), (10.0, 30.0)))
+    return star_topology([rpi4(), rpi4(), rpi4()],
+                         NetworkCondition((100.0, 200.0), (10.0, 30.0)))
 
 
 @settings(max_examples=KERNEL_N, deadline=None)
@@ -66,7 +67,7 @@ def test_probe_rounds_equal_the_per_sample_stream(
     (device, bandwidth, delay) order against the truth of their round
     and smooth exactly as the EWMA fold below."""
     plan = np.random.default_rng(plan_seed)
-    world = Cluster([rpi4()] * (remotes + 1), truth_of(plan, remotes))
+    world = star_topology([rpi4()] * (remotes + 1), truth_of(plan, remotes))
     mon = NetworkMonitor(world, noise=noise, ewma_alpha=alpha, seed=seed)
     ref = np.random.default_rng(seed)
     bw, delay = {}, {}     # the fold

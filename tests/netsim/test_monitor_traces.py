@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from repro.devices import rpi4
-from repro.netsim import (Cluster, NetworkCondition, NetworkMonitor,
-                          TraceConfig, mobility_trace, random_walk_trace,
+from repro.netsim import (NetworkCondition, NetworkMonitor, TraceConfig,
+                          mobility_trace, random_walk_trace, star_topology,
                           step_trace)
 
 
 @pytest.fixture
 def cluster():
-    return Cluster([rpi4(), rpi4(), rpi4()],
-                   NetworkCondition((100.0, 200.0), (10.0, 30.0)))
+    return star_topology([rpi4(), rpi4(), rpi4()],
+                         NetworkCondition((100.0, 200.0), (10.0, 30.0)))
 
 
 class TestMonitor:

@@ -37,8 +37,8 @@ import numpy as np
 import pytest
 
 from repro.devices.profiles import desktop_gtx1080, jetson_class, rpi4
-from repro.netsim import (Cluster, FluidTracker, Link, NetworkCondition,
-                          SharedIngress, ring_topology)
+from repro.netsim import (FluidTracker, Link, NetworkCondition, SharedIngress,
+                          ring_topology, star_topology)
 from repro.partition import Grid, spatial_front_plan
 from tests.core.test_infer_parity import _dump, _input, _system
 from tests.frozen import digest
@@ -59,9 +59,9 @@ def star_world(tracker, seed=1, n=90):
     enough to overlap, every fifth one at the previous instant, and the
     links step once mid-run."""
     rng = np.random.default_rng((seed, 19))
-    star = Cluster(_devices(4),
-                   NetworkCondition((120.0, 60.0, 25.0), (4.0, 9.0, 15.0)),
-                   contention=tracker)
+    star = star_topology(
+        _devices(4), NetworkCondition((120.0, 60.0, 25.0), (4.0, 9.0, 15.0)))
+    star.contention = tracker
     out, t = [], 0.0
     for i in range(n):
         if i % 5:
@@ -253,9 +253,9 @@ def _lone(owner, tracker):
         wire.contention = tracker
         src, dst = 0, 2
     else:
-        wire = Cluster(_devices(3),
-                       NetworkCondition((50.0, 20.0), (5.0, 8.0)),
-                       contention=tracker)
+        wire = star_topology(_devices(3),
+                             NetworkCondition((50.0, 20.0), (5.0, 8.0)))
+        wire.contention = tracker
         src, dst = (0, 1) if owner == "star spoke" else (1, 2)
     return ([wire.timed_transfer(src, dst, 3e5, 1.0)],
             wire.transfer_time(src, dst, 3e5))

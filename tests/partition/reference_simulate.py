@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.models.graph import ModelGraph
-from repro.netsim.topology import Cluster
+from repro.netsim.mesh import MeshCluster
 from repro.nn.quantize import wire_bytes
 from repro.partition.plan import ExecutionPlan
 from repro.partition.spatial import Grid, fdsp_compute_overhead
@@ -57,7 +57,7 @@ class _TileState:
 
 
 def simulate_latency(graph: ModelGraph, plan: ExecutionPlan,
-                     cluster: Cluster) -> LatencyReport:
+                     cluster: MeshCluster) -> LatencyReport:
     """Simulate one batch-1 inference; returns a :class:`LatencyReport`.
 
     Weights are assumed resident on every participating device (the

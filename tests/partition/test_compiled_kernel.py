@@ -22,7 +22,7 @@ from repro.nas.arch import max_arch, min_arch, random_arch
 from repro.nas.evolution import candidate_plans
 from repro.nas.graph_builder import build_graph
 from repro.nas.search_space import MBV3_SPACE
-from repro.netsim import Cluster, NetworkCondition, ring_topology
+from repro.netsim import NetworkCondition, ring_topology, star_topology
 from repro.partition import (BlockPlan, ExecutionPlan, Grid,
                              simulate_latency, single_device_plan)
 from repro.partition.compiled import compile_plan, price
@@ -37,7 +37,7 @@ def devices(n):
 
 def star(n, seed=0):
     rng = np.random.default_rng(seed)
-    return Cluster(devices(n), NetworkCondition(
+    return star_topology(devices(n), NetworkCondition(
         tuple(float(b) for b in rng.uniform(5.0, 400.0, n - 1)),
         tuple(float(d) for d in rng.uniform(0.0, 60.0, n - 1))))
 
@@ -218,7 +218,7 @@ def priced_cases(draw):
 @given(priced_cases())
 def test_fuzzed_plans_price_identically_on_a_star(case):
     graph, plan, n, condition = case
-    assert_identical(graph, plan, Cluster(devices(n), condition))
+    assert_identical(graph, plan, star_topology(devices(n), condition))
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,7 +5,7 @@ import pytest
 from repro.devices import desktop_gtx1080, rpi4
 from repro.models import get_model
 from repro.nas.evolution import candidate_plans
-from repro.netsim import Cluster, NetworkCondition
+from repro.netsim import NetworkCondition, star_topology
 from repro.partition import (BlockPlan, ExecutionPlan, Grid,
                              layerwise_split_plan, simulate_latency,
                              single_device_plan, spatial_front_plan,
@@ -64,8 +64,8 @@ class TestExecutionPlanValidation:
                                                            walker):
         """-1 used to pass validation and die in ``transfer_time`` with
         a bare ``KeyError: -1``, in both plan walkers."""
-        cluster = Cluster([rpi4(), desktop_gtx1080()],
-                          NetworkCondition((100.0,), (10.0,)))
+        cluster = star_topology([rpi4(), desktop_gtx1080()],
+                                NetworkCondition((100.0,), (10.0,)))
         plan = ExecutionPlan([BlockPlan(Grid(1, 1), (1,)) for _ in graph],
                              output_device=-1)
         with pytest.raises(ValueError, match="output device out of range"):
@@ -128,7 +128,7 @@ class TestSharedBlockPlans:
     once per plan and repeat the frozen instance."""
 
     def test_a_plan_holds_one_instance_per_distinct_setting(self, graph):
-        plans = candidate_plans(graph, Cluster(
+        plans = candidate_plans(graph, star_topology(
             [rpi4()] * 9, NetworkCondition.uniform(8, 100.0, 10.0)))
         assert len(plans) >= 30
         for plan in plans:
@@ -145,7 +145,7 @@ class TestSharedBlockPlans:
             post_init(self)
 
         monkeypatch.setattr(BlockPlan, "__post_init__", counted)
-        plans = candidate_plans(graph, Cluster(
+        plans = candidate_plans(graph, star_topology(
             [rpi4()] * 3, NetworkCondition.uniform(2, 100.0, 10.0)))
         # at most a handful of settings per template, not one per block
         assert len(built) <= 4 * len(plans)

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.faults.resilience import NoRouteError
 from repro.models import get_model
-from repro.netsim import Cluster, NetworkCondition, ring_topology
+from repro.netsim import NetworkCondition, ring_topology, star_topology
 from repro.partition import simulate_latency, single_device_plan
 from repro.partition.compiled import (_MAX_READY, _MAX_SELF, _MAX_SENT,
                                       _READY, _SENT, PlanProgram, _lower,
@@ -56,7 +56,7 @@ def assert_three_agree(graph, plan, cluster):
 @given(priced_cases())
 def test_fused_price_equals_the_interpreter_on_a_star(case):
     graph, plan, n, condition = case
-    assert_three_agree(graph, plan, Cluster(devices(n), condition))
+    assert_three_agree(graph, plan, star_topology(devices(n), condition))
 
 
 @settings(max_examples=max(KERNEL_N // 2, 1), deadline=None)
@@ -94,7 +94,7 @@ def test_a_single_device_plan_is_at_most_two_entries():
                 graph, single_device_plan(graph, device=device), devices(3))
             assert len(program.entries) <= 2
             assert not program.entries[-1][1], "the chain was not fused"
-            cluster = Cluster(devices(3), _condition(3, seed=device))
+            cluster = star_topology(devices(3), _condition(3, seed=device))
             assert price(program, cluster) \
                 == reference_price(program, cluster)
 

@@ -26,7 +26,7 @@ from repro.nas.arch import max_arch
 from repro.nas.evolution import candidate_plans
 from repro.nas.graph_builder import build_graph
 from repro.nas.search_space import MBV3_SPACE
-from repro.netsim import Cluster, ring_topology
+from repro.netsim import ring_topology, star_topology
 from repro.partition import Grid, simulate_latency
 from repro.partition.simulate import LatencyReport
 from tests.partition import reference_simulate
@@ -111,7 +111,7 @@ def test_ring_mesh_under_faults_reports_identically(overlay, reroute):
 @given(priced_cases())
 def test_fuzzed_plans_report_identically_on_a_star(case):
     graph, plan, n, condition = case
-    assert_same_report(graph, plan, Cluster(devices(n), condition))
+    assert_same_report(graph, plan, star_topology(devices(n), condition))
 
 
 @settings(max_examples=60, deadline=None)

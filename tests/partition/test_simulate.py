@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.devices import desktop_gtx1080, graph_time, rpi4
 from repro.models import ModelGraph, get_model
 from repro.models.graph import ComputeBlock
-from repro.netsim import Cluster, NetworkCondition
+from repro.netsim import NetworkCondition, star_topology
 from repro.partition import (Grid, layerwise_split_plan, simulate_latency,
                              single_device_plan, spatial_plan)
 
@@ -25,7 +25,7 @@ def tiny_graph():
 
 @pytest.fixture
 def two_pis():
-    return Cluster([rpi4(), rpi4()], NetworkCondition((100.0,), (10.0,)))
+    return star_topology([rpi4(), rpi4()], NetworkCondition((100.0,), (10.0,)))
 
 
 class TestSingleDevice:
@@ -62,8 +62,8 @@ class TestLayerwise:
         the delay must cost one delay, not two."""
         g = tiny_graph()
         lo = simulate_latency(g, layerwise_split_plan(g, 0), two_pis).total_s
-        hi_cluster = Cluster([rpi4(), rpi4()],
-                             NetworkCondition((100.0,), (110.0,)))
+        hi_cluster = star_topology([rpi4(), rpi4()],
+                                   NetworkCondition((100.0,), (110.0,)))
         hi = simulate_latency(g, layerwise_split_plan(g, 0),
                               hi_cluster).total_s
         assert hi - lo == pytest.approx(0.100, abs=0.01)
@@ -77,8 +77,8 @@ class TestLayerwise:
 
     def test_gpu_remote_offload_wins_for_big_model(self):
         """ResNet50: Pi-local is seconds, shipping to the GPU is not."""
-        cl = Cluster([rpi4(), desktop_gtx1080()],
-                     NetworkCondition((400.0,), (5.0,)))
+        cl = star_topology([rpi4(), desktop_gtx1080()],
+                           NetworkCondition((400.0,), (5.0,)))
         g = get_model("resnet50")
         local = simulate_latency(g, single_device_plan(g), cl).total_s
         remote = simulate_latency(g, layerwise_split_plan(g, 0), cl).total_s
@@ -87,7 +87,8 @@ class TestLayerwise:
 
 class TestSpatial:
     def test_parallel_speedup(self):
-        cl = Cluster([rpi4()] * 5, NetworkCondition((1000.0,) * 4, (2.0,) * 4))
+        cl = star_topology([rpi4()] * 5,
+                           NetworkCondition((1000.0,) * 4, (2.0,) * 4))
         g = get_model("resnet50")
         single = simulate_latency(g, single_device_plan(g), cl).total_s
         quad = simulate_latency(
@@ -95,7 +96,8 @@ class TestSpatial:
         assert quad < single / 1.5
 
     def test_compute_spread_across_devices(self):
-        cl = Cluster([rpi4()] * 5, NetworkCondition((1000.0,) * 4, (2.0,) * 4))
+        cl = star_topology([rpi4()] * 5,
+                           NetworkCondition((1000.0,) * 4, (2.0,) * 4))
         g = get_model("mobilenet_v3_large")
         rep = simulate_latency(g, spatial_plan(g, Grid(2, 2), [1, 2, 3, 4]), cl)
         busy = [rep.compute_s[d] for d in (1, 2, 3, 4)]
@@ -104,7 +106,8 @@ class TestSpatial:
 
     def test_fdsp_overhead_charged(self):
         """Total compute across tiles exceeds the unpartitioned compute."""
-        cl = Cluster([rpi4()] * 5, NetworkCondition((1000.0,) * 4, (2.0,) * 4))
+        cl = star_topology([rpi4()] * 5,
+                           NetworkCondition((1000.0,) * 4, (2.0,) * 4))
         g = get_model("resnet50")
         rep1 = simulate_latency(g, single_device_plan(g), cl)
         rep4 = simulate_latency(g, spatial_plan(g, Grid(2, 2), [1, 2, 3, 4]),
@@ -118,10 +121,10 @@ class TestInvariants:
     def test_more_bandwidth_never_hurts(self, bw, delay):
         g = get_model("mobilenet_v3_large")
         plan = layerwise_split_plan(g, 0)
-        base = simulate_latency(g, plan, Cluster(
+        base = simulate_latency(g, plan, star_topology(
             [rpi4(), desktop_gtx1080()],
             NetworkCondition((bw,), (delay,)))).total_s
-        better = simulate_latency(g, plan, Cluster(
+        better = simulate_latency(g, plan, star_topology(
             [rpi4(), desktop_gtx1080()],
             NetworkCondition((bw * 2,), (delay,)))).total_s
         assert better <= base + 1e-12
@@ -131,10 +134,10 @@ class TestInvariants:
     def test_more_delay_never_helps(self, bw, delay):
         g = get_model("mobilenet_v3_large")
         plan = layerwise_split_plan(g, 0)
-        base = simulate_latency(g, plan, Cluster(
+        base = simulate_latency(g, plan, star_topology(
             [rpi4(), desktop_gtx1080()],
             NetworkCondition((bw,), (delay,)))).total_s
-        worse = simulate_latency(g, plan, Cluster(
+        worse = simulate_latency(g, plan, star_topology(
             [rpi4(), desktop_gtx1080()],
             NetworkCondition((bw,), (delay * 2,)))).total_s
         assert worse >= base - 1e-12

@@ -34,8 +34,8 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Set
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
-_CONTENDED = ("a contended wire: the wire, route and fluid digests pin it; "
-              "no scenario or workload contends a mesh")
+_CONTENDED = ("a contended wire's capacity step: the wire, route and fluid "
+              "digests pin it; no run steps a cluster that has a tracker")
 _FLUID = "fluid_price_digests pins it"
 _ORACLE = "the oracle of test_simulate::test_matches_graph_time"
 _LOSS = "the message-loss path: no scenario or workload schedules MessageLoss"
@@ -52,8 +52,6 @@ _TRACING = "tracer API: the tracing and timeline tests read spans through it"
 #: qualified name -> why it stays although no entry point reaches it
 KEEP: Dict[str, str] = {
     "repro.netsim.mesh:MeshCluster.update_fluid_caps": _CONTENDED,
-    "repro.netsim.mesh:MeshCluster.timed_transfer": _CONTENDED,
-    "repro.netsim.topology:Cluster.update_fluid_caps": _CONTENDED,
     "repro.netsim.fluid:FluidTracker.admit": _FLUID,
     "repro.netsim.fluid:solve_fluid": _FLUID,
     "repro.devices.latency:graph_time": _ORACLE,
@@ -76,8 +74,6 @@ KEEP: Dict[str, str] = {
         "server_loop_digests builds its crash world with it",
     "repro.faults.resilience:NoRouteError.device":
         "route_digests records it for every unroutable pair",
-    "repro.faults.schedule:FaultSchedule.link_degradations.<locals>._hit":
-        "no scenario degrades a mesh link",
     "repro.faults.health:DeviceHealth.state":
         "test_health / test_ladder read circuit states through it",
     "repro.faults.injector:FaultInjector.is_down":
@@ -90,12 +86,8 @@ KEEP: Dict[str, str] = {
     "repro.netsim.mesh:MeshCluster.degraded_links": _MESH,
     "repro.netsim.mesh:MeshCluster.is_connected": _MESH,
     "repro.netsim.mesh:MeshCluster.hop_count": _MESH,
-    "repro.netsim.topology:Cluster.local":
-        "the star twin of MeshCluster.local; the simulate tests read it",
-    "repro.netsim.topology:no_device":
+    "repro.netsim.mesh:no_device":
         "the out-of-range device error; the topology and mesh tests raise it",
-    "repro.netsim.topology:NetworkCondition.uniform":
-        "test-world builder: the price, plan and digest tests use it",
     "repro.netsim.fluid:FluidSegment.duration":
         "the fluid property tests integrate segment rates with it",
     "repro.netsim.fluid:FluidTracker._caps":

@@ -47,7 +47,7 @@ from repro.nas.arch import max_arch, min_arch, random_arch
 from repro.nas.evolution import candidate_plans
 from repro.nas.graph_builder import build_graph
 from repro.nas.search_space import MBV3_SPACE, tiny_space
-from repro.netsim import Cluster, NetworkCondition, ring_topology
+from repro.netsim import NetworkCondition, ring_topology, star_topology
 from repro.partition import (BlockPlan, ExecutionPlan, Grid,
                              simulate_latency)
 from repro.rl import EnvConfig, MurmurationEnv
@@ -95,7 +95,7 @@ FAMILIES = {
 
 def _star(n, seed):
     rng = np.random.default_rng((20, 2, seed))
-    return Cluster(_devices(n), NetworkCondition(
+    return star_topology(_devices(n), NetworkCondition(
         tuple(float(b) for b in rng.uniform(5.0, 400.0, n - 1)),
         tuple(float(d) for d in rng.uniform(0.0, 60.0, n - 1))))
 

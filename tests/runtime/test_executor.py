@@ -11,7 +11,7 @@ import pytest
 
 from repro.devices import rpi4
 from repro.nas import (Supernet, build_graph, max_arch, min_arch, tiny_space)
-from repro.netsim import Cluster, NetworkCondition
+from repro.netsim import NetworkCondition, star_topology
 from repro.partition import (Grid, layerwise_split_plan, single_device_plan,
                              spatial_front_plan, spatial_plan)
 from repro.runtime import DistributedExecutor
@@ -27,8 +27,8 @@ def net():
 
 @pytest.fixture(scope="module")
 def cluster():
-    return Cluster([rpi4() for _ in range(5)],
-                   NetworkCondition((100.0,) * 4, (10.0,) * 4))
+    return star_topology([rpi4() for _ in range(5)],
+                         NetworkCondition((100.0,) * 4, (10.0,) * 4))
 
 
 @pytest.fixture(scope="module")

@@ -7,14 +7,14 @@ import pytest
 
 from repro.devices import rpi4
 from repro.models import get_model
-from repro.netsim import Cluster, Measurement, NetworkCondition
+from repro.netsim import Measurement, NetworkCondition, star_topology
 from repro.runtime import (FixedModelStore, LinearPredictor, ModelReconfig,
                            MonitoringPredictor, SimulatedClock, Transport)
 
 
 @pytest.fixture
 def cluster():
-    return Cluster([rpi4(), rpi4()], NetworkCondition((100.0,), (10.0,)))
+    return star_topology([rpi4(), rpi4()], NetworkCondition((100.0,), (10.0,)))
 
 
 class TestClock:

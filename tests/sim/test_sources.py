@@ -7,7 +7,7 @@ from repro.devices import desktop_gtx1080, rpi4
 from repro.eval.runner import run_scenario
 from repro.nas import MBV3_SPACE
 from repro.netsim import NetworkCondition
-from repro.netsim.contention import INGRESS_EDGE, SharedIngress
+from repro.netsim.ingress import INGRESS_EDGE, SharedIngress
 from repro.netsim.fluid import FluidTracker
 from repro.netsim.link import Link
 from repro.netsim.traces import condition_at

@@ -13,7 +13,7 @@ import pytest
 from repro.core import SLO, Murmuration, SearchDecisionEngine
 from repro.devices import desktop_gtx1080, rpi4
 from repro.nas import MBV3_SPACE, Supernet, build_graph, max_arch, tiny_space
-from repro.netsim import Cluster, NetworkCondition, NetworkMonitor
+from repro.netsim import NetworkCondition, NetworkMonitor, star_topology
 from repro.partition import layerwise_split_plan
 from repro.rl import EnvConfig, MurmurationEnv, SupremeConfig, SupremeTrainer
 from repro.runtime import DistributedExecutor, InferenceServer, Transport
@@ -92,8 +92,8 @@ class TestExecutorInstrumentation:
     def test_segment_metrics(self):
         space = tiny_space()
         net = Supernet(space, seed=0).eval()
-        cluster = Cluster([rpi4(), rpi4()],
-                          NetworkCondition((100.0,), (10.0,)))
+        cluster = star_topology([rpi4(), rpi4()],
+                                NetworkCondition((100.0,), (10.0,)))
         tel = Telemetry()
         ex = DistributedExecutor(net, cluster, telemetry=tel)
         arch = max_arch(space)
@@ -110,8 +110,8 @@ class TestExecutorInstrumentation:
 
 class TestTransportInstrumentation:
     def test_per_link_and_quantization_accounting(self):
-        cluster = Cluster([rpi4(), rpi4()],
-                          NetworkCondition((100.0,), (10.0,)))
+        cluster = star_topology([rpi4(), rpi4()],
+                                NetworkCondition((100.0,), (10.0,)))
         tel = Telemetry()
         t = Transport(cluster, telemetry=tel)
         x = np.ones((4, 4), dtype=np.float64)
@@ -129,8 +129,8 @@ class TestTransportInstrumentation:
     def test_send_control_accounting(self):
         """Control messages are charged like any other cross-device
         traffic: default 256 bytes, per-link counters, transfer time."""
-        cluster = Cluster([rpi4(), rpi4()],
-                          NetworkCondition((100.0,), (10.0,)))
+        cluster = star_topology([rpi4(), rpi4()],
+                                NetworkCondition((100.0,), (10.0,)))
         tel = Telemetry()
         t = Transport(cluster, telemetry=tel)
         t.send_control(src=0, dst=1, payload="strategy", now=0.0)
@@ -147,8 +147,8 @@ class TestTransportInstrumentation:
         assert t.total_bytes == 0
 
     def test_local_delivery_not_charged(self):
-        cluster = Cluster([rpi4(), rpi4()],
-                          NetworkCondition((100.0,), (10.0,)))
+        cluster = star_topology([rpi4(), rpi4()],
+                                NetworkCondition((100.0,), (10.0,)))
         tel = Telemetry()
         t = Transport(cluster, telemetry=tel)
         t.send_control(src=0, dst=0, payload="noop", now=0.0)
@@ -157,8 +157,8 @@ class TestTransportInstrumentation:
 
 class TestMonitorInstrumentation:
     def test_probe_and_error_metrics(self):
-        cluster = Cluster([rpi4(), rpi4()],
-                          NetworkCondition((100.0,), (10.0,)))
+        cluster = star_topology([rpi4(), rpi4()],
+                                NetworkCondition((100.0,), (10.0,)))
         tel = Telemetry()
         mon = NetworkMonitor(cluster, noise=0.05, seed=0, telemetry=tel)
         for step in range(8):

@@ -28,11 +28,11 @@ from repro.eval.spec import PinnedTimeEngine
 from repro.faults import (CorrelatedFailure, DeviceCrash, DeviceHealth,
                           FaultEvent, LinkDegradation, LinkFailure, LinkFlap,
                           MessageLoss, ResilienceConfig, RetryPolicy)
+from repro.netsim.ingress import SharedIngress
 from repro.netsim.link import Link
-from repro.netsim.mesh import MeshCluster, MeshLink
+from repro.netsim.mesh import MeshCluster, MeshLink, star_topology
 from repro.netsim.monitor import NetworkMonitor
-from repro.netsim.topology import Cluster, NetworkCondition
-from repro.netsim.contention import SharedIngress
+from repro.netsim.topology import NetworkCondition
 from repro.netsim.traces import TraceConfig, condition_at
 from repro.partition.spatial import Grid
 from repro.rl.env import EnvConfig
@@ -44,8 +44,8 @@ from repro.sim.events import schedule_ingress_trace
 from repro.telemetry import Telemetry, Tracer
 
 _LINK = Link(100.0, 5.0)
-_CLUSTER = Cluster([rpi4(), desktop_gtx1080()],
-                   NetworkCondition((100.0,), (5.0,)))
+_CLUSTER = star_topology([rpi4(), desktop_gtx1080()],
+                         NetworkCondition((100.0,), (5.0,)))
 
 #: each declaring class or generator -> the arguments of a valid instance
 #: (a hostile value replaces one of them)
@@ -68,8 +68,6 @@ OWNERS = {
     StrategyCache: {}, BatchPolicy: {}, TraceConfig: {},
     Link: dict(bandwidth_mbps=100.0, delay_ms=5.0),
     MeshLink: dict(a=0, b=1, bandwidth_mbps=100.0, delay_ms=5.0),
-    Cluster: dict(devices=[rpi4(), desktop_gtx1080()],
-                  condition=NetworkCondition((100.0,), (5.0,))),
     MeshCluster: dict(devices=[rpi4(), desktop_gtx1080()],
                       links=[MeshLink(0, 1, 100.0, 5.0)]),
     InferenceServer: dict(system=None, arrival_rate_hz=1.0),
