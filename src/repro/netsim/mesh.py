@@ -346,21 +346,30 @@ class MeshCluster:
         faulted = bool(self._down or self._degraded)
         if condition is self._cond_cache and not faulted:
             return
+        n = len(self.devices)
         bws, delays = condition.bandwidths_mbps, condition.delays_ms
-        if len(bws) != len(self.devices) - 1:
+        if len(bws) != n - 1:
             raise ValueError("condition dimensionality changed")
-        base = {}
+        # the base links and their adjacency (_adjacency's, in one pass)
+        base, hub = {}, {}
+        adj = {0: hub}
         for i, (bw, delay) in enumerate(zip(bws, delays), 1):
             # MeshLink's domains, tested inline; one it rejects raises
             # naming the field and the value
             if not (0.0 < bw < math.inf and 0.0 <= delay <= 1e9):
                 MeshLink(0, i, bw, delay)
-            base[0, i] = (delay, bw)
-        self._base = base
-        self._base_adj = self._adjacency(overlay=False)
+            base[0, i] = hub[i] = hop = (delay, bw)
+            adj[i] = {0: hop}
+        self._base, self._base_adj = base, adj
         self._rebuild_overlay()
         if not faulted:
             self._cond_cache = condition
+            # each spoke's wire, the floats _wire would compute (one
+            # hop: the same sum either way)
+            rpc, wires = self.rpc_overhead_ms, self._wires
+            for i, (delay, bw) in enumerate(zip(delays, bws), 1):
+                wires[0, i] = wires[i, 0] = ((0.0 + delay + rpc) / 1e3,
+                                             bw * 1e6)
 
     def set_link_quality(self, a: int, b: int,
                          bandwidth_mbps: Optional[float] = None,
@@ -455,11 +464,15 @@ class MeshCluster:
     def degraded_links(self) -> Dict[Edge, Tuple[float, float]]:
         return dict(self._degraded)
 
+    def delay_to(self, i: int) -> float:
+        """One-way delay (ms) of the gateway's route to ``i``: what the
+        price walkers read of :meth:`link_to`, without building it."""
+        return self._view(i)[0]
+
     def link_to(self, i: int) -> Link:
         """Equivalent single link local<->i (for delay introspection)."""
-        info = self._route_or_base(0, i)
-        return Link(bandwidth_mbps=info.bandwidth_mbps,
-                    delay_ms=info.delay_ms,
+        delay, bw = self._view(i)
+        return Link(bandwidth_mbps=bw, delay_ms=delay,
                     rpc_overhead_ms=self.rpc_overhead_ms)
 
     def is_connected(self) -> bool:
@@ -488,9 +501,9 @@ class MeshCluster:
         if self._cond_cache is None:
             bws, delays = [], []
             for i in range(1, len(self.devices)):
-                info = self._route_or_base(0, i)
-                bws.append(info.bandwidth_mbps)
-                delays.append(info.delay_ms)
+                delay, bw = self._view(i)
+                bws.append(bw)
+                delays.append(delay)
             self._cond_cache = NetworkCondition(tuple(bws), tuple(delays))
         return self._cond_cache
 
@@ -569,19 +582,26 @@ class MeshCluster:
             info.rerouted)
         return info
 
-    def _route_or_base(self, src: int, dst: int) -> RouteInfo:
-        """Current route, falling back to the fault-free base path when
-        no route survives (monitor-view helper)."""
+    def _view(self, i: int) -> Tuple[float, float]:
+        """``(delay_ms, bandwidth_mbps)`` from the gateway to ``i`` on the
+        current route, or on the fault-free base path when no route
+        survives (the monitor's view).  A star's is its spoke, read
+        without resolving a route: one hop sums the same either way."""
+        if self._star and i:
+            hop = self._adj[0].get(i) or self._base_adj[0].get(i)
+            if hop is None:
+                raise no_device(i, len(self.devices))
+            return 0.0 + hop[0], hop[1]
         try:
-            return self.route_info(src, dst)
+            delay, bw, _, _ = self.route_info(0, i)
+            return delay, bw
         except NoRouteError:
             try:
-                path = self._base_path(src, dst)
+                return _walk(self._base_adj, self._base_path(0, i))
             except NoRouteError:
                 # never connected, even fault-free: an effectively dead
                 # pair (sentinel values; nothing routes work through it)
-                return RouteInfo(1e6, 1e-6, (src, dst), False)
-            return RouteInfo(*_walk(self._base_adj, path), path, False)
+                return 1e6, 1e-6
 
     def has_route(self, src: int, dst: int) -> bool:
         """Does a path survive the current fault overlay?"""
@@ -601,12 +621,10 @@ class MeshCluster:
 
     def _wire(self, src: int, dst: int) -> Tuple[float, float]:
         """The current route's ``(fixed latency s, bottleneck bit/s)``,
-        remembered both ways until the link set changes; a tree walks
-        its one path without resolving a :class:`RouteInfo`."""
-        if self._tree is not None:
-            delay, bw = _walk(self._adj, self._base_path(src, dst))
-        else:
-            delay, bw, _, _ = self.route_info(src, dst)
+        remembered both ways until the link set changes.  It reads the
+        route, whose cached floats both directions share: a path of
+        three or more hops sums its delays in the order first asked."""
+        delay, bw, _, _ = self.route_info(src, dst)
         wire = self._wires[src, dst] = self._wires[dst, src] = (
             (delay + self.rpc_overhead_ms) / 1e3, bw * 1e6)
         return wire

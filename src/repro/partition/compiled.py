@@ -271,7 +271,7 @@ def price(program: PlanProgram, cluster) -> float:
         if x < 0:
             done = max(done, ready[k])
             continue
-        delay_s = (cluster.link_to(delay_dev).delay_ms / 1e3
+        delay_s = (cluster.delay_to(delay_dev) / 1e3
                    if delay_dev >= 0 else 0.0)
         done = max(done, ready[k] + max(t[x] - delay_s, 0.0))
     return done

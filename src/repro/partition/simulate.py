@@ -192,9 +192,9 @@ def simulate_latency(graph: ModelGraph, plan: ExecutionPlan,
             link_t = transfer_time(src, out_dev, result_bytes)
             delay_s = 0.0
             if src != 0 and out_dev == 0:
-                delay_s = cluster.link_to(src).delay_ms / 1e3
+                delay_s = cluster.delay_to(src) / 1e3
             elif src == 0 and out_dev != 0:
-                delay_s = cluster.link_to(out_dev).delay_ms / 1e3
+                delay_s = cluster.delay_to(out_dev) / 1e3
             t = max(link_t - delay_s, 0.0)
             sent.append((src, out_dev, result_bytes, t))
             ready = ready + t

@@ -8,8 +8,9 @@ the table's answer must equal the search's and the networkx oracle's
 (``tests/netsim/reference_routes.py``) for every ordered pair of
 ``hypothesis`` trees — stars, lines and random trees, relabelled, with
 links in any order — under random down and degraded edges: the same
-path, the same missing routes, the same delay and bandwidth floats, and
-the same transfer price, with rerouting on and off.  A count law pins
+path, the same missing routes, the same delay and bandwidth floats, the
+same transfer price and the same gateway view (``condition``,
+``delay_to``, ``link_to``), with rerouting on and off.  A count law pins
 that the table is what answers: a star prices with no search at all, a
 ring with at least one.  ``PRICE_KERNEL_N`` sets the example count; CI
 multiplies it by ten.
@@ -113,6 +114,18 @@ def test_a_tree_routes_as_the_search_and_networkx_do(tree, data):
                     assert mesh.transfer_time(src, dst, 1e5) == (
                         (want.delay_ms + mesh.rpc_overhead_ms) / 1e3
                         + 1e5 * 8.0 / (want.bandwidth_mbps * 1e6))
+    # the gateway's view: the route, or the base path where none survives
+    for mesh in (live, static):
+        mesh.invalidate_routes()
+        for i in range(1, n):
+            base = mesh._base_path(0, i)
+            want = (_searched(mesh, 0, i)
+                    or RouteInfo(*mesh_module._walk(mesh._base_adj, base),
+                                 base, False))
+            assert mesh.delay_to(i) == mesh.link_to(i).delay_ms \
+                == mesh.condition.delays_ms[i - 1] == want.delay_ms
+            assert mesh.link_to(i).bandwidth_mbps \
+                == mesh.condition.bandwidths_mbps[i - 1] == want.bandwidth_mbps
 
 
 def test_only_a_tree_has_a_path_table():

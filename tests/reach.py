@@ -86,6 +86,8 @@ KEEP: Dict[str, str] = {
     "repro.netsim.mesh:MeshCluster.degraded_links": _MESH,
     "repro.netsim.mesh:MeshCluster.is_connected": _MESH,
     "repro.netsim.mesh:MeshCluster.hop_count": _MESH,
+    "repro.netsim.mesh:MeshCluster.link_to":
+        "the frozen price oracles and route_digests read a route as a Link",
     "repro.netsim.mesh:no_device":
         "the out-of-range device error; the topology and mesh tests raise it",
     "repro.netsim.fluid:FluidSegment.duration":
