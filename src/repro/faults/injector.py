@@ -49,7 +49,7 @@ class FaultInjector:
         self._applied_key: Optional[tuple] = None
         # bound by apply_to(); lets reachable() answer path-level
         # questions and advance() meter per-link downtime
-        self._mesh = None
+        self._cluster = None
         self.telemetry = Telemetry.of(telemetry)
         reg = self.telemetry.registry.child("faults")
         self._count_link_down = reg.counters(
@@ -88,7 +88,7 @@ class FaultInjector:
     def advance(self, now: float) -> List[FaultEvent]:
         """Move the injector's clock; returns events that just became
         active (fault onsets) for logging/telemetry."""
-        if self._mesh is not None and now > self.now:
+        if self._cluster is not None and now > self.now:
             self._meter_link_downtime(float(now) - self.now)
         self.now = float(now)
         active = frozenset(self.schedule.active(self.now))
@@ -109,7 +109,7 @@ class FaultInjector:
         a flap shorter than one serving step can be under-counted, which
         is the same resolution the serving loop itself experiences)."""
         for edge in self.schedule.down_links(self.now,
-                                             self._mesh.base_edges):
+                                             self._cluster.base_edges):
             self._count_link_down(f"{edge[0]}-{edge[1]}", amount=dt_s)
 
     # -- world application ------------------------------------------------
@@ -124,7 +124,7 @@ class FaultInjector:
         Idempotent per overlay: repeated calls between transitions skip
         the rebuild.
         """
-        self._mesh = cluster
+        self._cluster = cluster
         edges = cluster.base_edges
         down = self.schedule.down_links(self.now, edges)
         degraded = self.schedule.link_degradations(self.now, edges)
@@ -149,8 +149,8 @@ class FaultInjector:
         """
         if not self.schedule.reachable(src, dst, self.now):
             return False
-        if self._mesh is not None and src != dst:
-            return self._mesh.has_route(src, dst)
+        if self._cluster is not None and src != dst:
+            return self._cluster.has_route(src, dst)
         return True
 
     def loss_prob(self, src: int, dst: int) -> float:

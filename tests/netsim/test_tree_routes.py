@@ -51,9 +51,11 @@ def trees(draw):
     if shape != "star":
         label = draw(st.permutations(range(n)))
         pairs = [(label[a], label[b]) for a, b in pairs]
+    # delays whose sums depend on their order, so a path summed the
+    # wrong way round shows
     links = [(*(p if draw(st.booleans()) else p[::-1]),
               draw(st.sampled_from([10.0, 40.0, 100.0])),
-              float(draw(st.integers(0, 3))))
+              draw(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 3.0])))
              for p in pairs]
     return n, draw(st.permutations(links))
 
@@ -111,9 +113,14 @@ def test_a_tree_routes_as_the_search_and_networkx_do(tree, data):
                     with pytest.raises(NoRouteError):
                         mesh.transfer_time(src, dst, 1e5)
                 else:
-                    assert mesh.transfer_time(src, dst, 1e5) == (
-                        (want.delay_ms + mesh.rpc_overhead_ms) / 1e3
-                        + 1e5 * 8.0 / (want.bandwidth_mbps * 1e6))
+                    price = ((want.delay_ms + mesh.rpc_overhead_ms) / 1e3
+                             + 1e5 * 8.0 / (want.bandwidth_mbps * 1e6))
+                    assert mesh.transfer_time(src, dst, 1e5) == price
+                    # the way back shares the floats of the way asked
+                    # first, as the cached route does
+                    mesh.invalidate_routes()
+                    mesh.route_info(src, dst)
+                    assert mesh.transfer_time(dst, src, 1e5) == price
     # the gateway's view: the route, or the base path where none survives
     for mesh in (live, static):
         mesh.invalidate_routes()
