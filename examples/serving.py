@@ -41,7 +41,7 @@ def telemetry_quickstart(trace) -> None:
                              telemetry=tel)
     server.run(num_requests=20, condition_trace=trace, trace_period_s=0.5)
 
-    print(console_report(tel.registry, tel.timelines, max_timelines=1))
+    print(console_report(tel.registry, tel.timelines, show_timelines=1))
     tl = tel.timelines[-1]
     print(f"\nlast request: {tl.total_s * 1e3:.1f} ms end-to-end, of which "
           f"queue {tl.duration_of('queue') * 1e3:.1f} ms, "

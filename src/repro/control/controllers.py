@@ -20,8 +20,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Annotated, Dict, List, Optional, Tuple
 
-from .. import (Bound, Finite, IntAtLeast, NonNegative, Positive,
-                check_fields)
+from .. import Finite, Positive, check_fields
 from ..netsim.topology import NetworkCondition
 
 __all__ = ["Controller", "BatchPolicyController", "AdmissionController",
@@ -40,33 +39,25 @@ class Controller:
 class BatchPolicyController(Controller):
     """Adapts ``BatchPolicy.max_batch`` from backlog and p95 headroom.
 
-    Backlog deeper than ``depth_per_slot`` x the current cap means the
-    pipeline is not draining: double the cap (larger batches amortize
-    more decisions per simulated second).  A near-empty queue *and* the
-    window's p95 end-to-end latency (the report's: sheds left out) under
-    ``headroom`` x the SLO means batching is buying nothing but queueing
-    delay: halve the cap back down.  The dead band between the two
+    Backlog deeper than ``depth_per_slot`` (2) x the current cap means
+    the pipeline is not draining: double the cap (larger batches
+    amortize more decisions per simulated second), up to ``max_batch``.
+    A near-empty queue *and* the window's p95 end-to-end latency (the
+    report's: sheds left out) under ``headroom`` (half) the SLO means
+    batching is buying nothing but queueing delay: halve the cap back
+    down, to ``min_batch`` at least.  The dead band between the two
     conditions prevents flapping.
     """
 
     name = "batch-policy"
 
-    #: BatchPolicy's rule: a float bound would reach its max_batch
-    min_batch: Annotated[int, IntAtLeast(1)]
-    max_batch: Annotated[int, IntAtLeast(1)]
-    depth_per_slot: Annotated[float, Finite, Positive]
-    headroom: Annotated[float, Bound(0.0, 1.0, lo_open=True, hi_open=True)]
-
-    def __init__(self, min_batch: int = 1, max_batch: int = 64,
-                 depth_per_slot: float = 2.0, headroom: float = 0.5):
-        self.min_batch = min_batch
-        self.max_batch = max_batch
-        self.depth_per_slot = depth_per_slot
-        self.headroom = headroom
-        check_fields(self)
-        if not min_batch <= max_batch:
-            raise ValueError(f"{type(self).__name__} needs min_batch <= "
-                             f"max_batch, got {min_batch}, {max_batch}")
+    min_batch = 1
+    #: a modest cap: per-item execution dominates the decision cost, so
+    #: giant batches would trade a few amortized decision milliseconds
+    #: for serialization delay that blows deadlines
+    max_batch = 8
+    depth_per_slot = 2.0
+    headroom = 0.5
 
     def update(self, snapshot, loop) -> Optional[str]:
         server = loop.server
@@ -116,23 +107,19 @@ class AdmissionController(Controller):
     * else -> ``"shed"``: nothing can make this deadline, and serving
       it anyway pushes every later request further past its own.
 
-    ``margin`` (< 1) reserves budget for what the prediction cannot
-    see: batch-mate serialization and service-time variance.  Until the
-    first window of completed requests arrives the estimate is unknown
-    and everything is admitted — the controller only acts on evidence.
+    ``margin`` (0.85) reserves budget for what the prediction cannot
+    see: batch-mate serialization and service-time variance.  The EWMA
+    weighs each new window by ``ewma_alpha`` (0.3).  Until the first
+    window of completed requests arrives the estimate is unknown and
+    everything is admitted — the controller only acts on evidence.
     """
 
     name = "admission"
 
-    #: a NaN margin makes every budget NaN (every request is shed after
-    #: the first window); an infinite one means admission never acts
-    margin: Annotated[float, Finite, Positive]
-    ewma_alpha: Annotated[float, Bound(0.0, 1.0, lo_open=True)]
+    margin = 0.85
+    ewma_alpha = 0.3
 
-    def __init__(self, margin: float = 0.85, ewma_alpha: float = 0.3):
-        self.margin = margin
-        self.ewma_alpha = ewma_alpha
-        check_fields(self)
+    def __init__(self):
         self.service_estimate_s = 0.0
         self.shed = 0
         self.degraded = 0
@@ -182,16 +169,16 @@ class TenantFairnessController(AdmissionController):
     This controller keeps a decayed ledger of *admitted service
     seconds* per tenant.  Each tenant owns a weighted fair fraction of
     that ledger (``weights``; unnamed tenants weigh 1).  Under queue
-    pressure (predicted wait beyond ``pressure`` x SLO), a request from
-    a tenant consuming more than ``tolerance`` x its fair share is shed
-    *even if it individually fits* — throttling the burster to roughly
-    its share, so the well-behaved tenants' requests stop dying in the
-    queue behind it.  Off-pressure, or for tenants within their share,
+    pressure (predicted wait beyond ``pressure`` (half) the SLO), a
+    request from a tenant consuming more than ``tolerance`` (1.2) x its
+    fair share is shed *even if it individually fits* — throttling the
+    burster to roughly its share, so the well-behaved tenants' requests
+    stop dying in the queue behind it.  Off-pressure, or for tenants within their share,
     triage is the standard serve/degrade/shed on the deadline.
 
-    The ledger decays by ``decay`` per control tick, so a tenant's past
-    burst stops counting against it within a few ticks of good
-    behaviour — budgets are rate-shaped, not grudges.  Untagged
+    The ledger decays by ``decay`` (30 %) per control tick, so a
+    tenant's past burst stops counting against it within a few ticks of
+    good behaviour — budgets are rate-shaped, not grudges.  Untagged
     requests (``tenant=None``) are triaged deadline-only; the
     controller acts on evidence exactly like the plain admission rule
     (everything is admitted until the first completed-request window),
@@ -201,20 +188,14 @@ class TenantFairnessController(AdmissionController):
     name = "tenant-fairness"
 
     weights: Annotated[Dict[str, float], Finite, Positive]
-    pressure: Annotated[float, Finite, NonNegative]
-    tolerance: Annotated[float, Finite, Bound(1.0)]
-    decay: Annotated[float, Bound(0.0, 1.0, lo_open=True)]
+    pressure = 0.5
+    tolerance = 1.2
+    decay = 0.3
 
-    def __init__(self, weights: Optional[Dict[str, float]] = None,
-                 margin: float = 0.85, ewma_alpha: float = 0.3,
-                 pressure: float = 0.5, tolerance: float = 1.2,
-                 decay: float = 0.3):
+    def __init__(self, weights: Optional[Dict[str, float]] = None):
         self.weights = dict(weights) if weights else {}
-        self.pressure = pressure
-        self.tolerance = tolerance
-        self.decay = decay
-        # checks this class's settings with the base's
-        super().__init__(margin=margin, ewma_alpha=ewma_alpha)
+        check_fields(self)
+        super().__init__()
         #: decayed admitted-service seconds per tenant (the ledger)
         self.served_share: Dict[str, float] = {}
         self.shed_by_tenant: Dict[str, int] = {}
@@ -277,27 +258,23 @@ class PrecomputeScheduler(Controller):
     """Warms the strategy cache toward where the condition is drifting.
 
     Tracks the monitor's smoothed estimate tick over tick, extrapolates
-    the per-link drift ``horizon_s`` ahead, and asks the facade to
-    precompute strategies for the extrapolated cells (plus the midpoint,
-    so a fast drift cannot step over a cell).  Precompute uses
-    ``peek()`` and charges no simulated time — it models background work
-    on the gateway's idle cycles — so its only observable effect is
-    future hits.  Holds still when the drift is smaller than
-    ``min_drift`` of the current value per tick (noise, not movement).
+    the per-link drift ``horizon_s`` (2 s) ahead, and asks the facade to
+    precompute strategies for the ``max_cells`` (2) extrapolated cells:
+    the horizon and its midpoint, so a fast drift cannot step over a
+    cell.  Precompute uses ``peek()`` and charges no simulated time — it
+    models background work on the gateway's idle cycles — so its only
+    observable effect is future hits.  Holds still when the drift is
+    smaller than ``min_drift`` (2 %) of the current value per tick
+    (noise, not movement).
     """
 
     name = "precompute"
 
-    horizon_s: Annotated[float, Finite, Positive]
-    min_drift: Annotated[float, Finite, NonNegative]
-    max_cells: Annotated[int, IntAtLeast(1)]
+    horizon_s = 2.0
+    min_drift = 0.02
+    max_cells = 2
 
-    def __init__(self, horizon_s: float = 2.0, min_drift: float = 0.02,
-                 max_cells: int = 2):
-        self.horizon_s = horizon_s
-        self.min_drift = min_drift
-        self.max_cells = max_cells
-        check_fields(self)
+    def __init__(self):
         self.computed = 0
         self._prev: Optional[NetworkCondition] = None
         self._prev_t: Optional[float] = None

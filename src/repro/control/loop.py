@@ -19,9 +19,11 @@ Design contract:
   finished requests since the previous tick as a
   :class:`~repro.runtime.server.ServingStats` — the report's own
   statistics, not a private copy of them;
-* ticks fire between requests on the simulated clock (``maybe_tick`` is
-  idempotent for a given time: the facade and the server may both call
-  it), so controller work never lands on a request's critical path.
+* ticks fire between requests on the simulated clock, driven by the
+  server the loop is handed to (``maybe_tick`` is idempotent for a given
+  time), so controller work never lands on a request's critical path.
+  The facade's ``control=`` only attaches it: snapshots read the
+  facade's monitor and SLO, and the precompute scheduler its cache.
 """
 
 from __future__ import annotations
@@ -129,9 +131,8 @@ class ControlLoop:
         """Fire one tick if the cadence is due; returns whether it fired.
 
         ``stats`` (the server's ``ServingStats``) and ``queue_depth``
-        give the server-side context when a server drives the loop; a
-        facade-only deployment passes neither and controllers see an
-        empty request window.
+        give the server-side context; a caller that passes neither
+        shows the controllers an empty request window.
 
         When ``now`` jumped several periods past the next due tick, one
         tick fires (observing the world at ``now``: the past is gone)
@@ -217,9 +218,6 @@ class NullControl:
     """The control loop of a runtime nobody steers: the facade- and
     server-facing surface of :class:`ControlLoop`, never due, never
     attached, every request served."""
-
-    #: never server-attached, so the facade offers it the cadence
-    server = None
 
     def attach(self, system=None, server=None) -> "NullControl":
         return self

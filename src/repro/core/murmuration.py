@@ -48,9 +48,11 @@ import numpy as np
 from ..devices.profiles import DeviceProfile
 from ..faults.health import NULL_HEALTH, DeviceHealth
 from ..faults.injector import FaultInjector
-from ..faults.resilience import (DeviceUnreachableError, ExecutionFailedError,
+from ..faults.resilience import (GIVE_UP_S, MAX_RETRIES,
+                                 DeviceUnreachableError, ExecutionFailedError,
                                  FailoverLadder, NoRouteError,
-                                 NoStrategyError, ResilienceConfig)
+                                 NoStrategyError, ResilienceConfig,
+                                 timeout_of)
 from ..nas.accuracy_model import arch_accuracy, plan_accuracy_penalty
 from ..nas.arch import min_arch
 from ..nas.search_space import SearchSpace
@@ -161,11 +163,9 @@ class Murmuration:
                            else ResilienceConfig())
         # in a world that cannot fail every circuit stays closed: the
         # null form says so and records nothing
-        self.health = (DeviceHealth(
-            self.cluster.num_devices,
-            failure_threshold=self.resilience.failure_threshold,
-            cooldown_s=self.resilience.cooldown_s,
-            telemetry=telemetry) if self.faults.can_fail else NULL_HEALTH)
+        self.health = (DeviceHealth(self.cluster.num_devices,
+                                    telemetry=telemetry)
+                       if self.faults.can_fail else NULL_HEALTH)
         self.reconfig = (ModelReconfig(supernet, self.cluster.local)
                          if supernet is not None else None)
         self.executor = (DistributedExecutor(supernet, self.cluster,
@@ -496,11 +496,6 @@ class Murmuration:
             # reset, not advance_to: the overlap path rewinds, and
             # infer's tolerance window admits a few-ulp rewind
             self.clock.reset(now)
-        if self.control.server is None:
-            # Facade-only deployment: the facade drives the cadence.  A
-            # server-attached loop ticks at the server instead, where
-            # queue depth and request windows are known.
-            self.control.maybe_tick(self.clock.now)
         start = self.clock.now
         self.faults.advance(start)
         self.faults.apply_to(self.cluster)
@@ -669,14 +664,15 @@ class Murmuration:
         as if every transfer crossed the lossiest link in use; one that
         runs out of retries makes that link's remote unreachable.
         Breakers are stamped at the dispatch start; ``penalty`` is not
-        read.
+        read.  A transfer between two reachable remotes whose path is
+        dead raises :class:`NoRouteError` from the price, which the
+        ladder converts like the executor's.
         """
         faults, health, now = self.faults, self.health, self.clock.now
-        retry = self.resilience.retry
         remotes = [d for d in plan.devices_used() if d != 0]
         dead = next((d for d in remotes if not faults.reachable(0, d)), None)
         if dead is not None:
-            wasted, retries = retry.give_up_cost(), retry.max_retries
+            wasted, retries = GIVE_UP_S, MAX_RETRIES
         else:
             latency = self._costs.latency(arch, plan, self.cluster)
             wasted, retries = 0.0, 0
@@ -685,13 +681,13 @@ class Murmuration:
             lossy = worst is not None and faults.loss_prob(0, worst) > 0.0
             for _ in range(self._costs.num_transfers(arch, plan)
                            if lossy else 0):
-                for attempt in range(retry.attempts):
+                for attempt in range(MAX_RETRIES + 1):
                     if not faults.message_lost(0, worst):
                         retries += attempt
                         break
-                    wasted += retry.timeout_of(attempt)
+                    wasted += timeout_of(attempt)
                 else:
-                    retries += retry.max_retries
+                    retries += MAX_RETRIES
                     dead = worst
                     break
             if dead is None:

@@ -25,17 +25,18 @@ __all__ = ["StrategyCache"]
 #: a snap step divides every key value
 Step = Annotated[float, Finite, Positive]
 
+#: the SLO value's snap step (a latency SLO in seconds: 10 ms cells)
+SLO_STEP = 0.01
+
 
 class StrategyCache:
     capacity: Annotated[int, IntAtLeast(1)]
-    slo_step: Step
     bw_step: Step
     delay_step: Step
 
-    def __init__(self, capacity: int = 256, slo_step: float = 0.01,
-                 bw_step: float = 25.0, delay_step: float = 10.0):
+    def __init__(self, capacity: int = 256, bw_step: float = 25.0,
+                 delay_step: float = 10.0):
         self.capacity = capacity
-        self.slo_step = slo_step
         self.bw_step = bw_step
         self.delay_step = delay_step
         check_fields(self)
@@ -55,7 +56,7 @@ class StrategyCache:
         bw_step, delay_step = self.bw_step, self.delay_step
         return (
             slo.kind,
-            round(slo.value / self.slo_step),
+            round(slo.value / SLO_STEP),
             tuple([round(b / bw_step) for b in condition.bandwidths_mbps]),
             tuple([round(d / delay_step) for d in condition.delays_ms]),
         )
@@ -131,7 +132,7 @@ class StrategyCache:
             "overwrites": self.overwrites,
             "evictions": self.evictions,
             "invalidations": self.invalidations,
-            "slo_step": self.slo_step,
+            "slo_step": SLO_STEP,
             "bw_step": self.bw_step,
             "delay_step": self.delay_step,
         }

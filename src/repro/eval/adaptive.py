@@ -91,15 +91,9 @@ def burst_arrival_process(rate_hz: Rate, window: BurstWindow,
 
 
 def default_controllers() -> List:
-    """The standard three-controller stack, scenario-tuned.
-
-    The batch cap stays modest (8): this workload's per-item execution
-    dominates its decision cost, so giant batches would trade a few
-    amortized decision milliseconds for serialization delay that blows
-    deadlines.
-    """
+    """The standard three-controller stack."""
     return [
-        BatchPolicyController(max_batch=8),
+        BatchPolicyController(),
         AdmissionController(),
         PrecomputeScheduler(),
     ]

@@ -11,9 +11,9 @@ The robustness layer for the distributed runtime.  Four pieces:
   ground-truth queries (the decision layer never peeks);
 * :mod:`~repro.faults.health` — :class:`DeviceHealth`, per-device
   circuit breakers built from the runtime's own delivery outcomes;
-* :mod:`~repro.faults.resilience` — :class:`RetryPolicy` (timeout +
+* :mod:`~repro.faults.resilience` — the one retry schedule (timeout +
   exponential backoff), :class:`ResilienceConfig` (failover/degradation
-  knobs), and the transport/executor error types.
+  switches), and the transport/executor error types.
 
 ``faults=None`` (the default) is :data:`NULL_FAULTS`, where nothing fails
 and the breakers are :data:`NULL_HEALTH`.  To inject faults::
@@ -34,7 +34,7 @@ __all__, __getattr__, __dir__ = _lazy_exports(globals(), {
                  "crash_and_recover_schedule"),
     "injector": ("FaultInjector", "NULL_FAULTS"),
     "health": ("DeviceHealth", "NULL_HEALTH", "CircuitState"),
-    "resilience": ("RetryPolicy", "ResilienceConfig", "TransportError",
+    "resilience": ("ResilienceConfig", "TransportError",
                    "NoRouteError", "NoStrategyError",
                    "DeviceUnreachableError", "ExecutionFailedError"),
 })

@@ -2,16 +2,17 @@
 
 The decision layer may not peek at the fault schedule; what it *may* do
 is remember how its own sends went.  :class:`DeviceHealth` is that
-memory: a per-device breaker that opens after ``failure_threshold``
+memory: a per-device breaker that opens after ``FAILURE_THRESHOLD`` = 3
 consecutive delivery failures, rejects the device while open (so cached
 or freshly decided strategies routing through it are rerouted without
-re-paying timeouts), half-opens after ``cooldown_s`` of simulated time
-to let one trial request probe the device, and closes again on success.
+re-paying timeouts), half-opens after ``COOLDOWN_S`` = 2 s of simulated
+time to let one trial request probe the device, and closes again on
+success.
 
 State machine (per remote device)::
 
-    CLOSED --(threshold consecutive failures)--> OPEN
-    OPEN   --(cooldown_s elapsed)-------------> HALF_OPEN
+    CLOSED --(3 consecutive failures)---------> OPEN
+    OPEN   --(COOLDOWN_S elapsed)-------------> HALF_OPEN
     HALF_OPEN --success--> CLOSED
     HALF_OPEN --failure--> OPEN (cooldown restarts)
 
@@ -33,9 +34,13 @@ from typing import Annotated, Dict, List, Optional, Tuple
 from .. import IntAtLeast, check_fields
 from ..netsim.link import canonical_edge
 from ..telemetry import Telemetry
-from .resilience import Cooldown, Threshold
 
 __all__ = ["CircuitState", "DeviceHealth", "NULL_HEALTH"]
+
+#: consecutive failures before a circuit opens
+FAILURE_THRESHOLD = 3
+#: open -> half-open probe window, simulated seconds
+COOLDOWN_S = 2.0
 
 
 class CircuitState(enum.Enum):
@@ -63,14 +68,12 @@ class _Circuits:
     canonical device pairs).  A key never observed is CLOSED and holds
     nothing; ``note(key, to)`` reports each transition."""
 
-    __slots__ = ("_breakers", "_opened", "_note", "_threshold", "_cooldown")
+    __slots__ = ("_breakers", "_opened", "_note")
 
-    def __init__(self, threshold: int, cooldown_s: float, note):
+    def __init__(self, note):
         self._breakers: Dict[object, _Breaker] = {}
         self._opened: list = []
         self._note = note
-        self._threshold = threshold
-        self._cooldown = cooldown_s
 
     def state(self, key, now: float) -> CircuitState:
         """Current state, resolving open -> half-open on cooldown expiry."""
@@ -78,7 +81,7 @@ class _Circuits:
         if b is None:
             return CircuitState.CLOSED
         if (b.state is CircuitState.OPEN
-                and now >= b.opened_at + self._cooldown):
+                and now >= b.opened_at + COOLDOWN_S):
             b.state = CircuitState.HALF_OPEN
             self._note(key, CircuitState.HALF_OPEN)
         return b.state
@@ -92,7 +95,7 @@ class _Circuits:
         b.consecutive_failures += 1
         if (state is CircuitState.HALF_OPEN
                 or (state is CircuitState.CLOSED
-                    and b.consecutive_failures >= self._threshold)):
+                    and b.consecutive_failures >= FAILURE_THRESHOLD)):
             b.state = CircuitState.OPEN
             b.opened_at = now
             self._opened.append(key)
@@ -120,15 +123,10 @@ class DeviceHealth:
     """Circuit breakers for every device in a cluster."""
 
     num_devices: Annotated[int, IntAtLeast(1)]
-    failure_threshold: Threshold
-    cooldown_s: Cooldown
 
-    def __init__(self, num_devices: int, failure_threshold: int = 3,
-                 cooldown_s: float = 2.0,
+    def __init__(self, num_devices: int,
                  telemetry: Optional[Telemetry] = None):
         self.num_devices = num_devices
-        self.failure_threshold = failure_threshold
-        self.cooldown_s = cooldown_s
         check_fields(self)
         self.telemetry = Telemetry.of(telemetry)
         reg = self.telemetry.registry.child("health")
@@ -150,11 +148,9 @@ class DeviceHealth:
             count_device(device, to.value)
             gauges[device].set(_GAUGE_VALUE[to])
 
-        self._devices = _Circuits(failure_threshold, cooldown_s,
-                                  device_moved)
+        self._devices = _Circuits(device_moved)
         # per device-pair breakers, keyed on the canonical edge
         self._links = _Circuits(
-            failure_threshold, cooldown_s,
             lambda pair, to: count_link(f"{pair[0]}-{pair[1]}", to.value))
 
     @staticmethod

@@ -1,16 +1,18 @@
 """Resilience policy: timeouts, retries, and what to do when they fail.
 
-A :class:`RetryPolicy` prices the *sender's* view of a fault: a lost or
+The retry schedule prices the *sender's* view of a fault: a lost or
 undeliverable message is only detected when its ack timeout expires, so
 every failed attempt costs the attempt's timeout (exponentially backed
 off), and a successful retry re-pays the full transfer time — retries
-are visible in end-to-end latency, not hidden.
+are visible in end-to-end latency, not hidden.  Every send follows the
+one schedule: attempt ``i`` (0-based) times out after
+``TIMEOUT_S * BACKOFF ** i`` = 50, 100 and 200 ms, and a sender gives up
+after ``MAX_RETRIES`` = 2 re-transmissions, having wasted
+``GIVE_UP_S`` = 0.35 s.
 
-:class:`ResilienceConfig` bundles the runtime's reaction knobs: the
-retry policy, whether the executor may fail over to surviving devices,
-whether it may gracefully degrade to the smallest feasible submodel on
-the gateway, and the circuit-breaker thresholds fed to
-:class:`~repro.faults.health.DeviceHealth`.
+:class:`ResilienceConfig` bundles the runtime's reaction switches:
+whether the executor may fail over to surviving devices, and whether it
+may gracefully degrade to the smallest feasible submodel on the gateway.
 
 :class:`FailoverLadder` is what the runtime does when an attempt fails,
 written once for both data planes: charge the attempt's waste and
@@ -19,69 +21,48 @@ degrade to the min submodel on the gateway, or fail the request when
 failover is off.  An *attempt* runs one ``(arch, plan)`` and either
 returns an :class:`~repro.runtime.executor.ExecutionResult` carrying
 its own latency, retries and wasted seconds, or raises
-:class:`DeviceUnreachableError` after teaching the breakers what it saw.
+:class:`DeviceUnreachableError` after teaching the breakers what it saw
+— or :class:`NoRouteError` when pricing met a dead path before any send
+went out, which the ladder converts (see :meth:`FailoverLadder.climb`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Annotated, Any, Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Optional
 
-from .. import Bound, Checked, Finite, IntAtLeast, NonNegative, Positive
 from ..nas.arch import min_arch
 
-__all__ = ["RetryPolicy", "ResilienceConfig", "TransportError",
-           "NoRouteError", "NoStrategyError", "DeviceUnreachableError",
+__all__ = ["TIMEOUT_S", "MAX_RETRIES", "BACKOFF", "GIVE_UP_S", "timeout_of",
+           "ResilienceConfig", "TransportError", "NoRouteError",
+           "NoStrategyError", "DeviceUnreachableError",
            "ExecutionFailedError"]
 
-#: the circuit-breaker knobs :class:`ResilienceConfig` and
-#: :class:`~repro.faults.health.DeviceHealth` share: consecutive failures
-#: before a circuit opens, and the open -> half-open window (an infinite
-#: one never half-opens)
-Threshold = Annotated[int, IntAtLeast(1)]
-Cooldown = Annotated[float, NonNegative]
+#: the first attempt's ack timeout, simulated seconds
+TIMEOUT_S = 0.05
+#: re-transmissions after the first attempt before the sender gives up
+MAX_RETRIES = 2
+#: each retry waits this many times longer than the attempt before it
+BACKOFF = 2.0
+
+
+def timeout_of(attempt: int) -> float:
+    """Seconds attempt ``attempt`` (0-based) waits before declaring loss."""
+    return TIMEOUT_S * BACKOFF ** attempt
+
+
+#: total simulated time wasted when every attempt times out
+GIVE_UP_S = sum(timeout_of(i) for i in range(MAX_RETRIES + 1))
 
 
 @dataclass(frozen=True)
-class RetryPolicy(Checked):
-    """Timeout + exponential-backoff retry schedule for one message.
-
-    Attempt ``i`` (0-based) is declared lost after
-    ``timeout_s * backoff**i`` simulated seconds; ``max_retries``
-    re-transmissions follow the first attempt before the sender gives
-    up and reports the peer unreachable.
-    """
-
-    timeout_s: Annotated[float, Finite, Positive] = 0.05
-    max_retries: Annotated[int, IntAtLeast(0)] = 2
-    backoff: Annotated[float, Finite, Bound(1.0)] = 2.0
-
-    @property
-    def attempts(self) -> int:
-        return self.max_retries + 1
-
-    def timeout_of(self, attempt: int) -> float:
-        """Seconds attempt ``attempt`` waits before declaring loss."""
-        return self.timeout_s * self.backoff ** attempt
-
-    def give_up_cost(self) -> float:
-        """Total simulated time wasted when every attempt times out."""
-        return sum(self.timeout_of(i) for i in range(self.attempts))
-
-
-@dataclass(frozen=True)
-class ResilienceConfig(Checked):
+class ResilienceConfig:
     """How the runtime reacts to the faults it experiences."""
 
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: re-plan the remaining work onto surviving devices
     failover: bool = True
     #: last resort: smallest feasible submodel entirely on the gateway
     degradation: bool = True
-    #: consecutive failures before a device's circuit opens
-    failure_threshold: Threshold = 3
-    #: open -> half-open probe window, simulated seconds
-    cooldown_s: Cooldown = 2.0
 
 
 class TransportError(RuntimeError):
@@ -94,11 +75,11 @@ class NoRouteError(TransportError):
     Raised by :meth:`~repro.netsim.mesh.MeshCluster.transfer_time` when
     every path between ``src`` and ``dst`` crosses a failed link (or the
     pair was never connected).  It is the mesh-level sibling of
-    :class:`DeviceUnreachableError`: the executor treats both as "this
-    endpoint cannot be used right now" and fails over, charging the
-    retry schedule's give-up cost — the sender still discovers the dead
-    path by timing out, even though the local routing table reported it
-    first.
+    :class:`DeviceUnreachableError`: the :class:`FailoverLadder` treats
+    both as "this endpoint cannot be used right now" and fails over,
+    charging the retry schedule's give-up cost — the sender still
+    discovers the dead path by timing out, even though the local
+    routing table reported it first.
     """
 
     def __init__(self, src: int, dst: int):
@@ -193,6 +174,11 @@ class FailoverLadder:
 
         ``attempt(arch, plan, penalty_s)`` is told the penalty charged
         so far; ``now`` is when the breakers are asked for a target.
+        An attempt that raises :class:`NoRouteError` priced a dead path
+        before any send went out: the sender would have timed out
+        discovering it, so it is charged ``GIVE_UP_S`` and
+        ``MAX_RETRIES``, and the breakers learn of it at
+        ``now + (penalty + GIVE_UP_S)``.
         The completing attempt's result comes back with the request's
         accounting filled in: the executed arch and plan, the outcome,
         every retry, failover and penalty, and the penalty added to its
@@ -204,7 +190,14 @@ class FailoverLadder:
         excluded: set = set()
         while True:
             try:
-                done = attempt(arch, plan, penalty)
+                try:
+                    done = attempt(arch, plan, penalty)
+                except NoRouteError as e:
+                    at = now + (penalty + GIVE_UP_S)
+                    self.health.record_failure(e.device, at)
+                    self.health.record_link_failure(e.src, e.dst, at)
+                    raise DeviceUnreachableError(e.device, GIVE_UP_S,
+                                                 MAX_RETRIES) from e
             except DeviceUnreachableError as e:
                 penalty += e.wasted_s
                 retries += e.retries

@@ -17,7 +17,7 @@ from typing import Annotated, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
-from .. import Bound, Finite, IntAtLeast, NonNegative, check_fields
+from .. import Finite, IntAtLeast, NonNegative, check_fields
 from ..telemetry import Telemetry
 from .mesh import MeshCluster
 from .topology import NetworkCondition
@@ -25,6 +25,8 @@ from .topology import NetworkCondition
 __all__ = ["Measurement", "NetworkMonitor"]
 
 _BLOCK = 256    # standard normals drawn per refill (even: two per probe)
+#: EWMA weight of the newest sample (1.0 would trust it fully)
+EWMA_ALPHA = 0.5
 
 
 class Measurement(NamedTuple):
@@ -44,18 +46,16 @@ class NetworkMonitor:
     ----------
     cluster : the cluster whose links are observed.
     noise : relative std-dev of active-probe error.
-    ewma_alpha : smoothing factor; 1.0 = trust the latest sample fully.
+
+    Samples are smoothed with weight :data:`EWMA_ALPHA` on the newest.
     """
 
     noise: Annotated[float, Finite, NonNegative]
-    ewma_alpha: Annotated[float, Bound(0.0, 1.0, lo_open=True)]
     seed: Annotated[int, IntAtLeast(0)]
 
     def __init__(self, cluster: MeshCluster, noise: float = 0.05,
-                 ewma_alpha: float = 0.5, seed: int = 0,
-                 telemetry: Optional[Telemetry] = None):
+                 seed: int = 0, telemetry: Optional[Telemetry] = None):
         self.noise = noise
-        self.ewma_alpha = ewma_alpha
         self.seed = seed
         check_fields(self)
         self.cluster = cluster
@@ -88,7 +88,7 @@ class NetworkMonitor:
         Per remote: bandwidth draw, delay draw, EWMA, then one observer
         call (the counter and both estimate errors against the truth)."""
         cond = self.cluster.condition
-        noise, a = self.noise, self.ewma_alpha
+        noise, a = self.noise, EWMA_ALPHA
         smoothed_bw, smoothed_delay = self._smoothed_bw, self._smoothed_delay
         normals, k = self._normals, self._drawn
         out = []
@@ -126,12 +126,18 @@ class NetworkMonitor:
         """Current smoothed estimate of all links.
 
         Devices never probed fall back to the true condition (the monitor
-        is bootstrapped with one probe round in the runtime).
+        is bootstrapped with one probe round in the runtime); once every
+        remote has a sample the cluster is not read.
         """
-        n = self.cluster.num_devices - 1
+        remotes = range(1, self.cluster.num_devices)
+        smoothed_bw, smoothed_delay = self._smoothed_bw, self._smoothed_delay
+        if len(smoothed_bw) == len(remotes):
+            return NetworkCondition(
+                tuple([smoothed_bw[d] for d in remotes]),
+                tuple([smoothed_delay[d] for d in remotes]))
         cond = self.cluster.condition
-        bws, delays = [], []
-        for d in range(1, n + 1):
-            bws.append(self._smoothed_bw.get(d, cond.bandwidths_mbps[d - 1]))
-            delays.append(self._smoothed_delay.get(d, cond.delays_ms[d - 1]))
-        return NetworkCondition(tuple(bws), tuple(delays))
+        return NetworkCondition(
+            tuple([smoothed_bw.get(d, cond.bandwidths_mbps[d - 1])
+                   for d in remotes]),
+            tuple([smoothed_delay.get(d, cond.delays_ms[d - 1])
+                   for d in remotes]))

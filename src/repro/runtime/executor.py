@@ -23,10 +23,11 @@ execution is one attempt on the
 :class:`~repro.faults.resilience.FailoverLadder` — a tensor pass through
 the :class:`~repro.runtime.rpc.Transport`.  A send that exhausts its
 retries, or a mesh pair with no surviving path
-(:class:`~repro.faults.resilience.NoRouteError`, charged the retry
-give-up cost the sender would have burned discovering it), fails the
-attempt; the ladder fails over, degrades or, with failover disabled,
-raises :class:`~repro.faults.resilience.ExecutionFailedError`.  A mesh
+(:class:`~repro.faults.resilience.NoRouteError`, which the ladder
+charges the retry give-up cost the sender would have burned discovering
+it), fails the attempt; the ladder fails over, degrades or, with
+failover disabled, raises
+:class:`~repro.faults.resilience.ExecutionFailedError`.  A mesh
 path dead *with* an alternative is no failure: ``transfer_time`` already
 routed around it, and the plan keeps its placement.
 """
@@ -41,7 +42,7 @@ import numpy as np
 from ..faults.health import DeviceHealth
 from ..faults.injector import FaultInjector
 from ..faults.resilience import (DeviceUnreachableError, FailoverLadder,
-                                 NoRouteError, ResilienceConfig)
+                                 ResilienceConfig)
 from ..models.graph import ModelGraph
 from ..nas.arch import ArchConfig
 from ..nas.graph_builder import build_graph
@@ -127,8 +128,7 @@ class DistributedExecutor:
         self.resilience = (resilience if resilience is not None
                            else ResilienceConfig())
         self.transport = Transport(cluster, telemetry=telemetry,
-                                   faults=self.faults, health=self.health,
-                                   retry=self.resilience.retry)
+                                   faults=self.faults, health=self.health)
         space = supernet.space
         self._ladder = FailoverLadder(
             self.resilience, self.health, cluster, space,
@@ -163,7 +163,7 @@ class DistributedExecutor:
         graph = graph or build_graph(arch, self.net.space)
         plan.validate_for(graph, self.cluster.num_devices)
         self.transport.request_id = request_id
-        transport, health = self.transport, self.health
+        transport = self.transport
 
         def attempt(cur_arch, cur_plan, penalty):
             cur_graph = (graph if cur_arch == arch
@@ -171,16 +171,6 @@ class DistributedExecutor:
             try:
                 run = self._run_plan(x, cur_arch, cur_plan, cur_graph,
                                      sim_time + penalty, request_id)
-            except NoRouteError as e:
-                # Pricing walked a dead path before any send went out;
-                # the sender would have timed out discovering it, so
-                # charge the give-up schedule and teach the breakers.
-                retry = self.resilience.retry
-                now = sim_time + (penalty + retry.give_up_cost())
-                health.record_failure(e.device, now)
-                health.record_link_failure(e.src, e.dst, now)
-                raise DeviceUnreachableError(e.device, retry.give_up_cost(),
-                                             retry.max_retries) from e
             except DeviceUnreachableError as e:
                 # the attempt's retries include its delivered sends'
                 raise DeviceUnreachableError(

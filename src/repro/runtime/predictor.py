@@ -8,27 +8,29 @@ module *precompute* strategies before conditions actually change.
 from __future__ import annotations
 
 from collections import deque
-from typing import Annotated, Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional
 
 import numpy as np
 
-from .. import IntAtLeast, check_fields
 from ..netsim.monitor import Measurement
 from ..netsim.topology import NetworkCondition
 
 __all__ = ["LinearPredictor", "MonitoringPredictor"]
 
+#: samples a line is fitted over, newest kept
+WINDOW = 8
+#: physical ranges a forecast is clamped to, Mbit/s and ms
+BW_RANGE = (1.0, 1000.0)
+DELAY_RANGE = (0.0, 500.0)
+
 
 class LinearPredictor:
-    """Least-squares line fit over a sliding window of (t, value)."""
+    """Least-squares line fit over the last :data:`WINDOW` (t, value)
+    samples."""
 
-    window: Annotated[int, IntAtLeast(2)]
-
-    def __init__(self, window: int = 8):
-        self.window = window
-        check_fields(self)
-        self._ts: Deque[float] = deque(maxlen=window)
-        self._vs: Deque[float] = deque(maxlen=window)
+    def __init__(self):
+        self._ts: Deque[float] = deque(maxlen=WINDOW)
+        self._vs: Deque[float] = deque(maxlen=WINDOW)
 
     def observe(self, t: float, value: float) -> None:
         self._ts.append(float(t))
@@ -55,16 +57,12 @@ class LinearPredictor:
 class MonitoringPredictor:
     """Forecasts the full network condition from monitoring history."""
 
-    def __init__(self, num_remote: int, window: int = 8,
-                 bw_range: Tuple[float, float] = (1.0, 1000.0),
-                 delay_range: Tuple[float, float] = (0.0, 500.0)):
+    def __init__(self, num_remote: int):
         self.num_remote = num_remote
-        self.bw_range = bw_range
-        self.delay_range = delay_range
         self._bw: Dict[int, LinearPredictor] = {
-            d: LinearPredictor(window) for d in range(1, num_remote + 1)}
+            d: LinearPredictor() for d in range(1, num_remote + 1)}
         self._delay: Dict[int, LinearPredictor] = {
-            d: LinearPredictor(window) for d in range(1, num_remote + 1)}
+            d: LinearPredictor() for d in range(1, num_remote + 1)}
 
     def observe(self, m: Measurement) -> None:
         if m.device not in self._bw:
@@ -83,7 +81,7 @@ class MonitoringPredictor:
 
         Metrics without history fall back to ``fallback`` (or None is
         returned if no fallback covers them).  Predictions are clamped to
-        physical ranges.
+        :data:`BW_RANGE` and :data:`DELAY_RANGE`.
         """
         bws, delays = [], []
         for d in range(1, self.num_remote + 1):
@@ -94,6 +92,6 @@ class MonitoringPredictor:
                     return None
                 b = fallback.bandwidths_mbps[d - 1] if b is None else b
                 l = fallback.delays_ms[d - 1] if l is None else l
-            bws.append(float(np.clip(b, *self.bw_range)))
-            delays.append(float(np.clip(l, *self.delay_range)))
+            bws.append(float(np.clip(b, *BW_RANGE)))
+            delays.append(float(np.clip(l, *DELAY_RANGE)))
         return NetworkCondition(tuple(bws), tuple(delays))

@@ -9,7 +9,8 @@ not just priced.
 Failure semantics (``faults=``, the null injector when absent): each
 cross-device send may be lost or the peer unreachable.  The sender
 learns this only when its ack timeout expires, so every failed attempt
-costs the attempt's timeout (exponential backoff across attempts), and
+costs the attempt's timeout (the exponential backoff schedule of
+:mod:`~repro.faults.resilience`, the same for every send), and
 the successful retry re-pays the full transfer time — retries show up
 in delivered-at timestamps, latency, and telemetry.  When every attempt
 times out, :class:`~repro.faults.resilience.DeviceUnreachableError`
@@ -30,8 +31,8 @@ import numpy as np
 
 from ..faults.health import DeviceHealth
 from ..faults.injector import FaultInjector
-from ..faults.resilience import (DeviceUnreachableError, NoRouteError,
-                                 RetryPolicy)
+from ..faults.resilience import (MAX_RETRIES, DeviceUnreachableError,
+                                 NoRouteError, timeout_of)
 from ..netsim.mesh import MeshCluster
 from ..nn.quantize import QuantizedTensor, dequantize, quantize
 from ..telemetry import Telemetry
@@ -106,14 +107,12 @@ class Transport:
 
     def __init__(self, cluster: MeshCluster,
                  telemetry: Optional[Telemetry] = None,
-                 faults=None, health=None,
-                 retry: Optional[RetryPolicy] = None):
+                 faults=None, health=None):
         self.cluster = cluster
         self.log: List[Message] = []
         self.telemetry = Telemetry.of(telemetry)
         self.faults = FaultInjector.of(faults)
         self.health = DeviceHealth.of(health)
-        self.retry = retry if retry is not None else RetryPolicy()
         #: request id stamped onto every message until changed
         self.request_id: Optional[int] = None
         #: tenant tag attributed to every transfer until changed
@@ -167,9 +166,8 @@ class Transport:
         reach — never the gateway, which is the caller itself).
         """
         faults = self.faults
-        policy = self.retry
         wasted = 0.0
-        for attempt in range(policy.attempts):
+        for attempt in range(MAX_RETRIES + 1):
             delivered = (faults.reachable(src, dst)
                          and not faults.message_lost(src, dst))
             if delivered:
@@ -177,14 +175,14 @@ class Transport:
                     self.health.record_success(d, now)
                 self.health.record_link_success(src, dst, now)
                 return wasted, attempt
-            wasted += policy.timeout_of(attempt)
+            wasted += timeout_of(attempt)
         device = dst if dst != 0 else src
-        self._num_retries += policy.max_retries
+        self._num_retries += MAX_RETRIES
         self.health.record_failure(device, now)
         self.health.record_link_failure(src, dst, now)
-        self._m_retries.inc(policy.max_retries)
+        self._m_retries.inc(MAX_RETRIES)
         self._m_unreachable.inc()
-        raise DeviceUnreachableError(device, wasted, policy.max_retries)
+        raise DeviceUnreachableError(device, wasted, MAX_RETRIES)
 
     def _send(self, src: int, dst: int, payload: Any, nbytes: int,
               now: float, bits: Optional[int] = None) -> Message:

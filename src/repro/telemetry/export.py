@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import json
 import re
-import warnings
-from typing import IO, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import IO, Iterable, Iterator, List, Sequence, Union
 
 from .metrics import Counter, Gauge, Histogram, Metric, MetricsRegistry
 from .recorder import _json_default
@@ -226,22 +225,9 @@ def _label_suffix(m: Metric) -> str:
 
 def console_report(registry: MetricsRegistry,
                    timelines: Sequence[RequestTimeline] = (),
-                   show_timelines: int = 3,
-                   max_timelines: Optional[int] = None) -> str:
-    """Human-readable digest of the registry + a few sample timelines.
-
-    ``show_timelines`` caps how many timelines are *rendered*.  It used
-    to be called ``max_timelines``, which collided with the unrelated
-    :class:`~repro.telemetry.hub.Telemetry` retention cap of the same
-    name; the old keyword is kept as a deprecated alias.
-    """
-    if max_timelines is not None:
-        warnings.warn(
-            "console_report(max_timelines=...) is deprecated: it caps "
-            "rendering, not retention (that is Telemetry.max_timelines)."
-            " Use show_timelines=... instead.",
-            DeprecationWarning, stacklevel=2)
-        show_timelines = max_timelines
+                   show_timelines: int = 3) -> str:
+    """Human-readable digest of the registry + the first
+    ``show_timelines`` timelines."""
     lines: List[str] = ["== telemetry report =="]
     counters = [m for m in registry.collect() if isinstance(m, Counter)]
     gauges = [m for m in registry.collect() if isinstance(m, Gauge)]

@@ -24,13 +24,14 @@ allocation and no bookkeeping.
 from __future__ import annotations
 
 import time
-from typing import Annotated, Any, Dict, List, Optional, Sequence
-
-from .. import IntAtLeast, check_fields
+from typing import Any, Dict, List, Optional, Sequence
 
 __all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER"]
 
 _wall = time.perf_counter
+
+#: root spans a :class:`Tracer` keeps, newest last; the oldest go first
+MAX_FINISHED = 10000
 
 
 class Span:
@@ -117,17 +118,14 @@ class Span:
 class Tracer:
     """Builds span trees; completed root spans land in ``finished``.
 
-    ``max_finished`` bounds memory under sustained load: the oldest
-    roots are dropped once the buffer is full (the metrics registry,
-    not the trace buffer, is the unbounded-horizon view).
+    ``finished`` holds at most :data:`MAX_FINISHED` roots: past it the
+    oldest are dropped (and counted in ``dropped``), so memory stays
+    bounded under sustained load.
     """
 
     enabled = True
-    max_finished: Annotated[int, IntAtLeast(1)]
 
-    def __init__(self, max_finished: int = 10000):
-        self.max_finished = max_finished
-        check_fields(self)
+    def __init__(self):
         self.finished: List[Span] = []
         self.dropped = 0  # roots truncated off the front of `finished`
         self._stack: List[Span] = []
@@ -156,7 +154,7 @@ class Tracer:
             self._stack[-1].children.extend(spans)
             return
         self.finished.extend(spans)
-        excess = len(self.finished) - self.max_finished
+        excess = len(self.finished) - MAX_FINISHED
         if excess > 0:
             del self.finished[:excess]
             self.dropped += excess

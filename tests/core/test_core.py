@@ -92,24 +92,12 @@ class TestStrategyCache:
         assert len(cache) == 2
         assert cache.get(SLO.latency(0.1), conds[0]) is None  # evicted
 
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            StrategyCache(capacity=0)
-
     @pytest.mark.parametrize("capacity", [float("nan"), 2.5, 3.0, True])
     def test_capacity_must_be_an_int(self, capacity):
         """Regression: ``capacity=nan`` never evicted and ``2.5`` was
         silently 2."""
         with pytest.raises(ValueError, match="capacity must be an int"):
             StrategyCache(capacity=capacity)
-
-    @pytest.mark.parametrize("name", ["slo_step", "bw_step", "delay_step"])
-    @pytest.mark.parametrize("step", [float("nan"), float("inf")])
-    def test_non_finite_steps_rejected(self, name, step):
-        """Regression: a NaN step passed ``step <= 0`` and the first
-        lookup raised a bare int-conversion error."""
-        with pytest.raises(ValueError, match=f"{name} must be positive"):
-            StrategyCache(**{name: step})
 
     def test_tiny_steps_stay_legal(self):
         """``examples/dynamic_network.py`` disables sharing this way."""

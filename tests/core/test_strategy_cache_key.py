@@ -2,13 +2,14 @@
 
 The key is built with list comprehensions instead of a nested helper
 and two generator expressions; the law holds it equal to the formula it
-replaced on any SLO, condition and snap steps.
+replaced on any SLO, condition and link snap steps.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SLO, StrategyCache
+from repro.core.strategy_cache import SLO_STEP
 from repro.netsim import NetworkCondition
 
 
@@ -19,7 +20,7 @@ def formula_key(cache, slo, condition):
 
     return (
         slo.kind,
-        snap(slo.value, cache.slo_step),
+        snap(slo.value, SLO_STEP),
         tuple(snap(b, cache.bw_step) for b in condition.bandwidths_mbps),
         tuple(snap(d, cache.delay_step) for d in condition.delays_ms),
     )
@@ -33,11 +34,10 @@ steps = st.floats(1e-3, 1e3)
        st.integers(1, 6).flatmap(lambda n: st.tuples(
            st.lists(st.floats(0.01, 5e3), min_size=n, max_size=n),
            st.lists(st.floats(0.0, 1e3), min_size=n, max_size=n))),
-       steps, steps, steps)
-def test_the_key_is_the_formula_it_replaced(kind, value, links, slo_step,
-                                            bw_step, delay_step):
+       steps, steps)
+def test_the_key_is_the_formula_it_replaced(kind, value, links, bw_step,
+                                            delay_step):
     slo = SLO.latency(value) if kind == "latency" else SLO.accuracy(value)
     condition = NetworkCondition(tuple(links[0]), tuple(links[1]))
-    cache = StrategyCache(slo_step=slo_step, bw_step=bw_step,
-                          delay_step=delay_step)
+    cache = StrategyCache(bw_step=bw_step, delay_step=delay_step)
     assert cache._key(slo, condition) == formula_key(cache, slo, condition)

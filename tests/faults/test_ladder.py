@@ -7,6 +7,8 @@ degrade to the min submodel on the gateway.  In a world of crashes only
 other, by design) the two modes must agree item by item.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,13 +16,15 @@ from repro.core import SLO, Murmuration, Strategy
 from repro.core.decision import DecisionRecord
 from repro.devices import desktop_gtx1080, jetson_class, rpi4
 from repro.faults import (CircuitState, DeviceCrash, ExecutionFailedError,
-                          FaultInjector, FaultSchedule, ResilienceConfig)
-from repro.faults.resilience import FailoverLadder
-from repro.nas import Supernet, build_graph, max_arch, tiny_space
+                          FaultInjector, FaultSchedule, LinkFailure,
+                          ResilienceConfig)
+from repro.faults.resilience import GIVE_UP_S, MAX_RETRIES, FailoverLadder
+from repro.nas import Supernet, build_graph, max_arch, min_arch, tiny_space
 from repro.nas.accuracy_model import arch_accuracy, plan_accuracy_penalty
-from repro.netsim import NetworkCondition, star_topology
+from repro.netsim import NetworkCondition, ring_topology, star_topology
 from repro.partition import layerwise_split_plan, single_device_plan
 from repro.partition.simulate import simulate_latency
+from repro.runtime import InferenceServer
 
 SPACE = tiny_space()
 DEVICES = (rpi4, desktop_gtx1080, jetson_class)
@@ -142,3 +146,35 @@ def test_both_data_planes_serve_a_crash_alike(failover, batch, monkeypatch):
     assert executable[1] == plan_only[1]
     outcomes = {outcome for outcome, *_ in plan_only[0]}
     assert outcomes == ({"degraded", "ok"} if failover else {"failed"})
+
+
+def test_a_plan_only_dispatch_over_a_dead_relay_path_fails_over():
+    """On a ring that does not reroute, the remote-to-remote base path
+    1 -> 2 -> 3 is cut while every gateway path survives.  The plan-only
+    attempt's price raises ``NoRouteError``; the ladder charges it the
+    give-up schedule and fails over, as it does for the executor, and
+    device 3's breaker opens at the third such dispatch."""
+    devices = [rpi4() for _ in range(4)]
+    arch = min_arch(SPACE)
+    graph = build_graph(arch, SPACE)
+    plan = layerwise_split_plan(graph, len(graph) // 2, local=1, remote=3)
+    strategy = Strategy(arch, plan, 0.0, arch_accuracy(arch, SPACE)
+                        - plan_accuracy_penalty(plan))
+
+    class Fixed:
+        def decide(self, slo, condition):
+            return DecisionRecord(strategy, 0.002, "search")
+
+    system = Murmuration(
+        SPACE, devices, None, Fixed(), slo=SLO.latency_ms(2000.0),
+        use_predictor=False, monitor_noise=0.0,
+        faults=FaultInjector(FaultSchedule([
+            LinkFailure(0.0, math.inf, a=1, b=2)])),
+        cluster=ring_topology(devices, 100.0, 10.0, reroute=False))
+    records = InferenceServer(system, 2.0).run(5).records
+    assert [r.outcome for r in records] == ["retried"] * 3 + ["ok"] * 2
+    for r in records[:3]:
+        assert (r.retries, r.failovers) == (MAX_RETRIES, 1)
+        assert r.inference_s == pytest.approx(
+            records[-1].inference_s + GIVE_UP_S)
+    assert system.health.state(3, records[2].finish) is CircuitState.OPEN

@@ -19,7 +19,9 @@ from repro.devices import desktop_gtx1080, jetson_class, rpi4
 from repro.eval.spec import PinnedTimeEngine
 from repro.faults import (NULL_FAULTS, NULL_HEALTH, DeviceCrash, DeviceHealth,
                           FaultInjector, FaultSchedule, LinkFlap,
-                          ResilienceConfig, RetryPolicy)
+                          ResilienceConfig)
+from repro.faults.health import FAILURE_THRESHOLD
+from repro.faults.resilience import GIVE_UP_S, MAX_RETRIES, timeout_of
 from repro.nas import MBV3_SPACE, Supernet, max_arch
 from repro.netsim import NetworkCondition
 from repro.runtime import BatchingInferenceServer, BatchPolicy, InferenceServer
@@ -29,57 +31,26 @@ from tests.core.test_infer_parity import _TINY, _SplitEngine
 
 class TestRetryPolicy:
     def test_backoff_schedule(self):
-        p = RetryPolicy(timeout_s=0.05, max_retries=2, backoff=2.0)
-        assert p.attempts == 3
-        assert p.timeout_of(0) == pytest.approx(0.05)
-        assert p.timeout_of(1) == pytest.approx(0.10)
-        assert p.timeout_of(2) == pytest.approx(0.20)
-        assert p.give_up_cost() == pytest.approx(0.35)
-
-    def test_zero_retries_still_costs_one_timeout(self):
-        p = RetryPolicy(timeout_s=0.1, max_retries=0)
-        assert p.attempts == 1
-        assert p.give_up_cost() == pytest.approx(0.1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff=0.5)
+        assert MAX_RETRIES == 2
+        assert [timeout_of(i) for i in range(MAX_RETRIES + 1)] == \
+            pytest.approx([0.05, 0.10, 0.20])
+        assert GIVE_UP_S == pytest.approx(0.35)
 
 
 class TestResilienceConfig:
     def test_defaults(self):
         cfg = ResilienceConfig()
         assert cfg.failover and cfg.degradation
-        assert cfg.failure_threshold == 3
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ResilienceConfig(cooldown_s=-0.1)
-
-
-NAN, INF = math.nan, math.inf
+        assert FAILURE_THRESHOLD == 3
 
 
 @pytest.mark.parametrize("cls,field,value", [
-    (RetryPolicy, "timeout_s", NAN), (RetryPolicy, "timeout_s", INF),
-    (RetryPolicy, "backoff", NAN), (RetryPolicy, "backoff", INF),
-    # a float retry count died in ``give_up_cost`` mid-run
-    (RetryPolicy, "max_retries", 2.5),
-    # a NaN cooldown held a circuit open forever, a NaN threshold never
-    # opened one
-    (ResilienceConfig, "cooldown_s", NAN),
-    (ResilienceConfig, "failure_threshold", NAN),
-    (ResilienceConfig, "failure_threshold", 2.5),
-    (DeviceHealth, "cooldown_s", NAN),
-    (DeviceHealth, "failure_threshold", NAN),
-    (DeviceHealth, "failure_threshold", 2.5),
     # ``down_at`` died converting NaN to an int mid-run
-    (LinkFlap, "step_s", NAN),
+    (LinkFlap, "step_s", math.nan),
 ])
 def test_a_hostile_setting_is_rejected_naming_its_field(cls, field, value):
-    args = {DeviceHealth: (3,), LinkFlap: (0.0, 1.0)}.get(cls, ())
     with pytest.raises(ValueError, match=field):
-        cls(*args, **{field: value})
+        cls(0.0, 1.0, **{field: value})
 
 
 def _dormant() -> FaultInjector:
@@ -176,11 +147,11 @@ def test_no_cache_insert_routes_through_an_open_circuit():
         slo=SLO.latency_ms(100.0), use_predictor=False, monitor_noise=0.0,
         faults=FaultInjector(FaultSchedule([DeviceCrash(50.0, 60.0,
                                                         device=2)])),
-        resilience=ResilienceConfig(failure_threshold=1, cooldown_s=5.0,
-                                    failover=False))
+        resilience=ResilienceConfig(failover=False))
     assert 1 in system.decide(condition).strategy.plan.devices_used()
     assert len(system.cache) == 1
-    system.health.record_failure(1, 0.0)
+    for _ in range(FAILURE_THRESHOLD):
+        system.health.record_failure(1, 0.0)
     system._drain_health()              # as each dispatch ends
     assert len(system.cache) == 0
     assert system.decide(condition).engine == "search"

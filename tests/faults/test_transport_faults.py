@@ -10,7 +10,9 @@ import pytest
 
 from repro.faults import (DeviceCrash, DeviceUnreachableError,
                           ExecutionFailedError, FaultInjector, FaultSchedule,
-                          MessageLoss, ResilienceConfig, RetryPolicy)
+                          MessageLoss, ResilienceConfig)
+from repro.faults.health import FAILURE_THRESHOLD
+from repro.faults.resilience import GIVE_UP_S, MAX_RETRIES, timeout_of
 from repro.devices import rpi4
 from repro.nas import Supernet, build_graph, max_arch, min_arch, tiny_space
 from repro.netsim import NetworkCondition, ring_topology, star_topology
@@ -20,7 +22,6 @@ from repro.runtime.rpc import Transport
 from repro.telemetry import Telemetry
 
 SPACE = tiny_space()
-POLICY = RetryPolicy(timeout_s=0.05, max_retries=2, backoff=2.0)
 
 
 def _cluster(n=3):
@@ -37,26 +38,26 @@ def _injector(events, now=1.0, seed=0):
 class TestTransportFaults:
     def test_unreachable_peer_exhausts_retries(self):
         inj = _injector([DeviceCrash(0.0, 2.0, device=1)])
-        tr = Transport(_cluster(), faults=inj, retry=POLICY)
+        tr = Transport(_cluster(), faults=inj)
         x = np.ones((1, 4))
         with pytest.raises(DeviceUnreachableError) as ei:
             tr.send_tensor(x, 0, 1, 32, now=0.0)
         assert ei.value.device == 1
-        assert ei.value.retries == POLICY.max_retries
-        assert ei.value.wasted_s == pytest.approx(POLICY.give_up_cost())
+        assert ei.value.retries == MAX_RETRIES
+        assert ei.value.wasted_s == pytest.approx(GIVE_UP_S)
         # nothing was delivered: no message logged
         assert tr.num_messages == 0 and tr.log == []
 
     def test_blames_remote_sender_when_dst_is_gateway(self):
         inj = _injector([DeviceCrash(0.0, 2.0, device=2)])
-        tr = Transport(_cluster(), faults=inj, retry=POLICY)
+        tr = Transport(_cluster(), faults=inj)
         with pytest.raises(DeviceUnreachableError) as ei:
             tr.send_control(2, 0, "result", now=0.0)
         assert ei.value.device == 2
 
     def test_loss_retries_show_up_in_latency(self):
         inj = _injector([MessageLoss(0.0, 10.0, prob=0.7)], seed=4)
-        tr = Transport(_cluster(), faults=inj, retry=POLICY)
+        tr = Transport(_cluster(), faults=inj)
         x = np.ones((1, 64))
         clean = Transport(_cluster()).send_tensor(x, 0, 1, 32, now=0.0)
         # draw until a delivery needed at least one retransmission
@@ -67,7 +68,7 @@ class TestTransportFaults:
                 msg = m
                 break
         assert msg is not None, "p=0.7 never cost a retry in 30 sends"
-        waited = sum(POLICY.timeout_of(i) for i in range(msg.retries))
+        waited = sum(timeout_of(i) for i in range(msg.retries))
         assert msg.delivered_at == pytest.approx(
             clean.delivered_at + waited)
         assert tr.num_retries >= msg.retries
@@ -84,17 +85,19 @@ class TestTransportFaults:
     def test_health_records_delivery_outcomes(self):
         from repro.faults import DeviceHealth
         inj = _injector([DeviceCrash(0.0, 2.0, device=1)])
-        health = DeviceHealth(3, failure_threshold=1)
-        tr = Transport(_cluster(), faults=inj, health=health, retry=POLICY)
-        with pytest.raises(DeviceUnreachableError):
-            tr.send_control(0, 1, "x", now=0.0)
+        health = DeviceHealth(3)
+        tr = Transport(_cluster(), faults=inj, health=health)
+        for _ in range(FAILURE_THRESHOLD):
+            assert health.allow(1, 0.0)
+            with pytest.raises(DeviceUnreachableError):
+                tr.send_control(0, 1, "x", now=0.0)
         assert not health.allow(1, 0.0)
         tr.send_control(0, 2, "x", now=0.0)
         assert health.allow(2, 0.0)
 
     def test_reset_log_clears_fault_aggregates(self):
         inj = _injector([MessageLoss(0.0, 10.0, prob=0.6)], seed=1)
-        tr = Transport(_cluster(), faults=inj, retry=POLICY)
+        tr = Transport(_cluster(), faults=inj)
         x = np.ones((1, 64))
         delivered = 0
         for _ in range(20):
@@ -112,12 +115,12 @@ class TestTransportFaults:
     def test_unreachable_telemetry(self):
         tel = Telemetry()
         inj = _injector([DeviceCrash(0.0, 2.0, device=1)])
-        tr = Transport(_cluster(), telemetry=tel, faults=inj, retry=POLICY)
+        tr = Transport(_cluster(), telemetry=tel, faults=inj)
         with pytest.raises(DeviceUnreachableError):
             tr.send_control(0, 1, "x", now=0.0)
         assert tel.registry.get("transport_unreachable_total").value == 1
         assert (tel.registry.get("transport_retries_total").value
-                == POLICY.max_retries)
+                == MAX_RETRIES)
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +137,7 @@ class TestExecutorFailover:
     def _executor(self, net, events, telemetry=None, **res_kw):
         cluster = _cluster(3)
         inj = _injector(events)
-        res = ResilienceConfig(retry=POLICY, **res_kw)
+        res = ResilienceConfig(**res_kw)
         return DistributedExecutor(net, cluster, telemetry=telemetry,
                                    faults=inj, resilience=res), cluster
 
@@ -146,9 +149,9 @@ class TestExecutorFailover:
         res = ex.execute(x, arch, plan)
         assert res.outcome == "retried"
         assert res.failovers == 1
-        assert res.retries == POLICY.max_retries
+        assert res.retries == MAX_RETRIES
         assert res.executed_arch == arch  # same model, different device
-        assert res.penalty_s == pytest.approx(POLICY.give_up_cost())
+        assert res.penalty_s == pytest.approx(GIVE_UP_S)
         # the wasted discovery time is charged to the reported latency
         direct = net.forward_arch(x, arch)
         assert (res.logits.argmax(1) == direct.argmax(1)).all()
@@ -165,7 +168,7 @@ class TestExecutorFailover:
         assert res.executed_arch.resolution == arch.resolution
         assert res.logits.shape == (1, SPACE.num_classes)
         # two give-ups: original target, then the failover target
-        assert res.penalty_s == pytest.approx(2 * POLICY.give_up_cost())
+        assert res.penalty_s == pytest.approx(2 * GIVE_UP_S)
 
     def test_failover_disabled_raises(self, net, x):
         arch = max_arch(SPACE)
@@ -176,7 +179,7 @@ class TestExecutorFailover:
         with pytest.raises(ExecutionFailedError) as ei:
             ex.execute(x, arch, plan)
         assert ei.value.device == 1
-        assert ei.value.wasted_s == pytest.approx(POLICY.give_up_cost())
+        assert ei.value.wasted_s == pytest.approx(GIVE_UP_S)
 
     def test_healthy_world_is_plain_execution(self, net, x):
         arch = max_arch(SPACE)
@@ -226,4 +229,4 @@ class TestExecutorFailover:
         res = DistributedExecutor(net, mesh).execute(x, arch, plan)
         assert (res.outcome, res.retries, res.failovers) == ("retried", 2, 1)
         assert set(res.executed_plan.devices_used()) == {0, 2}
-        assert res.penalty_s == RetryPolicy().give_up_cost()
+        assert res.penalty_s == GIVE_UP_S

@@ -399,8 +399,9 @@ class TestZeroBandwidthOverlay:
 class TestLinkBreakers:
     def test_link_breaker_opens_and_recovers(self):
         from repro.faults.health import CircuitState, DeviceHealth
-        h = DeviceHealth(num_devices=4, failure_threshold=2, cooldown_s=2.0)
+        h = DeviceHealth(num_devices=4)
         assert h.allow_link(0, 1, now=0.0)
+        assert not h.record_link_failure(0, 1, now=0.05)
         assert not h.record_link_failure(0, 1, now=0.1)
         assert h.record_link_failure(1, 0, now=0.2)  # unordered pair
         assert h.link_state(0, 1, 0.3) is CircuitState.OPEN

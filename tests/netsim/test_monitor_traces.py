@@ -30,7 +30,7 @@ class TestMonitor:
         assert est.bandwidths_mbps == (100.0, 200.0)
 
     def test_monitor_follows_condition_change(self, cluster):
-        mon = NetworkMonitor(cluster, noise=0.01, ewma_alpha=0.9, seed=3)
+        mon = NetworkMonitor(cluster, noise=0.01, seed=3)
         for _ in range(5):
             mon.probe_all()
         cluster.set_condition(NetworkCondition((20.0, 20.0), (80.0, 80.0)))

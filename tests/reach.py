@@ -1,4 +1,5 @@
-"""Every ``def`` under ``src/repro`` that no run reaches.
+"""Every ``def`` under ``src/repro`` that no run reaches, and every
+setting no run sets.
 
     PYTHONPATH=src python -m tests.reach
 
@@ -14,6 +15,16 @@ unreached (a stale row).  ``__repr__`` / ``__dir__`` and body-less
 stubs (a docstring, ``pass``, ``...`` or ``raise NotImplementedError``)
 are exempt by rule.
 
+The same runs record, for each hand-written ``__init__`` under
+:data:`SETTINGS_PACKAGES`, which of its keyword parameters (those with
+a default) some call binds to a value other than that default.  It
+exits 1 when a parameter of an ``__init__`` that ran is never so bound
+and has no row in :data:`KEEP_PARAMS`, or on a stale row: a setting
+every run leaves at one value is a constant.  A dataclass's generated
+``__init__`` has no source file and is out of its reach (its fields are
+``Checked`` or plain), and an ``__init__`` no run reaches is left to
+the function check above.
+
 It uses no ``coverage`` package: the hook only collects the code objects
 that start running, and a ``def`` is reached when its code object is
 among them (matched on file, first line and name; a decorated
@@ -22,6 +33,7 @@ function's code starts at its first decorator).
 
 import ast
 import contextlib
+import inspect
 import io
 import runpy
 import sys
@@ -29,7 +41,8 @@ import tempfile
 import threading
 from pathlib import Path
 from time import perf_counter
-from typing import Callable, Dict, Iterable, List, NamedTuple, Set
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Set)
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -144,10 +157,6 @@ KEEP: Dict[str, str] = {
         "control-plane message; test_runtime / test_instrumentation send it",
     "repro.core.murmuration:Murmuration.set_slo":
         "the paper's SLO API (Sec. 5); test_core retargets an SLO with it",
-    "repro.telemetry.hub:_is_violation":
-        "SLO-aware retention: no run overflows max_timelines or samples; "
-        "test_timeline pins it",
-    "repro.telemetry.hub:Telemetry.child": _METRICS,
     "repro.telemetry.metrics:Metric._label_str":
         "the label text of Metric.__repr__ (exempt)",
     "repro.telemetry.metrics:Gauge.set": _METRICS,
@@ -160,6 +169,62 @@ KEEP: Dict[str, str] = {
     "repro.telemetry.tracing:Span.to_dict": _TRACING,
     "repro.telemetry.tracing:Tracer.active": _TRACING,
     "repro.telemetry.tracing:Tracer.clear": _TRACING,
+}
+
+#: the packages whose ``__init__`` keyword parameters are checked
+SETTINGS_PACKAGES = ("repro.core", "repro.runtime", "repro.netsim",
+                     "repro.faults", "repro.control", "repro.telemetry",
+                     "repro.sim")
+
+#: ``module:Class.__init__(parameter)`` -> why it stays a parameter
+#: although every run leaves it at its default
+_CONFIG = ("a scenario config field feeds it (every run keeps the field's "
+           "default); --set changes it")
+_EXECUTABLE = ("the executable data plane: no entry point serves through a "
+               "supernet (ROADMAP item 4); the executor and ladder tests do")
+_INSTRUMENTED_FAULTS = ("the facade hands its hub over; no entry point "
+                        "instruments a world that can fail, the chaos and "
+                        "mesh_chaos telemetry_snapshot_digests entries do")
+KEEP_PARAMS: Dict[str, str] = {
+    "repro.control.loop:ControlLoop.__init__(period_s)":
+        _CONFIG + " (control_period_s)",
+    "repro.core.decision:SearchDecisionEngine.__init__(seed)":
+        _CONFIG + " (seed)",
+    "repro.faults.injector:FaultInjector.__init__(seed)":
+        _CONFIG + " (seed); the perf ledger's --seed reaches mesh_faults'",
+    "repro.core.decision:RLDecisionEngine.__init__(fallback)":
+        "the raw policy, with no search fallback: test_decision_fallback "
+        "measures it",
+    "repro.core.murmuration:Murmuration.__init__(supernet)": _EXECUTABLE,
+    "repro.runtime.executor:DistributedExecutor.__init__(faults)":
+        _EXECUTABLE,
+    "repro.runtime.executor:DistributedExecutor.__init__(health)":
+        _EXECUTABLE,
+    "repro.runtime.executor:DistributedExecutor.__init__(resilience)":
+        _EXECUTABLE,
+    "repro.faults.health:DeviceHealth.__init__(telemetry)":
+        _INSTRUMENTED_FAULTS,
+    "repro.faults.injector:FaultInjector.__init__(telemetry)":
+        _INSTRUMENTED_FAULTS,
+    "repro.telemetry.hub:Telemetry.__init__(registry)":
+        "tests substitute the registry",
+    "repro.telemetry.hub:Telemetry.__init__(tracer)":
+        "tests substitute the tracer",
+    "repro.telemetry.metrics:Gauge.__init__(labels)": _METRICS,
+    "repro.telemetry.metrics:Histogram.__init__(growth)": _METRICS,
+    "repro.netsim.fluid:FluidTracker.__init__(record_segments)":
+        "the rate-segment audit trail test_fluid_reconvergence reads",
+    "repro.netsim.mesh:MeshCluster.__init__(contention)":
+        "runs attach a tracker as .contention after building; the contention "
+        "and route tests build one in",
+    "repro.netsim.mesh:MeshCluster.__init__(rpc_overhead_ms)":
+        "every run's 1 ms; the fluid property suite and the declared-domain "
+        "sweep price other overheads",
+    "repro.runtime.batching:BatchingInferenceServer.__init__(events)":
+        "the runner passes the world's loop, which no batched scenario has; "
+        "server_loop_digests and test_batching drive one",
+    "repro.runtime.clock:SimulatedClock.__init__(start)":
+        "test_runtime pins a clock that starts late",
 }
 
 EXEMPT_NAMES = frozenset({"__repr__", "__dir__"})
@@ -233,16 +298,103 @@ def package_defs(root: Path, package: str) -> List[Def]:
     return found
 
 
+_UNWATCHED = object()
+
+
+def _same(value, default) -> bool:
+    """``value`` is ``default``, or equal to it (an array, or anything
+    whose ``==`` is not a truth value, is not)."""
+    if value is default:
+        return True
+    try:
+        return bool(value == default)
+    except Exception:
+        return False
+
+
+class Bindings:
+    """Which keyword parameters of the watched ``__init__`` defs some
+    call binds to a value other than the parameter's default."""
+
+    def __init__(self, inits: Iterable[Def]):
+        self._defs = {(d.path, d.line): d for d in inits}
+        #: code -> (qualname, {parameter: default} never yet set), or
+        #: _UNWATCHED
+        self._open: Dict = {}
+        #: qualname -> its parameters with a default, for each that ran
+        self.ran: Dict[str, tuple] = {}
+        #: ``qualname(parameter)`` of every parameter some call set
+        self.set: Set[str] = set()
+
+    def note(self, frame) -> None:
+        """Record what one ``__init__`` call (a frame just started)
+        binds."""
+        code = frame.f_code
+        entry = self._open.get(code)
+        if entry is None:
+            d = self._defs.get((code.co_filename, code.co_firstlineno))
+            entry = self._open[code] = (
+                _UNWATCHED if d is None
+                else (d.qualname, _defaults(frame)))
+            if d is not None:
+                self.ran[d.qualname] = tuple(entry[1])
+        if entry is _UNWATCHED or not entry[1]:
+            return
+        qualname, todo = entry
+        local = frame.f_locals
+        for name in [n for n, default in todo.items()
+                     if not _same(local[n], default)]:
+            del todo[name]
+            self.set.add(f"{qualname}({name})")
+
+    def unset(self) -> List[str]:
+        """``qualname(parameter)`` of every keyword parameter of an
+        ``__init__`` that ran and that no call set."""
+        return sorted(f"{q}({name})" for q, names in self.ran.items()
+                      for name in names
+                      if f"{q}({name})" not in self.set)
+
+
+def _defaults(frame) -> Dict[str, object]:
+    """``{parameter: default}`` of the ``__init__`` running in
+    ``frame``, found on the class of the instance it initialises."""
+    code = frame.f_code
+    instance = frame.f_locals[code.co_varnames[0]]
+    for cls in type(instance).__mro__:
+        fn = cls.__dict__.get("__init__")
+        if getattr(fn, "__code__", None) is code:
+            return {p.name: p.default
+                    for p in inspect.signature(fn).parameters.values()
+                    if p.default is not p.empty}
+    return {}
+
+
+def settings_verdict(unset: Iterable[str], keep: Dict[str, str]
+                     ) -> List[str]:
+    """What fails the settings check: a parameter no run sets with no
+    ``keep`` row, and a ``keep`` row that names no such parameter."""
+    unset = set(unset)
+    return ([f"keyword parameter no run sets, not in KEEP_PARAMS: {n}"
+             for n in sorted(unset - set(keep))]
+            + [f"stale KEEP_PARAMS row (some run sets it, or no such "
+               f"parameter): {n}" for n in sorted(set(keep) - unset)])
+
+
 @contextlib.contextmanager
-def reaching():
+def reaching(bindings: Optional[Bindings] = None):
     """Collect the code object of every Python frame that starts while
-    the block runs, in this thread and in threads it starts."""
+    the block runs, in this thread and in threads it starts; with
+    ``bindings``, also what each ``__init__`` call binds."""
     codes: Set = set()
     add = codes.add
+    note = bindings.note if bindings is not None else None
 
     def hook(frame, event, arg):
         if event == "call":
-            add(frame.f_code)
+            code = frame.f_code
+            add(code)
+            if note is not None and code.co_name == "__init__":
+                note(frame)
 
     threading.setprofile(hook)
     sys.setprofile(hook)
@@ -379,7 +531,11 @@ def main() -> int:
     sys.path.insert(0, str(ROOT))          # benchmarks.*, examples' cwd
     t0 = perf_counter()
     candidates = package_defs(SRC, "repro")   # the lines the runs import
-    with tempfile.TemporaryDirectory() as tmp, reaching() as codes:
+    bindings = Bindings(d for d in candidates if d.name == "__init__"
+                        and d.qualname.startswith(
+                            tuple(p + "." for p in SETTINGS_PACKAGES)))
+    with tempfile.TemporaryDirectory() as tmp, \
+            reaching(bindings) as codes:
         for label, run in entry_points(Path(tmp)).items():
             t = perf_counter()
             run()
@@ -394,11 +550,19 @@ def main() -> int:
         reason = KEEP.get(d.qualname)
         print(f"  {d.qualname.split(':')[1]}"
               + (f"  -- KEEP: {reason}" if reason else ""))
-    problems = verdict(missed, KEEP)
+    unset = bindings.unset()
+    if unset:
+        print("keyword parameters no run sets")
+    for name in unset:
+        reason = KEEP_PARAMS.get(name)
+        print(f"  {name}" + (f"  -- KEEP: {reason}" if reason else ""))
+    problems = verdict(missed, KEEP) + settings_verdict(unset, KEEP_PARAMS)
     for problem in problems:
         print(problem)
     print(f"{len(missed)} of {len(candidates)} functions unreached "
           f"({sum(d.exempt for d in candidates)} exempt), "
+          f"{len(unset)} of {sum(map(len, bindings.ran.values()))} "
+          f"keyword parameters never set, "
           f"{len(problems)} problem(s), {perf_counter() - t0:.0f} s")
     return 1 if problems else 0
 

@@ -10,6 +10,7 @@ from repro.models import get_model
 from repro.netsim import Measurement, NetworkCondition, star_topology
 from repro.runtime import (FixedModelStore, LinearPredictor, ModelReconfig,
                            MonitoringPredictor, SimulatedClock, Transport)
+from repro.runtime.predictor import WINDOW
 
 
 @pytest.fixture
@@ -143,10 +144,6 @@ class TestReconfig:
 
 
 class TestLinearPredictor:
-    def test_requires_window(self):
-        with pytest.raises(ValueError):
-            LinearPredictor(window=1)
-
     def test_empty_returns_none(self):
         assert LinearPredictor().predict(1.0) is None
 
@@ -156,16 +153,16 @@ class TestLinearPredictor:
         assert p.predict(10.0) == 5.0
 
     def test_extrapolates_linear_trend(self):
-        p = LinearPredictor(window=5)
+        p = LinearPredictor()
         for t in range(5):
             p.observe(float(t), 10.0 + 2.0 * t)
         assert p.predict(5.0) == pytest.approx(20.0, abs=1e-9)
 
     def test_window_slides(self):
-        p = LinearPredictor(window=3)
+        p = LinearPredictor()
         for t in range(10):
             p.observe(float(t), float(t))
-        assert p.n == 3
+        assert p.n == WINDOW == 8
 
 
 class TestMonitoringPredictor:
@@ -173,7 +170,7 @@ class TestMonitoringPredictor:
         return Measurement(device, bw, delay, t, "active")
 
     def test_predicts_trend(self):
-        mp = MonitoringPredictor(num_remote=1, window=6)
+        mp = MonitoringPredictor(num_remote=1)
         for t in range(6):
             mp.observe(self._measurement(1, float(t), 100.0 - 5 * t, 10.0))
         cond = mp.predict(6.0)
@@ -181,7 +178,7 @@ class TestMonitoringPredictor:
         assert cond.delays_ms[0] == pytest.approx(10.0, abs=0.5)
 
     def test_clamps_to_physical_range(self):
-        mp = MonitoringPredictor(num_remote=1, bw_range=(1.0, 1000.0))
+        mp = MonitoringPredictor(num_remote=1)
         for t in range(6):
             mp.observe(self._measurement(1, float(t), 50.0 - 20 * t, 5.0))
         cond = mp.predict(20.0)

@@ -164,7 +164,7 @@ WORLDS = {
     "batched/control_degrades": dict(
         seed=13, rate_hz=8.0, burst=((3.0, 4.0), 6.0), slo_ms=300.0,
         trace=True, policy=BatchPolicy(max_batch=4),
-        controllers=lambda: [BatchPolicyController(max_batch=8),
+        controllers=lambda: [BatchPolicyController(),
                              DegradeOnly()]),
 }
 

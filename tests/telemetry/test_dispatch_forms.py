@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.runtime.server import RequestRecord
 from repro.telemetry import Histogram, RunRecorder, Tracer, write_recordings
+from repro.telemetry.tracing import MAX_FINISHED, Span
 
 _times = st.floats(min_value=0.0, max_value=1e4, allow_nan=False)
 _latencies = st.lists(st.floats(min_value=1e-6, max_value=10.0), min_size=1,
@@ -29,16 +30,26 @@ def _tree(span):
             list(span.attrs.items()), [_tree(c) for c in span.children])
 
 
+#: closed roots a tracer starts from, built once
+_OLD = [Span("old", float(-i), sim_end=float(-i))
+        for i in range(MAX_FINISHED)]
+
+
 def _state(tracer):
-    return [_tree(root) for root in tracer.finished], tracer.dropped
+    """The newest roots (each one a test adds, and the old ones before
+    them), how many are held and how many were dropped."""
+    return ([_tree(root) for root in tracer.finished[-20:]],
+            len(tracer.finished), tracer.dropped)
 
 
-def _tracers(cap, prefill, parent):
-    """Two tracers in one state: ``prefill`` finished roots, and an open
+def _tracers(room, prefill, parent):
+    """Two tracers in one state: ``room`` roots short of
+    ``MAX_FINISHED``, then ``prefill`` more finished roots, and an open
     ``parent`` span when asked."""
     pair = []
     for _ in range(2):
-        tracer = Tracer(max_finished=cap)
+        tracer = Tracer()
+        tracer.finished.extend(_OLD[:MAX_FINISHED - room])
         for i in range(prefill):
             with tracer.span("old", sim_time=float(i)) as sp:
                 sp.set_sim_end(float(i))
@@ -54,17 +65,17 @@ def _close(tracer, parent):
 
 
 @settings(max_examples=150, deadline=None)
-@given(start=_times, latencies=_latencies, cap=st.integers(1, 6),
+@given(start=_times, latencies=_latencies, room=st.integers(1, 6),
        prefill=st.integers(0, 4), parent=st.booleans(),
        ids=st.booleans(), tenants=st.lists(_tenants, min_size=9, max_size=9),
        degraded=st.booleans())
-def test_spans_equal_one_hand_opened_span_per_item(start, latencies, cap,
+def test_spans_equal_one_hand_opened_span_per_item(start, latencies, room,
                                                    prefill, parent, ids,
                                                    tenants, degraded):
     n = len(latencies)
     request_ids = list(range(7, 7 + n)) if ids else None
     tenants = tenants[:n] if any(tenants[:n]) else None
-    (bulk, bulk_parent), (hand, hand_parent) = _tracers(cap, prefill, parent)
+    (bulk, bulk_parent), (hand, hand_parent) = _tracers(room, prefill, parent)
 
     # the facade's per-item loop, as it stood before the dispatch form
     sim_t, finishes = start, []
@@ -97,11 +108,11 @@ _records = st.builds(
 @settings(max_examples=150, deadline=None)
 @given(records=st.lists(_records, min_size=1, max_size=9),
        first=st.integers(0, 50), cache_hit=st.booleans(),
-       batch=st.integers(0, 9), cap=st.integers(1, 6),
+       batch=st.integers(0, 9), room=st.integers(1, 6),
        prefill=st.integers(0, 4), parent=st.booleans())
 def test_requests_equal_the_batched_servers_hand_opened_roots(
-        records, first, cache_hit, batch, cap, prefill, parent):
-    (bulk, bulk_parent), (hand, hand_parent) = _tracers(cap, prefill, parent)
+        records, first, cache_hit, batch, room, prefill, parent):
+    (bulk, bulk_parent), (hand, hand_parent) = _tracers(room, prefill, parent)
     for m, rr in enumerate(records, first):
         with hand.span("request", sim_time=rr.arrival, request=m) as root:
             with hand.span("queue", sim_time=rr.arrival) as qs:

@@ -5,7 +5,6 @@ import json
 import re
 
 import numpy as np
-import pytest
 
 from repro.telemetry import (MetricsRegistry, RequestTimeline, Telemetry,
                              Tracer, console_report, jsonl_records,
@@ -126,15 +125,6 @@ class TestConsoleReport:
                                 show_timelines=2)
         assert "showing 2" in report
         assert "request 1:" in report and "request 2:" not in report
-
-    def test_max_timelines_alias_deprecated_but_working(self):
-        """``max_timelines`` collided with the Telemetry retention cap
-        of the same name; it must warn yet keep its old meaning."""
-        tls = [_timeline(i) for i in range(5)]
-        with pytest.warns(DeprecationWarning, match="show_timelines"):
-            report = console_report(_populated_registry(), tls,
-                                    max_timelines=2)
-        assert "showing 2" in report
 
     def test_show_timelines_does_not_warn(self):
         import warnings

@@ -1,9 +1,9 @@
 """Flattening span trees into per-request timelines."""
 
-import numpy as np
 import pytest
 
 from repro.telemetry import RequestTimeline, Telemetry, TimelineEvent, Tracer
+from repro.telemetry.tracing import MAX_FINISHED
 
 
 def _request_tree(tracer, arrival=0.0, request=0, satisfied=None):
@@ -91,116 +91,11 @@ class TestLazyMaterialization:
         assert len(tel.timelines) == 2
 
     def test_survives_tracer_truncation(self):
-        tel = Telemetry(tracer=Tracer(max_finished=2))
-        for i in range(5):
-            _request_tree(tel.tracer, request=i)
-        # only the 2 newest roots are still materializable
-        assert [tl.request_id for tl in tel.timelines] == [3, 4]
-
-    def test_child_views_share_the_buffer(self):
+        """The tracer's cap is the one retention bound: past
+        ``MAX_FINISHED`` roots the oldest go, SLO violators with them."""
         tel = Telemetry()
-        child = tel.child("server")
-        _request_tree(tel.tracer, request=0)
-        assert len(child.timelines) == 1
-        assert len(tel.timelines) == 1  # not double-consumed
-
-    def test_max_timelines_bounds_memory(self):
-        tel = Telemetry(max_timelines=2)
-        for i in range(4):
-            _request_tree(tel.tracer, request=i)
-        assert [tl.request_id for tl in tel.timelines] == [2, 3]
-
-
-class TestSloAwareRetention:
-    """Sampling and eviction must never hide SLO-violating requests.
-
-    Regression surface for the pre-change hub, whose FIFO eviction at
-    ``max_timelines`` silently dropped the oldest timelines regardless
-    of whether they were the interesting (tail) ones.
-    """
-
-    def test_violators_survive_eviction(self):
-        tel = Telemetry(max_timelines=2)
-        for i in range(6):
-            _request_tree(tel.tracer, arrival=float(i), request=i,
-                          satisfied=(i not in (1, 4)))
-        # 4 oldest *satisfying* timelines evicted; the two violators
-        # (old as they are) survive
-        assert [tl.request_id for tl in tel.timelines] == [1, 4]
-
-    def test_violators_survive_sustained_load(self):
-        """Under load far beyond the cap, every violator is retained."""
-        tel = Telemetry(max_timelines=3)
-        violators = {7, 19, 23, 41}
-        for i in range(50):
-            _request_tree(tel.tracer, arrival=float(i), request=i,
-                          satisfied=(i not in violators))
-            tel.timelines  # materialize incrementally, as serving does
-        kept = {tl.request_id for tl in tel.timelines}
-        assert violators <= kept
-
-    def test_cap_yields_to_violators(self):
-        """All-violator load may exceed max_timelines: the cap yields
-        rather than hide the tail."""
-        tel = Telemetry(max_timelines=2)
-        for i in range(4):
-            _request_tree(tel.tracer, request=i, satisfied=False)
-        assert [tl.request_id for tl in tel.timelines] == [0, 1, 2, 3]
-
-    def test_satisfying_timelines_still_evict_oldest_first(self):
-        tel = Telemetry(max_timelines=2)
-        for i in range(5):
-            _request_tree(tel.tracer, request=i, satisfied=True)
-        assert [tl.request_id for tl in tel.timelines] == [3, 4]
-
-    def test_sample_every_keeps_one_in_n(self):
-        tel = Telemetry(sample_every=2)
-        for i in range(6):
-            _request_tree(tel.tracer, request=i)
-        assert [tl.request_id for tl in tel.timelines] == [0, 2, 4]
-
-    def test_sampling_never_drops_violators(self):
-        tel = Telemetry(sample_every=3)
-        for i in range(9):
-            _request_tree(tel.tracer, request=i,
-                          satisfied=(i not in (1, 5)))
-        # 1-in-3 keeps 0, 3, 6; violators 1 and 5 ride along
-        assert [tl.request_id for tl in tel.timelines] == [0, 1, 3, 5, 6]
-
-    def test_numpy_bool_satisfied_recognized(self):
-        tel = Telemetry(max_timelines=1)
-        _request_tree(tel.tracer, request=0,
-                      satisfied=np.bool_(False))
-        _request_tree(tel.tracer, request=1,
-                      satisfied=np.bool_(True))
-        assert [tl.request_id for tl in tel.timelines] == [0]
-
-    def test_sample_every_must_be_positive(self):
-        with pytest.raises(ValueError, match="sample_every"):
-            Telemetry(sample_every=0)
-
-    @pytest.mark.parametrize("field,value", [
-        ("sample_every", float("nan")), ("sample_every", 2.0),
-        ("sample_every", True), ("max_timelines", float("nan")),
-        ("max_timelines", -1), ("max_timelines", 2.5),
-        ("max_timelines", True)])
-    def test_settings_must_be_ints_in_range(self, field, value):
-        """A NaN ``sample_every`` used to sample out every satisfied
-        timeline, and ``max_timelines`` was never checked."""
-        with pytest.raises(ValueError, match=field):
-            Telemetry(**{field: value})
-
-    def test_a_zero_timeline_cap_keeps_only_violators(self):
-        tel = Telemetry(max_timelines=0)
-        _request_tree(tel.tracer, request=0, satisfied=True)
-        _request_tree(tel.tracer, request=1, satisfied=False)
-        assert [tl.request_id for tl in tel.timelines] == [1]
-
-    def test_child_views_inherit_sampling(self):
-        tel = Telemetry(sample_every=2)
-        child = tel.child("server")
-        assert child.sample_every == 2
-        for i in range(4):
-            _request_tree(tel.tracer, request=i)
-        assert [tl.request_id for tl in child.timelines] == [0, 2]
-
+        n = MAX_FINISHED + 3
+        tel.tracer.spans("request", 0.0, [float(i + 1) for i in range(n)],
+                         request=list(range(n)),
+                         satisfied=[i >= 3 for i in range(n)])
+        assert [tl.request_id for tl in tel.timelines] == list(range(3, n))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.telemetry import NULL_TRACER, NullTracer, Tracer
-from repro.telemetry.tracing import _SHARED_NULL_SPAN
+from repro.telemetry.tracing import _SHARED_NULL_SPAN, MAX_FINISHED
 
 
 class TestSpanClocks:
@@ -101,32 +101,21 @@ class TestNesting:
 
 class TestBoundedBuffer:
     def test_oldest_roots_dropped_and_counted(self):
-        tracer = Tracer(max_finished=3)
-        for i in range(5):
+        tracer = Tracer()
+        for i in range(MAX_FINISHED + 2):
             with tracer.span("r", request=i):
                 pass
-        assert len(tracer.finished) == 3
+        assert len(tracer.finished) == MAX_FINISHED
         assert tracer.dropped == 2
-        assert [sp.attrs["request"] for sp in tracer.finished] == [2, 3, 4]
+        assert [sp.attrs["request"] for sp in tracer.finished[:2]] == [2, 3]
+        assert tracer.finished[-1].attrs["request"] == MAX_FINISHED + 1
 
     def test_clear_resets_everything(self):
-        tracer = Tracer(max_finished=1)
-        for _ in range(3):
-            with tracer.span("r"):
-                pass
+        tracer = Tracer()
+        tracer.spans("r", 0.0, [1.0] * (MAX_FINISHED + 1))
+        assert tracer.dropped == 1
         tracer.clear()
         assert tracer.finished == [] and tracer.dropped == 0
-
-    def test_invalid_max_finished(self):
-        with pytest.raises(ValueError):
-            Tracer(max_finished=0)
-
-    @pytest.mark.parametrize("value", [2.5, float("nan"), True, "3", -1])
-    def test_max_finished_must_be_an_int_at_construction(self, value):
-        """2.5 used to fail mid-run at the first root past the cap, NaN
-        removed the bound and True counted as 1."""
-        with pytest.raises(ValueError, match="max_finished"):
-            Tracer(max_finished=value)
 
 
 class TestNullTracer:

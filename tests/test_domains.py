@@ -15,9 +15,7 @@ import typing
 import pytest
 
 from repro import _declarations
-from repro.control import (AdmissionController, BatchPolicyController,
-                           ControlLoop, PrecomputeScheduler,
-                           TenantFairnessController)
+from repro.control import ControlLoop, TenantFairnessController
 from repro.core.strategy_cache import StrategyCache
 from repro.devices.profiles import desktop_gtx1080, rpi4
 from repro.eval.adaptive import AdaptiveConfig, burst_arrival_process
@@ -27,7 +25,7 @@ from repro.eval.runner import SCENARIOS, override_config
 from repro.eval.spec import PinnedTimeEngine
 from repro.faults import (CorrelatedFailure, DeviceCrash, DeviceHealth,
                           FaultEvent, LinkDegradation, LinkFailure, LinkFlap,
-                          MessageLoss, ResilienceConfig, RetryPolicy)
+                          MessageLoss)
 from repro.netsim.ingress import SharedIngress
 from repro.netsim.link import Link
 from repro.netsim.mesh import MeshCluster, MeshLink, star_topology
@@ -38,10 +36,8 @@ from repro.partition.spatial import Grid
 from repro.rl.env import EnvConfig
 from repro.rl.spaces import ActionStep
 from repro.runtime.batching import BatchingInferenceServer, BatchPolicy
-from repro.runtime.predictor import LinearPredictor
 from repro.runtime.server import InferenceServer
 from repro.sim.events import schedule_ingress_trace
-from repro.telemetry import Telemetry, Tracer
 
 _LINK = Link(100.0, 5.0)
 _CLUSTER = star_topology([rpi4(), desktop_gtx1080()],
@@ -59,11 +55,9 @@ OWNERS = {
     LinkFailure: dict(start=0.0, end=1.0),
     LinkFlap: dict(start=0.0, end=1.0),
     CorrelatedFailure: dict(start=0.0, end=1.0, devices=(1,)),
-    RetryPolicy: {}, ResilienceConfig: {},
     DeviceHealth: dict(num_devices=2),
     EnvConfig: {},
-    BatchPolicyController: {}, AdmissionController: {},
-    TenantFairnessController: {}, PrecomputeScheduler: {}, ControlLoop: {},
+    TenantFairnessController: {}, ControlLoop: {},
     NetworkMonitor: dict(cluster=_CLUSTER),
     StrategyCache: {}, BatchPolicy: {}, TraceConfig: {},
     Link: dict(bandwidth_mbps=100.0, delay_ms=5.0),
@@ -81,7 +75,6 @@ OWNERS = {
                                  trace_mbps=(40.0,), period_s=1.0),
     condition_at: dict(trace=[1.0], t=0.0, period_s=1.0),
     SharedIngress: dict(link=_LINK, tracker=None),
-    Tracer: {}, Telemetry: {}, LinearPredictor: {},
     Grid: dict(rows=1, cols=1),
     ActionStep: dict(kind="device", n_choices=2),
     default_tenants: {},

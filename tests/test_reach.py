@@ -115,3 +115,65 @@ def test_a_stale_keep_row_fails(toy):
     assert reach.verdict(missed, keep) == [
         "stale KEEP row (reached, or no such def): toy.mod:gone",
         "stale KEEP row (reached, or no such def): toy.mod:plain"]
+
+
+KNOBS = '''\
+import numpy as np
+
+
+class Knobs:
+    def __init__(self, need, used=1, unused=2.0, *, flag=None):
+        self.need = need
+
+
+class Child(Knobs):
+    def __init__(self, scale=3, table=None):
+        super().__init__(0, used=scale)
+'''
+
+
+@pytest.fixture
+def knobs(tmp_path, monkeypatch):
+    (tmp_path / "knobs").mkdir()
+    (tmp_path / "knobs" / "__init__.py").write_text("")
+    (tmp_path / "knobs" / "mod.py").write_text(KNOBS)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        defs = reach.package_defs(tmp_path, "knobs")
+        yield importlib.import_module("knobs.mod"), reach.Bindings(
+            d for d in defs if d.name == "__init__")
+    finally:
+        sys.modules.pop("knobs.mod", None)
+        sys.modules.pop("knobs", None)
+
+
+def test_a_keyword_left_at_its_default_by_every_call_is_unset(knobs):
+    mod, bindings = knobs
+    with reach.reaching(bindings):
+        mod.Knobs("x", used=5)
+        mod.Knobs("y", unused=2.0)      # its default's value: not set
+        mod.Child(table=mod.np.zeros(2))  # an array is not its default
+    assert bindings.unset() == ["knobs.mod:Child.__init__(scale)",
+                                "knobs.mod:Knobs.__init__(flag)",
+                                "knobs.mod:Knobs.__init__(unused)"]
+
+
+def test_an_unset_keyword_without_a_keep_row_fails_and_a_stale_row_too(
+        knobs):
+    mod, bindings = knobs
+    with reach.reaching(bindings):
+        mod.Knobs("x", used=5, unused=1.0, flag=True)
+    assert bindings.unset() == []
+    assert reach.settings_verdict(bindings.unset(), {}) == []
+    with reach.reaching(bindings):
+        mod.Child()
+    unset = bindings.unset()
+    assert unset == ["knobs.mod:Child.__init__(scale)",
+                     "knobs.mod:Child.__init__(table)"]
+    keep = {"knobs.mod:Child.__init__(scale)": "kept",
+            "knobs.mod:Knobs.__init__(used)": "set after all"}
+    assert reach.settings_verdict(unset, keep) == [
+        "keyword parameter no run sets, not in KEEP_PARAMS: "
+        "knobs.mod:Child.__init__(table)",
+        "stale KEEP_PARAMS row (some run sets it, or no such parameter): "
+        "knobs.mod:Knobs.__init__(used)"]
