@@ -45,6 +45,12 @@ def _warm(ctrl, service_s=0.1):
 
 class TestValidation:
     @pytest.mark.parametrize("kwargs", [
+        {"weights": {"a": -1.0}},
+        {"weights": {"a": float("inf")}},
+        {"weights": {"a": float("-inf")}},
+        {"weights": {"a": float("nan")}},
+        {"weights": {"a": 1.0, "b": -0.5}},
+        {"weights": {"a": 2.0, "b": float("nan")}},
         {"weights": {"a": 0.0}},
     ])
     def test_bad_parameters_are_rejected(self, kwargs):
