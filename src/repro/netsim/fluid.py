@@ -25,10 +25,11 @@ The resulting allocation is the max-min fair one at every instant:
   ``transfer_time`` float verbatim.
 
 :class:`FluidTracker` implements the tracker protocol (below), so it
-goes wherever a ``contention=`` / ``tracker=`` parameter is accepted
-(:class:`~repro.netsim.mesh.MeshCluster`,
-:class:`~repro.netsim.ingress.SharedIngress`): the owner of a wire
-describes it and the ledger prices it.
+goes wherever a tracker is taken — a
+:class:`~repro.netsim.mesh.MeshCluster`'s ``contention`` attribute,
+assigned after the cluster is built, or
+:class:`~repro.netsim.ingress.SharedIngress`'s ``tracker=``: the owner
+of a wire describes it and the ledger prices it.
 
 The tracker protocol
 --------------------

@@ -253,16 +253,16 @@ class MeshCluster:
 
     def __init__(self, devices: Sequence[DeviceProfile],
                  links: Sequence[MeshLink], rpc_overhead_ms: float = 1.0,
-                 reroute: bool = True, contention=None):
+                 reroute: bool = True):
         if not devices:
             raise ValueError("need at least one device")
         self.devices: List[DeviceProfile] = list(devices)
         self.rpc_overhead_ms = rpc_overhead_ms
         check_fields(self)
         #: the tracker pricing shared edges (``netsim.fluid``, "The
-        #: tracker protocol"); None = nobody shares.  Plain attribute:
-        #: callers attach one after construction too.
-        self.contention = contention
+        #: tracker protocol"); None = nobody shares.  The one way in:
+        #: callers attach a tracker after construction.
+        self.contention = None
         #: False pins routing to the fault-free base paths (ablation)
         self.reroute = reroute
         #: edge -> its base ``(delay_ms, bandwidth_mbps)``, in link order

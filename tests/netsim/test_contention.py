@@ -4,7 +4,7 @@ Pins the two contracts every owner of a wire — a star spoke, a star
 relay across two spokes, a routed mesh path, the shared ingress — stands
 on when it hands the wire to the fluid ledger:
 
-* a lone flow (or ``contention=None``) is priced **bit-identically** to
+* a lone flow (or no tracker attached) is priced **bit-identically** to
   the contention-free link model — the serving stack's floats cannot
   drift just because a tracker is attached;
 * two simultaneous flows each get at least half the link (max-min: the
@@ -97,7 +97,9 @@ class TestMeshContention:
         # routed paths 0->2 and 1->2 share the 1-2 bottleneck edge
         devices = [rpi4() for _ in range(3)]
         links = [MeshLink(0, 1, 100.0, 5.0), MeshLink(1, 2, 100.0, 5.0)]
-        return MeshCluster(devices, links, contention=tracker)
+        mesh = MeshCluster(devices, links)
+        mesh.contention = tracker
+        return mesh
 
     def test_lone_mesh_flow_is_bit_identical(self):
         mesh = self._mesh(FluidTracker())

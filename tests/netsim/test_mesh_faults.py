@@ -306,8 +306,8 @@ class TestFluidCapOverlay:
         from repro.netsim.fluid import FluidTracker
         mesh = MeshCluster([rpi4() for _ in range(4)],
                            [MeshLink(i, (i + 1) % 4, 100.0, 10.0)
-                            for i in range(4)],
-                           contention=FluidTracker())
+                            for i in range(4)])
+        mesh.contention = FluidTracker()
         mesh.apply_link_faults(degraded={(0, 1): (0.0, 0.0)})
         assert mesh.update_fluid_caps(1.0)
         caps = mesh.contention._caps

@@ -49,8 +49,8 @@ def _base_path(asked, base_graph, src, dst):
 def check(n, links, down=(), degraded=None):
     """Ask both about every ordered pair; how many had no route."""
     mesh = MeshCluster([rpi4() for _ in range(n)],
-                       [MeshLink(*link) for link in links],
-                       contention=_Caps())
+                       [MeshLink(*link) for link in links])
+    mesh.contention = _Caps()
     static = MeshCluster(mesh.devices, mesh.links, reroute=False)
     for m in (mesh, static):
         m.apply_link_faults(down=down, degraded=degraded)

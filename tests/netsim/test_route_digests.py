@@ -86,8 +86,9 @@ def build(shape, n, delays, reroute, rng):
             delay = (float(rng.integers(1, 5)) if rng.random() < 0.5
                      else float(rng.uniform(1.0, 6.0)))
         links.append(MeshLink(a, b, bw, delay))
-    return MeshCluster([rpi4() for _ in range(n)], links, reroute=reroute,
-                       contention=_Tape())
+    mesh = MeshCluster([rpi4() for _ in range(n)], links, reroute=reroute)
+    mesh.contention = _Tape()
+    return mesh
 
 
 def _overlay(mesh, rng):
