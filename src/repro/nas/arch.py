@@ -90,11 +90,24 @@ class ArchConfig:
         return 1 + space.num_stages + 2 * space.num_stages * space.max_depth
 
     def canonical_key(self, space: SearchSpace) -> tuple:
-        """Hashable identity ignoring inactive-slot values."""
+        """Hashable identity ignoring inactive-slot values.
+
+        Pricing a fresh arch asks for it twice (the graph memo and the
+        accuracy model), so the key is kept in the instance ``__dict__``
+        beside the space it was asked under — as ``SearchSpace`` keeps
+        its ``cached_property`` values: not a field, so ``==``,
+        ``hash``, ``repr`` and ``dataclasses.replace`` are what they
+        were.  Asked under another space, it is built afresh.
+        """
+        memo = self.__dict__.get("_canonical")
+        if memo is not None and memo[0] is space:
+            return memo[1]
         active = self.active_slots(space)
-        return (self.resolution, self.depths,
-                tuple(map(self.kernels.__getitem__, active)),
-                tuple(map(self.expands.__getitem__, active)))
+        key = (self.resolution, self.depths,
+               tuple(map(self.kernels.__getitem__, active)),
+               tuple(map(self.expands.__getitem__, active)))
+        self.__dict__["_canonical"] = (space, key)
+        return key
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,14 @@ callers that price a pair once stay on ``simulate_latency``.
 These are the only two plan walkers in ``src/``.  Neither is derived
 from the other: ``simulate_latency`` is held to the object-per-tile
 walker it replaced (``tests/partition/reference_simulate.py``, every
-report field), and this module to ``simulate_latency`` (``total_s`` and
-``num_transfers``), so a drift in either shows against a fixed point.
+report attribute), and this module to ``simulate_latency`` (``total_s``
+and ``num_transfers``), so a drift in either shows against a fixed
+point.  They keep different books because they serve different
+callers: ``simulate_latency`` prices one pair once, so it sizes a
+block's wire at its first send, takes a one-tile block's FDSP factor as
+1.0 and leaves its report's other terms to be derived on read; a
+compile is paid once for many prices, so this walk sizes every block
+and counts its transfers as it goes.  The sizes and terms are the same.
 The per-tile interpreter ``price`` replaced is a third oracle
 (``tests/partition/reference_price.py``).
 """
@@ -96,8 +102,9 @@ def compile_plan(graph: ModelGraph, plan: ExecutionPlan,
     """Lower ``plan`` over ``graph`` to a :class:`PlanProgram`.
 
     The walk is ``simulate_latency``'s, block by block and tile by tile:
-    the same ``same_grid`` test, one ``input_bytes`` and one K/V share
-    per block, the same source and peer order, the same compute terms.
+    the same ``same_grid`` test, the same ``input_bytes`` and K/V share
+    per block (sized here up front, there at the first send), the same
+    source and peer order, the same compute terms.
     Where that function prices a transfer and adds it to an arrival,
     this one records a table slot and an arrival step; everything read
     from the *cluster's condition* is left symbolic.

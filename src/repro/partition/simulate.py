@@ -13,25 +13,29 @@ methods are compared under identical cost assumptions — mirroring how
 the paper runs every method on the same testbed.
 
 It is also the inner loop of RL training and of evolutionary search,
-which price a *fresh* (submodel, plan) pair per step, so the walk runs
-on flat lists and local accumulators: the previous block's tiles are
-two parallel sequences (device, ready time), a block's wire sizes, FLOP
-share and memory term are worked out once per block (its FDSP factor
-read from a table by ``(out_hw, grid, halo)``), each device's roofline
-constants once per call, and priced transfers are summed into the
-report's communication terms once at the end.  The arithmetic is the
+which price a *fresh* (submodel, plan) pair per step and read only
+``total_s``, so the walk does each step once and nothing only another
+caller reads.  It runs on flat lists and local accumulators: the
+previous block's tiles are two parallel sequences (device, ready time);
+a block's FLOP share and memory term are worked out once per block (a
+tiled block's FDSP factor read from a table by ``(out_hw, grid, halo)``,
+a one-tile block's 1.0 by definition); its wire size at its first send,
+so a block that sends nothing sizes nothing; each device's roofline
+constants once per call.  The walk keeps what it already holds — every
+priced transfer, each device's compute time, each block's tile
+finishes — and :class:`LatencyReport` derives its other terms from
+those on first read, summed in the walk's order.  The arithmetic is the
 same float operations in the same order as the object-per-tile walker it
 replaced, kept verbatim in ``tests/partition/reference_simulate.py`` as
 the oracle: ``tests/partition/test_reference_simulate.py`` requires
-``==`` on every :class:`LatencyReport` field, and
+``==`` on every :class:`LatencyReport` attribute, and
 :func:`repro.partition.compiled.compile_plan` walks a plan block by
 block the way this function does (``test_compiled_kernel.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 from ..models.graph import ModelGraph
@@ -43,19 +47,71 @@ __all__ = ["LatencyReport", "simulate_latency"]
 
 _FP32 = 4
 
+#: one priced transfer ``(src, dst, nbytes, seconds)``
+_Send = Tuple[int, int, int, float]
 
-@dataclass
+
 class LatencyReport:
-    """Outcome of one simulated inference."""
+    """Outcome of one simulated inference.
 
-    total_s: float
-    compute_s: Dict[int, float] = field(default_factory=dict)
-    comm_s: float = 0.0
-    comm_bytes: float = 0.0
-    num_transfers: int = 0
-    per_block_done: List[float] = field(default_factory=list)
-    tx_bytes: Dict[int, float] = field(default_factory=dict)
-    rx_bytes: Dict[int, float] = field(default_factory=dict)
+    ``total_s`` is the walk's answer.  The rest is derived on first read
+    from what the walk kept — its priced transfers in order, each
+    device's compute seconds, each block's tile finishes — and then kept:
+    a caller that reads only ``total_s`` (the RL env, evolution, the
+    baselines) pays for none of it, and one that reads the rest (the
+    executor, ``energy_of_report``) pays what building it eagerly cost.
+    """
+
+    def __init__(self, total_s: float, sent: List[_Send],
+                 compute: List[float], finishes: List[List[float]]):
+        self.total_s = total_s
+        self._sent = sent
+        self._compute = compute
+        self._finishes = finishes
+
+    @cached_property
+    def compute_s(self) -> Dict[int, float]:
+        return dict(enumerate(self._compute))
+
+    @cached_property
+    def per_block_done(self) -> List[float]:
+        return [max(ends) for ends in self._finishes]
+
+    @property
+    def num_transfers(self) -> int:
+        return len(self._sent)
+
+    @cached_property
+    def _traffic(self) -> Tuple[float, float, Dict[int, float],
+                                Dict[int, float]]:
+        """``comm_s``, ``comm_bytes``, ``tx_bytes`` and ``rx_bytes``,
+        summed over the transfers in the order they were priced."""
+        comm_s = comm_bytes = 0.0
+        tx_bytes = [0.0] * len(self._compute)
+        rx_bytes = [0.0] * len(self._compute)
+        for src, dst, nbytes, t in self._sent:
+            comm_s += t
+            comm_bytes += nbytes
+            tx_bytes[src] += nbytes
+            rx_bytes[dst] += nbytes
+        return (comm_s, comm_bytes, dict(enumerate(tx_bytes)),
+                dict(enumerate(rx_bytes)))
+
+    @property
+    def comm_s(self) -> float:
+        return self._traffic[0]
+
+    @property
+    def comm_bytes(self) -> float:
+        return self._traffic[1]
+
+    @property
+    def tx_bytes(self) -> Dict[int, float]:
+        return self._traffic[2]
+
+    @property
+    def rx_bytes(self) -> Dict[int, float]:
+        return self._traffic[3]
 
     @property
     def total_ms(self) -> float:
@@ -94,10 +150,10 @@ def simulate_latency(graph: ModelGraph, plan: ExecutionPlan,
 
     dev_ready = [0.0] * n_dev
     compute_s = [0.0] * n_dev
-    per_block_done: List[float] = []
-    # every priced transfer ``(src, dst, nbytes, seconds)``, in order; the
-    # report's communication terms are summed from it once, at the end
-    sent: List[Tuple[int, int, int, float]] = []
+    # what the report is derived from (its docstring): every priced
+    # transfer in order, and each block's tile finishes
+    sent: List[_Send] = []
+    finishes: List[List[float]] = []
 
     # Input starts on the local device (device 0) at t=0.  The tiles of
     # the previous block: where each sits and when its data is there.
@@ -110,17 +166,16 @@ def simulate_latency(graph: ModelGraph, plan: ExecutionPlan,
         grid, tiles_on, bits = bp.grid, bp.devices, bp.bits
         ntiles = len(tiles_on)          # == grid.ntiles (BlockPlan checks)
         out_hw = block.out_hw
-        fdsp = _fdsp_factor(out_hw, grid.rows, grid.cols, block.halo)
-        slice_elements = prev_elements / ntiles
+        fdsp = (_fdsp_factor(out_hw, grid.rows, grid.cols, block.halo)
+                if ntiles > 1 else 1.0)
         nprev = len(tile_dev)
         same_grid = (nprev == ntiles
                      and (grid is prev_grid or grid == prev_grid))
         # A tile's input: its predecessor's slice, or (repartition) an
-        # equal share gathered from every previous holder; wire sizes are
-        # ``wire_bytes`` (BlockPlan validated the bits).
-        input_bytes = 32 + (int(
-            slice_elements if same_grid else slice_elements / nprev)
-            * bits + 7) // 8
+        # equal share gathered from every previous holder.  Its wire size
+        # (``wire_bytes``; BlockPlan validated the bits) is worked out at
+        # the block's first send; 0 until then, as a size is >= 32.
+        input_bytes = 0
         # Attention K/V exchange: what every tile gets from each peer.
         sync_bytes = (32 + (int(block.sync_elements / ntiles) * bits + 7) // 8
                       if ntiles > 1 and block.sync_elements > 0 else 0)
@@ -137,14 +192,21 @@ def simulate_latency(graph: ModelGraph, plan: ExecutionPlan,
             if same_grid:
                 src = tile_dev[j]
                 arrival = tile_ready[j]
-                if src != dst and input_bytes > 0:
+                if src != dst:
+                    if not input_bytes:
+                        input_bytes = 32 + (int(prev_elements / ntiles)
+                                            * bits + 7) // 8
                     t = transfer_time(src, dst, input_bytes)
                     sent.append((src, dst, input_bytes, t))
                     arrival = arrival + t
             else:
                 arrival = 0.0
                 for src, ready in zip(tile_dev, tile_ready):
-                    if src != dst and input_bytes > 0:
+                    if src != dst:
+                        if not input_bytes:
+                            input_bytes = 32 + (int(
+                                prev_elements / ntiles / nprev)
+                                * bits + 7) // 8
                         t = transfer_time(src, dst, input_bytes)
                         sent.append((src, dst, input_bytes, t))
                         ready = ready + t
@@ -178,7 +240,7 @@ def simulate_latency(graph: ModelGraph, plan: ExecutionPlan,
         tile_dev, tile_ready = tiles_on, new_ready
         prev_grid = grid
         prev_elements = out_elements
-        per_block_done.append(max(new_ready))
+        finishes.append(new_ready)
 
     # Ship the result (logits) back to the output device.  The testbed's
     # tc-netem delay shapes the request direction; the tiny logits
@@ -200,17 +262,4 @@ def simulate_latency(graph: ModelGraph, plan: ExecutionPlan,
             ready = ready + t
         if ready > done:
             done = ready
-
-    comm_s = comm_bytes = 0.0
-    tx_bytes = [0.0] * n_dev
-    rx_bytes = [0.0] * n_dev
-    for src, dst, nbytes, t in sent:
-        comm_s += t
-        comm_bytes += nbytes
-        tx_bytes[src] += nbytes
-        rx_bytes[dst] += nbytes
-    return LatencyReport(
-        total_s=done, compute_s=dict(enumerate(compute_s)), comm_s=comm_s,
-        comm_bytes=comm_bytes, num_transfers=len(sent),
-        per_block_done=per_block_done, tx_bytes=dict(enumerate(tx_bytes)),
-        rx_bytes=dict(enumerate(rx_bytes)))
+    return LatencyReport(done, sent, compute_s, finishes)

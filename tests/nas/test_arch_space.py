@@ -125,6 +125,30 @@ class TestArchConfig:
                            arch.expands)
         assert arch.canonical_key(space) == other.canonical_key(space)
 
+    def test_a_kept_key_is_each_spaces_own_and_leaves_the_dataclass(self):
+        """The key is kept on the instance beside its space: asked under
+        another space it is that space's; it is not a field."""
+        shallow = dataclasses.replace(MBV3_SPACE, depth_options=(2, 3))
+        rng = np.random.default_rng(3)
+        arch = dataclasses.replace(random_arch(MBV3_SPACE, rng),
+                                   depths=(2,) * MBV3_SPACE.num_stages)
+        fresh = dataclasses.replace(arch)
+        deep = ArchConfig(*dataclasses.astuple(arch)).canonical_key(MBV3_SPACE)
+        flat = ArchConfig(*dataclasses.astuple(arch)).canonical_key(shallow)
+        assert deep != flat
+        for space, want in ((MBV3_SPACE, deep), (shallow, flat),
+                            (MBV3_SPACE, deep), (MBV3_SPACE, deep)):
+            assert arch.canonical_key(space) == want
+        assert arch == fresh and hash(arch) == hash(fresh)
+        assert repr(arch) == repr(fresh)
+        assert dataclasses.asdict(arch) == dataclasses.asdict(fresh)
+        assert dataclasses.replace(arch) == fresh
+        assert repr(dataclasses.replace(arch)) == repr(fresh)
+        copied = copy.deepcopy(arch)
+        assert copied == fresh and hash(copied) == hash(fresh)
+        assert repr(copied) == repr(fresh)
+        assert copied.canonical_key(shallow) == flat
+
     @given(arch_strategy(), st.integers(0, 10 ** 6))
     @settings(max_examples=40, deadline=None)
     def test_mutation_stays_in_space(self, arch, seed):

@@ -168,9 +168,10 @@ class TestSharedBlocks:
         graphs = [build_graph(arch, SPACE) for arch, _ in pairs]
         trunk = {(b.name, b.flops) for g in graphs for b in g.blocks[1:-3]}
         resolutions = {arch.resolution for arch, _ in pairs}
+        # a one-tile block's factor is 1.0 without the table
         fdsp = {(b.out_hw, bp.grid.rows, bp.grid.cols, b.halo)
                 for g, (_, plan) in zip(graphs, pairs)
-                for b, bp in zip(g, plan)}
+                for b, bp in zip(g, plan) if bp.grid.ntiles > 1}
         assert gb._mbconv_block.cache_info().currsize == len(trunk) <= 900
         assert gb._stem.cache_info().currsize == len(resolutions) <= 5
         tails = {g.blocks[-3].out_hw for g in graphs}   # 7x7, 6x6, 5x5

@@ -4,12 +4,14 @@
 before it moved to flat lists.  Everything here prices the same
 ``(graph, plan, cluster)`` triple with it and with the live
 :func:`repro.partition.simulate.simulate_latency` and requires ``==`` —
-never ``approx`` — on **every** :class:`LatencyReport` field, dict key
-order included (``busiest_device`` breaks ties by it): every candidate
+never ``approx`` — on **every** :class:`LatencyReport` attribute, dict
+key order included (``busiest_device`` breaks ties by it): every candidate
 template on stars of 2–9 devices, the hand-built gather / K-V-sync
 shapes, a ring mesh under fault overlays, and the ``hypothesis``
 strategy ``test_compiled_kernel.py`` fuzzes the compiled kernel with
-(``priced_cases``), on a star and on a faulted ring.
+(``priced_cases``), on a star and on a faulted ring.  The live report
+derives all but ``total_s`` on first read, so the attributes are also
+read in shuffled orders, each twice.
 """
 
 from dataclasses import fields
@@ -34,14 +36,16 @@ from tests.partition.test_compiled_kernel import (OVERLAYS, devices,
                                                   mbv3_graphs, mixed_plan,
                                                   priced_cases, star)
 
-FIELDS = [f.name for f in fields(LatencyReport)]
+#: the oracle's dataclass fields; the live report has each as an attribute
+FIELDS = ["total_s", "compute_s", "comm_s", "comm_bytes", "num_transfers",
+          "per_block_done", "tx_bytes", "rx_bytes"]
 
 
 def test_the_oracle_reports_the_same_fields():
     assert FIELDS == [f.name for f in
                       fields(reference_simulate.LatencyReport)]
-    assert {"total_s", "compute_s", "comm_s", "comm_bytes", "num_transfers",
-            "per_block_done", "tx_bytes", "rx_bytes"} == set(FIELDS)
+    live = simulate_latency(*_one_case())
+    assert all(hasattr(live, name) for name in FIELDS)
 
 
 def assert_same_report(graph, plan, cluster):
@@ -55,15 +59,40 @@ def assert_same_report(graph, plan, cluster):
         return None
     got = simulate_latency(graph, plan, cluster)
     assert isinstance(got, LatencyReport)
-    for name in FIELDS:
+    assert_same_attributes(got, want, FIELDS)
+    assert got.total_ms == want.total_ms
+    assert got.busiest_device == want.busiest_device
+    return got
+
+
+def assert_same_attributes(got, want, names):
+    """``==`` and the same type on each named attribute, read in order."""
+    for name in names:
         a, b = getattr(got, name), getattr(want, name)
         assert type(a) is type(b), name
         assert a == b, name
         if isinstance(a, dict):
             assert list(a) == list(b), name
-    assert got.total_ms == want.total_ms
-    assert got.busiest_device == want.busiest_device
-    return got
+
+
+def _one_case(seed=5):
+    """A gathering, repartitioning plan on a 4-device star."""
+    graph = build_graph(max_arch(MBV3_SPACE), MBV3_SPACE)
+    plan = mixed_plan(graph, (Grid(1, 2), Grid(2, 2)), 4,
+                      np.random.default_rng(seed), output_device=seed % 2)
+    return graph, plan, star(4, seed=seed)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_attributes_read_in_any_order_and_twice_are_the_oracles(seed):
+    """Each derived attribute is the oracle's whichever is read first."""
+    rng = np.random.default_rng(seed)
+    graph, plan, cluster = _one_case(seed)
+    want = reference_simulate.simulate_latency(graph, plan, cluster)
+    got = simulate_latency(graph, plan, cluster)
+    order = [FIELDS[i] for i in rng.permutation(len(FIELDS))]
+    assert_same_attributes(got, want, order + order[::-1])
+    assert got.num_transfers > 0 and got.comm_s > 0
 
 
 # -- seeded ------------------------------------------------------------------

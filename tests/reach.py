@@ -61,6 +61,8 @@ _MESH = ("a mesh inspector: the route / mesh-fault tests and digests read "
 _METRICS = ("registry / metric API: the telemetry tests and digests read "
             "instruments through it")
 _TRACING = "tracer API: the tracing and timeline tests read spans through it"
+_REPORT = ("a report term only tests read: test_reference_simulate and "
+           "strategy_price_digests hold it equal to the frozen oracle's")
 
 #: qualified name -> why it stays although no entry point reaches it
 KEEP: Dict[str, str] = {
@@ -119,6 +121,9 @@ KEEP: Dict[str, str] = {
         "test_reference_simulate holds it equal to the frozen oracle's",
     "repro.partition.simulate:LatencyReport.busiest_device":
         "test_reference_simulate holds it equal to the frozen oracle's",
+    "repro.partition.simulate:LatencyReport.comm_s": _REPORT,
+    "repro.partition.simulate:LatencyReport.comm_bytes": _REPORT,
+    "repro.partition.simulate:LatencyReport.num_transfers": _REPORT,
     "repro.partition.spatial:tile_shape":
         "test_spatial checks FDSP tile sizes through it",
     "repro.models.vit:vit_base_16":
@@ -214,9 +219,6 @@ KEEP_PARAMS: Dict[str, str] = {
     "repro.telemetry.metrics:Histogram.__init__(growth)": _METRICS,
     "repro.netsim.fluid:FluidTracker.__init__(record_segments)":
         "the rate-segment audit trail test_fluid_reconvergence reads",
-    "repro.netsim.mesh:MeshCluster.__init__(contention)":
-        "runs attach a tracker as .contention after building; the contention "
-        "and route tests build one in",
     "repro.netsim.mesh:MeshCluster.__init__(rpc_overhead_ms)":
         "every run's 1 ms; the fluid property suite and the declared-domain "
         "sweep price other overheads",
