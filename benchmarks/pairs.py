@@ -47,9 +47,6 @@ from pathlib import Path
 from typing import Callable, Dict, List, Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
-SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
-#: end-to-end metric -> "higher" | "lower" (the direction that wins)
-BETTER = {m["name"]: m["better"] for m in SPEC["end_to_end"]}
 SIDES = ("parent", "change")
 #: end-to-end metrics read off the simulation, not the host
 SIM_METRICS = ("sim_e2e_compliance", "sim_p95_ms", "ok_share")
@@ -58,6 +55,15 @@ SIM_METRICS = ("sim_e2e_compliance", "sim_p95_ms", "ok_share")
 Side = Dict[str, object]
 #: ``(side, tree, workload, seed, seconds) -> Side``
 Runner = Callable[[str, Path, str, int, int], Side]
+
+
+def spec() -> dict:
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def better_directions() -> Dict[str, str]:
+    """End-to-end metric -> ``"higher"`` | ``"lower"``, the side that wins."""
+    return {m["name"]: m["better"] for m in spec()["end_to_end"]}
 
 
 def parse_seeds(text: str) -> List[int]:
@@ -143,6 +149,7 @@ def fold(pairs: Dict[str, List[dict]]) -> Tuple[dict, List[str]]:
     problem: a run that is not correct, a pair whose digests differ."""
     summary: dict = {}
     problems: List[str] = []
+    directions = better_directions()
     for workload, runs in pairs.items():
         for pair in runs:
             for side in SIDES:
@@ -157,7 +164,7 @@ def fold(pairs: Dict[str, List[dict]]) -> Tuple[dict, List[str]]:
         table = summary[workload] = {"sim_metrics_equal": all(
             p["parent"]["metrics"].get(m) == p["change"]["metrics"].get(m)
             for p in runs for m in SIM_METRICS)}
-        for metric, better in BETTER.items():
+        for metric, better in directions.items():
             got = [(p["parent"]["metrics"][metric],
                     p["change"]["metrics"][metric]) for p in runs
                    if metric in p["parent"]["metrics"]
@@ -183,7 +190,7 @@ def _show(summary: dict) -> None:
           f"{'ratio':>7s} wins")
     for workload, table in summary.items():
         for metric, row in table.items():
-            if metric not in BETTER:
+            if metric == "sim_metrics_equal":
                 continue
             ratio = row["ratio"]
             print(f"{workload:14s} {metric:20s} {row['parent_median']:12.6g} "
@@ -193,7 +200,8 @@ def _show(summary: dict) -> None:
 
 
 def main(argv=None) -> int:
-    known = [w["name"] for w in SPEC["workloads"]]
+    bench = spec()
+    known = [w["name"] for w in bench["workloads"]]
     parser = argparse.ArgumentParser(prog="python -m benchmarks.pairs",
                                      description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision")
@@ -204,7 +212,7 @@ def main(argv=None) -> int:
                         help="pairs per workload (seeds A, A+1, ...)")
     parser.add_argument("--seeds", type=parse_seeds, default="0-99",
                         help="A-B: the seeds pairs take, in order")
-    parser.add_argument("--seconds", type=int, default=SPEC["run_seconds"],
+    parser.add_argument("--seconds", type=int, default=bench["run_seconds"],
                         help="how long each side's untraced pass measures")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)

@@ -51,7 +51,7 @@ def test_the_fold_reports_medians_quartiles_ratio_and_wins():
     assert (rss["ratio"], rss["change_wins"]) == (1.0, 0)
     assert summary["strategy_eval"]["sim_metrics_equal"] is True
     assert set(summary["strategy_eval"]) == {"sim_metrics_equal",
-                                             *pairs.BETTER}
+                                             *pairs.better_directions()}
 
 
 def test_one_pair_has_degenerate_quartiles():
@@ -92,17 +92,15 @@ def test_pairs_alternate_which_side_runs_first():
         "parent", "change", "parent"]
 
 
-def _head():
+@pytest.mark.slow
+def test_head_against_itself(tmp_path, capsys):
     try:
-        return subprocess.run(["git", "rev-parse", "--verify", "HEAD"],
+        head = subprocess.run(["git", "rev-parse", "--verify", "HEAD"],
                               cwd=ROOT, capture_output=True).returncode == 0
     except OSError:
-        return False
-
-
-@pytest.mark.slow
-@pytest.mark.skipif(not _head(), reason="needs a git checkout with a HEAD")
-def test_head_against_itself(tmp_path, capsys):
+        head = False
+    if not head:
+        pytest.skip("needs a git checkout with a HEAD")
     out = tmp_path / "pairs.json"
     assert pairs.main(["--parent", "HEAD", "--workload", "strategy_eval",
                        "--pairs", "1", "--seconds", "1",
