@@ -19,8 +19,7 @@ from repro.core import SLO, Murmuration, SearchDecisionEngine, Strategy
 from repro.core.decision import DecisionRecord
 from repro.devices import desktop_gtx1080, jetson_class, rpi4
 from repro.eval.spec import PinnedTimeEngine
-from repro.faults import (DeviceCrash, FaultInjector, FaultSchedule,
-                          MessageLoss)
+from repro.faults import DeviceCrash, FaultInjector, FaultSchedule
 from repro.nas import (MBV3_SPACE, Supernet, build_graph, max_arch, min_arch,
                        tiny_space)
 from repro.nas.accuracy_model import arch_accuracy, plan_accuracy_penalty
@@ -36,13 +35,12 @@ _TINY = tiny_space()
 
 def _faults(mode: str, crash1: tuple, crash2: tuple) -> FaultInjector:
     """Overlapping crash-and-recover windows on both remotes (failover,
-    then gateway degradation) plus lossy links throughout."""
+    then gateway degradation)."""
     if not mode.endswith("_faults"):
         return None
     schedule = FaultSchedule([DeviceCrash(*crash1, device=1),
-                              DeviceCrash(*crash2, device=2),
-                              MessageLoss(0.0, 1e9, prob=0.15)])
-    return FaultInjector(schedule, seed=5)
+                              DeviceCrash(*crash2, device=2)])
+    return FaultInjector(schedule)
 
 
 def _half_split(graph):

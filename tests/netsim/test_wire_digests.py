@@ -19,7 +19,7 @@ bottleneck edge, before and after a fault overlay reroutes one of them;
 a :class:`SharedIngress` burst with per-tenant payloads and one
 ``set_capacity`` step; and an executable-mode facade run with
 ``cluster.contention`` set, its front tiled over both remotes, with and
-without a crash + loss schedule (every delivery's ``delivered_at``
+without a crash schedule (every delivery's ``delivered_at``
 beside the served records).
 
 The file was generated *before* the contention modes became one

@@ -10,7 +10,7 @@ registry for
 * every registered scenario's instrumented variant (``event_core``
   declares none, so its ``event`` variant is handed the hub directly),
   ``num_requests=14``, default seed, pinned decision time;
-* one executable-mode facade run under a crash + loss schedule, which
+* one executable-mode facade run under a crash schedule, which
   reaches the ``transport_*``, ``executor_*``, ``health_*`` and
   ``faults_*`` families no scenario does.
 
@@ -29,8 +29,7 @@ import pytest
 from repro.core import SLO, Murmuration
 from repro.devices import desktop_gtx1080, jetson_class, rpi4
 from repro.eval import SCENARIOS, build_world, run_world
-from repro.faults import (DeviceCrash, FaultInjector, FaultSchedule,
-                          MessageLoss)
+from repro.faults import DeviceCrash, FaultInjector, FaultSchedule
 from repro.nas import Supernet
 from repro.netsim import NetworkCondition
 from repro.telemetry import Telemetry
@@ -68,21 +67,20 @@ def scenario_digest(scenario: str) -> str:
 
 
 def facade_digest() -> str:
-    """Executable facade under overlapping crashes and lossy links:
+    """Executable facade under overlapping crashes:
     twelve single requests, then two batches of three."""
     tel = Telemetry()
     devices = [rpi4(), desktop_gtx1080(), jetson_class()]
     condition = NetworkCondition((300.0, 150.0), (10.0, 20.0))
     schedule = FaultSchedule([DeviceCrash(0.05, 0.4, device=1),
-                              DeviceCrash(0.0, 0.3, device=2),
-                              MessageLoss(0.0, 1e9, prob=0.15)])
+                              DeviceCrash(0.0, 0.3, device=2)])
     system = Murmuration(
         parity._TINY, devices, condition,
         parity._SplitEngine(devices, condition),
         slo=SLO.latency_ms(100.0),
         supernet=Supernet(parity._TINY, seed=2).eval(),
         use_predictor=False, monitor_noise=0.0, seed=3, telemetry=tel,
-        faults=FaultInjector(schedule, seed=5, telemetry=tel))
+        faults=FaultInjector(schedule, telemetry=tel))
     for i in range(12):
         system.infer(parity._input("exec", False, i), request_id=i,
                      tenant="a" if i % 2 else None)
