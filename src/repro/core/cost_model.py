@@ -208,9 +208,6 @@ class PlanCostModel:
         self._programs[key] = entry
         return entry
 
-    def _program(self, arch: ArchConfig, plan: ExecutionPlan) -> PlanProgram:
-        return self._entry(arch, plan)[1]
-
     # -- pricing -----------------------------------------------------------
     def latency(self, arch: ArchConfig, plan: ExecutionPlan,
                 cluster) -> float:
@@ -227,10 +224,6 @@ class PlanCostModel:
             entry[2], entry[3] = cluster, cluster.version
         self._last = (arch, plan, cluster, entry[3], entry[4])
         return entry[4]
-
-    def num_transfers(self, arch: ArchConfig, plan: ExecutionPlan) -> int:
-        """``LatencyReport.num_transfers`` of the pair (structural)."""
-        return self._program(arch, plan).num_transfers
 
     def scan(self, archs: Sequence[ArchConfig]) -> _Scan:
         """Every candidate of ``archs``, highest accuracy first, lazily.

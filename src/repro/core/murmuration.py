@@ -48,11 +48,9 @@ import numpy as np
 from ..devices.profiles import DeviceProfile
 from ..faults.health import NULL_HEALTH, DeviceHealth
 from ..faults.injector import FaultInjector
-from ..faults.resilience import (GIVE_UP_S, MAX_RETRIES,
-                                 DeviceUnreachableError, ExecutionFailedError,
+from ..faults.resilience import (DeviceUnreachableError, ExecutionFailedError,
                                  FailoverLadder, NoRouteError,
-                                 NoStrategyError, ResilienceConfig,
-                                 timeout_of)
+                                 NoStrategyError, ResilienceConfig)
 from ..nas.accuracy_model import arch_accuracy, plan_accuracy_penalty
 from ..nas.arch import min_arch
 from ..nas.search_space import SearchSpace
@@ -660,46 +658,27 @@ class Murmuration:
 
         Reachability checks stand in for the sends the executor would
         have attempted: a dead remote costs the full retry schedule,
-        exactly like a timed-out transport send.  Message loss is priced
-        as if every transfer crossed the lossiest link in use; one that
-        runs out of retries makes that link's remote unreachable.
-        Breakers are stamped at the dispatch start; ``penalty`` is not
-        read.  A transfer between two reachable remotes whose path is
-        dead raises :class:`NoRouteError` from the price, which the
-        ladder converts like the executor's.
+        exactly like a timed-out transport send; with every remote
+        reachable, every send is delivered on its first attempt and the
+        attempt costs its price.  Breakers are stamped at the dispatch
+        start; ``penalty`` is not read.  A transfer between two
+        reachable remotes whose path is dead raises
+        :class:`NoRouteError` from the price, which the ladder converts
+        like the executor's.
         """
         faults, health, now = self.faults, self.health, self.clock.now
         remotes = [d for d in plan.devices_used() if d != 0]
         dead = next((d for d in remotes if not faults.reachable(0, d)), None)
         if dead is not None:
-            wasted, retries = GIVE_UP_S, MAX_RETRIES
-        else:
-            latency = self._costs.latency(arch, plan, self.cluster)
-            wasted, retries = 0.0, 0
-            worst = max(remotes, key=lambda d: faults.loss_prob(0, d),
-                        default=None)
-            lossy = worst is not None and faults.loss_prob(0, worst) > 0.0
-            for _ in range(self._costs.num_transfers(arch, plan)
-                           if lossy else 0):
-                for attempt in range(MAX_RETRIES + 1):
-                    if not faults.message_lost(0, worst):
-                        retries += attempt
-                        break
-                    wasted += timeout_of(attempt)
-                else:
-                    retries += MAX_RETRIES
-                    dead = worst
-                    break
-            if dead is None:
-                for d in remotes:
-                    health.record_success(d, now)
-                    health.record_link_success(0, d, now)
-                    self.path_reroutes += self._reroutes.note(0, d)
-                return ExecutionResult(latency, retries=retries,
-                                       penalty_s=wasted)
-        health.record_failure(dead, now)
-        health.record_link_failure(0, dead, now)
-        raise DeviceUnreachableError(dead, wasted, retries)
+            health.record_failure(dead, now)
+            health.record_link_failure(0, dead, now)
+            raise DeviceUnreachableError(dead)
+        latency = self._costs.latency(arch, plan, self.cluster)
+        for d in remotes:
+            health.record_success(d, now)
+            health.record_link_success(0, d, now)
+            self.path_reroutes += self._reroutes.note(0, d)
+        return ExecutionResult(latency)
 
     # -- stats --------------------------------------------------------------------
     def compliance_rate(self) -> float:

@@ -122,8 +122,7 @@ def _world(cfg: MeshChaosConfig, telemetry, reroute: bool = True,
     return World(
         devices=mesh.devices, cluster=mesh,
         arrival_rate_hz=cfg.arrival_rate_hz,
-        faults=FaultInjector(mesh_chaos_schedule(cfg), seed=cfg.seed,
-                             telemetry=telemetry),
+        faults=FaultInjector(mesh_chaos_schedule(cfg), telemetry=telemetry),
         resilience=resilience)
 
 

@@ -3,8 +3,8 @@
 The robustness layer for the distributed runtime.  Four pieces:
 
 * :mod:`~repro.faults.schedule` — timed, immutable fault events
-  (crashes, link degradation, message loss, link failures and flaps,
-  correlated failure domains) in a :class:`FaultSchedule`, plus seeded
+  (crashes, link degradation, link failures and flaps, correlated
+  failure domains) in a :class:`FaultSchedule`, plus seeded
   generators;
 * :mod:`~repro.faults.injector` — :class:`FaultInjector`, which applies
   the schedule to the simulated world and answers the data plane's
@@ -21,7 +21,7 @@ and the breakers are :data:`NULL_HEALTH`.  To inject faults::
     from repro.faults import (DeviceCrash, FaultInjector, FaultSchedule,
                               ResilienceConfig)
     schedule = FaultSchedule([DeviceCrash(2.0, 5.0, device=1)])
-    system = Murmuration(..., faults=FaultInjector(schedule, seed=0),
+    system = Murmuration(..., faults=FaultInjector(schedule),
                          resilience=ResilienceConfig())
 """
 
@@ -29,9 +29,8 @@ from .. import _lazy_exports
 
 __all__, __getattr__, __dir__ = _lazy_exports(globals(), {
     "schedule": ("FaultEvent", "DeviceCrash", "LinkDegradation",
-                 "MessageLoss", "LinkFailure", "LinkFlap",
-                 "CorrelatedFailure", "FaultSchedule",
-                 "crash_and_recover_schedule"),
+                 "LinkFailure", "LinkFlap", "CorrelatedFailure",
+                 "FaultSchedule", "crash_and_recover_schedule"),
     "injector": ("FaultInjector", "NULL_FAULTS"),
     "health": ("DeviceHealth", "NULL_HEALTH", "CircuitState"),
     "resilience": ("ResilienceConfig", "TransportError",

@@ -3,27 +3,26 @@
 One :class:`FaultInjector` owns the ground-truth fault state derived
 from its :class:`~repro.faults.schedule.FaultSchedule` at the current
 simulated time.  It perturbs the *true* world — the cluster's link
-conditions — and answers the data plane's physical questions (is this
-peer reachable? did this message survive?).
+conditions — and answers the data plane's one physical question: is
+this peer reachable?
 
 The decision layer never calls these queries.  It sees faults only
 through their observable consequences: degraded links show up in the
 network monitor's (noisy) probes, crashes show up as transport timeouts
 feeding the :class:`~repro.faults.health.DeviceHealth` breaker.
 
-Message-loss draws come from the injector's own seeded RNG, so a fixed
-``(schedule, seed)`` pair replays the identical fault trace.
+The fault state moves only when :meth:`FaultInjector.advance` is called,
+at a dispatch boundary, so every send of one attempt sees the same
+answer, and a fixed schedule replays the identical fault trace.
 
 A run given no injector holds :data:`NULL_FAULTS` (:meth:`FaultInjector.of`),
-a healthy world with the same surface: every peer reachable, no message
-lost, nothing scheduled (DESIGN.md, "Optional subsystems").
+a healthy world with the same surface: every peer reachable, nothing
+scheduled (DESIGN.md, "Optional subsystems").
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional
-
-import numpy as np
 
 from ..telemetry import Telemetry
 from .schedule import (CorrelatedFailure, DeviceCrash, FaultEvent,
@@ -36,14 +35,18 @@ __all__ = ["FaultInjector", "NULL_FAULTS"]
 
 
 class FaultInjector:
-    """Deterministic fault application + ground-truth queries."""
+    """Deterministic fault application + ground-truth queries.
+
+    ``seed`` is accepted and unread: nothing the injector answers is
+    drawn at random (a :class:`~repro.faults.schedule.LinkFlap` carries
+    its own seed).
+    """
 
     def __init__(self, schedule: FaultSchedule, seed: int = 0,
                  telemetry: Optional[Telemetry] = None):
         if not isinstance(schedule, FaultSchedule):
             schedule = FaultSchedule(schedule)
         self.schedule = schedule
-        self._rng = np.random.default_rng(seed)
         self.now = 0.0
         self._active: frozenset = frozenset()
         self._applied_key: Optional[tuple] = None
@@ -153,16 +156,6 @@ class FaultInjector:
             return self._cluster.has_route(src, dst)
         return True
 
-    def loss_prob(self, src: int, dst: int) -> float:
-        return self.schedule.loss_prob(src, dst, self.now)
-
-    def message_lost(self, src: int, dst: int) -> bool:
-        """Draw one message's fate on the current link conditions."""
-        p = self.schedule.loss_prob(src, dst, self.now)
-        if p <= 0.0:
-            return False
-        return bool(self._rng.random() < p)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"FaultInjector(now={self.now:.3f}, "
                 f"active={len(self._active)}/{len(self.schedule)})")
@@ -187,12 +180,6 @@ class NullFaults:
 
     def reachable(self, src, dst) -> bool:
         return True
-
-    def loss_prob(self, src, dst) -> float:
-        return 0.0
-
-    def message_lost(self, src, dst) -> bool:
-        return False
 
 
 #: what a component given no ``faults`` holds

@@ -1,14 +1,15 @@
 """Resilience policy: timeouts, retries, and what to do when they fail.
 
-The retry schedule prices the *sender's* view of a fault: a lost or
+The retry schedule prices the *sender's* view of a fault: an
 undeliverable message is only detected when its ack timeout expires, so
 every failed attempt costs the attempt's timeout (exponentially backed
-off), and a successful retry re-pays the full transfer time — retries
-are visible in end-to-end latency, not hidden.  Every send follows the
-one schedule: attempt ``i`` (0-based) times out after
-``TIMEOUT_S * BACKOFF ** i`` = 50, 100 and 200 ms, and a sender gives up
-after ``MAX_RETRIES`` = 2 re-transmissions, having wasted
-``GIVE_UP_S`` = 0.35 s.
+off).  Every send follows the one schedule: attempt ``i`` (0-based)
+times out after ``TIMEOUT_S * BACKOFF ** i`` = 50, 100 and 200 ms, and a
+sender gives up after ``MAX_RETRIES`` = 2 re-transmissions, having
+wasted ``GIVE_UP_S`` = 0.35 s.  The fault state moves only between
+dispatches, so every attempt of one send meets the same peer: a send is
+delivered on its first attempt or gives up after the whole schedule,
+and a retry never succeeds.
 
 :class:`ResilienceConfig` bundles the runtime's reaction switches:
 whether the executor may fail over to surviving devices, and whether it
@@ -20,7 +21,7 @@ retries, fail over to the fastest remote the breakers allow, else
 degrade to the min submodel on the gateway, or fail the request when
 failover is off.  An *attempt* runs one ``(arch, plan)`` and either
 returns an :class:`~repro.runtime.executor.ExecutionResult` carrying
-its own latency, retries and wasted seconds, or raises
+its own latency, or raises
 :class:`DeviceUnreachableError` after teaching the breakers what it saw
 — or :class:`NoRouteError` when pricing met a dead path before any send
 went out, which the ladder converts (see :meth:`FailoverLadder.climb`).
@@ -47,7 +48,7 @@ BACKOFF = 2.0
 
 
 def timeout_of(attempt: int) -> float:
-    """Seconds attempt ``attempt`` (0-based) waits before declaring loss."""
+    """Seconds attempt ``attempt`` (0-based) waits before declaring it lost."""
     return TIMEOUT_S * BACKOFF ** attempt
 
 
@@ -98,17 +99,19 @@ class DeviceUnreachableError(TransportError):
     """Every retry to a peer timed out.
 
     ``wasted_s`` is the simulated time the sender burned discovering the
-    failure (the full retry schedule); ``retries`` the re-transmissions
-    performed.  Both must be charged to the request that fails over.
+    failure (the full retry schedule, ``GIVE_UP_S``); ``retries`` the
+    re-transmissions performed (``MAX_RETRIES``).  Both must be charged
+    to the request that fails over.
     """
 
-    def __init__(self, device: int, wasted_s: float, retries: int):
+    wasted_s = GIVE_UP_S
+    retries = MAX_RETRIES
+
+    def __init__(self, device: int):
         super().__init__(
-            f"device {device} unreachable after {retries} retries "
-            f"({wasted_s * 1e3:.1f} ms wasted)")
+            f"device {device} unreachable after {MAX_RETRIES} retries "
+            f"({GIVE_UP_S * 1e3:.1f} ms wasted)")
         self.device = device
-        self.wasted_s = wasted_s
-        self.retries = retries
 
 
 class NoStrategyError(RuntimeError):
@@ -196,8 +199,7 @@ class FailoverLadder:
                     at = now + (penalty + GIVE_UP_S)
                     self.health.record_failure(e.device, at)
                     self.health.record_link_failure(e.src, e.dst, at)
-                    raise DeviceUnreachableError(e.device, GIVE_UP_S,
-                                                 MAX_RETRIES) from e
+                    raise DeviceUnreachableError(e.device) from e
             except DeviceUnreachableError as e:
                 penalty += e.wasted_s
                 retries += e.retries
@@ -215,12 +217,10 @@ class FailoverLadder:
                     degraded = True
                 plan = self.place(arch, 0 if target is None else target)
                 continue
-            retries += done.retries
-            penalty += done.penalty_s
             done.latency_s += penalty
             done.retries, done.failovers = retries, failovers
             done.penalty_s = penalty
             done.executed_arch, done.executed_plan = arch, plan
             done.outcome = ("degraded" if degraded
-                            else "retried" if (retries or failovers) else "ok")
+                            else "retried" if failovers else "ok")
             return done

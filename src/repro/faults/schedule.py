@@ -1,8 +1,8 @@
 """Timed fault schedules: *what* goes wrong in the world, and *when*.
 
 A :class:`FaultSchedule` is a plain, immutable list of timed events —
-device crashes, link degradation, message loss, link failures and
-flaps, correlated failure domains — each active over a ``[start, end)``
+device crashes, link degradation, link failures and flaps,
+correlated failure domains — each active over a ``[start, end)``
 window of simulated time.  The schedule is pure ground truth: only the
 data plane (the transport and the executor, i.e. code that would
 physically notice a dead peer) may consult it, through the
@@ -28,8 +28,8 @@ from .. import (Bound, Finite, IntAtLeast, NonNegative, Period, Positive,
                 check_fields)
 from ..netsim.link import Delay, Edge, canonical_edge
 
-__all__ = ["FaultEvent", "DeviceCrash", "LinkDegradation", "MessageLoss",
-           "LinkFailure", "LinkFlap", "CorrelatedFailure", "FaultSchedule",
+__all__ = ["FaultEvent", "DeviceCrash", "LinkDegradation", "LinkFailure",
+           "LinkFlap", "CorrelatedFailure", "FaultSchedule",
            "crash_and_recover_schedule"]
 
 
@@ -84,19 +84,6 @@ class LinkDegradation(FaultEvent):
 
 
 @dataclass(frozen=True)
-class MessageLoss(FaultEvent):
-    """Messages crossing a link are dropped with probability ``prob``.
-
-    ``device=None`` applies to every remote link.
-    """
-
-    prob: Annotated[float, Bound(0.0, 1.0, hi_open=True)] = 0.0
-    #: a remote device's link
-    device: Optional[Annotated[int, IntAtLeast(1)]] = None
-    kind = "loss"
-
-
-@dataclass(frozen=True)
 class LinkFailure(FaultEvent):
     """One mesh link is hard-down for the whole window (cable pull,
     radio shadowing, switch-port death).
@@ -127,7 +114,7 @@ class LinkFlap(FaultEvent):
     sampled every ``step_s`` simulated seconds: from UP it fails with
     ``p_fail``, from DOWN it recovers with ``p_recover``.  Small
     ``p_recover`` yields long correlated outage bursts — the signature
-    of marginal radio links — rather than i.i.d. loss.
+    of marginal radio links — rather than independent outages.
 
     The chain starts DOWN at ``start`` (the event's onset *is* the
     first outage) and the state sequence is memoized from a seeded
@@ -331,24 +318,6 @@ class FaultSchedule:
             return True
         iso = self.down_devices(now)
         return src not in iso and dst not in iso
-
-    def loss_prob(self, src: int, dst: int, now: float) -> float:
-        """Combined drop probability for one ``src -> dst`` message.
-
-        Every remote endpoint's link is crossed once (remote-remote
-        relays through the switch); independent loss events compound.
-        """
-        if src == dst:
-            return 0.0
-        links = {d for d in (src, dst) if d != 0}
-        p_keep = 1.0
-        for e in self._live(now):
-            if not (isinstance(e, MessageLoss) and e.active(now)):
-                continue
-            hits = len(links) if e.device is None else (e.device in links)
-            for _ in range(int(hits)):
-                p_keep *= 1.0 - e.prob
-        return 1.0 - p_keep
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         kinds: Dict[str, int] = {}

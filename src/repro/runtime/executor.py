@@ -21,8 +21,8 @@ an :class:`~repro.partition.plan.ExecutionPlan`:
 Failure semantics (``faults=``, the null injector when absent): each
 execution is one attempt on the
 :class:`~repro.faults.resilience.FailoverLadder` — a tensor pass through
-the :class:`~repro.runtime.rpc.Transport`.  A send that exhausts its
-retries, or a mesh pair with no surviving path
+the :class:`~repro.runtime.rpc.Transport`.  A send to an unreachable
+peer (it exhausts its retries), or a mesh pair with no surviving path
 (:class:`~repro.faults.resilience.NoRouteError`, which the ladder
 charges the retry give-up cost the sender would have burned discovering
 it), fails the attempt; the ladder fails over, degrades or, with
@@ -41,8 +41,7 @@ import numpy as np
 
 from ..faults.health import DeviceHealth
 from ..faults.injector import FaultInjector
-from ..faults.resilience import (DeviceUnreachableError, FailoverLadder,
-                                 ResilienceConfig)
+from ..faults.resilience import FailoverLadder, ResilienceConfig
 from ..models.graph import ModelGraph
 from ..nas.arch import ArchConfig
 from ..nas.graph_builder import build_graph
@@ -65,7 +64,7 @@ class ExecutionResult:
 
     Both data planes' attempts on the
     :class:`~repro.faults.resilience.FailoverLadder` return one — a
-    plan-only attempt's carries only its latency, retries and waste —
+    plan-only attempt's carries only its latency —
     and the ladder fills in the request's accounting on the one that
     completed.
     """
@@ -163,19 +162,12 @@ class DistributedExecutor:
         graph = graph or build_graph(arch, self.net.space)
         plan.validate_for(graph, self.cluster.num_devices)
         self.transport.request_id = request_id
-        transport = self.transport
 
         def attempt(cur_arch, cur_plan, penalty):
             cur_graph = (graph if cur_arch == arch
                          else build_graph(cur_arch, self.net.space))
-            try:
-                run = self._run_plan(x, cur_arch, cur_plan, cur_graph,
-                                     sim_time + penalty, request_id)
-            except DeviceUnreachableError as e:
-                # the attempt's retries include its delivered sends'
-                raise DeviceUnreachableError(
-                    e.device, e.wasted_s, transport.num_retries) from e
-            return run
+            return self._run_plan(x, cur_arch, cur_plan, cur_graph,
+                                  sim_time + penalty, request_id)
 
         result = self._ladder.climb(attempt, arch, plan, sim_time)
         if result.failovers:
@@ -244,8 +236,7 @@ class DistributedExecutor:
         transport = self.transport
         return ExecutionResult(
             report.total_s, x, report, transport.total_bytes,
-            transport.num_messages, partitioned,
-            retries=transport.num_retries, penalty_s=transport.wasted_s)
+            transport.num_messages, partitioned)
 
     def _run_partitioned(self, x: np.ndarray, arch: ArchConfig,
                          units: Sequence[int], bp: BlockPlan,

@@ -6,15 +6,15 @@ via the cluster's link model — and whose payload really is the
 (optionally quantized) tensor, so precision loss is physically incurred,
 not just priced.
 
-Failure semantics (``faults=``, the null injector when absent): each
-cross-device send may be lost or the peer unreachable.  The sender
-learns this only when its ack timeout expires, so every failed attempt
-costs the attempt's timeout (the exponential backoff schedule of
-:mod:`~repro.faults.resilience`, the same for every send), and
-the successful retry re-pays the full transfer time — retries show up
-in delivered-at timestamps, latency, and telemetry.  When every attempt
-times out, :class:`~repro.faults.resilience.DeviceUnreachableError`
-carries the wasted time for the caller to charge to the request.
+Failure semantics (``faults=``, the null injector when absent): a
+cross-device send is delivered on its first attempt, or its peer is
+unreachable.  The fault state moves only between dispatches, so every
+attempt of one send meets the same peer and a retry never helps.  The
+sender learns of a dead peer only when its ack timeouts expire, after
+the whole exponential backoff schedule of
+:mod:`~repro.faults.resilience`;
+:class:`~repro.faults.resilience.DeviceUnreachableError` carries that
+wasted time and the retries for the caller to charge to the request.
 
 On a mesh cluster the wire is a *path*: a pair whose route differs
 from the fault-free one rides its backup path at that path's honest
@@ -24,15 +24,15 @@ recorded per endpoint *and* per endpoint pair, at the send's time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, List, Optional
 
 import numpy as np
 
 from ..faults.health import DeviceHealth
 from ..faults.injector import FaultInjector
 from ..faults.resilience import (MAX_RETRIES, DeviceUnreachableError,
-                                 NoRouteError, timeout_of)
+                                 NoRouteError)
 from ..netsim.mesh import MeshCluster
 from ..nn.quantize import QuantizedTensor, dequantize, quantize
 from ..telemetry import Telemetry
@@ -45,8 +45,7 @@ class Message:
     """One delivered payload with accounting metadata.
 
     ``request_id`` stitches cross-device messages back to the serving
-    request that caused them; ``retries`` counts the re-transmissions
-    this delivery needed (0 on a clean first attempt).
+    request that caused them.
     """
 
     src: int
@@ -56,7 +55,6 @@ class Message:
     sent_at: float
     delivered_at: float
     request_id: Optional[int] = None
-    retries: int = 0
 
 
 class Reroutes:
@@ -97,7 +95,7 @@ class Reroutes:
 class Transport:
     """Message channel between cluster devices with full accounting.
 
-    ``total_bytes``/``num_messages``/``num_retries`` are O(1) running
+    ``total_bytes``/``num_messages`` are O(1) running
     aggregates over the current log window; :meth:`reset_log` clears the
     log *and* these aggregates together, so they always agree with
     ``self.log``.  Telemetry counters (``transport_bytes_total``,
@@ -120,8 +118,6 @@ class Transport:
         self.tenant: Optional[str] = None
         self._total_bytes = 0
         self._num_messages = 0
-        self._num_retries = 0
-        self._wasted_s = 0.0
         self._reg = self.telemetry.registry.child("transport")
         self._m_bytes = self._reg.counter(
             "bytes_total", help="payload bytes on the wire")
@@ -154,55 +150,44 @@ class Transport:
             self._reg.counter("quantized_messages_total",
                               help="tensor messages by wire precision",
                               bits=bits).inc()
-        if msg.retries:
-            self._m_retries.inc(msg.retries)
 
-    def _contend(self, src: int, dst: int, now: float) -> Tuple[float, int]:
-        """Fight the injected faults for one delivery.
+    def _reach(self, src: int, dst: int, now: float) -> None:
+        """Check that ``dst`` can hear ``src`` for one delivery, and
+        teach the breakers the outcome.
 
-        Returns ``(wasted_s, retries)`` on eventual success; raises
-        :class:`DeviceUnreachableError` when every attempt times out.
-        The blamed device is the remote endpoint (the peer we cannot
-        reach — never the gateway, which is the caller itself).
+        Raises :class:`DeviceUnreachableError` when it cannot: every
+        attempt would time out.  The blamed device is the remote
+        endpoint (the peer we cannot reach — never the gateway, which is
+        the caller itself).
         """
-        faults = self.faults
-        wasted = 0.0
-        for attempt in range(MAX_RETRIES + 1):
-            delivered = (faults.reachable(src, dst)
-                         and not faults.message_lost(src, dst))
-            if delivered:
-                for d in (src, dst):  # the gateway's is a no-op
-                    self.health.record_success(d, now)
-                self.health.record_link_success(src, dst, now)
-                return wasted, attempt
-            wasted += timeout_of(attempt)
+        if self.faults.reachable(src, dst):
+            for d in (src, dst):  # the gateway's is a no-op
+                self.health.record_success(d, now)
+            self.health.record_link_success(src, dst, now)
+            return
         device = dst if dst != 0 else src
-        self._num_retries += MAX_RETRIES
         self.health.record_failure(device, now)
         self.health.record_link_failure(src, dst, now)
         self._m_retries.inc(MAX_RETRIES)
         self._m_unreachable.inc()
-        raise DeviceUnreachableError(device, wasted, MAX_RETRIES)
+        raise DeviceUnreachableError(device)
 
     def _send(self, src: int, dst: int, payload: Any, nbytes: int,
               now: float, bits: Optional[int] = None) -> Message:
         """Price, log and account one message (free when ``src == dst``)."""
-        wasted, retries, delivered = 0.0, 0, now
+        delivered = now
         if src != dst:
-            wasted, retries = self._contend(src, dst, now)
+            self._reach(src, dst, now)
             # the cluster's tracker, if it has one, prices the wire
             # against the flows in flight when the send goes out
-            delivered = (now + wasted + self.cluster.timed_transfer(
-                src, dst, nbytes, now + wasted, tenant=self.tenant))
+            delivered = now + self.cluster.timed_transfer(
+                src, dst, nbytes, now, tenant=self.tenant)
         msg = Message(src, dst, payload, nbytes, now, delivered,
-                      request_id=self.request_id, retries=retries)
+                      request_id=self.request_id)
         self.log.append(msg)
         if src != dst:
             self._total_bytes += nbytes
             self._num_messages += 1
-            self._num_retries += retries
-            if retries:
-                self._wasted_s += wasted
             self._reroutes.note(src, dst)
             self._account(msg, bits=bits)
         return msg
@@ -233,26 +218,12 @@ class Transport:
     def num_messages(self) -> int:
         return self._num_messages
 
-    @property
-    def num_retries(self) -> int:
-        return self._num_retries
-
-    @property
-    def wasted_s(self) -> float:
-        """Simulated seconds burned on timeouts by *successful* sends in
-        the current log window (give-up waste travels in the raised
-        :class:`DeviceUnreachableError` instead)."""
-        return self._wasted_s
-
     def reset_log(self) -> None:
         """Clear the message log and its derived aggregates together.
 
-        ``total_bytes``/``num_messages``/``num_retries``/``wasted_s``
-        always describe the current ``log`` window; telemetry counters
+        ``total_bytes``/``num_messages`` always describe the current ``log`` window; telemetry counters
         are monotonic by design and deliberately unaffected.
         """
         self.log.clear()
         self._total_bytes = 0
         self._num_messages = 0
-        self._num_retries = 0
-        self._wasted_s = 0.0

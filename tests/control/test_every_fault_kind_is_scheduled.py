@@ -14,7 +14,7 @@ from repro.eval.runner import SCENARIOS, override_config
 from repro.faults import FaultEvent
 
 #: exported fault kinds no run schedules, and why they stay
-EXEMPT = {"MessageLoss": "ROADMAP item 18"}
+EXEMPT: dict = {}
 
 
 def _exported():

@@ -335,7 +335,8 @@ def test_programs_are_bounded_by_use_and_keep_their_plan_alive():
     plan = single_device_plan(model.graph(arch), device=1)
     expected = simulate_latency(model.graph(arch), plan, cluster)
     assert model.latency(arch, plan, cluster) == expected.total_s
-    assert model.num_transfers(arch, plan) == expected.num_transfers
+    assert model._entry(arch, plan)[1].num_transfers \
+        == expected.num_transfers
     # the memo keys on id(plan): it must own a reference, or a new plan
     # allocated at the freed address would be priced as the old one
     alive = weakref.ref(plan)
@@ -345,12 +346,12 @@ def test_programs_are_bounded_by_use_and_keep_their_plan_alive():
     # a strategy in service is priced between any two others: however
     # many one-off plans pass through, it is never the one dropped
     live = spatial_plan(model.graph(arch), Grid(1, 2), [1, 2])
-    live_program = model._program(arch, live)
+    live_program = model._entry(arch, live)[1]
     for _ in range(3 * bound):
         fresh = spatial_plan(model.graph(arch), Grid(1, 2), [1, 2])
         assert model.latency(arch, fresh, cluster) == simulate_latency(
             model.graph(arch), fresh, cluster).total_s
-        assert model._program(arch, live) is live_program
+        assert model._entry(arch, live)[1] is live_program
     assert len(model._programs) == bound
     gc.collect()
     assert alive() is None, "the least recently used entry went, plan and all"

@@ -26,6 +26,7 @@ from repro.eval.replay import (load_recordings, replay_stats, rerecord,
                                verify_invariants)
 from repro.eval.runner import (SCENARIOS, config_from_dict, override_config,
                                run_scenario)
+from repro.faults.resilience import MAX_RETRIES
 from repro.telemetry import write_recordings
 
 FLUID_GOLDEN = Path(__file__).resolve().parents[1] / "fixtures" \
@@ -117,6 +118,17 @@ class TestCrossSuiteInvariants:
             assert set(rep.stats.tenants()) == declared
             assert ({r.tenant for r in rep.stats.records}
                     == (declared or {None}))
+
+    def test_a_send_arrives_or_gives_up(self, smoke):
+        """No retry ever succeeds: a served request carries the whole
+        retry schedule of each give-up it failed over from, and a failed
+        one either never sent (no strategy) or gave up once."""
+        for name, rep in smoke[1].items():
+            for r in rep.stats.records:
+                if r.outcome == "failed":
+                    assert r.retries in (0, MAX_RETRIES), (name, r)
+                else:
+                    assert r.retries == MAX_RETRIES * r.failovers, (name, r)
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ import pytest
 
 from repro.devices import rpi4
 from repro.faults import (DeviceCrash, FaultInjector, FaultSchedule,
-                          LinkDegradation, MessageLoss)
+                          LinkDegradation)
 from repro.netsim import NetworkCondition, star_topology
 from repro.telemetry import Telemetry
 
@@ -73,24 +73,6 @@ class TestApplyTo:
         cluster.set_condition(NetworkCondition((40.0, 40.0), (10.0, 10.0)))
         inj.apply_to(cluster)
         assert cluster.condition.bandwidths_mbps == (40.0, 20.0)
-
-
-class TestLossDraws:
-    def test_deterministic_in_seed(self):
-        sched = FaultSchedule([MessageLoss(0.0, 10.0, prob=0.5)])
-        a = FaultInjector(sched, seed=3)
-        b = FaultInjector(sched, seed=3)
-        a.advance(1.0)
-        b.advance(1.0)
-        draws_a = [a.message_lost(0, 1) for _ in range(50)]
-        draws_b = [b.message_lost(0, 1) for _ in range(50)]
-        assert draws_a == draws_b
-        assert any(draws_a) and not all(draws_a)
-
-    def test_no_loss_means_no_draw(self):
-        inj = FaultInjector(FaultSchedule([]))
-        assert not inj.message_lost(0, 1)
-        assert inj.loss_prob(0, 1) == 0.0
 
 
 class TestInjectorTelemetry:

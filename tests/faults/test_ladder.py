@@ -2,9 +2,10 @@
 
 Plan-only and executable serving answer a failure with one policy:
 retry, open a breaker, fail over to the fastest surviving remote, else
-degrade to the min submodel on the gateway.  In a world of crashes only
-(``MessageLoss`` is priced per transfer in one mode and per send in the
-other, by design) the two modes must agree item by item.
+degrade to the min submodel on the gateway.  In both, a send is
+delivered on its first attempt or gives up after the whole retry
+schedule, so in a world of crashes the two modes must agree item by
+item.
 """
 
 import math

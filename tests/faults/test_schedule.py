@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.faults import (CorrelatedFailure, DeviceCrash, FaultSchedule,
                           LinkDegradation, LinkFailure, LinkFlap,
-                          MessageLoss, crash_and_recover_schedule)
+                          crash_and_recover_schedule)
 
 
 class TestEventValidation:
@@ -17,12 +17,6 @@ class TestEventValidation:
     def test_degradation_factor_range(self):
         with pytest.raises(ValueError):
             LinkDegradation(0.0, 1.0, device=1, bw_factor=1.5)
-
-    def test_loss_prob_range(self):
-        with pytest.raises(ValueError):
-            MessageLoss(0.0, 1.0, prob=1.0)
-        with pytest.raises(ValueError):
-            MessageLoss(0.0, 1.0, prob=-0.1)
 
     def test_active_window_is_half_open(self):
         e = DeviceCrash(1.0, 2.0, device=1)
@@ -57,20 +51,6 @@ class TestScheduleQueries:
         assert not sched.reachable(1, 2, 0.5)
         assert sched.reachable(2, 2, 0.5)  # self-sends always deliver
         assert sched.reachable(0, 2, 1.0)
-
-    def test_loss_prob_compounds_over_crossed_links(self):
-        sched = FaultSchedule([MessageLoss(0.0, 1.0, prob=0.5)])
-        # gateway->remote crosses one remote link
-        assert sched.loss_prob(0, 1, 0.5) == pytest.approx(0.5)
-        # remote->remote crosses both
-        assert sched.loss_prob(1, 2, 0.5) == pytest.approx(0.75)
-        assert sched.loss_prob(1, 1, 0.5) == 0.0
-        assert sched.loss_prob(0, 1, 1.0) == 0.0
-
-    def test_loss_prob_per_device(self):
-        sched = FaultSchedule([MessageLoss(0.0, 1.0, prob=0.3, device=2)])
-        assert sched.loss_prob(0, 1, 0.5) == 0.0
-        assert sched.loss_prob(0, 2, 0.5) == pytest.approx(0.3)
 
     def test_degrade(self):
         """A degradation hits its remote's spoke of a star only, and
@@ -113,7 +93,7 @@ _EDGE = st.sampled_from([(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)])
 def _events(draw):
     start = draw(_TIMES)
     end = start + draw(_ENDS)
-    kind = draw(st.integers(0, 5))
+    kind = draw(st.integers(0, 4))
     if kind == 0:
         return DeviceCrash(start, end, device=draw(_REMOTE))
     if kind == 1:
@@ -121,11 +101,8 @@ def _events(draw):
                                bw_factor=draw(st.floats(0.05, 1.0)),
                                extra_delay_ms=draw(st.floats(0.0, 50.0)))
     if kind == 2:
-        return MessageLoss(start, end, prob=draw(st.floats(0.0, 0.9)),
-                           device=draw(st.one_of(st.none(), _REMOTE)))
-    if kind == 3:
         return LinkFailure(start, end, *draw(_EDGE))
-    if kind == 4:
+    if kind == 3:
         return LinkFlap(start, end, *draw(_EDGE), step_s=0.3,
                         seed=draw(st.integers(0, 9)))
     return CorrelatedFailure(start, end,
@@ -153,8 +130,6 @@ def test_indexed_queries_read_what_a_scan_of_every_event_reads(events, times):
             assert getattr(fast, name)(now, *args) \
                 == getattr(slow, name)(now, *args), (name, now)
         for src, dst in ((0, 1), (1, 2), (3, 0), (2, 2)):
-            assert fast.loss_prob(src, dst, now) \
-                == slow.loss_prob(src, dst, now)
             assert fast.reachable(src, dst, now) \
                 == slow.reachable(src, dst, now)
 

@@ -51,7 +51,6 @@ _CONTENDED = ("a contended wire's capacity step: the wire, route and fluid "
               "digests pin it; no run steps a cluster that has a tracker")
 _FLUID = "fluid_price_digests pins it"
 _ORACLE = "the oracle of test_simulate::test_matches_graph_time"
-_LOSS = "the message-loss path: no scenario or workload schedules MessageLoss"
 _NULL = ("a null twin: test_null_contract holds its surface equal to the "
          "real class's")
 _RECONFIG = ("in-memory submodel switching, which ROADMAP 4A's exec_split "
@@ -75,14 +74,10 @@ KEEP: Dict[str, str] = {
     "repro.runtime.reconfig:ModelReconfig.__init__": _RECONFIG,
     "repro.runtime.reconfig:ModelReconfig.switch": _RECONFIG,
     "repro.runtime.reconfig:ModelReconfig.active_units": _RECONFIG,
-    "repro.faults.injector:FaultInjector.message_lost": _LOSS,
-    "repro.core.cost_model:PlanCostModel.num_transfers": _LOSS,
-    "repro.core.cost_model:PlanCostModel._program": _LOSS,
     "repro.faults.health:NullHealth.allow": _NULL,
     "repro.faults.health:NullHealth.allow_link": _NULL,
     "repro.faults.health:NullHealth.record_failure": _NULL,
     "repro.faults.health:NullHealth.record_link_failure": _NULL,
-    "repro.faults.injector:NullFaults.loss_prob": _NULL,
     "repro.telemetry.metrics:NullRegistry.get": _NULL,
     "repro.telemetry.tracing:NullTracer.active": _NULL,
     "repro.faults.schedule:crash_and_recover_schedule":
@@ -196,7 +191,7 @@ KEEP_PARAMS: Dict[str, str] = {
     "repro.core.decision:SearchDecisionEngine.__init__(seed)":
         _CONFIG + " (seed)",
     "repro.faults.injector:FaultInjector.__init__(seed)":
-        _CONFIG + " (seed); the perf ledger's --seed reaches mesh_faults'",
+        "unread; only the frozen perf adapter passes it",
     "repro.core.decision:RLDecisionEngine.__init__(fallback)":
         "the raw policy, with no search fallback: test_decision_fallback "
         "measures it",

@@ -24,8 +24,7 @@ from repro.eval.multi_tenant import TenantSpec, default_tenants
 from repro.eval.runner import SCENARIOS, override_config
 from repro.eval.spec import PinnedTimeEngine
 from repro.faults import (CorrelatedFailure, DeviceCrash, DeviceHealth,
-                          FaultEvent, LinkDegradation, LinkFailure, LinkFlap,
-                          MessageLoss)
+                          FaultEvent, LinkDegradation, LinkFailure, LinkFlap)
 from repro.netsim.ingress import SharedIngress
 from repro.netsim.link import Link
 from repro.netsim.mesh import MeshCluster, MeshLink, star_topology
@@ -51,7 +50,6 @@ OWNERS = {
     FaultEvent: dict(start=0.0, end=1.0),
     DeviceCrash: dict(start=0.0, end=1.0),
     LinkDegradation: dict(start=0.0, end=1.0),
-    MessageLoss: dict(start=0.0, end=1.0),
     LinkFailure: dict(start=0.0, end=1.0),
     LinkFlap: dict(start=0.0, end=1.0),
     CorrelatedFailure: dict(start=0.0, end=1.0, devices=(1,)),
